@@ -2,8 +2,8 @@
 # Repo health gate: tier-1 tests, warnings-as-errors on the fault-injection,
 # scheduler, journal/recovery, HA, telemetry, edge, FaaS, and chunk
 # read-path suites, fleet-contention / crash / HA / trace / edge / FaaS /
-# chunk determinism gates, the checked-in perf-trajectory artifacts, and a
-# full bytecode compile of the source tree.
+# chunk determinism gates, the checked-in perf-trajectory artifacts, the
+# perf ledger's output checks, and a full bytecode compile of the source tree.
 #
 # Usage: sh scripts/check.sh   (from the repo root)
 set -eu
@@ -217,6 +217,21 @@ for trace_seed in 11 42; do
         "$fleet_tmp/trace-$trace_seed-run2/metrics.json"
 done
 echo "trace exports identical across runs for both seeds"
+
+echo "== perf-ledger output checks =="
+# One short pass of each ledger workload: the run checks its own outputs
+# (every client's filesystem digest equals a sequential control, bytes
+# conserved, no failed operation) and says so on its last line.  Host
+# timings are not gated here; nothing is written.
+for ledger_workload in wave microflows convert seqdeploy fabrics chunkreads; do
+    python3 benchmarks/ledger/run.py --smoke --workload "$ledger_workload" \
+        --seconds 1 | tail -n 1 > "$fleet_tmp/ledger-$ledger_workload.json"
+    grep -q '"correct": true' "$fleet_tmp/ledger-$ledger_workload.json" \
+        && grep -q '"failed": 0[,}]' "$fleet_tmp/ledger-$ledger_workload.json" \
+        || { echo "ledger workload $ledger_workload failed its output checks" >&2
+             cat "$fleet_tmp/ledger-$ledger_workload.json" >&2; exit 1; }
+done
+echo "ledger outputs correct on all six workloads"
 
 echo "== compileall src =="
 python -m compileall -q src

@@ -35,9 +35,10 @@ STUB_MAGIC = "gearfp:"
 #: Extended attribute marking a stub inode in a live index tree.
 STUB_XATTR = "gear.stub"
 
-#: One-time parse templates for :meth:`GearIndex.from_image`, keyed by
-#: the (immutable, digest-hashed) index layer archive.  Weak keys: the
-#: template dies with the last registry/daemon reference to the archive.
+#: One-time parse templates for :meth:`GearIndex.from_image` (a frozen
+#: stub tree and its entry table), keyed by the (immutable,
+#: digest-hashed) index layer archive.  Weak keys: the template dies
+#: with the last registry/daemon reference to the archive.
 _INDEX_TEMPLATES: "WeakKeyDictionary[LayerArchive, Tuple[FileSystemTree, Dict[str, GearFileEntry]]]" = (
     WeakKeyDictionary()
 )
@@ -145,8 +146,9 @@ class GearIndex:
         The parse is pure in the layer archive's content, so the stub
         tree and entry table are built once per archive digest and every
         subsequent call (every other node in a fleet pulling the same
-        index) receives an independent clone of that template — the
-        same result a re-parse would produce, minus the re-parse.
+        index) receives a copy-on-write clone of that frozen template —
+        the same result a re-parse would produce, minus the re-parse and
+        minus a copy of every stub the deployment never touches.
         """
         if not image.gear_index:
             raise GearError(f"{image.reference!r} is not a Gear index image")
@@ -188,7 +190,7 @@ class GearIndex:
                 meta = node.meta.copy()
                 meta.xattrs[STUB_XATTR] = "1"
                 tree.write_file(path, node.blob, meta=meta, parents=True)
-        return tree, entries
+        return tree.freeze(), entries
 
     # -- packaging ------------------------------------------------------------
 

@@ -60,7 +60,10 @@ class Inode:
     from the level-1 cache into container indexes.
     """
 
-    __slots__ = ("ino", "kind", "meta", "blob", "symlink_target", "children", "nlink", "opaque")
+    __slots__ = (
+        "ino", "kind", "meta", "blob", "symlink_target", "children", "nlink",
+        "opaque", "owner",
+    )
 
     def __init__(
         self,
@@ -69,8 +72,15 @@ class Inode:
         meta: Optional[Metadata] = None,
         blob: Optional[Blob] = None,
         symlink_target: Optional[str] = None,
+        owner: Optional[object] = None,
     ) -> None:
         self.ino: int = next(_inode_numbers)
+        #: Token of the :class:`~repro.vfs.tree.FileSystemTree` that
+        #: created this inode and may mutate it in place; any other tree
+        #: reaching it (a clone of a frozen tree) must copy it first.
+        #: ``None`` for inodes made outside a tree (the Gear pool's),
+        #: whose ``nlink`` counts references across every tree.
+        self.owner = owner
         self.kind = kind
         self.meta = meta if meta is not None else Metadata()
         self.blob: Optional[Blob] = None
@@ -123,17 +133,37 @@ class Inode:
 
     # -- structural copy -------------------------------------------------
 
-    def clone(self, *, deep: bool = True) -> "Inode":
-        """Copy this inode (new inode number, nlink reset to 1).
+    def clone(
+        self,
+        *,
+        deep: bool = True,
+        owner: Optional[object] = None,
+        links: Optional[Dict["Inode", "Inode"]] = None,
+    ) -> "Inode":
+        """Copy this inode for the tree ``owner`` (new inode number).
 
-        Directories clone their subtree when ``deep``; files share the
-        (immutable) blob.  Used by copy-up, layer application, and the
-        template caches, which makes this a deploy-path hot spot — the
-        copy assigns slots directly instead of re-running ``__init__``'s
-        validation (the source inode already passed it).
+        Files share the (immutable) blob.  A directory copies its whole
+        subtree when ``deep`` — how a *writable* tree is cloned — and
+        otherwise keeps referencing the same children, which is the
+        copy-on-write step of a tree that shares structure with a frozen
+        one.  ``links`` maps a multiply-linked source inode to the copy
+        already made of it, so hard links stay linked in the copy and its
+        ``nlink`` counts the entries copied, not the source's.
+
+        The copy assigns slots directly instead of re-running
+        ``__init__``'s validation (the source inode already passed it).
         """
+        linked = links is not None and self.nlink > 1 and self.children is None
+        if linked:
+            twin = links.get(self)
+            if twin is not None:
+                twin.nlink += 1
+                return twin
         copy = Inode.__new__(Inode)
+        if linked:
+            links[self] = copy
         copy.ino = next(_inode_numbers)
+        copy.owner = owner
         copy.kind = self.kind
         meta = self.meta
         copy.meta = Metadata(
@@ -144,16 +174,16 @@ class Inode:
         copy.symlink_target = self.symlink_target
         copy.nlink = 1
         copy.opaque = self.opaque
-        if self.kind is FileKind.DIRECTORY:
-            children = self.children
-            assert children is not None
-            copy.children = (
-                {name: child.clone(deep=True) for name, child in children.items()}
-                if deep
-                else {}
-            )
-        else:
+        children = self.children
+        if children is None:
             copy.children = None
+        elif deep:
+            copy.children = {
+                name: child.clone(owner=owner, links=links)
+                for name, child in children.items()
+            }
+        else:
+            copy.children = dict(children)
         return copy
 
     def __repr__(self) -> str:

@@ -105,10 +105,10 @@ class LayerArchive:
         )
         self._digest: Optional[Digest] = None
         # Extraction templates: the archive is immutable, so the trees
-        # its entries unpack to are fixed — build each once, then hand
-        # every caller an independent deep clone (blobs stay shared).
-        # A fleet of nodes pulling the same layer pays the entry-by-entry
-        # unpack once instead of once per node.
+        # its entries unpack to are fixed — build and freeze each once,
+        # then hand every caller a copy-on-write clone of it.  A fleet
+        # of nodes pulling the same layer pays the entry-by-entry unpack
+        # once, and each node pays only for the directories it writes.
         self._extract_template: Optional[FileSystemTree] = None
         self._diff_template: Optional[FileSystemTree] = None
         # Size model results are pure in the entry list; cache them.
@@ -274,12 +274,11 @@ class LayerArchive:
     def extract(self) -> FileSystemTree:
         """Unpack this archive into a fresh tree.
 
-        Each call returns an independent tree (cloned from a one-time
-        template; clones get fresh inode numbers and copied metadata,
-        exactly as a re-extraction would).
+        Each call returns an independent writable tree: a clone of a
+        one-time frozen template, sharing its inodes until written to.
         """
         if self._extract_template is None:
-            self._extract_template = self.apply_to(FileSystemTree())
+            self._extract_template = self.apply_to(FileSystemTree()).freeze()
         return self._extract_template.clone()
 
     def extract_diff(self) -> FileSystemTree:
@@ -294,7 +293,7 @@ class LayerArchive:
         clones of a one-time unpack.
         """
         if self._diff_template is None:
-            self._diff_template = self._extract_diff_uncached()
+            self._diff_template = self._extract_diff_uncached().freeze()
         return self._diff_template.clone()
 
     def _extract_diff_uncached(self) -> FileSystemTree:

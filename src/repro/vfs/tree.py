@@ -28,10 +28,23 @@ class FileSystemTree:
     diff trees, images unpack into trees, the Gear converter walks a tree,
     and overlay mounts merge trees.  Mutations go through path-based
     methods mirroring the POSIX calls the paper's components issue.
+
+    A clone of a *frozen* tree shares the source's inodes and copies a
+    directory only when one of its own mutations first walks through it
+    (see :meth:`clone`).  Callers must therefore mutate inodes only
+    through these methods, or on the node such a method just returned.
     """
 
     def __init__(self, *, read_only: bool = False) -> None:
-        self.root = Inode(FileKind.DIRECTORY, meta=Metadata(mode=0o755))
+        #: Stamped on every inode this tree creates: the tree may mutate
+        #: exactly the inodes carrying it (see :attr:`Inode.owner`).
+        self._token = object()
+        #: True for a clone of a frozen tree, which can reach inodes it
+        #: does not own; every other tree skips the own-on-write walk.
+        self._shares = False
+        self.root = Inode(
+            FileKind.DIRECTORY, meta=Metadata(mode=0o755), owner=self._token
+        )
         self._read_only = read_only
 
     # -- mutability ------------------------------------------------------
@@ -52,12 +65,20 @@ class FileSystemTree:
     # -- resolution ------------------------------------------------------
 
     def _lookup(
-        self, path: str, *, follow_symlinks: bool = True, _depth: int = 0
+        self,
+        path: str,
+        *,
+        follow_symlinks: bool = True,
+        own: bool = False,
+        _depth: int = 0,
     ) -> Inode:
+        """Resolve ``path``; with ``own`` (the mutators' walk through a
+        sharing tree) every directory passed, and a directory arrived
+        at, is first made this tree's own."""
         if _depth > _MAX_SYMLINK_DEPTH:
             raise SymlinkLoopError(f"too many symbolic links resolving {path!r}")
         parts = paths.split(path)
-        node = self.root
+        node = self._own_root() if own else self.root
         for index, name in enumerate(parts):
             if not node.is_dir:
                 raise NotADirectoryVfsError(
@@ -77,15 +98,18 @@ class FileSystemTree:
                 rest = parts[index + 1 :]
                 full = paths.join(target, *rest) if rest else target
                 return self._lookup(
-                    full, follow_symlinks=follow_symlinks, _depth=_depth + 1
+                    full, follow_symlinks=follow_symlinks, own=own,
+                    _depth=_depth + 1,
                 )
+            if own and child.children is not None:
+                child = self._own(node, name, child)
             node = child
         return node
 
     def _lookup_parent(self, path: str) -> Tuple[Inode, str]:
         """Resolve the parent directory of ``path`` and the final name."""
         parent_path, name = paths.parent_and_name(path)
-        parent = self._lookup(parent_path, follow_symlinks=True)
+        parent = self._lookup(parent_path, own=self._shares)
         if not parent.is_dir:
             raise NotADirectoryVfsError(f"{parent_path!r} is not a directory")
         return parent, name
@@ -208,9 +232,10 @@ class FileSystemTree:
         parts = paths.split(path)
         if not parts:
             if exist_ok:
-                return self.root
+                return self._own_root()
             raise FileExistsVfsError("root directory always exists")
-        node = self.root
+        own = self._shares
+        node = self._own_root() if own else self.root
         for index, name in enumerate(parts):
             assert node.children is not None
             child = node.children.get(name)
@@ -223,17 +248,23 @@ class FileSystemTree:
                 child = Inode(
                     FileKind.DIRECTORY,
                     meta=(meta.copy() if meta is not None and is_last else None),
+                    owner=self._token,
                 )
                 node.children[name] = child
-            elif is_last:
-                if not child.is_dir:
-                    raise FileExistsVfsError(f"{path!r} exists and is not a directory")
-                if not exist_ok:
-                    raise FileExistsVfsError(f"directory exists: {path!r}")
-            elif not child.is_dir:
-                raise NotADirectoryVfsError(
-                    f"{'/' + '/'.join(parts[: index + 1])!r} is not a directory"
-                )
+            else:
+                if is_last:
+                    if not child.is_dir:
+                        raise FileExistsVfsError(
+                            f"{path!r} exists and is not a directory"
+                        )
+                    if not exist_ok:
+                        raise FileExistsVfsError(f"directory exists: {path!r}")
+                elif not child.is_dir:
+                    raise NotADirectoryVfsError(
+                        f"{'/' + '/'.join(parts[: index + 1])!r} is not a directory"
+                    )
+                if own:
+                    child = self._own(node, name, child)
             node = child
         return node
 
@@ -256,9 +287,9 @@ class FileSystemTree:
         existing = parent.children.get(name)
         if existing is not None and existing.is_dir:
             raise IsADirectoryVfsError(f"{path!r} is a directory")
-        inode = Inode(FileKind.FILE, meta=meta, blob=blob)
+        inode = Inode(FileKind.FILE, meta=meta, blob=blob, owner=self._token)
         if existing is not None:
-            _drop_link(existing)
+            self._drop_link(existing)
         parent.children[name] = inode
         return inode
 
@@ -272,7 +303,9 @@ class FileSystemTree:
         existing = parent.children.get(name)
         if existing is not None and not existing.is_whiteout:
             raise FileExistsVfsError(f"path exists: {path!r}")
-        inode = Inode(FileKind.SYMLINK, meta=meta, symlink_target=target)
+        inode = Inode(
+            FileKind.SYMLINK, meta=meta, symlink_target=target, owner=self._token
+        )
         parent.children[name] = inode
         return inode
 
@@ -287,6 +320,8 @@ class FileSystemTree:
         existing = parent.children.get(name)
         if existing is not None and not existing.is_whiteout:
             raise FileExistsVfsError(f"path exists: {new_path!r}")
+        if self._is_shared(target):
+            target = self._own_leaf(target)
         target.nlink += 1
         parent.children[name] = target
         return target
@@ -295,18 +330,23 @@ class FileSystemTree:
         """Install an existing inode at ``path`` (hard-link semantics).
 
         This is how the Gear File Viewer links a cached Gear file into an
-        index without copying content.
+        index without copying content.  An inode that belongs to another
+        tree (a frozen template's) is never linked as is: the tree links
+        its own copy, as :meth:`hardlink` does.
         """
         self._check_writable()
         if inode.is_dir:
             raise IsADirectoryVfsError("cannot link a directory inode")
         parent, name = self._lookup_parent(path)
         assert parent.children is not None
+        if self._is_shared(inode):
+            # Before looking at the entry to replace: it may be this inode.
+            inode = self._own_leaf(inode)
         existing = parent.children.get(name)
         if existing is not None and not existing.is_whiteout:
             if not replace:
                 raise FileExistsVfsError(f"path exists: {path!r}")
-            _drop_link(existing)
+            self._drop_link(existing)
         inode.nlink += 1
         parent.children[name] = inode
         return inode
@@ -324,7 +364,7 @@ class FileSystemTree:
             live = [c for c in node.children.values() if not c.is_whiteout]
             if live and not recursive:
                 raise VfsError(f"directory not empty: {path!r}")
-        _drop_link(node)
+        self._drop_link(node)
         del parent.children[name]
 
     def whiteout(self, path: str) -> Inode:
@@ -334,15 +374,15 @@ class FileSystemTree:
         assert parent.children is not None
         existing = parent.children.get(name)
         if existing is not None:
-            _drop_link(existing)
-        inode = Inode(FileKind.WHITEOUT)
+            self._drop_link(existing)
+        inode = Inode(FileKind.WHITEOUT, owner=self._token)
         parent.children[name] = inode
         return inode
 
     def set_opaque(self, path: str, opaque: bool = True) -> None:
         """Mark the directory at ``path`` opaque (hides lower layers)."""
         self._check_writable()
-        node = self._lookup(path)
+        node = self._lookup(path, own=self._shares)
         if not node.is_dir:
             raise NotADirectoryVfsError(f"{path!r} is not a directory")
         node.opaque = opaque
@@ -350,10 +390,86 @@ class FileSystemTree:
     # -- whole-tree operations --------------------------------------------
 
     def clone(self) -> "FileSystemTree":
-        """Deep-copy the tree (blobs shared, structure copied)."""
-        copy = FileSystemTree()
-        copy.root = self.root.clone(deep=True)
+        """An independent writable copy of the tree (blobs shared).
+
+        A frozen tree can never change, so its clone is O(1): it starts
+        out sharing every inode and copies a directory the first time
+        one of its own mutations walks through it; what it never touches
+        it never copies.  A writable tree is deep-copied, hard links
+        staying linked within the copy.
+        """
+        copy = FileSystemTree.__new__(FileSystemTree)
+        copy._token = object()
+        copy._read_only = False
+        copy._shares = self._read_only
+        if self._read_only:
+            copy.root = self.root
+        else:
+            copy.root = self.root.clone(owner=copy._token, links={})
         return copy
+
+    # -- copy-on-write -----------------------------------------------------
+
+    def _is_shared(self, node: Inode) -> bool:
+        """True when ``node`` was created by another tree."""
+        owner = node.owner
+        return owner is not None and owner is not self._token
+
+    def _own_root(self) -> Inode:
+        """Return the root, first replacing another tree's by a copy."""
+        if self.root.owner is not self._token:
+            self.root = self.root.clone(deep=False, owner=self._token)
+        return self.root
+
+    def _own(self, parent: Inode, name: str, node: Inode) -> Inode:
+        """Return this tree's own version of the directory ``node``.
+
+        A directory created by another tree is replaced in ``parent``,
+        which the caller already owns, by a copy that still references
+        the same children.
+        """
+        if node.owner is not self._token:
+            assert parent.children is not None
+            node = parent.children[name] = node.clone(deep=False, owner=self._token)
+        return node
+
+    def _own_leaf(self, node: Inode) -> Inode:
+        """Swap every entry of the shared leaf ``node`` for one own copy.
+
+        Returns the copy; its ``nlink`` counts the entries swapped.  Only
+        hard-linking template content, or dropping one of several links
+        a template made, gets here, so a whole-tree scan is affordable.
+        """
+        copy = node.clone(deep=False, owner=self._token)
+        copy.nlink = 0
+        for trail in list(_entries_of(self.root, node, ())):
+            directory = self._own_root()
+            for name in trail[:-1]:
+                assert directory.children is not None
+                directory = self._own(directory, name, directory.children[name])
+            assert directory.children is not None
+            directory.children[trail[-1]] = copy
+            copy.nlink += 1
+        return copy
+
+    def _drop_link(self, node: Inode, entries: int = 1) -> None:
+        """Account for ``entries`` directory entries of ``node`` going away.
+
+        Taking a directory away takes every entry beneath it away.
+        Another tree's inode is simply let go of — its ``nlink`` counts
+        that tree's entries — unless more entries of this tree link it,
+        which then need a count of their own.
+        """
+        if node.children is not None:
+            # Tally first: owning one leaf rewrites entries under ``node``.
+            tally: Dict[Inode, int] = {}
+            _tally_leaves(node, tally)
+            for leaf, count in tally.items():
+                self._drop_link(leaf, count)
+        if not self._is_shared(node):
+            node.nlink -= entries
+        elif node.nlink > 1:
+            self._own_leaf(node).nlink -= entries
 
     def __repr__(self) -> str:
         return (
@@ -372,5 +488,23 @@ def _coerce_blob(content: "Blob | bytes | str") -> Blob:
     raise TypeError(f"unsupported content type: {type(content).__name__}")
 
 
-def _drop_link(node: Inode) -> None:
-    node.nlink -= 1
+def _tally_leaves(directory: Inode, tally: Dict[Inode, int]) -> None:
+    """Count, per leaf inode, the entries beneath ``directory``."""
+    assert directory.children is not None
+    for child in directory.children.values():
+        if child.children is not None:
+            _tally_leaves(child, tally)
+        else:
+            tally[child] = tally.get(child, 0) + 1
+
+
+def _entries_of(
+    directory: Inode, target: Inode, trail: Tuple[str, ...]
+) -> Iterator[Tuple[str, ...]]:
+    """Name trails, from ``directory`` down, of every entry for ``target``."""
+    assert directory.children is not None
+    for name, child in directory.children.items():
+        if child is target:
+            yield trail + (name,)
+        elif child.children is not None:
+            yield from _entries_of(child, target, trail + (name,))

@@ -255,6 +255,16 @@ class TestFreezeAndClone:
         assert [p for p, _ in copy.walk("/")] == [p for p, _ in tree.walk("/")]
         assert copy.read_bytes("/usr/bin/sh") == b"#!shell"
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_clone_keeps_hard_links_linked(self, frozen):
+        t = FileSystemTree()
+        t.write_file("/a", b"x" * 100)
+        t.hardlink("/b", "/a")
+        copy = (t.freeze() if frozen else t).clone()
+        assert copy.stat("/a") is copy.stat("/b")
+        assert copy.stat("/a").nlink == 2
+        assert copy.total_file_bytes() == 100
+
     def test_total_file_bytes_counts_hardlinks_once(self, tree):
         before = tree.total_file_bytes()
         tree.hardlink("/usr/bin/sh2", "/usr/bin/sh")
