@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests, warnings-as-errors on the fault-injection,
-# scheduler, journal/recovery, HA, telemetry, edge, FaaS, and chunk
-# read-path suites, fleet-contention / crash / HA / trace / edge / FaaS /
+# scheduler, journal/recovery, HA, telemetry, edge, FaaS, chunk
+# read-path, and VFS suites, fleet-contention / crash / HA / trace / edge / FaaS /
 # chunk determinism gates, the checked-in perf-trajectory artifacts, the
 # perf ledger's output checks, and a full bytecode compile of the source tree.
 #
@@ -40,6 +40,9 @@ python -W error -m pytest tests/test_net_faas.py tests/test_workloads_schedule.p
 
 echo "== chunk read-path suites under -W error =="
 python -W error -m pytest tests/test_gear_bigfile.py tests/test_gear_chunks.py -q
+
+echo "== VFS suites under -W error =="
+python -W error -m pytest tests/test_vfs_*.py -q
 
 echo "== fleet-contention determinism gate =="
 # The concurrent simulation must be replayable: two identical sweeps

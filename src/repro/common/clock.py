@@ -128,6 +128,9 @@ class _Worker:
             ready.clear()
             job, self._job = self._job, None
             job()
+            # A parked worker must not pin the finished job's closure
+            # (process -> target -> the whole simulated world).
+            job = None
             _WORKER_POOL.release(self)
 
 

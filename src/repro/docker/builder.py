@@ -57,12 +57,9 @@ class ImageBuilder:
         parents: bool = True,
     ) -> "ImageBuilder":
         """COPY-like step: place a file into the working diff."""
-        if parents:
-            from repro.vfs import paths
-
-            parent, _ = paths.parent_and_name(path)
-            self.mount.mkdir(parent, parents=True, exist_ok=True)
-        self.mount.write_file(path, content, meta=Metadata(mode=mode))
+        self.mount.write_file(
+            path, content, meta=Metadata(mode=mode), parents=parents
+        )
         return self
 
     def add_symlink(self, path: str, target: str) -> "ImageBuilder":

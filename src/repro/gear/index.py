@@ -24,7 +24,6 @@ from repro.blob import Blob
 from repro.common.errors import GearError
 from repro.common.hashing import Digest, sha256_tokens
 from repro.docker.image import Image, ImageConfig
-from repro.vfs.inode import FileKind, Inode, Metadata
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
 
@@ -111,31 +110,26 @@ class GearIndex:
         """
         tree = FileSystemTree()
         entries: Dict[str, GearFileEntry] = {}
-        for path, node in root.walk("/"):
+        identity_for = identity_for or {}
+        for parent, leaf, path, node in tree.mirror(root.walk("/")):
             if node.is_dir:
-                created = tree.mkdir(path, parents=True, exist_ok=True)
-                created.meta = node.meta.copy()
-                created.opaque = node.opaque
+                assert parent.children is not None
+                parent.children[leaf].opaque = node.opaque
             elif node.is_symlink:
                 assert node.symlink_target is not None
-                tree.symlink(path, node.symlink_target, meta=node.meta.copy())
+                tree.symlink_at(parent, leaf, node.symlink_target, meta=node.meta.copy())
             elif node.is_file:
                 assert node.blob is not None
-                identity = (identity_for or {}).get(
-                    node.ino, node.blob.fingerprint
-                )
-                entry = GearFileEntry(
+                entry = entries[path] = GearFileEntry(
                     path=path,
-                    identity=identity,
+                    identity=identity_for.get(node.ino, node.blob.fingerprint),
                     size=node.blob.size,
                     mode=node.meta.mode,
                 )
-                entries[path] = entry
                 meta = node.meta.copy()
                 meta.xattrs[STUB_XATTR] = "1"
-                tree.write_file(
-                    path, Blob.from_text(entry.stub_content()), meta=meta,
-                    parents=True,
+                tree.write_at(
+                    parent, leaf, Blob.from_text(entry.stub_content()), meta=meta
                 )
         return cls(name, tag, tree, entries, config)
 
@@ -171,25 +165,16 @@ class GearIndex:
     def _parse_archive(
         archive: "LayerArchive",
     ) -> Tuple[FileSystemTree, Dict[str, GearFileEntry]]:
-        """One-time stub-tree parse of an index layer archive."""
-        root = archive.extract()
-        tree = FileSystemTree()
+        """One-time stub-tree parse of an index layer archive: unpack it
+        once and mark the files of that very tree as stubs."""
+        tree = archive.apply_to(FileSystemTree())
         entries: Dict[str, GearFileEntry] = {}
-        for path, node in root.walk("/"):
-            if node.is_dir:
-                created = tree.mkdir(path, parents=True, exist_ok=True)
-                created.meta = node.meta.copy()
-            elif node.is_symlink:
-                assert node.symlink_target is not None
-                tree.symlink(path, node.symlink_target, meta=node.meta.copy())
-            elif node.is_file:
+        for path, node in tree.walk("/"):
+            if node.is_file:
                 assert node.blob is not None
                 text = node.blob.materialize().decode("utf-8", errors="replace")
-                entry = GearFileEntry.parse_stub(path, text, node.meta.mode)
-                entries[path] = entry
-                meta = node.meta.copy()
-                meta.xattrs[STUB_XATTR] = "1"
-                tree.write_file(path, node.blob, meta=meta, parents=True)
+                entries[path] = GearFileEntry.parse_stub(path, text, node.meta.mode)
+                node.meta.xattrs[STUB_XATTR] = "1"
         return tree.freeze(), entries
 
     # -- packaging ------------------------------------------------------------
@@ -211,13 +196,12 @@ class GearIndex:
     def stub_tree(self) -> FileSystemTree:
         """A copy of the index tree with every entry as a pristine stub."""
         tree = self.tree.clone()
-        for path, entry in self.entries.items():
-            node = tree.stat(path, follow_symlinks=False)
-            if STUB_XATTR in node.meta.xattrs:
-                continue
-            meta = node.meta.copy()
-            meta.xattrs[STUB_XATTR] = "1"
-            tree.write_file(path, Blob.from_text(entry.stub_content()), meta=meta)
+        for path, node in tree.walk("/"):
+            entry = self.entries.get(path)
+            if entry is not None and STUB_XATTR not in node.meta.xattrs:
+                meta = node.meta.copy()
+                meta.xattrs[STUB_XATTR] = "1"
+                tree.write_file(path, Blob.from_text(entry.stub_content()), meta=meta)
         return tree
 
     # -- queries ----------------------------------------------------------------

@@ -76,93 +76,80 @@ class OverlayMount:
     def _layer_roots(self) -> List[Inode]:
         return [self.upper.root] + [tree.root for tree in self.lowers]
 
-    def _dir_stack(self, parts: Sequence[str]) -> List[Inode]:
-        """Directory inodes contributing to the merged dir at ``parts``.
+    def _descend(
+        self, parts: List[str], *, follow_last: bool = True, create: bool = False
+    ) -> Tuple[Inode, List[str], List[Inode], List[Inode]]:
+        """Resolve ``parts`` in the merged namespace, one component at a
+        time against the merged directory stack carried down the path.
 
-        Returns the contributing inodes top-most first; empty when the
-        path is not a merged directory.  Raises nothing — callers decide
-        how to report absence.
+        Returns the visible inode, the fully-resolved components, and
+        two stacks of directory inodes, top-most first: those merged
+        into the directory that holds the inode, and those merged into
+        the inode itself (empty unless it is a directory).  A symlink
+        restarts the walk on the path it points to; with ``create`` so
+        does a missing component (unless a symlink names it: that link
+        dangles), once made a directory of the upper layer.
         """
-        current = self._layer_roots()
-        for name in parts:
-            merged: List[Inode] = []
-            for dir_inode in current:
-                assert dir_inode.children is not None
-                child = dir_inode.children.get(name)
-                if child is None:
-                    continue
-                if child.is_whiteout:
+        self.stats.lookups += 1
+        hops = pointed_to = 0
+        while True:
+            stack: List[Inode] = []
+            below = self._layer_roots()
+            node = below[0]
+            last = len(parts) - 1
+            for index, name in enumerate(parts):
+                stack = below
+                node, below = _step(stack, name)
+                if node is None:
+                    if not create or index < pointed_to:
+                        raise NotFoundError(
+                            f"no such file or directory: {paths.unsplit(parts)!r}"
+                        )
+                    self.upper.mkdir_at(
+                        self._ensure_upper_dirs(parts[:index]), name, exist_ok=True
+                    )
                     break
-                if not child.is_dir:
-                    # A non-directory shadows everything below; if it is
-                    # the top-most entry the path is not a directory.
+                if node.symlink_target is not None and (follow_last or index < last):
+                    hops += 1
+                    if hops > _MAX_SYMLINK_DEPTH:
+                        raise SymlinkLoopError(
+                            f"too many symlinks: {paths.unsplit(parts)!r}"
+                        )
+                    parts, pointed_to = paths.splice_symlink(
+                        parts, index, node.symlink_target, pointed_to
+                    )
                     break
-                merged.append(child)
-                if child.opaque:
-                    break
-            current = merged
-            if not current:
-                return []
-        return current
+                if index < last and node.children is None:
+                    raise NotADirectoryVfsError(
+                        f"{paths.unsplit(parts[: index + 1])!r} is not a directory"
+                    )
+            else:
+                if parts:
+                    self._touch(node)
+                return node, parts, stack, below
 
-    def _visible_child(
-        self, dir_parts: Sequence[str], name: str
-    ) -> Optional[Inode]:
-        """Top-most visible node named ``name`` in the merged directory."""
-        for dir_inode in self._dir_stack(dir_parts):
-            assert dir_inode.children is not None
-            child = dir_inode.children.get(name)
-            if child is None:
-                continue
-            if child.is_whiteout:
-                return None
-            return child
-        return None
+    def _touch(self, node: Inode) -> None:
+        self._touched.add(node.ino)
+        self.stats.inodes_touched = len(self._touched)
 
     def _resolve(
         self, path: str, *, follow_symlinks: bool = True
     ) -> Tuple[Inode, List[str]]:
-        """Resolve ``path`` in the merged namespace.
+        """The visible inode at ``path`` and its resolved components."""
+        return self._descend(paths.split(path), follow_last=follow_symlinks)[:2]
 
-        Returns the visible inode and the fully-resolved component list.
-        """
-        self.stats.lookups += 1
-        parts = paths.split(path)
-        resolved: List[str] = []
-        depth = 0
-        index = 0
-        while index < len(parts):
-            name = parts[index]
-            node = self._visible_child(resolved, name)
-            if node is None:
-                raise NotFoundError(f"no such file or directory: {path!r}")
-            is_last = index == len(parts) - 1
-            if node.is_symlink and (follow_symlinks or not is_last):
-                depth += 1
-                if depth > _MAX_SYMLINK_DEPTH:
-                    raise SymlinkLoopError(f"too many symlinks: {path!r}")
-                assert node.symlink_target is not None
-                link_path = "/" + "/".join(resolved + [name])
-                target = paths.resolve_symlink_target(
-                    link_path, node.symlink_target
-                )
-                remainder = parts[index + 1 :]
-                parts = paths.split(target) + list(remainder)
-                resolved = []
-                index = 0
-                continue
-            if not is_last and not node.is_dir:
-                raise NotADirectoryVfsError(
-                    f"{'/' + '/'.join(resolved + [name])!r} is not a directory"
-                )
-            resolved.append(name)
-            index += 1
+    def _resolve_parent(
+        self, parts: List[str], *, create: bool = False
+    ) -> Tuple[List[str], List[Inode], str]:
+        """Resolved components and merged stack of the directory that
+        holds the path ``parts``, and the final name."""
         if not parts:
-            stack = self._dir_stack([])
-            return stack[0], []
-        self._touched.add(node.ino)
-        self.stats.inodes_touched = len(self._touched)
-        return node, resolved
+            raise VfsError("root has no parent")
+        name = parts.pop()
+        node, resolved, _, stack = self._descend(parts, create=create)
+        if not node.is_dir:
+            raise NotADirectoryVfsError(f"{paths.unsplit(parts)!r} is not a directory")
+        return resolved, stack, name
 
     # ------------------------------------------------------------------
     # read side
@@ -221,82 +208,66 @@ class OverlayMount:
 
     def listdir(self, path: str = "/") -> List[str]:
         """Merged directory listing with whiteout/opaque rules applied."""
-        node, resolved = self._resolve(path)
+        node, _, _, stack = self._descend(paths.split(path))
         if not node.is_dir:
             raise NotADirectoryVfsError(f"{path!r} is not a directory")
-        names: Dict[str, bool] = {}
-        hidden: Set[str] = set()
-        for dir_inode in self._dir_stack(resolved):
-            assert dir_inode.children is not None
-            for name, child in dir_inode.children.items():
-                if name in hidden or name in names:
-                    continue
-                if child.is_whiteout:
-                    hidden.add(name)
-                else:
-                    names[name] = True
-        return sorted(names)
+        return sorted(_merged_names(stack))
 
     def walk(self, top: str = "/") -> Iterator[Tuple[str, Inode]]:
         """Depth-first walk of the merged view, sorted for determinism."""
-        top_norm = paths.normalize(top)
-        node, _ = self._resolve(top_norm)
+        parts = paths.split(top)
+        node, _, _, stack = self._descend(parts)
         if not node.is_dir:
             raise NotADirectoryVfsError(f"{top!r} is not a directory")
-        yield from self._walk_merged(top_norm)
+        yield from self._walk_merged("/".join(["", *parts]), stack)
 
-    def _walk_merged(self, dir_path: str) -> Iterator[Tuple[str, Inode]]:
-        for name in sorted(self.listdir(dir_path)):
-            child_path = paths.join(dir_path, name)
-            child = self.stat(child_path, follow_symlinks=False)
+    def _walk_merged(
+        self, dir_path: str, stack: List[Inode]
+    ) -> Iterator[Tuple[str, Inode]]:
+        """Walk below the merged directory ``stack`` (``dir_path`` has no
+        trailing slash); every node counts as looked up and touched."""
+        self.stats.lookups += 1
+        for name in sorted(_merged_names(stack)):
+            child, below = _step(stack, name)
+            assert child is not None
+            self.stats.lookups += 1
+            self._touch(child)
+            child_path = f"{dir_path}/{name}"
             yield child_path, child
             if child.is_dir:
-                yield from self._walk_merged(child_path)
+                yield from self._walk_merged(child_path, below)
 
     def to_tree(self) -> FileSystemTree:
         """Materialize the merged view as a standalone tree."""
         tree = FileSystemTree()
-        for path, node in self.walk("/"):
-            if node.is_dir:
-                directory = tree.mkdir(path, parents=True, exist_ok=True)
-                directory.meta = node.meta.copy()
-            elif node.is_symlink:
+        for parent, name, _, node in tree.mirror(self.walk("/")):
+            if node.is_symlink:
                 assert node.symlink_target is not None
-                tree.symlink(path, node.symlink_target, meta=node.meta.copy())
+                tree.symlink_at(parent, name, node.symlink_target, meta=node.meta.copy())
             elif node.is_file:
-                tree.write_file(path, node.blob, meta=node.meta.copy(), parents=True)
+                tree.write_at(parent, name, node.blob, meta=node.meta.copy())
         return tree
 
     # ------------------------------------------------------------------
     # write side
     # ------------------------------------------------------------------
 
-    def _ensure_upper_dirs(self, dir_parts: Sequence[str]) -> None:
-        """Create the ancestor chain in the upper layer (directory copy-up).
+    def _ensure_upper_dirs(self, dir_parts: Sequence[str]) -> Inode:
+        """Directory copy-up: the upper layer's directory at ``dir_parts``.
 
-        Each ancestor must be a directory in the merged view; its metadata
-        is copied from the merged inode, as overlayfs copy-up does.
+        ``dir_parts`` are resolved components of a merged directory; an
+        ancestor the upper layer lacks is created with the merged
+        inode's metadata, as overlayfs copy-up does.
         """
-        so_far: List[str] = []
+        upper_dir = self.upper.mkdir("/", exist_ok=True)
+        stack = self._layer_roots()
         for name in dir_parts:
-            so_far.append(name)
-            merged = self._visible_child(so_far[:-1], name)
-            if merged is None:
-                raise NotFoundError(
-                    f"missing ancestor: {'/' + '/'.join(so_far)!r}"
-                )
-            if not merged.is_dir:
-                raise NotADirectoryVfsError(
-                    f"{'/' + '/'.join(so_far)!r} is not a directory"
-                )
-            upper_path = "/" + "/".join(so_far)
-            if not self.upper.exists(upper_path, follow_symlinks=False):
-                created = self.upper.mkdir(upper_path, exist_ok=True)
-                created.meta = merged.meta.copy()
-            elif not self.upper.stat(upper_path, follow_symlinks=False).is_dir:
-                raise NotADirectoryVfsError(
-                    f"upper entry {upper_path!r} is not a directory"
-                )
+            merged, stack = _step(stack, name)
+            assert merged is not None and merged.is_dir
+            upper_dir = self.upper.mkdir_at(
+                upper_dir, name, exist_ok=True, meta=merged.meta
+            )
+        return upper_dir
 
     def write_file(
         self,
@@ -307,17 +278,15 @@ class OverlayMount:
         parents: bool = False,
     ) -> Inode:
         """Create or overwrite a regular file; the write lands in upper."""
-        if parents:
-            parent_path, _ = paths.parent_and_name(path)
-            self.mkdir(parent_path, parents=True, exist_ok=True)
-        _, resolved_parent = self._resolve_parent(path)
-        _, name = paths.parent_and_name(path)
-        existing = self._visible_child(resolved_parent, name)
+        resolved, stack, name = self._resolve_parent(
+            paths.split(path), create=parents
+        )
+        existing, _ = _step(stack, name)
         if existing is not None and existing.is_dir:
             raise IsADirectoryVfsError(f"{path!r} is a directory")
-        self._ensure_upper_dirs(resolved_parent)
-        upper_path = "/" + "/".join(list(resolved_parent) + [name])
-        return self.upper.write_file(upper_path, content, meta=meta)
+        return self.upper.write_at(
+            self._ensure_upper_dirs(resolved), name, content, meta=meta
+        )
 
     def append_file(self, path: str, extra: bytes) -> Inode:
         """Append to a file, copying it up first if it lives in a lower."""
@@ -330,21 +299,23 @@ class OverlayMount:
         node, resolved = self._resolve(path, follow_symlinks=False)
         if node.is_dir:
             raise IsADirectoryVfsError("copy-up of directories is implicit")
-        upper_path = "/" + "/".join(resolved)
-        if self.upper.exists(upper_path, follow_symlinks=False):
-            return self.upper.stat(upper_path, follow_symlinks=False)
-        self._ensure_upper_dirs(resolved[:-1])
+        held = self._upper_entry(resolved)
+        if held is not None:
+            return held
+        upper_dir = self._ensure_upper_dirs(resolved[:-1])
         self.stats.copy_ups += 1
         if node.is_symlink:
             assert node.symlink_target is not None
-            return self.upper.symlink(
-                upper_path, node.symlink_target, meta=node.meta.copy()
+            return self.upper.symlink_at(
+                upper_dir, resolved[-1], node.symlink_target, meta=node.meta.copy()
             )
         # Lazy-content mounts must fault the real bytes in before the
         # copy (a Gear stub's placeholder must never be copied up).
         node = self._materialize(node, resolved)
         assert node.blob is not None
-        return self.upper.write_file(upper_path, node.blob, meta=node.meta.copy())
+        return self.upper.write_at(
+            upper_dir, resolved[-1], node.blob, meta=node.meta.copy()
+        )
 
     def mkdir(
         self, path: str, *, parents: bool = False, exist_ok: bool = False
@@ -355,56 +326,53 @@ class OverlayMount:
             if exist_ok:
                 return self.upper.root
             raise FileExistsVfsError("root directory always exists")
-        existing = self._visible_child(parts[:-1], parts[-1]) if self._dir_stack(
-            parts[:-1]
-        ) else None
-        if existing is not None:
-            if existing.is_dir and exist_ok:
-                self._ensure_upper_dirs(parts)
-                return self.upper.stat(path, follow_symlinks=False)
+        resolved, stack, name = self._resolve_parent(parts, create=parents)
+        existing, _ = _step(stack, name)
+        if existing is not None and not (existing.is_dir and exist_ok):
             raise FileExistsVfsError(f"path exists: {path!r}")
-        if parents:
-            self._ensure_upper_parents_with_merge(parts[:-1])
-        _, resolved_parent = self._resolve_parent(path)
-        self._ensure_upper_dirs(resolved_parent)
-        upper_path = "/" + "/".join(list(resolved_parent) + [parts[-1]])
-        return self.upper.mkdir(upper_path)
-
-    def _ensure_upper_parents_with_merge(self, parts: Sequence[str]) -> None:
-        so_far: List[str] = []
-        for name in parts:
-            if self._visible_child(so_far, name) is None:
-                self.upper.mkdir("/" + "/".join(so_far + [name]), parents=True,
-                                 exist_ok=True)
-            so_far.append(name)
+        return self.upper.mkdir_at(
+            self._ensure_upper_dirs(resolved), name, exist_ok=True,
+            meta=existing.meta if existing is not None else None,
+        )
 
     def symlink(self, path: str, target: str) -> Inode:
         """Create a symlink in the merged view (lands in upper)."""
-        _, resolved_parent = self._resolve_parent(path)
-        _, name = paths.parent_and_name(path)
-        if self._visible_child(resolved_parent, name) is not None:
+        resolved, stack, name = self._resolve_parent(paths.split(path))
+        if _step(stack, name)[0] is not None:
             raise FileExistsVfsError(f"path exists: {path!r}")
-        self._ensure_upper_dirs(resolved_parent)
-        upper_path = "/" + "/".join(list(resolved_parent) + [name])
-        return self.upper.symlink(upper_path, target)
+        return self.upper.symlink_at(self._ensure_upper_dirs(resolved), name, target)
 
     def remove(self, path: str, *, recursive: bool = False) -> None:
         """Delete from the merged view, placing whiteouts when needed."""
-        node, resolved = self._resolve(path, follow_symlinks=False)
+        node, resolved, stack, below = self._descend(
+            paths.split(path), follow_last=False
+        )
+        if not resolved:
+            raise VfsError("root has no parent")
         if node.is_dir:
-            children = self.listdir("/" + "/".join(resolved))
+            children = sorted(_merged_names(below))
             if children and not recursive:
                 raise VfsError(f"directory not empty: {path!r}")
             for child in children:
-                self.remove(paths.join(path, child), recursive=True)
-        upper_path = "/" + "/".join(resolved)
-        in_upper = self.upper.exists(upper_path, follow_symlinks=False)
-        in_lower = self._exists_in_lowers(resolved)
+                self.remove(paths.unsplit([*resolved, child]), recursive=True)
+        *dir_parts, name = resolved
+        in_upper = self._upper_entry(resolved) is not None
+        # A lower layer shows the entry when, below the upper's own
+        # directory, the first layer that names it holds no whiteout
+        # (the parent's stack already honours opaque dirs and shadowing).
+        held = self._upper_entry(dir_parts)
+        in_lower = False
+        for dir_inode in stack:
+            assert dir_inode.children is not None
+            child = dir_inode.children.get(name)
+            if dir_inode is not held and child is not None:
+                in_lower = not child.is_whiteout
+                break
+        upper_dir = self._ensure_upper_dirs(dir_parts)
         if in_upper:
-            self.upper.remove(upper_path, recursive=True)
+            self.upper.remove_at(upper_dir, name, recursive=True)
         if in_lower:
-            self._ensure_upper_dirs(resolved[:-1])
-            self.upper.whiteout(upper_path)
+            self.upper.whiteout_at(upper_dir, name)
             self.stats.whiteouts_created += 1
 
     def rename(self, old: str, new: str) -> None:
@@ -424,49 +392,18 @@ class OverlayMount:
     # helpers
     # ------------------------------------------------------------------
 
-    def _resolve_parent(self, path: str) -> Tuple[Inode, List[str]]:
-        parent_path, _ = paths.parent_and_name(path)
-        node, resolved = self._resolve(parent_path)
-        if not node.is_dir:
-            raise NotADirectoryVfsError(f"{parent_path!r} is not a directory")
-        return node, resolved
-
-    def _exists_in_lowers(self, parts: Sequence[str]) -> bool:
-        """Whether any contributing lower layer has a visible entry.
-
-        Uses the merged dir stack of the parent so masking (opaque dirs,
-        shadowing files) is honoured.
-        """
-        if not parts:
-            return True
-        stack = self._dir_stack(parts[:-1])
-        upper_root_first = stack and stack[0] is self._upper_dir_inode(parts[:-1])
-        for position, dir_inode in enumerate(stack):
-            if upper_root_first and position == 0:
-                continue
-            assert dir_inode.children is not None
-            child = dir_inode.children.get(parts[-1])
-            if child is None:
-                continue
-            return not child.is_whiteout
-        return False
-
-    def _upper_dir_inode(self, parts: Sequence[str]) -> Optional[Inode]:
-        node = self.upper.root
-        for name in parts:
-            if not node.is_dir:
+    def _upper_entry(self, resolved: Sequence[str]) -> Optional[Inode]:
+        """The upper layer's own live entry at a resolved path, if any."""
+        node: Optional[Inode] = self.upper.root
+        for name in resolved:
+            node = node.children.get(name) if node.children is not None else None
+            if node is None or node.is_whiteout:
                 return None
-            assert node.children is not None
-            child = node.children.get(name)
-            if child is None or child.is_whiteout:
-                return None
-            node = child
         return node
 
     def _note_copy_up(self, path: str) -> None:
-        node, resolved = self._resolve(path, follow_symlinks=False)
-        upper_path = "/" + "/".join(resolved)
-        if not self.upper.exists(upper_path, follow_symlinks=False):
+        _, resolved = self._resolve(path, follow_symlinks=False)
+        if self._upper_entry(resolved) is None:
             self.stats.copy_ups += 1
 
     def reset_stats(self) -> None:
@@ -475,3 +412,40 @@ class OverlayMount:
 
     def __repr__(self) -> str:
         return f"OverlayMount(lowers={len(self.lowers)})"
+
+
+def _step(
+    stack: Sequence[Inode], name: str
+) -> Tuple[Optional[Inode], List[Inode]]:
+    """One component of a merged lookup (what ``ovl_lookup_single`` does
+    per layer): the top-most visible node ``name`` in the merged
+    directory ``stack``, and the directory inodes merged into it."""
+    visible: Optional[Inode] = None
+    merged: List[Inode] = []
+    for dir_inode in stack:
+        assert dir_inode.children is not None
+        child = dir_inode.children.get(name)
+        if child is None:
+            continue
+        if visible is None:
+            if child.is_whiteout:
+                break
+            visible = child
+        if child.children is None:
+            # A whiteout or non-directory shadows everything below.
+            break
+        merged.append(child)
+        if child.opaque:
+            break
+    return visible, merged
+
+
+def _merged_names(stack: Sequence[Inode]) -> List[str]:
+    """Visible names of the merged directory ``stack`` (unsorted)."""
+    seen: Dict[str, bool] = {}
+    for dir_inode in stack:
+        assert dir_inode.children is not None
+        for name, child in dir_inode.children.items():
+            if name not in seen:
+                seen[name] = not child.is_whiteout
+    return [name for name, live in seen.items() if live]

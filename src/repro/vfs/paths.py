@@ -7,7 +7,7 @@ is the tree's job, since it needs inode access).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import VfsError
 
@@ -19,15 +19,27 @@ def normalize(path: str) -> str:
     against its lexical parent.  Raises :class:`VfsError` for relative
     paths or ``..`` escaping the root.
     """
-    return "/" + "/".join(split(path))
+    return unsplit(split(path))
+
+
+def unsplit(parts: Sequence[str]) -> str:
+    """The canonical path of normalized components (inverse of :func:`split`)."""
+    return "/" + "/".join(parts)
 
 
 def split(path: str) -> List[str]:
-    """Split an absolute path into normalized components."""
+    """Split an absolute path into normalized components.
+
+    A path that is already canonical (no empty, ``.`` or ``..``
+    component) costs one ``str.split``; the loop runs only for the rest.
+    """
     if not path.startswith("/"):
         raise VfsError(f"path must be absolute: {path!r}")
-    parts: List[str] = []
-    for component in path.split("/"):
+    parts = path.split("/")[1:]
+    if "" not in parts and "." not in parts and ".." not in parts:
+        return parts
+    raw, parts = parts, []
+    for component in raw:
         if component in ("", "."):
             continue
         if component == "..":
@@ -44,7 +56,7 @@ def parent_and_name(path: str) -> Tuple[str, str]:
     parts = split(path)
     if not parts:
         raise VfsError("root has no parent")
-    return "/" + "/".join(parts[:-1]), parts[-1]
+    return unsplit(parts[:-1]), parts[-1]
 
 
 def join(base: str, *components: str) -> str:
@@ -62,9 +74,26 @@ def is_ancestor(ancestor: str, path: str) -> bool:
     return path_parts[: len(ancestor_parts)] == ancestor_parts
 
 
+def symlink_parts(parent_parts: Sequence[str], target: str) -> List[str]:
+    """Components a symlink in the directory ``parent_parts`` points to."""
+    if target.startswith("/"):
+        return split(target)
+    return split("/" + "/".join([*parent_parts, target]))
+
+
+def splice_symlink(
+    parts: Sequence[str], index: int, target: str, pointed_to: int
+) -> Tuple[List[str], int]:
+    """Rewrite ``parts``, whose component ``index`` is a symlink to
+    ``target``, for a walk to start over on.  Also returns how many
+    leading components of the result some symlink named (``pointed_to``
+    is that count for ``parts``): a creating walk must find those, not
+    make them — a link to nothing dangles."""
+    head = symlink_parts(parts[:index], target)
+    return head + list(parts[index + 1 :]), len(head) + max(0, pointed_to - index - 1)
+
+
 def resolve_symlink_target(link_path: str, target: str) -> str:
     """Resolve a symlink target (absolute or relative) to an absolute path."""
-    if target.startswith("/"):
-        return normalize(target)
     parent, _ = parent_and_name(link_path)
-    return join(parent, *target.split("/")) if target else parent
+    return unsplit(symlink_parts(split(parent), target))

@@ -19,11 +19,16 @@ canonical sequence of :class:`TarEntry` records that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.blob import Blob
 from repro.blob.compressibility import blob_compressed_size
-from repro.common.errors import VfsError
+from repro.common.errors import (
+    NotADirectoryVfsError,
+    NotFoundError,
+    SymlinkLoopError,
+    VfsError,
+)
 from repro.common.hashing import Digest, sha256_tokens
 from repro.vfs import paths
 from repro.vfs.inode import FileKind, Inode, Metadata
@@ -87,13 +92,12 @@ class TarEntry:
 
     @property
     def is_whiteout(self) -> bool:
-        _, name = paths.parent_and_name(self.path)
+        name = self.path.rpartition("/")[2]
         return name.startswith(WHITEOUT_PREFIX) and name != OPAQUE_MARKER
 
     @property
     def is_opaque_marker(self) -> bool:
-        _, name = paths.parent_and_name(self.path)
-        return name == OPAQUE_MARKER
+        return self.path.rpartition("/")[2] == OPAQUE_MARKER
 
 
 class LayerArchive:
@@ -128,33 +132,23 @@ class LayerArchive:
         for identity or sizing fidelity).
         """
         entries: List[TarEntry] = []
+        base = paths.normalize(top)
+        skip = len(base) if base != "/" else 0
         for path, node in tree.walk(top, include_whiteouts=True):
-            rel = _relative(path, top)
+            rel = path[skip:]
             if node.is_whiteout:
-                parent, name = paths.parent_and_name(rel)
-                entries.append(
-                    TarEntry(
-                        path=paths.join(parent, WHITEOUT_PREFIX + name),
-                        kind=FileKind.FILE,
-                        mode=0o0,
-                        uid=0,
-                        gid=0,
-                        blob=Blob.from_bytes(b""),
-                    )
-                )
+                head, _, name = rel.rpartition("/")
+                entries.append(_marker(f"{head}/{WHITEOUT_PREFIX}{name}"))
                 continue
-            entries.append(_entry_for(rel, node))
-            if node.is_dir and node.opaque:
-                entries.append(
-                    TarEntry(
-                        path=paths.join(rel, OPAQUE_MARKER),
-                        kind=FileKind.FILE,
-                        mode=0o0,
-                        uid=0,
-                        gid=0,
-                        blob=Blob.from_bytes(b""),
-                    )
+            meta = node.meta
+            entries.append(
+                TarEntry(
+                    rel, node.kind, meta.mode, meta.uid, meta.gid,
+                    blob=node.blob, symlink_target=node.symlink_target,
                 )
+            )
+            if node.is_dir and node.opaque:
+                entries.append(_marker(f"{rel}/{OPAQUE_MARKER}"))
         return cls(entries)
 
     # -- identity & sizes --------------------------------------------------
@@ -228,6 +222,44 @@ class LayerArchive:
 
     # -- application -------------------------------------------------------
 
+    def _placed(
+        self, tree: FileSystemTree, create_for_markers: bool
+    ) -> Iterator[Tuple[TarEntry, Inode, str]]:
+        """Yield each entry with the directory of ``tree`` it lands in
+        and its name there; the caller edits ``tree`` there and nowhere else.
+
+        Entries are path-sorted, so the directory is looked up (missing
+        ancestors created) only when it differs from the last entry's,
+        or when that entry removed or replaced a directory.  A ``.wh.``
+        entry for an absent directory is skipped unless
+        ``create_for_markers``.
+        """
+        last_head: Optional[str] = None
+        for entry in self._entries:
+            head, _, name = entry.path.rpartition("/")
+            if name in ("", ".", "..") or not entry.path.startswith("/"):
+                head, name = paths.parent_and_name(entry.path)
+            marker = name.startswith(WHITEOUT_PREFIX)
+            if head != last_head:
+                try:
+                    parent = tree._directory(
+                        paths.split(head or "/"),
+                        create=create_for_markers or not marker,
+                    )
+                except (NotFoundError, NotADirectoryVfsError, SymlinkLoopError):
+                    if create_for_markers or not marker:
+                        raise
+                    continue
+                last_head = head
+            assert parent.children is not None
+            held = parent.children.get(name)
+            yield entry, parent, name
+            if marker or (
+                held is not None and held.is_dir
+                and entry.kind is not FileKind.DIRECTORY
+            ):
+                last_head = None
+
     def apply_to(self, tree: FileSystemTree) -> FileSystemTree:
         """Apply this layer onto ``tree`` (Docker layer extraction rules).
 
@@ -235,40 +267,37 @@ class LayerArchive:
         directory's prior contents; other entries overwrite.  Returns the
         same tree for chaining.
         """
-        for entry in self._entries:
-            parent_rel, name = paths.parent_and_name(entry.path)
-            if entry.is_opaque_marker:
-                if tree.exists(parent_rel) and tree.stat(parent_rel).is_dir:
-                    for child in tree.listdir(parent_rel):
-                        tree.remove(paths.join(parent_rel, child), recursive=True)
-                continue
-            if entry.is_whiteout:
-                victim = paths.join(parent_rel, name[len(WHITEOUT_PREFIX) :])
-                if tree.exists(victim, follow_symlinks=False):
-                    tree.remove(victim, recursive=True)
-                continue
-            tree.mkdir(parent_rel, parents=True, exist_ok=True)
-            meta = Metadata(mode=entry.mode, uid=entry.uid, gid=entry.gid)
-            if entry.kind is FileKind.DIRECTORY:
-                if tree.exists(entry.path, follow_symlinks=False):
-                    existing = tree.stat(entry.path, follow_symlinks=False)
-                    if not existing.is_dir:
-                        tree.remove(entry.path)
-                        tree.mkdir(entry.path, meta=meta)
+        for entry, parent, name in self._placed(tree, False):
+            children = parent.children
+            assert children is not None
+            if name.startswith(WHITEOUT_PREFIX):
+                if name == OPAQUE_MARKER:
+                    doomed = list(children)
                 else:
-                    tree.mkdir(entry.path, meta=meta)
+                    doomed = [name[len(WHITEOUT_PREFIX) :]]
+                for victim in doomed:
+                    held = children.get(victim)
+                    if held is not None and not held.is_whiteout:
+                        tree.remove_at(parent, victim, recursive=True)
+                continue
+            held = children.get(name)
+            is_dir = entry.kind is FileKind.DIRECTORY
+            if held is not None and not held.is_whiteout:
+                # A directory stays as it is and a file is overwritten in
+                # place; a node of another kind goes first.
+                if held.is_dir != is_dir or entry.kind is FileKind.SYMLINK:
+                    tree.remove_at(parent, name, recursive=True)
+                elif is_dir:
+                    continue
+            meta = Metadata(mode=entry.mode, uid=entry.uid, gid=entry.gid)
+            if is_dir:
+                tree.mkdir_at(parent, name, meta=meta)
             elif entry.kind is FileKind.SYMLINK:
-                if tree.exists(entry.path, follow_symlinks=False):
-                    tree.remove(entry.path, recursive=True)
                 assert entry.symlink_target is not None
-                tree.symlink(entry.path, entry.symlink_target, meta=meta)
+                tree.symlink_at(parent, name, entry.symlink_target, meta=meta)
             else:
-                if tree.exists(entry.path, follow_symlinks=False):
-                    existing = tree.stat(entry.path, follow_symlinks=False)
-                    if existing.is_dir:
-                        tree.remove(entry.path, recursive=True)
                 assert entry.blob is not None
-                tree.write_file(entry.path, entry.blob, meta=meta)
+                tree.write_at(parent, name, entry.blob, meta=meta)
         return tree
 
     def extract(self) -> FileSystemTree:
@@ -298,64 +327,26 @@ class LayerArchive:
 
     def _extract_diff_uncached(self) -> FileSystemTree:
         tree = FileSystemTree()
-        for entry in self._entries:
-            parent_rel, name = paths.parent_and_name(entry.path)
-            tree.mkdir(parent_rel, parents=True, exist_ok=True)
-            if entry.is_opaque_marker:
-                tree.set_opaque(parent_rel)
-                continue
-            if entry.is_whiteout:
-                victim = paths.join(parent_rel, name[len(WHITEOUT_PREFIX) :])
-                tree.whiteout(victim)
-                continue
-            meta = Metadata(mode=entry.mode, uid=entry.uid, gid=entry.gid)
-            if entry.kind is FileKind.DIRECTORY:
-                created = tree.mkdir(entry.path, parents=True, exist_ok=True)
-                created.meta = meta
-            elif entry.kind is FileKind.SYMLINK:
-                assert entry.symlink_target is not None
-                tree.symlink(entry.path, entry.symlink_target, meta=meta)
+        for entry, parent, name in self._placed(tree, True):
+            if name == OPAQUE_MARKER:
+                parent.opaque = True
+            elif name.startswith(WHITEOUT_PREFIX):
+                tree.whiteout_at(parent, name[len(WHITEOUT_PREFIX) :])
+            elif entry.kind is FileKind.DIRECTORY:
+                tree.mkdir_at(parent, name, exist_ok=True).meta = Metadata(
+                    mode=entry.mode, uid=entry.uid, gid=entry.gid
+                )
             else:
-                assert entry.blob is not None
-                tree.write_file(entry.path, entry.blob, meta=meta)
+                meta = Metadata(mode=entry.mode, uid=entry.uid, gid=entry.gid)
+                if entry.kind is FileKind.SYMLINK:
+                    assert entry.symlink_target is not None
+                    tree.symlink_at(parent, name, entry.symlink_target, meta=meta)
+                else:
+                    assert entry.blob is not None
+                    tree.write_at(parent, name, entry.blob, meta=meta)
         return tree
 
 
-def _entry_for(path: str, node: Inode) -> TarEntry:
-    if node.is_dir:
-        return TarEntry(
-            path=path,
-            kind=FileKind.DIRECTORY,
-            mode=node.meta.mode,
-            uid=node.meta.uid,
-            gid=node.meta.gid,
-        )
-    if node.is_symlink:
-        return TarEntry(
-            path=path,
-            kind=FileKind.SYMLINK,
-            mode=node.meta.mode,
-            uid=node.meta.uid,
-            gid=node.meta.gid,
-            symlink_target=node.symlink_target,
-        )
-    if node.is_file:
-        return TarEntry(
-            path=path,
-            kind=FileKind.FILE,
-            mode=node.meta.mode,
-            uid=node.meta.uid,
-            gid=node.meta.gid,
-            blob=node.blob,
-        )
-    raise VfsError(f"cannot archive node kind {node.kind!r} at {path!r}")
-
-
-def _relative(path: str, top: str) -> str:
-    if top in ("", "/"):
-        return path
-    top_norm = paths.normalize(top)
-    if not paths.is_ancestor(top_norm, path):
-        raise VfsError(f"{path!r} is not under {top_norm!r}")
-    suffix = path[len(top_norm) :]
-    return paths.normalize(suffix or "/")
+def _marker(path: str) -> TarEntry:
+    """The empty mode-0 file entry that encodes a whiteout or opaque marker."""
+    return TarEntry(path, FileKind.FILE, 0o0, 0, 0, blob=Blob.from_bytes(b""))

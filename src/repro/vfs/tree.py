@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blob import Blob
 from repro.common.errors import (
@@ -64,55 +64,79 @@ class FileSystemTree:
 
     # -- resolution ------------------------------------------------------
 
-    def _lookup(
+    def _descend(
         self,
-        path: str,
+        parts: Sequence[str],
         *,
-        follow_symlinks: bool = True,
+        follow_last: bool = True,
         own: bool = False,
-        _depth: int = 0,
+        create: bool = False,
     ) -> Inode:
-        """Resolve ``path``; with ``own`` (the mutators' walk through a
-        sharing tree) every directory passed, and a directory arrived
-        at, is first made this tree's own."""
-        if _depth > _MAX_SYMLINK_DEPTH:
-            raise SymlinkLoopError(f"too many symbolic links resolving {path!r}")
-        parts = paths.split(path)
-        node = self._own_root() if own else self.root
-        for index, name in enumerate(parts):
-            if not node.is_dir:
-                raise NotADirectoryVfsError(
-                    f"{'/' + '/'.join(parts[:index])!r} is not a directory"
-                )
-            assert node.children is not None
-            child = node.children.get(name)
-            if child is None or child.is_whiteout:
-                raise NotFoundError(f"no such file or directory: {path!r}")
-            is_last = index == len(parts) - 1
-            if child.is_symlink and (follow_symlinks or not is_last):
-                assert child.symlink_target is not None
-                link_path = "/" + "/".join(parts[: index + 1])
-                target = paths.resolve_symlink_target(
-                    link_path, child.symlink_target
-                )
-                rest = parts[index + 1 :]
-                full = paths.join(target, *rest) if rest else target
-                return self._lookup(
-                    full, follow_symlinks=follow_symlinks, own=own,
-                    _depth=_depth + 1,
-                )
-            if own and child.children is not None:
-                child = self._own(node, name, child)
-            node = child
+        """The one walk from the root behind every path operation.
+
+        ``parts`` are the split components.  A symlink on the way (and,
+        with ``follow_last``, at the end) restarts the walk on the path
+        it points to.  With ``own`` (the mutators' walk through a sharing
+        tree) every directory passed, and a directory arrived at, is
+        first made this tree's own; with ``create`` a missing component
+        becomes a new directory (never one a symlink names: it dangles).
+        """
+        hops = pointed_to = 0
+        while True:
+            node = self._own_root() if own else self.root
+            last = len(parts) - 1
+            for index, name in enumerate(parts):
+                children = node.children
+                if children is None:
+                    raise NotADirectoryVfsError(
+                        f"{paths.unsplit(parts[:index])!r} is not a directory"
+                    )
+                child = children.get(name)
+                if child is None or child.kind is FileKind.WHITEOUT:
+                    if not create or index < pointed_to:
+                        raise NotFoundError(
+                            f"no such file or directory: {paths.unsplit(parts)!r}"
+                        )
+                    child = children[name] = Inode(
+                        FileKind.DIRECTORY, owner=self._token
+                    )
+                elif child.symlink_target is not None and (
+                    follow_last or index < last
+                ):
+                    hops += 1
+                    if hops > _MAX_SYMLINK_DEPTH:
+                        raise SymlinkLoopError(
+                            f"too many symbolic links: {paths.unsplit(parts)!r}"
+                        )
+                    parts, pointed_to = paths.splice_symlink(
+                        parts, index, child.symlink_target, pointed_to
+                    )
+                    break
+                elif own and child.children is not None:
+                    child = self._own(node, name, child)
+                node = child
+            else:
+                return node
+
+    def _lookup(self, path: str, *, follow_symlinks: bool = True) -> Inode:
+        return self._descend(paths.split(path), follow_last=follow_symlinks)
+
+    def _directory(self, parts: Sequence[str], *, create: bool = False) -> Inode:
+        """The mutators' walk: the directory at ``parts``, made this
+        tree's own, missing components created with ``create``."""
+        self._check_writable()
+        node = self._descend(parts, own=self._shares, create=create)
+        if node.children is None:
+            raise NotADirectoryVfsError(f"{paths.unsplit(parts)!r} is not a directory")
         return node
 
-    def _lookup_parent(self, path: str) -> Tuple[Inode, str]:
-        """Resolve the parent directory of ``path`` and the final name."""
-        parent_path, name = paths.parent_and_name(path)
-        parent = self._lookup(parent_path, own=self._shares)
-        if not parent.is_dir:
-            raise NotADirectoryVfsError(f"{parent_path!r} is not a directory")
-        return parent, name
+    def _lookup_parent(self, path: str, *, create: bool = False) -> Tuple[Inode, str]:
+        """The directory that holds ``path`` and the final name."""
+        parts = paths.split(path)
+        if not parts:
+            raise VfsError("root has no parent")
+        name = parts.pop()
+        return self._directory(parts, create=create), name
 
     # -- queries ---------------------------------------------------------
 
@@ -180,24 +204,35 @@ class FileSystemTree:
         The top directory itself is not yielded.  Children are visited in
         sorted name order so walks are deterministic.
         """
-        node = self._lookup(top, follow_symlinks=False)
+        parts = paths.split(top)
+        node = self._descend(parts, follow_last=False)
         if not node.is_dir:
             raise NotADirectoryVfsError(f"{top!r} is not a directory")
-        base = paths.normalize(top)
-        yield from self._walk_dir(base, node, include_whiteouts)
+        return self._walk_dir("/".join(["", *parts]), node, include_whiteouts)
 
+    @staticmethod
     def _walk_dir(
-        self, dir_path: str, dir_node: Inode, include_whiteouts: bool
+        dir_path: str, dir_node: Inode, include_whiteouts: bool
     ) -> Iterator[Tuple[str, Inode]]:
+        """Walk below ``dir_path`` (no trailing slash: ``""`` is the root)."""
         assert dir_node.children is not None
-        for name in sorted(dir_node.children):
-            child = dir_node.children[name]
-            if child.is_whiteout and not include_whiteouts:
-                continue
-            child_path = paths.join(dir_path, name)
-            yield child_path, child
-            if child.is_dir:
-                yield from self._walk_dir(child_path, child, include_whiteouts)
+        # One frame per open directory: its path, entries, names to go.
+        stack = [(dir_path, dir_node.children, iter(sorted(dir_node.children)))]
+        while stack:
+            dir_path, children, names = stack[-1]
+            for name in names:
+                child = children[name]
+                if child.kind is FileKind.WHITEOUT and not include_whiteouts:
+                    continue
+                child_path = f"{dir_path}/{name}"
+                yield child_path, child
+                if child.children is not None:
+                    stack.append(
+                        (child_path, child.children, iter(sorted(child.children)))
+                    )
+                    break
+            else:
+                stack.pop()
 
     def iter_files(self, top: str = "/") -> Iterator[Tuple[str, Inode]]:
         """Yield ``(path, inode)`` for every regular file under ``top``."""
@@ -218,6 +253,12 @@ class FileSystemTree:
         return sum(1 for _ in self.walk(top))
 
     # -- mutations ---------------------------------------------------------
+    #
+    # Each path method is one ``_lookup_parent`` plus the ``*_at`` method
+    # that edits a single entry of the directory found.  Bulk loaders
+    # call the ``*_at`` methods themselves to stay in the directory they
+    # are filling: ``directory`` must be this writable tree's own node,
+    # as returned by :meth:`mkdir`, :meth:`mkdir_at` or :meth:`mirror`.
 
     def mkdir(
         self,
@@ -228,45 +269,40 @@ class FileSystemTree:
         meta: Optional[Metadata] = None,
     ) -> Inode:
         """Create a directory; with ``parents`` create missing ancestors."""
-        self._check_writable()
         parts = paths.split(path)
         if not parts:
             if exist_ok:
-                return self._own_root()
+                return self._directory(parts)
             raise FileExistsVfsError("root directory always exists")
-        own = self._shares
-        node = self._own_root() if own else self.root
-        for index, name in enumerate(parts):
-            assert node.children is not None
-            child = node.children.get(name)
-            is_last = index == len(parts) - 1
-            if child is None or child.is_whiteout:
-                if not is_last and not parents:
-                    raise NotFoundError(
-                        f"missing ancestor {'/' + '/'.join(parts[: index + 1])!r}"
-                    )
-                child = Inode(
-                    FileKind.DIRECTORY,
-                    meta=(meta.copy() if meta is not None and is_last else None),
-                    owner=self._token,
-                )
-                node.children[name] = child
-            else:
-                if is_last:
-                    if not child.is_dir:
-                        raise FileExistsVfsError(
-                            f"{path!r} exists and is not a directory"
-                        )
-                    if not exist_ok:
-                        raise FileExistsVfsError(f"directory exists: {path!r}")
-                elif not child.is_dir:
-                    raise NotADirectoryVfsError(
-                        f"{'/' + '/'.join(parts[: index + 1])!r} is not a directory"
-                    )
-                if own:
-                    child = self._own(node, name, child)
-            node = child
-        return node
+        name = parts.pop()
+        return self.mkdir_at(
+            self._directory(parts, create=parents), name, exist_ok=exist_ok, meta=meta
+        )
+
+    def mkdir_at(
+        self,
+        directory: Inode,
+        name: str,
+        *,
+        exist_ok: bool = False,
+        meta: Optional[Metadata] = None,
+    ) -> Inode:
+        """Create (or, with ``exist_ok``, return) the child directory ``name``."""
+        assert directory.children is not None
+        child = directory.children.get(name)
+        if child is None or child.is_whiteout:
+            child = directory.children[name] = Inode(
+                FileKind.DIRECTORY,
+                meta=meta.copy() if meta is not None else None,
+                owner=self._token,
+            )
+        elif not child.is_dir:
+            raise FileExistsVfsError(f"{name!r} exists and is not a directory")
+        elif not exist_ok:
+            raise FileExistsVfsError(f"directory exists: {name!r}")
+        else:
+            child = self._own(directory, name, child)
+        return child
 
     def write_file(
         self,
@@ -277,37 +313,58 @@ class FileSystemTree:
         parents: bool = False,
     ) -> Inode:
         """Create or replace the regular file at ``path``."""
-        self._check_writable()
-        blob = _coerce_blob(content)
-        if parents:
-            parent_path, _ = paths.parent_and_name(path)
-            self.mkdir(parent_path, parents=True, exist_ok=True)
-        parent, name = self._lookup_parent(path)
-        assert parent.children is not None
-        existing = parent.children.get(name)
-        if existing is not None and existing.is_dir:
-            raise IsADirectoryVfsError(f"{path!r} is a directory")
-        inode = Inode(FileKind.FILE, meta=meta, blob=blob, owner=self._token)
+        parent, name = self._lookup_parent(path, create=parents)
+        return self.write_at(parent, name, content, meta=meta)
+
+    def write_at(
+        self,
+        directory: Inode,
+        name: str,
+        content: "Blob | bytes | str",
+        *,
+        meta: Optional[Metadata] = None,
+    ) -> Inode:
+        """Create or replace the regular file ``name`` in ``directory``."""
+        assert directory.children is not None
+        existing = directory.children.get(name)
         if existing is not None:
+            if existing.is_dir:
+                raise IsADirectoryVfsError(f"{name!r} is a directory")
             self._drop_link(existing)
-        parent.children[name] = inode
+        inode = directory.children[name] = Inode(
+            FileKind.FILE, meta=meta, blob=_coerce_blob(content), owner=self._token
+        )
         return inode
 
     def symlink(
         self, path: str, target: str, *, meta: Optional[Metadata] = None
     ) -> Inode:
         """Create a symbolic link at ``path`` pointing to ``target``."""
-        self._check_writable()
         parent, name = self._lookup_parent(path)
-        assert parent.children is not None
-        existing = parent.children.get(name)
-        if existing is not None and not existing.is_whiteout:
-            raise FileExistsVfsError(f"path exists: {path!r}")
-        inode = Inode(
+        return self.symlink_at(parent, name, target, meta=meta)
+
+    def symlink_at(
+        self,
+        directory: Inode,
+        name: str,
+        target: str,
+        *,
+        meta: Optional[Metadata] = None,
+    ) -> Inode:
+        """Create the symbolic link ``name`` in ``directory``."""
+        assert directory.children is not None
+        self._check_vacant(directory, name)
+        inode = directory.children[name] = Inode(
             FileKind.SYMLINK, meta=meta, symlink_target=target, owner=self._token
         )
-        parent.children[name] = inode
         return inode
+
+    @staticmethod
+    def _check_vacant(directory: Inode, name: str) -> None:
+        assert directory.children is not None
+        existing = directory.children.get(name)
+        if existing is not None and not existing.is_whiteout:
+            raise FileExistsVfsError(f"path exists: {name!r}")
 
     def hardlink(self, new_path: str, existing_path: str) -> Inode:
         """Create a hard link: a new directory entry for an existing file."""
@@ -317,9 +374,7 @@ class FileSystemTree:
             raise IsADirectoryVfsError("cannot hard-link a directory")
         parent, name = self._lookup_parent(new_path)
         assert parent.children is not None
-        existing = parent.children.get(name)
-        if existing is not None and not existing.is_whiteout:
-            raise FileExistsVfsError(f"path exists: {new_path!r}")
+        self._check_vacant(parent, name)
         if self._is_shared(target):
             target = self._own_leaf(target)
         target.nlink += 1
@@ -342,10 +397,10 @@ class FileSystemTree:
         if self._is_shared(inode):
             # Before looking at the entry to replace: it may be this inode.
             inode = self._own_leaf(inode)
+        if not replace:
+            self._check_vacant(parent, name)
         existing = parent.children.get(name)
-        if existing is not None and not existing.is_whiteout:
-            if not replace:
-                raise FileExistsVfsError(f"path exists: {path!r}")
+        if existing is not None:
             self._drop_link(existing)
         inode.nlink += 1
         parent.children[name] = inode
@@ -353,41 +408,63 @@ class FileSystemTree:
 
     def remove(self, path: str, *, recursive: bool = False) -> None:
         """Remove the node at ``path`` (``recursive`` required for dirs)."""
-        self._check_writable()
         parent, name = self._lookup_parent(path)
-        assert parent.children is not None
-        node = parent.children.get(name)
+        self.remove_at(parent, name, recursive=recursive)
+
+    def remove_at(
+        self, directory: Inode, name: str, *, recursive: bool = False
+    ) -> None:
+        """Remove the entry ``name`` of ``directory``."""
+        assert directory.children is not None
+        node = directory.children.get(name)
         if node is None or node.is_whiteout:
-            raise NotFoundError(f"no such file or directory: {path!r}")
-        if node.is_dir:
-            assert node.children is not None
-            live = [c for c in node.children.values() if not c.is_whiteout]
-            if live and not recursive:
-                raise VfsError(f"directory not empty: {path!r}")
+            raise NotFoundError(f"no such file or directory: {name!r}")
+        if node.children is not None and not recursive:
+            if any(not c.is_whiteout for c in node.children.values()):
+                raise VfsError(f"directory not empty: {name!r}")
         self._drop_link(node)
-        del parent.children[name]
+        del directory.children[name]
 
     def whiteout(self, path: str) -> Inode:
         """Place a whiteout entry at ``path`` (replacing any node there)."""
-        self._check_writable()
         parent, name = self._lookup_parent(path)
-        assert parent.children is not None
-        existing = parent.children.get(name)
+        return self.whiteout_at(parent, name)
+
+    def whiteout_at(self, directory: Inode, name: str) -> Inode:
+        """Place a whiteout entry ``name`` in ``directory``."""
+        assert directory.children is not None
+        existing = directory.children.get(name)
         if existing is not None:
             self._drop_link(existing)
-        inode = Inode(FileKind.WHITEOUT, owner=self._token)
-        parent.children[name] = inode
+        inode = directory.children[name] = Inode(FileKind.WHITEOUT, owner=self._token)
         return inode
 
     def set_opaque(self, path: str, opaque: bool = True) -> None:
         """Mark the directory at ``path`` opaque (hides lower layers)."""
-        self._check_writable()
-        node = self._lookup(path, own=self._shares)
-        if not node.is_dir:
-            raise NotADirectoryVfsError(f"{path!r} is not a directory")
-        node.opaque = opaque
+        self._directory(paths.split(path)).opaque = opaque
 
     # -- whole-tree operations --------------------------------------------
+
+    def mirror(
+        self, walk: Iterable[Tuple[str, Inode]]
+    ) -> Iterator[Tuple[Inode, str, str, Inode]]:
+        """Re-create the directories of a pre-order ``walk`` (metadata
+        copied) in this fresh tree, and yield every walked ``(path,
+        node)`` as ``(directory here, name, path, node)`` for the caller
+        to place with the ``*_at`` methods.
+
+        The walk is pre-order, so the directory being filled, under its
+        ancestors, is always on the trail: nothing is looked up twice.
+        """
+        trail: List[Tuple[str, Inode]] = [("", self.root)]
+        for path, node in walk:
+            head, _, name = path.rpartition("/")
+            while trail[-1][0] != head:
+                trail.pop()
+            parent = trail[-1][1]
+            if node.is_dir:
+                trail.append((path, self.mkdir_at(parent, name, meta=node.meta)))
+            yield parent, name, path, node
 
     def clone(self) -> "FileSystemTree":
         """An independent writable copy of the tree (blobs shared).

@@ -7,10 +7,14 @@ same :class:`DeploymentResult`.  The golden tests here pin that across
 the Fig. 9 bandwidth grid and under a fault plan.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench.deploy import deploy_with_docker, deploy_with_gear
 from repro.bench.environment import make_testbed, publish_images
+from repro.common import clock as clock_module
 from repro.common.clock import (
     Process,
     SchedulerError,
@@ -96,6 +100,33 @@ class TestScheduler:
             ("fast", 1.0), ("slow", 2.0), ("fast", 2.0), ("slow", 4.0)
         ]
         assert clock.now == 4.0
+
+    def test_parked_workers_do_not_pin_the_finished_wave(self):
+        """A worker waiting in the pool for its next job must not keep
+        the last job's closure (process -> target -> world) alive."""
+
+        class World:
+            pass
+
+        def run_wave():
+            world = World()
+            clock = SimClock()
+
+            def client():
+                clock.advance(1.0)
+                return world
+
+            with SimScheduler(clock) as scheduler:
+                for index in range(8):
+                    scheduler.spawn(client, name=f"c{index}")
+                scheduler.run()
+            return weakref.ref(world)
+
+        sentinel = run_wave()
+        gc.collect()
+        # The wave's threads are parked in the pool, not gone.
+        assert len(clock_module._WORKER_POOL._idle) >= 8
+        assert sentinel() is None
 
     def test_process_result_and_join(self):
         clock = SimClock()

@@ -188,6 +188,16 @@ class SharedCloneMachine(RuleBasedStateMachine):
     def apply(self, op):
         assert apply_op(self.clone, op) == apply_op(self.reference, op), op
 
+    @rule(data=st.data(), name=_NAMES, content=_CONTENT, parents=st.booleans())
+    def write_through_a_symlinked_parent(self, data, name, content, parents):
+        """Every mutator's walk follows an ancestor symlink, ``mkdir``'s
+        and ``parents=True``'s included, owning what the link leads to."""
+        links = [p for p, node in self.reference.walk("/") if node.is_symlink]
+        if links:
+            link = data.draw(st.sampled_from(links))
+            self.apply(("mkdir", f"{link}/{name}", parents, True, None))
+            self.apply(("write_file", f"{link}/{name}/sub/f", content, None, parents))
+
     @rule(content=_CONTENT)
     def new_pool_inode(self, content):
         """A pool-style inode made outside any tree, one per side."""

@@ -152,6 +152,18 @@ class TestSymlinks:
         assert tree.exists("/etc/gone", follow_symlinks=False)
         assert not tree.exists("/etc/gone")
 
+    def test_mkdir_follows_an_ancestor_symlink_like_every_mutator(self, tree):
+        tree.symlink("/link", "/usr")
+        tree.mkdir("/link/lib")
+        tree.write_file("/link/share/doc/x", b"y", parents=True)
+        assert tree.is_dir("/usr/lib") and tree.read_bytes("/usr/share/doc/x") == b"y"
+        with pytest.raises(FileExistsVfsError):
+            tree.mkdir("/link", exist_ok=True)  # the final component is not followed
+        tree.symlink("/etc/a", "/etc/b")
+        tree.symlink("/etc/b", "/etc/a")
+        with pytest.raises(SymlinkLoopError):
+            tree.mkdir("/etc/a/d", parents=True)
+
     def test_readlink_on_file_fails(self, tree):
         with pytest.raises(VfsError):
             tree.readlink("/etc/hosts")
