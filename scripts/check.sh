@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests, warnings-as-errors on the fault-injection,
-# scheduler, journal/recovery, HA, telemetry, edge, FaaS, chunk
+# scheduler, journal/recovery, heap-budget, HA, telemetry, edge, FaaS, chunk
 # read-path, and VFS suites, fleet-contention / crash / HA / trace / edge / FaaS /
 # chunk determinism gates, the checked-in perf-trajectory artifacts, the
 # perf ledger's output checks, and a full bytecode compile of the source tree.
@@ -20,8 +20,9 @@ python -W error -m pytest tests/test_net_faults.py -q
 echo "== scheduler suite under -W error =="
 python -W error -m pytest tests/test_sim_scheduler.py -q
 
-echo "== journal/recovery suites under -W error =="
-python -W error -m pytest tests/test_gear_journal.py tests/test_gear_recovery.py -q
+echo "== journal/recovery and heap-budget suites under -W error =="
+python -W error -m pytest tests/test_gear_journal.py tests/test_gear_recovery.py \
+    tests/test_heap_budget.py -q
 
 echo "== HA registry suites under -W error =="
 python -W error -m pytest tests/test_net_ha.py tests/test_gear_replication.py -q

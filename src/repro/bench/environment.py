@@ -45,6 +45,9 @@ from repro.workloads.corpus import GeneratedImage
 class Testbed:
     """One client + one registry node over a configurable link."""
 
+    #: Not a test class, whatever pytest's ``Test*`` collection rule says.
+    __test__ = False
+
     clock: SimClock
     link: Link
     transport: RpcTransport

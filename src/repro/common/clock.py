@@ -453,6 +453,7 @@ class Process:
         "scheduler", "name", "_gen", "_ident", "_resume",
         "_grant_cb", "_step_cb", "_sendval", "_debt", "_debt_label",
         "result", "error", "_done", "_waiters", "started_at", "finished_at",
+        "__weakref__",
     )
 
     def __init__(self, scheduler: "SimScheduler", name: str) -> None:
@@ -633,11 +634,17 @@ class SimScheduler:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the clock; the clock reverts to sequential mode."""
+        """Detach from the clock; the clock reverts to sequential mode.
+
+        A closed scheduler spawns and reports nothing more, so it also
+        lets go of its processes: each points back at its scheduler, and
+        holding them would keep both alive until a collector pass.
+        """
         if not self._closed:
             self._closed = True
             if self.clock._scheduler is self:
                 self.clock._scheduler = None
+            self._processes.clear()
 
     def abort(self) -> int:
         """Cancel every pending event: the simulated node lost power.
@@ -912,6 +919,11 @@ class SimScheduler:
                 self._wake(waiter, result)
         if process._ident is not None:
             self._thread_procs.pop(process._ident, None)
+        # A finished process is never resumed: drop the callbacks that
+        # point back at it (and the generator and park lock they drove),
+        # so it is not a reference cycle only the collector can free.
+        process._grant_cb = process._step_cb = None
+        process._gen = process._resume = None
 
     def _step_gen(self, process: Process) -> None:
         """Advance a generator process by one yield."""

@@ -130,7 +130,7 @@ def _apply_diff(
         elif node.is_file:
             entry = diff_entries[path]
             meta = node.meta.copy()
-            meta.xattrs[STUB_XATTR] = "1"
+            meta.set_xattr(STUB_XATTR, "1")
             if merged_tree.exists(path, follow_symlinks=False):
                 merged_tree.remove(path, recursive=True)
             merged_tree.write_file(

@@ -17,7 +17,8 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.blob import Blob
@@ -35,10 +36,10 @@ STUB_MAGIC = "gearfp:"
 STUB_XATTR = "gear.stub"
 
 #: One-time parse templates for :meth:`GearIndex.from_image` (a frozen
-#: stub tree and its entry table), keyed by the (immutable,
+#: stub tree and its read-only entry table), keyed by the (immutable,
 #: digest-hashed) index layer archive.  Weak keys: the template dies
 #: with the last registry/daemon reference to the archive.
-_INDEX_TEMPLATES: "WeakKeyDictionary[LayerArchive, Tuple[FileSystemTree, Dict[str, GearFileEntry]]]" = (
+_INDEX_TEMPLATES: "WeakKeyDictionary[LayerArchive, Tuple[FileSystemTree, Mapping[str, GearFileEntry]]]" = (
     WeakKeyDictionary()
 )
 
@@ -74,21 +75,22 @@ class GearIndex:
         name: str,
         tag: str,
         tree: FileSystemTree,
-        entries: Dict[str, GearFileEntry],
+        entries: Mapping[str, GearFileEntry],
         config: Optional[ImageConfig] = None,
     ) -> None:
         self.name = name
         self.tag = tag
+        #: ``name:tag``, formatted once: every link record a deployment
+        #: journals carries this very object.
+        self.reference = f"{name}:{tag}"
         #: The stub tree: directories and symlinks verbatim, regular files
         #: replaced by stub files.  Live deployments mutate it (stub →
         #: hard link to the cached Gear file), so it stays writable.
         self.tree = tree
+        #: path → entry.  No reader writes it, and indexes parsed from
+        #: one archive share one read-only table.
         self.entries = entries
         self.config = config if config is not None else ImageConfig.make()
-
-    @property
-    def reference(self) -> str:
-        return f"{self.name}:{self.tag}"
 
     # -- construction -----------------------------------------------------
 
@@ -127,7 +129,7 @@ class GearIndex:
                     mode=node.meta.mode,
                 )
                 meta = node.meta.copy()
-                meta.xattrs[STUB_XATTR] = "1"
+                meta.set_xattr(STUB_XATTR, "1")
                 tree.write_at(
                     parent, leaf, Blob.from_text(entry.stub_content()), meta=meta
                 )
@@ -140,9 +142,10 @@ class GearIndex:
         The parse is pure in the layer archive's content, so the stub
         tree and entry table are built once per archive digest and every
         subsequent call (every other node in a fleet pulling the same
-        index) receives a copy-on-write clone of that frozen template —
-        the same result a re-parse would produce, minus the re-parse and
-        minus a copy of every stub the deployment never touches.
+        index) receives a copy-on-write clone of that frozen tree and
+        the one read-only entry table — the same result a re-parse would
+        produce, minus the re-parse and minus a copy of every stub and
+        entry the deployment never touches.
         """
         if not image.gear_index:
             raise GearError(f"{image.reference!r} is not a Gear index image")
@@ -157,14 +160,12 @@ class GearIndex:
             template = cls._parse_archive(archive)
             _INDEX_TEMPLATES[archive] = template
         tree, entries = template
-        return cls(
-            image.name, image.tag, tree.clone(), dict(entries), image.config
-        )
+        return cls(image.name, image.tag, tree.clone(), entries, image.config)
 
     @staticmethod
     def _parse_archive(
         archive: "LayerArchive",
-    ) -> Tuple[FileSystemTree, Dict[str, GearFileEntry]]:
+    ) -> Tuple[FileSystemTree, Mapping[str, GearFileEntry]]:
         """One-time stub-tree parse of an index layer archive: unpack it
         once and mark the files of that very tree as stubs."""
         tree = archive.apply_to(FileSystemTree())
@@ -174,8 +175,8 @@ class GearIndex:
                 assert node.blob is not None
                 text = node.blob.materialize().decode("utf-8", errors="replace")
                 entries[path] = GearFileEntry.parse_stub(path, text, node.meta.mode)
-                node.meta.xattrs[STUB_XATTR] = "1"
-        return tree.freeze(), entries
+                node.meta.set_xattr(STUB_XATTR, "1")
+        return tree.freeze(), MappingProxyType(entries)
 
     # -- packaging ------------------------------------------------------------
 
@@ -200,7 +201,7 @@ class GearIndex:
             entry = self.entries.get(path)
             if entry is not None and STUB_XATTR not in node.meta.xattrs:
                 meta = node.meta.copy()
-                meta.xattrs[STUB_XATTR] = "1"
+                meta.set_xattr(STUB_XATTR, "1")
                 tree.write_file(path, Blob.from_text(entry.stub_content()), meta=meta)
         return tree
 

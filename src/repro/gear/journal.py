@@ -30,7 +30,7 @@ journal's value is purely at recovery time, when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
 from repro.obs.metrics import MetricSet
@@ -44,9 +44,9 @@ CHUNK_BEGIN = "chunk-begin"
 CHUNK_COMMIT = "chunk-commit"
 
 
-@dataclass(frozen=True)
-class JournalRecord:
-    """One appended intent or commit record."""
+class JournalRecord(NamedTuple):
+    """One appended intent or commit record (a flat immutable tuple:
+    a node keeps four of them per faulted file, DESIGN.md §17)."""
 
     seq: int
     op: str
@@ -124,13 +124,10 @@ class IntentJournal:
         path: Optional[str] = None,
         reference: Optional[str] = None,
     ) -> JournalRecord:
+        clock = self.clock
         record = JournalRecord(
-            seq=self._seq,
-            op=op,
-            identity=identity,
-            at_s=self.clock.now if self.clock is not None else 0.0,
-            path=path,
-            reference=reference,
+            self._seq, op, identity,
+            clock.now if clock is not None else 0.0, path, reference,
         )
         self._seq += 1
         self.stats.appends += 1

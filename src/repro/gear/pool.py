@@ -15,6 +15,7 @@ index still references it (nlink 1 = pool only = evictable).
 from __future__ import annotations
 
 import enum
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
@@ -171,9 +172,9 @@ class SharedFilePool:
         """Return the cached inode, updating recency; None on miss."""
         inode = self._inodes.get(identity)
         if inode is None:
-            self.misses += 1
+            self.stats.misses += 1
             return None
-        self.hits += 1
+        self.stats.hits += 1
         if self.policy is EvictionPolicy.LRU:
             self._inodes.move_to_end(identity)
         return inode
@@ -264,7 +265,9 @@ class SharedFilePool:
         if inode.blob is None:
             return
         for chunk in inode.blob.chunks:
-            token = chunk.token
+            # Interned: every pool on the host that indexes this content
+            # keys it by one string, not by a copy of its own.
+            token = sys.intern(chunk.token)
             self._chunk_tokens[token] = self._chunk_tokens.get(token, 0) + 1
 
     def _unindex_chunks(self, inode: Inode) -> None:

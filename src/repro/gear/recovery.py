@@ -236,7 +236,7 @@ def fsck(
         if not pool.contains(record.identity):
             report.dangling_links += 1
         meta = node.meta.copy()
-        meta.xattrs[STUB_XATTR] = "1"
+        meta.set_xattr(STUB_XATTR, "1")
         # write_file drops the old entry's link (nlink decrement) and
         # restores the stub content the published index carried.
         index.tree.write_file(

@@ -129,6 +129,7 @@ class GearFileViewer(OverlayMount):
         entry = self.index.entries.get(path)
         if entry is None:
             raise GearError(f"stub at {path!r} has no index entry")
+        path = entry.path  # the index's own string, not this call's copy
         self.fault_stats.faults += 1
         inode = self.pool.get(entry.identity)
         if inode is None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.common.clock import SUSPEND, Process, SimClock, SimScheduler
 from repro.common.errors import FetchCancelledError
@@ -43,9 +43,9 @@ from repro.common.units import Mbps, mbps_to_bytes_per_s
 _FLOW_EPS = 1e-12
 
 
-@dataclass
-class TransferRecord:
-    """One completed transfer over a link."""
+class TransferRecord(NamedTuple):
+    """One completed transfer over a link (a flat immutable tuple: a
+    node keeps two of them per RPC, DESIGN.md §17)."""
 
     start: float
     duration: float
@@ -227,14 +227,7 @@ class Link:
             start = self.clock.now
             self.clock.advance(duration, label or f"transfer:{payload_bytes}B")
             self._busy_s += duration
-            self.log.append(
-                TransferRecord(
-                    start=start,
-                    duration=duration,
-                    payload_bytes=payload_bytes,
-                    label=label,
-                )
-            )
+            self.log.append(TransferRecord(start, duration, payload_bytes, label))
             return duration
         return self._transfer_flow(scheduler, process, payload_bytes, duration, label)
 
@@ -324,10 +317,10 @@ class Link:
             self.clock.instant(f"cancelled:{label or payload_bytes}")
             self.log.append(
                 TransferRecord(
-                    start=start,
-                    duration=elapsed,
-                    payload_bytes=flow.partial_bytes,
-                    label=f"{label}:cancelled" if label else "cancelled",
+                    start,
+                    elapsed,
+                    flow.partial_bytes,
+                    f"{label}:cancelled" if label else "cancelled",
                 )
             )
             raise FetchCancelledError(
@@ -336,14 +329,7 @@ class Link:
             )
         duration = flow.nominal_s if not flow.contended else elapsed
         self.clock.instant(label or f"transfer:{payload_bytes}B")
-        self.log.append(
-            TransferRecord(
-                start=start,
-                duration=duration,
-                payload_bytes=payload_bytes,
-                label=label,
-            )
-        )
+        self.log.append(TransferRecord(start, duration, payload_bytes, label))
         return duration
 
     def _advance_vtime(self) -> None:

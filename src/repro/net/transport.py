@@ -17,6 +17,7 @@ endpoint's :class:`RpcStats`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -191,13 +192,18 @@ class RpcTransport:
         if faulty is not None:
             faulty.begin_call(endpoint.name)
         try:
+            # The transfer log keeps the leg labels for the life of the
+            # link; interned, every client that fetches the same object
+            # over it (or its siblings) keeps the same two strings.
             self.link.transfer(
                 self.REQUEST_FRAME_BYTES + request_payload_bytes,
-                label=f"{tag}:request",
+                label=sys.intern(f"{tag}:request"),
             )
             result, response_bytes = endpoint.handle(method, *args, **kwargs)
             if response_bytes:
-                self.link.transfer(response_bytes, label=f"{tag}:response")
+                self.link.transfer(
+                    response_bytes, label=sys.intern(f"{tag}:response")
+                )
             if faulty is not None:
                 verdict = faulty.roll_corruption()
                 if verdict is not None:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 from repro.blob import Blob
 from repro.common.errors import VfsError
@@ -25,7 +26,14 @@ class FileKind(enum.Enum):
     WHITEOUT = "whiteout"
 
 
-@dataclass
+#: The one "no extended attributes" mapping every attribute-less inode
+#: shares.  Read-only, so a write through it raises instead of reaching
+#: every other inode (a frozen template's included); attributes are
+#: added with :meth:`Metadata.set_xattr`.
+NO_XATTRS: Mapping[str, str] = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class Metadata:
     """POSIX-ish metadata carried by every inode.
 
@@ -38,15 +46,20 @@ class Metadata:
     uid: int = 0
     gid: int = 0
     mtime: float = 0.0
-    xattrs: Dict[str, str] = field(default_factory=dict)
+    xattrs: Mapping[str, str] = field(default_factory=lambda: NO_XATTRS)
+
+    def set_xattr(self, name: str, value: str) -> None:
+        """Set one extended attribute (in a dict of this inode's own)."""
+        if self.xattrs is NO_XATTRS:
+            self.xattrs = {name: value}
+        else:
+            self.xattrs[name] = value
 
     def copy(self) -> "Metadata":
+        xattrs = self.xattrs
         return Metadata(
-            mode=self.mode,
-            uid=self.uid,
-            gid=self.gid,
-            mtime=self.mtime,
-            xattrs=dict(self.xattrs),
+            self.mode, self.uid, self.gid, self.mtime,
+            dict(xattrs) if xattrs else NO_XATTRS,
         )
 
 
@@ -165,11 +178,7 @@ class Inode:
         copy.ino = next(_inode_numbers)
         copy.owner = owner
         copy.kind = self.kind
-        meta = self.meta
-        copy.meta = Metadata(
-            mode=meta.mode, uid=meta.uid, gid=meta.gid,
-            mtime=meta.mtime, xattrs=dict(meta.xattrs),
-        )
+        copy.meta = self.meta.copy()
         copy.blob = self.blob
         copy.symlink_target = self.symlink_target
         copy.nlink = 1

@@ -18,6 +18,7 @@ writable layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.common.clock import SimClock
@@ -59,6 +60,12 @@ class TaskModel:
     writes: int = 0
     write_bytes: int = 0
 
+    @cached_property
+    def _payload(self) -> bytes:
+        """What every write of this task writes: immutable, so one
+        object serves every client that runs the task."""
+        return b"x" * self.write_bytes
+
     def run(
         self,
         clock: SimClock,
@@ -86,8 +93,7 @@ class TaskModel:
         clock.instant("ready", ref=trace.reference)
         bytes_written = 0
         for i in range(self.writes):
-            payload = b"x" * self.write_bytes
-            mount.write_file(f"/var/run/task-{i}.out", payload, parents=True)
+            mount.write_file(f"/var/run/task-{i}.out", self._payload, parents=True)
             bytes_written += self.write_bytes
             clock.advance(self.write_bytes / LOCAL_READ_BPS, "task-write")
         clock.advance(trace.compute_s, "task-compute")

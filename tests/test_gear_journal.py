@@ -1,10 +1,14 @@
 """The write-ahead intent journal: appends, replay, compaction."""
 
+import pytest
+
+from repro.bench.deploy import deploy_with_gear
 from repro.common.clock import SimClock
 from repro.gear.journal import (
     FETCH_BEGIN,
     LINK_BEGIN,
     IntentJournal,
+    JournalRecord,
 )
 
 
@@ -41,6 +45,39 @@ class TestAppends:
         assert record.op == LINK_BEGIN
         assert record.path == "/bin/a"
         assert record.reference == "img.gear:v1"
+
+
+class TestRecordShape:
+    def test_records_reject_assignment(self):
+        record = IntentJournal().link_begin("id-a", "/bin/a", "img.gear:v1")
+        for name in ("seq", "identity", "path", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "x")
+        assert not hasattr(record, "__dict__")
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = JournalRecord(
+            seq=3, op=LINK_BEGIN, identity="id-a", at_s=1.5,
+            path="/bin/a", reference="img.gear:v1",
+        )
+        assert by_keyword == JournalRecord(
+            3, LINK_BEGIN, "id-a", 1.5, "/bin/a", "img.gear:v1"
+        )
+        fetch = JournalRecord(seq=0, op=FETCH_BEGIN, identity="id-a", at_s=0.0)
+        assert (fetch.path, fetch.reference) == (None, None)
+
+    def test_a_deploy_keeps_four_records_per_faulted_file(
+        self, published_testbed, small_corpus
+    ):
+        # Retention: flat records are a cheaper form of the same facts,
+        # not fewer of them.
+        image = small_corpus.by_series["nginx"][0]
+        result = deploy_with_gear(published_testbed, image)
+        files = image.trace.file_count
+        assert (result.files_fetched, result.cache_hits) == (files, 0)
+        journal = published_testbed.gear_driver.journal
+        assert len(journal.records) == journal.appended == 4 * files
+        assert [r.seq for r in journal.records] == list(range(4 * files))
 
 
 class TestReplay:

@@ -118,6 +118,37 @@ class TestTransferLog:
         assert log.total_time == 2.0
         assert log.total_requests == 2
 
+    def test_records_are_flat_and_immutable(self):
+        from repro.net.link import TransferRecord
+
+        record = TransferRecord(start=1.5, duration=0.5, payload_bytes=20, label="b")
+        assert record == TransferRecord(1.5, 0.5, 20, "b")
+        assert record.end == 2.0
+        for name in ("start", "label", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert not hasattr(record, "__dict__")
+
+    def test_a_deploy_keeps_two_records_per_rpc(
+        self, published_testbed, small_corpus
+    ):
+        from repro.bench.deploy import deploy_with_gear
+
+        bed = published_testbed
+        endpoints = [
+            bed.transport.endpoint(name)
+            for name in ("docker-registry", "gear-registry")
+        ]
+        records_before = len(bed.link.log.records)
+        calls_before = sum(endpoint.stats.calls for endpoint in endpoints)
+        deploy_with_gear(bed, small_corpus.by_series["nginx"][0])
+        calls = sum(endpoint.stats.calls for endpoint in endpoints) - calls_before
+        records = bed.link.log.records[records_before:]
+        assert calls > 0 and len(records) == 2 * calls
+        assert [r.label.rsplit(":", 1)[1] for r in records] == [
+            "request", "response"
+        ] * calls
+
 
 class TestTransport:
     def make(self):

@@ -128,6 +128,34 @@ class TestScheduler:
         assert len(clock_module._WORKER_POOL._idle) >= 8
         assert sentinel() is None
 
+    def test_finished_process_is_freed_by_refcount_alone(self):
+        """A finished process must not be a reference cycle (process ->
+        resume callback -> process): once the scheduler is closed and
+        dropped it dies without a collector pass, thread or generator."""
+        clock = SimClock()
+
+        def call_body():
+            clock.advance(1.0)
+
+        def generator_body():
+            yield 1.0
+
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            scheduler = SimScheduler(clock)
+            processes = [
+                scheduler.spawn(call_body), scheduler.spawn(generator_body)
+            ]
+            scheduler.run()
+            assert all(process.done for process in processes)
+            refs = [weakref.ref(process) for process in processes]
+            scheduler.close()
+            del scheduler, processes
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_process_result_and_join(self):
         clock = SimClock()
 

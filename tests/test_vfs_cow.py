@@ -384,6 +384,32 @@ class TestFrozenTemplates:
         with pytest.raises(ReadOnlyVfsError):
             archive._diff_template.whiteout("/etc")
 
+    def test_attribute_less_inodes_share_one_unwritable_xattrs_mapping(self):
+        source = FileSystemTree()
+        source.write_file("/etc/plain", b"p", parents=True)
+        source.write_file("/etc/tagged", b"t", meta=Metadata(xattrs={"k": "v"}))
+        frozen = source.freeze()
+        clone = frozen.clone()
+        plain, tagged = frozen.stat("/etc/plain"), frozen.stat("/etc/tagged")
+
+        # A directory copied on write keeps sharing the empty mapping, and
+        # a write through it cannot reach the template (or anyone else).
+        clone.write_file("/etc/new", b"n")
+        copied = clone.stat("/etc")
+        assert copied is not frozen.stat("/etc")
+        assert copied.meta.xattrs is plain.meta.xattrs is Metadata().xattrs
+        with pytest.raises(TypeError):
+            copied.meta.xattrs["k"] = "v"
+
+        # Attributes go into a dict of the inode's own; copies of it are
+        # copies, never the template's dict.
+        copied.meta.set_xattr("k", "v")
+        assert copied.meta.xattrs == {"k": "v"}
+        assert not plain.meta.xattrs and not frozen.stat("/etc").meta.xattrs
+        mine = tagged.meta.copy()
+        mine.set_xattr("k", "changed")
+        assert tagged.meta.xattrs == {"k": "v"}
+
     def test_materialising_one_index_leaves_its_sibling_and_template_stubs(
         self, published_testbed, small_corpus
     ):

@@ -379,7 +379,7 @@ def parse_reference(archive):
             text = node.blob.materialize().decode("utf-8", errors="replace")
             entries[path] = GearFileEntry.parse_stub(path, text, node.meta.mode)
             meta = node.meta.copy()
-            meta.xattrs[STUB_XATTR] = "1"
+            meta.set_xattr(STUB_XATTR, "1")
             tree.write_file(path, node.blob, meta=meta, parents=True)
     return tree, entries
 
