@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests, warnings-as-errors on the fault-injection,
-# scheduler, journal/recovery, heap-budget, HA, telemetry, edge, FaaS, chunk
-# read-path, and VFS suites, fleet-contention / crash / HA / trace / edge / FaaS /
-# chunk determinism gates, the checked-in perf-trajectory artifacts, the
-# perf ledger's output checks, and a full bytecode compile of the source tree.
+# scheduler, journal/recovery, heap-budget, HA + download-chain, telemetry,
+# edge, FaaS, chunk read-path, and VFS suites, the one-download-chain source
+# guard, fleet-contention / crash / HA / trace / edge / FaaS / chunk
+# determinism gates, the checked-in perf-trajectory artifacts, the perf
+# ledger's output checks and harness tests, and a full bytecode compile.
 #
 # Usage: sh scripts/check.sh   (from the repo root)
 set -eu
@@ -24,8 +25,9 @@ echo "== journal/recovery and heap-budget suites under -W error =="
 python -W error -m pytest tests/test_gear_journal.py tests/test_gear_recovery.py \
     tests/test_heap_budget.py -q
 
-echo "== HA registry suites under -W error =="
-python -W error -m pytest tests/test_net_ha.py tests/test_gear_replication.py -q
+echo "== HA registry and download-chain suites under -W error =="
+python -W error -m pytest tests/test_net_ha.py tests/test_gear_replication.py \
+    tests/test_net_chain.py -q
 
 echo "== telemetry suites under -W error =="
 python -W error -m pytest tests/test_obs_trace.py tests/test_obs_metrics.py \
@@ -38,6 +40,13 @@ python -W error -m pytest tests/test_net_edge.py tests/test_gear_gc.py -q
 echo "== FaaS tier suites under -W error =="
 python -W error -m pytest tests/test_net_faas.py tests/test_workloads_schedule.py \
     tests/test_common_stats.py -q
+
+echo "== one download chain: the copies must not grow back =="
+# The whole-round backoff lives in resilience.py (transport.py retries
+# single attempts), and the fabrics stay below the bench layer.
+if grep -l "next_backoff(" src/repro/net/*.py | grep -v -e /resilience.py -e /transport.py \
+    || grep -n "from repro.bench" src/repro/net/edge.py src/repro/net/faas.py
+then echo "a fabric grew its own backoff tail or imports repro.bench" >&2; exit 1; fi
 
 echo "== chunk read-path suites under -W error =="
 python -W error -m pytest tests/test_gear_bigfile.py tests/test_gear_chunks.py -q
@@ -236,6 +245,9 @@ for ledger_workload in wave microflows convert seqdeploy fabrics chunkreads; do
              cat "$fleet_tmp/ledger-$ledger_workload.json" >&2; exit 1; }
 done
 echo "ledger outputs correct on all six workloads"
+
+echo "== perf-ledger harness tests =="
+python -m pytest benchmarks/ledger/tests/test_ledger.py -q
 
 echo "== compileall src =="
 python -m compileall -q src

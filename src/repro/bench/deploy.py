@@ -16,9 +16,7 @@ from repro.baselines.slacker import SlackerDriver
 from repro.bench.environment import Testbed
 from repro.common.clock import SimScheduler
 from repro.common.errors import ClientCrash
-from repro.common.hashing import fingerprint_tokens
 from repro.gear.driver import GearContainer
-from repro.gear.index import STUB_XATTR
 from repro.gear.journal import FETCH_BEGIN
 from repro.gear.prefetch import TraceRecorder
 from repro.gear.recovery import RecoveryReport
@@ -125,7 +123,7 @@ def deploy_with_gear(
     ``clear_cache`` reproduces the paper's no-local-cache scenario ("the
     Gear's local cache is emptied before each deployment", §V-D).
     """
-    reference = index_reference or _gear_reference(generated.reference)
+    reference = index_reference or generated.gear_reference
     if clear_cache:
         testbed.gear_driver.pool.clear()
     link_log = testbed.link.log
@@ -196,7 +194,7 @@ def deploy_with_gear_overlapped(
     Reuses an active scheduler when the caller runs inside one (e.g. a
     fleet wave); otherwise it attaches its own for the run phase.
     """
-    reference = index_reference or _gear_reference(generated.reference)
+    reference = index_reference or generated.gear_reference
     if clear_cache:
         testbed.gear_driver.pool.clear()
     link_log = testbed.link.log
@@ -331,18 +329,7 @@ def viewer_fs_digest(viewer) -> str:
     whole-file mounts of the same fully-read image must digest
     identically (the golden chunk-equivalence invariant).
     """
-    tokens = []
-    for path, node in viewer.walk():
-        if not node.is_file:
-            tokens.append(f"{path}|{node.kind.value}")
-            continue
-        if STUB_XATTR in node.meta.xattrs:
-            entry = viewer.index.entries.get(path)
-            content = entry.identity if entry is not None else ""
-        else:
-            content = node.blob.fingerprint if node.blob is not None else ""
-        tokens.append(f"{path}|file|{node.meta.mode:o}|{content}")
-    return str(fingerprint_tokens(tokens))
+    return viewer.fs_digest()
 
 
 def deploy_with_gear_resumable(
@@ -363,7 +350,7 @@ def deploy_with_gear_resumable(
     had committed before the crash are served from the pool.
     """
     driver = testbed.gear_driver
-    reference = index_reference or _gear_reference(generated.reference)
+    reference = index_reference or generated.gear_reference
     if clear_cache:
         driver.pool.clear()
     if plan is not None:
@@ -467,9 +454,3 @@ def deploy_with_slacker(
         cache_hits=0,
         ready_s=ready_s,
     )
-
-
-def _gear_reference(reference: str) -> str:
-    """Map ``name:tag`` to the converter's published index reference."""
-    name, _, tag = reference.partition(":")
-    return f"{name}.gear:{tag}"

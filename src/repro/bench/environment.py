@@ -8,6 +8,7 @@ running the Docker daemon, connected by a measured 904 Mbps link.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -23,7 +24,6 @@ from repro.net.faas import FaasFabric, FaasStats, SharedCacheTier
 from repro.net.faults import FaultPlan, FaultyLink
 from repro.net.ha import (
     GEAR_ENDPOINT,
-    AdmissionGate,
     BreakerState,
     HAFetchPolicy,
     HATransport,
@@ -32,7 +32,7 @@ from repro.net.ha import (
     ReplicaSet,
 )
 from repro.net.link import Link
-from repro.net.resilience import RetryPolicy
+from repro.net.resilience import AdmissionGate, RetryPolicy
 from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler, TimelineStats
@@ -113,30 +113,34 @@ class Testbed:
             if isinstance(link, FaultyLink):
                 link.disarm()
 
-    def fresh_client(self) -> "Testbed":
-        """Replace the client side (daemon, driver, cache) with new, empty
-        state, keeping the registries and clock.
+    def fresh_client(
+        self,
+        *,
+        transport: Optional[RpcTransport] = None,
+        pool: Optional[SharedFilePool] = None,
+    ) -> "Testbed":
+        """Mint a client node: new, empty client-side state (daemon,
+        driver, cache) against this testbed's registries and clock.
 
-        Deployment sweeps use this to measure each image from a cold
-        client without rebuilding (and re-converting) the registries.
+        Sweeps use it to measure each image from a cold client without
+        re-converting; clusters and fabrics mint every node with it.  The
+        node is built like this testbed's own client: same disk profile,
+        same pool capacity and policy.  A fabric passes the node's
+        ``transport`` (its link in the download chain) and, when an edge
+        peer must serve from the same cache, the ``pool``.
         """
-        daemon = DockerDaemon(self.clock, self.transport)
-        driver = GearDriver(self.clock, daemon, self.transport)
-        bed = Testbed(
-            clock=self.clock,
-            link=self.link,
-            transport=self.transport,
-            docker_registry=self.docker_registry,
-            gear_registry=self.gear_registry,
-            converter=self.converter,
+        if transport is None:
+            transport = self.transport
+        if pool is None:
+            pool = self.gear_driver.pool.empty_copy()
+        daemon = DockerDaemon(
+            self.clock, transport, disk=Disk(self.clock, self.daemon.disk.profile)
+        )
+        bed = dataclasses.replace(
+            self,
+            transport=transport,
             daemon=daemon,
-            gear_driver=driver,
-            fault_plan=self.fault_plan,
-            ha=self.ha,
-            metrics=self.metrics,
-            edge=self.edge,
-            faas=self.faas,
-            timeline_stats=self.timeline_stats,
+            gear_driver=GearDriver(self.clock, daemon, transport, pool=pool),
         )
         # Replace-by-key: the new client's pool and journal take over the
         # old ones' registry slots.
@@ -223,6 +227,13 @@ def _instrument(testbed: Testbed) -> MetricsRegistry:
     return registry
 
 
+def _link(clock: SimClock, plan: Optional[FaultPlan], bandwidth_mbps: float) -> Link:
+    """A plain link, or a :class:`FaultyLink` when ``plan`` injects faults."""
+    if plan is None:
+        return Link(clock, bandwidth_mbps=bandwidth_mbps)
+    return FaultyLink(clock, plan, bandwidth_mbps=bandwidth_mbps)
+
+
 def make_testbed(
     *,
     bandwidth_mbps: float = 904.0,
@@ -241,14 +252,9 @@ def make_testbed(
     the seed topology — same link, no retry state, byte-identical logs.
     """
     clock = SimClock()
-    if fault_plan is not None:
-        link: Link = FaultyLink(
-            clock, fault_plan, bandwidth_mbps=bandwidth_mbps
-        )
-        if retry_policy is None:
-            retry_policy = RetryPolicy()
-    else:
-        link = Link(clock, bandwidth_mbps=bandwidth_mbps)
+    link = _link(clock, fault_plan, bandwidth_mbps)
+    if fault_plan is not None and retry_policy is None:
+        retry_policy = RetryPolicy()
     transport = RpcTransport(link, retry_policy=retry_policy)
     docker_registry = DockerRegistry()
     gear_registry = GearRegistry()
@@ -310,14 +316,10 @@ def make_ha_testbed(
     if replicas < 1:
         raise ValueError("need at least one replica")
     clock = SimClock()
-    if fault_plan is not None:
-        base_link: Link = FaultyLink(
-            clock, fault_plan, bandwidth_mbps=bandwidth_mbps
-        )
-        base_retry: Optional[RetryPolicy] = RetryPolicy(seed=f"{seed}-docker")
-    else:
-        base_link = Link(clock, bandwidth_mbps=bandwidth_mbps)
-        base_retry = None
+    base_link = _link(clock, fault_plan, bandwidth_mbps)
+    base_retry = (
+        RetryPolicy(seed=f"{seed}-docker") if fault_plan is not None else None
+    )
     base_transport = RpcTransport(base_link, retry_policy=base_retry)
     docker_registry = DockerRegistry()
     base_transport.bind(docker_registry.endpoint())
@@ -326,12 +328,7 @@ def make_ha_testbed(
     members = []
     for index in range(replicas):
         plan = plans[index] if index < len(plans) else None
-        if plan is not None:
-            replica_link: Link = FaultyLink(
-                clock, plan, bandwidth_mbps=bandwidth_mbps
-            )
-        else:
-            replica_link = Link(clock, bandwidth_mbps=bandwidth_mbps)
+        replica_link = _link(clock, plan, bandwidth_mbps)
         replica_link.log = base_link.log
         replica_transport = RpcTransport(replica_link)
         registry = GearRegistry()
@@ -442,8 +439,6 @@ def make_edge_testbed(
         stats=stats,
         seed=seed,
         retry_policy=edge_retry_policy,
-        pool_capacity_bytes=pool_capacity_bytes,
-        pool_policy=pool_policy,
     )
     testbed.edge = fabric
     if testbed.metrics is not None:
@@ -493,35 +488,23 @@ def make_faas_testbed(
     policy); ``retry_policy``/``fault_plan`` apply to the WAN exactly as
     in :func:`make_testbed`.
     """
+    registry_side = dict(
+        bandwidth_mbps=bandwidth_mbps,
+        registry_disk=registry_disk,
+        client_disk=client_disk,
+        pool_capacity_bytes=pool_capacity_bytes,
+        pool_policy=pool_policy,
+        fault_plan=fault_plan,
+        retry_policy=retry_policy,
+    )
     if ha_replicas > 0:
         testbed = make_ha_testbed(
-            replicas=ha_replicas,
-            bandwidth_mbps=bandwidth_mbps,
-            registry_disk=registry_disk,
-            client_disk=client_disk,
-            pool_capacity_bytes=pool_capacity_bytes,
-            pool_policy=pool_policy,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            seed=f"{seed}-ha",
+            replicas=ha_replicas, seed=f"{seed}-ha", **registry_side
         )
     else:
-        testbed = make_testbed(
-            bandwidth_mbps=bandwidth_mbps,
-            registry_disk=registry_disk,
-            client_disk=client_disk,
-            pool_capacity_bytes=pool_capacity_bytes,
-            pool_policy=pool_policy,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-        )
+        testbed = make_testbed(**registry_side)
     stats = FaasStats()
-    if tier_fault_plan is not None:
-        tier_link: Link = FaultyLink(
-            testbed.clock, tier_fault_plan, bandwidth_mbps=tier_mbps
-        )
-    else:
-        tier_link = Link(testbed.clock, bandwidth_mbps=tier_mbps)
+    tier_link = _link(testbed.clock, tier_fault_plan, tier_mbps)
     tier = SharedCacheTier(
         "shared-tier",
         testbed.clock,
@@ -539,8 +522,6 @@ def make_faas_testbed(
         stats=stats,
         seed=seed,
         retry_policy=faas_retry_policy,
-        pool_capacity_bytes=pool_capacity_bytes,
-        pool_policy=pool_policy,
     )
     testbed.faas = fabric
     if testbed.metrics is not None:

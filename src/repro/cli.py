@@ -101,7 +101,7 @@ from repro.net.faults import (
     chunk_plan,
 )
 from repro.net.link import Link
-from repro.net.resilience import RetryPolicy
+from repro.net.resilience import RetryPolicy, poisoned
 from repro.net.transport import RpcTransport
 from repro.vfs.tree import FileSystemTree
 from repro.net.faas import FAAS_TIER_ENDPOINT, FaasPlatform
@@ -492,15 +492,7 @@ def _chunk_wave(clock, viewer, size, clients):
 def _pool_audit(pool) -> int:
     """Committed pool entries whose content does not hash to their name
     (poisoned commits — must be zero under every fault scenario)."""
-    bad = 0
-    for identity in pool.identities():
-        inode = pool.peek(identity)
-        assert inode is not None
-        if identity.startswith("uid-"):
-            continue
-        if inode.blob is None or inode.blob.fingerprint != identity:
-            bad += 1
-    return bad
+    return len(poisoned(pool, strict=True))
 
 
 def cmd_chunks(args) -> int:
@@ -1223,12 +1215,12 @@ def _slo_prefetch(args, seed: str):
     # (at 60 Mbps the race is a coin flip; at 30 Mbps it is decisive).
     testbed = make_testbed(bandwidth_mbps=min(args.bandwidth, 30.0))
     publish_images(testbed, corpus.images, convert=True)
-    name, _, tag = generated.reference.partition(":")
-    gear_ref = f"{name}.gear:{tag}"
     warm = testbed.fresh_client()
     deploy_with_gear(warm, generated)
     recorder = TraceRecorder()
-    recorder.record(gear_ref, warm.gear_driver.containers()[-1].mount)
+    recorder.record(
+        generated.gear_reference, warm.gear_driver.containers()[-1].mount
+    )
     docker = deploy_with_docker(testbed.fresh_client(), generated)
     client = testbed.fresh_client()
     overlapped = deploy_with_gear_overlapped(

@@ -124,6 +124,13 @@ class SharedFilePool:
         #: pays the wire only for its changed chunks.
         self._chunk_tokens: Dict[str, int] = {}
 
+    def empty_copy(self) -> "SharedFilePool":
+        """A new, empty pool with this pool's capacity and policy: what
+        the next client node minted beside this one gets."""
+        return SharedFilePool(
+            capacity_bytes=self.capacity_bytes, policy=self.policy
+        )
+
     # -- counters (delegate to the registrable stats group) -----------------
 
     @property

@@ -337,6 +337,16 @@ class GearFileViewer(OverlayMount):
                 total += node.size
         return total
 
+    def _content_token(self, path: str, node: Inode) -> str:
+        """A stub digests as the fingerprint its index entry promises, a
+        materialized file as the fingerprint of its actual bytes: content
+        addressing makes the two interchangeable, so :meth:`fs_digest`
+        captures *what the container reads*, not how lazily it arrived."""
+        if STUB_XATTR in node.meta.xattrs:
+            entry = self.index.entries.get(path)
+            return entry.identity if entry is not None else ""
+        return super()._content_token(path, node)
+
     def __repr__(self) -> str:
         return f"GearFileViewer({self.index.reference!r})"
 

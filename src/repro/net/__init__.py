@@ -49,7 +49,6 @@ from repro.net.faults import (
     lossy_plan,
 )
 from repro.net.ha import (
-    AdmissionGate,
     BreakerState,
     CircuitBreaker,
     HAFetchPolicy,
@@ -61,7 +60,7 @@ from repro.net.ha import (
     ScrubReport,
 )
 from repro.net.link import Link, TransferLog
-from repro.net.resilience import RetryPolicy
+from repro.net.resilience import AdmissionGate, RetryPolicy
 from repro.net.transport import RpcEndpoint, RpcTransport
 
 __all__ = [

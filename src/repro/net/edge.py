@@ -14,7 +14,10 @@ them at the last gossip round; fetch resolution walks a failover chain —
 
 — under per-peer :class:`~repro.net.ha.CircuitBreaker`\\ s and the fabric
 :class:`~repro.net.resilience.RetryPolicy`, so a dead, stale, or slow
-peer costs one bounded round, never a failed deploy.
+peer costs one bounded round, never a failed deploy.  The chain's shape
+(transport decorator, round loop, corrupt-report forwarding) is the
+shared one in :mod:`repro.net.resilience`; this module supplies the
+sources and what their failures mean.
 
 Robustness semantics:
 
@@ -52,10 +55,19 @@ from repro.common.errors import (
     UnavailableError,
 )
 from repro.common.rng import rng_for
-from repro.net.faults import CrashInjector, CrashPlan, CrashPoint
-from repro.net.ha import GEAR_ENDPOINT, CircuitBreaker
+from repro.net.faults import CrashInjector, CrashPlan, CrashPoint, junk_payload
+from repro.net.ha import CircuitBreaker
 from repro.net.link import Link
-from repro.net.resilience import RETRYABLE_ERRORS, RetryPolicy
+from repro.net.resilience import (
+    GEAR_ENDPOINT,
+    RETRYABLE_ERRORS,
+    RetryPolicy,
+    TransportDecorator,
+    poisoned,
+    retry_rounds,
+    verified,
+)
+from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricSet
 
 
@@ -143,8 +155,6 @@ class EdgePeer:
         :class:`NotFoundError` when the tracker entry is stale (the file
         was evicted since registration).
         """
-        from repro.net.transport import RpcTransport
-
         link.transfer(RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:peer-request")
         if not self.online:
             raise UnavailableError(f"peer {self.name!r} is offline")
@@ -167,15 +177,9 @@ class EdgePeer:
             except ClientCrash:
                 pass  # the *peer* died; the requester sees an aborted serve
             raise UnavailableError(f"peer {self.name!r} crashed mid-serve")
-        if self.byzantine:
-            from repro.blob import Blob
-
-            junk = Blob.from_bytes(
-                f"byzantine:{self.name}:{identity}".encode("utf-8")
-            )
-            link.transfer(wire, label=f"{tag}:peer-payload")
-            return GearFile(identity=identity, blob=junk), wire
         link.transfer(wire, label=f"{tag}:peer-payload")
+        if self.byzantine:
+            return junk_payload(identity, f"byzantine:{self.name}:{identity}"), wire
         self.serves += 1
         self.served_bytes += wire
         return gear_file, wire
@@ -355,98 +359,81 @@ class EdgeSite:
     ) -> Any:
         """Resolve ``identity`` through peers → site cache → registry.
 
-        Mirrors :meth:`~repro.net.ha.HAFetchPolicy._resilient_read`: each
-        *round* walks the whole chain once; only a round where every tier
-        failed sleeps under ``retry_policy`` before re-resolving.
+        One pass walks the whole chain once; only a round where every
+        tier failed sleeps under ``retry_policy`` before re-resolving
+        (:func:`~repro.net.resilience.retry_rounds`).
         """
+        self.stats.fetches += 1
+        tag = label or f"{GEAR_ENDPOINT}.download"
+        return retry_rounds(
+            self.clock,
+            retry_policy,
+            self.stats,
+            f"{tag}:edge-backoff",
+            lambda: self._one_pass(identity, requester, base, tag, label),
+        )
+
+    def _one_pass(
+        self,
+        identity: str,
+        requester: EdgePeer,
+        base: Any,
+        tag: str,
+        label: Optional[str],
+    ) -> Any:
         clock = self.clock
         stats = self.stats
-        stats.fetches += 1
-        tag = label or f"{GEAR_ENDPOINT}.download"
-        start = clock.now
-        round_index = 1
-        previous_backoff: Optional[float] = None
-        while True:
-            with clock.span("tracker_resolve", site=self.name, fp=identity[:12]):
-                candidates = self.candidates(identity, requester)
-            last_error: Optional[BaseException] = None
-            for peer in candidates:
-                was_online = peer.online
-                try:
-                    with clock.span(
-                        "peer_fetch", peer=peer.name, fp=identity[:12]
-                    ):
-                        gear_file, wire = peer.serve(identity, self.link, tag)
-                except NotFoundError:
-                    # Stale entry: the peer evicted the file after the
-                    # last gossip round.  Demote and keep walking.
-                    stats.stale_resolutions += 1
-                    self.tracker.drop_entry(identity, peer.name)
-                    peer.breaker.record_failure(clock.now)
-                    continue
-                except RETRYABLE_ERRORS as error:
-                    last_error = error
-                    stats.failovers += 1
-                    if not was_online:
-                        # Departed peer still in the tracker: stale.
-                        stats.stale_resolutions += 1
-                    self.tracker.drop_peer(peer.name)
-                    peer.breaker.record_failure(clock.now)
-                    continue
-                peer.breaker.record_success(clock.now)
-                stats.peer_hits += 1
-                stats.peer_bytes += wire
-                stats.egress_saved_bytes += wire
-                self._last_served[identity] = peer
-                return gear_file
-            cached = self.cache.get(identity)
-            if cached is not None:
-                from repro.net.transport import RpcTransport
-
-                wire = cached.compressed_size
-                self.link.transfer(
-                    RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:site-request"
-                )
-                self.link.transfer(wire, label=f"{tag}:site-payload")
-                stats.site_hits += 1
-                stats.site_bytes += wire
-                stats.egress_saved_bytes += wire
-                self._last_served.pop(identity, None)
-                return cached
+        with clock.span("tracker_resolve", site=self.name, fp=identity[:12]):
+            candidates = self.candidates(identity, requester)
+        for peer in candidates:
+            was_online = peer.online
             try:
-                with clock.span("fallback", site=self.name, fp=identity[:12]):
-                    value = base.call(
-                        GEAR_ENDPOINT, "download", identity, label=label
-                    )
+                with clock.span("peer_fetch", peer=peer.name, fp=identity[:12]):
+                    gear_file, wire = peer.serve(identity, self.link, tag)
             except NotFoundError:
-                raise  # authoritative: no tier can have it
-            except RETRYABLE_ERRORS as error:
-                last_error = error
-            else:
-                stats.registry_fetches += 1
-                # Write-through, gated on verification so a corrupt WAN
-                # payload can never poison the shared tier.
-                if identity.startswith("uid-") or (
-                    value.blob.fingerprint == identity
-                ):
-                    self.cache[identity] = value
-                self._last_served.pop(identity, None)
-                return value
-            round_index += 1
-            elapsed = clock.now - start
-            if retry_policy is None or not retry_policy.should_retry(
-                last_error, attempt=round_index, elapsed_s=elapsed
-            ):
-                if retry_policy is not None and retry_policy.is_retryable(
-                    last_error
-                ):
-                    stats.giveups += 1
-                raise last_error
-            backoff = retry_policy.next_backoff(previous_backoff)
-            retry_policy.charge(backoff)
-            clock.advance(backoff, f"{tag}:edge-backoff")
-            stats.backoffs += 1
-            previous_backoff = backoff
+                # Stale entry: the peer evicted the file after the
+                # last gossip round.  Demote and keep walking.
+                stats.stale_resolutions += 1
+                self.tracker.drop_entry(identity, peer.name)
+                peer.breaker.record_failure(clock.now)
+                continue
+            except RETRYABLE_ERRORS:
+                stats.failovers += 1
+                if not was_online:
+                    # Departed peer still in the tracker: stale.
+                    stats.stale_resolutions += 1
+                self.tracker.drop_peer(peer.name)
+                peer.breaker.record_failure(clock.now)
+                continue
+            peer.breaker.record_success(clock.now)
+            stats.peer_hits += 1
+            stats.peer_bytes += wire
+            stats.egress_saved_bytes += wire
+            self._last_served[identity] = peer
+            return gear_file
+        cached = self.cache.get(identity)
+        if cached is not None:
+            wire = cached.compressed_size
+            self.link.transfer(
+                RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:site-request"
+            )
+            self.link.transfer(wire, label=f"{tag}:site-payload")
+            stats.site_hits += 1
+            stats.site_bytes += wire
+            stats.egress_saved_bytes += wire
+            self._last_served.pop(identity, None)
+            return cached
+        # A registry 404 is authoritative (no tier can have the file) and
+        # a retryable failure here fails the round: both propagate.
+        with clock.span("fallback", site=self.name, fp=identity[:12]):
+            value = base.call(GEAR_ENDPOINT, "download", identity, label=label)
+        stats.registry_fetches += 1
+        # Write-through, gated on verification so a corrupt WAN
+        # payload can never poison the shared tier.
+        if verified(identity, value):
+            self.cache[identity] = value
+        self._last_served.pop(identity, None)
+        return value
 
     # -- quarantine ----------------------------------------------------
 
@@ -479,71 +466,33 @@ class EdgeSite:
         )
 
 
-class EdgeTransport:
-    """Per-node transport facade routing Gear downloads through the site.
+class EdgeTransport(TransportDecorator):
+    """One node's link in the download chain: Gear downloads take its site.
 
-    Presents the :class:`~repro.net.transport.RpcTransport` surface the
-    daemon/driver/viewer expect.  Only ``gear-registry.download`` takes
-    the edge chain; uploads, queries, chunk fetches, and the Docker
-    registry go straight to the shared base transport (the WAN).
+    Only ``gear-registry.download`` takes the edge chain; uploads,
+    queries, chunk fetches, and the Docker registry go straight to the
+    shared base transport (the WAN).
     """
 
     def __init__(self, fabric: "EdgeFabric", site: EdgeSite, peer: EdgePeer) -> None:
+        super().__init__(fabric.base)
         self.fabric = fabric
         self.site = site
         self.peer = peer
-        self.base = fabric.base
-
-    @property
-    def link(self) -> Link:
-        return self.base.link
-
-    @property
-    def retry_policy(self) -> Optional[RetryPolicy]:
-        return self.base.retry_policy
-
-    def bind(self, endpoint: Any) -> Any:
-        return self.base.bind(endpoint)
-
-    def has_endpoint(self, name: str) -> bool:
-        return self.base.has_endpoint(name)
-
-    def endpoint(self, name: str) -> Any:
-        return self.base.endpoint(name)
 
     def reset_stats(self) -> None:
-        self.base.reset_stats()
+        super().reset_stats()
         self.fabric.stats.reset()
 
-    def call(
-        self,
-        endpoint_name: str,
-        method: str,
-        *args: Any,
-        request_payload_bytes: int = 0,
-        label: Optional[str] = None,
-        **kwargs: Any,
+    def route(
+        self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
     ) -> Any:
-        if endpoint_name == GEAR_ENDPOINT and method == "download":
-            return self.site.fetch(
-                args[0],
-                self.peer,
-                self.base,
-                self.fabric.retry_policy,
-                label=label,
-            )
-        return self.base.call(
-            endpoint_name,
-            method,
-            *args,
-            request_payload_bytes=request_payload_bytes,
-            label=label,
-            **kwargs,
+        return self.site.fetch(
+            identity, self.peer, self.base, self.fabric.retry_policy, label=label
         )
 
-    def report_corrupt_payload(self, identity: str) -> None:
-        """Viewer hook: wrong bytes that passed the wire checksum."""
-        self.site.report_corrupt(identity)
+    def blame(self, identity: str) -> bool:
+        return self.site.report_corrupt(identity) is not None
 
     def __repr__(self) -> str:
         return f"EdgeTransport({self.peer.name}@{self.site.name})"
@@ -566,8 +515,6 @@ class EdgeFabric:
         stats: EdgeStats,
         seed: str = "edge",
         retry_policy: Optional[RetryPolicy] = None,
-        pool_capacity_bytes: Optional[int] = None,
-        pool_policy: Any = None,
     ) -> None:
         if not sites:
             raise ValueError("an edge fabric needs at least one site")
@@ -577,8 +524,6 @@ class EdgeFabric:
         self.stats = stats
         self.seed = seed
         self.retry_policy = retry_policy
-        self.pool_capacity_bytes = pool_capacity_bytes
-        self.pool_policy = pool_policy
         self._next_index = 0
 
     @property
@@ -590,10 +535,7 @@ class EdgeFabric:
         return [peer for site in self.sites for peer in site.peers]
 
     def peer(self, name: str) -> EdgePeer:
-        for site in self.sites:
-            if name in site._peers_by_name:
-                return site.peer(name)
-        raise KeyError(f"no peer named {name!r} in the fabric")
+        return self.site_of(name).peer(name)
 
     def site_of(self, peer_name: str) -> EdgeSite:
         for site in self.sites:
@@ -605,47 +547,18 @@ class EdgeFabric:
         return [site.link for site in self.sites]
 
     def client(self, name: Optional[str] = None) -> Any:
-        """Mint one edge node: fresh client state behind an EdgeTransport.
-
-        Mirrors :meth:`repro.bench.environment.Testbed.fresh_client`
-        (same daemon/driver wiring) with the transport swapped for this
-        node's :class:`EdgeTransport` and the pool shared with its peer.
-        """
-        from repro.bench.environment import Testbed, _register_client_metrics
-        from repro.docker.daemon import DockerDaemon
-        from repro.gear.driver import GearDriver
-        from repro.gear.pool import SharedFilePool
-
+        """Mint one edge node: the root's
+        :meth:`~repro.bench.environment.Testbed.fresh_client` behind an
+        :class:`EdgeTransport`, its pool shared with its site peer."""
         index = self._next_index
         self._next_index += 1
         peer_name = name if name is not None else f"edge-{index:03d}"
         site = self.sites[index % len(self.sites)]
-        pool_kwargs: Dict[str, Any] = {}
-        if self.pool_capacity_bytes is not None:
-            pool_kwargs["capacity_bytes"] = self.pool_capacity_bytes
-        if self.pool_policy is not None:
-            pool_kwargs["policy"] = self.pool_policy
-        pool = SharedFilePool(**pool_kwargs)
+        pool = self.root.gear_driver.pool.empty_copy()
         peer = site.add_peer(EdgePeer(peer_name, pool))
-        transport = EdgeTransport(self, site, peer)
-        daemon = DockerDaemon(self.clock, transport)
-        driver = GearDriver(self.clock, daemon, transport, pool=pool)
-        bed = Testbed(
-            clock=self.clock,
-            link=self.root.link,
-            transport=transport,
-            docker_registry=self.root.docker_registry,
-            gear_registry=self.root.gear_registry,
-            converter=self.root.converter,
-            daemon=daemon,
-            gear_driver=driver,
-            fault_plan=self.root.fault_plan,
-            ha=None,
-            metrics=self.root.metrics,
-            edge=self,
+        return self.root.fresh_client(
+            transport=EdgeTransport(self, site, peer), pool=pool
         )
-        _register_client_metrics(bed)
-        return bed
 
     def gossip(self) -> int:
         """Manual tracker refresh across every site (sequential mode)."""
@@ -659,21 +572,16 @@ class EdgeFabric:
         """
         problems: List[str] = []
         for site in self.sites:
-            for identity in sorted(site.cache):
-                gear_file = site.cache[identity]
-                if not identity.startswith("uid-") and (
-                    gear_file.blob.fingerprint != identity
-                ):
-                    problems.append(f"site:{site.name}:{identity}")
+            problems += [
+                f"site:{site.name}:{identity}"
+                for identity in sorted(site.cache)
+                if not verified(identity, site.cache[identity])
+            ]
             for peer in site.peers:
-                for identity in peer.pool.identities():
-                    if identity.startswith("uid-"):
-                        continue
-                    inode = peer.pool.peek(identity)
-                    if inode is not None and inode.blob is not None and (
-                        inode.blob.fingerprint != identity
-                    ):
-                        problems.append(f"peer:{peer.name}:{identity}")
+                problems += [
+                    f"peer:{peer.name}:{identity}"
+                    for identity in poisoned(peer.pool)
+                ]
         return problems
 
     def __repr__(self) -> str:

@@ -39,6 +39,9 @@ burst, a shared-tier outage, or a cache stampede hits:
   tier (well-formed wrong bytes) is caught by that same check; the
   fabric's ``report_corrupt_payload`` hook demotes the tier permanently
   (breaker forced open + blacklist) and the refetch takes the registry.
+  Bytes the tier only passed through from a lying upstream are not its
+  fault: that report travels on down the chain
+  (:class:`~repro.net.resilience.TransportDecorator`).
 
 Determinism: arrival schedules, placement, and backoff jitter all come
 from seeded streams (:func:`~repro.common.rng.rng_for`,
@@ -50,19 +53,31 @@ time-identical to the single-tier registry call.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.clock import SimClock, SimEvent, SimScheduler
-from repro.common.errors import NotFoundError, TierOverloadedError
+from repro.common.errors import TierOverloadedError
 from repro.common.hashing import stable_u64
 from repro.common.stats import percentile
-from repro.net.ha import GEAR_ENDPOINT, CircuitBreaker
+from repro.net.faults import junk_payload
+from repro.net.ha import CircuitBreaker
 from repro.net.link import Link
-from repro.net.resilience import RETRYABLE_ERRORS, AdmissionGate, RetryPolicy
+from repro.net.resilience import (
+    GEAR_ENDPOINT,
+    RETRYABLE_ERRORS,
+    AdmissionGate,
+    RetryPolicy,
+    TransportDecorator,
+    poisoned,
+    retry_rounds,
+    verified,
+)
+from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricSet
 from repro.obs.timeline import TimelineSampler
 from repro.workloads.schedule import ScheduledInvocation
+from repro.workloads.tasks import task_for_category
 
 #: Pseudo-endpoint name tier transfers are scoped under, so a
 #: :class:`~repro.net.faults.FaultPlan` with ``targets=("faas-tier",)``
@@ -183,6 +198,11 @@ class SharedCacheTier:
         #: expired, or quarantined).  A second upstream fetch for a
         #: member is a suppression failure (``duplicate_upstream_fetches``).
         self._fetched: Set[str] = set()
+        #: Identities whose last delivery the tier answers for: served
+        #: from its cache, or a fill that passed the write-through gate.
+        #: A fill it could not verify only passed through — the bytes
+        #: (and the blame) belong to the transport below.
+        self.vouched: Set[str] = set()
         self.used_bytes = 0
 
     # -- fault scoping -------------------------------------------------
@@ -237,26 +257,35 @@ class SharedCacheTier:
         self.used_bytes += entry.wire_bytes
         self._fetched.add(identity)
 
-    def evict(self, identity: str) -> None:
-        """Drop ``identity`` (quarantine/corruption path)."""
+    def evict(self, identity: str) -> bool:
+        """Drop ``identity`` (quarantine/corruption path); returns
+        whether the tier had vouched for its last delivery."""
         self._invalidate(identity)
+        vouched = identity in self.vouched
+        self.vouched.discard(identity)
+        return vouched
 
     # -- serving -------------------------------------------------------
 
-    def _deliver(self, identity: str, gear_file: Any, tag: str) -> Any:
-        """Pay the tier-link payload transfer; junk it if byzantine."""
-        wire = gear_file.compressed_size
+    def _deliver(
+        self, identity: str, gear_file: Any, tag: str, vouch: bool = True
+    ) -> Any:
+        """Pay the tier-link payload transfer and record whether the
+        tier vouches for the bytes; junk them if byzantine."""
+        self.link.transfer(gear_file.compressed_size, label=f"{tag}:tier-payload")
+        if vouch:
+            self.vouched.add(identity)
+        else:
+            self.vouched.discard(identity)
         if self.byzantine:
-            from repro.blob import Blob
-            from repro.gear.gearfile import GearFile
-
-            junk = Blob.from_bytes(
-                f"byzantine:{self.name}:{identity}".encode("utf-8")
-            )
-            self.link.transfer(wire, label=f"{tag}:tier-payload")
-            return GearFile(identity=identity, blob=junk)
-        self.link.transfer(wire, label=f"{tag}:tier-payload")
+            return junk_payload(identity, f"byzantine:{self.name}:{identity}")
         return gear_file
+
+    def _hit(self, identity: str, entry: _TierEntry, tag: str) -> Any:
+        self.stats.tier_hits += 1
+        self.stats.tier_bytes += entry.wire_bytes
+        self.stats.egress_saved_bytes += entry.wire_bytes
+        return self._deliver(identity, entry.gear_file, tag)
 
     def fetch(self, identity: str, base: Any, label: Optional[str] = None) -> Any:
         """Serve ``identity`` from cache, a coalesced fill, or upstream.
@@ -266,10 +295,6 @@ class SharedCacheTier:
         transport errors when the tier link is in an outage window, and
         re-raises upstream :class:`NotFoundError` as authoritative.
         """
-        from repro.net.transport import RpcTransport
-
-        clock = self.clock
-        stats = self.stats
         tag = label or f"{GEAR_ENDPOINT}.download"
         self._scope_begin()
         try:
@@ -279,22 +304,16 @@ class SharedCacheTier:
             )
             entry = self._lookup(identity)
             if entry is not None:
-                stats.tier_hits += 1
-                stats.tier_bytes += entry.wire_bytes
-                stats.egress_saved_bytes += entry.wire_bytes
-                return self._deliver(identity, entry.gear_file, tag)
+                return self._hit(identity, entry, tag)
             leader = self.inflight.get(identity)
             if leader is not None:
                 # Single-flight: wait for the identical fill in flight.
-                stats.tier_coalesced += 1
-                with clock.span("tier_wait", fp=identity[:12]):
+                self.stats.tier_coalesced += 1
+                with self.clock.span("tier_wait", fp=identity[:12]):
                     leader.wait()
                 entry = self._lookup(identity)
                 if entry is not None:
-                    stats.tier_hits += 1
-                    stats.tier_bytes += entry.wire_bytes
-                    stats.egress_saved_bytes += entry.wire_bytes
-                    return self._deliver(identity, entry.gear_file, tag)
+                    return self._hit(identity, entry, tag)
                 # Leader failed or the entry was too big to cache: fall
                 # through to our own (gated) fill.
             return self._fill(identity, base, tag, label)
@@ -321,11 +340,10 @@ class SharedCacheTier:
                 stats.duplicate_upstream_fetches += 1
             # Write-through gated on verification, exactly like the edge
             # site cache: a corrupt WAN payload never poisons the tier.
-            if identity.startswith("uid-") or (
-                value.blob.fingerprint == identity
-            ):
+            checked = verified(identity, value)
+            if checked:
                 self._insert(identity, value)
-            return self._deliver(identity, value, tag)
+            return self._deliver(identity, value, tag, vouch=checked)
         finally:
             self.admission.exit()
             if event is not None:
@@ -339,64 +357,30 @@ class SharedCacheTier:
         )
 
 
-class FaasTransport:
-    """Per-node transport facade routing Gear downloads through the tier.
+class FaasTransport(TransportDecorator):
+    """One node's link in the download chain: Gear downloads take the tier.
 
-    Presents the :class:`~repro.net.transport.RpcTransport` surface the
-    daemon/driver/viewer expect.  Only ``gear-registry.download`` walks
-    the tier chain; uploads, queries, and the Docker registry go
-    straight to the shared base transport (the WAN).
+    Only ``gear-registry.download`` walks the tier chain; uploads,
+    queries, and the Docker registry go straight to the shared base
+    transport (the WAN).
     """
 
     def __init__(self, fabric: "FaasFabric", node_name: str) -> None:
+        super().__init__(fabric.base)
         self.fabric = fabric
         self.node_name = node_name
-        self.base = fabric.base
-
-    @property
-    def link(self) -> Link:
-        return self.base.link
-
-    @property
-    def retry_policy(self) -> Optional[RetryPolicy]:
-        return self.base.retry_policy
-
-    def bind(self, endpoint: Any) -> Any:
-        return self.base.bind(endpoint)
-
-    def has_endpoint(self, name: str) -> bool:
-        return self.base.has_endpoint(name)
-
-    def endpoint(self, name: str) -> Any:
-        return self.base.endpoint(name)
 
     def reset_stats(self) -> None:
-        self.base.reset_stats()
+        super().reset_stats()
         self.fabric.stats.reset()
 
-    def call(
-        self,
-        endpoint_name: str,
-        method: str,
-        *args: Any,
-        request_payload_bytes: int = 0,
-        label: Optional[str] = None,
-        **kwargs: Any,
+    def route(
+        self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
     ) -> Any:
-        if endpoint_name == GEAR_ENDPOINT and method == "download":
-            return self.fabric.fetch(args[0], label=label)
-        return self.base.call(
-            endpoint_name,
-            method,
-            *args,
-            request_payload_bytes=request_payload_bytes,
-            label=label,
-            **kwargs,
-        )
+        return self.fabric.fetch(identity, label=label)
 
-    def report_corrupt_payload(self, identity: str) -> None:
-        """Viewer hook: wrong bytes that passed the wire checksum."""
-        self.fabric.report_corrupt(identity)
+    def blame(self, identity: str) -> bool:
+        return self.fabric.report_corrupt(identity)
 
     def __repr__(self) -> str:
         return f"FaasTransport({self.node_name})"
@@ -419,8 +403,6 @@ class FaasFabric:
         stats: FaasStats,
         seed: str = "faas",
         retry_policy: Optional[RetryPolicy] = None,
-        pool_capacity_bytes: Optional[int] = None,
-        pool_policy: Any = None,
     ) -> None:
         self.root = root
         self.base = root.transport
@@ -428,14 +410,9 @@ class FaasFabric:
         self.stats = stats
         self.seed = seed
         self.retry_policy = retry_policy
-        self.pool_capacity_bytes = pool_capacity_bytes
-        self.pool_policy = pool_policy
         #: Permanently demoted tier (served wrong bytes).  Breakers heal;
         #: a byzantine tier does not.
         self.blacklisted = False
-        #: Identities whose last serve came from the tier (corruption
-        #: attribution, mirroring the edge fabric's ``_last_served``).
-        self._tier_served: Set[str] = set()
         self.nodes: List[Tuple[str, Any]] = []
         self._next_index = 0
 
@@ -444,40 +421,14 @@ class FaasFabric:
         return self.root.clock
 
     def client(self, name: Optional[str] = None) -> Any:
-        """Mint one FaaS node: fresh client state behind a FaasTransport."""
-        from repro.bench.environment import Testbed, _register_client_metrics
-        from repro.docker.daemon import DockerDaemon
-        from repro.gear.driver import GearDriver
-        from repro.gear.pool import SharedFilePool
-
+        """Mint one FaaS node: the root's
+        :meth:`~repro.bench.environment.Testbed.fresh_client` behind a
+        :class:`FaasTransport`."""
         index = self._next_index
         self._next_index += 1
         node_name = name if name is not None else f"faas-node-{index:03d}"
-        pool_kwargs: Dict[str, Any] = {}
-        if self.pool_capacity_bytes is not None:
-            pool_kwargs["capacity_bytes"] = self.pool_capacity_bytes
-        if self.pool_policy is not None:
-            pool_kwargs["policy"] = self.pool_policy
-        pool = SharedFilePool(**pool_kwargs)
-        transport = FaasTransport(self, node_name)
-        daemon = DockerDaemon(self.clock, transport)
-        driver = GearDriver(self.clock, daemon, transport, pool=pool)
-        bed = Testbed(
-            clock=self.clock,
-            link=self.root.link,
-            transport=transport,
-            docker_registry=self.root.docker_registry,
-            gear_registry=self.root.gear_registry,
-            converter=self.root.converter,
-            daemon=daemon,
-            gear_driver=driver,
-            fault_plan=self.root.fault_plan,
-            ha=self.root.ha,
-            metrics=self.root.metrics,
-            faas=self,
-        )
-        self.nodes.append((node_name, pool))
-        _register_client_metrics(bed)
+        bed = self.root.fresh_client(transport=FaasTransport(self, node_name))
+        self.nodes.append((node_name, bed.gear_driver.pool))
         return bed
 
     # -- the degradation ladder ----------------------------------------
@@ -485,89 +436,69 @@ class FaasFabric:
     def fetch(self, identity: str, label: Optional[str] = None) -> Any:
         """Resolve ``identity`` through shared tier → registry.
 
-        Mirrors :meth:`~repro.net.edge.EdgeSite.fetch`: each *round*
-        walks the whole chain once; only a round where every tier failed
-        sleeps under the fabric retry policy before re-walking.  A tier
+        One pass walks the whole chain once; only a round where every
+        tier failed sleeps under the fabric retry policy before
+        re-walking (:func:`~repro.net.resilience.retry_rounds`).  A tier
         shed falls through to the registry in the same round and is
         never recorded against the tier's breaker.
         """
+        self.stats.fetches += 1
+        tag = label or f"{GEAR_ENDPOINT}.download"
+        return retry_rounds(
+            self.clock,
+            self.retry_policy,
+            self.stats,
+            f"{tag}:faas-backoff",
+            lambda: self._one_pass(identity, label),
+        )
+
+    def _one_pass(self, identity: str, label: Optional[str]) -> Any:
         clock = self.clock
         stats = self.stats
-        stats.fetches += 1
-        retry_policy = self.retry_policy
-        start = clock.now
-        round_index = 1
-        previous_backoff: Optional[float] = None
-        while True:
-            last_error: Optional[BaseException] = None
-            tier = self.tier
-            if tier is not None and not self.blacklisted:
-                if tier.breaker.available(clock.now):
-                    try:
-                        with clock.span(
-                            "tier_fetch", tier=tier.name, fp=identity[:12]
-                        ):
-                            value = tier.fetch(identity, self.base, label=label)
-                    except TierOverloadedError as error:
-                        # Deliberate load control: fall through to the
-                        # registry, breaker untouched.
-                        stats.sheds_seen += 1
-                        last_error = error
-                    except NotFoundError:
-                        raise  # the tier asked the registry: authoritative
-                    except RETRYABLE_ERRORS as error:
-                        last_error = error
-                        stats.tier_failovers += 1
-                        tier.breaker.record_failure(clock.now)
-                    else:
-                        tier.breaker.record_success(clock.now)
-                        self._tier_served.add(identity)
-                        return value
+        tier = self.tier
+        if not self.blacklisted:
+            if tier.breaker.available(clock.now):
+                try:
+                    with clock.span(
+                        "tier_fetch", tier=tier.name, fp=identity[:12]
+                    ):
+                        value = tier.fetch(identity, self.base, label=label)
+                except TierOverloadedError:
+                    # Deliberate load control: fall through to the
+                    # registry, breaker untouched.
+                    stats.sheds_seen += 1
+                except RETRYABLE_ERRORS:
+                    stats.tier_failovers += 1
+                    tier.breaker.record_failure(clock.now)
                 else:
-                    stats.breaker_skips += 1
-            try:
-                with clock.span("registry_fallback", fp=identity[:12]):
-                    value = self.base.call(
-                        GEAR_ENDPOINT, "download", identity, label=label
-                    )
-            except NotFoundError:
-                raise  # authoritative: no tier can have it
-            except RETRYABLE_ERRORS as error:
-                last_error = error
+                    tier.breaker.record_success(clock.now)
+                    return value
             else:
-                stats.registry_fallbacks += 1
-                self._tier_served.discard(identity)
-                return value
-            round_index += 1
-            elapsed = clock.now - start
-            if retry_policy is None or not retry_policy.should_retry(
-                last_error, attempt=round_index, elapsed_s=elapsed
-            ):
-                if retry_policy is not None and retry_policy.is_retryable(
-                    last_error
-                ):
-                    stats.giveups += 1
-                raise last_error
-            backoff = retry_policy.next_backoff(previous_backoff)
-            retry_policy.charge(backoff)
-            clock.advance(backoff, f"{GEAR_ENDPOINT}.download:faas-backoff")
-            stats.backoffs += 1
-            previous_backoff = backoff
+                stats.breaker_skips += 1
+        # A 404 (here, or above from the tier, which asked the registry)
+        # is authoritative and a retryable failure here fails the round:
+        # both propagate.
+        with clock.span("registry_fallback", fp=identity[:12]):
+            value = self.base.call(
+                GEAR_ENDPOINT, "download", identity, label=label
+            )
+        stats.registry_fallbacks += 1
+        tier.vouched.discard(identity)
+        return value
 
     # -- quarantine ----------------------------------------------------
 
     def report_corrupt(self, identity: str) -> bool:
         """The viewer verified ``identity`` and it hashed wrong.
 
-        If the tier served it last, demote the tier permanently: force
-        its breaker open, blacklist it, and evict the poisoned entry.
-        The viewer's refetch then takes the registry.  Returns whether
-        the tier was demoted.
+        If the tier vouched for those bytes (a cache hit or a verified
+        fill it then junked), demote it permanently: force its breaker
+        open, blacklist it, and evict the entry.  The viewer's refetch
+        then takes the registry.  Returns whether the tier was to blame;
+        False sends the report on to the transport below.
         """
-        self.tier.evict(identity)
-        if identity not in self._tier_served:
+        if not self.tier.evict(identity):
             return False
-        self._tier_served.discard(identity)
         if not self.blacklisted:
             self.blacklisted = True
             self.tier.breaker.force_open(self.clock.now)
@@ -581,22 +512,15 @@ class FaasFabric:
         a byzantine tier served ever reached a node pool, and nothing
         corrupt sits in the tier cache.
         """
-        problems: List[str] = []
-        for identity in sorted(self.tier.cache):
-            entry = self.tier.cache[identity]
-            if not identity.startswith("uid-") and (
-                entry.gear_file.blob.fingerprint != identity
-            ):
-                problems.append(f"tier:{self.tier.name}:{identity}")
+        problems = [
+            f"tier:{self.tier.name}:{identity}"
+            for identity in sorted(self.tier.cache)
+            if not verified(identity, self.tier.cache[identity].gear_file)
+        ]
         for node_name, pool in self.nodes:
-            for identity in pool.identities():
-                if identity.startswith("uid-"):
-                    continue
-                inode = pool.peek(identity)
-                if inode is not None and inode.blob is not None and (
-                    inode.blob.fingerprint != identity
-                ):
-                    problems.append(f"node:{node_name}:{identity}")
+            problems += [
+                f"node:{node_name}:{identity}" for identity in poisoned(pool)
+            ]
         return problems
 
     def __repr__(self) -> str:
@@ -673,27 +597,14 @@ class FaasRunReport:
     fabric: Dict[str, int]
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "invocations": self.invocations,
-            "cold_starts": self.cold_starts,
-            "warm_starts": self.warm_starts,
-            "failures": self.failures,
-            "reaped": self.reaped,
-            "cold_p50_s": self.cold_p50_s,
-            "cold_p99_s": self.cold_p99_s,
-            "cold_p999_s": self.cold_p999_s,
-            "cold_ready_p50_s": self.cold_ready_p50_s,
-            "cold_ready_p99_s": self.cold_ready_p99_s,
-            "cold_ready_p999_s": self.cold_ready_p999_s,
-            "warm_p50_s": self.warm_p50_s,
-            "warm_p999_s": self.warm_p999_s,
-            "makespan_s": self.makespan_s,
-            "wan_egress_bytes": self.wan_egress_bytes,
-            "degraded": self.degraded,
-            "digest_conflicts": self.digest_conflicts,
-            "fs_digests": dict(sorted(self.fs_digests.items())),
-            "fabric": dict(sorted(self.fabric.items())),
-        }
+        """Every field by name; the two mappings in sorted key order."""
+        summary: Dict[str, object] = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            summary[field.name] = value
+        return summary
 
 
 def _tail(values: Sequence[float], q: float) -> float:
@@ -748,15 +659,12 @@ class FaasPlatform:
     # -- one invocation ------------------------------------------------
 
     def _invoke(self, invocation: ScheduledInvocation) -> InvocationResult:
-        from repro.bench.deploy import container_fs_digest
-        from repro.workloads.tasks import task_for_category
-
         node_index = self._node_for(invocation.function)
         bed = self.node_beds[node_index]
         node_name = self.node_names[node_index]
         clock = bed.clock
         generated = invocation.image
-        reference = _gear_reference(generated.reference)
+        reference = generated.gear_reference
         residents = self._residents[node_index]
         resident = residents.get(invocation.function)
         now = clock.now
@@ -817,7 +725,7 @@ class FaasPlatform:
                 error=f"{type(error).__name__}: {error}",
             )
         degraded = report.degraded or container.mount.fault_stats.degraded_fetches > 0
-        digest = container_fs_digest(container)
+        digest = container.mount.fs_digest()
         residents[invocation.function] = _Resident(
             reference, container, digest, clock.now
         )
@@ -849,11 +757,11 @@ class FaasPlatform:
         concurrent cold starts contend for links, coalesce in flight,
         and shed under the gate exactly as the burst demands.
 
-        With a ``sampler`` attached its process runs alongside and is
-        stopped once every invocation completed, so its wakes never
-        extend the makespan (measured to the last invocation finish).
-        The detached path spawns no extra process and is byte-identical
-        to a run without the sampler.
+        The run has the wave runner's shape (DESIGN.md §8): start the
+        ``sampler`` process if one is attached, await the arrival driver
+        and then every invocation it spawned, stop the sampler, drain.
+        The makespan is measured to the last invocation finish, so the
+        sampler's wakes never extend it.
         """
         clock = self.root.clock
         stats = self.fabric.stats
@@ -892,22 +800,17 @@ class FaasPlatform:
 
         with clock.span("faas_run", invocations=len(stream)):
             with SimScheduler(clock) as scheduler:
-                if sampler is None:
-                    # Detached: the exact pre-sampler code path.
-                    if stream:
-                        scheduler.spawn(arrivals, name="faas-arrivals")
-                    scheduler.run()
-                else:
+                if sampler is not None:
                     scheduler.spawn(sampler.run, name="timeline")
-                    if stream:
-                        driver = scheduler.spawn(
-                            arrivals, name="faas-arrivals"
-                        )
-                        scheduler.run_until(driver)
-                    for process in list(pending):
-                        scheduler.run_until(process)
+                if stream:
+                    scheduler.run_until(
+                        scheduler.spawn(arrivals, name="faas-arrivals")
+                    )
+                for process in pending:
+                    scheduler.run_until(process)
+                if sampler is not None:
                     sampler.stop()
-                    scheduler.run()
+                scheduler.run()
 
         ordered = sorted(results, key=lambda r: r.position)
         cold = [r.latency_s for r in ordered if r.kind == "cold"]
@@ -947,9 +850,3 @@ class FaasPlatform:
                 for key in fabric_after
             },
         )
-
-
-def _gear_reference(reference: str) -> str:
-    """Map ``name:tag`` to the converter's published index reference."""
-    name, _, tag = reference.partition(":")
-    return f"{name}.gear:{tag}"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import ClientCrash, TimeoutError, UnavailableError
@@ -355,16 +355,16 @@ class FaultyLink(Link):
         instead.  Collision-handled ``uid-…`` Gear files are not
         self-certifying either and likewise fall back to detection.
         """
-        from repro.blob import Blob, Chunk
+        from repro.blob import Chunk
         from repro.gear.gearfile import GearFile
 
         if isinstance(payload, GearFile) and not payload.identity.startswith(
             "uid-"
         ):
-            junk = (
-                f"corrupt:{payload.identity}:{self._rng.random():.17f}"
-            ).encode()
-            return GearFile(identity=payload.identity, blob=Blob.from_bytes(junk))
+            return junk_payload(
+                payload.identity,
+                f"corrupt:{payload.identity}:{self._rng.random():.17f}",
+            )
         if isinstance(payload, Chunk):
             # A chunk is content-addressed by its manifest fingerprint:
             # same size, wrong bytes — only the client's per-chunk
@@ -380,6 +380,19 @@ class FaultyLink(Link):
             f"FaultyLink({self.bandwidth_mbps:g} Mbps, drop={self.plan.drop_rate}, "
             f"corrupt={self.plan.corrupt_rate}, outages={len(self.plan.outages)})"
         )
+
+
+def junk_payload(identity: str, text: str) -> Any:
+    """A well-formed Gear file named ``identity`` whose bytes are ``text``.
+
+    What every lying server here sends: a corrupting wire, a byzantine
+    edge peer, a byzantine shared tier.  Only the viewer's end-to-end
+    fingerprint check can tell it from the real file.
+    """
+    from repro.blob import Blob
+    from repro.gear.gearfile import GearFile
+
+    return GearFile(identity=identity, blob=Blob.from_bytes(text.encode("utf-8")))
 
 
 class CrashPoint(enum.Enum):

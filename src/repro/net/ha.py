@@ -20,12 +20,13 @@ robustness layer around it, deterministic under the PR 2 scheduler:
   RetryPolicy` before ever surfacing the outage to PR 1's degraded
   Docker-pull mode;
 * server-side overload control — a bounded
-  :class:`~repro.net.resilience.AdmissionGate` per replica (re-exported
-  here for compatibility) sheds excess requests with a typed
+  :class:`~repro.net.resilience.AdmissionGate` per replica sheds excess
+  requests with a typed
   :class:`~repro.common.errors.RegistryOverloadedError`;
-* :class:`HATransport` — a drop-in transport facade routing
-  ``gear-registry`` traffic through the policy and everything else
-  (Docker registry) to the base transport unchanged.
+* :class:`HATransport` — the replica tier's link in the download chain
+  (a :class:`~repro.net.resilience.TransportDecorator`): ``gear-registry``
+  traffic goes through the policy, everything else (Docker registry) to
+  the base transport unchanged.
 
 Everything is deterministic: selection and scrub order draw from
 :func:`repro.common.rng.rng_for` streams, hedge deadlines come from the
@@ -41,6 +42,7 @@ imports :mod:`repro.net`); replica registries are duck-typed against the
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -57,16 +59,16 @@ from repro.common.rng import rng_for
 from repro.common.stats import percentile
 from repro.obs.metrics import MetricSet
 from repro.net.link import Link
-from repro.net.resilience import (  # noqa: F401 - AdmissionGate re-exported
+from repro.net.resilience import (
+    GEAR_ENDPOINT,
     RETRYABLE_ERRORS,
     AdmissionGate,
     RetryPolicy,
+    TransportDecorator,
+    retry_rounds,
+    verified,
 )
-from repro.net.transport import RpcEndpoint, RpcStats, RpcTransport
-
-#: The endpoint name every Gear registry binds (mirrors
-#: ``GearRegistry.ENDPOINT_NAME`` without importing the gear layer).
-GEAR_ENDPOINT = "gear-registry"
+from repro.net.transport import RpcStats, RpcTransport
 
 #: Registry-to-registry backplane rate the anti-entropy scrub copies at.
 SCRUB_COPY_BPS = 200e6
@@ -384,13 +386,10 @@ class ReplicaSet:
                     continue
                 gear_file = replica.registry.download(identity)
                 bytes_verified += gear_file.size
-                if identity.startswith("uid-") or (
-                    gear_file.blob.fingerprint == identity
-                ):
-                    if source is None:
-                        source = gear_file
-                else:
+                if not verified(identity, gear_file):
                     holders_bad.append(replica)
+                elif source is None:
+                    source = gear_file
             if source is None:
                 unrepairable += 1
                 continue
@@ -690,19 +689,21 @@ class HAFetchPolicy:
             method, args, kwargs, request_payload_bytes, label
         )
 
-    def report_corrupt_payload(self, identity: str) -> None:
+    def report_corrupt_payload(self, identity: str) -> bool:
         """End-to-end verification failed: demote the serving replica.
 
         The viewer's fingerprint check caught bytes the transport-level
         checksum did not (a byzantine replica).  Trip its breaker so the
         inevitable re-fetch — and everyone else's traffic — goes
         elsewhere; the anti-entropy scrub repairs the stored copy.
+        Returns whether a replica was on record as the server.
         """
         replica = self._last_served.pop(identity, None)
         if replica is None:
-            return
+            return False
         replica.breaker.force_open(self.clock.now)
         self.stats.demotions += 1
+        return True
 
     # -- write path --------------------------------------------------------
 
@@ -745,13 +746,10 @@ class HAFetchPolicy:
         label: Optional[str],
     ) -> Any:
         self.stats.fetches += 1
-        policy = self.retry_policy
         clock = self.clock
-        start = clock.now
-        round_no = 1
-        previous_backoff: Optional[float] = None
         tag = label or f"{GEAR_ENDPOINT}.{method}"
-        while True:
+
+        def one_pass() -> Any:
             candidates = self.select()
             last_error: Optional[BaseException] = None
             not_found: Optional[NotFoundError] = None
@@ -795,18 +793,11 @@ class HAFetchPolicy:
                     f"no replica available for {tag!r}: "
                     f"all circuit breakers open"
                 )
-            round_no += 1
-            if not policy.should_retry(
-                last_error, attempt=round_no, elapsed_s=clock.now - start
-            ):
-                if policy.is_retryable(last_error):
-                    self.stats.giveups += 1
-                raise last_error
-            backoff = policy.next_backoff(previous_backoff)
-            policy.charge(backoff)
-            clock.advance(backoff, f"{tag}:ha-backoff")
-            self.stats.backoffs += 1
-            previous_backoff = backoff
+            raise last_error
+
+        return retry_rounds(
+            clock, self.retry_policy, self.stats, f"{tag}:ha-backoff", one_pass
+        )
 
     def _single_fetch(
         self,
@@ -992,8 +983,6 @@ class _AggregateEndpoint:
 
     @property
     def stats(self) -> RpcStats:
-        import dataclasses
-
         total = RpcStats()
         for replica in self._replica_set.replicas:
             endpoint = replica.transport.endpoint(GEAR_ENDPOINT)
@@ -1013,16 +1002,14 @@ class _AggregateEndpoint:
         ).methods()
 
 
-class HATransport:
-    """A drop-in :class:`~repro.net.transport.RpcTransport` facade.
+class HATransport(TransportDecorator):
+    """The replica tier's link in the download chain.
 
-    Routes ``gear-registry`` calls through the :class:`HAFetchPolicy`
-    and everything else (the Docker registry lives on the base node) to
+    Claims every ``gear-registry`` call for the :class:`HAFetchPolicy`;
+    everything else (the Docker registry lives on the base node) goes to
     the base transport unchanged.  Drivers, daemons, and benches keep
     calling ``transport.call(...)`` exactly as before.
     """
-
-    REQUEST_FRAME_BYTES = RpcTransport.REQUEST_FRAME_BYTES
 
     def __init__(
         self,
@@ -1030,22 +1017,11 @@ class HATransport:
         policy: HAFetchPolicy,
         monitor: Optional[HealthMonitor] = None,
     ) -> None:
-        self.base = base
+        super().__init__(base)
         self.policy = policy
         self.monitor = monitor
         self.replica_set = policy.replica_set
         self._aggregate = _AggregateEndpoint(self.replica_set, policy)
-
-    @property
-    def link(self) -> Link:
-        return self.base.link
-
-    @property
-    def retry_policy(self) -> Optional[RetryPolicy]:
-        return self.base.retry_policy
-
-    def bind(self, endpoint: RpcEndpoint) -> RpcEndpoint:
-        return self.base.bind(endpoint)
 
     def has_endpoint(self, name: str) -> bool:
         return name == GEAR_ENDPOINT or self.base.has_endpoint(name)
@@ -1055,37 +1031,17 @@ class HATransport:
             return self._aggregate
         return self.base.endpoint(name)
 
-    def call(
-        self,
-        endpoint_name: str,
-        method: str,
-        *args: Any,
-        request_payload_bytes: int = 0,
-        label: Optional[str] = None,
-        **kwargs: Any,
-    ) -> Any:
-        if endpoint_name == GEAR_ENDPOINT:
-            return self.policy.call(
-                method,
-                *args,
-                request_payload_bytes=request_payload_bytes,
-                label=label,
-                **kwargs,
-            )
-        return self.base.call(
-            endpoint_name,
-            method,
-            *args,
-            request_payload_bytes=request_payload_bytes,
-            label=label,
-            **kwargs,
-        )
+    def claims(self, endpoint_name: str, method: str) -> bool:
+        return endpoint_name == GEAR_ENDPOINT
 
-    def report_corrupt_payload(self, identity: str) -> None:
-        self.policy.report_corrupt_payload(identity)
+    def route(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        return self.policy.call(method, *args, **kwargs)
+
+    def blame(self, identity: str) -> bool:
+        return self.policy.report_corrupt_payload(identity)
 
     def reset_stats(self) -> None:
-        self.base.reset_stats()
+        super().reset_stats()
         for replica in self.replica_set.replicas:
             replica.transport.reset_stats()
             replica.stats.reset()

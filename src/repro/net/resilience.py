@@ -1,4 +1,5 @@
-"""Shared resilience primitives: retry/backoff and admission control.
+"""Shared resilience primitives: retry/backoff, admission control, and
+the download chain every distribution fabric is built from.
 
 Client side, :class:`RetryPolicy` follows what production on-demand
 loaders converged on (AWS's "Exponential Backoff And Jitter"): capped
@@ -19,13 +20,19 @@ trip circuit breakers.
 Jitter is drawn from a seeded :func:`repro.common.rng.rng_for` stream:
 the same policy seed and the same failure sequence back off identically
 on every run, keeping experiments reproducible.
+
+The download chain (DESIGN.md §10) is said once here and configured by
+the fabrics: :class:`TransportDecorator` is the transport-shaped link a
+tier adds to the chain, :func:`retry_rounds` is the whole-round backoff
+loop around "one pass over my sources", and :func:`verified` /
+:func:`poisoned` are the one integrity predicate and the one pool audit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, List, Optional
 
 from repro.common.errors import (
     CorruptPayloadError,
@@ -38,6 +45,10 @@ from repro.common.rng import rng_for
 #: ``TransportError`` (unknown endpoint/method) is a programming error
 #: and is never retried.
 RETRYABLE_ERRORS = (TimeoutError, UnavailableError, CorruptPayloadError)
+
+#: The endpoint name every Gear registry binds (mirrors
+#: ``GearRegistry.ENDPOINT_NAME`` without importing the gear layer).
+GEAR_ENDPOINT = "gear-registry"
 
 
 @dataclass
@@ -174,3 +185,155 @@ class AdmissionGate:
         if self.inflight <= 0:
             raise RuntimeError("admission gate exit without matching enter")
         self.inflight -= 1
+
+
+# ---------------------------------------------------------------------------
+# the download chain
+
+
+def verified(identity: str, holder: Any) -> bool:
+    """Does ``holder`` (a Gear file or a pool inode) hash to its name?
+
+    Content addressing doubles as the integrity check.  Collision-handled
+    ``uid-…`` files opted out of fingerprint naming (§III-B) and pass.
+    """
+    return identity.startswith("uid-") or holder.blob.fingerprint == identity
+
+
+def poisoned(pool: Any, *, strict: bool = False) -> List[str]:
+    """Committed identities in ``pool`` whose content fails :func:`verified`.
+
+    An empty list is the "zero poisoned commits" invariant.  An inode
+    without a blob has no content to hash: skipped, unless ``strict``.
+    """
+    bad: List[str] = []
+    for identity in pool.identities():
+        inode = pool.peek(identity)
+        if inode.blob is None:
+            if strict:
+                bad.append(identity)
+        elif not verified(identity, inode):
+            bad.append(identity)
+    return bad
+
+
+def retry_rounds(
+    clock: Any,
+    policy: Optional[RetryPolicy],
+    stats: Any,
+    label: str,
+    one_pass: Callable[[], Any],
+) -> Any:
+    """Call ``one_pass`` until it returns, backing off between rounds.
+
+    ``one_pass`` walks the caller's sources once and returns the payload
+    or raises: a retryable error means every source failed this round,
+    anything else (an authoritative ``NotFoundError``) is final.  What
+    one source's failure means stays inside ``one_pass``.  A failed
+    round sleeps one jittered backoff under ``policy`` on the virtual
+    clock (``stats.backoffs``); when the policy says stop, the round's
+    error surfaces (``stats.giveups``).  Without a policy the first
+    failed round's error surfaces, uncounted.
+    """
+    start = clock.now
+    rounds = 1
+    previous: Optional[float] = None
+    while True:
+        try:
+            return one_pass()
+        except RETRYABLE_ERRORS as error:
+            rounds += 1
+            if policy is None:
+                raise
+            if not policy.should_retry(
+                error, attempt=rounds, elapsed_s=clock.now - start
+            ):
+                stats.giveups += 1
+                raise
+        backoff = policy.next_backoff(previous)
+        policy.charge(backoff)
+        clock.advance(backoff, label)
+        stats.backoffs += 1
+        previous = backoff
+
+
+class TransportDecorator:
+    """A transport stacked on another: one tier's link in the chain.
+
+    Presents the :class:`~repro.net.transport.RpcTransport` surface.  The
+    calls a tier :meth:`claims` (by default the Gear file download) are
+    served by :meth:`route`, the tier's own chain, which ends in
+    ``base`` — the wire transport or another tier; every other call goes
+    to ``base`` unchanged.  A corrupt-payload report travels the same
+    way: a tier takes the :meth:`blame` for bytes it served itself and
+    passes any other report down, so the demotion lands on whoever lied.
+    """
+
+    def __init__(self, base: Any) -> None:
+        self.base = base
+
+    @property
+    def link(self) -> Any:
+        return self.base.link
+
+    @property
+    def retry_policy(self) -> Optional[RetryPolicy]:
+        return self.base.retry_policy
+
+    def bind(self, endpoint: Any) -> Any:
+        return self.base.bind(endpoint)
+
+    def has_endpoint(self, name: str) -> bool:
+        return self.base.has_endpoint(name)
+
+    def endpoint(self, name: str) -> Any:
+        return self.base.endpoint(name)
+
+    def reset_stats(self) -> None:
+        self.base.reset_stats()
+
+    def claims(self, endpoint_name: str, method: str) -> bool:
+        return endpoint_name == GEAR_ENDPOINT and method == "download"
+
+    def route(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        """Serve a claimed call through this tier's chain."""
+        raise NotImplementedError
+
+    def blame(self, identity: str) -> bool:
+        """Demote whoever in this tier served ``identity`` wrong; False
+        when the bytes came from below."""
+        raise NotImplementedError
+
+    def call(
+        self,
+        endpoint_name: str,
+        method: str,
+        *args: Any,
+        request_payload_bytes: int = 0,
+        label: Optional[str] = None,
+        **kwargs: Any,
+    ) -> Any:
+        if self.claims(endpoint_name, method):
+            return self.route(
+                method,
+                *args,
+                request_payload_bytes=request_payload_bytes,
+                label=label,
+                **kwargs,
+            )
+        return self.base.call(
+            endpoint_name,
+            method,
+            *args,
+            request_payload_bytes=request_payload_bytes,
+            label=label,
+            **kwargs,
+        )
+
+    def report_corrupt_payload(self, identity: str) -> None:
+        """Viewer hook: wrong bytes that passed the wire checksum."""
+        if self.blame(identity):
+            return
+        forward = getattr(self.base, "report_corrupt_payload", None)
+        if forward is not None:
+            forward(identity)

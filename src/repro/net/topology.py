@@ -22,8 +22,18 @@ Two deployment disciplines are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from repro.bench.environment import (
     Testbed,
@@ -141,9 +151,14 @@ class WaveReport:
             return 0.0
         return self.uplink_busy_s / self.makespan_s
 
+    #: Derived rates a subclass reports after its counters.
+    RATES: ClassVar[Tuple[str, ...]] = ()
+
     def as_dict(self) -> Dict[str, object]:
-        """A JSON-ready summary (used by the CLI determinism gate)."""
-        return {
+        """A JSON-ready summary (used by the CLI determinism gate): the
+        wave's tails and totals, then every counter field a subclass
+        declares and its :attr:`RATES`, by name."""
+        summary: Dict[str, object] = {
             "concurrency": self.concurrency,
             "clients": len(self.latencies_s),
             "p50_s": self.p50_s,
@@ -158,6 +173,15 @@ class WaveReport:
             "uplink_busy_s": self.uplink_busy_s,
             "utilization": self.utilization,
         }
+        counters = [f.name for f in fields(self)[len(fields(WaveReport)):]]
+        for name in (*counters, *self.RATES):
+            summary[name] = getattr(self, name)
+        return summary
+
+
+#: One background process of a wave: ``start(scheduler)`` spawns it,
+#: ``stop()`` makes it exit at its next wake-up.
+Service = Tuple[Callable[[SimScheduler], Any], Callable[[], None]]
 
 
 class Cluster:
@@ -236,7 +260,7 @@ class Cluster:
 
     def deploy_wave(
         self,
-        action: Callable[[ClientNode], None],
+        action: Callable[[ClientNode], Any],
         *,
         concurrency: Optional[int] = None,
         sampler: Optional[TimelineSampler] = None,
@@ -250,31 +274,65 @@ class Cluster:
         the contention regime the sequential model cannot measure.
 
         Pass a :class:`~repro.obs.timeline.TimelineSampler` to record
-        gauge series over the wave; it is spawned as its own scheduler
-        process and stopped after the last client, with the makespan
-        still measured to the last *client* completion.  Detached
-        (``sampler=None``, the default) takes the exact pre-sampler code
-        path — no extra process, byte-identical event stream.
+        gauge series over the wave; it runs as one more background
+        process (see :meth:`_run_wave`), so attaching it moves no
+        client's virtual timing.
+        """
+        return self._run_wave(action, concurrency, sampler, (), WaveReport)
+
+    def _wave_counters(self) -> Dict[str, float]:
+        """Running totals a wave report is the before/after delta of,
+        keyed by report field name."""
+        return {
+            "egress_bytes": self.registry_egress_bytes,
+            "uplink_busy_s": self._root.link.busy_seconds,
+        }
+
+    def _run_wave(
+        self,
+        action: Callable[[ClientNode], Any],
+        concurrency: Optional[int],
+        sampler: Optional[TimelineSampler],
+        services: Sequence[Service],
+        report: Type[WaveReport],
+    ) -> Any:
+        """The one wave body behind every cluster's ``deploy_wave``.
+
+        Spawn the background ``services`` (the sampler first, when one is
+        attached), then the clients a batch at a time, awaiting each;
+        stop the services; drain the heap.  The makespan runs to the last
+        *client* completion, and an action's exception surfaces only
+        after the stop and the drain (DESIGN.md §8 states both rules).
+        ``report`` fields are filled by name from the
+        :meth:`_wave_counters` delta, plus ``degraded``: the actions
+        whose outcome carries a true ``degraded`` flag.
         """
         if concurrency is None:
             concurrency = len(self.nodes)
         if concurrency <= 0:
             raise ValueError("concurrency must be positive")
         clock = self.clock
-        link = self._root.link
+        if sampler is not None:
+            services = [
+                (lambda s: s.spawn(sampler.run, name="timeline"), sampler.stop),
+                *services,
+            ]
+        before = self._wave_counters()
         start = clock.now
-        busy_before = link.busy_seconds
-        egress_before = self.registry_egress_bytes
         latencies: Dict[str, float] = {}
         readiness: Dict[str, float] = {}
         finished_at: List[float] = []
+        degraded = 0
 
         def client(node: ClientNode) -> None:
+            nonlocal degraded
             begun = clock.now
             with clock.span("client_deploy", node=node.name):
                 outcome = action(node)
             latencies[node.name] = clock.now - begun
             finished_at.append(clock.now)
+            if getattr(outcome, "degraded", False):
+                degraded += 1
             ready = _outcome_ready_s(outcome)
             if ready is not None:
                 readiness[node.name] = ready
@@ -283,14 +341,9 @@ class Cluster:
 
         with clock.span("wave", concurrency=concurrency):
             with SimScheduler(clock) as scheduler:
-                if sampler is None:
-                    for offset in range(0, len(self.nodes), concurrency):
-                        for node in self.nodes[offset:offset + concurrency]:
-                            scheduler.spawn(client, node, name=node.name)
-                        scheduler.run()
-                    makespan_s = clock.now - start
-                else:
-                    scheduler.spawn(sampler.run, name="timeline")
+                for begin, _ in services:
+                    begin(scheduler)
+                try:
                     for offset in range(0, len(self.nodes), concurrency):
                         batch = [
                             scheduler.spawn(client, node, name=node.name)
@@ -298,20 +351,22 @@ class Cluster:
                         ]
                         for process in batch:
                             scheduler.run_until(process)
-                    sampler.stop()
+                finally:
+                    for _, stop in services:
+                        stop()
                     scheduler.run()
-                    makespan_s = (
-                        (max(finished_at) - start) if finished_at else 0.0
-                    )
                 self.last_wave_events = scheduler.events_processed
 
-        return WaveReport(
+        after = self._wave_counters()
+        delta = {key: after[key] - before[key] for key in after}
+        delta["degraded"] = degraded
+        wanted = {f.name for f in fields(report)}
+        return report(
             concurrency=concurrency,
             latencies_s=tuple(latencies[node.name] for node in self.nodes),
-            makespan_s=makespan_s,
-            egress_bytes=self.registry_egress_bytes - egress_before,
-            uplink_busy_s=link.busy_seconds - busy_before,
+            makespan_s=(max(finished_at) - start) if finished_at else 0.0,
             ready_s=_ready_tuple(readiness, self.nodes),
+            **{key: delta[key] for key in delta if key in wanted},
         )
 
 
@@ -334,6 +389,8 @@ class HAWaveReport(WaveReport):
     degraded: int = 0
     probes: int = 0
 
+    RATES: ClassVar[Tuple[str, ...]] = ("hedge_rate", "shed_rate")
+
     @property
     def hedge_rate(self) -> float:
         return self.hedges / self.fetches if self.fetches else 0.0
@@ -341,28 +398,6 @@ class HAWaveReport(WaveReport):
     @property
     def shed_rate(self) -> float:
         return self.sheds / self.fetches if self.fetches else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        summary = super().as_dict()
-        summary.update(
-            {
-                "fetches": self.fetches,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-                "hedge_rate": self.hedge_rate,
-                "cancels": self.cancels,
-                "wasted_hedge_bytes": self.wasted_hedge_bytes,
-                "sheds": self.sheds,
-                "shed_rate": self.shed_rate,
-                "failovers": self.failovers,
-                "backoffs": self.backoffs,
-                "breaker_trips": self.breaker_trips,
-                "demotions": self.demotions,
-                "degraded": self.degraded,
-                "probes": self.probes,
-            }
-        )
-        return summary
 
 
 class HACluster(Cluster):
@@ -403,94 +438,26 @@ class HACluster(Cluster):
     ) -> HAWaveReport:
         """Concurrent waves with the health monitor running alongside.
 
-        The monitor is an infinite probe loop, so the wave cannot simply
-        drain the heap: each client is awaited with ``run_until``, then
-        the monitor is stopped and the heap drained (its final wake-up
-        plus any straggler hedge losers).  The makespan is measured to
-        the *last client completion* — straggler wake-ups during the
-        drain do not inflate it.  When ``action`` returns an object with
-        a ``degraded`` attribute (a ``DeploymentResult``), degraded-mode
-        fallbacks are counted into the report.
+        The monitor is an infinite probe loop, so it is one of the
+        wave's background services (:meth:`_run_wave`): stopped after
+        the last client, its final wake-up drained.
         """
-        if concurrency is None:
-            concurrency = len(self.nodes)
-        if concurrency <= 0:
-            raise ValueError("concurrency must be positive")
+        monitor = self.ha.monitor
+        services = [(monitor.start, monitor.stop)] if monitor is not None else []
+        return self._run_wave(action, concurrency, sampler, services, HAWaveReport)
+
+    def _wave_counters(self) -> Dict[str, float]:
         ha = self.ha
-        if ha is None:
-            raise ValueError("HACluster root testbed has no HA transport")
-        clock = self.clock
-        stats = ha.policy.stats
-        replicas = ha.replica_set.replicas
-        before = stats.as_dict()
-        trips_before = ha.replica_set.breaker_trips
-        probes_before = sum(r.stats.probes for r in replicas)
-        busy_before = sum(link.busy_seconds for link in self._root.all_links())
-        egress_before = self.registry_egress_bytes
-        start = clock.now
-        latencies: Dict[str, float] = {}
-        readiness: Dict[str, float] = {}
-        finished_at: List[float] = []
-        degraded_total = [0]
-
-        def client(node: ClientNode) -> None:
-            begun = clock.now
-            with clock.span("client_deploy", node=node.name):
-                outcome = action(node)
-            latencies[node.name] = clock.now - begun
-            finished_at.append(clock.now)
-            if outcome is not None and getattr(outcome, "degraded", False):
-                degraded_total[0] += 1
-            ready = _outcome_ready_s(outcome)
-            if ready is not None:
-                readiness[node.name] = ready
-                if sampler is not None:
-                    sampler.record("ready_s", begun + ready, ready)
-
-        with clock.span("wave", concurrency=concurrency):
-            with SimScheduler(clock) as scheduler:
-                if sampler is not None:
-                    scheduler.spawn(sampler.run, name="timeline")
-                if ha.monitor is not None:
-                    ha.monitor.start(scheduler)
-                for offset in range(0, len(self.nodes), concurrency):
-                    batch = [
-                        scheduler.spawn(client, node, name=node.name)
-                        for node in self.nodes[offset:offset + concurrency]
-                    ]
-                    for process in batch:
-                        scheduler.run_until(process)
-                if ha.monitor is not None:
-                    ha.monitor.stop()
-                if sampler is not None:
-                    sampler.stop()
-                scheduler.run()
-
-        after = stats.as_dict()
-        delta = {key: after[key] - before[key] for key in after}
-        return HAWaveReport(
-            concurrency=concurrency,
-            latencies_s=tuple(latencies[node.name] for node in self.nodes),
-            makespan_s=(max(finished_at) - start) if finished_at else 0.0,
-            egress_bytes=self.registry_egress_bytes - egress_before,
-            uplink_busy_s=(
-                sum(link.busy_seconds for link in self._root.all_links())
-                - busy_before
+        return {
+            **super()._wave_counters(),
+            **ha.policy.stats.as_dict(),
+            "uplink_busy_s": sum(
+                link.busy_seconds for link in self._root.all_links()
             ),
-            fetches=delta["fetches"],
-            hedges=delta["hedges"],
-            hedge_wins=delta["hedge_wins"],
-            cancels=delta["cancels"],
-            wasted_hedge_bytes=delta["wasted_hedge_bytes"],
-            sheds=delta["sheds_seen"],
-            failovers=delta["failovers"],
-            backoffs=delta["backoffs"],
-            breaker_trips=ha.replica_set.breaker_trips - trips_before,
-            demotions=delta["demotions"],
-            degraded=degraded_total[0],
-            probes=sum(r.stats.probes for r in replicas) - probes_before,
-            ready_s=_ready_tuple(readiness, self.nodes),
-        )
+            "sheds": ha.policy.stats.sheds_seen,
+            "breaker_trips": ha.replica_set.breaker_trips,
+            "probes": sum(r.stats.probes for r in ha.replica_set.replicas),
+        }
 
 
 @dataclass(frozen=True)
@@ -526,6 +493,8 @@ class EdgeWaveReport(WaveReport):
     lan_bytes: int = 0
     lan_busy_s: float = 0.0
 
+    RATES: ClassVar[Tuple[str, ...]] = ("peer_hit_rate", "offload_rate")
+
     @property
     def peer_hit_rate(self) -> float:
         return self.peer_hits / self.fetches if self.fetches else 0.0
@@ -536,36 +505,6 @@ class EdgeWaveReport(WaveReport):
         if not self.fetches:
             return 0.0
         return (self.peer_hits + self.site_hits) / self.fetches
-
-    def as_dict(self) -> Dict[str, object]:
-        summary = super().as_dict()
-        summary.update(
-            {
-                "fetches": self.fetches,
-                "peer_hits": self.peer_hits,
-                "peer_hit_rate": self.peer_hit_rate,
-                "site_hits": self.site_hits,
-                "offload_rate": self.offload_rate,
-                "registry_fetches": self.registry_fetches,
-                "peer_bytes": self.peer_bytes,
-                "site_bytes": self.site_bytes,
-                "egress_saved_bytes": self.egress_saved_bytes,
-                "stale_resolutions": self.stale_resolutions,
-                "failovers": self.failovers,
-                "backoffs": self.backoffs,
-                "giveups": self.giveups,
-                "breaker_skips": self.breaker_skips,
-                "blacklists": self.blacklists,
-                "peer_crashes": self.peer_crashes,
-                "joins": self.joins,
-                "leaves": self.leaves,
-                "gossip_rounds": self.gossip_rounds,
-                "degraded": self.degraded,
-                "lan_bytes": self.lan_bytes,
-                "lan_busy_s": self.lan_busy_s,
-            }
-        )
-        return summary
 
 
 class EdgeCluster(Cluster):
@@ -646,97 +585,23 @@ class EdgeCluster(Cluster):
     ) -> EdgeWaveReport:
         """Concurrent waves with gossip and churn running alongside.
 
-        Per-site gossip loops and the churn driver are scheduler
-        processes; like the HA health monitor they are stopped after the
-        last client completes and the heap drained, with the makespan
-        measured to the last client completion.
+        Per-site gossip loops and the churn driver are the wave's
+        background services (:meth:`_run_wave`), like the HA health
+        monitor.
         """
-        if concurrency is None:
-            concurrency = len(self.nodes)
-        if concurrency <= 0:
-            raise ValueError("concurrency must be positive")
-        clock = self.clock
-        fabric = self.fabric
-        stats = fabric.stats
-        before = stats.as_dict()
-        egress_before = self.registry_egress_bytes
-        uplink_busy_before = self._root.link.busy_seconds
-        lan_links = fabric.lan_links()
-        lan_bytes_before = sum(link.log.total_bytes for link in lan_links)
-        lan_busy_before = sum(link.busy_seconds for link in lan_links)
-        start = clock.now
-        latencies: Dict[str, float] = {}
-        readiness: Dict[str, float] = {}
-        finished_at: List[float] = []
-        degraded_total = [0]
-
-        def client(node: ClientNode) -> None:
-            begun = clock.now
-            with clock.span("client_deploy", node=node.name):
-                outcome = action(node)
-            latencies[node.name] = clock.now - begun
-            finished_at.append(clock.now)
-            ready = _outcome_ready_s(outcome)
-            if ready is not None:
-                readiness[node.name] = ready
-                if sampler is not None:
-                    sampler.record("ready_s", begun + ready, ready)
-            if outcome is not None and getattr(outcome, "degraded", False):
-                degraded_total[0] += 1
-
-        with clock.span("wave", concurrency=concurrency):
-            with SimScheduler(clock) as scheduler:
-                if sampler is not None:
-                    scheduler.spawn(sampler.run, name="timeline")
-                for site in fabric.sites:
-                    site.start_gossip(scheduler)
-                self.churn.start(scheduler)
-                for offset in range(0, len(self.nodes), concurrency):
-                    batch = [
-                        scheduler.spawn(client, node, name=node.name)
-                        for node in self.nodes[offset:offset + concurrency]
-                    ]
-                    for process in batch:
-                        scheduler.run_until(process)
-                for site in fabric.sites:
-                    site.stop_gossip()
-                self.churn.stop()
-                if sampler is not None:
-                    sampler.stop()
-                scheduler.run()
-
-        after = stats.as_dict()
-        delta = {key: after[key] - before[key] for key in after}
-        return EdgeWaveReport(
-            concurrency=concurrency,
-            latencies_s=tuple(latencies[node.name] for node in self.nodes),
-            makespan_s=(max(finished_at) - start) if finished_at else 0.0,
-            egress_bytes=self.registry_egress_bytes - egress_before,
-            uplink_busy_s=self._root.link.busy_seconds - uplink_busy_before,
-            fetches=delta["fetches"],
-            peer_hits=delta["peer_hits"],
-            site_hits=delta["site_hits"],
-            registry_fetches=delta["registry_fetches"],
-            peer_bytes=delta["peer_bytes"],
-            site_bytes=delta["site_bytes"],
-            egress_saved_bytes=delta["egress_saved_bytes"],
-            stale_resolutions=delta["stale_resolutions"],
-            failovers=delta["failovers"],
-            backoffs=delta["backoffs"],
-            giveups=delta["giveups"],
-            breaker_skips=delta["breaker_skips"],
-            blacklists=delta["blacklists"],
-            peer_crashes=delta["peer_crashes"],
-            joins=delta["joins"],
-            leaves=delta["leaves"],
-            gossip_rounds=delta["gossip_rounds"],
-            degraded=degraded_total[0],
-            lan_bytes=(
-                sum(link.log.total_bytes for link in lan_links)
-                - lan_bytes_before
-            ),
-            lan_busy_s=(
-                sum(link.busy_seconds for link in lan_links) - lan_busy_before
-            ),
-            ready_s=_ready_tuple(readiness, self.nodes),
+        services = [
+            (site.start_gossip, site.stop_gossip) for site in self.fabric.sites
+        ]
+        services.append((self.churn.start, self.churn.stop))
+        return self._run_wave(
+            action, concurrency, sampler, services, EdgeWaveReport
         )
+
+    def _wave_counters(self) -> Dict[str, float]:
+        lan_links = self.fabric.lan_links()
+        return {
+            **super()._wave_counters(),
+            **self.fabric.stats.as_dict(),
+            "lan_bytes": sum(link.log.total_bytes for link in lan_links),
+            "lan_busy_s": sum(link.busy_seconds for link in lan_links),
+        }

@@ -13,8 +13,8 @@ Discipline mirrors :class:`~repro.obs.trace.SpanTracer`'s null-object
 contract, with one sharpening: *detached means no process exists at
 all*.  Even a pure sleeper would consume scheduler sequence numbers and
 shift ``events_processed``, so the wave helpers only spawn the sampler
-when one is passed — the detached code path is byte-for-byte the
-pre-sampler code path.  When attached, the sampler reads shared state
+when one is passed — a detached run's event stream is byte-for-byte the
+pre-sampler one.  When attached, the sampler reads shared state
 but never advances the clock outside its own sleeps and never touches
 any other component's RNG stream, so client virtual times are identical
 with and without it (``scripts/check.sh`` double-runs certify the

@@ -27,6 +27,7 @@ from repro.common.errors import (
     SymlinkLoopError,
     VfsError,
 )
+from repro.common.hashing import fingerprint_tokens
 from repro.vfs import paths
 from repro.vfs.inode import FileKind, Inode, Metadata
 from repro.vfs.tree import FileSystemTree
@@ -247,6 +248,21 @@ class OverlayMount:
             elif node.is_file:
                 tree.write_at(parent, name, node.blob, meta=node.meta.copy())
         return tree
+
+    def fs_digest(self) -> str:
+        """Logical-content digest of the merged filesystem: every path
+        with its kind and, for a file, its mode and content token."""
+        tokens = []
+        for path, node in self.walk():
+            if not node.is_file:
+                tokens.append(f"{path}|{node.kind.value}")
+                continue
+            content = self._content_token(path, node)
+            tokens.append(f"{path}|file|{node.meta.mode:o}|{content}")
+        return str(fingerprint_tokens(tokens))
+
+    def _content_token(self, path: str, node: Inode) -> str:
+        return node.blob.fingerprint if node.blob is not None else ""
 
     # ------------------------------------------------------------------
     # write side

@@ -131,6 +131,11 @@ class GeneratedImage:
         return self.image.reference
 
     @property
+    def gear_reference(self) -> str:
+        """The reference the converter publishes this image's index under."""
+        return f"{self.image.name}.gear:{self.image.tag}"
+
+    @property
     def category(self) -> str:
         return self.spec.category
 

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.bench.environment import Testbed, make_testbed, publish_images
+from repro.bench.environment import (
+    Testbed,
+    make_edge_testbed,
+    make_faas_testbed,
+    make_testbed,
+    publish_images,
+)
 from repro.bench.reporting import format_table, gb, pct
 from repro.gear.pool import EvictionPolicy
 from repro.storage.disk import SSD
@@ -46,6 +52,40 @@ class TestMakeTestbed:
         assert fresh.clock is bed.clock
         assert not fresh.daemon.has_image("nginx:v1")
         assert fresh.gear_driver.pool is not bed.gear_driver.pool
+
+
+MINT_SETTINGS = dict(
+    client_disk=SSD, pool_capacity_bytes=1234, pool_policy=EvictionPolicy.FIFO
+)
+
+
+class TestMintKeepsRootSettings:
+    """Every node mint builds the client the root was built with."""
+
+    @pytest.mark.parametrize(
+        "mint",
+        [
+            lambda: make_testbed(**MINT_SETTINGS).fresh_client(),
+            lambda: make_edge_testbed(**MINT_SETTINGS).edge.client(),
+            lambda: make_faas_testbed(**MINT_SETTINGS).faas.client(),
+        ],
+        ids=["fresh_client", "edge.client", "faas.client"],
+    )
+    def test_disk_and_pool_settings_survive(self, mint):
+        node = mint()
+        assert node.daemon.disk.profile is SSD
+        assert node.gear_driver.pool.capacity_bytes == 1234
+        assert node.gear_driver.pool.policy is EvictionPolicy.FIFO
+        assert len(node.gear_driver.pool) == 0
+
+    def test_fabric_nodes_keep_the_roots_shared_state(self):
+        root = make_faas_testbed(ha_replicas=2)
+        node = root.faas.client()
+        assert node.ha is root.ha and node.faas is root.faas
+        assert node.metrics is root.metrics
+        assert node.timeline_stats is root.timeline_stats
+        assert node.transport is not root.transport
+        assert node.transport.base is root.transport
 
 
 class TestPublishImages:

@@ -29,13 +29,13 @@ from repro.net.faults import (
     OutageWindow,
 )
 from repro.net.ha import (
-    AdmissionGate,
     BreakerState,
     CircuitBreaker,
     HAStats,
     HedgeEstimator,
     ReplicaStats,
 )
+from repro.net.resilience import AdmissionGate
 from repro.net.transport import RpcStats
 
 
