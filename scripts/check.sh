@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests, warnings-as-errors on the fault-injection,
 # scheduler, journal/recovery, heap-budget, HA + download-chain, telemetry,
-# edge, FaaS, chunk read-path, and VFS suites, the one-download-chain source
-# guard, fleet-contention / crash / HA / trace / edge / FaaS / chunk
+# edge, FaaS, chunk read-path, and VFS suites, the one-download-chain and
+# one-read-path source guards, fleet-contention / crash / HA / trace /
+# edge / FaaS / chunk
 # determinism gates, the checked-in perf-trajectory artifacts, the perf
 # ledger's output checks and harness tests, and a full bytecode compile.
 #
@@ -18,8 +19,9 @@ python -m pytest -x -q
 echo "== fault-injection suite under -W error =="
 python -W error -m pytest tests/test_net_faults.py -q
 
-echo "== scheduler suite under -W error =="
-python -W error -m pytest tests/test_sim_scheduler.py -q
+echo "== scheduler suites under -W error =="
+python -W error -m pytest tests/test_sim_scheduler.py tests/test_sim_drive.py \
+    tests/test_sim_cost.py -q
 
 echo "== journal/recovery and heap-budget suites under -W error =="
 python -W error -m pytest tests/test_gear_journal.py tests/test_gear_recovery.py \
@@ -47,6 +49,25 @@ echo "== one download chain: the copies must not grow back =="
 if grep -l "next_backoff(" src/repro/net/*.py | grep -v -e /resilience.py -e /transport.py \
     || grep -n "from repro.bench" src/repro/net/edge.py src/repro/net/faas.py
 then echo "a fabric grew its own backoff tail or imports repro.bench" >&2; exit 1; fi
+
+echo "== one read path: a synchronous twin must not grow back =="
+# Each blocking function on the plain Gear read path exists once, as a
+# generator; its sync name is a facade over SimScheduler.drive (DESIGN.md
+# §5).  Thread identity belongs to the scheduler alone.
+if grep -rln "threading.get_ident" src/repro --include='*.py' \
+    | grep -v '^src/repro/common/clock.py$'
+then echo "thread identity used outside common/clock.py" >&2; exit 1; fi
+once() {  # once FILE MAX PATTERN: PATTERN occurs at most MAX times in FILE
+    count="$(grep -c -- "$3" "$1" || true)"
+    [ "$count" -le "$2" ] || {
+        echo "$1: '$3' occurs $count times (at most $2): a sync twin grew back" >&2
+        exit 1; }
+}
+once src/repro/gear/viewer.py 1 "def _materialize"
+once src/repro/gear/viewer.py 1 "def _fault_in"
+once src/repro/gear/viewer.py 1 "def _fetch_remote"
+once src/repro/net/transport.py 1 "def _attempt"
+once src/repro/net/link.py 0 "def _transfer_flow"
 
 echo "== chunk read-path suites under -W error =="
 python -W error -m pytest tests/test_gear_bigfile.py tests/test_gear_chunks.py -q
@@ -245,6 +266,13 @@ for ledger_workload in wave microflows convert seqdeploy fabrics chunkreads; do
              cat "$fleet_tmp/ledger-$ledger_workload.json" >&2; exit 1; }
 done
 echo "ledger outputs correct on all six workloads"
+# The traced pass wraps the program's boundaries from outside; on `wave`
+# the wrapped names are now facades over driven generators, stepped on
+# the loop thread inside other wrapped calls.
+python3 benchmarks/ledger/run.py --smoke --workload wave --seconds 1 --trace 1 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "traced ledger pass of wave failed" >&2; exit 1; }
+echo "traced wave pass correct"
 
 echo "== perf-ledger harness tests =="
 python -m pytest benchmarks/ledger/tests/test_ledger.py -q

@@ -69,10 +69,11 @@ class SlackerMount(OverlayMount):
     ) -> None:
         super().__init__([image_tree], upper)
         self.link = link
+        self.clock = link.clock
         self.slacker_stats = SlackerStats()
         self._resident: Set[int] = set()
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]) -> Inode:
+    def _materialize(self, node: Inode, resolved: Sequence[str]):
         if node.ino in self._resident:
             return node
         # First touch: pull the file's data blocks plus metadata blocks
@@ -84,7 +85,7 @@ class SlackerMount(OverlayMount):
         requests = -(-payload // NFS_RSIZE)
         for index in range(requests):
             piece = min(NFS_RSIZE, payload - index * NFS_RSIZE)
-            self.link.transfer(piece, label="slacker-block-read")
+            yield from self.link.transfer_gen(piece, "slacker-block-read")
         self._resident.add(node.ino)
         self.slacker_stats.files_fetched += 1
         self.slacker_stats.blocks_fetched += total_blocks

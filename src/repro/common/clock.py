@@ -30,10 +30,15 @@ Processes come in two flavours:
   process) ever runs at a time, so existing synchronous code — deep
   call stacks through daemons, drivers, viewers, and links — becomes a
   schedulable task without rewriting, and determinism is preserved.
+
+The two meet in :meth:`SimScheduler.drive`: a call process hands a
+blocking stretch, written as a generator, to the loop thread and parks
+its worker once for the whole of it (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import inspect
 import itertools
@@ -193,6 +198,46 @@ def _merge_label(accrued: str, incoming: str) -> str:
     return f"{accrued}+{incoming}"
 
 
+def _fold_debt(actor: Any, seconds: float, label: str) -> Tuple[float, str]:
+    """Pay ``actor``'s deferred debt (a clock's or a process's) into an
+    advance: ``debt + seconds`` in accrual order, labels merged."""
+    debt = actor._debt
+    if debt:
+        seconds = debt + seconds
+        label = _merge_label(actor._debt_label, label)
+        actor._debt = 0.0
+        actor._debt_label = ""
+    return seconds, label
+
+
+class _WorkerCall(functools.partial):
+    """What a driven generator yields to run a still-synchronous call on
+    its own worker thread, and is sent ``(value, error)`` back for
+    (see :meth:`SimClock.on_worker`)."""
+
+    __slots__ = ()
+
+
+def _settled(clock: "SimClock", value: Any):
+    """What a generator process that returns owing debt finishes as."""
+    yield from clock.advance_gen(0.0)
+    return value
+
+
+def run_inline(gen: Any) -> Any:
+    """Run ``gen`` where nothing can suspend it: outside a process every
+    blocking generator takes its sequential branch and never yields."""
+    try:
+        item = gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    gen.close()
+    raise SchedulerError(
+        f"{getattr(gen, '__qualname__', gen)} yielded {item!r} outside a "
+        f"scheduler process: nothing can resume it"
+    )
+
+
 class SimClock:
     """A monotonically advancing virtual clock with optional telemetry.
 
@@ -284,23 +329,39 @@ class SimClock:
         if scheduler is not None:
             process = scheduler._running_process()
             if process is not None:
-                debt = process._debt
-                if debt:
-                    seconds = debt + seconds
-                    label = _merge_label(process._debt_label, label)
-                    process._debt = 0.0
-                    process._debt_label = ""
-                return scheduler._process_sleep(process, seconds, label)
-        debt = self._debt
-        if debt:
-            seconds = debt + seconds
-            label = _merge_label(self._debt_label, label)
-            self._debt = 0.0
-            self._debt_label = ""
+                if process._debt:
+                    seconds, label = _fold_debt(process, seconds, label)
+                scheduler.schedule_transient(seconds, process._grant_cb)
+                scheduler._suspend(process)
+                self.note(label)
+                return self._now
+        if self._debt:
+            seconds, label = _fold_debt(self, seconds, label)
         self._now += seconds
         if self._tracer is not None and label:
             self._tracer.instant(label)
         return self._now
+
+    def advance_gen(self, seconds: float, label: str = ""):
+        """Generator twin of :meth:`advance`: the stepping process sleeps
+        ``debt + seconds``; outside a process, the sequential advance."""
+        scheduler = self._scheduler
+        process = scheduler.current_process() if scheduler is not None else None
+        if process is None:
+            return self.advance(seconds, label)
+        if seconds < 0:
+            raise ValueError(f"cannot advance clock by {seconds} s")
+        seconds, label = _fold_debt(process, seconds, label)
+        yield seconds
+        self.note(label)
+        return self._now
+
+    def _debtor(self) -> Any:
+        """Who deferred costs accrue to: the running process — stepped
+        generator or call thread — else the sequential clock itself."""
+        scheduler = self._scheduler
+        process = scheduler.current_process() if scheduler is not None else None
+        return self if process is None else process
 
     def advance_deferred(self, seconds: float, label: str = "") -> None:
         """Accrue ``seconds`` as *virtual-time debt* settled later.
@@ -317,19 +378,10 @@ class SimClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds} s")
-        scheduler = self._scheduler
-        if scheduler is not None:
-            process = scheduler._running_process()
-            if process is not None:
-                process._debt += seconds
-                if label:
-                    process._debt_label = _merge_label(
-                        process._debt_label, label
-                    )
-                return
-        self._debt += seconds
+        debtor = self._debtor()
+        debtor._debt += seconds
         if label:
-            self._debt_label = _merge_label(self._debt_label, label)
+            debtor._debt_label = _merge_label(debtor._debt_label, label)
 
     def settle_debt(self) -> None:
         """Pay any outstanding deferred advances immediately.
@@ -338,15 +390,31 @@ class SimClock:
         waits/fires with waiters, joins, process exit) so deferred local
         costs can never leak past a point other processes observe.
         """
-        scheduler = self._scheduler
-        if scheduler is not None:
-            process = scheduler._running_process()
-            if process is not None:
-                if process._debt:
-                    self.advance(0.0)
-                return
-        if self._debt:
+        if self._debtor()._debt:
             self.advance(0.0)
+
+    def settle_gen(self):
+        """Generator twin of :meth:`settle_debt`: ``yield from`` it."""
+        if self._debtor()._debt:
+            yield from self.advance_gen(0.0)
+
+    def drive(self, gen: Any) -> Any:
+        """Run a blocking generator for a synchronous caller — what every
+        sync facade calls (:meth:`SimScheduler.drive`; inline without one)."""
+        scheduler = self._scheduler
+        return run_inline(gen) if scheduler is None else scheduler.drive(gen)
+
+    def on_worker(self, fn: Callable[..., Any], *args: Any, **kwargs: Any):
+        """The seam to code that still blocks the old way: ``yield from``
+        it and ``fn`` runs in call mode on the driven process's worker
+        thread (:attr:`SimScheduler.escapes` counts), its value or
+        exception delivered here.  Outside a process: a plain call."""
+        if self._debtor() is self:
+            return fn(*args, **kwargs)
+        value, error = yield _WorkerCall(fn, *args, **kwargs)
+        if error is not None:
+            raise error
+        return value
 
     def note(self, label: str) -> None:
         """Record a trace event at the current time (when tracing)."""
@@ -451,7 +519,7 @@ class Process:
 
     __slots__ = (
         "scheduler", "name", "_gen", "_ident", "_resume",
-        "_grant_cb", "_step_cb", "_sendval", "_debt", "_debt_label",
+        "_grant_cb", "_step_cb", "_sendval", "_handback", "_debt", "_debt_label",
         "result", "error", "_done", "_waiters", "started_at", "finished_at",
         "__weakref__",
     )
@@ -471,6 +539,9 @@ class Process:
         self._grant_cb: Optional[Callable[[], None]] = None
         self._step_cb: Optional[Callable[[], None]] = None
         self._sendval: Any = None
+        #: What the last step of a driven generator left for the worker
+        #: (see :meth:`SimScheduler.drive`); None while it is blocked.
+        self._handback: Any = None
         #: Deferred virtual-time debt (see ``SimClock.advance_deferred``).
         self._debt: float = 0.0
         self._debt_label: str = ""
@@ -545,29 +616,24 @@ class SimEvent:
             for process in waiters:
                 scheduler._wake(process)
 
+    def fire_gen(self):
+        """Generator twin of :meth:`fire`: settles by yielding."""
+        if self._waiters and not self._fired:
+            yield from self.clock.settle_gen()
+        self.fire()
+
     def wait(self) -> None:
         """Block the calling process until the event fires."""
-        if self._fired:
-            return
-        self.clock.settle_debt()
-        if self._fired:  # may have fired while debt settled
-            return
-        scheduler = self.clock.scheduler
-        process = scheduler._running_process() if scheduler else None
-        if process is None:
-            raise SchedulerError(
-                "waiting on an unfired SimEvent outside a process would "
-                "deadlock the simulation"
-            )
-        self._waiters.append(process)
-        scheduler._suspend(process)
+        if not self._fired:
+            self.clock.drive(self.wait_gen())
 
-    def _add_waiter(self, process: Process) -> bool:
-        """Generator-yield hook: register, or report already-fired."""
+    def wait_gen(self):
+        """:meth:`wait` as a generator: ``yield from`` it in a process."""
         if self._fired:
-            return False
-        self._waiters.append(process)
-        return True
+            return
+        yield from self.clock.settle_gen()
+        if not self._fired:  # may have fired while debt settled
+            yield self
 
 
 class SimScheduler:
@@ -589,7 +655,7 @@ class SimScheduler:
     __slots__ = (
         "clock", "_heap", "_nowq", "_seq", "_name_seq", "_processes",
         "_thread_procs", "_loop_wake", "_closed", "_event_pool",
-        "_events_processed", "_current_gen",
+        "_events_processed", "_current_gen", "_handoffs", "_escapes",
     )
 
     def __init__(self, clock: SimClock) -> None:
@@ -625,11 +691,23 @@ class SimScheduler:
         self._event_pool: List[_Event] = []
         self._events_processed = 0
         self._current_gen: Optional[Process] = None
+        self._handoffs = 0
+        self._escapes = 0
 
     @property
     def events_processed(self) -> int:
         """Events executed so far — the numerator of events/sec."""
         return self._events_processed
+
+    @property
+    def handoffs(self) -> int:
+        """Worker-thread parks so far: what a call process costs."""
+        return self._handoffs
+
+    @property
+    def escapes(self) -> int:
+        """:meth:`SimClock.on_worker` calls run for driven generators so far."""
+        return self._escapes
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -739,6 +817,7 @@ class SimScheduler:
             # Still on the spawner's thread: the spawner's innermost open
             # span becomes the new process track's base parent.
             tracer.on_spawn(process)
+        process._step_cb = step_cb = (lambda: self._step_gen(process))
         generator = None
         if hasattr(target, "send") and hasattr(target, "throw"):
             generator = target
@@ -746,7 +825,6 @@ class SimScheduler:
             generator = target(*args, **kwargs)
         if generator is not None:
             process._gen = generator
-            process._step_cb = step_cb = (lambda: self._step_gen(process))
             self.schedule_transient(0.0, step_cb)
         else:
             process._resume = resume = _allocate_lock()
@@ -802,7 +880,7 @@ class SimScheduler:
         return process
 
     def _run_loop(self, should_stop: Optional[Callable[[], bool]]) -> None:
-        if self._running_process() is not None or self._current_gen is not None:
+        if self._running_process() is not None:
             raise SchedulerError("run() called from inside a process")
         heap = self._heap
         nowq = self._nowq
@@ -848,39 +926,77 @@ class SimScheduler:
     # -- process internals -------------------------------------------------
 
     def _running_process(self) -> Optional[Process]:
-        """The call process owning the current thread, if any."""
+        """The call process owning the current thread, if any: who is
+        about to block.  Never asked from a generator step — whichever
+        thread runs it, a step cannot block; it has to yield."""
+        stepping = self._current_gen
+        if stepping is not None:
+            raise SchedulerError(
+                f"process {stepping.name!r} made a blocking call from a "
+                f"generator step: yield it (or `yield from` its generator "
+                f"twin) instead"
+            )
         return self._thread_procs.get(threading.get_ident())
 
     def current_process(self) -> Optional[Process]:
-        """The process running right now: generator step or call thread.
-
-        Unlike :meth:`_running_process` (thread-keyed, used by
-        ``advance`` to decide whether to suspend), this also reports the
-        generator process currently being stepped on the loop thread —
-        what tracers need to attribute spans and instants to the right
-        track.
-        """
+        """The process running right now: the generator being stepped
+        (a generator process, or a call process being driven), else the
+        call process owning the current thread.  This is who clock
+        calls, tracers and links act for."""
         current = self._current_gen
         if current is not None:
             return current
         return self._thread_procs.get(threading.get_ident())
 
-    def _process_sleep(self, process: Process, seconds: float, label: str) -> float:
-        """Suspend a call process for ``seconds`` of virtual time."""
-        self.schedule_transient(seconds, process._grant_cb)
-        self._suspend(process)
-        self.clock.note(label)
-        return self.clock.now
+    def drive(self, gen: Any) -> Any:
+        """Run generator ``gen`` to completion as the calling process.
+
+        The first step runs in place, where the synchronous code ran
+        until its first block; then the worker parks *once* while the
+        loop thread steps the generator as this process — each event
+        that would have granted the worker steps it instead, so event
+        order and count are the blocking form's — and the last step
+        hands back its value or exception.  A yielded worker call runs
+        here in call mode, then the generator goes on in place.  Outside
+        any process: inline.  DESIGN.md §5.
+        """
+        process = self._running_process()
+        if process is None:
+            return run_inline(gen)
+        process._gen = gen
+        try:
+            while True:
+                self._step_gen(process)  # in place, on this worker thread
+                while process._handback is None:  # blocked: the loop steps it
+                    self._suspend(process)
+                back, process._handback = process._handback, None
+                if back.__class__ is not _WorkerCall:
+                    value, error = back
+                    if error is not None:
+                        raise error
+                    return value
+                self._escapes += 1
+                process._gen = None  # ordinary call mode for the call
+                try:
+                    process._sendval = (back(), None)
+                except BaseException as error:  # noqa: BLE001 - re-raised in gen
+                    process._sendval = (None, error)
+                process._gen = gen
+        finally:
+            process._gen = None
+
+    def _hand_back(self, process: Process, back: Any) -> None:
+        """A driven generator finished or asked for its worker: leave
+        ``back`` for :meth:`drive`, and wake a parked worker."""
+        process._handback = back
+        if threading.get_ident() != process._ident:
+            process._grant_now()
 
     def _suspend(self, process: Process) -> None:
         """Hand control to the loop; return when the process is regranted."""
+        self._handoffs += 1
         self._loop_wake.release()
         process._resume.acquire()
-
-    def _grant(self, process: Process) -> None:
-        """Loop-side handoff: let ``process`` run until it yields back."""
-        process._resume.release()
-        self._loop_wake.acquire()
 
     def _wake(self, process: Process, value: Any = None) -> None:
         """Schedule ``process`` to resume now (used by events and flows)."""
@@ -935,23 +1051,24 @@ class SimScheduler:
         try:
             item = process._gen.send(sendval)
         except StopIteration as stop:
-            process.result = stop.value
-            self._finish(process)
+            self._current_gen = None
+            self._gen_ended(process, stop.value, None)
             return
         except BaseException as error:  # noqa: BLE001 - reported via run()
-            process.error = error
-            self._finish(process)
-            return
-        finally:
             self._current_gen = None
+            self._gen_ended(process, None, error)
+            return
+        self._current_gen = None
         if item is None:
-            self.schedule_transient(0.0, process._step_cb)
-        elif item is SUSPEND:
+            item = 0.0
+        if item is SUSPEND:
             pass  # parked: whoever handed out SUSPEND will _wake us
         elif isinstance(item, (int, float)):
             if item < 0:
                 self._throw_gen(process, ValueError(f"cannot sleep {item} s"))
             else:
+                if process._debt:
+                    item, _ = _fold_debt(process, item, "")
                 self.schedule_transient(float(item), process._step_cb)
         elif isinstance(item, Process):
             if item._done:
@@ -960,27 +1077,50 @@ class SimScheduler:
             else:
                 item._waiters.append(process)
         elif isinstance(item, SimEvent):
-            if not item._add_waiter(process):
+            if item._fired:
                 self.schedule_transient(0.0, process._step_cb)
+            else:
+                item._waiters.append(process)
+        elif item.__class__ is _WorkerCall and process._resume is not None:
+            self._hand_back(process, item)
         else:
             self._throw_gen(
                 process,
                 TypeError(
                     f"process {process.name!r} yielded {item!r}; expected a "
-                    f"delay, a Process, or a SimEvent"
+                    f"delay, a Process, or a SimEvent (a worker call needs a "
+                    f"driven call process: there is no thread to run it on)"
                 ),
             )
 
     def _throw_gen(self, process: Process, error: BaseException) -> None:
+        value = None
         self._current_gen = process
         try:
             process._gen.throw(error)
+            error = None
         except StopIteration as stop:
-            process.result = stop.value
+            value, error = stop.value, None
         except BaseException as raised:  # noqa: BLE001 - reported via run()
-            process.error = raised
+            error = raised
         finally:
             self._current_gen = None
+        self._gen_ended(process, value, error)
+
+    def _gen_ended(
+        self, process: Process, value: Any, error: Optional[BaseException]
+    ) -> None:
+        """The stepped generator returned ``value`` or raised ``error``."""
+        if process._resume is not None:  # driven: the call process goes on
+            self._hand_back(process, (value, error))
+            return
+        if error is None and process._debt:
+            # Settle before finished_at, as a call process does on exit.
+            process._gen = _settled(self.clock, value)
+            self._step_gen(process)
+            return
+        process.result = value
+        process.error = error
         self._finish(process)
 
     def __repr__(self) -> str:

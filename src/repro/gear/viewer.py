@@ -122,7 +122,7 @@ class GearFileViewer(OverlayMount):
 
     # -- the fault path ----------------------------------------------------
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]) -> Inode:
+    def _materialize(self, node: Inode, resolved: Sequence[str]):
         if STUB_XATTR not in node.meta.xattrs:
             return node
         path = "/" + "/".join(resolved)
@@ -139,7 +139,7 @@ class GearFileViewer(OverlayMount):
             inflight = self.pool.inflight.get(entry.identity)
             if inflight is not None:
                 with self._span("fetch_wait", fp=entry.identity[:12]):
-                    inflight.wait()
+                    yield from inflight.wait_gen()
                 inode = self.pool.get(entry.identity)
         if inode is not None:
             self.fault_stats.cache_hits += 1
@@ -147,7 +147,7 @@ class GearFileViewer(OverlayMount):
                 self.clock.instant("cache_hit", fp=entry.identity[:12])
         else:
             with self._span("fetch_file", fp=entry.identity[:12]) as span:
-                inode = self._fault_in(entry)
+                inode = yield from self._fault_in(entry)
                 span.annotate(bytes=inode.size)
         # Hard-link the real file over the stub so the index serves it
         # directly from now on.  Two-phase: the link intent is journaled
@@ -170,7 +170,7 @@ class GearFileViewer(OverlayMount):
                 )
         return inode
 
-    def _fault_in(self, entry: GearFileEntry) -> Inode:
+    def _fault_in(self, entry: GearFileEntry):
         """Download, verify, and cache one Gear file (single-flight).
 
         Under a scheduler the fetch is registered in the pool's inflight
@@ -186,8 +186,9 @@ class GearFileViewer(OverlayMount):
         try:
             if self.journal is not None:
                 self.journal.fetch_begin(entry.identity)
-            self._crash_checkpoint(CrashPoint.MID_FETCH, entry=entry)
-            gear_file = self._fetch_remote(entry)
+            if self.crash is not None and self.crash.take(CrashPoint.MID_FETCH):
+                yield from self._crash_mid_fetch(entry)
+            gear_file = yield from self._fetch_remote(entry)
             inode = self.pool.prepare(gear_file)
             self._crash_checkpoint(CrashPoint.POST_FETCH)
             if self.journal is not None:
@@ -212,37 +213,38 @@ class GearFileViewer(OverlayMount):
             if announce is not None:
                 if self.pool.inflight.get(entry.identity) is announce:
                     del self.pool.inflight[entry.identity]
-                announce.fire()
+                yield from announce.fire_gen()
 
-    def _crash_checkpoint(
-        self, point: CrashPoint, entry: Optional[GearFileEntry] = None
-    ) -> None:
-        """Die here if the armed crash plan says so.
+    def _crash_checkpoint(self, point: CrashPoint) -> None:
+        """Die here if the armed crash plan says so."""
+        crash = self.crash
+        if crash is not None and crash.take(point):
+            crash.fire(point)
 
-        A ``MID_FETCH`` crash lands partway through the wire transfer:
-        it charges ``partial_fraction`` of the nominal transfer time and
+    def _crash_mid_fetch(self, entry: GearFileEntry):
+        """The armed ``MID_FETCH`` crash: die partway through the wire
+        transfer.
+
+        It charges ``partial_fraction`` of the nominal transfer time and
         stages the torn partial temp file (junk bytes that cannot hash to
         the identity) exactly as an interrupted download leaves one on a
         real client — that is what recovery's re-verification must drop.
         """
         crash = self.crash
-        if crash is None or not crash.take(point):
-            return
-        if point is CrashPoint.MID_FETCH and entry is not None:
-            partial = int(entry.size * crash.plan.partial_fraction)
-            if self.transport is not None and partial > 0:
-                link = self.transport.link
-                link.clock.advance(
-                    link.transfer_time(partial),
-                    f"crash-partial-fetch:{entry.identity[:12]}",
-                )
-            torn = _torn_payload(entry.identity, partial)
-            self.pool.prepare(
-                GearFile(identity=entry.identity, blob=torn), verified=False
+        partial = int(entry.size * crash.plan.partial_fraction)
+        if self.transport is not None and partial > 0:
+            link = self.transport.link
+            yield from link.clock.advance_gen(
+                link.transfer_time(partial),
+                f"crash-partial-fetch:{entry.identity[:12]}",
             )
-        crash.fire(point)
+        torn = _torn_payload(entry.identity, partial)
+        self.pool.prepare(
+            GearFile(identity=entry.identity, blob=torn), verified=False
+        )
+        crash.fire(CrashPoint.MID_FETCH)
 
-    def _fetch_remote(self, entry: GearFileEntry) -> GearFile:
+    def _fetch_remote(self, entry: GearFileEntry):
         identity = entry.identity
         if self.transport is None:
             raise NotFoundError(
@@ -251,7 +253,7 @@ class GearFileViewer(OverlayMount):
         refetches_left = self.integrity_refetch_limit
         while True:
             try:
-                gear_file = self.transport.call(
+                gear_file = yield from self.transport.call_gen(
                     GearRegistry.ENDPOINT_NAME,
                     "download",
                     identity,
@@ -260,7 +262,7 @@ class GearFileViewer(OverlayMount):
             except (TimeoutError, UnavailableError):
                 # The registry is past the retry budget; try the
                 # degraded path before surfacing the outage.
-                degraded = self._fetch_degraded(entry)
+                degraded = yield from self._fetch_degraded(entry)
                 if degraded is None:
                     raise
                 return degraded
@@ -292,11 +294,13 @@ class GearFileViewer(OverlayMount):
             refetches_left -= 1
             self.fault_stats.refetches += 1
 
-    def _fetch_degraded(self, entry: GearFileEntry) -> Optional[GearFile]:
-        """Last resort when the Gear registry is unreachable."""
+    def _fetch_degraded(self, entry: GearFileEntry):
+        """Last resort when the Gear registry is unreachable.  The
+        fallback is a regular Docker pull that still blocks the old way,
+        so it runs on the caller's worker thread."""
         if self.fallback is None:
             return None
-        gear_file = self.fallback(entry)
+        gear_file = yield from self.clock.on_worker(self.fallback, entry)
         if gear_file is None:
             return None
         if not entry.identity.startswith("uid-") and (
@@ -327,7 +331,7 @@ class GearFileViewer(OverlayMount):
         """Fault a file in without reading it (warm-up helper)."""
         node, resolved = self._resolve(path)
         if node.is_file:
-            self._materialize(node, resolved)
+            self._drive(self._materialize(node, resolved))
 
     def resident_bytes(self) -> int:
         """Bytes of index files already materialized (non-stub)."""

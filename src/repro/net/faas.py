@@ -205,18 +205,6 @@ class SharedCacheTier:
         self.vouched: Set[str] = set()
         self.used_bytes = 0
 
-    # -- fault scoping -------------------------------------------------
-
-    def _scope_begin(self) -> None:
-        begin = getattr(self.link, "begin_call", None)
-        if begin is not None:
-            begin(FAAS_TIER_ENDPOINT)
-
-    def _scope_end(self) -> None:
-        end = getattr(self.link, "end_call", None)
-        if end is not None:
-            end()
-
     # -- cache maintenance (zero virtual time) -------------------------
 
     def _invalidate(self, identity: str) -> None:
@@ -272,7 +260,9 @@ class SharedCacheTier:
     ) -> Any:
         """Pay the tier-link payload transfer and record whether the
         tier vouches for the bytes; junk them if byzantine."""
-        self.link.transfer(gear_file.compressed_size, label=f"{tag}:tier-payload")
+        self.link.scoped(FAAS_TIER_ENDPOINT).transfer(
+            gear_file.compressed_size, label=f"{tag}:tier-payload"
+        )
         if vouch:
             self.vouched.add(identity)
         else:
@@ -296,29 +286,26 @@ class SharedCacheTier:
         re-raises upstream :class:`NotFoundError` as authoritative.
         """
         tag = label or f"{GEAR_ENDPOINT}.download"
-        self._scope_begin()
-        try:
-            # The request frame is where an outage window rejects us.
-            self.link.transfer(
-                RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:tier-request"
-            )
+        # The request frame is where an outage window rejects us (a
+        # fault plan on the tier link targets the tier by name).
+        self.link.scoped(FAAS_TIER_ENDPOINT).transfer(
+            RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:tier-request"
+        )
+        entry = self._lookup(identity)
+        if entry is not None:
+            return self._hit(identity, entry, tag)
+        leader = self.inflight.get(identity)
+        if leader is not None:
+            # Single-flight: wait for the identical fill in flight.
+            self.stats.tier_coalesced += 1
+            with self.clock.span("tier_wait", fp=identity[:12]):
+                leader.wait()
             entry = self._lookup(identity)
             if entry is not None:
                 return self._hit(identity, entry, tag)
-            leader = self.inflight.get(identity)
-            if leader is not None:
-                # Single-flight: wait for the identical fill in flight.
-                self.stats.tier_coalesced += 1
-                with self.clock.span("tier_wait", fp=identity[:12]):
-                    leader.wait()
-                entry = self._lookup(identity)
-                if entry is not None:
-                    return self._hit(identity, entry, tag)
-                # Leader failed or the entry was too big to cache: fall
-                # through to our own (gated) fill.
-            return self._fill(identity, base, tag, label)
-        finally:
-            self._scope_end()
+            # Leader failed or the entry was too big to cache: fall
+            # through to our own (gated) fill.
+        return self._fill(identity, base, tag, label)
 
     def _fill(self, identity: str, base: Any, tag: str, label: Optional[str]) -> Any:
         stats = self.stats

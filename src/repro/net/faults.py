@@ -24,7 +24,6 @@ deploy times exactly the way it would on real hardware.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -189,11 +188,12 @@ class LinkFaultStats(MetricSet):
 class FaultyLink(Link):
     """A :class:`Link` that injects the faults a :class:`FaultPlan` describes.
 
-    The RPC transport scopes each call with :meth:`begin_call` /
-    :meth:`end_call` so the plan can target individual endpoints; raw
-    (non-RPC) transfers pass through untouched.  Fault decisions are
-    drawn from a seeded stream in transfer order, so identical call
-    sequences see identical faults.
+    Faults land on the transfers of a :meth:`scoped` view — the RPC
+    transport takes one per attempt, naming the endpoint it talks to, so
+    the plan can target individual endpoints; raw (non-RPC) transfers on
+    the link itself pass through untouched.  Fault decisions are drawn
+    from a seeded stream in transfer order, so identical call sequences
+    see identical faults.
     """
 
     def __init__(
@@ -214,15 +214,6 @@ class FaultyLink(Link):
         self.plan = plan
         self.fault_stats = LinkFaultStats()
         self._rng = rng_for("net-faults", plan.seed)
-        #: Per-thread call scopes: under a SimScheduler each concurrent
-        #: client process carries its own RPC scope, so interleaved calls
-        #: cannot clobber one another's endpoint targeting.
-        self._scopes: Dict[int, str] = {}
-        #: Per-thread label of the most recent in-scope transfer, so
-        #: :meth:`roll_corruption` can honour label-scoped plans (the
-        #: response transfer's label decides whether its payload is fair
-        #: game) without racing concurrent processes.
-        self._labels: Dict[int, str] = {}
         self._armed_at: Optional[float] = clock.now
 
     # -- arming ------------------------------------------------------------
@@ -249,25 +240,9 @@ class FaultyLink(Link):
     def armed_at(self) -> Optional[float]:
         return self._armed_at
 
-    # -- call scoping (set by RpcTransport) --------------------------------
-
-    def begin_call(self, endpoint_name: str) -> None:
-        self._scopes[threading.get_ident()] = endpoint_name
-
-    def end_call(self) -> None:
-        ident = threading.get_ident()
-        self._scopes.pop(ident, None)
-        self._labels.pop(ident, None)
-
-    @property
-    def _scope(self) -> Optional[str]:
-        """The endpoint the calling process is currently talking to."""
-        return self._scopes.get(threading.get_ident())
-
-    @property
-    def _active(self) -> bool:
-        scope = self._scope
-        return scope is not None and self.plan.applies_to(scope)
+    def scoped(self, endpoint_name: str) -> "_CallScope":
+        """This link as one call to ``endpoint_name`` sees it."""
+        return _CallScope(self, endpoint_name)
 
     # -- fault injection -----------------------------------------------------
 
@@ -288,61 +263,6 @@ class FaultyLink(Link):
             if window.contains(offset):
                 return window
         return None
-
-    def transfer(self, payload_bytes: int, label: str = "") -> float:
-        if not self._active:
-            return super().transfer(payload_bytes, label)
-        self._labels[threading.get_ident()] = label
-        if not self.plan.applies_to_label(label):
-            return super().transfer(payload_bytes, label)
-        plan = self.plan
-        window = self._current_outage()
-        if window is not None:
-            self.fault_stats.outage_rejections += 1
-            self.clock.advance(plan.outage_stall_s, f"fault-outage:{label}")
-            raise UnavailableError(
-                f"{self._scope!r} unreachable (outage until "
-                f"t+{window.end_s:.2f}s) during {label!r}"
-            )
-        if plan.drop_rate and self._rng.random() < plan.drop_rate:
-            self.fault_stats.drops += 1
-            self.clock.advance(plan.timeout_s, f"fault-drop:{label}")
-            raise TimeoutError(
-                f"transfer {label!r} to {self._scope!r} timed out after "
-                f"{plan.timeout_s:g}s (packet lost)"
-            )
-        if plan.spike_rate and self._rng.random() < plan.spike_rate:
-            self.fault_stats.spikes += 1
-            extra = self.transfer_time(payload_bytes) * (plan.spike_factor - 1)
-            self.clock.advance(extra, f"fault-spike:{label}")
-        brownout = self._current_brownout()
-        if brownout is not None:
-            self.fault_stats.brownout_stretches += 1
-            extra = self.transfer_time(payload_bytes) * (brownout.factor - 1)
-            self.clock.advance(extra, f"fault-brownout:{label}")
-        return super().transfer(payload_bytes, label)
-
-    def roll_corruption(self) -> Optional[str]:
-        """Decide the fate of the response payload just transferred.
-
-        Returns ``None`` (intact), ``"detected"`` (framing checksum
-        caught the damage), or ``"undetected"`` (tampered payload is
-        delivered to the caller).  Called by the transport once per
-        successful response while a call scope is active.
-        """
-        if not self._active or not self.plan.corrupt_rate:
-            return None
-        if not self.plan.applies_to_label(
-            self._labels.get(threading.get_ident(), "")
-        ):
-            return None
-        if self._rng.random() >= self.plan.corrupt_rate:
-            return None
-        self.fault_stats.corruptions += 1
-        if self._rng.random() < self.plan.corrupt_detect_rate:
-            self.fault_stats.corruptions_detected += 1
-            return "detected"
-        return "undetected"
 
     def tamper(self, payload: object) -> Optional[object]:
         """Return a corrupted stand-in for ``payload``, or None.
@@ -380,6 +300,88 @@ class FaultyLink(Link):
             f"FaultyLink({self.bandwidth_mbps:g} Mbps, drop={self.plan.drop_rate}, "
             f"corrupt={self.plan.corrupt_rate}, outages={len(self.plan.outages)})"
         )
+
+
+class _CallScope:
+    """One call's view of a :class:`FaultyLink`.
+
+    The endpoint the caller is talking to, and the label of its last
+    in-scope leg, travel with the call itself — whichever thread steps
+    it — so interleaved callers cannot clobber one another's targeting.
+    """
+
+    __slots__ = ("link", "endpoint", "active", "label")
+
+    def __init__(self, link: FaultyLink, endpoint: str) -> None:
+        self.link = link
+        self.endpoint = endpoint
+        self.active = link.plan.applies_to(endpoint)
+        #: Label of the most recent in-scope transfer: the response
+        #: leg's label decides whether its payload is fair game for a
+        #: label-scoped plan (:meth:`roll_corruption`).
+        self.label = ""
+
+    def transfer(self, payload_bytes: int, label: str = "") -> float:
+        return self.link.clock.drive(self.transfer_gen(payload_bytes, label))
+
+    def transfer_gen(self, payload_bytes: int, label: str = ""):
+        """The link's transfer with the plan's faults applied first."""
+        link = self.link
+        plan = link.plan
+        if self.active:
+            self.label = label
+        if not (self.active and plan.applies_to_label(label)):
+            return (yield from link.transfer_gen(payload_bytes, label))
+        clock = link.clock
+        window = link._current_outage()
+        if window is not None:
+            link.fault_stats.outage_rejections += 1
+            yield from clock.advance_gen(
+                plan.outage_stall_s, f"fault-outage:{label}"
+            )
+            raise UnavailableError(
+                f"{self.endpoint!r} unreachable (outage until "
+                f"t+{window.end_s:.2f}s) during {label!r}"
+            )
+        if plan.drop_rate and link._rng.random() < plan.drop_rate:
+            link.fault_stats.drops += 1
+            yield from clock.advance_gen(plan.timeout_s, f"fault-drop:{label}")
+            raise TimeoutError(
+                f"transfer {label!r} to {self.endpoint!r} timed out after "
+                f"{plan.timeout_s:g}s (packet lost)"
+            )
+        if plan.spike_rate and link._rng.random() < plan.spike_rate:
+            link.fault_stats.spikes += 1
+            extra = link.transfer_time(payload_bytes) * (plan.spike_factor - 1)
+            yield from clock.advance_gen(extra, f"fault-spike:{label}")
+        brownout = link._current_brownout()
+        if brownout is not None:
+            link.fault_stats.brownout_stretches += 1
+            extra = link.transfer_time(payload_bytes) * (brownout.factor - 1)
+            yield from clock.advance_gen(extra, f"fault-brownout:{label}")
+        return (yield from link.transfer_gen(payload_bytes, label))
+
+    def roll_corruption(self) -> Optional[str]:
+        """Decide the fate of the response payload just transferred.
+
+        Returns ``None`` (intact), ``"detected"`` (framing checksum
+        caught the damage), or ``"undetected"`` (tampered payload is
+        delivered to the caller).  Called by the transport once per
+        successful response.
+        """
+        link = self.link
+        plan = link.plan
+        if not self.active or not plan.corrupt_rate:
+            return None
+        if not plan.applies_to_label(self.label):
+            return None
+        if link._rng.random() >= plan.corrupt_rate:
+            return None
+        link.fault_stats.corruptions += 1
+        if link._rng.random() < plan.corrupt_detect_rate:
+            link.fault_stats.corruptions_detected += 1
+            return "detected"
+        return "undetected"
 
 
 def junk_payload(identity: str, text: str) -> Any:

@@ -894,7 +894,7 @@ class HAFetchPolicy:
         procs: Dict[str, Process] = {}
 
         def attempt(replica: Replica) -> None:
-            proc = scheduler._running_process()
+            proc = scheduler.current_process()
             try:
                 with self.clock.span("hedge_attempt", replica=replica.name):
                     value = self._single_fetch(

@@ -214,59 +214,51 @@ class Link:
         """Perform a transfer: advance the clock, log it, return duration.
 
         Sequentially this is the seed cost model verbatim.  Inside a
-        scheduler process the call suspends until the flow drains under
-        fair sharing; the returned (and logged) duration is the nominal
-        cost when the flow never shared the link — bit-identical to the
-        sequential model — and the actual stretched duration otherwise.
+        scheduler process the call drives :meth:`transfer_gen` until the
+        flow drains under fair sharing; the returned (and logged) duration
+        is the nominal cost when the flow never shared the link — bit-identical
+        to the sequential model — and the actual stretched duration otherwise.
         """
-        self.clock.settle_debt()  # flows start at settled virtual time
-        duration = self.transfer_time(payload_bytes)
         scheduler = self.clock.scheduler
-        process = scheduler._running_process() if scheduler is not None else None
-        if process is None:
-            start = self.clock.now
-            self.clock.advance(duration, label or f"transfer:{payload_bytes}B")
-            self._busy_s += duration
-            self.log.append(TransferRecord(start, duration, payload_bytes, label))
-            return duration
-        return self._transfer_flow(scheduler, process, payload_bytes, duration, label)
+        if scheduler is not None and scheduler.current_process() is not None:
+            return scheduler.drive(self.transfer_gen(payload_bytes, label))
+        self.clock.settle_debt()
+        duration = self.transfer_time(payload_bytes)
+        start = self.clock.now
+        self.clock.advance(duration, label or f"transfer:{payload_bytes}B")
+        self._busy_s += duration
+        self.log.append(TransferRecord(start, duration, payload_bytes, label))
+        return duration
 
     def request(self, label: str = "") -> float:
         """A zero-payload control request (e.g. existence query)."""
         return self.transfer(0, label or "request")
 
+    def scoped(self, endpoint_name: str) -> "Link":
+        """This link as one RPC attempt to ``endpoint_name`` sees it: a
+        plain link has no faults to scope, so itself."""
+        return self
+
     # -- processor-sharing flows (scheduler mode) --------------------------
 
-    def _transfer_flow(
-        self,
-        scheduler: SimScheduler,
-        process: Process,
-        payload_bytes: int,
-        nominal_s: float,
-        label: str,
-    ) -> float:
-        self._check_cancel_pending(process, payload_bytes, label)
-        flow = self._open_flow(process, payload_bytes, nominal_s, label)
-        self._rearm(scheduler)
-        scheduler._suspend(process)
-        return self._finish_flow(flow, payload_bytes, label)
-
     def transfer_gen(self, payload_bytes: int, label: str = ""):
-        """Generator-native transfer: ``yield from`` it in a generator.
+        """The transfer as a generator: ``yield from`` it in a process.
 
-        Identical accounting to :meth:`transfer`, but the waiting
-        process parks by yielding :data:`~repro.common.clock.SUSPEND`
-        instead of blocking a worker thread — the cheap path for
-        1024+-client waves.  Outside a generator process (sequential
-        mode, or called from a call process) it falls back to
-        :meth:`transfer`, so shared code can use it unconditionally.
-        Returns the logged duration; raises
-        :class:`FetchCancelledError` exactly like :meth:`transfer`.
+        The one flow path: the waiting process parks by yielding
+        :data:`~repro.common.clock.SUSPEND` until its flow drains (or is
+        cancelled), after settling any deferred debt — flows start at
+        settled virtual time.  Outside a stepped process (sequential
+        mode, or a call process that is not being driven) it falls back
+        to :meth:`transfer`, so shared code can use it unconditionally.
+        Returns the logged duration; raises :class:`FetchCancelledError`
+        when :meth:`cancel_flows` aborts it.
         """
         scheduler = self.clock.scheduler
         process = scheduler.current_process() if scheduler is not None else None
         if process is None or process._gen is None:
             return self.transfer(payload_bytes, label)
+        if process._debt:
+            yield from self.clock.advance_gen(0.0)
         duration = self.transfer_time(payload_bytes)
         self._check_cancel_pending(process, payload_bytes, label)
         flow = self._open_flow(process, payload_bytes, duration, label)

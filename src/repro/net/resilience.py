@@ -304,31 +304,19 @@ class TransportDecorator:
         when the bytes came from below."""
         raise NotImplementedError
 
-    def call(
-        self,
-        endpoint_name: str,
-        method: str,
-        *args: Any,
-        request_payload_bytes: int = 0,
-        label: Optional[str] = None,
-        **kwargs: Any,
-    ) -> Any:
-        if self.claims(endpoint_name, method):
-            return self.route(
-                method,
-                *args,
-                request_payload_bytes=request_payload_bytes,
-                label=label,
-                **kwargs,
-            )
-        return self.base.call(
-            endpoint_name,
-            method,
-            *args,
-            request_payload_bytes=request_payload_bytes,
-            label=label,
-            **kwargs,
+    def call(self, endpoint_name: str, method: str, *args: Any, **kwargs: Any) -> Any:
+        return self.link.clock.drive(
+            self.call_gen(endpoint_name, method, *args, **kwargs)
         )
+
+    def call_gen(self, endpoint_name: str, method: str, *args: Any, **kwargs: Any):
+        """:meth:`call` as a generator.  A claimed call's :meth:`route`
+        still blocks the old way: it runs on the caller's worker thread,
+        through the counted seam (``SimClock.on_worker``)."""
+        if self.claims(endpoint_name, method):
+            route = self.link.clock.on_worker(self.route, method, *args, **kwargs)
+            return (yield from route)
+        return (yield from self.base.call_gen(endpoint_name, method, *args, **kwargs))
 
     def report_corrupt_payload(self, identity: str) -> None:
         """Viewer hook: wrong bytes that passed the wire checksum."""

@@ -138,23 +138,40 @@ class RpcTransport:
         immediately.  Retries re-execute the handler, which is safe
         because every service verb here is idempotent (content-addressed
         stores deduplicate re-uploads, downloads are pure reads).
+
+        The synchronous face of :meth:`call_gen`: a call process parks
+        once for the whole call, legs and backoffs included.
         """
+        return self.link.clock.drive(self.call_gen(
+            endpoint_name, method, *args,
+            request_payload_bytes=request_payload_bytes, label=label, **kwargs,
+        ))
+
+    def call_gen(
+        self,
+        endpoint_name: str,
+        method: str,
+        *args: Any,
+        request_payload_bytes: int = 0,
+        label: Optional[str] = None,
+        **kwargs: Any,
+    ):
+        """:meth:`call` as a generator: ``yield from`` it in a process."""
         endpoint = self.endpoint(endpoint_name)
         tag = label or f"{endpoint_name}.{method}"
         policy = self.retry_policy
-        faulty = self.link if isinstance(self.link, FaultyLink) else None
-        start = self.link.clock.now
+        clock = self.link.clock
+        start = clock.now
         attempt = 1
         previous_backoff: Optional[float] = None
         while True:
             try:
-                result, response_bytes = self._attempt(
-                    endpoint, method, tag, faulty,
-                    request_payload_bytes, args, kwargs,
+                result, response_bytes = yield from self._attempt(
+                    endpoint, method, tag, request_payload_bytes, args, kwargs
                 )
             except TransportError as error:
                 endpoint.stats.errors += 1
-                elapsed = self.link.clock.now - start
+                elapsed = clock.now - start
                 if policy is None or not policy.should_retry(
                     error, attempt=attempt, elapsed_s=elapsed
                 ):
@@ -163,7 +180,7 @@ class RpcTransport:
                     raise
                 backoff = policy.next_backoff(previous_backoff)
                 policy.charge(backoff)
-                self.link.clock.advance(backoff, f"{tag}:backoff")
+                yield from clock.advance_gen(backoff, f"{tag}:backoff")
                 endpoint.stats.retries += 1
                 previous_backoff = backoff
                 attempt += 1
@@ -183,41 +200,37 @@ class RpcTransport:
         endpoint: RpcEndpoint,
         method: str,
         tag: str,
-        faulty: Optional[FaultyLink],
         request_payload_bytes: int,
         args: Tuple[Any, ...],
         kwargs: Dict[str, Any],
-    ) -> Tuple[Any, int]:
+    ):
         """One wire round-trip: request, handler, response, checksum."""
-        if faulty is not None:
-            faulty.begin_call(endpoint.name)
-        try:
-            # The transfer log keeps the leg labels for the life of the
-            # link; interned, every client that fetches the same object
-            # over it (or its siblings) keeps the same two strings.
-            self.link.transfer(
-                self.REQUEST_FRAME_BYTES + request_payload_bytes,
-                label=sys.intern(f"{tag}:request"),
+        link = self.link
+        faulty = link if isinstance(link, FaultyLink) else None
+        # This attempt's own view of the wire: a faulty link is told who
+        # is being called, for exactly as long as this generator lives.
+        wire = link.scoped(endpoint.name)
+        # The transfer log keeps the leg labels for the life of the
+        # link; interned, every client that fetches the same object
+        # over it (or its siblings) keeps the same two strings.
+        yield from wire.transfer_gen(
+            self.REQUEST_FRAME_BYTES + request_payload_bytes,
+            sys.intern(f"{tag}:request"),
+        )
+        result, response_bytes = endpoint.handle(method, *args, **kwargs)
+        if response_bytes:
+            yield from wire.transfer_gen(
+                response_bytes, sys.intern(f"{tag}:response")
             )
-            result, response_bytes = endpoint.handle(method, *args, **kwargs)
-            if response_bytes:
-                self.link.transfer(
-                    response_bytes, label=sys.intern(f"{tag}:response")
+        if faulty is not None:
+            verdict = wire.roll_corruption()
+            if verdict is not None:
+                tampered = (
+                    faulty.tamper(result) if verdict == "undetected" else None
                 )
-            if faulty is not None:
-                verdict = faulty.roll_corruption()
-                if verdict is not None:
-                    tampered = (
-                        faulty.tamper(result)
-                        if verdict == "undetected"
-                        else None
+                if tampered is None:
+                    raise CorruptPayloadError(
+                        f"response for {tag!r} failed its framing checksum"
                     )
-                    if tampered is None:
-                        raise CorruptPayloadError(
-                            f"response for {tag!r} failed its framing checksum"
-                        )
-                    result = tampered
-            return result, response_bytes
-        finally:
-            if faulty is not None:
-                faulty.end_call()
+                result = tampered
+        return result, response_bytes

@@ -166,13 +166,9 @@ class SpanTracer:
         scheduler = getattr(self.clock, "scheduler", None)
         if scheduler is None:
             return None
-        # ``current_process`` also reports a generator process being
-        # stepped on the loop thread; fall back for schedulers predating
-        # generator support.
-        getter = getattr(scheduler, "current_process", None)
-        if getter is not None:
-            return getter()
-        return scheduler._running_process()
+        # The generator being stepped, else the call process owning this
+        # thread: a driven call process keeps one track across both.
+        return scheduler.current_process()
 
     def _track_for(self, key: Any) -> _Track:
         track = self._tracks.get(key)

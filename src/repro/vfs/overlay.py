@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.blob import Blob
+from repro.common.clock import SimClock, run_inline
 from repro.common.errors import (
     FileExistsVfsError,
     IsADirectoryVfsError,
@@ -57,6 +58,9 @@ class OverlayMount:
     convention): ``lowers[0]`` shadows ``lowers[1]`` and so on.  The upper
     tree shadows them all and receives every mutation.
     """
+
+    #: What a lazy-content subclass blocks on; a plain overlay never waits.
+    clock: Optional[SimClock] = None
 
     def __init__(
         self,
@@ -185,24 +189,34 @@ class OverlayMount:
 
         Subclasses (the Gear File Viewer) hook this to fault in content.
         """
+        return self._drive(self.read_blob_gen(path))
+
+    def read_blob_gen(self, path: str):
+        """:meth:`read_blob` as a generator: ``yield from`` it in a process."""
         node, resolved = self._resolve(path)
         if node.is_dir:
             raise IsADirectoryVfsError(f"{path!r} is a directory")
         if not node.is_file:
             raise VfsError(f"{path!r} is not a regular file")
-        node = self._materialize(node, resolved)
+        node = yield from self._materialize(node, resolved)
         assert node.blob is not None
         self.stats.reads += 1
         self.stats.bytes_read += node.blob.size
         return node.blob
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]) -> Inode:
-        """Hook for lazy-content mounts; identity in the base class.
+    def _materialize(self, node: Inode, resolved: Sequence[str]):
+        """Generator hook for lazy-content mounts; identity in the base class.
 
         The Gear File Viewer overrides this to fault fingerprint stubs in
         from the shared cache or the Gear Registry.
         """
         return node
+        yield  # a generator, like its overrides
+
+    def _drive(self, gen):
+        """Run a fault-path generator for a synchronous caller."""
+        clock = self.clock
+        return run_inline(gen) if clock is None else clock.drive(gen)
 
     def read_bytes(self, path: str) -> bytes:
         return self.read_blob(path).materialize()
@@ -327,7 +341,7 @@ class OverlayMount:
             )
         # Lazy-content mounts must fault the real bytes in before the
         # copy (a Gear stub's placeholder must never be copied up).
-        node = self._materialize(node, resolved)
+        node = self._drive(self._materialize(node, resolved))
         assert node.blob is not None
         return self.upper.write_at(
             upper_dir, resolved[-1], node.blob, meta=node.meta.copy()

@@ -74,17 +74,21 @@ class TaskModel:
     ) -> TaskResult:
         """Drive the trace through ``mount``, advancing ``clock``.
 
-        ``mount`` is any object with ``read_blob``/``write_file`` —
-        an Overlay2 mount, a Gear File Viewer, or a Slacker device view.
-        Reads of missing content advance the clock inside the mount's
-        fault path; this method adds local read costs and task compute.
+        ``mount`` is an Overlay2 mount, a Gear File Viewer, or a Slacker
+        device view.  Reads of missing content advance the clock inside
+        the mount's fault path; this method adds local read costs and
+        task compute (:meth:`run_gen`, driven: one park for the whole task).
         """
+        return clock.drive(self.run_gen(clock, mount, trace))
+
+    def run_gen(self, clock: SimClock, mount, trace: AccessTrace):
+        """:meth:`run` as a generator: ``yield from`` it in a process."""
         timer = clock.timer()
         bytes_read = 0
         for path, _ in trace.accesses:
-            blob = mount.read_blob(path)
+            blob = yield from mount.read_blob_gen(path)
             bytes_read += blob.size
-            clock.advance(
+            yield from clock.advance_gen(
                 PER_READ_COST_S + blob.size / LOCAL_READ_BPS, "task-read"
             )
         # The startup read set is satisfied: the service is ready.  The
@@ -95,8 +99,10 @@ class TaskModel:
         for i in range(self.writes):
             mount.write_file(f"/var/run/task-{i}.out", self._payload, parents=True)
             bytes_written += self.write_bytes
-            clock.advance(self.write_bytes / LOCAL_READ_BPS, "task-write")
-        clock.advance(trace.compute_s, "task-compute")
+            yield from clock.advance_gen(
+                self.write_bytes / LOCAL_READ_BPS, "task-write"
+            )
+        yield from clock.advance_gen(trace.compute_s, "task-compute")
         return TaskResult(
             reference=trace.reference,
             files_read=trace.file_count,

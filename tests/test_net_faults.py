@@ -10,7 +10,7 @@ byte-identical transfer logs and deploy timings on every run.
 import pytest
 
 from repro.blob import Blob
-from repro.common.clock import SimClock
+from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import (
     CorruptPayloadError,
     IntegrityError,
@@ -159,6 +159,56 @@ class TestFaultyLink:
             return outcomes, clock.now, link.fault_stats.drops
 
         assert run() == run()
+
+    @pytest.mark.parametrize("generator_calls", ["good", "bad"])
+    def test_scope_travels_with_the_call_not_the_thread(self, generator_calls):
+        """Two interleaved callers — one generator process, one call
+        process — on one link whose plan targets one endpoint: faults
+        land on that endpoint's calls only.  (Scopes used to be keyed by
+        thread; both callers' legs are stepped on the loop thread.)"""
+        plan = FaultPlan(
+            seed="scope", drop_rate=1.0, timeout_s=0.05, targets=("bad",)
+        )
+        clock, link, transport, _ = make_faulty_transport(plan)
+        for name in ("good", "bad"):
+            endpoint = RpcEndpoint(name)
+            endpoint.register("echo", lambda value: (value, 20_000))
+            transport.bind(endpoint)
+        outcomes = {"good": [], "bad": []}
+
+        def caller_gen(name):
+            for i in range(6):
+                try:
+                    value = yield from transport.call_gen(name, "echo", i)
+                except TimeoutError:
+                    value = "dropped"
+                outcomes[name].append((value, clock.now))
+
+        def caller_call(name):
+            for i in range(6):
+                try:
+                    value = transport.call(name, "echo", i)
+                except TimeoutError:
+                    value = "dropped"
+                outcomes[name].append((value, clock.now))
+
+        other = "bad" if generator_calls == "good" else "good"
+        with SimScheduler(clock) as scheduler:
+            scheduler.spawn(caller_gen, generator_calls, name="gen")
+            scheduler.spawn(caller_call, other, name="call")
+            scheduler.run()
+        assert [value for value, _ in outcomes["good"]] == list(range(6))
+        assert [value for value, _ in outcomes["bad"]] == ["dropped"] * 6
+        assert link.fault_stats.drops == 6
+        # The two callers really did overlap in time.
+        assert outcomes["bad"][0][1] < outcomes["good"][-1][1]
+        assert outcomes["good"][0][1] < outcomes["bad"][-1][1]
+        # One draw per in-scope transfer, in transfer order: the stream
+        # is where six draws leave a fresh one.
+        fresh = FaultyLink(SimClock(), plan)
+        for _ in range(6):
+            fresh._rng.random()
+        assert link._rng.getstate() == fresh._rng.getstate()
 
 
 class TestRetryPolicy:

@@ -361,6 +361,138 @@ class TestDeferredAdvance:
         assert clock.now == 0.25
 
 
+class TestClockCallsFromAGeneratorStep:
+    """A generator step runs on the loop thread: clock calls made from it
+    must still act on the process being stepped, never on the shared
+    sequential clock."""
+
+    def test_blocking_advance_from_a_step_names_the_process(self):
+        """Used to move the *shared* clock to 6.0 for everyone; the run
+        then died with "event at t=2.0 is in the past (now=6.0)"."""
+        clock = SimClock()
+
+        def culprit():
+            yield 1.0
+            clock.advance(5.0)
+
+        def bystander():
+            yield 2.0
+            return clock.now
+
+        with SimScheduler(clock) as scheduler:
+            bad = scheduler.spawn(culprit, name="culprit")
+            good = scheduler.spawn(bystander, name="bystander")
+            with pytest.raises(SchedulerError, match="'culprit'.*yield"):
+                scheduler.run()
+        assert bad.finished_at == 1.0
+        assert good.result == 2.0
+        assert clock.now == 2.0
+
+    def test_deferred_advance_from_a_step_accrues_to_the_process(self):
+        """Used to land in the clock-global debt: the process finished at
+        1.5 and the 3 s leaked into whatever advanced after close()."""
+        clock = SimClock()
+        seen = {}
+
+        def worker():
+            yield 1.0
+            clock.advance_deferred(3.0, "store")
+            seen["debt"] = (process._debt, clock._debt)
+            yield 0.5  # folded as debt + seconds, the call-mode arithmetic
+            return clock.now
+
+        with SimScheduler(clock) as scheduler:
+            process = scheduler.spawn(worker, name="worker")
+            scheduler.run()
+        assert seen["debt"] == (3.0, 0.0)
+        assert process.result == process.finished_at == 1.0 + (3.0 + 0.5)
+        clock.advance(1.0)  # nothing leaked into the sequential clock
+        assert clock.now == 5.5
+
+    def test_generator_returning_with_debt_settles_it(self):
+        clock = SimClock()
+
+        def worker():
+            yield 1.0
+            clock.advance_deferred(0.25, "tail")
+            return "done"
+
+        with SimScheduler(clock) as scheduler:
+            process = scheduler.spawn(worker, name="worker")
+            scheduler.run()
+        assert (process.result, process.finished_at, clock.now) == ("done", 1.25, 1.25)
+
+    def test_generator_twins_match_the_blocking_calls(self):
+        """advance_gen / settle_gen / wait_gen / fire_gen stepped on the
+        loop thread land where advance / settle_debt / wait / fire do."""
+
+        def run(generator):
+            clock = SimClock(trace=True)
+            marks = []
+            with SimScheduler(clock) as scheduler:
+                event = SimEvent(clock)
+
+                def producer_call():
+                    clock.advance_deferred(0.25, "store")
+                    clock.advance(0.5, "work")
+                    clock.advance_deferred(0.125, "meta")
+                    clock.settle_debt()
+                    marks.append(clock.now)
+                    clock.advance_deferred(0.25, "late")
+                    event.fire()
+
+                def producer_gen():
+                    clock.advance_deferred(0.25, "store")
+                    yield from clock.advance_gen(0.5, "work")
+                    clock.advance_deferred(0.125, "meta")
+                    yield from clock.settle_gen()
+                    marks.append(clock.now)
+                    clock.advance_deferred(0.25, "late")
+                    yield from event.fire_gen()
+
+                def consumer_call():
+                    event.wait()
+                    marks.append(clock.now)
+
+                def consumer_gen():
+                    yield from event.wait_gen()
+                    marks.append(clock.now)
+
+                scheduler.spawn(consumer_gen if generator else consumer_call)
+                scheduler.spawn(producer_gen if generator else producer_call)
+                scheduler.run()
+                return marks, clock.trace, scheduler.events_processed
+
+        assert run(generator=True) == run(generator=False)
+        assert run(generator=True)[0] == [0.875, 1.125]
+
+    @pytest.mark.parametrize("blocking", ["wait", "join", "transfer"])
+    def test_other_blocking_calls_from_a_step_are_refused(self, blocking):
+        from repro.net.link import Link
+
+        clock = SimClock()
+        link = Link(clock)
+
+        def sleeper():
+            yield 5.0
+
+        def culprit(other):
+            yield 1.0
+            if blocking == "wait":
+                SimEvent(clock).wait()
+            elif blocking == "join":
+                other.join()
+            else:
+                link.transfer(1000)
+
+        with SimScheduler(clock) as scheduler:
+            other = scheduler.spawn(sleeper, name="sleeper")
+            scheduler.spawn(culprit, other, name="culprit")
+            with pytest.raises(SchedulerError, match="'culprit'.*yield"):
+                scheduler.run()
+        assert clock.now == 5.0  # the sleeper still ran to its end
+
+
 # -- sequential-equivalence goldens --------------------------------------
 
 
