@@ -38,57 +38,18 @@ from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 DEFAULT_OUT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
-#: CLI-backed artifacts: each extension's scenario is the same small
-#: configuration the ``scripts/check.sh`` determinism gates double-run,
-#: so run-to-run byte-identity is already certified before the numbers
-#: land in an artifact.
+#: The seed every seeded gate row is recorded at.
+ARTIFACT_SEED = 11
+
+#: CLI-backed artifacts: the rows of the ``repro.cli`` gate table — the
+#: same small configurations ``scripts/check.sh`` double-runs, so
+#: run-to-run byte-identity is already certified before the numbers land
+#: in an artifact.  The edge equivalence row certifies an identity (its
+#: report holds no trajectory), so it records nothing.
 CLI_SCENARIOS = {
-    "fleet": [
-        "deploy", "--series", "nginx", "--versions", "2", "--scale", "0.2",
-        "--clients", "8", "--bandwidth", "100", "--json",
-    ],
-    "crash": [
-        "crash", "--series", "nginx", "--versions", "1", "--scale", "0.2",
-        "--target", "nginx", "--crash-seed", "11", "--json",
-    ],
-    "ha": [
-        "ha", "--series", "nginx", "--versions", "2", "--scale", "0.2",
-        "--clients", "6", "--concurrency", "3", "--strategy", "p2c",
-        "--ha-seed", "11", "--json",
-    ],
-    "obs": [
-        "trace", "--series", "nginx", "--versions", "1", "--scale", "0.2",
-        "--target", "nginx", "--seed", "11", "--json",
-    ],
-    "edge": [
-        "edge", "--series", "nginx", "--versions", "2", "--scale", "0.2",
-        "--target", "nginx", "--clients", "8", "--edge-seed", "11", "--json",
-    ],
-    "faas": [
-        "faas", "--series", "nginx", "--versions", "2", "--scale", "0.2",
-        "--functions", "10", "--duration", "8", "--rate", "4",
-        "--nodes", "4", "--spike-start", "3", "--spike-len", "3",
-        "--outage-start", "4", "--outage-len", "1.5",
-        "--scenario", "spike", "spike+outage",
-        "--faas-seed", "11", "--json",
-    ],
-    "chunk": [
-        "chunks", "--clients", "8", "--big-mib", "4",
-        "--chunk-seed", "11", "--json",
-    ],
-    "slo": [
-        "slo", "--series", "nginx", "--versions", "2", "--scale", "0.2",
-        "--target", "nginx", "--clients", "6", "--bandwidth", "200",
-        "--slo-seed", "11", "--json",
-    ],
-    # The perf command's JSON carries only deterministic simulation
-    # fields (events, virtual seconds, modeled bytes) plus the recorded
-    # pre-refactor baseline; wall-clock throughput never enters the
-    # artifact, so it stays byte-stable across machines.
-    "speed": [
-        "perf", "--scale", "0.2", "--clients", "256", "--transfers", "4",
-        "--wave-clients", "64", "--json",
-    ],
+    name: cli.gate_argv(name, ARTIFACT_SEED)
+    for name in cli.GATES
+    if name != "edge-equivalence"
 }
 
 

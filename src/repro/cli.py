@@ -1,49 +1,14 @@
-"""Command-line interface: ``python -m repro.cli <command>``.
+"""Command-line interface: ``python -m repro.cli <command> [--help]``.
 
-Commands:
-
-* ``demo``     — the quickstart flow (build → convert → lazy deploy);
-* ``dedup``    — Table II dedup study on a corpus subset;
-* ``storage``  — Fig. 7-style Docker-vs-Gear registry footprints;
-* ``deploy``   — deploy one series under docker/gear/slacker at a chosen
-  bandwidth and print the pull/run breakdown;
-* ``crash``    — crash-consistency sweep: kill a Gear deployment at each
-  instrumented crash point, fsck, resume, and check the golden
-  resume-equivalence invariant;
-* ``chunks``   — chunk-granular big-file sweep: a concurrent reader wave
-  pulls ranges of a model file chunk by chunk under clean / chunk-fault /
-  mid-chunk-crash / byzantine scenarios; exits nonzero unless every run
-  ends byte-identical to a whole-file control with zero poisoned pool
-  commits, zero duplicate chunk fetches, and zero re-fetched salvaged
-  chunks after crash recovery;
-* ``ha``       — highly-available registry sweep: a client fleet deploys
-  against a replicated Gear registry tier under healthy / outage /
-  brownout / byzantine / overload scenarios and the report carries
-  failover, hedging, and load-shedding accounting;
-* ``trace``    — telemetry run: deploy under Gear with the span tracer
-  attached, print the critical-path phase table, and export a Chrome
-  ``trace_event`` JSON (Perfetto-loadable) plus a flat metrics dump;
-* ``edge``     — multi-tier edge/P2P sweep: a fleet deploys through
-  peer-serving edge sites under quiet / churn / byzantine scenarios;
-  exits nonzero on any integrity violation or degraded fallback.
-  ``--equivalence`` instead checks a zero-churn single-node edge run is
-  byte- and time-identical to the single-tier testbed;
-* ``faas``     — serverless spike sweep: a Zipf-popular function fleet
-  invoked on a seeded Poisson/bursty schedule, each cold start pulling
-  through node pool → shared cache tier → registry; exits nonzero when
-  any invocation fails, any container filesystem diverges from the
-  fault-free registry-only control, or stampede suppression slips;
-* ``perf``     — simulator throughput: events/sec on the canonical
-  microflow and deploy-wave scenarios, with cross-mode equivalence and
-  double-run determinism gates (exit 1 on drift);
-* ``slo``      — readiness-aware SLO gate: fleet, edge, FaaS, and
-  overlapped-prefetch scenarios each run with the virtual-time timeline
-  sampler attached, declarative objectives (time-to-ready and deploy
-  tails, zero degraded fallbacks, zero poisoned commits) are evaluated
-  with windowed burn rates over the sampled series, and every scenario
-  is run twice — exit 1 on any violated objective or any byte drift
-  between the two runs' timeline/SLO JSON;
-* ``catalog``  — list the Table I series catalog.
+``python -m repro.cli --help`` lists the thirteen subcommands, and each
+``cmd_*`` docstring below says what its command runs and what makes it
+exit nonzero.  Seven of them are *sweeps* — ``deploy --clients N``,
+``crash``, ``chunks``, ``ha``, ``edge``, ``faas``, ``slo`` — which keep
+only how one cell's world is built and which invariants it must hold,
+and hand the cells to :func:`run_sweep` for reporting and the exit code.
+``GATES`` is the one table of smoke invocations that
+``scripts/check.sh``, ``benchmarks/artifacts.py`` and
+``tests/test_cli.py`` all iterate.
 
 All commands run entirely in-process on the simulated testbed; sizes and
 times are virtual but deterministic in ``--seed``.
@@ -78,7 +43,7 @@ from repro.bench.reporting import format_table, gb, pct
 from repro.bench.storage import compare_storage
 from repro.blob import Blob, DEFAULT_CHUNK_SIZE
 from repro.common.clock import SimClock, SimScheduler
-from repro.common.errors import ClientCrash
+from repro.common.errors import ClientCrash, ReproError
 from repro.common.stats import percentile
 from repro.common.units import MiB
 from repro.gear.bigfile import ChunkFetchStats, ChunkedGearFileViewer
@@ -122,15 +87,94 @@ from repro.workloads.series import SERIES
 
 
 def _corpus(args, series: Optional[tuple] = None):
-    return CorpusBuilder(
-        CorpusConfig(
-            seed=args.seed,
-            file_scale=args.scale,
-            size_scale=args.scale,
-            series_names=series or (tuple(args.series) if args.series else None),
-            versions_cap=args.versions,
+    config = CorpusConfig(
+        seed=args.seed,
+        file_scale=args.scale,
+        size_scale=args.scale,
+        series_names=series or (tuple(args.series) if args.series else None),
+        versions_cap=args.versions,
+    )
+    try:
+        config.selected_series()
+    except ReproError as exc:  # a name the Table I catalog does not have
+        raise argparse.ArgumentError(None, str(exc)) from None
+    return CorpusBuilder(config).build()
+
+
+def _target_images(args) -> list:
+    """Every generated version of the ``--target`` series, oldest first."""
+    return _corpus(args, series=(args.target,)).by_series[args.target]
+
+
+def _dig(cell: dict, path: str):
+    """The value at a dotted key ``path`` inside a JSON-ready cell."""
+    value = cell
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def _broken(cell: dict, *, zero=(), nonzero=()) -> dict:
+    """The invariants ``cell`` breaks, each with its offending value.
+
+    An invariant is named by the dotted key path of the cell field that
+    decides it: ``zero`` fields must hold 0, ``False`` or nothing,
+    ``nonzero`` fields anything else.
+    """
+    broken = {}
+    for paths, expected in ((zero, False), (nonzero, True)):
+        for path in paths:
+            value = _dig(cell, path)
+            if bool(value) is not expected:
+                broken[path] = value
+    return broken
+
+
+def _yes_no(flag) -> str:
+    return "yes" if flag else "NO"
+
+
+def run_sweep(args, header, group, names, run_cell, title, columns) -> int:
+    """The one sweep loop behind every scenario matrix.
+
+    ``run_cell(name)`` is called for each of ``names`` in order and
+    returns the cell's JSON-ready dict plus the invariants it broke
+    (:func:`_broken`).  The report is ``header`` with the cells under
+    ``group``; every broken invariant is named on stderr as
+    ``<command> <cell>: <invariant>=<value>``; stdout carries the report
+    as one canonical JSON line (``--json``), or ``title`` and a table with
+    the cell name under ``group``'s singular followed by ``columns``, each
+    ``(heading, key path, format)`` with a ``format()`` spec or a callable
+    as the format.  Returns 0 only if no cell broke anything.
+    """
+    report = {**header, group: {}}
+    ok = True
+    for name in names:
+        cell, broken = run_cell(name)
+        report[group][name] = cell
+        for invariant, value in broken.items():
+            print(f"{args.command} {name}: {invariant}={value}",
+                  file=sys.stderr)
+        ok = ok and not broken
+    if args.json:
+        print(json.dumps(report, sort_keys=True))
+        return 0 if ok else 1
+
+    def text(cell, path, fmt) -> str:
+        value = _dig(cell, path)
+        return fmt(value) if callable(fmt) else format(value, fmt)
+
+    print(title)
+    print(
+        format_table(
+            [group[:-1].capitalize(), *(heading for heading, _, _ in columns)],
+            [
+                (name, *(text(cell, path, fmt) for _, path, fmt in columns))
+                for name, cell in report[group].items()
+            ],
         )
-    ).build()
+    )
+    return 0 if ok else 1
 
 
 def cmd_catalog(args) -> int:
@@ -143,7 +187,8 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _run_demo() -> int:
+def cmd_demo(args) -> int:
+    """The quickstart flow: build -> convert -> lazy deploy."""
     from repro import ImageBuilder
 
     testbed = make_testbed(bandwidth_mbps=100)
@@ -231,59 +276,51 @@ def _cmd_deploy_fleet(args) -> int:
         print("deploy: fault injection is not supported with --clients > 1",
               file=sys.stderr)
         return 2
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
+    generated = _target_images(args)[0]
     concurrency = args.concurrency or args.clients
-    report = {
-        "target": generated.reference,
-        "bandwidth_mbps": args.bandwidth,
-        "clients": args.clients,
-        "concurrency": concurrency,
-        "systems": {},
-    }
     actions = {
         "docker": lambda node: deploy_with_docker(node.testbed, generated),
         "gear": lambda node: deploy_with_gear(
             node.testbed, generated, clear_cache=True
         ),
     }
-    for system, action in actions.items():
+
+    def run_cell(system):
         cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
         publish_images(cluster.registry_testbed, [generated], convert=True)
-        wave = cluster.deploy_wave(action, concurrency=concurrency)
-        report["systems"][system] = wave.as_dict()
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0
-    print(
+        wave = cluster.deploy_wave(actions[system], concurrency=concurrency)
+        return wave.as_dict(), {}
+
+    return run_sweep(
+        args,
+        {
+            "target": generated.reference,
+            "bandwidth_mbps": args.bandwidth,
+            "clients": args.clients,
+            "concurrency": concurrency,
+        },
+        "systems", actions, run_cell,
         f"fleet deploy of {generated.reference}: {args.clients} clients, "
-        f"{concurrency} concurrent @ {args.bandwidth:g} Mbps"
+        f"{concurrency} concurrent @ {args.bandwidth:g} Mbps",
+        [
+            ("p50 (s)", "p50_s", ".2f"),
+            ("p95 (s)", "p95_s", ".2f"),
+            ("p99 (s)", "p99_s", ".2f"),
+            ("Makespan (s)", "makespan_s", ".2f"),
+            ("Uplink util", "utilization", pct),
+            ("Egress (MB)", "egress_bytes", lambda b: f"{b / 1e6:.1f}"),
+        ],
     )
-    print(
-        format_table(
-            ["System", "p50 (s)", "p95 (s)", "p99 (s)", "Makespan (s)",
-             "Uplink util", "Egress (MB)"],
-            [
-                (
-                    system,
-                    f"{wave['p50_s']:.2f}",
-                    f"{wave['p95_s']:.2f}",
-                    f"{wave['p99_s']:.2f}",
-                    f"{wave['makespan_s']:.2f}",
-                    pct(wave["utilization"]),
-                    f"{wave['egress_bytes'] / 1e6:.1f}",
-                )
-                for system, wave in report["systems"].items()
-            ],
-        )
-    )
-    return 0
 
 
 def cmd_deploy(args) -> int:
     """Deploy one series under Docker, Gear, and Slacker."""
     if args.clients > 1 or args.concurrency:
         return _cmd_deploy_fleet(args)
+    if args.json:
+        print("deploy: --json is only supported with --clients > 1",
+              file=sys.stderr)
+        return 2
     corpus = _corpus(args, series=(args.target,))
     images = corpus.by_series[args.target]
     plan = _fault_plan(args)
@@ -326,8 +363,7 @@ def cmd_crash(args) -> int:
     when any point violates resume equivalence or re-fetches a file
     recovery had already committed.
     """
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
+    generated = _target_images(args)[0]
 
     def run_point(plan):
         testbed = make_testbed(bandwidth_mbps=args.bandwidth)
@@ -335,28 +371,14 @@ def cmd_crash(args) -> int:
         return deploy_with_gear_resumable(testbed, generated, plan)
 
     control = run_point(None)
-    report = {
-        "target": generated.reference,
-        "bandwidth_mbps": args.bandwidth,
-        "crash_seed": args.crash_seed,
-        "control": {
-            "total_s": control.result.total_s,
-            "network_bytes": control.result.network_bytes,
-            "fs_digest": control.fs_digest,
-        },
-        "points": {},
-    }
-    ok = True
-    for point in CrashPoint:
-        plan = CrashPlan(
-            point=point,
+
+    def run_cell(point):
+        out = run_point(CrashPlan(
+            point=CrashPoint(point),
             seed=f"cli-{args.crash_seed}",
             op_index=args.crash_op if args.crash_op >= 0 else None,
-        )
-        out = run_point(plan)
-        equivalent = out.fs_digest == control.fs_digest
-        ok = ok and equivalent and out.refetched_committed == 0
-        report["points"][point.value] = {
+        ))
+        cell = {
             "crashed": out.crashed,
             "crash_op": out.crash_op,
             "crash_at_s": out.crash_at_s,
@@ -368,34 +390,36 @@ def cmd_crash(args) -> int:
             "refetched_committed": out.refetched_committed,
             "resumed_total_s": out.result.total_s,
             "resumed_network_bytes": out.result.network_bytes,
-            "fs_equivalent": equivalent,
+            "fs_equivalent": out.fs_digest == control.fs_digest,
         }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0 if ok else 1
-    print(
+        return cell, _broken(
+            cell, zero=("refetched_committed",), nonzero=("fs_equivalent",)
+        )
+
+    return run_sweep(
+        args,
+        {
+            "target": generated.reference,
+            "bandwidth_mbps": args.bandwidth,
+            "crash_seed": args.crash_seed,
+            "control": {
+                "total_s": control.result.total_s,
+                "network_bytes": control.result.network_bytes,
+                "fs_digest": control.fs_digest,
+            },
+        },
+        "points", [point.value for point in CrashPoint], run_cell,
         f"crash sweep of {generated.reference} @ {args.bandwidth:g} Mbps "
         f"(control: {control.result.total_s:.2f} s, "
-        f"{control.result.network_bytes} B)"
+        f"{control.result.network_bytes} B)",
+        [
+            ("Died (s)", "crash_at_s", ".3f"),
+            ("fsck (s)", "recovery_s", ".4f"),
+            ("Resume (s)", "resumed_total_s", ".3f"),
+            ("Refetched", "refetched_committed", ""),
+            ("Equivalent", "fs_equivalent", _yes_no),
+        ],
     )
-    print(
-        format_table(
-            ["Point", "Died (s)", "fsck (s)", "Resume (s)", "Refetched",
-             "Equivalent"],
-            [
-                (
-                    point,
-                    f"{cell['crash_at_s']:.3f}",
-                    f"{cell['recovery_s']:.4f}",
-                    f"{cell['resumed_total_s']:.3f}",
-                    str(cell["refetched_committed"]),
-                    "yes" if cell["fs_equivalent"] else "NO",
-                )
-                for point, cell in report["points"].items()
-            ],
-        )
-    )
-    return 0 if ok else 1
 
 
 #: The ``chunks`` sweep's scenarios over the chunk-granular read path.
@@ -520,26 +544,15 @@ def cmd_chunks(args) -> int:
     control_digest = viewer_fs_digest(control)
     control_bytes = link.log.total_bytes
 
-    scenarios = args.scenario if args.scenario else list(CHUNK_SCENARIOS)
-    report = {
-        "bandwidth_mbps": args.bandwidth,
-        "clients": args.clients,
-        "big_file_bytes": size,
-        "total_chunks": total_chunks,
-        "chunk_seed": args.chunk_seed,
-        "control": {
-            "fs_digest": control_digest,
-            "network_bytes": control_bytes,
-        },
-        "scenarios": {},
-    }
-    ok = True
-    for scenario in scenarios:
+    def run_cell(scenario):
         plan = _chunk_scenario_plan(scenario, args.chunk_seed)
         clock, link, transport, index, pool, journal = _chunk_env(args, plan)
         viewer = _chunk_viewer(transport, index, pool, journal, args)
         identity = index.entries[_CHUNK_BIG_PATH].identity
         cell = {}
+        zero = ["poisoned_commits", "duplicate_chunk_fetches",
+                "partials_leaked"]
+        nonzero = ["fs_equivalent", "promoted"]
 
         if scenario == "crash":
             # Phase 1: a sequential deployment dies mid-chunk.
@@ -569,21 +582,22 @@ def cmd_chunks(args) -> int:
             cell["torn_chunks_dropped"] = recovery.torn_chunks_dropped
             # Phase 3: the resumed wave must re-fetch only what is missing.
             _chunk_wave(clock, viewer, size, args.clients)
-            refetched_verified = viewer.chunk_stats.chunks_fetched - (
+            cell["refetched_verified"] = viewer.chunk_stats.chunks_fetched - (
                 total_chunks - salvaged
             )
-            cell["refetched_verified"] = refetched_verified
-            ok = ok and cell["crashed"] and refetched_verified == 0
+            zero.append("refetched_verified")
+            nonzero.append("crashed")
         else:
             _chunk_wave(clock, viewer, size, args.clients)
+        if scenario == "byzantine":
+            # The scenario must actually exercise chunk verification.
+            nonzero.append("chunk_integrity_failures")
 
         stats = viewer.chunk_stats
         digest = viewer_fs_digest(viewer)
-        equivalent = digest == control_digest
-        poisoned = _pool_audit(pool)
         cell.update(
             fs_digest=digest,
-            fs_equivalent=equivalent,
+            fs_equivalent=digest == control_digest,
             wave_s=clock.now,
             network_bytes=link.log.total_bytes,
             chunks_fetched=stats.chunks_fetched,
@@ -595,44 +609,38 @@ def cmd_chunks(args) -> int:
             sequential_fallbacks=stats.sequential_fallbacks,
             parallel_fetches=stats.parallel_fetches,
             promotions=stats.promotions,
-            poisoned_commits=poisoned,
+            poisoned_commits=_pool_audit(pool),
             partials_leaked=len(pool.partials),
             promoted=pool.contains(identity),
         )
-        ok = ok and equivalent and poisoned == 0
-        ok = ok and stats.duplicate_chunk_fetches == 0
-        ok = ok and len(pool.partials) == 0 and pool.contains(identity)
-        if scenario == "byzantine":
-            # The scenario must actually exercise chunk verification.
-            ok = ok and stats.chunk_integrity_failures > 0
-        report["scenarios"][scenario] = cell
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0 if ok else 1
-    print(
+        return cell, _broken(cell, zero=zero, nonzero=nonzero)
+
+    return run_sweep(
+        args,
+        {
+            "bandwidth_mbps": args.bandwidth,
+            "clients": args.clients,
+            "big_file_bytes": size,
+            "total_chunks": total_chunks,
+            "chunk_seed": args.chunk_seed,
+            "control": {
+                "fs_digest": control_digest,
+                "network_bytes": control_bytes,
+            },
+        },
+        "scenarios", args.scenario or CHUNK_SCENARIOS, run_cell,
         f"chunks sweep @ {args.bandwidth:g} Mbps, {args.clients} readers, "
         f"{args.big_mib} MiB model ({total_chunks} chunks; control "
-        f"{control_bytes} B)"
+        f"{control_bytes} B)",
+        [
+            ("Fetched", "chunks_fetched", ""),
+            ("BadChunks", "chunk_integrity_failures", ""),
+            ("Coalesced", "coalesced_waits", ""),
+            ("Dup", "duplicate_chunk_fetches", ""),
+            ("Poisoned", "poisoned_commits", ""),
+            ("Equivalent", "fs_equivalent", _yes_no),
+        ],
     )
-    print(
-        format_table(
-            ["Scenario", "Fetched", "BadChunks", "Coalesced", "Dup",
-             "Poisoned", "Equivalent"],
-            [
-                (
-                    name,
-                    str(cell["chunks_fetched"]),
-                    str(cell["chunk_integrity_failures"]),
-                    str(cell["coalesced_waits"]),
-                    str(cell["duplicate_chunk_fetches"]),
-                    str(cell["poisoned_commits"]),
-                    "yes" if cell["fs_equivalent"] else "NO",
-                )
-                for name, cell in report["scenarios"].items()
-            ],
-        )
-    )
-    return 0 if ok else 1
 
 
 #: The ``ha`` sweep's fault scenarios; replica 0 is always the afflicted
@@ -669,8 +677,6 @@ def _ha_scenario_kwargs(scenario: str, args) -> dict:
         ]
     elif scenario == "overload":
         kwargs["admission_capacity"] = args.admission
-    elif scenario != "healthy":
-        raise ValueError(f"unknown HA scenario {scenario!r}")
     return kwargs
 
 
@@ -680,29 +686,12 @@ def cmd_ha(args) -> int:
     Replica 0 takes the fault in every scenario; the other replicas stay
     healthy, so no deployment may fall back to degraded Docker mode —
     exit code 1 if any does.  Runs are deterministic in the seeds (the
-    `scripts/check.sh` HA gate double-runs the JSON output).
+    ``ha`` row of :data:`GATES` is double-run on that).
     """
-    scenarios = args.scenario or list(HA_SCENARIOS)
-    unknown = [s for s in scenarios if s not in HA_SCENARIOS]
-    if unknown:
-        print(f"ha: unknown scenario(s) {unknown}; "
-              f"expected {list(HA_SCENARIOS)}", file=sys.stderr)
-        return 2
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
+    generated = _target_images(args)[0]
     concurrency = args.concurrency or args.clients
-    report = {
-        "target": generated.reference,
-        "bandwidth_mbps": args.bandwidth,
-        "clients": args.clients,
-        "concurrency": concurrency,
-        "replicas": args.replicas,
-        "strategy": args.strategy,
-        "hedging": not args.no_hedging,
-        "scenarios": {},
-    }
-    ok = True
-    for scenario in scenarios:
+
+    def run_cell(scenario):
         cluster = HACluster(
             args.clients, **_ha_scenario_kwargs(scenario, args)
         )
@@ -712,38 +701,36 @@ def cmd_ha(args) -> int:
             lambda node: deploy_with_gear(node.testbed, generated),
             concurrency=concurrency,
         )
-        ok = ok and wave.degraded == 0
-        report["scenarios"][scenario] = wave.as_dict()
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0 if ok else 1
-    print(
+        cell = wave.as_dict()
+        return cell, _broken(cell, zero=("degraded",))
+
+    return run_sweep(
+        args,
+        {
+            "target": generated.reference,
+            "bandwidth_mbps": args.bandwidth,
+            "clients": args.clients,
+            "concurrency": concurrency,
+            "replicas": args.replicas,
+            "strategy": args.strategy,
+            "hedging": not args.no_hedging,
+        },
+        "scenarios", args.scenario or HA_SCENARIOS, run_cell,
         f"HA sweep of {generated.reference}: {args.clients} clients, "
         f"{concurrency} concurrent, {args.replicas} replicas "
         f"@ {args.bandwidth:g} Mbps ({args.strategy}, "
-        f"hedging {'off' if args.no_hedging else 'on'})"
+        f"hedging {'off' if args.no_hedging else 'on'})",
+        [
+            ("p50 (s)", "p50_s", ".2f"),
+            ("p99 (s)", "p99_s", ".2f"),
+            ("Hedge rate", "hedge_rate", pct),
+            ("Failovers", "failovers", ""),
+            ("Sheds", "sheds", ""),
+            ("Trips", "breaker_trips", ""),
+            ("Demoted", "demotions", ""),
+            ("Degraded", "degraded", ""),
+        ],
     )
-    print(
-        format_table(
-            ["Scenario", "p50 (s)", "p99 (s)", "Hedge rate", "Failovers",
-             "Sheds", "Trips", "Demoted", "Degraded"],
-            [
-                (
-                    scenario,
-                    f"{wave['p50_s']:.2f}",
-                    f"{wave['p99_s']:.2f}",
-                    pct(wave["hedge_rate"]),
-                    str(wave["failovers"]),
-                    str(wave["sheds"]),
-                    str(wave["breaker_trips"]),
-                    str(wave["demotions"]),
-                    str(wave["degraded"]),
-                )
-                for scenario, wave in report["scenarios"].items()
-            ],
-        )
-    )
-    return 0 if ok else 1
 
 
 EDGE_SCENARIOS = ("quiet", "churn", "byzantine", "churn+byzantine")
@@ -772,17 +759,19 @@ def _edge_scenario_kwargs(scenario: str, args) -> dict:
     return kwargs
 
 
-def _edge_deploy_sequence(testbed, images) -> dict:
-    """Deploy each image in order on one client; exact-valued record.
+def _control_deploys(client, images) -> dict:
+    """Deploy each image in order with Gear on one client; exact-valued
+    record, one entry per image in each column.
 
-    Used by the ``--equivalence`` gate: every field (virtual times, wire
-    bytes, container digests) must match bit-for-bit between the
-    single-tier testbed and a peer-less edge node.
+    The ``edge --equivalence`` gate compares two of these field by field
+    (virtual times, wire bytes, container digests must match bit for bit
+    between the single-tier testbed and a peer-less edge node); the FaaS
+    sweep reads its byte-identity control from the digest column.
     """
     record = {"total_s": [], "network_bytes": [], "fs_digests": []}
     for generated in images:
-        result = deploy_with_gear(testbed, generated)
-        container = testbed.gear_driver.containers()[-1]
+        result = deploy_with_gear(client, generated)
+        container = client.gear_driver.containers()[-1]
         record["total_s"].append(result.total_s)
         record["network_bytes"].append(result.network_bytes)
         record["fs_digests"].append(container_fs_digest(container))
@@ -798,12 +787,11 @@ def cmd_edge_equivalence(args) -> int:
     and zero wire bytes.  Deploys a version series on both topologies and
     compares times, bytes, and container digests exactly.
     """
-    corpus = _corpus(args, series=(args.target,))
-    images = corpus.by_series[args.target]
+    images = _target_images(args)
 
     control_bed = make_testbed(bandwidth_mbps=args.bandwidth)
     publish_images(control_bed, images, convert=True)
-    control = _edge_deploy_sequence(control_bed.fresh_client(), images)
+    control = _control_deploys(control_bed.fresh_client(), images)
 
     edge_bed = make_edge_testbed(
         bandwidth_mbps=args.bandwidth,
@@ -813,7 +801,7 @@ def cmd_edge_equivalence(args) -> int:
         seed=f"cli-edge-{args.edge_seed}",
     )
     publish_images(edge_bed, images, convert=True)
-    edge = _edge_deploy_sequence(edge_bed.edge.client(), images)
+    edge = _control_deploys(edge_bed.edge.client(), images)
 
     identical = control == edge
     report = {
@@ -843,31 +831,15 @@ def cmd_edge(args) -> int:
     fallbacks and zero integrity violations (no poisoned bytes in any
     pool or site cache); byzantine scenarios must additionally blacklist
     the corrupt peer.  Exit code 1 on any violation.  Runs are
-    deterministic in the seeds (the `scripts/check.sh` edge gate
-    double-runs the JSON output).
+    deterministic in the seeds (the ``edge`` row of :data:`GATES` is
+    double-run on that).
     """
     if args.equivalence:
         return cmd_edge_equivalence(args)
-    scenarios = args.scenario or list(EDGE_SCENARIOS)
-    unknown = [s for s in scenarios if s not in EDGE_SCENARIOS]
-    if unknown:
-        print(f"edge: unknown scenario(s) {unknown}; "
-              f"expected {list(EDGE_SCENARIOS)}", file=sys.stderr)
-        return 2
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
+    generated = _target_images(args)[0]
     concurrency = args.concurrency or max(1, args.clients // 4)
-    report = {
-        "target": generated.reference,
-        "bandwidth_mbps": args.bandwidth,
-        "lan_mbps": args.lan_bandwidth,
-        "clients": args.clients,
-        "concurrency": concurrency,
-        "sites": args.sites,
-        "scenarios": {},
-    }
-    ok = True
-    for scenario in scenarios:
+
+    def run_cell(scenario):
         cluster = EdgeCluster(
             args.clients, **_edge_scenario_kwargs(scenario, args)
         )
@@ -876,44 +848,40 @@ def cmd_edge(args) -> int:
             lambda node: deploy_with_gear(node.testbed, generated),
             concurrency=concurrency,
         )
-        violations = cluster.fabric.audit_integrity()
-        summary = wave.as_dict()
-        summary["integrity_violations"] = len(violations)
-        scenario_ok = wave.degraded == 0 and not violations
-        if "byzantine" in scenario:
-            scenario_ok = scenario_ok and wave.blacklists >= 1
-        ok = ok and scenario_ok
-        report["scenarios"][scenario] = summary
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0 if ok else 1
-    print(
+        cell = wave.as_dict()
+        cell["integrity_violations"] = len(cluster.fabric.audit_integrity())
+        return cell, _broken(
+            cell,
+            zero=("degraded", "integrity_violations"),
+            nonzero=("blacklists",) if "byzantine" in scenario else (),
+        )
+
+    return run_sweep(
+        args,
+        {
+            "target": generated.reference,
+            "bandwidth_mbps": args.bandwidth,
+            "lan_mbps": args.lan_bandwidth,
+            "clients": args.clients,
+            "concurrency": concurrency,
+            "sites": args.sites,
+        },
+        "scenarios", args.scenario or EDGE_SCENARIOS, run_cell,
         f"Edge sweep of {generated.reference}: {args.clients} clients, "
         f"{concurrency} concurrent, {args.sites} site(s), "
-        f"WAN {args.bandwidth:g} Mbps / LAN {args.lan_bandwidth:g} Mbps"
+        f"WAN {args.bandwidth:g} Mbps / LAN {args.lan_bandwidth:g} Mbps",
+        [
+            ("p50 (s)", "p50_s", ".2f"),
+            ("p99 (s)", "p99_s", ".2f"),
+            ("Peer hits", "peer_hits", ""),
+            ("Offload", "offload_rate", pct),
+            ("Stale", "stale_resolutions", ""),
+            ("Blacklists", "blacklists", ""),
+            ("Crashes", "peer_crashes", ""),
+            ("Degraded", "degraded", ""),
+            ("Violations", "integrity_violations", ""),
+        ],
     )
-    print(
-        format_table(
-            ["Scenario", "p50 (s)", "p99 (s)", "Peer hits", "Offload",
-             "Stale", "Blacklists", "Crashes", "Degraded", "Violations"],
-            [
-                (
-                    scenario,
-                    f"{wave['p50_s']:.2f}",
-                    f"{wave['p99_s']:.2f}",
-                    str(wave["peer_hits"]),
-                    pct(wave["offload_rate"]),
-                    str(wave["stale_resolutions"]),
-                    str(wave["blacklists"]),
-                    str(wave["peer_crashes"]),
-                    str(wave["degraded"]),
-                    str(wave["integrity_violations"]),
-                )
-                for scenario, wave in report["scenarios"].items()
-            ],
-        )
-    )
-    return 0 if ok else 1
 
 
 FAAS_SCENARIOS = ("steady", "spike", "spike+outage", "spike+byzantine")
@@ -949,24 +917,6 @@ def _faas_testbed_kwargs(scenario: str, args) -> dict:
     return kwargs
 
 
-def _faas_control_digests(args, corpus) -> dict:
-    """Fault-free registry-only control: reference → container fs digest.
-
-    The byte-identical acceptance bar: every cold start in every
-    scenario must produce exactly these filesystems, no matter which
-    tier served the bytes.
-    """
-    control_bed = make_testbed(bandwidth_mbps=args.bandwidth)
-    publish_images(control_bed, corpus.images, convert=True)
-    client = control_bed.fresh_client()
-    digests = {}
-    for generated in corpus.images:
-        deploy_with_gear(client, generated)
-        container = client.gear_driver.containers()[-1]
-        digests[generated.reference] = container_fs_digest(container)
-    return digests
-
-
 def cmd_faas(args) -> int:
     """Serverless invocation-spike sweep over the three-tier cache chain.
 
@@ -976,30 +926,22 @@ def cmd_faas(args) -> int:
     intact (zero duplicate upstream fetches), and leave no poisoned
     bytes in any pool or the tier cache; byzantine scenarios must
     additionally demote the tier.  Exit code 1 on any violation.  Runs
-    are deterministic in the seeds (the ``scripts/check.sh`` faas gate
-    double-runs the JSON output).
+    are deterministic in the seeds (the ``faas`` row of :data:`GATES` is
+    double-run on that).
     """
-    scenarios = args.scenario or list(FAAS_SCENARIOS)
-    unknown = [s for s in scenarios if s not in FAAS_SCENARIOS]
-    if unknown:
-        print(f"faas: unknown scenario(s) {unknown}; "
-              f"expected {list(FAAS_SCENARIOS)}", file=sys.stderr)
-        return 2
     corpus = _corpus(args)
-    control = _faas_control_digests(args, corpus)
-    report = {
-        "images": len(corpus.images),
-        "functions": args.functions,
-        "nodes": args.nodes,
-        "duration_s": args.duration,
-        "rate_per_s": args.rate,
-        "bandwidth_mbps": args.bandwidth,
-        "tier_mbps": args.tier_bandwidth,
-        "replicas": args.replicas,
-        "scenarios": {},
-    }
-    ok = True
-    for scenario in scenarios:
+    # Fault-free registry-only control, reference -> container fs digest:
+    # every cold start in every scenario must produce exactly these
+    # filesystems, no matter which tier served the bytes.
+    control_bed = make_testbed(bandwidth_mbps=args.bandwidth)
+    publish_images(control_bed, corpus.images, convert=True)
+    deploys = _control_deploys(control_bed.fresh_client(), corpus.images)
+    control = dict(zip(
+        (generated.reference for generated in corpus.images),
+        deploys["fs_digests"],
+    ))
+
+    def run_cell(scenario):
         bed = make_faas_testbed(**_faas_testbed_kwargs(scenario, args))
         publish_images(bed, corpus.images, convert=True)
         if "byzantine" in scenario:
@@ -1021,60 +963,54 @@ def cmd_faas(args) -> int:
             bursts=_faas_bursts(scenario, args),
         )
         run = platform.run(stream)
-        violations = bed.faas.audit_integrity()
-        mismatches = sum(
+        cell = run.as_dict()
+        del cell["fs_digests"]  # bulky; the control check distills it
+        cell["integrity_violations"] = len(bed.faas.audit_integrity())
+        cell["control_mismatches"] = sum(
             1
             for reference, digest in run.fs_digests.items()
             if control.get(reference) != digest
         )
-        summary = run.as_dict()
-        del summary["fs_digests"]  # bulky; the control check distills it
-        summary["integrity_violations"] = len(violations)
-        summary["control_mismatches"] = mismatches
-        scenario_ok = (
-            run.failures == 0
-            and run.degraded == 0
-            and run.digest_conflicts == 0
-            and mismatches == 0
-            and summary["fabric"]["duplicate_upstream_fetches"] == 0
-            and not violations
+        broken = _broken(
+            cell,
+            zero=("failures", "degraded", "digest_conflicts",
+                  "control_mismatches", "fabric.duplicate_upstream_fetches",
+                  "integrity_violations"),
+            nonzero=("fabric.demotions",) if "byzantine" in scenario else (),
         )
-        if "byzantine" in scenario:
-            scenario_ok = scenario_ok and summary["fabric"]["demotions"] >= 1
-        summary["ok"] = scenario_ok
-        ok = ok and scenario_ok
-        report["scenarios"][scenario] = summary
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0 if ok else 1
-    print(
+        cell["ok"] = not broken
+        return cell, broken
+
+    return run_sweep(
+        args,
+        {
+            "images": len(corpus.images),
+            "functions": args.functions,
+            "nodes": args.nodes,
+            "duration_s": args.duration,
+            "rate_per_s": args.rate,
+            "bandwidth_mbps": args.bandwidth,
+            "tier_mbps": args.tier_bandwidth,
+            "replicas": args.replicas,
+        },
+        "scenarios", args.scenario or FAAS_SCENARIOS, run_cell,
         f"FaaS sweep: {args.functions} functions over {len(corpus.images)} "
         f"images, {args.nodes} nodes, {args.rate:g}/s for {args.duration:g}s "
-        f"(spike x{args.spike_factor:g} at {args.spike_start:g}s)"
+        f"(spike x{args.spike_factor:g} at {args.spike_start:g}s)",
+        [
+            ("Cold", "cold_starts", ""),
+            ("Warm", "warm_starts", ""),
+            ("p50 cold (s)", "cold_p50_s", ".2f"),
+            ("p99.9 cold (s)", "cold_p999_s", ".2f"),
+            ("Sheds", "fabric.tier_sheds", ""),
+            ("Coalesced", "fabric.tier_coalesced", ""),
+            ("Fallbacks", "fabric.registry_fallbacks", ""),
+            ("Saved MB", "fabric.egress_saved_bytes",
+             lambda b: f"{b / 1e6:.2f}"),
+            ("Fail", "failures", ""),
+            ("OK", "ok", _yes_no),
+        ],
     )
-    print(
-        format_table(
-            ["Scenario", "Cold", "Warm", "p50 cold (s)", "p99.9 cold (s)",
-             "Sheds", "Coalesced", "Fallbacks", "Saved MB", "Fail", "OK"],
-            [
-                (
-                    scenario,
-                    str(s["cold_starts"]),
-                    str(s["warm_starts"]),
-                    f"{s['cold_p50_s']:.2f}",
-                    f"{s['cold_p999_s']:.2f}",
-                    str(s["fabric"]["tier_sheds"]),
-                    str(s["fabric"]["tier_coalesced"]),
-                    str(s["fabric"]["registry_fallbacks"]),
-                    f"{s['fabric']['egress_saved_bytes'] / 1e6:.2f}",
-                    str(s["failures"]),
-                    "yes" if s["ok"] else "NO",
-                )
-                for scenario, s in report["scenarios"].items()
-            ],
-        )
-    )
-    return 0 if ok else 1
 
 
 SLO_SCENARIOS = ("fleet", "edge", "faas", "prefetch")
@@ -1114,62 +1050,50 @@ SLO_OBJECTIVES = {
 }
 
 
-def _slo_fleet(args, seed: str):
-    """Fleet wave under Gear with the timeline sampler attached."""
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
-    cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
+def _slo_wave(args, cluster, seed: str, poisoned_commits):
+    """A cache-cleared Gear wave on ``cluster`` with the timeline sampler
+    attached; ``poisoned_commits()`` audits the cluster's stores after it."""
+    generated = _target_images(args)[0]
     publish_images(cluster.registry_testbed, [generated], convert=True)
     sampler = make_timeline_sampler(
-        cluster.registry_testbed, period_s=0.5, seed=f"{seed}-fleet"
+        cluster.registry_testbed, period_s=0.5, seed=seed
     )
-    degraded_total = [0]
+    results = []
 
     def action(node):
         result = deploy_with_gear(node.testbed, generated, clear_cache=True)
-        if result.degraded:
-            degraded_total[0] += 1
+        results.append(result)
         return result
 
     wave = cluster.deploy_wave(action, sampler=sampler)
-    poisoned = sum(
-        _pool_audit(node.testbed.gear_driver.pool) for node in cluster.nodes
-    )
     observed = {
         "ready_p99_s": wave.ready_p99_s,
         "deploy_p99_s": wave.p99_s,
-        "degraded": float(degraded_total[0]),
-        "poisoned_commits": float(poisoned),
+        "degraded": float(sum(result.degraded for result in results)),
+        "poisoned_commits": float(poisoned_commits()),
     }
     return observed, sampler, {"wave": wave.as_dict()}
 
 
+def _slo_fleet(args, seed: str):
+    """Fleet wave under Gear; every node's pool audited."""
+    cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
+    return _slo_wave(args, cluster, f"{seed}-fleet", lambda: sum(
+        _pool_audit(node.testbed.gear_driver.pool) for node in cluster.nodes
+    ))
+
+
 def _slo_edge(args, seed: str):
     """Edge wave: peer-served Gear deploys, LAN probes sampled."""
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
     cluster = EdgeCluster(
         args.clients,
         bandwidth_mbps=args.bandwidth,
         sites=2,
         seed=f"{seed}-edge",
     )
-    publish_images(cluster.registry_testbed, [generated], convert=True)
-    sampler = make_timeline_sampler(
-        cluster.registry_testbed, period_s=0.5, seed=f"{seed}-edge"
-    )
-    wave = cluster.deploy_wave(
-        lambda node: deploy_with_gear(node.testbed, generated, clear_cache=True),
-        sampler=sampler,
-    )
-    violations = cluster.fabric.audit_integrity()
-    observed = {
-        "ready_p99_s": wave.ready_p99_s,
-        "deploy_p99_s": wave.p99_s,
-        "degraded": float(wave.degraded),
-        "poisoned_commits": float(len(violations)),
-    }
-    return observed, sampler, {"wave": wave.as_dict()}
+    return _slo_wave(args, cluster, f"{seed}-edge", lambda: len(
+        cluster.fabric.audit_integrity()
+    ))
 
 
 def _slo_faas(args, seed: str):
@@ -1251,18 +1175,15 @@ _SLO_RUNNERS = {
 }
 
 
-def _slo_scenario_payload(scenario: str, args, seed: str):
-    """One scenario run → (JSON-ready payload, objectives-met flag)."""
+def _slo_scenario_payload(scenario: str, args, seed: str) -> dict:
+    """One scenario run as its JSON-ready payload."""
     observed, sampler, extras = _SLO_RUNNERS[scenario](args, seed)
     report = evaluate(SLO_OBJECTIVES[scenario], observed, sampler=sampler)
     payload = {"observed": observed, "slo": report.as_dict()}
     if sampler is not None:
         payload["timeline"] = sampler.as_dict()
     payload.update(extras)
-    ok = report.ok
-    if scenario == "prefetch":
-        ok = ok and extras["prefetch"]["strict_win"]
-    return payload, ok
+    return payload
 
 
 def cmd_slo(args) -> int:
@@ -1274,56 +1195,47 @@ def cmd_slo(args) -> int:
     the readiness plumbing perturbed the simulation.  Exit code 1 on
     any violated objective or any nondeterministic replay.
     """
-    scenarios = args.scenario or list(SLO_SCENARIOS)
-    unknown = [s for s in scenarios if s not in SLO_SCENARIOS]
-    if unknown:
-        print(f"slo: unknown scenario(s) {unknown}; "
-              f"expected {list(SLO_SCENARIOS)}", file=sys.stderr)
-        return 2
     seed = f"cli-slo-{args.slo_seed}"
-    report = {
-        "clients": args.clients,
-        "bandwidth_mbps": args.bandwidth,
-        "slo_seed": args.slo_seed,
-        "scenarios": {},
-    }
-    ok = True
-    for scenario in scenarios:
-        payload, objectives_ok = _slo_scenario_payload(scenario, args, seed)
-        replay, _ = _slo_scenario_payload(scenario, args, seed)
-        deterministic = dump_json(payload) == dump_json(replay)
-        payload["deterministic"] = deterministic
-        payload["ok"] = objectives_ok and deterministic
-        ok = ok and payload["ok"]
-        report["scenarios"][scenario] = payload
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0 if ok else 1
-    print(
-        f"SLO gate: {args.clients} clients @ {args.bandwidth:g} Mbps "
-        f"(seed {args.slo_seed}); every scenario double-run"
-    )
-    rows = []
-    for scenario, payload in report["scenarios"].items():
-        slo = payload["slo"]
-        burn = max(
-            (o["burn_rate"] for o in slo["objectives"]), default=0.0
+
+    def run_cell(scenario):
+        cell = _slo_scenario_payload(scenario, args, seed)
+        replay = _slo_scenario_payload(scenario, args, seed)
+        cell["deterministic"] = dump_json(cell) == dump_json(replay)
+        broken = _broken(
+            cell,
+            zero=("slo.violated",),
+            nonzero=("deterministic", "prefetch.strict_win")
+            if scenario == "prefetch" else ("deterministic",),
         )
-        ready = payload["observed"].get("ready_p99_s")
-        rows.append((
-            scenario,
-            "-" if ready is None else f"{ready:.2f}",
-            f"{burn:.2f}",
-            ",".join(slo["violated"]) or "-",
-            "yes" if payload["deterministic"] else "NO",
-            "yes" if payload["ok"] else "NO",
-        ))
-    print(format_table(
-        ["Scenario", "Ready p99 (s)", "Max burn", "Violated",
-         "Deterministic", "OK"],
-        rows,
-    ))
-    return 0 if ok else 1
+        cell["ok"] = not broken
+        return cell, broken
+
+    def ready_p99(observed) -> str:
+        ready = observed.get("ready_p99_s")
+        return "-" if ready is None else f"{ready:.2f}"
+
+    def max_burn(objectives) -> str:
+        burn = max((o["burn_rate"] for o in objectives), default=0.0)
+        return f"{burn:.2f}"
+
+    return run_sweep(
+        args,
+        {
+            "clients": args.clients,
+            "bandwidth_mbps": args.bandwidth,
+            "slo_seed": args.slo_seed,
+        },
+        "scenarios", args.scenario or SLO_SCENARIOS, run_cell,
+        f"SLO gate: {args.clients} clients @ {args.bandwidth:g} Mbps "
+        f"(seed {args.slo_seed}); every scenario double-run",
+        [
+            ("Ready p99 (s)", "observed", ready_p99),
+            ("Max burn", "slo.objectives", max_burn),
+            ("Violated", "slo.violated", lambda names: ",".join(names) or "-"),
+            ("Deterministic", "deterministic", _yes_no),
+            ("OK", "ok", _yes_no),
+        ],
+    )
 
 
 #: Coverage floor for the single-deploy trace gate: the span tree must
@@ -1347,11 +1259,10 @@ def cmd_trace(args) -> int:
     ``--out-dir`` writes ``trace.json`` (Chrome ``trace_event``, loads
     in Perfetto / chrome://tracing) and ``metrics.json`` (the flat
     registry snapshot).  Both files are canonical JSON: two runs with
-    the same seed are byte-identical (the `scripts/check.sh`
-    trace-determinism gate diffs them).
+    the same seed are byte-identical (`scripts/check.sh` diffs them for
+    the ``obs`` row of :data:`GATES`).
     """
-    corpus = _corpus(args, series=(args.target,))
-    generated = corpus.by_series[args.target][0]
+    generated = _target_images(args)[0]
     wave_mode = args.clients > 1
     if wave_mode:
         cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
@@ -1550,16 +1461,34 @@ def cmd_perf(args) -> int:
     return 0 if ok else 1
 
 
+def _flag(parser, name: str, default, help: Optional[str] = None) -> None:
+    """Declare option ``name`` with its type read off ``default``: ``False``
+    makes a switch, a string (or ``None``) is taken as typed, and any other
+    default converts with its own type."""
+    if default is False:
+        parser.add_argument(name, action="store_true", help=help)
+    else:
+        as_typed = default is None or isinstance(default, str)
+        parser.add_argument(name, type=None if as_typed else type(default),
+                            default=default, help=help)
+
+
+def _scenario_flag(parser, scenarios: tuple) -> None:
+    """``--scenario``: any of ``scenarios`` (argparse rejects another name
+    with exit 2); none named means all of them, in table order."""
+    parser.add_argument(
+        "--scenario", nargs="*", default=None, choices=scenarios,
+        help=f"scenarios to run (default: all of {list(scenarios)})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (shared options on every command)."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=7)
-    common.add_argument(
-        "--scale", type=float, default=0.4,
-        help="file-count/size scale of the synthetic corpus",
-    )
-    common.add_argument("--versions", type=int, default=6,
-                        help="versions per series")
+    _flag(common, "--seed", 7)
+    _flag(common, "--scale", 0.4,
+          "file-count/size scale of the synthetic corpus")
+    _flag(common, "--versions", 6, "versions per series")
     common.add_argument(
         "--series", nargs="*", default=["nginx", "tomcat"],
         help="series to generate (default: nginx tomcat)",
@@ -1569,286 +1498,243 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gear (ICDCS 2021) reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("catalog", parents=[common],
-                   help="list the Table I series catalog")
-    sub.add_parser("demo", parents=[common],
-                   help="build -> convert -> lazy deploy walkthrough")
-    sub.add_parser("dedup", parents=[common], help="Table II dedup study")
-    sub.add_parser("storage", parents=[common],
-                   help="Docker vs Gear registry footprint")
-    deploy = sub.add_parser("deploy", parents=[common],
-                            help="deploy a series under all systems")
-    deploy.add_argument("--target", default="nginx")
-    deploy.add_argument("--bandwidth", type=float, default=100.0)
+
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose parsed args dispatch to ``run(args)``."""
+        subparser = sub.add_parser(name, parents=[common], help=help)
+        subparser.set_defaults(run=run)
+        return subparser
+
+    command("catalog", cmd_catalog, "list the Table I series catalog")
+    command("demo", cmd_demo, "build -> convert -> lazy deploy walkthrough")
+    command("dedup", cmd_dedup, "Table II dedup study")
+    command("storage", cmd_storage, "Docker vs Gear registry footprint")
+    deploy = command("deploy", cmd_deploy, "deploy a series under all systems")
+    _flag(deploy, "--target", "nginx")
+    _flag(deploy, "--bandwidth", 100.0)
     fleet = deploy.add_argument_group(
         "fleet contention",
         "deploy one image from N clients at once; transfers fair-share "
         "the registry uplink and the report carries latency percentiles",
     )
-    fleet.add_argument("--clients", type=int, default=1,
-                       help="number of client nodes (1 = classic mode)")
-    fleet.add_argument("--concurrency", type=int, default=0,
-                       help="clients deploying simultaneously per wave "
-                            "(default: all of them)")
-    fleet.add_argument("--json", action="store_true",
-                       help="emit the fleet report as one JSON line")
+    _flag(fleet, "--clients", 1, "number of client nodes (1 = classic mode)")
+    _flag(fleet, "--concurrency", 0,
+          "clients deploying simultaneously per wave (default: all of them)")
+    _flag(fleet, "--json", False, "emit the fleet report as one JSON line")
     faults = deploy.add_argument_group(
         "fault injection",
         "deterministic wire faults (off by default; any flag enables "
         "the FaultyLink + default RetryPolicy)",
     )
-    faults.add_argument("--drop-rate", type=float, default=0.0,
-                        help="probability a transfer is lost (timeout)")
-    faults.add_argument("--corrupt-rate", type=float, default=0.0,
-                        help="probability a response payload is corrupted")
-    faults.add_argument("--outage-start", type=float, default=0.0,
-                        help="outage start, seconds after deployment begins")
-    faults.add_argument("--outage-len", type=float, default=0.0,
-                        help="outage duration in seconds (0 = no outage)")
-    faults.add_argument("--fault-seed", default="0",
-                        help="seed token for the fault decision stream")
+    _flag(faults, "--drop-rate", 0.0,
+          "probability a transfer is lost (timeout)")
+    _flag(faults, "--corrupt-rate", 0.0,
+          "probability a response payload is corrupted")
+    _flag(faults, "--outage-start", 0.0,
+          "outage start, seconds after deployment begins")
+    _flag(faults, "--outage-len", 0.0,
+          "outage duration in seconds (0 = no outage)")
+    _flag(faults, "--fault-seed", "0",
+          "seed token for the fault decision stream")
     faults.add_argument(
         "--fault-target", nargs="*", default=["gear-registry"],
         help="endpoint names the plan applies to (empty = all traffic)",
     )
-    crash = sub.add_parser(
-        "crash", parents=[common],
-        help="crash/fsck/resume sweep over every crash point",
-    )
-    crash.add_argument("--target", default="nginx")
-    crash.add_argument("--bandwidth", type=float, default=100.0)
-    crash.add_argument("--crash-seed", default="0",
-                       help="seed token for the crash-instant draw")
-    crash.add_argument(
-        "--crash-op", type=int, default=-1,
-        help="explicit occurrence index of the crash point "
-             "(-1 = deterministic seeded draw)",
-    )
-    crash.add_argument("--json", action="store_true",
-                       help="emit the sweep report as one JSON line")
-    chunks = sub.add_parser(
-        "chunks", parents=[common],
-        help="chunk-granular big-file read sweep under fault scenarios",
-    )
-    chunks.add_argument("--bandwidth", type=float, default=904.0)
-    chunks.add_argument("--clients", type=int, default=32,
-                        help="concurrent range readers in the wave")
-    chunks.add_argument("--big-mib", type=int, default=8,
-                        help="model-file size in MiB (128 KiB chunks)")
-    chunks.add_argument(
-        "--scenario", nargs="*", default=None,
-        help=f"scenarios to run (default: all of {list(CHUNK_SCENARIOS)})",
-    )
-    chunks.add_argument("--chunk-seed", default="7",
-                        help="seed token for the fault, retry-jitter, and "
-                             "crash streams")
-    chunks.add_argument(
-        "--crash-op", type=int, default=-1,
-        help="explicit chunk index for the mid-fetch crash "
-             "(-1 = deterministic seeded draw)",
-    )
-    chunks.add_argument("--json", action="store_true",
-                        help="emit the sweep report as one JSON line")
-    ha = sub.add_parser(
-        "ha", parents=[common],
-        help="highly-available registry sweep under fault scenarios",
-    )
-    ha.add_argument("--target", default="nginx")
-    ha.add_argument("--bandwidth", type=float, default=904.0)
-    ha.add_argument("--clients", type=int, default=8,
-                    help="number of client nodes in the fleet")
-    ha.add_argument("--concurrency", type=int, default=0,
-                    help="clients deploying simultaneously per wave "
-                         "(default: all of them)")
-    ha.add_argument("--replicas", type=int, default=3,
-                    help="Gear registry replicas")
+    crash = command("crash", cmd_crash,
+                    "crash/fsck/resume sweep over every crash point")
+    _flag(crash, "--target", "nginx")
+    _flag(crash, "--bandwidth", 100.0)
+    _flag(crash, "--crash-seed", "0", "seed token for the crash-instant draw")
+    _flag(crash, "--crash-op", -1,
+          "explicit occurrence index of the crash point "
+          "(-1 = deterministic seeded draw)")
+    _flag(crash, "--json", False, "emit the sweep report as one JSON line")
+    chunks = command("chunks", cmd_chunks,
+                     "chunk-granular big-file read sweep under fault "
+                     "scenarios")
+    _flag(chunks, "--bandwidth", 904.0)
+    _flag(chunks, "--clients", 32, "concurrent range readers in the wave")
+    _flag(chunks, "--big-mib", 8, "model-file size in MiB (128 KiB chunks)")
+    _scenario_flag(chunks, CHUNK_SCENARIOS)
+    _flag(chunks, "--chunk-seed", "7",
+          "seed token for the fault, retry-jitter, and crash streams")
+    _flag(chunks, "--crash-op", -1,
+          "explicit chunk index for the mid-fetch crash "
+          "(-1 = deterministic seeded draw)")
+    _flag(chunks, "--json", False, "emit the sweep report as one JSON line")
+    ha = command("ha", cmd_ha,
+                 "highly-available registry sweep under fault scenarios")
+    _flag(ha, "--target", "nginx")
+    _flag(ha, "--bandwidth", 904.0)
+    _flag(ha, "--clients", 8, "number of client nodes in the fleet")
+    _flag(ha, "--concurrency", 0,
+          "clients deploying simultaneously per wave (default: all of them)")
+    _flag(ha, "--replicas", 3, "Gear registry replicas")
     ha.add_argument("--strategy", default="primary-first",
                     choices=["primary-first", "least-loaded", "p2c"],
                     help="replica selection strategy")
-    ha.add_argument("--no-hedging", action="store_true",
-                    help="disable hedged second fetches")
-    ha.add_argument("--admission", type=int, default=2,
-                    help="per-replica admission capacity in the "
-                         "overload scenario")
-    ha.add_argument(
-        "--scenario", nargs="*", default=None,
-        help=f"scenarios to run (default: all of {list(HA_SCENARIOS)})",
-    )
-    ha.add_argument("--ha-seed", default="0",
-                    help="seed token for replica selection, hedging, "
-                         "backoff, and fault streams")
-    ha.add_argument("--json", action="store_true",
-                    help="emit the sweep report as one JSON line")
-    edge = sub.add_parser(
-        "edge", parents=[common],
-        help="multi-tier edge/P2P sweep under churn/byzantine scenarios",
-    )
-    edge.add_argument("--target", default="nginx")
-    edge.add_argument("--bandwidth", type=float, default=200.0,
-                      help="registry WAN uplink in Mbps")
-    edge.add_argument("--lan-bandwidth", type=float, default=904.0,
-                      help="intra-site LAN bandwidth in Mbps")
-    edge.add_argument("--clients", type=int, default=8,
-                      help="number of edge nodes in the fleet")
-    edge.add_argument("--concurrency", type=int, default=0,
-                      help="clients deploying simultaneously per wave "
-                           "(default: clients/4, so later batches can "
-                           "peer-fetch from earlier ones)")
-    edge.add_argument("--sites", type=int, default=1,
-                      help="edge sites (nodes join round-robin)")
-    edge.add_argument("--gossip-interval", type=float, default=0.25,
-                      help="tracker refresh period in virtual seconds")
-    edge.add_argument("--churn-rate", type=float, default=2.0,
-                      help="join/leave events per virtual second in "
-                           "churn scenarios")
-    edge.add_argument("--churn-horizon", type=float, default=10.0,
-                      help="churn schedule horizon in virtual seconds")
-    edge.add_argument(
-        "--scenario", nargs="*", default=None,
-        help=f"scenarios to run (default: all of {list(EDGE_SCENARIOS)})",
-    )
-    edge.add_argument("--edge-seed", default="0",
-                      help="seed token for peer selection, gossip jitter, "
-                           "churn, and crash streams")
-    edge.add_argument("--equivalence", action="store_true",
-                      help="instead of the sweep, check a peer-less edge "
-                           "run is byte- and time-identical to the "
-                           "single-tier testbed")
-    edge.add_argument("--json", action="store_true",
-                      help="emit the report as one JSON line")
-    faas = sub.add_parser(
-        "faas", parents=[common],
-        help="serverless spike sweep over the three-tier cache chain",
-    )
-    faas.add_argument("--bandwidth", type=float, default=200.0,
-                      help="registry WAN uplink in Mbps")
-    faas.add_argument("--tier-bandwidth", type=float, default=904.0,
-                      help="shared-tier serving bandwidth in Mbps")
-    faas.add_argument("--nodes", type=int, default=6,
-                      help="FaaS worker nodes (functions hash onto them)")
-    faas.add_argument("--functions", type=int, default=40,
-                      help="distinct functions (Zipf-popular, images "
-                           "assigned round-robin by rank)")
-    faas.add_argument("--duration", type=float, default=20.0,
-                      help="invocation-stream horizon in virtual seconds")
-    faas.add_argument("--rate", type=float, default=6.0,
-                      help="baseline Poisson arrival rate per second")
-    faas.add_argument("--skew", type=float, default=1.0,
-                      help="Zipf popularity skew across functions")
-    faas.add_argument("--spike-start", type=float, default=8.0,
-                      help="burst window start in virtual seconds")
-    faas.add_argument("--spike-len", type=float, default=4.0,
-                      help="burst window length in virtual seconds")
-    faas.add_argument("--spike-factor", type=float, default=10.0,
-                      help="arrival-rate multiplier inside the burst")
-    faas.add_argument("--outage-start", type=float, default=9.0,
-                      help="shared-tier outage start (mid-spike default)")
-    faas.add_argument("--outage-len", type=float, default=2.0,
-                      help="shared-tier outage length in virtual seconds")
-    faas.add_argument("--tier-capacity", type=int, default=0,
-                      help="shared-tier cache capacity in bytes "
-                           "(0 = unbounded)")
-    faas.add_argument("--tier-ttl", type=float, default=0.0,
-                      help="shared-tier entry TTL in virtual seconds "
-                           "(0 = no expiry)")
-    faas.add_argument("--admission", type=int, default=4,
-                      help="tier admission capacity: concurrent upstream "
-                           "fills before shedding (0 = unbounded)")
-    faas.add_argument("--keep-warm", type=float, default=6.0,
-                      help="reap containers idle this many virtual "
-                           "seconds (0 = keep forever)")
-    faas.add_argument("--replicas", type=int, default=2,
-                      help="HA Gear registry replicas behind the tier "
-                           "(0 = single registry)")
-    faas.add_argument(
-        "--scenario", nargs="*", default=None,
-        help=f"scenarios to run (default: all of {list(FAAS_SCENARIOS)})",
-    )
-    faas.add_argument("--faas-seed", default="0",
-                      help="seed token for arrivals, placement, backoff, "
-                           "and fault streams")
-    faas.add_argument("--json", action="store_true",
-                      help="emit the sweep report as one JSON line")
-    perf = sub.add_parser(
-        "perf", parents=[common],
-        help="simulator throughput: events/sec on canonical scenarios",
-    )
-    perf.add_argument("--clients", type=int, default=256,
-                      help="microflow clients (1024 = the benchmark shape)")
-    perf.add_argument("--transfers", type=int, default=4,
-                      help="transfers per microflow client")
-    perf.add_argument("--bandwidth", type=float, default=200.0,
-                      help="shared microflow link bandwidth in Mbps")
-    perf.add_argument("--wave-clients", type=int, default=64,
-                      help="clients in the Gear deploy-wave scenario")
-    perf.add_argument("--json", action="store_true",
-                      help="emit deterministic fields as one JSON line "
-                           "(wall-clock throughput is table-only)")
-    slo = sub.add_parser(
-        "slo", parents=[common],
-        help="readiness-aware SLO gate: objectives + burn rates over "
-             "fleet/edge/faas/prefetch, double-run for determinism",
-    )
-    slo.add_argument("--scenario", nargs="*", default=None,
-                     help=f"subset of {list(SLO_SCENARIOS)} (default: all)")
-    slo.add_argument("--target", default="nginx")
-    slo.add_argument("--bandwidth", type=float, default=200.0)
-    slo.add_argument("--clients", type=int, default=6,
-                     help="fleet/edge wave size")
-    slo.add_argument("--slo-seed", type=int, default=1,
-                     help="scenario seed (corpus seed stays --seed)")
-    slo.add_argument("--json", action="store_true",
-                     help="emit the full report (timelines included) as "
-                          "one JSON line")
-    trace = sub.add_parser(
-        "trace", parents=[common],
-        help="trace a Gear deployment; critical path + Chrome trace export",
-    )
-    trace.add_argument("--target", default="nginx")
-    trace.add_argument("--bandwidth", type=float, default=100.0)
-    trace.add_argument("--clients", type=int, default=1,
-                       help="fleet wave mode when > 1 (roots at 'wave')")
-    trace.add_argument("--concurrency", type=int, default=0,
-                       help="clients deploying simultaneously per wave "
-                            "(default: all of them)")
-    trace.add_argument("--out-dir", default=None,
-                       help="write trace.json + metrics.json here "
-                            "(trace.json loads in Perfetto)")
-    trace.add_argument("--json", action="store_true",
-                       help="emit the critical-path report as one JSON line")
+    _flag(ha, "--no-hedging", False, "disable hedged second fetches")
+    _flag(ha, "--admission", 2,
+          "per-replica admission capacity in the overload scenario")
+    _scenario_flag(ha, HA_SCENARIOS)
+    _flag(ha, "--ha-seed", "0",
+          "seed token for replica selection, hedging, backoff, and fault "
+          "streams")
+    _flag(ha, "--json", False, "emit the sweep report as one JSON line")
+    edge = command("edge", cmd_edge,
+                   "multi-tier edge/P2P sweep under churn/byzantine scenarios")
+    _flag(edge, "--target", "nginx")
+    _flag(edge, "--bandwidth", 200.0, "registry WAN uplink in Mbps")
+    _flag(edge, "--lan-bandwidth", 904.0, "intra-site LAN bandwidth in Mbps")
+    _flag(edge, "--clients", 8, "number of edge nodes in the fleet")
+    _flag(edge, "--concurrency", 0,
+          "clients deploying simultaneously per wave (default: clients/4, "
+          "so later batches can peer-fetch from earlier ones)")
+    _flag(edge, "--sites", 1, "edge sites (nodes join round-robin)")
+    _flag(edge, "--gossip-interval", 0.25,
+          "tracker refresh period in virtual seconds")
+    _flag(edge, "--churn-rate", 2.0,
+          "join/leave events per virtual second in churn scenarios")
+    _flag(edge, "--churn-horizon", 10.0,
+          "churn schedule horizon in virtual seconds")
+    _scenario_flag(edge, EDGE_SCENARIOS)
+    _flag(edge, "--edge-seed", "0",
+          "seed token for peer selection, gossip jitter, churn, and crash "
+          "streams")
+    _flag(edge, "--equivalence", False,
+          "instead of the sweep, check a peer-less edge run is byte- and "
+          "time-identical to the single-tier testbed")
+    _flag(edge, "--json", False, "emit the report as one JSON line")
+    faas = command("faas", cmd_faas,
+                   "serverless spike sweep over the three-tier cache chain")
+    _flag(faas, "--bandwidth", 200.0, "registry WAN uplink in Mbps")
+    _flag(faas, "--tier-bandwidth", 904.0,
+          "shared-tier serving bandwidth in Mbps")
+    _flag(faas, "--nodes", 6, "FaaS worker nodes (functions hash onto them)")
+    _flag(faas, "--functions", 40,
+          "distinct functions (Zipf-popular, images assigned round-robin "
+          "by rank)")
+    _flag(faas, "--duration", 20.0,
+          "invocation-stream horizon in virtual seconds")
+    _flag(faas, "--rate", 6.0, "baseline Poisson arrival rate per second")
+    _flag(faas, "--skew", 1.0, "Zipf popularity skew across functions")
+    _flag(faas, "--spike-start", 8.0, "burst window start in virtual seconds")
+    _flag(faas, "--spike-len", 4.0, "burst window length in virtual seconds")
+    _flag(faas, "--spike-factor", 10.0,
+          "arrival-rate multiplier inside the burst")
+    _flag(faas, "--outage-start", 9.0,
+          "shared-tier outage start (mid-spike default)")
+    _flag(faas, "--outage-len", 2.0,
+          "shared-tier outage length in virtual seconds")
+    _flag(faas, "--tier-capacity", 0,
+          "shared-tier cache capacity in bytes (0 = unbounded)")
+    _flag(faas, "--tier-ttl", 0.0,
+          "shared-tier entry TTL in virtual seconds (0 = no expiry)")
+    _flag(faas, "--admission", 4,
+          "tier admission capacity: concurrent upstream fills before "
+          "shedding (0 = unbounded)")
+    _flag(faas, "--keep-warm", 6.0,
+          "reap containers idle this many virtual seconds (0 = keep forever)")
+    _flag(faas, "--replicas", 2,
+          "HA Gear registry replicas behind the tier (0 = single registry)")
+    _scenario_flag(faas, FAAS_SCENARIOS)
+    _flag(faas, "--faas-seed", "0",
+          "seed token for arrivals, placement, backoff, and fault streams")
+    _flag(faas, "--json", False, "emit the sweep report as one JSON line")
+    perf = command("perf", cmd_perf,
+                   "simulator throughput: events/sec on canonical scenarios")
+    _flag(perf, "--clients", 256,
+          "microflow clients (1024 = the benchmark shape)")
+    _flag(perf, "--transfers", 4, "transfers per microflow client")
+    _flag(perf, "--bandwidth", 200.0,
+          "shared microflow link bandwidth in Mbps")
+    _flag(perf, "--wave-clients", 64,
+          "clients in the Gear deploy-wave scenario")
+    _flag(perf, "--json", False,
+          "emit deterministic fields as one JSON line (wall-clock "
+          "throughput is table-only)")
+    slo = command("slo", cmd_slo,
+                  "readiness-aware SLO gate: objectives + burn rates over "
+                  "fleet/edge/faas/prefetch, double-run for determinism")
+    _scenario_flag(slo, SLO_SCENARIOS)
+    _flag(slo, "--target", "nginx")
+    _flag(slo, "--bandwidth", 200.0)
+    _flag(slo, "--clients", 6, "fleet/edge wave size")
+    _flag(slo, "--slo-seed", 1, "scenario seed (corpus seed stays --seed)")
+    _flag(slo, "--json", False,
+          "emit the full report (timelines included) as one JSON line")
+    trace = command("trace", cmd_trace,
+                    "trace a Gear deployment; critical path + Chrome trace "
+                    "export")
+    _flag(trace, "--target", "nginx")
+    _flag(trace, "--bandwidth", 100.0)
+    _flag(trace, "--clients", 1, "fleet wave mode when > 1 (roots at 'wave')")
+    _flag(trace, "--concurrency", 0,
+          "clients deploying simultaneously per wave (default: all of them)")
+    _flag(trace, "--out-dir", None,
+          "write trace.json + metrics.json here (trace.json loads in "
+          "Perfetto)")
+    _flag(trace, "--json", False,
+          "emit the critical-path report as one JSON line")
     return parser
+
+
+#: Stands for the seed in a :data:`GATES` row (``str.format`` style): a
+#: row that has it is double-run at every gate seed, one without it once.
+SEED = "{seed}"
+
+#: The gate table: the one smoke invocation of every scenario, by gate
+#: name, as typed after ``python -m repro.cli``.  ``scripts/check.sh``
+#: runs each row in two fresh interpreters per seed and diffs the bytes,
+#: ``benchmarks/artifacts.py`` records each at seed 11 as
+#: ``BENCH_ext_<name>.json``, and ``tests/test_cli.py`` runs each
+#: in-process against that artifact — a scenario added here is picked up
+#: by all three.
+GATES = {
+    "fleet": "deploy --series nginx --versions 2 --scale 0.2 --clients 8 "
+             "--bandwidth 100 --json",
+    "crash": "crash --series nginx --versions 1 --scale 0.2 --target nginx "
+             "--crash-seed {seed} --json",
+    # p2c exercises the seeded replica-selection stream too.
+    "ha": "ha --series nginx --versions 2 --scale 0.2 --clients 6 "
+          "--concurrency 3 --strategy p2c --ha-seed {seed} --json",
+    "obs": "trace --series nginx --versions 1 --scale 0.2 --target nginx "
+           "--seed {seed} --json",
+    "edge": "edge --series nginx --versions 2 --scale 0.2 --target nginx "
+            "--clients 8 --edge-seed {seed} --json",
+    # With no peers and no churn the edge tier must cost exactly nothing
+    # (exit 1 on any divergence); an identity, so it records no artifact.
+    "edge-equivalence": "edge --series nginx --versions 2 --scale 0.2 "
+                        "--target nginx --equivalence --json",
+    "faas": "faas --series nginx --versions 2 --scale 0.2 --functions 10 "
+            "--duration 8 --rate 4 --nodes 4 --spike-start 3 --spike-len 3 "
+            "--outage-start 4 --outage-len 1.5 --scenario spike spike+outage "
+            "--faas-seed {seed} --json",
+    "chunk": "chunks --clients 8 --big-mib 4 --chunk-seed {seed} --json",
+    "slo": "slo --series nginx --versions 2 --scale 0.2 --target nginx "
+           "--clients 6 --bandwidth 200 --slo-seed {seed} --json",
+    # The perf command's JSON carries only deterministic simulation
+    # fields (events, virtual seconds, modeled bytes) plus the recorded
+    # pre-refactor baseline; wall-clock throughput never enters it, so it
+    # stays byte-stable across machines.
+    "speed": "perf --scale 0.2 --clients 256 --transfers 4 --wave-clients 64 "
+             "--json",
+}
+
+
+def gate_argv(name: str, seed: int) -> List[str]:
+    """Gate ``name``'s argv with its seed flag, if it has one, set."""
+    return GATES[name].format(seed=seed).split()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "catalog":
-        return cmd_catalog(args)
-    if args.command == "demo":
-        return _run_demo()
-    if args.command == "dedup":
-        return cmd_dedup(args)
-    if args.command == "storage":
-        return cmd_storage(args)
-    if args.command == "deploy":
-        return cmd_deploy(args)
-    if args.command == "crash":
-        return cmd_crash(args)
-    if args.command == "chunks":
-        return cmd_chunks(args)
-    if args.command == "ha":
-        return cmd_ha(args)
-    if args.command == "edge":
-        return cmd_edge(args)
-    if args.command == "faas":
-        return cmd_faas(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    if args.command == "perf":
-        return cmd_perf(args)
-    if args.command == "slo":
-        return cmd_slo(args)
-    raise AssertionError("unreachable")
+    try:
+        return args.run(args)
+    except argparse.ArgumentError as exc:  # a value only the command can vet
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,47 @@
-"""CLI smoke tests."""
+"""CLI tests: smoke runs, the gate table, rejected input, the parser surface."""
+
+import argparse
+import json
+import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import GATES, SEED, build_parser, gate_argv, main
 
 
 SMALL = ["--scale", "0.15", "--versions", "2", "--series", "nginx"]
+
+ARTIFACTS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "artifacts"
+)
+
+#: Gate rows that are sweeps -> (cell-name heading, key the cells sit under).
+SWEEPS = {
+    "fleet": ("System", "systems"),
+    "crash": ("Point", "points"),
+    "ha": ("Scenario", "scenarios"),
+    "edge": ("Scenario", "scenarios"),
+    "faas": ("Scenario", "scenarios"),
+    "chunk": ("Scenario", "scenarios"),
+    "slo": ("Scenario", "scenarios"),
+}
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    action = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _flags(subparser) -> dict:
+    return {
+        a.option_strings[0]: a
+        for a in subparser._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
 
 
 class TestParser:
@@ -21,6 +57,158 @@ class TestParser:
     def test_options_after_subcommand(self):
         args = build_parser().parse_args(["dedup", "--seed", "3"])
         assert args.seed == 3
+
+    def test_surface_is_pinned(self):
+        """Every flag's (default, type, nargs), captured from the parser
+        as it was written out flag by flag, before the flag helper."""
+        surface = {
+            name: {
+                flag: (a.default, a.type, a.nargs)
+                for flag, a in _flags(subparser).items()
+            }
+            for name, subparser in _subcommands().items()
+        }
+        assert surface == {
+            name: {**COMMON, **flags} for name, flags in SURFACE.items()
+        }
+        assert sum(len(flags) for flags in surface.values()) == 136
+
+    def test_choices_are_pinned(self):
+        choices = {
+            (name, flag): tuple(a.choices)
+            for name, subparser in _subcommands().items()
+            for flag, a in _flags(subparser).items()
+            if a.choices is not None
+        }
+        assert choices == {
+            ("ha", "--strategy"): ("primary-first", "least-loaded", "p2c"),
+            ("chunks", "--scenario"):
+                ("clean", "chunk-faults", "crash", "byzantine"),
+            ("ha", "--scenario"):
+                ("healthy", "outage", "brownout", "byzantine", "overload"),
+            ("edge", "--scenario"):
+                ("quiet", "churn", "byzantine", "churn+byzantine"),
+            ("faas", "--scenario"):
+                ("steady", "spike", "spike+outage", "spike+byzantine"),
+            ("slo", "--scenario"): ("fleet", "edge", "faas", "prefetch"),
+        }
+
+
+COMMON = {
+    "--seed": (7, int, None),
+    "--scale": (0.4, float, None),
+    "--versions": (6, int, None),
+    "--series": (["nginx", "tomcat"], None, "*"),
+}
+
+SURFACE = {
+    "catalog": {},
+    "demo": {},
+    "dedup": {},
+    "storage": {},
+    "deploy": {
+        "--target": ("nginx", None, None),
+        "--bandwidth": (100.0, float, None),
+        "--clients": (1, int, None),
+        "--concurrency": (0, int, None),
+        "--json": (False, None, 0),
+        "--drop-rate": (0.0, float, None),
+        "--corrupt-rate": (0.0, float, None),
+        "--outage-start": (0.0, float, None),
+        "--outage-len": (0.0, float, None),
+        "--fault-seed": ("0", None, None),
+        "--fault-target": (["gear-registry"], None, "*"),
+    },
+    "crash": {
+        "--target": ("nginx", None, None),
+        "--bandwidth": (100.0, float, None),
+        "--crash-seed": ("0", None, None),
+        "--crash-op": (-1, int, None),
+        "--json": (False, None, 0),
+    },
+    "chunks": {
+        "--bandwidth": (904.0, float, None),
+        "--clients": (32, int, None),
+        "--big-mib": (8, int, None),
+        "--scenario": (None, None, "*"),
+        "--chunk-seed": ("7", None, None),
+        "--crash-op": (-1, int, None),
+        "--json": (False, None, 0),
+    },
+    "ha": {
+        "--target": ("nginx", None, None),
+        "--bandwidth": (904.0, float, None),
+        "--clients": (8, int, None),
+        "--concurrency": (0, int, None),
+        "--replicas": (3, int, None),
+        "--strategy": ("primary-first", None, None),
+        "--no-hedging": (False, None, 0),
+        "--admission": (2, int, None),
+        "--scenario": (None, None, "*"),
+        "--ha-seed": ("0", None, None),
+        "--json": (False, None, 0),
+    },
+    "edge": {
+        "--target": ("nginx", None, None),
+        "--bandwidth": (200.0, float, None),
+        "--lan-bandwidth": (904.0, float, None),
+        "--clients": (8, int, None),
+        "--concurrency": (0, int, None),
+        "--sites": (1, int, None),
+        "--gossip-interval": (0.25, float, None),
+        "--churn-rate": (2.0, float, None),
+        "--churn-horizon": (10.0, float, None),
+        "--scenario": (None, None, "*"),
+        "--edge-seed": ("0", None, None),
+        "--equivalence": (False, None, 0),
+        "--json": (False, None, 0),
+    },
+    "faas": {
+        "--bandwidth": (200.0, float, None),
+        "--tier-bandwidth": (904.0, float, None),
+        "--nodes": (6, int, None),
+        "--functions": (40, int, None),
+        "--duration": (20.0, float, None),
+        "--rate": (6.0, float, None),
+        "--skew": (1.0, float, None),
+        "--spike-start": (8.0, float, None),
+        "--spike-len": (4.0, float, None),
+        "--spike-factor": (10.0, float, None),
+        "--outage-start": (9.0, float, None),
+        "--outage-len": (2.0, float, None),
+        "--tier-capacity": (0, int, None),
+        "--tier-ttl": (0.0, float, None),
+        "--admission": (4, int, None),
+        "--keep-warm": (6.0, float, None),
+        "--replicas": (2, int, None),
+        "--scenario": (None, None, "*"),
+        "--faas-seed": ("0", None, None),
+        "--json": (False, None, 0),
+    },
+    "perf": {
+        "--clients": (256, int, None),
+        "--transfers": (4, int, None),
+        "--bandwidth": (200.0, float, None),
+        "--wave-clients": (64, int, None),
+        "--json": (False, None, 0),
+    },
+    "slo": {
+        "--scenario": (None, None, "*"),
+        "--target": ("nginx", None, None),
+        "--bandwidth": (200.0, float, None),
+        "--clients": (6, int, None),
+        "--slo-seed": (1, int, None),
+        "--json": (False, None, 0),
+    },
+    "trace": {
+        "--target": ("nginx", None, None),
+        "--bandwidth": (100.0, float, None),
+        "--clients": (1, int, None),
+        "--concurrency": (0, int, None),
+        "--out-dir": (None, None, None),
+        "--json": (False, None, 0),
+    },
+}
 
 
 class TestCommands:
@@ -62,8 +250,6 @@ class TestCommands:
         assert "NO" not in out  # every point resume-equivalent
 
     def test_crash_sweep_json(self, capsys):
-        import json
-
         assert main(["crash", *SMALL, "--target", "nginx", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report["points"]) == {
@@ -73,3 +259,100 @@ class TestCommands:
             assert cell["crashed"]
             assert cell["fs_equivalent"]
             assert cell["refetched_committed"] == 0
+
+
+class TestGateTable:
+    """The table ``scripts/check.sh`` and ``benchmarks/artifacts.py``
+    iterate, run here in-process: no scenario is reachable from only one
+    entry point."""
+
+    @pytest.mark.parametrize("name", GATES)
+    def test_row_matches_its_artifact(self, name, capsys):
+        assert main(gate_argv(name, 11)) == 0
+        report = json.loads(capsys.readouterr().out)
+        path = os.path.join(ARTIFACTS, f"BENCH_ext_{name}.json")
+        if name == "edge-equivalence":  # an identity: records no artifact
+            assert not os.path.exists(path)
+            assert report["identical"] is True
+            return
+        with open(path) as handle:
+            artifact = json.load(handle)
+        assert artifact["scenario"] == gate_argv(name, 11)
+        assert artifact["report"] == report
+
+    def test_every_json_subcommand_has_a_row(self):
+        takes_json = {
+            name for name, subparser in _subcommands().items()
+            if "--json" in _flags(subparser)
+        }
+        assert takes_json == {gate_argv(name, 11)[0] for name in GATES}
+
+    @pytest.mark.parametrize("name", GATES)
+    def test_every_row_parses(self, name):
+        for seed in (11, 42):
+            argv = gate_argv(name, seed)
+            assert SEED not in argv
+            assert build_parser().parse_args(argv).json
+        seeded = gate_argv(name, 11) != gate_argv(name, 42)
+        assert seeded == (SEED in GATES[name])
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_table_form(self, name, capsys):
+        """A sweep's human table: the title, a heading row led by the
+        cell-name column, a rule, then one row per cell."""
+        heading, group = SWEEPS[name]
+        with open(os.path.join(ARTIFACTS, f"BENCH_ext_{name}.json")) as handle:
+            cells = json.load(handle)["report"][group]
+        argv = gate_argv(name, 11)
+        argv.remove("--json")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[1].split()[0] == heading
+        assert set(lines[2]) == {"-", " "}
+        assert sorted(line.split()[0] for line in lines[3:]) == sorted(cells)
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "command", ["chunks", "ha", "edge", "faas", "slo"]
+    )
+    def test_unknown_scenario(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *SMALL, "--scenario", "bogus", "--json"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'bogus'" in captured.err
+
+    def test_deploy_json_needs_fleet_mode(self, capsys):
+        assert main(["deploy", *SMALL, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "deploy: --json is only supported with --clients > 1\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["ha", "--target", "nosuch"],
+        ["deploy", "--target", "nosuch"],
+        ["dedup", "--series", "nosuch"],
+    ])
+    def test_unknown_series(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: unknown series: ['nosuch']\n"
+
+
+class TestRedSweep:
+    def test_failing_cell_names_its_invariant(self, capsys):
+        """One replica, and it is down: every deploy degrades."""
+        argv = ["ha", *SMALL, "--replicas", "1", "--scenario", "outage",
+                "--clients", "2", "--json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "ha outage: degraded=2\n"
+        report = json.loads(captured.out)
+        assert report["scenarios"]["outage"]["degraded"] == 2
