@@ -16,18 +16,34 @@ python -W error -m pytest -x -q
 
 echo "== one download chain: the copies must not grow back =="
 # The whole-round backoff lives in resilience.py (transport.py retries
-# single attempts), and the fabrics stay below the bench layer.
+# single attempts), and the fabrics stay below the bench layer.  The
+# grep stops at src/repro/net on purpose: gear/bigfile.py keeps its own
+# tail, because a chunk that hashed wrong is re-fetched under other
+# rules than a failed round (N tries where retry_rounds makes N-1
+# passes, its own refetch counter, quarantine and a typed
+# ChunkIntegrityError at give-up); it asks the same
+# RetryPolicy.should_retry, so a new stop condition reaches chunks too.
 if grep -l "next_backoff(" src/repro/net/*.py | grep -v -e /resilience.py -e /transport.py \
     || grep -n "from repro.bench" src/repro/net/edge.py src/repro/net/faas.py
 then echo "a fabric grew its own backoff tail or imports repro.bench" >&2; exit 1; fi
 
 echo "== one read path: a synchronous twin must not grow back =="
-# Each blocking function on the plain Gear read path exists once, as a
-# generator; its sync name is a facade over SimScheduler.drive (DESIGN.md
-# §5).  Thread identity belongs to the scheduler alone.
+# Each blocking function on the Gear read path, in a fabric route and in
+# the chunk pipeline exists once, as a generator; a sync name is a facade
+# over SimScheduler.drive (DESIGN.md §5).  Thread identity belongs to the
+# scheduler alone, the escape to call mode has one caller left (the
+# degraded Docker pull in viewer._fetch_degraded), and the tables of
+# fetches in flight are SingleFlight's, not hand-kept dicts.
 if grep -rln "threading.get_ident" src/repro --include='*.py' \
     | grep -v '^src/repro/common/clock.py$'
 then echo "thread identity used outside common/clock.py" >&2; exit 1; fi
+if [ "$(grep -rn "on_worker(" src/repro --include='*.py' \
+        | grep -v '^src/repro/common/clock.py:' | cut -d: -f1)" \
+    != "src/repro/gear/viewer.py" ]
+then echo "on_worker( has a call site other than viewer._fetch_degraded" >&2; exit 1; fi
+if grep -rn -e 'inflight\[' -e 'inflight\.pop(' -e 'inflight\.get(' \
+    src/repro --include='*.py' | grep -v '^src/repro/net/resilience.py:'
+then echo "a single-flight table is kept by hand outside SingleFlight" >&2; exit 1; fi
 once() {  # once FILE MAX PATTERN: PATTERN occurs at most MAX times in FILE
     count="$(grep -c -- "$3" "$1" || true)"
     [ "$count" -le "$2" ] || {
@@ -39,6 +55,13 @@ once src/repro/gear/viewer.py 1 "def _fault_in"
 once src/repro/gear/viewer.py 1 "def _fetch_remote"
 once src/repro/net/transport.py 1 "def _attempt"
 once src/repro/net/link.py 0 "def _transfer_flow"
+for tier in ha edge faas resilience; do
+    for name in _one_pass _single_fetch _hedged _fill route; do
+        once "src/repro/net/$tier.py" 1 "def $name("
+    done
+done
+once src/repro/gear/bigfile.py 1 "def _get_partial"
+once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each row of repro.cli.GATES (fleet, crash, HA, trace, edge, edge

@@ -42,13 +42,14 @@ whole-file path (DESIGN.md §15):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.blob import DEFAULT_CHUNK_SIZE, chunk_fingerprint
 from repro.blob.compressibility import chunk_compressed_size
 from repro.common.clock import SimEvent
 from repro.common.errors import (
     ChunkIntegrityError,
+    CorruptPayloadError,
     GearError,
     IntegrityError,
     NotFoundError,
@@ -57,7 +58,7 @@ from repro.common.units import MiB
 from repro.gear.gearfile import GearFile
 from repro.gear.index import STUB_XATTR
 from repro.gear.pool import PartialFile
-from repro.gear.registry import ChunkManifest, GearRegistry
+from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
 from repro.net.faults import CrashPoint
 from repro.net.resilience import AdmissionGate, RetryPolicy
@@ -97,12 +98,6 @@ class ChunkFetchStats(MetricSet):
     promotions: int = 0
 
 
-#: Backwards-compatible aliases: the stats group under its metrics name,
-#: and the partial-file record now owned by the pool.
-ChunkStats = ChunkFetchStats
-_PartialFile = PartialFile
-
-
 class ChunkedGearFileViewer(GearFileViewer):
     """A Gear File Viewer with partial-read support for big files."""
 
@@ -139,11 +134,6 @@ class ChunkedGearFileViewer(GearFileViewer):
             chunk_stats if chunk_stats is not None else ChunkFetchStats()
         )
 
-    @property
-    def _partials(self) -> Dict[str, PartialFile]:
-        """Partial big files, owned by the pool (node lifecycle applies)."""
-        return self.pool.partials
-
     # -- the partial-read path ------------------------------------------
 
     def read_range(self, path: str, offset: int, length: int) -> int:
@@ -151,7 +141,13 @@ class ChunkedGearFileViewer(GearFileViewer):
 
         Small files (or already-materialized ones) take the normal fault
         path.  Big stub files fetch only the chunks covering the range.
+        The synchronous face of :meth:`read_range_gen`: a call process
+        parks once for the whole read, chunk workers and waits included.
         """
+        return self._drive(self.read_range_gen(path, offset, length))
+
+    def read_range_gen(self, path: str, offset: int, length: int):
+        """:meth:`read_range` as a generator: ``yield from`` it in a process."""
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
         node, resolved = self._resolve(path)
@@ -161,7 +157,7 @@ class ChunkedGearFileViewer(GearFileViewer):
         entry = self.index.entries.get(index_path)
         is_stub = STUB_XATTR in node.meta.xattrs
         if not is_stub or entry is None or entry.size < self.big_file_threshold:
-            blob = self.read_blob(path)
+            blob = yield from self.read_blob_gen(path)
             return min(length, max(0, blob.size - offset))
 
         identity = entry.identity
@@ -169,20 +165,20 @@ class ChunkedGearFileViewer(GearFileViewer):
             "range_read", fp=identity[:12], offset=offset, length=length
         ):
             self.chunk_stats.range_reads += 1
-            partial = self._get_partial(identity)
+            partial = yield from self._get_partial(identity)
             if partial is None:
                 # A concurrent reader finished the whole file while we
                 # waited for its manifest: serve it like any cached file.
-                blob = self.read_blob(path)
+                blob = yield from self.read_blob_gen(path)
                 return min(length, max(0, blob.size - offset))
-            self._fetch_span(identity, partial, offset, length)
+            yield from self._fetch_span(identity, partial, offset, length)
             if partial.is_complete():
                 self._promote(index_path, identity, partial)
             return min(length, max(0, partial.blob.size - offset))
 
     # -- manifest / partial bootstrap -----------------------------------
 
-    def _get_partial(self, identity: str) -> Optional[PartialFile]:
+    def _get_partial(self, identity: str):
         """The partial for ``identity``, creating it from the manifest.
 
         Manifest fetches are single-flight per identity; ``None`` means
@@ -195,41 +191,35 @@ class ChunkedGearFileViewer(GearFileViewer):
                 return partial
             if self.pool.contains(identity):
                 return None
-            pending = self.pool.inflight.get(map_key)
+            pending = self.pool.inflight.pending(map_key)
             if pending is None:
                 break
             self.chunk_stats.coalesced_waits += 1
-            pending.wait()
-        announce: Optional[SimEvent] = None
-        if self.clock is not None and self.clock.scheduler is not None:
-            announce = SimEvent(self.clock)
-            self.pool.inflight[map_key] = announce
+            yield from pending.wait_gen()
+        announce = self.pool.inflight.claim(map_key, self.clock)
         try:
-            manifest = self._chunk_manifest(identity)
+            manifest = yield from self._chunk_manifest(identity)
             partial = PartialFile(manifest.blob, manifest.fingerprints)
             self._dedup_present(partial)
             self.pool.partials[identity] = partial
             self.chunk_stats.whole_files_avoided += 1
             return partial
         finally:
-            if announce is not None:
-                if self.pool.inflight.get(map_key) is announce:
-                    del self.pool.inflight[map_key]
-                announce.fire()
+            yield from self.pool.inflight.release(map_key, announce)
 
-    def _chunk_manifest(self, identity: str) -> ChunkManifest:
+    def _chunk_manifest(self, identity: str):
         if self.transport is None:
             raise NotFoundError(f"no registry transport for {identity!r}")
         # Chunk map request: tiny metadata describing the blob's chunks
         # plus the per-chunk fingerprints chunk verification trusts.  The
         # transport checksum protects it (corruption of framed metadata
         # is always detected and retried at the transport layer).
-        return self.transport.call(
+        return (yield from self.transport.call_gen(
             GearRegistry.ENDPOINT_NAME,
             "chunk_map",
             identity,
             label=f"gear-chunkmap:{identity[:10]}",
-        )
+        ))
 
     def _dedup_present(self, partial: PartialFile) -> None:
         """Pre-mark chunks whose content a committed pool file already has.
@@ -260,7 +250,7 @@ class ChunkedGearFileViewer(GearFileViewer):
 
     def _fetch_span(
         self, identity: str, partial: PartialFile, offset: int, length: int
-    ) -> None:
+    ):
         missing = [
             index
             for index in self._covering_chunks(partial, offset, length)
@@ -270,19 +260,20 @@ class ChunkedGearFileViewer(GearFileViewer):
             return
         scheduler = self.clock.scheduler if self.clock is not None else None
         if scheduler is not None and len(missing) > 1:
-            self._fetch_parallel(identity, partial, missing)
+            yield from self._fetch_parallel(identity, partial, missing)
         else:
             for chunk_index in missing:
-                self._fetch_chunk(identity, partial, chunk_index)
+                yield from self._fetch_chunk(identity, partial, chunk_index)
 
     def _fetch_parallel(
         self, identity: str, partial: PartialFile, missing: List[int]
-    ) -> None:
+    ):
         """The bounded pipeline: fetch range-covering chunks concurrently.
 
         Each chunk is claimed single-flight, admitted through the buffer
-        gate, and fetched by a spawned worker; a full gate degrades that
-        chunk to an inline sequential fetch (counted, never an error).
+        gate, and fetched by a spawned worker (a generator process: only
+        the reader owns a thread); a full gate degrades that chunk to an
+        inline sequential fetch (counted, never an error).
         """
         scheduler = self.clock.scheduler
         waits: List[SimEvent] = []
@@ -290,21 +281,23 @@ class ChunkedGearFileViewer(GearFileViewer):
         for chunk_index in missing:
             if chunk_index in partial.present:
                 continue
-            pending = partial.inflight.get(chunk_index)
+            pending = partial.inflight.pending(chunk_index)
             if pending is not None:
                 self.chunk_stats.coalesced_waits += 1
                 waits.append(pending)
                 continue
-            self._chunk_crash_checkpoint(identity, partial, chunk_index)
+            yield from self._chunk_crash_checkpoint(identity, partial, chunk_index)
             if not self._gate.try_enter():
                 self.chunk_stats.sequential_fallbacks += 1
-                self._fetch_chunk(
+                yield from self._fetch_chunk(
                     identity, partial, chunk_index, check_crash=False
                 )
                 continue
-            announce = SimEvent(self.clock)
-            partial.inflight[chunk_index] = announce
+            announce = partial.inflight.claim(chunk_index, self.clock)
             waits.append(announce)
+            # ``spawn`` starts children at settled time, by blocking:
+            # from a step the debt is paid first, by yielding.
+            yield from self.clock.settle_gen()
             scheduler.spawn(
                 self._chunk_worker,
                 identity,
@@ -315,7 +308,7 @@ class ChunkedGearFileViewer(GearFileViewer):
                 name=f"chunk:{identity[:10]}:{chunk_index}",
             )
         for event in waits:
-            event.wait()
+            yield from event.wait_gen()
         if errors:
             raise errors[0]
         # A fired event does not guarantee a landed chunk (the waited-on
@@ -323,7 +316,7 @@ class ChunkedGearFileViewer(GearFileViewer):
         # still missing is re-fetched inline.
         for chunk_index in missing:
             if chunk_index not in partial.present:
-                self._fetch_chunk(identity, partial, chunk_index)
+                yield from self._fetch_chunk(identity, partial, chunk_index)
 
     def _chunk_worker(
         self,
@@ -332,17 +325,15 @@ class ChunkedGearFileViewer(GearFileViewer):
         chunk_index: int,
         announce: SimEvent,
         errors: List[BaseException],
-    ) -> None:
+    ):
         try:
-            self._fetch_chunk_claimed(identity, partial, chunk_index)
+            yield from self._fetch_chunk_claimed(identity, partial, chunk_index)
             self.chunk_stats.parallel_fetches += 1
         except BaseException as exc:  # noqa: BLE001 — relayed to caller
             errors.append(exc)
         finally:
             self._gate.exit()
-            if partial.inflight.get(chunk_index) is announce:
-                del partial.inflight[chunk_index]
-            announce.fire()
+            yield from partial.inflight.release(chunk_index, announce)
 
     def _fetch_chunk(
         self,
@@ -351,33 +342,29 @@ class ChunkedGearFileViewer(GearFileViewer):
         chunk_index: int,
         *,
         check_crash: bool = True,
-    ) -> None:
+    ):
         """Fetch one chunk inline, honouring single-flight claims."""
         while True:
             if chunk_index in partial.present:
                 return
-            pending = partial.inflight.get(chunk_index)
+            pending = partial.inflight.pending(chunk_index)
             if pending is None:
                 break
             self.chunk_stats.coalesced_waits += 1
-            pending.wait()
-        announce: Optional[SimEvent] = None
-        if self.clock is not None and self.clock.scheduler is not None:
-            announce = SimEvent(self.clock)
-            partial.inflight[chunk_index] = announce
+            yield from pending.wait_gen()
+        announce = partial.inflight.claim(chunk_index, self.clock)
         try:
             if check_crash:
-                self._chunk_crash_checkpoint(identity, partial, chunk_index)
-            self._fetch_chunk_claimed(identity, partial, chunk_index)
+                yield from self._chunk_crash_checkpoint(
+                    identity, partial, chunk_index
+                )
+            yield from self._fetch_chunk_claimed(identity, partial, chunk_index)
         finally:
-            if announce is not None:
-                if partial.inflight.get(chunk_index) is announce:
-                    del partial.inflight[chunk_index]
-                announce.fire()
+            yield from partial.inflight.release(chunk_index, announce)
 
     def _fetch_chunk_claimed(
         self, identity: str, partial: PartialFile, chunk_index: int
-    ) -> None:
+    ):
         """Download, verify, journal, and store one claimed chunk."""
         if chunk_index in partial.present:
             return
@@ -402,7 +389,7 @@ class ChunkedGearFileViewer(GearFileViewer):
             with self._span(
                 "chunk_fetch", fp=identity[:12], chunk=chunk_index
             ):
-                payload = self.transport.call(
+                payload = yield from self.transport.call_gen(
                     GearRegistry.ENDPOINT_NAME,
                     "download_chunk",
                     identity,
@@ -437,12 +424,10 @@ class ChunkedGearFileViewer(GearFileViewer):
             elapsed_s = (
                 self.clock.now - started_s if self.clock is not None else 0.0
             )
-            give_up = attempt >= policy.max_attempts
-            if policy.deadline_s is not None and elapsed_s >= policy.deadline_s:
-                give_up = True
-            if policy.budget_s is not None and policy.spent_s >= policy.budget_s:
-                give_up = True
-            if give_up:
+            # To the policy a chunk that hashed wrong is a corrupt
+            # payload the wire checksum missed: retryable, within bounds.
+            bad = CorruptPayloadError(f"chunk {chunk_index} of {identity!r}")
+            if not policy.should_retry(bad, attempt=attempt, elapsed_s=elapsed_s):
                 self.pool.quarantine(identity)
                 self.pool.partials.pop(identity, None)
                 raise ChunkIntegrityError(
@@ -455,13 +440,16 @@ class ChunkedGearFileViewer(GearFileViewer):
             backoff = policy.next_backoff(backoff)
             policy.charge(backoff)
             if self.clock is not None:
-                self.clock.advance(
+                yield from self.clock.advance_gen(
                     backoff, f"chunk-backoff:{identity[:10]}:{chunk_index}"
                 )
             attempt += 1
             self.chunk_stats.chunk_refetches += 1
         if self.disk is not None:
-            self.disk.write(chunk.size, label="chunk-store")
+            # Charged as debt and settled at once: the one sleep
+            # ``advance`` would make, which a step has to yield.
+            self.disk.write(chunk.size, label="chunk-store", deferred=True)
+            yield from self.disk.clock.settle_gen()
         if self.journal is not None:
             self.journal.chunk_commit(identity, chunk_index)
         partial.torn.pop(chunk_index, None)
@@ -469,7 +457,7 @@ class ChunkedGearFileViewer(GearFileViewer):
 
     def _chunk_crash_checkpoint(
         self, identity: str, partial: PartialFile, chunk_index: int
-    ) -> None:
+    ):
         """Die mid-chunk if the armed crash plan says so.
 
         Reuses the whole-file ``MID_FETCH`` checkpoint (the crash sweep
@@ -489,7 +477,7 @@ class ChunkedGearFileViewer(GearFileViewer):
         partial_bytes = int(chunk.size * crash.plan.partial_fraction)
         if self.transport is not None and partial_bytes > 0:
             link = self.transport.link
-            link.clock.advance(
+            yield from link.clock.advance_gen(
                 link.transfer_time(partial_bytes),
                 f"crash-partial-chunk:{identity[:10]}:{chunk_index}",
             )

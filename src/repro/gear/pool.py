@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.blob import Blob
-from repro.common.clock import SimEvent
 from repro.common.errors import IntegrityError, StorageError
 from repro.gear.gearfile import GearFile
+from repro.net.resilience import SingleFlight
 from repro.obs.metrics import MetricSet
 from repro.vfs.inode import FileKind, Inode, Metadata
 
@@ -60,8 +60,8 @@ class PartialFile:
     after a crash without reaching into any viewer.
 
     ``present`` holds chunk indexes whose bytes are on disk *and* verified
-    against the manifest; ``inflight`` maps chunk index → single-flight
-    event while a fetch is in the air; ``torn`` maps chunk index → bytes a
+    against the manifest; ``inflight`` is the single-flight table of chunk
+    indexes whose fetch is in the air; ``torn`` maps chunk index → bytes a
     mid-chunk crash left on disk (recovery drops these).
     """
 
@@ -73,7 +73,7 @@ class PartialFile:
         self.blob = blob
         self.fingerprints = fingerprints
         self.present: Set[int] = set()
-        self.inflight: Dict[int, "SimEvent"] = {}
+        self.inflight = SingleFlight()
         self.torn: Dict[int, int] = {}
 
     def is_complete(self) -> bool:
@@ -108,12 +108,11 @@ class SharedFilePool:
         #: Identities whose last download failed verification; cleared
         #: when a verified copy finally lands.
         self._quarantined: Set[str] = set()
-        #: Single-flight registry: identity → SimEvent fired when the
-        #: in-progress fetch lands.  Only populated under a scheduler —
-        #: concurrent faults on one identity (a prefetcher racing the
-        #: startup task) wait for the first fetch instead of duplicating
-        #: the download.
-        self.inflight: Dict[str, "SimEvent"] = {}
+        #: Single-flight table, keyed by identity (and ``chunk-map:…`` for
+        #: manifests): concurrent faults on one identity (a prefetcher
+        #: racing the startup task) wait for the first fetch instead of
+        #: duplicating the download.
+        self.inflight = SingleFlight()
         #: Chunk-granular fetches in progress: identity → PartialFile.
         #: Pool-owned so :meth:`clear` cannot leak them and recovery can
         #: salvage their verified chunks (DESIGN.md §15).
@@ -367,13 +366,9 @@ class SharedFilePool:
         self._bytes = 0
         self._staged.clear()
         self._quarantined.clear()
-        for event in list(self.inflight.values()):
-            event.fire()
-        self.inflight.clear()
+        self.inflight.abandon()
         for partial in self.partials.values():
-            for event in list(partial.inflight.values()):
-                event.fire()
-            partial.inflight.clear()
+            partial.inflight.abandon()
         self.partials.clear()
         self._chunk_tokens.clear()
 

@@ -159,10 +159,7 @@ def fsck(
     # 1. Single-flight markers die with the client.  Fire them so any
     # surviving waiter (a sibling process on a shared scheduler) re-reads
     # the pool instead of waiting on a fetch that will never land.
-    for identity in sorted(pool.inflight):
-        pool.inflight[identity].fire()
-        report.inflight_cleared += 1
-    pool.inflight.clear()
+    report.inflight_cleared += pool.inflight.abandon()
 
     # 2. Staged admissions: re-verify and promote, or drop as torn.
     for identity, inode in pool.staged_items():
@@ -186,10 +183,7 @@ def fsck(
     for identity in sorted(pool.partials):
         partial = pool.partials[identity]
         report.partial_files += 1
-        for event in list(partial.inflight.values()):
-            event.fire()
-            report.inflight_cleared += 1
-        partial.inflight.clear()
+        report.inflight_cleared += partial.inflight.abandon()
         for chunk_index in sorted(partial.torn):
             partial.present.discard(chunk_index)
             report.torn_chunks_dropped += 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.blob import Blob
-from repro.common.clock import NULL_SPAN, SimClock, SimEvent
+from repro.common.clock import NULL_SPAN, SimClock
 from repro.common.errors import (
     GearError,
     IntegrityError,
@@ -136,7 +136,7 @@ class GearFileViewer(OverlayMount):
             # Another process (a concurrent prefetcher or a sibling
             # container) may already be downloading this identity; wait
             # for its fetch to land rather than duplicating the bytes.
-            inflight = self.pool.inflight.get(entry.identity)
+            inflight = self.pool.inflight.pending(entry.identity)
             if inflight is not None:
                 with self._span("fetch_wait", fp=entry.identity[:12]):
                     yield from inflight.wait_gen()
@@ -173,16 +173,13 @@ class GearFileViewer(OverlayMount):
     def _fault_in(self, entry: GearFileEntry):
         """Download, verify, and cache one Gear file (single-flight).
 
-        Under a scheduler the fetch is registered in the pool's inflight
+        Under a scheduler the fetch is claimed in the pool's inflight
         table so concurrent faults on the same identity wait for this
         download instead of re-paying the wire; sequentially the table
         is never consulted mid-call and behaviour is byte-identical.
         """
-        announce: Optional[SimEvent] = None
         clock = self.transport.link.clock if self.transport is not None else None
-        if clock is not None and clock.scheduler is not None:
-            announce = SimEvent(clock)
-            self.pool.inflight[entry.identity] = announce
+        announce = self.pool.inflight.claim(entry.identity, clock)
         try:
             if self.journal is not None:
                 self.journal.fetch_begin(entry.identity)
@@ -210,10 +207,7 @@ class GearFileViewer(OverlayMount):
                 )
             return inode
         finally:
-            if announce is not None:
-                if self.pool.inflight.get(entry.identity) is announce:
-                    del self.pool.inflight[entry.identity]
-                yield from announce.fire_gen()
+            yield from self.pool.inflight.release(entry.identity, announce)
 
     def _crash_checkpoint(self, point: CrashPoint) -> None:
         """Die here if the armed crash plan says so."""

@@ -147,15 +147,18 @@ class EdgePeer:
     def holds(self, identity: str) -> bool:
         return self.online and self.pool.contains(identity)
 
-    def serve(self, identity: str, link: Link, tag: str) -> Tuple[Any, int]:
-        """Serve ``identity`` over ``link``; returns ``(gear_file, wire)``.
+    def serve(self, identity: str, link: Link, tag: str):
+        """Serve ``identity`` over ``link`` (a generator); returns
+        ``(gear_file, wire)``.
 
         Raises :class:`UnavailableError` when the peer is offline (the
         probe frame still crosses the LAN) or crashes mid-serve, and
         :class:`NotFoundError` when the tracker entry is stale (the file
         was evicted since registration).
         """
-        link.transfer(RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:peer-request")
+        yield from link.transfer_gen(
+            RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:peer-request"
+        )
         if not self.online:
             raise UnavailableError(f"peer {self.name!r} is offline")
         inode = self.pool.peek(identity)
@@ -168,7 +171,7 @@ class EdgePeer:
         if self.crash is not None and self.crash.take(CrashPoint.MID_FETCH):
             partial = int(wire * self.crash.plan.partial_fraction)
             if partial > 0:
-                link.transfer(partial, label=f"{tag}:peer-aborted")
+                yield from link.transfer_gen(partial, label=f"{tag}:peer-aborted")
             self.online = False
             if self.stats is not None:
                 self.stats.peer_crashes += 1
@@ -177,7 +180,7 @@ class EdgePeer:
             except ClientCrash:
                 pass  # the *peer* died; the requester sees an aborted serve
             raise UnavailableError(f"peer {self.name!r} crashed mid-serve")
-        link.transfer(wire, label=f"{tag}:peer-payload")
+        yield from link.transfer_gen(wire, label=f"{tag}:peer-payload")
         if self.byzantine:
             return junk_payload(identity, f"byzantine:{self.name}:{identity}"), wire
         self.serves += 1
@@ -356,8 +359,9 @@ class EdgeSite:
         base: Any,
         retry_policy: Optional[RetryPolicy],
         label: Optional[str] = None,
-    ) -> Any:
-        """Resolve ``identity`` through peers → site cache → registry.
+    ):
+        """Resolve ``identity`` through peers → site cache → registry
+        (a generator: what :meth:`EdgeTransport.route` steps).
 
         One pass walks the whole chain once; only a round where every
         tier failed sleeps under ``retry_policy`` before re-resolving
@@ -365,13 +369,13 @@ class EdgeSite:
         """
         self.stats.fetches += 1
         tag = label or f"{GEAR_ENDPOINT}.download"
-        return retry_rounds(
+        return (yield from retry_rounds(
             self.clock,
             retry_policy,
             self.stats,
             f"{tag}:edge-backoff",
             lambda: self._one_pass(identity, requester, base, tag, label),
-        )
+        ))
 
     def _one_pass(
         self,
@@ -380,7 +384,7 @@ class EdgeSite:
         base: Any,
         tag: str,
         label: Optional[str],
-    ) -> Any:
+    ):
         clock = self.clock
         stats = self.stats
         with clock.span("tracker_resolve", site=self.name, fp=identity[:12]):
@@ -389,7 +393,9 @@ class EdgeSite:
             was_online = peer.online
             try:
                 with clock.span("peer_fetch", peer=peer.name, fp=identity[:12]):
-                    gear_file, wire = peer.serve(identity, self.link, tag)
+                    gear_file, wire = yield from peer.serve(
+                        identity, self.link, tag
+                    )
             except NotFoundError:
                 # Stale entry: the peer evicted the file after the
                 # last gossip round.  Demote and keep walking.
@@ -414,10 +420,10 @@ class EdgeSite:
         cached = self.cache.get(identity)
         if cached is not None:
             wire = cached.compressed_size
-            self.link.transfer(
+            yield from self.link.transfer_gen(
                 RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:site-request"
             )
-            self.link.transfer(wire, label=f"{tag}:site-payload")
+            yield from self.link.transfer_gen(wire, label=f"{tag}:site-payload")
             stats.site_hits += 1
             stats.site_bytes += wire
             stats.egress_saved_bytes += wire
@@ -426,7 +432,9 @@ class EdgeSite:
         # A registry 404 is authoritative (no tier can have the file) and
         # a retryable failure here fails the round: both propagate.
         with clock.span("fallback", site=self.name, fp=identity[:12]):
-            value = base.call(GEAR_ENDPOINT, "download", identity, label=label)
+            value = yield from base.call_gen(
+                GEAR_ENDPOINT, "download", identity, label=label
+            )
         stats.registry_fetches += 1
         # Write-through, gated on verification so a corrupt WAN
         # payload can never poison the shared tier.
@@ -486,10 +494,10 @@ class EdgeTransport(TransportDecorator):
 
     def route(
         self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
-    ) -> Any:
-        return self.site.fetch(
+    ):
+        return (yield from self.site.fetch(
             identity, self.peer, self.base, self.fabric.retry_policy, label=label
-        )
+        ))
 
     def blame(self, identity: str) -> bool:
         return self.site.report_corrupt(identity) is not None

@@ -56,7 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.common.clock import SimClock, SimEvent, SimScheduler
+from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import TierOverloadedError
 from repro.common.hashing import stable_u64
 from repro.common.stats import percentile
@@ -68,6 +68,7 @@ from repro.net.resilience import (
     RETRYABLE_ERRORS,
     AdmissionGate,
     RetryPolicy,
+    SingleFlight,
     TransportDecorator,
     poisoned,
     retry_rounds,
@@ -192,8 +193,8 @@ class SharedCacheTier:
         self.byzantine = False
         #: identity → cache entry, LRU order (oldest first).
         self.cache: "OrderedDict[str, _TierEntry]" = OrderedDict()
-        #: identity → in-flight fill event (single-flight coalescing).
-        self.inflight: Dict[str, SimEvent] = {}
+        #: Fills in flight, by identity (single-flight coalescing).
+        self.inflight = SingleFlight()
         #: Identities upstream-fetched and still *valid* (not evicted,
         #: expired, or quarantined).  A second upstream fetch for a
         #: member is a suppression failure (``duplicate_upstream_fetches``).
@@ -257,10 +258,10 @@ class SharedCacheTier:
 
     def _deliver(
         self, identity: str, gear_file: Any, tag: str, vouch: bool = True
-    ) -> Any:
+    ):
         """Pay the tier-link payload transfer and record whether the
         tier vouches for the bytes; junk them if byzantine."""
-        self.link.scoped(FAAS_TIER_ENDPOINT).transfer(
+        yield from self.link.scoped(FAAS_TIER_ENDPOINT).transfer_gen(
             gear_file.compressed_size, label=f"{tag}:tier-payload"
         )
         if vouch:
@@ -271,14 +272,15 @@ class SharedCacheTier:
             return junk_payload(identity, f"byzantine:{self.name}:{identity}")
         return gear_file
 
-    def _hit(self, identity: str, entry: _TierEntry, tag: str) -> Any:
+    def _hit(self, identity: str, entry: _TierEntry, tag: str):
         self.stats.tier_hits += 1
         self.stats.tier_bytes += entry.wire_bytes
         self.stats.egress_saved_bytes += entry.wire_bytes
-        return self._deliver(identity, entry.gear_file, tag)
+        return (yield from self._deliver(identity, entry.gear_file, tag))
 
-    def fetch(self, identity: str, base: Any, label: Optional[str] = None) -> Any:
-        """Serve ``identity`` from cache, a coalesced fill, or upstream.
+    def fetch(self, identity: str, base: Any, label: Optional[str] = None):
+        """Serve ``identity`` from cache, a coalesced fill, or upstream
+        (a generator, like the fabric pass that steps it).
 
         Raises :class:`TierOverloadedError` when the miss path is full
         (never counted against the breaker by callers), retryable
@@ -288,26 +290,26 @@ class SharedCacheTier:
         tag = label or f"{GEAR_ENDPOINT}.download"
         # The request frame is where an outage window rejects us (a
         # fault plan on the tier link targets the tier by name).
-        self.link.scoped(FAAS_TIER_ENDPOINT).transfer(
+        yield from self.link.scoped(FAAS_TIER_ENDPOINT).transfer_gen(
             RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:tier-request"
         )
         entry = self._lookup(identity)
         if entry is not None:
-            return self._hit(identity, entry, tag)
-        leader = self.inflight.get(identity)
+            return (yield from self._hit(identity, entry, tag))
+        leader = self.inflight.pending(identity)
         if leader is not None:
             # Single-flight: wait for the identical fill in flight.
             self.stats.tier_coalesced += 1
             with self.clock.span("tier_wait", fp=identity[:12]):
-                leader.wait()
+                yield from leader.wait_gen()
             entry = self._lookup(identity)
             if entry is not None:
-                return self._hit(identity, entry, tag)
+                return (yield from self._hit(identity, entry, tag))
             # Leader failed or the entry was too big to cache: fall
             # through to our own (gated) fill.
-        return self._fill(identity, base, tag, label)
+        return (yield from self._fill(identity, base, tag, label))
 
-    def _fill(self, identity: str, base: Any, tag: str, label: Optional[str]) -> Any:
+    def _fill(self, identity: str, base: Any, tag: str, label: Optional[str]):
         stats = self.stats
         if not self.admission.try_enter():
             stats.tier_sheds += 1
@@ -315,13 +317,12 @@ class SharedCacheTier:
                 f"shared tier {self.name!r} admission queue full "
                 f"(capacity {self.admission.capacity})"
             )
-        event: Optional[SimEvent] = None
-        if self.clock.scheduler is not None:
-            event = SimEvent(self.clock)
-            self.inflight[identity] = event
+        event = self.inflight.claim(identity, self.clock)
         try:
             with self.clock.span("tier_fill", tier=self.name, fp=identity[:12]):
-                value = base.call(GEAR_ENDPOINT, "download", identity, label=label)
+                value = yield from base.call_gen(
+                    GEAR_ENDPOINT, "download", identity, label=label
+                )
             stats.tier_upstream_fetches += 1
             if identity in self._fetched:
                 stats.duplicate_upstream_fetches += 1
@@ -330,12 +331,10 @@ class SharedCacheTier:
             checked = verified(identity, value)
             if checked:
                 self._insert(identity, value)
-            return self._deliver(identity, value, tag, vouch=checked)
+            return (yield from self._deliver(identity, value, tag, vouch=checked))
         finally:
             self.admission.exit()
-            if event is not None:
-                self.inflight.pop(identity, None)
-                event.fire()
+            yield from self.inflight.release(identity, event)
 
     def __repr__(self) -> str:
         return (
@@ -363,8 +362,8 @@ class FaasTransport(TransportDecorator):
 
     def route(
         self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
-    ) -> Any:
-        return self.fabric.fetch(identity, label=label)
+    ):
+        return (yield from self.fabric.fetch(identity, label=label))
 
     def blame(self, identity: str) -> bool:
         return self.fabric.report_corrupt(identity)
@@ -420,8 +419,9 @@ class FaasFabric:
 
     # -- the degradation ladder ----------------------------------------
 
-    def fetch(self, identity: str, label: Optional[str] = None) -> Any:
-        """Resolve ``identity`` through shared tier → registry.
+    def fetch(self, identity: str, label: Optional[str] = None):
+        """Resolve ``identity`` through shared tier → registry (a
+        generator: what :meth:`FaasTransport.route` steps).
 
         One pass walks the whole chain once; only a round where every
         tier failed sleeps under the fabric retry policy before
@@ -431,15 +431,15 @@ class FaasFabric:
         """
         self.stats.fetches += 1
         tag = label or f"{GEAR_ENDPOINT}.download"
-        return retry_rounds(
+        return (yield from retry_rounds(
             self.clock,
             self.retry_policy,
             self.stats,
             f"{tag}:faas-backoff",
             lambda: self._one_pass(identity, label),
-        )
+        ))
 
-    def _one_pass(self, identity: str, label: Optional[str]) -> Any:
+    def _one_pass(self, identity: str, label: Optional[str]):
         clock = self.clock
         stats = self.stats
         tier = self.tier
@@ -449,7 +449,9 @@ class FaasFabric:
                     with clock.span(
                         "tier_fetch", tier=tier.name, fp=identity[:12]
                     ):
-                        value = tier.fetch(identity, self.base, label=label)
+                        value = yield from tier.fetch(
+                            identity, self.base, label=label
+                        )
                 except TierOverloadedError:
                     # Deliberate load control: fall through to the
                     # registry, breaker untouched.
@@ -466,7 +468,7 @@ class FaasFabric:
         # is authoritative and a retryable failure here fails the round:
         # both propagate.
         with clock.span("registry_fallback", fp=identity[:12]):
-            value = self.base.call(
+            value = yield from self.base.call_gen(
                 GEAR_ENDPOINT, "download", identity, label=label
             )
         stats.registry_fallbacks += 1

@@ -321,9 +321,6 @@ class _CallScope:
         #: label-scoped plan (:meth:`roll_corruption`).
         self.label = ""
 
-    def transfer(self, payload_bytes: int, label: str = "") -> float:
-        return self.link.clock.drive(self.transfer_gen(payload_bytes, label))
-
     def transfer_gen(self, payload_bytes: int, label: str = ""):
         """The link's transfer with the plan's faults applied first."""
         link = self.link

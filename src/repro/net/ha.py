@@ -426,16 +426,13 @@ class ReplicaSet:
 class HealthMonitor:
     """A scheduler process probing replicas and driving their breakers.
 
-    Runs as a *call* process (generator processes do not own a thread, so
-    their link transfers would take the sequential fast path and corrupt
-    event ordering).  Each round probes every replica whose breaker is
-    not hard-open — half-open replicas get their trial request here, so
-    recovery does not depend on client traffic — then sleeps
-    ``interval_s`` of virtual time.  :meth:`stop` makes the loop exit at
-    its next wake-up; the caller drains the scheduler afterwards.
-
-    Sequential experiments (no scheduler) call :meth:`probe_all`
-    directly.
+    Runs as a *generator* process: its probes are ordinary RPCs stepped
+    through ``call_gen``, so it contends for the replica links like any
+    client and owns no thread.  Each round probes every replica whose
+    breaker is not hard-open — half-open replicas get their trial
+    request here, so recovery does not depend on client traffic — then
+    sleeps ``interval_s`` of virtual time.  :meth:`stop` makes the loop
+    exit at its next wake-up; the caller drains the scheduler afterwards.
     """
 
     PROBE_IDENTITY = "__gear_ha_probe__"
@@ -459,25 +456,26 @@ class HealthMonitor:
     def stop(self) -> None:
         self._stop = True
 
-    def _run(self) -> None:
+    def _run(self):
         while not self._stop:
-            self.probe_all()
+            yield from self.probe_all()
             if self._stop:
                 break
-            self.clock.advance(self.interval_s, "ha-probe-wait")
+            yield from self.clock.advance_gen(self.interval_s, "ha-probe-wait")
 
-    def probe_all(self) -> None:
+    def probe_all(self):
         now = self.clock.now
         for replica in self.replica_set.replicas:
             if replica.breaker.state(now) is BreakerState.OPEN:
                 continue  # cooling down; leave it alone until half-open
-            self.probe(replica)
+            yield from self.probe(replica)
 
-    def probe(self, replica: Replica) -> bool:
-        """One health-check round trip; returns True when it succeeded."""
+    def probe(self, replica: Replica):
+        """One health-check round trip (a generator); returns True when
+        it succeeded."""
         replica.stats.probes += 1
         try:
-            replica.transport.call(
+            yield from replica.transport.call_gen(
                 GEAR_ENDPOINT,
                 "query",
                 self.PROBE_IDENTITY,
@@ -552,7 +550,9 @@ class HedgeEstimator:
 
 
 class _HedgeRace:
-    """Shared state between a hedged fetch's attempt processes."""
+    """Shared state between a hedged fetch's attempt processes.  An
+    attempt is a generator process: it reports with ``yield from``, so
+    waking the initiator can settle the attempt's debt first."""
 
     def __init__(self, clock: SimClock, stats: HAStats) -> None:
         self.event = SimEvent(clock)
@@ -567,22 +567,22 @@ class _HedgeRace:
     def decided(self) -> bool:
         return self.winner is not None
 
-    def report_success(self, replica: Replica, value: Any) -> None:
+    def report_success(self, replica: Replica, value: Any):
         self.finished += 1
         if self.winner is None:
             self.winner = replica
             self.value = value
-            self.event.fire()
+            yield from self.event.fire_gen()
         else:
             # Completed in the same instant as the winner — too late to
             # cancel; the full response crossed the wire.
             self.stats.hedge_late += 1
 
-    def report_error(self, error: BaseException) -> None:
+    def report_error(self, error: BaseException):
         self.finished += 1
         self.last_error = error
         if self.winner is None and self.finished >= self.launched:
-            self.event.fire()
+            yield from self.event.fire_gen()
 
     def report_cancelled(self) -> None:
         self.finished += 1
@@ -605,7 +605,9 @@ class HAFetchPolicy:
     available), and when a whole round fails, back off under the HA
     :class:`~repro.net.resilience.RetryPolicy` and try again — only when
     that gives up does the error surface (and PR 1's degraded mode takes
-    over).  Writes fan out over the wire to every replica.
+    over).  Writes fan out over the wire to every replica.  The whole
+    path is generators (:meth:`call` is what :meth:`HATransport.route`
+    steps); hedge attempts are generator processes.
 
     All bookkeeping is zero virtual time; the only costs are real wire
     transfers, backoff sleeps, and shed rejections.
@@ -680,14 +682,14 @@ class HAFetchPolicy:
         request_payload_bytes: int = 0,
         label: Optional[str] = None,
         **kwargs: Any,
-    ) -> Any:
+    ):
         if method == "upload":
-            return self._fan_out_write(
+            return (yield from self._fan_out_write(
                 method, args, kwargs, request_payload_bytes, label
-            )
-        return self._resilient_read(
+            ))
+        return (yield from self._resilient_read(
             method, args, kwargs, request_payload_bytes, label
-        )
+        ))
 
     def report_corrupt_payload(self, identity: str) -> bool:
         """End-to-end verification failed: demote the serving replica.
@@ -714,13 +716,13 @@ class HAFetchPolicy:
         kwargs: Dict[str, Any],
         request_payload_bytes: int,
         label: Optional[str],
-    ) -> Any:
+    ):
         result: Any = None
         succeeded = False
         last_error: Optional[BaseException] = None
         for replica in self.replica_set.replicas:
             try:
-                value = self._single_fetch(
+                value = yield from self._single_fetch(
                     replica, method, args, kwargs, request_payload_bytes, label
                 )
             except RETRYABLE_ERRORS as error:
@@ -744,12 +746,12 @@ class HAFetchPolicy:
         kwargs: Dict[str, Any],
         request_payload_bytes: int,
         label: Optional[str],
-    ) -> Any:
+    ):
         self.stats.fetches += 1
         clock = self.clock
         tag = label or f"{GEAR_ENDPOINT}.{method}"
 
-        def one_pass() -> Any:
+        def one_pass():
             candidates = self.select()
             last_error: Optional[BaseException] = None
             not_found: Optional[NotFoundError] = None
@@ -766,14 +768,14 @@ class HAFetchPolicy:
                 )
                 try:
                     if hedged:
-                        return self._hedged(
+                        return (yield from self._hedged(
                             replica, mate, method, args, kwargs,
                             request_payload_bytes, label,
-                        )
-                    return self._single_fetch(
+                        ))
+                    return (yield from self._single_fetch(
                         replica, method, args, kwargs,
                         request_payload_bytes, label,
-                    )
+                    ))
                 except NotFoundError as error:
                     not_found = error
                 except RETRYABLE_ERRORS as error:
@@ -795,9 +797,9 @@ class HAFetchPolicy:
                 )
             raise last_error
 
-        return retry_rounds(
+        return (yield from retry_rounds(
             clock, self.retry_policy, self.stats, f"{tag}:ha-backoff", one_pass
-        )
+        ))
 
     def _single_fetch(
         self,
@@ -809,7 +811,7 @@ class HAFetchPolicy:
         label: Optional[str],
         *,
         observe: bool = False,
-    ) -> Any:
+    ):
         tag = label or f"{GEAR_ENDPOINT}.{method}"
         if not replica.admission.try_enter():
             # A typed 503, not a health signal: the breaker stays out of
@@ -820,7 +822,7 @@ class HAFetchPolicy:
             self.stats.sheds_seen += 1
             # The rejected request still crossed the wire: charge the
             # request frame for the fast typed 503.
-            replica.link.transfer(
+            yield from replica.link.transfer_gen(
                 RpcTransport.REQUEST_FRAME_BYTES, f"{tag}:shed"
             )
             raise RegistryOverloadedError(
@@ -832,7 +834,7 @@ class HAFetchPolicy:
         )
         begun = self.clock.now
         try:
-            value = replica.transport.call(
+            value = yield from replica.transport.call_gen(
                 GEAR_ENDPOINT,
                 method,
                 *args,
@@ -880,10 +882,10 @@ class HAFetchPolicy:
         kwargs: Dict[str, Any],
         request_payload_bytes: int,
         label: Optional[str],
-    ) -> Any:
+    ):
         """Primary fetch with a hedged second try after the deadline.
 
-        Both attempts run as scheduler processes; the caller waits on the
+        Both attempts run as generator processes; the caller waits on the
         race event.  The loser is cancelled the moment the winner lands
         and is charged only the bytes its flow actually moved.  Raises
         the last attempt error when every launched attempt failed.
@@ -893,11 +895,11 @@ class HAFetchPolicy:
         tag = label or f"{GEAR_ENDPOINT}.{method}"
         procs: Dict[str, Process] = {}
 
-        def attempt(replica: Replica) -> None:
+        def attempt(replica: Replica):
             proc = scheduler.current_process()
             try:
                 with self.clock.span("hedge_attempt", replica=replica.name):
-                    value = self._single_fetch(
+                    value = yield from self._single_fetch(
                         replica, method, args, kwargs,
                         request_payload_bytes, label, observe=True,
                     )
@@ -909,7 +911,7 @@ class HAFetchPolicy:
                 race.report_cancelled()
                 return
             except NotFoundError as error:
-                race.report_error(error)
+                yield from race.report_error(error)
                 return
             except RETRYABLE_ERRORS as error:
                 # A hedged attempt that *failed* (not merely lost the
@@ -918,14 +920,18 @@ class HAFetchPolicy:
                 # because the error may land after the race is decided
                 # (e.g. an outage stall outliving the winner).
                 self.stats.failovers += 1
-                race.report_error(error)
+                yield from race.report_error(error)
                 return
             finally:
                 replica.link.clear_cancel(proc)
-            race.report_success(replica, value)
+            yield from race.report_success(replica, value)
 
         with self.clock.span("hedge", tag=tag) as hedge_span:
             race.launched = 1
+            # ``spawn`` starts children at settled time and
+            # ``cancel_flows`` cuts them at settled time, both by
+            # blocking: from a step the debt is paid first, by yielding.
+            yield from self.clock.settle_gen()
             procs[primary.name] = scheduler.spawn(
                 attempt, primary, name=f"hedge0:{tag}"
             )
@@ -943,7 +949,7 @@ class HAFetchPolicy:
                 )
 
             timer = scheduler.schedule(deadline, fire_hedge)
-            race.event.wait()
+            yield from race.event.wait_gen()
             timer.cancel()
             if race.winner is not None:
                 hedge_span.annotate(winner=race.winner.name)
@@ -953,6 +959,7 @@ class HAFetchPolicy:
                 loser_proc = procs.get(loser.name)
                 if loser_proc is not None and not loser_proc.done:
                     self.stats.cancels += 1
+                    yield from self.clock.settle_gen()
                     loser.link.cancel_flows(loser_proc)
                 return race.value
             if race.last_error is not None:
@@ -1034,8 +1041,8 @@ class HATransport(TransportDecorator):
     def claims(self, endpoint_name: str, method: str) -> bool:
         return endpoint_name == GEAR_ENDPOINT
 
-    def route(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        return self.policy.call(method, *args, **kwargs)
+    def route(self, method: str, *args: Any, **kwargs: Any):
+        return (yield from self.policy.call(method, *args, **kwargs))
 
     def blame(self, identity: str) -> bool:
         return self.policy.report_corrupt_payload(identity)

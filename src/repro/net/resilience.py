@@ -15,7 +15,9 @@ implementation every serving tier shares — the HA registry replicas
 load with a typed :class:`~repro.common.errors.TierOverloadedError`
 subclass rather than queueing toward collapse.  Sheds are deliberate
 load control, not failures: they back off under a retry policy but never
-trip circuit breakers.
+trip circuit breakers.  Beside it, :class:`SingleFlight` is the one
+table of fetches in flight: the node pool, each partial big file and the
+shared tier coalesce identical concurrent fetches through it.
 
 Jitter is drawn from a seeded :func:`repro.common.rng.rng_for` stream:
 the same policy seed and the same failure sequence back off identically
@@ -32,8 +34,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
+from repro.common.clock import SimClock, SimEvent
 from repro.common.errors import (
     CorruptPayloadError,
     TimeoutError,
@@ -187,6 +190,61 @@ class AdmissionGate:
         self.inflight -= 1
 
 
+class SingleFlight:
+    """Who is fetching what right now, so an identical fetch can wait.
+
+    A leader registers its key with :meth:`claim` before it starts and
+    hands it back with :meth:`release` in a ``finally``; anyone who finds
+    the key :meth:`pending` waits on that event (``yield from
+    event.wait_gen()``) instead of paying the wire again, and wakes at
+    the release instant, the leader's deferred costs settled first.
+    What a waiter does next is its own business — look again, loop, or
+    fetch for itself after a failed leader — and stays at the call site.
+    Nothing is registered without a scheduler: sequential code cannot
+    overlap a fetch with itself.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self) -> None:
+        self._pending: Dict[Hashable, SimEvent] = {}
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def pending(self, key: Hashable) -> Optional[SimEvent]:
+        """The event of the fetch in flight for ``key``, if there is one."""
+        return self._pending.get(key)
+
+    def claim(self, key: Hashable, clock: Optional[SimClock]) -> Optional[SimEvent]:
+        """Register the caller as ``key``'s leader; the token to
+        :meth:`release` (``None`` when there is no scheduler to wait on)."""
+        if clock is None or clock.scheduler is None:
+            return None
+        event = self._pending[key] = SimEvent(clock)
+        return event
+
+    def release(self, key: Hashable, event: Optional[SimEvent]):
+        """The leader is done, whatever the outcome: ``yield from`` this
+        in its ``finally``.  Unregisters ``key`` only if it is still this
+        leader's — a later claim (a waiter refilling after a failure) or
+        :meth:`abandon` may own the slot by now — then wakes the waiters."""
+        if event is not None:
+            if self._pending.get(key) is event:
+                del self._pending[key]
+            yield from event.fire_gen()
+
+    def abandon(self) -> int:
+        """Every fetch in flight died with its node (crash recovery,
+        ``pool.clear()``): wake the waiters so they look again instead of
+        waiting for ever, forget the flights, and say how many."""
+        flights = list(self._pending.values())
+        for event in flights:
+            event.fire()
+        self._pending.clear()
+        return len(flights)
+
+
 # ---------------------------------------------------------------------------
 # the download chain
 
@@ -223,8 +281,9 @@ def retry_rounds(
     stats: Any,
     label: str,
     one_pass: Callable[[], Any],
-) -> Any:
-    """Call ``one_pass`` until it returns, backing off between rounds.
+):
+    """Run ``one_pass`` until it returns, backing off between rounds
+    (a generator, like the generator ``one_pass()`` makes).
 
     ``one_pass`` walks the caller's sources once and returns the payload
     or raises: a retryable error means every source failed this round,
@@ -234,13 +293,17 @@ def retry_rounds(
     clock (``stats.backoffs``); when the policy says stop, the round's
     error surfaces (``stats.giveups``).  Without a policy the first
     failed round's error surfaces, uncounted.
+
+    The round counter is bumped before the policy is asked, so
+    ``max_attempts=N`` makes N-1 passes here (1 for N=1), not the N
+    tries ``RetryPolicy`` promises a single RPC.
     """
     start = clock.now
     rounds = 1
     previous: Optional[float] = None
     while True:
         try:
-            return one_pass()
+            return (yield from one_pass())
         except RETRYABLE_ERRORS as error:
             rounds += 1
             if policy is None:
@@ -252,7 +315,7 @@ def retry_rounds(
                 raise
         backoff = policy.next_backoff(previous)
         policy.charge(backoff)
-        clock.advance(backoff, label)
+        yield from clock.advance_gen(backoff, label)
         stats.backoffs += 1
         previous = backoff
 
@@ -262,9 +325,10 @@ class TransportDecorator:
 
     Presents the :class:`~repro.net.transport.RpcTransport` surface.  The
     calls a tier :meth:`claims` (by default the Gear file download) are
-    served by :meth:`route`, the tier's own chain, which ends in
-    ``base`` — the wire transport or another tier; every other call goes
-    to ``base`` unchanged.  A corrupt-payload report travels the same
+    served by :meth:`route`, the tier's own chain — a generator, like
+    everything above the wire — which ends in ``base``, the wire
+    transport or another tier; every other call goes to ``base``
+    unchanged.  A corrupt-payload report travels the same
     way: a tier takes the :meth:`blame` for bytes it served itself and
     passes any other report down, so the demotion lands on whoever lied.
     """
@@ -295,8 +359,8 @@ class TransportDecorator:
     def claims(self, endpoint_name: str, method: str) -> bool:
         return endpoint_name == GEAR_ENDPOINT and method == "download"
 
-    def route(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Serve a claimed call through this tier's chain."""
+    def route(self, method: str, *args: Any, **kwargs: Any):
+        """Serve a claimed call through this tier's chain (a generator)."""
         raise NotImplementedError
 
     def blame(self, identity: str) -> bool:
@@ -310,12 +374,10 @@ class TransportDecorator:
         )
 
     def call_gen(self, endpoint_name: str, method: str, *args: Any, **kwargs: Any):
-        """:meth:`call` as a generator.  A claimed call's :meth:`route`
-        still blocks the old way: it runs on the caller's worker thread,
-        through the counted seam (``SimClock.on_worker``)."""
+        """:meth:`call` as a generator: ``yield from`` it in a process.
+        A claimed call is stepped through this tier's :meth:`route`."""
         if self.claims(endpoint_name, method):
-            route = self.link.clock.on_worker(self.route, method, *args, **kwargs)
-            return (yield from route)
+            return (yield from self.route(method, *args, **kwargs))
         return (yield from self.base.call_gen(endpoint_name, method, *args, **kwargs))
 
     def report_corrupt_payload(self, identity: str) -> None:

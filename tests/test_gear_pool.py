@@ -3,7 +3,7 @@
 import pytest
 
 from repro.blob import Blob
-from repro.common.clock import SimClock, SimEvent
+from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import IntegrityError, StorageError
 from repro.gear.gearfile import GearFile
 from repro.gear.pool import EvictionPolicy, SharedFilePool
@@ -257,8 +257,9 @@ class TestClearCompleteness:
         pool.insert(gf("a"))
         pool.prepare(gf("b"))
         pool.quarantine(gf("c").identity)
-        event = SimEvent(SimClock())
-        pool.inflight[gf("d").identity] = event
+        clock = SimClock()
+        with SimScheduler(clock):  # flights exist only under a scheduler
+            event = pool.inflight.claim(gf("d").identity, clock)
         pool.clear()
         assert pool.file_count == 0 and pool.used_bytes == 0
         assert pool.staged_count == 0

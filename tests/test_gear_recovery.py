@@ -14,7 +14,7 @@ from repro.bench.deploy import (
     deploy_with_gear_resumable,
 )
 from repro.bench.environment import make_testbed, publish_images
-from repro.common.clock import SimClock, SimEvent, SimScheduler
+from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import ClientCrash
 from repro.gear.index import STUB_XATTR
 from repro.gear.journal import IntentJournal
@@ -180,8 +180,8 @@ class TestFsckInvariants:
     def test_fsck_clears_inflight_markers(self):
         clock = SimClock()
         pool = SharedFilePool()
-        event = SimEvent(clock)
-        pool.inflight["dead-fetch"] = event
+        with SimScheduler(clock):  # flights exist only under a scheduler
+            event = pool.inflight.claim("dead-fetch", clock)
         report = fsck(pool, [], [], IntentJournal(clock), clock=clock)
         assert report.inflight_cleared == 1
         assert not pool.inflight

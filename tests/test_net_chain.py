@@ -5,8 +5,9 @@ loop, a node mint and a wave runner (:mod:`repro.net.resilience`,
 :meth:`repro.bench.environment.Testbed.fresh_client`,
 :meth:`repro.net.topology.Cluster._run_wave`).  These tests drive the
 shared parts through every fabric: backoff rounds outside HA, corrupt
-reports travelling down a stacked chain, a chain stacked by hand, and
-the wave runner's error rule.
+reports travelling down a stacked chain, a chain stacked by hand, a
+client with no thread faulting through each of them, and the wave
+runner's error rule.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from repro.bench.environment import (
     publish_images,
 )
 from repro.common import clock as clock_module
+from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import UnavailableError
 from repro.net.edge import EdgeFabric, EdgeSite, EdgeStats
 from repro.net.faas import FAAS_TIER_ENDPOINT, FaasFabric, FaasStats, SharedCacheTier
 from repro.net.faults import FaultPlan, FaultyLink, OutageWindow, byzantine_plan
 from repro.net.link import Link
-from repro.net.resilience import GEAR_ENDPOINT, RetryPolicy
+from repro.net.resilience import GEAR_ENDPOINT, RetryPolicy, retry_rounds
 from repro.net.topology import Cluster, EdgeCluster, HACluster
+from repro.workloads.tasks import task_for_category
 
 BACKOFF_S = 0.5
 
@@ -149,6 +152,33 @@ class TestWholeRoundBackoff:
         assert policy.spent_s == stats.backoffs * BACKOFF_S
 
 
+@pytest.mark.parametrize(
+    "max_attempts, passes, backoffs", [(1, 1, 0), (2, 1, 0), (4, 3, 2), (6, 5, 4)]
+)
+def test_max_attempts_counts_one_more_than_the_whole_rounds_made(
+    max_attempts, passes, backoffs
+):
+    """Pinned, not endorsed: ``retry_rounds`` bumps its round counter
+    before it asks the policy, so ``max_attempts=N`` buys N-1 passes
+    where ``RetryPolicy`` promises an RPC N tries.  Changing it moves
+    every give-up instant (ROADMAP item 4(a) holds the decision)."""
+    clock = SimClock()
+    stats = EdgeStats()
+    made = []
+
+    def one_pass():
+        made.append(clock.now)
+        raise UnavailableError("every source down")
+        yield  # a generator, like every real pass
+
+    with pytest.raises(UnavailableError):
+        clock.drive(retry_rounds(
+            clock, _fixed_backoff(max_attempts), stats, "pin", one_pass
+        ))
+    assert made == [BACKOFF_S * index for index in range(passes)]
+    assert (stats.backoffs, stats.giveups) == (backoffs, 1)
+
+
 def _swap_in_lying_link(bed) -> None:
     """Replica 0 serves wrong bytes that pass the wire checksum."""
     replica = bed.ha.replica_set.replicas[0]
@@ -245,6 +275,87 @@ class TestChainStackedByHand:
         assert not result.degraded
         digest = container_fs_digest(node.gear_driver.containers()[-1])
         assert digest == _control_digest(generated)
+
+
+def _ha_pair(generated):
+    root = make_ha_testbed(replicas=2, seed="threadless")
+    publish_images(root, [generated], convert=True)
+    links = [replica.link for replica in root.ha.replica_set.replicas]
+    return root, [root.fresh_client(), root.fresh_client()], links
+
+
+def _edge_pair(generated):
+    """A third node deployed earlier and gossiped: the pair find a peer."""
+    root = make_edge_testbed(seed="threadless")
+    publish_images(root, [generated], convert=True)
+    deploy_with_gear(root.edge.client(), generated)
+    root.edge.gossip()
+    nodes = [root.edge.client(), root.edge.client()]
+    return root, nodes, [root.link, *root.edge.lan_links()]
+
+
+def _faas_pair(generated):
+    root = make_faas_testbed(seed="threadless")
+    publish_images(root, [generated], convert=True)
+    nodes = [root.faas.client(), root.faas.client()]
+    return root, nodes, [root.link, root.faas.tier.link]
+
+
+def _stacked_pair(generated):
+    root, edge, faas, node = TestChainStackedByHand()._stack(generated)
+    links = [replica.link for replica in root.ha.replica_set.replicas]
+    return root, [node, faas.client()], [*links, *edge.lan_links(), faas.tier.link]
+
+
+@pytest.mark.parametrize(
+    "build", [_ha_pair, _edge_pair, _faas_pair, _stacked_pair],
+    ids=["ha", "edge", "faas", "stacked"],
+)
+def test_a_client_with_no_thread_faults_through_every_fabric(build, small_corpus):
+    """Two nodes run the startup task at once: as call processes
+    (``task.run`` on a worker thread each) and as generator processes
+    that ``yield from`` the same read path.  Routes, hedge attempts and
+    tier fills are generators, so the second form needs no thread at
+    all — and lands the same bytes at the same instants."""
+    generated = small_corpus.by_series["nginx"][0]
+    task = task_for_category(generated.category)
+
+    def started(how):
+        root, nodes, links = build(generated)
+        mounts = []
+        for node in nodes:
+            driver = node.gear_driver
+            driver.pull_index(generated.gear_reference)
+            container = driver.create_container(generated.gear_reference)
+            driver.start_container(container)
+            mounts.append(container.mount)
+        for link in links:
+            link.log.clear()
+        with SimScheduler(root.clock) as scheduler:
+            processes = [
+                scheduler.spawn(
+                    getattr(task, how), root.clock, mount, generated.trace,
+                    name=f"startup-{index}",
+                )
+                for index, mount in enumerate(mounts)
+            ]
+            scheduler.run()
+            parks, escapes = scheduler.handoffs, scheduler.escapes
+        assert all(mount.fault_stats.remote_fetches > 0 for mount in mounts)
+        return {
+            "results": [process.result for process in processes],
+            "finished": [process.finished_at for process in processes],
+            "digests": [mount.fs_digest() for mount in mounts],
+            "transfers": [list(link.log.records) for link in links],
+        }, parks, escapes
+
+    by_call, call_parks, _ = started("run")
+    by_gen, gen_parks, gen_escapes = started("run_gen")
+    assert by_gen == by_call
+    assert all(result.ready_s > 0 for result in by_gen["results"])
+    assert any(by_gen["transfers"])
+    assert call_parks > 0
+    assert gen_parks == 0 and gen_escapes == 0
 
 
 class Boom(RuntimeError):

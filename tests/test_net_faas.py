@@ -18,9 +18,18 @@ from repro.bench.environment import (
     make_testbed,
     publish_images,
 )
-from repro.common.errors import TierOverloadedError
-from repro.net.faas import FAAS_TIER_ENDPOINT, FaasPlatform
+from repro.blob import Blob
+from repro.common.clock import SimClock, SimScheduler
+from repro.common.errors import TierOverloadedError, UnavailableError
+from repro.gear.gearfile import GearFile
+from repro.net.faas import (
+    FAAS_TIER_ENDPOINT,
+    FaasPlatform,
+    FaasStats,
+    SharedCacheTier,
+)
 from repro.net.faults import FaultPlan, OutageWindow
+from repro.net.link import Link
 from repro.net.resilience import AdmissionGate
 from repro.workloads.schedule import BurstWindow, ScheduleBuilder, ScheduledInvocation
 
@@ -153,6 +162,59 @@ class TestStampedeSuppression:
         # Every container saw identical bytes.
         assert run.digest_conflicts == 0
         assert len(run.fs_digests) == 1
+
+    def test_a_failed_refill_leaves_the_other_refill_in_flight(self):
+        """Regression: a fill's ``finally`` unregistered whatever flight
+        was on record, not its own.  After a failed leader both waiters
+        refill (by design) and the second's flight replaces the first's;
+        when the first then failed it took the second's flight with it,
+        and a newcomer fetched upstream beside it — a duplicate."""
+        clock = SimClock()
+        stats = FaasStats()
+        tier = SharedCacheTier("tier", clock, Link(clock), stats=stats)
+        gear_file = GearFile.from_blob(Blob.from_bytes(b"refilled"))
+        identity = gear_file.identity
+
+        class Upstream:
+            """Scripted base: (seconds the call takes, does it fail)."""
+
+            script = [(1.0, True), (1.0, True), (2.0, False), (1.0, False)]
+            calls = 0
+
+            def call_gen(self, endpoint, method, wanted, label=None):
+                took_s, fails = self.script[self.calls]
+                self.calls += 1
+                yield from clock.advance_gen(took_s)
+                if fails:
+                    raise UnavailableError("upstream down")
+                return gear_file
+
+        base = Upstream()
+        outcomes = {}
+
+        def client(name, at_s):
+            yield from clock.advance_gen(at_s)
+            try:
+                served = yield from tier.fetch(identity, base)
+                outcomes[name] = (served.identity, clock.now)
+            except UnavailableError:
+                outcomes[name] = ("failed", clock.now)
+
+        with SimScheduler(clock) as scheduler:
+            for name, at_s in [
+                ("leader", 0.0), ("w1", 0.1), ("w2", 0.2), ("newcomer", 2.5),
+            ]:
+                scheduler.spawn(client, name, at_s, name=name)
+            scheduler.run()
+        assert outcomes["leader"][0] == outcomes["w1"][0] == "failed"
+        assert outcomes["w2"][0] == outcomes["newcomer"][0] == identity
+        # The newcomer coalesced onto w2's refill and was served at the
+        # instant it landed, from the cache.
+        assert stats.tier_coalesced == 3
+        assert base.calls == 3
+        assert stats.duplicate_upstream_fetches == 0
+        assert outcomes["newcomer"][1] == pytest.approx(outcomes["w2"][1], abs=0.01)
+        assert len(tier.inflight) == 0
 
     def test_sheds_fall_through_and_never_trip_breaker(self, small_corpus):
         """A capacity-1 gate under a burst sheds hard — breaker stays shut."""

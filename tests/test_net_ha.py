@@ -292,7 +292,7 @@ class TestShedding:
         for replica in testbed.ha.replica_set.replicas:
             assert replica.admission.try_enter()  # fill the only slot
         with pytest.raises(RegistryOverloadedError):
-            policy.call("query", "anything")
+            testbed.clock.drive(policy.call("query", "anything"))
         # Every replica shed in every round; backoffs were charged
         # between rounds and the give-up is accounted.
         assert policy.stats.sheds_seen >= 2
@@ -322,9 +322,10 @@ class TestShedding:
 
 
 def policy_call_download(testbed, identity):
-    return testbed.ha.policy.call(
+    """The policy's read path is a generator: drive it for the caller."""
+    return testbed.clock.drive(testbed.ha.policy.call(
         "download", identity, label=f"test-fetch:{identity[:8]}"
-    )
+    ))
 
 
 class TestFailover:
@@ -369,7 +370,7 @@ class TestFailover:
         testbed = _published_ha(small_corpus.images[:1], replicas=3)
         policy = testbed.ha.policy
         with pytest.raises(NotFoundError):
-            policy.call("download", "no-such-identity")
+            testbed.clock.drive(policy.call("download", "no-such-identity"))
         # A 404 no replica contradicted is authoritative: no retry rounds.
         assert policy.stats.backoffs == 0
         assert policy.stats.giveups == 0

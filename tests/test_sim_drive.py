@@ -11,7 +11,9 @@ reach some of its operations through the worker escape
 process's wake times and results, ``events_processed``, the link's
 transfer log and the clock's labelled trace.  Generated programs hunt for a difference; the pinned
 cases below hold the edges (errors, cancellation, crashes, abort,
-nesting) in place.
+nesting) in place.  One operation leads or waits on a keyed
+:class:`~repro.net.resilience.SingleFlight`, the protocol every
+coalescing site in the read path uses.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from repro.common.clock import SchedulerError, SimClock, SimEvent, SimScheduler
 from repro.common.errors import ClientCrash, FetchCancelledError, TimeoutError
 from repro.net.faults import CrashPlan, CrashPoint, FaultPlan, FaultyLink
 from repro.net.link import Link
+from repro.net.resilience import SingleFlight
 from repro.workloads.tasks import task_for_category
 
 EVENTS = 3
+FLIGHT_KEYS = 2
 
 
 class World:
@@ -46,6 +50,7 @@ class World:
             self.link = Link(self.clock, bandwidth_mbps=8.0)
         self.wire = self.link.scoped("svc")
         self.events = [SimEvent(self.clock) for _ in range(EVENTS)]
+        self.flights = SingleFlight()
         self.procs = []
         self.spawn_child = None
 
@@ -63,7 +68,7 @@ def op_call(world, me, op, children):
         clock.advance_deferred(arg, "defer")
     elif kind == "transfer":
         try:
-            return world.wire.transfer(arg, f"{me}")
+            return clock.drive(world.wire.transfer_gen(arg, f"{me}"))
         except FetchCancelledError as error:
             return ("cancelled", error.bytes_transferred)
         except TimeoutError:
@@ -79,6 +84,18 @@ def op_call(world, me, op, children):
             return children.pop().join().result
     elif kind == "cancel":
         return world.link.cancel_flows(world.procs[arg % len(world.procs)])
+    elif kind == "flight":
+        key, work_s = arg
+        pending = world.flights.pending(key)
+        if pending is not None:
+            pending.wait()
+            return "waited"
+        announce = world.flights.claim(key, clock)
+        try:
+            clock.advance(work_s, "lead")
+        finally:
+            clock.drive(world.flights.release(key, announce))
+        return "led"
     return None
 
 
@@ -114,6 +131,18 @@ def op_gen(world, me, op, children):
     elif kind == "cancel":
         yield from clock.settle_gen()
         return world.link.cancel_flows(world.procs[arg % len(world.procs)])
+    elif kind == "flight":
+        key, work_s = arg
+        pending = world.flights.pending(key)
+        if pending is not None:
+            yield from pending.wait_gen()
+            return "waited"
+        announce = world.flights.claim(key, clock)
+        try:
+            yield from clock.advance_gen(work_s, "lead")
+        finally:
+            yield from world.flights.release(key, announce)
+        return "led"
     return None
 
 
@@ -189,6 +218,9 @@ _LEAF_OPS = st.one_of(
     st.tuples(st.just("wait"), st.integers(0, EVENTS - 1)),
     st.tuples(st.just("fire"), st.integers(0, EVENTS - 1)),
     st.tuples(st.just("cancel"), st.integers(0, 3)),
+    st.tuples(
+        st.just("flight"), st.tuples(st.integers(0, FLIGHT_KEYS - 1), _DELAYS)
+    ),
 )
 
 
@@ -218,7 +250,8 @@ def test_three_ways_to_run_one_schedule(programs, faulty):
 def test_a_program_that_exercises_every_operation():
     """The generated search, anchored: one fixed program set that hits
     transfers under contention, a cancel in flight, deferred debt at an
-    event fire, spawn/join and the escape."""
+    event fire, spawn/join, the escape, and a single-flight with one
+    waiter inside it and one arrival after it that leads its own."""
     programs = [
         [(("defer", 0.05), False), (("transfer", 400_000), True),
          (("fire", 0), False), (("spawn", [(("transfer", 50_000), True)]), False),
@@ -227,6 +260,9 @@ def test_a_program_that_exercises_every_operation():
          (("defer", 0.001), False), (("fire", 1), True)],
         [(("sleep", 0.25), False), (("cancel", 1), True),
          (("wait", 1), True), (("transfer", 1_000), False)],
+        [(("defer", 0.05), False), (("flight", (0, 0.25)), False)],
+        [(("sleep", 0.01), False), (("flight", (0, 0.25)), False),
+         (("flight", (0, 0.001)), False)],
     ]
     for faulty in (False, True):
         by_call, _ = run_programs(programs, faulty, "call")
@@ -238,6 +274,12 @@ def test_a_program_that_exercises_every_operation():
             for log in by_call["results"] for _, _, result in log
             if isinstance(result, tuple)
         )
+        flights = [
+            (result, at) for log in by_call["results"][3:]
+            for kind, at, result in log if kind == "flight"
+        ]
+        assert [result for result, _ in flights] == ["led", "waited", "led"]
+        assert flights[0][1] == flights[1][1]  # woke at the release instant
         assert escape_scheduler.escapes == 6
 
 
