@@ -26,8 +26,8 @@ NODES = 4 if QUICK else 8
 
 #: Concurrent-client counts for the contention sweep (1 → 1024).  The
 #: top count exercises the incremental fair-share link model and the
-#: generator/handoff scheduler at fleet scale; the speed gate in
-#: ``bench_ext_speed.py`` keeps the wall cost of that cell bounded.
+#: generator/handoff scheduler at fleet scale; the perf ledger's ``wave``
+#: workload (``benchmarks/ledger``) keeps the wall cost of that bounded.
 CONTENTION_CLIENTS = (1, 4, 16) if QUICK else (1, 4, 16, 64, 1024)
 
 #: The sweep runs where pulling matters; at the testbed's 904 Mbps the

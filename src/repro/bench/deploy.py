@@ -10,11 +10,11 @@ the phase breakdown and traffic accounting the figures need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.baselines.slacker import SlackerDriver
 from repro.bench.environment import Testbed
-from repro.common.clock import SimScheduler
+from repro.common.clock import Process, SimScheduler
 from repro.common.errors import ClientCrash
 from repro.gear.driver import GearContainer
 from repro.gear.journal import FETCH_BEGIN
@@ -64,50 +64,134 @@ def _endpoint_stats(testbed: Testbed, *names: str):
     return retries, errors
 
 
+def _measure(
+    testbed: Testbed,
+    generated: GeneratedImage,
+    system: str,
+    endpoints: Sequence[str],
+    pull: Callable[[], Any],
+    start: Callable[[Any], Tuple[Any, Any]],
+    counts: Callable[[Any, Any], Tuple[int, int, bool]],
+    spawn: Optional[Callable[[Any, Callable[[], Any]], Process]] = None,
+    destroy: Optional[Callable[[Any], Any]] = None,
+) -> DeploymentResult:
+    """Deploy ``generated`` once and measure it: pull, then run (§V-E).
+
+    The one spelling of the protocol every system is held to; a caller
+    supplies only what differs.  ``pull()`` downloads the image or index
+    and returns its report, ``start(report)`` the started ``(container,
+    mount)``, and ``counts(report, mount)`` reads ``(files_fetched,
+    cache_hits, degraded)`` once the task is done; retries and errors
+    are summed over ``endpoints``.  The startup task runs inline, unless
+    ``spawn(container, startup)`` runs it as a scheduler process beside
+    other work and returns that process, finished.
+    """
+    clock = testbed.clock
+    link_log = testbed.link.log
+    bytes_before = link_log.total_bytes
+    requests_before = link_log.total_requests
+    retries_before, errors_before = _endpoint_stats(testbed, *endpoints)
+
+    def startup():
+        with clock.span("task", category=generated.category):
+            return task.run(clock, mount, generated.trace)
+
+    with clock.span("deploy", system=system, ref=generated.reference):
+        pull_timer = clock.timer()
+        report = pull()
+        pull_s = pull_timer.elapsed()
+
+        run_timer = clock.timer()
+        container, mount = start(report)
+        task = task_for_category(generated.category)
+        if spawn is None:
+            begun = clock.now
+            task_result = startup()
+            ended = clock.now
+        else:
+            process = spawn(container, startup)
+            begun, ended = process.started_at, process.finished_at
+            task_result = process.result
+    files_fetched, cache_hits, degraded = counts(report, mount)
+    if destroy is not None:
+        destroy(container)
+    retries_after, errors_after = _endpoint_stats(testbed, *endpoints)
+
+    return DeploymentResult(
+        system=system,
+        reference=generated.reference,
+        pull_s=pull_s,
+        # The container is "up" when its own startup task completes; a
+        # spawned neighbour running past that point is background work.
+        run_s=ended - run_timer.start,
+        network_bytes=link_log.total_bytes - bytes_before,
+        network_requests=link_log.total_requests - requests_before,
+        files_fetched=files_fetched,
+        cache_hits=cache_hits,
+        retries=retries_after - retries_before,
+        errors=errors_after - errors_before,
+        degraded=degraded,
+        # Ready is the instant the startup read set is satisfied, not
+        # when pulling completes: the metric prefetch is judged against.
+        ready_s=begun + task_result.ready_s - pull_timer.start,
+    )
+
+
 def deploy_with_docker(
     testbed: Testbed, generated: GeneratedImage, *, destroy: bool = False
 ) -> DeploymentResult:
     """Vanilla Docker: download the whole image, then run the task."""
-    link_log = testbed.link.log
-    bytes_before = link_log.total_bytes
-    requests_before = link_log.total_requests
-    retries_before, errors_before = _endpoint_stats(testbed, "docker-registry")
+    daemon, reference = testbed.daemon, generated.reference
 
-    with testbed.clock.span(
-        "deploy", system="docker", ref=generated.reference
-    ):
-        pull_timer = testbed.clock.timer()
-        with testbed.clock.span("pull_image", ref=generated.reference):
-            report = testbed.daemon.pull(generated.reference)
-        pull_s = pull_timer.elapsed()
+    def pull():
+        with testbed.clock.span("pull_image", ref=reference):
+            return daemon.pull(reference)
 
-        run_timer = testbed.clock.timer()
-        container = testbed.daemon.run(generated.reference)
-        task = task_for_category(generated.category)
-        task_begun = testbed.clock.now
-        with testbed.clock.span("task", category=generated.category):
-            task_result = task.run(
-                testbed.clock, container.mount, generated.trace
-            )
-        run_s = run_timer.elapsed()
-        ready_s = task_begun + task_result.ready_s - pull_timer.start
-    if destroy:
-        testbed.daemon.destroy_container(container)
-    retries_after, errors_after = _endpoint_stats(testbed, "docker-registry")
+    def start(report):
+        container = daemon.run(reference)
+        return container, container.mount
 
-    return DeploymentResult(
-        system="docker",
-        reference=generated.reference,
-        pull_s=pull_s,
-        run_s=run_s,
-        network_bytes=link_log.total_bytes - bytes_before,
-        network_requests=link_log.total_requests - requests_before,
-        files_fetched=report.layers_downloaded,
-        cache_hits=report.layers_reused,
-        retries=retries_after - retries_before,
-        errors=errors_after - errors_before,
-        ready_s=ready_s,
+    def counts(report, mount):
+        return report.layers_downloaded, report.layers_reused, False
+
+    return _measure(
+        testbed, generated, "docker", ("docker-registry",), pull, start, counts,
+        destroy=daemon.destroy_container if destroy else None,
     )
+
+
+def _deploy_gear(
+    testbed: Testbed,
+    generated: GeneratedImage,
+    system: str,
+    reference: str,
+    clear_cache: bool,
+    destroy: bool = False,
+    spawn: Optional[Callable[..., Process]] = None,
+) -> DeploymentResult:
+    """Both Gear variants: pull the index, start, fault files in while
+    the task runs (inline, or spawned by ``spawn``)."""
+    driver = testbed.gear_driver
+    if clear_cache:
+        driver.pool.clear()
+
+    def start(report):
+        container = driver.create_container(reference)
+        driver.start_container(container)
+        return container, container.mount
+
+    def counts(report, mount):
+        stats = mount.fault_stats
+        degraded = report.degraded or stats.degraded_fetches > 0
+        return stats.remote_fetches, stats.cache_hits, degraded
+
+    result = _measure(
+        testbed, generated, system, ("docker-registry", "gear-registry"),
+        lambda: driver.pull_index(reference), start, counts, spawn,
+        destroy=driver.destroy_container if destroy else None,
+    )
+    driver.deploy_report(reference).ready_s = result.ready_s
+    return result
 
 
 def deploy_with_gear(
@@ -124,53 +208,7 @@ def deploy_with_gear(
     Gear's local cache is emptied before each deployment", §V-D).
     """
     reference = index_reference or generated.gear_reference
-    if clear_cache:
-        testbed.gear_driver.pool.clear()
-    link_log = testbed.link.log
-    bytes_before = link_log.total_bytes
-    requests_before = link_log.total_requests
-    retries_before, errors_before = _endpoint_stats(
-        testbed, "docker-registry", "gear-registry"
-    )
-
-    with testbed.clock.span("deploy", system="gear", ref=generated.reference):
-        pull_timer = testbed.clock.timer()
-        deploy_report = testbed.gear_driver.pull_index(reference)
-        pull_s = pull_timer.elapsed()
-
-        run_timer = testbed.clock.timer()
-        container = testbed.gear_driver.create_container(reference)
-        testbed.gear_driver.start_container(container)
-        task = task_for_category(generated.category)
-        task_begun = testbed.clock.now
-        with testbed.clock.span("task", category=generated.category):
-            task_result = task.run(
-                testbed.clock, container.mount, generated.trace
-            )
-        run_s = run_timer.elapsed()
-        ready_s = task_begun + task_result.ready_s - pull_timer.start
-    deploy_report.ready_s = ready_s
-    stats = container.mount.fault_stats
-    if destroy:
-        testbed.gear_driver.destroy_container(container)
-    retries_after, errors_after = _endpoint_stats(
-        testbed, "docker-registry", "gear-registry"
-    )
-
-    return DeploymentResult(
-        system="gear",
-        reference=generated.reference,
-        pull_s=pull_s,
-        run_s=run_s,
-        network_bytes=link_log.total_bytes - bytes_before,
-        network_requests=link_log.total_requests - requests_before,
-        files_fetched=stats.remote_fetches,
-        cache_hits=stats.cache_hits,
-        retries=retries_after - retries_before,
-        errors=errors_after - errors_before,
-        degraded=deploy_report.degraded or stats.degraded_fetches > 0,
-        ready_s=ready_s,
-    )
+    return _deploy_gear(testbed, generated, "gear", reference, clear_cache, destroy)
 
 
 def deploy_with_gear_overlapped(
@@ -195,28 +233,9 @@ def deploy_with_gear_overlapped(
     fleet wave); otherwise it attaches its own for the run phase.
     """
     reference = index_reference or generated.gear_reference
-    if clear_cache:
-        testbed.gear_driver.pool.clear()
-    link_log = testbed.link.log
-    bytes_before = link_log.total_bytes
-    requests_before = link_log.total_requests
-    retries_before, errors_before = _endpoint_stats(
-        testbed, "docker-registry", "gear-registry"
-    )
 
-    with testbed.clock.span(
-        "deploy", system="gear+overlap", ref=generated.reference
-    ):
-        pull_timer = testbed.clock.timer()
-        deploy_report = testbed.gear_driver.pull_index(reference)
-        pull_s = pull_timer.elapsed()
-
-        run_timer = testbed.clock.timer()
-        container = testbed.gear_driver.create_container(reference)
-        testbed.gear_driver.start_container(container)
-        task = task_for_category(generated.category)
+    def spawn(container, startup):
         profile = recorder.profile_for(reference)
-
         scheduler = testbed.clock.scheduler
         owns_scheduler = scheduler is None
         if owns_scheduler:
@@ -226,50 +245,22 @@ def deploy_with_gear_overlapped(
                 testbed.gear_driver.spawn_prefetch(
                     container, profile, byte_budget=byte_budget
                 )
-            startup = scheduler.spawn(
-                task.run,
-                testbed.clock,
-                container.mount,
-                generated.trace,
-                name=f"startup:{generated.reference}",
+            process = scheduler.spawn(
+                startup, name=f"startup:{generated.reference}"
             )
             if owns_scheduler:
                 # Drain everything (prefetch tail included) so the link
                 # has no half-finished flows when the scheduler detaches.
                 scheduler.run()
             else:
-                startup.join()
+                process.join()
         finally:
             if owns_scheduler:
                 scheduler.close()
-    # The container is "up" when its own startup task completes; a
-    # prefetch tail running past that point is background warm-up.
-    run_s = startup.finished_at - run_timer.start
-    # Prefetch is judged against *readiness*: the metric that moves when
-    # profiled files stream in ahead of demand is the instant the
-    # startup read set is satisfied, not when pulling completes.
-    ready_s = (
-        startup.started_at + startup.result.ready_s - pull_timer.start
-    )
-    deploy_report.ready_s = ready_s
-    stats = container.mount.fault_stats
-    retries_after, errors_after = _endpoint_stats(
-        testbed, "docker-registry", "gear-registry"
-    )
+        return process
 
-    return DeploymentResult(
-        system="gear+overlap",
-        reference=generated.reference,
-        pull_s=pull_s,
-        run_s=run_s,
-        network_bytes=link_log.total_bytes - bytes_before,
-        network_requests=link_log.total_requests - requests_before,
-        files_fetched=stats.remote_fetches,
-        cache_hits=stats.cache_hits,
-        retries=retries_after - retries_before,
-        errors=errors_after - errors_before,
-        degraded=deploy_report.degraded or stats.degraded_fetches > 0,
-        ready_s=ready_s,
+    return _deploy_gear(
+        testbed, generated, "gear+overlap", reference, clear_cache, spawn=spawn
     )
 
 
@@ -424,33 +415,9 @@ def deploy_with_slacker(
     """Slacker: clone a device snapshot, fetch blocks while running."""
     if not driver.has_image(generated.reference):
         driver.provision_image(generated)
-    link_log = testbed.link.log
-    bytes_before = link_log.total_bytes
-    requests_before = link_log.total_requests
-
-    with testbed.clock.span(
-        "deploy", system="slacker", ref=generated.reference
-    ):
-        pull_timer = testbed.clock.timer()
-        mount = driver.deploy(generated.reference)
-        pull_s = pull_timer.elapsed()
-
-        run_timer = testbed.clock.timer()
-        task = task_for_category(generated.category)
-        task_begun = testbed.clock.now
-        with testbed.clock.span("task", category=generated.category):
-            task_result = task.run(testbed.clock, mount, generated.trace)
-        run_s = run_timer.elapsed()
-        ready_s = task_begun + task_result.ready_s - pull_timer.start
-
-    return DeploymentResult(
-        system="slacker",
-        reference=generated.reference,
-        pull_s=pull_s,
-        run_s=run_s,
-        network_bytes=link_log.total_bytes - bytes_before,
-        network_requests=link_log.total_requests - requests_before,
-        files_fetched=mount.slacker_stats.files_fetched,
-        cache_hits=0,
-        ready_s=ready_s,
+    return _measure(
+        testbed, generated, "slacker", (),
+        lambda: driver.deploy(generated.reference),
+        lambda mount: (None, mount),  # a Slacker clone has no container
+        lambda mount, _: (mount.slacker_stats.files_fetched, 0, False),
     )

@@ -62,7 +62,7 @@ class Testbed:
     ha: Optional[HATransport] = None
     #: The unified metrics registry every stats group is registered
     #: with; ``metrics.reset()`` is the one reset for the whole testbed.
-    metrics: Optional[MetricsRegistry] = None
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: The edge distribution fabric when this testbed has a peer-serving
     #: site tier (mint nodes with ``edge.client()``).
     edge: Optional[EdgeFabric] = None
@@ -77,11 +77,6 @@ class Testbed:
     def attach_tracer(self, tracer: Optional[SpanTracer] = None) -> SpanTracer:
         """Attach (or create) a span tracer on the testbed clock."""
         return self.clock.attach_tracer(tracer)
-
-    def reset_metrics(self) -> None:
-        """One reset for every registered counter in the testbed."""
-        if self.metrics is not None:
-            self.metrics.reset()
 
     def all_links(self) -> "list[Link]":
         """Every simulated wire in the testbed (base + replica + tier)."""
@@ -155,23 +150,30 @@ def _register_client_metrics(testbed: Testbed) -> None:
     points the registry at the new client's groups instead of leaking
     the old ones.
     """
-    if testbed.metrics is None:
-        return
     testbed.metrics.register("pool", testbed.gear_driver.pool.stats)
     testbed.metrics.register("journal", testbed.gear_driver.journal.stats)
     testbed.metrics.register("chunk", testbed.gear_driver.chunk_stats)
 
 
-def _instrument(testbed: Testbed) -> MetricsRegistry:
-    """Wire every stats group in the testbed into one registry.
+def _register_retry(
+    registry: MetricsRegistry, name: str, policy: Optional[RetryPolicy], **labels
+) -> None:
+    """Register ``policy``'s backoff spend (reset with the registry)."""
+    if policy is not None:
+        registry.register_callback(
+            name, policy.metrics, reset=policy.reset_spent, **labels
+        )
+
+
+def _instrument(testbed: Testbed) -> None:
+    """Wire every stats group in the testbed into its one registry.
 
     After this, ``testbed.metrics.reset()`` is the single reset covering
     RPC endpoints, replica/HA policy counters, fault injectors, retry
     spend, the shared pool, and the journal — the drift-proof
     replacement for scattered per-object ``reset_stats`` calls.
     """
-    registry = MetricsRegistry()
-    testbed.metrics = registry
+    registry = testbed.metrics
     registry.register("timeline", testbed.timeline_stats)
     ha = testbed.ha
     if ha is None:
@@ -203,28 +205,13 @@ def _instrument(testbed: Testbed) -> MetricsRegistry:
             "breaker",
             lambda rs=ha.replica_set: {"trips": rs.breaker_trips},
         )
-        ha_retry = ha.policy.retry_policy
-        if ha_retry is not None:
-            registry.register_callback(
-                "retry",
-                ha_retry.metrics,
-                reset=ha_retry.reset_spent,
-                scope="ha",
-            )
+        _register_retry(registry, "retry", ha.policy.retry_policy, scope="ha")
     for index, link in enumerate(testbed.all_links()):
         if isinstance(link, FaultyLink):
             scope = "base" if index == 0 else f"replica-{index - 1}"
             registry.register("link_faults", link.fault_stats, scope=scope)
-    base_retry = base_transport.retry_policy
-    if base_retry is not None:
-        registry.register_callback(
-            "retry",
-            base_retry.metrics,
-            reset=base_retry.reset_spent,
-            scope="base",
-        )
+    _register_retry(registry, "retry", base_transport.retry_policy, scope="base")
     _register_client_metrics(testbed)
-    return registry
 
 
 def _link(clock: SimClock, plan: Optional[FaultPlan], bandwidth_mbps: float) -> Link:
@@ -232,6 +219,40 @@ def _link(clock: SimClock, plan: Optional[FaultPlan], bandwidth_mbps: float) -> 
     if plan is None:
         return Link(clock, bandwidth_mbps=bandwidth_mbps)
     return FaultyLink(clock, plan, bandwidth_mbps=bandwidth_mbps)
+
+
+def _with_client(
+    link: Link,
+    transport: RpcTransport,
+    docker_registry: DockerRegistry,
+    gear_registry,
+    registry_disk: DiskProfile,
+    client_disk: DiskProfile,
+    pool_capacity_bytes: Optional[int],
+    pool_policy: EvictionPolicy,
+    fault_plan: Optional[FaultPlan],
+) -> Testbed:
+    """What every registry side is finished with: the converter, one
+    client node (daemon, pool, driver) over ``transport``, the metrics."""
+    clock = link.clock
+    daemon = DockerDaemon(clock, transport, disk=Disk(clock, client_disk))
+    pool = SharedFilePool(capacity_bytes=pool_capacity_bytes, policy=pool_policy)
+    testbed = Testbed(
+        clock=clock,
+        link=link,
+        transport=transport,
+        docker_registry=docker_registry,
+        gear_registry=gear_registry,
+        converter=GearConverter(
+            clock, docker_registry, gear_registry, disk=Disk(clock, registry_disk)
+        ),
+        daemon=daemon,
+        gear_driver=GearDriver(clock, daemon, transport, pool=pool),
+        fault_plan=fault_plan,
+        ha=transport if isinstance(transport, HATransport) else None,
+    )
+    _instrument(testbed)
+    return testbed
 
 
 def make_testbed(
@@ -251,8 +272,7 @@ def make_testbed(
     default :class:`RetryPolicy`.  Without a plan the wiring is exactly
     the seed topology — same link, no retry state, byte-identical logs.
     """
-    clock = SimClock()
-    link = _link(clock, fault_plan, bandwidth_mbps)
+    link = _link(SimClock(), fault_plan, bandwidth_mbps)
     if fault_plan is not None and retry_policy is None:
         retry_policy = RetryPolicy()
     transport = RpcTransport(link, retry_policy=retry_policy)
@@ -260,25 +280,10 @@ def make_testbed(
     gear_registry = GearRegistry()
     transport.bind(docker_registry.endpoint())
     transport.bind(gear_registry.endpoint())
-    converter = GearConverter(
-        clock, docker_registry, gear_registry, disk=Disk(clock, registry_disk)
+    return _with_client(
+        link, transport, docker_registry, gear_registry, registry_disk,
+        client_disk, pool_capacity_bytes, pool_policy, fault_plan,
     )
-    daemon = DockerDaemon(clock, transport, disk=Disk(clock, client_disk))
-    pool = SharedFilePool(capacity_bytes=pool_capacity_bytes, policy=pool_policy)
-    gear_driver = GearDriver(clock, daemon, transport, pool=pool)
-    testbed = Testbed(
-        clock=clock,
-        link=link,
-        transport=transport,
-        docker_registry=docker_registry,
-        gear_registry=gear_registry,
-        converter=converter,
-        daemon=daemon,
-        gear_driver=gear_driver,
-        fault_plan=fault_plan,
-    )
-    _instrument(testbed)
-    return testbed
 
 
 def make_ha_testbed(
@@ -352,27 +357,57 @@ def make_ha_testbed(
         seed=seed,
     )
     monitor = HealthMonitor(replica_set, interval_s=probe_interval_s)
-    ha = HATransport(base_transport, policy, monitor)
+    return _with_client(
+        base_link, HATransport(base_transport, policy, monitor),
+        docker_registry, replica_set, registry_disk, client_disk,
+        pool_capacity_bytes, pool_policy, fault_plan,
+    )
 
-    converter = GearConverter(
-        clock, docker_registry, replica_set, disk=Disk(clock, registry_disk)
+
+def attach_edge(
+    testbed: Testbed,
+    *,
+    sites: int = 1,
+    lan_mbps: float = 904.0,
+    edge_retry_policy: Optional[RetryPolicy] = None,
+    gossip_interval_s: float = 0.25,
+    seed: str = "edge",
+) -> Testbed:
+    """Attach an edge/P2P tier to any registry side; returns ``testbed``.
+
+    ``sites`` :class:`~repro.net.edge.EdgeSite`\\ s are attached, each
+    with its own LAN link and :class:`~repro.net.link.TransferLog` — so
+    ``testbed.link.log`` keeps counting *registry egress only* and the
+    peer/site traffic shows up on the site links.  Mint nodes with
+    ``testbed.edge.client()``; each gets an
+    :class:`~repro.net.edge.EdgeTransport` walking the peer → site cache
+    → ``testbed.transport`` chain.  With no peers holding a file and an
+    empty site cache, that chain is byte- and time-identical to the
+    bare testbed's registry call.  ``edge_retry_policy`` governs
+    whole-chain backoff rounds (defaults to a fabric-seeded
+    :class:`RetryPolicy`).
+    """
+    if sites < 1:
+        raise ValueError("need at least one edge site")
+    stats = EdgeStats()
+    site_list = [
+        EdgeSite(
+            f"site-{index}",
+            testbed.clock,
+            Link(testbed.clock, bandwidth_mbps=lan_mbps),
+            stats=stats,
+            seed=seed,
+            gossip_interval_s=gossip_interval_s,
+        )
+        for index in range(sites)
+    ]
+    if edge_retry_policy is None:
+        edge_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
+    testbed.edge = EdgeFabric(
+        testbed, site_list, stats=stats, seed=seed, retry_policy=edge_retry_policy
     )
-    daemon = DockerDaemon(clock, ha, disk=Disk(clock, client_disk))
-    pool = SharedFilePool(capacity_bytes=pool_capacity_bytes, policy=pool_policy)
-    gear_driver = GearDriver(clock, daemon, ha, pool=pool)
-    testbed = Testbed(
-        clock=clock,
-        link=base_link,
-        transport=ha,
-        docker_registry=docker_registry,
-        gear_registry=replica_set,
-        converter=converter,
-        daemon=daemon,
-        gear_driver=gear_driver,
-        fault_plan=fault_plan,
-        ha=ha,
-    )
-    _instrument(testbed)
+    testbed.metrics.register("edge", stats)
+    _register_retry(testbed.metrics, "edge_retry", edge_retry_policy)
     return testbed
 
 
@@ -391,26 +426,10 @@ def make_edge_testbed(
     gossip_interval_s: float = 0.25,
     seed: str = "edge",
 ) -> Testbed:
-    """Assemble the multi-tier edge testbed: registry ↔ WAN ↔ sites ↔ LAN.
-
-    The registry side is wired exactly as :func:`make_testbed` (same WAN
-    link, same endpoints), then ``sites`` :class:`~repro.net.edge.
-    EdgeSite`\\ s are attached, each with its own LAN link and
-    :class:`~repro.net.link.TransferLog` — so ``testbed.link.log`` keeps
-    counting *registry egress only* and the peer/site traffic shows up on
-    the site links.  Mint nodes with ``testbed.edge.client()``; each gets
-    an :class:`~repro.net.edge.EdgeTransport` walking the peer → site
-    cache → registry chain.  With no peers holding a file and an empty
-    site cache, that chain is byte- and time-identical to the single-tier
-    testbed's registry call.
-
-    ``edge_retry_policy`` governs whole-chain backoff rounds (defaults to
-    a fabric-seeded :class:`RetryPolicy`); ``retry_policy``/``fault_plan``
-    apply to the WAN exactly as in :func:`make_testbed`.
-    """
-    if sites < 1:
-        raise ValueError("need at least one edge site")
-    testbed = make_testbed(
+    """The multi-tier edge testbed, registry ↔ WAN ↔ sites ↔ LAN:
+    :func:`make_testbed`'s registry side (``retry_policy`` and
+    ``fault_plan`` apply to the WAN), then :func:`attach_edge`."""
+    registry_side = make_testbed(
         bandwidth_mbps=bandwidth_mbps,
         registry_disk=registry_disk,
         client_disk=client_disk,
@@ -419,35 +438,65 @@ def make_edge_testbed(
         fault_plan=fault_plan,
         retry_policy=retry_policy,
     )
-    stats = EdgeStats()
-    site_list = [
-        EdgeSite(
-            f"site-{index}",
-            testbed.clock,
-            Link(testbed.clock, bandwidth_mbps=lan_mbps),
-            stats=stats,
-            seed=seed,
-            gossip_interval_s=gossip_interval_s,
-        )
-        for index in range(sites)
-    ]
-    if edge_retry_policy is None:
-        edge_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
-    fabric = EdgeFabric(
-        testbed,
-        site_list,
-        stats=stats,
+    return attach_edge(
+        registry_side,
+        sites=sites,
+        lan_mbps=lan_mbps,
+        edge_retry_policy=edge_retry_policy,
+        gossip_interval_s=gossip_interval_s,
         seed=seed,
-        retry_policy=edge_retry_policy,
     )
-    testbed.edge = fabric
-    if testbed.metrics is not None:
-        testbed.metrics.register("edge", stats)
-        testbed.metrics.register_callback(
-            "edge_retry",
-            edge_retry_policy.metrics,
-            reset=edge_retry_policy.reset_spent,
+
+
+def attach_faas(
+    testbed: Testbed,
+    *,
+    tier_mbps: float = 904.0,
+    tier_fault_plan: Optional[FaultPlan] = None,
+    faas_retry_policy: Optional[RetryPolicy] = None,
+    tier_capacity_bytes: Optional[int] = None,
+    tier_ttl_s: Optional[float] = None,
+    tier_admission_capacity: Optional[int] = None,
+    seed: str = "faas",
+) -> Testbed:
+    """Attach a shared cache tier to any registry side; returns ``testbed``.
+
+    One :class:`~repro.net.faas.SharedCacheTier` is attached on its own
+    link with its own :class:`~repro.net.link.TransferLog`, so
+    ``testbed.link.log`` keeps counting *registry WAN egress only* and
+    tier-served traffic shows up on the tier link.  Mint nodes with
+    ``testbed.faas.client()``; each walks pool → tier →
+    ``testbed.transport``.
+
+    ``tier_fault_plan`` swaps the tier link for a
+    :class:`~repro.net.faults.FaultyLink`; scope its windows to the tier
+    with ``targets=("faas-tier",)`` (see
+    :data:`~repro.net.faas.FAAS_TIER_ENDPOINT`).  ``faas_retry_policy``
+    governs whole-chain backoff rounds (defaults to a fabric-seeded
+    policy).
+    """
+    stats = FaasStats()
+    tier_link = _link(testbed.clock, tier_fault_plan, tier_mbps)
+    tier = SharedCacheTier(
+        "shared-tier",
+        testbed.clock,
+        tier_link,
+        stats=stats,
+        capacity_bytes=tier_capacity_bytes,
+        ttl_s=tier_ttl_s,
+        admission=AdmissionGate(tier_admission_capacity),
+    )
+    if faas_retry_policy is None:
+        faas_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
+    testbed.faas = FaasFabric(
+        testbed, tier, stats=stats, seed=seed, retry_policy=faas_retry_policy
+    )
+    testbed.metrics.register("faas", stats)
+    if isinstance(tier_link, FaultyLink):
+        testbed.metrics.register(
+            "link_faults", tier_link.fault_stats, scope="faas-tier"
         )
+    _register_retry(testbed.metrics, "faas_retry", faas_retry_policy)
     return testbed
 
 
@@ -469,25 +518,11 @@ def make_faas_testbed(
     ha_replicas: int = 0,
     seed: str = "faas",
 ) -> Testbed:
-    """Assemble the three-tier FaaS testbed: nodes ↔ tier ↔ registry.
-
-    The registry side is wired exactly as :func:`make_testbed` (or
-    :func:`make_ha_testbed` when ``ha_replicas > 0`` — the Lambda-paper
-    shape: a replicated store behind the shared cache).  One
-    :class:`~repro.net.faas.SharedCacheTier` is attached on its own link
-    with its own :class:`~repro.net.link.TransferLog`, so
-    ``testbed.link.log`` keeps counting *registry WAN egress only* and
-    tier-served traffic shows up on the tier link.  Mint nodes with
-    ``testbed.faas.client()``; each walks pool → tier → registry.
-
-    ``tier_fault_plan`` swaps the tier link for a
-    :class:`~repro.net.faults.FaultyLink`; scope its windows to the tier
-    with ``targets=("faas-tier",)`` (see
-    :data:`~repro.net.faas.FAAS_TIER_ENDPOINT`).  ``faas_retry_policy``
-    governs whole-chain backoff rounds (defaults to a fabric-seeded
-    policy); ``retry_policy``/``fault_plan`` apply to the WAN exactly as
-    in :func:`make_testbed`.
-    """
+    """The three-tier FaaS testbed, nodes ↔ tier ↔ registry:
+    :func:`make_testbed`'s registry side (or :func:`make_ha_testbed`'s
+    when ``ha_replicas > 0`` — the Lambda-paper shape, a replicated store
+    behind the shared cache; ``retry_policy`` and ``fault_plan`` apply to
+    the WAN either way), then :func:`attach_faas`."""
     registry_side = dict(
         bandwidth_mbps=bandwidth_mbps,
         registry_disk=registry_disk,
@@ -503,39 +538,16 @@ def make_faas_testbed(
         )
     else:
         testbed = make_testbed(**registry_side)
-    stats = FaasStats()
-    tier_link = _link(testbed.clock, tier_fault_plan, tier_mbps)
-    tier = SharedCacheTier(
-        "shared-tier",
-        testbed.clock,
-        tier_link,
-        stats=stats,
-        capacity_bytes=tier_capacity_bytes,
-        ttl_s=tier_ttl_s,
-        admission=AdmissionGate(tier_admission_capacity),
-    )
-    if faas_retry_policy is None:
-        faas_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
-    fabric = FaasFabric(
+    return attach_faas(
         testbed,
-        tier,
-        stats=stats,
+        tier_mbps=tier_mbps,
+        tier_fault_plan=tier_fault_plan,
+        faas_retry_policy=faas_retry_policy,
+        tier_capacity_bytes=tier_capacity_bytes,
+        tier_ttl_s=tier_ttl_s,
+        tier_admission_capacity=tier_admission_capacity,
         seed=seed,
-        retry_policy=faas_retry_policy,
     )
-    testbed.faas = fabric
-    if testbed.metrics is not None:
-        testbed.metrics.register("faas", stats)
-        if isinstance(tier_link, FaultyLink):
-            testbed.metrics.register(
-                "link_faults", tier_link.fault_stats, scope="faas-tier"
-            )
-        testbed.metrics.register_callback(
-            "faas_retry",
-            faas_retry_policy.metrics,
-            reset=faas_retry_policy.reset_spent,
-        )
-    return testbed
 
 
 def make_timeline_sampler(

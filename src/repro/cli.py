@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command> [--help]``.
 
-``python -m repro.cli --help`` lists the thirteen subcommands, and each
+``python -m repro.cli --help`` lists the twelve subcommands, and each
 ``cmd_*`` docstring below says what its command runs and what makes it
 exit nonzero.  Seven of them are *sweeps* — ``deploy --clients N``,
 ``crash``, ``chunks``, ``ha``, ``edge``, ``faas``, ``slo`` — which keep
@@ -1319,11 +1319,10 @@ def cmd_trace(args) -> int:
         with open(trace_path, "w") as handle:
             handle.write(trace_json(tracer))
         written["trace"] = trace_path
-        if testbed.metrics is not None:
-            metrics_path = os.path.join(args.out_dir, "metrics.json")
-            with open(metrics_path, "w") as handle:
-                handle.write(dump_json(metrics_snapshot(testbed.metrics)))
-            written["metrics"] = metrics_path
+        metrics_path = os.path.join(args.out_dir, "metrics.json")
+        with open(metrics_path, "w") as handle:
+            handle.write(dump_json(metrics_snapshot(testbed.metrics)))
+        written["metrics"] = metrics_path
 
     if args.json:
         report = {
@@ -1356,108 +1355,6 @@ def cmd_trace(args) -> int:
             print(f"wrote {key}: {dest}")
         for problem in problems:
             print(f"trace gate FAILED: {problem}", file=sys.stderr)
-    return 0 if ok else 1
-
-
-def cmd_perf(args) -> int:
-    """Simulator throughput check: microflows + a small deploy wave.
-
-    Runs the canonical speed scenarios from :mod:`repro.bench.speed`,
-    prints the events/sec table, and gates on two invariants (exit 1 on
-    either failing):
-
-    * **cross-mode equivalence** — generator and thread execution of the
-      microflows scenario must report identical deterministic fields
-      (events, virtual seconds, simulated bytes);
-    * **double-run determinism** — re-running each scenario must replay
-      those fields byte-identically.
-
-    ``--json`` emits only the deterministic fields (plus the recorded
-    pre-refactor baseline), so the output is artifact-stable; wall-clock
-    throughput goes to the human-readable table alone.
-    """
-    from repro.bench.speed import (
-        BASELINE_MICROFLOW_EVENTS_PER_S,
-        run_deploy_wave,
-        run_microflows,
-    )
-
-    reports = {
-        ("microflows", mode): run_microflows(args.clients, args.transfers,
-                                             mode=mode,
-                                             bandwidth_mbps=args.bandwidth)
-        for mode in ("thread", "gen")
-    }
-    reports[("deploy_wave", "thread")] = run_deploy_wave(
-        args.wave_clients, scale=args.scale, seed=args.seed
-    )
-
-    ok = True
-    problems = []
-    gen = reports[("microflows", "gen")].deterministic()
-    thread = reports[("microflows", "thread")].deterministic()
-    gen.pop("mode"), thread.pop("mode")
-    if gen != thread:
-        ok = False
-        problems.append(f"cross-mode drift: gen={gen} thread={thread}")
-    for (scenario, mode), report in list(reports.items()):
-        if scenario == "microflows":
-            again = run_microflows(args.clients, args.transfers, mode=mode,
-                                   bandwidth_mbps=args.bandwidth)
-        else:
-            again = run_deploy_wave(args.wave_clients, scale=args.scale,
-                                    seed=args.seed)
-        if again.deterministic() != report.deterministic():
-            ok = False
-            problems.append(
-                f"double-run drift in {scenario}/{mode}: "
-                f"{again.deterministic()} != {report.deterministic()}"
-            )
-
-    if args.json:
-        payload = {
-            "scenarios": [
-                report.deterministic() for report in reports.values()
-            ],
-            "baseline_microflow_events_per_s": BASELINE_MICROFLOW_EVENTS_PER_S,
-            "ok": ok,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(
-            f"simulator throughput — microflows {args.clients}x"
-            f"{args.transfers} @ {args.bandwidth:g} Mbps, "
-            f"deploy wave {args.wave_clients} clients"
-        )
-        print(
-            format_table(
-                ["Scenario", "Mode", "Events", "Virtual (s)", "Sim MB",
-                 "Wall (s)", "Events/s"],
-                [
-                    (
-                        scenario,
-                        mode,
-                        str(r.events),
-                        f"{r.virtual_s:.3f}",
-                        f"{r.simulated_bytes / 1e6:.1f}",
-                        f"{r.wall_s:.3f}",
-                        f"{r.events_per_s:,.0f}",
-                    )
-                    for (scenario, mode), r in reports.items()
-                ],
-            )
-        )
-        speedup = (
-            reports[("microflows", "gen")].events_per_s
-            / BASELINE_MICROFLOW_EVENTS_PER_S
-        )
-        print(
-            f"gen-mode microflows: {speedup:.1f}x the recorded "
-            f"pre-refactor baseline "
-            f"({BASELINE_MICROFLOW_EVENTS_PER_S:,.0f} ev/s)"
-        )
-        for problem in problems:
-            print(f"perf gate FAILED: {problem}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -1641,18 +1538,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(faas, "--faas-seed", "0",
           "seed token for arrivals, placement, backoff, and fault streams")
     _flag(faas, "--json", False, "emit the sweep report as one JSON line")
-    perf = command("perf", cmd_perf,
-                   "simulator throughput: events/sec on canonical scenarios")
-    _flag(perf, "--clients", 256,
-          "microflow clients (1024 = the benchmark shape)")
-    _flag(perf, "--transfers", 4, "transfers per microflow client")
-    _flag(perf, "--bandwidth", 200.0,
-          "shared microflow link bandwidth in Mbps")
-    _flag(perf, "--wave-clients", 64,
-          "clients in the Gear deploy-wave scenario")
-    _flag(perf, "--json", False,
-          "emit deterministic fields as one JSON line (wall-clock "
-          "throughput is table-only)")
     slo = command("slo", cmd_slo,
                   "readiness-aware SLO gate: objectives + burn rates over "
                   "fleet/edge/faas/prefetch, double-run for determinism")
@@ -1713,12 +1598,6 @@ GATES = {
     "chunk": "chunks --clients 8 --big-mib 4 --chunk-seed {seed} --json",
     "slo": "slo --series nginx --versions 2 --scale 0.2 --target nginx "
            "--clients 6 --bandwidth 200 --slo-seed {seed} --json",
-    # The perf command's JSON carries only deterministic simulation
-    # fields (events, virtual seconds, modeled bytes) plus the recorded
-    # pre-refactor baseline; wall-clock throughput never enters it, so it
-    # stays byte-stable across machines.
-    "speed": "perf --scale 0.2 --clients 256 --transfers 4 --wave-clients 64 "
-             "--json",
 }
 
 

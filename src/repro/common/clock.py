@@ -239,7 +239,7 @@ def run_inline(gen: Any) -> Any:
 
 
 class SimClock:
-    """A monotonically advancing virtual clock with optional telemetry.
+    """A forward-only virtual clock with optional telemetry.
 
     Without an attached :class:`SimScheduler` the clock is deliberately
     simple: the simulation is sequential (one client deploying containers

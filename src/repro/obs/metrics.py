@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A count that only ever goes up."""
 
     __slots__ = ("value",)
 

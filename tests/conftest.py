@@ -8,9 +8,19 @@ corpora are session-scoped; tests must not mutate the corpus images
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.bench.environment import make_testbed, publish_images
 from repro.workloads.corpus import Corpus, CorpusBuilder, CorpusConfig
+
+# Tier-1 runs every property test on the same examples each time, and the
+# tests that leave the count to the profile (the shared-clone machine and
+# the overlay and ``apply_to`` oracles, ~12 s at their old counts) on few
+# enough to cost under 5 s together.  ``scripts/check.sh`` hunts with
+# ``--hypothesis-profile=wide``: fresh examples, at least the old counts.
+settings.register_profile("tier1", max_examples=40, derandomize=True)
+settings.register_profile("wide", max_examples=150)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,15 @@ import pytest
 
 from repro.baselines.slacker import SlackerDriver
 from repro.bench.deploy import (
+    DeploymentResult,
     deploy_with_docker,
     deploy_with_gear,
+    deploy_with_gear_overlapped,
     deploy_with_slacker,
 )
 from repro.bench.environment import make_testbed, publish_images
+from repro.gear.prefetch import TraceRecorder
+from repro.net.faults import lossy_plan
 
 
 class TestDocker:
@@ -116,3 +120,141 @@ class TestBandwidthSweep:
             gear = deploy_with_gear(bed.fresh_client(), generated)
             speedups.append(docker.total_s / gear.total_s)
         assert speedups[1] > speedups[0] > 1.0
+
+
+#: system -> the RPC endpoints whose retries and errors its result counts.
+COUNTED = {
+    "docker": ("docker-registry",),
+    "gear": ("docker-registry", "gear-registry"),
+    "gear+overlap": ("docker-registry", "gear-registry"),
+    "slacker": (),
+}
+
+
+def _deployer(system, bed, corpus):
+    """``deploy(client, generated)`` for one of the four helpers; the
+    overlapped one replays startup profiles recorded on warm clients."""
+    if system == "docker":
+        return deploy_with_docker
+    if system == "gear":
+        return deploy_with_gear
+    if system == "slacker":
+        driver = SlackerDriver(bed.clock, bed.link)
+        return lambda client, generated: deploy_with_slacker(
+            driver, client, generated
+        )
+    recorder = TraceRecorder()
+    for generated in corpus.by_series["nginx"][:2]:
+        warm = bed.fresh_client()
+        deploy_with_gear(warm, generated)
+        recorder.record(
+            generated.gear_reference, warm.gear_driver.containers()[-1].mount
+        )
+    return lambda client, generated: deploy_with_gear_overlapped(
+        client, generated, recorder
+    )
+
+
+def _bed(small_corpus, fault_plan=None):
+    bed = make_testbed(bandwidth_mbps=100, fault_plan=fault_plan)
+    publish_images(bed, small_corpus.images)
+    return bed
+
+
+class TestOneProtocol:
+    """All four helpers are one measured body: whatever the system, the
+    result is the same reading of the same clock, log and counters."""
+
+    @pytest.mark.parametrize(
+        "fault_plan", [None, lossy_plan("protocol")], ids=["clean", "lossy"]
+    )
+    @pytest.mark.parametrize("system", COUNTED)
+    def test_result_is_the_delta_of_clock_log_and_endpoints(
+        self, system, fault_plan, small_corpus
+    ):
+        bed = _bed(small_corpus, fault_plan)
+        deploy = _deployer(system, bed, small_corpus)
+        client = bed.fresh_client()
+        tracer = client.attach_tracer()
+        log = client.link.log
+        counted = [
+            client.transport.endpoint(name).stats for name in COUNTED[system]
+        ]
+
+        def reading():
+            return (
+                client.clock.now,
+                log.total_bytes,
+                log.total_requests,
+                sum(stats.retries for stats in counted),
+                sum(stats.errors for stats in counted),
+            )
+
+        before = reading()
+        result = deploy(client, small_corpus.get("nginx:v1"))
+        elapsed, *deltas = (b - a for a, b in zip(before, reading()))
+
+        assert result.system == system
+        assert result.reference == "nginx:v1"
+        # A prefetch tail may outlive the task that run_s ends with.
+        if system == "gear+overlap":
+            assert result.total_s <= elapsed + 1e-9
+        else:
+            assert result.total_s == pytest.approx(elapsed, abs=1e-9)
+        assert 0 < result.ready_s <= result.total_s
+        assert [
+            result.network_bytes, result.network_requests,
+            result.retries, result.errors,
+        ] == deltas
+        assert result.network_bytes > 0
+        if fault_plan is not None and counted:
+            assert result.retries > 0
+
+        spans = tracer.finished_spans()
+        (root,) = [span for span in spans if span.name == "deploy"]
+        assert root.labels == {"system": system, "ref": "nginx:v1"}
+        (task,) = [span for span in spans if span.name == "task"]
+        assert task.parent_id == root.id
+        assert root.start_s <= task.start_s <= task.end_s <= root.end_s
+
+    def test_upgrade_results_are_pinned(self, small_corpus):
+        """nginx v1 then v2 on one client at 100 Mbps, as every helper
+        measured it before they shared a body (Slacker is reached by no
+        gate row and no artifact)."""
+        results = {}
+        for system in COUNTED:
+            bed = _bed(small_corpus)
+            deploy = _deployer(system, bed, small_corpus)
+            client = bed.fresh_client()
+            deploy(client, small_corpus.get("nginx:v1"))
+            results[system] = deploy(client, small_corpus.get("nginx:v2"))
+        assert results == {
+            "docker": DeploymentResult(
+                system="docker", reference="nginx:v2",
+                pull_s=0.39011995085227014, run_s=1.3930332397919258,
+                network_bytes=755400, network_requests=6,
+                files_fetched=2, cache_hits=2,
+                ready_s=0.7474966364078206,
+            ),
+            "gear": DeploymentResult(
+                system="gear", reference="nginx:v2",
+                pull_s=0.6268195348674226, run_s=1.7079947975182215,
+                network_bytes=116729, network_requests=40,
+                files_fetched=18, cache_hits=25,
+                ready_s=1.2991577781492687,
+            ),
+            "gear+overlap": DeploymentResult(
+                system="gear+overlap", reference="nginx:v2",
+                pull_s=0.6268195348674226, run_s=1.5679344756349671,
+                network_bytes=116729, network_requests=40,
+                files_fetched=18, cache_hits=30,
+                ready_s=1.1590974562660143,
+            ),
+            "slacker": DeploymentResult(
+                system="slacker", reference="nginx:v2",
+                pull_s=0.5300000000000011, run_s=1.3850761197919503,
+                network_bytes=2625536, network_requests=66,
+                files_fetched=43, cache_hits=0,
+                ready_s=0.8794195655555761,
+            ),
+        }

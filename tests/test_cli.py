@@ -71,7 +71,7 @@ class TestParser:
         assert surface == {
             name: {**COMMON, **flags} for name, flags in SURFACE.items()
         }
-        assert sum(len(flags) for flags in surface.values()) == 136
+        assert sum(len(flags) for flags in surface.values()) == 127
 
     def test_choices_are_pinned(self):
         choices = {
@@ -183,13 +183,6 @@ SURFACE = {
         "--replicas": (2, int, None),
         "--scenario": (None, None, "*"),
         "--faas-seed": ("0", None, None),
-        "--json": (False, None, 0),
-    },
-    "perf": {
-        "--clients": (256, int, None),
-        "--transfers": (4, int, None),
-        "--bandwidth": (200.0, float, None),
-        "--wave-clients": (64, int, None),
         "--json": (False, None, 0),
     },
     "slo": {

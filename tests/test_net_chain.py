@@ -5,7 +5,8 @@ loop, a node mint and a wave runner (:mod:`repro.net.resilience`,
 :meth:`repro.bench.environment.Testbed.fresh_client`,
 :meth:`repro.net.topology.Cluster._run_wave`).  These tests drive the
 shared parts through every fabric: backoff rounds outside HA, corrupt
-reports travelling down a stacked chain, a chain stacked by hand, a
+reports travelling down a stacked chain, a chain stacked tier by tier
+(``attach_faas`` over ``attach_edge`` over an HA registry side), a
 client with no thread faulting through each of them, and the wave
 runner's error rule.
 """
@@ -19,6 +20,8 @@ import pytest
 
 from repro.bench.deploy import container_fs_digest, deploy_with_gear
 from repro.bench.environment import (
+    attach_edge,
+    attach_faas,
     make_edge_testbed,
     make_faas_testbed,
     make_ha_testbed,
@@ -28,10 +31,9 @@ from repro.bench.environment import (
 from repro.common import clock as clock_module
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import UnavailableError
-from repro.net.edge import EdgeFabric, EdgeSite, EdgeStats
-from repro.net.faas import FAAS_TIER_ENDPOINT, FaasFabric, FaasStats, SharedCacheTier
+from repro.net.edge import EdgeStats
+from repro.net.faas import FAAS_TIER_ENDPOINT
 from repro.net.faults import FaultPlan, FaultyLink, OutageWindow, byzantine_plan
-from repro.net.link import Link
 from repro.net.resilience import GEAR_ENDPOINT, RetryPolicy, retry_rounds
 from repro.net.topology import Cluster, EdgeCluster, HACluster
 from repro.workloads.tasks import task_for_category
@@ -233,22 +235,8 @@ class TestChainStackedByHand:
         if liar:
             _swap_in_lying_link(root)
         publish_images(root, [generated], convert=True)
-        edge_stats = EdgeStats()
-        site = EdgeSite(
-            "site-0", root.clock, Link(root.clock), stats=edge_stats, seed="stack"
-        )
-        edge = EdgeFabric(
-            root, [site], stats=edge_stats,
-            retry_policy=RetryPolicy(seed="stack-edge"),
-        )
-        faas_stats = FaasStats()
-        tier = SharedCacheTier(
-            "tier", root.clock, Link(root.clock), stats=faas_stats
-        )
-        faas = FaasFabric(
-            edge.client(), tier, stats=faas_stats,
-            retry_policy=RetryPolicy(seed="stack-faas"),
-        )
+        edge = attach_edge(root, seed="stack").edge
+        faas = attach_faas(edge.client(), seed="stack").faas
         return root, edge, faas, faas.client()
 
     def test_deploys_to_the_control_digest(self, small_corpus):

@@ -250,12 +250,7 @@ def _traced_ha_wave(seed: str, images):
         lambda node: deploy_with_gear(node.testbed, generated_ref),
         concurrency=3,
     )
-    metrics = (
-        dump_json(metrics_snapshot(testbed.metrics))
-        if testbed.metrics is not None
-        else "{}"
-    )
-    return trace_json(tracer), metrics
+    return trace_json(tracer), dump_json(metrics_snapshot(testbed.metrics))
 
 
 class TestExportDeterminism:

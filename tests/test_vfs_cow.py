@@ -233,11 +233,10 @@ class SharedCloneMachine(RuleBasedStateMachine):
         assert listing(self.source, with_ino=True) == self.frozen_listing
 
 
-# Time-boxed: about 7 s of the tier-1 budget.
+# The example count is the Hypothesis profile's (tests/conftest.py):
+# about 2.5 s of the tier-1 budget, 150 examples under ``wide``.
 TestSharedCloneMachine = SharedCloneMachine.TestCase
-TestSharedCloneMachine.settings = settings(
-    max_examples=120, stateful_step_count=20, deadline=None
-)
+TestSharedCloneMachine.settings = settings(stateful_step_count=20, deadline=None)
 
 
 def drive(source_ops, ops):

@@ -231,7 +231,7 @@ def same_resolution(mount, path, follow):
         assert new is old, (path, follow, new, old)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the profile's (conftest.py)
 @given(layer_stacks())
 def test_overlay_answers_as_the_per_component_resolution_did(mount):
     for path in probes_of(mount):
@@ -441,7 +441,7 @@ def outcome_and_listing(action):
         return VfsError
 
 
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)  # example count: the profile's (conftest.py)
 @given(st.lists(_ARCHIVES, min_size=1, max_size=3), st.booleans())
 # Found while writing: an entry reached through the very symlink it
 # replaces lands in the directory the link led to.
