@@ -1,23 +1,29 @@
 #!/usr/bin/env python
 """Emit the checked-in perf-trajectory artifacts (``BENCH_ext_*.json``).
 
-ROADMAP.md notes the extension benchmarks track the repo's performance
-trajectory but that no ``BENCH_*.json`` artifacts are checked in.  This
-script fixes that: it runs one small, fully deterministic scenario per
-extension and writes a canonical JSON artifact for each into
-``benchmarks/artifacts/``.  Every number in the artifacts is *simulated*
-(virtual seconds, modeled bytes) — never wall clock — so reruns are
-byte-identical and a diff against the committed artifact is a real
-regression signal, not noise.
+One small, fully deterministic scenario per row of ``repro.cli.GATES``
+(the paper's own studies included), each written as a canonical JSON
+artifact into ``benchmarks/artifacts/``.  Every number in the artifacts
+is *simulated* (virtual seconds, modeled bytes) — never wall clock — so
+reruns are byte-identical and a diff against the committed artifact is a
+real regression signal, not noise.
 
 ``scripts/check.sh`` regenerates the artifacts and fails if they drift
 from the committed copies: a PR that changes deploy times, egress, or
 failover accounting must commit the refreshed artifacts alongside the
 code, which is exactly how the trajectory stays tracked in-repo.
 
+``--full`` additionally records the one full-size run of the ``paper``
+sweep (the whole Table I corpus, seed 7; about eleven minutes, so
+nothing routine passes it) as ``PAPER_full.json`` and regenerates
+EXPERIMENTS.md's tables from it.  The file embeds the smoke-size
+``paper`` report of the commit that made it; ``tests/test_paper_full.py``
+compares that with ``BENCH_ext_paper.json``, so a PR that moves a paper
+number has to record the full-size run again.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/artifacts.py [--out-dir DIR]
+    PYTHONPATH=src python benchmarks/artifacts.py [--out-dir DIR] [--full]
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import os
 import sys
 
 from repro import cli
+from repro.bench import paper
 from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import make_testbed, publish_images
 from repro.net.faults import FaultPlan, OutageWindow
@@ -37,6 +44,9 @@ from repro.net.resilience import RetryPolicy
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 DEFAULT_OUT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
+EXPERIMENTS_MD = os.path.join(
+    os.path.dirname(__file__), os.pardir, "EXPERIMENTS.md"
+)
 
 #: The seed every seeded gate row is recorded at.
 ARTIFACT_SEED = 11
@@ -52,6 +62,11 @@ CLI_SCENARIOS = {
     if name != "edge-equivalence"
 }
 
+#: The full-size ``paper`` run: ``CorpusConfig()``'s corpus — every series
+#: (a bare ``--series``), every version the catalog has, nothing scaled.
+FULL_PAPER = ["paper", "--seed", "7", "--scale", "1", "--versions", "20",
+              "--series", "--json"]
+
 
 def _run_cli(argv) -> dict:
     """Run a ``repro.cli`` command in-process; parse its JSON report."""
@@ -66,11 +81,9 @@ def _run_cli(argv) -> dict:
 
 
 def _resilience_report() -> dict:
-    """One hostile-wire cell (no CLI surface for this extension).
-
-    Mirrors ``bench_ext_resilience.py``: drops + corruption + a 2 s
-    registry outage, and the invariant that faults are paid for in
-    virtual time, never in correctness.
+    """One hostile-wire cell (no CLI surface for this extension): drops
+    + corruption + a 2 s registry outage, and the invariant that faults
+    are paid for in virtual time, never in a degraded deployment.
     """
     corpus = CorpusBuilder(
         CorpusConfig(
@@ -108,29 +121,50 @@ def _resilience_report() -> dict:
     return report
 
 
-def write_artifacts(out_dir: str) -> list:
+def _write(path: str, payload: dict) -> str:
+    with open(path, "w") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True))
+        handle.write("\n")
+    return path
+
+
+def write_artifacts(out_dir: str, full: bool = False) -> list:
     os.makedirs(out_dir, exist_ok=True)
     reports = {name: _run_cli(argv) for name, argv in CLI_SCENARIOS.items()}
     reports["resilience"] = _resilience_report()
-    written = []
-    for name in sorted(reports):
-        path = os.path.join(out_dir, f"BENCH_ext_{name}.json")
-        payload = {
-            "scenario": CLI_SCENARIOS.get(name, ["(inline)"]),
-            "report": reports[name],
-        }
-        with open(path, "w") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True))
-            handle.write("\n")
-        written.append(path)
+    written = [
+        _write(
+            os.path.join(out_dir, f"BENCH_ext_{name}.json"),
+            {"scenario": CLI_SCENARIOS.get(name, ["(inline)"]),
+             "report": reports[name]},
+        )
+        for name in sorted(reports)
+    ]
+    if full:
+        recorded = _run_cli(FULL_PAPER)
+        written.append(_write(
+            os.path.join(out_dir, "PAPER_full.json"),
+            {"scenario": FULL_PAPER, "report": recorded,
+             "smoke": reports["paper"]},
+        ))
+        with open(EXPERIMENTS_MD) as handle:
+            document = handle.read()
+        with open(EXPERIMENTS_MD, "w") as handle:
+            handle.write(paper.splice(document, recorded["cells"]))
+        written.append(EXPERIMENTS_MD)
     return written
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
+    parser.add_argument(
+        "--full", action="store_true",
+        help="also record the full-size paper run (~11 min) as "
+             "PAPER_full.json and regenerate EXPERIMENTS.md's tables",
+    )
     args = parser.parse_args(argv)
-    for path in write_artifacts(args.out_dir):
+    for path in write_artifacts(args.out_dir, args.full):
         print(f"wrote {os.path.relpath(path)}")
     return 0
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
-# Hypothesis profile, the one-download-chain, one-read-path and
-# virtual-time-only source guards, the determinism gate (every row of the
-# repro.cli gate table, double-run), the checked-in perf-trajectory
+# Hypothesis profile, the one-download-chain, one-read-path, one-harness
+# and virtual-time-only source guards, the determinism gate (all ten rows
+# of the repro.cli gate table, double-run), the checked-in perf-trajectory
 # artifacts, the perf ledger's output checks and harness tests, and a
 # full bytecode compile.
 #
@@ -22,6 +22,9 @@ echo "== all time in the program is virtual =="
 # workloads time the simulator, pinned and in pairs), never src/repro's.
 if grep -rnE "perf_counter|process_time|time\.time|monotonic" src/repro --include='*.py'
 then echo "src/repro reads the host clock" >&2; exit 1; fi
+# One harness: the paper's studies are cells of `repro.cli paper`.
+if grep -rnE "REPRO_BENCH_QUIC[K]|benchmark\.pedanti[c]" . --include='*.py' --include='*.toml' --include='*.sh' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md
+then echo "the second benchmark harness grew back" >&2; exit 1; fi
 
 echo "== one download chain: the copies must not grow back =="
 # The whole-round backoff lives in resilience.py (transport.py retries
@@ -73,11 +76,11 @@ once src/repro/gear/bigfile.py 1 "def _get_partial"
 once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
 
 echo "== determinism gate: every gate-table row, double-run =="
-# Each of the nine rows of repro.cli.GATES (fleet, crash, HA, trace,
+# Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,
 # edge, edge equivalence, FaaS, chunks, SLO) at seeds 11 and 42 — a row
 # without a seed flag once — runs twice under -W error.  Every run must
-# exit 0, which certifies the row's own invariants (resume equivalence,
-# zero degraded deploys, zero integrity violations, span coverage, ...),
+# exit 0, which certifies the row's own invariants (the paper's shape
+# claims, resume equivalence, zero degraded deploys, span coverage, ...),
 # and the two runs must emit byte-identical stdout and, for trace,
 # byte-identical --out-dir exports.  The two runs are fresh interpreters
 # on purpose: string-hash randomisation differs between them, so a set or
@@ -105,7 +108,8 @@ echo "$(wc -l < "$gate_tmp/rows.txt") gate runs identical across fresh interpret
 
 echo "== perf-trajectory artifacts =="
 # Regenerate the checked-in BENCH_ext_*.json artifacts; a PR that moves
-# any simulated number must commit the refreshed artifacts with it.
+# any simulated number must commit the refreshed artifacts with it.  (The
+# full-size paper run is `artifacts.py --full`, by hand: tier-1 reads it.)
 python benchmarks/artifacts.py
 if command -v git >/dev/null 2>&1 && git rev-parse --git-dir >/dev/null 2>&1
 then

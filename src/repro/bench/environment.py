@@ -78,18 +78,24 @@ class Testbed:
         """Attach (or create) a span tracer on the testbed clock."""
         return self.clock.attach_tracer(tracer)
 
-    def all_links(self) -> "list[Link]":
-        """Every simulated wire in the testbed (base + replica + tier)."""
+    def registry_links(self) -> "list[Link]":
+        """The registry-side wires: the base link and every HA replica's."""
         links = [self.link]
         if self.ha is not None:
             links.extend(r.link for r in self.ha.replica_set.replicas)
+        return links
+
+    def all_links(self) -> "list[Link]":
+        """Every simulated wire in the testbed (base + replica + tier)."""
+        links = self.registry_links()
         if self.faas is not None:
             links.append(self.faas.tier.link)
         return links
 
     def set_bandwidth(self, bandwidth_mbps: float) -> None:
-        """Change the client↔registry link speed in place."""
-        for link in self.all_links():
+        """Change the client↔registry link speed in place (a FaaS tier's
+        own link keeps its ``tier_mbps``)."""
+        for link in self.registry_links():
             link.bandwidth_mbps = bandwidth_mbps
 
     def arm_faults(self) -> None:

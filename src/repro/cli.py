@@ -1,11 +1,12 @@
 """Command-line interface: ``python -m repro.cli <command> [--help]``.
 
-``python -m repro.cli --help`` lists the twelve subcommands, and each
+``python -m repro.cli --help`` lists the eleven subcommands, and each
 ``cmd_*`` docstring below says what its command runs and what makes it
-exit nonzero.  Seven of them are *sweeps* — ``deploy --clients N``,
-``crash``, ``chunks``, ``ha``, ``edge``, ``faas``, ``slo`` — which keep
-only how one cell's world is built and which invariants it must hold,
-and hand the cells to :func:`run_sweep` for reporting and the exit code.
+exit nonzero.  Eight of them are *sweeps* — ``paper``, ``deploy
+--clients N``, ``crash``, ``chunks``, ``ha``, ``edge``, ``faas``,
+``slo`` — which keep only how one cell's world is built and which
+invariants it must hold, and hand the cells to :func:`run_sweep` for
+reporting and the exit code.
 ``GATES`` is the one table of smoke invocations that
 ``scripts/check.sh``, ``benchmarks/artifacts.py`` and
 ``tests/test_cli.py`` all iterate.
@@ -22,14 +23,12 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis import compute_dedup_table
-from repro.baselines.slacker import SlackerDriver
+from repro.bench import paper
 from repro.bench.deploy import (
     deploy_with_docker,
     deploy_with_gear,
     deploy_with_gear_overlapped,
     deploy_with_gear_resumable,
-    deploy_with_slacker,
 )
 from repro.bench.deploy import container_fs_digest, viewer_fs_digest
 from repro.bench.environment import (
@@ -39,8 +38,7 @@ from repro.bench.environment import (
     make_timeline_sampler,
     publish_images,
 )
-from repro.bench.reporting import format_table, gb, pct
-from repro.bench.storage import compare_storage
+from repro.bench.reporting import format_table, pct
 from repro.blob import Blob, DEFAULT_CHUNK_SIZE
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import ClientCrash, ReproError
@@ -145,7 +143,8 @@ def run_sweep(args, header, group, names, run_cell, title, columns) -> int:
     as one canonical JSON line (``--json``), or ``title`` and a table with
     the cell name under ``group``'s singular followed by ``columns``, each
     ``(heading, key path, format)`` with a ``format()`` spec or a callable
-    as the format.  Returns 0 only if no cell broke anything.
+    as the format — or, where one row a cell will not do, whatever text
+    ``columns(cells)`` renders.  Returns 0 only if no cell broke anything.
     """
     report = {**header, group: {}}
     ok = True
@@ -165,6 +164,9 @@ def run_sweep(args, header, group, names, run_cell, title, columns) -> int:
         return fmt(value) if callable(fmt) else format(value, fmt)
 
     print(title)
+    if callable(columns):
+        print(columns(report[group]))
+        return 0 if ok else 1
     print(
         format_table(
             [group[:-1].capitalize(), *(heading for heading, _, _ in columns)],
@@ -210,39 +212,78 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def cmd_dedup(args) -> int:
-    """Table II dedup study on the configured corpus subset."""
-    corpus = _corpus(args)
-    table = compute_dedup_table(corpus.docker_images())
-    print(
-        format_table(
-            ["Granularity", "Stored (GB)", "Objects", "Reduction"],
-            [
-                (name, gb(size), f"{objects:,}",
-                 pct(1 - size / table.none.storage_bytes))
-                for name, size, objects in table.rows()
-            ],
-        )
-    )
-    return 0
+#: The ``paper`` sweep's cells — one per study of DESIGN.md §4, measured
+#: by the :data:`repro.bench.paper.STUDIES` entry of the same name — and
+#: the shape invariants each must hold: ordinal claims (an ordering, a
+#: trend, a sign) that are true of any corpus, the smoke one included.
+PAPER_CELLS = {
+    "table2": ("finer_granularity_saves_more",
+               "file_level_captures_most_of_chunk_level",
+               "chunking_multiplies_objects"),
+    "fig2": ("database_above_distro", "platform_above_distro"),
+    "fig6": ("time_grows_with_image_size", "ssd_converts_faster"),
+    "fig7": ("gear_registry_is_smaller", "distro_lt_language_lt_database"),
+    "fig8": ("gear_moves_fewer_bytes", "cache_moves_fewer_still"),
+    "fig9": ("gear_pulls_shorter_at_every_bandwidth",
+             "gear_runs_longer_at_every_bandwidth",
+             "cached_no_slower_than_no_cache",
+             "speedup_grows_as_bandwidth_falls"),
+    "fig10": ("slacker_flat_across_versions", "gear_slows_down_least"),
+    "fig11": ("steady_state_throughput_matches", "gear_destroys_faster",
+              "gear_launch_comparable", "gear_lifecycle_comparable"),
+    "ablation-cache": ("any_cache_beats_none",
+                       "lru_between_unbounded_and_none",
+                       "fifo_between_unbounded_and_none"),
+    "ablation-bigfile": ("chunked_moves_a_tenth_of_the_bytes",
+                         "chunked_starts_five_times_sooner"),
+    "ablation-prefetch": ("prefetch_all_shortens_the_task",
+                          "prefetch_half_shortens_the_task",
+                          "overlap_beats_demand_only",
+                          "overlap_beats_serial_prefetch",
+                          "overlap_duplicates_no_bytes"),
+    "related-work": ("duphunter_saves_storage", "duphunter_saves_no_bandwidth",
+                     "restructuring_saves_storage",
+                     "gear_saves_storage_and_bandwidth"),
+}
 
 
-def cmd_storage(args) -> int:
-    """Docker-vs-Gear registry footprint for the configured corpus."""
+def cmd_paper(args) -> int:
+    """The paper's own studies on the ``--series`` corpus, one cell each.
+
+    A cell reports its measured numbers, the paper's beside them, and its
+    named shape booleans; exit code 1 when any shape invariant is false.
+    The calibration thresholds that need full-size images are not checked
+    here but against the recorded full-size run
+    (``benchmarks/artifacts.py --full``).  Text mode prints each cell's
+    measured-vs-paper table, the form EXPERIMENTS.md embeds.
+    """
     corpus = _corpus(args)
-    whole = compare_storage("corpus", corpus.images)
-    print(
-        format_table(
-            ["Registry", "Stored (GB)"],
-            [
-                ("Docker", gb(whole.docker_bytes)),
-                ("Gear (files+indexes)", gb(whole.gear_bytes)),
-            ],
+
+    def run_cell(name):
+        try:
+            cell = paper.run(name, corpus)
+        except KeyError as exc:  # a series or category the study reads
+            raise argparse.ArgumentError(
+                None, f"paper {name} needs {exc} in the corpus (--series)"
+            ) from None
+        return cell, _broken(
+            cell, nonzero=[f"shape.{claim}" for claim in PAPER_CELLS[name]]
         )
+
+    return run_sweep(
+        args,
+        {
+            "seed": args.seed,
+            "scale": args.scale,
+            "series": len(corpus.by_series),
+            "images": len(corpus.images),
+        },
+        "cells", args.scenario or PAPER_CELLS, run_cell,
+        f"paper sweep: {len(corpus.images)} images of "
+        f"{len(corpus.by_series)} series (seed {args.seed}, "
+        f"scale {args.scale:g})\n",
+        paper.render,
     )
-    print(f"saving: {pct(whole.saving_fraction)}  "
-          f"(index share {pct(whole.index_share)})")
-    return 0
 
 
 def _fault_plan(args) -> "Optional[FaultPlan]":
@@ -327,12 +368,10 @@ def cmd_deploy(args) -> int:
     testbed = make_testbed(bandwidth_mbps=args.bandwidth, fault_plan=plan)
     publish_images(testbed, corpus.images, convert=True)
     testbed.arm_faults()
-    slacker = SlackerDriver(testbed.clock, testbed.link)
     rows = []
-    for generated in images:
-        docker = deploy_with_docker(testbed.fresh_client(), generated)
-        gear = deploy_with_gear(testbed, generated)
-        slk = deploy_with_slacker(slacker, testbed, generated)
+    # A cold Docker node per version; Gear keeps the testbed's own client.
+    for generated, (docker, gear, slk) in zip(images, paper.deploy_versions(
+            testbed, images, testbed.fresh_client, testbed)):
         row = [
             generated.tag,
             f"{docker.pull_s:.2f}/{docker.run_s:.2f}",
@@ -360,8 +399,9 @@ def cmd_crash(args) -> int:
     For each point: deploy on a fresh testbed, let the injected crash
     kill the client, fsck the local store, resume, and compare the
     resumed container fs against an uncrashed control run.  Exit code 1
-    when any point violates resume equivalence or re-fetches a file
-    recovery had already committed.
+    when any point never crashes, violates resume equivalence, re-fetches
+    a file recovery had already committed, or leaves fsck the wrong kind
+    of work (a torn partial, intact bytes to promote) for where it died.
     """
     generated = _target_images(args)[0]
 
@@ -392,9 +432,16 @@ def cmd_crash(args) -> int:
             "resumed_network_bytes": out.result.network_bytes,
             "fs_equivalent": out.fs_digest == control.fs_digest,
         }
-        return cell, _broken(
-            cell, zero=("refetched_committed",), nonzero=("fs_equivalent",)
-        )
+        zero, nonzero = ["refetched_committed"], ["fs_equivalent", "crashed"]
+        if out.crashed:
+            # Only a mid-fetch crash leaves a torn partial to drop; after a
+            # post-fetch or mid-commit one fsck promotes the intact bytes.
+            torn = nonzero if point == CrashPoint.MID_FETCH.value else zero
+            torn.append("recovery.torn_dropped")
+            if point in (CrashPoint.POST_FETCH.value,
+                         CrashPoint.MID_COMMIT.value):
+                nonzero.append("recovery.recovered_bytes")
+        return cell, _broken(cell, zero=zero, nonzero=nonzero)
 
     return run_sweep(
         args,
@@ -1404,8 +1451,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("catalog", cmd_catalog, "list the Table I series catalog")
     command("demo", cmd_demo, "build -> convert -> lazy deploy walkthrough")
-    command("dedup", cmd_dedup, "Table II dedup study")
-    command("storage", cmd_storage, "Docker vs Gear registry footprint")
+    studies = command("paper", cmd_paper,
+                      "the paper's own studies (Table II, Figs. 2 and 6-11, "
+                      "ablations), measured beside the paper's numbers")
+    _scenario_flag(studies, tuple(PAPER_CELLS))
+    _flag(studies, "--json", False, "emit the sweep report as one JSON line")
     deploy = command("deploy", cmd_deploy, "deploy a series under all systems")
     _flag(deploy, "--target", "nginx")
     _flag(deploy, "--bandwidth", 100.0)
@@ -1576,6 +1626,10 @@ SEED = "{seed}"
 #: in-process against that artifact — a scenario added here is picked up
 #: by all three.
 GATES = {
+    # Every category, the tomcat chain and the four Fig. 11 services.
+    "paper": "paper --scale 0.2 --versions 3 --series debian golang mysql "
+             "redis memcached tomcat nginx httpd node jenkins wordpress "
+             "maven registry --seed {seed} --json",
     "fleet": "deploy --series nginx --versions 2 --scale 0.2 --clients 8 "
              "--bandwidth 100 --json",
     "crash": "crash --series nginx --versions 1 --scale 0.2 --target nginx "

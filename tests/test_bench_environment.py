@@ -6,6 +6,7 @@ from repro.bench.environment import (
     Testbed,
     make_edge_testbed,
     make_faas_testbed,
+    make_ha_testbed,
     make_testbed,
     publish_images,
 )
@@ -30,8 +31,19 @@ class TestMakeTestbed:
         assert bed.link.bandwidth_mbps == 5
 
     def test_set_bandwidth_in_place(self, testbed):
+        """The registry-side wires follow; a FaaS tier link keeps its own
+        ``tier_mbps`` (it used to be overwritten with the WAN value)."""
         testbed.set_bandwidth(20)
         assert testbed.link.bandwidth_mbps == 20
+
+        faas = make_faas_testbed(tier_mbps=500.0)
+        faas.set_bandwidth(20)
+        assert faas.link.bandwidth_mbps == 20
+        assert faas.faas.tier.link.bandwidth_mbps == 500.0
+
+        ha = make_ha_testbed(replicas=3)
+        ha.set_bandwidth(20)
+        assert [link.bandwidth_mbps for link in ha.all_links()] == [20] * 4
 
     def test_pool_configuration(self):
         bed = make_testbed(pool_capacity_bytes=1234,

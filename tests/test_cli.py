@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.cli import GATES, SEED, build_parser, gate_argv, main
+from repro.bench import paper
+from repro.cli import GATES, PAPER_CELLS, SEED, build_parser, gate_argv, main
 
 
 SMALL = ["--scale", "0.15", "--versions", "2", "--series", "nginx"]
@@ -50,12 +51,12 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["dedup"])
+        args = build_parser().parse_args(["catalog"])
         assert args.seed == 7
-        assert args.command == "dedup"
+        assert args.command == "catalog"
 
     def test_options_after_subcommand(self):
-        args = build_parser().parse_args(["dedup", "--seed", "3"])
+        args = build_parser().parse_args(["catalog", "--seed", "3"])
         assert args.seed == 3
 
     def test_surface_is_pinned(self):
@@ -71,7 +72,15 @@ class TestParser:
         assert surface == {
             name: {**COMMON, **flags} for name, flags in SURFACE.items()
         }
-        assert sum(len(flags) for flags in surface.values()) == 127
+        assert sum(len(flags) for flags in surface.values()) == 125
+
+    def test_paper_takes_only_flags_other_commands_have(self):
+        """``dedup`` and ``storage`` became cells of ``paper``, which
+        brought no knob of its own: each of its flags is pinned, with
+        the same default, type and arity, for another command too."""
+        others = [flags for name, flags in SURFACE.items() if name != "paper"]
+        for flag, pin in SURFACE["paper"].items():
+            assert any(other.get(flag) == pin for other in others), flag
 
     def test_choices_are_pinned(self):
         choices = {
@@ -81,6 +90,7 @@ class TestParser:
             if a.choices is not None
         }
         assert choices == {
+            ("paper", "--scenario"): tuple(PAPER_CELLS),
             ("ha", "--strategy"): ("primary-first", "least-loaded", "p2c"),
             ("chunks", "--scenario"):
                 ("clean", "chunk-faults", "crash", "byzantine"),
@@ -104,8 +114,10 @@ COMMON = {
 SURFACE = {
     "catalog": {},
     "demo": {},
-    "dedup": {},
-    "storage": {},
+    "paper": {
+        "--scenario": (None, None, "*"),
+        "--json": (False, None, 0),
+    },
     "deploy": {
         "--target": ("nginx", None, None),
         "--bandwidth": (100.0, float, None),
@@ -218,14 +230,23 @@ class TestCommands:
         assert "faulted" in out
 
     def test_dedup(self, capsys):
-        assert main(["dedup", *SMALL]) == 0
+        """The Table II study, once a command, is the ``table2`` cell."""
+        assert main(["paper", *SMALL, "--scenario", "table2"]) == 0
         out = capsys.readouterr().out
-        assert "Chunk-level" in out
+        assert "Table II" in out and "3/3 shape invariants hold" in out
+        assert "| granularity | — | No Layer-level File-level Chunk-level |" in out
 
     def test_storage(self, capsys):
-        assert main(["storage", *SMALL]) == 0
+        """The registry-footprint study is the ``fig7`` cell; nginx alone
+        (with its debian base) has no Language or Database series."""
+        assert main(["paper", *SMALL, "--scenario", "fig7"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: paper fig7 needs 'Language' in the corpus (--series)\n"
+        )
+        series = ["--series", "nginx", "golang", "mysql"]
+        assert main(["paper", *SMALL[:4], *series, "--scenario", "fig7"]) == 0
         out = capsys.readouterr().out
-        assert "saving" in out
+        assert "| saving.Whole registry | 0.537 |" in out
 
     def test_deploy(self, capsys):
         assert main(["deploy", *SMALL, "--target", "nginx",
@@ -309,7 +330,7 @@ class TestGateTable:
 
 class TestRejectedInput:
     @pytest.mark.parametrize(
-        "command", ["chunks", "ha", "edge", "faas", "slo"]
+        "command", ["chunks", "ha", "edge", "faas", "slo", "paper"]
     )
     def test_unknown_scenario(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -330,7 +351,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize("argv", [
         ["ha", "--target", "nosuch"],
         ["deploy", "--target", "nosuch"],
-        ["dedup", "--series", "nosuch"],
+        ["paper", "--series", "nosuch"],
     ])
     def test_unknown_series(self, argv, capsys):
         assert main(argv) == 2
@@ -349,3 +370,40 @@ class TestRedSweep:
         assert captured.err == "ha outage: degraded=2\n"
         report = json.loads(captured.out)
         assert report["scenarios"]["outage"]["degraded"] == 2
+
+
+def _inverted(numbers):
+    """``numbers`` with every ordering, sign and zero turned round."""
+    if isinstance(numbers, dict):
+        return {key: _inverted(value) for key, value in numbers.items()}
+    if isinstance(numbers, list):
+        return [_inverted(value) for value in numbers]
+    return numbers if isinstance(numbers, str) else -numbers - 1
+
+
+def _key_paths(tree) -> list:
+    return [path for path, _ in paper.leaves(tree)]
+
+
+class TestPaperShapes:
+    @pytest.mark.parametrize("name", PAPER_CELLS)
+    def test_every_shape_invariant_can_fail_and_says_which(
+        self, name, monkeypatch, capsys
+    ):
+        """Hand ``paper`` a cell whose measured numbers are the recorded
+        ones inverted: every declared shape invariant must come out
+        false, each named on stderr, with stdout's form untouched."""
+        with open(os.path.join(ARTIFACTS, "BENCH_ext_paper.json")) as handle:
+            recorded = json.load(handle)["report"]["cells"][name]
+        assert sorted(recorded["shape"]) == sorted(PAPER_CELLS[name])
+        doctored = paper.STUDIES[name]._replace(
+            measure=lambda corpus: _inverted(recorded["measured"])
+        )
+        monkeypatch.setitem(paper.STUDIES, name, doctored)
+        assert main([*gate_argv("paper", 11), "--scenario", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"paper {name}: shape.{claim}=False" for claim in PAPER_CELLS[name]
+        ]
+        cell = json.loads(captured.out)["cells"][name]
+        assert _key_paths(cell) == _key_paths(recorded)

@@ -276,6 +276,7 @@ class TestPoolLifecycle:
         viewer, env = build_env()
         viewer.read_range(BIG_PATH, 0, BIG)  # v1 fully cached
         fetched_v1 = viewer.chunk_stats.chunks_fetched
+        wire_v1 = env["link"].log.total_bytes
 
         # v2 of the model shares most chunks with v1.
         v2 = Blob.synthetic("model", BIG).mutate("v2", 0.125)
@@ -292,6 +293,8 @@ class TestPoolLifecycle:
         assert stats.chunks_deduped > 0
         assert stats.chunks_fetched + stats.chunks_deduped == fetched_v1
         assert stats.chunk_dedup_bytes > 0
+        # An eighth of the chunks mutated: v2 costs a fraction of v1's wire.
+        assert env["link"].log.total_bytes - wire_v1 < wire_v1 / 4
 
     def test_chunk_metrics_group_registered_in_testbed(self):
         testbed = make_testbed()

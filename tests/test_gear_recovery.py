@@ -210,21 +210,27 @@ class TestFsckInvariants:
 class TestResumableDeployment:
     @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.value)
     def test_golden_resume_equivalence(self, small_corpus, victim, point):
-        control = deploy_with_gear_resumable(
-            _published(small_corpus), victim, None
-        )
-        assert not control.crashed
+        sibling = small_corpus.by_series["nginx"][1]
+        # Cold: the first-ever deployment dies.  Warm: a sibling version
+        # deployed first, so the pool already holds shared files.
+        for warm in (False, True):
+            def testbed():
+                bed = _published(small_corpus)
+                if warm:
+                    deploy_with_gear_resumable(bed, sibling, None)
+                return bed
 
-        plan = CrashPlan(point=point, seed="golden", horizon=4)
-        out = deploy_with_gear_resumable(
-            _published(small_corpus), victim, plan
-        )
-        assert out.crashed
-        assert out.crash_point == point.value
-        # Byte-identical container fs, nothing committed re-fetched.
-        assert out.fs_digest == control.fs_digest
-        assert out.refetched_committed == 0
-        assert out.result.network_bytes <= control.result.network_bytes
+            control = deploy_with_gear_resumable(testbed(), victim, None)
+            assert not control.crashed
+
+            plan = CrashPlan(point=point, seed="golden", horizon=4)
+            out = deploy_with_gear_resumable(testbed(), victim, plan)
+            assert out.crashed
+            assert out.crash_point == point.value
+            # Byte-identical container fs, nothing committed re-fetched.
+            assert out.fs_digest == control.fs_digest
+            assert out.refetched_committed == 0
+            assert out.result.network_bytes <= control.result.network_bytes
 
     def test_unfired_plan_degenerates_to_plain_deploy(
         self, small_corpus, victim

@@ -125,6 +125,17 @@ class TestPeerServing:
         assert edge_wave.lan_bytes > 0
         assert edge_wave.egress_saved_bytes > 0
 
+        # Peer capacity grows with the fleet: half the nodes offload no
+        # better than all of them.
+        small = EdgeCluster(clients // 2, bandwidth_mbps=200.0, seed="egress")
+        publish_images(small.registry_testbed, [generated], convert=True)
+        small_wave = small.deploy_wave(
+            lambda node: deploy_with_gear(node.testbed, generated),
+            concurrency=1,
+        )
+        assert small_wave.degraded == 0
+        assert edge_wave.offload_rate >= small_wave.offload_rate
+
 
 class TestStaleTracker:
     def test_departed_peer_entry_is_demoted_not_fatal(self, small_corpus):

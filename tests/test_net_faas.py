@@ -243,6 +243,31 @@ class TestStampedeSuppression:
         _ = generated  # anchor: corpus image referenced by the stream
 
 
+class TestEgressReduction:
+    def test_shared_tier_absorbs_registry_egress(self, small_corpus):
+        """The identical spiky stream with and without the tier: many
+        nodes cold-start the same hot images, so the tier takes a real
+        share of WAN egress and changes no container filesystem."""
+        stream = _stream(
+            small_corpus, bursts=(BurstWindow(4.0, 3.0, 10.0),)
+        )
+        runs = {}
+        for tierless in (True, False):
+            bed = make_faas_testbed(bandwidth_mbps=200.0)
+            publish_images(bed, small_corpus.images, convert=True)
+            bed.faas.blacklisted = tierless  # every fetch takes the registry
+            platform = FaasPlatform(
+                bed, bed.faas, nodes=4, keep_warm_s=4.0, seed="egress"
+            )
+            runs[tierless] = platform.run(stream)
+        tierless, tiered = runs[True], runs[False]
+        for run in runs.values():
+            assert run.failures == 0
+            assert run.digest_conflicts == 0
+        assert tiered.fs_digests == tierless.fs_digests
+        assert tiered.wan_egress_bytes < 0.9 * tierless.wan_egress_bytes
+
+
 class TestSpikeOutage:
     def test_zero_failures_and_byte_identical_under_outage(self, small_corpus):
         """The acceptance scenario: 10x burst, tier dies mid-spike."""

@@ -389,6 +389,10 @@ class TestFaultyDeployEndToEnd:
         # Acceptance: the deploy completed, showed nonzero retries, and
         # every trace path reads back fingerprint-verified content.
         assert result.retries > 0
+        assert testbed.link.fault_stats.total_faults > 0
+        # Faults are paid for in virtual time, never in correctness.
+        _, clean = deploy_first_nginx(make_testbed(), small_corpus)
+        assert result.total_s > clean.total_s
         container = testbed.gear_driver.containers()[0]
         index = testbed.gear_driver.get_index("nginx.gear:v1")
         for path in generated.trace.paths:

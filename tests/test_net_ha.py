@@ -36,6 +36,7 @@ from repro.net.ha import (
     ReplicaStats,
 )
 from repro.net.resilience import AdmissionGate
+from repro.net.topology import HACluster
 from repro.net.transport import RpcStats
 
 
@@ -439,6 +440,31 @@ class TestHedging:
             )
             scheduler.run()
         assert testbed.ha.policy.stats.hedges == 0
+
+
+class TestFleetTail:
+    def test_one_dead_replica_costs_at_most_twice_the_healthy_tail(
+        self, small_corpus
+    ):
+        generated = small_corpus.by_series["nginx"][0]
+        down = FaultPlan(
+            outages=(OutageWindow(start_s=0.0, duration_s=1e9),),
+            seed="t-tail",
+        )
+        waves = {}
+        for scenario, plans in (("healthy", None), ("outage", [down])):
+            cluster = HACluster(
+                8, replicas=3, replica_fault_plans=plans, seed="t-tail"
+            )
+            publish_images(cluster.registry_testbed, [generated], convert=True)
+            cluster.registry_testbed.arm_faults()
+            waves[scenario] = cluster.deploy_wave(
+                lambda node: deploy_with_gear(node.testbed, generated)
+            )
+        healthy, outage = waves["healthy"], waves["outage"]
+        assert healthy.degraded == outage.degraded == 0
+        assert outage.failovers > 0 and outage.breaker_trips > 0
+        assert outage.p99_s <= 2 * healthy.p99_s
 
 
 class TestDeterminism:

@@ -183,6 +183,53 @@ class TestDeployWave:
         # One client at a time = the seed sequential model, exactly.
         assert wave.latencies_s == tuple(timings)
 
+    def test_contention_hurts_whole_image_pulls_most(self, small_corpus):
+        """1 -> 8 clients pulling at once on a shared 100 Mbps uplink:
+        Docker ships whole images through the saturated wire, Gear only
+        necessary files, and a cache warmed by the previous version
+        almost nothing (§I's registry-pressure argument)."""
+        target, prev = small_corpus.by_series["nginx"][:2]
+        actions = {
+            "docker": lambda node: deploy_with_docker(node.testbed, target),
+            "gear_nc": lambda node: deploy_with_gear(
+                node.testbed, target, clear_cache=True
+            ),
+            "gear_cache": lambda node: deploy_with_gear(node.testbed, target),
+        }
+        fleet = (1, 4, 8)
+
+        def wave(system, clients):
+            cluster = Cluster(clients, bandwidth_mbps=100)
+            publish_images(
+                cluster.registry_testbed, [target, prev], convert=True
+            )
+            if system == "gear_cache":
+                cluster.deploy_wave(
+                    lambda node: deploy_with_gear(node.testbed, prev) and None
+                )
+            return cluster.deploy_wave(actions[system])
+
+        grid = {
+            system: [wave(system, clients) for clients in fleet]
+            for system in actions
+        }
+        ratio = {
+            system: waves[-1].p95_s / waves[0].p95_s
+            for system, waves in grid.items()
+        }
+        assert ratio["docker"] > ratio["gear_nc"] > ratio["gear_cache"]
+        for waves in grid.values():
+            p95s = [w.p95_s for w in waves]
+            assert p95s == sorted(p95s)  # contention never helps
+            assert all(0.0 <= w.utilization <= 1.0 + 1e-9 for w in waves)
+        docker = grid["docker"]
+        assert docker[-1].utilization > docker[0].utilization
+        # Docker's egress is linear in nodes: no cross-node sharing.
+        assert (
+            docker[-1].egress_bytes / fleet[-1]
+            > target.image.compressed_size * 0.9
+        )
+
     def test_contention_stretches_latency_not_bytes(self, small_corpus):
         generated = small_corpus.get("nginx:v1")
 

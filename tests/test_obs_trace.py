@@ -209,6 +209,15 @@ class TestDeploymentSpanTree:
         ]
         assert deploy.duration_s == pytest.approx(result.total_s, abs=1e-9)
 
+    def test_tracing_moves_no_virtual_number(self, traced_deploy, small_corpus):
+        _, traced = traced_deploy
+        testbed = make_testbed(bandwidth_mbps=100)
+        publish_images(testbed, small_corpus.images, convert=True)
+        untraced = deploy_with_gear(
+            testbed, small_corpus.by_series["nginx"][0]
+        )
+        assert traced == untraced
+
     def test_critical_path_covers_the_makespan(self, traced_deploy):
         tracer, result = traced_deploy
         report = critical_path(tracer, root="deploy")
