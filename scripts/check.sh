@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
-# Hypothesis profile, the one-download-chain, one-read-path, one-harness
-# and virtual-time-only source guards, the determinism gate (all ten rows
-# of the repro.cli gate table, double-run), the checked-in perf-trajectory
-# artifacts, the perf ledger's output checks and harness tests, and a
-# full bytecode compile.
+# Hypothesis profile, the one-download-chain, one-read-path, one-harness,
+# no-record-per-operation and virtual-time-only source guards, the
+# determinism gate (all ten rows of the repro.cli gate table, double-run),
+# the checked-in perf-trajectory artifacts, the perf ledger's output
+# checks and harness tests, and a full bytecode compile.
 #
 # Usage: sh scripts/check.sh   (from the repo root)
 set -eu
@@ -59,7 +59,7 @@ then echo "a single-flight table is kept by hand outside SingleFlight" >&2; exit
 once() {  # once FILE MAX PATTERN: PATTERN occurs at most MAX times in FILE
     count="$(grep -c -- "$3" "$1" || true)"
     [ "$count" -le "$2" ] || {
-        echo "$1: '$3' occurs $count times (at most $2): a sync twin grew back" >&2
+        echo "$1: '$3' occurs $count times (at most $2): a copy grew back" >&2
         exit 1; }
 }
 once src/repro/gear/viewer.py 1 "def _materialize"
@@ -74,6 +74,18 @@ for tier in ha edge faas resilience; do
 done
 once src/repro/gear/bigfile.py 1 "def _get_partial"
 once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
+
+echo "== no object per operation: only a view mints a record =="
+# The transfer log and the intent journal keep columns (DESIGN.md §17).
+# A TransferRecord / JournalRecord is built for a reader of `.records`,
+# in the view class's `_rows`; an append path that builds one is a
+# GC-tracked tuple per operation per client again.  Two occurrences per
+# file: the class statement and the view.
+if grep -rnE "(TransferRecord|JournalRecord)\(" src/repro --include='*.py' \
+    | grep -v -e '^src/repro/net/link.py:' -e '^src/repro/gear/journal.py:'
+then echo "a record is constructed outside its log's module" >&2; exit 1; fi
+once src/repro/net/link.py 2 "TransferRecord("
+once src/repro/gear/journal.py 2 "JournalRecord("
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

@@ -29,10 +29,12 @@ journal's value is purely at recovery time, when
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.common.clock import SimClock
+from repro.common.columns import RecordView
 from repro.obs.metrics import MetricSet
 
 #: Record type tags (the ``op`` field of a :class:`JournalRecord`).
@@ -43,10 +45,16 @@ LINK_COMMIT = "link-commit"
 CHUNK_BEGIN = "chunk-begin"
 CHUNK_COMMIT = "chunk-commit"
 
+#: The tags in op-code order: a journal stores an op as its index here.
+_OPS = (FETCH_BEGIN, FETCH_COMMIT, LINK_BEGIN, LINK_COMMIT,
+        CHUNK_BEGIN, CHUNK_COMMIT)
+_OP_CODE = {op: code for code, op in enumerate(_OPS)}
+
 
 class JournalRecord(NamedTuple):
-    """One appended intent or commit record (a flat immutable tuple:
-    a node keeps four of them per faulted file, DESIGN.md §17)."""
+    """One appended intent or commit record, as a reader of
+    :attr:`IntentJournal.records` sees it (the journal itself keeps
+    columns, not these: DESIGN.md §17)."""
 
     seq: int
     op: str
@@ -101,9 +109,21 @@ class IntentJournal:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock
-        self.records: List[JournalRecord] = []
         self.stats = JournalStats()
+        # One column per record field, a row per append; ``seq`` is not
+        # stored (:meth:`JournalRecords._rows` derives it from position).
+        self._ops = bytearray()
+        self._at_s = array("d")
+        self._identities: List[str] = []
+        self._paths: List[Optional[str]] = []
+        self._references: List[Optional[str]] = []
         self._seq = 0
+
+    @property
+    def records(self) -> "JournalRecords":
+        """The records since the last compaction, in append order (a
+        live read-only view)."""
+        return JournalRecords(self)
 
     @property
     def appended(self) -> int:
@@ -123,44 +143,39 @@ class IntentJournal:
         identity: str,
         path: Optional[str] = None,
         reference: Optional[str] = None,
-    ) -> JournalRecord:
+    ) -> None:
         clock = self.clock
-        record = JournalRecord(
-            self._seq, op, identity,
-            clock.now if clock is not None else 0.0, path, reference,
-        )
+        self._ops.append(_OP_CODE[op])
+        self._at_s.append(clock.now if clock is not None else 0.0)
+        self._identities.append(identity)
+        self._paths.append(path)
+        self._references.append(reference)
         self._seq += 1
         self.stats.appends += 1
-        self.records.append(record)
-        return record
 
-    def fetch_begin(self, identity: str) -> JournalRecord:
+    def fetch_begin(self, identity: str) -> None:
         """Record the intent to admit ``identity`` into the pool."""
-        return self._append(FETCH_BEGIN, identity)
+        self._append(FETCH_BEGIN, identity)
 
-    def fetch_commit(self, identity: str) -> JournalRecord:
+    def fetch_commit(self, identity: str) -> None:
         """Record that ``identity``'s bytes are complete and verified."""
-        return self._append(FETCH_COMMIT, identity)
+        self._append(FETCH_COMMIT, identity)
 
-    def link_begin(
-        self, identity: str, path: str, reference: str
-    ) -> JournalRecord:
+    def link_begin(self, identity: str, path: str, reference: str) -> None:
         """Record the intent to hard-link ``identity`` over a stub."""
-        return self._append(LINK_BEGIN, identity, path=path, reference=reference)
+        self._append(LINK_BEGIN, identity, path=path, reference=reference)
 
-    def link_commit(
-        self, identity: str, path: str, reference: str
-    ) -> JournalRecord:
+    def link_commit(self, identity: str, path: str, reference: str) -> None:
         """Record that the hard link at ``path`` is fully placed."""
-        return self._append(LINK_COMMIT, identity, path=path, reference=reference)
+        self._append(LINK_COMMIT, identity, path=path, reference=reference)
 
-    def chunk_begin(self, identity: str, chunk_index: int) -> JournalRecord:
+    def chunk_begin(self, identity: str, chunk_index: int) -> None:
         """Record the intent to fetch one chunk of a partial big file."""
-        return self._append(CHUNK_BEGIN, identity, path=str(chunk_index))
+        self._append(CHUNK_BEGIN, identity, path=str(chunk_index))
 
-    def chunk_commit(self, identity: str, chunk_index: int) -> JournalRecord:
+    def chunk_commit(self, identity: str, chunk_index: int) -> None:
         """Record that a chunk's bytes are on disk and verified."""
-        return self._append(CHUNK_COMMIT, identity, path=str(chunk_index))
+        self._append(CHUNK_COMMIT, identity, path=str(chunk_index))
 
     # -- replay ------------------------------------------------------------
 
@@ -168,34 +183,36 @@ class IntentJournal:
         """Fold the record stream into open/committed/orphaned sets."""
         state = JournalState()
         fetch_open: Dict[str, bool] = {}
-        links_open: Dict[Tuple[str, str], JournalRecord] = {}
+        #: ``(reference, path)`` → row of the latest ``link-begin``.
+        links_open: Dict[Tuple[str, str], int] = {}
         chunks_open: Dict[Tuple[str, int], bool] = {}
-        for record in self.records:
-            if record.op == FETCH_BEGIN:
-                fetch_open[record.identity] = True
-            elif record.op == FETCH_COMMIT:
-                fetch_open[record.identity] = False
-                state.committed_fetches.add(record.identity)
-            elif record.op == LINK_BEGIN:
-                assert record.reference is not None and record.path is not None
-                links_open[(record.reference, record.path)] = record
-            elif record.op == LINK_COMMIT:
-                assert record.reference is not None and record.path is not None
-                links_open.pop((record.reference, record.path), None)
-            elif record.op == CHUNK_BEGIN:
-                assert record.path is not None
-                chunks_open[(record.identity, int(record.path))] = True
-            elif record.op == CHUNK_COMMIT:
-                assert record.path is not None
-                key = (record.identity, int(record.path))
+        rows = zip(self._ops, self._identities, self._paths, self._references)
+        for row, (code, identity, path, reference) in enumerate(rows):
+            op = _OPS[code]
+            if op == FETCH_BEGIN:
+                fetch_open[identity] = True
+            elif op == FETCH_COMMIT:
+                fetch_open[identity] = False
+                state.committed_fetches.add(identity)
+            elif op == LINK_BEGIN:
+                assert reference is not None and path is not None
+                links_open[(reference, path)] = row
+            elif op == LINK_COMMIT:
+                assert reference is not None and path is not None
+                links_open.pop((reference, path), None)
+            elif op == CHUNK_BEGIN:
+                assert path is not None
+                chunks_open[(identity, int(path))] = True
+            elif op == CHUNK_COMMIT:
+                assert path is not None
+                key = (identity, int(path))
                 chunks_open[key] = False
-                state.committed_chunks.setdefault(record.identity, set()).add(
-                    key[1]
-                )
+                state.committed_chunks.setdefault(identity, set()).add(key[1])
         state.open_fetches = [
             identity for identity, is_open in fetch_open.items() if is_open
         ]
-        state.open_links = sorted(links_open.values(), key=lambda r: r.seq)
+        records = self.records
+        state.open_links = [records[row] for row in sorted(links_open.values())]
         state.open_chunks = [
             key for key, is_open in chunks_open.items() if is_open
         ]
@@ -210,16 +227,44 @@ class IntentJournal:
         intent has been rolled forward or rolled back — a compacted
         journal plus a clean store is the post-recovery steady state.
         """
-        dropped = len(self.records)
-        self.records.clear()
+        dropped = len(self._ops)
+        for column in (self._ops, self._at_s, self._identities, self._paths,
+                       self._references):
+            del column[:]
         self.stats.compactions += 1
         return dropped
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ops)
 
     def __repr__(self) -> str:
         return (
-            f"IntentJournal(records={len(self.records)}, "
+            f"IntentJournal(records={len(self._ops)}, "
             f"appended={self.appended})"
+        )
+
+
+class JournalRecords(RecordView):
+    """:attr:`IntentJournal.records`: a :class:`JournalRecord` per row."""
+
+    __slots__ = ("_journal",)
+
+    def __init__(self, journal: IntentJournal) -> None:
+        self._journal = journal
+
+    def __len__(self) -> int:
+        return len(self._journal._ops)
+
+    def _rows(self, rows: slice) -> Iterator[JournalRecord]:
+        journal = self._journal
+        # ``compact()`` drops every row and ``_seq`` keeps counting, so
+        # the rows held are always the last ``len`` sequence numbers.
+        seqs = range(journal._seq - len(journal._ops), journal._seq)
+        return (
+            JournalRecord(*row)
+            for row in zip(
+                seqs[rows], map(_OPS.__getitem__, journal._ops[rows]),
+                journal._identities[rows], journal._at_s[rows],
+                journal._paths[rows], journal._references[rows],
+            )
         )

@@ -31,10 +31,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from array import array
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.common.clock import SUSPEND, Process, SimClock, SimScheduler
+from repro.common.columns import RecordView
 from repro.common.errors import FetchCancelledError
 from repro.common.units import Mbps, mbps_to_bytes_per_s
 
@@ -44,8 +54,9 @@ _FLOW_EPS = 1e-12
 
 
 class TransferRecord(NamedTuple):
-    """One completed transfer over a link (a flat immutable tuple: a
-    node keeps two of them per RPC, DESIGN.md §17)."""
+    """One completed transfer over a link, as a reader of
+    :attr:`TransferLog.records` sees it (the log itself keeps columns,
+    not these: DESIGN.md §17)."""
 
     start: float
     duration: float
@@ -57,29 +68,46 @@ class TransferRecord(NamedTuple):
         return self.start + self.duration
 
 
-@dataclass
 class TransferLog:
     """Accumulated traffic accounting for an experiment.
 
-    Totals are maintained as running counters on :meth:`append` — they
-    are read inside deploy loops, so re-summing the record list on every
-    access would make accounting quadratic in experiment length.
+    A transfer is one row of four columns — start and duration in
+    ``array('d')``, payload bytes in ``array('q')``, the (interned) label
+    in a list — so a log of any length is four objects, none of them
+    walked by the collector per row.  Totals are maintained as running
+    counters on :meth:`append` — they are read inside deploy loops, so
+    re-summing the columns on every access would make accounting
+    quadratic in experiment length.
     """
 
-    records: List[TransferRecord] = field(default_factory=list)
-    _total_bytes: int = field(default=0, init=False, repr=False)
-    _total_time: float = field(default=0.0, init=False, repr=False)
+    __slots__ = ("_starts", "_durations", "_payloads", "_labels",
+                 "_total_bytes", "_total_time")
 
-    def __post_init__(self) -> None:
-        for record in self.records:
-            self._total_bytes += record.payload_bytes
-            self._total_time += record.duration
+    def __init__(self, records: Iterable[TransferRecord] = ()) -> None:
+        self._starts = array("d")
+        self._durations = array("d")
+        self._payloads = array("q")
+        self._labels: List[str] = []
+        self._total_bytes = 0
+        self._total_time = 0.0
+        for record in records:
+            self.append(*record)
 
-    def append(self, record: TransferRecord) -> None:
+    def append(
+        self, start: float, duration: float, payload_bytes: int, label: str
+    ) -> None:
         """Record a completed transfer, updating the running totals."""
-        self.records.append(record)
-        self._total_bytes += record.payload_bytes
-        self._total_time += record.duration
+        self._starts.append(start)
+        self._durations.append(duration)
+        self._payloads.append(payload_bytes)
+        self._labels.append(label)
+        self._total_bytes += payload_bytes
+        self._total_time += duration
+
+    @property
+    def records(self) -> "TransferRecords":
+        """The transfers so far, oldest first (a live read-only view)."""
+        return TransferRecords(self)
 
     @property
     def total_bytes(self) -> int:
@@ -87,16 +115,38 @@ class TransferLog:
 
     @property
     def total_requests(self) -> int:
-        return len(self.records)
+        return len(self._labels)
 
     @property
     def total_time(self) -> float:
         return self._total_time
 
     def clear(self) -> None:
-        self.records.clear()
+        for column in (self._starts, self._durations, self._payloads,
+                       self._labels):
+            del column[:]
         self._total_bytes = 0
         self._total_time = 0.0
+
+
+class TransferRecords(RecordView):
+    """:attr:`TransferLog.records`: a :class:`TransferRecord` per row."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: TransferLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log._labels)
+
+    def _rows(self, rows: slice) -> Iterator[TransferRecord]:
+        log = self._log
+        return (
+            TransferRecord(*row)
+            for row in zip(log._starts[rows], log._durations[rows],
+                           log._payloads[rows], log._labels[rows])
+        )
 
 
 class _Flow:
@@ -227,7 +277,7 @@ class Link:
         start = self.clock.now
         self.clock.advance(duration, label or f"transfer:{payload_bytes}B")
         self._busy_s += duration
-        self.log.append(TransferRecord(start, duration, payload_bytes, label))
+        self.log.append(start, duration, payload_bytes, label)
         return duration
 
     def request(self, label: str = "") -> float:
@@ -308,12 +358,10 @@ class Link:
         if flow.cancelled:
             self.clock.instant(f"cancelled:{label or payload_bytes}")
             self.log.append(
-                TransferRecord(
-                    start,
-                    elapsed,
-                    flow.partial_bytes,
-                    f"{label}:cancelled" if label else "cancelled",
-                )
+                start,
+                elapsed,
+                flow.partial_bytes,
+                f"{label}:cancelled" if label else "cancelled",
             )
             raise FetchCancelledError(
                 f"transfer cancelled in flight: {label or payload_bytes}",
@@ -321,7 +369,7 @@ class Link:
             )
         duration = flow.nominal_s if not flow.contended else elapsed
         self.clock.instant(label or f"transfer:{payload_bytes}B")
-        self.log.append(TransferRecord(start, duration, payload_bytes, label))
+        self.log.append(start, duration, payload_bytes, label)
         return duration
 
     def _advance_vtime(self) -> None:

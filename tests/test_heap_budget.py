@@ -1,5 +1,5 @@
-"""What a deployed client keeps alive: flat records, strings minted once,
-immutable inputs shared (DESIGN.md §17).
+"""What a deployed client keeps alive: log columns instead of an object
+per operation, strings minted once, immutable inputs shared (DESIGN.md §17).
 
 Everything here is asserted by count, object identity or retained bytes
 — never by a clock, so the suite reads the same on a loaded box.
@@ -19,9 +19,13 @@ from repro.net.topology import Cluster
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 #: Retained Python heap one client of the nginx wave may cost (the
-#: 37-file trace at scale 0.2).  Measured 56 KB; it was 100 KB when every
-#: record was dict-backed and every label, token and payload a copy.
-PER_CLIENT_BUDGET_BYTES = 70_000
+#: 37-file trace at scale 0.2).  Measured 41 KB; it was 56 KB when the
+#: two logs kept a tuple per operation, and 100 KB when every record was
+#: dict-backed and every label, token and payload a copy.
+PER_CLIENT_BUDGET_BYTES = 46_000
+#: Objects the collector tracks that one such client may add.  Measured
+#: 188; it was 426, 226 of them the client's record tuples.
+PER_CLIENT_TRACKED_OBJECTS = 230
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +121,9 @@ class TestOneObjectNotOnePerOperation:
             assert not hasattr(record, "__dict__")
 
 
-def _retained_by_wave(image, clients):
-    """Bytes of Python heap a ``clients``-node wave leaves alive, with
-    the allocation sites that hold them (largest first)."""
+def _warmed_cluster(image, clients):
+    """A cluster of ``clients`` undeployed nodes and the function that
+    deploys one, with everything that is not a client already paid for."""
     # Index templates are keyed weakly by archive *digest*: an earlier,
     # dead-but-uncollected world would lend this one its template and
     # then take it away mid-measurement.
@@ -136,6 +140,13 @@ def _retained_by_wave(image, clients):
     cluster.deploy_wave(deploy)
     cluster.nodes = measured
     gc.collect()
+    return cluster, deploy
+
+
+def _retained_by_wave(image, clients):
+    """Bytes of Python heap a ``clients``-node wave leaves alive, with
+    the allocation sites that hold them (largest first)."""
+    cluster, deploy = _warmed_cluster(image, clients)
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
@@ -167,4 +178,30 @@ def test_a_client_costs_a_bounded_and_linear_share_of_the_heap(nginx):
     assert abs((large - small) - 8 * per_client) <= 0.10 * 8 * per_client, (
         f"8 clients retain {small} B, 16 retain {large} B; top sites of the "
         f"16-client wave:\n{explain}"
+    )
+
+
+def _record_objects(objects):
+    return [
+        obj for obj in objects if type(obj) in (TransferRecord, JournalRecord)
+    ]
+
+
+def test_a_wave_keeps_no_record_object_and_few_tracked_ones(nginx):
+    clients = 16
+    cluster, deploy = _warmed_cluster(nginx, clients)
+    before = gc.get_objects()
+    # Other modules' test data may hold records; the wave must add none.
+    tracked_before, records_before = len(before), len(_record_objects(before))
+    del before
+    cluster.deploy_wave(deploy)
+    gc.collect()
+    alive = gc.get_objects()
+    # History is kept (the logs still replay); no object per operation is.
+    journals = [node.testbed.gear_driver.journal for node in cluster.nodes]
+    assert {len(journal) for journal in journals} == {4 * nginx.trace.file_count}
+    assert len(_record_objects(alive)) == records_before
+    per_client = (len(alive) - tracked_before) / clients
+    assert per_client <= PER_CLIENT_TRACKED_OBJECTS, (
+        f"a client adds {per_client:.0f} collector-tracked objects"
     )

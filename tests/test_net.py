@@ -1,10 +1,11 @@
 """Link and RPC transport cost accounting."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.clock import SimClock
 from repro.common.errors import TransportError
-from repro.net.link import Link, lan_link
+from repro.net.link import Link, TransferLog, TransferRecord, lan_link
 from repro.net.transport import RpcEndpoint, RpcTransport
 
 
@@ -106,8 +107,6 @@ class TestTransferLog:
         assert log.total_requests == len(log.records)
 
     def test_preseeded_records_counted(self):
-        from repro.net.link import TransferLog, TransferRecord
-
         log = TransferLog(
             records=[
                 TransferRecord(start=0.0, duration=1.5, payload_bytes=10, label="a"),
@@ -117,10 +116,9 @@ class TestTransferLog:
         assert log.total_bytes == 30
         assert log.total_time == 2.0
         assert log.total_requests == 2
+        assert log.records[1] == TransferRecord(1.5, 0.5, 20, "b")
 
     def test_records_are_flat_and_immutable(self):
-        from repro.net.link import TransferRecord
-
         record = TransferRecord(start=1.5, duration=0.5, payload_bytes=20, label="b")
         assert record == TransferRecord(1.5, 0.5, 20, "b")
         assert record.end == 2.0
@@ -148,6 +146,97 @@ class TestTransferLog:
         assert [r.label.rsplit(":", 1)[1] for r in records] == [
             "request", "response"
         ] * calls
+
+
+class TestTransferRecordsView:
+    """``TransferLog.records`` reads the log's columns as a sequence of
+    :class:`TransferRecord` (DESIGN.md §17)."""
+
+    ROWS = [
+        TransferRecord(0.0, 0.1, 10, "a"),
+        TransferRecord(0.1, 0.25, 0, "b"),
+        TransferRecord(0.35, 1.0 / 3.0, 2**31 + 7, "c"),
+    ]
+
+    def test_reads_like_a_list_of_records(self):
+        records = TransferLog(records=self.ROWS).records
+        assert len(records) == 3
+        assert records[0] == self.ROWS[0] and records[-1] == self.ROWS[2]
+        assert records[1:] == self.ROWS[1:]
+        assert records[::-1] == self.ROWS[::-1] == list(reversed(records))
+        assert list(records) == self.ROWS
+        assert records == self.ROWS and self.ROWS == records
+        assert records != self.ROWS[:2]
+        assert records != self.ROWS[:2] + self.ROWS[:1]
+        assert self.ROWS[1] in records and records.index(self.ROWS[1]) == 1
+        assert isinstance(records[0], TransferRecord)
+        assert records[2].end == self.ROWS[2].start + self.ROWS[2].duration
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                records[index]
+        with pytest.raises(TypeError):
+            hash(records)
+
+    def test_floats_and_a_payload_past_two_gib_round_trip_exactly(self):
+        (_, _, big) = TransferLog(records=self.ROWS).records
+        assert big.duration == 1.0 / 3.0 and big.payload_bytes == 2**31 + 7
+        assert type(big.payload_bytes) is int and type(big.start) is float
+
+    def test_the_view_is_live_and_clear_empties_every_column(self):
+        link = Link(SimClock(), bandwidth_mbps=8)
+        records = link.log.records
+        assert records == [] and len(records) == 0
+        link.transfer(100, "x")
+        assert [record.label for record in records] == ["x"]
+        link.log.clear()
+        assert records == [] and link.log.records[:] == []
+        assert (link.log.total_bytes, link.log.total_time) == (0, 0.0)
+        assert link.log.total_requests == 0
+        link.transfer(7, "y")
+        assert link.log.records == [
+            TransferRecord(records[0].start, link.transfer_time(7), 7, "y")
+        ]
+
+    def test_two_links_sharing_a_log_fill_one_set_of_columns(self):
+        # make_ha_testbed: every replica link accounts on the base log.
+        clock = SimClock()
+        base_link, replica_link = Link(clock), Link(clock, bandwidth_mbps=8)
+        replica_link.log = base_link.log
+        base_link.transfer(10, "base")
+        replica_link.transfer(20, "replica")
+        assert base_link.log.records == replica_link.log.records
+        assert [(r.label, r.payload_bytes) for r in base_link.log.records] == [
+            ("base", 10), ("replica", 20)
+        ]
+        assert base_link.log.total_bytes == 30
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),  # clear()
+                st.tuples(
+                    st.floats(0, 1e6), st.floats(0, 1e3),
+                    st.integers(0, 2**40), st.sampled_from("abc"),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    def test_any_append_and_clear_sequence_matches_a_list(self, steps):
+        log, model = TransferLog(), []
+        for step in steps:
+            if step is None:
+                log.clear()
+                model.clear()
+            else:
+                log.append(*step)
+                model.append(TransferRecord(*step))
+            assert log.records == model and list(log.records) == model
+            assert log.records[len(model) // 2:] == model[len(model) // 2:]
+            assert log.total_requests == len(model)
+            assert log.total_bytes == sum(r.payload_bytes for r in model)
+        # Running totals add in append order, as the model's sum does.
+        assert log.total_time == sum((r.duration for r in model), 0.0)
 
 
 class TestTransport:
