@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
 # Hypothesis profile, the one-download-chain, one-read-path, one-harness,
-# no-record-per-operation and virtual-time-only source guards, the
-# determinism gate (all ten rows of the repro.cli gate table, double-run),
-# the checked-in perf-trajectory artifacts, the perf ledger's output
-# checks and harness tests, and a full bytecode compile.
+# no-record-per-operation, shared-Metadata and virtual-time-only source
+# guards, the determinism gate (all ten rows of the repro.cli gate table,
+# double-run), the checked-in perf-trajectory artifacts, the perf ledger's
+# output checks and harness tests, and a full bytecode compile.
 #
 # Usage: sh scripts/check.sh   (from the repo root)
 set -eu
@@ -86,6 +86,13 @@ if grep -rnE "(TransferRecord|JournalRecord)\(" src/repro --include='*.py' \
 then echo "a record is constructed outside its log's module" >&2; exit 1; fi
 once src/repro/net/link.py 2 "TransferRecord("
 once src/repro/gear/journal.py 2 "JournalRecord("
+
+echo "== an inode's Metadata is a shared value: replaced, never written =="
+# Metadata is immutable and interned (DESIGN.md §17): a change of mode or
+# attributes gives the inode a new value (`with_mode` / `with_xattr`).  A
+# field assignment would raise at run time; a copy has nothing to protect.
+if grep -rnE "\.meta\.(mode|uid|gid|mtime|xattrs)[[:space:]]*=[^=]|meta\.copy\(\)" src/repro --include='*.py'
+then echo "a Metadata field is assigned, or a Metadata copied, under src/repro" >&2; exit 1; fi
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

@@ -113,7 +113,7 @@ def _apply_diff(
             continue
         if node.is_dir:
             created = merged_tree.mkdir(path, parents=True, exist_ok=True)
-            created.meta = node.meta.copy()
+            created.meta = node.meta
             if node.opaque:
                 for child in list(merged_tree.listdir(path)):
                     from repro.vfs import paths as _paths
@@ -125,18 +125,16 @@ def _apply_diff(
             if merged_tree.exists(path, follow_symlinks=False):
                 merged_tree.remove(path, recursive=True)
             assert node.symlink_target is not None
-            merged_tree.symlink(path, node.symlink_target, meta=node.meta.copy())
+            merged_tree.symlink(path, node.symlink_target, meta=node.meta)
             merged_entries.pop(path, None)
         elif node.is_file:
             entry = diff_entries[path]
-            meta = node.meta.copy()
-            meta.set_xattr(STUB_XATTR, "1")
             if merged_tree.exists(path, follow_symlinks=False):
                 merged_tree.remove(path, recursive=True)
             merged_tree.write_file(
                 path,
                 Blob.from_text(entry.stub_content()),
-                meta=meta,
+                meta=node.meta.with_xattr(STUB_XATTR, "1"),
                 parents=True,
             )
             merged_entries[path] = entry

@@ -119,7 +119,7 @@ class GearIndex:
                 parent.children[leaf].opaque = node.opaque
             elif node.is_symlink:
                 assert node.symlink_target is not None
-                tree.symlink_at(parent, leaf, node.symlink_target, meta=node.meta.copy())
+                tree.symlink_at(parent, leaf, node.symlink_target, meta=node.meta)
             elif node.is_file:
                 assert node.blob is not None
                 entry = entries[path] = GearFileEntry(
@@ -128,10 +128,9 @@ class GearIndex:
                     size=node.blob.size,
                     mode=node.meta.mode,
                 )
-                meta = node.meta.copy()
-                meta.set_xattr(STUB_XATTR, "1")
                 tree.write_at(
-                    parent, leaf, Blob.from_text(entry.stub_content()), meta=meta
+                    parent, leaf, Blob.from_text(entry.stub_content()),
+                    meta=node.meta.with_xattr(STUB_XATTR, "1"),
                 )
         return cls(name, tag, tree, entries, config)
 
@@ -175,7 +174,7 @@ class GearIndex:
                 assert node.blob is not None
                 text = node.blob.materialize().decode("utf-8", errors="replace")
                 entries[path] = GearFileEntry.parse_stub(path, text, node.meta.mode)
-                node.meta.set_xattr(STUB_XATTR, "1")
+                node.meta = node.meta.with_xattr(STUB_XATTR, "1")
         return tree.freeze(), MappingProxyType(entries)
 
     # -- packaging ------------------------------------------------------------
@@ -200,9 +199,10 @@ class GearIndex:
         for path, node in tree.walk("/"):
             entry = self.entries.get(path)
             if entry is not None and STUB_XATTR not in node.meta.xattrs:
-                meta = node.meta.copy()
-                meta.set_xattr(STUB_XATTR, "1")
-                tree.write_file(path, Blob.from_text(entry.stub_content()), meta=meta)
+                tree.write_file(
+                    path, Blob.from_text(entry.stub_content()),
+                    meta=node.meta.with_xattr(STUB_XATTR, "1"),
+                )
         return tree
 
     # -- queries ----------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
@@ -25,7 +24,7 @@ from repro.common.errors import IntegrityError, StorageError
 from repro.gear.gearfile import GearFile
 from repro.net.resilience import SingleFlight
 from repro.obs.metrics import MetricSet
-from repro.vfs.inode import FileKind, Inode, Metadata
+from repro.vfs.inode import FileKind, Inode
 
 
 class EvictionPolicy(enum.Enum):
@@ -96,14 +95,15 @@ class SharedFilePool:
             raise StorageError("capacity must be non-negative")
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        #: identity → inode, in insertion/recency order.
-        self._inodes: "OrderedDict[str, Inode]" = OrderedDict()
+        #: identity → inode, in insertion/recency order: a hit under LRU
+        #: re-inserts its entry at the end, eviction scans from the front.
+        self._inodes: Dict[str, Inode] = {}
         self._bytes = 0
         #: identity → inode staged by :meth:`prepare` but not yet
         #: committed — the "temp file" half of the two-phase admission.
         #: Staged entries never serve :meth:`get`, never count against
         #: capacity, and are exactly what a crash leaves torn.
-        self._staged: "OrderedDict[str, Inode]" = OrderedDict()
+        self._staged: Dict[str, Inode] = {}
         self.stats = PoolStats()
         #: Identities whose last download failed verification; cleared
         #: when a verified copy finally lands.
@@ -120,8 +120,11 @@ class SharedFilePool:
         #: Chunk token → reference count over committed entries: the
         #: chunk-level dedup index.  A new partial pre-marks any chunk
         #: whose token is already committed, so a version-chain neighbour
-        #: pays the wire only for its changed chunks.
-        self._chunk_tokens: Dict[str, int] = {}
+        #: pays the wire only for its changed chunks.  Only the chunked
+        #: read path asks, so the table is built from the committed
+        #: entries by the first :meth:`has_chunk` and kept up from then
+        #: on; ``None`` until that query.
+        self._chunk_tokens: Optional[Dict[str, int]] = None
 
     def empty_copy(self) -> "SharedFilePool":
         """A new, empty pool with this pool's capacity and policy: what
@@ -182,7 +185,7 @@ class SharedFilePool:
             return None
         self.stats.hits += 1
         if self.policy is EvictionPolicy.LRU:
-            self._inodes.move_to_end(identity)
+            self._inodes[identity] = self._inodes.pop(identity)
         return inode
 
     def contains(self, identity: str) -> bool:
@@ -241,11 +244,7 @@ class SharedFilePool:
         staged = self._staged.get(identity)
         if staged is not None:
             return staged
-        inode = Inode(
-            FileKind.FILE,
-            meta=Metadata(mode=0o644),
-            blob=gear_file.blob,
-        )
+        inode = Inode(FileKind.FILE, blob=gear_file.blob)
         self._staged[identity] = inode
         return inode
 
@@ -256,7 +255,7 @@ class SharedFilePool:
         if existing is not None:
             self._staged.pop(identity, None)
             if self.policy is EvictionPolicy.LRU:
-                self._inodes.move_to_end(identity)
+                self._inodes[identity] = self._inodes.pop(identity)
             return existing
         inode = self._staged.pop(identity, None)
         if inode is None:
@@ -268,27 +267,33 @@ class SharedFilePool:
         return inode
 
     def _index_chunks(self, inode: Inode) -> None:
-        if inode.blob is None:
+        tokens = self._chunk_tokens
+        if tokens is None or inode.blob is None:
             return
         for chunk in inode.blob.chunks:
             # Interned: every pool on the host that indexes this content
             # keys it by one string, not by a copy of its own.
             token = sys.intern(chunk.token)
-            self._chunk_tokens[token] = self._chunk_tokens.get(token, 0) + 1
+            tokens[token] = tokens.get(token, 0) + 1
 
     def _unindex_chunks(self, inode: Inode) -> None:
-        if inode.blob is None:
+        tokens = self._chunk_tokens
+        if tokens is None or inode.blob is None:
             return
         for chunk in inode.blob.chunks:
             token = chunk.token
-            count = self._chunk_tokens.get(token, 0) - 1
+            count = tokens.get(token, 0) - 1
             if count <= 0:
-                self._chunk_tokens.pop(token, None)
+                tokens.pop(token, None)
             else:
-                self._chunk_tokens[token] = count
+                tokens[token] = count
 
     def has_chunk(self, token: str) -> bool:
         """Is a chunk with this content token held by any committed file?"""
+        if self._chunk_tokens is None:
+            self._chunk_tokens = {}
+            for inode in self._inodes.values():
+                self._index_chunks(inode)
         return token in self._chunk_tokens
 
     def abort(self, identity: str) -> None:
@@ -370,7 +375,7 @@ class SharedFilePool:
         for partial in self.partials.values():
             partial.inflight.abandon()
         self.partials.clear()
-        self._chunk_tokens.clear()
+        self._chunk_tokens = None
 
     def reset_stats(self) -> None:
         """Zero every counter, including quarantine/eviction-failure ones."""

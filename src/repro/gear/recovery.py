@@ -229,12 +229,11 @@ def fsck(
             continue
         if not pool.contains(record.identity):
             report.dangling_links += 1
-        meta = node.meta.copy()
-        meta.set_xattr(STUB_XATTR, "1")
         # write_file drops the old entry's link (nlink decrement) and
         # restores the stub content the published index carried.
         index.tree.write_file(
-            record.path, Blob.from_text(entry.stub_content()), meta=meta
+            record.path, Blob.from_text(entry.stub_content()),
+            meta=node.meta.with_xattr(STUB_XATTR, "1"),
         )
         report.links_rolled_back += 1
 

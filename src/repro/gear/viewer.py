@@ -158,7 +158,7 @@ class GearFileViewer(OverlayMount):
                 self.journal.link_begin(
                     entry.identity, path, self.index.reference
                 )
-            inode.meta.mode = entry.mode
+            inode.meta = inode.meta.with_mode(entry.mode)
             self.index.tree.link_inode(path, inode, replace=True)
             self._crash_checkpoint(CrashPoint.MID_LINK)
             if self.disk is not None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional
 
@@ -26,40 +25,101 @@ class FileKind(enum.Enum):
     WHITEOUT = "whiteout"
 
 
-#: The one "no extended attributes" mapping every attribute-less inode
-#: shares.  Read-only, so a write through it raises instead of reaching
-#: every other inode (a frozen template's included); attributes are
-#: added with :meth:`Metadata.set_xattr`.
+#: The one "no extended attributes" mapping every attribute-less
+#: :class:`Metadata` holds.
 NO_XATTRS: Mapping[str, str] = MappingProxyType({})
 
+#: Every live :class:`Metadata`, by value.  ``mtime`` is never set and
+#: images use a handful of modes and owners, so this stays a few dozen
+#: entries however many inodes there are.
+_METADATA: Dict[tuple, "Metadata"] = {}
+#: ``(metadata, name, value)`` → that metadata with the attribute set.
+_WITH_XATTR: Dict[tuple, "Metadata"] = {}
 
-@dataclass(slots=True)
+
 class Metadata:
-    """POSIX-ish metadata carried by every inode.
+    """POSIX-ish metadata carried by every inode: an immutable value.
 
     Docker preserves ownership and permissions in layer tarballs, and the
     Gear index must retain them (the index holds "metadata [containing]
     the structure of the entire directory tree", §III-B).
+
+    Equal values are one object (``Metadata(mode=0o755) is
+    Metadata(mode=0o755)``), so inodes share it freely: a clone, a
+    copy-up or a pool entry takes the reference, and a change of
+    permissions or attributes *replaces* the inode's value
+    (``inode.meta = inode.meta.with_mode(0o600)``) and so can never
+    reach another inode that holds the old one.
     """
 
-    mode: int = 0o644
-    uid: int = 0
-    gid: int = 0
-    mtime: float = 0.0
-    xattrs: Mapping[str, str] = field(default_factory=lambda: NO_XATTRS)
+    __slots__ = ("mode", "uid", "gid", "mtime", "xattrs")
 
-    def set_xattr(self, name: str, value: str) -> None:
-        """Set one extended attribute (in a dict of this inode's own)."""
-        if self.xattrs is NO_XATTRS:
-            self.xattrs = {name: value}
+    mode: int
+    uid: int
+    gid: int
+    mtime: float
+    #: Read-only; extended attributes are added with :meth:`with_xattr`.
+    xattrs: Mapping[str, str]
+
+    def __new__(
+        cls,
+        mode: int = 0o644,
+        uid: int = 0,
+        gid: int = 0,
+        mtime: float = 0.0,
+        xattrs: Mapping[str, str] = NO_XATTRS,
+    ) -> "Metadata":
+        if xattrs:
+            key = (mode, uid, gid, mtime, *sorted(xattrs.items()))
         else:
-            self.xattrs[name] = value
+            key = (mode, uid, gid, mtime)
+        self = _METADATA.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            fill = object.__setattr__
+            fill(self, "mode", mode)
+            fill(self, "uid", uid)
+            fill(self, "gid", gid)
+            fill(self, "mtime", mtime)
+            fill(
+                self, "xattrs",
+                MappingProxyType(dict(xattrs)) if xattrs else NO_XATTRS,
+            )
+            # setdefault: two threads that both missed keep one winner.
+            self = _METADATA.setdefault(key, self)
+        return self
 
-    def copy(self) -> "Metadata":
-        xattrs = self.xattrs
-        return Metadata(
-            self.mode, self.uid, self.gid, self.mtime,
-            dict(xattrs) if xattrs else NO_XATTRS,
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(
+            f"Metadata is immutable: give the inode a new value "
+            f"(with_mode / with_xattr) instead of changing {name!r}"
+        )
+
+    __delattr__ = __setattr__
+
+    def with_mode(self, mode: int) -> "Metadata":
+        """This metadata with its permission bits replaced."""
+        if mode == self.mode:  # the viewer's usual case, on every link
+            return self
+        return Metadata(mode, self.uid, self.gid, self.mtime, self.xattrs)
+
+    def with_xattr(self, name: str, value: str) -> "Metadata":
+        """This metadata with one extended attribute set."""
+        # Remembered per source value: an index marks every file it
+        # holds a stub, and they share a handful of sources.
+        key = (self, name, value)
+        marked = _WITH_XATTR.get(key)
+        if marked is None:
+            marked = _WITH_XATTR[key] = Metadata(
+                self.mode, self.uid, self.gid, self.mtime,
+                {**self.xattrs, name: value},
+            )
+        return marked
+
+    def __repr__(self) -> str:
+        return (
+            f"Metadata(mode=0o{self.mode:o}, uid={self.uid}, gid={self.gid}, "
+            f"mtime={self.mtime}, xattrs={dict(self.xattrs)})"
         )
 
 
@@ -95,7 +155,9 @@ class Inode:
         #: whose ``nlink`` counts references across every tree.
         self.owner = owner
         self.kind = kind
-        self.meta = meta if meta is not None else Metadata()
+        if meta is None:
+            meta = Metadata(0o755 if kind is FileKind.DIRECTORY else 0o644)
+        self.meta = meta
         self.blob: Optional[Blob] = None
         self.symlink_target: Optional[str] = None
         self.children: Optional[Dict[str, "Inode"]] = None
@@ -110,7 +172,6 @@ class Inode:
             raise VfsError(f"{kind.value} inode cannot carry a blob")
         if kind is FileKind.DIRECTORY:
             self.children = {}
-            self.meta.mode = meta.mode if meta is not None else 0o755
         if kind is FileKind.SYMLINK:
             if not symlink_target:
                 raise VfsError("symlink inode requires a target")
@@ -178,7 +239,7 @@ class Inode:
         copy.ino = next(_inode_numbers)
         copy.owner = owner
         copy.kind = self.kind
-        copy.meta = self.meta.copy()
+        copy.meta = self.meta
         copy.blob = self.blob
         copy.symlink_target = self.symlink_target
         copy.nlink = 1

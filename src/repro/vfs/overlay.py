@@ -15,8 +15,10 @@ Viewer extends (§III-D2):
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blob import Blob
 from repro.common.clock import SimClock, run_inline
@@ -72,7 +74,10 @@ class OverlayMount:
         if self.upper.read_only:
             raise VfsError("upper layer must be writable")
         self.stats = MountStats()
-        self._touched: Set[int] = set()
+        #: Numbers of the inodes touched, as a sorted unboxed column: a
+        #: full-tree walk (a digest) costs 8 B an inode and nothing the
+        #: collector tracks.
+        self._touched = array("q")
 
     # ------------------------------------------------------------------
     # resolution machinery
@@ -134,8 +139,11 @@ class OverlayMount:
                 return node, parts, stack, below
 
     def _touch(self, node: Inode) -> None:
-        self._touched.add(node.ino)
-        self.stats.inodes_touched = len(self._touched)
+        touched, ino = self._touched, node.ino
+        at = bisect_left(touched, ino)
+        if at == len(touched) or touched[at] != ino:
+            touched.insert(at, ino)
+            self.stats.inodes_touched = len(touched)
 
     def _resolve(
         self, path: str, *, follow_symlinks: bool = True
@@ -258,9 +266,9 @@ class OverlayMount:
         for parent, name, _, node in tree.mirror(self.walk("/")):
             if node.is_symlink:
                 assert node.symlink_target is not None
-                tree.symlink_at(parent, name, node.symlink_target, meta=node.meta.copy())
+                tree.symlink_at(parent, name, node.symlink_target, meta=node.meta)
             elif node.is_file:
-                tree.write_at(parent, name, node.blob, meta=node.meta.copy())
+                tree.write_at(parent, name, node.blob, meta=node.meta)
         return tree
 
     def fs_digest(self) -> str:
@@ -337,14 +345,14 @@ class OverlayMount:
         if node.is_symlink:
             assert node.symlink_target is not None
             return self.upper.symlink_at(
-                upper_dir, resolved[-1], node.symlink_target, meta=node.meta.copy()
+                upper_dir, resolved[-1], node.symlink_target, meta=node.meta
             )
         # Lazy-content mounts must fault the real bytes in before the
         # copy (a Gear stub's placeholder must never be copied up).
         node = self._drive(self._materialize(node, resolved))
         assert node.blob is not None
         return self.upper.write_at(
-            upper_dir, resolved[-1], node.blob, meta=node.meta.copy()
+            upper_dir, resolved[-1], node.blob, meta=node.meta
         )
 
     def mkdir(
@@ -415,7 +423,7 @@ class OverlayMount:
             self.symlink(new, node.symlink_target)
         else:
             assert node.blob is not None
-            self.write_file(new, node.blob, meta=node.meta.copy())
+            self.write_file(new, node.blob, meta=node.meta)
         self.remove(old)
 
     # ------------------------------------------------------------------
@@ -438,7 +446,7 @@ class OverlayMount:
 
     def reset_stats(self) -> None:
         self.stats = MountStats()
-        self._touched.clear()
+        del self._touched[:]
 
     def __repr__(self) -> str:
         return f"OverlayMount(lowers={len(self.lowers)})"

@@ -42,9 +42,7 @@ class FileSystemTree:
         #: True for a clone of a frozen tree, which can reach inodes it
         #: does not own; every other tree skips the own-on-write walk.
         self._shares = False
-        self.root = Inode(
-            FileKind.DIRECTORY, meta=Metadata(mode=0o755), owner=self._token
-        )
+        self.root = Inode(FileKind.DIRECTORY, owner=self._token)
         self._read_only = read_only
 
     # -- mutability ------------------------------------------------------
@@ -293,7 +291,7 @@ class FileSystemTree:
         if child is None or child.is_whiteout:
             child = directory.children[name] = Inode(
                 FileKind.DIRECTORY,
-                meta=meta.copy() if meta is not None else None,
+                meta=meta,
                 owner=self._token,
             )
         elif not child.is_dir:

@@ -99,8 +99,7 @@ class TestEmptyAndOddLayers:
     def test_directory_metadata_survives_roundtrip(self):
         tree = FileSystemTree()
         inode = tree.mkdir("/secret")
-        inode.meta.mode = 0o700
-        inode.meta.uid = 1000
+        inode.meta = Metadata(mode=0o700, uid=1000)
         extracted = LayerArchive.from_tree(tree).extract()
         assert extracted.stat("/secret").meta.mode == 0o700
         assert extracted.stat("/secret").meta.uid == 1000

@@ -1,8 +1,9 @@
 """The level-1 shared cache: content addressing, pinning, FIFO/LRU."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.blob import Blob
+from repro.blob import Blob, Chunk
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import IntegrityError, StorageError
 from repro.gear.gearfile import GearFile
@@ -268,3 +269,82 @@ class TestClearCompleteness:
         # The pending fetch event was fired, not stranded: a waiter
         # re-checks the (now empty) cache instead of blocking forever.
         assert event.fired
+
+
+# -- the chunk-dedup table is built by its first query -----------------------
+
+#: Six files over a five-chunk alphabet, 10 bytes a chunk: most chunks
+#: are held by several files, so a drop must count references down.
+_CHUNKED_FILES = [
+    GearFile.from_blob(Blob([Chunk(seed=seed, size=10) for seed in seeds]))
+    for seeds in ("a", "ab", "abc", "cd", "de", "eea")
+]
+_TOKENS = [f"{seed}:10" for seed in "abcdez"]
+_FILE = st.integers(0, len(_CHUNKED_FILES) - 1)
+_POOL_OPS = st.one_of(
+    st.tuples(st.sampled_from(["insert", "get", "pin", "drop", "quarantine"]), _FILE),
+    st.tuples(st.just("clear"), st.just(0)),
+    st.tuples(st.just("has_chunk"), st.integers(0, len(_TOKENS) - 1)),
+)
+
+
+class TestLazyChunkTable:
+    @given(
+        st.lists(_POOL_OPS, max_size=40),
+        st.sampled_from([None, 30, 60]),
+        st.sampled_from(list(EvictionPolicy)),
+    )
+    def test_answers_as_a_table_kept_from_birth_whenever_first_asked(
+        self, ops, capacity, policy
+    ):
+        lazy = SharedFilePool(capacity_bytes=capacity, policy=policy)
+        eager = SharedFilePool(capacity_bytes=capacity, policy=policy)
+        assert not eager.has_chunk(_TOKENS[0])  # indexes every commit from now on
+        assert lazy._chunk_tokens is None and eager._chunk_tokens == {}
+
+        def held(pool):
+            """The specification: tokens of the committed entries."""
+            return {
+                chunk.token
+                for identity in pool.identities()
+                for chunk in pool.peek(identity).blob.chunks
+            }
+
+        for op, arg in ops:
+            if op == "has_chunk":
+                token = _TOKENS[arg]
+                assert lazy.has_chunk(token) == eager.has_chunk(token) == (
+                    token in held(lazy)
+                )
+                continue
+            for pool in (lazy, eager):
+                gear_file = _CHUNKED_FILES[arg]
+                if op == "insert":
+                    pool.insert(gear_file)
+                elif op == "get":
+                    pool.get(gear_file.identity)  # recency decides who is evicted
+                elif op == "pin" and pool.contains(gear_file.identity):
+                    pool.peek(gear_file.identity).nlink += 1  # an index links it
+                elif op == "clear":
+                    pool.clear()
+                elif op in ("drop", "quarantine"):
+                    getattr(pool, op)(gear_file.identity)
+            assert list(lazy.identities()) == list(eager.identities())
+        assert (lazy.evictions, lazy.eviction_failures) == (
+            eager.evictions, eager.eviction_failures
+        )
+        for token in _TOKENS:
+            assert lazy.has_chunk(token) == eager.has_chunk(token) == (
+                token in held(lazy)
+            )
+        assert lazy._chunk_tokens == eager._chunk_tokens
+
+    def test_a_pool_nobody_asks_keeps_no_table(self):
+        pool = SharedFilePool(capacity_bytes=30)
+        for gear_file in _CHUNKED_FILES:
+            pool.insert(gear_file)
+        pool.drop(_CHUNKED_FILES[-1].identity)
+        assert pool.evictions and pool._chunk_tokens is None
+        assert pool.has_chunk("e:10") == pool.contains(_CHUNKED_FILES[4].identity)
+        pool.clear()
+        assert pool._chunk_tokens is None and not pool.has_chunk("e:10")

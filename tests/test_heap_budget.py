@@ -10,22 +10,26 @@ import tracemalloc
 
 import pytest
 
-from repro.bench.deploy import deploy_with_gear
+from repro.bench.deploy import deploy_with_gear, viewer_fs_digest
 from repro.bench.environment import make_testbed, publish_images
-from repro.gear.index import GearIndex
+from repro.gear.index import _INDEX_TEMPLATES, GearIndex
 from repro.gear.journal import LINK_BEGIN, LINK_COMMIT, JournalRecord
 from repro.net.link import TransferRecord
 from repro.net.topology import Cluster
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 #: Retained Python heap one client of the nginx wave may cost (the
-#: 37-file trace at scale 0.2).  Measured 41 KB; it was 56 KB when the
-#: two logs kept a tuple per operation, and 100 KB when every record was
-#: dict-backed and every label, token and payload a copy.
-PER_CLIENT_BUDGET_BYTES = 46_000
+#: 37-file trace at scale 0.2).  Measured 31 KB, and 32 KB once every
+#: mount has been digested; it was 41 KB (48 KB digested) when every
+#: inode had a ``Metadata`` of its own, every pool a chunk table and
+#: every mount a set of touched inodes, 56 KB when the two logs kept a
+#: tuple per operation, and 100 KB when every record was dict-backed
+#: and every label, token and payload a copy.
+PER_CLIENT_BUDGET_BYTES = 36_000
 #: Objects the collector tracks that one such client may add.  Measured
-#: 188; it was 426, 226 of them the client's record tuples.
-PER_CLIENT_TRACKED_OBJECTS = 230
+#: 123; it was 188 (62 of them ``Metadata`` and their attribute dicts),
+#: and 426 when each record was a tuple.
+PER_CLIENT_TRACKED_OBJECTS = 140
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +98,39 @@ class TestOneObjectNotOnePerOperation:
         with pytest.raises(TypeError):
             del first.entries[path]
 
+    def test_a_deployment_mints_no_metadata(self, world, nginx):
+        beds = [_deployed_client(world, nginx) for _ in range(2)]
+        containers = [bed.gear_driver.containers()[-1] for bed in beds]
+        image = beds[0].daemon.get_image(containers[0].index.reference)
+        template, _ = _INDEX_TEMPLATES[image.layers[0].archive]
+        for container in containers:
+            # Every directory the deployment copied on write — in the
+            # index it linked files into, in the layer it wrote to — holds
+            # the value the template's directory holds.
+            copied = 0
+            for tree in (container.index.tree, container.mount.upper):
+                for path, node in tree.walk("/"):
+                    theirs = template.stat(path) if template.exists(path) else None
+                    if node.is_dir and theirs is not None and node is not theirs:
+                        copied += 1
+                        assert node.meta is theirs.meta, path
+            assert copied
+        # Two clients' pool inodes for one file hold one value between
+        # them, and a whole pool a handful: one per mode in the image.
+        first, second = (bed.gear_driver.pool for bed in beds)
+        identities = list(first.identities())
+        assert len(identities) == nginx.trace.file_count
+        for identity in identities:
+            assert first.peek(identity).meta is second.peek(identity).meta
+        modes = {entry.mode for entry in containers[0].index.entries.values()}
+        assert len({id(first.peek(i).meta) for i in identities}) <= len(modes)
+
     def test_a_second_pool_mints_no_chunk_token(self, world, nginx):
         first = _deployed_client(world, nginx).gear_driver.pool
         second = _deployed_client(world, nginx).gear_driver.pool
+        # The table is built by the first query, not by the deployment.
+        assert first._chunk_tokens is None and second._chunk_tokens is None
+        assert not first.has_chunk("absent") and not second.has_chunk("absent")
         minted = {id(token) for token in first._chunk_tokens}
         assert minted and len(minted) == len(second._chunk_tokens)
         assert all(id(token) in minted for token in second._chunk_tokens)
@@ -143,14 +177,20 @@ def _warmed_cluster(image, clients):
     return cluster, deploy
 
 
-def _retained_by_wave(image, clients):
-    """Bytes of Python heap a ``clients``-node wave leaves alive, with
-    the allocation sites that hold them (largest first)."""
+def _retained_by_wave(image, clients, *, digest=False):
+    """Bytes of Python heap a ``clients``-node wave leaves alive — with
+    ``digest``, after every mount's filesystem has been digested, as a
+    run that checks its outputs does — with the allocation sites that
+    hold them (largest first)."""
     cluster, deploy = _warmed_cluster(image, clients)
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
         cluster.deploy_wave(deploy)
+        if digest:
+            for node in cluster.nodes:
+                mount = node.testbed.gear_driver.containers()[-1].mount
+                viewer_fs_digest(mount)
         gc.collect()  # retained means reachable, not merely uncollected
         after = tracemalloc.take_snapshot()
     finally:
@@ -161,14 +201,18 @@ def _retained_by_wave(image, clients):
     return sum(site.size_diff for site in sites), sites
 
 
+def _explain(sites, clients):
+    return "\n".join(
+        f"{site.size_diff / clients:10.0f} B/client  {site.traceback}"
+        for site in sites[:15]
+    )
+
+
 def test_a_client_costs_a_bounded_and_linear_share_of_the_heap(nginx):
     small, _ = _retained_by_wave(nginx, 8)
     large, sites = _retained_by_wave(nginx, 16)
     per_client = small / 8
-    explain = "\n".join(
-        f"{site.size_diff / 16:10.0f} B/client  {site.traceback}"
-        for site in sites[:15]
-    )
+    explain = _explain(sites, 16)
     assert per_client < PER_CLIENT_BUDGET_BYTES, (
         f"a client retains {per_client:.0f} B; top sites of the 16-client "
         f"wave:\n{explain}"
@@ -178,6 +222,16 @@ def test_a_client_costs_a_bounded_and_linear_share_of_the_heap(nginx):
     assert abs((large - small) - 8 * per_client) <= 0.10 * 8 * per_client, (
         f"8 clients retain {small} B, 16 retain {large} B; top sites of the "
         f"16-client wave:\n{explain}"
+    )
+
+
+def test_digesting_every_mount_keeps_a_client_inside_the_budget(nginx):
+    # The digest walks the whole tree, so every inode of the image counts
+    # as touched: the instant a checked run's resident set peaks.
+    retained, sites = _retained_by_wave(nginx, 8, digest=True)
+    assert retained / 8 < PER_CLIENT_BUDGET_BYTES, (
+        f"a digested client retains {retained / 8:.0f} B; top sites:\n"
+        + _explain(sites, 8)
     )
 
 

@@ -97,12 +97,10 @@ def apply_op(tree: FileSystemTree, op) -> str:
             tree.mkdir(path, parents=parents, exist_ok=exist_ok, meta=meta)
         elif kind == "write_file":
             path, content, meta, parents = args
-            tree.write_file(
-                path, content, meta=meta.copy() if meta else None, parents=parents
-            )
+            tree.write_file(path, content, meta=meta, parents=parents)
         elif kind == "symlink":
             path, target, meta = args
-            tree.symlink(path, target, meta=meta.copy() if meta else None)
+            tree.symlink(path, target, meta=meta)
         elif kind == "link_inode":
             path, source_path, replace = args
             node = tree.stat(source_path, follow_symlinks=False)
@@ -145,7 +143,7 @@ def _meta_row(node: Inode):
 def rebuild(source: FileSystemTree) -> FileSystemTree:
     """The naive copy: re-apply the source's walk into a fresh tree."""
     tree = FileSystemTree()
-    tree.root.meta = source.root.meta.copy()
+    tree.root.meta = source.root.meta
     tree.root.opaque = source.root.opaque
     first_path_of = {}
     for path, node in source.walk("/", include_whiteouts=True):
@@ -156,16 +154,18 @@ def rebuild(source: FileSystemTree) -> FileSystemTree:
             tree.mkdir(path, meta=node.meta)
             tree.set_opaque(path, node.opaque)
         elif node.is_symlink:
-            tree.symlink(path, node.symlink_target, meta=node.meta.copy())
+            tree.symlink(path, node.symlink_target, meta=node.meta)
         elif node.is_whiteout:
             tree.whiteout(path)
         else:
-            tree.write_file(path, node.blob, meta=node.meta.copy())
+            tree.write_file(path, node.blob, meta=node.meta)
     return tree
 
 
 class SharedCloneMachine(RuleBasedStateMachine):
     """A clone of a frozen tree against a naive rebuild of the same tree."""
+
+    sibling = None
 
     @initialize(data=st.data(), steps=st.integers(0, 25))
     def build(self, data, steps):
@@ -178,6 +178,10 @@ class SharedCloneMachine(RuleBasedStateMachine):
         self.source = source.freeze()
         self.frozen_listing = listing(self.source, with_ino=True)
         self.clone = self.source.clone()
+        # A second clone that owns just its root: a copy that still holds
+        # the template's children and the template's metadata value.
+        self.sibling = self.source.clone()
+        self.sibling.mkdir("/", exist_ok=True)
         self.reference = rebuild(self.source)
         self.pool = []
 
@@ -197,6 +201,22 @@ class SharedCloneMachine(RuleBasedStateMachine):
             link = data.draw(st.sampled_from(links))
             self.apply(("mkdir", f"{link}/{name}", parents, True, None))
             self.apply(("write_file", f"{link}/{name}/sub/f", content, None, parents))
+
+    @rule(
+        data=st.data(),
+        mode=st.sampled_from([0o600, 0o700, 0o755]),
+        attr=st.sampled_from([None, "k", "user.x"]),
+    )
+    def change_directory_metadata(self, data, mode, attr):
+        """chmod / setxattr on a directory: the node a mutator returns is
+        the tree's own, and its metadata is replaced, never written to —
+        the value it held is still the template's and the sibling's."""
+        dirs = ["/"] + [p for p, node in self.reference.walk("/") if node.is_dir]
+        path = data.draw(st.sampled_from(dirs))
+        for tree in (self.clone, self.reference):
+            node = tree.mkdir(path, exist_ok=True)
+            meta = node.meta.with_mode(mode)
+            node.meta = meta if attr is None else meta.with_xattr(attr, "w")
 
     @rule(content=_CONTENT)
     def new_pool_inode(self, content):
@@ -232,9 +252,14 @@ class SharedCloneMachine(RuleBasedStateMachine):
     def source_is_untouched(self):
         assert listing(self.source, with_ino=True) == self.frozen_listing
 
+    def teardown(self):
+        """Whatever one clone did, its sibling still reads as the template."""
+        if self.sibling is not None:
+            assert listing(self.sibling) == listing(self.source)
+
 
 # The example count is the Hypothesis profile's (tests/conftest.py):
-# about 2.5 s of the tier-1 budget, 150 examples under ``wide``.
+# about 3 s of the tier-1 budget, 150 examples under ``wide``.
 TestSharedCloneMachine = SharedCloneMachine.TestCase
 TestSharedCloneMachine.settings = settings(stateful_step_count=20, deadline=None)
 
@@ -250,6 +275,7 @@ def drive(source_ops, ops):
         machine.apply(op)
         machine.clone_matches_reference()
         machine.source_is_untouched()
+    machine.teardown()
 
 
 class TestPinnedSequences:
@@ -371,7 +397,8 @@ class TestFrozenTemplates:
         first = archive.extract()
         first.write_file("/etc/app/conf", b"tampered")
         first.remove("/bin", recursive=True)
-        first.mkdir("/etc/app", exist_ok=True).meta.mode = 0o700
+        app = first.mkdir("/etc/app", exist_ok=True)
+        app.meta = app.meta.with_mode(0o700)
 
         second = archive.extract()
         assert second.read_bytes("/etc/app/conf") == b"v1"
@@ -383,6 +410,31 @@ class TestFrozenTemplates:
         with pytest.raises(ReadOnlyVfsError):
             archive._diff_template.whiteout("/etc")
 
+    def test_metadata_is_an_interned_immutable_value(self):
+        meta = Metadata(mode=0o755, uid=3, xattrs={"k": "v", "j": "w"})
+        for change in (
+            lambda: setattr(meta, "mode", 0o600),
+            lambda: setattr(meta, "xattrs", {}),
+            lambda: setattr(meta, "colour", "red"),
+            lambda: delattr(meta, "uid"),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+        assert (meta.mode, meta.uid, meta.xattrs) == (0o755, 3, {"k": "v", "j": "w"})
+        # Equal values are one object, however they were arrived at.
+        assert meta is Metadata(0o755, 3, 0, 0.0, {"j": "w", "k": "v"})
+        assert meta is Metadata(mode=0o700, uid=3, xattrs={"j": "w"}).with_xattr(
+            "k", "v"
+        ).with_mode(0o755)
+        assert meta.with_mode(0o755) is meta and meta.with_xattr("k", "v") is meta
+        assert Metadata() is Metadata(mode=0o644) is Metadata(xattrs={})
+        assert Metadata() is not Metadata(mode=0o755)
+        # A caller's dict is copied, not kept.
+        attrs = {"k": "v"}
+        tagged = Metadata(xattrs=attrs)
+        attrs["k"] = "changed"
+        assert tagged.xattrs == {"k": "v"} and tagged is Metadata(xattrs={"k": "v"})
+
     def test_attribute_less_inodes_share_one_unwritable_xattrs_mapping(self):
         source = FileSystemTree()
         source.write_file("/etc/plain", b"p", parents=True)
@@ -391,22 +443,25 @@ class TestFrozenTemplates:
         clone = frozen.clone()
         plain, tagged = frozen.stat("/etc/plain"), frozen.stat("/etc/tagged")
 
-        # A directory copied on write keeps sharing the empty mapping, and
-        # a write through it cannot reach the template (or anyone else).
+        # A directory copied on write keeps sharing the template's value
+        # and with it the empty mapping; neither can be written through.
         clone.write_file("/etc/new", b"n")
         copied = clone.stat("/etc")
         assert copied is not frozen.stat("/etc")
+        assert copied.meta is frozen.stat("/etc").meta
         assert copied.meta.xattrs is plain.meta.xattrs is Metadata().xattrs
         with pytest.raises(TypeError):
             copied.meta.xattrs["k"] = "v"
+        with pytest.raises(TypeError):
+            tagged.meta.xattrs["k"] = "changed"
 
-        # Attributes go into a dict of the inode's own; copies of it are
-        # copies, never the template's dict.
-        copied.meta.set_xattr("k", "v")
+        # An attribute is set by giving the inode a new value: whoever
+        # holds the old one, the template included, keeps it.
+        copied.meta = copied.meta.with_xattr("k", "v")
         assert copied.meta.xattrs == {"k": "v"}
         assert not plain.meta.xattrs and not frozen.stat("/etc").meta.xattrs
-        mine = tagged.meta.copy()
-        mine.set_xattr("k", "changed")
+        mine = tagged.meta.with_xattr("k", "changed")
+        assert mine.xattrs == {"k": "changed"}
         assert tagged.meta.xattrs == {"k": "v"}
 
     def test_materialising_one_index_leaves_its_sibling_and_template_stubs(

@@ -250,9 +250,42 @@ def test_overlay_answers_as_the_per_component_resolution_did(mount):
             top, resolved = resolve_reference(mount, path)
             if resolved:
                 touched.add(top.ino)
-            assert mount._touched == touched
+            assert set(mount._touched) == touched
         else:
             assert walked is expected, path
+
+
+@settings(deadline=None)
+@given(layer_stacks(), st.data())
+def test_touched_column_is_the_set_of_inode_numbers_looked_up(mount, data):
+    """Lookups, listings, walks and resets in any order: the sorted
+    column holds what a set of the touched inode numbers would."""
+    probes = probes_of(mount)
+    touched = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        action = data.draw(st.sampled_from(["stat", "lstat", "listdir", "walk", "reset"]))
+        if action == "reset":
+            mount.reset_stats()
+            touched = set()
+        else:
+            path = data.draw(st.sampled_from(probes))
+            follow = action != "lstat"
+            # Whatever the path resolves to is touched (the root is not),
+            # even when the operation then rejects it as not a directory.
+            found = result_of(lambda: resolve_reference(mount, path, follow))
+            if isinstance(found, tuple) and found[1]:
+                touched.add(found[0].ino)
+            if action == "listdir":
+                result_of(lambda: mount.listdir(path))
+            elif action == "walk":
+                result_of(lambda: list(mount.walk(path)))
+                expected = result_of(lambda: walk_reference(mount, path))
+                if isinstance(expected, list):
+                    touched.update(node.ino for _, node in expected)
+            else:
+                result_of(lambda: mount.stat(path, follow_symlinks=follow))
+        assert list(mount._touched) == sorted(touched)
+        assert mount.stats.inodes_touched == len(touched)
 
 
 def test_overlay_pinned_shapes():
@@ -372,14 +405,13 @@ def parse_reference(archive):
     entries = {}
     for path, node in root.walk("/"):
         if node.is_dir:
-            tree.mkdir(path, parents=True, exist_ok=True).meta = node.meta.copy()
+            tree.mkdir(path, parents=True, exist_ok=True).meta = node.meta
         elif node.is_symlink:
-            tree.symlink(path, node.symlink_target, meta=node.meta.copy())
+            tree.symlink(path, node.symlink_target, meta=node.meta)
         elif node.is_file:
             text = node.blob.materialize().decode("utf-8", errors="replace")
             entries[path] = GearFileEntry.parse_stub(path, text, node.meta.mode)
-            meta = node.meta.copy()
-            meta.set_xattr(STUB_XATTR, "1")
+            meta = node.meta.with_xattr(STUB_XATTR, "1")
             tree.write_file(path, node.blob, meta=meta, parents=True)
     return tree, entries
 

@@ -53,7 +53,8 @@ class TestArchive:
 
     def test_digest_changes_with_mode(self):
         t = make_tree()
-        t.stat("/etc/conf").meta.mode = 0o600
+        conf = t.stat("/etc/conf")
+        conf.meta = conf.meta.with_mode(0o600)
         assert LayerArchive.from_tree(t) != LayerArchive.from_tree(make_tree())
 
     def test_entries_are_sorted(self):
