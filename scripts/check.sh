@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
 # Hypothesis profile, the one-download-chain, one-read-path, one-harness,
-# no-record-per-operation, shared-Metadata and virtual-time-only source
-# guards, the determinism gate (all ten rows of the repro.cli gate table,
+# no-record-per-operation, shared-Metadata, immutable-index and
+# virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
 # double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
 #
@@ -93,6 +93,15 @@ echo "== an inode's Metadata is a shared value: replaced, never written =="
 # field assignment would raise at run time; a copy has nothing to protect.
 if grep -rnE "\.meta\.(mode|uid|gid|mtime|xattrs)[[:space:]]*=[^=]|meta\.copy\(\)" src/repro --include='*.py'
 then echo "a Metadata field is assigned, or a Metadata copied, under src/repro" >&2; exit 1; fi
+
+echo "== a Gear index is immutable: a node links through its table =="
+# Every node that pulls one index reads one frozen stub tree; a fetched
+# file is hard-linked into GearIndex.links, never into a tree (DESIGN.md
+# §9, §17).  Nothing may link an inode into a tree or write the index's.
+if grep -rn "link_inode(" src/repro --include='*.py' \
+    || grep -rnE "index\.tree\.(write_file|remove|mkdir|symlink|hardlink|whiteout)" \
+        src/repro/gear --include='*.py'
+then echo "an inode is linked into a tree, or a Gear index tree is written" >&2; exit 1; fi
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

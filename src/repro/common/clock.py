@@ -817,7 +817,7 @@ class SimScheduler:
             # Still on the spawner's thread: the spawner's innermost open
             # span becomes the new process track's base parent.
             tracer.on_spawn(process)
-        process._step_cb = step_cb = (lambda: self._step_gen(process))
+        process._step_cb = step_cb = functools.partial(self._step_gen, process)
         generator = None
         if hasattr(target, "send") and hasattr(target, "throw"):
             generator = target

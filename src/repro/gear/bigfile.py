@@ -519,7 +519,7 @@ class ChunkedGearFileViewer(GearFileViewer):
                 self.journal.link_begin(
                     identity, index_path, self.index.reference
                 )
-            self.index.tree.link_inode(index_path, inode, replace=True)
+            self.index.link(index_path, inode)
             if self.disk is not None:
                 self.disk.metadata_op(1, label="index-link", deferred=True)
             self.fault_stats.linked_bytes += inode.size

@@ -34,7 +34,7 @@ from repro.docker.daemon import (
 )
 from repro.docker.image import Image
 from repro.gear.gearfile import GearFile
-from repro.gear.index import GearFileEntry, GearIndex, STUB_XATTR
+from repro.gear.index import GearFileEntry, GearIndex
 from repro.gear.journal import IntentJournal
 from repro.gear.pool import SharedFilePool
 from repro.gear.prefetch import StartupProfile, replay_profile
@@ -202,9 +202,10 @@ class GearDriver:
         index = self._indexes.pop(reference, None)
         if index is None:
             raise NotFoundError(f"gear image not deployed: {reference!r}")
-        for _, node in index.tree.iter_files():
-            if STUB_XATTR not in node.meta.xattrs:
-                node.nlink -= 1
+        # The table itself stays: a container still mounted over the
+        # index keeps reading what it linked.
+        for inode in index.links.values():
+            inode.nlink -= 1
         if self.daemon.has_image(reference):
             self.daemon.remove_image(reference)
 

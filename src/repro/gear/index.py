@@ -12,6 +12,12 @@ Because the stub encoding lives in ordinary file content, the index
 round-trips losslessly through the stock Docker machinery as a
 single-layer image (§III-C), which is the compatibility claim of the
 paper.
+
+The stub tree is an immutable artifact: a node reads it and never
+rewrites it, so every node that pulls one index shares one frozen tree.
+What a node does write — the fetched files "hard-linked into the index"
+(§III-D2) — goes into the index's link table (:attr:`GearIndex.links`),
+which the Gear File Viewer consults wherever a stub becomes visible.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.blob import Blob
 from repro.common.errors import GearError
 from repro.common.hashing import Digest, sha256_tokens
 from repro.docker.image import Image, ImageConfig
+from repro.vfs.inode import Inode
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
 
@@ -84,13 +91,16 @@ class GearIndex:
         #: journals carries this very object.
         self.reference = f"{name}:{tag}"
         #: The stub tree: directories and symlinks verbatim, regular files
-        #: replaced by stub files.  Live deployments mutate it (stub →
-        #: hard link to the cached Gear file), so it stays writable.
-        self.tree = tree
+        #: replaced by stub files.  Frozen: indexes parsed from one
+        #: archive share it, and a deployment links into :attr:`links`.
+        self.tree = tree.freeze()
         #: path → entry.  No reader writes it, and indexes parsed from
         #: one archive share one read-only table.
         self.entries = entries
         self.config = config if config is not None else ImageConfig.make()
+        #: entry path → the pool inode hard-linked over that stub: what
+        #: this node's containers read at the path instead of the stub.
+        self.links: Dict[str, Inode] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -141,10 +151,10 @@ class GearIndex:
         The parse is pure in the layer archive's content, so the stub
         tree and entry table are built once per archive digest and every
         subsequent call (every other node in a fleet pulling the same
-        index) receives a copy-on-write clone of that frozen tree and
-        the one read-only entry table — the same result a re-parse would
-        produce, minus the re-parse and minus a copy of every stub and
-        entry the deployment never touches.
+        index) receives that frozen tree and the one read-only entry
+        table themselves, with a link table of its own — the same result
+        a re-parse would produce, minus the re-parse and minus a copy of
+        every stub, entry and directory.
         """
         if not image.gear_index:
             raise GearError(f"{image.reference!r} is not a Gear index image")
@@ -159,7 +169,7 @@ class GearIndex:
             template = cls._parse_archive(archive)
             _INDEX_TEMPLATES[archive] = template
         tree, entries = template
-        return cls(image.name, image.tag, tree.clone(), entries, image.config)
+        return cls(image.name, image.tag, tree, entries, image.config)
 
     @staticmethod
     def _parse_archive(
@@ -177,33 +187,43 @@ class GearIndex:
                 node.meta = node.meta.with_xattr(STUB_XATTR, "1")
         return tree.freeze(), MappingProxyType(entries)
 
+    # -- hard links over stubs -----------------------------------------------
+
+    def link(self, path: str, inode: Inode) -> None:
+        """Hard-link the pool ``inode`` over the stub at ``path``.
+
+        The inode's ``nlink`` counts the link (and a link it replaces
+        lets go of its own), so the pool never evicts a file an index
+        still serves.
+        """
+        replaced = self.links.get(path)
+        if replaced is not None:
+            replaced.nlink -= 1
+        inode.nlink += 1
+        self.links[path] = inode
+
+    def unlink(self, path: str) -> None:
+        """Drop the link at ``path``: the pristine stub shows again."""
+        self.links.pop(path).nlink -= 1
+
     # -- packaging ------------------------------------------------------------
 
     def to_image(self) -> Image:
         """Package as a single-layer Docker image (§III-C).
 
-        Live index trees may contain *materialized* entries (stubs the
-        viewer replaced with hard links to cached Gear files); a published
-        index must carry stubs only, so those are re-encoded here.
+        Links live beside the tree, never in it, so the tree is already
+        the stubs-only index a registry must carry.
         """
         from repro.docker.builder import image_from_tree
 
         return image_from_tree(
-            self.name, self.tag, self.stub_tree(), config=self.config,
+            self.name, self.tag, self.tree, config=self.config,
             gear_index=True,
         )
 
     def stub_tree(self) -> FileSystemTree:
-        """A copy of the index tree with every entry as a pristine stub."""
-        tree = self.tree.clone()
-        for path, node in tree.walk("/"):
-            entry = self.entries.get(path)
-            if entry is not None and STUB_XATTR not in node.meta.xattrs:
-                tree.write_file(
-                    path, Blob.from_text(entry.stub_content()),
-                    meta=node.meta.with_xattr(STUB_XATTR, "1"),
-                )
-        return tree
+        """A writable copy of the index tree, every entry a pristine stub."""
+        return self.tree.clone()
 
     # -- queries ----------------------------------------------------------------
 

@@ -146,7 +146,7 @@ class IntentJournal:
     ) -> None:
         clock = self.clock
         self._ops.append(_OP_CODE[op])
-        self._at_s.append(clock.now if clock is not None else 0.0)
+        self._at_s.append(clock._now if clock is not None else 0.0)
         self._identities.append(identity)
         self._paths.append(path)
         self._references.append(reference)

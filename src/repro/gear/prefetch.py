@@ -64,14 +64,13 @@ class TraceRecorder:
         Called after a container's startup task completes; subsequent
         deployments of ``reference`` can prefetch this set.
         """
-        entries: List[Tuple[str, int]] = []
-        for path, entry in viewer.index.entries.items():
-            node = viewer.index.tree.stat(path, follow_symlinks=False)
-            from repro.gear.index import STUB_XATTR
-
-            if STUB_XATTR not in node.meta.xattrs:
-                entries.append((path, entry.size))
-        profile = StartupProfile(reference=reference, entries=tuple(entries))
+        links = viewer.index.links
+        entries = tuple(
+            (path, entry.size)
+            for path, entry in viewer.index.entries.items()
+            if path in links
+        )
+        profile = StartupProfile(reference=reference, entries=entries)
         self._profiles[reference] = profile
         return profile
 

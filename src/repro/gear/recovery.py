@@ -6,8 +6,8 @@ content addressing to make it cheap: every uncommitted entry can be
 re-verified against the name it claims, so recovery never has to guess.
 :func:`fsck` is that pass for the paper's three-level store (§III-D1):
 it replays the intent journal, classifies every torn state the crash
-taxonomy (DESIGN.md §9) allows, and repairs the pool, the index trees,
-and their hard-link counts in place.
+taxonomy (DESIGN.md §9) allows, and repairs the pool, the indexes' link
+tables, and their hard-link counts in place.
 
 Invariants on return:
 
@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.blob import Blob, chunk_fingerprint
+from repro.blob import chunk_fingerprint
 from repro.common.clock import SimClock
-from repro.common.errors import NotFoundError
 from repro.gear.index import GearIndex, STUB_XATTR
 from repro.gear.journal import IntentJournal
 from repro.gear.pool import SharedFilePool
@@ -117,15 +116,16 @@ class RecoveryReport:
         return asdict(self)
 
 
-def _content_matches(identity: str, inode: Inode) -> bool:
+def _content_matches(identity: str, inode: Inode, committed: bool) -> bool:
     """Does the inode's content hash to the identity it claims?
 
     Collision-handled ``uid-…`` files opted out of fingerprint naming
     (§III-B); they cannot be re-verified by name, so recovery trusts
-    their journal records instead.
+    their journal records instead: ``committed`` says whether the
+    journal vouches for the bytes.
     """
     if identity.startswith("uid-"):
-        return True
+        return committed
     return inode.blob is not None and inode.blob.fingerprint == identity
 
 
@@ -140,7 +140,7 @@ def fsck(
 ) -> RecoveryReport:
     """Classify and repair every torn state a client crash left behind.
 
-    ``indexes`` are the node's live level-2 trees, ``diffs`` any
+    ``indexes`` are the node's live level-2 indexes, ``diffs`` any
     surviving level-3 writable layers (a stopped container's diff
     outlives its process).  Time is charged on ``clock`` for content
     re-verification and on ``disk`` for the scan when either is given.
@@ -164,10 +164,11 @@ def fsck(
     # 2. Staged admissions: re-verify and promote, or drop as torn.
     for identity, inode in pool.staged_items():
         report.verify_bytes += inode.size
-        if _content_matches(identity, inode):
+        committed = identity in state.committed_fetches
+        if _content_matches(identity, inode, committed):
             pool.commit(identity)
             report.recovered_bytes += inode.size
-            if identity in state.committed_fetches:
+            if committed:
                 report.rolled_forward += 1
             else:
                 report.salvaged += 1
@@ -204,37 +205,27 @@ def fsck(
                 partial.present.discard(chunk_index)
                 report.torn_chunks_dropped += 1
 
-    # 3. Interrupted links: roll forward when the physical link landed
-    # intact, roll back to a pristine stub otherwise.
+    # 3. Interrupted links: roll forward when the link landed intact,
+    # roll back to the pristine stub otherwise.
     index_by_reference = {index.reference: index for index in indexes}
     for record in state.open_links:
         index = index_by_reference.get(record.reference or "")
         if index is None:
             continue  # image removed since the crash; nothing to repair
         assert record.path is not None
-        entry = index.entries.get(record.path)
-        if entry is None:
-            continue
-        try:
-            node = index.tree.stat(record.path, follow_symlinks=False)
-        except NotFoundError:
-            continue
-        if STUB_XATTR in node.meta.xattrs:
+        node = index.links.get(record.path)
+        if node is None:
             continue  # intent never materialized; compaction closes it
         report.verify_bytes += node.size
-        if _content_matches(record.identity, node) and pool.contains(
+        # A link is journaled only after its file's admission committed.
+        if _content_matches(record.identity, node, True) and pool.contains(
             record.identity
         ):
             report.links_repaired += 1
             continue
         if not pool.contains(record.identity):
             report.dangling_links += 1
-        # write_file drops the old entry's link (nlink decrement) and
-        # restores the stub content the published index carried.
-        index.tree.write_file(
-            record.path, Blob.from_text(entry.stub_content()),
-            meta=node.meta.with_xattr(STUB_XATTR, "1"),
-        )
+        index.unlink(record.path)  # the nlink decrement; the stub shows
         report.links_rolled_back += 1
 
     # 4. nlink census: one pool reference plus every live index link.
@@ -246,7 +237,7 @@ def fsck(
         expected[id(inode)] = 1
         inode_for[id(inode)] = inode
     for index in indexes:
-        for _, node in index.tree.iter_files():
+        for node in index.links.values():
             if id(node) in expected:
                 expected[id(node)] += 1
     for key, count in expected.items():

@@ -8,7 +8,8 @@ read of a regular file whose index entry is still a fingerprint stub
 triggers a *fault*:
 
 1. look the fingerprint up in the shared cache (level 1); on a hit, the
-   cached file is hard-linked into the index and the stub is gone, so
+   cached file is hard-linked into the index — an entry of the index's
+   link table, which the mount shows in place of the stub — so
    subsequent reads "can serve the following requests for the same file
    from the index without searching the first layer again";
 2. on a miss, download the Gear file from the Gear Registry (paying
@@ -115,12 +116,21 @@ class GearFileViewer(OverlayMount):
             else (disk.clock if disk is not None else None)
         )
 
+    def _traced(self) -> bool:
+        """Is a tracer attached to the clock faults are recorded on?"""
+        return self.clock is not None and self.clock.tracer is not None
+
     def _span(self, name: str, **labels):
-        if self.clock is None:
-            return NULL_SPAN
-        return self.clock.span(name, **labels)
+        return self.clock.span(name, **labels) if self._traced() else NULL_SPAN
 
     # -- the fault path ----------------------------------------------------
+
+    def _reveal(self, node: Inode, path: str) -> Inode:
+        """A stub the index has linked a pool file over shows as that
+        file: to every lookup, walk, digest and touched-inode count."""
+        if STUB_XATTR in node.meta.xattrs:
+            return self.index.links.get(path, node)
+        return node
 
     def _materialize(self, node: Inode, resolved: Sequence[str]):
         if STUB_XATTR not in node.meta.xattrs:
@@ -129,7 +139,9 @@ class GearFileViewer(OverlayMount):
         entry = self.index.entries.get(path)
         if entry is None:
             raise GearError(f"stub at {path!r} has no index entry")
-        path = entry.path  # the index's own string, not this call's copy
+        # Telemetry is decided once per fault: detached, no phase below
+        # builds a span, an instant or its labels.
+        traced = self._traced()
         self.fault_stats.faults += 1
         inode = self.pool.get(entry.identity)
         if inode is None:
@@ -143,32 +155,40 @@ class GearFileViewer(OverlayMount):
                 inode = self.pool.get(entry.identity)
         if inode is not None:
             self.fault_stats.cache_hits += 1
-            if self.clock is not None:
+            if traced:
                 self.clock.instant("cache_hit", fp=entry.identity[:12])
-        else:
-            with self._span("fetch_file", fp=entry.identity[:12]) as span:
+        elif traced:
+            with self.clock.span("fetch_file", fp=entry.identity[:12]) as span:
                 inode = yield from self._fault_in(entry)
                 span.annotate(bytes=inode.size)
-        # Hard-link the real file over the stub so the index serves it
-        # directly from now on.  Two-phase: the link intent is journaled
-        # before the physical link, the commit record after — a crash
-        # between the halves leaves a classifiable open-link record.
-        with self._span("link", fp=entry.identity[:12]):
-            if self.journal is not None:
-                self.journal.link_begin(
-                    entry.identity, path, self.index.reference
-                )
-            inode.meta = inode.meta.with_mode(entry.mode)
-            self.index.tree.link_inode(path, inode, replace=True)
-            self._crash_checkpoint(CrashPoint.MID_LINK)
-            if self.disk is not None:
-                self.disk.metadata_op(1, label="index-link", deferred=True)
-            self.fault_stats.linked_bytes += inode.size
-            if self.journal is not None:
-                self.journal.link_commit(
-                    entry.identity, path, self.index.reference
-                )
+        else:
+            inode = yield from self._fault_in(entry)
+        if traced:
+            with self.clock.span("link", fp=entry.identity[:12]):
+                self._link(entry, inode)
+        else:
+            self._link(entry, inode)
         return inode
+
+    def _link(self, entry: GearFileEntry, inode: Inode) -> None:
+        """Hard-link the real file over the stub so the index serves it
+        directly from now on.  Two-phase: the link intent is journaled
+        before the link, the commit record after — a crash between the
+        halves leaves a classifiable open-link record."""
+        path = entry.path  # the index's own string, not the lookup's copy
+        journal = self.journal
+        if journal is not None:
+            journal.link_begin(entry.identity, path, self.index.reference)
+        inode.meta = inode.meta.with_mode(entry.mode)
+        self.index.link(path, inode)
+        crash = self.crash  # checkpoints cost nothing unless a plan is armed
+        if crash is not None and crash.take(CrashPoint.MID_LINK):
+            crash.fire(CrashPoint.MID_LINK)
+        if self.disk is not None:
+            self.disk.metadata_op(1, label="index-link", deferred=True)
+        self.fault_stats.linked_bytes += inode.size
+        if journal is not None:
+            journal.link_commit(entry.identity, path, self.index.reference)
 
     def _fault_in(self, entry: GearFileEntry):
         """Download, verify, and cache one Gear file (single-flight).
@@ -183,14 +203,17 @@ class GearFileViewer(OverlayMount):
         try:
             if self.journal is not None:
                 self.journal.fetch_begin(entry.identity)
-            if self.crash is not None and self.crash.take(CrashPoint.MID_FETCH):
+            crash = self.crash
+            if crash is not None and crash.take(CrashPoint.MID_FETCH):
                 yield from self._crash_mid_fetch(entry)
             gear_file = yield from self._fetch_remote(entry)
             inode = self.pool.prepare(gear_file)
-            self._crash_checkpoint(CrashPoint.POST_FETCH)
+            if crash is not None and crash.take(CrashPoint.POST_FETCH):
+                crash.fire(CrashPoint.POST_FETCH)
             if self.journal is not None:
                 self.journal.fetch_commit(entry.identity)
-            self._crash_checkpoint(CrashPoint.MID_COMMIT)
+            if crash is not None and crash.take(CrashPoint.MID_COMMIT):
+                crash.fire(CrashPoint.MID_COMMIT)
             inode = self.pool.commit(entry.identity)
             self.fault_stats.remote_fetches += 1
             self.fault_stats.remote_bytes += gear_file.compressed_size
@@ -208,12 +231,6 @@ class GearFileViewer(OverlayMount):
             return inode
         finally:
             yield from self.pool.inflight.release(entry.identity, announce)
-
-    def _crash_checkpoint(self, point: CrashPoint) -> None:
-        """Die here if the armed crash plan says so."""
-        crash = self.crash
-        if crash is not None and crash.take(point):
-            crash.fire(point)
 
     def _crash_mid_fetch(self, entry: GearFileEntry):
         """The armed ``MID_FETCH`` crash: die partway through the wire
@@ -328,12 +345,9 @@ class GearFileViewer(OverlayMount):
             self._drive(self._materialize(node, resolved))
 
     def resident_bytes(self) -> int:
-        """Bytes of index files already materialized (non-stub)."""
-        total = 0
-        for file_path, node in self.index.tree.iter_files():
-            if STUB_XATTR not in node.meta.xattrs:
-                total += node.size
-        return total
+        """Bytes of index files already materialized (linked over their
+        stubs)."""
+        return sum(inode.size for inode in self.index.links.values())
 
     def _content_token(self, path: str, node: Inode) -> str:
         """A stub digests as the fingerprint its index entry promises, a

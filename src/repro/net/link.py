@@ -200,8 +200,6 @@ class Link:
         rtt_s: float = 0.0005,
         request_overhead_s: float = 0.0015,
     ) -> None:
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_mbps}")
         if rtt_s < 0 or request_overhead_s < 0:
             raise ValueError("latencies must be non-negative")
         self.clock = clock
@@ -235,8 +233,20 @@ class Link:
         self._busy_since: Optional[float] = None
 
     @property
+    def bandwidth_mbps(self) -> float:
+        return self._bandwidth_mbps
+
+    @bandwidth_mbps.setter
+    def bandwidth_mbps(self, bandwidth_mbps: float) -> None:
+        # The byte rate is worked out once here, not on every transfer.
+        if bandwidth_mbps <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth_mbps}")
+        self._bandwidth_mbps = bandwidth_mbps
+        self._bytes_per_second = mbps_to_bytes_per_s(bandwidth_mbps)
+
+    @property
     def bytes_per_second(self) -> float:
-        return mbps_to_bytes_per_s(self.bandwidth_mbps)
+        return self._bytes_per_second
 
     @property
     def active_flows(self) -> int:
@@ -257,7 +267,7 @@ class Link:
         return (
             self.rtt_s
             + self.request_overhead_s
-            + payload_bytes / self.bytes_per_second
+            + payload_bytes / self._bytes_per_second
         )
 
     def transfer(self, payload_bytes: int, label: str = "") -> float:
@@ -303,14 +313,16 @@ class Link:
         Returns the logged duration; raises :class:`FetchCancelledError`
         when :meth:`cancel_flows` aborts it.
         """
-        scheduler = self.clock.scheduler
-        process = scheduler.current_process() if scheduler is not None else None
-        if process is None or process._gen is None:
+        scheduler = self.clock._scheduler
+        # Only a stepped process can park on a flow.
+        process = scheduler._current_gen if scheduler is not None else None
+        if process is None:
             return self.transfer(payload_bytes, label)
         if process._debt:
             yield from self.clock.advance_gen(0.0)
         duration = self.transfer_time(payload_bytes)
-        self._check_cancel_pending(process, payload_bytes, label)
+        if self._cancel_pending:
+            self._check_cancel_pending(process, payload_bytes, label)
         flow = self._open_flow(process, payload_bytes, duration, label)
         self._rearm(scheduler)
         yield SUSPEND
@@ -353,10 +365,13 @@ class Link:
 
     def _finish_flow(self, flow: _Flow, payload_bytes: int, label: str) -> float:
         """Post-wake bookkeeping: log the transfer or raise cancellation."""
+        clock = self.clock
         start = flow.start
-        elapsed = self.clock.now - start
+        elapsed = clock._now - start
+        traced = clock._tracer is not None
         if flow.cancelled:
-            self.clock.instant(f"cancelled:{label or payload_bytes}")
+            if traced:
+                clock.instant(f"cancelled:{label or payload_bytes}")
             self.log.append(
                 start,
                 elapsed,
@@ -368,7 +383,8 @@ class Link:
                 bytes_transferred=flow.partial_bytes,
             )
         duration = flow.nominal_s if not flow.contended else elapsed
-        self.clock.instant(label or f"transfer:{payload_bytes}B")
+        if traced:
+            clock.instant(label or f"transfer:{payload_bytes}B")
         self.log.append(start, duration, payload_bytes, label)
         return duration
 

@@ -130,7 +130,7 @@ class Inode:
     directory entries pointing at the *same* :class:`Inode`, whose
     ``nlink`` counts the references.  The Gear File Viewer's shared-cache
     design (§III-D2) depends on this — fetched Gear files are hard-linked
-    from the level-1 cache into container indexes.
+    from the level-1 cache into container indexes (their link tables).
     """
 
     __slots__ = (
@@ -152,7 +152,8 @@ class Inode:
         #: created this inode and may mutate it in place; any other tree
         #: reaching it (a clone of a frozen tree) must copy it first.
         #: ``None`` for inodes made outside a tree (the Gear pool's),
-        #: whose ``nlink`` counts references across every tree.
+        #: whose ``nlink`` counts the pool's reference and every index
+        #: link to it.
         self.owner = owner
         self.kind = kind
         if meta is None:
@@ -200,9 +201,8 @@ class Inode:
     @property
     def size(self) -> int:
         """Content size: blob length for files, 0 for everything else."""
-        if self.is_file:
-            assert self.blob is not None
-            return self.blob.size
+        if self.kind is FileKind.FILE:
+            return self.blob.size  # type: ignore[union-attr]
         return 0
 
     # -- structural copy -------------------------------------------------

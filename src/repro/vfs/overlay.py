@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blob import Blob
 from repro.common.clock import SimClock, run_inline
@@ -63,6 +63,12 @@ class OverlayMount:
 
     #: What a lazy-content subclass blocks on; a plain overlay never waits.
     clock: Optional[SimClock] = None
+    #: The visibility hook: ``(leaf, path) -> inode shown there``, run
+    #: where a leaf of the merged view becomes visible — before it is
+    #: touched, so everything that resolves or walks sees the same node.
+    #: A plain overlay shows every leaf as stored (the Gear File Viewer
+    #: shows a linked stub as the pool file linked over it).
+    _reveal: Optional[Callable[[Inode, str], Inode]] = None
 
     def __init__(
         self,
@@ -135,6 +141,8 @@ class OverlayMount:
                     )
             else:
                 if parts:
+                    if node.children is None and self._reveal is not None:
+                        node = self._reveal(node, paths.unsplit(parts))
                     self._touch(node)
                 return node, parts, stack, below
 
@@ -250,12 +258,15 @@ class OverlayMount:
         """Walk below the merged directory ``stack`` (``dir_path`` has no
         trailing slash); every node counts as looked up and touched."""
         self.stats.lookups += 1
+        reveal = self._reveal
         for name in sorted(_merged_names(stack)):
             child, below = _step(stack, name)
             assert child is not None
             self.stats.lookups += 1
-            self._touch(child)
             child_path = f"{dir_path}/{name}"
+            if child.children is None and reveal is not None:
+                child = reveal(child, child_path)
+            self._touch(child)
             yield child_path, child
             if child.is_dir:
                 yield from self._walk_merged(child_path, below)

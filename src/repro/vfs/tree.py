@@ -379,31 +379,6 @@ class FileSystemTree:
         parent.children[name] = target
         return target
 
-    def link_inode(self, path: str, inode: Inode, *, replace: bool = False) -> Inode:
-        """Install an existing inode at ``path`` (hard-link semantics).
-
-        This is how the Gear File Viewer links a cached Gear file into an
-        index without copying content.  An inode that belongs to another
-        tree (a frozen template's) is never linked as is: the tree links
-        its own copy, as :meth:`hardlink` does.
-        """
-        self._check_writable()
-        if inode.is_dir:
-            raise IsADirectoryVfsError("cannot link a directory inode")
-        parent, name = self._lookup_parent(path)
-        assert parent.children is not None
-        if self._is_shared(inode):
-            # Before looking at the entry to replace: it may be this inode.
-            inode = self._own_leaf(inode)
-        if not replace:
-            self._check_vacant(parent, name)
-        existing = parent.children.get(name)
-        if existing is not None:
-            self._drop_link(existing)
-        inode.nlink += 1
-        parent.children[name] = inode
-        return inode
-
     def remove(self, path: str, *, recursive: bool = False) -> None:
         """Remove the node at ``path`` (``recursive`` required for dirs)."""
         parent, name = self._lookup_parent(path)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.common.errors import GearError
+from repro.blob import Blob
+from repro.common.errors import GearError, ReadOnlyVfsError
 from repro.docker.builder import ImageBuilder
 from repro.gear.index import GearFileEntry, GearIndex, STUB_MAGIC, STUB_XATTR
-from repro.vfs.inode import Metadata
+from repro.vfs.inode import FileKind, Inode, Metadata
 from repro.vfs.tree import FileSystemTree
 
 
@@ -84,6 +85,32 @@ class TestFromTree:
         tree.write_file("/b", b"same", parents=True)
         index = GearIndex.from_tree("i", "v", tree)
         assert len(list(index.identities())) == 1
+
+
+class TestLinks:
+    def test_link_replaces_a_link_and_counts_it(self):
+        index = GearIndex.from_tree("app.gear", "v1", sample_root())
+        first = Inode(FileKind.FILE, blob=Blob.from_bytes(b"pool content"))
+        second = Inode(FileKind.FILE, blob=Blob.from_bytes(b"newer"))
+        index.link("/bin/sh", first)
+        assert index.links["/bin/sh"] is first and first.nlink == 2
+        index.link("/bin/sh", first)  # over itself: still one link
+        assert first.nlink == 2
+        index.link("/bin/sh", second)
+        assert (first.nlink, second.nlink) == (1, 2)
+        index.unlink("/bin/sh")
+        assert second.nlink == 1 and not index.links
+
+    def test_the_tree_stays_frozen_and_pristine(self):
+        index = GearIndex.from_tree("app.gear", "v1", sample_root())
+        before = index.to_image().layers[0].archive.digest
+        index.link("/bin/sh", Inode(FileKind.FILE, blob=Blob.from_bytes(b"x")))
+        assert index.tree.read_only
+        with pytest.raises(ReadOnlyVfsError):
+            index.tree.write_file("/bin/sh", b"poison")
+        assert STUB_XATTR in index.tree.stat("/bin/sh").meta.xattrs
+        assert index.to_image().layers[0].archive.digest == before
+        assert STUB_XATTR in index.stub_tree().stat("/bin/sh").meta.xattrs
 
 
 class TestImageRoundTrip:

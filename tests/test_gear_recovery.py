@@ -16,6 +16,8 @@ from repro.bench.deploy import (
 from repro.bench.environment import make_testbed, publish_images
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import ClientCrash
+from repro.blob import Blob
+from repro.gear.gearfile import GearFile
 from repro.gear.index import STUB_XATTR
 from repro.gear.journal import IntentJournal
 from repro.gear.pool import SharedFilePool
@@ -51,8 +53,8 @@ def _nlink_census_ok(driver) -> bool:
         inode = driver.pool.peek(identity)
         links = 0
         for reference in driver.images():
-            tree = driver.get_index(reference).tree
-            links += sum(1 for _, node in tree.iter_files() if node is inode)
+            linked = driver.get_index(reference).links.values()
+            links += sum(1 for node in linked if node is inode)
         if inode.nlink != 1 + links:
             return False
     return True
@@ -124,7 +126,7 @@ class TestTornStateTaxonomy:
         record = state.open_links[0]
         # The physical hard link landed before the crash.
         index = driver.get_index(record.reference)
-        node = index.tree.stat(record.path, follow_symlinks=False)
+        node = index.links[record.path]
         assert STUB_XATTR not in node.meta.xattrs
 
         report = driver.recover()
@@ -147,7 +149,9 @@ class TestTornStateTaxonomy:
         report = driver.recover()
         assert report.links_rolled_back == 1
         assert report.dangling_links == 1
-        node = driver.get_index(record.reference).tree.stat(
+        index = driver.get_index(record.reference)
+        assert record.path not in index.links
+        node = driver.containers()[-1].mount.stat(
             record.path, follow_symlinks=False
         )
         # Rolled back to a pristine, re-faultable stub.
@@ -186,6 +190,21 @@ class TestFsckInvariants:
         assert report.inflight_cleared == 1
         assert not pool.inflight
         assert event.fired  # waiters wake and re-check the pool
+
+    def test_a_unique_id_entry_is_kept_only_when_its_fetch_committed(self):
+        # No fingerprint can re-verify a ``uid-…`` file: the journal is
+        # the only witness that its staged bytes are whole.
+        clock = SimClock()
+        journal, pool = IntentJournal(clock), SharedFilePool()
+        torn = GearFile(identity="uid-00000001-torn", blob=Blob.from_bytes(b"ha"))
+        whole = GearFile(identity="uid-00000002-whole", blob=Blob.from_bytes(b"all"))
+        for gear_file in (torn, whole):
+            journal.fetch_begin(gear_file.identity)
+            pool.prepare(gear_file)
+        journal.fetch_commit(whole.identity)
+        report = fsck(pool, [], [], journal, clock=clock)
+        assert not pool.contains(torn.identity) and pool.contains(whole.identity)
+        assert (report.torn_dropped, report.rolled_forward, report.salvaged) == (1, 1, 0)
 
     def test_fsck_charges_virtual_time_for_verification(
         self, small_corpus, victim

@@ -1,5 +1,7 @@
 """The Gear File Viewer: fault path, cache hits, index linking."""
 
+import sys
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -57,16 +59,20 @@ class TestFaultPath:
     def test_stub_replaced_by_hard_link(self):
         _, index, _, pool, viewer, _, _ = build_env()
         viewer.read_bytes("/bin/sh")
-        node = index.tree.stat("/bin/sh")
+        node = viewer.stat("/bin/sh")
         assert STUB_XATTR not in node.meta.xattrs
         assert node.nlink >= 2  # pool + index
         entry = index.entries["/bin/sh"]
         assert pool.get(entry.identity) is node
+        assert index.links["/bin/sh"] is node
+        # The link lives beside the index tree, which keeps its stub.
+        assert STUB_XATTR in index.tree.stat("/bin/sh").meta.xattrs
 
     def test_mode_restored_on_link(self):
         _, index, _, _, viewer, _, _ = build_env()
         viewer.read_bytes("/bin/sh")
-        assert index.tree.stat("/bin/sh").meta.mode == 0o755
+        assert viewer.stat("/bin/sh").meta.mode == 0o755
+        assert index.links["/bin/sh"].meta.mode == 0o755
 
     def test_cache_hit_avoids_network(self):
         root, _, _, pool, viewer, link, _ = build_env()
@@ -127,6 +133,47 @@ class TestSharing:
         # Second viewer reads through the index's materialized inode —
         # no fault at all.
         assert second.fault_stats.faults == 0
+
+
+class TestTelemetry:
+    @pytest.fixture
+    def viewer_calls(self, monkeypatch):
+        """Names of the ``SimClock.span`` / ``instant`` calls made from
+        the viewer module's own frames."""
+        calls = []
+        for method in ("span", "instant"):
+            original = getattr(SimClock, method)
+
+            def counted(clock, name, *args, _original=original, **labels):
+                caller = sys._getframe(1).f_code.co_filename
+                if caller.replace("\\", "/").endswith("gear/viewer.py"):
+                    calls.append(name)
+                return _original(clock, name, *args, **labels)
+
+            monkeypatch.setattr(SimClock, method, counted)
+        return calls
+
+    @staticmethod
+    def fault_twice(root, pool, viewer):
+        viewer.read_bytes("/bin/sh")  # a remote fetch
+        pool.insert(GearFile.from_blob(root.read_blob("/etc/conf")))
+        viewer.read_bytes("/etc/conf")  # a cache hit
+
+    def test_an_untraced_fault_pays_for_no_span_or_instant(self, viewer_calls):
+        root, _, _, pool, viewer, _, _ = build_env()
+        self.fault_twice(root, pool, viewer)
+        assert viewer.fault_stats.faults == 2
+        assert viewer_calls == []
+
+    def test_a_traced_fault_still_records_its_phases(self, viewer_calls):
+        root, _, _, pool, viewer, _, clock = build_env()
+        tracer = clock.attach_tracer()
+        self.fault_twice(root, pool, viewer)
+        assert viewer_calls == ["fetch_file", "link", "cache_hit", "link"]
+        assert [span.name for span in tracer.finished_spans()] == [
+            "fetch_file", "link", "link"
+        ]
+        assert "cache_hit" in [event.name for event in tracer.instants]
 
 
 class TestHelpers:

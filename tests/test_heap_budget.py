@@ -19,17 +19,20 @@ from repro.net.topology import Cluster
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 #: Retained Python heap one client of the nginx wave may cost (the
-#: 37-file trace at scale 0.2).  Measured 31 KB, and 32 KB once every
-#: mount has been digested; it was 41 KB (48 KB digested) when every
-#: inode had a ``Metadata`` of its own, every pool a chunk table and
-#: every mount a set of touched inodes, 56 KB when the two logs kept a
-#: tuple per operation, and 100 KB when every record was dict-backed
-#: and every label, token and payload a copy.
-PER_CLIENT_BUDGET_BYTES = 36_000
+#: 37-file trace at scale 0.2).  Measured 22.7 KB, and 23.5 KB once
+#: every mount has been digested; it was 31 KB (32 KB digested) when a
+#: deployment linked into its own copy-on-write clone of the index
+#: tree, 41 KB (48 KB) when every inode had a ``Metadata`` of its own,
+#: every pool a chunk table and every mount a set of touched inodes,
+#: 56 KB when the two logs kept a tuple per operation, and 100 KB when
+#: every record was dict-backed and every label, token and payload a
+#: copy.
+PER_CLIENT_BUDGET_BYTES = 27_000
 #: Objects the collector tracks that one such client may add.  Measured
-#: 123; it was 188 (62 of them ``Metadata`` and their attribute dicts),
-#: and 426 when each record was a tuple.
-PER_CLIENT_TRACKED_OBJECTS = 140
+#: 73; it was 123 (the copied index directories and their child dicts),
+#: 188 (62 of them ``Metadata`` and their attribute dicts), and 426 when
+#: each record was a tuple.
+PER_CLIENT_TRACKED_OBJECTS = 90
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +94,9 @@ class TestOneObjectNotOnePerOperation:
         image = bed.daemon.get_image(reference)
         first, second = GearIndex.from_image(image), GearIndex.from_image(image)
         assert first.entries is second.entries
-        assert first.tree is not second.tree
+        # The stub tree too: each index links through a table of its own.
+        assert first.tree is second.tree and first.tree.read_only
+        assert first.links is not second.links
         path, entry = next(iter(first.entries.items()))
         with pytest.raises(TypeError):
             first.entries[path] = entry
@@ -104,17 +109,16 @@ class TestOneObjectNotOnePerOperation:
         image = beds[0].daemon.get_image(containers[0].index.reference)
         template, _ = _INDEX_TEMPLATES[image.layers[0].archive]
         for container in containers:
-            # Every directory the deployment copied on write — in the
-            # index it linked files into, in the layer it wrote to — holds
-            # the value the template's directory holds.
-            copied = 0
-            for tree in (container.index.tree, container.mount.upper):
-                for path, node in tree.walk("/"):
-                    theirs = template.stat(path) if template.exists(path) else None
-                    if node.is_dir and theirs is not None and node is not theirs:
-                        copied += 1
-                        assert node.meta is theirs.meta, path
-            assert copied
+            # A deployment copies no index directory: it links files
+            # through the index's table, and the tree it reads through
+            # is the template itself.
+            assert container.index.tree is template
+            assert len(container.index.links) == nginx.trace.file_count
+            # A directory its writes made where the template has one
+            # holds the value the template's directory holds.
+            for path, node in container.mount.upper.walk("/"):
+                if node.is_dir and template.exists(path):
+                    assert node.meta is template.stat(path).meta, path
         # Two clients' pool inodes for one file hold one value between
         # them, and a whole pool a handful: one per mode in the image.
         first, second = (bed.gear_driver.pool for bed in beds)

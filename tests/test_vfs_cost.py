@@ -15,7 +15,7 @@ from repro.blob import Blob
 from repro.gear.index import GearFileEntry, GearIndex
 from repro.vfs import overlay as overlay_module
 from repro.vfs import paths
-from repro.vfs.inode import FileKind, Inode
+from repro.vfs.inode import FileKind
 from repro.vfs.overlay import OverlayMount
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
@@ -69,7 +69,6 @@ class TestTreeOperations:
     def test_every_public_op_is_one_split_and_at_most_one_descent(self, counted):
         tree = wide_tree()
         tree.symlink(f"{DEEP}/link", "f0")
-        pool_inode = Inode(FileKind.FILE, blob=Blob.from_bytes(b"pooled"))
         ops = {
             "exists": lambda: tree.exists(f"{DEEP}/f0"),
             "stat": lambda: tree.stat(f"{DEEP}/f0"),
@@ -88,7 +87,6 @@ class TestTreeOperations:
             "write_file": lambda: tree.write_file(f"{DEEP}/new", b"x"),
             "write_file over": lambda: tree.write_file(f"{DEEP}/new", b"y"),
             "symlink": lambda: tree.symlink(f"{DEEP}/link2", "f1"),
-            "link_inode": lambda: tree.link_inode(f"{DEEP}/pooled", pool_inode),
             "whiteout": lambda: tree.whiteout(f"{DEEP}/f2"),
             "set_opaque": lambda: tree.set_opaque(f"{ABOVE}/d2"),
             "remove": lambda: tree.remove(f"{DEEP}/f4"),
@@ -235,4 +233,7 @@ class TestBulkLoaders:
         index = built[0]
         assert index.tree.count_nodes() == nodes
         assert inodes_allocated(lambda: GearIndex.from_tree("n", "t", root)) == nodes + 1
-        assert cost_of(counted, index.stub_tree) == (1, 1)
+        # The index tree is frozen and never holds a link: the copy a
+        # commit merges into is a clone that shares it, nothing more.
+        assert cost_of(counted, index.stub_tree) == (0, 0)
+        assert inodes_allocated(index.stub_tree) == 0

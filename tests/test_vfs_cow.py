@@ -51,8 +51,7 @@ def ops_on(tree: FileSystemTree):
     """One mutation — the method's name and its arguments — aimed at
     ``tree``: mostly at paths it has, or one name below them (so paths
     run through symlinked parents as soon as a symlink exists), rarely
-    somewhere random.  ``link_inode`` carries the *path* of the inode to
-    link, resolved per tree, so each tree links its own node.
+    somewhere random.
     """
     known = ["/"] + [path for path, _ in tree.walk("/", include_whiteouts=True)]
     below = st.builds(
@@ -70,7 +69,6 @@ def ops_on(tree: FileSystemTree):
         st.tuples(st.just("write_file"), paths, _CONTENT, _META, st.booleans()),
         st.tuples(st.just("symlink"), paths, targets, _META),
         st.tuples(st.just("hardlink"), paths, paths),
-        st.tuples(st.just("link_inode"), paths, paths, st.booleans()),
         st.tuples(st.just("remove"), paths, st.booleans()),
         st.tuples(st.just("whiteout"), paths),
         st.tuples(st.just("set_opaque"), paths, st.booleans()),
@@ -101,10 +99,6 @@ def apply_op(tree: FileSystemTree, op) -> str:
         elif kind == "symlink":
             path, target, meta = args
             tree.symlink(path, target, meta=meta)
-        elif kind == "link_inode":
-            path, source_path, replace = args
-            node = tree.stat(source_path, follow_symlinks=False)
-            tree.link_inode(path, node, replace=replace)
         elif kind == "remove":
             path, recursive = args
             tree.remove(path, recursive=recursive)
@@ -148,8 +142,8 @@ def rebuild(source: FileSystemTree) -> FileSystemTree:
     first_path_of = {}
     for path, node in source.walk("/", include_whiteouts=True):
         first = first_path_of.setdefault(node.ino, path)
-        if first != path:
-            tree.link_inode(path, tree.stat(first, follow_symlinks=False))
+        if first != path:  # only a regular file has a second entry
+            tree.hardlink(path, first)
         elif node.is_dir:
             tree.mkdir(path, meta=node.meta)
             tree.set_opaque(path, node.opaque)
@@ -183,7 +177,6 @@ class SharedCloneMachine(RuleBasedStateMachine):
         self.sibling = self.source.clone()
         self.sibling.mkdir("/", exist_ok=True)
         self.reference = rebuild(self.source)
-        self.pool = []
 
     @rule(data=st.data())
     def mutate(self, data):
@@ -217,26 +210,6 @@ class SharedCloneMachine(RuleBasedStateMachine):
             node = tree.mkdir(path, exist_ok=True)
             meta = node.meta.with_mode(mode)
             node.meta = meta if attr is None else meta.with_xattr(attr, "w")
-
-    @rule(content=_CONTENT)
-    def new_pool_inode(self, content):
-        """A pool-style inode made outside any tree, one per side."""
-        self.pool.append(
-            tuple(Inode(FileKind.FILE, blob=Blob.from_bytes(content)) for _ in "cr")
-        )
-
-    @rule(data=st.data(), pick=st.integers(0, 7), replace=st.booleans())
-    def link_pool_inode(self, data, pick, replace):
-        if not self.pool:
-            return
-        path = data.draw(ops_on(self.reference))[1]
-        for_clone, for_reference = self.pool[pick % len(self.pool)]
-        assert outcome(
-            lambda: self.clone.link_inode(path, for_clone, replace=replace)
-        ) == outcome(
-            lambda: self.reference.link_inode(path, for_reference, replace=replace)
-        )
-        assert for_clone.nlink == for_reference.nlink
 
     @rule()
     def clone_again(self):
@@ -300,11 +273,11 @@ class TestPinnedSequences:
         )
 
     def test_linking_a_shared_inode_links_a_copy(self):
-        drive(self.LINKED, [("link_inode", "/m", "/c", False), ("whiteout", "/a")])
+        drive(self.LINKED, [("hardlink", "/m", "/c"), ("whiteout", "/a")])
 
     def test_relinking_a_shared_inode_over_itself(self):
-        drive(self.LINKED, [("link_inode", "/c", "/c", True)])
-        drive(self.LINKED[:2], [("link_inode", "/a/b", "/a/b", True)])
+        drive(self.LINKED, [("hardlink", "/c", "/c")])
+        drive(self.LINKED[:2], [("hardlink", "/a/b", "/a/b")])
 
     def test_opaque_on_a_shared_directory_and_on_the_root(self):
         drive(self.LINKED, [("set_opaque", "/a", True), ("set_opaque", "/", True)])
@@ -477,13 +450,12 @@ class TestFrozenTemplates:
 
         for path, entry in live.entries.items():
             pooled = Inode(FileKind.FILE, blob=Blob.from_bytes(b"real"))
-            live.tree.link_inode(path, pooled, replace=True)
+            live.link(path, pooled)
             assert pooled.nlink == 2
-        assert all(
-            STUB_XATTR not in node.meta.xattrs for _, node in live.tree.iter_files()
-        )
+        assert set(live.links) == set(live.entries) and not sibling.links
 
-        for tree in (sibling.tree, template):
+        assert live.tree is sibling.tree is template
+        for tree in (live.tree, template):
             files = list(tree.iter_files())
             assert len(files) == len(live.entries)
             for _, node in files:

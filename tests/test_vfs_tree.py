@@ -189,20 +189,10 @@ class TestHardLinks:
         assert tree.stat("/usr/bin/sh2").nlink == 1
         assert tree.read_bytes("/usr/bin/sh2") == b"#!shell"
 
-    def test_link_inode_replace(self, tree):
-        from repro.vfs.inode import Inode
-
-        inode = Inode(FileKind.FILE, blob=Blob.from_bytes(b"pool content"))
-        tree.link_inode("/etc/hosts", inode, replace=True)
-        assert tree.read_bytes("/etc/hosts") == b"pool content"
-        assert inode.nlink == 2
-
-    def test_link_inode_no_replace_fails(self, tree):
-        from repro.vfs.inode import Inode
-
-        inode = Inode(FileKind.FILE, blob=Blob.from_bytes(b"x"))
+    def test_hardlink_over_existing_fails(self, tree):
         with pytest.raises(FileExistsVfsError):
-            tree.link_inode("/etc/hosts", inode)
+            tree.hardlink("/etc/hosts", "/usr/bin/sh")
+        assert tree.stat("/usr/bin/sh").nlink == 1
 
 
 class TestRemoval:
