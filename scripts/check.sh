@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
 # Hypothesis profile, the one-download-chain, one-read-path, one-harness,
-# no-record-per-operation, shared-Metadata, immutable-index and
+# one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index and
 # virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
 # double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
@@ -23,7 +23,7 @@ echo "== all time in the program is virtual =="
 if grep -rnE "perf_counter|process_time|time\.time|monotonic" src/repro --include='*.py'
 then echo "src/repro reads the host clock" >&2; exit 1; fi
 # One harness: the paper's studies are cells of `repro.cli paper`.
-if grep -rnE "REPRO_BENCH_QUIC[K]|benchmark\.pedanti[c]" . --include='*.py' --include='*.toml' --include='*.sh' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md
+if grep -rnE "REPRO_BENCH_QUIC[K]|benchmark\.pedanti[c]" . --include='*.py' --include='*.toml' --include='*.sh' --include='*.md' --exclude=CHANGES.md --exclude=ROADMAP.md
 then echo "the second benchmark harness grew back" >&2; exit 1; fi
 
 echo "== one download chain: the copies must not grow back =="
@@ -74,6 +74,14 @@ for tier in ha edge faas resilience; do
 done
 once src/repro/gear/bigfile.py 1 "def _get_partial"
 once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
+
+echo "== one queue-entry format, known only to common/clock.py =="
+# A scheduled event is a `[time, seq, action]` list; cancelling clears its
+# action (DESIGN.md §13).  No event freelist may grow back, and the link
+# cancels through SimScheduler.cancel instead of indexing an entry.
+if grep -rnE "_event_pool|pooled" src/repro --include='*.py' \
+    || grep -n '\[2\]' src/repro/net/link.py
+then echo "an event pool grew back, or net/link.py indexes a queue entry" >&2; exit 1; fi
 
 echo "== no object per operation: only a view mints a record =="
 # The transfer log and the intent journal keep columns (DESIGN.md §17).

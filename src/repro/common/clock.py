@@ -351,9 +351,11 @@ class SimClock:
             return self.advance(seconds, label)
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds} s")
-        seconds, label = _fold_debt(process, seconds, label)
+        if process._debt:
+            seconds, label = _fold_debt(process, seconds, label)
         yield seconds
-        self.note(label)
+        if self._tracer is not None and label:
+            self._tracer.instant(label)
         return self._now
 
     def _debtor(self) -> Any:
@@ -475,43 +477,24 @@ class Stopwatch:
         return lap
 
 
+#: A queue entry: ``[time, seq, action]``.  Entries compare as lists do,
+#: at C level, and ``seq`` is unique, so ``action`` is never compared.
+#: Cancelling one sets its action to None; the loop skips it uncounted.
+_Entry = List[Any]
+
+
 class _Event:
-    """One heap entry: an action to run at a virtual timestamp.
+    """What :meth:`SimScheduler.schedule` hands out: a timer its holder
+    may keep and cancel at any time, before or after it fires."""
 
-    ``pooled`` events are scheduler-owned transients (sleeps, wakes,
-    link completions): after they pop, the loop recycles them into a
-    freelist, so the hot path stops allocating an object per suspend.
-    Pooled events may be cancelled only *while pending*; the holder
-    must drop its reference once the event has fired or been cancelled
-    (see :meth:`SimScheduler.schedule_transient`).  Events from the
-    public :meth:`SimScheduler.schedule` are never pooled, so external
-    holders (fault timers, hedge deadlines) can keep references and
-    cancel late, exactly as before.
-    """
+    __slots__ = ("_entry",)
 
-    __slots__ = ("time", "seq", "action", "cancelled", "pooled")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        action: Callable[[], None],
-        pooled: bool = False,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
-        self.pooled = pooled
+    def __init__(self, entry: _Entry) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
-        """Mark the event dead; the loop skips it when popped."""
-        self.cancelled = True
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        """Clear the entry: the loop skips it if it has not popped yet."""
+        self._entry[2] = None
 
 
 class Process:
@@ -654,7 +637,7 @@ class SimScheduler:
 
     __slots__ = (
         "clock", "_heap", "_nowq", "_seq", "_name_seq", "_processes",
-        "_thread_procs", "_loop_wake", "_closed", "_event_pool",
+        "_thread_procs", "_loop_wake", "_closed",
         "_events_processed", "_current_gen", "_handoffs", "_escapes",
     )
 
@@ -663,19 +646,18 @@ class SimScheduler:
             raise SchedulerError("clock already has an attached scheduler")
         self.clock = clock
         clock._scheduler = self
-        # Heap entries are raw ``(time, seq, event)`` tuples: heap
-        # sifting then compares C-level (the float, rarely the int tie
-        # break) instead of calling ``_Event.__lt__`` — at 1024 pending
-        # wakes each pop costs ~10 comparisons, so this is the loop's
-        # single hottest constant.
-        self._heap: List[Tuple[float, int, _Event]] = []
-        #: Zero-delay events in FIFO order.  Wakes and handoffs are
+        # Heap entries are ``[time, seq, action]`` lists (see ``_Entry``):
+        # heap sifting compares them C-level (the float, rarely the int
+        # tie break) — at 1024 pending wakes each pop costs ~10
+        # comparisons, so this is the loop's single hottest constant.
+        self._heap: List[_Entry] = []
+        #: Zero-delay entries in FIFO order.  Wakes and handoffs are
         #: overwhelmingly scheduled at the current instant; keeping them
         #: out of the heap turns the dominant push/pop pair into an
         #: O(1) deque append/popleft (the "simultaneous wakeup batch").
         #: Heads are merged with the heap by ``(time, seq)``, so event
         #: order is exactly the seed order.
-        self._nowq: "deque[_Event]" = deque()
+        self._nowq: "deque[_Entry]" = deque()
         self._seq = itertools.count()
         #: Monotone spawn counter: default process names must stay
         #: unique even if ``_processes`` is later compacted.
@@ -687,8 +669,6 @@ class SimScheduler:
         self._loop_wake = _allocate_lock()
         self._loop_wake.acquire()
         self._closed = False
-        #: Freelist of recycled transient events (see ``_Event``).
-        self._event_pool: List[_Event] = []
         self._events_processed = 0
         self._current_gen: Optional[Process] = None
         self._handoffs = 0
@@ -734,19 +714,15 @@ class SimScheduler:
         draining to completion.  Suspended call-process threads are
         abandoned — they are daemon threads parked on an event that will
         never be set, exactly as a killed process never resumes.  Returns
-        the number of events cancelled.
+        the number of live entries cleared.
         """
         cancelled = 0
-        for _, _, event in self._heap:
-            if not event.cancelled:
-                event.cancel()
-                cancelled += 1
-        for event in self._nowq:
-            if not event.cancelled:
-                event.cancel()
-                cancelled += 1
-        self._heap.clear()
-        self._nowq.clear()
+        for queue in (self._heap, self._nowq):
+            for entry in queue:
+                if entry[2] is not None:
+                    entry[2] = None
+                    cancelled += 1
+            queue.clear()
         return cancelled
 
     def __enter__(self) -> "SimScheduler":
@@ -765,37 +741,23 @@ class SimScheduler:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule {delay} s in the past")
-        event = _Event(self.clock._now + delay, next(self._seq), action)
-        if delay == 0.0:
-            self._nowq.append(event)
-        else:
-            heapq.heappush(self._heap, (event.time, event.seq, event))
-        return event
+        return _Event(self.schedule_transient(delay, action))
 
-    def schedule_transient(self, delay: float, action: Callable[[], None]) -> _Event:
-        """Schedule a *transient* event (recycled after it pops).
-
-        Contract: the returned event may be cancelled only while it is
-        still pending, and the holder must drop its reference once the
-        event has fired or been cancelled — the scheduler reuses the
-        object for a future event.  Internal machinery (sleeps, wakes,
-        link-flow completions) lives on this path; external holders
-        that keep timers around should use :meth:`schedule`.
-        """
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = self.clock._now + delay
-            event.seq = next(self._seq)
-            event.action = action
-            event.cancelled = False
-        else:
-            event = _Event(self.clock._now + delay, next(self._seq), action, True)
+    def schedule_transient(self, delay: float, action: Callable[[], None]) -> _Entry:
+        """Schedule ``action`` without a handle: the scheduler's own
+        machinery (sleeps, wakes, link-flow completions).  The returned
+        entry is opaque; pass it to :meth:`cancel` to drop the event."""
+        entry = [self.clock._now + delay, next(self._seq), action]
         if delay == 0.0:
-            self._nowq.append(event)
+            self._nowq.append(entry)
         else:
-            heapq.heappush(self._heap, (event.time, event.seq, event))
-        return event
+            heapq.heappush(self._heap, entry)
+        return entry
+
+    @staticmethod
+    def cancel(entry: _Entry) -> None:
+        """Drop a :meth:`schedule_transient` event; harmless once it ran."""
+        entry[2] = None
 
     def spawn(self, target: Any, *args: Any, name: str = "", **kwargs: Any) -> Process:
         """Start a new process at the current virtual time.
@@ -852,7 +814,7 @@ class SimScheduler:
 
     def run_until(self, process: Process) -> Process:
         """Run the loop until ``process`` completes, then return it."""
-        self._run_loop(lambda: process._done)
+        self._run_loop(process)
         if not process._done:
             raise SchedulerError(
                 f"event heap drained but {process!r} never finished "
@@ -879,43 +841,30 @@ class SimScheduler:
             self._suspend(current)
         return process
 
-    def _run_loop(self, should_stop: Optional[Callable[[], bool]]) -> None:
+    def _run_loop(self, stop: Optional[Process]) -> None:
+        """Run entries in ``(time, seq)`` order until both queues drain
+        or ``stop`` (the process :meth:`run_until` awaits) is done."""
         if self._running_process() is not None:
             raise SchedulerError("run() called from inside a process")
         heap = self._heap
         nowq = self._nowq
         clock = self.clock
-        pool = self._event_pool
         heappop = heapq.heappop
         popleft = nowq.popleft
         while heap or nowq:
-            if should_stop is not None and should_stop():
+            if stop is not None and stop._done:
                 break
             # Merge the zero-delay FIFO with the heap by (time, seq) so
             # the execution order is exactly the single-heap order.
-            if nowq:
-                if heap:
-                    head = heap[0]
-                    front = nowq[0]
-                    if head[0] < front.time or (
-                        head[0] == front.time and head[1] < front.seq
-                    ):
-                        event = heappop(heap)[2]
-                    else:
-                        event = popleft()
-                else:
-                    event = popleft()
+            if nowq and not (heap and heap[0] < nowq[0]):
+                time, _, action = popleft()
             else:
-                event = heappop(heap)[2]
-            if not event.cancelled:
-                time = event.time
+                time, _, action = heappop(heap)
+            if action is not None:
                 if time != clock._now:
                     clock._jump_to(time)
                 self._events_processed += 1
-                event.action()
-            if event.pooled and len(pool) < 1024:
-                event.action = None
-                pool.append(event)
+                action()
 
     def _raise_process_errors(self) -> None:
         for process in self._processes:
@@ -1002,9 +951,10 @@ class SimScheduler:
         """Schedule ``process`` to resume now (used by events and flows)."""
         if process._gen is not None:
             process._sendval = value
-            self.schedule_transient(0.0, process._step_cb)
+            action = process._step_cb
         else:
-            self.schedule_transient(0.0, process._grant_cb)
+            action = process._grant_cb
+        self._nowq.append([self.clock._now, next(self._seq), action])
 
     def _call_process_main(
         self,

@@ -153,11 +153,11 @@ class _Flow:
     """One in-flight transfer under processor sharing."""
 
     __slots__ = ("vtarget", "nominal_s", "start", "payload_bytes",
-                 "label", "waiters", "contended", "cancelled",
+                 "label", "process", "contended", "cancelled",
                  "partial_bytes")
 
-    def __init__(self, nominal_s: float, start: float, payload_bytes: int,
-                 label: str) -> None:
+    def __init__(self, process: Process, nominal_s: float, start: float,
+                 payload_bytes: int, label: str) -> None:
         #: Cumulative link virtual-service time at which this flow
         #: completes (entry ``V`` + nominal demand); set on admission.
         self.vtarget = nominal_s
@@ -165,7 +165,8 @@ class _Flow:
         self.start = start
         self.payload_bytes = payload_bytes
         self.label = label
-        self.waiters: List[Process] = []
+        #: The one process parked on this flow, woken when it ends.
+        self.process = process
         self.contended = False
         #: Set by :meth:`Link.cancel_flows`: the transfer was aborted
         #: mid-flight and only ``partial_bytes`` of the payload moved.
@@ -342,9 +343,9 @@ class Link:
         self, process: Process, payload_bytes: int, nominal_s: float, label: str
     ) -> _Flow:
         """Admit a flow: set its completion target, mark contention."""
-        start = self.clock.now
+        start = self.clock._now
         self._advance_vtime()
-        flow = _Flow(nominal_s, start, payload_bytes, label)
+        flow = _Flow(process, nominal_s, start, payload_bytes, label)
         flow.vtarget = self._vtime + nominal_s
         self._flows[flow] = None
         heapq.heappush(self._targets, (flow.vtarget, next(self._target_seq), flow))
@@ -360,7 +361,6 @@ class Link:
             self._sole_flow = flow
             if self._busy_since is None:
                 self._busy_since = start
-        flow.waiters.append(process)
         return flow
 
     def _finish_flow(self, flow: _Flow, payload_bytes: int, label: str) -> float:
@@ -401,7 +401,7 @@ class Link:
         """(Re)arm the completion event for the earliest-finishing flow."""
         event = self._completion_event
         if event is not None:
-            event.cancel()
+            scheduler.cancel(event)
             self._completion_event = None
         flows = self._flows
         if not flows:
@@ -416,9 +416,11 @@ class Link:
             self._targets.clear()
             return
         targets = self._targets
-        while targets[0][2] not in flows:  # drop stale (cancelled) heads
+        vtarget, _, head = targets[0]
+        while head not in flows:  # drop stale (cancelled) heads
             heapq.heappop(targets)
-        remaining = targets[0][0] - self._vtime
+            vtarget, _, head = targets[0]
+        remaining = vtarget - self._vtime
         if remaining < 0.0:
             remaining = 0.0
         self._completion_event = scheduler.schedule_transient(
@@ -427,7 +429,7 @@ class Link:
 
     def _complete_due_flows(self) -> None:
         self._completion_event = None
-        scheduler = self.clock.scheduler
+        scheduler = self.clock._scheduler
         self._advance_vtime()
         flows = self._flows
         targets = self._targets
@@ -455,8 +457,7 @@ class Link:
         for flow in done:
             if flow is self._sole_flow:
                 self._sole_flow = None
-            for process in flow.waiters:
-                scheduler._wake(process)
+            scheduler._wake(flow.process)
         self._rearm(scheduler)
 
     # -- hedged-fetch cancellation -----------------------------------------
@@ -483,7 +484,7 @@ class Link:
             raise RuntimeError("cancel_flows requires a scheduler")
         self.clock.settle_debt()
         self._advance_vtime()
-        victims = [flow for flow in self._flows if process in flow.waiters]
+        victims = [flow for flow in self._flows if flow.process is process]
         if not victims:
             self._cancel_pending.add(process)
             return 0
@@ -501,8 +502,7 @@ class Link:
             del self._flows[flow]
             if flow is self._sole_flow:
                 self._sole_flow = None
-            for waiter in flow.waiters:
-                scheduler._wake(waiter)
+            scheduler._wake(process)
         self._rearm(scheduler)
         return len(victims)
 

@@ -7,10 +7,14 @@ same :class:`DeploymentResult`.  The golden tests here pin that across
 the Fig. 9 bandwidth grid and under a fault plan.
 """
 
+import functools
 import gc
+import heapq
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.deploy import deploy_with_docker, deploy_with_gear
 from repro.bench.environment import make_testbed, publish_images
@@ -22,7 +26,9 @@ from repro.common.clock import (
     SimEvent,
     SimScheduler,
 )
+from repro.common.errors import FetchCancelledError
 from repro.net.faults import FaultPlan, OutageWindow
+from repro.net.link import Link
 
 #: Fig. 9's bandwidth grid (Mbps).
 FIG9_BANDWIDTHS = (904, 100, 20, 5)
@@ -264,6 +270,209 @@ class TestScheduler:
             cancelled.cancel()
             scheduler.run()
             assert scheduler.events_processed == 1
+
+
+class TestQueueEntries:
+    """A scheduled event is a queue entry; cancelling one clears it."""
+
+    def test_cancel_after_the_timer_fired_is_a_no_op(self):
+        clock = SimClock()
+        fired = []
+        with SimScheduler(clock) as scheduler:
+            timer = scheduler.schedule(1.0, lambda: fired.append("timer"))
+            scheduler.run()
+            timer.cancel()  # late: the hedge controller does this
+            timer.cancel()
+            scheduler.schedule(1.0, lambda: fired.append("next"))
+            scheduler.run()
+            assert fired == ["timer", "next"]
+            assert scheduler.events_processed == 2
+            assert clock.now == 2.0
+
+    def test_cancelled_transient_is_skipped_and_not_counted(self):
+        clock = SimClock()
+        fired = []
+        with SimScheduler(clock) as scheduler:
+            dropped = scheduler.schedule_transient(1.0, lambda: fired.append("x"))
+            scheduler.schedule_transient(2.0, lambda: fired.append("kept"))
+            now = scheduler.schedule_transient(0.0, lambda: fired.append("y"))
+            scheduler.cancel(dropped)
+            scheduler.cancel(now)
+            scheduler.run()
+            scheduler.cancel(dropped)  # after the loop dropped it: harmless
+            assert fired == ["kept"]
+            assert scheduler.events_processed == 1
+            assert clock.now == 2.0
+
+    def test_abort_counts_live_entries_and_leaves_nothing_to_run(self):
+        clock = SimClock()
+        fired = []
+
+        def sleeper():
+            yield 3.0
+            fired.append("sleeper")
+
+        with SimScheduler(clock) as scheduler:
+            scheduler.schedule(1.0, lambda: fired.append("timer"))
+            scheduler.schedule(0.0, lambda: fired.append("now"))
+            scheduler.schedule(2.0, lambda: fired.append("gone")).cancel()
+            scheduler.spawn(sleeper)
+            assert scheduler.abort() == 3  # two timers and the spawn step
+            assert scheduler.abort() == 0
+            scheduler.run()
+            assert fired == []
+            assert scheduler.events_processed == 0
+            assert clock.now == 0.0
+
+    def test_run_until_returns_when_the_process_finishes(self):
+        clock = SimClock()
+        fired = []
+
+        def short():
+            yield 1.0
+            return "short"
+
+        def tie():
+            yield 1.0
+            fired.append(("tie", clock.now))
+
+        with SimScheduler(clock) as scheduler:
+            process = scheduler.spawn(short)
+            scheduler.spawn(tie)
+            scheduler.schedule(5.0, lambda: fired.append(("later", clock.now)))
+            assert scheduler.run_until(process).result == "short"
+            assert process.finished_at == 1.0 and clock.now == 1.0
+            # Two spawn steps and the wake that finished the process; the
+            # other wake at 1.0 s was scheduled later, so it stays queued.
+            assert scheduler.events_processed == 3
+            assert fired == []
+            scheduler.run()
+            assert fired == [("tie", 1.0), ("later", 5.0)]
+            assert scheduler.events_processed == 5
+
+
+class _ReferenceEvent:
+    __slots__ = ("action", "cancelled")
+
+    def __init__(self, action):
+        self.action = action
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceScheduler(SimScheduler):
+    """The plain model of the loop: one heap of ``(time, seq, event)``;
+    a popped event runs unless it was cancelled, and only then counts."""
+
+    def schedule(self, delay, action):
+        if delay < 0:
+            raise ValueError(f"cannot schedule {delay} s in the past")
+        return self.schedule_transient(delay, action)
+
+    def schedule_transient(self, delay, action):
+        event = _ReferenceEvent(action)
+        heapq.heappush(self._heap, (self.clock._now + delay, next(self._seq), event))
+        return event
+
+    @staticmethod
+    def cancel(event):
+        event.cancel()
+
+    def _wake(self, process, value=None):
+        if process._gen is not None:
+            process._sendval = value
+            self.schedule_transient(0.0, process._step_cb)
+        else:
+            self.schedule_transient(0.0, process._grant_cb)
+
+    def _run_loop(self, stop):
+        heap = self._heap
+        while heap and not (stop is not None and stop._done):
+            time, _, event = heapq.heappop(heap)
+            if not event.cancelled:
+                if time != self.clock._now:
+                    self.clock._jump_to(time)
+                self._events_processed += 1
+                event.action()
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.25, 1.0])),
+    st.tuples(st.just("wait"), st.integers(0, 1)),
+    st.tuples(st.just("fire"), st.integers(0, 1)),
+    # A public timer; the second number, when drawn, is how long the
+    # client sleeps before cancelling it: early, at the tie, or late.
+    st.tuples(st.just("timer"), st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from([None, 0.0, 0.5, 2.0])),
+    st.tuples(st.just("transfer"), st.integers(0, 40_000)),
+    st.tuples(st.just("cancel"), st.integers(0, 3)),
+)
+
+
+def _run_program(scheduler_cls, clients, fire_at, until):
+    """Run one drawn program; return its action trace and transfer log."""
+    clock = SimClock()
+    link = Link(clock, bandwidth_mbps=1.0)
+    events = [SimEvent(clock) for _ in fire_at]
+    processes = []
+    trace = []
+
+    def note(*what):
+        trace.append((*what, clock.now))
+
+    def client(i, ops):
+        for j, op in enumerate(ops):
+            kind = op[0]
+            if kind == "sleep":
+                yield op[1]
+            elif kind == "wait":
+                yield from events[op[1]].wait_gen()
+            elif kind == "fire":
+                events[op[1]].fire()
+            elif kind == "timer":
+                timer = scheduler.schedule(op[1], functools.partial(note, "timer", i, j))
+                if op[2] is not None:
+                    yield op[2]
+                    timer.cancel()
+            elif kind == "transfer":
+                try:
+                    yield from link.transfer_gen(op[1], f"c{i}.{j}")
+                except FetchCancelledError:
+                    note("cancelled", i, j)
+            else:
+                victim = processes[op[1] % len(processes)]
+                note("cancel_flows", i, j, link.cancel_flows(victim))
+            note("step", i, j)
+
+    with scheduler_cls(clock) as scheduler:
+        for event, at in zip(events, fire_at):
+            scheduler.schedule(at, event.fire)
+        processes.extend(scheduler.spawn(client, i, ops) for i, ops in enumerate(clients))
+        scheduler.run_until(processes[until % len(processes)])
+        note("until", scheduler.events_processed)
+        scheduler.run()
+        note("end", scheduler.events_processed)
+    return trace, list(link.log.records)
+
+
+class TestQueueModel:
+    """The entry queues against the plain single-heap model, on drawn
+    programs of sleeps, wakes, timers and cancellable link flows."""
+
+    @given(
+        clients=st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=4),
+        fire_at=st.tuples(*[st.sampled_from([0.0, 0.5, 3.0])] * 2),
+        until=st.integers(0, 3),
+    )
+    # Two processes woken at one instant resume in the order they were
+    # woken; a LIFO wake queue breaks this, and fixed draws may miss it.
+    @example(clients=[[("wait", 0)], [("wait", 0)]], fire_at=(0.5, 0.0), until=0)
+    @settings(deadline=None)
+    def test_same_order_count_and_transfer_log(self, clients, fire_at, until):
+        expected = _run_program(ReferenceScheduler, clients, fire_at, until)
+        assert _run_program(SimScheduler, clients, fire_at, until) == expected
 
 
 class TestDeferredAdvance:
