@@ -17,11 +17,7 @@ Run:  PYTHONPATH=src python examples/edge_node_day.py
 """
 
 from repro.bench.deploy import container_fs_digest, deploy_with_gear
-from repro.bench.environment import (
-    make_edge_testbed,
-    make_testbed,
-    publish_images,
-)
+from repro.bench.environment import attach_edge, make_testbed, publish_images
 from repro.bench.reporting import format_table
 from repro.common.stats import percentile
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
@@ -82,8 +78,8 @@ def main() -> None:
     )
 
     print("replaying through the edge tier (peers serve site neighbors)…")
-    edge_root = make_edge_testbed(
-        bandwidth_mbps=WAN_MBPS, lan_mbps=LAN_MBPS, seed="edge-day"
+    edge_root = attach_edge(
+        make_testbed(bandwidth_mbps=WAN_MBPS), lan_mbps=LAN_MBPS, seed="edge-day"
     )
     publish_images(edge_root, corpus.images, convert=True)
     edge_nodes = [edge_root.edge.client() for _ in range(NODES)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
-# Hypothesis profile, the one-download-chain, one-read-path, one-harness,
-# one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index and
+# Hypothesis profile, the one-download-chain, one-read-path, tier-wiring,
+# one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index and
 # virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
 # double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
@@ -74,6 +74,22 @@ for tier in ha edge faas resilience; do
 done
 once src/repro/gear/bigfile.py 1 "def _get_partial"
 once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
+
+echo "== a tier wires itself: the testbed and the cluster test for no tier =="
+# The HA replica set, an edge fabric and a FaaS shared cache each own
+# their links, metrics, timeline probes, wave services and wave counters
+# (DESIGN.md §10).  The testbed reaches them through Testbed.tiers, the
+# one place that looks at the three slots; the cluster runs one wave
+# over the root's tiers, and no edge testbed builder forwards
+# parameters by hand.
+if grep -nE -e '\.(ha|edge|faas) is (not )?None' \
+        -e 'if (not )?[A-Za-z_.]*\.(ha|edge|faas)\b' \
+        src/repro/bench/environment.py src/repro/net/topology.py
+then echo "a tier is tested for outside Testbed.tiers" >&2; exit 1; fi
+once src/repro/net/topology.py 1 "def deploy_wave"
+once src/repro/net/topology.py 1 "def _wave_counters"
+if grep -rn "make_edge_testbed" src tests examples
+then echo "make_edge_testbed grew back" >&2; exit 1; fi
 
 echo "== one queue-entry format, known only to common/clock.py =="
 # A scheduled event is a `[time, seq, action]` list; cancelling clears its

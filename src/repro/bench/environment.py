@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.common.clock import SimClock
 from repro.docker.daemon import DockerDaemon
@@ -21,10 +21,9 @@ from repro.gear.pool import EvictionPolicy, SharedFilePool
 from repro.gear.registry import GearRegistry
 from repro.net.edge import EdgeFabric, EdgeSite, EdgeStats
 from repro.net.faas import FaasFabric, FaasStats, SharedCacheTier
-from repro.net.faults import FaultPlan, FaultyLink
+from repro.net.faults import FaultPlan, FaultyLink, register_faults
 from repro.net.ha import (
     GEAR_ENDPOINT,
-    BreakerState,
     HAFetchPolicy,
     HATransport,
     HealthMonitor,
@@ -32,7 +31,7 @@ from repro.net.ha import (
     ReplicaSet,
 )
 from repro.net.link import Link
-from repro.net.resilience import AdmissionGate, RetryPolicy
+from repro.net.resilience import AdmissionGate, RetryPolicy, Tier
 from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler, TimelineStats
@@ -78,19 +77,26 @@ class Testbed:
         """Attach (or create) a span tracer on the testbed clock."""
         return self.clock.attach_tracer(tracer)
 
+    @property
+    def tiers(self) -> "list[Tier]":
+        """The attached tiers, origin outward.  Each wires its own links,
+        metrics, probes and wave services
+        (:class:`~repro.net.resilience.Tier`)."""
+        tiers = (self.ha, self.edge, self.faas)
+        return [tier for tier in tiers if tier is not None]
+
     def registry_links(self) -> "list[Link]":
-        """The registry-side wires: the base link and every HA replica's."""
-        links = [self.link]
-        if self.ha is not None:
-            links.extend(r.link for r in self.ha.replica_set.replicas)
-        return links
+        """The registry-side wires: the base link, then the tiers' (every
+        HA replica's)."""
+        return [self.link] + [
+            link for tier in self.tiers for link in tier.registry_links()
+        ]
 
     def all_links(self) -> "list[Link]":
-        """Every simulated wire in the testbed (base + replica + tier)."""
-        links = self.registry_links()
-        if self.faas is not None:
-            links.append(self.faas.tier.link)
-        return links
+        """Every simulated wire: the registry side, then the tiers' own."""
+        return self.registry_links() + [
+            link for tier in self.tiers for link in tier.links()
+        ]
 
     def set_bandwidth(self, bandwidth_mbps: float) -> None:
         """Change the client↔registry link speed in place (a FaaS tier's
@@ -161,62 +167,25 @@ def _register_client_metrics(testbed: Testbed) -> None:
     testbed.metrics.register("chunk", testbed.gear_driver.chunk_stats)
 
 
-def _register_retry(
-    registry: MetricsRegistry, name: str, policy: Optional[RetryPolicy], **labels
-) -> None:
-    """Register ``policy``'s backoff spend (reset with the registry)."""
-    if policy is not None:
-        registry.register_callback(
-            name, policy.metrics, reset=policy.reset_spent, **labels
-        )
-
-
-def _instrument(testbed: Testbed) -> None:
+def _instrument(testbed: Testbed, base: RpcTransport) -> None:
     """Wire every stats group in the testbed into its one registry.
 
     After this, ``testbed.metrics.reset()`` is the single reset covering
-    RPC endpoints, replica/HA policy counters, fault injectors, retry
-    spend, the shared pool, and the journal — the drift-proof
-    replacement for scattered per-object ``reset_stats`` calls.
+    RPC endpoints on the ``base`` wire, fault injectors, retry spend,
+    what the tiers register, the shared pool, and the journal — the
+    drift-proof replacement for scattered per-object ``reset_stats``
+    calls.
     """
-    registry = testbed.metrics
-    registry.register("timeline", testbed.timeline_stats)
-    ha = testbed.ha
-    if ha is None:
-        for name in ("docker-registry", "gear-registry"):
-            if testbed.transport.has_endpoint(name):
-                registry.register(
-                    "rpc", testbed.transport.endpoint(name).stats, endpoint=name
-                )
-        base_transport = testbed.transport
-    else:
-        base_transport = ha.base
-        registry.register(
-            "rpc",
-            ha.base.endpoint("docker-registry").stats,
-            endpoint="docker-registry",
-        )
-        for replica in ha.replica_set.replicas:
-            registry.register(
-                "rpc",
-                replica.transport.endpoint(GEAR_ENDPOINT).stats,
-                endpoint=GEAR_ENDPOINT,
-                replica=replica.name,
-            )
-            registry.register("replica", replica.stats, replica=replica.name)
-        registry.register("ha", ha.policy.stats)
-        # Breaker trips are derived state owned by the breakers'
-        # lifecycle, not the measurement epoch: snapshot-only callback.
-        registry.register_callback(
-            "breaker",
-            lambda rs=ha.replica_set: {"trips": rs.breaker_trips},
-        )
-        _register_retry(registry, "retry", ha.policy.retry_policy, scope="ha")
-    for index, link in enumerate(testbed.all_links()):
-        if isinstance(link, FaultyLink):
-            scope = "base" if index == 0 else f"replica-{index - 1}"
-            registry.register("link_faults", link.fault_stats, scope=scope)
-    _register_retry(registry, "retry", base_transport.retry_policy, scope="base")
+    metrics = testbed.metrics
+    metrics.register("timeline", testbed.timeline_stats)
+    for name in ("docker-registry", GEAR_ENDPOINT):
+        if base.has_endpoint(name):
+            metrics.register("rpc", base.endpoint(name).stats, endpoint=name)
+    register_faults(metrics, testbed.link, "base")
+    if base.retry_policy is not None:
+        base.retry_policy.register(metrics, "retry", scope="base")
+    for tier in testbed.tiers:
+        tier.instrument(metrics)
     _register_client_metrics(testbed)
 
 
@@ -228,7 +197,7 @@ def _link(clock: SimClock, plan: Optional[FaultPlan], bandwidth_mbps: float) -> 
 
 
 def _with_client(
-    link: Link,
+    base: RpcTransport,
     transport: RpcTransport,
     docker_registry: DockerRegistry,
     gear_registry,
@@ -239,13 +208,14 @@ def _with_client(
     fault_plan: Optional[FaultPlan],
 ) -> Testbed:
     """What every registry side is finished with: the converter, one
-    client node (daemon, pool, driver) over ``transport``, the metrics."""
-    clock = link.clock
+    client node (daemon, pool, driver) over ``transport`` (a tier over
+    the ``base`` wire transport, or that transport), the metrics."""
+    clock = base.link.clock
     daemon = DockerDaemon(clock, transport, disk=Disk(clock, client_disk))
     pool = SharedFilePool(capacity_bytes=pool_capacity_bytes, policy=pool_policy)
     testbed = Testbed(
         clock=clock,
-        link=link,
+        link=base.link,
         transport=transport,
         docker_registry=docker_registry,
         gear_registry=gear_registry,
@@ -257,7 +227,7 @@ def _with_client(
         fault_plan=fault_plan,
         ha=transport if isinstance(transport, HATransport) else None,
     )
-    _instrument(testbed)
+    _instrument(testbed, base)
     return testbed
 
 
@@ -287,7 +257,7 @@ def make_testbed(
     transport.bind(docker_registry.endpoint())
     transport.bind(gear_registry.endpoint())
     return _with_client(
-        link, transport, docker_registry, gear_registry, registry_disk,
+        transport, transport, docker_registry, gear_registry, registry_disk,
         client_disk, pool_capacity_bytes, pool_policy, fault_plan,
     )
 
@@ -364,7 +334,7 @@ def make_ha_testbed(
     )
     monitor = HealthMonitor(replica_set, interval_s=probe_interval_s)
     return _with_client(
-        base_link, HATransport(base_transport, policy, monitor),
+        base_transport, HATransport(base_transport, policy, monitor),
         docker_registry, replica_set, registry_disk, client_disk,
         pool_capacity_bytes, pool_policy, fault_plan,
     )
@@ -412,46 +382,8 @@ def attach_edge(
     testbed.edge = EdgeFabric(
         testbed, site_list, stats=stats, seed=seed, retry_policy=edge_retry_policy
     )
-    testbed.metrics.register("edge", stats)
-    _register_retry(testbed.metrics, "edge_retry", edge_retry_policy)
+    testbed.edge.instrument(testbed.metrics)
     return testbed
-
-
-def make_edge_testbed(
-    *,
-    sites: int = 1,
-    bandwidth_mbps: float = 904.0,
-    lan_mbps: float = 904.0,
-    registry_disk: DiskProfile = HDD,
-    client_disk: DiskProfile = HDD,
-    pool_capacity_bytes: Optional[int] = None,
-    pool_policy: EvictionPolicy = EvictionPolicy.LRU,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    edge_retry_policy: Optional[RetryPolicy] = None,
-    gossip_interval_s: float = 0.25,
-    seed: str = "edge",
-) -> Testbed:
-    """The multi-tier edge testbed, registry ↔ WAN ↔ sites ↔ LAN:
-    :func:`make_testbed`'s registry side (``retry_policy`` and
-    ``fault_plan`` apply to the WAN), then :func:`attach_edge`."""
-    registry_side = make_testbed(
-        bandwidth_mbps=bandwidth_mbps,
-        registry_disk=registry_disk,
-        client_disk=client_disk,
-        pool_capacity_bytes=pool_capacity_bytes,
-        pool_policy=pool_policy,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
-    return attach_edge(
-        registry_side,
-        sites=sites,
-        lan_mbps=lan_mbps,
-        edge_retry_policy=edge_retry_policy,
-        gossip_interval_s=gossip_interval_s,
-        seed=seed,
-    )
 
 
 def attach_faas(
@@ -497,47 +429,28 @@ def attach_faas(
     testbed.faas = FaasFabric(
         testbed, tier, stats=stats, seed=seed, retry_policy=faas_retry_policy
     )
-    testbed.metrics.register("faas", stats)
-    if isinstance(tier_link, FaultyLink):
-        testbed.metrics.register(
-            "link_faults", tier_link.fault_stats, scope="faas-tier"
-        )
-    _register_retry(testbed.metrics, "faas_retry", faas_retry_policy)
+    testbed.faas.instrument(testbed.metrics)
     return testbed
 
 
 def make_faas_testbed(
     *,
-    bandwidth_mbps: float = 904.0,
     tier_mbps: float = 904.0,
-    registry_disk: DiskProfile = HDD,
-    client_disk: DiskProfile = HDD,
-    pool_capacity_bytes: Optional[int] = None,
-    pool_policy: EvictionPolicy = EvictionPolicy.LRU,
-    fault_plan: Optional[FaultPlan] = None,
     tier_fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     faas_retry_policy: Optional[RetryPolicy] = None,
     tier_capacity_bytes: Optional[int] = None,
     tier_ttl_s: Optional[float] = None,
     tier_admission_capacity: Optional[int] = None,
     ha_replicas: int = 0,
     seed: str = "faas",
+    **registry_side: Any,
 ) -> Testbed:
     """The three-tier FaaS testbed, nodes ↔ tier ↔ registry:
     :func:`make_testbed`'s registry side (or :func:`make_ha_testbed`'s
     when ``ha_replicas > 0`` — the Lambda-paper shape, a replicated store
-    behind the shared cache; ``retry_policy`` and ``fault_plan`` apply to
-    the WAN either way), then :func:`attach_faas`."""
-    registry_side = dict(
-        bandwidth_mbps=bandwidth_mbps,
-        registry_disk=registry_disk,
-        client_disk=client_disk,
-        pool_capacity_bytes=pool_capacity_bytes,
-        pool_policy=pool_policy,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
+    behind the shared cache) built from ``registry_side`` (its
+    ``retry_policy`` and ``fault_plan`` apply to the WAN either way),
+    then :func:`attach_faas`."""
     if ha_replicas > 0:
         testbed = make_ha_testbed(
             replicas=ha_replicas, seed=f"{seed}-ha", **registry_side
@@ -567,16 +480,16 @@ def make_timeline_sampler(
 
     The probe set adapts to the testbed's tiers: the client pool and
     journal, every link's active flows / busy seconds / transferred
-    bytes, replica breaker state and admission-gate depth under HA, the
-    shared FaaS tier's occupancy/gate/breaker, and LAN aggregates on
-    edge fabrics.  All probes are pure reads — sampling never advances
-    the clock or touches another component's RNG stream.  Pass the
-    result to a wave helper's ``sampler=`` to attach it; detached runs
-    spawn nothing and stay byte-identical.
+    bytes, then each tier's own gauges (replica breaker state and
+    admission-gate depth under HA, LAN aggregates on edge fabrics, the
+    shared FaaS tier's occupancy/gate/breaker).  All probes are pure
+    reads — sampling never advances the clock or touches another
+    component's RNG stream.  Pass the result to a wave helper's
+    ``sampler=`` to attach it; detached runs spawn nothing and stay
+    byte-identical.
     """
-    clock = testbed.clock
     sampler = TimelineSampler(
-        clock,
+        testbed.clock,
         period_s=period_s,
         jitter=jitter,
         seed=seed,
@@ -601,42 +514,8 @@ def make_timeline_sampler(
             f"link_bytes:{scope}",
             lambda bound=link: float(bound.log.total_bytes),
         )
-    if testbed.ha is not None:
-        for replica in testbed.ha.replica_set.replicas:
-            sampler.add_probe(
-                f"breaker_open:{replica.name}",
-                lambda bound=replica: float(
-                    bound.breaker.state(clock.now) is BreakerState.OPEN
-                ),
-            )
-            sampler.add_probe(
-                f"gate_depth:{replica.name}",
-                lambda bound=replica: float(bound.admission.inflight),
-            )
-    if testbed.faas is not None:
-        tier = testbed.faas.tier
-        sampler.add_probe("tier_used_bytes", lambda: float(tier.used_bytes))
-        sampler.add_probe(
-            "tier_gate_depth", lambda: float(tier.admission.inflight)
-        )
-        sampler.add_probe(
-            "tier_breaker_open",
-            lambda: float(tier.breaker.state(clock.now) is BreakerState.OPEN),
-        )
-    if testbed.edge is not None:
-        fabric = testbed.edge
-        sampler.add_probe(
-            "lan_bytes",
-            lambda: float(
-                sum(link.log.total_bytes for link in fabric.lan_links())
-            ),
-        )
-        sampler.add_probe(
-            "lan_active_flows",
-            lambda: float(
-                sum(link.active_flows for link in fabric.lan_links())
-            ),
-        )
+    for tier in testbed.tiers:
+        tier.add_probes(sampler)
     return sampler
 
 

@@ -32,7 +32,7 @@ from repro.bench.deploy import (
 )
 from repro.bench.deploy import container_fs_digest, viewer_fs_digest
 from repro.bench.environment import (
-    make_edge_testbed,
+    attach_edge,
     make_faas_testbed,
     make_testbed,
     make_timeline_sampler,
@@ -840,8 +840,8 @@ def cmd_edge_equivalence(args) -> int:
     publish_images(control_bed, images, convert=True)
     control = _control_deploys(control_bed.fresh_client(), images)
 
-    edge_bed = make_edge_testbed(
-        bandwidth_mbps=args.bandwidth,
+    edge_bed = attach_edge(
+        make_testbed(bandwidth_mbps=args.bandwidth),
         lan_mbps=args.lan_bandwidth,
         sites=args.sites,
         gossip_interval_s=args.gossip_interval,

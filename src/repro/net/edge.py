@@ -62,6 +62,8 @@ from repro.net.resilience import (
     GEAR_ENDPOINT,
     RETRYABLE_ERRORS,
     RetryPolicy,
+    Service,
+    Tier,
     TransportDecorator,
     poisoned,
     retry_rounds,
@@ -506,13 +508,15 @@ class EdgeTransport(TransportDecorator):
         return f"EdgeTransport({self.peer.name}@{self.site.name})"
 
 
-class EdgeFabric:
+class EdgeFabric(Tier):
     """The fleet-wide edge distribution fabric.
 
     Owns the sites, the shared :class:`EdgeStats`, and the fabric-level
     :class:`RetryPolicy` governing whole-chain backoff rounds.  Client
     nodes are minted by :meth:`client`, which assigns each one to a site
     round-robin and wires its daemon/driver over an :class:`EdgeTransport`.
+    As a :class:`~repro.net.resilience.Tier` it adds LAN gauges to the
+    timeline and each site's gossip loop to every wave.
     """
 
     def __init__(
@@ -571,6 +575,34 @@ class EdgeFabric:
     def gossip(self) -> int:
         """Manual tracker refresh across every site (sequential mode)."""
         return sum(site.gossip() for site in self.sites)
+
+    # -- the tier's wiring -------------------------------------------------
+
+    def instrument(self, metrics: Any) -> None:
+        metrics.register("edge", self.stats)
+        if self.retry_policy is not None:
+            self.retry_policy.register(metrics, "edge_retry")
+
+    def add_probes(self, sampler: Any) -> None:
+        sampler.add_probe(
+            "lan_bytes",
+            lambda: float(sum(link.log.total_bytes for link in self.lan_links())),
+        )
+        sampler.add_probe(
+            "lan_active_flows",
+            lambda: float(sum(link.active_flows for link in self.lan_links())),
+        )
+
+    def services(self) -> List[Service]:
+        return [(site.start_gossip, site.stop_gossip) for site in self.sites]
+
+    def wave_counters(self) -> Dict[str, float]:
+        lan_links = self.lan_links()
+        return {
+            **self.stats.as_dict(),
+            "lan_bytes": sum(link.log.total_bytes for link in lan_links),
+            "lan_busy_s": sum(link.busy_seconds for link in lan_links),
+        }
 
     def audit_integrity(self) -> List[str]:
         """Every committed/cached payload that fails fingerprint naming.

@@ -60,8 +60,8 @@ from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import TierOverloadedError
 from repro.common.hashing import stable_u64
 from repro.common.stats import percentile
-from repro.net.faults import junk_payload
-from repro.net.ha import CircuitBreaker
+from repro.net.faults import junk_payload, register_faults
+from repro.net.ha import BreakerState, CircuitBreaker
 from repro.net.link import Link
 from repro.net.resilience import (
     GEAR_ENDPOINT,
@@ -69,6 +69,7 @@ from repro.net.resilience import (
     AdmissionGate,
     RetryPolicy,
     SingleFlight,
+    Tier,
     TransportDecorator,
     poisoned,
     retry_rounds,
@@ -372,13 +373,14 @@ class FaasTransport(TransportDecorator):
         return f"FaasTransport({self.node_name})"
 
 
-class FaasFabric:
+class FaasFabric(Tier):
     """The fleet-wide FaaS distribution fabric.
 
     Owns the shared tier, the :class:`FaasStats`, and the fabric-level
     :class:`RetryPolicy` governing whole-chain backoff rounds.  Node
     testbeds are minted by :meth:`client`, each wired over a
-    :class:`FaasTransport`.
+    :class:`FaasTransport`.  As a :class:`~repro.net.resilience.Tier` it
+    adds the tier link to its testbed's wires; it runs no wave service.
     """
 
     def __init__(
@@ -416,6 +418,28 @@ class FaasFabric:
         bed = self.root.fresh_client(transport=FaasTransport(self, node_name))
         self.nodes.append((node_name, bed.gear_driver.pool))
         return bed
+
+    # -- the tier's wiring ---------------------------------------------
+
+    def links(self) -> List[Link]:
+        return [self.tier.link]
+
+    def instrument(self, metrics: Any) -> None:
+        metrics.register("faas", self.stats)
+        register_faults(metrics, self.tier.link, "faas-tier")
+        if self.retry_policy is not None:
+            self.retry_policy.register(metrics, "faas_retry")
+
+    def add_probes(self, sampler: Any) -> None:
+        tier, clock = self.tier, self.clock
+        sampler.add_probe("tier_used_bytes", lambda: float(tier.used_bytes))
+        sampler.add_probe(
+            "tier_gate_depth", lambda: float(tier.admission.inflight)
+        )
+        sampler.add_probe(
+            "tier_breaker_open",
+            lambda: float(tier.breaker.state(clock.now) is BreakerState.OPEN),
+        )
 
     # -- the degradation ladder ----------------------------------------
 

@@ -302,6 +302,12 @@ class FaultyLink(Link):
         )
 
 
+def register_faults(metrics: Any, link: Link, scope: str) -> None:
+    """Register ``link``'s injected-fault counters, if it injects any."""
+    if isinstance(link, FaultyLink):
+        metrics.register("link_faults", link.fault_stats, scope=scope)
+
+
 class _CallScope:
     """One call's view of a :class:`FaultyLink`.
 

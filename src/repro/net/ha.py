@@ -58,12 +58,15 @@ from repro.common.errors import (
 from repro.common.rng import rng_for
 from repro.common.stats import percentile
 from repro.obs.metrics import MetricSet
+from repro.net.faults import register_faults
 from repro.net.link import Link
 from repro.net.resilience import (
     GEAR_ENDPOINT,
     RETRYABLE_ERRORS,
     AdmissionGate,
     RetryPolicy,
+    Service,
+    Tier,
     TransportDecorator,
     retry_rounds,
     verified,
@@ -1009,13 +1012,15 @@ class _AggregateEndpoint:
         ).methods()
 
 
-class HATransport(TransportDecorator):
+class HATransport(TransportDecorator, Tier):
     """The replica tier's link in the download chain.
 
     Claims every ``gear-registry`` call for the :class:`HAFetchPolicy`;
     everything else (the Docker registry lives on the base node) goes to
     the base transport unchanged.  Drivers, daemons, and benches keep
-    calling ``transport.call(...)`` exactly as before.
+    calling ``transport.call(...)`` exactly as before.  As a
+    :class:`~repro.net.resilience.Tier` it adds the replica links to the
+    registry side, and the health monitor to every wave.
     """
 
     def __init__(
@@ -1053,6 +1058,57 @@ class HATransport(TransportDecorator):
             replica.transport.reset_stats()
             replica.stats.reset()
         self.policy.stats.reset()
+
+    # -- the tier's wiring -------------------------------------------------
+
+    def registry_links(self) -> List[Link]:
+        return [replica.link for replica in self.replica_set.replicas]
+
+    def instrument(self, metrics: Any) -> None:
+        replica_set = self.replica_set
+        for index, replica in enumerate(replica_set.replicas):
+            metrics.register(
+                "rpc",
+                replica.transport.endpoint(GEAR_ENDPOINT).stats,
+                endpoint=GEAR_ENDPOINT,
+                replica=replica.name,
+            )
+            metrics.register("replica", replica.stats, replica=replica.name)
+            register_faults(metrics, replica.link, f"replica-{index}")
+        metrics.register("ha", self.policy.stats)
+        # Breaker trips are derived state owned by the breakers'
+        # lifecycle, not the measurement epoch: snapshot-only callback.
+        metrics.register_callback(
+            "breaker", lambda: {"trips": replica_set.breaker_trips}
+        )
+        self.policy.retry_policy.register(metrics, "retry", scope="ha")
+
+    def add_probes(self, sampler: Any) -> None:
+        clock = self.replica_set.clock
+        for replica in self.replica_set.replicas:
+            sampler.add_probe(
+                f"breaker_open:{replica.name}",
+                lambda bound=replica: float(
+                    bound.breaker.state(clock.now) is BreakerState.OPEN
+                ),
+            )
+            sampler.add_probe(
+                f"gate_depth:{replica.name}",
+                lambda bound=replica: float(bound.admission.inflight),
+            )
+
+    def services(self) -> List[Service]:
+        monitor = self.monitor
+        return [(monitor.start, monitor.stop)] if monitor is not None else []
+
+    def wave_counters(self) -> Dict[str, float]:
+        stats = self.policy.stats
+        return {
+            **stats.as_dict(),
+            "sheds": stats.sheds_seen,
+            "breaker_trips": self.replica_set.breaker_trips,
+            "probes": sum(r.stats.probes for r in self.replica_set.replicas),
+        }
 
     def __repr__(self) -> str:
         return (

@@ -26,15 +26,16 @@ on every run, keeping experiments reproducible.
 The download chain (DESIGN.md §10) is said once here and configured by
 the fabrics: :class:`TransportDecorator` is the transport-shaped link a
 tier adds to the chain, :func:`retry_rounds` is the whole-round backoff
-loop around "one pass over my sources", and :func:`verified` /
-:func:`poisoned` are the one integrity predicate and the one pool audit.
+loop around "one pass over my sources", :func:`verified` /
+:func:`poisoned` are the one integrity predicate and the one pool audit,
+and :class:`Tier` is what a tier wires into its testbed and its waves.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.clock import SimClock, SimEvent
 from repro.common.errors import (
@@ -136,6 +137,12 @@ class RetryPolicy:
     def metrics(self) -> "dict[str, float]":
         """Registry-callback view of the policy's running spend."""
         return {"spent_s": self.spent_s}
+
+    def register(self, registry: Any, name: str, **labels: Any) -> None:
+        """Register the spend with a metrics registry (reset with it)."""
+        registry.register_callback(
+            name, self.metrics, reset=self.reset_spent, **labels
+        )
 
     @property
     def budget_remaining_s(self) -> Optional[float]:
@@ -387,3 +394,40 @@ class TransportDecorator:
         forward = getattr(self.base, "report_corrupt_payload", None)
         if forward is not None:
             forward(identity)
+
+
+#: One background process of a wave: ``start(scheduler)`` spawns it,
+#: ``stop()`` makes it exit at its next wake-up.
+Service = Tuple[Callable[[Any], Any], Callable[[], None]]
+
+
+class Tier:
+    """What one tier of the chain wires into its testbed and its waves.
+
+    A testbed lists its tiers origin outward (``Testbed.tiers``) and
+    loops over them for its links, metrics and timeline probes; a
+    cluster's wave runs the root's tier services and reports the delta
+    of their counters.  Every hook defaults to nothing.
+    """
+
+    def registry_links(self) -> List[Any]:
+        """Registry-side wires: retuned with the base link."""
+        return []
+
+    def links(self) -> List[Any]:
+        """The tier's own wires: they keep their own speed."""
+        return []
+
+    def instrument(self, metrics: Any) -> None:
+        """Register the tier's stat groups and callbacks."""
+
+    def add_probes(self, sampler: Any) -> None:
+        """Add the tier's gauges to a timeline sampler (pure reads)."""
+
+    def services(self) -> List[Service]:
+        """The background processes a wave runs beside its clients."""
+        return []
+
+    def wave_counters(self) -> Dict[str, float]:
+        """Running totals a wave report is the delta of, by field name."""
+        return {}

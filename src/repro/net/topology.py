@@ -23,21 +23,11 @@ Two deployment disciplines are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import (
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.bench.environment import (
     Testbed,
-    make_edge_testbed,
+    attach_edge,
     make_ha_testbed,
     make_testbed,
 )
@@ -49,6 +39,7 @@ from repro.common.clock import SimClock, SimScheduler
 from repro.common.stats import percentile
 from repro.net.edge import ChurnDriver, ChurnSchedule
 from repro.net.faults import CrashPlan, CrashPoint
+from repro.net.resilience import Service
 from repro.obs.timeline import TimelineSampler
 
 
@@ -76,10 +67,6 @@ class ClientNode:
 
     name: str
     testbed: Testbed
-
-    @property
-    def downloaded_bytes(self) -> int:
-        return self.testbed.link.log.total_bytes
 
 
 @dataclass(frozen=True)
@@ -179,11 +166,6 @@ class WaveReport:
         return summary
 
 
-#: One background process of a wave: ``start(scheduler)`` spawns it,
-#: ``stop()`` makes it exit at its next wake-up.
-Service = Tuple[Callable[[SimScheduler], Any], Callable[[], None]]
-
-
 class Cluster:
     """N client nodes against one registry pair.
 
@@ -191,15 +173,18 @@ class Cluster:
     traffic crosses the shared registry endpoints, so registry-side
     accounting (egress bytes, requests served) is fleet-wide.  The shared
     link *is* the registry uplink: concurrent flows fair-share its
-    ``bandwidth_mbps``.
+    ``bandwidth_mbps``.  A wave runs the root testbed's tier services and
+    reports the delta of their counters in a :attr:`REPORT`.
     """
+
+    #: The report class :meth:`deploy_wave` fills, field by field.
+    REPORT: ClassVar[Type[WaveReport]] = WaveReport
 
     def __init__(
         self,
         node_count: int,
         *,
         bandwidth_mbps: float = 904.0,
-        registry_uplink_mbps: Optional[float] = None,
         root: Optional[Testbed] = None,
     ) -> None:
         if node_count <= 0:
@@ -207,10 +192,11 @@ class Cluster:
         self._root = root if root is not None else make_testbed(
             bandwidth_mbps=bandwidth_mbps
         )
-        self.registry_uplink_mbps = registry_uplink_mbps or bandwidth_mbps
         #: Scheduler events executed by the most recent ``deploy_wave``
         #: (the numerator of events/sec in the speed harness).
         self.last_wave_events = 0
+        #: The cluster's own wave services, started after the tiers'.
+        self.services: List[Service] = []
         self.nodes: List[ClientNode] = []
         for index in range(node_count):
             self.nodes.append(self._build_node(index))
@@ -234,16 +220,6 @@ class Cluster:
         link log because they share the simulated wire)."""
         return self._root.link.log.total_bytes
 
-    def registry_busy_seconds(self) -> float:
-        """Time the registry uplink spent transmitting.
-
-        With a shared uplink of ``registry_uplink_mbps``, serving
-        ``registry_egress_bytes`` occupies the link for bytes/rate — the
-        fleet-capacity number operators actually provision for.
-        """
-        rate = self.registry_uplink_mbps * 1e6 / 8.0
-        return self.registry_egress_bytes / rate
-
     def each_node(
         self, action: Callable[[ClientNode], None]
     ) -> Dict[str, int]:
@@ -257,6 +233,20 @@ class Cluster:
             action(node)
             per_node[node.name] = self.registry_egress_bytes - before
         return per_node
+
+    def _wave_counters(self) -> Dict[str, float]:
+        """Running totals a wave report is the before/after delta of,
+        keyed by report field name: the registry side's, then each
+        tier's."""
+        counters = {
+            "egress_bytes": self.registry_egress_bytes,
+            "uplink_busy_s": sum(
+                link.busy_seconds for link in self._root.registry_links()
+            ),
+        }
+        for tier in self._root.tiers:
+            counters.update(tier.wave_counters())
+        return counters
 
     def deploy_wave(
         self,
@@ -273,37 +263,16 @@ class Cluster:
         the registry uplink, so per-client latency degrades with load —
         the contention regime the sequential model cannot measure.
 
-        Pass a :class:`~repro.obs.timeline.TimelineSampler` to record
-        gauge series over the wave; it runs as one more background
-        process (see :meth:`_run_wave`), so attaching it moves no
-        client's virtual timing.
-        """
-        return self._run_wave(action, concurrency, sampler, (), WaveReport)
-
-    def _wave_counters(self) -> Dict[str, float]:
-        """Running totals a wave report is the before/after delta of,
-        keyed by report field name."""
-        return {
-            "egress_bytes": self.registry_egress_bytes,
-            "uplink_busy_s": self._root.link.busy_seconds,
-        }
-
-    def _run_wave(
-        self,
-        action: Callable[[ClientNode], Any],
-        concurrency: Optional[int],
-        sampler: Optional[TimelineSampler],
-        services: Sequence[Service],
-        report: Type[WaveReport],
-    ) -> Any:
-        """The one wave body behind every cluster's ``deploy_wave``.
-
-        Spawn the background ``services`` (the sampler first, when one is
-        attached), then the clients a batch at a time, awaiting each;
-        stop the services; drain the heap.  The makespan runs to the last
-        *client* completion, and an action's exception surfaces only
-        after the stop and the drain (DESIGN.md §8 states both rules).
-        ``report`` fields are filled by name from the
+        Background services run beside the clients: a
+        :class:`~repro.obs.timeline.TimelineSampler`, when one is passed,
+        then the root's tier services origin outward (the HA health
+        monitor, each edge site's gossip), then the cluster's own
+        :attr:`services`.  They are stopped after the last client and the
+        heap is drained, so attaching the sampler moves no client's
+        virtual timing.  The makespan runs to the last *client*
+        completion, and an action's exception surfaces only after the
+        stop and the drain (DESIGN.md §8 states both rules).  The
+        :attr:`REPORT` fields are filled by name from the
         :meth:`_wave_counters` delta, plus ``degraded``: the actions
         whose outcome carries a true ``degraded`` flag.
         """
@@ -312,11 +281,12 @@ class Cluster:
         if concurrency <= 0:
             raise ValueError("concurrency must be positive")
         clock = self.clock
-        if sampler is not None:
-            services = [
-                (lambda s: s.spawn(sampler.run, name="timeline"), sampler.stop),
-                *services,
-            ]
+        services: List[Service] = [] if sampler is None else [
+            (lambda s: s.spawn(sampler.run, name="timeline"), sampler.stop)
+        ]
+        for tier in self._root.tiers:
+            services += tier.services()
+        services += self.services
         before = self._wave_counters()
         start = clock.now
         latencies: Dict[str, float] = {}
@@ -360,8 +330,8 @@ class Cluster:
         after = self._wave_counters()
         delta = {key: after[key] - before[key] for key in after}
         delta["degraded"] = degraded
-        wanted = {f.name for f in fields(report)}
-        return report(
+        wanted = {f.name for f in fields(self.REPORT)}
+        return self.REPORT(
             concurrency=concurrency,
             latencies_s=tuple(latencies[node.name] for node in self.nodes),
             makespan_s=(max(finished_at) - start) if finished_at else 0.0,
@@ -405,59 +375,17 @@ class HACluster(Cluster):
 
     Same node model as :class:`Cluster`, but the root testbed carries N
     replicated Gear registries behind the :class:`~repro.net.ha.
-    HATransport`, and :meth:`deploy_wave` runs the health-monitor probe
-    process alongside the clients and reports HA accounting deltas.
+    HATransport`, whose health monitor runs alongside the clients of
+    every wave; the report carries the HA accounting deltas.
     """
 
+    REPORT = HAWaveReport
+
     def __init__(
-        self,
-        node_count: int,
-        *,
-        bandwidth_mbps: float = 904.0,
-        registry_uplink_mbps: Optional[float] = None,
-        **ha_kwargs: Any,
+        self, node_count: int, *, bandwidth_mbps: float = 904.0, **ha_kwargs: Any
     ) -> None:
         root = make_ha_testbed(bandwidth_mbps=bandwidth_mbps, **ha_kwargs)
-        super().__init__(
-            node_count,
-            bandwidth_mbps=bandwidth_mbps,
-            registry_uplink_mbps=registry_uplink_mbps,
-            root=root,
-        )
-
-    @property
-    def ha(self):
-        return self._root.ha
-
-    def deploy_wave(
-        self,
-        action: Callable[[ClientNode], Any],
-        *,
-        concurrency: Optional[int] = None,
-        sampler: Optional[TimelineSampler] = None,
-    ) -> HAWaveReport:
-        """Concurrent waves with the health monitor running alongside.
-
-        The monitor is an infinite probe loop, so it is one of the
-        wave's background services (:meth:`_run_wave`): stopped after
-        the last client, its final wake-up drained.
-        """
-        monitor = self.ha.monitor
-        services = [(monitor.start, monitor.stop)] if monitor is not None else []
-        return self._run_wave(action, concurrency, sampler, services, HAWaveReport)
-
-    def _wave_counters(self) -> Dict[str, float]:
-        ha = self.ha
-        return {
-            **super()._wave_counters(),
-            **ha.policy.stats.as_dict(),
-            "uplink_busy_s": sum(
-                link.busy_seconds for link in self._root.all_links()
-            ),
-            "sheds": ha.policy.stats.sheds_seen,
-            "breaker_trips": ha.replica_set.breaker_trips,
-            "probes": sum(r.stats.probes for r in ha.replica_set.replicas),
-        }
+        super().__init__(node_count, root=root)
 
 
 @dataclass(frozen=True)
@@ -514,7 +442,8 @@ class EdgeCluster(Cluster):
     :class:`~repro.net.edge.EdgeTransport` and joins a site round-robin),
     so node ``i``'s peer name is its node name.  The adversity menu is
     declared up front and injected deterministically during
-    :meth:`deploy_wave`:
+    :meth:`deploy_wave`, where each site's gossip loop and then the churn
+    driver run alongside the clients:
 
     * ``churn_rate_per_s`` — seeded join/leave schedule over
       ``churn_horizon_s`` (at least one peer always stays online);
@@ -522,14 +451,17 @@ class EdgeCluster(Cluster):
     * ``crash_node`` — node index whose peer crashes mid-serve on its
       ``crash_op_index``-th serve (a :class:`~repro.net.faults.CrashPlan`
       at ``MID_FETCH``).
+
+    ``edge_kwargs`` go to :func:`~repro.bench.environment.attach_edge`.
     """
+
+    REPORT = EdgeWaveReport
 
     def __init__(
         self,
         node_count: int,
         *,
         bandwidth_mbps: float = 904.0,
-        registry_uplink_mbps: Optional[float] = None,
         churn_rate_per_s: float = 0.0,
         churn_horizon_s: float = 10.0,
         byzantine: Tuple[int, ...] = (),
@@ -539,18 +471,11 @@ class EdgeCluster(Cluster):
         seed: str = "edge",
         **edge_kwargs: Any,
     ) -> None:
-        root = make_edge_testbed(
-            bandwidth_mbps=bandwidth_mbps, seed=seed, **edge_kwargs
+        root = attach_edge(
+            make_testbed(bandwidth_mbps=bandwidth_mbps), seed=seed, **edge_kwargs
         )
-        super().__init__(
-            node_count,
-            bandwidth_mbps=bandwidth_mbps,
-            registry_uplink_mbps=registry_uplink_mbps,
-            root=root,
-        )
-        fabric = root.edge
-        assert fabric is not None
-        self.fabric = fabric
+        super().__init__(node_count, root=root)
+        fabric = self.fabric = root.edge
         self.seed = seed
         for index in byzantine:
             fabric.peers[index].byzantine = True
@@ -571,37 +496,8 @@ class EdgeCluster(Cluster):
             horizon_s=churn_horizon_s,
         )
         self.churn = ChurnDriver(fabric, schedule)
+        self.services.append((self.churn.start, self.churn.stop))
 
     def _build_node(self, index: int) -> ClientNode:
         name = f"node-{index:03d}"
         return ClientNode(name=name, testbed=self._root.edge.client(name))
-
-    def deploy_wave(
-        self,
-        action: Callable[[ClientNode], Any],
-        *,
-        concurrency: Optional[int] = None,
-        sampler: Optional[TimelineSampler] = None,
-    ) -> EdgeWaveReport:
-        """Concurrent waves with gossip and churn running alongside.
-
-        Per-site gossip loops and the churn driver are the wave's
-        background services (:meth:`_run_wave`), like the HA health
-        monitor.
-        """
-        services = [
-            (site.start_gossip, site.stop_gossip) for site in self.fabric.sites
-        ]
-        services.append((self.churn.start, self.churn.stop))
-        return self._run_wave(
-            action, concurrency, sampler, services, EdgeWaveReport
-        )
-
-    def _wave_counters(self) -> Dict[str, float]:
-        lan_links = self.fabric.lan_links()
-        return {
-            **super()._wave_counters(),
-            **self.fabric.stats.as_dict(),
-            "lan_bytes": sum(link.log.total_bytes for link in lan_links),
-            "lan_busy_s": sum(link.busy_seconds for link in lan_links),
-        }

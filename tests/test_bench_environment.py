@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.environment import (
     Testbed,
-    make_edge_testbed,
+    attach_edge,
     make_faas_testbed,
     make_ha_testbed,
     make_testbed,
@@ -78,7 +78,7 @@ class TestMintKeepsRootSettings:
         "mint",
         [
             lambda: make_testbed(**MINT_SETTINGS).fresh_client(),
-            lambda: make_edge_testbed(**MINT_SETTINGS).edge.client(),
+            lambda: attach_edge(make_testbed(**MINT_SETTINGS)).edge.client(),
             lambda: make_faas_testbed(**MINT_SETTINGS).faas.client(),
         ],
         ids=["fresh_client", "edge.client", "faas.client"],

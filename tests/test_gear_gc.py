@@ -177,9 +177,13 @@ class TestGcVsEdgeDeploy:
     """
 
     def _edge_env(self, small_corpus):
-        from repro.bench.environment import make_edge_testbed, publish_images
+        from repro.bench.environment import (
+            attach_edge,
+            make_testbed,
+            publish_images,
+        )
 
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         generated = small_corpus.by_series["nginx"][0]
         publish_images(root, [generated], convert=True)
         return root, generated

@@ -10,7 +10,7 @@ values, it never changes the schema a dashboard scrapes.
 import pytest
 
 from repro.bench.environment import (
-    make_edge_testbed,
+    attach_edge,
     make_faas_testbed,
     make_ha_testbed,
     make_testbed,
@@ -20,7 +20,7 @@ from repro.bench.environment import (
 MAKERS = {
     "base": make_testbed,
     "ha": make_ha_testbed,
-    "edge": make_edge_testbed,
+    "edge": lambda: attach_edge(make_testbed()),
     "faas": make_faas_testbed,
 }
 

@@ -3,7 +3,7 @@
 The three fabrics share a transport decorator, a whole-round backoff
 loop, a node mint and a wave runner (:mod:`repro.net.resilience`,
 :meth:`repro.bench.environment.Testbed.fresh_client`,
-:meth:`repro.net.topology.Cluster._run_wave`).  These tests drive the
+:meth:`repro.net.topology.Cluster.deploy_wave`).  These tests drive the
 shared parts through every fabric: backoff rounds outside HA, corrupt
 reports travelling down a stacked chain, a chain stacked tier by tier
 (``attach_faas`` over ``attach_edge`` over an HA registry side), a
@@ -22,7 +22,6 @@ from repro.bench.deploy import container_fs_digest, deploy_with_gear
 from repro.bench.environment import (
     attach_edge,
     attach_faas,
-    make_edge_testbed,
     make_faas_testbed,
     make_ha_testbed,
     make_testbed,
@@ -74,9 +73,8 @@ def _ha(plan, policy):
 
 def _edge(plan, policy):
     """No peer holds anything, the site cache is empty, the WAN is out."""
-    bed = make_edge_testbed(
-        fault_plan=plan,
-        retry_policy=RetryPolicy(max_attempts=1),
+    bed = attach_edge(
+        make_testbed(fault_plan=plan, retry_policy=RetryPolicy(max_attempts=1)),
         edge_retry_policy=policy,
     )
     return bed, bed.edge.client(), bed.edge.stats
@@ -274,7 +272,7 @@ def _ha_pair(generated):
 
 def _edge_pair(generated):
     """A third node deployed earlier and gossiped: the pair find a peer."""
-    root = make_edge_testbed(seed="threadless")
+    root = attach_edge(make_testbed(), seed="threadless")
     publish_images(root, [generated], convert=True)
     deploy_with_gear(root.edge.client(), generated)
     root.edge.gossip()

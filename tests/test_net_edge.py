@@ -11,11 +11,7 @@ registry-only run, and deterministic replay of every scenario.
 import pytest
 
 from repro.bench.deploy import container_fs_digest, deploy_with_gear
-from repro.bench.environment import (
-    make_edge_testbed,
-    make_testbed,
-    publish_images,
-)
+from repro.bench.environment import attach_edge, make_testbed, publish_images
 from repro.common.stats import EmptySampleError, percentile
 from repro.net.edge import ChurnSchedule, EdgeStats
 from repro.net.topology import Cluster, EdgeCluster, WaveReport
@@ -47,7 +43,7 @@ class TestSingleTierEquivalence:
         """One node, no churn: the tier must cost exactly nothing."""
         images = small_corpus.by_series["nginx"][:2]
         control = _single_tier_run(images)
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, images, convert=True)
         node = root.edge.client()
         for generated, (want_s, want_bytes, want_digest) in zip(
@@ -63,7 +59,7 @@ class TestSingleTierEquivalence:
 class TestPeerServing:
     def test_second_node_fetches_from_first(self, small_corpus):
         generated = small_corpus.by_series["nginx"][0]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, [generated], convert=True)
         first = root.edge.client()
         _, first_digest = _deploy_digest(first, generated)
@@ -86,7 +82,7 @@ class TestPeerServing:
 
     def test_tracker_is_rebuilt_by_gossip(self, small_corpus):
         generated = small_corpus.by_series["nginx"][0]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, [generated], convert=True)
         node = root.edge.client()
         deploy_with_gear(node, generated)
@@ -140,7 +136,7 @@ class TestPeerServing:
 class TestStaleTracker:
     def test_departed_peer_entry_is_demoted_not_fatal(self, small_corpus):
         generated = small_corpus.by_series["nginx"][0]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, [generated], convert=True)
         first = root.edge.client()
         deploy_with_gear(first, generated)
@@ -165,7 +161,7 @@ class TestStaleTracker:
 
     def test_evicted_holding_is_dropped_from_tracker(self, small_corpus):
         generated = small_corpus.by_series["nginx"][0]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, [generated], convert=True)
         first = root.edge.client()
         deploy_with_gear(first, generated)
@@ -187,7 +183,7 @@ class TestByzantinePeers:
         self, small_corpus
     ):
         generated = small_corpus.by_series["nginx"][0]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, [generated], convert=True)
         first = root.edge.client()
         deploy_with_gear(first, generated)
@@ -207,7 +203,7 @@ class TestByzantinePeers:
 
     def test_blacklisted_peer_is_never_consulted_again(self, small_corpus):
         images = small_corpus.by_series["nginx"][:2]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, images, convert=True)
         first = root.edge.client()
         deploy_with_gear(first, images[0])
@@ -238,7 +234,7 @@ class TestPeerCrash:
         from repro.net.faults import CrashPlan, CrashPoint
 
         generated = small_corpus.by_series["nginx"][0]
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         publish_images(root, [generated], convert=True)
         first = root.edge.client()
         deploy_with_gear(first, generated)
@@ -363,7 +359,7 @@ class TestEdgeMetrics:
     def test_edge_stats_registered_in_metrics_plane(self):
         from repro.obs.export import metrics_snapshot
 
-        root = make_edge_testbed()
+        root = attach_edge(make_testbed())
         snapshot = metrics_snapshot(root.metrics)
         assert any(key.startswith("edge.") for key in snapshot)
 
