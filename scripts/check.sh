@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
-# Hypothesis profile, the one-download-chain, one-read-path, tier-wiring,
+# Hypothesis profile, the one-download-chain, one-read-path, one-walk, tier-wiring,
 # one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index and
 # virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
 # double-run), the checked-in perf-trajectory artifacts, the perf ledger's
@@ -67,13 +67,26 @@ once src/repro/gear/viewer.py 1 "def _fault_in"
 once src/repro/gear/viewer.py 1 "def _fetch_remote"
 once src/repro/net/transport.py 1 "def _attempt"
 once src/repro/net/link.py 0 "def _transfer_flow"
-for tier in ha edge faas resilience; do
-    for name in _one_pass _single_fetch _hedged _fill route; do
-        once "src/repro/net/$tier.py" 1 "def $name("
-    done
-done
 once src/repro/gear/bigfile.py 1 "def _get_partial"
 once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
+
+echo "== one walk: a fabric lists its sources, resilience.walk tries them =="
+# HA, edge and FaaS each build a list of sources per pass and hand it to
+# repro.net.resilience.walk, the only caller of retry_rounds; what a 404
+# or a retryable failure means is the source's `missed` (DESIGN.md §10).
+# Outside a source, only a hedge attempt, the health probe and the write
+# fan-out (one call each, not a pass) catch retryable errors.
+if grep -rnE "def _one_pass|_resilient_read|_last_served" src/repro/net --include='*.py'
+then echo "a fabric hand-writes its own pass again" >&2; exit 1; fi
+if grep -rn "retry_rounds(" src/repro --include='*.py' \
+    | grep -v '^src/repro/net/resilience.py:'
+then echo "retry_rounds( is called outside net/resilience.py" >&2; exit 1; fi
+if awk '/^ *def /{name = $2; sub(/\(.*/, "", name)}
+        /except RETRYABLE_ERRORS/{print FILENAME ":" FNR ": in " name}' \
+        src/repro/net/ha.py src/repro/net/edge.py src/repro/net/faas.py \
+    | grep -v -e ': in attempt$' -e ': in probe$' -e ': in _fan_out_write$'
+then echo "a fabric catches retryable errors outside a source's missed" >&2; exit 1; fi
+once src/repro/net/resilience.py 1 "def walk("
 
 echo "== a tier wires itself: the testbed and the cluster test for no tier =="
 # The HA replica set, an edge fabric and a FaaS shared cache each own

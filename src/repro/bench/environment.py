@@ -355,9 +355,10 @@ def attach_edge(
     with its own LAN link and :class:`~repro.net.link.TransferLog` — so
     ``testbed.link.log`` keeps counting *registry egress only* and the
     peer/site traffic shows up on the site links.  Mint nodes with
-    ``testbed.edge.client()``; each gets an
-    :class:`~repro.net.edge.EdgeTransport` walking the peer → site cache
-    → ``testbed.transport`` chain.  With no peers holding a file and an
+    ``testbed.edge.client()``; each gets a
+    :class:`~repro.net.resilience.FabricTransport` into its site, walking
+    the peer → site cache → ``testbed.transport`` chain.  With no peers
+    holding a file and an
     empty site cache, that chain is byte- and time-identical to the
     bare testbed's registry call.  ``edge_retry_policy`` governs
     whole-chain backoff rounds (defaults to a fabric-seeded
@@ -366,19 +367,21 @@ def attach_edge(
     if sites < 1:
         raise ValueError("need at least one edge site")
     stats = EdgeStats()
+    if edge_retry_policy is None:
+        edge_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
     site_list = [
         EdgeSite(
             f"site-{index}",
             testbed.clock,
             Link(testbed.clock, bandwidth_mbps=lan_mbps),
             stats=stats,
+            base=testbed.transport,
+            retry_policy=edge_retry_policy,
             seed=seed,
             gossip_interval_s=gossip_interval_s,
         )
         for index in range(sites)
     ]
-    if edge_retry_policy is None:
-        edge_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
     testbed.edge = EdgeFabric(
         testbed, site_list, stats=stats, seed=seed, retry_policy=edge_retry_policy
     )

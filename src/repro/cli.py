@@ -858,7 +858,7 @@ def cmd_edge_equivalence(args) -> int:
         "identical": identical,
         "control": control,
         "edge": edge,
-        "edge_stats": edge_bed.edge.stats.as_dict(),
+        "edge_stats": edge_bed.edge.stats.metrics(),
     }
     if args.json:
         print(json.dumps(report, sort_keys=True))

@@ -27,7 +27,6 @@ from repro.net.edge import (
     EdgePeer,
     EdgeSite,
     EdgeStats,
-    EdgeTransport,
     SiteTracker,
 )
 from repro.net.faas import (
@@ -36,7 +35,6 @@ from repro.net.faas import (
     FaasPlatform,
     FaasRunReport,
     FaasStats,
-    FaasTransport,
     InvocationResult,
     SharedCacheTier,
 )
@@ -60,7 +58,7 @@ from repro.net.ha import (
     ScrubReport,
 )
 from repro.net.link import Link, TransferLog
-from repro.net.resilience import AdmissionGate, RetryPolicy
+from repro.net.resilience import AdmissionGate, FabricTransport, RetryPolicy
 from repro.net.transport import RpcEndpoint, RpcTransport
 
 __all__ = [
@@ -75,13 +73,12 @@ __all__ = [
     "EdgePeer",
     "EdgeSite",
     "EdgeStats",
-    "EdgeTransport",
     "FAAS_TIER_ENDPOINT",
+    "FabricTransport",
     "FaasFabric",
     "FaasPlatform",
     "FaasRunReport",
     "FaasStats",
-    "FaasTransport",
     "FaultPlan",
     "FaultyLink",
     "InvocationResult",

@@ -60,14 +60,14 @@ from repro.net.ha import CircuitBreaker
 from repro.net.link import Link
 from repro.net.resilience import (
     GEAR_ENDPOINT,
-    RETRYABLE_ERRORS,
+    FabricTransport,
     RetryPolicy,
     Service,
+    Source,
     Tier,
-    TransportDecorator,
     poisoned,
-    retry_rounds,
     verified,
+    walk,
 )
 from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricSet
@@ -78,7 +78,7 @@ class EdgeStats(MetricSet):
     """Fleet-wide accounting for the edge distribution fabric.
 
     One shared instance per fabric (like :class:`~repro.net.ha.HAStats`):
-    wave reports diff :meth:`as_dict` snapshots taken before/after.
+    wave reports diff :meth:`metrics` snapshots taken before/after.
     """
 
     #: Gear-file fetches that reached the edge chain (viewer pool misses).
@@ -117,9 +117,6 @@ class EdgeStats(MetricSet):
     #: Tracker refresh rounds across all sites.
     gossip_rounds: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.metrics())
-
 
 class EdgePeer:
     """One node's serving side: its shared file pool, exported to the site.
@@ -140,7 +137,6 @@ class EdgePeer:
         #: Shared fabric stats, wired in by :meth:`EdgeSite.add_peer`.
         self.stats: Optional[EdgeStats] = None
         self.serves = 0
-        self.served_bytes = 0
 
     def arm_crash(self, clock: SimClock, plan: CrashPlan) -> CrashInjector:
         self.crash = CrashInjector(clock, plan)
@@ -186,7 +182,6 @@ class EdgePeer:
         if self.byzantine:
             return junk_payload(identity, f"byzantine:{self.name}:{identity}"), wire
         self.serves += 1
-        self.served_bytes += wire
         return gear_file, wire
 
     def __repr__(self) -> str:
@@ -240,13 +235,102 @@ class SiteTracker:
         return len(self._entries)
 
 
+class _Peer(Source):
+    """A site neighbour the tracker names for the file: ``fetch`` is its
+    serve over the LAN; a miss demotes it and the pass walks on."""
+
+    def __init__(self, site: "EdgeSite", peer: EdgePeer, identity: str) -> None:
+        self.site = site
+        self.peer = peer
+        self.identity = identity
+
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        site, peer = self.site, self.peer
+        # Read at the try, not at list-build time: an earlier source's
+        # serve may have taken a while.
+        self.was_online = peer.online
+        with site.clock.span("peer_fetch", peer=peer.name, fp=identity[:12]):
+            gear_file, wire = yield from peer.serve(identity, site.link, tag)
+        peer.breaker.record_success(site.clock.now)
+        stats = site.stats
+        stats.peer_hits += 1
+        stats.peer_bytes += wire
+        stats.egress_saved_bytes += wire
+        site.served[identity] = peer
+        return gear_file
+
+    def missed(self, error: BaseException) -> None:
+        site, peer, stats = self.site, self.peer, self.site.stats
+        if isinstance(error, NotFoundError):
+            # Stale entry: the peer evicted the file after the last
+            # gossip round.
+            stats.stale_resolutions += 1
+            site.tracker.drop_entry(self.identity, peer.name)
+        else:
+            stats.failovers += 1
+            if not self.was_online:
+                # Departed peer still in the tracker: stale.
+                stats.stale_resolutions += 1
+            site.tracker.drop_peer(peer.name)
+        peer.breaker.record_failure(site.clock.now)
+        return None
+
+
+class _SiteCache(Source):
+    """The site's shared cache: a copy served over the LAN, or none."""
+
+    def __init__(self, site: "EdgeSite") -> None:
+        self.site = site
+
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        site = self.site
+        cached = site.cache.get(identity)
+        if cached is None:
+            return None
+        wire = cached.compressed_size
+        yield from site.link.transfer_gen(
+            RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:site-request"
+        )
+        yield from site.link.transfer_gen(wire, label=f"{tag}:site-payload")
+        site.stats.site_hits += 1
+        site.stats.site_bytes += wire
+        site.stats.egress_saved_bytes += wire
+        site.served.pop(identity, None)
+        return cached
+
+
+class _Registry(Source):
+    """The transport below, over the WAN.  A 404 is authoritative (no
+    tier can have the file) and a failure fails the round: both end the
+    pass."""
+
+    def __init__(self, site: "EdgeSite") -> None:
+        self.site = site
+
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        site = self.site
+        with site.clock.span("fallback", site=site.name, fp=identity[:12]):
+            value = yield from site.base.call_gen(
+                GEAR_ENDPOINT, "download", identity, label=label
+            )
+        site.stats.registry_fetches += 1
+        # Write-through, gated on verification so a corrupt WAN
+        # payload can never poison the shared tier.
+        if verified(identity, value):
+            site.cache[identity] = value
+        site.served.pop(identity, None)
+        return value
+
+
 class EdgeSite:
     """One edge site: a LAN, its peers, a shared cache, and a tracker.
 
     The site cache is write-through for *verified* registry fetches only
     (peer-served bytes never enter it, so a byzantine peer cannot poison
     the shared tier).  Tracker and cache bookkeeping charge zero virtual
-    time; only LAN transfers and WAN calls advance the clock.
+    time; only LAN transfers and WAN calls advance the clock.  ``base``
+    is the transport below (the WAN), ``retry_policy`` governs the
+    backoff between failed passes.
     """
 
     def __init__(
@@ -256,6 +340,8 @@ class EdgeSite:
         link: Link,
         *,
         stats: EdgeStats,
+        base: Any,
+        retry_policy: Optional[RetryPolicy] = None,
         seed: str = "edge",
         gossip_interval_s: float = 0.25,
     ) -> None:
@@ -263,6 +349,8 @@ class EdgeSite:
         self.clock = clock
         self.link = link
         self.stats = stats
+        self.base = base
+        self.retry_policy = retry_policy
         self.gossip_interval_s = gossip_interval_s
         self.peers: List[EdgePeer] = []
         self.cache: Dict[str, Any] = {}
@@ -271,7 +359,11 @@ class EdgeSite:
         self._peers_by_name: Dict[str, EdgePeer] = {}
         self._select_rng = rng_for("edge-select", seed, name)
         self._gossip_rng = rng_for("edge-gossip", seed, name)
-        self._last_served: Dict[str, EdgePeer] = {}
+        #: identity → the peer that served its last fetch here, for
+        #: blame (a site-cache or registry serve clears it).
+        self.served: Dict[str, EdgePeer] = {}
+        #: What every pass tries after the peers.
+        self._behind_peers: List[Source] = [_SiteCache(self), _Registry(self)]
         self._stop = True
         self.gossip_process: Optional[Process] = None
 
@@ -355,111 +447,44 @@ class EdgeSite:
         return picked
 
     def fetch(
-        self,
-        identity: str,
-        requester: EdgePeer,
-        base: Any,
-        retry_policy: Optional[RetryPolicy],
-        label: Optional[str] = None,
+        self, identity: str, requester: EdgePeer, label: Optional[str] = None
     ):
-        """Resolve ``identity`` through peers → site cache → registry
-        (a generator: what :meth:`EdgeTransport.route` steps).
+        """Resolve ``identity`` for ``requester`` through peers → site
+        cache → registry (a generator: what its node's
+        :class:`~repro.net.resilience.FabricTransport` steps).
 
-        One pass walks the whole chain once; only a round where every
-        tier failed sleeps under ``retry_policy`` before re-resolving
-        (:func:`~repro.net.resilience.retry_rounds`).
+        Each pass resolves the tracker's candidates afresh and walks
+        them, then the site cache and the registry
+        (:func:`~repro.net.resilience.walk`); only a round where every
+        source failed sleeps under the site's retry policy.
         """
-        self.stats.fetches += 1
-        tag = label or f"{GEAR_ENDPOINT}.download"
-        return (yield from retry_rounds(
-            self.clock,
-            retry_policy,
-            self.stats,
-            f"{tag}:edge-backoff",
-            lambda: self._one_pass(identity, requester, base, tag, label),
-        ))
 
-    def _one_pass(
-        self,
-        identity: str,
-        requester: EdgePeer,
-        base: Any,
-        tag: str,
-        label: Optional[str],
-    ):
-        clock = self.clock
-        stats = self.stats
-        with clock.span("tracker_resolve", site=self.name, fp=identity[:12]):
-            candidates = self.candidates(identity, requester)
-        for peer in candidates:
-            was_online = peer.online
-            try:
-                with clock.span("peer_fetch", peer=peer.name, fp=identity[:12]):
-                    gear_file, wire = yield from peer.serve(
-                        identity, self.link, tag
-                    )
-            except NotFoundError:
-                # Stale entry: the peer evicted the file after the
-                # last gossip round.  Demote and keep walking.
-                stats.stale_resolutions += 1
-                self.tracker.drop_entry(identity, peer.name)
-                peer.breaker.record_failure(clock.now)
-                continue
-            except RETRYABLE_ERRORS:
-                stats.failovers += 1
-                if not was_online:
-                    # Departed peer still in the tracker: stale.
-                    stats.stale_resolutions += 1
-                self.tracker.drop_peer(peer.name)
-                peer.breaker.record_failure(clock.now)
-                continue
-            peer.breaker.record_success(clock.now)
-            stats.peer_hits += 1
-            stats.peer_bytes += wire
-            stats.egress_saved_bytes += wire
-            self._last_served[identity] = peer
-            return gear_file
-        cached = self.cache.get(identity)
-        if cached is not None:
-            wire = cached.compressed_size
-            yield from self.link.transfer_gen(
-                RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:site-request"
+        def sources() -> List[Source]:
+            with self.clock.span("tracker_resolve", site=self.name, fp=identity[:12]):
+                candidates = self.candidates(identity, requester)
+            return [_Peer(self, peer, identity) for peer in candidates] + (
+                self._behind_peers
             )
-            yield from self.link.transfer_gen(wire, label=f"{tag}:site-payload")
-            stats.site_hits += 1
-            stats.site_bytes += wire
-            stats.egress_saved_bytes += wire
-            self._last_served.pop(identity, None)
-            return cached
-        # A registry 404 is authoritative (no tier can have the file) and
-        # a retryable failure here fails the round: both propagate.
-        with clock.span("fallback", site=self.name, fp=identity[:12]):
-            value = yield from base.call_gen(
-                GEAR_ENDPOINT, "download", identity, label=label
-            )
-        stats.registry_fetches += 1
-        # Write-through, gated on verification so a corrupt WAN
-        # payload can never poison the shared tier.
-        if verified(identity, value):
-            self.cache[identity] = value
-        self._last_served.pop(identity, None)
-        return value
+
+        tag = label or f"{GEAR_ENDPOINT}.download"
+        return (yield from walk(self, sources, identity, tag, label, "edge-backoff"))
 
     # -- quarantine ----------------------------------------------------
 
-    def report_corrupt(self, identity: str) -> Optional[str]:
+    def report_corrupt(self, identity: str) -> bool:
         """The viewer verified ``identity`` and it hashed wrong.
 
         Attribute the payload to the last server: a peer gets
         blacklisted; the site cache entry (if any) is evicted either way.
-        Returns the blacklisted peer's name, if one was responsible.
+        Returns whether a peer was responsible; False sends the report on
+        to the transport below.
         """
         self.cache.pop(identity, None)
-        peer = self._last_served.pop(identity, None)
+        peer = self.served.pop(identity, None)
         if peer is None:
-            return None
+            return False
         self.blacklist(peer)
-        return peer.name
+        return True
 
     def blacklist(self, peer: EdgePeer) -> None:
         if peer.name in self.blacklisted:
@@ -476,45 +501,14 @@ class EdgeSite:
         )
 
 
-class EdgeTransport(TransportDecorator):
-    """One node's link in the download chain: Gear downloads take its site.
-
-    Only ``gear-registry.download`` takes the edge chain; uploads,
-    queries, chunk fetches, and the Docker registry go straight to the
-    shared base transport (the WAN).
-    """
-
-    def __init__(self, fabric: "EdgeFabric", site: EdgeSite, peer: EdgePeer) -> None:
-        super().__init__(fabric.base)
-        self.fabric = fabric
-        self.site = site
-        self.peer = peer
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.fabric.stats.reset()
-
-    def route(
-        self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
-    ):
-        return (yield from self.site.fetch(
-            identity, self.peer, self.base, self.fabric.retry_policy, label=label
-        ))
-
-    def blame(self, identity: str) -> bool:
-        return self.site.report_corrupt(identity) is not None
-
-    def __repr__(self) -> str:
-        return f"EdgeTransport({self.peer.name}@{self.site.name})"
-
-
 class EdgeFabric(Tier):
     """The fleet-wide edge distribution fabric.
 
     Owns the sites, the shared :class:`EdgeStats`, and the fabric-level
-    :class:`RetryPolicy` governing whole-chain backoff rounds.  Client
-    nodes are minted by :meth:`client`, which assigns each one to a site
-    round-robin and wires its daemon/driver over an :class:`EdgeTransport`.
+    :class:`RetryPolicy` governing whole-chain backoff rounds (each site
+    holds it too).  Client nodes are minted by :meth:`client`, which
+    assigns each one to a site round-robin and wires its daemon/driver
+    over a :class:`~repro.net.resilience.FabricTransport` into that site.
     As a :class:`~repro.net.resilience.Tier` it adds LAN gauges to the
     timeline and each site's gossip loop to every wave.
     """
@@ -531,7 +525,6 @@ class EdgeFabric(Tier):
         if not sites:
             raise ValueError("an edge fabric needs at least one site")
         self.root = root
-        self.base = root.transport
         self.sites = list(sites)
         self.stats = stats
         self.seed = seed
@@ -560,8 +553,9 @@ class EdgeFabric(Tier):
 
     def client(self, name: Optional[str] = None) -> Any:
         """Mint one edge node: the root's
-        :meth:`~repro.bench.environment.Testbed.fresh_client` behind an
-        :class:`EdgeTransport`, its pool shared with its site peer."""
+        :meth:`~repro.bench.environment.Testbed.fresh_client` behind a
+        :class:`~repro.net.resilience.FabricTransport` into its site, its
+        pool shared with its site peer."""
         index = self._next_index
         self._next_index += 1
         peer_name = name if name is not None else f"edge-{index:03d}"
@@ -569,7 +563,7 @@ class EdgeFabric(Tier):
         pool = self.root.gear_driver.pool.empty_copy()
         peer = site.add_peer(EdgePeer(peer_name, pool))
         return self.root.fresh_client(
-            transport=EdgeTransport(self, site, peer), pool=pool
+            transport=FabricTransport(site, peer), pool=pool
         )
 
     def gossip(self) -> int:
@@ -599,7 +593,7 @@ class EdgeFabric(Tier):
     def wave_counters(self) -> Dict[str, float]:
         lan_links = self.lan_links()
         return {
-            **self.stats.as_dict(),
+            **self.stats.metrics(),
             "lan_bytes": sum(link.log.total_bytes for link in lan_links),
             "lan_busy_s": sum(link.busy_seconds for link in lan_links),
         }
@@ -627,7 +621,7 @@ class EdgeFabric(Tier):
     def __repr__(self) -> str:
         return (
             f"EdgeFabric(sites={len(self.sites)}, peers={len(self.peers)}, "
-            f"stats={self.stats.as_dict()})"
+            f"stats={self.stats.metrics()})"
         )
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.clock import SimClock, SimScheduler
-from repro.common.errors import TierOverloadedError
+from repro.common.errors import NotFoundError, TierOverloadedError
 from repro.common.hashing import stable_u64
 from repro.common.stats import percentile
 from repro.net.faults import junk_payload, register_faults
@@ -65,15 +65,15 @@ from repro.net.ha import BreakerState, CircuitBreaker
 from repro.net.link import Link
 from repro.net.resilience import (
     GEAR_ENDPOINT,
-    RETRYABLE_ERRORS,
     AdmissionGate,
+    FabricTransport,
     RetryPolicy,
     SingleFlight,
+    Source,
     Tier,
-    TransportDecorator,
     poisoned,
-    retry_rounds,
     verified,
+    walk,
 )
 from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricSet
@@ -92,7 +92,7 @@ class FaasStats(MetricSet):
     """Fleet-wide accounting for the FaaS distribution fabric.
 
     One shared instance per fabric (like :class:`~repro.net.edge.
-    EdgeStats`); run reports diff :meth:`as_dict` snapshots.
+    EdgeStats`); run reports diff :meth:`metrics` snapshots.
     """
 
     #: Gear-file fetches that reached the fabric chain (node pool misses).
@@ -137,9 +137,6 @@ class FaasStats(MetricSet):
     giveups: int = 0
     #: Times the tier was demoted for serving wrong bytes (byzantine).
     demotions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.metrics())
 
 
 class _TierEntry:
@@ -344,33 +341,49 @@ class SharedCacheTier:
         )
 
 
-class FaasTransport(TransportDecorator):
-    """One node's link in the download chain: Gear downloads take the tier.
+class _SharedTier(Source):
+    """The shared cache tier.  A shed is deliberate load control and a
+    failure a breaker failure: both fall through to the registry in the
+    same round.  A 404 is authoritative (the tier asked upstream)."""
 
-    Only ``gear-registry.download`` walks the tier chain; uploads,
-    queries, and the Docker registry go straight to the shared base
-    transport (the WAN).
-    """
-
-    def __init__(self, fabric: "FaasFabric", node_name: str) -> None:
-        super().__init__(fabric.base)
+    def __init__(self, fabric: "FaasFabric") -> None:
         self.fabric = fabric
-        self.node_name = node_name
 
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.fabric.stats.reset()
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        fabric, tier = self.fabric, self.fabric.tier
+        with fabric.clock.span("tier_fetch", tier=tier.name, fp=identity[:12]):
+            value = yield from tier.fetch(identity, fabric.base, label=label)
+        tier.breaker.record_success(fabric.clock.now)
+        return value
 
-    def route(
-        self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
-    ):
-        return (yield from self.fabric.fetch(identity, label=label))
+    def missed(self, error: BaseException) -> None:
+        fabric = self.fabric
+        if isinstance(error, TierOverloadedError):
+            fabric.stats.sheds_seen += 1  # the breaker stays out of it
+        elif isinstance(error, NotFoundError):
+            raise error
+        else:
+            fabric.stats.tier_failovers += 1
+            fabric.tier.breaker.record_failure(fabric.clock.now)
+        return None
 
-    def blame(self, identity: str) -> bool:
-        return self.fabric.report_corrupt(identity)
 
-    def __repr__(self) -> str:
-        return f"FaasTransport({self.node_name})"
+class _Registry(Source):
+    """The transport below, over the WAN: a 404 or a failure here ends
+    the pass."""
+
+    def __init__(self, fabric: "FaasFabric") -> None:
+        self.fabric = fabric
+
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        fabric = self.fabric
+        with fabric.clock.span("registry_fallback", fp=identity[:12]):
+            value = yield from fabric.base.call_gen(
+                GEAR_ENDPOINT, "download", identity, label=label
+            )
+        fabric.stats.registry_fallbacks += 1
+        fabric.tier.vouched.discard(identity)
+        return value
 
 
 class FaasFabric(Tier):
@@ -379,8 +392,9 @@ class FaasFabric(Tier):
     Owns the shared tier, the :class:`FaasStats`, and the fabric-level
     :class:`RetryPolicy` governing whole-chain backoff rounds.  Node
     testbeds are minted by :meth:`client`, each wired over a
-    :class:`FaasTransport`.  As a :class:`~repro.net.resilience.Tier` it
-    adds the tier link to its testbed's wires; it runs no wave service.
+    :class:`~repro.net.resilience.FabricTransport` into it.  As a
+    :class:`~repro.net.resilience.Tier` it adds the tier link to its
+    testbed's wires; it runs no wave service.
     """
 
     def __init__(
@@ -403,6 +417,7 @@ class FaasFabric(Tier):
         self.blacklisted = False
         self.nodes: List[Tuple[str, Any]] = []
         self._next_index = 0
+        self._chain: List[Source] = [_SharedTier(self), _Registry(self)]
 
     @property
     def clock(self) -> SimClock:
@@ -411,11 +426,11 @@ class FaasFabric(Tier):
     def client(self, name: Optional[str] = None) -> Any:
         """Mint one FaaS node: the root's
         :meth:`~repro.bench.environment.Testbed.fresh_client` behind a
-        :class:`FaasTransport`."""
+        :class:`~repro.net.resilience.FabricTransport` into this fabric."""
         index = self._next_index
         self._next_index += 1
         node_name = name if name is not None else f"faas-node-{index:03d}"
-        bed = self.root.fresh_client(transport=FaasTransport(self, node_name))
+        bed = self.root.fresh_client(transport=FabricTransport(self, node_name))
         self.nodes.append((node_name, bed.gear_driver.pool))
         return bed
 
@@ -443,61 +458,29 @@ class FaasFabric(Tier):
 
     # -- the degradation ladder ----------------------------------------
 
-    def fetch(self, identity: str, label: Optional[str] = None):
-        """Resolve ``identity`` through shared tier → registry (a
-        generator: what :meth:`FaasTransport.route` steps).
+    def fetch(self, identity: str, node: Any, label: Optional[str] = None):
+        """Resolve ``identity`` through shared tier → registry for any
+        ``node`` alike (a generator: what a node's
+        :class:`~repro.net.resilience.FabricTransport` steps).
 
-        One pass walks the whole chain once; only a round where every
-        tier failed sleeps under the fabric retry policy before
-        re-walking (:func:`~repro.net.resilience.retry_rounds`).  A tier
-        shed falls through to the registry in the same round and is
-        never recorded against the tier's breaker.
+        A demoted tier, or one whose breaker is open, is left out of the
+        pass; a tier shed falls through to the registry in the same
+        round and is never recorded against the tier's breaker.  Only a
+        round where every source failed sleeps under the fabric retry
+        policy before walking again (:func:`~repro.net.resilience.walk`).
         """
-        self.stats.fetches += 1
         tag = label or f"{GEAR_ENDPOINT}.download"
-        return (yield from retry_rounds(
-            self.clock,
-            self.retry_policy,
-            self.stats,
-            f"{tag}:faas-backoff",
-            lambda: self._one_pass(identity, label),
+        return (yield from walk(
+            self, self._sources, identity, tag, label, "faas-backoff"
         ))
 
-    def _one_pass(self, identity: str, label: Optional[str]):
-        clock = self.clock
-        stats = self.stats
-        tier = self.tier
-        if not self.blacklisted:
-            if tier.breaker.available(clock.now):
-                try:
-                    with clock.span(
-                        "tier_fetch", tier=tier.name, fp=identity[:12]
-                    ):
-                        value = yield from tier.fetch(
-                            identity, self.base, label=label
-                        )
-                except TierOverloadedError:
-                    # Deliberate load control: fall through to the
-                    # registry, breaker untouched.
-                    stats.sheds_seen += 1
-                except RETRYABLE_ERRORS:
-                    stats.tier_failovers += 1
-                    tier.breaker.record_failure(clock.now)
-                else:
-                    tier.breaker.record_success(clock.now)
-                    return value
-            else:
-                stats.breaker_skips += 1
-        # A 404 (here, or above from the tier, which asked the registry)
-        # is authoritative and a retryable failure here fails the round:
-        # both propagate.
-        with clock.span("registry_fallback", fp=identity[:12]):
-            value = yield from self.base.call_gen(
-                GEAR_ENDPOINT, "download", identity, label=label
-            )
-        stats.registry_fallbacks += 1
-        tier.vouched.discard(identity)
-        return value
+    def _sources(self) -> List[Source]:
+        if self.blacklisted:
+            return self._chain[1:]
+        if not self.tier.breaker.available(self.clock.now):
+            self.stats.breaker_skips += 1
+            return self._chain[1:]
+        return self._chain
 
     # -- quarantine ----------------------------------------------------
 
@@ -778,7 +761,7 @@ class FaasPlatform:
         """
         clock = self.root.clock
         stats = self.fabric.stats
-        fabric_before = stats.as_dict()
+        fabric_before = stats.metrics()
         egress_before = self.root.link.log.total_bytes
         if arm_faults:
             self.root.arm_faults()
@@ -838,7 +821,7 @@ class FaasPlatform:
             seen = digests.setdefault(result.reference, result.fs_digest)
             if seen != result.fs_digest:
                 conflicts += 1
-        fabric_after = stats.as_dict()
+        fabric_after = stats.metrics()
         return FaasRunReport(
             invocations=len(ordered),
             cold_starts=len(cold),

@@ -66,10 +66,11 @@ from repro.net.resilience import (
     AdmissionGate,
     RetryPolicy,
     Service,
+    Source,
     Tier,
     TransportDecorator,
-    retry_rounds,
     verified,
+    walk,
 )
 from repro.net.transport import RpcStats, RpcTransport
 
@@ -216,9 +217,6 @@ class HAStats(MetricSet):
     breaker_skips: int = 0
     demotions: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.metrics())
-
 
 # ---------------------------------------------------------------------------
 # replicas
@@ -298,9 +296,6 @@ class ReplicaSet:
     def primary(self) -> Replica:
         return self.replicas[0]
 
-    def available(self, now: float) -> List[Replica]:
-        return [r for r in self.replicas if r.breaker.available(now)]
-
     @property
     def breaker_trips(self) -> int:
         return sum(r.breaker.trips for r in self.replicas)
@@ -314,21 +309,8 @@ class ReplicaSet:
         results = [r.registry.upload(gear_file) for r in self.replicas]
         return results[0]
 
-    def upload_many(self, gear_files: Any) -> Tuple[int, int]:
-        stored = 0
-        deduped = 0
-        for gear_file in gear_files:
-            if self.upload(gear_file):
-                stored += 1
-            else:
-                deduped += 1
-        return stored, deduped
-
     def download(self, identity: str) -> Any:
         return self.primary.registry.download(identity)
-
-    def missing(self, identities: Any) -> List[str]:
-        return self.primary.registry.missing(identities)
 
     def delete(self, identity: str) -> None:
         for replica in self.replicas:
@@ -539,10 +521,6 @@ class HedgeEstimator:
         if len(self._ratios) > self.window:
             del self._ratios[0]
 
-    @property
-    def sample_count(self) -> int:
-        return len(self._ratios)
-
     def slowdown_ratio(self) -> float:
         if len(self._ratios) < self.min_samples:
             return self.cold_ratio
@@ -550,45 +528,6 @@ class HedgeEstimator:
 
     def deadline_s(self, nominal_s: float) -> float:
         return nominal_s * self.slowdown_ratio() * self.multiplier
-
-
-class _HedgeRace:
-    """Shared state between a hedged fetch's attempt processes.  An
-    attempt is a generator process: it reports with ``yield from``, so
-    waking the initiator can settle the attempt's debt first."""
-
-    def __init__(self, clock: SimClock, stats: HAStats) -> None:
-        self.event = SimEvent(clock)
-        self.stats = stats
-        self.launched = 0
-        self.finished = 0
-        self.winner: Optional[Replica] = None
-        self.value: Any = None
-        self.last_error: Optional[BaseException] = None
-
-    @property
-    def decided(self) -> bool:
-        return self.winner is not None
-
-    def report_success(self, replica: Replica, value: Any):
-        self.finished += 1
-        if self.winner is None:
-            self.winner = replica
-            self.value = value
-            yield from self.event.fire_gen()
-        else:
-            # Completed in the same instant as the winner — too late to
-            # cancel; the full response crossed the wire.
-            self.stats.hedge_late += 1
-
-    def report_error(self, error: BaseException):
-        self.finished += 1
-        self.last_error = error
-        if self.winner is None and self.finished >= self.launched:
-            yield from self.event.fire_gen()
-
-    def report_cancelled(self) -> None:
-        self.finished += 1
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +538,224 @@ class _HedgeRace:
 STRATEGIES = ("primary-first", "least-loaded", "p2c")
 
 
+class _ReplicaSource(Source):
+    """One replica in a pass: ``fetch`` is one call to it (a write's
+    fan-out makes one per replica, a hedged pair races two)."""
+
+    def __init__(
+        self, policy: "HAFetchPolicy", replica: Replica, request: Tuple
+    ) -> None:
+        self.policy = policy
+        self.replica = replica
+        #: The call: ``(method, args, kwargs, request_payload_bytes)``.
+        self.request = request
+
+    def nominal_s(self) -> float:
+        """Uncontended cost estimate of the call (client-side: the index
+        entry tells the client the file size up front)."""
+        method, args = self.request[:2]
+        link, wire_bytes = self.replica.link, 0
+        if method == "download" and args:
+            try:
+                wire_bytes = int(self.replica.registry.stat(args[0]).stored_size)
+            except NotFoundError:
+                wire_bytes = 0
+        return link.transfer_time(
+            RpcTransport.REQUEST_FRAME_BYTES
+        ) + link.transfer_time(wire_bytes)
+
+    def fetch(
+        self, identity: str, tag: str, label: Optional[str], *, observe: bool = False
+    ):
+        policy, replica = self.policy, self.replica
+        method, args, kwargs, payload_bytes = self.request
+        clock = policy.clock
+        if not replica.admission.try_enter():
+            # A typed 503, not a health signal: the breaker stays out of
+            # it (tripping every breaker under fleet-wide overload would
+            # turn congestion into an outage).  The caller's contract is
+            # failover within the round, then RetryPolicy backoff.
+            replica.stats.sheds += 1
+            policy.stats.sheds_seen += 1
+            # The rejected request still crossed the wire: charge the
+            # request frame for the fast typed 503.
+            yield from replica.link.transfer_gen(
+                RpcTransport.REQUEST_FRAME_BYTES, f"{tag}:shed"
+            )
+            raise RegistryOverloadedError(
+                f"replica {replica.name!r} shed {tag!r} "
+                f"(admission queue full at {replica.admission.capacity})"
+            )
+        nominal = self.nominal_s() if observe else 0.0
+        begun = clock.now
+        try:
+            value = yield from replica.transport.call_gen(
+                GEAR_ENDPOINT,
+                method,
+                *args,
+                request_payload_bytes=payload_bytes,
+                label=label,
+                **kwargs,
+            )
+        except FetchCancelledError:
+            raise  # initiator's own doing; says nothing about health
+        except TransportError:
+            replica.stats.failures += 1
+            replica.breaker.record_failure(clock.now)
+            raise
+        finally:
+            replica.admission.exit()
+        replica.stats.serves += 1
+        replica.breaker.record_success(clock.now)
+        if observe and nominal > 0:
+            policy.estimator.observe((clock.now - begun) / nominal)
+        if method == "download" and args:
+            policy.served[args[0]] = replica
+        return value
+
+    def missed(self, error: BaseException) -> BaseException:
+        if not isinstance(error, NotFoundError):
+            self.policy.stats.failovers += 1
+        return error
+
+
+class _HedgedPair(Source):
+    """The first two replicas of a download under a scheduler, raced.
+
+    The first is asked at once, the second only if the first has not
+    answered by the hedge deadline.  Both attempts run as generator
+    processes and report here with ``yield from``, so waking the
+    initiator can settle the attempt's debt first.  The loser is
+    cancelled the moment the winner lands and is charged only the bytes
+    its flow actually moved.  Raises the last attempt error when every
+    launched attempt failed.
+    """
+
+    def __init__(self, first: _ReplicaSource, second: _ReplicaSource) -> None:
+        self.first = first
+        self.second = second
+        self.event = SimEvent(first.policy.clock)
+        self.launched = self.finished = 0
+        self.winner: Optional[Replica] = None
+        self.value: Any = None
+        self.last_error: Optional[BaseException] = None
+
+    def _succeeded(self, replica: Replica, value: Any):
+        self.finished += 1
+        if self.winner is None:
+            self.winner = replica
+            self.value = value
+            yield from self.event.fire_gen()
+        else:
+            # Completed in the same instant as the winner — too late to
+            # cancel; the full response crossed the wire.
+            self.first.policy.stats.hedge_late += 1
+
+    def _failed(self, error: BaseException):
+        self.finished += 1
+        self.last_error = error
+        if self.winner is None and self.finished >= self.launched:
+            yield from self.event.fire_gen()
+
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        policy = self.first.policy
+        clock, stats = policy.clock, policy.stats
+        primary, mate = self.first.replica, self.second.replica
+        scheduler = clock.scheduler
+        procs: Dict[str, Process] = {}
+
+        def attempt(source: _ReplicaSource):
+            replica = source.replica
+            proc = scheduler.current_process()
+            try:
+                with clock.span("hedge_attempt", replica=replica.name):
+                    value = yield from source.fetch(
+                        identity, tag, label, observe=True
+                    )
+            except FetchCancelledError as error:
+                # The initiator cancelled this loser; only the bytes its
+                # flow actually moved were wasted.  Not a failover — the
+                # replica was healthy, just slower.
+                stats.wasted_hedge_bytes += error.bytes_transferred
+                self.finished += 1
+                return
+            except NotFoundError as error:
+                yield from self._failed(error)
+                return
+            except RETRYABLE_ERRORS as error:
+                # A hedged attempt that *failed* (not merely lost the
+                # race) is a failover: its work was — or already had
+                # been — picked up by another replica.  Counted here
+                # because the error may land after the race is decided
+                # (e.g. an outage stall outliving the winner).
+                stats.failovers += 1
+                yield from self._failed(error)
+                return
+            finally:
+                replica.link.clear_cancel(proc)
+            yield from self._succeeded(replica, value)
+
+        with clock.span("hedge", tag=tag) as hedge_span:
+            self.launched = 1
+            # ``spawn`` starts children at settled time and
+            # ``cancel_flows`` cuts them at settled time, both by
+            # blocking: from a step the debt is paid first, by yielding.
+            yield from clock.settle_gen()
+            procs[primary.name] = scheduler.spawn(
+                attempt, self.first, name=f"hedge0:{tag}"
+            )
+            deadline = policy.estimator.deadline_s(self.first.nominal_s())
+
+            def fire_hedge() -> None:
+                if self.winner is not None or procs[primary.name].done:
+                    return
+                stats.hedges += 1
+                self.launched += 1
+                procs[mate.name] = scheduler.spawn(
+                    attempt, self.second, name=f"hedge1:{tag}"
+                )
+
+            timer = scheduler.schedule(deadline, fire_hedge)
+            yield from self.event.wait_gen()
+            timer.cancel()
+            if self.winner is not None:
+                hedge_span.annotate(winner=self.winner.name)
+                if self.winner is mate:
+                    stats.hedge_wins += 1
+                loser = mate if self.winner is primary else primary
+                loser_proc = procs.get(loser.name)
+                if loser_proc is not None and not loser_proc.done:
+                    stats.cancels += 1
+                    yield from clock.settle_gen()
+                    loser.link.cancel_flows(loser_proc)
+                return self.value
+            if self.last_error is not None:
+                raise self.last_error
+            raise UnavailableError(
+                f"hedged fetch {tag!r} failed on both replicas"
+            )
+
+    def missed(self, error: BaseException) -> BaseException:
+        # Each attempt counted its own failover: its error may land
+        # after the race is decided.
+        return error
+
+
 class HAFetchPolicy:
     """The client read/write path over a :class:`ReplicaSet`.
 
-    Reads run a failover loop: order the breaker-available replicas by
-    the configured strategy, try them one by one (the first ``download``
-    attempt is hedged when a scheduler is active and a second replica is
-    available), and when a whole round fails, back off under the HA
-    :class:`~repro.net.resilience.RetryPolicy` and try again — only when
-    that gives up does the error surface (and PR 1's degraded mode takes
-    over).  Writes fan out over the wire to every replica.  The whole
-    path is generators (:meth:`call` is what :meth:`HATransport.route`
-    steps); hedge attempts are generator processes.
+    A read walks the replicas (:func:`~repro.net.resilience.walk`): each
+    pass lists the breaker-available replicas in the configured
+    strategy's order — the first two of a ``download`` raced as a hedged
+    pair when a scheduler is active — and tries them one by one; a 404
+    is deferred until no replica contradicted it.  When a whole pass
+    fails, it backs off under the HA
+    :class:`~repro.net.resilience.RetryPolicy` and walks again — only
+    when that gives up does the error surface (and the degraded
+    Docker-pull mode takes over).  Writes fan out over the wire to every replica.  The
+    whole path is generators (:meth:`call` is what
+    :meth:`HATransport.route` steps); hedge attempts are generator
+    processes.
 
     All bookkeeping is zero virtual time; the only costs are real wire
     transfers, backoff sleeps, and shed rejections.
@@ -654,7 +799,7 @@ class HAFetchPolicy:
         self._rng = rng_for("ha-select", seed)
         #: identity → replica that served the last download of it, for
         #: byzantine demotion attribution.
-        self._last_served: Dict[str, Replica] = {}
+        self.served: Dict[str, Replica] = {}
 
     # -- selection ---------------------------------------------------------
 
@@ -686,12 +831,23 @@ class HAFetchPolicy:
         label: Optional[str] = None,
         **kwargs: Any,
     ):
+        request = (method, args, kwargs, request_payload_bytes)
+        tag = label or f"{GEAR_ENDPOINT}.{method}"
         if method == "upload":
-            return (yield from self._fan_out_write(
-                method, args, kwargs, request_payload_bytes, label
-            ))
-        return (yield from self._resilient_read(
-            method, args, kwargs, request_payload_bytes, label
+            return (yield from self._fan_out_write(request, tag, label))
+        hedge = self.hedging and method == "download"
+
+        def sources() -> List[Source]:
+            replicas: List[Source] = [
+                _ReplicaSource(self, replica, request) for replica in self.select()
+            ]
+            if hedge and len(replicas) > 1 and self.clock.scheduler is not None:
+                replicas[:2] = [_HedgedPair(*replicas[:2])]
+            return replicas
+
+        return (yield from walk(
+            self, sources, args[0] if args else "", tag, label, "ha-backoff",
+            nobody=f"no replica available for {tag!r}: all circuit breakers open",
         ))
 
     def report_corrupt_payload(self, identity: str) -> bool:
@@ -703,30 +859,21 @@ class HAFetchPolicy:
         elsewhere; the anti-entropy scrub repairs the stored copy.
         Returns whether a replica was on record as the server.
         """
-        replica = self._last_served.pop(identity, None)
+        replica = self.served.pop(identity, None)
         if replica is None:
             return False
         replica.breaker.force_open(self.clock.now)
         self.stats.demotions += 1
         return True
 
-    # -- write path --------------------------------------------------------
-
-    def _fan_out_write(
-        self,
-        method: str,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-        request_payload_bytes: int,
-        label: Optional[str],
-    ):
+    def _fan_out_write(self, request: Tuple, tag: str, label: Optional[str]):
         result: Any = None
         succeeded = False
         last_error: Optional[BaseException] = None
         for replica in self.replica_set.replicas:
             try:
-                value = yield from self._single_fetch(
-                    replica, method, args, kwargs, request_payload_bytes, label
+                value = yield from _ReplicaSource(self, replica, request).fetch(
+                    "", tag, label
                 )
             except RETRYABLE_ERRORS as error:
                 last_error = error
@@ -736,240 +883,9 @@ class HAFetchPolicy:
                 succeeded = True
         if not succeeded:
             raise last_error if last_error is not None else UnavailableError(
-                f"write fan-out of {method!r} reached no replica"
+                f"write fan-out of {request[0]!r} reached no replica"
             )
         return result
-
-    # -- read path ---------------------------------------------------------
-
-    def _resilient_read(
-        self,
-        method: str,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-        request_payload_bytes: int,
-        label: Optional[str],
-    ):
-        self.stats.fetches += 1
-        clock = self.clock
-        tag = label or f"{GEAR_ENDPOINT}.{method}"
-
-        def one_pass():
-            candidates = self.select()
-            last_error: Optional[BaseException] = None
-            not_found: Optional[NotFoundError] = None
-            index = 0
-            while index < len(candidates):
-                replica = candidates[index]
-                mate = candidates[index + 1] if index + 1 < len(candidates) else None
-                hedged = (
-                    self.hedging
-                    and method == "download"
-                    and index == 0
-                    and mate is not None
-                    and clock.scheduler is not None
-                )
-                try:
-                    if hedged:
-                        return (yield from self._hedged(
-                            replica, mate, method, args, kwargs,
-                            request_payload_bytes, label,
-                        ))
-                    return (yield from self._single_fetch(
-                        replica, method, args, kwargs,
-                        request_payload_bytes, label,
-                    ))
-                except NotFoundError as error:
-                    not_found = error
-                except RETRYABLE_ERRORS as error:
-                    last_error = error
-                    # Hedged attempts count their own failovers (their
-                    # errors may land after the race resolves).
-                    if not hedged:
-                        self.stats.failovers += 1
-                index += 2 if hedged else 1
-            if not_found is not None:
-                # Replicas are scrub-consistent: a 404 that no replica
-                # contradicted is authoritative, and no backoff will
-                # materialize the file.
-                raise not_found
-            if last_error is None:
-                last_error = UnavailableError(
-                    f"no replica available for {tag!r}: "
-                    f"all circuit breakers open"
-                )
-            raise last_error
-
-        return (yield from retry_rounds(
-            clock, self.retry_policy, self.stats, f"{tag}:ha-backoff", one_pass
-        ))
-
-    def _single_fetch(
-        self,
-        replica: Replica,
-        method: str,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-        request_payload_bytes: int,
-        label: Optional[str],
-        *,
-        observe: bool = False,
-    ):
-        tag = label or f"{GEAR_ENDPOINT}.{method}"
-        if not replica.admission.try_enter():
-            # A typed 503, not a health signal: the breaker stays out of
-            # it (tripping every breaker under fleet-wide overload would
-            # turn congestion into an outage).  The caller's contract is
-            # failover within the round, then RetryPolicy backoff.
-            replica.stats.sheds += 1
-            self.stats.sheds_seen += 1
-            # The rejected request still crossed the wire: charge the
-            # request frame for the fast typed 503.
-            yield from replica.link.transfer_gen(
-                RpcTransport.REQUEST_FRAME_BYTES, f"{tag}:shed"
-            )
-            raise RegistryOverloadedError(
-                f"replica {replica.name!r} shed {tag!r} "
-                f"(admission queue full at {replica.admission.capacity})"
-            )
-        nominal = (
-            self._nominal_fetch_s(replica, method, args) if observe else 0.0
-        )
-        begun = self.clock.now
-        try:
-            value = yield from replica.transport.call_gen(
-                GEAR_ENDPOINT,
-                method,
-                *args,
-                request_payload_bytes=request_payload_bytes,
-                label=label,
-                **kwargs,
-            )
-        except FetchCancelledError:
-            raise  # initiator's own doing; says nothing about health
-        except TransportError as error:
-            replica.stats.failures += 1
-            replica.breaker.record_failure(self.clock.now)
-            raise error
-        finally:
-            replica.admission.exit()
-        replica.stats.serves += 1
-        replica.breaker.record_success(self.clock.now)
-        if observe and nominal > 0:
-            self.estimator.observe((self.clock.now - begun) / nominal)
-        if method == "download" and args:
-            self._last_served[args[0]] = replica
-        return value
-
-    def _nominal_fetch_s(
-        self, replica: Replica, method: str, args: Tuple[Any, ...]
-    ) -> float:
-        """Uncontended cost estimate for a fetch (client-side: the index
-        entry tells the client the file size up front)."""
-        wire_bytes = 0
-        if method == "download" and args:
-            try:
-                wire_bytes = int(replica.registry.stat(args[0]).stored_size)
-            except NotFoundError:
-                wire_bytes = 0
-        return replica.link.transfer_time(
-            RpcTransport.REQUEST_FRAME_BYTES
-        ) + replica.link.transfer_time(wire_bytes)
-
-    def _hedged(
-        self,
-        primary: Replica,
-        mate: Replica,
-        method: str,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-        request_payload_bytes: int,
-        label: Optional[str],
-    ):
-        """Primary fetch with a hedged second try after the deadline.
-
-        Both attempts run as generator processes; the caller waits on the
-        race event.  The loser is cancelled the moment the winner lands
-        and is charged only the bytes its flow actually moved.  Raises
-        the last attempt error when every launched attempt failed.
-        """
-        scheduler = self.clock.scheduler
-        race = _HedgeRace(self.clock, self.stats)
-        tag = label or f"{GEAR_ENDPOINT}.{method}"
-        procs: Dict[str, Process] = {}
-
-        def attempt(replica: Replica):
-            proc = scheduler.current_process()
-            try:
-                with self.clock.span("hedge_attempt", replica=replica.name):
-                    value = yield from self._single_fetch(
-                        replica, method, args, kwargs,
-                        request_payload_bytes, label, observe=True,
-                    )
-            except FetchCancelledError as error:
-                # The initiator cancelled this loser; only the bytes its
-                # flow actually moved were wasted.  Not a failover — the
-                # replica was healthy, just slower.
-                self.stats.wasted_hedge_bytes += error.bytes_transferred
-                race.report_cancelled()
-                return
-            except NotFoundError as error:
-                yield from race.report_error(error)
-                return
-            except RETRYABLE_ERRORS as error:
-                # A hedged attempt that *failed* (not merely lost the
-                # race) is a failover: its work was — or already had
-                # been — picked up by another replica.  Counted here
-                # because the error may land after the race is decided
-                # (e.g. an outage stall outliving the winner).
-                self.stats.failovers += 1
-                yield from race.report_error(error)
-                return
-            finally:
-                replica.link.clear_cancel(proc)
-            yield from race.report_success(replica, value)
-
-        with self.clock.span("hedge", tag=tag) as hedge_span:
-            race.launched = 1
-            # ``spawn`` starts children at settled time and
-            # ``cancel_flows`` cuts them at settled time, both by
-            # blocking: from a step the debt is paid first, by yielding.
-            yield from self.clock.settle_gen()
-            procs[primary.name] = scheduler.spawn(
-                attempt, primary, name=f"hedge0:{tag}"
-            )
-            deadline = self.estimator.deadline_s(
-                self._nominal_fetch_s(primary, method, args)
-            )
-
-            def fire_hedge() -> None:
-                if race.decided or procs[primary.name].done:
-                    return
-                self.stats.hedges += 1
-                race.launched += 1
-                procs[mate.name] = scheduler.spawn(
-                    attempt, mate, name=f"hedge1:{tag}"
-                )
-
-            timer = scheduler.schedule(deadline, fire_hedge)
-            yield from race.event.wait_gen()
-            timer.cancel()
-            if race.winner is not None:
-                hedge_span.annotate(winner=race.winner.name)
-                if race.winner is mate:
-                    self.stats.hedge_wins += 1
-                loser = mate if race.winner is primary else primary
-                loser_proc = procs.get(loser.name)
-                if loser_proc is not None and not loser_proc.done:
-                    self.stats.cancels += 1
-                    yield from self.clock.settle_gen()
-                    loser.link.cancel_flows(loser_proc)
-                return race.value
-            if race.last_error is not None:
-                raise race.last_error
-            raise UnavailableError(
-                f"hedged fetch {tag!r} failed on both replicas"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1020,7 @@ class HATransport(TransportDecorator, Tier):
     def wave_counters(self) -> Dict[str, float]:
         stats = self.policy.stats
         return {
-            **stats.as_dict(),
+            **stats.metrics(),
             "sheds": stats.sheds_seen,
             "breaker_trips": self.replica_set.breaker_trips,
             "probes": sum(r.stats.probes for r in self.replica_set.replicas),

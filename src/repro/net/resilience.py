@@ -25,10 +25,12 @@ on every run, keeping experiments reproducible.
 
 The download chain (DESIGN.md §10) is said once here and configured by
 the fabrics: :class:`TransportDecorator` is the transport-shaped link a
-tier adds to the chain, :func:`retry_rounds` is the whole-round backoff
-loop around "one pass over my sources", :func:`verified` /
-:func:`poisoned` are the one integrity predicate and the one pool audit,
-and :class:`Tier` is what a tier wires into its testbed and its waves.
+tier adds to the chain (:class:`FabricTransport` the one an edge or FaaS
+node gets), :func:`walk` is the one pass over a list of
+:class:`Source`\\ s that :func:`retry_rounds` repeats with backoff,
+:func:`verified` / :func:`poisoned` are the one integrity predicate and
+the one pool audit, and :class:`Tier` is what a tier wires into its
+testbed and its waves.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 from repro.common.clock import SimClock, SimEvent
 from repro.common.errors import (
     CorruptPayloadError,
+    NotFoundError,
     TimeoutError,
     UnavailableError,
 )
@@ -49,6 +52,9 @@ from repro.common.rng import rng_for
 #: ``TransportError`` (unknown endpoint/method) is a programming error
 #: and is never retried.
 RETRYABLE_ERRORS = (TimeoutError, UnavailableError, CorruptPayloadError)
+#: What a source of the download chain may miss with: a 404, or a
+#: failure a retry could fix (:meth:`Source.missed`).
+MISSES = (NotFoundError,) + RETRYABLE_ERRORS
 
 #: The endpoint name every Gear registry binds (mirrors
 #: ``GearRegistry.ENDPOINT_NAME`` without importing the gear layer).
@@ -143,12 +149,6 @@ class RetryPolicy:
         registry.register_callback(
             name, self.metrics, reset=self.reset_spent, **labels
         )
-
-    @property
-    def budget_remaining_s(self) -> Optional[float]:
-        if self.budget_s is None:
-            return None
-        return max(0.0, self.budget_s - self.spent_s)
 
     def __repr__(self) -> str:
         return (
@@ -292,10 +292,10 @@ def retry_rounds(
     """Run ``one_pass`` until it returns, backing off between rounds
     (a generator, like the generator ``one_pass()`` makes).
 
-    ``one_pass`` walks the caller's sources once and returns the payload
-    or raises: a retryable error means every source failed this round,
-    anything else (an authoritative ``NotFoundError``) is final.  What
-    one source's failure means stays inside ``one_pass``.  A failed
+    ``one_pass`` (a :func:`walk` pass) tries the caller's sources once
+    and returns the payload or raises: a retryable error means every
+    source failed this round, anything else (an authoritative
+    ``NotFoundError``) is final.  A failed
     round sleeps one jittered backoff under ``policy`` on the virtual
     clock (``stats.backoffs``); when the policy says stop, the round's
     error surfaces (``stats.giveups``).  Without a policy the first
@@ -325,6 +325,76 @@ def retry_rounds(
         yield from clock.advance_gen(backoff, label)
         stats.backoffs += 1
         previous = backoff
+
+
+class Source:
+    """One place a download may be served from: an entry in the list a
+    :func:`walk` pass goes down (a replica, a peer, a cache, the
+    transport below; DESIGN.md §10).
+
+    :meth:`fetch` does the source's success bookkeeping (breaker, hit
+    counters, write-through, its spans) and :meth:`missed` its failure
+    bookkeeping; the default :meth:`missed` ends the pass.
+    """
+
+    def fetch(self, identity: str, tag: str, label: Optional[str]):
+        """The payload, or ``None`` for "not here, try the next source"
+        (a generator)."""
+        raise NotImplementedError
+
+    def missed(self, error: BaseException) -> Optional[BaseException]:
+        """:meth:`fetch` raised ``error``, a 404 or a retryable failure:
+        return it for the pass to remember, ``None`` to forget it, or
+        re-raise it to end the pass now."""
+        raise error
+
+
+def walk(
+    owner: Any,
+    sources: Callable[[], List[Source]],
+    identity: str,
+    tag: str,
+    label: Optional[str],
+    backoff: str,
+    nobody: str = "no source available",
+):
+    """Fetch ``identity`` from the first of ``sources()`` that has it,
+    pass after pass: the :func:`retry_rounds` generator to ``yield
+    from``, under ``owner``'s clock, retry policy and stats (its
+    ``fetches``, ``backoffs`` and ``giveups``).
+
+    ``sources()`` lists one pass's sources in order, as the pass begins,
+    so candidates are filtered and ordered then.  A miss is what its
+    source's :meth:`~Source.missed` makes of it.  A pass that found
+    nothing raises what it remembers: a 404 beats any retryable error
+    (no source contradicted it), otherwise the last retryable error
+    wins; remembering nothing, it raises ``UnavailableError(nobody)``.
+    Backoffs sleep under the label ``"{tag}:{backoff}"``.
+    """
+    owner.stats.fetches += 1
+
+    def one_pass():
+        not_found: Optional[BaseException] = None
+        last_error: Optional[BaseException] = None
+        for source in sources():
+            try:
+                value = yield from source.fetch(identity, tag, label)
+            except MISSES as error:
+                kept = source.missed(error)
+                if isinstance(kept, NotFoundError):
+                    not_found = kept
+                elif kept is not None:
+                    last_error = kept
+                continue
+            if value is not None:
+                return value
+        if not_found is not None:
+            raise not_found
+        raise last_error if last_error is not None else UnavailableError(nobody)
+
+    return retry_rounds(
+        owner.clock, owner.retry_policy, owner.stats, f"{tag}:{backoff}", one_pass
+    )
 
 
 class TransportDecorator:
@@ -394,6 +464,39 @@ class TransportDecorator:
         forward = getattr(self.base, "report_corrupt_payload", None)
         if forward is not None:
             forward(identity)
+
+
+class FabricTransport(TransportDecorator):
+    """One node's link in an edge site's or a FaaS fabric's chain.
+
+    Only the Gear file download takes the ``chain`` (an
+    :class:`~repro.net.edge.EdgeSite` or a
+    :class:`~repro.net.faas.FaasFabric`): ``chain.fetch(identity, node,
+    label)`` walks its sources for ``node``, and ``chain.report_corrupt``
+    takes the blame for bytes one of them served.  Uploads, queries,
+    chunk fetches and the Docker registry go to ``chain.base`` (the WAN)
+    unchanged.
+    """
+
+    def __init__(self, chain: Any, node: Any) -> None:
+        super().__init__(chain.base)
+        self.chain = chain
+        self.node = node
+
+    def reset_stats(self) -> None:
+        super().reset_stats()
+        self.chain.stats.reset()
+
+    def route(
+        self, method: str, identity: str, *, label: Optional[str] = None, **_: Any
+    ):
+        return (yield from self.chain.fetch(identity, self.node, label))
+
+    def blame(self, identity: str) -> bool:
+        return self.chain.report_corrupt(identity)
+
+    def __repr__(self) -> str:
+        return f"FabricTransport({self.node!r})"
 
 
 #: One background process of a wave: ``start(scheduler)`` spawns it,

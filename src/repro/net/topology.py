@@ -438,8 +438,8 @@ class EdgeWaveReport(WaveReport):
 class EdgeCluster(Cluster):
     """A cluster whose nodes peer-serve Gear files within edge sites.
 
-    Nodes are minted through the fabric (each gets an
-    :class:`~repro.net.edge.EdgeTransport` and joins a site round-robin),
+    Nodes are minted through the fabric (each joins a site round-robin
+    and gets a :class:`~repro.net.resilience.FabricTransport` into it),
     so node ``i``'s peer name is its node name.  The adversity menu is
     declared up front and injected deterministically during
     :meth:`deploy_wave`, where each site's gossip loop and then the churn

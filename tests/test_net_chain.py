@@ -161,7 +161,7 @@ def test_max_attempts_counts_one_more_than_the_whole_rounds_made(
     """Pinned, not endorsed: ``retry_rounds`` bumps its round counter
     before it asks the policy, so ``max_attempts=N`` buys N-1 passes
     where ``RetryPolicy`` promises an RPC N tries.  Changing it moves
-    every give-up instant (ROADMAP item 4(a) holds the decision)."""
+    every give-up instant (ROADMAP item 5(c) holds the decision)."""
     clock = SimClock()
     stats = EdgeStats()
     made = []

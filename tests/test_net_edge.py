@@ -368,7 +368,7 @@ class TestEdgeMetrics:
         stats.peer_hits += 3
         stats.reset()
         assert stats.peer_hits == 0
-        assert stats.as_dict() == EdgeStats().as_dict()
+        assert stats.metrics() == EdgeStats().metrics()
 
 
 class TestEmptySampleBoundaries:

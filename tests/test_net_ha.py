@@ -501,7 +501,7 @@ class TestDeterminism:
                 scheduler.run()
             result = results[0]
             return {
-                "stats": testbed.ha.policy.stats.as_dict(),
+                "stats": testbed.ha.policy.stats.metrics(),
                 "clock": testbed.clock.now,
                 "bytes": testbed.link.log.total_bytes,
                 "total_s": result.total_s,
