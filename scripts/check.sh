@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
 # Hypothesis profile, the one-download-chain, one-read-path, one-walk, tier-wiring,
-# one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index and
-# virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
+# one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index,
+# nothing-rewinds and virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
 # double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
 #
@@ -139,6 +139,25 @@ if grep -rn "link_inode(" src/repro --include='*.py' \
     || grep -rnE "index\.tree\.(write_file|remove|mkdir|symlink|hardlink|whiteout)" \
         src/repro/gear --include='*.py'
 then echo "an inode is linked into a tree, or a Gear index tree is written" >&2; exit 1; fi
+
+echo "== nothing rewinds: counters only grow and are read as deltas =="
+# Every counter is a MetricSet field that a reader diffs across its epoch
+# (DESIGN.md §11); the clock, the transfer log and the tracer only move
+# forward.  No labelled-instrument API and no reset path may grow back.
+# A mount's reset_stats stays: it is per-container state, not a counter.
+if grep -nE "^class (Counter|Gauge|Histogram)\b|def (counter|gauge|histogram)\(" \
+        src/repro/obs/metrics.py
+then echo "a metric instrument grew back in obs/metrics.py" >&2; exit 1; fi
+if grep -rn "def reset_stats" src/repro --include='*.py' \
+    | grep -v '^src/repro/vfs/overlay.py:'
+then echo "a reset_stats grew back outside vfs/overlay.py" >&2; exit 1; fi
+if grep -n "def reset(" src/repro/common/clock.py src/repro/obs/metrics.py \
+    || grep -n "def clear(" src/repro/net/link.py src/repro/obs/trace.py
+then echo "the clock, the registry, the link log or the tracer rewinds" >&2; exit 1; fi
+if grep -rn "reset_spent" src/repro --include='*.py' \
+    || grep -rnA4 "register_callback(" src/repro --include='*.py' \
+        | grep -E "[^_]reset[[:space:]]*[:=]"
+then echo "a reset callback grew back" >&2; exit 1; fi
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

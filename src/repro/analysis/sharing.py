@@ -34,12 +34,6 @@ class SharingStats:
             return 0.0
         return self.common_files / self.accessed_files
 
-    @property
-    def common_byte_fraction(self) -> float:
-        if self.accessed_bytes == 0:
-            return 0.0
-        return self.common_bytes / self.accessed_bytes
-
 
 def deployment_sharing(images: Sequence[GeneratedImage]) -> SharingStats:
     """Replay the images' startup traces in order, counting repeats.

@@ -46,10 +46,6 @@ class PackedLayout:
     bytes_per_image: Tuple[int, ...]
 
     @property
-    def total_layers(self) -> int:
-        return self.shared_layer_count + self.residual_layer_count
-
-    @property
     def mean_layers_per_image(self) -> float:
         if not self.layers_per_image:
             return 0.0

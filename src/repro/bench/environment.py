@@ -60,7 +60,7 @@ class Testbed:
     #: registry tier (same object as ``transport`` then).
     ha: Optional[HATransport] = None
     #: The unified metrics registry every stats group is registered
-    #: with; ``metrics.reset()`` is the one reset for the whole testbed.
+    #: with; ``metrics.snapshot()`` reads the whole testbed at once.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: The edge distribution fabric when this testbed has a peer-serving
     #: site tier (mint nodes with ``edge.client()``).
@@ -70,7 +70,7 @@ class Testbed:
     faas: Optional[FaasFabric] = None
     #: Sampler accounting shared by every :func:`make_timeline_sampler`
     #: built from this testbed; registered as the ``timeline`` metrics
-    #: group so one ``metrics.reset()`` covers it too.
+    #: group, so the snapshot carries it too.
     timeline_stats: TimelineStats = field(default_factory=TimelineStats)
 
     def attach_tracer(self, tracer: Optional[SpanTracer] = None) -> SpanTracer:
@@ -170,11 +170,10 @@ def _register_client_metrics(testbed: Testbed) -> None:
 def _instrument(testbed: Testbed, base: RpcTransport) -> None:
     """Wire every stats group in the testbed into its one registry.
 
-    After this, ``testbed.metrics.reset()`` is the single reset covering
-    RPC endpoints on the ``base`` wire, fault injectors, retry spend,
-    what the tiers register, the shared pool, and the journal — the
-    drift-proof replacement for scattered per-object ``reset_stats``
-    calls.
+    After this, ``testbed.metrics.snapshot()`` reads RPC endpoints on
+    the ``base`` wire, fault injectors, retry spend, what the tiers
+    register, the shared pool, and the journal.  Nothing resets them: a
+    reader that wants one epoch diffs two reads.
     """
     metrics = testbed.metrics
     metrics.register("timeline", testbed.timeline_stats)
@@ -276,7 +275,6 @@ def make_ha_testbed(
     strategy: str = "primary-first",
     hedging: bool = True,
     admission_capacity: Optional[int] = None,
-    probe_interval_s: float = 0.5,
     seed: str = "ha",
 ) -> Testbed:
     """Assemble the testbed with a replicated Gear registry tier.
@@ -332,7 +330,7 @@ def make_ha_testbed(
         hedging=hedging,
         seed=seed,
     )
-    monitor = HealthMonitor(replica_set, interval_s=probe_interval_s)
+    monitor = HealthMonitor(replica_set)
     return _with_client(
         base_transport, HATransport(base_transport, policy, monitor),
         docker_registry, replica_set, registry_disk, client_disk,

@@ -7,7 +7,6 @@ cycles.
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
-    CollisionError,
     GearError,
     IntegrityError,
     NotFoundError,
@@ -41,7 +40,6 @@ __all__ = [
     "StorageError",
     "TransportError",
     "IntegrityError",
-    "CollisionError",
     "Digest",
     "Fingerprint",
     "fingerprint_bytes",

@@ -431,12 +431,6 @@ class SimClock:
             )
         self._now = timestamp
 
-    def reset(self) -> None:
-        """Reset virtual time to zero and clear any trace."""
-        self._now = 0.0
-        if self._tracer is not None:
-            self._tracer.clear()
-
     @property
     def trace(self) -> List[Tuple[float, str]]:
         """Recorded ``(timestamp, label)`` events (only when tracing)."""

@@ -149,15 +149,6 @@ class ChunkIntegrityError(IntegrityError):
         self.chunk_index = chunk_index
 
 
-class CollisionError(IntegrityError):
-    """Two distinct contents mapped to the same fingerprint.
-
-    The paper (§III-B) discusses MD5 collisions: detection happens during
-    conversion by comparing contents on fingerprint match; colliding files
-    get unique IDs instead of fingerprints.
-    """
-
-
 class GearError(ReproError):
     """An operation violated the Gear image format or framework contract."""
 

@@ -7,11 +7,10 @@ must agree on the semantics for tiny samples (n = 1, 2) or a hedge
 deadline derived from one observation would disagree with the p99 the
 report prints for the same data.  Keeping one helper keeps them honest.
 
-Counter resets live elsewhere now: every stats dataclass subclasses
-:class:`repro.obs.metrics.MetricSet`, whose ``reset()`` rebuilds a
-pristine instance — no per-field reflection to drift out of date — and
-registers with the :class:`repro.obs.metrics.MetricsRegistry` so one
-registry ``reset()`` covers the whole system.
+Counters live elsewhere: every stats dataclass subclasses
+:class:`repro.obs.metrics.MetricSet` and registers with a
+:class:`repro.obs.metrics.MetricsRegistry`.  They are never reset; a
+reader diffs two reads.
 """
 
 from __future__ import annotations

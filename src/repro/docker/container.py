@@ -40,10 +40,6 @@ class Container:
     def config(self) -> ImageConfig:
         return self.image.config
 
-    @property
-    def rootfs(self) -> OverlayMount:
-        return self.mount
-
     def start(self) -> None:
         if self.state not in (ContainerState.CREATED, ContainerState.STOPPED):
             raise ReproError(f"cannot start container in state {self.state.value}")
@@ -58,11 +54,6 @@ class Container:
         if self.state is ContainerState.RUNNING:
             raise ReproError("stop the container before deleting it")
         self.state = ContainerState.DELETED
-
-    @property
-    def writable_bytes(self) -> int:
-        """Bytes written to the container's writable layer."""
-        return self.mount.upper.total_file_bytes()
 
     def __repr__(self) -> str:
         return f"Container({self.id}, {self.image.reference!r}, {self.state.value})"

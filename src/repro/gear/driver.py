@@ -104,10 +104,6 @@ class GearContainer:
     def config(self):
         return self.index.config
 
-    @property
-    def rootfs(self) -> GearFileViewer:
-        return self.mount
-
     def start(self) -> None:
         if self.state not in (ContainerState.CREATED, ContainerState.STOPPED):
             raise GearError(f"cannot start container in state {self.state.value}")

@@ -66,7 +66,3 @@ class CollisionTracker:
         self.collisions_detected += 1
         unique = f"uid-{next(self._unique_ids):08d}-{fingerprint.short(8)}"
         return unique, True
-
-    @property
-    def tracked_count(self) -> int:
-        return len(self._known)

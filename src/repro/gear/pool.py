@@ -36,12 +36,7 @@ class EvictionPolicy(enum.Enum):
 
 @dataclass
 class PoolStats(MetricSet):
-    """Cache accounting, registrable with the metrics registry.
-
-    The pool's historical ``pool.hits`` / ``pool.misses`` / … attributes
-    remain as delegating properties, so call sites and reports read the
-    same numbers wherever they look.
-    """
+    """Cache accounting, registrable with the metrics registry."""
 
     hits: int = 0
     misses: int = 0
@@ -132,48 +127,6 @@ class SharedFilePool:
         return SharedFilePool(
             capacity_bytes=self.capacity_bytes, policy=self.policy
         )
-
-    # -- counters (delegate to the registrable stats group) -----------------
-
-    @property
-    def hits(self) -> int:
-        return self.stats.hits
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.stats.hits = value
-
-    @property
-    def misses(self) -> int:
-        return self.stats.misses
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.stats.misses = value
-
-    @property
-    def evictions(self) -> int:
-        return self.stats.evictions
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self.stats.evictions = value
-
-    @property
-    def eviction_failures(self) -> int:
-        return self.stats.eviction_failures
-
-    @eviction_failures.setter
-    def eviction_failures(self, value: int) -> None:
-        self.stats.eviction_failures = value
-
-    @property
-    def quarantines(self) -> int:
-        return self.stats.quarantines
-
-    @quarantines.setter
-    def quarantines(self, value: int) -> None:
-        self.stats.quarantines = value
 
     # -- lookup ------------------------------------------------------------
 
@@ -320,7 +273,7 @@ class SharedFilePool:
             if victim is None:
                 # Everything is pinned by index links; exceed capacity
                 # rather than corrupt live images.
-                self.eviction_failures += 1
+                self.stats.eviction_failures += 1
                 return
             self._evict(victim)
 
@@ -335,7 +288,7 @@ class SharedFilePool:
         inode = self._inodes.pop(identity)
         self._bytes -= inode.size
         self._unindex_chunks(inode)
-        self.evictions += 1
+        self.stats.evictions += 1
 
     # -- management ------------------------------------------------------------
 
@@ -343,7 +296,7 @@ class SharedFilePool:
         """Forcibly remove an entry (tests and cache-clearing scenarios)."""
         if identity in self._inodes:
             self._evict(identity)
-            self.evictions -= 1  # administrative removal, not pressure
+            self.stats.evictions -= 1  # administrative removal, not pressure
 
     def quarantine(self, identity: str) -> None:
         """Record a failed verification and purge any cached copy.
@@ -351,7 +304,7 @@ class SharedFilePool:
         Called by the viewer when a download for ``identity`` arrived
         corrupt; a later verified :meth:`insert` lifts the quarantine.
         """
-        self.quarantines += 1
+        self.stats.quarantines += 1
         self._quarantined.add(identity)
         self.drop(identity)
 
@@ -377,10 +330,6 @@ class SharedFilePool:
         self.partials.clear()
         self._chunk_tokens = None
 
-    def reset_stats(self) -> None:
-        """Zero every counter, including quarantine/eviction-failure ones."""
-        self.stats.reset()
-
     @property
     def used_bytes(self) -> int:
         return self._bytes
@@ -394,8 +343,9 @@ class SharedFilePool:
 
     @property
     def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        stats = self.stats
+        total = stats.hits + stats.misses
+        return stats.hits / total if total else 0.0
 
     def __contains__(self, identity: str) -> bool:
         return identity in self._inodes

@@ -69,10 +69,6 @@ class FaultStats(MetricSet):
     #: Files served through the degraded path (registry unreachable).
     degraded_fetches: int = 0
 
-    @property
-    def total_faulted_bytes(self) -> int:
-        return self.linked_bytes
-
 
 class GearFileViewer(OverlayMount):
     """An overlay mount whose lower layer is a Gear index."""

@@ -650,12 +650,11 @@ class ChurnSchedule:
         seed: str = "edge",
         rate_per_s: float = 1.0,
         horizon_s: float = 10.0,
-        min_online: int = 1,
     ) -> "ChurnSchedule":
         """Poisson-spaced churn: leaves and rejoins over ``horizon_s``.
 
-        At least ``min_online`` peers stay up at all times, so churn can
-        degrade the peer tier but never empty it.
+        At least one peer stays up at all times, so churn can degrade the
+        peer tier but never empty it.
         """
         if rate_per_s <= 0 or not peer_names:
             return cls(())
@@ -669,13 +668,13 @@ class ChurnSchedule:
             if now >= horizon_s:
                 break
             rejoin = offline and (
-                len(online) <= min_online or rng.random() < 0.5
+                len(online) <= 1 or rng.random() < 0.5
             )
             if rejoin:
                 peer = offline.pop(rng.randrange(len(offline)))
                 online.append(peer)
                 events.append(ChurnEvent(now, "join", peer))
-            elif len(online) > min_online:
+            elif len(online) > 1:
                 peer = online.pop(rng.randrange(len(online)))
                 offline.append(peer)
                 events.append(ChurnEvent(now, "leave", peer))

@@ -571,6 +571,7 @@ class FaasRunReport:
     cold_starts: int
     warm_starts: int
     failures: int
+    #: Containers this run reaped after their keep-warm lapsed.
     reaped: int
     cold_p50_s: float
     cold_p99_s: float
@@ -743,7 +744,6 @@ class FaasPlatform:
         self,
         stream: Sequence[ScheduledInvocation],
         *,
-        arm_faults: bool = True,
         sampler: Optional[TimelineSampler] = None,
     ) -> FaasRunReport:
         """Replay ``stream`` on the virtual clock and report the tails.
@@ -763,8 +763,8 @@ class FaasPlatform:
         stats = self.fabric.stats
         fabric_before = stats.metrics()
         egress_before = self.root.link.log.total_bytes
-        if arm_faults:
-            self.root.arm_faults()
+        reaped_before = self.reaped
+        self.root.arm_faults()
         start = clock.now
         results: List[InvocationResult] = []
         finished: List[float] = []
@@ -827,7 +827,7 @@ class FaasPlatform:
             cold_starts=len(cold),
             warm_starts=len(warm),
             failures=len(failures),
-            reaped=self.reaped,
+            reaped=self.reaped - reaped_before,
             cold_p50_s=_tail(cold, 50),
             cold_p99_s=_tail(cold, 99),
             cold_p999_s=_tail(cold, 99.9),

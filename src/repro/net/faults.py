@@ -236,10 +236,6 @@ class FaultyLink(Link):
         """
         self._armed_at = None
 
-    @property
-    def armed_at(self) -> Optional[float]:
-        return self._armed_at
-
     def scoped(self, endpoint_name: str) -> "_CallScope":
         """This link as one call to ``endpoint_name`` sees it."""
         return _CallScope(self, endpoint_name)

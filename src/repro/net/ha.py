@@ -968,13 +968,6 @@ class HATransport(TransportDecorator, Tier):
     def blame(self, identity: str) -> bool:
         return self.policy.report_corrupt_payload(identity)
 
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        for replica in self.replica_set.replicas:
-            replica.transport.reset_stats()
-            replica.stats.reset()
-        self.policy.stats.reset()
-
     # -- the tier's wiring -------------------------------------------------
 
     def registry_links(self) -> List[Link]:
@@ -992,8 +985,7 @@ class HATransport(TransportDecorator, Tier):
             metrics.register("replica", replica.stats, replica=replica.name)
             register_faults(metrics, replica.link, f"replica-{index}")
         metrics.register("ha", self.policy.stats)
-        # Breaker trips are derived state owned by the breakers'
-        # lifecycle, not the measurement epoch: snapshot-only callback.
+        # Breaker trips are derived from the breakers: read at snapshot.
         metrics.register_callback(
             "breaker", lambda: {"trips": replica_set.breaker_trips}
         )

@@ -121,13 +121,6 @@ class TransferLog:
     def total_time(self) -> float:
         return self._total_time
 
-    def clear(self) -> None:
-        for column in (self._starts, self._durations, self._payloads,
-                       self._labels):
-            del column[:]
-        self._total_bytes = 0
-        self._total_time = 0.0
-
 
 class TransferRecords(RecordView):
     """:attr:`TransferLog.records`: a :class:`TransferRecord` per row."""
@@ -244,10 +237,6 @@ class Link:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_mbps}")
         self._bandwidth_mbps = bandwidth_mbps
         self._bytes_per_second = mbps_to_bytes_per_s(bandwidth_mbps)
-
-    @property
-    def bytes_per_second(self) -> float:
-        return self._bytes_per_second
 
     @property
     def active_flows(self) -> int:

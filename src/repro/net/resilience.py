@@ -136,19 +136,13 @@ class RetryPolicy:
     def charge(self, backoff_s: float) -> None:
         self.spent_s += backoff_s
 
-    def reset_spent(self) -> None:
-        """Return the backoff budget to untouched (new measurement epoch)."""
-        self.spent_s = 0.0
-
     def metrics(self) -> "dict[str, float]":
         """Registry-callback view of the policy's running spend."""
         return {"spent_s": self.spent_s}
 
     def register(self, registry: Any, name: str, **labels: Any) -> None:
-        """Register the spend with a metrics registry (reset with it)."""
-        registry.register_callback(
-            name, self.metrics, reset=self.reset_spent, **labels
-        )
+        """Register the spend with a metrics registry."""
+        registry.register_callback(name, self.metrics, **labels)
 
     def __repr__(self) -> str:
         return (
@@ -430,9 +424,6 @@ class TransportDecorator:
     def endpoint(self, name: str) -> Any:
         return self.base.endpoint(name)
 
-    def reset_stats(self) -> None:
-        self.base.reset_stats()
-
     def claims(self, endpoint_name: str, method: str) -> bool:
         return endpoint_name == GEAR_ENDPOINT and method == "download"
 
@@ -482,10 +473,6 @@ class FabricTransport(TransportDecorator):
         super().__init__(chain.base)
         self.chain = chain
         self.node = node
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.chain.stats.reset()
 
     def route(
         self, method: str, identity: str, *, label: Optional[str] = None, **_: Any

@@ -467,7 +467,6 @@ class EdgeCluster(Cluster):
         byzantine: Tuple[int, ...] = (),
         crash_node: Optional[int] = None,
         crash_op_index: int = 0,
-        crash_partial_fraction: float = 0.5,
         seed: str = "edge",
         **edge_kwargs: Any,
     ) -> None:
@@ -483,10 +482,7 @@ class EdgeCluster(Cluster):
             fabric.peers[crash_node].arm_crash(
                 root.clock,
                 CrashPlan(
-                    point=CrashPoint.MID_FETCH,
-                    seed=seed,
-                    op_index=crash_op_index,
-                    partial_fraction=crash_partial_fraction,
+                    point=CrashPoint.MID_FETCH, seed=seed, op_index=crash_op_index
                 ),
             )
         schedule = ChurnSchedule.generate(

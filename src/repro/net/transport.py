@@ -41,8 +41,10 @@ class RpcStats(MetricSet):
     by only looking at successes.  ``retries`` counts the re-attempts the
     retry policy issued and ``giveups`` the calls that exhausted it.
 
-    ``reset()``/``metrics()`` come from :class:`MetricSet`, so the group
-    plugs into the :class:`~repro.obs.metrics.MetricsRegistry` protocol.
+    ``metrics()`` comes from :class:`MetricSet`, so the group plugs into
+    the :class:`~repro.obs.metrics.MetricsRegistry` snapshot; the counts
+    only grow, and :mod:`repro.bench.deploy` reads one deploy's share as
+    a before/after delta.
     """
 
     calls: int = 0
@@ -103,11 +105,6 @@ class RpcTransport:
         if endpoint is None:
             raise TransportError(f"no endpoint named {name!r}")
         return endpoint
-
-    def reset_stats(self) -> None:
-        """Reset every bound endpoint's call accounting."""
-        for endpoint in self._endpoints.values():
-            endpoint.stats.reset()
 
     def has_endpoint(self, name: str) -> bool:
         """Whether an endpoint named ``name`` is bound to this transport.

@@ -4,9 +4,9 @@ The observability plane the evaluation figures lean on.  Six pieces:
 
 * :mod:`repro.obs.trace` — nestable virtual-time spans with parent ids
   and per-process tracks, recorded at zero virtual-time cost;
-* :mod:`repro.obs.metrics` — labeled counters, gauges, and fixed-bucket
-  histograms behind one ``reset()``/``snapshot()`` registry that also
-  adopts the existing stats dataclasses (RPC, pool, HA, faults);
+* :mod:`repro.obs.metrics` — the stats dataclasses (RPC, pool, HA,
+  faults, …) behind one ``snapshot()`` registry; counters only grow,
+  and a reader diffs two reads for one epoch;
 * :mod:`repro.obs.timeline` — a deterministic virtual-time sampler
   process recording gauge series over a wave (spawned only when
   attached, so the detached path is byte-identical);
@@ -29,13 +29,7 @@ from repro.obs.export import (
     metrics_snapshot,
     trace_json,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricSet,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricSet, MetricsRegistry
 from repro.obs.slo import (
     Objective,
     ObjectiveOutcome,
@@ -54,10 +48,7 @@ from repro.obs.timeline import (
 from repro.obs.trace import Span, SpanTracer
 
 __all__ = [
-    "Counter",
     "CriticalPathReport",
-    "Gauge",
-    "Histogram",
     "MetricSet",
     "MetricsRegistry",
     "NULL_TIMELINE",

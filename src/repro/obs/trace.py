@@ -242,15 +242,6 @@ class SpanTracer:
         """The legacy ``SimClock.trace`` view: ``(timestamp, label)``."""
         return [(event.at_s, event.name) for event in self.instants]
 
-    def clear(self) -> None:
-        """Drop every recording; tracks reset to just the main track."""
-        self.spans.clear()
-        self.instants.clear()
-        self._tracks.clear()
-        self._tracks_by_index.clear()
-        self._next_id = 1
-        self._track_for(None)
-
     def __repr__(self) -> str:
         return (
             f"SpanTracer(spans={len(self.spans)}, "

@@ -117,17 +117,3 @@ def run_service(
         requests=requests,
         duration_s=timer.elapsed(),
     )
-
-
-@dataclass(frozen=True)
-class LifecycleResult:
-    """Average phase times over repeated launch/request/destroy cycles."""
-
-    system: str
-    launch_s: float
-    request_s: float
-    destroy_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.launch_s + self.request_s + self.destroy_s

@@ -27,13 +27,6 @@ def test_advance_zero_is_allowed():
     assert clock.now == 0.0
 
 
-def test_reset():
-    clock = SimClock()
-    clock.advance(5)
-    clock.reset()
-    assert clock.now == 0.0
-
-
 def test_trace_records_labels_when_enabled():
     clock = SimClock(trace=True)
     clock.advance(1.0, "pull")

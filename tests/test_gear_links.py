@@ -320,5 +320,5 @@ def test_every_crash_point_is_reached_and_resumed():
     node.digest(1)
     node.walk(2)
     node.check()
-    assert node.pool.evictions > 0
+    assert node.pool.stats.evictions > 0
     node.check_templates()

@@ -19,12 +19,12 @@ class TestBasics:
         pool = SharedFilePool()
         inode = pool.insert(gf("a"))
         assert pool.get(gf("a").identity) is inode
-        assert pool.hits == 1
+        assert pool.stats.hits == 1
 
     def test_miss_counts(self):
         pool = SharedFilePool()
         assert pool.get("missing") is None
-        assert pool.misses == 1
+        assert pool.stats.misses == 1
 
     def test_content_addressing_never_duplicates(self):
         pool = SharedFilePool()
@@ -44,7 +44,7 @@ class TestBasics:
         pool.insert(gf("a"))
         assert pool.contains(gf("a").identity)
         assert not pool.contains("zzz")
-        assert pool.hits == 0 and pool.misses == 0
+        assert pool.stats.hits == 0 and pool.stats.misses == 0
 
     def test_clear(self):
         pool = SharedFilePool()
@@ -70,7 +70,7 @@ class TestEviction:
         pool.insert(gf("c", 1000))
         assert not pool.contains(gf("a").identity)
         assert pool.contains(gf("b").identity)
-        assert pool.evictions == 1
+        assert pool.stats.evictions == 1
 
     def test_lru_prefers_recent(self):
         pool = SharedFilePool(capacity_bytes=2500, policy=EvictionPolicy.LRU)
@@ -99,7 +99,7 @@ class TestEviction:
             inode.nlink += 1
         pool.insert(gf("c", 1000))
         assert pool.used_bytes == 3000
-        assert pool.eviction_failures == 1
+        assert pool.stats.eviction_failures == 1
 
     def test_oversized_file_accepted_with_overflow(self):
         # A file larger than the whole cache must still be served (a
@@ -110,13 +110,13 @@ class TestEviction:
         inode = pool.insert(gf("huge", 1000))
         assert inode.size == 1000
         assert pool.used_bytes == 1000  # small was evicted, huge overflows
-        assert pool.eviction_failures == 1
+        assert pool.stats.eviction_failures == 1
 
     def test_unbounded_pool_never_evicts(self):
         pool = SharedFilePool()
         for index in range(50):
             pool.insert(gf(f"f{index}", 10_000))
-        assert pool.evictions == 0
+        assert pool.stats.evictions == 0
         assert pool.file_count == 50
 
     def test_drop_is_administrative(self):
@@ -124,32 +124,11 @@ class TestEviction:
         pool.insert(gf("a"))
         pool.drop(gf("a").identity)
         assert not pool.contains(gf("a").identity)
-        assert pool.evictions == 0
+        assert pool.stats.evictions == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(StorageError):
             SharedFilePool(capacity_bytes=-1)
-
-    def test_reset_stats(self):
-        pool = SharedFilePool()
-        pool.insert(gf("a"))
-        pool.get(gf("a").identity)
-        pool.reset_stats()
-        assert pool.hits == 0
-
-    def test_reset_stats_covers_every_counter(self):
-        # Regression: quarantines and eviction_failures were once left
-        # behind by reset_stats, leaking counts across experiment phases.
-        pool = SharedFilePool(capacity_bytes=1000)
-        pinned = pool.insert(gf("a", 1000))
-        pinned.nlink += 1
-        pool.insert(gf("b", 1000))  # nothing evictable -> failure
-        pool.quarantine(gf("c").identity)
-        assert pool.eviction_failures == 1 and pool.quarantines == 1
-        pool.reset_stats()
-        assert pool.hits == 0 and pool.misses == 0
-        assert pool.evictions == 0 and pool.eviction_failures == 0
-        assert pool.quarantines == 0
 
     def test_fifo_vs_lru_diverge_on_same_access_sequence(self):
         # Identical inserts and touches; the policies must pick different
@@ -181,7 +160,7 @@ class TestQuarantineLifecycle:
         pool.insert(gf("a"))
         assert not pool.is_quarantined(identity)
         assert pool.contains(identity)
-        assert pool.quarantines == 1  # history, not state
+        assert pool.stats.quarantines == 1  # history, not state
 
     def test_quarantine_purges_cached_copy(self):
         pool = SharedFilePool()
@@ -238,10 +217,10 @@ class TestTwoPhaseAdmission:
         pool.insert(gf("resident", 1000))
         pool.prepare(gf("incoming", 1000))
         assert pool.contains(gf("resident").identity)
-        assert pool.evictions == 0
+        assert pool.stats.evictions == 0
         pool.commit(gf("incoming").identity)
         assert not pool.contains(gf("resident").identity)
-        assert pool.evictions == 1
+        assert pool.stats.evictions == 1
 
     def test_insert_is_prepare_plus_commit(self):
         pool = SharedFilePool()
@@ -330,8 +309,8 @@ class TestLazyChunkTable:
                 elif op in ("drop", "quarantine"):
                     getattr(pool, op)(gear_file.identity)
             assert list(lazy.identities()) == list(eager.identities())
-        assert (lazy.evictions, lazy.eviction_failures) == (
-            eager.evictions, eager.eviction_failures
+        assert (lazy.stats.evictions, lazy.stats.eviction_failures) == (
+            eager.stats.evictions, eager.stats.eviction_failures
         )
         for token in _TOKENS:
             assert lazy.has_chunk(token) == eager.has_chunk(token) == (
@@ -344,7 +323,7 @@ class TestLazyChunkTable:
         for gear_file in _CHUNKED_FILES:
             pool.insert(gear_file)
         pool.drop(_CHUNKED_FILES[-1].identity)
-        assert pool.evictions and pool._chunk_tokens is None
+        assert pool.stats.evictions and pool._chunk_tokens is None
         assert pool.has_chunk("e:10") == pool.contains(_CHUNKED_FILES[4].identity)
         pool.clear()
         assert pool._chunk_tokens is None and not pool.has_chunk("e:10")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -36,7 +37,7 @@ from repro.common.errors import FetchCancelledError
 from repro.common.rng import rng_for
 from repro.net.link import Link
 from repro.obs.export import chrome_trace, dump_json, metrics_snapshot
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricSet, MetricsRegistry
 
 SEEDS = ("11", "42")
 
@@ -64,15 +65,38 @@ def canonicalize(obj):
     return obj
 
 
+@dataclass
+class GoldenStats(MetricSet):
+    transfers: int = 0
+    cancelled: int = 0
+
+
+#: Inclusive upper edges of the transfer-duration buckets.
+DURATION_BOUNDS = (0.5, 2.0, 10.0, 60.0)
+
+
+def duration_buckets(durations: list) -> dict:
+    """Durations per bucket (first bound ``>=`` the value, else ``inf``),
+    plus their ``sum`` and ``count``."""
+    out = {f"le_{bound:g}": 0 for bound in DURATION_BOUNDS}
+    out["le_inf"] = 0
+    for value in durations:
+        bound = next((b for b in DURATION_BOUNDS if value <= b), None)
+        out["le_inf" if bound is None else f"le_{bound:g}"] += 1
+    out["sum"] = sum(durations, 0.0)
+    out["count"] = len(durations)
+    return out
+
+
 def run_workload(seed: str) -> dict:
     """One seeded mixed workload; returns a canonical-JSON-able summary."""
     clock = SimClock()
     tracer = clock.attach_tracer()
     registry = MetricsRegistry()
-    transfers = registry.counter("golden.transfers")
-    cancels = registry.counter("golden.cancelled")
-    durations = registry.histogram(
-        "golden.duration_s", buckets=(0.5, 2.0, 10.0, 60.0)
+    golden = registry.register("golden", GoldenStats())
+    durations: list = []
+    registry.register_callback(
+        "golden.duration_s", lambda: duration_buckets(durations)
     )
     shared = Link(clock, bandwidth_mbps=100.0)
     fast = Link(clock, bandwidth_mbps=904.0)
@@ -98,11 +122,11 @@ def run_workload(seed: str) -> dict:
                     try:
                         duration = shared.transfer(size, label=f"c{idx}")
                     except FetchCancelledError as error:
-                        cancels.inc()
+                        golden.cancelled += 1
                         moved += error.bytes_transferred
                         continue
-                    transfers.inc()
-                    durations.observe(duration)
+                    golden.transfers += 1
+                    durations.append(duration)
                     moved += size
             return moved
 

@@ -51,15 +51,6 @@ class TestLink:
         link = lan_link(SimClock())
         assert link.bandwidth_mbps == 904
 
-    def test_log_clear(self):
-        clock = SimClock()
-        link = Link(clock)
-        link.transfer(100)
-        link.log.clear()
-        assert link.log.total_requests == 0
-        assert link.log.total_bytes == 0
-        assert link.log.total_time == 0.0
-
     def test_transfer_gen_matches_transfer(self):
         """Generator and call transfers replay the same schedule.
 
@@ -182,20 +173,26 @@ class TestTransferRecordsView:
         assert big.duration == 1.0 / 3.0 and big.payload_bytes == 2**31 + 7
         assert type(big.payload_bytes) is int and type(big.start) is float
 
-    def test_the_view_is_live_and_clear_empties_every_column(self):
+    def test_the_view_is_live_and_an_epoch_is_read_from_a_mark(self):
         link = Link(SimClock(), bandwidth_mbps=8)
         records = link.log.records
         assert records == [] and len(records) == 0
         link.transfer(100, "x")
         assert [record.label for record in records] == ["x"]
-        link.log.clear()
-        assert records == [] and link.log.records[:] == []
-        assert (link.log.total_bytes, link.log.total_time) == (0, 0.0)
-        assert link.log.total_requests == 0
+        mark = len(records)
+        bytes_before, time_before = link.log.total_bytes, link.log.total_time
+        assert records[mark:] == [] and link.log.records[mark:] == []
         link.transfer(7, "y")
-        assert link.log.records == [
-            TransferRecord(records[0].start, link.transfer_time(7), 7, "y")
+        assert link.log.records[mark:] == [
+            TransferRecord(records[mark].start, link.transfer_time(7), 7, "y")
         ]
+        assert link.log.total_bytes - bytes_before == 7
+        assert link.log.total_time - time_before == pytest.approx(
+            link.transfer_time(7)
+        )
+        assert link.log.total_requests - mark == 1
+        # The log still holds the epoch before the mark.
+        assert [record.label for record in records] == ["x", "y"]
 
     def test_two_links_sharing_a_log_fill_one_set_of_columns(self):
         # make_ha_testbed: every replica link accounts on the base log.
@@ -213,7 +210,7 @@ class TestTransferRecordsView:
     @given(
         st.lists(
             st.one_of(
-                st.none(),  # clear()
+                st.none(),  # a reader takes a mark
                 st.tuples(
                     st.floats(0, 1e6), st.floats(0, 1e3),
                     st.integers(0, 2**40), st.sampled_from("abc"),
@@ -222,16 +219,16 @@ class TestTransferRecordsView:
             max_size=30,
         )
     )
-    def test_any_append_and_clear_sequence_matches_a_list(self, steps):
-        log, model = TransferLog(), []
+    def test_any_append_and_mark_sequence_matches_a_list(self, steps):
+        log, model, mark = TransferLog(), [], 0
         for step in steps:
             if step is None:
-                log.clear()
-                model.clear()
+                mark = len(model)
             else:
                 log.append(*step)
                 model.append(TransferRecord(*step))
             assert log.records == model and list(log.records) == model
+            assert log.records[mark:] == model[mark:]
             assert log.records[len(model) // 2:] == model[len(model) // 2:]
             assert log.total_requests == len(model)
             assert log.total_bytes == sum(r.payload_bytes for r in model)

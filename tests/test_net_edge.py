@@ -13,7 +13,7 @@ import pytest
 from repro.bench.deploy import container_fs_digest, deploy_with_gear
 from repro.bench.environment import attach_edge, make_testbed, publish_images
 from repro.common.stats import EmptySampleError, percentile
-from repro.net.edge import ChurnSchedule, EdgeStats
+from repro.net.edge import ChurnSchedule
 from repro.net.topology import Cluster, EdgeCluster, WaveReport
 
 
@@ -362,13 +362,6 @@ class TestEdgeMetrics:
         root = attach_edge(make_testbed())
         snapshot = metrics_snapshot(root.metrics)
         assert any(key.startswith("edge.") for key in snapshot)
-
-    def test_stats_reset_rebuilds_pristine(self):
-        stats = EdgeStats()
-        stats.peer_hits += 3
-        stats.reset()
-        assert stats.peer_hits == 0
-        assert stats.metrics() == EdgeStats().metrics()
 
 
 class TestEmptySampleBoundaries:

@@ -418,6 +418,24 @@ class TestWarmPath:
         assert run.reaped == 1
         assert run.digest_conflicts == 0
 
+    def test_a_second_run_reports_only_its_own_reaps(self, small_corpus):
+        generated = small_corpus.by_series["nginx"][0]
+        bed = make_faas_testbed()
+        publish_images(bed, [generated], convert=True)
+        platform = FaasPlatform(
+            bed, bed.faas, nodes=1, keep_warm_s=1.0, seed="reap-twice"
+        )
+        stream = [
+            ScheduledInvocation(0, 0.0, "fn-0000", generated, False),
+            ScheduledInvocation(1, 8.0, "fn-0000", generated, True),
+        ]
+        first, second = platform.run(stream), platform.run(stream)
+        assert first.reaped == 1
+        # The second run finds the container warm, then reaps it once.
+        assert (second.warm_starts, second.cold_starts) == (1, 1)
+        assert second.reaped == 1
+        assert first.reaped + second.reaped == platform.reaped
+
 
 class TestDeterminism:
     def _run_once(self, corpus):
@@ -446,13 +464,3 @@ class TestFaasMetrics:
         bed = make_faas_testbed()
         snapshot = metrics_snapshot(bed.metrics)
         assert any(key.startswith("faas.") for key in snapshot)
-
-    def test_transport_reset_rebuilds_pristine(self, small_corpus):
-        generated = small_corpus.by_series["nginx"][0]
-        bed = make_faas_testbed()
-        publish_images(bed, [generated], convert=True)
-        node = bed.faas.client()
-        deploy_with_gear(node, generated)
-        assert bed.faas.stats.fetches > 0
-        node.transport.reset_stats()
-        assert bed.faas.stats.fetches == 0

@@ -1,8 +1,6 @@
-"""Metrics registry semantics: instruments, stat groups, one reset.
+"""Metrics registry semantics: stat groups and callbacks, one snapshot.
 
-Histograms get boundary-value attention (inclusive upper edges, the
-``+inf`` overflow bucket, empty snapshots) because bucket-edge drift is
-the classic way two "identical" runs stop diffing clean.
+Counters are never reset; a reader diffs two snapshots for one epoch.
 """
 
 from __future__ import annotations
@@ -11,150 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricSet,
-    MetricsRegistry,
-)
-
-
-class TestCounter:
-    def test_increments(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_rejects_negative_increment(self):
-        counter = Counter()
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_reset(self):
-        counter = Counter()
-        counter.inc(3)
-        counter.reset()
-        assert counter.value == 0
-
-
-class TestGauge:
-    def test_set_and_add_move_both_directions(self):
-        gauge = Gauge()
-        gauge.set(10.0)
-        gauge.add(-3.5)
-        assert gauge.value == 6.5
-
-    def test_reset(self):
-        gauge = Gauge()
-        gauge.set(-2.0)
-        gauge.reset()
-        assert gauge.value == 0.0
-
-
-class TestHistogram:
-    def test_boundary_value_lands_in_its_bucket(self):
-        # Inclusive upper edges: exactly 1.0 belongs to the 1.0 bucket,
-        # not the next one up.
-        histogram = Histogram(bounds=(1.0, 5.0))
-        histogram.observe(1.0)
-        assert histogram.bucket_counts() == {"1": 1, "5": 0, "inf": 0}
-
-    def test_value_above_last_bound_overflows_to_inf(self):
-        histogram = Histogram(bounds=(1.0, 5.0))
-        histogram.observe(5.000001)
-        assert histogram.bucket_counts() == {"1": 0, "5": 0, "inf": 1}
-
-    def test_sum_and_count_ride_along(self):
-        histogram = Histogram(bounds=(1.0,))
-        histogram.observe(0.25)
-        histogram.observe(3.0)
-        assert histogram.count == 2
-        assert histogram.sum == pytest.approx(3.25)
-
-    def test_quantile_of_empty_histogram_is_zero(self):
-        histogram = Histogram(bounds=(1.0, 5.0))
-        assert histogram.quantile(0.5) == 0.0
-        assert histogram.quantile(0.999) == 0.0
-
-    def test_quantile_single_bucket_returns_its_upper_edge(self):
-        histogram = Histogram(bounds=(2.0,))
-        histogram.observe(0.5)
-        assert histogram.quantile(0.0) == 2.0
-        assert histogram.quantile(0.5) == 2.0
-        assert histogram.quantile(1.0) == 2.0
-
-    def test_quantile_walks_cumulative_counts(self):
-        histogram = Histogram(bounds=(1.0, 5.0, 10.0))
-        for value in (0.5, 0.5, 3.0, 7.0):
-            histogram.observe(value)
-        assert histogram.quantile(0.5) == 1.0
-        assert histogram.quantile(0.75) == 5.0
-        assert histogram.quantile(1.0) == 10.0
-
-    def test_quantile_overflow_bucket_is_inf(self):
-        histogram = Histogram(bounds=(1.0,))
-        histogram.observe(99.0)
-        assert histogram.quantile(0.999) == float("inf")
-
-    def test_quantile_rank_matches_percentile_convention(self):
-        # q=0.999 over 1000 observations selects rank 999, not 1000 —
-        # the same nearest-rank arithmetic as repro.common.stats.
-        histogram = Histogram(bounds=(1.0, 2.0))
-        for i in range(1000):
-            histogram.observe(1.0 if i < 999 else 2.0)
-        assert histogram.quantile(0.999) == 1.0
-
-    def test_quantile_rejects_out_of_range(self):
-        histogram = Histogram(bounds=(1.0,))
-        with pytest.raises(ValueError):
-            histogram.quantile(-0.1)
-        with pytest.raises(ValueError):
-            histogram.quantile(1.1)
-
-    def test_empty_snapshot_is_all_zeros(self):
-        histogram = Histogram(bounds=(0.5, 2.0))
-        out = {}
-        histogram.snapshot_into("lat", out)
-        assert out == {
-            "lat.le_0.5": 0,
-            "lat.le_2": 0,
-            "lat.le_inf": 0,
-            "lat.sum": 0.0,
-            "lat.count": 0,
-        }
-
-    def test_snapshot_keeps_label_suffix_on_every_component(self):
-        histogram = Histogram(bounds=(1.0,))
-        histogram.observe(0.5)
-        out = {}
-        histogram.snapshot_into("lat{op=pull}", out)
-        assert out == {
-            "lat.le_1{op=pull}": 1,
-            "lat.le_inf{op=pull}": 0,
-            "lat.sum{op=pull}": 0.5,
-            "lat.count{op=pull}": 1,
-        }
-
-    def test_reset_zeroes_buckets_sum_and_count(self):
-        histogram = Histogram(bounds=(1.0,))
-        histogram.observe(0.5)
-        histogram.observe(9.0)
-        histogram.reset()
-        assert histogram.bucket_counts() == {"1": 0, "inf": 0}
-        assert histogram.sum == 0.0
-        assert histogram.count == 0
-
-    def test_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=())
-
-    def test_rejects_non_ascending_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(bounds=(5.0, 1.0))
+from repro.obs.metrics import MetricSet, MetricsRegistry
 
 
 @dataclasses.dataclass
@@ -164,42 +19,18 @@ class _FakeStats(MetricSet):
 
 
 class TestMetricSet:
-    def test_reset_restores_declared_defaults(self):
-        stats = _FakeStats(hits=7, misses=3)
-        stats.reset()
-        assert stats == _FakeStats()
-
     def test_metrics_lists_numeric_fields_in_order(self):
         stats = _FakeStats(hits=2, misses=1)
         assert stats.metrics() == {"hits": 2, "misses": 1}
 
 
 class TestMetricsRegistry:
-    def test_instruments_are_get_or_create_by_name_and_labels(self):
-        registry = MetricsRegistry()
-        a = registry.counter("rpc_calls", endpoint="gear")
-        b = registry.counter("rpc_calls", endpoint="gear")
-        c = registry.counter("rpc_calls", endpoint="docker")
-        assert a is b
-        assert a is not c
-
     def test_label_order_does_not_matter(self):
         registry = MetricsRegistry()
-        a = registry.counter("x", zone="eu", tier="hot")
-        b = registry.counter("x", tier="hot", zone="eu")
-        assert a is b
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("lat")
-        with pytest.raises(TypeError):
-            registry.gauge("lat")
-
-    def test_histogram_bucket_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("lat", buckets=(1.0, 3.0))
+        registry.register("x", _FakeStats(), zone="eu", tier="hot")
+        registry.register("x", _FakeStats(hits=2), tier="hot", zone="eu")
+        assert registry.groups() == ["x{tier=hot,zone=eu}"]
+        assert registry.snapshot()["x.hits{tier=hot,zone=eu}"] == 2
 
     def test_register_rejects_non_metric_set(self):
         registry = MetricsRegistry()
@@ -218,43 +49,30 @@ class TestMetricsRegistry:
 
     def test_snapshot_is_flat_and_sorted(self):
         registry = MetricsRegistry()
-        registry.counter("b_counter").inc(2)
-        registry.gauge("a_gauge", zone="eu").set(1.5)
+        registry.register_callback("b_breaker", lambda: {"trips": 2})
+        registry.register_callback("a_retry", lambda: {"spent_s": 1.5}, zone="eu")
         registry.register("stats", _FakeStats(hits=3), node="n0")
         snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
-        assert snapshot["b_counter"] == 2
-        assert snapshot["a_gauge{zone=eu}"] == 1.5
+        assert snapshot["b_breaker.trips"] == 2
+        assert snapshot["a_retry.spent_s{zone=eu}"] == 1.5
         assert snapshot["stats.hits{node=n0}"] == 3
         assert snapshot["stats.misses{node=n0}"] == 0
 
-    def test_single_reset_covers_instruments_groups_and_callbacks(self):
+    def test_an_epoch_is_a_delta_of_two_snapshots(self):
         registry = MetricsRegistry()
-        registry.counter("calls").inc(9)
-        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
         stats = registry.register("stats", _FakeStats(hits=4))
-        spend = {"value": 2.5}
-
-        def zero_spend():
-            spend["value"] = 0.0
-
-        registry.register_callback(
-            "retry", lambda: {"spent_s": spend["value"]}, reset=zero_spend
-        )
-        registry.reset()
-        snapshot = registry.snapshot()
-        assert snapshot["calls"] == 0
-        assert snapshot["lat.count"] == 0
-        assert stats.hits == 0
-        assert snapshot["retry.spent_s"] == 0.0
-
-    def test_reset_spares_derived_callbacks(self):
-        # Breaker trips belong to the breaker's lifecycle, not the
-        # measurement epoch: a reset=None callback must survive reset.
-        registry = MetricsRegistry()
-        registry.register_callback("breaker", lambda: {"trips": 3})
-        registry.reset()
-        assert registry.snapshot()["breaker.trips"] == 3
+        spend = {"spent_s": 2.5}
+        registry.register_callback("retry", lambda: dict(spend))
+        before = registry.snapshot()
+        stats.hits += 3
+        spend["spent_s"] += 0.5
+        after = registry.snapshot()
+        assert {key: after[key] - before[key] for key in after} == {
+            "retry.spent_s": 0.5, "stats.hits": 3, "stats.misses": 0,
+        }
+        # The counters themselves kept their history.
+        assert stats.hits == 7
 
     def test_groups_lists_registered_keys(self):
         registry = MetricsRegistry()

@@ -7,7 +7,6 @@ from repro.obs import (
     NULL_TIMELINE,
     NullTimelineSampler,
     TimelineSampler,
-    TimelineStats,
     chrome_counter_events,
     chrome_trace,
     dump_json,
@@ -111,12 +110,6 @@ class TestEvents:
         sampler.record("ready_s", 2.0, 0.75)
         assert sampler.series["ready_s"].as_list() == [[1.5, 0.25], [2.0, 0.75]]
         assert sampler.stats.events == 2
-
-    def test_stats_group_resets_with_registry_semantics(self):
-        stats = TimelineStats()
-        stats.samples = 3
-        stats.reset()
-        assert stats.metrics() == {"samples": 0, "points": 0, "events": 0}
 
 
 class TestExport:

@@ -95,18 +95,19 @@ class TestSpanBasics:
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
 
-    def test_clear_resets_ids_and_tracks(self):
+    def test_an_epoch_is_the_spans_after_a_mark(self):
         clock = SimClock()
         tracer = clock.attach_tracer()
-        with clock.span("a"):
-            pass
-        tracer.clear()
-        assert tracer.spans == []
-        assert tracer.instants == []
-        assert [t.name for t in tracer.tracks()] == ["main"]
+        with clock.span("a") as first:
+            clock.note("a-note")
+        spans, instants = len(tracer.spans), len(tracer.instants)
         with clock.span("b") as span:
-            pass
-        assert span.id == 1
+            clock.note("b-note")
+        assert [s.name for s in tracer.spans[spans:]] == ["b"]
+        assert [i.name for i in tracer.instants[instants:]] == ["b-note"]
+        assert [t.name for t in tracer.tracks()] == ["main"]
+        # Ids keep counting across the mark: nothing rewinds them.
+        assert span.id == first.id + 1
 
 
 class TestNullSpan:
@@ -308,13 +309,6 @@ class TestCompatShim:
         clock = SimClock()
         clock.advance(1.0, "pull")
         assert clock.trace == []
-
-    def test_reset_clears_the_trace(self):
-        clock = SimClock(trace=True)
-        clock.advance(1.0, "pull")
-        clock.reset()
-        assert clock.trace == []
-        assert clock.now == 0.0
 
     def test_note_lands_in_the_compat_view(self):
         clock = SimClock(trace=True)

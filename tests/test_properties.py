@@ -218,7 +218,7 @@ def test_pool_respects_capacity_with_unpinned_entries(operations, policy):
                 if pool.get(identity).nlink <= 1
             ]
             assert len(unpinned) <= 1
-            assert pool.eviction_failures > 0
+            assert pool.stats.eviction_failures > 0
 
 
 @settings(max_examples=50)
