@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
-# Hypothesis profile, the one-download-chain, one-read-path, one-walk, tier-wiring,
+# Hypothesis profile, the one-download-chain, one-read-path,
+# a-file-lands-one-way, one-walk, tier-wiring,
 # one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index,
 # nothing-rewinds and virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
 # double-run), the checked-in perf-trajectory artifacts, the perf ledger's
@@ -69,6 +70,28 @@ once src/repro/net/transport.py 1 "def _attempt"
 once src/repro/net/link.py 0 "def _transfer_flow"
 once src/repro/gear/bigfile.py 1 "def _get_partial"
 once src/repro/gear/bigfile.py 1 "def _fetch_chunk_claimed"
+
+echo "== a file lands one way: one content-address check, one landing tail =="
+# Whether bytes are the file their name promises is decided in
+# gear/gearfile.py alone (content_addressed / verified, DESIGN.md §10),
+# and every file, fetched whole or promoted from chunks, enters the pool
+# and is linked over its stub by one tail (GearFileViewer._admit and
+# _link, DESIGN.md §15).  The perf ledger's own pool audit
+# (`_poisoned` in benchmarks/ledger/adapters.py) spells the rule again:
+# the ledger belongs to the benchmark, which a program change leaves
+# untouched.
+if grep -rn -e '"uid-' -e "'uid-" src/repro --include='*.py' \
+        | grep -v '^src/repro/gear/gearfile.py:' \
+    || grep -rnE "fingerprint[[:space:]]*[!=]=[[:space:]]*[A-Za-z_.]*identity|identity[[:space:]]*[!=]=[[:space:]]*[A-Za-z_.]*fingerprint" \
+        src/repro --include='*.py' | grep -v '^src/repro/gear/gearfile.py:'
+then echo "the content-address rule is spelled outside gear/gearfile.py" >&2; exit 1; fi
+for call in 'index\.link(' '\.link_begin(' '\.fetch_commit('; do
+    count="$(grep -rn --include='*.py' -- "$call" src/repro/gear | wc -l)"
+    [ "$count" -eq 1 ] || {
+        echo "src/repro/gear: '$call' has $count call sites (exactly one): \
+a second landing path grew back" >&2
+        exit 1; }
+done
 
 echo "== one walk: a fabric lists its sources, resilience.walk tries them =="
 # HA, edge and FaaS each build a list of sources per pass and hand it to

@@ -48,7 +48,7 @@ from repro.gear.bigfile import ChunkFetchStats, ChunkedGearFileViewer
 from repro.gear.gearfile import GearFile
 from repro.gear.index import GearIndex
 from repro.gear.journal import IntentJournal
-from repro.gear.pool import SharedFilePool
+from repro.gear.pool import SharedFilePool, poisoned
 from repro.gear.recovery import fsck
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
@@ -64,7 +64,7 @@ from repro.net.faults import (
     chunk_plan,
 )
 from repro.net.link import Link
-from repro.net.resilience import RetryPolicy, poisoned
+from repro.net.resilience import RetryPolicy
 from repro.net.transport import RpcTransport
 from repro.vfs.tree import FileSystemTree
 from repro.net.faas import FAAS_TIER_ENDPOINT, FaasPlatform
@@ -563,7 +563,7 @@ def _chunk_wave(clock, viewer, size, clients):
 def _pool_audit(pool) -> int:
     """Committed pool entries whose content does not hash to their name
     (poisoned commits — must be zero under every fault scenario)."""
-    return len(poisoned(pool, strict=True))
+    return len(poisoned(pool))
 
 
 def cmd_chunks(args) -> int:

@@ -7,8 +7,11 @@ files, such as AI containers with big models."
 :class:`ChunkedGearFileViewer` extends the Gear File Viewer with a
 ``read_range`` path: files above ``big_file_threshold`` are fetched chunk
 by chunk, so a container that touches only part of a big file (a model
-header, an index page) downloads only those chunks.  Whole-file reads
-of big files still work — they fetch all chunks — and small files use the
+header, an index page) downloads only those chunks.  A big file lands
+one way whoever reads it: a whole read, a prefetch or a copy-up of a big
+stub fetches the chunks still missing (keeping those a range read
+verified) and promotes the file through the viewer's own admit-and-link
+tail.  Small files, and big files the pool already holds, take the
 ordinary whole-file fault path untouched.
 
 The chunk path carries the same fault-tolerance guarantees as the
@@ -42,7 +45,7 @@ whole-file path (DESIGN.md §15):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.blob import DEFAULT_CHUNK_SIZE, chunk_fingerprint
 from repro.blob.compressibility import chunk_compressed_size
@@ -55,14 +58,15 @@ from repro.common.errors import (
     NotFoundError,
 )
 from repro.common.units import MiB
-from repro.gear.gearfile import GearFile
-from repro.gear.index import STUB_XATTR
+from repro.gear.gearfile import GearFile, verified
+from repro.gear.index import GearFileEntry, STUB_XATTR
 from repro.gear.pool import PartialFile
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
 from repro.net.faults import CrashPoint
 from repro.net.resilience import AdmissionGate, RetryPolicy
 from repro.obs.metrics import MetricSet
+from repro.vfs.inode import Inode
 
 #: Default in-flight chunk buffer for the parallel pipeline: enough for
 #: eight default-size chunks before the gate degrades to sequential.
@@ -153,10 +157,8 @@ class ChunkedGearFileViewer(GearFileViewer):
         node, resolved = self._resolve(path)
         if not node.is_file:
             raise GearError(f"{path!r} is not a regular file")
-        index_path = "/" + "/".join(resolved)
-        entry = self.index.entries.get(index_path)
-        is_stub = STUB_XATTR in node.meta.xattrs
-        if not is_stub or entry is None or entry.size < self.big_file_threshold:
+        entry = self._big_stub(node, resolved)
+        if entry is None:
             blob = yield from self.read_blob_gen(path)
             return min(length, max(0, blob.size - offset))
 
@@ -173,8 +175,36 @@ class ChunkedGearFileViewer(GearFileViewer):
                 return min(length, max(0, blob.size - offset))
             yield from self._fetch_span(identity, partial, offset, length)
             if partial.is_complete():
-                self._promote(index_path, identity, partial)
+                self._promote(entry, partial)
             return min(length, max(0, partial.blob.size - offset))
+
+    def _big_stub(
+        self, node: Inode, resolved: Sequence[str]
+    ) -> Optional[GearFileEntry]:
+        """The index entry of a stub the chunk pipeline serves, or None."""
+        if STUB_XATTR not in node.meta.xattrs:
+            return None
+        entry = self.index.entries.get("/" + "/".join(resolved))
+        if entry is None or entry.size < self.big_file_threshold:
+            return None
+        return entry
+
+    def _materialize(self, node: Inode, resolved: Sequence[str]):
+        """A big stub lands through the chunk pipeline whoever reads it
+        (a whole read, a prefetch, a copy-up): the chunks a range read
+        already verified are kept, the rest fetched, the file promoted.
+        A file the pool already holds is an ordinary cache hit."""
+        entry = self._big_stub(node, resolved)
+        if entry is not None and not self.pool.contains(entry.identity):
+            partial = yield from self._get_partial(entry.identity)
+            if partial is not None:
+                yield from self._fetch_span(
+                    entry.identity, partial, 0, entry.size
+                )
+                inode = self._promote(entry, partial)
+                if inode is not None:
+                    return inode
+        return (yield from super()._materialize(node, resolved))
 
     # -- manifest / partial bootstrap -----------------------------------
 
@@ -487,21 +517,21 @@ class ChunkedGearFileViewer(GearFileViewer):
     # -- promotion --------------------------------------------------------
 
     def _promote(
-        self, index_path: str, identity: str, partial: PartialFile
-    ) -> None:
-        """All chunks arrived: install the file like a whole-file fault.
+        self, entry: GearFileEntry, partial: PartialFile
+    ) -> Optional[Inode]:
+        """All chunks arrived: land the file through the viewer's own
+        tail (:meth:`_admit`, :meth:`_link`), as a whole-file fault does.
 
-        The assembled blob is re-verified against the whole-file
-        fingerprint before pool admission — per-chunk verification plus a
-        correct manifest makes this structural, but a wrong manifest must
-        not let an unverified assembly into the *shared* cache.
+        The assembled blob is re-verified first: per-chunk verification
+        plus a correct manifest makes this structural, but a wrong
+        manifest must not let an unverified assembly into the *shared*
+        cache.  None means a concurrent reader already promoted it.
         """
+        identity = entry.identity
         if self.pool.partials.get(identity) is not partial:
-            return  # a concurrent reader already promoted it
+            return None  # a concurrent reader already promoted it
         gear_file = GearFile(identity=identity, blob=partial.blob)
-        if not identity.startswith("uid-") and (
-            gear_file.blob.fingerprint != identity
-        ):
+        if not verified(identity, gear_file):
             self.pool.quarantine(identity)
             del self.pool.partials[identity]
             raise IntegrityError(
@@ -511,30 +541,8 @@ class ChunkedGearFileViewer(GearFileViewer):
         with self._span("promote", fp=identity[:12]):
             if self.journal is not None:
                 self.journal.fetch_begin(identity)
-            self.pool.prepare(gear_file)
-            if self.journal is not None:
-                self.journal.fetch_commit(identity)
-            inode = self.pool.commit(identity)
-            if self.journal is not None:
-                self.journal.link_begin(
-                    identity, index_path, self.index.reference
-                )
-            self.index.link(index_path, inode)
-            if self.disk is not None:
-                self.disk.metadata_op(1, label="index-link", deferred=True)
-            self.fault_stats.linked_bytes += inode.size
-            if self.journal is not None:
-                self.journal.link_commit(
-                    identity, index_path, self.index.reference
-                )
+            inode = self._admit(gear_file)
+            self._link(entry, inode)
         del self.pool.partials[identity]
         self.chunk_stats.promotions += 1
-
-    # -- accounting -------------------------------------------------------
-
-    def partial_resident_bytes(self, identity: str) -> int:
-        """Bytes of a partially-fetched big file currently resident."""
-        partial = self.pool.partials.get(identity)
-        if partial is None:
-            return 0
-        return partial.resident_bytes()
+        return inode

@@ -350,30 +350,16 @@ class GearDriver:
             self.clock.advance(CONTAINER_START_COST_S, "container-start")
         container.start()
 
-    def deploy(
-        self,
-        reference: str,
-        *,
-        profile: Optional[StartupProfile] = None,
-        byte_budget: Optional[int] = None,
-        chunked: bool = False,
-        big_file_threshold: Optional[int] = None,
-    ) -> "tuple[GearContainer, GearDeployReport]":
+    def deploy(self, reference: str) -> "tuple[GearContainer, GearDeployReport]":
         """The full §III-D flow: pull index, mount, start.
 
         Gear files are *not* fetched here — that is the whole point; they
-        fault in lazily as the workload touches them.  With a startup
-        ``profile`` (and an active scheduler) a background prefetcher is
-        spawned right after start, so profiled files stream in while the
-        container's own workload runs.
+        fault in lazily as the workload touches them (or stream in beside
+        it, from :meth:`spawn_prefetch`).
         """
         report = self.pull_index(reference)
-        container = self.create_container(
-            reference, chunked=chunked, big_file_threshold=big_file_threshold
-        )
+        container = self.create_container(reference)
         self.start_container(container)
-        if profile is not None:
-            self.spawn_prefetch(container, profile, byte_budget=byte_budget)
         return container, report
 
     def spawn_prefetch(

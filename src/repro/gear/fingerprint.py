@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.blob import Blob
 from repro.common.hashing import Fingerprint
+from repro.gear.gearfile import UID_PREFIX
 
 #: Bits in an MD5 fingerprint (the ``m`` of eq. 1).
 MD5_BITS = 128
@@ -64,5 +65,5 @@ class CollisionTracker:
         if existing == signature:
             return fingerprint, False
         self.collisions_detected += 1
-        unique = f"uid-{next(self._unique_ids):08d}-{fingerprint.short(8)}"
+        unique = f"{UID_PREFIX}{next(self._unique_ids):08d}-{fingerprint.short(8)}"
         return unique, True

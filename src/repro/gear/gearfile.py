@@ -1,11 +1,17 @@
-"""Gear files: content-addressed regular files."""
+"""Gear files: content-addressed regular files, and the one rule that
+says whether bytes are the file their name promises."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.blob import Blob
 from repro.blob.compressibility import blob_compressed_size
+
+#: The prefix of the unique IDs collision handling gives a file in place
+#: of its fingerprint (§III-B, :mod:`repro.gear.fingerprint`).
+UID_PREFIX = "uid-"
 
 
 @dataclass(frozen=True)
@@ -37,3 +43,16 @@ class GearFile:
 
     def __repr__(self) -> str:
         return f"GearFile({self.identity[:12]}, {self.size}B)"
+
+
+def content_addressed(identity: str) -> bool:
+    """Is ``identity`` a fingerprint?  A collision-handled ``uid-…`` file
+    opted out of fingerprint naming (§III-B): nothing checks its bytes."""
+    return not identity.startswith(UID_PREFIX)
+
+
+def verified(identity: str, holder: Any) -> bool:
+    """Does ``holder`` (a Gear file or a pool inode) hash to its name?
+    Content addressing doubles as the integrity check, asked here alone;
+    a file that is not content-addressed passes."""
+    return not content_addressed(identity) or holder.blob.fingerprint == identity

@@ -17,11 +17,11 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blob import Blob
 from repro.common.errors import IntegrityError, StorageError
-from repro.gear.gearfile import GearFile
+from repro.gear.gearfile import GearFile, verified
 from repro.net.resilience import SingleFlight
 from repro.obs.metrics import MetricSet
 from repro.vfs.inode import FileKind, Inode
@@ -72,9 +72,6 @@ class PartialFile:
 
     def is_complete(self) -> bool:
         return len(self.present) == len(self.blob.chunks)
-
-    def resident_bytes(self) -> int:
-        return sum(self.blob.chunks[index].size for index in self.present)
 
 
 class SharedFilePool:
@@ -168,14 +165,13 @@ class SharedFilePool:
         self.prepare(gear_file)
         return self.commit(gear_file.identity)
 
-    def prepare(self, gear_file: GearFile, *, verified: bool = True) -> Inode:
+    def prepare(self, gear_file: GearFile, *, torn: bool = False) -> Inode:
         """Phase one: stage a fetched file without publishing it.
 
         The pool is the *shared* level-1 cache: a corrupt entry would
-        poison every image on the node, so content is verified against
-        its fingerprint name before it is admitted (collision-handled
-        ``uid-…`` files are not fingerprint-named and are exempt).
-        ``verified=False`` skips that check — it exists solely for crash
+        poison every image on the node, so content must pass
+        :func:`~repro.gear.gearfile.verified` before it is admitted.
+        ``torn=True`` skips that check — it exists solely for crash
         injection, which stages the torn partial file a mid-download
         crash leaves on disk for ``fsck`` to find.
 
@@ -184,9 +180,7 @@ class SharedFilePool:
         discards them.
         """
         identity = gear_file.identity
-        if verified and not identity.startswith("uid-") and (
-            gear_file.blob.fingerprint != identity
-        ):
+        if not torn and not verified(identity, gear_file):
             raise IntegrityError(
                 f"refusing to cache {identity!r}: content hashes "
                 f"to {gear_file.blob.fingerprint!r}"
@@ -359,3 +353,15 @@ class SharedFilePool:
             f"SharedFilePool(files={len(self._inodes)}, bytes={self._bytes}, "
             f"capacity={cap}, policy={self.policy.value})"
         )
+
+
+def poisoned(pool: SharedFilePool) -> List[str]:
+    """Committed identities in ``pool`` whose content fails
+    :func:`~repro.gear.gearfile.verified`: none is the "zero poisoned
+    commits" invariant.  :meth:`SharedFilePool.prepare` builds every pool
+    inode from a Gear file's blob, so each has content to hash."""
+    return [
+        identity
+        for identity in pool.identities()
+        if not verified(identity, pool.peek(identity))
+    ]

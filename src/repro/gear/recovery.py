@@ -12,7 +12,8 @@ tables, and their hard-link counts in place.
 Invariants on return:
 
 1. the pool holds no staged entries and no in-flight markers — every
-   uncommitted admission was promoted (content verified) or dropped;
+   uncommitted admission was promoted (content verified) or dropped —
+   and no partial big file it holds whole;
 2. no index path carries an open link intent — every interrupted link
    was rolled forward (content verified, commit record written) or
    rolled back to a pristine stub;
@@ -32,6 +33,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.blob import chunk_fingerprint
 from repro.common.clock import SimClock
+from repro.gear.gearfile import content_addressed, verified
 from repro.gear.index import GearIndex, STUB_XATTR
 from repro.gear.journal import IntentJournal
 from repro.gear.pool import SharedFilePool
@@ -116,19 +118,6 @@ class RecoveryReport:
         return asdict(self)
 
 
-def _content_matches(identity: str, inode: Inode, committed: bool) -> bool:
-    """Does the inode's content hash to the identity it claims?
-
-    Collision-handled ``uid-…`` files opted out of fingerprint naming
-    (§III-B); they cannot be re-verified by name, so recovery trusts
-    their journal records instead: ``committed`` says whether the
-    journal vouches for the bytes.
-    """
-    if identity.startswith("uid-"):
-        return committed
-    return inode.blob is not None and inode.blob.fingerprint == identity
-
-
 def fsck(
     pool: SharedFilePool,
     indexes: Iterable[GearIndex],
@@ -161,11 +150,17 @@ def fsck(
     # the pool instead of waiting on a fetch that will never land.
     report.inflight_cleared += pool.inflight.abandon()
 
-    # 2. Staged admissions: re-verify and promote, or drop as torn.
+    # 2. Staged admissions: re-verify and promote, or drop as torn.  A
+    # file that is not content-addressed cannot be re-verified by name:
+    # its journal record vouches for the bytes instead.
     for identity, inode in pool.staged_items():
         report.verify_bytes += inode.size
         committed = identity in state.committed_fetches
-        if _content_matches(identity, inode, committed):
+        if (
+            verified(identity, inode)
+            if content_addressed(identity)
+            else committed
+        ):
             pool.commit(identity)
             report.recovered_bytes += inode.size
             if committed:
@@ -181,10 +176,15 @@ def fsck(
     # client; the chunk a mid-fetch crash tore is dropped; every chunk
     # marked present is re-verified against its manifest fingerprint and
     # salvaged, so a resumed deployment re-fetches zero verified chunks.
+    # A partial whose promotion got as far as the pool's commit (or that
+    # pass 2 just committed) is done: the pool serves the whole file.
     for identity in sorted(pool.partials):
         partial = pool.partials[identity]
         report.partial_files += 1
         report.inflight_cleared += partial.inflight.abandon()
+        if pool.contains(identity):
+            del pool.partials[identity]
+            continue
         for chunk_index in sorted(partial.torn):
             partial.present.discard(chunk_index)
             report.torn_chunks_dropped += 1
@@ -218,7 +218,7 @@ def fsck(
             continue  # intent never materialized; compaction closes it
         report.verify_bytes += node.size
         # A link is journaled only after its file's admission committed.
-        if _content_matches(record.identity, node, True) and pool.contains(
+        if verified(record.identity, node) and pool.contains(
             record.identity
         ):
             report.links_repaired += 1

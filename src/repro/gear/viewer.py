@@ -35,7 +35,7 @@ from repro.common.errors import (
     UnavailableError,
 )
 from repro.docker.daemon import DECOMPRESS_BPS
-from repro.gear.gearfile import GearFile
+from repro.gear.gearfile import GearFile, verified
 from repro.gear.index import GearFileEntry, GearIndex, STUB_XATTR
 from repro.gear.journal import IntentJournal
 from repro.gear.pool import SharedFilePool
@@ -46,7 +46,6 @@ from repro.obs.metrics import MetricSet
 from repro.storage.disk import Disk
 from repro.vfs.inode import Inode
 from repro.vfs.overlay import OverlayMount
-from repro.vfs.tree import FileSystemTree
 
 #: A degraded-mode supplier of Gear files when the registry is out of
 #: reach: given the index entry, return a verified file or ``None``.
@@ -83,14 +82,12 @@ class GearFileViewer(OverlayMount):
         pool: SharedFilePool,
         *,
         transport: Optional[RpcTransport] = None,
-        upper: Optional[FileSystemTree] = None,
         disk: Optional[Disk] = None,
         fallback: Optional[FallbackFetcher] = None,
-        integrity_refetch_limit: Optional[int] = None,
         journal: Optional[IntentJournal] = None,
         crash: Optional[CrashInjector] = None,
     ) -> None:
-        super().__init__([index.tree], upper)
+        super().__init__([index.tree])
         self.index = index
         self.pool = pool
         self.transport = transport
@@ -98,11 +95,6 @@ class GearFileViewer(OverlayMount):
         self.fallback = fallback
         self.journal = journal
         self.crash = crash
-        self.integrity_refetch_limit = (
-            integrity_refetch_limit
-            if integrity_refetch_limit is not None
-            else self.INTEGRITY_REFETCH_LIMIT
-        )
         self.fault_stats = FaultStats()
         #: The clock fault spans are recorded on (offline mounts — no
         #: transport, no disk — have none and trace nothing).
@@ -186,6 +178,23 @@ class GearFileViewer(OverlayMount):
         if journal is not None:
             journal.link_commit(entry.identity, path, self.index.reference)
 
+    def _admit(self, gear_file: GearFile) -> Inode:
+        """Admit a fetched, verified file to the shared pool: stage it,
+        journal the fetch's commit, publish it.  Two crash checkpoints
+        split the halves — every file lands through them, whether it
+        arrived whole (:meth:`_fault_in`) or in chunks (the chunked
+        viewer's promotion)."""
+        identity = gear_file.identity
+        self.pool.prepare(gear_file)
+        crash = self.crash  # checkpoints cost nothing unless a plan is armed
+        if crash is not None and crash.take(CrashPoint.POST_FETCH):
+            crash.fire(CrashPoint.POST_FETCH)
+        if self.journal is not None:
+            self.journal.fetch_commit(identity)
+        if crash is not None and crash.take(CrashPoint.MID_COMMIT):
+            crash.fire(CrashPoint.MID_COMMIT)
+        return self.pool.commit(identity)
+
     def _fault_in(self, entry: GearFileEntry):
         """Download, verify, and cache one Gear file (single-flight).
 
@@ -199,18 +208,10 @@ class GearFileViewer(OverlayMount):
         try:
             if self.journal is not None:
                 self.journal.fetch_begin(entry.identity)
-            crash = self.crash
-            if crash is not None and crash.take(CrashPoint.MID_FETCH):
+            if self.crash is not None and self.crash.take(CrashPoint.MID_FETCH):
                 yield from self._crash_mid_fetch(entry)
             gear_file = yield from self._fetch_remote(entry)
-            inode = self.pool.prepare(gear_file)
-            if crash is not None and crash.take(CrashPoint.POST_FETCH):
-                crash.fire(CrashPoint.POST_FETCH)
-            if self.journal is not None:
-                self.journal.fetch_commit(entry.identity)
-            if crash is not None and crash.take(CrashPoint.MID_COMMIT):
-                crash.fire(CrashPoint.MID_COMMIT)
-            inode = self.pool.commit(entry.identity)
+            inode = self._admit(gear_file)
             self.fault_stats.remote_fetches += 1
             self.fault_stats.remote_bytes += gear_file.compressed_size
             # Gear files travel compressed (§III-C): decompress, then
@@ -246,9 +247,7 @@ class GearFileViewer(OverlayMount):
                 f"crash-partial-fetch:{entry.identity[:12]}",
             )
         torn = _torn_payload(entry.identity, partial)
-        self.pool.prepare(
-            GearFile(identity=entry.identity, blob=torn), verified=False
-        )
+        self.pool.prepare(GearFile(identity=entry.identity, blob=torn), torn=True)
         crash.fire(CrashPoint.MID_FETCH)
 
     def _fetch_remote(self, entry: GearFileEntry):
@@ -257,7 +256,7 @@ class GearFileViewer(OverlayMount):
             raise NotFoundError(
                 f"gear file {identity!r} not cached and no registry transport"
             )
-        refetches_left = self.integrity_refetch_limit
+        refetches_left = self.INTEGRITY_REFETCH_LIMIT
         while True:
             try:
                 gear_file = yield from self.transport.call_gen(
@@ -274,12 +273,8 @@ class GearFileViewer(OverlayMount):
                     raise
                 return degraded
             # Content addressing doubles as an integrity check: a fetched
-            # file must hash to the name it was requested by.  Unique IDs
-            # (collision-handled files, "uid-…") opted out of fingerprint
-            # naming and are exempt (§III-B).
-            if identity.startswith("uid-") or (
-                gear_file.blob.fingerprint == identity
-            ):
+            # file must hash to the name it was requested by.
+            if verified(identity, gear_file):
                 return gear_file
             # Corrupt payload: quarantine it (never cache poison) and
             # re-fetch rather than failing the read outright.  An
@@ -310,9 +305,7 @@ class GearFileViewer(OverlayMount):
         gear_file = yield from self.clock.on_worker(self.fallback, entry)
         if gear_file is None:
             return None
-        if not entry.identity.startswith("uid-") and (
-            gear_file.blob.fingerprint != entry.identity
-        ):
+        if not verified(entry.identity, gear_file):
             raise IntegrityError(
                 f"degraded fetch for {entry.identity!r} failed verification"
             )

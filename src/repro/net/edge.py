@@ -65,8 +65,6 @@ from repro.net.resilience import (
     Service,
     Source,
     Tier,
-    poisoned,
-    verified,
     walk,
 )
 from repro.net.transport import RpcTransport
@@ -308,6 +306,8 @@ class _Registry(Source):
         self.site = site
 
     def fetch(self, identity: str, tag: str, label: Optional[str]):
+        from repro.gear.gearfile import verified  # gear imports net: late
+
         site = self.site
         with site.clock.span("fallback", site=site.name, fp=identity[:12]):
             value = yield from site.base.call_gen(
@@ -604,6 +604,9 @@ class EdgeFabric(Tier):
         An empty list is the "zero poisoned commits" invariant: nothing a
         byzantine peer served ever reached a pool or site cache.
         """
+        from repro.gear.gearfile import verified
+        from repro.gear.pool import poisoned
+
         problems: List[str] = []
         for site in self.sites:
             problems += [

@@ -71,8 +71,6 @@ from repro.net.resilience import (
     SingleFlight,
     Source,
     Tier,
-    poisoned,
-    verified,
     walk,
 )
 from repro.net.transport import RpcTransport
@@ -308,6 +306,8 @@ class SharedCacheTier:
         return (yield from self._fill(identity, base, tag, label))
 
     def _fill(self, identity: str, base: Any, tag: str, label: Optional[str]):
+        from repro.gear.gearfile import verified  # gear imports net: late
+
         stats = self.stats
         if not self.admission.try_enter():
             stats.tier_sheds += 1
@@ -508,6 +508,9 @@ class FaasFabric(Tier):
         a byzantine tier served ever reached a node pool, and nothing
         corrupt sits in the tier cache.
         """
+        from repro.gear.gearfile import verified
+        from repro.gear.pool import poisoned
+
         problems = [
             f"tier:{self.tier.name}:{identity}"
             for identity in sorted(self.tier.cache)

@@ -272,11 +272,9 @@ class FaultyLink(Link):
         self-certifying either and likewise fall back to detection.
         """
         from repro.blob import Chunk
-        from repro.gear.gearfile import GearFile
+        from repro.gear.gearfile import GearFile, content_addressed
 
-        if isinstance(payload, GearFile) and not payload.identity.startswith(
-            "uid-"
-        ):
+        if isinstance(payload, GearFile) and content_addressed(payload.identity):
             return junk_payload(
                 payload.identity,
                 f"corrupt:{payload.identity}:{self._rng.random():.17f}",

@@ -69,7 +69,6 @@ from repro.net.resilience import (
     Source,
     Tier,
     TransportDecorator,
-    verified,
     walk,
 )
 from repro.net.transport import RpcStats, RpcTransport
@@ -354,6 +353,8 @@ class ReplicaSet:
         a good copy over missing or corrupted ones, and charges the
         verify/copy time to the clock.  Deterministic per round.
         """
+        from repro.gear.gearfile import verified  # gear imports net: late
+
         self._scrub_rounds += 1
         rng = rng_for("ha-scrub", self.seed, str(self._scrub_rounds))
         union = sorted({i for r in self.replicas for i in r.registry.identities()})

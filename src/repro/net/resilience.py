@@ -28,9 +28,9 @@ the fabrics: :class:`TransportDecorator` is the transport-shaped link a
 tier adds to the chain (:class:`FabricTransport` the one an edge or FaaS
 node gets), :func:`walk` is the one pass over a list of
 :class:`Source`\\ s that :func:`retry_rounds` repeats with backoff,
-:func:`verified` / :func:`poisoned` are the one integrity predicate and
-the one pool audit, and :class:`Tier` is what a tier wires into its
-testbed and its waves.
+and :class:`Tier` is what a tier wires into its testbed and its waves.
+What a tier may cache is decided by the one integrity predicate,
+:func:`repro.gear.gearfile.verified`.
 """
 
 from __future__ import annotations
@@ -248,32 +248,6 @@ class SingleFlight:
 
 # ---------------------------------------------------------------------------
 # the download chain
-
-
-def verified(identity: str, holder: Any) -> bool:
-    """Does ``holder`` (a Gear file or a pool inode) hash to its name?
-
-    Content addressing doubles as the integrity check.  Collision-handled
-    ``uid-…`` files opted out of fingerprint naming (§III-B) and pass.
-    """
-    return identity.startswith("uid-") or holder.blob.fingerprint == identity
-
-
-def poisoned(pool: Any, *, strict: bool = False) -> List[str]:
-    """Committed identities in ``pool`` whose content fails :func:`verified`.
-
-    An empty list is the "zero poisoned commits" invariant.  An inode
-    without a blob has no content to hash: skipped, unless ``strict``.
-    """
-    bad: List[str] = []
-    for identity in pool.identities():
-        inode = pool.peek(identity)
-        if inode.blob is None:
-            if strict:
-                bad.append(identity)
-        elif not verified(identity, inode):
-            bad.append(identity)
-    return bad
 
 
 def retry_rounds(

@@ -175,7 +175,7 @@ class TestIntegrityVerification:
             container.mount.read_bytes(path)
         stats = container.mount.fault_stats
         assert stats.integrity_failures >= 1
-        assert stats.refetches == container.mount.integrity_refetch_limit
+        assert stats.refetches == container.mount.INTEGRITY_REFETCH_LIMIT
         assert not testbed.gear_driver.pool.contains(victim)
         assert testbed.gear_driver.pool.is_quarantined(victim)
 

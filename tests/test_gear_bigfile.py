@@ -89,12 +89,6 @@ class TestPromotion:
         viewer.read_bytes("/models/weights.bin")
         assert viewer.fault_stats.remote_fetches == 0
 
-    def test_partial_resident_bytes(self):
-        viewer, _ = build_env()
-        entry = viewer.index.entries["/models/weights.bin"]
-        viewer.read_range("/models/weights.bin", 0, DEFAULT_CHUNK_SIZE)
-        assert viewer.partial_resident_bytes(entry.identity) == DEFAULT_CHUNK_SIZE
-
 
 class TestSavings:
     def test_partial_access_much_cheaper_than_whole_file(self):

@@ -8,6 +8,7 @@ viewers.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.deploy import viewer_fs_digest
 from repro.bench.environment import make_testbed
@@ -37,6 +38,7 @@ from repro.net.faults import (
 from repro.net.link import Link
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import RpcTransport
+from repro.vfs.inode import Metadata
 from repro.vfs.tree import FileSystemTree
 
 BIG = 8 * MiB  # 64 chunks at 128 KiB
@@ -137,7 +139,7 @@ class TestChunkIntegrity:
         partial.blob = Blob.synthetic("evil", BIG)
         partial.present.update(range(len(partial.blob.chunks)))
         with pytest.raises(IntegrityError):
-            viewer._promote(BIG_PATH, env["identity"], partial)
+            viewer._promote(viewer.index.entries[BIG_PATH], partial)
         assert not env["pool"].contains(env["identity"])
         assert env["pool"].is_quarantined(env["identity"])
 
@@ -369,3 +371,121 @@ class TestGoldenEquivalence:
         whole.read_blob(BIG_PATH)
         whole.read_blob(SMALL_PATH)
         assert viewer_fs_digest(viewer) == viewer_fs_digest(whole)
+
+
+# -- one file, any reader ------------------------------------------------
+#
+# A big stub lands one way on a chunked viewer, whatever reads it: the
+# chunk pipeline, then the viewer's own admit-and-link tail.  Small
+# 4 KiB chunks keep each example cheap (a 48 KiB file is 12 chunks).
+
+TINY_CHUNK = 4 * 1024
+THRESHOLD = 4 * TINY_CHUNK
+FILE = "/opt/model.bin"
+READERS = st.one_of(
+    st.tuples(
+        st.just("read_range"),
+        st.integers(0, 3 * THRESHOLD),
+        st.integers(0, 3 * THRESHOLD),
+    ),
+    st.tuples(st.sampled_from(["read_blob", "read_bytes", "prefetch"])),
+)
+
+
+def one_file_world(mode, size):
+    """An index over one file of ``size`` bytes and ``mode``, its
+    registry, a transport and a journal."""
+    root = FileSystemTree()
+    root.write_file(
+        FILE, Blob.synthetic("one-file", size, chunk_size=TINY_CHUNK),
+        meta=Metadata(mode=mode), parents=True,
+    )
+    index = GearIndex.from_tree("one.gear", "v1", root)
+    clock = SimClock()
+    transport = RpcTransport(Link(clock, bandwidth_mbps=904))
+    registry = GearRegistry()
+    transport.bind(registry.endpoint())
+    registry.upload(GearFile.from_blob(root.read_blob(FILE)))
+    return index, transport, IntentJournal(clock)
+
+
+def whole_file_digest(mode, size):
+    index, transport, _ = one_file_world(mode, size)
+    control = GearFileViewer(index, SharedFilePool(), transport=transport)
+    control.read_blob(FILE)
+    return control.fs_digest()
+
+
+class TestOneFileAnyReader:
+    @settings(deadline=None)
+    @given(
+        mode=st.sampled_from([0o644, 0o755, 0o600]),
+        size=st.one_of(
+            st.integers(1, THRESHOLD - 1), st.integers(THRESHOLD, 3 * THRESHOLD)
+        ),
+        readers=st.lists(READERS, min_size=1, max_size=6),
+    )
+    # A promoted file keeps its index mode, as a whole-file fault does.
+    @example(mode=0o755, size=2 * THRESHOLD,
+             readers=[("read_range", 0, 2 * THRESHOLD)])
+    # A whole read after a partial one fetches only the missing chunks
+    # and leaves no partial behind.
+    @example(mode=0o644, size=2 * THRESHOLD,
+             readers=[("read_range", 0, TINY_CHUNK), ("read_blob",)])
+    def test_every_reader_lands_the_same_file(self, mode, size, readers):
+        index, transport, journal = one_file_world(mode, size)
+        pool = SharedFilePool()
+        viewer = ChunkedGearFileViewer(
+            index, pool, transport=transport, journal=journal,
+            big_file_threshold=THRESHOLD,
+        )
+        for name, *args in readers:
+            if name == "read_range":
+                viewer.read_range(FILE, *args)
+            else:
+                getattr(viewer, name)(FILE)
+
+        identity = index.entries[FILE].identity
+        chunks = -(-size // TINY_CHUNK)
+        stats = viewer.chunk_stats
+        assert viewer.fs_digest() == whole_file_digest(mode, size)
+        if pool.contains(identity):
+            assert identity not in pool.partials
+        assert stats.duplicate_chunk_fetches == 0
+        assert stats.chunks_fetched <= chunks
+        if size >= THRESHOLD:
+            assert viewer.fault_stats.remote_fetches == 0  # never whole
+        else:
+            assert stats.chunks_fetched == 0
+
+
+class TestPromotionCrash:
+    @pytest.mark.parametrize(
+        "point",
+        [CrashPoint.POST_FETCH, CrashPoint.MID_COMMIT, CrashPoint.MID_LINK],
+    )
+    def test_crash_during_promotion_recovers_without_refetch(self, point):
+        size = 3 * THRESHOLD
+        index, transport, journal = one_file_world(0o755, size)
+        pool = SharedFilePool()
+        injector = CrashInjector(
+            journal.clock, CrashPlan(point=point, op_index=0)
+        )
+        crashed = ChunkedGearFileViewer(
+            index, pool, transport=transport, journal=journal,
+            crash=injector, big_file_threshold=THRESHOLD,
+        )
+        with pytest.raises(ClientCrash):
+            crashed.read_range(FILE, 0, size)
+        assert injector.fired is not None
+
+        fsck(pool, [index], [], journal, clock=journal.clock)
+        resumed = ChunkedGearFileViewer(
+            index, pool, transport=transport, journal=journal,
+            big_file_threshold=THRESHOLD,
+        )
+        resumed.read_blob(FILE)
+        assert resumed.fs_digest() == whole_file_digest(0o755, size)
+        assert resumed.chunk_stats.chunks_fetched == 0
+        assert resumed.fault_stats.remote_fetches == 0
+        assert pool.partials == {}

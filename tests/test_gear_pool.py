@@ -207,7 +207,7 @@ class TestTwoPhaseAdmission:
         pool = SharedFilePool()
         with pytest.raises(IntegrityError):
             pool.prepare(bad)
-        assert pool.prepare(bad, verified=False) is not None
+        assert pool.prepare(bad, torn=True) is not None
         assert pool.is_staged("0" * 32)
 
     def test_staged_bytes_do_not_trigger_eviction(self):
