@@ -3,8 +3,9 @@
 # Hypothesis profile, the one-download-chain, one-read-path,
 # a-file-lands-one-way, one-walk, tier-wiring,
 # one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index,
-# nothing-rewinds and virtual-time-only source guards, the determinism gate (all ten rows of the repro.cli gate table,
-# double-run), the checked-in perf-trajectory artifacts, the perf ledger's
+# nothing-rewinds, a-pull-unpacks-nothing/a-payload-is-hashed-once and
+# virtual-time-only source guards, the determinism gate (all ten rows of
+# the repro.cli gate table, double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
 #
 # Usage: sh scripts/check.sh   (from the repo root)
@@ -181,6 +182,20 @@ if grep -rn "reset_spent" src/repro --include='*.py' \
     || grep -rnA4 "register_callback(" src/repro --include='*.py' \
         | grep -E "[^_]reset[[:space:]]*[:=]"
 then echo "a reset callback grew back" >&2; exit 1; fi
+
+echo "== a pull unpacks nothing, a payload is hashed once =="
+# A graph driver keeps a pulled layer and unpacks its diff tree at first
+# mount, which for a Gear index layer is never (DESIGN.md §13).  A task's
+# or a service's write payload is one Blob, minted and hashed once per
+# model, never bytes hashed again on every write (DESIGN.md §17).
+if awk '/^    def register_layer\(/{inside = 1; next}
+        inside && /^    [^ ]/{inside = 0}
+        inside' src/repro/docker/graphdriver.py \
+    | grep -nE "diff_tree\(|extract_diff\(|freeze\("
+then echo "register_layer unpacks a layer: unpack at first mount" >&2; exit 1; fi
+if grep -rnE "b[\"']x[\"'][[:space:]]*\*" src/repro/workloads --include='*.py' \
+    | grep -v "Blob"
+then echo "a workload writes raw bytes that are hashed on every write" >&2; exit 1; fi
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

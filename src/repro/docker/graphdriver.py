@@ -3,15 +3,15 @@
 "The graph driver is responsible for saving the image in the local storage
 and making image layers locally available for reuse … and for providing a
 complete and correct root file system for the container" (§II-C).  This
-driver keeps each layer's extracted ``diff/`` tree keyed by digest —
-shared across every image and container on the node, which is the
-layer-level local sharing Docker provides (and the level Gear improves on
-with file-level sharing).
+driver keeps each layer keyed by digest and unpacks its ``diff/`` tree at
+first mount — shared across every image and container on the node, which
+is the layer-level local sharing Docker provides (and the level Gear
+improves on with file-level sharing).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import Digest
@@ -24,8 +24,10 @@ class Overlay2Driver:
     """Local layer storage plus union-mount construction."""
 
     def __init__(self) -> None:
-        #: digest → (layer object, extracted read-only diff tree)
-        self._layers: Dict[Digest, Tuple[Layer, FileSystemTree]] = {}
+        #: digest → layer object
+        self._layers: Dict[Digest, Layer] = {}
+        #: digest → read-only diff tree, unpacked at the layer's first mount
+        self._diffs: Dict[Digest, FileSystemTree] = {}
         self.mounts_created = 0
 
     # -- layer store -------------------------------------------------------
@@ -34,29 +36,29 @@ class Overlay2Driver:
         return digest in self._layers
 
     def register_layer(self, layer: Layer) -> bool:
-        """Extract a layer into local storage; False when already present."""
+        """Keep a layer in local storage; False when already present."""
         if layer.digest in self._layers:
             return False
-        diff = layer.diff_tree().freeze()
-        self._layers[layer.digest] = (layer, diff)
+        self._layers[layer.digest] = layer
         return True
 
     def get_layer(self, digest: Digest) -> Layer:
         try:
-            return self._layers[digest][0]
+            return self._layers[digest]
         except KeyError:
             raise NotFoundError(f"layer not in local storage: {digest.short()}") from None
 
     def diff_tree(self, digest: Digest) -> FileSystemTree:
-        try:
-            return self._layers[digest][1]
-        except KeyError:
-            raise NotFoundError(f"layer not in local storage: {digest.short()}") from None
+        """The layer's diff tree, shared by every mount on this node."""
+        diff = self._diffs.get(digest)
+        if diff is None:
+            diff = self._diffs[digest] = self.get_layer(digest).diff_tree().freeze()
+        return diff
 
     def remove_layer(self, digest: Digest) -> None:
-        if digest not in self._layers:
+        if self._layers.pop(digest, None) is None:
             raise NotFoundError(f"layer not in local storage: {digest.short()}")
-        del self._layers[digest]
+        self._diffs.pop(digest, None)
 
     @property
     def layer_count(self) -> int:
@@ -64,8 +66,9 @@ class Overlay2Driver:
 
     @property
     def stored_bytes(self) -> int:
-        """Local uncompressed layer bytes (layers are extracted on disk)."""
-        return sum(layer.uncompressed_size for layer, _ in self._layers.values())
+        """Local uncompressed layer bytes: the modelled disk holds each
+        extraction from the pull on; the host tree is built at mount."""
+        return sum(layer.uncompressed_size for layer in self._layers.values())
 
     def missing_layers(self, image: Image) -> List[Layer]:
         """Layers of ``image`` not yet present locally, bottom-up order."""

@@ -14,8 +14,10 @@ files the container actually used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Tuple
 
+from repro.blob import Blob
 from repro.common.clock import SimClock
 from repro.common.rng import rng_for
 from repro.workloads.access import AccessTrace
@@ -40,6 +42,11 @@ class ServiceSpec:
     #: for the databases; log appends for the web servers).
     write_fraction: float
     write_bytes: int
+
+    @cached_property
+    def payload(self) -> Blob:
+        """What every sampled write writes: one blob, hashed once."""
+        return Blob.from_bytes(b"x" * self.write_bytes)
 
 
 SERVICES: Tuple[ServiceSpec, ...] = (
@@ -108,7 +115,7 @@ def run_service(
         if rng.random() < spec.write_fraction:
             mount.write_file(
                 f"/var/lib/{spec.name}/w{request_index % 64}.dat",
-                b"x" * spec.write_bytes,
+                spec.payload,
                 parents=True,
             )
         clock.advance(REQUEST_CPU_S, "svc-cpu")

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
+from repro.blob import Blob
 from repro.common.clock import SimClock
 from repro.workloads.access import AccessTrace
 
@@ -61,10 +61,10 @@ class TaskModel:
     write_bytes: int = 0
 
     @cached_property
-    def _payload(self) -> bytes:
-        """What every write of this task writes: immutable, so one
-        object serves every client that runs the task."""
-        return b"x" * self.write_bytes
+    def _payload(self) -> Blob:
+        """What every write of this task writes: immutable, so one blob,
+        hashed once, serves every client that runs the task."""
+        return Blob.from_bytes(b"x" * self.write_bytes)
 
     def run(
         self,

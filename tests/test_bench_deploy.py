@@ -11,8 +11,10 @@ from repro.bench.deploy import (
     deploy_with_slacker,
 )
 from repro.bench.environment import make_testbed, publish_images
+from repro.gear.index import GearIndex
 from repro.gear.prefetch import TraceRecorder
 from repro.net.faults import lossy_plan
+from repro.vfs.tar import LayerArchive
 
 
 class TestDocker:
@@ -31,6 +33,28 @@ class TestDocker:
 
 
 class TestGear:
+    def test_a_pull_never_unpacks_the_index_layer(self, distro_corpus, monkeypatch):
+        generated = distro_corpus.images[0]
+        bed = make_testbed()
+        publish_images(bed, [generated], convert=True)
+        unpacked, parsed = [], []
+        extract_diff, parse = LayerArchive.extract_diff, GearIndex._parse_archive
+        monkeypatch.setattr(
+            LayerArchive, "extract_diff",
+            lambda archive: unpacked.append(archive) or extract_diff(archive),
+        )
+        monkeypatch.setattr(
+            GearIndex, "_parse_archive",
+            staticmethod(lambda archive: parsed.append(archive) or parse(archive)),
+        )
+        clients = [bed.fresh_client() for _ in range(2)]
+        for client in clients:
+            deploy_with_gear(client, generated)
+        (index_layer,) = clients[0].daemon.get_image(generated.gear_reference).layers
+        assert not any(archive is index_layer.archive for archive in unpacked)
+        # Parsed once per archive, however many clients pull it.
+        assert len(parsed) == 1 and parsed[0] is index_layer.archive
+
     def test_pull_is_tiny_run_fetches(self, published_testbed, small_corpus):
         generated = small_corpus.get("nginx:v1")
         result = deploy_with_gear(published_testbed, generated)

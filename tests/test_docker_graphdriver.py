@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import NotFoundError
 from repro.docker.builder import ImageBuilder, layer_from_files
 from repro.docker.graphdriver import Overlay2Driver
+from repro.docker.image import Image
+from repro.vfs.tar import LayerArchive
 
 
 def make_image():
@@ -61,6 +63,53 @@ class TestLayerStore:
         driver.register_layer(image.layers[0])
         missing = driver.missing_layers(image)
         assert [l.digest for l in missing] == [image.layers[1].digest]
+
+
+@pytest.fixture
+def unpacks(monkeypatch):
+    """Every archive ``LayerArchive._extract_diff_uncached`` unpacks."""
+    seen = []
+    unpack = LayerArchive._extract_diff_uncached
+
+    def counting(self):
+        seen.append(self)
+        return unpack(self)
+
+    monkeypatch.setattr(LayerArchive, "_extract_diff_uncached", counting)
+    return seen
+
+
+def unpacked_image():
+    """Two layers whose archives nothing has unpacked yet (an
+    ``ImageBuilder`` on a base unpacks the base to build on it)."""
+    return Image(
+        "app", "v1",
+        [layer_from_files([("/low", b"low")]), layer_from_files([("/high", b"high")])],
+    )
+
+
+class TestUnpackAtFirstMount:
+    def test_register_unpacks_nothing(self, unpacks):
+        driver = Overlay2Driver()
+        for layer in unpacked_image().layers:
+            driver.register_layer(layer)
+        assert unpacks == []
+
+    def test_first_mount_unpacks_each_layer_once(self, unpacks):
+        driver = Overlay2Driver()
+        image = unpacked_image()
+        for layer in image.layers:
+            driver.register_layer(layer)
+        driver.mount(image)
+        driver.mount(image)
+        assert sorted(map(id, unpacks)) == sorted(id(l.archive) for l in image.layers)
+
+    def test_removing_an_unmounted_layer_never_unpacks_it(self, unpacks):
+        driver = Overlay2Driver()
+        layer = layer_from_files([("/a", b"x")])
+        driver.register_layer(layer)
+        driver.remove_layer(layer.digest)
+        assert unpacks == []
 
 
 class TestMount:

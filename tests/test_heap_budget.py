@@ -19,14 +19,15 @@ from repro.net.topology import Cluster
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 #: Retained Python heap one client of the nginx wave may cost (the
-#: 37-file trace at scale 0.2).  Measured 22.7 KB, and 23.5 KB once
-#: every mount has been digested; it was 31 KB (32 KB digested) when a
-#: deployment linked into its own copy-on-write clone of the index
-#: tree, 41 KB (48 KB) when every inode had a ``Metadata`` of its own,
-#: every pool a chunk table and every mount a set of touched inodes,
-#: 56 KB when the two logs kept a tuple per operation, and 100 KB when
-#: every record was dict-backed and every label, token and payload a
-#: copy.
+#: 37-file trace at scale 0.2).  Measured 22.5 KB, and 23.1 KB once
+#: every mount has been digested; it was 23.0 KB (23.8 KB) while every
+#: pull unpacked the index layer for the graph driver, 31 KB (32 KB
+#: digested) when a deployment linked into its own copy-on-write clone
+#: of the index tree, 41 KB (48 KB) when every inode had a ``Metadata``
+#: of its own, every pool a chunk table and every mount a set of touched
+#: inodes, 56 KB when the two logs kept a tuple per operation, and 100 KB
+#: when every record was dict-backed and every label, token and payload
+#: a copy.
 PER_CLIENT_BUDGET_BYTES = 27_000
 #: Objects the collector tracks that one such client may add.  Measured
 #: 73; it was 123 (the copied index directories and their child dicts),

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.blob import Blob
+from repro.blob import blob as blob_module
 from repro.common.clock import SimClock
 from repro.vfs.overlay import OverlayMount
 from repro.vfs.tree import FileSystemTree
@@ -44,6 +46,23 @@ class TestTaskRun:
         result = task.run(clock, mount, trace)
         assert result.bytes_written == task.writes * task.write_bytes
         assert mount.exists("/var/run/task-0.out")
+
+    def test_a_payload_is_hashed_once_for_every_mount(self, monkeypatch):
+        task = task_for_category("Database")
+        runs = [make_mount_and_trace() for _ in range(2)]
+        task._payload  # minted once, before counting starts
+        hashed = []
+        fingerprint_bytes = blob_module.fingerprint_bytes
+        monkeypatch.setattr(
+            blob_module, "fingerprint_bytes",
+            lambda data: hashed.append(data) or fingerprint_bytes(data),
+        )
+        for mount, trace in runs:
+            task.run(SimClock(), mount, trace)
+        assert hashed == []
+        first, second = (mount.read_blob("/var/run/task-0.out") for mount, _ in runs)
+        assert first is second
+        assert first.fingerprint == Blob.from_bytes(b"x" * 65536).fingerprint
 
     def test_unknown_category_raises(self):
         with pytest.raises(KeyError):
