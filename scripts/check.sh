@@ -3,8 +3,8 @@
 # Hypothesis profile, the one-download-chain, one-read-path,
 # a-file-lands-one-way, one-walk, tier-wiring,
 # one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index,
-# nothing-rewinds, a-pull-unpacks-nothing/a-payload-is-hashed-once and
-# virtual-time-only source guards, the determinism gate (all ten rows of
+# nothing-rewinds, a-pull-unpacks-nothing/a-payload-is-hashed-once,
+# a-conversion-builds-each-thing-once and virtual-time-only source guards, the determinism gate (all ten rows of
 # the repro.cli gate table, double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
 #
@@ -196,6 +196,21 @@ then echo "register_layer unpacks a layer: unpack at first mount" >&2; exit 1; f
 if grep -rnE "b[\"']x[\"'][[:space:]]*\*" src/repro/workloads --include='*.py' \
     | grep -v "Blob"
 then echo "a workload writes raw bytes that are hashed on every write" >&2; exit 1; fi
+
+echo "== a conversion builds each thing once =="
+# A Gear index is its root, frozen and cloned copy-on-write, with the
+# files swapped for stubs: no second tree is re-created.  A corpus layer
+# is built from its archive entries, never written into a throwaway
+# tree to be walked back.  A stub blob is minted in one place,
+# GearFileEntry.stub's memoized _stub: one per content (DESIGN.md §13).
+if grep -n "mirror(" src/repro/gear/index.py \
+    || grep -nE "FileSystemTree\(|write_file\(" src/repro/workloads/corpus.py
+then echo "a conversion re-creates a tree it already has" >&2; exit 1; fi
+minted="$(grep -rn "from_text(.*stub_content()" src/repro --include='*.py' || true)"
+if [ "$(printf '%s' "$minted" | grep -c .)" -ne 1 ] \
+    || ! awk '/^def _stub\(/{inside = 1; next} inside && /^[^ ]/{inside = 0}
+              inside' src/repro/gear/index.py | grep -q "from_text(.*stub_content()"
+then echo "a stub blob is minted outside gear/index.py's _stub: $minted" >&2; exit 1; fi
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

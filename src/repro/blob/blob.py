@@ -99,15 +99,17 @@ class Blob:
         """
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if not data:
-            return cls([Chunk(seed=fingerprint_bytes(b""), size=0, literal=b"")])
         chunks: List[Chunk] = []
-        for offset in range(0, len(data), chunk_size):
+        # Empty data is one empty chunk.
+        for offset in range(0, max(len(data), 1), chunk_size):
             piece = data[offset : offset + chunk_size]
             chunks.append(
                 Chunk(seed=fingerprint_bytes(piece), size=len(piece), literal=piece)
             )
-        return cls(chunks)
+        blob = cls(chunks)
+        if len(chunks) == 1:  # the fingerprint is that one chunk's seed
+            blob._fingerprint = chunks[0].seed
+        return blob
 
     @classmethod
     def from_text(cls, text: str) -> "Blob":
@@ -156,17 +158,15 @@ class Blob:
     def fingerprint(self) -> Fingerprint:
         """MD5 fingerprint of the blob's content.
 
-        Literal single-chunk blobs shorter than the chunk size fingerprint
-        their actual bytes (so tests can compare against ``hashlib.md5``);
-        everything else fingerprints the canonical chunk-token sequence.
+        A literal blob of one chunk is named by its actual bytes (so tests
+        can compare against ``hashlib.md5``): :meth:`from_bytes` sets that
+        chunk's seed, the bytes' MD5.  Everything else fingerprints the
+        canonical chunk-token sequence.
         """
         if self._fingerprint is None:
-            if len(self._chunks) == 1 and self._chunks[0].literal is not None:
-                self._fingerprint = fingerprint_bytes(self._chunks[0].literal)
-            else:
-                self._fingerprint = fingerprint_tokens(
-                    chunk.token for chunk in self._chunks
-                )
+            self._fingerprint = fingerprint_tokens(
+                chunk.token for chunk in self._chunks
+            )
         return self._fingerprint
 
     def chunk_tokens(self) -> Iterator[str]:

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.blob import Blob
 from repro.docker.daemon import DockerDaemon
 from repro.gear.driver import GearContainer
 from repro.gear.gearfile import GearFile
-from repro.gear.index import GearFileEntry, GearIndex, STUB_MAGIC, STUB_XATTR
+from repro.gear.index import GearFileEntry, GearIndex, STUB_XATTR
 from repro.gear.registry import GearRegistry
 from repro.net.transport import RpcTransport
-from repro.vfs.inode import FileKind
 
 
 @dataclass
@@ -133,7 +131,7 @@ def _apply_diff(
                 merged_tree.remove(path, recursive=True)
             merged_tree.write_file(
                 path,
-                Blob.from_text(entry.stub_content()),
+                entry.stub(),
                 meta=node.meta.with_xattr(STUB_XATTR, "1"),
                 parents=True,
             )

@@ -23,6 +23,7 @@ which the Gear File Viewer consults wherever a stub becomes visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -63,6 +64,11 @@ class GearFileEntry:
     def stub_content(self) -> str:
         return f"{STUB_MAGIC}{self.identity}:{self.size}\n"
 
+    def stub(self) -> Blob:
+        """The stub file's blob: one object per content, shared by every
+        index and commit that names it."""
+        return _stub(self.identity, self.size)
+
     @classmethod
     def parse_stub(cls, path: str, content: str, mode: int) -> "GearFileEntry":
         if not content.startswith(STUB_MAGIC):
@@ -72,6 +78,24 @@ class GearFileEntry:
         if not identity or not size_text.isdigit():
             raise GearError(f"malformed Gear stub at {path!r}: {content!r}")
         return cls(path=path, identity=identity, size=int(size_text), mode=mode)
+
+
+@lru_cache(maxsize=65536)
+def _stub(identity: str, size: int) -> Blob:
+    """Mint the stub blob of a content once: pure in its arguments, so
+    memoized the way ``chunk_compressibility`` is."""
+    return Blob.from_text(GearFileEntry("", identity, size, 0).stub_content())
+
+
+def _owned(tree: FileSystemTree, owned: Dict[str, Inode], path: str) -> Inode:
+    """The clone's own copy of the directory at ``path``, made (its
+    ancestors' first) the first time something lands in it."""
+    directory = owned.get(path)
+    if directory is None:
+        head, _, name = path.rpartition("/")
+        above = _owned(tree, owned, head)
+        directory = owned[path] = tree.mkdir_at(above, name, exist_ok=True)
+    return directory
 
 
 class GearIndex:
@@ -119,17 +143,22 @@ class GearIndex:
         ``identity_for`` optionally maps inode number → identity for files
         whose fingerprints were replaced by unique IDs (collision
         handling); everything else uses the blob fingerprint.
+
+        The index is ``root`` with its files swapped for stubs: ``root``
+        is frozen (read-only from here on; its content is unchanged) and
+        the index tree is a copy-on-write clone of it, which copies only
+        the directories a stub lands in and shares every other directory
+        and every symlink with ``root``.  Every entry naming one content
+        holds one stub blob (:meth:`GearFileEntry.stub`).
         """
-        tree = FileSystemTree()
+        tree = root.freeze().clone()
         entries: Dict[str, GearFileEntry] = {}
         identity_for = identity_for or {}
-        for parent, leaf, path, node in tree.mirror(root.walk("/")):
-            if node.is_dir:
-                assert parent.children is not None
-                parent.children[leaf].opaque = node.opaque
-            elif node.is_symlink:
-                assert node.symlink_target is not None
-                tree.symlink_at(parent, leaf, node.symlink_target, meta=node.meta)
+        owned = {"": tree._own_root()}  # directory path → the clone's copy
+        for path, node in root.walk("/", include_whiteouts=True):
+            head, _, leaf = path.rpartition("/")
+            if node.is_whiteout:  # a deletion marker is not content
+                del _owned(tree, owned, head).children[leaf]
             elif node.is_file:
                 assert node.blob is not None
                 entry = entries[path] = GearFileEntry(
@@ -139,7 +168,7 @@ class GearIndex:
                     mode=node.meta.mode,
                 )
                 tree.write_at(
-                    parent, leaf, Blob.from_text(entry.stub_content()),
+                    _owned(tree, owned, head), leaf, entry.stub(),
                     meta=node.meta.with_xattr(STUB_XATTR, "1"),
                 )
         return cls(name, tag, tree, entries, config)
@@ -235,12 +264,6 @@ class GearIndex:
     def represented_bytes(self) -> int:
         """Total size of the regular files the index points to."""
         return sum(entry.size for entry in self.entries.values())
-
-    @property
-    def index_bytes(self) -> int:
-        """Serialized size of the index itself (it should be tiny —
-        "usually less than 1 MB", §I)."""
-        return self.to_image().layers[0].uncompressed_size
 
     def identities(self) -> Iterator[str]:
         """Distinct Gear file identities this index references."""

@@ -32,9 +32,8 @@ from repro.blob import Blob
 from repro.common.errors import NotFoundError, ReproError
 from repro.common.rng import bounded_lognormal, rng_for
 from repro.docker.image import Image, ImageConfig, Layer
-from repro.vfs.inode import Metadata
-from repro.vfs.tar import LayerArchive
-from repro.vfs.tree import FileSystemTree
+from repro.vfs.inode import FileKind
+from repro.vfs.tar import LayerArchive, TarEntry
 from repro.workloads.access import AccessTrace
 from repro.workloads.series import (
     CATEGORIES,
@@ -267,12 +266,18 @@ class _FileSet:
 
 
 def _layer_from_filesets(filesets: Sequence[_FileSet]) -> Layer:
-    tree = FileSystemTree()
+    """One layer of the filesets' files (a later fileset's path wins),
+    each ancestor directory archived once as ``0o755``, ``root:root``."""
+    entries: Dict[str, TarEntry] = {}
     for fileset in filesets:
         for path, blob in fileset.files.items():
             mode = _ROLE_MODE[fileset.role[path]]
-            tree.write_file(path, blob, meta=Metadata(mode=mode), parents=True)
-    return Layer(LayerArchive.from_tree(tree))
+            entries[path] = TarEntry(path, FileKind.FILE, mode, 0, 0, blob=blob)
+            head = path.rpartition("/")[0]
+            while head and head not in entries:
+                entries[head] = TarEntry(head, FileKind.DIRECTORY, 0o755, 0, 0)
+                head = head.rpartition("/")[0]
+    return Layer(LayerArchive(entries.values()))
 
 
 def _select_necessary(

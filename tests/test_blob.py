@@ -6,6 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blob import Blob, Chunk, DEFAULT_CHUNK_SIZE
+from repro.blob import blob as blob_module
+
+
+@pytest.mark.parametrize("data", [b"abc", b""])
+def test_a_literal_blob_is_hashed_once(monkeypatch, data):
+    hashed = []
+    fingerprint_bytes = blob_module.fingerprint_bytes
+    monkeypatch.setattr(
+        blob_module, "fingerprint_bytes",
+        lambda piece: hashed.append(piece) or fingerprint_bytes(piece),
+    )
+    assert Blob.from_bytes(data).fingerprint == hashlib.md5(data).hexdigest()
+    assert hashed == [data]
 
 
 class TestChunk:

@@ -9,9 +9,11 @@ from repro.docker.registry import DockerRegistry
 from repro.gear.commit import commit_container
 from repro.gear.converter import GearConverter
 from repro.gear.driver import GearDriver
+from repro.gear.index import GearIndex
 from repro.gear.registry import GearRegistry
 from repro.net.link import Link
 from repro.net.transport import RpcTransport
+from repro.vfs.tree import FileSystemTree
 
 
 @pytest.fixture
@@ -52,6 +54,20 @@ class TestCommit:
         assert "/etc/added" in new_index.entries
         assert report.uploaded_gear_files == 1
         assert gear_registry.query(new_index.entries["/etc/added"].identity)
+
+    def test_indexes_and_a_commit_share_one_stub_per_content(self, env):
+        _, transport, _, _, daemon, driver = env
+        container = deploy(driver)
+        container.mount.write_file("/etc/added", b"same" * 100)
+        committed, _ = commit_container(
+            container, "app.gear", "v2", daemon=daemon, transport=transport
+        )
+        root = FileSystemTree()
+        root.write_file("/a", b"same" * 100)
+        one = GearIndex.from_tree("i", "v1", root)
+        two = GearIndex.from_tree("i", "v2", root)
+        stub = committed.tree.read_blob("/etc/added")
+        assert stub is one.tree.read_blob("/a") is two.tree.read_blob("/a")
 
     def test_unmodified_entries_survive(self, env):
         _, transport, _, _, daemon, driver = env

@@ -1,4 +1,15 @@
-"""The Gear Converter: image → (index, files), costs, dedup, removal."""
+"""The Gear Converter: image → (index, files), costs, dedup, removal.
+
+The golden conversion pins every index a small corpus converts to
+(``tests/fixtures/convert_golden.json``).  Regenerate it only when the
+conversion is *supposed* to change::
+
+    PYTHONPATH=src python tests/test_gear_converter.py --record
+"""
+
+import dataclasses
+import json
+import os
 
 import pytest
 
@@ -10,6 +21,9 @@ from repro.gear.converter import GearConverter
 from repro.gear.index import GearIndex
 from repro.gear.registry import GearRegistry
 from repro.storage.disk import Disk, HDD, SSD
+from repro.workloads.corpus import CorpusBuilder, CorpusConfig
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "convert_golden.json")
 
 
 def make_env(disk_profile=HDD):
@@ -129,3 +143,43 @@ class TestCosts:
         assert report.image_bytes > 0
         assert report.node_count >= report.file_count
         assert report.index_bytes > 0
+
+
+def golden_conversions():
+    """Convert a small corpus in catalog order: per image, the index
+    layer digest, ``GearIndex.digest()`` and every report field."""
+    corpus = CorpusBuilder(CorpusConfig(
+        seed=7, file_scale=0.1, size_scale=0.1,
+        series_names=("nginx", "redis"), versions_cap=2,
+    )).build()
+    clock = SimClock()
+    docker_registry = DockerRegistry()
+    converter = GearConverter(clock, docker_registry, GearRegistry())
+    for generated in corpus.images:
+        docker_registry.push_image(generated.image)
+    converted = []
+    for generated in corpus.images:
+        index, report = converter.convert(generated.reference)
+        converted.append({
+            "layer": str(index.to_image().layers[0].digest),
+            "index": str(index.digest()),
+            "report": dataclasses.asdict(report),
+        })
+    return converted
+
+
+def test_golden_conversion():
+    with open(GOLDEN) as handle:
+        assert golden_conversions() == json.load(handle)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--record" in sys.argv:
+        with open(GOLDEN, "w") as handle:
+            json.dump(golden_conversions(), handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {os.path.relpath(GOLDEN)}")
+    else:
+        print(__doc__)

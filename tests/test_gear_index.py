@@ -76,7 +76,8 @@ class TestFromTree:
     def test_index_is_tiny_compared_to_image(self):
         root = sample_root()
         index = GearIndex.from_tree("app.gear", "v1", root)
-        assert index.index_bytes < root.total_file_bytes() + 8192
+        index_bytes = index.to_image().layers[0].uncompressed_size
+        assert index_bytes < root.total_file_bytes() + 8192
         assert index.represented_bytes == root.total_file_bytes()
 
     def test_identities_deduplicated(self):
@@ -149,6 +150,71 @@ class TestImageRoundTrip:
         )
         restored = GearIndex.from_image(index.to_image())
         assert restored.config.env_dict() == {"PATH": "/bin"}
+
+
+def snapshot(tree):
+    """Every node of ``tree`` with what a write could change in it."""
+    return [
+        (path, node, node.meta, node.blob, node.symlink_target, node.nlink,
+         node.opaque, dict(node.children or {}))
+        for path, node in tree.walk("/", include_whiteouts=True)
+    ]
+
+
+class TestFromTreeContract:
+    """The index is the root, frozen and cloned, with its files swapped
+    for stubs: nothing is written to the root or to what it shares."""
+
+    def test_root_is_frozen_and_unchanged(self):
+        root = sample_root()
+        before = snapshot(root)
+        GearIndex.from_tree("i", "v", root)
+        assert root.read_only
+        assert snapshot(root) == before
+        with pytest.raises(ReadOnlyVfsError):
+            root.write_file("/etc/app/conf", b"other")
+
+    def test_file_less_structure_is_shared_with_the_root(self):
+        root = sample_root()
+        root.mkdir("/var/empty", parents=True)
+        index = GearIndex.from_tree("i", "v", root)
+        for path in ("/var", "/var/empty", "/bin/bash"):
+            assert index.tree.stat(path, follow_symlinks=False) is root.stat(
+                path, follow_symlinks=False
+            )
+        assert index.tree.stat("/etc") is not root.stat("/etc")
+
+    def test_a_whiteout_yields_no_index_node(self):
+        root = sample_root()
+        root.whiteout("/etc/app/gone")
+        index = GearIndex.from_tree("i", "v", root)
+        assert root.stat("/etc/app").children["gone"].is_whiteout
+        assert "gone" not in index.tree.stat("/etc/app").children
+        archive = index.to_image().layers[0].archive
+        assert not any(entry.is_whiteout for entry in archive)
+
+    def test_a_hard_link_yields_two_entries(self):
+        root = sample_root()
+        root.hardlink("/bin/sh2", "/bin/sh")
+        inode = root.stat("/bin/sh")
+        index = GearIndex.from_tree("i", "v", root)
+        assert inode.nlink == 2 and root.stat("/bin/sh2") is inode
+        for path in ("/bin/sh", "/bin/sh2"):
+            assert index.entries[path].identity == inode.blob.fingerprint
+            assert index.tree.read_blob(path) is index.entries[path].stub()
+
+    def test_indexing_a_clone_leaves_its_template_alone(self):
+        template = sample_root()
+        template.hardlink("/etc/app/conf2", "/etc/app/conf")
+        template.freeze()
+        before = snapshot(template)
+        root = template.clone()
+        root.write_file("/bin/extra", b"extra")
+        index = GearIndex.from_tree("i", "v", root)
+        assert snapshot(template) == before
+        assert sorted(index.entries) == [
+            "/bin/extra", "/bin/sh", "/etc/app/conf", "/etc/app/conf2"
+        ]
 
 
 class TestDigest:

@@ -1,9 +1,21 @@
 """Corpus generation: determinism, structure, traces, sharing."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.blob import Blob
 from repro.common.errors import NotFoundError, ReproError
-from repro.workloads.corpus import Corpus, CorpusBuilder, CorpusConfig
+from repro.vfs.inode import Metadata
+from repro.vfs.tar import LayerArchive
+from repro.vfs.tree import FileSystemTree
+from repro.workloads.corpus import (
+    _ROLE_MODE,
+    Corpus,
+    CorpusBuilder,
+    CorpusConfig,
+    _FileSet,
+    _layer_from_filesets,
+)
 
 
 CONFIG = CorpusConfig(
@@ -150,3 +162,40 @@ class TestCorpusApi:
     def test_total_bytes_positive(self, small_corpus):
         assert small_corpus.total_uncompressed_bytes > 0
         assert small_corpus.image_count == len(small_corpus.references())
+
+
+#: Files under nested, shared directories; leaf names never name a
+#: directory, and a small pool makes paths repeat across filesets.
+_PATHS = st.builds(
+    lambda dirs, leaf: "/" + "/".join([*dirs, leaf]),
+    st.lists(st.sampled_from(["a", "b", "a-b", "usr"]), max_size=3),
+    st.sampled_from(["f0", "f1", "f0.so"]),
+)
+_FILESETS = st.lists(
+    st.dictionaries(_PATHS, st.sampled_from(["bin", "lib"]), max_size=6),
+    min_size=1, max_size=3,
+)
+
+
+@given(_FILESETS)
+def test_a_layer_is_built_from_its_entries(drawn):
+    filesets = []
+    for number, roles in enumerate(drawn):
+        fileset = _FileSet(f"ns{number}", "/")
+        fileset.role = dict(roles)
+        fileset.files = {
+            path: Blob.synthetic(f"{number}{path}", 300 * len(path))
+            for path in roles
+        }
+        filesets.append(fileset)
+    tree = FileSystemTree()  # the reference: write a tree, archive it
+    for fileset in filesets:
+        for path, blob in fileset.files.items():
+            meta = Metadata(mode=_ROLE_MODE[fileset.role[path]])
+            tree.write_file(path, blob, meta=meta, parents=True)
+    expected = LayerArchive.from_tree(tree)
+    archive = _layer_from_filesets(filesets).archive
+    assert archive.digest == expected.digest
+    assert archive.entries == expected.entries
+    assert archive.uncompressed_size == expected.uncompressed_size
+    assert archive.compressed_size == expected.compressed_size
