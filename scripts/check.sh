@@ -4,7 +4,8 @@
 # a-file-lands-one-way, one-walk, tier-wiring,
 # one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index,
 # nothing-rewinds, a-pull-unpacks-nothing/a-payload-is-hashed-once,
-# a-conversion-builds-each-thing-once and virtual-time-only source guards, the determinism gate (all ten rows of
+# a-conversion-builds-each-thing-once, a-chunk-is-named-once and
+# virtual-time-only source guards, the determinism gate (all ten rows of
 # the repro.cli gate table, double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
 #
@@ -211,6 +212,28 @@ if [ "$(printf '%s' "$minted" | grep -c .)" -ne 1 ] \
     || ! awk '/^def _stub\(/{inside = 1; next} inside && /^[^ ]/{inside = 0}
               inside' src/repro/gear/index.py | grep -q "from_text(.*stub_content()"
 then echo "a stub blob is minted outside gear/index.py's _stub: $minted" >&2; exit 1; fi
+
+echo "== a chunk is named once, and pays for hooks only when attached =="
+# A chunk's fingerprint is hashed once per content, in blob/blob.py's
+# memoized _token_fingerprint; Blob.fingerprint names a whole blob and
+# keeps it on the blob (DESIGN.md §17).  The chunk pipeline calls its
+# crash checkpoint only with a crash plan attached, and a chunk fetch
+# builds its spans only on a traced branch (DESIGN.md §15).
+if awk '/^ *def /{name = $2; sub(/\(.*/, "", name)}
+        /fingerprint_tokens\(/{print FNR ": in " name}' src/repro/blob/blob.py \
+    | grep -v -e ': in _token_fingerprint$' -e ': in fingerprint$'
+then echo "blob/blob.py hashes a token outside the chunk memo" >&2; exit 1; fi
+if awk '/_chunk_crash_checkpoint\(/ && !/def / && previous !~ /self\.crash is not None/ {
+            print FNR ": " $0}
+        NF {previous = $0}' src/repro/gear/bigfile.py | grep .
+then echo "a chunk crash checkpoint is called with no crash plan attached" >&2; exit 1; fi
+if awk '/^    def /{inside = ($2 ~ /^_fetch_chunk_claimed\(/); traced = -1}
+        !inside || !NF {next}
+        {match($0, /^ */); indent = RLENGTH}
+        traced >= 0 && indent <= traced {traced = -1}
+        /^ *if traced:/ {traced = indent; next}
+        /span\(/ && traced < 0 {print FNR ": " $0}' src/repro/gear/bigfile.py | grep .
+then echo "_fetch_chunk_claimed builds a span outside a traced branch" >&2; exit 1; fi
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

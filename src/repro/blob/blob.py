@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import Fingerprint, fingerprint_bytes, fingerprint_tokens
@@ -71,7 +72,17 @@ def chunk_fingerprint(chunk: Chunk) -> Fingerprint:
     chunk layout; the chunk-granular read path verifies every
     ``download_chunk`` response against them before marking it present.
     """
-    return fingerprint_tokens((chunk.token,))
+    return _token_fingerprint(chunk.seed, chunk.size)
+
+
+@lru_cache(maxsize=65536)
+def _token_fingerprint(seed: str, size: int) -> Fingerprint:
+    """Hash a chunk's token once per content: pure in ``(seed, size)``,
+    so memoized at module level, bounded, as ``chunk_compressibility``
+    is (a ``Chunk`` itself caches nothing).  The manifest, each verified
+    download and ``fsck`` ask for the same chunks; a tampered chunk has
+    a new seed, so it misses and is hashed afresh."""
+    return fingerprint_tokens((f"{seed}:{size}",))
 
 
 class Blob:

@@ -43,7 +43,6 @@ import heapq
 import inspect
 import itertools
 import threading
-import weakref
 from _thread import allocate_lock as _allocate_lock
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -73,26 +72,14 @@ class _Suspend:
 SUSPEND = _Suspend()
 
 
-#: Cached ``inspect.isgeneratorfunction`` verdicts.  ``spawn`` is the
-#: hottest constructor in fleet waves; the old per-call ``import
-#: inspect`` paid an import-lock hit per spawn and re-walked the
-#: function object every time.  Bound methods of the same function
-#: compare equal, so repeated spawns of ``node.deploy`` hit the cache.
-_GENFUNC_CACHE: "weakref.WeakKeyDictionary[Any, bool]" = weakref.WeakKeyDictionary()
-
-
 def _is_generator_function(target: Any) -> bool:
-    try:
-        cached = _GENFUNC_CACHE.get(target)
-    except TypeError:  # unhashable targets: no caching possible
+    """Is ``target`` a generator function?  Read from the code flags of a
+    function or a bound method's function, the targets ``spawn`` is
+    given; ``inspect`` answers for partials and other callables."""
+    code = getattr(getattr(target, "__func__", target), "__code__", None)
+    if code is None:
         return inspect.isgeneratorfunction(target)
-    if cached is None:
-        cached = inspect.isgeneratorfunction(target)
-        try:
-            _GENFUNC_CACHE[target] = cached
-        except TypeError:  # not weak-referenceable
-            pass
-    return cached
+    return bool(code.co_flags & inspect.CO_GENERATOR)
 
 
 class _Worker:

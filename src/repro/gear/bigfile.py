@@ -31,9 +31,11 @@ whole-file path (DESIGN.md §15):
   range are fetched concurrently, bounded by an
   :class:`~repro.net.resilience.AdmissionGate` sized from
   ``chunk_buffer_bytes``.  A full gate degrades to the sequential path
-  (counted, never an error).  Fetches are single-flight per
-  ``(identity, chunk index)``: concurrent ``read_range`` callers wait on
-  the in-flight fetch instead of duplicating wire bytes.
+  (counted, never an error), so the bytes in flight are bounded by the
+  gate's slots plus one inline chunk per concurrent reader.  Fetches
+  are single-flight per ``(identity, chunk index)``: concurrent
+  ``read_range`` callers wait on the in-flight fetch instead of
+  duplicating wire bytes.
 
 * **Crash consistency.**  Each chunk fetch is bracketed by
   ``chunk-begin`` / ``chunk-commit`` intent-journal records; partials
@@ -44,6 +46,7 @@ whole-file path (DESIGN.md §15):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -126,8 +129,11 @@ class ChunkedGearFileViewer(GearFileViewer):
             else RetryPolicy(seed="chunk-retry")
         )
         self.chunk_buffer_bytes = chunk_buffer_bytes
-        #: In-flight buffer bound, in chunk slots: the pipeline never
-        #: holds more unlinked chunk bytes than the buffer allows.
+        #: In-flight buffer bound, in chunk slots (at least one): the
+        #: gate admits that many worker fetches.  A full gate fetches
+        #: inline, outside it, one chunk per reader at a time, so a
+        #: viewer holds at most (slots + concurrent readers) unlinked
+        #: chunks — more than ``chunk_buffer_bytes`` once a gate fills.
         self._gate = AdmissionGate(
             capacity=max(1, chunk_buffer_bytes // DEFAULT_CHUNK_SIZE)
         )
@@ -266,17 +272,16 @@ class ChunkedGearFileViewer(GearFileViewer):
 
     # -- chunk fetching --------------------------------------------------
 
-    def _covering_chunks(self, partial: PartialFile, offset: int, length: int) -> List[int]:
-        wanted: List[int] = []
-        position = 0
+    @staticmethod
+    def _covering_chunks(partial: PartialFile, offset: int, length: int) -> range:
+        """The chunks ``[offset, offset + length)`` overlaps: those ending
+        after ``offset`` and starting before its end.  Chunk ``i`` starts
+        where chunk ``i - 1`` ends, chunk 0 at 0: nothing starts before 0."""
+        ends = partial.ends
         end = offset + length
-        for chunk_index, chunk in enumerate(partial.blob.chunks):
-            chunk_start = position
-            position += chunk.size
-            if position <= offset or chunk_start >= end:
-                continue
-            wanted.append(chunk_index)
-        return wanted
+        first = bisect_right(ends, offset)
+        last = min(len(ends), bisect_left(ends, end) + 1) if end > 0 else 0
+        return range(first, last)
 
     def _fetch_span(
         self, identity: str, partial: PartialFile, offset: int, length: int
@@ -316,7 +321,10 @@ class ChunkedGearFileViewer(GearFileViewer):
                 self.chunk_stats.coalesced_waits += 1
                 waits.append(pending)
                 continue
-            yield from self._chunk_crash_checkpoint(identity, partial, chunk_index)
+            if self.crash is not None:
+                yield from self._chunk_crash_checkpoint(
+                    identity, partial, chunk_index
+                )
             if not self._gate.try_enter():
                 self.chunk_stats.sequential_fallbacks += 1
                 yield from self._fetch_chunk(
@@ -384,7 +392,7 @@ class ChunkedGearFileViewer(GearFileViewer):
             yield from pending.wait_gen()
         announce = partial.inflight.claim(chunk_index, self.clock)
         try:
-            if check_crash:
+            if check_crash and self.crash is not None:
                 yield from self._chunk_crash_checkpoint(
                     identity, partial, chunk_index
                 )
@@ -409,6 +417,9 @@ class ChunkedGearFileViewer(GearFileViewer):
             if chunk_index < len(partial.fingerprints)
             else None
         )
+        # Telemetry is decided once per chunk: detached, no span is built,
+        # nor its labels.
+        traced = self._traced()
         policy = self.chunk_retry
         attempt = 1
         backoff: Optional[float] = None
@@ -416,16 +427,20 @@ class ChunkedGearFileViewer(GearFileViewer):
         if self.journal is not None:
             self.journal.chunk_begin(identity, chunk_index)
         while True:
-            with self._span(
-                "chunk_fetch", fp=identity[:12], chunk=chunk_index
-            ):
-                payload = yield from self.transport.call_gen(
-                    GearRegistry.ENDPOINT_NAME,
-                    "download_chunk",
-                    identity,
-                    chunk_index,
-                    label=f"gear-chunk:{identity[:10]}:{chunk_index}",
-                )
+            download = self.transport.call_gen(
+                GearRegistry.ENDPOINT_NAME,
+                "download_chunk",
+                identity,
+                chunk_index,
+                label=f"gear-chunk:{identity[:10]}:{chunk_index}",
+            )
+            if traced:
+                with self.clock.span(
+                    "chunk_fetch", fp=identity[:12], chunk=chunk_index
+                ):
+                    payload = yield from download
+            else:
+                payload = yield from download
             if chunk_index in partial.present:
                 # Single-flight failed us (should never happen): the wire
                 # was paid twice for the same chunk.  Surface it in stats
@@ -436,13 +451,14 @@ class ChunkedGearFileViewer(GearFileViewer):
             self.chunk_stats.chunk_bytes_fetched += chunk_compressed_size(
                 payload
             )
-            with self._span(
-                "chunk_verify", fp=identity[:12], chunk=chunk_index
-            ):
-                verified = (
-                    expected is None or chunk_fingerprint(payload) == expected
-                )
-            if verified:
+            if traced:
+                with self.clock.span(
+                    "chunk_verify", fp=identity[:12], chunk=chunk_index
+                ):
+                    good = expected is None or chunk_fingerprint(payload) == expected
+            else:
+                good = expected is None or chunk_fingerprint(payload) == expected
+            if good:
                 break
             # Corrupt chunk that slid past the wire checksum: quarantine
             # it (never store unverified bytes), tell an HA-aware
@@ -490,14 +506,15 @@ class ChunkedGearFileViewer(GearFileViewer):
     ):
         """Die mid-chunk if the armed crash plan says so.
 
-        Reuses the whole-file ``MID_FETCH`` checkpoint (the crash sweep
-        iterates the ``CrashPoint`` members; a chunk-only member would
-        never fire on whole-file runs).  Charges ``partial_fraction`` of
-        the chunk transfer and records the torn chunk on the partial so
-        ``fsck`` drops exactly that chunk and salvages the rest.
+        Called only with a crash plan attached.  Reuses the whole-file
+        ``MID_FETCH`` checkpoint (the crash sweep iterates the
+        ``CrashPoint`` members; a chunk-only member would never fire on
+        whole-file runs).  Charges ``partial_fraction`` of the chunk
+        transfer and records the torn chunk on the partial so ``fsck``
+        drops exactly that chunk and salvages the rest.
         """
         crash = self.crash
-        if crash is None or not crash.take(CrashPoint.MID_FETCH):
+        if not crash.take(CrashPoint.MID_FETCH):
             return
         # The fetch intent hits the journal before any bytes move, so the
         # mid-wire death leaves an *open* chunk record for replay to see.

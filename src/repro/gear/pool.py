@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import sys
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blob import Blob
@@ -56,10 +58,11 @@ class PartialFile:
     ``present`` holds chunk indexes whose bytes are on disk *and* verified
     against the manifest; ``inflight`` is the single-flight table of chunk
     indexes whose fetch is in the air; ``torn`` maps chunk index → bytes a
-    mid-chunk crash left on disk (recovery drops these).
+    mid-chunk crash left on disk (recovery drops these).  ``ends`` is
+    the column of chunk end offsets a range read bisects.
     """
 
-    __slots__ = ("blob", "fingerprints", "present", "inflight", "torn")
+    __slots__ = ("blob", "fingerprints", "present", "inflight", "torn", "ends")
 
     def __init__(
         self, blob: Blob, fingerprints: Tuple[str, ...] = ()
@@ -69,6 +72,7 @@ class PartialFile:
         self.present: Set[int] = set()
         self.inflight = SingleFlight()
         self.torn: Dict[int, int] = {}
+        self.ends = array("q", accumulate(chunk.size for chunk in blob.chunks))
 
     def is_complete(self) -> bool:
         return len(self.present) == len(self.blob.chunks)

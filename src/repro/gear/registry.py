@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
-from repro.blob import Blob, chunk_fingerprint
+from repro.blob import Blob, chunk_compressed_size, chunk_fingerprint
 from repro.common.errors import IntegrityError, NotFoundError
 from repro.gear.gearfile import GearFile
 from repro.net.transport import RpcEndpoint
@@ -205,8 +205,6 @@ class GearRegistry:
         endpoint.register("chunk_map", _chunk_map)
 
         def _download_chunk(identity: str, chunk_index: int):
-            from repro.blob.compressibility import chunk_compressed_size
-
             gear_file = self.download(identity)
             chunks = gear_file.blob.chunks
             if not 0 <= chunk_index < len(chunks):

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.deploy import viewer_fs_digest
 from repro.bench.environment import make_testbed
-from repro.blob import Blob, DEFAULT_CHUNK_SIZE, chunk_fingerprint
+from repro.blob import Blob, Chunk, DEFAULT_CHUNK_SIZE, chunk_fingerprint
+from repro.blob import blob as blob_module
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import (
     ChunkIntegrityError,
@@ -24,7 +25,7 @@ from repro.gear.bigfile import ChunkedGearFileViewer
 from repro.gear.gearfile import GearFile
 from repro.gear.index import GearIndex
 from repro.gear.journal import IntentJournal
-from repro.gear.pool import SharedFilePool
+from repro.gear.pool import PartialFile, SharedFilePool
 from repro.gear.recovery import fsck
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
@@ -489,3 +490,184 @@ class TestPromotionCrash:
         assert resumed.chunk_stats.chunks_fetched == 0
         assert resumed.fault_stats.remote_fetches == 0
         assert pool.partials == {}
+
+
+def scan_covering(blob, offset, length):
+    """The linear scan ``_covering_chunks`` replaced: the reference."""
+    wanted, position, end = [], 0, offset + length
+    for index, chunk in enumerate(blob.chunks):
+        start, position = position, position + chunk.size
+        if position > offset and start < end:
+            wanted.append(index)
+    return wanted
+
+
+@st.composite
+def covered_ranges(draw):
+    """A blob (equal chunks with a short tail, a zero-size blob, or any
+    chunk sizes, zero included) and a range whose ends sit before, at
+    and inside chunk boundaries, at EOF and beyond it."""
+    kind = draw(st.sampled_from(["synthetic", "empty", "sizes"]))
+    if kind == "synthetic":
+        blob = Blob.synthetic(
+            "cover", draw(st.integers(1, 200)), chunk_size=draw(st.integers(1, 16))
+        )
+    elif kind == "empty":
+        blob = Blob.synthetic("cover", 0)
+    else:
+        sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=12))
+        blob = Blob([Chunk(f"cover/{i}", size) for i, size in enumerate(sizes)])
+    marks, position = {0, blob.size + 1, blob.size + 100}, 0
+    for chunk in blob.chunks:
+        position += chunk.size
+        marks.update((position - 1, position, position + 1))
+    marks = sorted(mark for mark in marks if mark >= 0)
+    offset = draw(st.one_of(st.sampled_from(marks), st.integers(0, blob.size + 20)))
+    ends = [mark - offset for mark in marks if mark >= offset]
+    length = draw(st.one_of(
+        st.just(0), st.sampled_from(ends), st.integers(0, blob.size + 20)
+    ))
+    return blob, offset, length
+
+
+class TestCoveringChunks:
+    @given(covered_ranges())
+    def test_bisect_equals_the_linear_scan(self, case):
+        blob, offset, length = case
+        covering = ChunkedGearFileViewer._covering_chunks(
+            PartialFile(blob), offset, length
+        )
+        assert list(covering) == scan_covering(blob, offset, length)
+
+    @pytest.mark.parametrize("offset, length, wanted", [
+        (0, 0, []),          # an empty read at 0 selects no chunk
+        (4, 0, []),          # nor at a boundary
+        (5, 0, [1]),         # inside a chunk, it selects that chunk
+        (0, 4, [0]),
+        (3, 2, [0, 1]),
+        (8, 10, [2]),        # the short tail
+        (10, 5, []),         # at EOF
+        (11, 5, []),         # beyond it
+    ])
+    def test_boundary_rule(self, offset, length, wanted):
+        blob = Blob.synthetic("cover", 10, chunk_size=4)
+        partial = PartialFile(blob)
+        assert list(
+            ChunkedGearFileViewer._covering_chunks(partial, offset, length)
+        ) == wanted == scan_covering(blob, offset, length)
+
+
+def in_flight_mark(viewer):
+    """Record the viewer's high-water mark of unlinked chunk bytes in
+    flight: every fetch a gate-admitted worker or an inline fallback
+    runs, from its download to the chunk landing.  The wrapper only
+    ``yield from``s the fetch, so it costs no virtual time."""
+    fetch = viewer._fetch_chunk_claimed
+    mark = {"now": 0, "high": 0}
+
+    def counted(identity, partial, chunk_index):
+        if chunk_index in partial.present:
+            return
+        size = partial.blob.chunks[chunk_index].size
+        mark["now"] += size
+        mark["high"] = max(mark["high"], mark["now"])
+        try:
+            yield from fetch(identity, partial, chunk_index)
+        finally:
+            mark["now"] -= size
+
+    viewer._fetch_chunk_claimed = counted
+    return mark
+
+
+class TestBufferBound:
+    """What ``chunk_buffer_bytes`` bounds: the gate admits at most its
+    slots, but a full gate fetches inline, outside the gate, one chunk
+    per reader at a time.  The unlinked bytes a viewer holds are bounded
+    by (slots + concurrent readers) chunks, not by the buffer."""
+
+    def run_readers(self, readers, buffer_bytes):
+        viewer, env = build_env(chunk_buffer_bytes=buffer_bytes)
+        mark = in_flight_mark(viewer)
+        span = BIG // readers
+        with SimScheduler(env["clock"]) as scheduler:
+            # Each reader takes its slice and most of the next one, as
+            # the ledger's chunkreads does: boundary chunks are contended.
+            for reader in range(readers):
+                scheduler.spawn(
+                    viewer.read_range_gen, BIG_PATH, reader * span,
+                    min(BIG - reader * span, 2 * span), name=f"reader-{reader}",
+                )
+            scheduler.run()
+        assert env["pool"].contains(env["identity"])
+        assert viewer.chunk_stats.duplicate_chunk_fetches == 0
+        return mark["high"], viewer.chunk_stats
+
+    @pytest.mark.parametrize("readers, buffer_chunks, high_chunks", [
+        (1, 8, 9),    # eight admitted plus the reader's own fallback
+        (8, 8, 16),   # eight admitted plus one fallback per reader
+        (8, 2, 10),
+        (4, 0.5, 5),  # a buffer under one chunk still admits one slot
+    ])
+    def test_high_water_mark(self, readers, buffer_chunks, high_chunks):
+        buffer_bytes = int(buffer_chunks * DEFAULT_CHUNK_SIZE)
+        high, stats = self.run_readers(readers, buffer_bytes)
+        slots = max(1, buffer_bytes // DEFAULT_CHUNK_SIZE)
+        assert stats.sequential_fallbacks > 0
+        assert high == high_chunks * DEFAULT_CHUNK_SIZE > buffer_bytes
+        assert high <= (slots + readers) * DEFAULT_CHUNK_SIZE
+
+    def test_the_mark_costs_no_virtual_time(self):
+        viewer, env = build_env()
+        in_flight_mark(viewer)
+        bare, bare_env = build_env()
+        for each, world in ((viewer, env), (bare, bare_env)):
+            with SimScheduler(world["clock"]) as scheduler:
+                scheduler.spawn(each.read_range_gen, BIG_PATH, 0, BIG // 2)
+                scheduler.run()
+        assert env["clock"].now == bare_env["clock"].now
+        assert viewer.chunk_stats == bare.chunk_stats
+
+
+class TestFingerprintOnce:
+    def test_one_cold_pass_hashes_each_chunk_once(self, monkeypatch):
+        """Three same-content worlds (clean, chunk faults, byzantine),
+        read cold: the manifest, each verified download and each
+        repeated world ask for the same chunks, and each distinct chunk
+        token is hashed once, plus each tampered payload."""
+        worlds = [
+            build_env(),
+            build_env(plan=chunk_plan(
+                seed="once-faults", drop_rate=0.02, corrupt_rate=0.1,
+                corrupt_detect_rate=0.5,
+            )),
+            build_env(plan=chunk_plan(
+                seed="once-byz", corrupt_rate=0.1, corrupt_detect_rate=0.0,
+            )),
+        ]
+        hashed = []
+        real = blob_module.fingerprint_tokens
+
+        def recording(tokens):
+            tokens = tuple(tokens)
+            hashed.extend(tokens)
+            return real(tokens)
+
+        blob_module._token_fingerprint.cache_clear()
+        monkeypatch.setattr(blob_module, "fingerprint_tokens", recording)
+        tampered = 0
+        for viewer, env in worlds:
+            with SimScheduler(env["clock"]) as scheduler:
+                for start in range(0, BIG, BIG // 4):
+                    scheduler.spawn(
+                        viewer.read_range_gen, BIG_PATH, start, BIG // 2
+                    )
+                scheduler.run()
+            assert env["pool"].contains(env["identity"])
+            tampered += viewer.chunk_stats.chunk_integrity_failures
+        chunks = worlds[0][1]["pool"].peek(worlds[0][1]["identity"]).blob.chunks
+        assert tampered > 0
+        assert len(hashed) == len(set(hashed)) == len(chunks) + tampered
+        assert {t for t in hashed if not t.startswith("corrupt:")} == {
+            chunk.token for chunk in chunks
+        }

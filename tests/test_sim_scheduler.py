@@ -10,6 +10,7 @@ the Fig. 9 bandwidth grid and under a fault plan.
 import functools
 import gc
 import heapq
+import inspect
 import weakref
 
 import pytest
@@ -106,6 +107,55 @@ class TestScheduler:
             ("fast", 1.0), ("slow", 2.0), ("fast", 2.0), ("slow", 4.0)
         ]
         assert clock.now == 4.0
+
+    def test_spawn_reads_the_kind_from_code_flags(self, monkeypatch):
+        """A function, a bound method and a closure (a new object every
+        time, as a hedge attempt is) are told apart without ``inspect``;
+        a ``functools.partial`` still asks it, and still runs as a
+        generator."""
+        asked = []
+        real = inspect.isgeneratorfunction
+        monkeypatch.setattr(
+            inspect, "isgeneratorfunction",
+            lambda target: asked.append(target) or real(target),
+        )
+        clock = SimClock()
+        steps = []
+
+        def function(tag, delay):
+            yield delay
+            steps.append((tag, clock.now))
+
+        class Walker:
+            def walk(self, tag, delay):
+                yield delay
+                steps.append((tag, clock.now))
+
+        def closure_over(delay):
+            def attempt(tag):
+                yield delay
+                steps.append((tag, clock.now))
+            return attempt
+
+        def blocking(tag, delay):
+            clock.advance(delay)
+            steps.append((tag, clock.now))
+
+        with SimScheduler(clock) as scheduler:
+            scheduler.spawn(function, "function", 1.0)
+            scheduler.spawn(Walker().walk, "method", 2.0)
+            scheduler.spawn(closure_over(3.0), "closure")
+            scheduler.spawn(blocking, "call", 4.0)
+            assert asked == []
+            scheduler.spawn(functools.partial(function, "partial"), 5.0)
+            assert len(asked) == 1
+            scheduler.run()
+            events = scheduler.events_processed
+        assert steps == [
+            ("function", 1.0), ("method", 2.0), ("closure", 3.0),
+            ("call", 4.0), ("partial", 5.0),
+        ]
+        assert events == 10  # as when every spawn asked inspect
 
     def test_parked_workers_do_not_pin_the_finished_wave(self):
         """A worker waiting in the pool for its next job must not keep
