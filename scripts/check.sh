@@ -4,7 +4,8 @@
 # a-file-lands-one-way, one-walk, tier-wiring,
 # one-harness, one-queue-entry, no-record-per-operation, shared-Metadata, immutable-index,
 # nothing-rewinds, a-pull-unpacks-nothing/a-payload-is-hashed-once,
-# a-conversion-builds-each-thing-once, a-chunk-is-named-once and
+# a-conversion-builds-each-thing-once,
+# an-index-is-read-back-only-when-foreign, a-chunk-is-named-once and
 # virtual-time-only source guards, the determinism gate (all ten rows of
 # the repro.cli gate table, double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
@@ -212,6 +213,30 @@ if [ "$(printf '%s' "$minted" | grep -c .)" -ne 1 ] \
     || ! awk '/^def _stub\(/{inside = 1; next} inside && /^[^ ]/{inside = 0}
               inside' src/repro/gear/index.py | grep -q "from_text(.*stub_content()"
 then echo "a stub blob is minted outside gear/index.py's _stub: $minted" >&2; exit 1; fi
+
+echo "== an index is read back only when foreign =="
+# GearIndex.to_image registers the tree and entry table it packs as the
+# archive's template, so from_image parses only an archive this process
+# did not write (DESIGN.md §13, "Template caches").  The template is
+# what a parse would build only because no index node carries what an
+# archive entry cannot: an mtime, or an attribute but STUB_XATTR.
+parses="$(awk '/^ *def /{name = $2; sub(/\(.*/, "", name)}
+        !/def _parse_archive\(/{
+            for (n = gsub(/_parse_archive\(/, "&"); n > 0; n--) print FILENAME ": in " name}' \
+        $(find src/repro -name '*.py'))"
+if [ "$parses" != "src/repro/gear/index.py: in from_image" ]
+then echo "_parse_archive( is called outside GearIndex.from_image: $parses" >&2; exit 1; fi
+if awk '/^ *def /{name = $2; sub(/\(.*/, "", name)}
+        /_INDEX_TEMPLATES(\[|\.(pop|setdefault|update|clear)\()/{
+            print FILENAME ":" FNR ": in " name}' $(find src/repro -name '*.py') \
+    | grep -v -e '^src/repro/gear/index.py:[0-9]*: in to_image$' \
+        -e '^src/repro/gear/index.py:[0-9]*: in from_image$'
+then echo "_INDEX_TEMPLATES is written outside to_image and from_image" >&2; exit 1; fi
+if grep -rnE "mtime[[:space:]]*=|xattrs[[:space:]]*=|Metadata\(([^,()]*,){3}" \
+        src/repro --include='*.py' | grep -v '^src/repro/vfs/inode.py:' \
+    || grep -rn "with_xattr(" src/repro --include='*.py' \
+        | grep -v -e 'with_xattr(STUB_XATTR, ' -e 'def with_xattr('
+then echo "an inode gets an mtime or an attribute other than STUB_XATTR" >&2; exit 1; fi
 
 echo "== a chunk is named once, and pays for hooks only when attached =="
 # A chunk's fingerprint is hashed once per content, in blob/blob.py's

@@ -104,11 +104,6 @@ def _apply_diff(
     """Overlay the container diff onto the cloned index tree/entries."""
     upper = container.mount.upper
     for path, node in upper.walk("/", include_whiteouts=True):
-        if node.is_whiteout:
-            if merged_tree.exists(path, follow_symlinks=False):
-                merged_tree.remove(path, recursive=True)
-            _drop_subtree_entries(merged_entries, path)
-            continue
         if node.is_dir:
             created = merged_tree.mkdir(path, parents=True, exist_ok=True)
             created.meta = node.meta
@@ -119,16 +114,17 @@ def _apply_diff(
                     child_path = _paths.join(path, child)
                     merged_tree.remove(child_path, recursive=True)
                     _drop_subtree_entries(merged_entries, child_path)
-        elif node.is_symlink:
-            if merged_tree.exists(path, follow_symlinks=False):
-                merged_tree.remove(path, recursive=True)
+            continue
+        # A whiteout, symlink or file replaces what the index held at
+        # ``path``: a directory goes with the entries of its stubs.
+        if merged_tree.exists(path, follow_symlinks=False):
+            merged_tree.remove(path, recursive=True)
+        _drop_subtree_entries(merged_entries, path)
+        if node.is_symlink:
             assert node.symlink_target is not None
             merged_tree.symlink(path, node.symlink_target, meta=node.meta)
-            merged_entries.pop(path, None)
         elif node.is_file:
             entry = diff_entries[path]
-            if merged_tree.exists(path, follow_symlinks=False):
-                merged_tree.remove(path, recursive=True)
             merged_tree.write_file(
                 path,
                 entry.stub(),

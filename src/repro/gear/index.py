@@ -43,10 +43,12 @@ STUB_MAGIC = "gearfp:"
 #: Extended attribute marking a stub inode in a live index tree.
 STUB_XATTR = "gear.stub"
 
-#: One-time parse templates for :meth:`GearIndex.from_image` (a frozen
-#: stub tree and its read-only entry table), keyed by the (immutable,
-#: digest-hashed) index layer archive.  Weak keys: the template dies
-#: with the last registry/daemon reference to the archive.
+#: Templates for :meth:`GearIndex.from_image` (a frozen stub tree and its
+#: read-only entry table), keyed by the (immutable, digest-hashed) index
+#: layer archive: filled by :meth:`GearIndex.to_image` with the index it
+#: packs, and by a parse for an archive this process did not write.
+#: Weak keys: the template dies with the last registry/daemon reference
+#: to the archive.
 _INDEX_TEMPLATES: "WeakKeyDictionary[LayerArchive, Tuple[FileSystemTree, Mapping[str, GearFileEntry]]]" = (
     WeakKeyDictionary()
 )
@@ -183,7 +185,9 @@ class GearIndex:
         index) receives that frozen tree and the one read-only entry
         table themselves, with a link table of its own — the same result
         a re-parse would produce, minus the re-parse and minus a copy of
-        every stub, entry and directory.
+        every stub, entry and directory.  An archive :meth:`to_image`
+        wrote in this process is never parsed: it left its own tree and
+        table behind.
         """
         if not image.gear_index:
             raise GearError(f"{image.reference!r} is not a Gear index image")
@@ -241,14 +245,28 @@ class GearIndex:
         """Package as a single-layer Docker image (§III-C).
 
         Links live beside the tree, never in it, so the tree is already
-        the stubs-only index a registry must carry.
+        the stubs-only index a registry must carry — and exactly what
+        :meth:`_parse_archive` would rebuild from the archive, so it is
+        registered as the archive's template and no pull parses it.
+        That holds because an archive entry carries mode, uid and gid
+        only and every producer builds its index within them: no node
+        has an ``mtime`` or an attribute other than :data:`STUB_XATTR`,
+        no directory is opaque, no inode is reached by two paths, and
+        the entry table names exactly the stubs of the tree.
+
+        The entry goes in under this archive, not under an equal one
+        from an earlier build: that one's death would drop the template.
         """
         from repro.docker.builder import image_from_tree
 
-        return image_from_tree(
+        image = image_from_tree(
             self.name, self.tag, self.tree, config=self.config,
             gear_index=True,
         )
+        archive = image.layers[0].archive
+        _INDEX_TEMPLATES.pop(archive, None)
+        _INDEX_TEMPLATES[archive] = (self.tree, MappingProxyType(self.entries))
+        return image
 
     def stub_tree(self) -> FileSystemTree:
         """A writable copy of the index tree, every entry a pristine stub."""

@@ -52,8 +52,8 @@ class TestGear:
             deploy_with_gear(client, generated)
         (index_layer,) = clients[0].daemon.get_image(generated.gear_reference).layers
         assert not any(archive is index_layer.archive for archive in unpacked)
-        # Parsed once per archive, however many clients pull it.
-        assert len(parsed) == 1 and parsed[0] is index_layer.archive
+        # Never parsed: the conversion left its own index as the template.
+        assert parsed == []
 
     def test_pull_is_tiny_run_fetches(self, published_testbed, small_corpus):
         generated = small_corpus.get("nginx:v1")

@@ -30,7 +30,7 @@ from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 #: a copy.
 PER_CLIENT_BUDGET_BYTES = 27_000
 #: Objects the collector tracks that one such client may add.  Measured
-#: 73; it was 123 (the copied index directories and their child dicts),
+#: 67; it was 73, 123 (the copied index directories and their child dicts),
 #: 188 (62 of them ``Metadata`` and their attribute dicts), and 426 when
 #: each record was a tuple.
 PER_CLIENT_TRACKED_OBJECTS = 90
@@ -163,9 +163,10 @@ class TestOneObjectNotOnePerOperation:
 def _warmed_cluster(image, clients):
     """A cluster of ``clients`` undeployed nodes and the function that
     deploys one, with everything that is not a client already paid for."""
-    # Index templates are keyed weakly by archive *digest*: an earlier,
-    # dead-but-uncollected world would lend this one its template and
-    # then take it away mid-measurement.
+    # Earlier worlds' garbage must not be counted.  (Index templates are
+    # keyed weakly by archive *digest*, but the conversion below keys
+    # this world's own under its own archive: an earlier, equal one can
+    # no longer lend it a template and take it away mid-measurement.)
     gc.collect()
     cluster = Cluster(2 * clients, bandwidth_mbps=100.0)
     publish_images(cluster.registry_testbed, [image], convert=True)
@@ -173,8 +174,9 @@ def _warmed_cluster(image, clients):
     def deploy(node):
         return deploy_with_gear(node.testbed, image)
 
-    # Warm-up wave on nodes that are then dropped: templates are parsed,
-    # worker threads exist, and what is left to measure is the clients.
+    # Warm-up wave on nodes that are then dropped: lazy tables are
+    # built, worker threads exist, and what is left to measure is the
+    # clients.
     measured, cluster.nodes = cluster.nodes[clients:], cluster.nodes[:clients]
     cluster.deploy_wave(deploy)
     cluster.nodes = measured
