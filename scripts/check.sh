@@ -6,8 +6,8 @@
 # nothing-rewinds, a-pull-unpacks-nothing/a-payload-is-hashed-once,
 # a-conversion-builds-each-thing-once,
 # an-index-is-read-back-only-when-foreign, a-chunk-is-named-once and
-# virtual-time-only source guards, the determinism gate (all ten rows of
-# the repro.cli gate table, double-run), the checked-in perf-trajectory artifacts, the perf ledger's
+# virtual-time-only source guards, the defaulted-parameter census, the
+# determinism gate (all ten rows of the repro.cli gate table, double-run), the checked-in perf-trajectory artifacts, the perf ledger's
 # output checks and harness tests, and a full bytecode compile.
 #
 # Usage: sh scripts/check.sh   (from the repo root)
@@ -20,6 +20,13 @@ echo "== tier-1 test suite under -W error, wide Hypothesis profile =="
 # Tier-1 alone replays a small fixed example set (tests/conftest.py);
 # here the property tests draw fresh examples, at their full counts.
 python -W error -m pytest -x -q --hypothesis-profile=wide
+
+echo "== a value no caller changes is a constant =="
+# Every defaulted parameter under src/ is set by some call in src/,
+# tests/, benchmarks/ or examples/; one that no call sets only ever
+# holds its default.  scripts/census.py prints the count and any such
+# parameter, and exits nonzero when there is one.
+python scripts/census.py
 
 echo "== all time in the program is virtual =="
 # Host time is benchmarks/ledger's to read (its microflows and wave

@@ -19,7 +19,7 @@ back for hot layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import NotFoundError
@@ -47,11 +47,10 @@ class DupHunterRegistry:
         self,
         clock: SimClock,
         *,
-        disk: Optional[Disk] = None,
         layer_cache_bytes: int = 0,
     ) -> None:
         self.clock = clock
-        self.disk = disk if disk is not None else Disk(clock)
+        self.disk = Disk(clock)
         self.layer_cache_bytes = layer_cache_bytes
         self._manifests: Dict[str, Manifest] = {}
         self._layers: Dict[Digest, Layer] = {}

@@ -45,12 +45,6 @@ class PackedLayout:
     #: packed layers that image references).
     bytes_per_image: Tuple[int, ...]
 
-    @property
-    def mean_layers_per_image(self) -> float:
-        if not self.layers_per_image:
-            return 0.0
-        return sum(self.layers_per_image) / len(self.layers_per_image)
-
 
 def pack_layers(
     images: Sequence[Image],

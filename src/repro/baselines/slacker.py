@@ -20,7 +20,7 @@ the container touches them.  The properties the paper leans on (§II-D,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from repro.common.clock import SimClock
 from repro.common.errors import NotFoundError
@@ -60,14 +60,8 @@ class SlackerStats:
 class SlackerMount(OverlayMount):
     """A container filesystem backed by a lazily-populated block device."""
 
-    def __init__(
-        self,
-        image_tree: FileSystemTree,
-        link: Link,
-        *,
-        upper: Optional[FileSystemTree] = None,
-    ) -> None:
-        super().__init__([image_tree], upper)
+    def __init__(self, image_tree: FileSystemTree, link: Link) -> None:
+        super().__init__([image_tree])
         self.link = link
         self.clock = link.clock
         self.slacker_stats = SlackerStats()

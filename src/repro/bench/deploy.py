@@ -73,7 +73,6 @@ def _measure(
     start: Callable[[Any], Tuple[Any, Any]],
     counts: Callable[[Any, Any], Tuple[int, int, bool]],
     spawn: Optional[Callable[[Any, Callable[[], Any]], Process]] = None,
-    destroy: Optional[Callable[[Any], Any]] = None,
 ) -> DeploymentResult:
     """Deploy ``generated`` once and measure it: pull, then run (§V-E).
 
@@ -113,8 +112,6 @@ def _measure(
             begun, ended = process.started_at, process.finished_at
             task_result = process.result
     files_fetched, cache_hits, degraded = counts(report, mount)
-    if destroy is not None:
-        destroy(container)
     retries_after, errors_after = _endpoint_stats(testbed, *endpoints)
 
     return DeploymentResult(
@@ -137,9 +134,7 @@ def _measure(
     )
 
 
-def deploy_with_docker(
-    testbed: Testbed, generated: GeneratedImage, *, destroy: bool = False
-) -> DeploymentResult:
+def deploy_with_docker(testbed: Testbed, generated: GeneratedImage) -> DeploymentResult:
     """Vanilla Docker: download the whole image, then run the task."""
     daemon, reference = testbed.daemon, generated.reference
 
@@ -155,8 +150,7 @@ def deploy_with_docker(
         return report.layers_downloaded, report.layers_reused, False
 
     return _measure(
-        testbed, generated, "docker", ("docker-registry",), pull, start, counts,
-        destroy=daemon.destroy_container if destroy else None,
+        testbed, generated, "docker", ("docker-registry",), pull, start, counts
     )
 
 
@@ -164,14 +158,13 @@ def _deploy_gear(
     testbed: Testbed,
     generated: GeneratedImage,
     system: str,
-    reference: str,
     clear_cache: bool,
-    destroy: bool = False,
     spawn: Optional[Callable[..., Process]] = None,
 ) -> DeploymentResult:
     """Both Gear variants: pull the index, start, fault files in while
     the task runs (inline, or spawned by ``spawn``)."""
     driver = testbed.gear_driver
+    reference = generated.gear_reference
     if clear_cache:
         driver.pool.clear()
 
@@ -188,7 +181,6 @@ def _deploy_gear(
     result = _measure(
         testbed, generated, system, ("docker-registry", "gear-registry"),
         lambda: driver.pull_index(reference), start, counts, spawn,
-        destroy=driver.destroy_container if destroy else None,
     )
     driver.deploy_report(reference).ready_s = result.ready_s
     return result
@@ -198,17 +190,14 @@ def deploy_with_gear(
     testbed: Testbed,
     generated: GeneratedImage,
     *,
-    index_reference: Optional[str] = None,
     clear_cache: bool = False,
-    destroy: bool = False,
 ) -> DeploymentResult:
     """Gear: pull the index, start, fault files in while running.
 
     ``clear_cache`` reproduces the paper's no-local-cache scenario ("the
     Gear's local cache is emptied before each deployment", §V-D).
     """
-    reference = index_reference or generated.gear_reference
-    return _deploy_gear(testbed, generated, "gear", reference, clear_cache, destroy)
+    return _deploy_gear(testbed, generated, "gear", clear_cache)
 
 
 def deploy_with_gear_overlapped(
@@ -216,8 +205,6 @@ def deploy_with_gear_overlapped(
     generated: GeneratedImage,
     recorder: TraceRecorder,
     *,
-    byte_budget: Optional[int] = None,
-    index_reference: Optional[str] = None,
     clear_cache: bool = False,
 ) -> DeploymentResult:
     """Gear with trace-driven prefetch *overlapping* the startup task.
@@ -232,19 +219,15 @@ def deploy_with_gear_overlapped(
     Reuses an active scheduler when the caller runs inside one (e.g. a
     fleet wave); otherwise it attaches its own for the run phase.
     """
-    reference = index_reference or generated.gear_reference
-
     def spawn(container, startup):
-        profile = recorder.profile_for(reference)
+        profile = recorder.profile_for(generated.gear_reference)
         scheduler = testbed.clock.scheduler
         owns_scheduler = scheduler is None
         if owns_scheduler:
             scheduler = SimScheduler(testbed.clock)
         try:
             if profile is not None:
-                testbed.gear_driver.spawn_prefetch(
-                    container, profile, byte_budget=byte_budget
-                )
+                testbed.gear_driver.spawn_prefetch(container, profile)
             process = scheduler.spawn(
                 startup, name=f"startup:{generated.reference}"
             )
@@ -260,7 +243,7 @@ def deploy_with_gear_overlapped(
         return process
 
     return _deploy_gear(
-        testbed, generated, "gear+overlap", reference, clear_cache, spawn=spawn
+        testbed, generated, "gear+overlap", clear_cache, spawn=spawn
     )
 
 
@@ -327,9 +310,6 @@ def deploy_with_gear_resumable(
     testbed: Testbed,
     generated: GeneratedImage,
     plan: Optional[CrashPlan],
-    *,
-    index_reference: Optional[str] = None,
-    clear_cache: bool = False,
 ) -> ResumableDeployment:
     """Deploy with Gear under a crash plan; recover and resume if it fires.
 
@@ -341,9 +321,6 @@ def deploy_with_gear_resumable(
     had committed before the crash are served from the pool.
     """
     driver = testbed.gear_driver
-    reference = index_reference or generated.gear_reference
-    if clear_cache:
-        driver.pool.clear()
     if plan is not None:
         driver.arm_crash(plan)
     link_log = testbed.link.log
@@ -352,9 +329,7 @@ def deploy_with_gear_resumable(
     committed_before_crash = 0
     crashed_timer = testbed.clock.timer()
     try:
-        result = deploy_with_gear(
-            testbed, generated, index_reference=reference
-        )
+        result = deploy_with_gear(testbed, generated)
     except ClientCrash as exc:
         crash = exc
         committed_before_crash = driver.pool.file_count
@@ -376,7 +351,7 @@ def deploy_with_gear_resumable(
     # run without touching the wire again.
     held = set(driver.pool.identities())
 
-    result = deploy_with_gear(testbed, generated, index_reference=reference)
+    result = deploy_with_gear(testbed, generated)
     # The journal was compacted by fsck, so its records are exactly the
     # resumed run's admissions.
     refetched = sum(
@@ -384,7 +359,7 @@ def deploy_with_gear_resumable(
         for record in driver.journal.records
         if record.op == FETCH_BEGIN and record.identity in held
     )
-    report = driver.deploy_report(reference)
+    report = driver.deploy_report(generated.gear_reference)
     if report is not None:
         report.crashed = True
         report.crash_point = crash.point

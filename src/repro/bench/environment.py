@@ -474,7 +474,6 @@ def make_timeline_sampler(
     testbed: Testbed,
     *,
     period_s: float = 0.25,
-    jitter: float = 0.2,
     seed: str = "timeline",
 ) -> TimelineSampler:
     """Build a :class:`TimelineSampler` wired with the standard probes.
@@ -492,7 +491,6 @@ def make_timeline_sampler(
     sampler = TimelineSampler(
         testbed.clock,
         period_s=period_s,
-        jitter=jitter,
         seed=seed,
         stats=testbed.timeline_stats,
     )

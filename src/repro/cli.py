@@ -560,12 +560,6 @@ def _chunk_wave(clock, viewer, size, clients):
         scheduler.run()
 
 
-def _pool_audit(pool) -> int:
-    """Committed pool entries whose content does not hash to their name
-    (poisoned commits — must be zero under every fault scenario)."""
-    return len(poisoned(pool))
-
-
 def cmd_chunks(args) -> int:
     """Chunk-granular read-path sweep (§VII big-file lazy loading).
 
@@ -656,7 +650,7 @@ def cmd_chunks(args) -> int:
             sequential_fallbacks=stats.sequential_fallbacks,
             parallel_fetches=stats.parallel_fetches,
             promotions=stats.promotions,
-            poisoned_commits=_pool_audit(pool),
+            poisoned_commits=len(poisoned(pool)),
             partials_leaked=len(pool.partials),
             promoted=pool.contains(identity),
         )
@@ -1066,22 +1060,18 @@ SLO_SCENARIOS = ("fleet", "edge", "faas", "prefetch")
 #: — this gate certifies the readiness plumbing, burn-rate evaluation,
 #: and determinism, not paper numbers — but ``degraded`` and
 #: ``poisoned_commits`` are exact zeros: no objective may be met by
-#: silently falling back or committing bad bytes.
+#: silently falling back or committing bad bytes.  The fleet and edge
+#: waves are held to the same objectives.
+_WAVE_OBJECTIVES = (
+    Objective("ready_p99_s", 300.0, series="ready_s",
+              window_s=5.0, budget=0.5),
+    Objective("deploy_p99_s", 400.0),
+    Objective("degraded", 0.0, comparator="=="),
+    Objective("poisoned_commits", 0.0, comparator="=="),
+)
 SLO_OBJECTIVES = {
-    "fleet": (
-        Objective("ready_p99_s", 300.0, series="ready_s",
-                  window_s=5.0, budget=0.5),
-        Objective("deploy_p99_s", 400.0),
-        Objective("degraded", 0.0, comparator="=="),
-        Objective("poisoned_commits", 0.0, comparator="=="),
-    ),
-    "edge": (
-        Objective("ready_p99_s", 300.0, series="ready_s",
-                  window_s=5.0, budget=0.5),
-        Objective("deploy_p99_s", 400.0),
-        Objective("degraded", 0.0, comparator="=="),
-        Objective("poisoned_commits", 0.0, comparator="=="),
-    ),
+    "fleet": _WAVE_OBJECTIVES,
+    "edge": _WAVE_OBJECTIVES,
     "faas": (
         Objective("ready_p99_s", 120.0, series="cold_ready_s",
                   window_s=2.0, budget=0.5),
@@ -1126,7 +1116,7 @@ def _slo_fleet(args, seed: str):
     """Fleet wave under Gear; every node's pool audited."""
     cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
     return _slo_wave(args, cluster, f"{seed}-fleet", lambda: sum(
-        _pool_audit(node.testbed.gear_driver.pool) for node in cluster.nodes
+        len(poisoned(node.testbed.gear_driver.pool)) for node in cluster.nodes
     ))
 
 
@@ -1200,7 +1190,7 @@ def _slo_prefetch(args, seed: str):
     observed = {
         "ready_over_pull": overlapped.ready_s / docker.pull_s,
         "degraded": float(overlapped.degraded),
-        "poisoned_commits": float(_pool_audit(client.gear_driver.pool)),
+        "poisoned_commits": float(len(poisoned(client.gear_driver.pool))),
     }
     extras = {
         "prefetch": {

@@ -235,25 +235,22 @@ class SimClock:
     ``advance`` calls made from within a simulated process suspend that
     process instead, letting other processes run in the meantime.
 
-    Telemetry is an attached :class:`repro.obs.trace.SpanTracer`
-    (``attach_tracer``, or ``trace=True`` for the legacy flag): every
-    ``span``/``instant`` call lands there, and the legacy ``trace``
-    property reads the tracer's instants back as ``(time, label)``
-    tuples.  With no tracer attached the same calls return a shared
-    null span — zero allocation, zero virtual-time cost.
+    Telemetry is a :class:`repro.obs.trace.SpanTracer` attached with
+    :meth:`attach_tracer`: every ``span``/``instant`` call lands there,
+    and the ``trace`` property reads the tracer's instants back as
+    ``(time, label)`` tuples.  With no tracer attached the same calls
+    return a shared null span — zero allocation, zero virtual-time cost.
     """
 
     __slots__ = ("_now", "_scheduler", "_tracer", "_debt", "_debt_label")
 
-    def __init__(self, *, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._scheduler: Optional["SimScheduler"] = None
         self._tracer: Optional[Any] = None
         #: Sequential-mode virtual-time debt (see :meth:`advance_deferred`).
         self._debt: float = 0.0
         self._debt_label: str = ""
-        if trace:
-            self.attach_tracer()
 
     @property
     def now(self) -> float:

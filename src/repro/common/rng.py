@@ -23,23 +23,6 @@ def rng_for(*tokens: str) -> random.Random:
     return random.Random(stable_u64(*tokens))
 
 
-def weighted_choice(rng: random.Random, weights: "dict[str, float]") -> str:
-    """Pick a key from ``weights`` proportionally to its value."""
-    if not weights:
-        raise ValueError("weighted_choice requires a non-empty mapping")
-    total = sum(weights.values())
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    cumulative = 0.0
-    for key, weight in weights.items():
-        cumulative += weight
-        if point <= cumulative:
-            return key
-    # Floating point slack: fall back to the last key.
-    return key
-
-
 def bounded_lognormal(
     rng: random.Random, median: float, sigma: float, lo: float, hi: float
 ) -> float:

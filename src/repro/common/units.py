@@ -22,11 +22,6 @@ def mbps_to_bytes_per_s(mbps: float) -> float:
     return mbps * Mbps / 8.0
 
 
-def bits_per_s_to_bytes_per_s(bits_per_s: float) -> float:
-    """Convert a rate in bits/s to bytes/s."""
-    return bits_per_s / 8.0
-
-
 def format_bytes(num_bytes: float) -> str:
     """Render a byte count with a binary-prefix unit, e.g. ``'1.50 MiB'``."""
     value = float(num_bytes)
@@ -51,11 +46,6 @@ def format_duration(seconds: float) -> str:
         return f"{seconds:.2f} s"
     minutes, secs = divmod(seconds, 60.0)
     return f"{int(minutes)}m {secs:.0f}s"
-
-
-def format_rate(bytes_per_s: float) -> str:
-    """Render a throughput, e.g. ``'112.50 MiB/s'``."""
-    return f"{format_bytes(bytes_per_s)}/s"
 
 
 def percent(part: float, whole: float) -> float:

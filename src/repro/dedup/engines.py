@@ -104,13 +104,3 @@ def chunk_level_dedup(images: Sequence[Image]) -> DedupReport:
         logical_bytes=sum(logical.values()),
         storage_bytes=sum(stored.values()),
     )
-
-
-def full_table(images: Sequence[Image]) -> Dict[str, DedupReport]:
-    """All four Table II columns for a corpus."""
-    return {
-        "none": no_dedup(images),
-        "layer": layer_level_dedup(images),
-        "file": file_level_dedup(images),
-        "chunk": chunk_level_dedup(images),
-    }

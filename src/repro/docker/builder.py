@@ -54,12 +54,9 @@ class ImageBuilder:
         content: "Blob | bytes | str",
         *,
         mode: int = 0o644,
-        parents: bool = True,
     ) -> "ImageBuilder":
         """COPY-like step: place a file into the working diff."""
-        self.mount.write_file(
-            path, content, meta=Metadata(mode=mode), parents=parents
-        )
+        self.mount.write_file(path, content, meta=Metadata(mode=mode), parents=True)
         return self
 
     def add_symlink(self, path: str, target: str) -> "ImageBuilder":

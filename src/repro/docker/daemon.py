@@ -74,12 +74,11 @@ class DockerDaemon:
         clock: SimClock,
         transport: RpcTransport,
         *,
-        driver: Optional[Overlay2Driver] = None,
         disk: Optional[Disk] = None,
     ) -> None:
         self.clock = clock
         self.transport = transport
-        self.driver = driver if driver is not None else Overlay2Driver()
+        self.driver = Overlay2Driver()
         self.disk = disk if disk is not None else Disk(clock)
         self._images: Dict[str, Image] = {}
         self._containers: Dict[str, Container] = {}

@@ -11,7 +11,7 @@ improves on with file-level sharing).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import Digest
@@ -76,7 +76,7 @@ class Overlay2Driver:
 
     # -- mounts --------------------------------------------------------------
 
-    def mount(self, image: Image, upper: Optional[FileSystemTree] = None) -> OverlayMount:
+    def mount(self, image: Image) -> OverlayMount:
         """Union-mount an image's layers under a fresh writable layer.
 
         Lowers are ordered top-most layer first, matching overlayfs's
@@ -90,7 +90,7 @@ class Overlay2Driver:
                 )
         lowers = [self.diff_tree(layer.digest) for layer in reversed(image.layers)]
         self.mounts_created += 1
-        return OverlayMount(lowers, upper)
+        return OverlayMount(lowers)
 
     def __repr__(self) -> str:
         return f"Overlay2Driver(layers={self.layer_count})"

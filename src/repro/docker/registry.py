@@ -27,10 +27,9 @@ class DockerRegistry:
 
     ENDPOINT_NAME = "docker-registry"
 
-    def __init__(self, name: str = "registry") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._manifests: Dict[str, Manifest] = {}
-        self._layers = ObjectStore(name=f"{name}-layers")
+        self._layers = ObjectStore(name="registry-layers")
         #: Layers kept as objects so clients can re-extract them.
         self._layer_objects: Dict[Digest, Layer] = {}
 

@@ -105,6 +105,11 @@ def _apply_diff(
     upper = container.mount.upper
     for path, node in upper.walk("/", include_whiteouts=True):
         if node.is_dir:
+            # A directory replaces a file or symlink the index held.
+            if merged_tree.exists(path, follow_symlinks=False) and not (
+                merged_tree.stat(path, follow_symlinks=False).is_dir
+            ):
+                _clear(merged_tree, merged_entries, path)
             created = merged_tree.mkdir(path, parents=True, exist_ok=True)
             created.meta = node.meta
             if node.opaque:
@@ -115,11 +120,8 @@ def _apply_diff(
                     merged_tree.remove(child_path, recursive=True)
                     _drop_subtree_entries(merged_entries, child_path)
             continue
-        # A whiteout, symlink or file replaces what the index held at
-        # ``path``: a directory goes with the entries of its stubs.
-        if merged_tree.exists(path, follow_symlinks=False):
-            merged_tree.remove(path, recursive=True)
-        _drop_subtree_entries(merged_entries, path)
+        # A whiteout, symlink or file replaces what the index held.
+        _clear(merged_tree, merged_entries, path)
         if node.is_symlink:
             assert node.symlink_target is not None
             merged_tree.symlink(path, node.symlink_target, meta=node.meta)
@@ -132,6 +134,16 @@ def _apply_diff(
                 parents=True,
             )
             merged_entries[path] = entry
+
+
+def _clear(
+    merged_tree, merged_entries: Dict[str, GearFileEntry], path: str
+) -> None:
+    """Remove what the index holds at ``path``; a directory goes with
+    the entries of its stubs."""
+    if merged_tree.exists(path, follow_symlinks=False):
+        merged_tree.remove(path, recursive=True)
+    _drop_subtree_entries(merged_entries, path)
 
 
 def _drop_subtree_entries(

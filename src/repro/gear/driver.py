@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.common.clock import Process, SimClock
 from repro.common.errors import GearError, NotFoundError, ReproError
-from repro.gear.bigfile import ChunkedGearFileViewer, ChunkFetchStats
+from repro.gear.bigfile import ChunkFetchStats
 from repro.docker.container import ContainerState
 from repro.docker.daemon import (
     CONTAINER_DESTROY_BASE_S,
@@ -128,7 +128,6 @@ class GearDriver:
         transport: RpcTransport,
         *,
         pool: Optional[SharedFilePool] = None,
-        journal: Optional[IntentJournal] = None,
     ) -> None:
         self.clock = clock
         self.daemon = daemon
@@ -136,11 +135,12 @@ class GearDriver:
         self.pool = pool if pool is not None else SharedFilePool()
         #: The node's write-ahead intent journal; every viewer mounted by
         #: this driver records admissions through it (DESIGN.md §9).
-        self.journal = journal if journal is not None else IntentJournal(clock)
+        self.journal = IntentJournal(clock)
         #: Armed crash injector (crash-consistency experiments only).
         self.crash: Optional[CrashInjector] = None
-        #: Node-wide chunk-path accounting, shared by every chunked
-        #: viewer this driver mounts (the ``chunk`` metrics group).
+        #: Node-wide chunk-path accounting, the testbed's ``chunk``
+        #: metrics group.  The driver mounts whole-file viewers, so only a
+        #: chunked viewer handed these stats ever counts into them.
         self.chunk_stats = ChunkFetchStats()
         #: The report of the most recent :meth:`recover` pass.
         self.last_recovery: Optional[RecoveryReport] = None
@@ -210,37 +210,18 @@ class GearDriver:
 
     # -- container-level operations -----------------------------------------
 
-    def create_container(
-        self,
-        reference: str,
-        *,
-        chunked: bool = False,
-        big_file_threshold: Optional[int] = None,
-    ) -> GearContainer:
-        """Mount a viewer over the image's index and a fresh diff.
-
-        ``chunked=True`` mounts a
-        :class:`~repro.gear.bigfile.ChunkedGearFileViewer` instead, so
-        files above ``big_file_threshold`` fault in chunk by chunk
-        through ``read_range``; its chunk counters land on the driver's
-        shared :attr:`chunk_stats`.
-        """
+    def create_container(self, reference: str) -> GearContainer:
+        """Mount a whole-file viewer over the image's index and a fresh diff."""
         index = self.get_index(reference)
-        kwargs = dict(
+        viewer = GearFileViewer(
+            index,
+            self.pool,
             transport=self.transport,
             disk=self.daemon.disk,
             fallback=self._make_fallback(reference),
             journal=self.journal,
             crash=self.crash,
         )
-        if chunked:
-            if big_file_threshold is not None:
-                kwargs["big_file_threshold"] = big_file_threshold
-            viewer: GearFileViewer = ChunkedGearFileViewer(
-                index, self.pool, chunk_stats=self.chunk_stats, **kwargs
-            )
-        else:
-            viewer = GearFileViewer(index, self.pool, **kwargs)
         container = GearContainer(index, viewer)
         self._containers[container.id] = container
         return container
@@ -366,8 +347,6 @@ class GearDriver:
         self,
         container: GearContainer,
         profile: StartupProfile,
-        *,
-        byte_budget: Optional[int] = None,
     ) -> Process:
         """Replay ``profile`` through the container's mount concurrently.
 
@@ -383,8 +362,6 @@ class GearDriver:
                 "spawn_prefetch needs an active SimScheduler on the clock; "
                 "use Prefetcher.prefetch for the sequential (blocking) path"
             )
-        if byte_budget is not None:
-            profile = profile.head_by_bytes(byte_budget)
         return scheduler.spawn(
             replay_profile,
             container.mount,

@@ -100,17 +100,6 @@ class GearRegistry:
 
     # -- bulk helpers ------------------------------------------------------
 
-    def upload_many(self, gear_files: Iterable[GearFile]) -> Tuple[int, int]:
-        """Upload files; returns ``(stored, deduplicated)``."""
-        stored = 0
-        deduped = 0
-        for gear_file in gear_files:
-            if self.upload(gear_file):
-                stored += 1
-            else:
-                deduped += 1
-        return stored, deduped
-
     def missing(self, identities: Iterable[str]) -> List[str]:
         """Identities not present (client-side push planning, §III-C)."""
         return [identity for identity in identities if not self.query(identity)]

@@ -125,11 +125,11 @@ class EdgePeer:
     peer partway through its *n*-th serve.
     """
 
-    def __init__(self, name: str, pool: Any, *, byzantine: bool = False) -> None:
+    def __init__(self, name: str, pool: Any) -> None:
         self.name = name
         self.pool = pool
         self.online = True
-        self.byzantine = byzantine
+        self.byzantine = False
         self.breaker = CircuitBreaker()
         self.crash: Optional[CrashInjector] = None
         #: Shared fabric stats, wired in by :meth:`EdgeSite.add_peer`.

@@ -172,7 +172,6 @@ class SharedCacheTier:
         capacity_bytes: Optional[int] = None,
         ttl_s: Optional[float] = None,
         admission: Optional[AdmissionGate] = None,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError("tier capacity must be positive when set")
@@ -185,7 +184,7 @@ class SharedCacheTier:
         self.capacity_bytes = capacity_bytes
         self.ttl_s = ttl_s
         self.admission = admission if admission is not None else AdmissionGate()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.byzantine = False
         #: identity → cache entry, LRU order (oldest first).
         self.cache: "OrderedDict[str, _TierEntry]" = OrderedDict()

@@ -157,17 +157,6 @@ class FaultPlan:
             return True
         return label.startswith(self.label_prefixes)
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan can never produce a fault."""
-        return (
-            self.drop_rate == 0.0
-            and self.corrupt_rate == 0.0
-            and self.spike_rate == 0.0
-            and not self.outages
-            and not self.brownouts
-        )
-
 
 @dataclass
 class LinkFaultStats(MetricSet):
@@ -202,15 +191,8 @@ class FaultyLink(Link):
         plan: FaultPlan,
         *,
         bandwidth_mbps: float = 904.0,
-        rtt_s: float = 0.0005,
-        request_overhead_s: float = 0.0015,
     ) -> None:
-        super().__init__(
-            clock,
-            bandwidth_mbps=bandwidth_mbps,
-            rtt_s=rtt_s,
-            request_overhead_s=request_overhead_s,
-        )
+        super().__init__(clock, bandwidth_mbps=bandwidth_mbps)
         self.plan = plan
         self.fault_stats = LinkFaultStats()
         self._rng = rng_for("net-faults", plan.seed)
@@ -218,14 +200,14 @@ class FaultyLink(Link):
 
     # -- arming ------------------------------------------------------------
 
-    def arm(self, at: Optional[float] = None) -> None:
-        """Re-anchor outage windows at ``at`` (default: now).
+    def arm(self) -> None:
+        """Re-anchor outage windows at now.
 
         Experiments publish images fault-free, then ``arm()`` right
         before deploying so an ``OutageWindow(start_s=0, ...)`` begins at
         deployment time regardless of how long publishing took.
         """
-        self._armed_at = self.clock.now if at is None else at
+        self._armed_at = self.clock.now
 
     def disarm(self) -> None:
         """Suspend outage windows until the next :meth:`arm`.
@@ -514,20 +496,9 @@ class CrashInjector:
         return f"CrashInjector({self.plan.point.value}, op={self._op_index}, {state})"
 
 
-def lossy_plan(
-    seed: str = "faults",
-    *,
-    drop_rate: float = 0.05,
-    corrupt_rate: float = 0.02,
-    targets: Optional[Tuple[str, ...]] = None,
-) -> FaultPlan:
+def lossy_plan(seed: str = "faults") -> FaultPlan:
     """A moderately hostile wire: a few percent drops and corruption."""
-    return FaultPlan(
-        seed=seed,
-        drop_rate=drop_rate,
-        corrupt_rate=corrupt_rate,
-        targets=targets,
-    )
+    return FaultPlan(seed=seed, drop_rate=0.05, corrupt_rate=0.02)
 
 
 def chunk_plan(
@@ -536,33 +507,25 @@ def chunk_plan(
     drop_rate: float = 0.0,
     corrupt_rate: float = 0.0,
     corrupt_detect_rate: float = 0.5,
-    outages: Tuple[OutageWindow, ...] = (),
-    targets: Optional[Tuple[str, ...]] = ("gear-registry",),
 ) -> FaultPlan:
     """A plan scoped to chunk-granular traffic (``gear-chunk:`` labels).
 
-    Drops, corruption, and outage windows land only on ``download_chunk``
-    transfers and their chunk-map lookups; whole-file fetches on the same
-    registry endpoint are untouched.  This is how the chunk path's
-    integrity/retry machinery is exercised in isolation.
+    Drops and corruption land only on the Gear registry's
+    ``download_chunk`` transfers and their chunk-map lookups; whole-file
+    fetches on the same endpoint are untouched.  This is how the chunk
+    path's integrity/retry machinery is exercised in isolation.
     """
     return FaultPlan(
         seed=seed,
         drop_rate=drop_rate,
         corrupt_rate=corrupt_rate,
         corrupt_detect_rate=corrupt_detect_rate,
-        outages=outages,
-        targets=targets,
+        targets=("gear-registry",),
         label_prefixes=("gear-chunk:", "gear-chunkmap:"),
     )
 
 
-def byzantine_plan(
-    seed: str = "byzantine",
-    *,
-    corrupt_rate: float = 1.0,
-    targets: Optional[Tuple[str, ...]] = None,
-) -> FaultPlan:
+def byzantine_plan(seed: str = "byzantine") -> FaultPlan:
     """A replica that serves wrong bytes with a straight face.
 
     Every corruption is *undetected* at the transport layer
@@ -570,9 +533,4 @@ def byzantine_plan(
     verification in the Gear File Viewer can catch it — which it does,
     and converts into a replica demotion signal (DESIGN.md §10).
     """
-    return FaultPlan(
-        seed=seed,
-        corrupt_rate=corrupt_rate,
-        corrupt_detect_rate=0.0,
-        targets=targets,
-    )
+    return FaultPlan(seed=seed, corrupt_rate=1.0, corrupt_detect_rate=0.0)

@@ -99,27 +99,19 @@ class CircuitBreaker:
     as "open and the cooldown has elapsed".  :meth:`available` is pure
     (selection filters may call it any number of times without changing
     behaviour); state only moves on :meth:`record_success` /
-    :meth:`record_failure` / :meth:`force_open`.
+    :meth:`record_failure` / :meth:`force_open`.  One half-open success
+    closes the breaker.
     """
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 3,
-        cooldown_s: float = 2.0,
-        close_threshold: int = 1,
-    ) -> None:
-        if failure_threshold < 1 or close_threshold < 1:
-            raise ValueError("breaker thresholds must be at least 1")
-        if cooldown_s <= 0:
-            raise ValueError("cooldown must be positive")
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
-        self.close_threshold = close_threshold
+    #: Consecutive failures that trip a closed breaker.
+    FAILURE_THRESHOLD = 3
+    #: Virtual seconds an open breaker waits before its half-open trial.
+    COOLDOWN_S = 2.0
+
+    def __init__(self) -> None:
         self._open = False
         self.opened_at: Optional[float] = None
         self._failure_streak = 0
-        self._halfopen_successes = 0
         #: Times the breaker tripped open (including half-open re-opens
         #: and byzantine demotions).
         self.trips = 0
@@ -127,7 +119,7 @@ class CircuitBreaker:
     def state(self, now: float) -> BreakerState:
         if not self._open:
             return BreakerState.CLOSED
-        if now >= self.opened_at + self.cooldown_s:
+        if now >= self.opened_at + self.COOLDOWN_S:
             return BreakerState.HALF_OPEN
         return BreakerState.OPEN
 
@@ -137,13 +129,10 @@ class CircuitBreaker:
 
     def record_success(self, now: float) -> None:
         if self._open:
-            if now >= self.opened_at + self.cooldown_s:
-                self._halfopen_successes += 1
-                if self._halfopen_successes >= self.close_threshold:
-                    self._open = False
-                    self.opened_at = None
-                    self._failure_streak = 0
-                    self._halfopen_successes = 0
+            if now >= self.opened_at + self.COOLDOWN_S:
+                self._open = False
+                self.opened_at = None
+                self._failure_streak = 0
             # A success while hard-open is a straggler from before the
             # trip; it proves nothing about the replica now.
         else:
@@ -151,19 +140,18 @@ class CircuitBreaker:
 
     def record_failure(self, now: float) -> None:
         if self._open:
-            if now >= self.opened_at + self.cooldown_s:
+            if now >= self.opened_at + self.COOLDOWN_S:
                 # Half-open trial failed: re-open for another cooldown.
                 self.opened_at = now
-                self._halfopen_successes = 0
                 self.trips += 1
         else:
             self._failure_streak += 1
-            if self._failure_streak >= self.failure_threshold:
+            if self._failure_streak >= self.FAILURE_THRESHOLD:
                 self._trip(now)
 
     def force_open(self, now: float) -> None:
         """Trip immediately (byzantine demotion: wrong bytes served)."""
-        if self._open and now < self.opened_at + self.cooldown_s:
+        if self._open and now < self.opened_at + self.COOLDOWN_S:
             return
         self._trip(now)
 
@@ -171,7 +159,6 @@ class CircuitBreaker:
         self._open = True
         self.opened_at = now
         self._failure_streak = 0
-        self._halfopen_successes = 0
         self.trips += 1
 
     def __repr__(self) -> str:
@@ -232,7 +219,6 @@ class Replica:
         link: Link,
         transport: RpcTransport,
         *,
-        breaker: Optional[CircuitBreaker] = None,
         admission: Optional[AdmissionGate] = None,
     ) -> None:
         self.name = name
@@ -240,7 +226,7 @@ class Replica:
         self.registry = registry
         self.link = link
         self.transport = transport
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.admission = admission if admission is not None else AdmissionGate()
         self.stats = ReplicaStats()
 
@@ -417,20 +403,17 @@ class HealthMonitor:
     client and owns no thread.  Each round probes every replica whose
     breaker is not hard-open — half-open replicas get their trial
     request here, so recovery does not depend on client traffic — then
-    sleeps ``interval_s`` of virtual time.  :meth:`stop` makes the loop
+    sleeps :attr:`INTERVAL_S` of virtual time.  :meth:`stop` makes the loop
     exit at its next wake-up; the caller drains the scheduler afterwards.
     """
 
     PROBE_IDENTITY = "__gear_ha_probe__"
+    #: Virtual seconds between probe rounds.
+    INTERVAL_S = 0.5
 
-    def __init__(
-        self, replica_set: ReplicaSet, *, interval_s: float = 0.5
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError("probe interval must be positive")
+    def __init__(self, replica_set: ReplicaSet) -> None:
         self.replica_set = replica_set
         self.clock = replica_set.clock
-        self.interval_s = interval_s
         self._stop = True
         self.process: Optional[Process] = None
 
@@ -447,7 +430,7 @@ class HealthMonitor:
             yield from self.probe_all()
             if self._stop:
                 break
-            yield from self.clock.advance_gen(self.interval_s, "ha-probe-wait")
+            yield from self.clock.advance_gen(self.INTERVAL_S, "ha-probe-wait")
 
     def probe_all(self):
         now = self.clock.now
@@ -483,52 +466,41 @@ class HedgeEstimator:
     """Learns the fleet's fetch slowdown and sets the hedge deadline.
 
     Tracks the ratio of observed fetch time to the uncontended nominal
-    cost over a sliding window; the hedge deadline for a new fetch is::
+    cost over the last :attr:`WINDOW` fetches; the hedge deadline for a
+    new fetch is::
 
-        nominal_s * max(percentile(ratios, quantile), 1.0) * multiplier
+        nominal_s * max(percentile(ratios, QUANTILE), 1.0) * MULTIPLIER
 
     using the shared nearest-rank :func:`repro.common.stats.percentile`
     (same tiny-sample semantics as the wave reports).  Until
-    ``min_samples`` observations exist, a conservative ``cold_ratio``
-    stands in, so a lone healthy client (ratio 1) never hedges.
+    :attr:`MIN_SAMPLES` observations exist, a conservative
+    :attr:`COLD_RATIO` stands in, so a lone healthy client (ratio 1)
+    never hedges.
     """
 
-    def __init__(
-        self,
-        *,
-        quantile: float = 95.0,
-        multiplier: float = 1.25,
-        cold_ratio: float = 3.0,
-        min_samples: int = 4,
-        window: int = 128,
-    ) -> None:
-        if not 0 < quantile <= 100:
-            raise ValueError("quantile must be in (0, 100]")
-        if multiplier < 1.0 or cold_ratio < 1.0:
-            raise ValueError("multiplier and cold_ratio must be >= 1")
-        if min_samples < 1 or window < min_samples:
-            raise ValueError("need window >= min_samples >= 1")
-        self.quantile = quantile
-        self.multiplier = multiplier
-        self.cold_ratio = cold_ratio
-        self.min_samples = min_samples
-        self.window = window
+    QUANTILE = 95.0
+    MULTIPLIER = 1.25
+    COLD_RATIO = 3.0
+    MIN_SAMPLES = 4
+    WINDOW = 128
+
+    def __init__(self) -> None:
         self._ratios: List[float] = []
 
     def observe(self, ratio: float) -> None:
         if ratio <= 0:
             return
         self._ratios.append(ratio)
-        if len(self._ratios) > self.window:
+        if len(self._ratios) > self.WINDOW:
             del self._ratios[0]
 
     def slowdown_ratio(self) -> float:
-        if len(self._ratios) < self.min_samples:
-            return self.cold_ratio
-        return max(percentile(self._ratios, self.quantile), 1.0)
+        if len(self._ratios) < self.MIN_SAMPLES:
+            return self.COLD_RATIO
+        return max(percentile(self._ratios, self.QUANTILE), 1.0)
 
     def deadline_s(self, nominal_s: float) -> float:
-        return nominal_s * self.slowdown_ratio() * self.multiplier
+        return nominal_s * self.slowdown_ratio() * self.MULTIPLIER
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +740,6 @@ class HAFetchPolicy:
         *,
         strategy: str = "primary-first",
         retry_policy: Optional[RetryPolicy] = None,
-        estimator: Optional[HedgeEstimator] = None,
         hedging: bool = True,
         seed: str = "ha",
     ) -> None:
@@ -795,7 +766,7 @@ class HAFetchPolicy:
                 rng=rng_for("ha-retry", seed),
             )
         )
-        self.estimator = estimator if estimator is not None else HedgeEstimator()
+        self.estimator = HedgeEstimator()
         self.stats = HAStats()
         self._rng = rng_for("ha-select", seed)
         #: identity → replica that served the last download of it, for

@@ -280,10 +280,6 @@ class Link:
         self.log.append(start, duration, payload_bytes, label)
         return duration
 
-    def request(self, label: str = "") -> float:
-        """A zero-payload control request (e.g. existence query)."""
-        return self.transfer(0, label or "request")
-
     def scoped(self, endpoint_name: str) -> "Link":
         """This link as one RPC attempt to ``endpoint_name`` sees it: a
         plain link has no faults to scope, so itself."""
@@ -499,22 +495,8 @@ class Link:
         """Drop a pending cancellation that never met a transfer."""
         self._cancel_pending.discard(process)
 
-    def with_bandwidth(self, bandwidth_mbps: float) -> "Link":
-        """A new link on the same clock with a different bandwidth."""
-        return Link(
-            self.clock,
-            bandwidth_mbps=bandwidth_mbps,
-            rtt_s=self.rtt_s,
-            request_overhead_s=self.request_overhead_s,
-        )
-
     def __repr__(self) -> str:
         return (
             f"Link({self.bandwidth_mbps:g} Mbps, rtt={self.rtt_s * 1e3:.2f} ms, "
             f"overhead={self.request_overhead_s * 1e3:.2f} ms)"
         )
-
-
-def lan_link(clock: SimClock, bandwidth_mbps: float = 904.0) -> Link:
-    """The paper's testbed link: two servers on a measured 904 Mbps LAN."""
-    return Link(clock, bandwidth_mbps=bandwidth_mbps)

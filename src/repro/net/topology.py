@@ -6,18 +6,14 @@ pressure on the registry in terms of bandwidth" (§I).  This module models
 that pressure point: N clients share the registry node's finite uplink,
 so every byte a deployment downloads also consumes registry capacity.
 
-Two deployment disciplines are supported:
-
-* :meth:`Cluster.each_node` — the seed model: clients act in sequence (a
-  rolling deployment) and the registry uplink accumulates utilization.
-  Deterministic and byte-identical to the original sequential clock.
-* :meth:`Cluster.deploy_wave` — concurrent waves: up to ``concurrency``
-  clients deploy simultaneously under a discrete-event scheduler, their
-  transfers fair-sharing the registry uplink.  The wave report carries
-  the numbers an operator provisions for — per-client deployment
-  latency percentiles (p50/p95/p99), fleet makespan, and registry-uplink
-  utilization over virtual time.  Runs are deterministic: the same
-  cluster and action produce identical reports.
+A fleet deploys in :meth:`Cluster.deploy_wave`'s concurrent waves: up
+to ``concurrency`` clients deploy simultaneously under a discrete-event
+scheduler, their transfers fair-sharing the registry uplink
+(``concurrency=1`` is a rolling deployment, one client at a time).  The
+wave report carries the numbers an operator provisions for — per-client
+deployment latency percentiles (p50/p95/p99), fleet makespan, and
+registry-uplink utilization over virtual time.  Runs are deterministic:
+the same cluster and action produce identical reports.
 """
 
 from __future__ import annotations
@@ -219,20 +215,6 @@ class Cluster:
         """All bytes the registry node served (every client shares the
         link log because they share the simulated wire)."""
         return self._root.link.log.total_bytes
-
-    def each_node(
-        self, action: Callable[[ClientNode], None]
-    ) -> Dict[str, int]:
-        """Run ``action`` on every node in sequence (a rolling deploy).
-
-        Returns per-node download volume for the action.
-        """
-        per_node: Dict[str, int] = {}
-        for node in self.nodes:
-            before = self.registry_egress_bytes
-            action(node)
-            per_node[node.name] = self.registry_egress_bytes - before
-        return per_node
 
     def _wave_counters(self) -> Dict[str, float]:
         """Running totals a wave report is the before/after delta of,

@@ -135,8 +135,8 @@ class _OpenSpan:
 class SpanTracer:
     """Records spans and instants against a simulated clock.
 
-    Attach to a clock with ``clock.attach_tracer(tracer)`` (or construct
-    the clock with ``trace=True``); every ``clock.span(...)`` /
+    Attach to a clock with ``clock.attach_tracer(tracer)`` (or let
+    ``clock.attach_tracer()`` make one); every ``clock.span(...)`` /
     ``clock.instant(...)`` call then lands here.  The tracer never
     advances the clock.
     """

@@ -35,7 +35,7 @@ class FileSystemTree:
     through these methods, or on the node such a method just returned.
     """
 
-    def __init__(self, *, read_only: bool = False) -> None:
+    def __init__(self) -> None:
         #: Stamped on every inode this tree creates: the tree may mutate
         #: exactly the inodes carrying it (see :attr:`Inode.owner`).
         self._token = object()
@@ -43,7 +43,7 @@ class FileSystemTree:
         #: does not own; every other tree skips the own-on-write walk.
         self._shares = False
         self.root = Inode(FileKind.DIRECTORY, owner=self._token)
-        self._read_only = read_only
+        self._read_only = False
 
     # -- mutability ------------------------------------------------------
 

@@ -209,19 +209,3 @@ class ScheduleBuilder:
             )
             seen.add(function)
         return stream
-
-    def rolling_update_stream(self, series: str) -> List[ScheduledDeployment]:
-        """Fig. 10's pattern: every version of one series, in order."""
-        versions = self.corpus.by_series.get(series)
-        if not versions:
-            raise KeyError(f"corpus has no series {series!r}")
-        return [
-            ScheduledDeployment(position=index, image=image, is_repeat=False)
-            for index, image in enumerate(versions)
-        ]
-
-    def repeat_rate(self, schedule: Sequence[ScheduledDeployment]) -> float:
-        """Fraction of events that redeploy an already-seen reference."""
-        if not schedule:
-            return 0.0
-        return sum(1 for event in schedule if event.is_repeat) / len(schedule)

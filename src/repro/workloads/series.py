@@ -279,8 +279,3 @@ def get_series(name: str) -> SeriesSpec:
         if spec.name == name:
             return spec
     raise KeyError(f"no such series: {name!r}")
-
-
-def total_image_count() -> int:
-    """Total images in the catalog (971, matching §V-A)."""
-    return sum(spec.versions for spec in SERIES)

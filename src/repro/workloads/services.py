@@ -91,7 +91,6 @@ def run_service(
     spec: ServiceSpec,
     *,
     requests: int = 10_000,
-    seed: str = "svc",
 ) -> ServiceRunResult:
     """Drive a closed-loop request load against a mounted container.
 
@@ -100,7 +99,7 @@ def run_service(
     the mount's fault path charges (Gear downloads, Slacker block pulls,
     nothing for Docker); subsequent reads are warm.
     """
-    rng = rng_for(seed, spec.name)
+    rng = rng_for("svc", spec.name)
     working_set = [
         path for path, _ in trace.accesses[: spec.working_set_files]
     ]

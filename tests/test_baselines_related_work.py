@@ -118,7 +118,7 @@ class TestLayerPack:
     def test_layers_per_image_reported(self):
         layout = pack_layers(version_chain(), min_layer_bytes=1000)
         assert len(layout.layers_per_image) == 4
-        assert layout.mean_layers_per_image == pytest.approx(2.0)
+        assert sum(layout.layers_per_image) / 4 == pytest.approx(2.0)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):

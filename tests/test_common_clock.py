@@ -28,7 +28,8 @@ def test_advance_zero_is_allowed():
 
 
 def test_trace_records_labels_when_enabled():
-    clock = SimClock(trace=True)
+    clock = SimClock()
+    clock.attach_tracer()
     clock.advance(1.0, "pull")
     clock.advance(2.0, "run")
     assert clock.trace == [(1.0, "pull"), (3.0, "run")]

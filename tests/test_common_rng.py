@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.rng import bounded_lognormal, rng_for, weighted_choice
+from repro.common.rng import bounded_lognormal, rng_for
 
 
 def test_rng_for_is_reproducible():
@@ -13,27 +13,6 @@ def test_rng_for_is_reproducible():
 
 def test_rng_for_differs_by_tokens():
     assert rng_for("a").random() != rng_for("b").random()
-
-
-def test_weighted_choice_respects_support():
-    rng = rng_for("wc")
-    weights = {"x": 1.0, "y": 3.0}
-    picks = {weighted_choice(rng, weights) for _ in range(50)}
-    assert picks <= {"x", "y"}
-    assert "y" in picks  # overwhelmingly likely with weight 3:1 over 50 draws
-
-
-def test_weighted_choice_single_key():
-    rng = rng_for("wc2")
-    assert weighted_choice(rng, {"only": 0.5}) == "only"
-
-
-def test_weighted_choice_rejects_empty_and_nonpositive():
-    rng = rng_for("wc3")
-    with pytest.raises(ValueError):
-        weighted_choice(rng, {})
-    with pytest.raises(ValueError):
-        weighted_choice(rng, {"a": 0.0})
 
 
 def test_bounded_lognormal_respects_bounds():

@@ -7,10 +7,8 @@ from repro.common.units import (
     KiB,
     MiB,
     Mbps,
-    bits_per_s_to_bytes_per_s,
     format_bytes,
     format_duration,
-    format_rate,
     mbps_to_bytes_per_s,
     percent,
 )
@@ -25,10 +23,6 @@ def test_binary_prefixes_chain():
 def test_mbps_conversion_matches_definition():
     # 904 Mbps (the paper's measured LAN) = 113 MB/s.
     assert mbps_to_bytes_per_s(904) == pytest.approx(904e6 / 8)
-
-
-def test_bits_to_bytes():
-    assert bits_per_s_to_bytes_per_s(8_000_000) == 1_000_000
 
 
 def test_format_bytes_small():
@@ -55,10 +49,6 @@ def test_format_duration_scales():
 def test_format_duration_rejects_negative():
     with pytest.raises(ValueError):
         format_duration(-1)
-
-
-def test_format_rate():
-    assert format_rate(mbps_to_bytes_per_s(8)) == "976.56 KiB/s"
 
 
 def test_percent_handles_zero_whole():

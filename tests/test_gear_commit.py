@@ -105,6 +105,24 @@ class TestCommit:
         assert "/etc/conf" not in new_index.entries
         assert not new_index.tree.exists("/etc/conf")
 
+    def test_a_file_replaced_by_a_directory_commits(self, env):
+        _, transport, _, _, daemon, driver = env
+        container = deploy(driver)
+        container.mount.remove("/etc/conf")
+        container.mount.mkdir("/etc/conf")
+        container.mount.write_file("/etc/conf/inner", b"inside")
+        new_index, _ = commit_container(
+            container, "app.gear", "v2", daemon=daemon, transport=transport
+        )
+        assert new_index.tree.is_dir("/etc/conf")
+        assert "/etc/conf" not in new_index.entries
+        assert "/etc/conf/inner" in new_index.entries
+        fresh_driver = GearDriver(
+            driver.clock, DockerDaemon(driver.clock, transport), transport
+        )
+        redeployed, _ = fresh_driver.deploy("app.gear:v2")
+        assert redeployed.mount.read_bytes("/etc/conf/inner") == b"inside"
+
     def test_overwrite_updates_entry(self, env):
         _, transport, _, _, daemon, driver = env
         container = deploy(driver)

@@ -108,6 +108,7 @@ def test_a_committed_index_registers_what_the_parse_would_build():
         .add_file("/etc/conf", b"original")
         .add_file("/opt/app/lib", b"library")
         .add_file("/usr/share/doc", b"docs")
+        .add_file("/var/state", b"a file")
         .build()
     )
     bed.converter.convert("app:v1")
@@ -123,6 +124,10 @@ def test_a_committed_index_registers_what_the_parse_would_build():
     mount.symlink("/opt", "/etc")
     mount.remove("/usr", recursive=True)
     mount.write_file("/usr", b"a file now")
+    # A stub replaced by a directory.
+    mount.remove("/var/state")
+    mount.mkdir("/var/state")
+    mount.write_file("/var/state/inner", b"a directory now")
     committed, _ = commit_container(
         container, "app.gear", "v2", daemon=bed.daemon, transport=bed.transport
     )
@@ -130,7 +135,7 @@ def test_a_committed_index_registers_what_the_parse_would_build():
     assert _INDEX_TEMPLATES[image.layers[0].archive][0] is committed.tree
     assert_registered_as_parsed(image)
     assert sorted(committed.entries) == [
-        "/etc/added", "/etc/conf", "/srv/new/deep", "/usr"
+        "/etc/added", "/etc/conf", "/srv/new/deep", "/usr", "/var/state/inner"
     ]
 
 

@@ -166,24 +166,3 @@ class TestOverlappedPrefetch:
                 container, recorder.profile_for("nginx.gear:v1")
             )
 
-
-class TestSharingAnalysis:
-    def test_sharing_stats_over_series(self, small_corpus):
-        from repro.analysis.sharing import deployment_sharing
-
-        stats = deployment_sharing(small_corpus.by_series["tomcat"])
-        assert stats.deployments == 4
-        assert 0 < stats.common_file_fraction < 1
-        assert stats.common_bytes <= stats.accessed_bytes
-
-    def test_single_deployment_has_no_sharing(self, small_corpus):
-        from repro.analysis.sharing import deployment_sharing
-
-        stats = deployment_sharing(small_corpus.by_series["tomcat"][:1])
-        assert stats.common_files == 0
-
-    def test_per_series_helper(self, small_corpus):
-        from repro.analysis.sharing import per_series_sharing
-
-        by_series = per_series_sharing(small_corpus.by_series)
-        assert set(by_series) == set(small_corpus.by_series)

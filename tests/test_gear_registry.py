@@ -35,13 +35,6 @@ class TestVerbs:
         with pytest.raises(NotFoundError):
             GearRegistry().download("nope")
 
-    def test_upload_many(self):
-        registry = GearRegistry()
-        files = [gear_file(b"a" * 50), gear_file(b"b" * 50), gear_file(b"a" * 50)]
-        stored, deduped = registry.upload_many(files)
-        assert stored == 2
-        assert deduped == 1
-
     def test_missing_filter(self):
         registry = GearRegistry()
         gf = gear_file()

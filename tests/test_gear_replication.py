@@ -212,7 +212,7 @@ class TestCrashDuringHedgedFetch:
         replicas = testbed.ha.replica_set.replicas
         assert replicas[0].stats.serves > 0  # the crashed run used it
         serves_before = [r.stats.serves for r in replicas]
-        replicas[0].breaker.cooldown_s = 1e9
+        replicas[0].breaker.COOLDOWN_S = 1e9
         replicas[0].breaker.force_open(testbed.clock.now)
 
         result = deploy_with_gear(testbed, generated)

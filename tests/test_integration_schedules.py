@@ -61,16 +61,13 @@ class TestScheduledDeployments:
         below a cold deployment of the same version."""
         testbed = make_testbed(bandwidth_mbps=100)
         publish_images(testbed, small_corpus.images, convert=True)
-        stream = ScheduleBuilder(small_corpus).rolling_update_stream("tomcat")
+        versions = small_corpus.by_series["tomcat"]
         traffics = [
-            deploy_with_gear(testbed, event.image).network_bytes
-            for event in stream
+            deploy_with_gear(testbed, image).network_bytes for image in versions
         ]
         cold_bed = make_testbed(bandwidth_mbps=100)
         publish_images(cold_bed, small_corpus.images, convert=True)
-        cold = deploy_with_gear(
-            cold_bed, stream[-1].image
-        ).network_bytes
+        cold = deploy_with_gear(cold_bed, versions[-1]).network_bytes
         assert traffics[-1] < cold * 0.8
 
     def test_schedule_is_replayable_across_systems(self, small_corpus):

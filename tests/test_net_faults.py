@@ -21,7 +21,7 @@ from repro.common.errors import (
 from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import make_testbed, publish_images
 from repro.gear.gearfile import GearFile
-from repro.net.faults import FaultPlan, FaultyLink, OutageWindow, lossy_plan
+from repro.net.faults import FaultPlan, FaultyLink, OutageWindow
 from repro.net.link import Link
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import RpcEndpoint, RpcTransport
@@ -54,11 +54,6 @@ class TestFaultPlan:
         assert not plan.applies_to("docker-registry")
         assert not plan.applies_to(None)
         assert FaultPlan().applies_to("anything")
-
-    def test_null_plan(self):
-        assert FaultPlan().is_null
-        assert not lossy_plan().is_null
-        assert not FaultPlan(outages=(OutageWindow(0, 1),)).is_null
 
 
 class TestFaultyLink:

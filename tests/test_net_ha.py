@@ -40,7 +40,17 @@ from repro.net.topology import HACluster
 from repro.net.transport import RpcStats
 
 
+def _tripped(at: float) -> CircuitBreaker:
+    """A breaker whose failure streak reached the threshold at ``at``."""
+    breaker = CircuitBreaker()
+    for _ in range(CircuitBreaker.FAILURE_THRESHOLD):
+        breaker.record_failure(at)
+    return breaker
+
+
 class TestCircuitBreaker:
+    COOLDOWN = CircuitBreaker.COOLDOWN_S
+
     def test_starts_closed_and_available(self):
         breaker = CircuitBreaker()
         assert breaker.state(0.0) is BreakerState.CLOSED
@@ -48,7 +58,8 @@ class TestCircuitBreaker:
         assert breaker.trips == 0
 
     def test_trips_after_failure_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=2.0)
+        assert CircuitBreaker.FAILURE_THRESHOLD == 3
+        breaker = CircuitBreaker()
         breaker.record_failure(0.0)
         breaker.record_failure(0.1)
         assert breaker.state(0.1) is BreakerState.CLOSED
@@ -58,71 +69,54 @@ class TestCircuitBreaker:
         assert breaker.trips == 1
 
     def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
+        breaker = CircuitBreaker()
         breaker.record_failure(0.0)
-        breaker.record_success(0.1)
-        breaker.record_failure(0.2)
-        assert breaker.state(0.2) is BreakerState.CLOSED
+        breaker.record_failure(0.1)
+        breaker.record_success(0.2)
+        breaker.record_failure(0.3)
+        breaker.record_failure(0.4)
+        assert breaker.state(0.4) is BreakerState.CLOSED
 
     def test_half_open_is_derived_from_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0)
-        breaker.record_failure(1.0)
-        assert breaker.state(2.9) is BreakerState.OPEN
-        assert breaker.state(3.0) is BreakerState.HALF_OPEN
+        breaker = _tripped(1.0)
+        assert breaker.state(1.0 + self.COOLDOWN - 0.1) is BreakerState.OPEN
+        half_open = 1.0 + self.COOLDOWN
+        assert breaker.state(half_open) is BreakerState.HALF_OPEN
         # available() is pure: asking repeatedly changes nothing.
         for _ in range(5):
-            assert breaker.available(3.0)
-        assert breaker.state(3.0) is BreakerState.HALF_OPEN
+            assert breaker.available(half_open)
+        assert breaker.state(half_open) is BreakerState.HALF_OPEN
 
     def test_half_open_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0)
-        breaker.record_failure(0.0)
-        breaker.record_success(2.5)
-        assert breaker.state(2.5) is BreakerState.CLOSED
+        breaker = _tripped(0.0)
+        breaker.record_success(self.COOLDOWN + 0.5)
+        assert breaker.state(self.COOLDOWN + 0.5) is BreakerState.CLOSED
         assert breaker.trips == 1
 
     def test_half_open_failure_reopens_for_another_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0)
-        breaker.record_failure(0.0)
-        breaker.record_failure(2.5)  # the half-open trial failed
-        assert breaker.state(2.6) is BreakerState.OPEN
-        assert breaker.opened_at == 2.5
+        breaker = _tripped(0.0)
+        trial = self.COOLDOWN + 0.5
+        breaker.record_failure(trial)  # the half-open trial failed
+        assert breaker.state(trial + 0.1) is BreakerState.OPEN
+        assert breaker.opened_at == trial
         assert breaker.trips == 2
 
     def test_straggler_success_while_hard_open_is_ignored(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0)
-        breaker.record_failure(0.0)
+        breaker = _tripped(0.0)
         breaker.record_success(0.5)  # launched before the trip landed
         assert breaker.state(0.5) is BreakerState.OPEN
 
-    def test_close_threshold_needs_multiple_half_open_successes(self):
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_s=1.0, close_threshold=2
-        )
-        breaker.record_failure(0.0)
-        breaker.record_success(1.5)
-        assert breaker.state(1.5) is BreakerState.HALF_OPEN
-        breaker.record_success(1.6)
-        assert breaker.state(1.6) is BreakerState.CLOSED
-
     def test_force_open_trips_immediately(self):
-        breaker = CircuitBreaker(failure_threshold=5)
+        breaker = CircuitBreaker()
         breaker.force_open(1.0)
         assert breaker.state(1.0) is BreakerState.OPEN
         assert breaker.trips == 1
 
     def test_force_open_is_noop_while_hard_open(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0)
-        breaker.record_failure(0.0)
+        breaker = _tripped(0.0)
         breaker.force_open(1.0)
         assert breaker.opened_at == 0.0
         assert breaker.trips == 1
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=0.0)
 
 
 class TestAdmissionGate:
@@ -149,37 +143,41 @@ class TestAdmissionGate:
 
 class TestHedgeEstimator:
     def test_cold_ratio_before_min_samples(self):
-        est = HedgeEstimator(cold_ratio=3.0, min_samples=4, multiplier=1.25)
-        est.observe(1.0)
-        est.observe(1.0)
-        est.observe(1.0)
-        assert est.slowdown_ratio() == 3.0
+        est = HedgeEstimator()
+        for _ in range(HedgeEstimator.MIN_SAMPLES - 1):
+            est.observe(1.0)
+        assert est.slowdown_ratio() == HedgeEstimator.COLD_RATIO == 3.0
         assert est.deadline_s(2.0) == pytest.approx(2.0 * 3.0 * 1.25)
 
     def test_warm_deadline_agrees_with_percentile_helper(self):
-        est = HedgeEstimator(quantile=95.0, multiplier=1.0, min_samples=4)
+        est = HedgeEstimator()
         ratios = [1.0, 1.2, 2.0, 4.0, 1.1]
         for ratio in ratios:
             est.observe(ratio)
         assert est.slowdown_ratio() == percentile(ratios, 95.0)
 
     def test_ratio_floor_is_one(self):
-        est = HedgeEstimator(min_samples=1, multiplier=1.0)
-        est.observe(0.5)  # faster than nominal: never hedge early
+        est = HedgeEstimator()
+        for _ in range(HedgeEstimator.MIN_SAMPLES):
+            est.observe(0.5)  # faster than nominal: never hedge early
         assert est.slowdown_ratio() == 1.0
 
     def test_window_trims_old_samples(self):
-        est = HedgeEstimator(window=4, min_samples=1, multiplier=1.0)
-        est.observe(100.0)
-        for _ in range(4):
+        est = HedgeEstimator()
+        # Enough slow samples to hold the 95th percentile, were they kept.
+        for _ in range(HedgeEstimator.WINDOW // 16):
+            est.observe(100.0)
+        for _ in range(HedgeEstimator.WINDOW):
             est.observe(1.0)
         assert est.slowdown_ratio() == 1.0
 
     def test_nonpositive_ratio_ignored(self):
-        est = HedgeEstimator(min_samples=1)
+        est = HedgeEstimator()
+        for _ in range(HedgeEstimator.MIN_SAMPLES - 1):
+            est.observe(1.0)
         est.observe(0.0)
         est.observe(-1.0)
-        assert est.slowdown_ratio() == est.cold_ratio
+        assert est.slowdown_ratio() == HedgeEstimator.COLD_RATIO
 
 
 #: Every counter dataclass in the tree; each is a MetricSet, read by

@@ -39,18 +39,19 @@ class TestClusterAssembly:
 class TestFleetDeployment:
     def test_every_node_pays_its_own_downloads(self, cluster, small_corpus):
         generated = small_corpus.get("nginx:v1")
-        per_node = cluster.each_node(
-            lambda node: deploy_with_gear(node.testbed, generated) and None
-        )
+        per_node = []
+        for node in cluster.nodes:
+            before = cluster.registry_egress_bytes
+            deploy_with_gear(node.testbed, generated)
+            per_node.append(cluster.registry_egress_bytes - before)
         assert len(per_node) == 3
-        assert all(volume > 0 for volume in per_node.values())
+        assert all(volume > 0 for volume in per_node)
 
     def test_registry_egress_accumulates(self, cluster, small_corpus):
         generated = small_corpus.get("nginx:v1")
         before = cluster.registry_egress_bytes
-        cluster.each_node(
-            lambda node: deploy_with_docker(node.testbed, generated) and None
-        )
+        for node in cluster.nodes:
+            deploy_with_docker(node.testbed, generated)
         assert cluster.registry_egress_bytes > before
 
     def test_gear_fleet_uses_less_registry_capacity(self, small_corpus):
@@ -171,7 +172,8 @@ class TestDeployWave:
             deploy_with_docker(node.testbed, generated)
             timings.append(timer.elapsed())
 
-        sequential.each_node(timed)
+        for node in sequential.nodes:
+            timed(node)
 
         staged = _fresh_cluster(small_corpus)
         wave = staged.deploy_wave(

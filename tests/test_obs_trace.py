@@ -300,7 +300,8 @@ class TestExportDeterminism:
 
 class TestCompatShim:
     def test_trace_flag_records_advance_labels(self):
-        clock = SimClock(trace=True)
+        clock = SimClock()
+        clock.attach_tracer()
         clock.advance(1.0, "pull")
         clock.advance(2.0, "run")
         assert clock.trace == [(1.0, "pull"), (3.0, "run")]
@@ -311,12 +312,14 @@ class TestCompatShim:
         assert clock.trace == []
 
     def test_note_lands_in_the_compat_view(self):
-        clock = SimClock(trace=True)
+        clock = SimClock()
+        clock.attach_tracer()
         clock.advance(0.5)
         clock.note("checkpoint")
         assert clock.trace == [(0.5, "checkpoint")]
 
     def test_unlabeled_advance_records_nothing(self):
-        clock = SimClock(trace=True)
+        clock = SimClock()
+        clock.attach_tracer()
         clock.advance(1.0)
         assert clock.trace == []

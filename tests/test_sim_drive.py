@@ -40,7 +40,8 @@ class World:
     """One clock, one shared link, a few events."""
 
     def __init__(self, faulty: bool) -> None:
-        self.clock = SimClock(trace=True)
+        self.clock = SimClock()
+        self.clock.attach_tracer()
         if faulty:
             plan = FaultPlan(
                 seed="drive", drop_rate=0.15, spike_rate=0.3, timeout_s=0.02

