@@ -146,16 +146,24 @@ if grep -rnE "_event_pool|pooled" src/repro --include='*.py' \
 then echo "an event pool grew back, or net/link.py indexes a queue entry" >&2; exit 1; fi
 
 echo "== no object per operation: only a view mints a record =="
-# The transfer log and the intent journal keep columns (DESIGN.md §17).
-# A TransferRecord / JournalRecord is built for a reader of `.records`,
-# in the view class's `_rows`; an append path that builds one is a
-# GC-tracked tuple per operation per client again.  Two occurrences per
-# file: the class statement and the view.
-if grep -rnE "(TransferRecord|JournalRecord)\(" src/repro --include='*.py' \
-    | grep -v -e '^src/repro/net/link.py:' -e '^src/repro/gear/journal.py:'
+# The transfer log, the intent journal and a layer archive keep columns
+# (DESIGN.md §17).  A TransferRecord / JournalRecord / TarEntry is built
+# for a reader of `.records` / `.entries`, in the view class's `_rows`;
+# an append path or a producer that builds one is a GC-tracked object
+# per operation, or per archive member, again.  Two occurrences per log
+# module: the class statement and the view; the dataclass TarEntry's
+# statement has no parenthesis, so its view is the one occurrence.
+if grep -rnE "(TransferRecord|JournalRecord|TarEntry)\(" src/repro --include='*.py' \
+    | grep -v -e '^src/repro/net/link.py:' -e '^src/repro/gear/journal.py:' \
+        -e '^src/repro/vfs/tar.py:'
 then echo "a record is constructed outside its log's module" >&2; exit 1; fi
 once src/repro/net/link.py 2 "TransferRecord("
 once src/repro/gear/journal.py 2 "JournalRecord("
+once src/repro/vfs/tar.py 1 "TarEntry("
+# A LayerArchive holds its members as columns, never as a tuple of them.
+if grep -nE "self\._(entries|members|records|rows)\b|Tuple\[TarEntry|tuple\(sorted" \
+        src/repro/vfs/tar.py
+then echo "a LayerArchive keeps a per-member tuple" >&2; exit 1; fi
 
 echo "== an inode's Metadata is a shared value: replaced, never written =="
 # Metadata is immutable and interned (DESIGN.md §17): a change of mode or

@@ -1,8 +1,9 @@
 """Deterministic tar-like layer archives.
 
 Docker stores each image layer as a tarball (compressed in the registry,
-§II-B).  :class:`LayerArchive` is the reproduction's tarball: an ordered,
-canonical sequence of :class:`TarEntry` records that
+§II-B).  :class:`LayerArchive` is the reproduction's tarball: a canonical,
+path-sorted member table kept as columns and read as :class:`TarEntry`
+records, that
 
 * serializes any :class:`~repro.vfs.tree.FileSystemTree` (including diff
   trees containing whiteouts, encoded with the overlayfs/AUFS ``.wh.``
@@ -18,11 +19,15 @@ canonical sequence of :class:`TarEntry` records that
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.blob import Blob
 from repro.blob.compressibility import blob_compressed_size
+from repro.common.columns import RecordView
 from repro.common.errors import (
     NotADirectoryVfsError,
     NotFoundError,
@@ -43,6 +48,35 @@ WHITEOUT_PREFIX = ".wh."
 #: Marker file making a directory opaque.
 OPAQUE_MARKER = ".wh..wh..opq"
 
+#: One member as a row: the fields of :class:`TarEntry`, in order.
+Row = Tuple[str, FileKind, int, int, int, Optional[Blob], Optional[str]]
+
+#: A whiteout's or an opaque marker's row after its path: an empty file.
+_MARKER = (FileKind.FILE, 0, 0, 0, Blob.from_bytes(b""), None)
+
+
+def _check_member(path: str, kind: FileKind, blob: Optional[Blob],
+                  target: Optional[str]) -> None:
+    """The rules every member obeys, built as a record or as a row."""
+    if kind is FileKind.FILE and blob is None:
+        raise VfsError(f"file entry {path!r} requires a blob")
+    if kind is FileKind.SYMLINK and not target:
+        raise VfsError(f"symlink entry {path!r} requires a target")
+    if kind is FileKind.WHITEOUT:
+        raise VfsError("whiteouts are encoded via the .wh. prefix")
+
+
+def _member_tokens(path: str, kind: FileKind, mode: int, uid: int, gid: int,
+                   blob: Optional[Blob], target: Optional[str]) -> Iterator[str]:
+    """Canonical tokens of one member's row, feeding the archive digest."""
+    yield path
+    yield kind.value
+    yield f"{mode:o}:{uid}:{gid}"
+    if blob is not None:
+        yield blob.fingerprint
+    if target is not None:
+        yield target
+
 
 @dataclass(frozen=True)
 class TarEntry:
@@ -62,33 +96,11 @@ class TarEntry:
     symlink_target: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind is FileKind.FILE and self.blob is None:
-            raise VfsError(f"file entry {self.path!r} requires a blob")
-        if self.kind is FileKind.SYMLINK and not self.symlink_target:
-            raise VfsError(f"symlink entry {self.path!r} requires a target")
-        if self.kind is FileKind.WHITEOUT:
-            raise VfsError("whiteouts are encoded via the .wh. prefix")
-
-    @property
-    def content_size(self) -> int:
-        return self.blob.size if self.blob is not None else 0
-
-    @property
-    def archived_size(self) -> int:
-        """Bytes this entry occupies in the archive (header + padded data)."""
-        data = self.content_size
-        padded = (data + _TAR_BLOCK - 1) // _TAR_BLOCK * _TAR_BLOCK
-        return _TAR_BLOCK + padded
+        _check_member(self.path, self.kind, self.blob, self.symlink_target)
 
     def identity_tokens(self) -> Iterable[str]:
         """Canonical tokens feeding the archive digest."""
-        yield self.path
-        yield self.kind.value
-        yield f"{self.mode:o}:{self.uid}:{self.gid}"
-        if self.blob is not None:
-            yield self.blob.fingerprint
-        if self.symlink_target is not None:
-            yield self.symlink_target
+        return _member_tokens(*_row_of(self))
 
     @property
     def is_whiteout(self) -> bool:
@@ -100,12 +112,43 @@ class TarEntry:
         return self.path.rpartition("/")[2] == OPAQUE_MARKER
 
 
+#: A record's fields, and an archive's columns, in row order.
+_row_of = attrgetter("path", "kind", "mode", "uid", "gid", "blob", "symlink_target")
+_columns = attrgetter(
+    "_paths", "_kinds", "_modes", "_uids", "_gids", "_blobs", "_targets"
+)
+
+
 class LayerArchive:
-    """An immutable, canonical archive of one layer's contents."""
+    """An immutable, canonical archive of one layer's contents.
+
+    Members are sorted by path once and kept as a column per
+    :class:`TarEntry` field (``array('q')`` modes, uids and gids, lists
+    of the rest), so an archive is a few collector-tracked objects however
+    many members it has (DESIGN.md §17); :attr:`entries` mints records.
+    """
 
     def __init__(self, entries: Iterable[TarEntry]) -> None:
-        self._entries: Tuple[TarEntry, ...] = tuple(
-            sorted(entries, key=lambda e: e.path)
+        self._load(map(_row_of, entries))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> "LayerArchive":
+        """An archive of rows: a member's fields in :class:`TarEntry` order."""
+        archive = cls.__new__(cls)
+        archive._load(rows)
+        return archive
+
+    def _load(self, rows: Iterable[Row]) -> None:
+        ordered = sorted(rows, key=itemgetter(0))
+        for path, kind, _, _, _, blob, target in ordered:
+            _check_member(path, kind, blob, target)
+        # One pass per column: a transposing ``zip(*ordered)`` would hold
+        # an iterator per member, and every one is a collector allocation.
+        self._paths, self._kinds, modes, uids, gids, self._blobs, self._targets = (
+            list(map(itemgetter(field), ordered)) for field in range(7)
+        )
+        self._modes, self._uids, self._gids = (
+            array("q", column) for column in (modes, uids, gids)
         )
         self._digest: Optional[Digest] = None
         # Extraction templates: the archive is immutable, so the trees
@@ -131,50 +174,46 @@ class LayerArchive:
         a blob (tar hardlink entries are an optimization we do not need
         for identity or sizing fidelity).
         """
-        entries: List[TarEntry] = []
+        rows: List[Row] = []
         base = paths.normalize(top)
         skip = len(base) if base != "/" else 0
         for path, node in tree.walk(top, include_whiteouts=True):
             rel = path[skip:]
             if node.is_whiteout:
                 head, _, name = rel.rpartition("/")
-                entries.append(_marker(f"{head}/{WHITEOUT_PREFIX}{name}"))
+                rows.append((f"{head}/{WHITEOUT_PREFIX}{name}", *_MARKER))
                 continue
             meta = node.meta
-            entries.append(
-                TarEntry(
-                    rel, node.kind, meta.mode, meta.uid, meta.gid,
-                    blob=node.blob, symlink_target=node.symlink_target,
-                )
-            )
+            rows.append((rel, node.kind, meta.mode, meta.uid, meta.gid,
+                         node.blob, node.symlink_target))
             if node.is_dir and node.opaque:
-                entries.append(_marker(f"{rel}/{OPAQUE_MARKER}"))
-        return cls(entries)
+                rows.append((f"{rel}/{OPAQUE_MARKER}", *_MARKER))
+        return cls.from_rows(rows)
 
     # -- identity & sizes --------------------------------------------------
 
     @property
-    def entries(self) -> Tuple[TarEntry, ...]:
-        return self._entries
+    def entries(self) -> "TarEntries":
+        """The members in path order, as a read-only view of records."""
+        return TarEntries(self)
 
     @property
     def digest(self) -> Digest:
         """SHA-256 digest identifying this layer (Docker's layer digest)."""
         if self._digest is None:
-            tokens: List[str] = []
-            for entry in self._entries:
-                tokens.extend(entry.identity_tokens())
-            self._digest = sha256_tokens(tokens)
+            self._digest = sha256_tokens(
+                chain.from_iterable(map(_member_tokens, *_columns(self)))
+            )
         return self._digest
 
     @property
     def uncompressed_size(self) -> int:
         """Total archive bytes before compression."""
         if self._uncompressed_size is None:
-            self._uncompressed_size = (
-                sum(entry.archived_size for entry in self._entries)
-                + 2 * _TAR_BLOCK
-            )
+            # Two zero blocks end an archive.
+            blocks = sum(-(-blob.size // _TAR_BLOCK)
+                         for blob in self._blobs if blob is not None)
+            self._uncompressed_size = (len(self._paths) + blocks + 2) * _TAR_BLOCK
         return self._uncompressed_size
 
     @property
@@ -185,26 +224,21 @@ class LayerArchive:
         the blob compressibility model.
         """
         if self._compressed_size is None:
-            header_bytes = (
-                self.uncompressed_size
-                - sum(entry.content_size for entry in self._entries)
-            )
-            compressed = round(header_bytes * 0.05)
-            for entry in self._entries:
-                if entry.blob is not None:
-                    compressed += blob_compressed_size(entry.blob)
+            blobs = [blob for blob in self._blobs if blob is not None]
+            header = self.uncompressed_size - sum(blob.size for blob in blobs)
+            compressed = round(header * 0.05) + sum(map(blob_compressed_size, blobs))
             self._compressed_size = max(_TAR_BLOCK // 8, compressed)
         return self._compressed_size
 
     @property
     def file_count(self) -> int:
-        return sum(1 for e in self._entries if e.kind is FileKind.FILE)
+        return self._kinds.count(FileKind.FILE)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._paths)
 
-    def __iter__(self):
-        return iter(self._entries)
+    def __iter__(self) -> Iterator[TarEntry]:
+        return iter(self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LayerArchive):
@@ -215,30 +249,27 @@ class LayerArchive:
         return hash(self.digest)
 
     def __repr__(self) -> str:
-        return (
-            f"LayerArchive(entries={len(self._entries)}, "
-            f"digest={self.digest.short()})"
-        )
+        return f"LayerArchive(entries={len(self)}, digest={self.digest.short()})"
 
     # -- application -------------------------------------------------------
 
     def _placed(
         self, tree: FileSystemTree, create_for_markers: bool
-    ) -> Iterator[Tuple[TarEntry, Inode, str]]:
-        """Yield each entry with the directory of ``tree`` it lands in
-        and its name there; the caller edits ``tree`` there and nowhere else.
+    ) -> Iterator[Tuple[int, Inode, str]]:
+        """Yield each member's row with the directory of ``tree`` it lands
+        in and its name there; the caller edits ``tree`` there and nowhere else.
 
-        Entries are path-sorted, so the directory is looked up (missing
-        ancestors created) only when it differs from the last entry's,
-        or when that entry removed or replaced a directory.  A ``.wh.``
-        entry for an absent directory is skipped unless
+        Members are path-sorted, so the directory is looked up (missing
+        ancestors created) only when it differs from the last member's,
+        or when that member removed or replaced a directory.  A ``.wh.``
+        member for an absent directory is skipped unless
         ``create_for_markers``.
         """
         last_head: Optional[str] = None
-        for entry in self._entries:
-            head, _, name = entry.path.rpartition("/")
-            if name in ("", ".", "..") or not entry.path.startswith("/"):
-                head, name = paths.parent_and_name(entry.path)
+        for row, path in enumerate(self._paths):
+            head, _, name = path.rpartition("/")
+            if name in ("", ".", "..") or not path.startswith("/"):
+                head, name = paths.parent_and_name(path)
             marker = name.startswith(WHITEOUT_PREFIX)
             if head != last_head:
                 try:
@@ -253,10 +284,10 @@ class LayerArchive:
                 last_head = head
             assert parent.children is not None
             held = parent.children.get(name)
-            yield entry, parent, name
+            yield row, parent, name
             if marker or (
                 held is not None and held.is_dir
-                and entry.kind is not FileKind.DIRECTORY
+                and self._kinds[row] is not FileKind.DIRECTORY
             ):
                 last_head = None
 
@@ -267,7 +298,7 @@ class LayerArchive:
         directory's prior contents; other entries overwrite.  Returns the
         same tree for chaining.
         """
-        for entry, parent, name in self._placed(tree, False):
+        for row, parent, name in self._placed(tree, False):
             children = parent.children
             assert children is not None
             if name.startswith(WHITEOUT_PREFIX):
@@ -281,24 +312,28 @@ class LayerArchive:
                         tree.remove_at(parent, victim, recursive=True)
                 continue
             held = children.get(name)
-            is_dir = entry.kind is FileKind.DIRECTORY
+            kind = self._kinds[row]
+            is_dir = kind is FileKind.DIRECTORY
             if held is not None and not held.is_whiteout:
                 # A directory stays as it is and a file is overwritten in
                 # place; a node of another kind goes first.
-                if held.is_dir != is_dir or entry.kind is FileKind.SYMLINK:
+                if held.is_dir != is_dir or kind is FileKind.SYMLINK:
                     tree.remove_at(parent, name, recursive=True)
                 elif is_dir:
                     continue
-            meta = Metadata(mode=entry.mode, uid=entry.uid, gid=entry.gid)
-            if is_dir:
-                tree.mkdir_at(parent, name, meta=meta)
-            elif entry.kind is FileKind.SYMLINK:
-                assert entry.symlink_target is not None
-                tree.symlink_at(parent, name, entry.symlink_target, meta=meta)
-            else:
-                assert entry.blob is not None
-                tree.write_at(parent, name, entry.blob, meta=meta)
+            self._unpack(tree, parent, name, row)
         return tree
+
+    def _unpack(self, tree: FileSystemTree, parent: Inode, name: str, row: int) -> None:
+        """Create the directory, symlink or file of ``row`` in ``parent``."""
+        kind = self._kinds[row]
+        meta = Metadata(mode=self._modes[row], uid=self._uids[row], gid=self._gids[row])
+        if kind is FileKind.DIRECTORY:
+            tree.mkdir_at(parent, name, exist_ok=True).meta = meta
+        elif kind is FileKind.SYMLINK:
+            tree.symlink_at(parent, name, self._targets[row], meta=meta)
+        else:
+            tree.write_at(parent, name, self._blobs[row], meta=meta)
 
     def extract(self) -> FileSystemTree:
         """Unpack this archive into a fresh tree.
@@ -327,26 +362,27 @@ class LayerArchive:
 
     def _extract_diff_uncached(self) -> FileSystemTree:
         tree = FileSystemTree()
-        for entry, parent, name in self._placed(tree, True):
+        for row, parent, name in self._placed(tree, True):
             if name == OPAQUE_MARKER:
                 parent.opaque = True
             elif name.startswith(WHITEOUT_PREFIX):
                 tree.whiteout_at(parent, name[len(WHITEOUT_PREFIX) :])
-            elif entry.kind is FileKind.DIRECTORY:
-                tree.mkdir_at(parent, name, exist_ok=True).meta = Metadata(
-                    mode=entry.mode, uid=entry.uid, gid=entry.gid
-                )
             else:
-                meta = Metadata(mode=entry.mode, uid=entry.uid, gid=entry.gid)
-                if entry.kind is FileKind.SYMLINK:
-                    assert entry.symlink_target is not None
-                    tree.symlink_at(parent, name, entry.symlink_target, meta=meta)
-                else:
-                    assert entry.blob is not None
-                    tree.write_at(parent, name, entry.blob, meta=meta)
+                self._unpack(tree, parent, name, row)
         return tree
 
 
-def _marker(path: str) -> TarEntry:
-    """The empty mode-0 file entry that encodes a whiteout or opaque marker."""
-    return TarEntry(path, FileKind.FILE, 0o0, 0, 0, blob=Blob.from_bytes(b""))
+class TarEntries(RecordView):
+    """:attr:`LayerArchive.entries`: a :class:`TarEntry` per member."""
+
+    __slots__ = ("_archive",)
+
+    def __init__(self, archive: LayerArchive) -> None:
+        self._archive = archive
+
+    def __len__(self) -> int:
+        return len(self._archive)
+
+    def _rows(self, rows: slice) -> Iterator[TarEntry]:
+        columns = (column[rows] for column in _columns(self._archive))
+        return (TarEntry(*row) for row in zip(*columns))

@@ -33,7 +33,7 @@ from repro.common.errors import NotFoundError, ReproError
 from repro.common.rng import bounded_lognormal, rng_for
 from repro.docker.image import Image, ImageConfig, Layer
 from repro.vfs.inode import FileKind
-from repro.vfs.tar import LayerArchive, TarEntry
+from repro.vfs.tar import LayerArchive, Row
 from repro.workloads.access import AccessTrace
 from repro.workloads.series import (
     CATEGORIES,
@@ -268,16 +268,16 @@ class _FileSet:
 def _layer_from_filesets(filesets: Sequence[_FileSet]) -> Layer:
     """One layer of the filesets' files (a later fileset's path wins),
     each ancestor directory archived once as ``0o755``, ``root:root``."""
-    entries: Dict[str, TarEntry] = {}
+    rows: Dict[str, Row] = {}
     for fileset in filesets:
         for path, blob in fileset.files.items():
             mode = _ROLE_MODE[fileset.role[path]]
-            entries[path] = TarEntry(path, FileKind.FILE, mode, 0, 0, blob=blob)
+            rows[path] = (path, FileKind.FILE, mode, 0, 0, blob, None)
             head = path.rpartition("/")[0]
-            while head and head not in entries:
-                entries[head] = TarEntry(head, FileKind.DIRECTORY, 0o755, 0, 0)
+            while head and head not in rows:
+                rows[head] = (head, FileKind.DIRECTORY, 0o755, 0, 0, None, None)
                 head = head.rpartition("/")[0]
-    return Layer(LayerArchive(entries.values()))
+    return Layer(LayerArchive.from_rows(rows.values()))
 
 
 def _select_necessary(

@@ -1,5 +1,6 @@
-"""What a deployed client keeps alive: log columns instead of an object
-per operation, strings minted once, immutable inputs shared (DESIGN.md §17).
+"""What a deployed client keeps alive: log and archive columns instead of
+an object per operation or member, strings minted once, immutable inputs
+shared (DESIGN.md §17).
 
 Everything here is asserted by count, object identity or retained bytes
 — never by a clock, so the suite reads the same on a loaded box.
@@ -10,12 +11,16 @@ import tracemalloc
 
 import pytest
 
+from repro.blob import Blob
+from repro.blob.compressibility import blob_compressed_size
 from repro.bench.deploy import deploy_with_gear, viewer_fs_digest
 from repro.bench.environment import make_testbed, publish_images
 from repro.gear.index import _INDEX_TEMPLATES, GearIndex
 from repro.gear.journal import LINK_BEGIN, LINK_COMMIT, JournalRecord
 from repro.net.link import TransferRecord
 from repro.net.topology import Cluster
+from repro.vfs.tar import LayerArchive
+from repro.vfs.tree import FileSystemTree
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 #: Retained Python heap one client of the nginx wave may cost (the
@@ -266,3 +271,32 @@ def test_a_wave_keeps_no_record_object_and_few_tracked_ones(nginx):
     assert per_client <= PER_CLIENT_TRACKED_OBJECTS, (
         f"a client adds {per_client:.0f} collector-tracked objects"
     )
+
+
+def _tracked_by_an_archive(members):
+    """Collector-tracked objects an archive of a tree holding ``members``
+    files (and a whiteout and an opaque marker) adds, its digest and sizes
+    read.  The tree and the one blob are built, and its caches warmed,
+    before anything is counted."""
+    blob = Blob.synthetic("member", 700)
+    assert blob.fingerprint and blob_compressed_size(blob)
+    tree = FileSystemTree()
+    tree.mkdir("/d")
+    tree.set_opaque("/d")
+    tree.whiteout("/gone")
+    for number in range(members):
+        tree.write_at(tree.stat("/d"), f"f{number}", blob)
+    gc.collect()
+    before = gc.get_objects()  # held, so no object in it frees its id
+    archive = LayerArchive.from_tree(tree)
+    assert len(archive) == members + 3
+    assert archive.digest and archive.compressed_size and archive.file_count
+    gc.collect()
+    old = set(map(id, before))
+    return sum(id(obj) not in old for obj in gc.get_objects())
+
+
+def test_an_archive_keeps_columns_not_an_object_per_member():
+    # Every layer of a registry and every index image keeps its archive:
+    # what one keeps may not grow with its members.
+    assert _tracked_by_an_archive(2_000) == _tracked_by_an_archive(10)

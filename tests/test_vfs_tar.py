@@ -1,11 +1,25 @@
-"""Layer archives: determinism, digests, whiteout encoding, application."""
+"""Layer archives: determinism, digests, whiteout encoding, application,
+and the member columns against the records they replaced."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.blob import Blob
+from repro.blob.compressibility import blob_compressed_size
+from repro.common.errors import VfsError
+from repro.common.hashing import sha256_tokens
 from repro.vfs.inode import FileKind, Metadata
 from repro.vfs.tar import LayerArchive, OPAQUE_MARKER, TarEntry, WHITEOUT_PREFIX
 from repro.vfs.tree import FileSystemTree
+from tests.test_vfs_oracle import (
+    apply_reference,
+    extract_diff_reference,
+    outcome_and_listing,
+    tar_entries,
+)
 
 
 def make_tree():
@@ -18,25 +32,40 @@ def make_tree():
     return t
 
 
+def as_row(entry):
+    """``entry``'s fields in declaration order: what ``from_rows`` takes."""
+    return tuple(getattr(entry, field.name) for field in dataclasses.fields(entry))
+
+
+def rejected(path, kind, mode):
+    """A member that breaks a rule, built as a record and as a row: each
+    of the two constructors must refuse it."""
+    builds = (
+        lambda: TarEntry(path=path, kind=kind, mode=mode, uid=0, gid=0),
+        lambda: LayerArchive.from_rows([(path, kind, mode, 0, 0, None, None)]),
+    )
+    for build in builds:
+        with pytest.raises(VfsError):
+            build()
+
+
 class TestEntries:
     def test_file_entry_requires_blob(self):
-        with pytest.raises(Exception):
-            TarEntry(path="/f", kind=FileKind.FILE, mode=0o644, uid=0, gid=0)
+        rejected("/f", FileKind.FILE, 0o644)
 
     def test_symlink_entry_requires_target(self):
-        with pytest.raises(Exception):
-            TarEntry(path="/l", kind=FileKind.SYMLINK, mode=0o777, uid=0, gid=0)
+        rejected("/l", FileKind.SYMLINK, 0o777)
 
     def test_whiteout_kind_rejected(self):
-        with pytest.raises(Exception):
-            TarEntry(path="/w", kind=FileKind.WHITEOUT, mode=0, uid=0, gid=0)
+        rejected("/w", FileKind.WHITEOUT, 0)
 
     def test_archived_size_includes_header_and_padding(self):
         entry = TarEntry(
             path="/f", kind=FileKind.FILE, mode=0o644, uid=0, gid=0,
             blob=Blob.from_bytes(b"x" * 513),
         )
-        assert entry.archived_size == 512 + 1024  # header + padded data
+        # header + padded data, then the two blocks that end an archive
+        assert LayerArchive([entry]).uncompressed_size == 512 + 1024 + 2 * 512
 
 
 class TestArchive:
@@ -169,3 +198,56 @@ class TestExtractDiff:
         archive = LayerArchive.from_tree(t)
         rebuilt = LayerArchive.from_tree(archive.extract_diff())
         assert rebuilt == archive
+
+
+# -- the columns against the records ------------------------------------------
+
+#: Any member: a directory, a stub file, a symlink, a whiteout or opaque
+#: marker at most three levels down (``/a`` included), or a file whose
+#: size pads to a different number of tar blocks.
+_MEMBERS = st.one_of(
+    tar_entries(),
+    st.builds(
+        lambda name, size: TarEntry(
+            f"/{name}", FileKind.FILE, 0o644, 0, 0, blob=Blob.synthetic(name, size)
+        ),
+        st.sampled_from(["a", "b", "z"]),
+        st.integers(0, 1600),
+    ),
+)
+
+
+@given(st.lists(_MEMBERS, max_size=12))  # duplicate paths are kept
+def test_columns_answer_as_the_records_do(members):
+    expected = sorted(members, key=lambda entry: entry.path)  # stable
+    blobs = [entry.blob for entry in expected if entry.blob is not None]
+    # A 512-byte header per member, content padded to 512, two end blocks.
+    uncompressed = 512 * (len(expected) + 2) + sum(
+        (blob.size + 511) // 512 * 512 for blob in blobs
+    )
+    header_bytes = uncompressed - sum(blob.size for blob in blobs)
+    compressed = round(header_bytes * 0.05) + sum(map(blob_compressed_size, blobs))
+    reference = SimpleNamespace(entries=expected)
+    applied = outcome_and_listing(
+        lambda: apply_reference(reference, FileSystemTree())
+    )
+    diffed = outcome_and_listing(lambda: extract_diff_reference(reference))
+    for archive in (
+        LayerArchive(members),
+        LayerArchive.from_rows([as_row(entry) for entry in members]),
+    ):
+        assert list(archive.entries) == expected and archive.entries == expected
+        assert list(archive) == expected
+        assert archive.digest == sha256_tokens(
+            token for entry in expected for token in entry.identity_tokens()
+        )
+        assert archive.uncompressed_size == uncompressed
+        assert archive.compressed_size == max(64, compressed)
+        assert archive.file_count == sum(
+            entry.kind is FileKind.FILE for entry in expected
+        )
+        assert len(archive) == len(archive.entries) == len(expected)
+        assert outcome_and_listing(
+            lambda: archive.apply_to(FileSystemTree())
+        ) == applied
+        assert outcome_and_listing(archive.extract_diff) == diffed
