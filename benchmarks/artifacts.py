@@ -14,8 +14,8 @@ failover accounting must commit the refreshed artifacts alongside the
 code, which is exactly how the trajectory stays tracked in-repo.
 
 ``--full`` additionally records the one full-size run of the ``paper``
-sweep (the whole Table I corpus, seed 7; about eleven minutes, so
-nothing routine passes it) as ``PAPER_full.json`` and regenerates
+sweep (the whole Table I corpus, seed 7; about four minutes and 0.9 GB
+peak RSS on a 2-core box, so nothing routine passes it) as ``PAPER_full.json`` and regenerates
 EXPERIMENTS.md's tables from it.  The file embeds the smoke-size
 ``paper`` report of the commit that made it; ``tests/test_paper_full.py``
 compares that with ``BENCH_ext_paper.json``, so a PR that moves a paper
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     parser.add_argument(
         "--full", action="store_true",
-        help="also record the full-size paper run (~11 min) as "
+        help="also record the full-size paper run (~4 min) as "
              "PAPER_full.json and regenerate EXPERIMENTS.md's tables",
     )
     args = parser.parse_args(argv)

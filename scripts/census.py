@@ -1,5 +1,6 @@
-"""Census of defaulted parameters: which of them does some caller set?
+"""Census of what nothing outside the tests uses, in two passes.
 
+**Pass 1, defaulted parameters: which of them does some caller set?**
 Walks every function under ``src/`` with :mod:`ast`, counts its
 parameters that carry a default, and looks for a call in ``src/``,
 ``tests/``, ``benchmarks/`` or ``examples/`` that sets each one: by
@@ -16,9 +17,25 @@ arguments (``scheduler.spawn(self._run, a, b)``, ``partial(f, a)``)
 counts as called with the arguments that follow it.  Name matching errs
 towards "set", so a listed parameter really is never set.
 
+**Pass 2, definitions: which of them does code outside ``tests/`` use?**
+Lists every module-level function and class under ``src/``, and every
+method of such a class, that only ``tests/`` reference.  A use is a
+reference from ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``:
+a name, an attribute, an imported name, or a string literal that spells
+the name (an RPC method handed to ``call`` / ``call_gen``, a
+``getattr`` key; a ``getattr(obj, f"_op_{...}")`` key uses every name
+with that prefix).  A re-export in an ``__init__.py`` or in ``__all__``
+is not a use.  A reference from inside a definition counts only once
+that definition is live, so nothing keeps itself alive and what only
+test-only code reaches is test-only too: liveness is a fixpoint from
+module-level code, dunder methods (Python calls them) and
+:data:`DEFINITION_ALLOWLIST`.  A method lives only while its class does.  Matching is by name, so ``x.run()``
+keeps every ``run`` alive: a listed definition really is unused.
+
 Usage: python scripts/census.py   (from the repo root)
-Prints the count, then one line per never-set parameter, and exits 1
-when there is any.
+Prints each pass's count, then one line per never-set parameter and per
+test-only definition (or stale allowlist entry), and exits 1 when there
+is any.
 """
 
 import ast
@@ -28,10 +45,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "tests", "benchmarks", "examples")
+USER_DIRS = ("src", "benchmarks", "examples", "scripts")
 
 #: ``(function, parameter)`` pairs a name-matched call cannot see:
 #: protocol methods that Python itself calls, with its own arguments.
-ALLOWLIST = {
+PARAMETER_ALLOWLIST = {
     # Metadata.__setattr__ doubles as __delattr__, which gets no value.
     ("__setattr__", "value"),
 }
@@ -182,7 +200,7 @@ def census():
     for path, qualified, key, function in definitions.functions:
         for name, position in defaulted(function):
             total += 1
-            if (function.name, name) in ALLOWLIST:
+            if (function.name, name) in PARAMETER_ALLOWLIST:
                 continue
             if (name in calls.keywords[key] or key in calls.splat_kwargs
                     or position is not None and (
@@ -191,13 +209,201 @@ def census():
             unset.append(f"{path}:{function.lineno}: {qualified}({name}=)")
     return total, unset
 
+#: ``"path:qualified name"`` -> the DESIGN section that keeps a
+#: definition only tests call, and why.  Each entry is a root of the
+#: liveness fixpoint; tests/test_census.py pins how many there are.
+DEFINITION_ALLOWLIST = {
+    "src/repro/gear/commit.py:commit_container":
+        "§3 (commit path): the paper's commit (§III-D2, §II-A); ROADMAP 4(d) "
+        "generates commits against it",
+    "src/repro/gear/fingerprint.py:collision_probability_bound":
+        "§4: the analytic row for §III-B eq. 1",
+    "src/repro/gear/registry.py:GearRegistry.corrupt":
+        "§7: the seam that rots a stored Gear file in place, behind the "
+        "integrity and chunk give-up paths",
+    "src/repro/common/clock.py:SimScheduler.handoffs":
+        "§5 (the process model): worker parks, read by count; goes with "
+        "ROADMAP item 2",
+    "src/repro/common/clock.py:SimScheduler.escapes":
+        "§5 (the process model): calls out of process mode, read by count; "
+        "goes with ROADMAP item 2",
+    "src/repro/vfs/tree.py:FileSystemTree.readlink":
+        "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
+    "src/repro/vfs/tree.py:FileSystemTree.hardlink":
+        "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
+    "src/repro/vfs/tree.py:FileSystemTree.set_opaque":
+        "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
+    "src/repro/vfs/overlay.py:OverlayMount.readlink":
+        "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
+}
+
+
+class References(ast.NodeVisitor):
+    """The definitions of one file and every name its code references.
+
+    A reference is kept with the innermost definition it sits inside
+    (None for module-level code): it counts only once that one is live,
+    so nothing keeps itself alive.
+    """
+
+    def __init__(self, path, definitions, uses, define):
+        self.path = path
+        self.define = define         # record definitions (src/ only)
+        self.definitions = definitions
+        self.uses = uses             # (name or prefix, is_prefix, owner)
+        self.chain = ()
+        self.in_class = False
+        self.reexports = path.name == "__init__.py"
+
+    def _use(self, name, prefix=False):
+        self.uses.append((name, prefix, self.chain[-1] if self.chain else None))
+
+    def _enter(self, node, is_class):
+        if self.define and (not self.chain or self.in_class):
+            names = [self.definitions[i]["name"] for i in self.chain]
+            index = len(self.definitions)
+            self.definitions.append({
+                "name": node.name, "path": self.path,
+                "qualified": ".".join(names + [node.name]),
+                "parent": self.chain[-1] if self.chain else None,
+                "lines": node.end_lineno - min(
+                    [node.lineno] + [d.lineno for d in node.decorator_list]) + 1,
+                "lineno": node.lineno,
+            })
+            chain, in_class = self.chain + (index,), is_class
+        else:
+            chain, in_class = self.chain, False
+        # Decorators, bases and defaults run where the definition
+        # stands, but serve only it: they are its references too.
+        saved = self.chain, self.in_class
+        self.chain, self.in_class = chain, in_class
+        self.generic_visit(node)
+        self.chain, self.in_class = saved
+
+    def visit_ClassDef(self, node):
+        self._enter(node, True)
+
+    def visit_FunctionDef(self, node):
+        self._enter(node, False)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if not self.reexports:
+            for alias in node.names:
+                self._use(alias.name)
+
+    def visit_Assign(self, node):
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return  # a re-export list names, it does not use
+        self.generic_visit(node)
+
+    def visit_Expr(self, node):
+        if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
+            self.generic_visit(node)  # a docstring mentions, it does not use
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self._use(node.value)
+
+    def visit_Call(self, node):
+        # getattr(obj, f"_op_{kind}") / getattr(obj, "_op_" + kind): a
+        # dispatch that reaches every name with that prefix.
+        if (isinstance(node.func, ast.Name) and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2):
+            key = node.args[1]
+            while isinstance(key, ast.BinOp) and isinstance(key.op, ast.Add):
+                key = key.left
+            if isinstance(key, ast.JoinedStr) and key.values:
+                key = key.values[0]
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) and key.value:
+                self._use(key.value, prefix=True)
+        self.generic_visit(node)
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def live_definitions(definitions, uses, roots):
+    """Indexes of the definitions reachable from module-level code and ``roots``."""
+    by_name = defaultdict(list)
+    children = defaultdict(list)
+    for index, d in enumerate(definitions):
+        by_name[d["name"]].append(index)
+        if d["parent"] is not None:
+            children[d["parent"]].append(index)
+    by_owner = defaultdict(list)
+    for name, prefix, owner in uses:
+        by_owner[owner].append((name, prefix))
+
+    named = {i for i, d in enumerate(definitions) if is_dunder(d["name"])} | set(roots)
+    live = set()
+    pending = [None] + [i for i in named if definitions[i]["parent"] is None] + list(roots)
+    while pending:
+        owner = pending.pop()
+        if owner is not None:
+            if owner in live:
+                continue
+            live.add(owner)
+            pending.extend(c for c in children[owner] if c in named)
+        for name, prefix in by_owner[owner]:
+            if prefix:
+                targets = [i for n, ids in by_name.items() if n.startswith(name) for i in ids]
+            else:
+                targets = by_name.get(name, ())
+            for index in targets:
+                if index in named:
+                    continue
+                named.add(index)
+                parent = definitions[index]["parent"]
+                if parent is None or parent in live:
+                    pending.append(index)
+    return live
+
+
+def unused_definitions():
+    """``(test-only definitions, stale allowlist entries)``, as report lines."""
+    definitions, uses = [], []
+    for directory in USER_DIRS:
+        for path in python_files(directory):
+            References(path.relative_to(ROOT), definitions, uses,
+                       define=directory == "src").visit(parse(path))
+    keys = {f"{d['path'].as_posix()}:{d['qualified']}": i for i, d in enumerate(definitions)}
+    roots = {keys[key] for key in DEFINITION_ALLOWLIST if key in keys}
+    live = live_definitions(definitions, uses, roots)
+
+    dead = []
+    for index, d in enumerate(definitions):
+        if index not in live and (d["parent"] is None or d["parent"] in live):
+            dead.append(f"{d['path']}:{d['lineno']}: {d['qualified']} ({d['lines']} lines)")
+    stale = []
+    for key in DEFINITION_ALLOWLIST:
+        if key not in keys:
+            stale.append(f"{key}: allowlisted, but no such definition")
+        elif keys[key] in live_definitions(definitions, uses, roots - {keys[key]}):
+            stale.append(f"{key}: allowlisted, but code outside tests/ uses it")
+    return dead, stale
+
 
 def main():
     total, unset = census()
     print(f"{total} defaulted parameters under src/; {len(unset)} set by no caller")
     for line in unset:
         print(f"  {line}")
-    return 1 if unset else 0
+    dead, stale = unused_definitions()
+    print(f"{len(dead)} definitions under src/ only tests use, outside "
+          f"{len(DEFINITION_ALLOWLIST)} allowlisted; {len(stale)} stale allowlist entries")
+    for line in dead + stale:
+        print(f"  {line}")
+    return 1 if unset or dead or stale else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ back for hot layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import NotFoundError
@@ -139,10 +139,6 @@ class DupHunterRegistry:
         files = sum(compressed for _, compressed in self._files.values())
         manifests = sum(m.size_bytes for m in self._manifests.values())
         return files + manifests + self._layer_cache_used
-
-    @property
-    def unique_file_count(self) -> int:
-        return len(self._files)
 
     def __repr__(self) -> str:
         return (

@@ -322,7 +322,7 @@ def make_ha_testbed(
                 admission=AdmissionGate(admission_capacity),
             )
         )
-    replica_set = ReplicaSet(clock, members, seed=seed)
+    replica_set = ReplicaSet(clock, members)
     policy = HAFetchPolicy(
         replica_set,
         strategy=strategy,

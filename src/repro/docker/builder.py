@@ -10,7 +10,7 @@ Gear index as a single-layer image (§III-C).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.blob import Blob
 from repro.common.errors import ReproError
@@ -76,10 +76,6 @@ class ImageBuilder:
         self.mount.remove(path, recursive=True)
         return self
 
-    def set_config(self, config: ImageConfig) -> "ImageBuilder":
-        self._config = config
-        return self
-
     def with_env(self, **env: str) -> "ImageBuilder":
         merged = self._config.env_dict()
         merged.update(env)
@@ -137,12 +133,3 @@ def image_from_tree(
     archive = LayerArchive.from_tree(tree)
     return Image(name, tag, [Layer(archive)], config, gear_index=gear_index)
 
-
-def layer_from_files(
-    files: Sequence[tuple],
-) -> Layer:
-    """Build a standalone layer from ``(path, content)`` pairs (tests)."""
-    tree = FileSystemTree()
-    for path, content in files:
-        tree.write_file(path, content, parents=True)
-    return Layer(LayerArchive.from_tree(tree))

@@ -11,7 +11,7 @@ improves on with file-level sharing).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import Digest
@@ -55,11 +55,6 @@ class Overlay2Driver:
             diff = self._diffs[digest] = self.get_layer(digest).diff_tree().freeze()
         return diff
 
-    def remove_layer(self, digest: Digest) -> None:
-        if self._layers.pop(digest, None) is None:
-            raise NotFoundError(f"layer not in local storage: {digest.short()}")
-        self._diffs.pop(digest, None)
-
     @property
     def layer_count(self) -> int:
         return len(self._layers)
@@ -69,10 +64,6 @@ class Overlay2Driver:
         """Local uncompressed layer bytes: the modelled disk holds each
         extraction from the pull on; the host tree is built at mount."""
         return sum(layer.uncompressed_size for layer in self._layers.values())
-
-    def missing_layers(self, image: Image) -> List[Layer]:
-        """Layers of ``image`` not yet present locally, bottom-up order."""
-        return [layer for layer in image.layers if not self.has_layer(layer.digest)]
 
     # -- mounts --------------------------------------------------------------
 

@@ -13,7 +13,7 @@ the storage experiments, which only need byte accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import Digest
@@ -96,18 +96,6 @@ class DockerRegistry:
             raise NotFoundError(f"no such image: {reference!r}")
         del self._manifests[reference]
 
-    def delete_layer(self, digest: Digest) -> None:
-        """Remove a layer blob (GC and loss-injection experiments).
-
-        Manifests referencing the layer are left in place — exactly the
-        dangling-reference state a registry-side disk failure produces;
-        subsequent pulls fail with :class:`NotFoundError`.
-        """
-        if not self._layers.query(digest):
-            raise NotFoundError(f"no such layer: {digest.short()}")
-        self._layers.delete(digest)
-        del self._layer_objects[digest]
-
     # -- accounting ----------------------------------------------------------
 
     @property
@@ -123,13 +111,6 @@ class DockerRegistry:
         """Registry footprint: compressed layers + manifests (§II-B)."""
         manifests = sum(m.size_bytes for m in self._manifests.values())
         return self._layers.total_stored_size + manifests
-
-    @property
-    def uncompressed_layer_bytes(self) -> int:
-        return self._layers.total_size
-
-    def references(self) -> List[str]:
-        return sorted(self._manifests)
 
     def layer_digests(self) -> Iterator[str]:
         return self._layers.keys()

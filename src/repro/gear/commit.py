@@ -12,7 +12,7 @@ respectively."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.docker.daemon import DockerDaemon
 from repro.gear.driver import GearContainer
@@ -20,6 +20,7 @@ from repro.gear.gearfile import GearFile
 from repro.gear.index import GearFileEntry, GearIndex, STUB_XATTR
 from repro.gear.registry import GearRegistry
 from repro.net.transport import RpcTransport
+from repro.vfs import paths
 
 
 @dataclass
@@ -114,9 +115,7 @@ def _apply_diff(
             created.meta = node.meta
             if node.opaque:
                 for child in list(merged_tree.listdir(path)):
-                    from repro.vfs import paths as _paths
-
-                    child_path = _paths.join(path, child)
+                    child_path = paths.join(path, child)
                     merged_tree.remove(child_path, recursive=True)
                     _drop_subtree_entries(merged_entries, child_path)
             continue

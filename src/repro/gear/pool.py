@@ -101,9 +101,6 @@ class SharedFilePool:
         #: capacity, and are exactly what a crash leaves torn.
         self._staged: Dict[str, Inode] = {}
         self.stats = PoolStats()
-        #: Identities whose last download failed verification; cleared
-        #: when a verified copy finally lands.
-        self._quarantined: Set[str] = set()
         #: Single-flight table, keyed by identity (and ``chunk-map:…`` for
         #: manifests): concurrent faults on one identity (a prefetcher
         #: racing the startup task) wait for the first fetch instead of
@@ -201,7 +198,6 @@ class SharedFilePool:
 
     def commit(self, identity: str) -> Inode:
         """Phase two: publish a staged entry into the cache proper."""
-        self._quarantined.discard(identity)
         existing = self._inodes.get(identity)
         if existing is not None:
             self._staged.pop(identity, None)
@@ -251,17 +247,9 @@ class SharedFilePool:
         """Discard a staged entry (failed or torn admission)."""
         self._staged.pop(identity, None)
 
-    def is_staged(self, identity: str) -> bool:
-        """Is ``identity`` staged but not yet committed?"""
-        return identity in self._staged
-
     def staged_items(self) -> Iterator[tuple]:
         """Snapshot of staged ``(identity, inode)`` pairs, oldest first."""
         return iter(list(self._staged.items()))
-
-    @property
-    def staged_count(self) -> int:
-        return len(self._staged)
 
     def _make_room(self, incoming: int) -> None:
         if self.capacity_bytes is None:
@@ -297,23 +285,19 @@ class SharedFilePool:
             self.stats.evictions -= 1  # administrative removal, not pressure
 
     def quarantine(self, identity: str) -> None:
-        """Record a failed verification and purge any cached copy.
+        """Count a failed verification and purge any cached copy.
 
         Called by the viewer when a download for ``identity`` arrived
-        corrupt; a later verified :meth:`insert` lifts the quarantine.
+        corrupt; only a later verified :meth:`insert` caches it again.
         """
         self.stats.quarantines += 1
-        self._quarantined.add(identity)
         self.drop(identity)
-
-    def is_quarantined(self, identity: str) -> bool:
-        return identity in self._quarantined
 
     def clear(self) -> None:
         """Empty the cache (the paper's no-local-cache scenario, §V-D).
 
         A cleared node starts from *nothing*: staged (uncommitted)
-        entries, quarantine records, and in-flight fetch markers are all
+        entries and in-flight fetch markers are all
         discarded along with the cached files.  Pending single-flight
         events are fired first so any process waiting on one re-checks
         the (now empty) cache instead of blocking forever.
@@ -321,7 +305,6 @@ class SharedFilePool:
         self._inodes.clear()
         self._bytes = 0
         self._staged.clear()
-        self._quarantined.clear()
         self.inflight.abandon()
         for partial in self.partials.values():
             partial.inflight.abandon()
@@ -338,12 +321,6 @@ class SharedFilePool:
 
     def identities(self) -> Iterator[str]:
         return iter(self._inodes.keys())
-
-    @property
-    def hit_ratio(self) -> float:
-        stats = self.stats
-        total = stats.hits + stats.misses
-        return stats.hits / total if total else 0.0
 
     def __contains__(self, identity: str) -> bool:
         return identity in self._inodes

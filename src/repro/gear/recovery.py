@@ -99,20 +99,6 @@ class RecoveryReport:
     #: Virtual seconds the pass took (verification + disk scan).
     fsck_s: float = 0.0
 
-    @property
-    def repairs(self) -> int:
-        """Total state transitions the pass performed."""
-        return (
-            self.rolled_forward
-            + self.salvaged
-            + self.torn_dropped
-            + self.links_repaired
-            + self.links_rolled_back
-            + self.nlink_fixes
-            + self.diff_stubs_dropped
-            + self.torn_chunks_dropped
-        )
-
     def as_dict(self) -> dict:
         """Plain-dict view for JSON reports (deterministic key set)."""
         return asdict(self)

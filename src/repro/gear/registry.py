@@ -105,21 +105,12 @@ class GearRegistry:
         return [identity for identity in identities if not self.query(identity)]
 
     def delete(self, identity: str) -> None:
-        """Remove a Gear file (used by registry garbage collection)."""
+        """Remove a Gear file."""
         self._store.delete(identity)
 
     def stat(self, identity: str) -> StoredObject:
-        """Size/admission metadata without touching the payload.
-
-        Garbage collection sizes its sweep from this record instead of
-        downloading every dead file.
-        """
+        """Size metadata without touching the payload."""
         return self._store.stat(identity)
-
-    @property
-    def upload_epoch(self) -> int:
-        """The admission number the next uploaded file will receive."""
-        return self._store.upload_epoch
 
     # -- fault/loss injection (tests, resilience experiments) ---------------
 

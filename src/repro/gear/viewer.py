@@ -314,29 +314,11 @@ class GearFileViewer(OverlayMount):
 
     # -- helpers --------------------------------------------------------------
 
-    def file_size(self, path: str) -> int:
-        """Size of the regular file at ``path`` without faulting it in.
-
-        Stat-like operations must not trigger downloads; the index holds
-        the true size in its entry metadata.
-        """
-        node, resolved = self._resolve(path)
-        if STUB_XATTR in node.meta.xattrs:
-            entry = self.index.entries.get("/" + "/".join(resolved))
-            if entry is not None:
-                return entry.size
-        return node.size
-
     def prefetch(self, path: str) -> None:
         """Fault a file in without reading it (warm-up helper)."""
         node, resolved = self._resolve(path)
         if node.is_file:
             self._drive(self._materialize(node, resolved))
-
-    def resident_bytes(self) -> int:
-        """Bytes of index files already materialized (linked over their
-        stubs)."""
-        return sum(inode.size for inode in self.index.links.values())
 
     def _content_token(self, path: str, node: Inode) -> str:
         """A stub digests as the fingerprint its index entry promises, a

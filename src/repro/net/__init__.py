@@ -44,7 +44,6 @@ from repro.net.faults import (
     FaultyLink,
     OutageWindow,
     byzantine_plan,
-    lossy_plan,
 )
 from repro.net.ha import (
     BreakerState,
@@ -55,7 +54,6 @@ from repro.net.ha import (
     HedgeEstimator,
     Replica,
     ReplicaSet,
-    ScrubReport,
 )
 from repro.net.link import Link, TransferLog
 from repro.net.resilience import AdmissionGate, FabricTransport, RetryPolicy
@@ -94,9 +92,7 @@ __all__ = [
     "RetryPolicy",
     "RpcEndpoint",
     "RpcTransport",
-    "ScrubReport",
     "SiteTracker",
     "TransferLog",
     "byzantine_plan",
-    "lossy_plan",
 ]

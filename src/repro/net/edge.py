@@ -140,9 +140,6 @@ class EdgePeer:
         self.crash = CrashInjector(clock, plan)
         return self.crash
 
-    def holds(self, identity: str) -> bool:
-        return self.online and self.pool.contains(identity)
-
     def serve(self, identity: str, link: Link, tag: str):
         """Serve ``identity`` over ``link`` (a generator); returns
         ``(gear_file, wire)``.

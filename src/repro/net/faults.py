@@ -24,7 +24,7 @@ deploy times exactly the way it would on real hardware.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.clock import SimClock
@@ -494,11 +494,6 @@ class CrashInjector:
     def __repr__(self) -> str:
         state = "armed" if self.armed else f"fired@{self.fired.at_s:.3f}s"
         return f"CrashInjector({self.plan.point.value}, op={self._op_index}, {state})"
-
-
-def lossy_plan(seed: str = "faults") -> FaultPlan:
-    """A moderately hostile wire: a few percent drops and corruption."""
-    return FaultPlan(seed=seed, drop_rate=0.05, corrupt_rate=0.02)
 
 
 def chunk_plan(

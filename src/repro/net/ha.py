@@ -6,9 +6,7 @@ regime the paper motivates (§I).  This module adds the serving-tier
 robustness layer around it, deterministic under the PR 2 scheduler:
 
 * :class:`ReplicaSet` — N registries, each behind its own link and
-  transport, kept consistent by in-process write fan-out on upload plus
-  a seeded anti-entropy :meth:`~ReplicaSet.scrub` that repairs missing
-  and corrupted copies;
+  transport, kept consistent by in-process write fan-out on upload;
 * :class:`CircuitBreaker` — per-replica closed → open → half-open with
   virtual-time cooldowns, driven by call outcomes and by the
   :class:`HealthMonitor` probe process;
@@ -28,7 +26,7 @@ robustness layer around it, deterministic under the PR 2 scheduler:
   traffic goes through the policy, everything else (Docker registry) to
   the base transport unchanged.
 
-Everything is deterministic: selection and scrub order draw from
+Everything is deterministic: selection and backoff draw from
 :func:`repro.common.rng.rng_for` streams, hedge deadlines come from the
 shared nearest-rank :func:`repro.common.stats.percentile`, and all
 bookkeeping is charged zero virtual time, so with every replica healthy
@@ -72,11 +70,6 @@ from repro.net.resilience import (
     walk,
 )
 from repro.net.transport import RpcStats, RpcTransport
-
-#: Registry-to-registry backplane rate the anti-entropy scrub copies at.
-SCRUB_COPY_BPS = 200e6
-#: Rate at which the scrub re-verifies resident copies (hashing).
-SCRUB_VERIFY_BPS = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -234,48 +227,21 @@ class Replica:
         return f"Replica({self.name!r}, serves={self.stats.serves})"
 
 
-@dataclass(frozen=True)
-class ScrubReport:
-    """What one anti-entropy scrub round found and fixed."""
-
-    examined: int
-    repaired_missing: int
-    repaired_corrupt: int
-    unrepairable: int
-    bytes_copied: int
-    bytes_verified: int
-    duration_s: float
-
-    @property
-    def repaired(self) -> int:
-        return self.repaired_missing + self.repaired_corrupt
-
-
 class ReplicaSet:
     """N replicated Gear registries presenting one logical registry.
 
-    Duck-types the in-process ``GearRegistry`` surface (the converter,
-    garbage collector, and benches hold the registry object directly):
-    writes fan out to every replica, reads delegate to the primary.
-    Replicas that miss a write (down at fan-out time) are repaired by
-    :meth:`scrub`, the seeded anti-entropy pass.
+    Duck-types the in-process ``GearRegistry`` surface (the converter
+    and benches hold the registry object directly): writes fan out to
+    every replica, reads delegate to the primary.
     """
 
     ENDPOINT_NAME = GEAR_ENDPOINT
 
-    def __init__(
-        self,
-        clock: SimClock,
-        replicas: Sequence[Replica],
-        *,
-        seed: str = "ha",
-    ) -> None:
+    def __init__(self, clock: SimClock, replicas: Sequence[Replica]) -> None:
         if not replicas:
             raise ValueError("a replica set needs at least one replica")
         self.clock = clock
         self.replicas = list(replicas)
-        self.seed = seed
-        self._scrub_rounds = 0
 
     @property
     def primary(self) -> Replica:
@@ -307,13 +273,6 @@ class ReplicaSet:
     def stat(self, identity: str) -> Any:
         return self.primary.registry.stat(identity)
 
-    def corrupt(self, identity: str, gear_file: Any) -> None:
-        self.primary.registry.corrupt(identity, gear_file)
-
-    @property
-    def upload_epoch(self) -> int:
-        return self.primary.registry.upload_epoch
-
     @property
     def file_count(self) -> int:
         return self.primary.registry.file_count
@@ -328,64 +287,6 @@ class ReplicaSet:
 
     def identities(self) -> Any:
         return self.primary.registry.identities()
-
-    # -- anti-entropy ------------------------------------------------------
-
-    def scrub(self) -> ScrubReport:
-        """Repair divergent replicas from a verified source copy.
-
-        Walks the union of all replicas' identities in a seeded order,
-        re-verifies every resident copy against its fingerprint, copies
-        a good copy over missing or corrupted ones, and charges the
-        verify/copy time to the clock.  Deterministic per round.
-        """
-        from repro.gear.gearfile import verified  # gear imports net: late
-
-        self._scrub_rounds += 1
-        rng = rng_for("ha-scrub", self.seed, str(self._scrub_rounds))
-        union = sorted({i for r in self.replicas for i in r.registry.identities()})
-        rng.shuffle(union)
-        started = self.clock.now
-        repaired_missing = repaired_corrupt = unrepairable = 0
-        bytes_copied = bytes_verified = 0
-        for identity in union:
-            source: Optional[Any] = None
-            holders_bad: List[Replica] = []
-            holders_missing: List[Replica] = []
-            for replica in self.replicas:
-                if not replica.registry.query(identity):
-                    holders_missing.append(replica)
-                    continue
-                gear_file = replica.registry.download(identity)
-                bytes_verified += gear_file.size
-                if not verified(identity, gear_file):
-                    holders_bad.append(replica)
-                elif source is None:
-                    source = gear_file
-            if source is None:
-                unrepairable += 1
-                continue
-            for replica in holders_missing:
-                replica.registry.upload(source)
-                repaired_missing += 1
-                bytes_copied += source.compressed_size
-            for replica in holders_bad:
-                replica.registry.delete(identity)
-                replica.registry.upload(source)
-                repaired_corrupt += 1
-                bytes_copied += source.compressed_size
-        cost = bytes_verified / SCRUB_VERIFY_BPS + bytes_copied / SCRUB_COPY_BPS
-        if cost > 0:
-            self.clock.advance(cost, "ha-scrub")
-        return ScrubReport(
-            examined=len(union),
-            repaired_missing=repaired_missing,
-            repaired_corrupt=repaired_corrupt,
-            unrepairable=unrepairable,
-            bytes_copied=bytes_copied,
-            bytes_verified=bytes_verified,
-            duration_s=self.clock.now - started,
-        )
 
     def __repr__(self) -> str:
         return f"ReplicaSet({len(self.replicas)} replicas)"
@@ -828,7 +729,7 @@ class HAFetchPolicy:
         The viewer's fingerprint check caught bytes the transport-level
         checksum did not (a byzantine replica).  Trip its breaker so the
         inevitable re-fetch — and everyone else's traffic — goes
-        elsewhere; the anti-entropy scrub repairs the stored copy.
+        elsewhere.
         Returns whether a replica was on record as the server.
         """
         replica = self.served.pop(identity, None)
@@ -867,7 +768,7 @@ class HAFetchPolicy:
 class _AggregateEndpoint:
     """Read-only stats view summing the replica endpoints.
 
-    Presents the same ``.name``/``.stats``/``.methods()`` surface the
+    Presents the same ``.name``/``.stats`` surface the
     benchmark accounting reads, so fleet reports see one logical
     ``gear-registry`` regardless of replica count.  HA-level backoff
     rounds and giveups fold into ``retries``/``giveups`` so resilience
@@ -893,11 +794,6 @@ class _AggregateEndpoint:
         total.retries += self._policy.stats.backoffs
         total.giveups += self._policy.stats.giveups
         return total
-
-    def methods(self) -> Tuple[str, ...]:
-        return self._replica_set.primary.transport.endpoint(
-            GEAR_ENDPOINT
-        ).methods()
 
 
 class HATransport(TransportDecorator, Tier):

@@ -77,9 +77,6 @@ class RpcEndpoint:
             raise TransportError(f"{self.name!r} has no method {method!r}")
         return handler(*args, **kwargs)
 
-    def methods(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._methods))
-
 
 class RpcTransport:
     """Routes calls from a client to named endpoints over a link."""

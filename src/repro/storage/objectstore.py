@@ -22,10 +22,6 @@ class StoredObject:
     key: str
     size: int
     stored_size: int
-    #: Monotonic admission number: the store's upload counter at the time
-    #: this object landed.  Lets maintenance passes (garbage collection)
-    #: order objects against a point in time without wall clocks.
-    seq: int = 0
 
 
 class ObjectStore:
@@ -40,7 +36,6 @@ class ObjectStore:
     def __init__(self, name: str = "objects") -> None:
         self.name = name
         self._objects: Dict[str, Tuple[StoredObject, object]] = {}
-        self._upload_seq = 0
 
     # -- the three registry verbs ---------------------------------------
 
@@ -60,9 +55,7 @@ class ObjectStore:
             key=key,
             size=size,
             stored_size=stored_size if stored_size is not None else size,
-            seq=self._upload_seq,
         )
-        self._upload_seq += 1
         self._objects[key] = (record, payload)
         return True
 
@@ -85,15 +78,6 @@ class ObjectStore:
 
     def stat(self, key: str) -> StoredObject:
         return self.download(key)[0]
-
-    @property
-    def upload_epoch(self) -> int:
-        """The ``seq`` the *next* successful upload will receive.
-
-        A snapshot of this value marks a point in admission order:
-        objects with ``seq >= epoch`` arrived after the snapshot.
-        """
-        return self._upload_seq
 
     @property
     def object_count(self) -> int:

@@ -32,7 +32,7 @@ from repro.common.errors import (
 )
 from repro.common.hashing import fingerprint_tokens
 from repro.vfs import paths
-from repro.vfs.inode import FileKind, Inode, Metadata
+from repro.vfs.inode import Inode, Metadata
 from repro.vfs.tree import FileSystemTree
 
 _MAX_SYMLINK_DEPTH = 40
@@ -121,9 +121,7 @@ class OverlayMount:
                         raise NotFoundError(
                             f"no such file or directory: {paths.unsplit(parts)!r}"
                         )
-                    self.upper.mkdir_at(
-                        self._ensure_upper_dirs(parts[:index]), name, exist_ok=True
-                    )
+                    self._upper_mkdir(self._ensure_upper_dirs(parts[:index]), name)
                     break
                 if node.symlink_target is not None and (follow_last or index < last):
                     hops += 1
@@ -271,17 +269,6 @@ class OverlayMount:
             if child.is_dir:
                 yield from self._walk_merged(child_path, below)
 
-    def to_tree(self) -> FileSystemTree:
-        """Materialize the merged view as a standalone tree."""
-        tree = FileSystemTree()
-        for parent, name, _, node in tree.mirror(self.walk("/")):
-            if node.is_symlink:
-                assert node.symlink_target is not None
-                tree.symlink_at(parent, name, node.symlink_target, meta=node.meta)
-            elif node.is_file:
-                tree.write_at(parent, name, node.blob, meta=node.meta)
-        return tree
-
     def fs_digest(self) -> str:
         """Logical-content digest of the merged filesystem: every path
         with its kind and, for a file, its mode and content token."""
@@ -337,12 +324,6 @@ class OverlayMount:
             self._ensure_upper_dirs(resolved), name, content, meta=meta
         )
 
-    def append_file(self, path: str, extra: bytes) -> Inode:
-        """Append to a file, copying it up first if it lives in a lower."""
-        original = self.read_blob(path)
-        self._note_copy_up(path)
-        return self.write_file(path, original.materialize() + extra)
-
     def copy_up(self, path: str) -> Inode:
         """Explicitly copy a lower file into the upper layer unchanged."""
         node, resolved = self._resolve(path, follow_symlinks=False)
@@ -379,9 +360,9 @@ class OverlayMount:
         existing, _ = _step(stack, name)
         if existing is not None and not (existing.is_dir and exist_ok):
             raise FileExistsVfsError(f"path exists: {path!r}")
-        return self.upper.mkdir_at(
-            self._ensure_upper_dirs(resolved), name, exist_ok=True,
-            meta=existing.meta if existing is not None else None,
+        return self._upper_mkdir(
+            self._ensure_upper_dirs(resolved), name,
+            existing.meta if existing is not None else None,
         )
 
     def symlink(self, path: str, target: str) -> Inode:
@@ -424,22 +405,22 @@ class OverlayMount:
             self.upper.whiteout_at(upper_dir, name)
             self.stats.whiteouts_created += 1
 
-    def rename(self, old: str, new: str) -> None:
-        """Rename via copy + delete (sufficient for the workloads here)."""
-        node, _ = self._resolve(old, follow_symlinks=False)
-        if node.is_dir:
-            raise VfsError("directory rename is not supported")
-        if node.is_symlink:
-            assert node.symlink_target is not None
-            self.symlink(new, node.symlink_target)
-        else:
-            assert node.blob is not None
-            self.write_file(new, node.blob, meta=node.meta)
-        self.remove(old)
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+
+    def _upper_mkdir(
+        self, upper_dir: Inode, name: str, meta: Optional[Metadata] = None
+    ) -> Inode:
+        """The upper layer's directory ``name`` in ``upper_dir``.  Made
+        over a whiteout it is opaque, as overlayfs makes it: what the
+        whiteout hid stays hidden."""
+        assert upper_dir.children is not None
+        held = upper_dir.children.get(name)
+        made = self.upper.mkdir_at(upper_dir, name, exist_ok=True, meta=meta)
+        if held is not None and held.is_whiteout:
+            made.opaque = True
+        return made
 
     def _upper_entry(self, resolved: Sequence[str]) -> Optional[Inode]:
         """The upper layer's own live entry at a resolved path, if any."""
@@ -449,15 +430,6 @@ class OverlayMount:
             if node is None or node.is_whiteout:
                 return None
         return node
-
-    def _note_copy_up(self, path: str) -> None:
-        _, resolved = self._resolve(path, follow_symlinks=False)
-        if self._upper_entry(resolved) is None:
-            self.stats.copy_ups += 1
-
-    def reset_stats(self) -> None:
-        self.stats = MountStats()
-        del self._touched[:]
 
     def __repr__(self) -> str:
         return f"OverlayMount(lowers={len(self.lowers)})"

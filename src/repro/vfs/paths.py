@@ -67,13 +67,6 @@ def join(base: str, *components: str) -> str:
     return normalize("/".join(pieces) or "/")
 
 
-def is_ancestor(ancestor: str, path: str) -> bool:
-    """True when ``ancestor`` is a (non-strict) prefix directory of ``path``."""
-    ancestor_parts = split(ancestor)
-    path_parts = split(path)
-    return path_parts[: len(ancestor_parts)] == ancestor_parts
-
-
 def symlink_parts(parent_parts: Sequence[str], target: str) -> List[str]:
     """Components a symlink in the directory ``parent_parts`` points to."""
     if target.startswith("/"):
@@ -91,9 +84,3 @@ def splice_symlink(
     make them — a link to nothing dangles."""
     head = symlink_parts(parts[:index], target)
     return head + list(parts[index + 1 :]), len(head) + max(0, pointed_to - index - 1)
-
-
-def resolve_symlink_target(link_path: str, target: str) -> str:
-    """Resolve a symlink target (absolute or relative) to an absolute path."""
-    parent, _ = parent_and_name(link_path)
-    return unsplit(symlink_parts(split(parent), target))

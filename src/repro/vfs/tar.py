@@ -107,10 +107,6 @@ class TarEntry:
         name = self.path.rpartition("/")[2]
         return name.startswith(WHITEOUT_PREFIX) and name != OPAQUE_MARKER
 
-    @property
-    def is_opaque_marker(self) -> bool:
-        return self.path.rpartition("/")[2] == OPAQUE_MARKER
-
 
 #: A record's fields, and an archive's columns, in row order.
 _row_of = attrgetter("path", "kind", "mode", "uid", "gid", "blob", "symlink_target")

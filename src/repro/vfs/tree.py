@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blob import Blob
 from repro.common.errors import (
@@ -417,27 +417,6 @@ class FileSystemTree:
         self._directory(paths.split(path)).opaque = opaque
 
     # -- whole-tree operations --------------------------------------------
-
-    def mirror(
-        self, walk: Iterable[Tuple[str, Inode]]
-    ) -> Iterator[Tuple[Inode, str, str, Inode]]:
-        """Re-create the directories of a pre-order ``walk`` (metadata
-        copied) in this fresh tree, and yield every walked ``(path,
-        node)`` as ``(directory here, name, path, node)`` for the caller
-        to place with the ``*_at`` methods.
-
-        The walk is pre-order, so the directory being filled, under its
-        ancestors, is always on the trail: nothing is looked up twice.
-        """
-        trail: List[Tuple[str, Inode]] = [("", self.root)]
-        for path, node in walk:
-            head, _, name = path.rpartition("/")
-            while trail[-1][0] != head:
-                trail.pop()
-            parent = trail[-1][1]
-            if node.is_dir:
-                trail.append((path, self.mkdir_at(parent, name, meta=node.meta)))
-            yield parent, name, path, node
 
     def clone(self) -> "FileSystemTree":
         """An independent writable copy of the tree (blobs shared).

@@ -14,7 +14,6 @@ from repro.workloads.series import (
     CategoryProfile,
     SERIES,
     SeriesSpec,
-    series_by_category,
 )
 from repro.workloads.access import AccessTrace
 from repro.workloads.tasks import TaskModel, task_for_category
@@ -27,7 +26,6 @@ __all__ = [
     "CategoryProfile",
     "SERIES",
     "SeriesSpec",
-    "series_by_category",
     "AccessTrace",
     "TaskModel",
     "task_for_category",

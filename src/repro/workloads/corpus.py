@@ -25,7 +25,7 @@ Everything is a pure function of ``CorpusConfig.seed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blob import Blob
@@ -157,9 +157,6 @@ class Corpus:
         except KeyError:
             raise NotFoundError(f"corpus has no image {reference!r}") from None
 
-    def references(self) -> List[str]:
-        return [generated.reference for generated in self.images]
-
     def docker_images(self) -> List[Image]:
         return [generated.image for generated in self.images]
 
@@ -168,10 +165,6 @@ class Corpus:
         for generated in self.images:
             grouped[generated.category].append(generated)
         return {c: lst for c, lst in grouped.items() if lst}
-
-    @property
-    def image_count(self) -> int:
-        return len(self.images)
 
     @property
     def total_uncompressed_bytes(self) -> int:

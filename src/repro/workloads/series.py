@@ -264,18 +264,3 @@ RUNTIME_SOURCE: Dict[str, str] = {
     "nextcloud": "php",
 }
 
-
-def series_by_category() -> Dict[str, List[SeriesSpec]]:
-    """Group the catalog by category, preserving catalog order."""
-    grouped: Dict[str, List[SeriesSpec]] = {name: [] for name in CATEGORIES}
-    for spec in SERIES:
-        grouped[spec.category].append(spec)
-    return grouped
-
-
-def get_series(name: str) -> SeriesSpec:
-    """Look a series up by name (KeyError when absent)."""
-    for spec in SERIES:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"no such series: {name!r}")

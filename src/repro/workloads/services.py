@@ -61,14 +61,6 @@ SERVICES: Tuple[ServiceSpec, ...] = (
 )
 
 
-def service_spec(name: str) -> ServiceSpec:
-    """Look a service workload up by name (KeyError when absent)."""
-    for spec in SERVICES:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"no such service: {name!r}")
-
-
 @dataclass(frozen=True)
 class ServiceRunResult:
     """Throughput measurement for one container."""

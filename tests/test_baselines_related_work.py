@@ -33,7 +33,7 @@ class TestDupHunter:
     def test_storage_is_file_deduplicated(self):
         _, registry = self.make()
         # /shared and /app/lib.so stored once; /app/bin per version.
-        assert registry.unique_file_count == 2 + 4
+        assert len(registry._files) == 2 + 4
 
     def test_pull_still_ships_full_layers(self):
         clock, registry = self.make()

@@ -13,7 +13,7 @@ from repro.bench.deploy import (
 from repro.bench.environment import make_testbed, publish_images
 from repro.gear.index import GearIndex
 from repro.gear.prefetch import TraceRecorder
-from repro.net.faults import lossy_plan
+from repro.net.faults import FaultPlan
 from repro.vfs.tar import LayerArchive
 
 
@@ -190,7 +190,9 @@ class TestOneProtocol:
     result is the same reading of the same clock, log and counters."""
 
     @pytest.mark.parametrize(
-        "fault_plan", [None, lossy_plan("protocol")], ids=["clean", "lossy"]
+        "fault_plan",
+        [None, FaultPlan(seed="protocol", drop_rate=0.05, corrupt_rate=0.02)],
+        ids=["clean", "lossy"],
     )
     @pytest.mark.parametrize("system", COUNTED)
     def test_result_is_the_delta_of_clock_log_and_endpoints(

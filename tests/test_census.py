@@ -1,0 +1,176 @@
+"""scripts/census.py on small trees: what each pass lists, and what it keeps.
+
+Each case writes a miniature repository under ``tmp_path`` (``src/``,
+``tests/``, ``examples/``) and points the census at it.
+"""
+
+import importlib.util
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "census.py"
+_spec = importlib.util.spec_from_file_location("census", SCRIPT)
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """Write ``{relative path: source}`` and return the census's findings
+    as ``(test-only qualified names, stale allowlist lines)``."""
+    monkeypatch.setattr(census, "ROOT", tmp_path)
+    monkeypatch.setattr(census, "DEFINITION_ALLOWLIST", {})
+
+    def write(files, allowlist=None):
+        for relative, source in files.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        if allowlist is not None:
+            monkeypatch.setattr(census, "DEFINITION_ALLOWLIST", allowlist)
+        dead, stale = census.unused_definitions()
+        return [line.split(": ", 1)[1].split(" (")[0] for line in dead], stale
+
+    return write
+
+
+MODULE = """\
+    def used():
+        return 1
+
+    def only_tested():
+        return 2
+"""
+
+
+def test_a_function_only_a_test_calls_is_listed(repo):
+    dead, _ = repo({
+        "src/pkg/mod.py": MODULE,
+        "examples/demo.py": "from pkg.mod import used\nused()\n",
+        "tests/test_mod.py": "from pkg.mod import only_tested\nonly_tested()\n",
+    })
+    assert dead == ["only_tested"]
+
+
+def test_a_function_an_example_calls_is_live(repo):
+    dead, _ = repo({
+        "src/pkg/mod.py": MODULE,
+        "examples/demo.py": "from pkg.mod import used, only_tested\nused(); only_tested()\n",
+    })
+    assert dead == []
+
+
+def test_a_re_export_is_not_a_use(repo):
+    dead, _ = repo({
+        "src/pkg/__init__.py": """\
+            from pkg.mod import only_tested, used
+            __all__ = ["only_tested", "used"]
+        """,
+        "src/pkg/mod.py": MODULE,
+        "examples/demo.py": "import pkg\npkg.used()\n",
+    })
+    assert dead == ["only_tested"]
+
+
+def test_what_only_test_only_code_reaches_is_test_only(repo):
+    dead, _ = repo({
+        "src/pkg/mod.py": """\
+            def helper():
+                return 1
+
+            def only_tested():
+                return helper()
+
+            def recursive(n):
+                return recursive(n - 1) if n else 0
+
+            class Report:
+                def total(self):
+                    return helper()
+        """,
+        "tests/test_mod.py": "from pkg.mod import Report, only_tested, recursive\n",
+    })
+    # A reference from inside itself keeps nothing alive; a method goes
+    # with its class.
+    assert dead == ["helper", "only_tested", "recursive", "Report"]
+
+
+def test_an_rpc_method_named_in_a_string_stays_live(repo):
+    dead, _ = repo({
+        "src/pkg/registry.py": """\
+            class Registry:
+                def __init__(self):
+                    self.files = {}
+
+                def query(self, identity):
+                    return identity in self.files
+
+                def purge(self):
+                    self.files.clear()
+
+            def fetch(transport, identity):
+                return transport.call("registry", "query", identity)
+        """,
+        "examples/demo.py": "from pkg.registry import Registry, fetch\n",
+    })
+    assert dead == ["Registry.purge"]  # __init__ is a dunder: always live
+
+
+def test_a_getattr_prefix_dispatch_keeps_its_handlers(repo):
+    dead, _ = repo({
+        "src/pkg/build.py": """\
+            class Builder:
+                def run(self, keyword):
+                    return getattr(self, f"_op_{keyword}")()
+
+                def _op_copy(self):
+                    return 1
+        """,
+        "examples/demo.py": "from pkg.build import Builder\nBuilder().run('copy')\n",
+    })
+    assert dead == []
+
+
+def test_an_allowlisted_entry_passes_and_roots_its_callees(repo):
+    files = {
+        "src/pkg/mod.py": """\
+            def helper():
+                return 1
+
+            def seam():
+                return helper()
+        """,
+        "tests/test_mod.py": "from pkg.mod import seam\n",
+    }
+    assert repo(files, {"src/pkg/mod.py:seam": "§7: a fault seam"}) == ([], [])
+    # An entry that names nothing, or something code already uses, is stale.
+    dead, stale = repo(files, {
+        "src/pkg/mod.py:seam": "§7: a fault seam",
+        "src/pkg/mod.py:helper": "§7: reached from the seam anyway",
+        "src/pkg/gone.py:ghost": "§1: deleted",
+    })
+    assert dead == []
+    assert [line.split(":")[1] for line in stale] == ["helper", "ghost"]
+
+
+def test_a_defaulted_parameter_no_caller_sets_is_still_listed(repo):
+    repo({
+        "src/pkg/mod.py": """\
+            def used(x, flag=False, *, mode="r"):
+                return x, flag, mode
+        """,
+        "examples/demo.py": "from pkg.mod import used\nused(1, mode='w')\n",
+    })
+    total, unset = census.census()
+    assert total == 2
+    assert unset == ["src/pkg/mod.py:1: used(flag=)"]
+
+
+def test_the_allowlist_is_pinned_and_each_entry_names_its_design_section():
+    # Growing the allowlist is a visible edit: change this number with it.
+    assert len(census.DEFINITION_ALLOWLIST) == 9
+    for key, why in census.DEFINITION_ALLOWLIST.items():
+        assert key.startswith("src/") and ":" in key, key
+        assert why.startswith("§"), key

@@ -7,7 +7,7 @@ against the structural promises DESIGN.md makes about the generator.
 import pytest
 
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
-from repro.workloads.series import CATEGORY_PROFILES, get_series
+from repro.workloads.series import CATEGORY_PROFILES
 
 #: (series, category) — one representative per category.
 REPRESENTATIVES = [
@@ -123,4 +123,5 @@ class TestCrossCategoryInvariants:
 
     def test_deterministic_across_builders(self, category_corpus):
         rebuilt = CorpusBuilder(category_corpus.config).build()
-        assert rebuilt.references() == category_corpus.references()
+        assert [g.reference for g in rebuilt.images] == [
+            g.reference for g in category_corpus.images]

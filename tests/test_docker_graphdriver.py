@@ -3,10 +3,11 @@
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.docker.builder import ImageBuilder, layer_from_files
+from repro.docker.builder import ImageBuilder
 from repro.docker.graphdriver import Overlay2Driver
 from repro.docker.image import Image
 from repro.vfs.tar import LayerArchive
+from tests.test_docker_image import layer_from_files
 
 
 def make_image():
@@ -41,28 +42,11 @@ class TestLayerStore:
         with pytest.raises(NotFoundError):
             driver.diff_tree(layer.digest)
 
-    def test_remove_layer(self):
-        driver = Overlay2Driver()
-        layer = layer_from_files([("/a", b"x")])
-        driver.register_layer(layer)
-        driver.remove_layer(layer.digest)
-        assert not driver.has_layer(layer.digest)
-        with pytest.raises(NotFoundError):
-            driver.remove_layer(layer.digest)
-
     def test_stored_bytes(self):
         driver = Overlay2Driver()
         layer = layer_from_files([("/a", b"x" * 100)])
         driver.register_layer(layer)
         assert driver.stored_bytes == layer.uncompressed_size
-
-    def test_missing_layers_of_image(self):
-        driver = Overlay2Driver()
-        image = make_image()
-        assert len(driver.missing_layers(image)) == 2
-        driver.register_layer(image.layers[0])
-        missing = driver.missing_layers(image)
-        assert [l.digest for l in missing] == [image.layers[1].digest]
 
 
 @pytest.fixture
@@ -103,13 +87,6 @@ class TestUnpackAtFirstMount:
         driver.mount(image)
         driver.mount(image)
         assert sorted(map(id, unpacks)) == sorted(id(l.archive) for l in image.layers)
-
-    def test_removing_an_unmounted_layer_never_unpacks_it(self, unpacks):
-        driver = Overlay2Driver()
-        layer = layer_from_files([("/a", b"x")])
-        driver.register_layer(layer)
-        driver.remove_layer(layer.digest)
-        assert unpacks == []
 
 
 class TestMount:

@@ -3,8 +3,17 @@
 import pytest
 
 from repro.common.errors import ReproError
-from repro.docker.builder import layer_from_files
 from repro.docker.image import Image, ImageConfig, Layer, Manifest
+from repro.vfs.tar import LayerArchive
+from repro.vfs.tree import FileSystemTree
+
+
+def layer_from_files(files):
+    """A standalone layer from ``(path, content)`` pairs."""
+    tree = FileSystemTree()
+    for path, content in files:
+        tree.write_file(path, content, parents=True)
+    return Layer(LayerArchive.from_tree(tree))
 
 
 def make_layer(*files):

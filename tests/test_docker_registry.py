@@ -4,10 +4,11 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import NotFoundError
-from repro.docker.builder import ImageBuilder, layer_from_files
+from repro.docker.builder import ImageBuilder
 from repro.docker.registry import DockerRegistry
 from repro.net.link import Link
 from repro.net.transport import RpcTransport
+from tests.test_docker_image import layer_from_files
 
 
 def make_images():
@@ -75,13 +76,6 @@ class TestAccounting:
         registry.push_image(base)
         expected = base.layers[0].compressed_size + base.manifest().size_bytes
         assert registry.stored_bytes == expected
-
-    def test_references_sorted(self):
-        registry = DockerRegistry()
-        base, child = make_images()
-        registry.push_image(base)
-        registry.push_image(child)
-        assert registry.references() == ["debian:v1", "nginx:v1"]
 
 
 class TestRpcSurface:

@@ -58,7 +58,8 @@ class TestBasics:
         pool.insert(gf("a"))
         pool.get(gf("a").identity)
         pool.get("missing")
-        assert pool.hit_ratio == pytest.approx(0.5)
+        stats = pool.stats
+        assert stats.hits / (stats.hits + stats.misses) == pytest.approx(0.5)
 
 
 class TestEviction:
@@ -155,10 +156,8 @@ class TestQuarantineLifecycle:
         pool = SharedFilePool()
         identity = gf("a").identity
         pool.quarantine(identity)
-        assert pool.is_quarantined(identity)
         assert not pool.contains(identity)
         pool.insert(gf("a"))
-        assert not pool.is_quarantined(identity)
         assert pool.contains(identity)
         assert pool.stats.quarantines == 1  # history, not state
 
@@ -170,11 +169,15 @@ class TestQuarantineLifecycle:
         assert pool.used_bytes == 0
 
 
+def staged(pool):
+    return [identity for identity, _ in pool.staged_items()]
+
+
 class TestTwoPhaseAdmission:
     def test_staged_entries_are_invisible(self):
         pool = SharedFilePool()
         pool.prepare(gf("a"))
-        assert pool.staged_count == 1
+        assert len(staged(pool)) == 1
         assert pool.get(gf("a").identity) is None
         assert not pool.contains(gf("a").identity)
         assert pool.used_bytes == 0 and pool.file_count == 0
@@ -182,10 +185,10 @@ class TestTwoPhaseAdmission:
     def test_commit_publishes(self):
         pool = SharedFilePool()
         incoming = gf("a", 700)
-        staged = pool.prepare(incoming)
+        prepared = pool.prepare(incoming)
         committed = pool.commit(incoming.identity)
-        assert committed is staged
-        assert pool.staged_count == 0
+        assert committed is prepared
+        assert len(staged(pool)) == 0
         assert pool.used_bytes == 700
         assert pool.get(incoming.identity) is committed
 
@@ -198,7 +201,7 @@ class TestTwoPhaseAdmission:
         pool = SharedFilePool()
         pool.prepare(gf("a"))
         pool.abort(gf("a").identity)
-        assert pool.staged_count == 0
+        assert len(staged(pool)) == 0
         with pytest.raises(StorageError):
             pool.commit(gf("a").identity)
 
@@ -208,7 +211,7 @@ class TestTwoPhaseAdmission:
         with pytest.raises(IntegrityError):
             pool.prepare(bad)
         assert pool.prepare(bad, torn=True) is not None
-        assert pool.is_staged("0" * 32)
+        assert staged(pool) == ["0" * 32]
 
     def test_staged_bytes_do_not_trigger_eviction(self):
         # Capacity pressure is paid at commit, not at prepare — a crash
@@ -225,7 +228,7 @@ class TestTwoPhaseAdmission:
     def test_insert_is_prepare_plus_commit(self):
         pool = SharedFilePool()
         inode = pool.insert(gf("a"))
-        assert pool.staged_count == 0
+        assert len(staged(pool)) == 0
         assert pool.get(gf("a").identity) is inode
 
 
@@ -242,8 +245,7 @@ class TestClearCompleteness:
             event = pool.inflight.claim(gf("d").identity, clock)
         pool.clear()
         assert pool.file_count == 0 and pool.used_bytes == 0
-        assert pool.staged_count == 0
-        assert not pool.is_quarantined(gf("c").identity)
+        assert len(staged(pool)) == 0
         assert not pool.inflight
         # The pending fetch event was fired, not stranded: a waiter
         # re-checks the (now empty) cache instead of blocking forever.

@@ -1,8 +1,7 @@
 """The replicated Gear registry tier end to end.
 
-Write fan-out keeps every replica serving the same catalog; the
-anti-entropy scrub repairs holes and bit rot; byzantine replicas are
-demoted by the viewer's fingerprint check; and a healthy replica tier is
+Write fan-out keeps every replica serving the same catalog; byzantine
+replicas are demoted by the viewer's fingerprint check; and a healthy replica tier is
 byte- and time-identical to the single-registry testbed.  The crash test
 kills a client mid-hedged-fetch, fscks the local store, and resumes
 against a different replica — the golden resume-equivalence invariant
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.blob import Blob
 from repro.bench.deploy import (
     container_fs_digest,
     deploy_with_gear,
@@ -22,7 +20,6 @@ from repro.bench.deploy import (
 from repro.bench.environment import make_ha_testbed, make_testbed, publish_images
 from repro.common.clock import SimScheduler
 from repro.common.errors import ClientCrash
-from repro.gear.gearfile import GearFile
 from repro.gear.journal import FETCH_BEGIN
 from repro.net.faults import CrashPlan, CrashPoint, byzantine_plan
 
@@ -57,54 +54,6 @@ class TestWriteFanOut:
         replica_set.delete(identity)
         for replica in ha_testbed.ha.replica_set.replicas:
             assert not replica.registry.query(identity)
-
-
-class TestScrub:
-    def test_clean_tier_scrubs_to_zero_repairs(self, ha_testbed):
-        report = ha_testbed.gear_registry.scrub()
-        assert report.examined > 0
-        assert report.repaired == 0
-        assert report.unrepairable == 0
-        assert report.bytes_copied == 0
-        assert report.duration_s > 0  # verification hashing is not free
-
-    def test_scrub_repairs_missing_copy(self, ha_testbed):
-        replicas = ha_testbed.ha.replica_set.replicas
-        identity = next(iter(replicas[0].registry.identities()))
-        replicas[1].registry.delete(identity)
-        report = ha_testbed.gear_registry.scrub()
-        assert report.repaired_missing == 1
-        assert report.bytes_copied > 0
-        assert replicas[1].registry.query(identity)
-        assert (
-            replicas[1].registry.download(identity).blob.fingerprint == identity
-        )
-
-    def test_scrub_repairs_corrupt_copy(self, ha_testbed):
-        replicas = ha_testbed.ha.replica_set.replicas
-        identity = next(
-            i for i in replicas[0].registry.identities()
-            if not i.startswith("uid-")
-        )
-        rotten = GearFile(identity=identity, blob=Blob.from_bytes(b"bit rot"))
-        replicas[2].registry.corrupt(identity, rotten)
-        report = ha_testbed.gear_registry.scrub()
-        assert report.repaired_corrupt == 1
-        assert (
-            replicas[2].registry.download(identity).blob.fingerprint == identity
-        )
-
-    def test_scrub_is_deterministic_per_round(self, small_corpus):
-        def run():
-            testbed = make_ha_testbed(replicas=3, seed="scrub-det")
-            publish_images(testbed, small_corpus.images[:2], convert=True)
-            replicas = testbed.ha.replica_set.replicas
-            victim = sorted(replicas[0].registry.identities())[0]
-            replicas[1].registry.delete(victim)
-            report = testbed.gear_registry.scrub()
-            return (report, testbed.clock.now)
-
-        assert run() == run()
 
 
 class TestHealthyTierIdentity:

@@ -177,23 +177,11 @@ class TestTelemetry:
 
 
 class TestHelpers:
-    def test_file_size_does_not_fault(self):
-        _, _, _, _, viewer, link, _ = build_env()
-        assert viewer.file_size("/bin/sh") == len(b"shell!" * 500)
-        assert viewer.fault_stats.faults == 0
-        assert link.log.total_bytes == 0
-
     def test_prefetch_faults_without_read(self):
         _, _, _, _, viewer, _, _ = build_env()
         viewer.prefetch("/bin/sh")
         assert viewer.fault_stats.faults == 1
         assert viewer.stats.reads == 0
-
-    def test_resident_bytes_tracks_materialization(self):
-        _, _, _, _, viewer, _, _ = build_env()
-        assert viewer.resident_bytes() == 0
-        viewer.read_bytes("/etc/conf")
-        assert viewer.resident_bytes() == len(b"key=value")
 
 
 class TestWritableLayer:
@@ -225,15 +213,3 @@ class TestCopyUpAndAppendOnStubs:
         assert viewer.upper.read_bytes("/etc/conf") == b"key=value"
         assert viewer.fault_stats.faults == 1
 
-    def test_append_on_stub_faults_then_appends(self):
-        _, _, _, _, viewer, _, _ = build_env()
-        viewer.append_file("/etc/conf", b";extra=1")
-        assert viewer.read_bytes("/etc/conf") == b"key=value;extra=1"
-
-    def test_append_does_not_corrupt_index(self):
-        _, index, _, _, viewer, _, _ = build_env()
-        viewer.append_file("/etc/conf", b";extra=1")
-        # The index (level 2) still serves the original content to other
-        # containers of this image.
-        other = GearFileViewer(index, viewer.pool, transport=viewer.transport)
-        assert other.read_bytes("/etc/conf") == b"key=value"

@@ -296,7 +296,3 @@ class TestTransport:
         endpoint.register("m", lambda: (None, 0))
         with pytest.raises(TransportError):
             endpoint.register("m", lambda: (None, 0))
-
-    def test_methods_listing(self):
-        _, _, _, endpoint = self.make()
-        assert endpoint.methods() == ("echo", "free")

@@ -93,7 +93,7 @@ class TestPeerServing:
         peer = root.edge.peers[0]
         for identity in site.tracker.identities():
             assert peer.name in site.tracker.resolve(identity)
-            assert peer.holds(identity)
+            assert peer.online and peer.pool.contains(identity)
 
     def test_fleet_egress_reduction_vs_single_tier(self, small_corpus):
         """Acceptance: zero churn, ≥40% registry-egress reduction."""

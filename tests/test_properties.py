@@ -100,14 +100,6 @@ def test_overlay_matches_reference_model(lower_map, upper_map, deletions):
     assert merged == model
 
 
-@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
-@given(_FILE_MAPS)
-def test_overlay_to_tree_preserves_files(file_map):
-    lower = build_tree(file_map).freeze()
-    mount = OverlayMount([lower])
-    assert tree_files(mount.to_tree()) == tree_files(lower)
-
-
 # -- layer archive round-trips ---------------------------------------------
 
 

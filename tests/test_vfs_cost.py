@@ -153,15 +153,10 @@ class TestOverlay:
         assert counted.steps == len(nodes)
         assert counted.dirs_touched <= len(nodes) * self.LAYERS
 
-    def test_listdir_and_to_tree_descend_once(self, counted):
+    def test_listdir_descends_once(self, counted):
         mount = self.mount()
         assert cost_of(counted, lambda: mount.listdir("/d0/d1/d2"))[0] == 1
         assert counted.steps == 3
-        counted.reset()
-        tree = mount.to_tree()
-        nodes = tree.count_nodes()
-        assert (counted.splits, counted.steps) == (2, nodes)  # two walks, one each
-        assert counted.descents == 1  # count_nodes'; building made none
 
     def test_a_write_walks_the_merged_view_and_the_upper_once_each(self, counted):
         mount = self.mount()

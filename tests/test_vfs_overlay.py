@@ -105,12 +105,6 @@ class TestWrites:
         mount.symlink("/etc/app/link", "conf")
         assert mount.read_bytes("/etc/app/link") == b"lower-conf"
 
-    def test_append_copies_up(self, mount):
-        mount.append_file("/etc/app/conf", b"+more")
-        assert mount.read_bytes("/etc/app/conf") == b"lower-conf+more"
-        assert mount.lowers[0].read_bytes("/etc/app/conf") == b"lower-conf"
-        assert mount.stats.copy_ups == 1
-
     def test_explicit_copy_up(self, mount):
         mount.copy_up("/bin/sh")
         assert mount.upper.read_bytes("/bin/sh") == b"lower-shell"
@@ -159,36 +153,20 @@ class TestRemoval:
         with pytest.raises(VfsError):
             mount.remove("/etc/app")
 
-    def test_rename(self, mount):
-        mount.rename("/etc/app/conf", "/etc/app/conf.bak")
-        assert mount.read_bytes("/etc/app/conf.bak") == b"lower-conf"
-        assert not mount.exists("/etc/app/conf")
-
 
 class TestOpaque:
+    def test_a_directory_made_over_a_whiteout_is_opaque(self, mount):
+        mount.remove("/etc/app", recursive=True)
+        mount.mkdir("/etc/app")
+        assert mount.listdir("/etc/app") == []
+        assert mount.upper.stat("/etc/app").opaque
+
     def test_opaque_upper_dir_hides_lower_contents(self, mount):
         mount.mkdir("/etc/app", exist_ok=True)
         mount.upper.set_opaque("/etc/app")
         assert mount.listdir("/etc/app") == []
         mount.write_file("/etc/app/fresh", b"f")
         assert mount.listdir("/etc/app") == ["fresh"]
-
-
-class TestToTree:
-    def test_to_tree_materializes_merged_view(self, mount):
-        mount.write_file("/bin/extra", b"e")
-        mount.remove("/etc/app/conf")
-        tree = mount.to_tree()
-        assert tree.read_bytes("/bin/extra") == b"e"
-        assert tree.read_bytes("/bin/sh") == b"lower-shell"
-        assert not tree.exists("/etc/app/conf")
-        assert tree.readlink("/bin/bash") == "sh"
-
-    def test_walk_matches_to_tree(self, mount):
-        mount.write_file("/zzz", b"last")
-        walked = [path for path, _ in mount.walk("/")]
-        tree_paths = [path for path, _ in mount.to_tree().walk("/")]
-        assert walked == tree_paths
 
 
 class TestStats:
@@ -204,12 +182,6 @@ class TestStats:
         mount.read_blob("/etc/app/conf")
         # sh, conf plus the directory inodes touched on the way.
         assert mount.stats.inodes_touched >= 2
-
-    def test_reset_stats(self, mount):
-        mount.read_blob("/bin/sh")
-        mount.reset_stats()
-        assert mount.stats.reads == 0
-        assert mount.stats.inodes_touched == 0
 
 
 class TestFrozenUpperRejected:

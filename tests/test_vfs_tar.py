@@ -118,7 +118,7 @@ class TestWhiteoutEncoding:
         t = make_tree()
         t.set_opaque("/etc")
         archive = LayerArchive.from_tree(t)
-        markers = [e.path for e in archive if e.is_opaque_marker]
+        markers = [e.path for e in archive if e.path.endswith("/" + OPAQUE_MARKER)]
         assert markers == [f"/etc/{OPAQUE_MARKER}"]
 
     def test_apply_whiteout_deletes(self):

@@ -1,15 +1,15 @@
 """The Table I catalog."""
 
-import pytest
+from collections import Counter
 
 from repro.workloads.series import (
     CATEGORIES,
     CATEGORY_PROFILES,
     RUNTIME_SOURCE,
     SERIES,
-    get_series,
-    series_by_category,
 )
+
+BY_NAME = {spec.name: spec for spec in SERIES}
 
 
 class TestCatalog:
@@ -21,19 +21,19 @@ class TestCatalog:
         assert sum(spec.versions for spec in SERIES) == 971
 
     def test_category_sizes_match_table1(self):
-        grouped = series_by_category()
-        assert len(grouped["Linux Distro"]) == 6
-        assert len(grouped["Language"]) == 6
-        assert len(grouped["Database"]) == 11
-        assert len(grouped["Web Component"]) == 11
-        assert len(grouped["Application Platform"]) == 8
-        assert len(grouped["Others"]) == 8
+        sizes = Counter(spec.category for spec in SERIES)
+        assert sizes["Linux Distro"] == 6
+        assert sizes["Language"] == 6
+        assert sizes["Database"] == 11
+        assert sizes["Web Component"] == 11
+        assert sizes["Application Platform"] == 8
+        assert sizes["Others"] == 8
 
     def test_paper_named_exceptions_have_fewer_versions(self):
         # hello-world, centos, eclipse-mosquitto (§V-A).
-        assert get_series("hello-world").versions < 20
-        assert get_series("centos").versions < 20
-        assert get_series("eclipse-mosquitto").versions < 20
+        assert BY_NAME["hello-world"].versions < 20
+        assert BY_NAME["centos"].versions < 20
+        assert BY_NAME["eclipse-mosquitto"].versions < 20
 
     def test_series_names_unique(self):
         names = [spec.name for spec in SERIES]
@@ -56,14 +56,10 @@ class TestCatalog:
         languages = {s.name for s in SERIES if s.category == "Language"}
         for consumer, source in RUNTIME_SOURCE.items():
             assert source in languages
-            assert get_series(consumer).category not in ("Linux Distro", "Language")
-
-    def test_get_series_raises_on_unknown(self):
-        with pytest.raises(KeyError):
-            get_series("not-a-series")
+            assert BY_NAME[consumer].category not in ("Linux Distro", "Language")
 
     def test_tags_ordering(self):
-        tags = get_series("nginx").tags()
+        tags = BY_NAME["nginx"].tags()
         assert tags[0] == "v1"
         assert tags[-1] == "v20"
         assert len(tags) == 20

@@ -9,8 +9,9 @@ from repro.workloads.access import AccessTrace
 from repro.workloads.services import (
     SERVICES,
     run_service,
-    service_spec,
 )
+
+BY_NAME = {spec.name: spec for spec in SERVICES}
 
 
 def make_env(file_count=50):
@@ -32,31 +33,27 @@ class TestSpecs:
 
     def test_databases_have_set_get_ratio(self):
         # memtier 1:10 SET-GET -> ~9% writes.
-        assert service_spec("redis").write_fraction == pytest.approx(0.09)
-
-    def test_unknown_service_raises(self):
-        with pytest.raises(KeyError):
-            service_spec("postgresql")
+        assert BY_NAME["redis"].write_fraction == pytest.approx(0.09)
 
 
 class TestRun:
     def test_throughput_positive_and_deterministic(self):
         mount, trace = make_env()
         clock = SimClock()
-        result = run_service(clock, mount, trace, service_spec("nginx"), requests=500)
+        result = run_service(clock, mount, trace, BY_NAME["nginx"], requests=500)
         assert result.requests == 500
         assert result.requests_per_second > 0
 
         mount2, trace2 = make_env()
         clock2 = SimClock()
         result2 = run_service(
-            clock2, mount2, trace2, service_spec("nginx"), requests=500
+            clock2, mount2, trace2, BY_NAME["nginx"], requests=500
         )
         assert result2.duration_s == pytest.approx(result.duration_s)
 
     def test_writes_land_in_writable_layer(self):
         mount, trace = make_env()
-        run_service(SimClock(), mount, trace, service_spec("redis"), requests=300)
+        run_service(SimClock(), mount, trace, BY_NAME["redis"], requests=300)
         written = [p for p, _ in mount.upper.iter_files()]
         assert written  # SETs persisted
 
@@ -64,13 +61,13 @@ class TestRun:
         mount, _ = make_env()
         empty = AccessTrace("x", (), compute_s=0.1)
         with pytest.raises(ValueError):
-            run_service(SimClock(), mount, empty, service_spec("redis"))
+            run_service(SimClock(), mount, empty, BY_NAME["redis"])
 
     def test_steady_state_rate_independent_of_mount_depth(self):
         # The Fig. 11a claim: once resident, Gear's extra layer costs ~0.
         mount, trace = make_env()
         clock = SimClock()
-        first = run_service(clock, mount, trace, service_spec("httpd"), requests=400)
-        second = run_service(clock, mount, trace, service_spec("httpd"), requests=400)
+        first = run_service(clock, mount, trace, BY_NAME["httpd"], requests=400)
+        second = run_service(clock, mount, trace, BY_NAME["httpd"], requests=400)
         # Identical warm runs take identical time.
         assert second.duration_s == pytest.approx(first.duration_s, rel=0.05)
