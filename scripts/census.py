@@ -20,8 +20,9 @@ towards "set", so a listed parameter really is never set.
 **Pass 2, definitions: which of them does code outside ``tests/`` use?**
 Lists every module-level function and class under ``src/``, and every
 method of such a class, that only ``tests/`` reference.  A use is a
-reference from ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``:
-a name, an attribute, an imported name, or a string literal that spells
+reference from ``src/``, ``benchmarks/`` or ``examples/`` (not
+``scripts/``: the rule table spells the names it forbids, and no script
+calls into ``src/``): a name, an attribute, an imported name, or a string literal that spells
 the name (an RPC method handed to ``call`` / ``call_gen``, a
 ``getattr`` key; a ``getattr(obj, f"_op_{...}")`` key uses every name
 with that prefix).  A re-export in an ``__init__.py`` or in ``__all__``
@@ -32,20 +33,21 @@ module-level code, dunder methods (Python calls them) and
 :data:`DEFINITION_ALLOWLIST`.  A method lives only while its class does.  Matching is by name, so ``x.run()``
 keeps every ``run`` alive: a listed definition really is unused.
 
-Usage: python scripts/census.py   (from the repo root)
-Prints each pass's count, then one line per never-set parameter and per
-test-only definition (or stale allowlist entry), and exits 1 when there
-is any.
+Both passes are rows of ``scripts/guards.py``'s rule table, which
+parses each file once and runs them: ``python scripts/guards.py``.  What
+a pass learns from one file is kept on that file's parse, so a run over
+the same parses with one module re-parsed (a mutant in
+``tests/test_guards.py``) re-reads only that module.
 """
 
 import ast
-import sys
+import gc
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "tests", "benchmarks", "examples")
-USER_DIRS = ("src", "benchmarks", "examples", "scripts")
+USER_DIRS = ("src", "benchmarks", "examples")
 
 #: ``(function, parameter)`` pairs a name-matched call cannot see:
 #: protocol methods that Python itself calls, with its own arguments.
@@ -62,6 +64,29 @@ def python_files(*dirs):
 
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def load(*dirs):
+    """``{path relative to ROOT: its parse}`` for every Python file under ``dirs``."""
+    # Parses allocate a million nodes the collector could only walk, not free.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return {path.relative_to(ROOT): parse(path) for path in python_files(*dirs)}
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def per_file(function):
+    """Keep ``function(tree, ...)`` on the parse itself: one visit per parse."""
+    name = f"_{function.__name__}"
+
+    def cached(tree, *args):
+        if name not in tree.__dict__:
+            setattr(tree, name, function(tree, *args))
+        return getattr(tree, name)
+    return cached
 
 
 def defaulted(function):
@@ -119,15 +144,11 @@ class Definitions(ast.NodeVisitor):
 
 
 class Calls(ast.NodeVisitor):
-    """What the calls of every visited file set, keyed by callee name."""
+    """What the calls of one file set, keyed by callee as written: a name,
+    or ``("super", class)`` for ``super().__init__`` inside that class."""
 
-    def __init__(self, bases, inits):
-        self.bases = bases
-        self.inits = inits
-        self.keywords = defaultdict(set)   # callee -> keyword names passed
-        self.positions = defaultdict(int)  # callee -> most positional args
-        self.splat_args = set()            # callee passed a *splat
-        self.splat_kwargs = set()          # callee passed a **splat
+    def __init__(self):
+        self.sets = {}   # callee -> [most positional args, keywords, *splat, **splat]
         self.classes = []
 
     def visit_ClassDef(self, node):
@@ -135,46 +156,32 @@ class Calls(ast.NodeVisitor):
         self.generic_visit(node)
         self.classes.pop()
 
-    def _init_of(self, name):
-        """The class whose ``__init__`` a call to class ``name`` runs."""
-        seen = set()
-        while name not in self.inits and name in self.bases and name not in seen:
-            seen.add(name)
-            parents = self.bases[name]
-            if not parents:
-                break
-            name = parents[0]
-        return name
-
     def _callees(self, func):
         if isinstance(func, ast.Name):
-            name = func.id
-            if name == "cls" and self.classes:
-                name = self.classes[-1]
-            return {name, self._init_of(name)}
+            return [self.classes[-1] if func.id == "cls" and self.classes else func.id]
         if isinstance(func, ast.Attribute):
             value = func.value
             if (func.attr == "__init__" and isinstance(value, ast.Call)
                     and isinstance(value.func, ast.Name) and value.func.id == "super"
                     and self.classes):
-                parents = self.bases.get(self.classes[-1], [])
-                return {self._init_of(p) for p in parents[:1]}
-            return {func.attr, self._init_of(func.attr)}
-        return set()
+                return [("super", self.classes[-1])]
+            return [func.attr]
+        return []
 
     def _record(self, callee, args, keywords):
+        entry = self.sets.setdefault(callee, [0, set(), False, False])
         count = 0
         for arg in args:
             if isinstance(arg, ast.Starred):
-                self.splat_args.add(callee)
+                entry[2] = True
                 break
             count += 1
-        self.positions[callee] = max(self.positions[callee], count)
+        entry[0] = max(entry[0], count)
         for keyword in keywords:
             if keyword.arg is None:
-                self.splat_kwargs.add(callee)
+                entry[3] = True
             else:
-                self.keywords[callee].add(keyword.arg)
+                entry[1].add(keyword.arg)
 
     def visit_Call(self, node):
         for callee in self._callees(node.func):
@@ -187,24 +194,70 @@ class Calls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def census():
+@per_file
+def defined(tree, path):
     definitions = Definitions()
-    for path in python_files("src"):
-        definitions.path = path.relative_to(ROOT)
-        definitions.visit(parse(path))
-    calls = Calls(definitions.bases, definitions.inits)
-    for path in python_files(*CALLER_DIRS):
-        calls.visit(parse(path))
+    definitions.path = path
+    definitions.visit(tree)
+    return definitions
+
+
+@per_file
+def called(tree):
+    calls = Calls()
+    calls.visit(tree)
+    return calls.sets
+
+
+def census(trees=None):
+    """``(defaulted parameters under src/, report lines of those no call sets)``."""
+    trees = load(*CALLER_DIRS) if trees is None else trees
+    functions, bases, inits = [], {}, set()
+    for path, tree in trees.items():
+        if path.parts[0] == "src":
+            definitions = defined(tree, path)
+            functions += definitions.functions
+            bases.update(definitions.bases)
+            inits |= definitions.inits
+
+    def init_of(name):
+        """The class whose ``__init__`` a call to class ``name`` runs."""
+        seen = set()
+        while name not in inits and name in bases and name not in seen:
+            seen.add(name)
+            if not bases[name]:
+                break
+            name = bases[name][0]
+        return name
+
+    keywords = defaultdict(set)   # callee -> keyword names passed
+    positions = defaultdict(int)  # callee -> most positional args
+    splat_args, splat_kwargs = set(), set()
+    for path, tree in trees.items():
+        if path.parts[0] not in CALLER_DIRS:
+            continue
+        for raw, (count, names, star, starstar) in called(tree).items():
+            if isinstance(raw, tuple):
+                callees = {init_of(p) for p in bases.get(raw[1], [])[:1]}
+            else:
+                callees = {raw, init_of(raw)}
+            for callee in callees:
+                positions[callee] = max(positions[callee], count)
+                keywords[callee] |= names
+                if star:
+                    splat_args.add(callee)
+                if starstar:
+                    splat_kwargs.add(callee)
 
     total, unset = 0, []
-    for path, qualified, key, function in definitions.functions:
+    for path, qualified, key, function in functions:
         for name, position in defaulted(function):
             total += 1
             if (function.name, name) in PARAMETER_ALLOWLIST:
                 continue
-            if (name in calls.keywords[key] or key in calls.splat_kwargs
+            if (name in keywords[key] or key in splat_kwargs
                     or position is not None and (
-                        position < calls.positions[key] or key in calls.splat_args)):
+                        position < positions[key] or key in splat_args)):
                 continue
             unset.append(f"{path}:{function.lineno}: {qualified}({name}=)")
     return total, unset
@@ -332,79 +385,86 @@ def is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def live_definitions(definitions, uses, roots):
-    """Indexes of the definitions reachable from module-level code and ``roots``."""
+def live_definitions(files):
+    """A function from allowlist roots to the definitions reachable from
+    module-level code, dunders and those roots.  ``files`` holds each
+    file's :func:`referenced`; a definition is ``(file, index)``, and
+    ``(file, None)`` is that file's module-level code."""
     by_name = defaultdict(list)
     children = defaultdict(list)
-    for index, d in enumerate(definitions):
-        by_name[d["name"]].append(index)
-        if d["parent"] is not None:
-            children[d["parent"]].append(index)
-    by_owner = defaultdict(list)
-    for name, prefix, owner in uses:
-        by_owner[owner].append((name, prefix))
+    for f, (local, _) in enumerate(files):
+        for i, d in enumerate(local):
+            by_name[d["name"]].append((f, i))
+            if d["parent"] is not None:
+                children[f, d["parent"]].append((f, i))
 
-    named = {i for i, d in enumerate(definitions) if is_dunder(d["name"])} | set(roots)
-    live = set()
-    pending = [None] + [i for i in named if definitions[i]["parent"] is None] + list(roots)
-    while pending:
-        owner = pending.pop()
-        if owner is not None:
-            if owner in live:
-                continue
-            live.add(owner)
-            pending.extend(c for c in children[owner] if c in named)
-        for name, prefix in by_owner[owner]:
-            if prefix:
-                targets = [i for n, ids in by_name.items() if n.startswith(name) for i in ids]
-            else:
-                targets = by_name.get(name, ())
-            for index in targets:
-                if index in named:
+    def parent(key):
+        index = files[key[0]][0][key[1]]["parent"]
+        return None if index is None else (key[0], index)
+
+    def grow(live, named, pending):
+        while pending:
+            owner = pending.pop()
+            if owner[1] is not None:
+                if owner in live:
                     continue
-                named.add(index)
-                parent = definitions[index]["parent"]
-                if parent is None or parent in live:
-                    pending.append(index)
+                live.add(owner)
+                pending.extend(c for c in children[owner] if c in named)
+            for name, prefix in files[owner[0]][1].get(owner[1], ()):
+                if prefix:
+                    targets = [i for n, ids in by_name.items() if n.startswith(name) for i in ids]
+                else:
+                    targets = by_name.get(name, ())
+                for key in targets:
+                    if key in named:
+                        continue
+                    named.add(key)
+                    if parent(key) is None or parent(key) in live:
+                        pending.append(key)
+        return live, named
+
+    # The fixpoint is monotone: grow it from module-level code and
+    # dunders once, then from there for each set of roots.
+    named = {(f, i) for f, (local, _) in enumerate(files)
+             for i, d in enumerate(local) if is_dunder(d["name"])}
+    base = grow(set(), named, [(f, None) for f in range(len(files))]
+                + [key for key in named if parent(key) is None])
+
+    def live(roots):
+        return grow(set(base[0]), base[1] | set(roots), list(roots))[0]
     return live
 
 
-def unused_definitions():
-    """``(test-only definitions, stale allowlist entries)``, as report lines."""
+@per_file
+def referenced(tree, path, define):
+    """``(definitions, {owner: names it uses})`` of one file, indexed within it."""
     definitions, uses = [], []
-    for directory in USER_DIRS:
-        for path in python_files(directory):
-            References(path.relative_to(ROOT), definitions, uses,
-                       define=directory == "src").visit(parse(path))
-    keys = {f"{d['path'].as_posix()}:{d['qualified']}": i for i, d in enumerate(definitions)}
+    References(path, definitions, uses, define).visit(tree)
+    by_owner = defaultdict(set)
+    for name, prefix, owner in uses:
+        by_owner[owner].add((name, prefix))
+    return definitions, by_owner
+
+
+def unused_definitions(trees=None):
+    """``(test-only definitions, stale allowlist entries)``, as report lines."""
+    trees = load(*USER_DIRS) if trees is None else trees
+    files = [referenced(tree, path, path.parts[0] == "src")
+             for path, tree in trees.items() if path.parts[0] in USER_DIRS]
+    definitions = {(f, i): d for f, (local, _) in enumerate(files) for i, d in enumerate(local)}
+    keys = {f"{d['path'].as_posix()}:{d['qualified']}": key for key, d in definitions.items()}
     roots = {keys[key] for key in DEFINITION_ALLOWLIST if key in keys}
-    live = live_definitions(definitions, uses, roots)
+    reach = live_definitions(files)
+    live = reach(roots)
 
     dead = []
-    for index, d in enumerate(definitions):
-        if index not in live and (d["parent"] is None or d["parent"] in live):
+    for (f, i), d in definitions.items():
+        if (f, i) not in live and (d["parent"] is None or (f, d["parent"]) in live):
             dead.append(f"{d['path']}:{d['lineno']}: {d['qualified']} ({d['lines']} lines)")
     stale = []
     for key in DEFINITION_ALLOWLIST:
         if key not in keys:
             stale.append(f"{key}: allowlisted, but no such definition")
-        elif keys[key] in live_definitions(definitions, uses, roots - {keys[key]}):
+        elif keys[key] in reach(roots - {keys[key]}):
             stale.append(f"{key}: allowlisted, but code outside tests/ uses it")
     return dead, stale
-
-
-def main():
-    total, unset = census()
-    print(f"{total} defaulted parameters under src/; {len(unset)} set by no caller")
-    for line in unset:
-        print(f"  {line}")
-    dead, stale = unused_definitions()
-    print(f"{len(dead)} definitions under src/ only tests use, outside "
-          f"{len(DEFINITION_ALLOWLIST)} allowlisted; {len(stale)} stale allowlist entries")
-    for line in dead + stale:
-        print(f"  {line}")
-    return 1 if unset or dead or stale else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

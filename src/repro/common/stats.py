@@ -64,3 +64,10 @@ def percentile(values: "List[float] | Tuple[float, ...]", q: float) -> float:
         rank = math.ceil(scaled)
     rank = max(1, rank)
     return ordered[min(rank, len(ordered)) - 1]
+
+
+def percentile_or_zero(values: "List[float] | Tuple[float, ...]", q: float) -> float:
+    """:func:`percentile`, or 0.0 for an empty sample: a report over a
+    wave that served nothing (zero clients, every client shed) prints
+    0.0 rather than raising :class:`EmptySampleError` mid-report."""
+    return percentile(values, q) if values else 0.0

@@ -59,7 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.errors import NotFoundError, TierOverloadedError
 from repro.common.hashing import stable_u64
-from repro.common.stats import percentile
+from repro.common.stats import percentile_or_zero
 from repro.net.faults import junk_payload, register_faults
 from repro.net.ha import BreakerState, CircuitBreaker
 from repro.net.link import Link
@@ -606,11 +606,6 @@ class FaasRunReport:
         return summary
 
 
-def _tail(values: Sequence[float], q: float) -> float:
-    """Percentile with the wave-report empty sentinel (0.0)."""
-    return percentile(values, q) if values else 0.0
-
-
 class FaasPlatform:
     """Thousands of functions over a handful of nodes, invoked on time.
 
@@ -830,14 +825,14 @@ class FaasPlatform:
             warm_starts=len(warm),
             failures=len(failures),
             reaped=self.reaped - reaped_before,
-            cold_p50_s=_tail(cold, 50),
-            cold_p99_s=_tail(cold, 99),
-            cold_p999_s=_tail(cold, 99.9),
-            cold_ready_p50_s=_tail(cold_ready, 50),
-            cold_ready_p99_s=_tail(cold_ready, 99),
-            cold_ready_p999_s=_tail(cold_ready, 99.9),
-            warm_p50_s=_tail(warm, 50),
-            warm_p999_s=_tail(warm, 99.9),
+            cold_p50_s=percentile_or_zero(cold, 50),
+            cold_p99_s=percentile_or_zero(cold, 99),
+            cold_p999_s=percentile_or_zero(cold, 99.9),
+            cold_ready_p50_s=percentile_or_zero(cold_ready, 50),
+            cold_ready_p99_s=percentile_or_zero(cold_ready, 99),
+            cold_ready_p999_s=percentile_or_zero(cold_ready, 99.9),
+            warm_p50_s=percentile_or_zero(warm, 50),
+            warm_p999_s=percentile_or_zero(warm, 99.9),
             makespan_s=(max(finished) - start) if finished else 0.0,
             wan_egress_bytes=self.root.link.log.total_bytes - egress_before,
             degraded=sum(1 for r in ordered if r.degraded),

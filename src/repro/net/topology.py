@@ -31,8 +31,8 @@ from repro.common.clock import SimClock, SimScheduler
 
 # The single nearest-rank implementation lives in repro.common.stats so
 # wave reports and the HA hedging deadline estimator cannot disagree on
-# tiny-sample semantics; re-exported here for existing callers.
-from repro.common.stats import percentile
+# tiny-sample semantics.
+from repro.common.stats import percentile_or_zero
 from repro.net.edge import ChurnDriver, ChurnSchedule
 from repro.net.faults import CrashPlan, CrashPoint
 from repro.net.resilience import Service
@@ -84,30 +84,17 @@ class WaveReport:
     #: :class:`~repro.bench.deploy.DeploymentResult`-shaped object.
     ready_s: Tuple[float, ...] = ()
 
-    def _latency_percentile(self, q: float) -> float:
-        """Empty-wave sentinel: a wave that deployed nothing (zero
-        clients, or every client shed) reports 0.0 rather than raising
-        :class:`~repro.common.stats.EmptySampleError` mid-report."""
-        if not self.latencies_s:
-            return 0.0
-        return percentile(self.latencies_s, q)
-
-    def _ready_percentile(self, q: float) -> float:
-        if not self.ready_s:
-            return 0.0
-        return percentile(self.ready_s, q)
-
     @property
     def p50_s(self) -> float:
-        return self._latency_percentile(50)
+        return percentile_or_zero(self.latencies_s, 50)
 
     @property
     def p95_s(self) -> float:
-        return self._latency_percentile(95)
+        return percentile_or_zero(self.latencies_s, 95)
 
     @property
     def p99_s(self) -> float:
-        return self._latency_percentile(99)
+        return percentile_or_zero(self.latencies_s, 99)
 
     @property
     def mean_s(self) -> float:
@@ -117,15 +104,15 @@ class WaveReport:
 
     @property
     def ready_p50_s(self) -> float:
-        return self._ready_percentile(50)
+        return percentile_or_zero(self.ready_s, 50)
 
     @property
     def ready_p99_s(self) -> float:
-        return self._ready_percentile(99)
+        return percentile_or_zero(self.ready_s, 99)
 
     @property
     def ready_p999_s(self) -> float:
-        return self._ready_percentile(99.9)
+        return percentile_or_zero(self.ready_s, 99.9)
 
     @property
     def utilization(self) -> float:

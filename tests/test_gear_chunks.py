@@ -235,6 +235,37 @@ class TestCrashRecovery:
         assert env["pool"].contains(env["identity"])
         assert env["pool"].partials == {}
 
+    def test_a_crashed_wave_leaves_no_chunk_flight(self):
+        """Three readers overlap on the big file when one dies mid-chunk:
+        the crash, fsck and the resume each leave every single-flight
+        table of the pool empty."""
+        viewer, env = build_env()
+        pool = env["pool"]
+        crashed = ChunkedGearFileViewer(
+            env["index"], pool, transport=env["transport"], journal=env["journal"],
+            crash=CrashInjector(env["clock"], CrashPlan(
+                point=CrashPoint.MID_FETCH, seed="flights", op_index=5)),
+            big_file_threshold=1 * MiB,
+        )
+        died = []
+
+        def reader(start):
+            try:
+                crashed.read_range(BIG_PATH, start, BIG // 2)
+            except ClientCrash:
+                died.append(start)
+
+        with SimScheduler(env["clock"]) as scheduler:
+            for start in (0, BIG // 8, BIG // 4):
+                scheduler.spawn(reader, start, name=f"reader-{start}")
+            scheduler.run()
+        assert died
+        left = [pool.inflight] + [p.inflight for p in pool.partials.values()]
+        assert [len(table) for table in left] == [0] * len(left)
+        fsck(pool, [env["index"]], [], env["journal"], clock=env["clock"])
+        viewer.read_range(BIG_PATH, 0, BIG)
+        assert len(pool.inflight) == 0 and pool.partials == {}
+
     def test_journal_records_chunk_intents(self):
         viewer, env = build_env()
         viewer.read_range(BIG_PATH, 0, 2 * DEFAULT_CHUNK_SIZE)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.bench.deploy import deploy_with_docker, deploy_with_gear
 from repro.bench.environment import publish_images
-from repro.net.topology import Cluster, percentile
+from repro.common.stats import percentile
+from repro.net.topology import Cluster
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ import sys
 import pytest
 
 from repro.bench.deploy import deploy_with_gear
+from repro.common.clock import SimScheduler
 from repro.bench.environment import (
     attach_edge,
     attach_faas,
@@ -34,6 +35,7 @@ from repro.bench.environment import (
 )
 from repro.net.faults import FaultPlan, OutageWindow
 from repro.net.topology import EdgeCluster, HACluster
+from repro.workloads.tasks import task_for_category
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tier_wiring.json")
 
@@ -140,6 +142,48 @@ def test_testbed_wiring_is_pinned(name, pinned):
 def test_wave_wiring_is_pinned(name, pinned, small_corpus):
     seen = observe_wave(name, small_corpus.by_series["nginx"][0])
     assert seen == pinned[name]
+
+
+def _client(bed):
+    """A node of ``bed``'s outermost tier, or of the testbed itself."""
+    for tier in (bed.faas, bed.edge):
+        if tier is not None:
+            return tier.client()
+    return bed.fresh_client()
+
+
+def flights(pool) -> list:
+    """The single-flight tables of a node pool: its own and each partial
+    file's chunk flights."""
+    return [pool.inflight] + [partial.inflight for partial in pool.partials.values()]
+
+
+@pytest.mark.parametrize("name", sorted(TESTBEDS))
+def test_a_wave_leaves_no_flight_in_the_air(name, small_corpus):
+    """Three nodes fault in the startup set at once; when the wave has
+    drained, no node pool, partial file or FaaS tier still holds a
+    fetch in flight (a leak would park every later reader of that key)."""
+    generated = small_corpus.by_series["nginx"][0]
+    task = task_for_category(generated.category)
+    bed = TESTBEDS[name]()
+    publish_images(bed, [generated], convert=True)
+    nodes = [_client(bed) for _ in range(3)]
+    mounts = []
+    for node in nodes:
+        node.gear_driver.pull_index(generated.gear_reference)
+        container = node.gear_driver.create_container(generated.gear_reference)
+        node.gear_driver.start_container(container)
+        mounts.append(container.mount)
+    with SimScheduler(bed.clock) as scheduler:
+        for index, mount in enumerate(mounts):
+            scheduler.spawn(task.run_gen, bed.clock, mount, generated.trace,
+                            name=f"startup-{index}")
+        scheduler.run()
+    assert all(mount.fault_stats.remote_fetches > 0 for mount in mounts)
+    left = [table for node in nodes for table in flights(node.gear_driver.pool)]
+    if bed.faas is not None:
+        left.append(bed.faas.tier.inflight)
+    assert [len(table) for table in left] == [0] * len(left)
 
 
 if __name__ == "__main__":
