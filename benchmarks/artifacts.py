@@ -14,12 +14,13 @@ failover accounting must commit the refreshed artifacts alongside the
 code, which is exactly how the trajectory stays tracked in-repo.
 
 ``--full`` additionally records the one full-size run of the ``paper``
-sweep (the whole Table I corpus, seed 7; about four minutes and 0.9 GB
-peak RSS on a 2-core box, so nothing routine passes it) as ``PAPER_full.json`` and regenerates
-EXPERIMENTS.md's tables from it.  The file embeds the smoke-size
-``paper`` report of the commit that made it; ``tests/test_paper_full.py``
-compares that with ``BENCH_ext_paper.json``, so a PR that moves a paper
-number has to record the full-size run again.
+sweep (the whole Table I corpus, seed 7; 128 s and 147 s wall over two
+runs, 0.94 GB peak RSS, on a 2-core box, so nothing routine passes it)
+as ``PAPER_full.json`` and regenerates EXPERIMENTS.md's tables from it.
+The file embeds the smoke-size ``paper`` report of the commit that made
+it; ``tests/test_paper_full.py`` compares that with
+``BENCH_ext_paper.json``, so a change that moves a paper number has to
+record the full-size run again.
 
 Usage::
 
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     parser.add_argument(
         "--full", action="store_true",
-        help="also record the full-size paper run (~4 min) as "
+        help="also record the full-size paper run (~2.5 min) as "
              "PAPER_full.json and regenerate EXPERIMENTS.md's tables",
     )
     args = parser.parse_args(argv)

@@ -12,8 +12,8 @@ Run:  python examples/registry_operator_report.py
 
 from repro.analysis import compute_dedup_table
 from repro.bench.environment import make_testbed, publish_images
+from repro.bench.paper import registry_bytes
 from repro.bench.reporting import format_table, gb, pct
-from repro.bench.storage import compare_storage, compare_storage_by_series
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
 
 FLEET = ("debian", "python", "mysql", "nginx", "tomcat", "wordpress")
@@ -41,26 +41,21 @@ def main() -> None:
         )
     )
 
-    # -- 2. per-series Gear saving (Fig. 7a) ------------------------------
-    by_series = compare_storage_by_series(corpus.by_series)
+    # -- 2. per-series Gear saving (Fig. 7a), from one conversion pass ----
+    testbed = make_testbed()
+    reports = publish_images(testbed, corpus.images)
+    rows = []
+    for name, images in sorted(corpus.by_series.items()):
+        docker, files, indexes = registry_bytes(testbed, images)
+        rows.append((name, gb(docker), gb(files + indexes),
+                     pct(1.0 - (files + indexes) / docker)))
     print("\n2. per-series saving after converting to Gear")
-    print(
-        format_table(
-            ["Series", "Docker (GB)", "Gear (GB)", "Saving"],
-            [
-                (name, gb(c.docker_bytes), gb(c.gear_bytes),
-                 pct(c.saving_fraction))
-                for name, c in sorted(by_series.items())
-            ],
-        )
-    )
-    whole = compare_storage("fleet", corpus.images)
-    print(f"whole fleet together: {pct(whole.saving_fraction)} saved "
-          f"(indexes are {pct(whole.index_share)} of the Gear footprint)")
+    print(format_table(["Series", "Docker (GB)", "Gear (GB)", "Saving"], rows))
+    docker, files, indexes = registry_bytes(testbed, corpus.images)
+    print(f"whole fleet together: {pct(1.0 - (files + indexes) / docker)} saved "
+          f"(indexes are {pct(indexes / (files + indexes))} of the Gear footprint)")
 
     # -- 3. conversion backlog (Fig. 6) ------------------------------------
-    testbed = make_testbed()
-    reports = publish_images(testbed, corpus.images, convert=True)
     total_time = sum(r.duration_s for r in reports)
     print(f"\n3. converting all {len(reports)} images would take "
           f"{total_time:.0f} virtual seconds on the registry's HDD "

@@ -333,6 +333,8 @@ RULES = (
     Rule("span-untraced", "§15", calls(r".*span", lambda n: re.match(
         r"\w+\._fetch_chunk_claimed\b", qualname(n)) and not guarded(
         n, lambda test: test == "traced")), "gear/bigfile.py"),
+    Rule("one-conversion-pass", "§4", calls("GearConverter"),
+         allow=("bench/environment.py:_with_client",)),
     Rule("census-parameters", "§13", lambda trees: census.census(trees)[1], None),
     Rule("census-definitions", "§13", lambda trees: sum(census.unused_definitions(trees), []), None),
 )

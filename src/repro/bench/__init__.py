@@ -1,7 +1,6 @@
 """Experiment harnesses regenerating the paper's tables and figures."""
 
 from repro.bench.environment import Testbed, make_testbed
-from repro.bench.storage import StorageComparison, compare_storage
 from repro.bench.deploy import (
     DeploymentResult,
     deploy_with_docker,
@@ -13,8 +12,6 @@ from repro.bench.reporting import format_table
 __all__ = [
     "Testbed",
     "make_testbed",
-    "StorageComparison",
-    "compare_storage",
     "DeploymentResult",
     "deploy_with_docker",
     "deploy_with_gear",

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import re
 from statistics import fmean
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple,
+)
 
 from repro.analysis import category_redundancy, compute_dedup_table
 from repro.baselines.duphunter import DupHunterRegistry
@@ -33,14 +35,10 @@ from repro.bench.deploy import (
     deploy_with_slacker,
 )
 from repro.bench.environment import Testbed, make_testbed, publish_images
-from repro.bench.storage import (
-    category_savings,
-    compare_storage,
-    compare_storage_by_series,
-)
 from repro.blob import Blob
 from repro.common.clock import SimClock, SimScheduler
 from repro.common.units import MiB
+from repro.dedup import file_level_dedup, layer_level_dedup
 from repro.gear.bigfile import ChunkedGearFileViewer
 from repro.gear.gearfile import GearFile
 from repro.gear.index import GearIndex
@@ -174,18 +172,47 @@ def _fig6_shape(m: dict) -> Dict[str, bool]:
     }
 
 
+def registry_bytes(
+    testbed: Testbed, images: Sequence[GeneratedImage]
+) -> Tuple[int, int, int]:
+    """§V-C's footprints of a registry holding ``images`` alone, which
+    :func:`~repro.bench.environment.publish_images` has converted into
+    ``testbed``: ``(docker, gear_files, gear_indexes)`` bytes.
+
+    Docker stores the unique compressed layers plus a manifest per
+    image; Gear the unique compressed files plus each image's index
+    image, whose one layer the conversion pushed.  A conversion is a pure
+    function of its image, so one pass over a corpus serves every subset.
+    """
+    docker_images = [generated.image for generated in images]
+    docker = layer_level_dedup(docker_images).storage_bytes + sum(
+        image.manifest().size_bytes for image in docker_images)
+    indexes = sum(
+        testbed.docker_registry.get_manifest(g.gear_reference).layer_sizes[0]
+        for g in images)
+    return docker, file_level_dedup(docker_images).storage_bytes, indexes
+
+
 def fig7(corpus: Corpus) -> dict:
-    """Fig. 7: registry storage saving per category (a) and overall (b)."""
-    saving = category_savings(
-        compare_storage_by_series(corpus.by_series),
-        {spec.name: spec.category for spec in SERIES},
-    )
-    whole = compare_storage("corpus", corpus.images)
+    """Fig. 7: registry storage saving per category (a), each category's
+    per-series registries summed, and of the whole corpus (b)."""
+    testbed = make_testbed()
+    publish_images(testbed, corpus.images)
+    category = {spec.name: spec.category for spec in SERIES}
+    stored: Dict[str, list] = {}  # category -> [docker, gear] bytes
+    for series, images in corpus.by_series.items():
+        docker, files, indexes = registry_bytes(testbed, images)
+        row = stored.setdefault(category[series], [0, 0])
+        row[0] += docker
+        row[1] += files + indexes
+    docker, files, indexes = registry_bytes(testbed, corpus.images)
+    gear = files + indexes
     return {
-        "saving": {**saving, "Whole registry": whole.saving_fraction},
-        "docker_gb": whole.docker_bytes / 1e9,
-        "gear_gb": whole.gear_bytes / 1e9,
-        "index_share": whole.index_share,
+        "saving": {**{name: 1.0 - g / d for name, (d, g) in stored.items()},
+                   "Whole registry": 1.0 - gear / docker},
+        "docker_gb": docker / 1e9,
+        "gear_gb": gear / 1e9,
+        "index_share": indexes / gear,
     }
 
 
@@ -604,11 +631,8 @@ def related_work(corpus: Corpus) -> dict:
     chain = corpus.by_series["tomcat"]
     sample = chain[:4]  # the cold deploys measured on the wire
     testbed = make_testbed()
-    publish_images(testbed, chain, convert=True)
-    gear_stored = testbed.gear_registry.stored_bytes + sum(
-        testbed.docker_registry.get_manifest(g.gear_reference).layer_sizes[0]
-        for g in chain
-    )
+    publish_images(testbed, chain)
+    docker_stored, gear_files, gear_indexes = registry_bytes(testbed, chain)
     docker_wire = sum(
         deploy_with_docker(testbed.fresh_client(), g).network_bytes
         for g in sample)
@@ -628,8 +652,8 @@ def related_work(corpus: Corpus) -> dict:
     # Layer restructuring: regrouped layers, whole-layer pulls; each cold
     # client downloads every packed layer its image references.
     packed = pack_layers([g.image for g in chain], min_layer_bytes=2 * MiB)
-    stored = (testbed.docker_registry.stored_bytes, duphunter.stored_bytes,
-              packed.stored_bytes, gear_stored)
+    stored = (docker_stored, duphunter.stored_bytes, packed.stored_bytes,
+              gear_files + gear_indexes)
     wire = (docker_wire, duphunter_wire,
             sum(packed.bytes_per_image[: len(sample)]), gear_wire)
     return {

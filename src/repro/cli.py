@@ -212,41 +212,6 @@ def cmd_demo(args) -> int:
     return 0
 
 
-#: The ``paper`` sweep's cells — one per study of DESIGN.md §4, measured
-#: by the :data:`repro.bench.paper.STUDIES` entry of the same name — and
-#: the shape invariants each must hold: ordinal claims (an ordering, a
-#: trend, a sign) that are true of any corpus, the smoke one included.
-PAPER_CELLS = {
-    "table2": ("finer_granularity_saves_more",
-               "file_level_captures_most_of_chunk_level",
-               "chunking_multiplies_objects"),
-    "fig2": ("database_above_distro", "platform_above_distro"),
-    "fig6": ("time_grows_with_image_size", "ssd_converts_faster"),
-    "fig7": ("gear_registry_is_smaller", "distro_lt_language_lt_database"),
-    "fig8": ("gear_moves_fewer_bytes", "cache_moves_fewer_still"),
-    "fig9": ("gear_pulls_shorter_at_every_bandwidth",
-             "gear_runs_longer_at_every_bandwidth",
-             "cached_no_slower_than_no_cache",
-             "speedup_grows_as_bandwidth_falls"),
-    "fig10": ("slacker_flat_across_versions", "gear_slows_down_least"),
-    "fig11": ("steady_state_throughput_matches", "gear_destroys_faster",
-              "gear_launch_comparable", "gear_lifecycle_comparable"),
-    "ablation-cache": ("any_cache_beats_none",
-                       "lru_between_unbounded_and_none",
-                       "fifo_between_unbounded_and_none"),
-    "ablation-bigfile": ("chunked_moves_a_tenth_of_the_bytes",
-                         "chunked_starts_five_times_sooner"),
-    "ablation-prefetch": ("prefetch_all_shortens_the_task",
-                          "prefetch_half_shortens_the_task",
-                          "overlap_beats_demand_only",
-                          "overlap_beats_serial_prefetch",
-                          "overlap_duplicates_no_bytes"),
-    "related-work": ("duphunter_saves_storage", "duphunter_saves_no_bandwidth",
-                     "restructuring_saves_storage",
-                     "gear_saves_storage_and_bandwidth"),
-}
-
-
 def cmd_paper(args) -> int:
     """The paper's own studies on the ``--series`` corpus, one cell each.
 
@@ -267,7 +232,7 @@ def cmd_paper(args) -> int:
                 None, f"paper {name} needs {exc} in the corpus (--series)"
             ) from None
         return cell, _broken(
-            cell, nonzero=[f"shape.{claim}" for claim in PAPER_CELLS[name]]
+            cell, nonzero=[f"shape.{claim}" for claim in cell["shape"]]
         )
 
     return run_sweep(
@@ -278,7 +243,7 @@ def cmd_paper(args) -> int:
             "series": len(corpus.by_series),
             "images": len(corpus.images),
         },
-        "cells", args.scenario or PAPER_CELLS, run_cell,
+        "cells", args.scenario or paper.STUDIES, run_cell,
         f"paper sweep: {len(corpus.images)} images of "
         f"{len(corpus.by_series)} series (seed {args.seed}, "
         f"scale {args.scale:g})\n",
@@ -1444,7 +1409,7 @@ def build_parser() -> argparse.ArgumentParser:
     studies = command("paper", cmd_paper,
                       "the paper's own studies (Table II, Figs. 2 and 6-11, "
                       "ablations), measured beside the paper's numbers")
-    _scenario_flag(studies, tuple(PAPER_CELLS))
+    _scenario_flag(studies, tuple(paper.STUDIES))
     _flag(studies, "--json", False, "emit the sweep report as one JSON line")
     deploy = command("deploy", cmd_deploy, "deploy a series under all systems")
     _flag(deploy, "--target", "nginx")

@@ -46,10 +46,3 @@ def format_duration(seconds: float) -> str:
         return f"{seconds:.2f} s"
     minutes, secs = divmod(seconds, 60.0)
     return f"{int(minutes)}m {secs:.0f}s"
-
-
-def percent(part: float, whole: float) -> float:
-    """Return ``part / whole`` as a percentage; 0.0 when ``whole`` is 0."""
-    if whole == 0:
-        return 0.0
-    return 100.0 * part / whole

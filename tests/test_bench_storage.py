@@ -1,40 +1,54 @@
-"""Storage comparison harness (Fig. 7) and analysis modules."""
+"""Registry footprints (Fig. 7) and the analysis modules (Table II, Fig. 2)."""
 
 import pytest
 
 from repro.analysis import compute_dedup_table, category_redundancy, series_redundancy
-from repro.bench.storage import (
-    category_savings,
-    compare_storage,
-    compare_storage_by_series,
-)
+from repro.bench.environment import make_testbed, publish_images
+from repro.bench.paper import registry_bytes
+from repro.common.clock import SimClock
+from repro.docker.registry import DockerRegistry
+from repro.gear.converter import GearConverter
+from repro.gear.registry import GearRegistry
+from repro.storage.disk import Disk
 
 
-class TestCompareStorage:
-    def test_gear_saves_space_on_a_version_chain(self, small_corpus):
-        comparison = compare_storage("nginx", small_corpus.by_series["nginx"])
-        assert comparison.docker_bytes > 0
-        assert comparison.gear_bytes < comparison.docker_bytes
-        assert 0 < comparison.saving_fraction < 1
+@pytest.fixture(scope="module")
+def converted(small_corpus):
+    """``small_corpus`` published and converted once, as Fig. 7 does."""
+    testbed = make_testbed()
+    publish_images(testbed, small_corpus.images)
+    return testbed
 
-    def test_index_share_is_small(self, small_corpus):
-        comparison = compare_storage("nginx", small_corpus.by_series["nginx"])
-        # "Gear indexes … only occupies 1.1% of total Gear images" (§V-C).
-        assert comparison.index_share < 0.1
 
-    def test_by_series_covers_all(self, small_corpus):
-        by_series = compare_storage_by_series(small_corpus.by_series)
-        assert set(by_series) == set(small_corpus.by_series)
+def registries_of(images):
+    """The oracle: fresh registries holding ``images`` alone, converted
+    by a converter of their own; ``(docker, gear files, gear indexes)``
+    bytes, Docker's read before any index image lands beside its layers."""
+    clock = SimClock()
+    docker_registry, gear_registry = DockerRegistry(), GearRegistry()
+    converter = GearConverter(clock, docker_registry, gear_registry, disk=Disk(clock))
+    for generated in images:
+        docker_registry.push_image(generated.image)
+    docker = docker_registry.stored_bytes
+    indexes = sum(converter.convert(generated.reference)[0].to_image().compressed_size
+                  for generated in images)
+    return docker, gear_registry.stored_bytes, indexes
 
-    def test_category_savings_aggregation(self, small_corpus):
-        by_series = compare_storage_by_series(small_corpus.by_series)
-        from repro.workloads.series import SERIES
 
-        savings = category_savings(
-            by_series, {s.name: s.category for s in SERIES}
-        )
-        assert "Web Component" in savings
-        assert 0 < savings["Web Component"] < 1
+class TestRegistryBytes:
+    @pytest.mark.parametrize("series", ["debian", "java", "nginx", "tomcat", None],
+                             ids=lambda series: series or "whole")
+    def test_one_pass_counts_what_a_registry_of_the_subset_stores(
+            self, series, small_corpus, converted):
+        """Per series (Fig. 7a) and whole (``None``, Fig. 7b): read from
+        the one conversion pass, byte for byte what registries built for
+        those images alone store."""
+        images = small_corpus.images if series is None else small_corpus.by_series[series]
+        docker, files, indexes = registry_bytes(converted, images)
+        assert (docker, files, indexes) == registries_of(images)
+        # §V-C: Gear saves space, and its indexes are a sliver of it.
+        assert 0 < files + indexes < docker
+        assert 0 < indexes < 0.1 * (files + indexes)
 
 
 class TestDedupTable:

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.bench import paper
-from repro.cli import GATES, PAPER_CELLS, SEED, build_parser, gate_argv, main
+from repro.cli import GATES, SEED, build_parser, gate_argv, main
 
 
 SMALL = ["--scale", "0.15", "--versions", "2", "--series", "nginx"]
@@ -90,7 +90,7 @@ class TestParser:
             if a.choices is not None
         }
         assert choices == {
-            ("paper", "--scenario"): tuple(PAPER_CELLS),
+            ("paper", "--scenario"): tuple(paper.STUDIES),
             ("ha", "--strategy"): ("primary-first", "least-loaded", "p2c"),
             ("chunks", "--scenario"):
                 ("clean", "chunk-faults", "crash", "byzantine"),
@@ -386,7 +386,7 @@ def _key_paths(tree) -> list:
 
 
 class TestPaperShapes:
-    @pytest.mark.parametrize("name", PAPER_CELLS)
+    @pytest.mark.parametrize("name", paper.STUDIES)
     def test_every_shape_invariant_can_fail_and_says_which(
         self, name, monkeypatch, capsys
     ):
@@ -395,7 +395,8 @@ class TestPaperShapes:
         false, each named on stderr, with stdout's form untouched."""
         with open(os.path.join(ARTIFACTS, "BENCH_ext_paper.json")) as handle:
             recorded = json.load(handle)["report"]["cells"][name]
-        assert sorted(recorded["shape"]) == sorted(PAPER_CELLS[name])
+        claims = list(paper.STUDIES[name].shape(recorded["measured"]))
+        assert sorted(recorded["shape"]) == sorted(claims)
         doctored = paper.STUDIES[name]._replace(
             measure=lambda corpus: _inverted(recorded["measured"])
         )
@@ -403,7 +404,7 @@ class TestPaperShapes:
         assert main([*gate_argv("paper", 11), "--scenario", name]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            f"paper {name}: shape.{claim}=False" for claim in PAPER_CELLS[name]
+            f"paper {name}: shape.{claim}=False" for claim in claims
         ]
         cell = json.loads(captured.out)["cells"][name]
         assert _key_paths(cell) == _key_paths(recorded)

@@ -10,7 +10,6 @@ from repro.common.units import (
     format_bytes,
     format_duration,
     mbps_to_bytes_per_s,
-    percent,
 )
 
 
@@ -49,8 +48,3 @@ def test_format_duration_scales():
 def test_format_duration_rejects_negative():
     with pytest.raises(ValueError):
         format_duration(-1)
-
-
-def test_percent_handles_zero_whole():
-    assert percent(5, 0) == 0.0
-    assert percent(1, 4) == 25.0

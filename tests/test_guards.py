@@ -234,6 +234,11 @@ MUTANTS = {
          "            else:\n                with self.clock.span('chunk_fetch'):\n"
          "                    payload = yield from download\n"),
     ],
+    "one-conversion-pass": [
+        # the throwaway registries of the Fig. 7 harness this rule retired
+        (P + "bench/paper.py", None, "_C = GearConverter(\n    clock, DockerRegistry(), "
+                                     "GearRegistry(), disk=Disk(clock))\n"),
+    ],
     "census-parameters": [
         # PR 39
         (P + "net/ha.py", "    def __init__(self, replica_set: ReplicaSet) -> None:\n",
@@ -295,6 +300,9 @@ LOOKALIKES = {
                                 '                    "chunk_fetch"',
          "            if traced:\n              if chunk_index >= 0:\n"
          "                with self.clock.span(\n                    \"chunk_fetch\""),
+    ],
+    "one-conversion-pass": [
+        (P + "bench/paper.py", None, '"""Fig. 7 builds no GearConverter( of its own."""\n'),
     ],
     "census-parameters": [(P + "net/ha.py", None, "_F = lambda interval_s=0.5: interval_s\n")],
     "census-definitions": [(P + "net/ha.py", None, "def _helper():\n    return 1\n\n\n_helper()\n")],

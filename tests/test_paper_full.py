@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.bench import paper
-from repro.cli import PAPER_CELLS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 ARTIFACTS = os.path.join(ROOT, "benchmarks", "artifacts")
@@ -44,9 +43,10 @@ class TestRecording:
         report = full["report"]
         assert (report["seed"], report["scale"]) == (7, 1.0)
         assert (report["series"], report["images"]) == (50, 971)
-        assert list(report["cells"]) == sorted(PAPER_CELLS)
+        assert list(report["cells"]) == sorted(paper.STUDIES)
         for name, cell in report["cells"].items():
-            assert cell["shape"] == dict.fromkeys(PAPER_CELLS[name], True), name
+            claims = paper.STUDIES[name].shape(cell["measured"])
+            assert cell["shape"] == dict.fromkeys(claims, True), name
 
     def test_is_no_older_than_the_smoke_artifact(self, full):
         """The file embeds the smoke-size report of the commit that made

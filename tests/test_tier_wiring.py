@@ -23,7 +23,9 @@ import sys
 import pytest
 
 from repro.bench.deploy import deploy_with_gear
-from repro.common.clock import SimScheduler
+from repro.blob import Blob
+from repro.common.clock import SimClock, SimScheduler
+from repro.common.units import MiB
 from repro.bench.environment import (
     attach_edge,
     attach_faas,
@@ -33,8 +35,17 @@ from repro.bench.environment import (
     make_timeline_sampler,
     publish_images,
 )
+from repro.gear.bigfile import ChunkedGearFileViewer
+from repro.gear.gearfile import GearFile
+from repro.gear.index import GearIndex
+from repro.gear.pool import SharedFilePool
+from repro.gear.registry import GearRegistry
+from repro.gear.viewer import GearFileViewer
 from repro.net.faults import FaultPlan, OutageWindow
+from repro.net.link import Link
 from repro.net.topology import EdgeCluster, HACluster
+from repro.net.transport import RpcTransport
+from repro.vfs.tree import FileSystemTree
 from repro.workloads.tasks import task_for_category
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tier_wiring.json")
@@ -184,6 +195,65 @@ def test_a_wave_leaves_no_flight_in_the_air(name, small_corpus):
     if bed.faas is not None:
         left.append(bed.faas.tier.inflight)
     assert [len(table) for table in left] == [0] * len(left)
+
+
+BIG_PATH = "/models/weights.bin"
+BIG = 8 * MiB
+
+
+def big_file_index(registry) -> GearIndex:
+    """An index over one ``BIG``-byte file, uploaded to ``registry``."""
+    root = FileSystemTree()
+    root.write_file(BIG_PATH, Blob.synthetic("fabric-weights", BIG), parents=True)
+    registry.upload(GearFile.from_blob(root.read_blob(BIG_PATH)))
+    return GearIndex.from_tree("weights.gear", "v1", root)
+
+
+def whole_file_digest() -> str:
+    """The file faulted in whole over a plain wire: the control."""
+    transport = RpcTransport(Link(SimClock(), bandwidth_mbps=904))
+    registry = GearRegistry()
+    transport.bind(registry.endpoint())
+    control = GearFileViewer(big_file_index(registry), SharedFilePool(), transport=transport)
+    control.read_blob(BIG_PATH)
+    return control.fs_digest()
+
+
+@pytest.mark.parametrize("name", sorted(TESTBEDS))
+def test_chunk_reads_over_a_fabric_leave_no_flight_and_land_the_file(name):
+    """Two nodes of the outermost tier read overlapping ranges of a big
+    file chunk-wise through their own transports, in two waves: the
+    first leaves the last chunks unread, so each node still holds a
+    partial file whose chunk flights must be empty; the second completes
+    it.  No chunk is fetched twice on a node, and the landed file is the
+    one a whole-file read over a plain wire gives."""
+    bed = TESTBEDS[name]()
+    index = big_file_index(bed.gear_registry)
+    nodes = [_client(bed), _client(bed)]
+    viewers = [ChunkedGearFileViewer(index, node.gear_driver.pool, transport=node.transport,
+                                     big_file_threshold=1 * MiB) for node in nodes]
+    identity = index.entries[BIG_PATH].identity
+    quarter = BIG // 4
+
+    def wave(spans):
+        with SimScheduler(bed.clock) as scheduler:
+            for number, viewer in enumerate(viewers):
+                for start, length in spans:
+                    scheduler.spawn(viewer.read_range_gen, BIG_PATH, start, length,
+                                    name=f"reader-{number}-{start}")
+            scheduler.run()
+        return [len(table) for node in nodes for table in flights(node.gear_driver.pool)]
+
+    # Each reader takes its quarter and half the next: boundary chunks are contended.
+    first = wave([(start, quarter + quarter // 2) for start in range(0, 3 * quarter, quarter)])
+    assert all(identity in node.gear_driver.pool.partials for node in nodes)
+    assert first == [0] * len(first)
+    second = wave([(3 * quarter, quarter), (3 * quarter + quarter // 2, quarter // 2)])
+    assert second == [0] * len(second)
+    assert all(node.gear_driver.pool.contains(identity) for node in nodes)
+    assert [viewer.chunk_stats.duplicate_chunk_fetches for viewer in viewers] == [0, 0]
+    assert all(viewer.chunk_stats.coalesced_waits > 0 for viewer in viewers)
+    assert {viewer.fs_digest() for viewer in viewers} == {whole_file_digest()}
 
 
 if __name__ == "__main__":
