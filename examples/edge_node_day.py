@@ -16,7 +16,7 @@ came from*), and a meaningful share of fetches never touches the WAN.
 Run:  PYTHONPATH=src python examples/edge_node_day.py
 """
 
-from repro.bench.deploy import container_fs_digest, deploy_with_gear
+from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import attach_edge, make_testbed, publish_images
 from repro.bench.reporting import format_table
 from repro.common.stats import percentile
@@ -53,7 +53,7 @@ def _replay(root, nodes, schedule, *, gossip=None):
     for index, event in enumerate(schedule):
         node = nodes[index % len(nodes)]
         latencies.append(deploy_with_gear(node, event.image).total_s)
-        digests.append(container_fs_digest(node.gear_driver.containers()[-1]))
+        digests.append(node.gear_driver.containers()[-1].mount.fs_digest())
         if gossip is not None:
             gossip()
     return latencies, digests, root.link.log.total_bytes - wan_before

@@ -34,6 +34,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: One object each, shared by every parse: a link from one to its parent
 #: would be wrong for all the others and keep that parse alive.
 SHARED = (ast.expr_context, ast.operator, ast.boolop, ast.cmpop, ast.unaryop)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 SPELLED = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.keyword: "arg",
            ast.alias: "name", ast.FunctionDef: "name", ast.AsyncFunctionDef: "name",
            ast.ClassDef: "name"}
@@ -153,6 +154,17 @@ def tested(node):
         if isinstance(parent, ast.stmt):
             return False
         child = parent
+    return False
+
+
+def over_a_store(node):
+    """Whether ``node`` is in a loop or a comprehension over a store's
+    entries: a pool's ``identities()`` or a tier's ``cache``."""
+    for parent in ancestors(node):
+        loops = parent.generators if isinstance(parent, COMPREHENSIONS) else (
+            [parent] if isinstance(parent, ast.For) else [])
+        if any(re.search(r"\bidentities\(|\bcache\b", ast.unparse(loop.iter)) for loop in loops):
+            return True
     return False
 
 
@@ -335,6 +347,9 @@ RULES = (
         n, lambda test: test == "traced")), "gear/bigfile.py"),
     Rule("one-conversion-pass", "§4", calls("GearConverter"),
          allow=("bench/environment.py:_with_client",)),
+    Rule("one-catalogue", "§7", named("poisoned|audit_integrity", DEFS[:2]),
+         allow=("invariants.py", "net/resilience.py:Tier")),
+    Rule("one-catalogue", "§7", calls("verified", over_a_store), allow=("invariants.py",)),
     Rule("census-parameters", "§13", lambda trees: census.census(trees)[1], None),
     Rule("census-definitions", "§13", lambda trees: sum(census.unused_definitions(trees), []), None),
 )

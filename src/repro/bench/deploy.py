@@ -16,7 +16,6 @@ from repro.baselines.slacker import SlackerDriver
 from repro.bench.environment import Testbed
 from repro.common.clock import Process, SimScheduler
 from repro.common.errors import ClientCrash
-from repro.gear.driver import GearContainer
 from repro.gear.journal import FETCH_BEGIN
 from repro.gear.prefetch import TraceRecorder
 from repro.gear.recovery import RecoveryReport
@@ -283,26 +282,11 @@ class ResumableDeployment:
     fs_digest: str = ""
 
 
-def container_fs_digest(container: GearContainer) -> str:
-    """Logical-content digest of a Gear container's merged filesystem.
-
-    Stub files digest as the fingerprint their index entry promises;
-    materialized files digest as the fingerprint of their actual bytes.
-    Content addressing makes the two interchangeable — the digest captures
-    *what the container reads*, not how lazily it arrived — so an
-    uncrashed run and a crash+fsck+resume run of the same workload must
-    produce identical digests, byte for byte.
-    """
-    return viewer_fs_digest(container.mount)
-
-
 def viewer_fs_digest(viewer) -> str:
-    """:func:`container_fs_digest` over a bare viewer mount.
-
-    The chunks sweep mounts viewers without containers; chunked and
-    whole-file mounts of the same fully-read image must digest
-    identically (the golden chunk-equivalence invariant).
-    """
+    """Logical-content digest of a bare viewer mount's filesystem
+    (a container's is ``container.mount.fs_digest()``): chunked and
+    whole-file mounts of one fully-read image digest identically, and a
+    crash+fsck+resume run as an uncrashed one."""
     return viewer.fs_digest()
 
 
@@ -341,7 +325,7 @@ def deploy_with_gear_resumable(
         return ResumableDeployment(
             result=result,
             crashed=False,
-            fs_digest=container_fs_digest(container),
+            fs_digest=container.mount.fs_digest(),
         )
 
     crashed_run_s = crashed_timer.elapsed()
@@ -380,7 +364,7 @@ def deploy_with_gear_resumable(
         recovery_s=recovery.fsck_s,
         committed_before_crash=committed_before_crash,
         refetched_committed=refetched,
-        fs_digest=container_fs_digest(container),
+        fs_digest=container.mount.fs_digest(),
     )
 
 

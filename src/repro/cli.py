@@ -6,7 +6,7 @@ exit nonzero.  Eight of them are *sweeps* — ``paper``, ``deploy
 --clients N``, ``crash``, ``chunks``, ``ha``, ``edge``, ``faas``,
 ``slo`` — which keep only how one cell's world is built and which
 invariants it must hold, and hand the cells to :func:`run_sweep` for
-reporting and the exit code.
+reporting, the invariant catalogue and the exit code.
 ``GATES`` is the one table of smoke invocations that
 ``scripts/check.sh``, ``benchmarks/artifacts.py`` and
 ``tests/test_cli.py`` all iterate.
@@ -30,7 +30,7 @@ from repro.bench.deploy import (
     deploy_with_gear_overlapped,
     deploy_with_gear_resumable,
 )
-from repro.bench.deploy import container_fs_digest, viewer_fs_digest
+from repro.bench.deploy import viewer_fs_digest
 from repro.bench.environment import (
     attach_edge,
     make_faas_testbed,
@@ -48,10 +48,11 @@ from repro.gear.bigfile import ChunkFetchStats, ChunkedGearFileViewer
 from repro.gear.gearfile import GearFile
 from repro.gear.index import GearIndex
 from repro.gear.journal import IntentJournal
-from repro.gear.pool import SharedFilePool, poisoned
+from repro.gear.pool import SharedFilePool
 from repro.gear.recovery import fsck
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
+from repro.invariants import World, audit, partials_leaked, poisoned_commits
 from repro.net.faults import (
     BrownoutWindow,
     CrashInjector,
@@ -132,13 +133,16 @@ def _yes_no(flag) -> str:
     return "yes" if flag else "NO"
 
 
-def run_sweep(args, header, group, names, run_cell, title, columns) -> int:
+def run_sweep(args, header, group, names, run_cell, title, columns,
+              verdict=False) -> int:
     """The one sweep loop behind every scenario matrix.
 
     ``run_cell(name)`` is called for each of ``names`` in order and
-    returns the cell's JSON-ready dict plus the invariants it broke
-    (:func:`_broken`).  The report is ``header`` with the cells under
-    ``group``; every broken invariant is named on stderr as
+    returns the cell's JSON-ready dict, the invariants it broke
+    (:func:`_broken`) and the world it left, which
+    :func:`~repro.invariants.audit` adds its broken checks to (``ok`` in
+    each cell with ``verdict``).  The report is ``header`` with the cells
+    under ``group``; every broken invariant is named on stderr as
     ``<command> <cell>: <invariant>=<value>``; stdout carries the report
     as one canonical JSON line (``--json``), or ``title`` and a table with
     the cell name under ``group``'s singular followed by ``columns``, each
@@ -149,7 +153,10 @@ def run_sweep(args, header, group, names, run_cell, title, columns) -> int:
     report = {**header, group: {}}
     ok = True
     for name in names:
-        cell, broken = run_cell(name)
+        cell, broken, world = run_cell(name)
+        broken.update(audit(world))
+        if verdict:
+            cell["ok"] = not broken
         report[group][name] = cell
         for invariant, value in broken.items():
             print(f"{args.command} {name}: {invariant}={value}",
@@ -233,7 +240,7 @@ def cmd_paper(args) -> int:
             ) from None
         return cell, _broken(
             cell, nonzero=[f"shape.{claim}" for claim in cell["shape"]]
-        )
+        ), World({})
 
     return run_sweep(
         args,
@@ -295,7 +302,7 @@ def _cmd_deploy_fleet(args) -> int:
         cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
         publish_images(cluster.registry_testbed, [generated], convert=True)
         wave = cluster.deploy_wave(actions[system], concurrency=concurrency)
-        return wave.as_dict(), {}
+        return wave.as_dict(), {}, World.of(cluster)
 
     return run_sweep(
         args,
@@ -373,12 +380,13 @@ def cmd_crash(args) -> int:
     def run_point(plan):
         testbed = make_testbed(bandwidth_mbps=args.bandwidth)
         publish_images(testbed, [generated], convert=True)
-        return deploy_with_gear_resumable(testbed, generated, plan)
+        out = deploy_with_gear_resumable(testbed, generated, plan)
+        return out, World({"client": testbed.gear_driver.pool})
 
-    control = run_point(None)
+    control, _ = run_point(None)
 
     def run_cell(point):
-        out = run_point(CrashPlan(
+        out, world = run_point(CrashPlan(
             point=CrashPoint(point),
             seed=f"cli-{args.crash_seed}",
             op_index=args.crash_op if args.crash_op >= 0 else None,
@@ -406,7 +414,7 @@ def cmd_crash(args) -> int:
             if point in (CrashPoint.POST_FETCH.value,
                          CrashPoint.MID_COMMIT.value):
                 nonzero.append("recovery.recovered_bytes")
-        return cell, _broken(cell, zero=zero, nonzero=nonzero)
+        return cell, _broken(cell, zero=zero, nonzero=nonzero), world
 
     return run_sweep(
         args,
@@ -555,9 +563,9 @@ def cmd_chunks(args) -> int:
         clock, link, transport, index, pool, journal = _chunk_env(args, plan)
         viewer = _chunk_viewer(transport, index, pool, journal, args)
         identity = index.entries[_CHUNK_BIG_PATH].identity
+        world = World({"client": pool})
         cell = {}
-        zero = ["poisoned_commits", "duplicate_chunk_fetches",
-                "partials_leaked"]
+        zero = ["duplicate_chunk_fetches"]
         nonzero = ["fs_equivalent", "promoted"]
 
         if scenario == "crash":
@@ -615,11 +623,11 @@ def cmd_chunks(args) -> int:
             sequential_fallbacks=stats.sequential_fallbacks,
             parallel_fetches=stats.parallel_fetches,
             promotions=stats.promotions,
-            poisoned_commits=len(poisoned(pool)),
-            partials_leaked=len(pool.partials),
+            poisoned_commits=len(poisoned_commits(world)),
+            partials_leaked=len(partials_leaked(world)),
             promoted=pool.contains(identity),
         )
-        return cell, _broken(cell, zero=zero, nonzero=nonzero)
+        return cell, _broken(cell, zero=zero, nonzero=nonzero), world
 
     return run_sweep(
         args,
@@ -708,7 +716,7 @@ def cmd_ha(args) -> int:
             concurrency=concurrency,
         )
         cell = wave.as_dict()
-        return cell, _broken(cell, zero=("degraded",))
+        return cell, _broken(cell, zero=("degraded",)), World.of(cluster)
 
     return run_sweep(
         args,
@@ -780,7 +788,7 @@ def _control_deploys(client, images) -> dict:
         container = client.gear_driver.containers()[-1]
         record["total_s"].append(result.total_s)
         record["network_bytes"].append(result.network_bytes)
-        record["fs_digests"].append(container_fs_digest(container))
+        record["fs_digests"].append(container.mount.fs_digest())
     return record
 
 
@@ -855,12 +863,13 @@ def cmd_edge(args) -> int:
             concurrency=concurrency,
         )
         cell = wave.as_dict()
-        cell["integrity_violations"] = len(cluster.fabric.audit_integrity())
+        world = World.of(cluster)
+        cell["integrity_violations"] = len(poisoned_commits(world))
         return cell, _broken(
             cell,
-            zero=("degraded", "integrity_violations"),
+            zero=("degraded",),
             nonzero=("blacklists",) if "byzantine" in scenario else (),
-        )
+        ), world
 
     return run_sweep(
         args,
@@ -971,21 +980,19 @@ def cmd_faas(args) -> int:
         run = platform.run(stream)
         cell = run.as_dict()
         del cell["fs_digests"]  # bulky; the control check distills it
-        cell["integrity_violations"] = len(bed.faas.audit_integrity())
+        world = World({}, bed.tiers)
+        cell["integrity_violations"] = len(poisoned_commits(world))
         cell["control_mismatches"] = sum(
             1
             for reference, digest in run.fs_digests.items()
             if control.get(reference) != digest
         )
-        broken = _broken(
+        return cell, _broken(
             cell,
             zero=("failures", "degraded", "digest_conflicts",
-                  "control_mismatches", "fabric.duplicate_upstream_fetches",
-                  "integrity_violations"),
+                  "control_mismatches", "fabric.duplicate_upstream_fetches"),
             nonzero=("fabric.demotions",) if "byzantine" in scenario else (),
-        )
-        cell["ok"] = not broken
-        return cell, broken
+        ), world
 
     return run_sweep(
         args,
@@ -1016,6 +1023,7 @@ def cmd_faas(args) -> int:
             ("Fail", "failures", ""),
             ("OK", "ok", _yes_no),
         ],
+        verdict=True,
     )
 
 
@@ -1025,15 +1033,18 @@ SLO_SCENARIOS = ("fleet", "edge", "faas", "prefetch")
 #: — this gate certifies the readiness plumbing, burn-rate evaluation,
 #: and determinism, not paper numbers — but ``degraded`` and
 #: ``poisoned_commits`` are exact zeros: no objective may be met by
-#: silently falling back or committing bad bytes.  The fleet and edge
-#: waves are held to the same objectives.
+#: silently falling back or committing bad bytes; every scenario ends
+#: with those two.  The fleet and edge waves are held to the same
+#: objectives.
+_EXACT_ZEROS = (
+    Objective("degraded", 0.0, comparator="=="),
+    Objective("poisoned_commits", 0.0, comparator="=="),
+)
 _WAVE_OBJECTIVES = (
     Objective("ready_p99_s", 300.0, series="ready_s",
               window_s=5.0, budget=0.5),
     Objective("deploy_p99_s", 400.0),
-    Objective("degraded", 0.0, comparator="=="),
-    Objective("poisoned_commits", 0.0, comparator="=="),
-)
+) + _EXACT_ZEROS
 SLO_OBJECTIVES = {
     "fleet": _WAVE_OBJECTIVES,
     "edge": _WAVE_OBJECTIVES,
@@ -1041,20 +1052,14 @@ SLO_OBJECTIVES = {
         Objective("ready_p99_s", 120.0, series="cold_ready_s",
                   window_s=2.0, budget=0.5),
         Objective("deploy_p99_s", 180.0),
-        Objective("degraded", 0.0, comparator="=="),
-        Objective("poisoned_commits", 0.0, comparator="=="),
-    ),
-    "prefetch": (
-        Objective("ready_over_pull", 1.0),
-        Objective("degraded", 0.0, comparator="=="),
-        Objective("poisoned_commits", 0.0, comparator="=="),
-    ),
+    ) + _EXACT_ZEROS,
+    "prefetch": (Objective("ready_over_pull", 1.0),) + _EXACT_ZEROS,
 }
 
 
-def _slo_wave(args, cluster, seed: str, poisoned_commits):
+def _slo_wave(args, cluster, seed: str):
     """A cache-cleared Gear wave on ``cluster`` with the timeline sampler
-    attached; ``poisoned_commits()`` audits the cluster's stores after it."""
+    attached."""
     generated = _target_images(args)[0]
     publish_images(cluster.registry_testbed, [generated], convert=True)
     sampler = make_timeline_sampler(
@@ -1072,17 +1077,14 @@ def _slo_wave(args, cluster, seed: str, poisoned_commits):
         "ready_p99_s": wave.ready_p99_s,
         "deploy_p99_s": wave.p99_s,
         "degraded": float(sum(result.degraded for result in results)),
-        "poisoned_commits": float(poisoned_commits()),
     }
-    return observed, sampler, {"wave": wave.as_dict()}
+    return observed, sampler, {"wave": wave.as_dict()}, World.of(cluster)
 
 
 def _slo_fleet(args, seed: str):
-    """Fleet wave under Gear; every node's pool audited."""
+    """Fleet wave under Gear."""
     cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
-    return _slo_wave(args, cluster, f"{seed}-fleet", lambda: sum(
-        len(poisoned(node.testbed.gear_driver.pool)) for node in cluster.nodes
-    ))
+    return _slo_wave(args, cluster, f"{seed}-fleet")
 
 
 def _slo_edge(args, seed: str):
@@ -1093,9 +1095,7 @@ def _slo_edge(args, seed: str):
         sites=2,
         seed=f"{seed}-edge",
     )
-    return _slo_wave(args, cluster, f"{seed}-edge", lambda: len(
-        cluster.fabric.audit_integrity()
-    ))
+    return _slo_wave(args, cluster, f"{seed}-edge")
 
 
 def _slo_faas(args, seed: str):
@@ -1111,16 +1111,14 @@ def _slo_faas(args, seed: str):
     )
     sampler = make_timeline_sampler(bed, period_s=0.5, seed=f"{seed}-faas")
     run = platform.run(stream, sampler=sampler)
-    violations = bed.faas.audit_integrity()
     observed = {
         "ready_p99_s": run.cold_ready_p99_s,
         "deploy_p99_s": run.cold_p99_s,
         "degraded": float(run.degraded + run.failures),
-        "poisoned_commits": float(len(violations)),
     }
     summary = run.as_dict()
     del summary["fs_digests"]  # bulky; integrity audit distills it
-    return observed, sampler, {"run": summary}
+    return observed, sampler, {"run": summary}, World({}, bed.tiers)
 
 
 def _slo_prefetch(args, seed: str):
@@ -1155,7 +1153,6 @@ def _slo_prefetch(args, seed: str):
     observed = {
         "ready_over_pull": overlapped.ready_s / docker.pull_s,
         "degraded": float(overlapped.degraded),
-        "poisoned_commits": float(len(poisoned(client.gear_driver.pool))),
     }
     extras = {
         "prefetch": {
@@ -1166,7 +1163,7 @@ def _slo_prefetch(args, seed: str):
             "strict_win": overlapped.ready_s < docker.pull_s,
         }
     }
-    return observed, None, extras
+    return observed, None, extras, World({"client": client.gear_driver.pool})
 
 
 _SLO_RUNNERS = {
@@ -1177,15 +1174,17 @@ _SLO_RUNNERS = {
 }
 
 
-def _slo_scenario_payload(scenario: str, args, seed: str) -> dict:
-    """One scenario run as its JSON-ready payload."""
-    observed, sampler, extras = _SLO_RUNNERS[scenario](args, seed)
+def _slo_scenario_payload(scenario: str, args, seed: str):
+    """One scenario run as its JSON-ready payload, and the world it left;
+    the world's poisoned commits are observed beside the runner's values."""
+    observed, sampler, extras, world = _SLO_RUNNERS[scenario](args, seed)
+    observed["poisoned_commits"] = float(len(poisoned_commits(world)))
     report = evaluate(SLO_OBJECTIVES[scenario], observed, sampler=sampler)
     payload = {"observed": observed, "slo": report.as_dict()}
     if sampler is not None:
         payload["timeline"] = sampler.as_dict()
     payload.update(extras)
-    return payload
+    return payload, world
 
 
 def cmd_slo(args) -> int:
@@ -1200,17 +1199,15 @@ def cmd_slo(args) -> int:
     seed = f"cli-slo-{args.slo_seed}"
 
     def run_cell(scenario):
-        cell = _slo_scenario_payload(scenario, args, seed)
-        replay = _slo_scenario_payload(scenario, args, seed)
+        cell, world = _slo_scenario_payload(scenario, args, seed)
+        replay, _ = _slo_scenario_payload(scenario, args, seed)
         cell["deterministic"] = dump_json(cell) == dump_json(replay)
-        broken = _broken(
+        return cell, _broken(
             cell,
             zero=("slo.violated",),
             nonzero=("deterministic", "prefetch.strict_win")
             if scenario == "prefetch" else ("deterministic",),
-        )
-        cell["ok"] = not broken
-        return cell, broken
+        ), world
 
     def ready_p99(observed) -> str:
         ready = observed.get("ready_p99_s")
@@ -1237,6 +1234,7 @@ def cmd_slo(args) -> int:
             ("Deterministic", "deterministic", _yes_no),
             ("OK", "ok", _yes_no),
         ],
+        verdict=True,
     )
 
 

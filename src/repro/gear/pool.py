@@ -19,7 +19,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.blob import Blob
 from repro.common.errors import IntegrityError, StorageError
@@ -334,15 +334,3 @@ class SharedFilePool:
             f"SharedFilePool(files={len(self._inodes)}, bytes={self._bytes}, "
             f"capacity={cap}, policy={self.policy.value})"
         )
-
-
-def poisoned(pool: SharedFilePool) -> List[str]:
-    """Committed identities in ``pool`` whose content fails
-    :func:`~repro.gear.gearfile.verified`: none is the "zero poisoned
-    commits" invariant.  :meth:`SharedFilePool.prepare` builds every pool
-    inode from a Gear file's blob, so each has content to hash."""
-    return [
-        identity
-        for identity in pool.identities()
-        if not verified(identity, pool.peek(identity))
-    ]

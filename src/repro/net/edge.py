@@ -595,28 +595,12 @@ class EdgeFabric(Tier):
             "lan_busy_s": sum(link.busy_seconds for link in lan_links),
         }
 
-    def audit_integrity(self) -> List[str]:
-        """Every committed/cached payload that fails fingerprint naming.
-
-        An empty list is the "zero poisoned commits" invariant: nothing a
-        byzantine peer served ever reached a pool or site cache.
-        """
-        from repro.gear.gearfile import verified
-        from repro.gear.pool import poisoned
-
-        problems: List[str] = []
+    def stores(self) -> List[Tuple[str, Any]]:
+        stores: List[Tuple[str, Any]] = []
         for site in self.sites:
-            problems += [
-                f"site:{site.name}:{identity}"
-                for identity in sorted(site.cache)
-                if not verified(identity, site.cache[identity])
-            ]
-            for peer in site.peers:
-                problems += [
-                    f"peer:{peer.name}:{identity}"
-                    for identity in poisoned(peer.pool)
-                ]
-        return problems
+            stores.append((f"site:{site.name}", site))
+            stores += [(f"peer:{peer.name}", peer.pool) for peer in site.peers]
+        return stores
 
     def __repr__(self) -> str:
         return (

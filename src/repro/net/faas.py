@@ -147,6 +147,10 @@ class _TierEntry:
         self.stored_at = stored_at
         self.wire_bytes = gear_file.compressed_size
 
+    @property
+    def blob(self) -> Any:  # what ``verified`` hashes
+        return self.gear_file.blob
+
 
 class SharedCacheTier:
     """The capacity-bounded intermediate cache between nodes and registry.
@@ -500,26 +504,10 @@ class FaasFabric(Tier):
             self.stats.demotions += 1
         return True
 
-    def audit_integrity(self) -> List[str]:
-        """Every committed/cached payload that fails fingerprint naming.
-
-        An empty list is the "zero poisoned commits" invariant: nothing
-        a byzantine tier served ever reached a node pool, and nothing
-        corrupt sits in the tier cache.
-        """
-        from repro.gear.gearfile import verified
-        from repro.gear.pool import poisoned
-
-        problems = [
-            f"tier:{self.tier.name}:{identity}"
-            for identity in sorted(self.tier.cache)
-            if not verified(identity, self.tier.cache[identity].gear_file)
+    def stores(self) -> List[Tuple[str, Any]]:
+        return [(f"tier:{self.tier.name}", self.tier)] + [
+            (f"node:{name}", pool) for name, pool in self.nodes
         ]
-        for node_name, pool in self.nodes:
-            problems += [
-                f"node:{node_name}:{identity}" for identity in poisoned(pool)
-            ]
-        return problems
 
     def __repr__(self) -> str:
         return (

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SimClock, SimEvent
 from repro.common.errors import (
@@ -212,6 +212,9 @@ class SingleFlight:
 
     def __len__(self) -> int:
         return len(self._pending)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._pending)
 
     def pending(self, key: Hashable) -> Optional[SimEvent]:
         """The event of the fetch in flight for ``key``, if there is one."""
@@ -471,7 +474,8 @@ class Tier:
     A testbed lists its tiers origin outward (``Testbed.tiers``) and
     loops over them for its links, metrics and timeline probes; a
     cluster's wave runs the root's tier services and reports the delta
-    of their counters.  Every hook defaults to nothing.
+    of their counters; the invariant catalogue audits its stores.  Every
+    hook defaults to nothing.
     """
 
     def registry_links(self) -> List[Any]:
@@ -495,3 +499,14 @@ class Tier:
     def wave_counters(self) -> Dict[str, float]:
         """Running totals a wave report is the delta of, by field name."""
         return {}
+
+    def stores(self) -> List[Tuple[str, Any]]:
+        """What the tier keeps, ``(where, store)``: node pools and caches."""
+        return []
+
+    def audit_integrity(self) -> List[str]:
+        """The tier's stored copies that fail their name
+        (:func:`repro.invariants.poisoned_commits` over this tier)."""
+        from repro.invariants import World, poisoned_commits
+
+        return poisoned_commits(World({}, [self]))

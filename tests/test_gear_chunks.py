@@ -29,6 +29,7 @@ from repro.gear.pool import PartialFile, SharedFilePool
 from repro.gear.recovery import fsck
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
+from repro.invariants import World, audit, flights_left
 from repro.net.faults import (
     CrashInjector,
     CrashPlan,
@@ -237,8 +238,9 @@ class TestCrashRecovery:
 
     def test_a_crashed_wave_leaves_no_chunk_flight(self):
         """Three readers overlap on the big file when one dies mid-chunk:
-        the crash, fsck and the resume each leave every single-flight
-        table of the pool empty."""
+        the crash leaves every single-flight table of the pool empty,
+        and after fsck and the resume the pool holds the whole invariant
+        catalogue (no flight, no partial, nothing poisoned)."""
         viewer, env = build_env()
         pool = env["pool"]
         crashed = ChunkedGearFileViewer(
@@ -260,11 +262,11 @@ class TestCrashRecovery:
                 scheduler.spawn(reader, start, name=f"reader-{start}")
             scheduler.run()
         assert died
-        left = [pool.inflight] + [p.inflight for p in pool.partials.values()]
-        assert [len(table) for table in left] == [0] * len(left)
+        world = World({"client": pool})
+        assert flights_left(world) == []
         fsck(pool, [env["index"]], [], env["journal"], clock=env["clock"])
         viewer.read_range(BIG_PATH, 0, BIG)
-        assert len(pool.inflight) == 0 and pool.partials == {}
+        assert audit(world) == {}
 
     def test_journal_records_chunk_intents(self):
         viewer, env = build_env()

@@ -9,7 +9,6 @@ nothing the journal had already committed.
 import pytest
 
 from repro.bench.deploy import (
-    container_fs_digest,
     deploy_with_gear,
     deploy_with_gear_resumable,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.deploy import (
-    container_fs_digest,
     deploy_with_gear,
     deploy_with_gear_resumable,
 )
@@ -171,7 +170,7 @@ class TestCrashDuringHedgedFetch:
             if record.op == FETCH_BEGIN and record.identity in held
         )
         container = driver.containers()[-1]
-        assert container_fs_digest(container) == control.fs_digest
+        assert container.mount.fs_digest() == control.fs_digest
         assert refetched == 0
         assert not result.degraded
         assert replicas[0].stats.serves == serves_before[0]

@@ -239,6 +239,19 @@ MUTANTS = {
         (P + "bench/paper.py", None, "_C = GearConverter(\n    clock, DockerRegistry(), "
                                      "GearRegistry(), disk=Disk(clock))\n"),
     ],
+    "one-catalogue": [
+        # the pool audit and a fabric audit body the catalogue replaced
+        (P + "gear/pool.py", None, "def poisoned(pool):\n    return [identity for identity in "
+                                   "pool.identities()\n            if not verified(identity, "
+                                   "pool.peek(identity))]\n\n\n_P = poisoned(SharedFilePool())\n"),
+        (P + "net/faas.py", "    def stores(self) -> List[Tuple[str, Any]]:\n        return [(f\"tier:",
+         "    def audit_integrity(self) -> List[str]:\n        return [identity for identity in "
+         "sorted(self.tier.cache)\n                if not verified(identity, self.tier.cache[identity])]"
+         "\n\n    def stores(self) -> List[Tuple[str, Any]]:\n        return [(f\"tier:"),
+        # a gate's hand-listed audit, no definition
+        (P + "cli.py", None, "_BAD = [(site.name, identity) for site in sites for identity in "
+                             "site.cache\n        if not verified(identity, site.cache[identity])]\n"),
+    ],
     "census-parameters": [
         # PR 39
         (P + "net/ha.py", "    def __init__(self, replica_set: ReplicaSet) -> None:\n",
@@ -303,6 +316,10 @@ LOOKALIKES = {
     ],
     "one-conversion-pass": [
         (P + "bench/paper.py", None, '"""Fig. 7 builds no GearConverter( of its own."""\n'),
+    ],
+    "one-catalogue": [
+        (P + "gear/pool.py", None, '"""def poisoned( and def audit_integrity( went to repro.invariants."""\n'),
+        (P + "gear/viewer.py", None, "_V = [verified(f.identity, f) for f in fetched]\n"),
     ],
     "census-parameters": [(P + "net/ha.py", None, "_F = lambda interval_s=0.5: interval_s\n")],
     "census-definitions": [(P + "net/ha.py", None, "def _helper():\n    return 1\n\n\n_helper()\n")],

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.bench.deploy import container_fs_digest, deploy_with_gear
+from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import (
     attach_edge,
     attach_faas,
@@ -195,7 +195,7 @@ def _control_digest(generated) -> str:
     bed = make_testbed()
     publish_images(bed, [generated], convert=True)
     deploy_with_gear(bed, generated)
-    return container_fs_digest(bed.gear_driver.containers()[-1])
+    return bed.gear_driver.containers()[-1].mount.fs_digest()
 
 
 class TestCorruptReportsTravelDown:
@@ -212,7 +212,7 @@ class TestCorruptReportsTravelDown:
         assert not bed.faas.blacklisted
         assert bed.faas.stats.demotions == 0
         assert not result.degraded
-        digest = container_fs_digest(node.gear_driver.containers()[-1])
+        digest = node.gear_driver.containers()[-1].mount.fs_digest()
         assert digest == _control_digest(generated)
         assert bed.faas.audit_integrity() == []
 
@@ -242,7 +242,7 @@ class TestChainStackedByHand:
         root, edge, faas, node = self._stack(generated)
         result = deploy_with_gear(node, generated)
         assert not result.degraded
-        digest = container_fs_digest(node.gear_driver.containers()[-1])
+        digest = node.gear_driver.containers()[-1].mount.fs_digest()
         assert digest == _control_digest(generated)
         # Every link of the chain carried the fetches.
         fetches = faas.stats.fetches
@@ -259,7 +259,7 @@ class TestChainStackedByHand:
         assert root.ha.policy.stats.demotions == 1
         assert not faas.blacklisted and edge.stats.blacklists == 0
         assert not result.degraded
-        digest = container_fs_digest(node.gear_driver.containers()[-1])
+        digest = node.gear_driver.containers()[-1].mount.fs_digest()
         assert digest == _control_digest(generated)
 
 

@@ -10,7 +10,7 @@ registry-only run, and deterministic replay of every scenario.
 
 import pytest
 
-from repro.bench.deploy import container_fs_digest, deploy_with_gear
+from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import attach_edge, make_testbed, publish_images
 from repro.common.stats import EmptySampleError, percentile
 from repro.net.edge import ChurnSchedule
@@ -19,7 +19,7 @@ from repro.net.topology import Cluster, EdgeCluster, WaveReport
 
 def _deploy_digest(testbed, generated):
     result = deploy_with_gear(testbed, generated)
-    digest = container_fs_digest(testbed.gear_driver.containers()[-1])
+    digest = testbed.gear_driver.containers()[-1].mount.fs_digest()
     return result, digest
 
 
@@ -310,9 +310,7 @@ class TestAcceptanceWave:
 
         def control_action(node):
             result = deploy_with_gear(node.testbed, generated)
-            control_digests[node.name] = container_fs_digest(
-                node.testbed.gear_driver.containers()[-1]
-            )
+            control_digests[node.name] = node.testbed.gear_driver.containers()[-1].mount.fs_digest()
             return result
 
         flat = Cluster(clients, bandwidth_mbps=200.0)
@@ -323,9 +321,7 @@ class TestAcceptanceWave:
 
         def edge_action(node):
             result = deploy_with_gear(node.testbed, generated)
-            edge_digests[node.name] = container_fs_digest(
-                node.testbed.gear_driver.containers()[-1]
-            )
+            edge_digests[node.name] = node.testbed.gear_driver.containers()[-1].mount.fs_digest()
             return result
 
         cluster = EdgeCluster(

@@ -12,7 +12,7 @@ fault-free registry-only control — and deterministic replay.
 
 import pytest
 
-from repro.bench.deploy import container_fs_digest, deploy_with_gear
+from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import (
     make_faas_testbed,
     make_testbed,
@@ -62,9 +62,7 @@ def _control_digests(images):
     digests = {}
     for generated in images:
         deploy_with_gear(node, generated)
-        digests[generated.reference] = container_fs_digest(
-            node.gear_driver.containers()[-1]
-        )
+        digests[generated.reference] = node.gear_driver.containers()[-1].mount.fs_digest()
     return digests
 
 

@@ -41,6 +41,7 @@ from repro.gear.index import GearIndex
 from repro.gear.pool import SharedFilePool
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
+from repro.invariants import World, audit, flights_left
 from repro.net.faults import FaultPlan, OutageWindow
 from repro.net.link import Link
 from repro.net.topology import EdgeCluster, HACluster
@@ -163,17 +164,19 @@ def _client(bed):
     return bed.fresh_client()
 
 
-def flights(pool) -> list:
-    """The single-flight tables of a node pool: its own and each partial
-    file's chunk flights."""
-    return [pool.inflight] + [partial.inflight for partial in pool.partials.values()]
+def world_of(bed, nodes) -> World:
+    """The nodes' pools and the tiers they hang on."""
+    return World({f"node-{number}": node.gear_driver.pool
+                  for number, node in enumerate(nodes)}, bed.tiers)
 
 
 @pytest.mark.parametrize("name", sorted(TESTBEDS))
 def test_a_wave_leaves_no_flight_in_the_air(name, small_corpus):
     """Three nodes fault in the startup set at once; when the wave has
-    drained, no node pool, partial file or FaaS tier still holds a
-    fetch in flight (a leak would park every later reader of that key)."""
+    drained, the world they leave holds the whole invariant catalogue:
+    no node pool, partial file or FaaS tier still holds a fetch in flight
+    (a leak would park every later reader of that key), no partial file
+    is left, and nothing stored fails its name."""
     generated = small_corpus.by_series["nginx"][0]
     task = task_for_category(generated.category)
     bed = TESTBEDS[name]()
@@ -191,10 +194,7 @@ def test_a_wave_leaves_no_flight_in_the_air(name, small_corpus):
                             name=f"startup-{index}")
         scheduler.run()
     assert all(mount.fault_stats.remote_fetches > 0 for mount in mounts)
-    left = [table for node in nodes for table in flights(node.gear_driver.pool)]
-    if bed.faas is not None:
-        left.append(bed.faas.tier.inflight)
-    assert [len(table) for table in left] == [0] * len(left)
+    assert audit(world_of(bed, nodes)) == {}
 
 
 BIG_PATH = "/models/weights.bin"
@@ -225,8 +225,9 @@ def test_chunk_reads_over_a_fabric_leave_no_flight_and_land_the_file(name):
     file chunk-wise through their own transports, in two waves: the
     first leaves the last chunks unread, so each node still holds a
     partial file whose chunk flights must be empty; the second completes
-    it.  No chunk is fetched twice on a node, and the landed file is the
-    one a whole-file read over a plain wire gives."""
+    it and leaves a world that holds the whole catalogue.  No chunk is
+    fetched twice on a node, and the landed file is the one a whole-file
+    read over a plain wire gives."""
     bed = TESTBEDS[name]()
     index = big_file_index(bed.gear_registry)
     nodes = [_client(bed), _client(bed)]
@@ -242,14 +243,13 @@ def test_chunk_reads_over_a_fabric_leave_no_flight_and_land_the_file(name):
                     scheduler.spawn(viewer.read_range_gen, BIG_PATH, start, length,
                                     name=f"reader-{number}-{start}")
             scheduler.run()
-        return [len(table) for node in nodes for table in flights(node.gear_driver.pool)]
 
     # Each reader takes its quarter and half the next: boundary chunks are contended.
-    first = wave([(start, quarter + quarter // 2) for start in range(0, 3 * quarter, quarter)])
+    wave([(start, quarter + quarter // 2) for start in range(0, 3 * quarter, quarter)])
     assert all(identity in node.gear_driver.pool.partials for node in nodes)
-    assert first == [0] * len(first)
-    second = wave([(3 * quarter, quarter), (3 * quarter + quarter // 2, quarter // 2)])
-    assert second == [0] * len(second)
+    assert flights_left(world_of(bed, nodes)) == []
+    wave([(3 * quarter, quarter), (3 * quarter + quarter // 2, quarter // 2)])
+    assert audit(world_of(bed, nodes)) == {}
     assert all(node.gear_driver.pool.contains(identity) for node in nodes)
     assert [viewer.chunk_stats.duplicate_chunk_fetches for viewer in viewers] == [0, 0]
     assert all(viewer.chunk_stats.coalesced_waits > 0 for viewer in viewers)
