@@ -3,10 +3,12 @@
 **Pass 1, defaulted parameters: which of them does some caller set?**
 Walks every function under ``src/`` with :mod:`ast`, counts its
 parameters that carry a default, and looks for a call in ``src/``,
-``tests/``, ``benchmarks/`` or ``examples/`` that sets each one: by
-keyword, by position, or through a ``*`` / ``**`` splat.  A parameter
-that nothing sets only ever holds its default, so it is a constant
-written as an option.
+``benchmarks/`` or ``examples/`` that sets each one: by keyword, by
+position, or through a ``*`` / ``**`` splat.  A parameter that nothing
+there sets only ever holds its default, so it is a constant written as
+an option.  A test is not a caller: a value only a test passes is an
+option kept for its own test.  :data:`PARAMETER_ALLOWLIST` keeps one
+with its reason.
 
 Calls are matched by name, not by type: ``x.mount(...)`` counts for
 every ``def mount`` under ``src/``.  A class call ``Name(...)``,
@@ -46,14 +48,28 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLER_DIRS = ("src", "tests", "benchmarks", "examples")
+#: Where a call sets a parameter (pass 1) or a reference uses a
+#: definition (pass 2): everything but ``tests/`` and ``scripts/``.
 USER_DIRS = ("src", "benchmarks", "examples")
 
-#: ``(function, parameter)`` pairs a name-matched call cannot see:
-#: protocol methods that Python itself calls, with its own arguments.
+#: ``"path:Qualified.name(parameter=)"`` -> the DESIGN section that keeps
+#: a parameter no caller outside tests/ sets, and why: Python passes it
+#: itself, a property test draws it, or a ROADMAP item bounds over it.
+#: tests/test_census.py pins every entry.
 PARAMETER_ALLOWLIST = {
-    # Metadata.__setattr__ doubles as __delattr__, which gets no value.
-    ("__setattr__", "value"),
+    "src/repro/vfs/inode.py:Metadata.__setattr__(value=)":
+        "§2: Python calls it as __delattr__ too, with no value",
+    "src/repro/blob/blob.py:Blob.synthetic(chunk_size=)":
+        "§15: the covering-chunks property in tests/test_gear_chunks.py "
+        "draws the chunk size",
+    "src/repro/gear/bigfile.py:ChunkedGearFileViewer.__init__(chunk_buffer_bytes=)":
+        "§15: ROADMAP item 15 bounds a viewer's chunks over buffer sizes",
+    "src/repro/vfs/overlay.py:OverlayMount.__init__(upper=)":
+        "§2: the overlay oracle in tests/test_vfs_oracle.py draws the upper "
+        "layer, whiteouts and opaque directories included",
+    "src/repro/vfs/tree.py:FileSystemTree.mkdir(meta=)":
+        "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
+        "directory's metadata",
 }
 
 
@@ -210,8 +226,9 @@ def called(tree):
 
 
 def census(trees=None):
-    """``(defaulted parameters under src/, report lines of those no call sets)``."""
-    trees = load(*CALLER_DIRS) if trees is None else trees
+    """``(defaulted parameters under src/, report lines of those no call
+    sets and of stale allowlist entries)``."""
+    trees = load(*USER_DIRS) if trees is None else trees
     functions, bases, inits = [], {}, set()
     for path, tree in trees.items():
         if path.parts[0] == "src":
@@ -234,7 +251,7 @@ def census(trees=None):
     positions = defaultdict(int)  # callee -> most positional args
     splat_args, splat_kwargs = set(), set()
     for path, tree in trees.items():
-        if path.parts[0] not in CALLER_DIRS:
+        if path.parts[0] not in USER_DIRS:
             continue
         for raw, (count, names, star, starstar) in called(tree).items():
             if isinstance(raw, tuple):
@@ -249,17 +266,22 @@ def census(trees=None):
                 if starstar:
                     splat_kwargs.add(callee)
 
-    total, unset = 0, []
+    total, unset, allowed = 0, [], set()
     for path, qualified, key, function in functions:
         for name, position in defaulted(function):
             total += 1
-            if (function.name, name) in PARAMETER_ALLOWLIST:
-                continue
-            if (name in keywords[key] or key in splat_kwargs
-                    or position is not None and (
-                        position < positions[key] or key in splat_args)):
-                continue
-            unset.append(f"{path}:{function.lineno}: {qualified}({name}=)")
+            entry = f"{path.as_posix()}:{qualified}({name}=)"
+            is_set = (name in keywords[key] or key in splat_kwargs
+                      or position is not None and (
+                          position < positions[key] or key in splat_args))
+            if entry in PARAMETER_ALLOWLIST:
+                allowed.add(entry)
+                if is_set:
+                    unset.append(f"{entry}: allowlisted, but a caller outside tests/ sets it")
+            elif not is_set:
+                unset.append(f"{path}:{function.lineno}: {qualified}({name}=)")
+    unset += [f"{entry}: allowlisted, but no such parameter"
+              for entry in PARAMETER_ALLOWLIST if entry not in allowed]
     return total, unset
 
 #: ``"path:qualified name"`` -> the DESIGN section that keeps a

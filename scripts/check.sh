@@ -52,7 +52,9 @@ while read -r gate seed argv; do
         mkdir "$out"
         case "$argv" in trace*) exports="--out-dir $out" ;; *) exports="" ;; esac
         # Unquoted on purpose: no gate argument holds a space.
-        python -W error -m repro.cli $argv $exports > "$out.json"
+        python -W error -m repro.cli $argv $exports > "$out.json" \
+            || { echo "gate $gate (seed $seed, run $run) failed:" \
+                      "python -m repro.cli $argv $exports" >&2; exit 1; }
     done
     diff "$gate_tmp/$gate-$seed-run1.json" "$gate_tmp/$gate-$seed-run2.json"
     diff -r "$gate_tmp/$gate-$seed-run1" "$gate_tmp/$gate-$seed-run2"

@@ -15,7 +15,8 @@ census's two passes (``scripts/census.py``) are the last two rows.
 ``tests/test_guards.py`` proves every rule with its mutants.
 
 Usage: python scripts/guards.py   (from the repo root)
-Parses each Python file once, prints one line per finding
+Parses each Python file under ``src/``, ``benchmarks/`` and ``examples/``
+once (the two text rules read their files from disk), prints one line per finding
 (``file:line: in Qualified.name: rule (§N)``), and exits 1 when there is any.
 """
 
@@ -397,7 +398,7 @@ def check(trees, texts=None, rules=RULES):
 
 def main():
     gc.disable()  # a million nodes, all alive until exit: nothing to collect
-    trees = census.load(*census.CALLER_DIRS)
+    trees = census.load(*census.USER_DIRS)
     found = check(trees)
     for _, line in found:
         print(line)

@@ -11,9 +11,8 @@ downloaded."
 This baseline makes that argument measurable.  The registry stores
 unique files once (storage ≈ Gear's), but a pull must *reconstruct* each
 layer — reading every member file and re-compressing — and then ship the
-full compressed layer to the client.  Reconstruction cost can be hidden
-by a layer cache (the content-aware cache), which trades the saved space
-back for hot layers.
+full compressed layer to the client.  DupHunter's content-aware layer
+cache is left out: every pull pays the reconstruction.
 """
 
 from __future__ import annotations
@@ -37,28 +36,18 @@ class DupHunterStats:
 
     reconstructions: int = 0
     reconstructed_bytes: int = 0
-    cache_hits: int = 0
 
 
 class DupHunterRegistry:
     """File-deduplicated layer storage with on-demand reconstruction."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        *,
-        layer_cache_bytes: int = 0,
-    ) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self.disk = Disk(clock)
-        self.layer_cache_bytes = layer_cache_bytes
         self._manifests: Dict[str, Manifest] = {}
         self._layers: Dict[Digest, Layer] = {}
         #: Unique file store: fingerprint → (size, compressed size).
         self._files: Dict[str, Tuple[int, int]] = {}
-        #: Which layers are currently cached pre-reconstructed.
-        self._layer_cache: Dict[Digest, int] = {}
-        self._layer_cache_used = 0
         self.stats = DupHunterStats()
 
     # -- push ---------------------------------------------------------------
@@ -91,7 +80,7 @@ class DupHunterRegistry:
             raise NotFoundError(f"no such image: {reference!r}") from None
 
     def serve_layer(self, digest: Digest) -> Tuple[Layer, int]:
-        """Serve one layer, reconstructing it unless cached.
+        """Serve one layer, reconstructing it.
 
         Returns the layer and the wire payload size (the *compressed
         full layer*, which is the point: dedup does not shrink what the
@@ -100,45 +89,29 @@ class DupHunterRegistry:
         layer = self._layers.get(digest)
         if layer is None:
             raise NotFoundError(f"no such layer: {digest.short()}")
-        if digest in self._layer_cache:
-            self.stats.cache_hits += 1
-        else:
-            # Reconstruct: read every member file from the dedup store,
-            # write the assembled tarball, re-compress it.
-            self.disk.read(
-                layer.uncompressed_size,
-                file_ops=len(layer.archive),
-                label=f"duphunter-reassemble:{digest.short()}",
-            )
-            self.clock.advance(
-                layer.uncompressed_size / RECOMPRESS_BPS,
-                f"duphunter-recompress:{digest.short()}",
-            )
-            self.stats.reconstructions += 1
-            self.stats.reconstructed_bytes += layer.uncompressed_size
-            self._cache_layer(digest, layer.compressed_size)
+        # Reconstruct: read every member file from the dedup store,
+        # write the assembled tarball, re-compress it.
+        self.disk.read(
+            layer.uncompressed_size,
+            file_ops=len(layer.archive),
+            label=f"duphunter-reassemble:{digest.short()}",
+        )
+        self.clock.advance(
+            layer.uncompressed_size / RECOMPRESS_BPS,
+            f"duphunter-recompress:{digest.short()}",
+        )
+        self.stats.reconstructions += 1
+        self.stats.reconstructed_bytes += layer.uncompressed_size
         return layer, layer.compressed_size
-
-    def _cache_layer(self, digest: Digest, compressed_size: int) -> None:
-        if self.layer_cache_bytes <= 0:
-            return
-        if compressed_size > self.layer_cache_bytes:
-            return
-        while self._layer_cache_used + compressed_size > self.layer_cache_bytes:
-            victim, size = next(iter(self._layer_cache.items()))
-            del self._layer_cache[victim]
-            self._layer_cache_used -= size
-        self._layer_cache[digest] = compressed_size
-        self._layer_cache_used += compressed_size
 
     # -- accounting ---------------------------------------------------------------
 
     @property
     def stored_bytes(self) -> int:
-        """Dedup store + manifests + whatever the layer cache holds."""
+        """Dedup store + manifests."""
         files = sum(compressed for _, compressed in self._files.values())
         manifests = sum(m.size_bytes for m in self._manifests.values())
-        return files + manifests + self._layer_cache_used
+        return files + manifests
 
     def __repr__(self) -> str:
         return (

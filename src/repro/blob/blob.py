@@ -191,13 +191,7 @@ class Blob:
         """Return the blob's full byte content."""
         return b"".join(chunk.materialize() for chunk in self._chunks)
 
-    def mutate(
-        self,
-        mutation_seed: str,
-        fraction: float,
-        *,
-        size_delta: int = 0,
-    ) -> "Blob":
+    def mutate(self, mutation_seed: str, fraction: float) -> "Blob":
         """Derive a new blob that shares most chunks with this one.
 
         ``fraction`` of the chunks (at least one, deterministically chosen
@@ -206,8 +200,6 @@ class Blob:
         versions: file-level dedup sees a brand-new file, chunk-level dedup
         still shares the untouched chunks — exactly the gap between the
         file and chunk columns of Table II.
-
-        ``size_delta`` grows (or shrinks, if negative) the final chunk.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
@@ -222,10 +214,6 @@ class Blob:
             chunks[position] = Chunk(
                 seed=f"{mutation_seed}/{position}", size=old.size
             )
-        if size_delta:
-            last = chunks[-1]
-            new_size = max(0, last.size + size_delta)
-            chunks[-1] = Chunk(seed=f"{mutation_seed}/tail", size=new_size)
         return Blob(chunks)
 
     # -- dunder ---------------------------------------------------------

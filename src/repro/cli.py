@@ -64,6 +64,7 @@ from repro.net.faults import (
     byzantine_plan,
     chunk_plan,
 )
+from repro.net.ha import STRATEGIES
 from repro.net.link import Link
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import RpcTransport
@@ -1353,8 +1354,8 @@ def cmd_trace(args) -> int:
         print(format_report(path))
         for key, dest in written.items():
             print(f"wrote {key}: {dest}")
-        for problem in problems:
-            print(f"trace gate FAILED: {problem}", file=sys.stderr)
+    for problem in problems:
+        print(f"trace gate FAILED: {problem}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -1471,7 +1472,7 @@ def build_parser() -> argparse.ArgumentParser:
           "clients deploying simultaneously per wave (default: all of them)")
     _flag(ha, "--replicas", 3, "Gear registry replicas")
     ha.add_argument("--strategy", default="primary-first",
-                    choices=["primary-first", "least-loaded", "p2c"],
+                    choices=list(STRATEGIES),
                     help="replica selection strategy")
     _flag(ha, "--no-hedging", False, "disable hedged second fetches")
     _flag(ha, "--admission", 2,

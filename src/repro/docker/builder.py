@@ -30,12 +30,11 @@ class ImageBuilder:
         tag: str,
         *,
         base: Optional[Image] = None,
-        config: Optional[ImageConfig] = None,
     ) -> None:
         self.name = name
         self.tag = tag
         self._layers: List[Layer] = list(base.layers) if base is not None else []
-        self._config = config or (base.config if base is not None else ImageConfig.make())
+        self._config = base.config if base is not None else ImageConfig.make()
         self._mount: Optional[OverlayMount] = None
 
     # -- the working diff --------------------------------------------------

@@ -91,11 +91,6 @@ class DockerRegistry:
     def has_manifest(self, reference: str) -> bool:
         return reference in self._manifests
 
-    def delete_manifest(self, reference: str) -> None:
-        if reference not in self._manifests:
-            raise NotFoundError(f"no such image: {reference!r}")
-        del self._manifests[reference]
-
     # -- accounting ----------------------------------------------------------
 
     @property

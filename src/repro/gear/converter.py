@@ -65,19 +65,13 @@ class GearConverter:
         self.disk = disk if disk is not None else Disk(clock)
         self.collision_tracker = CollisionTracker()
 
-    def convert(
-        self,
-        reference: str,
-        *,
-        keep_original: bool = True,
-        index_suffix: str = "",
-    ) -> Tuple[GearIndex, ConversionReport]:
+    def convert(self, reference: str) -> Tuple[GearIndex, ConversionReport]:
         """Convert the referenced image; store index + files registry-side.
 
         The conversion "is performed only once … in advance", so its cost
-        never lands on a client's deployment path.  ``keep_original=False``
-        models the manager removing the regular image afterwards to save
-        space (§IV).
+        never lands on a client's deployment path.  The regular image
+        stays beside its index, ``{name}.gear:{tag}`` (§IV's optional
+        removal of it is left out).
         """
         timer = self.clock.timer()
         manifest = self.docker_registry.get_manifest(reference)
@@ -131,7 +125,7 @@ class GearConverter:
 
         # 4. Build the index and publish it as a single-layer image.
         index = GearIndex.from_tree(
-            _index_name(image.name, index_suffix),
+            f"{image.name}.gear",
             image.tag,
             tree,
             config=image.config,
@@ -141,9 +135,6 @@ class GearConverter:
         index_bytes = index_image.uncompressed_size
         self.disk.write(index_bytes, file_ops=1, label="store-index")
         self.docker_registry.push_image(index_image)
-
-        if not keep_original:
-            self.docker_registry.delete_manifest(reference)
 
         report = ConversionReport(
             reference=reference,
@@ -157,12 +148,3 @@ class GearConverter:
             collisions=self.collision_tracker.collisions_detected,
         )
         return index, report
-
-
-def _index_name(image_name: str, suffix: str) -> str:
-    """Name under which the index image is published.
-
-    A suffix keeps index references distinct from the original image when
-    both live in the same Docker registry (``keep_original=True``).
-    """
-    return f"{image_name}{suffix}" if suffix else f"{image_name}.gear"

@@ -21,7 +21,7 @@ from repro.gear.gearfile import UID_PREFIX
 MD5_BITS = 128
 
 
-def collision_probability_bound(n_files: int, bits: int = MD5_BITS) -> float:
+def collision_probability_bound(n_files: int) -> float:
     """Birthday-paradox bound of eq. 1: ``p <= n(n-1)/2 * 2^-m``.
 
     For the ~5e10 deduplicated files of a Docker-Hub-scale registry this
@@ -29,9 +29,7 @@ def collision_probability_bound(n_files: int, bits: int = MD5_BITS) -> float:
     """
     if n_files < 0:
         raise ValueError(f"file count must be non-negative, got {n_files}")
-    if bits <= 0:
-        raise ValueError(f"bit width must be positive, got {bits}")
-    return n_files * (n_files - 1) / 2.0 / 2.0**bits
+    return n_files * (n_files - 1) / 2.0 / 2.0**MD5_BITS
 
 
 class CollisionTracker:

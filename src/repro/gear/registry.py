@@ -58,13 +58,12 @@ class ChunkManifest:
 
 
 class GearRegistry:
-    """Stores Gear files, deduplicated by identity."""
+    """Stores Gear files compressed (§III-C), deduplicated by identity."""
 
     ENDPOINT_NAME = "gear-registry"
 
-    def __init__(self, *, compress: bool = True) -> None:
+    def __init__(self) -> None:
         self._store = ObjectStore(name="gear-files")
-        self._compress = compress
 
     # -- the three verbs -------------------------------------------------
 
@@ -74,14 +73,11 @@ class GearRegistry:
 
     def upload(self, gear_file: GearFile) -> bool:
         """Store a Gear file; duplicate identities are deduplicated."""
-        stored_size = (
-            gear_file.compressed_size if self._compress else gear_file.size
-        )
         return self._store.upload(
             gear_file.identity,
             gear_file,
             size=gear_file.size,
-            stored_size=stored_size,
+            stored_size=gear_file.compressed_size,
         )
 
     def download(self, identity: str) -> GearFile:
@@ -129,9 +125,7 @@ class GearRegistry:
             identity,
             gear_file,
             size=gear_file.size,
-            stored_size=(
-                gear_file.compressed_size if self._compress else gear_file.size
-            ),
+            stored_size=gear_file.compressed_size,
         )
 
     # -- accounting ---------------------------------------------------------
@@ -142,7 +136,7 @@ class GearRegistry:
 
     @property
     def stored_bytes(self) -> int:
-        """On-disk footprint (compressed when compression is on)."""
+        """On-disk footprint (compressed)."""
         return self._store.total_stored_size
 
     @property
@@ -169,8 +163,7 @@ class GearRegistry:
 
         def _download(identity: str):
             gear_file = self.download(identity)
-            wire = gear_file.compressed_size if self._compress else gear_file.size
-            return gear_file, wire
+            return gear_file, gear_file.compressed_size
 
         endpoint.register("download", _download)
 
@@ -192,8 +185,7 @@ class GearRegistry:
                     f"chunk {chunk_index} out of range for {identity!r}"
                 )
             chunk = chunks[chunk_index]
-            wire = chunk_compressed_size(chunk) if self._compress else chunk.size
-            return chunk, wire
+            return chunk, chunk_compressed_size(chunk)
 
         endpoint.register("download_chunk", _download_chunk)
         return endpoint

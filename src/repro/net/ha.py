@@ -11,7 +11,7 @@ robustness layer around it, deterministic under the PR 2 scheduler:
   virtual-time cooldowns, driven by call outcomes and by the
   :class:`HealthMonitor` probe process;
 * :class:`HAFetchPolicy` — the client-side read path: replica selection
-  (primary-first / least-loaded / seeded power-of-two-choices), hedged
+  (primary-first / seeded power-of-two-choices), hedged
   second fetch after a latency-percentile deadline with loser
   cancellation (charging only bytes actually moved), replica-by-replica
   failover, and backoff rounds under a :class:`~repro.net.resilience.
@@ -409,7 +409,7 @@ class HedgeEstimator:
 
 
 #: Replica-selection strategies.
-STRATEGIES = ("primary-first", "least-loaded", "p2c")
+STRATEGIES = ("primary-first", "p2c")
 
 
 class _ReplicaSource(Source):
@@ -683,8 +683,6 @@ class HAFetchPolicy:
         replicas = self.replica_set.replicas
         avail = [r for r in replicas if r.breaker.available(now)]
         self.stats.breaker_skips += len(replicas) - len(avail)
-        if self.strategy == "least-loaded":
-            return sorted(avail, key=lambda r: (r.admission.inflight, r.index))
         if self.strategy == "p2c" and len(avail) >= 2:
             first, second = self._rng.sample(range(len(avail)), 2)
             a, b = avail[first], avail[second]

@@ -34,7 +34,6 @@ import itertools
 from array import array
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -51,6 +50,10 @@ from repro.common.units import Mbps, mbps_to_bytes_per_s
 #: Remaining service below this many seconds counts as complete (guards
 #: against float drift when shares are subtracted incrementally).
 _FLOW_EPS = 1e-12
+
+#: The fixed cost of every transfer (see :class:`Link`).
+RTT_S = 0.0005
+REQUEST_OVERHEAD_S = 0.0015
 
 
 class TransferRecord(NamedTuple):
@@ -83,15 +86,13 @@ class TransferLog:
     __slots__ = ("_starts", "_durations", "_payloads", "_labels",
                  "_total_bytes", "_total_time")
 
-    def __init__(self, records: Iterable[TransferRecord] = ()) -> None:
+    def __init__(self) -> None:
         self._starts = array("d")
         self._durations = array("d")
         self._payloads = array("q")
         self._labels: List[str] = []
         self._total_bytes = 0
         self._total_time = 0.0
-        for record in records:
-            self.append(*record)
 
     def append(
         self, start: float, duration: float, payload_bytes: int, label: str
@@ -172,11 +173,11 @@ class Link:
 
     ``transfer`` costs::
 
-        rtt + request_overhead + payload / bandwidth
+        RTT_S + REQUEST_OVERHEAD_S + payload / bandwidth
 
-    * ``rtt`` models connection/request latency (paper testbed: a LAN, so
-      sub-millisecond; WAN experiments would raise it);
-    * ``request_overhead`` models fixed protocol work per object fetched —
+    * ``RTT_S`` models connection/request latency (paper testbed: a LAN, so
+      sub-millisecond);
+    * ``REQUEST_OVERHEAD_S`` models fixed protocol work per object fetched —
       HTTP framing, registry auth, object-store lookup.  It is the term
       that punishes block-granular lazy pulls (Slacker) relative to
       file-granular ones (Gear);
@@ -191,15 +192,9 @@ class Link:
         clock: SimClock,
         *,
         bandwidth_mbps: float = 904.0,
-        rtt_s: float = 0.0005,
-        request_overhead_s: float = 0.0015,
     ) -> None:
-        if rtt_s < 0 or request_overhead_s < 0:
-            raise ValueError("latencies must be non-negative")
         self.clock = clock
         self.bandwidth_mbps = bandwidth_mbps
-        self.rtt_s = rtt_s
-        self.request_overhead_s = request_overhead_s
         self.log = TransferLog()
         #: Active flows (scheduler mode only), in arrival order
         #: (insertion-ordered dict used as an O(1)-delete ordered set).
@@ -254,11 +249,7 @@ class Link:
         """Time one uncontended transfer of ``payload_bytes`` takes."""
         if payload_bytes < 0:
             raise ValueError(f"payload must be non-negative, got {payload_bytes}")
-        return (
-            self.rtt_s
-            + self.request_overhead_s
-            + payload_bytes / self._bytes_per_second
-        )
+        return RTT_S + REQUEST_OVERHEAD_S + payload_bytes / self._bytes_per_second
 
     def transfer(self, payload_bytes: int, label: str = "") -> float:
         """Perform a transfer: advance the clock, log it, return duration.
@@ -497,6 +488,6 @@ class Link:
 
     def __repr__(self) -> str:
         return (
-            f"Link({self.bandwidth_mbps:g} Mbps, rtt={self.rtt_s * 1e3:.2f} ms, "
-            f"overhead={self.request_overhead_s * 1e3:.2f} ms)"
+            f"Link({self.bandwidth_mbps:g} Mbps, rtt={RTT_S * 1e3:.2f} ms, "
+            f"overhead={REQUEST_OVERHEAD_S * 1e3:.2f} ms)"
         )

@@ -43,7 +43,6 @@ from repro.obs.timeline import (
     TimeSeries,
     TimelineSampler,
     TimelineStats,
-    chrome_counter_events,
 )
 from repro.obs.trace import Span, SpanTracer
 
@@ -61,7 +60,6 @@ __all__ = [
     "TimeSeries",
     "TimelineSampler",
     "TimelineStats",
-    "chrome_counter_events",
     "chrome_trace",
     "critical_path",
     "dump_json",

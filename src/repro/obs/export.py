@@ -15,26 +15,17 @@ identical simulation runs produce byte-identical files — the property
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import TimelineSampler, chrome_counter_events
 from repro.obs.trace import SpanTracer
 
 #: Virtual seconds → trace_event microseconds.
 _US = 1_000_000.0
 
 
-def chrome_trace(
-    tracer: SpanTracer, sampler: Optional[TimelineSampler] = None
-) -> Dict[str, Any]:
-    """The tracer's recording as a Chrome ``trace_event`` object.
-
-    Pass a :class:`~repro.obs.timeline.TimelineSampler` to append its
-    gauge series as counter tracks (``ph: "C"``) after the span and
-    instant events — Perfetto renders them as per-name counter plots
-    under the same process.
-    """
+def chrome_trace(tracer: SpanTracer) -> Dict[str, Any]:
+    """The tracer's recording as a Chrome ``trace_event`` object."""
     events: List[Dict[str, Any]] = []
     for track in tracer.tracks():
         events.append(
@@ -75,8 +66,6 @@ def chrome_trace(
                 "ts": instant.at_s * _US,
             }
         )
-    if sampler is not None:
-        events.extend(chrome_counter_events(sampler))
     return {"displayTimeUnit": "ms", "traceEvents": events}
 
 

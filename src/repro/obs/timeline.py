@@ -20,10 +20,8 @@ any other component's RNG stream, so client virtual times are identical
 with and without it (``scripts/check.sh`` double-runs certify the
 export bytes).
 
-Exports are canonical JSON (:meth:`TimelineSampler.as_dict` under
-``dump_json``) plus Chrome ``trace_event`` counter tracks (``ph: "C"``)
-via :func:`chrome_counter_events`, so Perfetto renders the gauge series
-under the span timeline.
+The export is canonical JSON (:meth:`TimelineSampler.as_dict` under
+``dump_json``).
 
 This module imports nothing from the rest of :mod:`repro`.
 """
@@ -36,9 +34,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricSet
 
-#: Virtual seconds → trace_event microseconds (kept in lockstep with
-#: :mod:`repro.obs.export`).
-_US = 1_000_000.0
+#: Each sleep is ``period_s`` jittered by up to this fraction either way.
+JITTER = 0.2
 
 
 class TimeSeries:
@@ -117,7 +114,7 @@ class TimelineSampler:
     """Samples gauge probes into time series at a seeded-jittered cadence.
 
     ``period_s`` is the base cadence; each sleep is jittered by up to
-    ``±jitter`` (fractional) from a dedicated seeded RNG, so samples do
+    ``±JITTER`` (fractional) from a dedicated seeded RNG, so samples do
     not phase-lock with periodic simulation activity yet remain fully
     deterministic run to run.  Spawn :meth:`run` as a scheduler process
     (``scheduler.spawn(sampler.run, name="timeline")``), and call
@@ -132,17 +129,13 @@ class TimelineSampler:
         clock: Any,
         *,
         period_s: float = 0.25,
-        jitter: float = 0.2,
         seed: str = "timeline",
         stats: Optional[TimelineStats] = None,
     ) -> None:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         self.clock = clock
         self.period_s = float(period_s)
-        self.jitter = float(jitter)
         self.seed = str(seed)
         self._rng = random.Random(f"timeline:{seed}")
         self._probes: List[Tuple[str, Callable[[], float]]] = []
@@ -185,11 +178,7 @@ class TimelineSampler:
 
     def next_delay(self) -> float:
         """The next seeded-jittered sleep (one RNG draw per wake)."""
-        if not self.jitter:
-            return self.period_s
-        return self.period_s * (
-            1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        )
+        return self.period_s * (1.0 + JITTER * (2.0 * self._rng.random() - 1.0))
 
     def run(self) -> Iterator[float]:
         """Generator-process body: sleep, sample, repeat until stopped."""
@@ -209,7 +198,7 @@ class TimelineSampler:
         """JSON-ready summary; canonical under ``dump_json``."""
         return {
             "period_s": self.period_s,
-            "jitter": self.jitter,
+            "jitter": JITTER,
             "seed": self.seed,
             "samples": self.stats.samples,
             "series": {
@@ -223,27 +212,3 @@ class TimelineSampler:
             f"TimelineSampler(probes={len(self._probes)}, "
             f"series={len(self.series)}, samples={self.stats.samples})"
         )
-
-
-def chrome_counter_events(sampler: TimelineSampler) -> List[Dict[str, Any]]:
-    """The sampler's series as Chrome ``trace_event`` counter records.
-
-    One ``ph: "C"`` event per point, all on ``tid`` 0 — Perfetto draws
-    each named counter as its own track under the process.  Event order
-    (series name, then append order) is deterministic, so the export is
-    byte-stable across identical runs.
-    """
-    events: List[Dict[str, Any]] = []
-    for name in sorted(sampler.series):
-        for at_s, value in sampler.series[name].points:
-            events.append(
-                {
-                    "args": {"value": value},
-                    "name": name,
-                    "ph": "C",
-                    "pid": 1,
-                    "tid": 0,
-                    "ts": at_s * _US,
-                }
-            )
-    return events

@@ -232,23 +232,22 @@ class FileSystemTree:
             else:
                 stack.pop()
 
-    def iter_files(self, top: str = "/") -> Iterator[Tuple[str, Inode]]:
-        """Yield ``(path, inode)`` for every regular file under ``top``."""
-        for path, node in self.walk(top):
+    def iter_files(self) -> Iterator[Tuple[str, Inode]]:
+        """Yield ``(path, inode)`` for every regular file of the tree."""
+        for path, node in self.walk():
             if node.is_file:
                 yield path, node
 
-    def total_file_bytes(self, top: str = "/") -> int:
-        """Sum of regular-file sizes under ``top`` (hard links counted once
-        per inode)."""
+    def total_file_bytes(self) -> int:
+        """Sum of regular-file sizes (hard links counted once per inode)."""
         seen: Dict[int, int] = {}
-        for _, node in self.iter_files(top):
+        for _, node in self.iter_files():
             seen[node.ino] = node.size
         return sum(seen.values())
 
-    def count_nodes(self, top: str = "/") -> int:
-        """Number of nodes (files, dirs, symlinks) under ``top``."""
-        return sum(1 for _ in self.walk(top))
+    def count_nodes(self) -> int:
+        """Number of nodes (files, dirs, symlinks) in the tree."""
+        return sum(1 for _ in self.walk())
 
     # -- mutations ---------------------------------------------------------
     #
@@ -412,9 +411,9 @@ class FileSystemTree:
         inode = directory.children[name] = Inode(FileKind.WHITEOUT, owner=self._token)
         return inode
 
-    def set_opaque(self, path: str, opaque: bool = True) -> None:
+    def set_opaque(self, path: str) -> None:
         """Mark the directory at ``path`` opaque (hides lower layers)."""
-        self._directory(paths.split(path)).opaque = opaque
+        self._directory(paths.split(path)).opaque = True
 
     # -- whole-tree operations --------------------------------------------
 

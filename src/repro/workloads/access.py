@@ -9,8 +9,8 @@ in; under Slacker each read fetches the file's blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -43,27 +43,3 @@ class AccessTrace:
             accesses=self.accesses[:n],
             compute_s=self.compute_s,
         )
-
-
-def redundancy_ratio(traces: Sequence[AccessTrace]) -> float:
-    """Fig. 2's metric: the redundant share of necessary data in a series.
-
-    Sums necessary bytes over all the traces, dedups by file identity
-    (here: by (path-independent) content size + path since traces carry
-    no fingerprints — callers with access to images should prefer
-    :func:`repro.analysis.redundancy.series_redundancy`, which dedups by
-    true content fingerprint).
-    """
-    total = 0
-    seen = set()
-    unique = 0
-    for trace in traces:
-        for path, size in trace.accesses:
-            total += size
-            key = (path, size)
-            if key not in seen:
-                seen.add(key)
-                unique += size
-    if total == 0:
-        return 0.0
-    return 1.0 - unique / total

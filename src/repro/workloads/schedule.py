@@ -102,13 +102,12 @@ class ScheduleBuilder:
         length: int,
         *,
         skew: float = 1.0,
-        version_drift: float = 0.15,
     ) -> List[ScheduledDeployment]:
         """A node's day: zipf-popular series, versions drifting forward.
 
         Each event picks a series by popularity rank and deploys that
-        series' *current* version on this node; with probability
-        ``version_drift`` the series first advances to its next version
+        series' *current* version on this node; with probability 0.15
+        the series first advances to its next version
         (a release rolled out), so later events naturally mix repeats of
         hot images with fresh versions.
         """
@@ -123,10 +122,7 @@ class ScheduleBuilder:
         for position in range(length):
             name = rng.choices(series_names, weights=weights, k=1)[0]
             versions = self.corpus.by_series[name]
-            if (
-                rng.random() < version_drift
-                and current_version[name] < len(versions) - 1
-            ):
+            if rng.random() < 0.15 and current_version[name] < len(versions) - 1:
                 current_version[name] += 1
             image = versions[current_version[name]]
             reference = image.reference

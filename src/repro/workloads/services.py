@@ -28,6 +28,9 @@ REQUEST_CPU_S = 0.00009
 #: Page-cache read cost per file touched while serving a request.
 WARM_READ_COST_S = 0.000012
 
+#: Requests one :func:`run_service` measurement issues.
+REQUESTS = 10_000
+
 
 @dataclass(frozen=True)
 class ServiceSpec:
@@ -81,10 +84,8 @@ def run_service(
     mount,
     trace: AccessTrace,
     spec: ServiceSpec,
-    *,
-    requests: int = 10_000,
 ) -> ServiceRunResult:
-    """Drive a closed-loop request load against a mounted container.
+    """Drive ``REQUESTS`` closed-loop requests against a mounted container.
 
     The working set is the head of the startup trace (the service's
     binaries, libraries, and content roots).  First touches pay whatever
@@ -98,7 +99,7 @@ def run_service(
     if not working_set:
         raise ValueError("trace too short to derive a working set")
     timer = clock.timer()
-    for request_index in range(requests):
+    for request_index in range(REQUESTS):
         for _ in range(spec.reads_per_request):
             path = working_set[rng.randrange(len(working_set))]
             mount.read_blob(path)
@@ -112,6 +113,6 @@ def run_service(
         clock.advance(REQUEST_CPU_S, "svc-cpu")
     return ServiceRunResult(
         service=spec.name,
-        requests=requests,
+        requests=REQUESTS,
         duration_s=timer.elapsed(),
     )

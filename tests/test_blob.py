@@ -140,16 +140,6 @@ class TestMutate:
         mutated = blob.mutate("m", 0.0)
         assert mutated.fingerprint != blob.fingerprint
 
-    def test_size_delta_grows_blob(self):
-        blob = Blob.synthetic("s", 1000)
-        grown = blob.mutate("m", 0.0, size_delta=500)
-        assert grown.size == 1500
-
-    def test_size_delta_never_negative(self):
-        blob = Blob.synthetic("s", 100)
-        shrunk = blob.mutate("m", 0.0, size_delta=-1000)
-        assert shrunk.size == 0
-
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             Blob.synthetic("s", 100).mutate("m", 1.5)

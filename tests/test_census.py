@@ -1,7 +1,8 @@
 """scripts/census.py on small trees: what each pass lists, and what it keeps.
 
 Each case writes a miniature repository under ``tmp_path`` (``src/``,
-``tests/``, ``examples/``) and points the census at it.
+``tests/``, ``examples/``) and points the census at it, with both
+allowlists empty unless the case fills one.
 """
 
 import importlib.util
@@ -22,6 +23,7 @@ def repo(tmp_path, monkeypatch):
     as ``(test-only qualified names, stale allowlist lines)``."""
     monkeypatch.setattr(census, "ROOT", tmp_path)
     monkeypatch.setattr(census, "DEFINITION_ALLOWLIST", {})
+    monkeypatch.setattr(census, "PARAMETER_ALLOWLIST", {})
 
     def write(files, allowlist=None):
         for relative, source in files.items():
@@ -178,9 +180,58 @@ def test_a_defaulted_parameter_no_caller_sets_is_still_listed(repo):
     assert unset == ["src/pkg/mod.py:1: used(flag=)"]
 
 
+def test_a_parameter_only_tests_set_is_listed(repo):
+    # A test is not a caller: the option lives for its own test.
+    repo({
+        "src/pkg/mod.py": """\
+            def used(x, flag=False, *, mode="r"):
+                return x, flag, mode
+        """,
+        "examples/demo.py": "from pkg.mod import used\nused(1, mode='w')\n",
+        "tests/test_mod.py": "from pkg.mod import used\nused(1, True, mode='a')\n",
+    })
+    assert census.census()[1] == ["src/pkg/mod.py:1: used(flag=)"]
+
+
+def test_a_parameter_allowlist_entry_passes_until_it_goes_stale(repo, monkeypatch):
+    files = {
+        "src/pkg/mod.py": "def used(x, flag=False):\n    return x, flag\n",
+        "examples/demo.py": "from pkg.mod import used\nused(1)\n",
+    }
+    repo(files)
+    monkeypatch.setattr(census, "PARAMETER_ALLOWLIST", {
+        "src/pkg/mod.py:used(flag=)": "§2: a property test draws it"})
+    assert census.census()[1] == []
+    # An entry that a caller outside tests/ sets, or that names nothing, is stale.
+    repo({"examples/demo.py": "from pkg.mod import used\nused(1, flag=True)\n"})
+    monkeypatch.setattr(census, "PARAMETER_ALLOWLIST", {
+        "src/pkg/mod.py:used(flag=)": "§2: a property test draws it",
+        "src/pkg/gone.py:ghost(x=)": "§1: deleted"})
+    assert census.census()[1] == [
+        "src/pkg/mod.py:used(flag=): allowlisted, but a caller outside tests/ sets it",
+        "src/pkg/gone.py:ghost(x=): allowlisted, but no such parameter",
+    ]
+
+
 def test_the_allowlist_is_pinned_and_each_entry_names_its_design_section():
-    # Growing an allowlist is a visible edit: change its pin with it.
-    assert census.PARAMETER_ALLOWLIST == {("__setattr__", "value")}
+    # Growing an allowlist is a visible edit: change its pin with it.  A
+    # parameter stays only if Python passes it, a property test draws it,
+    # or a ROADMAP item states a bound over it.
+    assert census.PARAMETER_ALLOWLIST == {
+        "src/repro/vfs/inode.py:Metadata.__setattr__(value=)":
+            "§2: Python calls it as __delattr__ too, with no value",
+        "src/repro/blob/blob.py:Blob.synthetic(chunk_size=)":
+            "§15: the covering-chunks property in tests/test_gear_chunks.py "
+            "draws the chunk size",
+        "src/repro/gear/bigfile.py:ChunkedGearFileViewer.__init__(chunk_buffer_bytes=)":
+            "§15: ROADMAP item 15 bounds a viewer's chunks over buffer sizes",
+        "src/repro/vfs/overlay.py:OverlayMount.__init__(upper=)":
+            "§2: the overlay oracle in tests/test_vfs_oracle.py draws the upper "
+            "layer, whiteouts and opaque directories included",
+        "src/repro/vfs/tree.py:FileSystemTree.mkdir(meta=)":
+            "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
+            "directory's metadata",
+    }
     assert len(census.DEFINITION_ALLOWLIST) == 9
     for key, why in census.DEFINITION_ALLOWLIST.items():
         assert key.startswith("src/") and ":" in key, key

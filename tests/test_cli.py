@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.bench import paper
 from repro.cli import GATES, SEED, build_parser, gate_argv, main
 
@@ -91,7 +92,7 @@ class TestParser:
         }
         assert choices == {
             ("paper", "--scenario"): tuple(paper.STUDIES),
-            ("ha", "--strategy"): ("primary-first", "least-loaded", "p2c"),
+            ("ha", "--strategy"): ("primary-first", "p2c"),
             ("chunks", "--scenario"):
                 ("clean", "chunk-faults", "crash", "byzantine"),
             ("ha", "--scenario"):
@@ -293,6 +294,13 @@ class TestGateTable:
             artifact = json.load(handle)
         assert artifact["scenario"] == gate_argv(name, 11)
         assert artifact["report"] == report
+
+    def test_a_failed_trace_gate_names_its_problem_in_json_mode(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "TRACE_COVERAGE_FLOOR", 2.0)
+        assert main(gate_argv("obs", 11)) == 1
+        captured = capsys.readouterr()
+        assert "trace gate FAILED: coverage" in captured.err
+        assert json.loads(captured.out)["ok"] is False
 
     def test_every_json_subcommand_has_a_row(self):
         takes_json = {

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.docker.builder import ImageBuilder, image_from_tree
-from repro.docker.image import ImageConfig
 from repro.vfs.tree import FileSystemTree
 
 
@@ -28,7 +27,8 @@ class TestBuilder:
 
     def test_child_inherits_config(self):
         base = (
-            ImageBuilder("base", "v1", config=ImageConfig.make(env={"A": "1"}))
+            ImageBuilder("base", "v1")
+            .with_env(A="1")
             .add_file("/b", b"x")
             .build()
         )

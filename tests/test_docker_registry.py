@@ -59,15 +59,6 @@ class TestPull:
         with pytest.raises(NotFoundError):
             registry.get_layer(layer.digest)
 
-    def test_delete_manifest(self):
-        registry = DockerRegistry()
-        base, _ = make_images()
-        registry.push_image(base)
-        registry.delete_manifest("debian:v1")
-        assert not registry.has_manifest("debian:v1")
-        with pytest.raises(NotFoundError):
-            registry.delete_manifest("debian:v1")
-
 
 class TestAccounting:
     def test_stored_bytes_is_compressed_plus_manifests(self):

@@ -66,12 +66,9 @@ class TestConversion:
         docker_registry = DockerRegistry()
         gear_registry = GearRegistry()
         converter = GearConverter(clock, docker_registry, gear_registry)
-        from repro.docker.image import ImageConfig
-
         image = (
-            ImageBuilder(
-                "app", "v1", config=ImageConfig.make(env={"LANG": "C"})
-            )
+            ImageBuilder("app", "v1")
+            .with_env(LANG="C")
             .add_file("/f", b"x")
             .build()
         )
@@ -90,21 +87,17 @@ class TestConversion:
         assert second.gear_files_new == 2
         assert gear_registry.file_count == 3
 
-    def test_keep_original_false_removes_source(self):
-        _, docker_registry, _, converter = make_env()
-        converter.convert("nginx:v1", keep_original=False)
-        assert not docker_registry.has_manifest("nginx:v1")
-        assert docker_registry.has_manifest("nginx.gear:v1")
-
     def test_missing_image_raises(self):
         _, _, _, converter = make_env()
         with pytest.raises(NotFoundError):
             converter.convert("ghost:v1")
 
     def test_index_suffix(self):
+        # The index is published as {name}.gear beside the original.
         _, docker_registry, _, converter = make_env()
-        converter.convert("nginx:v1", index_suffix="-gi")
-        assert docker_registry.has_manifest("nginx-gi:v1")
+        converter.convert("nginx:v1")
+        assert docker_registry.has_manifest("nginx.gear:v1")
+        assert docker_registry.has_manifest("nginx:v1")
 
 
 class TestCosts:

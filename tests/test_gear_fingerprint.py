@@ -31,8 +31,6 @@ class TestBound:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             collision_probability_bound(-1)
-        with pytest.raises(ValueError):
-            collision_probability_bound(10, bits=0)
 
     def test_formula(self):
         n = 1000

@@ -44,17 +44,11 @@ class TestVerbs:
 
 class TestAccounting:
     def test_compressed_storage(self):
-        registry = GearRegistry(compress=True)
+        registry = GearRegistry()
         gf = gear_file(b"z" * 100_000)
         registry.upload(gf)
         assert registry.stored_bytes == gf.compressed_size
         assert registry.logical_bytes == gf.size
-
-    def test_uncompressed_mode(self):
-        registry = GearRegistry(compress=False)
-        gf = gear_file(b"z" * 100_000)
-        registry.upload(gf)
-        assert registry.stored_bytes == gf.size
 
 
 class TestRpc:

@@ -256,6 +256,9 @@ MUTANTS = {
         # PR 39
         (P + "net/ha.py", "    def __init__(self, replica_set: ReplicaSet) -> None:\n",
          "    def __init__(self, replica_set: ReplicaSet, interval_s=0.5) -> None:\n"),
+        # only tests/ set it: tests/test_net_ha.py calls _published_ha(..., replicas=3)
+        (P + "net/ha.py", None, "def _published_ha(images, replicas=3):\n"
+                                "    return images, replicas\n\n\n_published_ha(())\n"),
     ],
     "census-definitions": [
         # PR 42
@@ -321,7 +324,12 @@ LOOKALIKES = {
         (P + "gear/pool.py", None, '"""def poisoned( and def audit_integrity( went to repro.invariants."""\n'),
         (P + "gear/viewer.py", None, "_V = [verified(f.identity, f) for f in fetched]\n"),
     ],
-    "census-parameters": [(P + "net/ha.py", None, "_F = lambda interval_s=0.5: interval_s\n")],
+    "census-parameters": [
+        (P + "net/ha.py", None, "_F = lambda interval_s=0.5: interval_s\n"),
+        # examples/ set it: they call popularity_stream(..., skew=...)
+        (P + "net/ha.py", None, "def popularity_stream(length, skew=1.0):\n"
+                                "    return length, skew\n\n\npopularity_stream(0)\n"),
+    ],
     "census-definitions": [(P + "net/ha.py", None, "def _helper():\n    return 1\n\n\n_helper()\n")],
 }
 
@@ -339,10 +347,10 @@ def repo():
     set off by a mutant's parse does not walk them all again."""
     gc.disable()
     try:
-        trees = census.load(*census.CALLER_DIRS)
+        trees = census.load(*census.USER_DIRS)
         guards.check(trees)  # every per-file fact is now on its parse
         files = [census.referenced(tree, path, path.parts[0] == "src")
-                 for path, tree in trees.items() if path.parts[0] in census.USER_DIRS]
+                 for path, tree in trees.items()]
         base = census.live_definitions(files)(set())
         kept = {d["name"] for f, (local, _) in enumerate(files)
                 for i, d in enumerate(local) if (f, i) not in base}

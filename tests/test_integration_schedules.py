@@ -11,9 +11,7 @@ from repro.workloads.schedule import ScheduleBuilder
 def scheduled_env(small_corpus):
     testbed = make_testbed(bandwidth_mbps=100)
     publish_images(testbed, small_corpus.images, convert=True)
-    schedule = ScheduleBuilder(small_corpus).popularity_stream(
-        15, skew=1.2, version_drift=0.3
-    )
+    schedule = ScheduleBuilder(small_corpus).popularity_stream(15, skew=1.2)
     return testbed, schedule
 
 

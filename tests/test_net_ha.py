@@ -20,6 +20,7 @@ from repro.common.errors import (
 from repro.common.stats import percentile
 from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import make_ha_testbed, publish_images
+from repro.gear.commit import commit_container
 from repro.gear.pool import PoolStats
 from repro.gear.viewer import FaultStats
 from repro.net.faults import (
@@ -233,16 +234,35 @@ class TestSelection:
         assert draw("a") == draw("a")
         assert draw("a") != draw("b")
 
-    def test_least_loaded_orders_by_inflight(self, small_corpus):
-        testbed = _published_ha(
-            small_corpus.images[:1], replicas=3, strategy="least-loaded"
+
+class TestWriteFanOut:
+    """A commit's ``upload`` goes to every replica (the paper's commit
+    path, ``commit_container`` -> ``transport.call("upload")``)."""
+
+    def _commit(self, small_corpus, **kwargs):
+        generated = small_corpus.images[0]
+        testbed = _published_ha([generated], replicas=3, **kwargs)
+        container, _ = testbed.gear_driver.deploy(generated.gear_reference)
+        container.mount.write_file("/opt/patch.bin", b"hotfix" * 100, parents=True)
+        testbed.arm_faults()
+        index, report = commit_container(
+            container, "app.gear", "patched",
+            daemon=testbed.daemon, transport=testbed.transport,
         )
-        replicas = testbed.ha.replica_set.replicas
-        replicas[0].admission.try_enter()
-        replicas[0].admission.try_enter()
-        replicas[1].admission.try_enter()
-        order = testbed.ha.policy.select()
-        assert [r.index for r in order] == [2, 1, 0]
+        assert report.uploaded_gear_files == 1
+        identity = index.entries["/opt/patch.bin"].identity
+        return [r.registry.query(identity) for r in testbed.ha.replica_set.replicas]
+
+    def test_a_committed_file_lands_on_every_replica(self, small_corpus):
+        assert self._commit(small_corpus) == [True, True, True]
+
+    def test_a_commit_succeeds_past_a_replica_in_an_outage(self, small_corpus):
+        down = FaultPlan(
+            outages=(OutageWindow(start_s=0.0, duration_s=1e9),),
+            seed="t-down",
+        )
+        held = self._commit(small_corpus, replica_fault_plans=[down])
+        assert held == [False, True, True]
 
 
 class TestShedding:

@@ -7,18 +7,15 @@ from repro.obs import (
     NULL_TIMELINE,
     NullTimelineSampler,
     TimelineSampler,
-    chrome_counter_events,
-    chrome_trace,
     dump_json,
 )
+from repro.obs.timeline import JITTER
 
 
-def _sampled_run(seed="timeline", period_s=0.25, jitter=0.2, horizon_s=3.0):
+def _sampled_run(seed="timeline", period_s=0.25, horizon_s=3.0):
     """One scheduler run with a sampler and a gauge that ramps."""
     clock = SimClock()
-    sampler = TimelineSampler(
-        clock, period_s=period_s, jitter=jitter, seed=seed
-    )
+    sampler = TimelineSampler(clock, period_s=period_s, seed=seed)
     state = {"value": 0.0}
     sampler.add_probe("ramp", lambda: state["value"])
 
@@ -63,12 +60,12 @@ class TestCadence:
         second = _sampled_run(seed="b")
         assert first.series["ramp"].times() != second.series["ramp"].times()
 
-    def test_zero_jitter_is_exact_period(self):
-        sampler = _sampled_run(jitter=0.0, period_s=0.5)
-        times = sampler.series["ramp"].times()
-        assert times == pytest.approx(
-            [0.5 * (i + 1) for i in range(len(times))]
-        )
+    def test_every_sleep_stays_within_the_jitter(self):
+        sampler = _sampled_run(period_s=0.5)
+        times = [0.0] + sampler.series["ramp"].times()
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert len(gaps) >= 4 and len(set(gaps)) > 1
+        assert all(0.5 * (1 - JITTER) <= gap <= 0.5 * (1 + JITTER) for gap in gaps)
 
     def test_stop_halts_future_rows(self):
         sampler = _sampled_run()
@@ -81,8 +78,6 @@ class TestCadence:
         clock = SimClock()
         with pytest.raises(ValueError):
             TimelineSampler(clock, period_s=0.0)
-        with pytest.raises(ValueError):
-            TimelineSampler(clock, jitter=1.0)
         sampler = TimelineSampler(clock)
         sampler.add_probe("x", lambda: 0.0)
         with pytest.raises(ValueError):
@@ -113,30 +108,6 @@ class TestEvents:
 
 
 class TestExport:
-    def test_chrome_counter_events_are_sorted_and_typed(self):
-        sampler = _sampled_run()
-        sampler.record("ready_s", 0.5, 1.0)
-        events = chrome_counter_events(sampler)
-        assert events
-        assert {event["ph"] for event in events} == {"C"}
-        names = [event["name"] for event in events]
-        assert names == sorted(names)
-        assert all(event["tid"] == 0 for event in events)
-
-    def test_chrome_trace_merges_counter_tracks(self):
-        clock = SimClock()
-        tracer = clock.attach_tracer()
-        with clock.span("work"):
-            clock.advance(1.0, "work")
-        sampler = TimelineSampler(clock)
-        sampler.record("ready_s", 0.5, 1.0)
-        merged = chrome_trace(tracer, sampler)
-        assert any(event.get("ph") == "C" for event in merged["traceEvents"])
-        without = chrome_trace(tracer)
-        assert not any(
-            event.get("ph") == "C" for event in without["traceEvents"]
-        )
-
     def test_as_dict_is_canonical_json_stable(self):
         sampler = _sampled_run()
         assert dump_json(sampler.as_dict()) == dump_json(sampler.as_dict())

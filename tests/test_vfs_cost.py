@@ -79,9 +79,9 @@ class TestTreeOperations:
             "readlink": lambda: tree.readlink(f"{DEEP}/link"),
             "listdir": lambda: tree.listdir(DEEP),
             "walk": lambda: list(tree.walk(ABOVE)),
-            "iter_files": lambda: list(tree.iter_files(ABOVE)),
-            "count_nodes": lambda: tree.count_nodes(ABOVE),
-            "total_file_bytes": lambda: tree.total_file_bytes(DEEP),
+            "iter_files": lambda: list(tree.iter_files()),
+            "count_nodes": lambda: tree.count_nodes(),
+            "total_file_bytes": lambda: tree.total_file_bytes(),
             "mkdir": lambda: tree.mkdir(f"{DEEP}/made"),
             "mkdir exist_ok": lambda: tree.mkdir(f"{DEEP}/made", exist_ok=True),
             "write_file": lambda: tree.write_file(f"{DEEP}/new", b"x"),

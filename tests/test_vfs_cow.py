@@ -71,7 +71,7 @@ def ops_on(tree: FileSystemTree):
         st.tuples(st.just("hardlink"), paths, paths),
         st.tuples(st.just("remove"), paths, st.booleans()),
         st.tuples(st.just("whiteout"), paths),
-        st.tuples(st.just("set_opaque"), paths, st.booleans()),
+        st.tuples(st.just("set_opaque"), paths),
     )
 
 
@@ -146,7 +146,8 @@ def rebuild(source: FileSystemTree) -> FileSystemTree:
             tree.hardlink(path, first)
         elif node.is_dir:
             tree.mkdir(path, meta=node.meta)
-            tree.set_opaque(path, node.opaque)
+            if node.opaque:
+                tree.set_opaque(path)
         elif node.is_symlink:
             tree.symlink(path, node.symlink_target, meta=node.meta)
         elif node.is_whiteout:
@@ -280,7 +281,7 @@ class TestPinnedSequences:
         drive(self.LINKED[:2], [("hardlink", "/a/b", "/a/b")])
 
     def test_opaque_on_a_shared_directory_and_on_the_root(self):
-        drive(self.LINKED, [("set_opaque", "/a", True), ("set_opaque", "/", True)])
+        drive(self.LINKED, [("set_opaque", "/a"), ("set_opaque", "/")])
 
 
 # -- allocation is O(touched) -------------------------------------------------

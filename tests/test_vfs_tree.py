@@ -112,7 +112,7 @@ class TestQueries:
         assert "/etc" in walked
 
     def test_iter_files(self, tree):
-        files = dict(tree.iter_files("/"))
+        files = dict(tree.iter_files())
         assert set(files) == {"/usr/bin/sh", "/etc/hosts"}
 
     def test_count_nodes(self, tree):

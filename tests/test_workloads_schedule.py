@@ -60,9 +60,7 @@ class TestPopularityStream:
         assert top > 200 / len(small_corpus.by_series)  # skewed, not uniform
 
     def test_version_drift_moves_forward_only(self, small_corpus):
-        schedule = ScheduleBuilder(small_corpus).popularity_stream(
-            100, version_drift=0.5
-        )
+        schedule = ScheduleBuilder(small_corpus).popularity_stream(100)
         last_seen = {}
         for event in schedule:
             name = event.image.spec.name

@@ -7,6 +7,7 @@ from repro.vfs.overlay import OverlayMount
 from repro.vfs.tree import FileSystemTree
 from repro.workloads.access import AccessTrace
 from repro.workloads.services import (
+    REQUESTS,
     SERVICES,
     run_service,
 )
@@ -40,20 +41,18 @@ class TestRun:
     def test_throughput_positive_and_deterministic(self):
         mount, trace = make_env()
         clock = SimClock()
-        result = run_service(clock, mount, trace, BY_NAME["nginx"], requests=500)
-        assert result.requests == 500
+        result = run_service(clock, mount, trace, BY_NAME["nginx"])
+        assert result.requests == REQUESTS
         assert result.requests_per_second > 0
 
         mount2, trace2 = make_env()
         clock2 = SimClock()
-        result2 = run_service(
-            clock2, mount2, trace2, BY_NAME["nginx"], requests=500
-        )
+        result2 = run_service(clock2, mount2, trace2, BY_NAME["nginx"])
         assert result2.duration_s == pytest.approx(result.duration_s)
 
     def test_writes_land_in_writable_layer(self):
         mount, trace = make_env()
-        run_service(SimClock(), mount, trace, BY_NAME["redis"], requests=300)
+        run_service(SimClock(), mount, trace, BY_NAME["redis"])
         written = [p for p, _ in mount.upper.iter_files()]
         assert written  # SETs persisted
 
@@ -67,7 +66,7 @@ class TestRun:
         # The Fig. 11a claim: once resident, Gear's extra layer costs ~0.
         mount, trace = make_env()
         clock = SimClock()
-        first = run_service(clock, mount, trace, BY_NAME["httpd"], requests=400)
-        second = run_service(clock, mount, trace, BY_NAME["httpd"], requests=400)
+        first = run_service(clock, mount, trace, BY_NAME["httpd"])
+        second = run_service(clock, mount, trace, BY_NAME["httpd"])
         # Identical warm runs take identical time.
         assert second.duration_s == pytest.approx(first.duration_s, rel=0.05)

@@ -85,16 +85,3 @@ class TestAccessTrace:
     def test_head(self):
         trace = AccessTrace("r", (("/a", 10), ("/b", 20)), compute_s=1.0)
         assert trace.head(1).accesses == (("/a", 10),)
-
-    def test_redundancy_helper(self):
-        from repro.workloads.access import redundancy_ratio
-
-        a = AccessTrace("r1", (("/a", 10), ("/b", 20)), compute_s=0.1)
-        b = AccessTrace("r2", (("/a", 10), ("/c", 30)), compute_s=0.1)
-        # 70 total, 60 unique -> redundancy 1/7.
-        assert redundancy_ratio([a, b]) == pytest.approx(10 / 70)
-
-    def test_redundancy_empty(self):
-        from repro.workloads.access import redundancy_ratio
-
-        assert redundancy_ratio([]) == 0.0
