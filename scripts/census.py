@@ -32,10 +32,26 @@ is not a use.  A reference from inside a definition counts only once
 that definition is live, so nothing keeps itself alive and what only
 test-only code reaches is test-only too: liveness is a fixpoint from
 module-level code, dunder methods (Python calls them) and
-:data:`DEFINITION_ALLOWLIST`.  A method lives only while its class does.  Matching is by name, so ``x.run()``
-keeps every ``run`` alive: a listed definition really is unused.
+:data:`DEFINITION_ALLOWLIST`.  A method lives only while its class does.
+A name that an import or a module-level definition binds, and a
+``module.name`` attribute, use that module's definition only; ``x.run()``
+on anything else uses every method ``run``; a string, and a path through
+a re-export, use every definition of their name.  So it errs towards
+"used": a listed definition really is unused.
 
-Both passes are rows of ``scripts/guards.py``'s rule table, which
+**Pass 3, CLI flags: which of them does something pass?**  Lists each
+``(command, flag)`` that ``build_parser`` in ``src/repro/cli.py``
+declares and nothing passes.  A flag is passed by a ``GATES`` row, by a
+``python -m repro.cli <command>`` typed in README.md, DESIGN.md or
+``.claude/skills`` (the line, its ``\\`` continuations and the comment
+lines right under it), or by an argv list in ``examples/``,
+``benchmarks/`` or ``tests/``: a list handed to ``main`` or
+``parse_args``, or one that starts with a command's name.  A flag of the
+shared parser is one flag, whichever command passes it.  Unlike the
+first two passes it counts tests: an argv is how a test drives the
+command line, and a declaration table is no argv.
+
+The three passes are rows of ``scripts/guards.py``'s rule table, which
 parses each file once and runs them: ``python scripts/guards.py``.  What
 a pass learns from one file is kept on that file's parse, so a run over
 the same parses with one module re-parsed (a mutant in
@@ -44,7 +60,9 @@ the same parses with one module re-parsed (a mutant in
 
 import ast
 import gc
+import re
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -313,25 +331,77 @@ DEFINITION_ALLOWLIST = {
 }
 
 
+#: How a use names what it uses: any definition of that name, every name
+#: with that prefix, a class member of that name (``obj.name``), or a
+#: dotted path to a module's definition.
+ANY_DEF, PREFIX, MEMBER, DOTTED = False, True, ".", ":"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def module_name(path):
+    """``repro.gear.index`` for ``src/repro/gear/index.py``."""
+    parts = path.with_suffix("").parts[1:]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported(node):
+    """``(name, dotted path)`` of what an import statement binds."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            top = alias.name.partition(".")[0]
+            yield alias.asname or top, alias.name if alias.asname else top
+    else:
+        source = "." * node.level + (node.module or "")
+        for alias in node.names:
+            yield alias.asname or alias.name, f"{source}.{alias.name}"
+
+
 class References(ast.NodeVisitor):
     """The definitions of one file and every name its code references.
 
     A reference is kept with the innermost definition it sits inside
     (None for module-level code): it counts only once that one is live,
-    so nothing keeps itself alive.
+    so nothing keeps itself alive.  A name an import or a module-level
+    definition binds, and an attribute of a module, is a :data:`DOTTED`
+    use of that module's definition; any other attribute is a
+    :data:`MEMBER` use.
     """
 
     def __init__(self, path, definitions, uses, define):
         self.path = path
         self.define = define         # record definitions (src/ only)
         self.definitions = definitions
-        self.uses = uses             # (name or prefix, is_prefix, owner)
+        self.uses = uses             # (name, how it names, owner)
         self.chain = ()
         self.in_class = False
         self.reexports = path.name == "__init__.py"
+        self.bound = {}
 
-    def _use(self, name, prefix=False):
-        self.uses.append((name, prefix, self.chain[-1] if self.chain else None))
+    def visit_Module(self, node):
+        # What the module binds at its top, before any code that reads it;
+        # an import inside a function binds from where it stands.
+        module = module_name(self.path) if self.define else None
+        for statement in node.body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                self.bound.update(imported(statement))
+            elif isinstance(statement, DEFS) and module is not None:
+                self.bound[statement.name] = f"{module}.{statement.name}"
+        self.generic_visit(node)
+
+    def visit_Import(self, node):
+        self.bound.update(imported(node))
+
+    def _use(self, name, how=ANY_DEF):
+        self.uses.append((name, how, self.chain[-1] if self.chain else None))
+
+    def _dotted(self, node):
+        """The dotted path a name or an attribute chain of one stands for."""
+        if isinstance(node, ast.Name):
+            return self.bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self._dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
 
     def _enter(self, node, is_class):
         if self.define and (not self.chain or self.in_class):
@@ -364,16 +434,19 @@ class References(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Name(self, node):
-        self._use(node.id)
+        dotted = self.bound.get(node.id)
+        self._use(dotted, DOTTED) if dotted else self._use(node.id)
 
     def visit_Attribute(self, node):
-        self._use(node.attr)
+        dotted = self._dotted(node)
+        self._use(dotted, DOTTED) if dotted else self._use(node.attr, MEMBER)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
+        self.bound.update(imported(node))
         if not self.reexports:
-            for alias in node.names:
-                self._use(alias.name)
+            for _, dotted in imported(node):
+                self._use(dotted, DOTTED)
 
     def visit_Assign(self, node):
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -399,7 +472,7 @@ class References(ast.NodeVisitor):
             if isinstance(key, ast.JoinedStr) and key.values:
                 key = key.values[0]
             if isinstance(key, ast.Constant) and isinstance(key.value, str) and key.value:
-                self._use(key.value, prefix=True)
+                self._use(key.value, PREFIX)
         self.generic_visit(node)
 
 
@@ -412,13 +485,32 @@ def live_definitions(files):
     module-level code, dunders and those roots.  ``files`` holds each
     file's :func:`referenced`; a definition is ``(file, index)``, and
     ``(file, None)`` is that file's module-level code."""
-    by_name = defaultdict(list)
-    children = defaultdict(list)
+    by_name, members = defaultdict(list), defaultdict(list)
+    children, dotted = defaultdict(list), {}
     for f, (local, _) in enumerate(files):
+        module = local and module_name(local[0]["path"])
         for i, d in enumerate(local):
             by_name[d["name"]].append((f, i))
             if d["parent"] is not None:
                 children[f, d["parent"]].append((f, i))
+                members[d["name"]].append((f, i))
+            else:
+                dotted[f"{module}.{d['name']}"] = (f, i)
+
+    def named_by(name, how):
+        if how is PREFIX:
+            return [i for n, ids in by_name.items() if n.startswith(name) for i in ids]
+        if how is MEMBER:
+            return members.get(name, ())
+        if how is DOTTED:
+            # A module's definition; an attribute of one is a member; a
+            # path through a re-export or out of src/ falls back to its name.
+            if name in dotted:
+                return [dotted[name]]
+            owner, _, name = name.rpartition(".")
+            if owner in dotted:
+                return members.get(name, ())
+        return by_name.get(name, ())
 
     def parent(key):
         index = files[key[0]][0][key[1]]["parent"]
@@ -432,12 +524,8 @@ def live_definitions(files):
                     continue
                 live.add(owner)
                 pending.extend(c for c in children[owner] if c in named)
-            for name, prefix in files[owner[0]][1].get(owner[1], ()):
-                if prefix:
-                    targets = [i for n, ids in by_name.items() if n.startswith(name) for i in ids]
-                else:
-                    targets = by_name.get(name, ())
-                for key in targets:
+            for name, how in files[owner[0]][1].get(owner[1], ()):
+                for key in named_by(name, how):
                     if key in named:
                         continue
                     named.add(key)
@@ -463,8 +551,8 @@ def referenced(tree, path, define):
     definitions, uses = [], []
     References(path, definitions, uses, define).visit(tree)
     by_owner = defaultdict(set)
-    for name, prefix, owner in uses:
-        by_owner[owner].add((name, prefix))
+    for name, how, owner in uses:
+        by_owner[owner].add((name, how))
     return definitions, by_owner
 
 
@@ -490,3 +578,163 @@ def unused_definitions(trees=None):
         elif keys[key] in reach(roots - {keys[key]}):
             stale.append(f"{key}: allowlisted, but code outside tests/ uses it")
     return dead, stale
+
+
+# -- pass 3: CLI flags --------------------------------------------------------
+
+#: The module whose ``build_parser`` declares the CLI and whose ``GATES``
+#: table passes its gate rows.
+CLI = Path("src/repro/cli.py")
+#: Where a typed ``python -m repro.cli …`` command passes flags.
+DOCS = ("README.md", "DESIGN.md", ".claude/skills")
+#: Stands for "every command" (the shared parser, or an argv whose
+#: command is not spelled out).
+ANY = "*"
+COMMAND_LINE = re.compile(r"python -m repro\.cli\s+([a-z][\w-]*)")
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+@per_file
+def declared(tree):
+    """``{(command, flag): line}`` of what ``build_parser`` declares: a
+    ``_flag(parser, "--x", …)`` or ``parser.add_argument("--x", …)``, or a
+    call of a module helper that adds constant flags to the parser it is
+    handed (``_scenario_flag``).  A parser is a ``command("name", …)``, an
+    argument group of one, or the shared parser (:data:`ANY`)."""
+    helpers = {}  # a helper's own constant flags; _flag's come from its call
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            helpers[node.name] = [
+                call.args[0].value for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "add_argument" and call.args
+                and isinstance(call.args[0], ast.Constant)]
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    owners, declared = {}, {}
+    for node in ast.walk(build):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            call, target = node.value, node.targets[0].id
+            if isinstance(call.func, ast.Name) and call.func.id == "command":
+                owners[target] = call.args[0].value
+            elif isinstance(call.func, ast.Attribute) and call.func.attr == "add_argument_group":
+                owners[target] = owners[call.func.value.id]
+            elif isinstance(call.func, ast.Attribute) and call.func.attr == "ArgumentParser":
+                owners[target] = ANY
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func, first = node.func, node.args[0]
+        if isinstance(func, ast.Attribute) and func.attr == "add_argument":
+            parser, flags = func.value, [first]
+        elif isinstance(func, ast.Name) and helpers.get(func.id):
+            parser, flags = first, [ast.Constant(flag) for flag in helpers[func.id]]
+        else:
+            parser, flags = first, node.args[1:2]
+        if isinstance(parser, ast.Name) and parser.id in owners:
+            for flag in flags:
+                if isinstance(flag, ast.Constant) and str(flag.value).startswith("--"):
+                    declared[owners[parser.id], flag.value] = node.lineno
+    return declared
+
+
+@per_file
+def gates(tree):
+    """``{gate name: its argv}`` of the ``GATES`` table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "GATES":
+            return {name: row.split() for name, row in ast.literal_eval(node.value).items()}
+    return {}
+
+
+def _typed(text):
+    """``(command, flag)`` passed by each ``python -m repro.cli <command>``
+    in ``text``: on its line, its ``\\`` continuations and the comment
+    lines right under it."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        found = COMMAND_LINE.search(line)
+        if not found:
+            continue
+        command, block = found.group(1), [line[found.end():]]
+        while block[-1].rstrip().endswith("\\") and index + 1 < len(lines):
+            index += 1
+            block.append(lines[index])
+        while index + 1 < len(lines) and lines[index + 1].lstrip().startswith("#"):
+            index += 1
+            block.append(lines[index])
+        for flag in FLAG.findall("\n".join(block)):
+            yield command, flag
+
+
+def _word(node):
+    value = node.value if isinstance(node, ast.Constant) else None
+    return value if isinstance(value, str) else None
+
+
+@per_file
+def argvs(tree):
+    """Each list of one file that holds a flag, as ``(words, handed)``:
+    its strings (None for anything else; ``*NAME`` splices a module-level
+    list) and whether it is handed to ``main`` or ``parse_args``."""
+    constants = {node.targets[0].id: node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and isinstance(node.value, ast.List)}
+    handed = {id(node.args[0]) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.List)
+              and getattr(node.func, "id", getattr(node.func, "attr", "")) in ("main", "parse_args")}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.List):
+            words = []
+            for element in node.elts:
+                spliced = getattr(element.value, "id", None) if isinstance(element, ast.Starred) else None
+                words += map(_word, constants[spliced].elts) if spliced in constants else [_word(element)]
+            if any(str(word).startswith("--") for word in words):
+                found.append((words, id(node) in handed))
+    return found
+
+
+def _passed(found, commands):
+    """``(command, flag)`` passed by the lists :func:`argvs` found that
+    start with a command's name or are handed to ``main`` or
+    ``parse_args``; one whose command is not spelled out passes its
+    flags to :data:`ANY` command."""
+    for words, handed in found:
+        command = words[0] if words[0] in commands else ANY
+        if command != ANY or handed:
+            yield from ((command, word) for word in words if str(word).startswith("--"))
+
+
+@lru_cache(maxsize=None)
+def _on_disk():
+    """The docs' text, and the parse of each test that spells a flag,
+    read from disk once per run."""
+    docs = [path for name in DOCS for path in (
+        sorted((ROOT / name).rglob("*.md")) if (ROOT / name).is_dir() else [ROOT / name])
+        if path.is_file()]
+    tests = [text for text in map(Path.read_text, python_files("tests"))
+             if re.search("[\"']--[a-z]", text)]
+    return [path.read_text() for path in docs], [ast.parse(text) for text in tests]
+
+
+def unpassed_flags(trees=None):
+    """Report lines for each ``(command, flag)`` of ``build_parser`` that
+    no ``GATES`` row, documented command, example or benchmark script,
+    or test argv passes.  A flag of the shared parser is one flag: any
+    command passing it passes it."""
+    trees = load(*USER_DIRS) if trees is None else trees
+    flags = declared(trees[CLI])
+    commands = {command for command, _ in flags}
+    passed = {(argv[0], word) for argv in gates(trees[CLI]).values()
+              for word in argv if word.startswith("--")}
+    texts, tests = _on_disk()
+    for text in texts:
+        passed |= set(_typed(text))
+    for path, tree in list(trees.items()) + [(None, tree) for tree in tests]:
+        if path is None or path.parts[0] in ("examples", "benchmarks"):
+            passed |= set(_passed(argvs(tree), commands))
+    by_flag = {flag for _, flag in passed}
+    return [f"{CLI}:{line}: {command} {flag}: a flag nothing passes"
+            for (command, flag), line in sorted(flags.items(), key=lambda item: item[1])
+            if not (command == ANY and flag in by_flag)
+            and not {(command, flag), (ANY, flag)} & passed]

@@ -11,7 +11,7 @@ exactly once.  Rows that share a name are one rule.  A matcher reads
 code, not text, so a pattern in a comment or a docstring is no match.
 Two rows stay text rules: the one-harness rule also reads Markdown, TOML
 and shell, and ``make_edge_testbed`` may not reappear in any file.  The
-census's two passes (``scripts/census.py``) are the last two rows.
+census's three passes (``scripts/census.py``) are the last three rows.
 ``tests/test_guards.py`` proves every rule with its mutants.
 
 Usage: python scripts/guards.py   (from the repo root)
@@ -183,6 +183,40 @@ def compared(ops, left, right):
     return nodes((ast.Compare,), match)
 
 
+def annotation(node):
+    """Whether ``node`` sits in an annotation: an argument's, an annotated
+    assignment's or a return's."""
+    child = node
+    for parent in ancestors(node):
+        if (isinstance(parent, (ast.arg, ast.AnnAssign)) and child is parent.annotation
+                or isinstance(parent, DEFS[:2]) and child is parent.returns):
+            return True
+        if not isinstance(parent, ast.expr):
+            return False
+        child = parent
+    return False
+
+
+def unused_imports(m):
+    """Module-level imports whose name no code of the module reads: not
+    as a name, not in a string annotation, not in ``__all__``."""
+    read = {node.id for node in m.nodes[ast.Name]}
+    for node in m.nodes[ast.Constant]:
+        if not isinstance(node.value, str):
+            continue
+        if node.value.isidentifier():
+            read.add(node.value)
+        elif annotation(node):
+            read |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    for node in m.nodes[ast.Import] + m.nodes[ast.ImportFrom]:
+        if isinstance(node.up, ast.Module) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name != "*" and name not in read:
+                    yield alias, name
+
+
 class Text(NamedTuple):
     """A regex over the text of every file under ``dirs`` with one of ``suffixes``."""
     pattern: str
@@ -351,8 +385,10 @@ RULES = (
     Rule("one-catalogue", "§7", named("poisoned|audit_integrity", DEFS[:2]),
          allow=("invariants.py", "net/resilience.py:Tier")),
     Rule("one-catalogue", "§7", calls("verified", over_a_store), allow=("invariants.py",)),
+    Rule("unused-import", "§13", unused_imports),
     Rule("census-parameters", "§13", lambda trees: census.census(trees)[1], None),
     Rule("census-definitions", "§13", lambda trees: sum(census.unused_definitions(trees), []), None),
+    Rule("census-flags", "§13", census.unpassed_flags, None),
 )
 
 

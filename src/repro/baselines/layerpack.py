@@ -26,7 +26,7 @@ paper makes against restructuring approaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from repro.blob.compressibility import blob_compressed_size
 from repro.docker.image import Image

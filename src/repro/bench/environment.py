@@ -39,6 +39,9 @@ from repro.obs.trace import SpanTracer
 from repro.storage.disk import Disk, DiskProfile, HDD
 from repro.workloads.corpus import GeneratedImage
 
+#: The shared FaaS cache tier's serving link, in Mbps.
+FAAS_TIER_MBPS = 904.0
+
 
 @dataclass
 class Testbed:
@@ -100,7 +103,7 @@ class Testbed:
 
     def set_bandwidth(self, bandwidth_mbps: float) -> None:
         """Change the client↔registry link speed in place (a FaaS tier's
-        own link keeps its ``tier_mbps``)."""
+        own link keeps its :data:`FAAS_TIER_MBPS`)."""
         for link in self.registry_links():
             link.bandwidth_mbps = bandwidth_mbps
 
@@ -273,7 +276,6 @@ def make_ha_testbed(
     replica_fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
     retry_policy: Optional[RetryPolicy] = None,
     strategy: str = "primary-first",
-    hedging: bool = True,
     admission_capacity: Optional[int] = None,
     seed: str = "ha",
 ) -> Testbed:
@@ -327,7 +329,6 @@ def make_ha_testbed(
         replica_set,
         strategy=strategy,
         retry_policy=retry_policy,
-        hedging=hedging,
         seed=seed,
     )
     monitor = HealthMonitor(replica_set)
@@ -344,7 +345,6 @@ def attach_edge(
     sites: int = 1,
     lan_mbps: float = 904.0,
     edge_retry_policy: Optional[RetryPolicy] = None,
-    gossip_interval_s: float = 0.25,
     seed: str = "edge",
 ) -> Testbed:
     """Attach an edge/P2P tier to any registry side; returns ``testbed``.
@@ -376,7 +376,6 @@ def attach_edge(
             base=testbed.transport,
             retry_policy=edge_retry_policy,
             seed=seed,
-            gossip_interval_s=gossip_interval_s,
         )
         for index in range(sites)
     ]
@@ -390,18 +389,16 @@ def attach_edge(
 def attach_faas(
     testbed: Testbed,
     *,
-    tier_mbps: float = 904.0,
     tier_fault_plan: Optional[FaultPlan] = None,
     faas_retry_policy: Optional[RetryPolicy] = None,
-    tier_capacity_bytes: Optional[int] = None,
-    tier_ttl_s: Optional[float] = None,
     tier_admission_capacity: Optional[int] = None,
     seed: str = "faas",
 ) -> Testbed:
     """Attach a shared cache tier to any registry side; returns ``testbed``.
 
     One :class:`~repro.net.faas.SharedCacheTier` is attached on its own
-    link with its own :class:`~repro.net.link.TransferLog`, so
+    :data:`FAAS_TIER_MBPS` link with its own
+    :class:`~repro.net.link.TransferLog`, so
     ``testbed.link.log`` keeps counting *registry WAN egress only* and
     tier-served traffic shows up on the tier link.  Mint nodes with
     ``testbed.faas.client()``; each walks pool → tier →
@@ -415,14 +412,12 @@ def attach_faas(
     policy).
     """
     stats = FaasStats()
-    tier_link = _link(testbed.clock, tier_fault_plan, tier_mbps)
+    tier_link = _link(testbed.clock, tier_fault_plan, FAAS_TIER_MBPS)
     tier = SharedCacheTier(
         "shared-tier",
         testbed.clock,
         tier_link,
         stats=stats,
-        capacity_bytes=tier_capacity_bytes,
-        ttl_s=tier_ttl_s,
         admission=AdmissionGate(tier_admission_capacity),
     )
     if faas_retry_policy is None:
@@ -436,11 +431,8 @@ def attach_faas(
 
 def make_faas_testbed(
     *,
-    tier_mbps: float = 904.0,
     tier_fault_plan: Optional[FaultPlan] = None,
     faas_retry_policy: Optional[RetryPolicy] = None,
-    tier_capacity_bytes: Optional[int] = None,
-    tier_ttl_s: Optional[float] = None,
     tier_admission_capacity: Optional[int] = None,
     ha_replicas: int = 0,
     seed: str = "faas",
@@ -460,11 +452,8 @@ def make_faas_testbed(
         testbed = make_testbed(**registry_side)
     return attach_faas(
         testbed,
-        tier_mbps=tier_mbps,
         tier_fault_plan=tier_fault_plan,
         faas_retry_policy=faas_retry_policy,
-        tier_capacity_bytes=tier_capacity_bytes,
-        tier_ttl_s=tier_ttl_s,
         tier_admission_capacity=tier_admission_capacity,
         seed=seed,
     )

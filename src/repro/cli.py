@@ -32,6 +32,7 @@ from repro.bench.deploy import (
 )
 from repro.bench.deploy import viewer_fs_digest
 from repro.bench.environment import (
+    FAAS_TIER_MBPS,
     attach_edge,
     make_faas_testbed,
     make_testbed,
@@ -366,6 +367,10 @@ def cmd_deploy(args) -> int:
     return 0
 
 
+#: The ``crash`` sweep's wire, in Mbps.
+CRASH_MBPS = 100.0
+
+
 def cmd_crash(args) -> int:
     """Crash-consistency sweep over every instrumented crash point.
 
@@ -379,7 +384,7 @@ def cmd_crash(args) -> int:
     generated = _target_images(args)[0]
 
     def run_point(plan):
-        testbed = make_testbed(bandwidth_mbps=args.bandwidth)
+        testbed = make_testbed(bandwidth_mbps=CRASH_MBPS)
         publish_images(testbed, [generated], convert=True)
         out = deploy_with_gear_resumable(testbed, generated, plan)
         return out, World({"client": testbed.gear_driver.pool})
@@ -390,7 +395,6 @@ def cmd_crash(args) -> int:
         out, world = run_point(CrashPlan(
             point=CrashPoint(point),
             seed=f"cli-{args.crash_seed}",
-            op_index=args.crash_op if args.crash_op >= 0 else None,
         ))
         cell = {
             "crashed": out.crashed,
@@ -421,7 +425,7 @@ def cmd_crash(args) -> int:
         args,
         {
             "target": generated.reference,
-            "bandwidth_mbps": args.bandwidth,
+            "bandwidth_mbps": CRASH_MBPS,
             "crash_seed": args.crash_seed,
             "control": {
                 "total_s": control.result.total_s,
@@ -430,7 +434,7 @@ def cmd_crash(args) -> int:
             },
         },
         "points", [point.value for point in CrashPoint], run_cell,
-        f"crash sweep of {generated.reference} @ {args.bandwidth:g} Mbps "
+        f"crash sweep of {generated.reference} @ {CRASH_MBPS:g} Mbps "
         f"(control: {control.result.total_s:.2f} s, "
         f"{control.result.network_bytes} B)",
         [
@@ -445,6 +449,8 @@ def cmd_crash(args) -> int:
 
 #: The ``chunks`` sweep's scenarios over the chunk-granular read path.
 CHUNK_SCENARIOS = ("clean", "chunk-faults", "crash", "byzantine")
+#: The ``chunks`` sweep's wire, in Mbps.
+CHUNK_MBPS = 904.0
 
 #: Paths inside the chunks-sweep image: one big model file (chunked) and
 #: one small config (whole-file path, exercised by the same wave).
@@ -479,9 +485,9 @@ def _chunk_env(args, plan=None):
     on the (local) uploads, chunk-labelled faults only on the wire."""
     clock = SimClock()
     if plan is not None:
-        link = FaultyLink(clock, plan, bandwidth_mbps=args.bandwidth)
+        link = FaultyLink(clock, plan, bandwidth_mbps=CHUNK_MBPS)
     else:
-        link = Link(clock, bandwidth_mbps=args.bandwidth)
+        link = Link(clock, bandwidth_mbps=CHUNK_MBPS)
     transport = RpcTransport(
         link,
         retry_policy=RetryPolicy(seed=f"cli-chunks-rpc-{args.chunk_seed}"),
@@ -576,7 +582,6 @@ def cmd_chunks(args) -> int:
                 CrashPlan(
                     point=CrashPoint.MID_FETCH,
                     seed=f"cli-chunks-crash-{args.chunk_seed}",
-                    op_index=args.crash_op if args.crash_op >= 0 else None,
                     horizon=max(2, total_chunks // 2),
                 ),
             )
@@ -633,7 +638,7 @@ def cmd_chunks(args) -> int:
     return run_sweep(
         args,
         {
-            "bandwidth_mbps": args.bandwidth,
+            "bandwidth_mbps": CHUNK_MBPS,
             "clients": args.clients,
             "big_file_bytes": size,
             "total_chunks": total_chunks,
@@ -644,7 +649,7 @@ def cmd_chunks(args) -> int:
             },
         },
         "scenarios", args.scenario or CHUNK_SCENARIOS, run_cell,
-        f"chunks sweep @ {args.bandwidth:g} Mbps, {args.clients} readers, "
+        f"chunks sweep @ {CHUNK_MBPS:g} Mbps, {args.clients} readers, "
         f"{args.big_mib} MiB model ({total_chunks} chunks; control "
         f"{control_bytes} B)",
         [
@@ -661,15 +666,16 @@ def cmd_chunks(args) -> int:
 #: The ``ha`` sweep's fault scenarios; replica 0 is always the afflicted
 #: one so primary-first selection exercises the failover machinery.
 HA_SCENARIOS = ("healthy", "outage", "brownout", "byzantine", "overload")
+#: The ``ha`` sweep's replica links, in Mbps.
+HA_MBPS = 904.0
 
 
 def _ha_scenario_kwargs(scenario: str, args) -> dict:
     """HACluster construction kwargs for one named scenario."""
     kwargs = {
         "replicas": args.replicas,
-        "bandwidth_mbps": args.bandwidth,
+        "bandwidth_mbps": HA_MBPS,
         "strategy": args.strategy,
-        "hedging": not args.no_hedging,
         "seed": f"cli-ha-{args.ha_seed}",
     }
     if scenario == "outage":
@@ -691,7 +697,7 @@ def _ha_scenario_kwargs(scenario: str, args) -> dict:
             byzantine_plan(seed=f"cli-ha-byzantine-{args.ha_seed}")
         ]
     elif scenario == "overload":
-        kwargs["admission_capacity"] = args.admission
+        kwargs["admission_capacity"] = 2  # concurrent fetches per replica
     return kwargs
 
 
@@ -723,18 +729,17 @@ def cmd_ha(args) -> int:
         args,
         {
             "target": generated.reference,
-            "bandwidth_mbps": args.bandwidth,
+            "bandwidth_mbps": HA_MBPS,
             "clients": args.clients,
             "concurrency": concurrency,
             "replicas": args.replicas,
             "strategy": args.strategy,
-            "hedging": not args.no_hedging,
+            "hedging": True,
         },
         "scenarios", args.scenario or HA_SCENARIOS, run_cell,
         f"HA sweep of {generated.reference}: {args.clients} clients, "
         f"{concurrency} concurrent, {args.replicas} replicas "
-        f"@ {args.bandwidth:g} Mbps ({args.strategy}, "
-        f"hedging {'off' if args.no_hedging else 'on'})",
+        f"@ {HA_MBPS:g} Mbps ({args.strategy}, hedging on)",
         [
             ("p50 (s)", "p50_s", ".2f"),
             ("p99 (s)", "p99_s", ".2f"),
@@ -749,20 +754,20 @@ def cmd_ha(args) -> int:
 
 
 EDGE_SCENARIOS = ("quiet", "churn", "byzantine", "churn+byzantine")
+#: The ``edge`` sweep's intra-site LAN, in Mbps (one site).
+EDGE_LAN_MBPS = 904.0
 
 
 def _edge_scenario_kwargs(scenario: str, args) -> dict:
     """EdgeCluster construction kwargs for one named scenario."""
     kwargs = {
         "bandwidth_mbps": args.bandwidth,
-        "lan_mbps": args.lan_bandwidth,
-        "sites": args.sites,
-        "gossip_interval_s": args.gossip_interval,
+        "lan_mbps": EDGE_LAN_MBPS,
         "seed": f"cli-edge-{args.edge_seed}",
     }
     if "churn" in scenario:
-        kwargs["churn_rate_per_s"] = args.churn_rate
-        kwargs["churn_horizon_s"] = args.churn_horizon
+        # Two join/leave events per virtual second over a 10 s horizon.
+        kwargs["churn_rate_per_s"] = 2.0
     if "byzantine" in scenario:
         # One corrupt-serving peer in the first wave batch, so it holds
         # files early and gets selected by later batches.
@@ -810,9 +815,7 @@ def cmd_edge_equivalence(args) -> int:
 
     edge_bed = attach_edge(
         make_testbed(bandwidth_mbps=args.bandwidth),
-        lan_mbps=args.lan_bandwidth,
-        sites=args.sites,
-        gossip_interval_s=args.gossip_interval,
+        lan_mbps=EDGE_LAN_MBPS,
         seed=f"cli-edge-{args.edge_seed}",
     )
     publish_images(edge_bed, images, convert=True)
@@ -852,7 +855,8 @@ def cmd_edge(args) -> int:
     if args.equivalence:
         return cmd_edge_equivalence(args)
     generated = _target_images(args)[0]
-    concurrency = args.concurrency or max(1, args.clients // 4)
+    # A quarter at a time, so later batches can peer-fetch from earlier ones.
+    concurrency = max(1, args.clients // 4)
 
     def run_cell(scenario):
         cluster = EdgeCluster(
@@ -877,15 +881,15 @@ def cmd_edge(args) -> int:
         {
             "target": generated.reference,
             "bandwidth_mbps": args.bandwidth,
-            "lan_mbps": args.lan_bandwidth,
+            "lan_mbps": EDGE_LAN_MBPS,
             "clients": args.clients,
             "concurrency": concurrency,
-            "sites": args.sites,
+            "sites": 1,
         },
         "scenarios", args.scenario or EDGE_SCENARIOS, run_cell,
         f"Edge sweep of {generated.reference}: {args.clients} clients, "
-        f"{concurrency} concurrent, {args.sites} site(s), "
-        f"WAN {args.bandwidth:g} Mbps / LAN {args.lan_bandwidth:g} Mbps",
+        f"{concurrency} concurrent, one site, "
+        f"WAN {args.bandwidth:g} Mbps / LAN {EDGE_LAN_MBPS:g} Mbps",
         [
             ("p50 (s)", "p50_s", ".2f"),
             ("p99 (s)", "p99_s", ".2f"),
@@ -901,23 +905,27 @@ def cmd_edge(args) -> int:
 
 
 FAAS_SCENARIOS = ("steady", "spike", "spike+outage", "spike+byzantine")
+#: The ``faas`` sweep's registry WAN, in Mbps.
+FAAS_WAN_MBPS = 200.0
+#: HA Gear registry replicas behind the ``faas`` sweep's tier.
+FAAS_REPLICAS = 2
+#: Arrival-rate multiplier inside a ``faas`` spike.
+FAAS_SPIKE_FACTOR = 10.0
 
 
 def _faas_bursts(scenario: str, args) -> tuple:
     if "spike" not in scenario:
         return ()
-    return (BurstWindow(args.spike_start, args.spike_len, args.spike_factor),)
+    return (BurstWindow(args.spike_start, args.spike_len, FAAS_SPIKE_FACTOR),)
 
 
 def _faas_testbed_kwargs(scenario: str, args) -> dict:
-    """make_faas_testbed kwargs for one named scenario."""
+    """make_faas_testbed kwargs for one named scenario: the tier admits
+    four concurrent upstream fills before it sheds."""
     kwargs = {
-        "bandwidth_mbps": args.bandwidth,
-        "tier_mbps": args.tier_bandwidth,
-        "tier_capacity_bytes": args.tier_capacity or None,
-        "tier_ttl_s": args.tier_ttl or None,
-        "tier_admission_capacity": args.admission or None,
-        "ha_replicas": args.replicas,
+        "bandwidth_mbps": FAAS_WAN_MBPS,
+        "tier_admission_capacity": 4,
+        "ha_replicas": FAAS_REPLICAS,
         "seed": f"cli-faas-{args.faas_seed}",
     }
     if "outage" in scenario:
@@ -949,7 +957,7 @@ def cmd_faas(args) -> int:
     # Fault-free registry-only control, reference -> container fs digest:
     # every cold start in every scenario must produce exactly these
     # filesystems, no matter which tier served the bytes.
-    control_bed = make_testbed(bandwidth_mbps=args.bandwidth)
+    control_bed = make_testbed(bandwidth_mbps=FAAS_WAN_MBPS)
     publish_images(control_bed, corpus.images, convert=True)
     deploys = _control_deploys(control_bed.fresh_client(), corpus.images)
     control = dict(zip(
@@ -966,7 +974,7 @@ def cmd_faas(args) -> int:
             bed,
             bed.faas,
             nodes=args.nodes,
-            keep_warm_s=args.keep_warm or None,
+            keep_warm_s=6.0,  # reap containers idle this long
             seed=f"cli-faas-{args.faas_seed}",
         )
         stream = ScheduleBuilder(
@@ -975,7 +983,6 @@ def cmd_faas(args) -> int:
             duration_s=args.duration,
             rate_per_s=args.rate,
             functions=args.functions,
-            skew=args.skew,
             bursts=_faas_bursts(scenario, args),
         )
         run = platform.run(stream)
@@ -1003,14 +1010,14 @@ def cmd_faas(args) -> int:
             "nodes": args.nodes,
             "duration_s": args.duration,
             "rate_per_s": args.rate,
-            "bandwidth_mbps": args.bandwidth,
-            "tier_mbps": args.tier_bandwidth,
-            "replicas": args.replicas,
+            "bandwidth_mbps": FAAS_WAN_MBPS,
+            "tier_mbps": FAAS_TIER_MBPS,
+            "replicas": FAAS_REPLICAS,
         },
         "scenarios", args.scenario or FAAS_SCENARIOS, run_cell,
         f"FaaS sweep: {args.functions} functions over {len(corpus.images)} "
         f"images, {args.nodes} nodes, {args.rate:g}/s for {args.duration:g}s "
-        f"(spike x{args.spike_factor:g} at {args.spike_start:g}s)",
+        f"(spike x{FAAS_SPIKE_FACTOR:g} at {args.spike_start:g}s)",
         [
             ("Cold", "cold_starts", ""),
             ("Warm", "warm_starts", ""),
@@ -1244,6 +1251,8 @@ def cmd_slo(args) -> int:
 TRACE_COVERAGE_FLOOR = 0.95
 #: Float tolerance when checking phase totals against the deploy total.
 TRACE_SUM_TOLERANCE = 1e-6
+#: The traced deploy's wire, in Mbps.
+TRACE_MBPS = 100.0
 
 
 def cmd_trace(args) -> int:
@@ -1266,19 +1275,17 @@ def cmd_trace(args) -> int:
     generated = _target_images(args)[0]
     wave_mode = args.clients > 1
     if wave_mode:
-        cluster = Cluster(args.clients, bandwidth_mbps=args.bandwidth)
+        cluster = Cluster(args.clients, bandwidth_mbps=TRACE_MBPS)
         testbed = cluster.registry_testbed
         publish_images(testbed, [generated], convert=True)
         tracer = testbed.attach_tracer()
-        concurrency = args.concurrency or args.clients
         cluster.deploy_wave(
-            lambda node: deploy_with_gear(node.testbed, generated),
-            concurrency=concurrency,
+            lambda node: deploy_with_gear(node.testbed, generated)
         )
         root = "wave"
         deploy_total_s = None
     else:
-        testbed = make_testbed(bandwidth_mbps=args.bandwidth)
+        testbed = make_testbed(bandwidth_mbps=TRACE_MBPS)
         publish_images(testbed, [generated], convert=True)
         tracer = testbed.attach_tracer()
         result = deploy_with_gear(testbed, generated)
@@ -1328,7 +1335,7 @@ def cmd_trace(args) -> int:
     if args.json:
         report = {
             "target": generated.reference,
-            "bandwidth_mbps": args.bandwidth,
+            "bandwidth_mbps": TRACE_MBPS,
             "mode": "wave" if wave_mode else "single",
             "root": path.root_name,
             "total_s": path.total_s,
@@ -1348,7 +1355,7 @@ def cmd_trace(args) -> int:
     else:
         print(
             f"traced gear deploy of {generated.reference} "
-            f"@ {args.bandwidth:g} Mbps "
+            f"@ {TRACE_MBPS:g} Mbps "
             f"({len(tracer.finished_spans())} spans)"
         )
         print(format_report(path))
@@ -1442,31 +1449,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="endpoint names the plan applies to (empty = all traffic)",
     )
     crash = command("crash", cmd_crash,
-                    "crash/fsck/resume sweep over every crash point")
+                    f"crash/fsck/resume sweep over every crash point "
+                    f"({CRASH_MBPS:g} Mbps)")
     _flag(crash, "--target", "nginx")
-    _flag(crash, "--bandwidth", 100.0)
     _flag(crash, "--crash-seed", "0", "seed token for the crash-instant draw")
-    _flag(crash, "--crash-op", -1,
-          "explicit occurrence index of the crash point "
-          "(-1 = deterministic seeded draw)")
     _flag(crash, "--json", False, "emit the sweep report as one JSON line")
     chunks = command("chunks", cmd_chunks,
-                     "chunk-granular big-file read sweep under fault "
-                     "scenarios")
-    _flag(chunks, "--bandwidth", 904.0)
+                     f"chunk-granular big-file read sweep under fault "
+                     f"scenarios ({CHUNK_MBPS:g} Mbps)")
     _flag(chunks, "--clients", 32, "concurrent range readers in the wave")
     _flag(chunks, "--big-mib", 8, "model-file size in MiB (128 KiB chunks)")
     _scenario_flag(chunks, CHUNK_SCENARIOS)
     _flag(chunks, "--chunk-seed", "7",
           "seed token for the fault, retry-jitter, and crash streams")
-    _flag(chunks, "--crash-op", -1,
-          "explicit chunk index for the mid-fetch crash "
-          "(-1 = deterministic seeded draw)")
     _flag(chunks, "--json", False, "emit the sweep report as one JSON line")
     ha = command("ha", cmd_ha,
-                 "highly-available registry sweep under fault scenarios")
+                 f"highly-available registry sweep under fault scenarios "
+                 f"({HA_MBPS:g} Mbps replica links, hedged downloads)")
     _flag(ha, "--target", "nginx")
-    _flag(ha, "--bandwidth", 904.0)
     _flag(ha, "--clients", 8, "number of client nodes in the fleet")
     _flag(ha, "--concurrency", 0,
           "clients deploying simultaneously per wave (default: all of them)")
@@ -1474,30 +1474,18 @@ def build_parser() -> argparse.ArgumentParser:
     ha.add_argument("--strategy", default="primary-first",
                     choices=list(STRATEGIES),
                     help="replica selection strategy")
-    _flag(ha, "--no-hedging", False, "disable hedged second fetches")
-    _flag(ha, "--admission", 2,
-          "per-replica admission capacity in the overload scenario")
     _scenario_flag(ha, HA_SCENARIOS)
     _flag(ha, "--ha-seed", "0",
           "seed token for replica selection, hedging, backoff, and fault "
           "streams")
     _flag(ha, "--json", False, "emit the sweep report as one JSON line")
     edge = command("edge", cmd_edge,
-                   "multi-tier edge/P2P sweep under churn/byzantine scenarios")
+                   f"multi-tier edge/P2P sweep under churn/byzantine "
+                   f"scenarios (one site, {EDGE_LAN_MBPS:g} Mbps LAN)")
     _flag(edge, "--target", "nginx")
     _flag(edge, "--bandwidth", 200.0, "registry WAN uplink in Mbps")
-    _flag(edge, "--lan-bandwidth", 904.0, "intra-site LAN bandwidth in Mbps")
-    _flag(edge, "--clients", 8, "number of edge nodes in the fleet")
-    _flag(edge, "--concurrency", 0,
-          "clients deploying simultaneously per wave (default: clients/4, "
-          "so later batches can peer-fetch from earlier ones)")
-    _flag(edge, "--sites", 1, "edge sites (nodes join round-robin)")
-    _flag(edge, "--gossip-interval", 0.25,
-          "tracker refresh period in virtual seconds")
-    _flag(edge, "--churn-rate", 2.0,
-          "join/leave events per virtual second in churn scenarios")
-    _flag(edge, "--churn-horizon", 10.0,
-          "churn schedule horizon in virtual seconds")
+    _flag(edge, "--clients", 8,
+          "number of edge nodes in the fleet (a quarter deploy at a time)")
     _scenario_flag(edge, EDGE_SCENARIOS)
     _flag(edge, "--edge-seed", "0",
           "seed token for peer selection, gossip jitter, churn, and crash "
@@ -1507,10 +1495,9 @@ def build_parser() -> argparse.ArgumentParser:
           "time-identical to the single-tier testbed")
     _flag(edge, "--json", False, "emit the report as one JSON line")
     faas = command("faas", cmd_faas,
-                   "serverless spike sweep over the three-tier cache chain")
-    _flag(faas, "--bandwidth", 200.0, "registry WAN uplink in Mbps")
-    _flag(faas, "--tier-bandwidth", 904.0,
-          "shared-tier serving bandwidth in Mbps")
+                   f"serverless spike sweep over the three-tier cache chain "
+                   f"({FAAS_WAN_MBPS:g} Mbps WAN, {FAAS_TIER_MBPS:g} Mbps "
+                   f"tier, {FAAS_REPLICAS} HA replicas)")
     _flag(faas, "--nodes", 6, "FaaS worker nodes (functions hash onto them)")
     _flag(faas, "--functions", 40,
           "distinct functions (Zipf-popular, images assigned round-robin "
@@ -1518,26 +1505,12 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(faas, "--duration", 20.0,
           "invocation-stream horizon in virtual seconds")
     _flag(faas, "--rate", 6.0, "baseline Poisson arrival rate per second")
-    _flag(faas, "--skew", 1.0, "Zipf popularity skew across functions")
     _flag(faas, "--spike-start", 8.0, "burst window start in virtual seconds")
     _flag(faas, "--spike-len", 4.0, "burst window length in virtual seconds")
-    _flag(faas, "--spike-factor", 10.0,
-          "arrival-rate multiplier inside the burst")
     _flag(faas, "--outage-start", 9.0,
           "shared-tier outage start (mid-spike default)")
     _flag(faas, "--outage-len", 2.0,
           "shared-tier outage length in virtual seconds")
-    _flag(faas, "--tier-capacity", 0,
-          "shared-tier cache capacity in bytes (0 = unbounded)")
-    _flag(faas, "--tier-ttl", 0.0,
-          "shared-tier entry TTL in virtual seconds (0 = no expiry)")
-    _flag(faas, "--admission", 4,
-          "tier admission capacity: concurrent upstream fills before "
-          "shedding (0 = unbounded)")
-    _flag(faas, "--keep-warm", 6.0,
-          "reap containers idle this many virtual seconds (0 = keep forever)")
-    _flag(faas, "--replicas", 2,
-          "HA Gear registry replicas behind the tier (0 = single registry)")
     _scenario_flag(faas, FAAS_SCENARIOS)
     _flag(faas, "--faas-seed", "0",
           "seed token for arrivals, placement, backoff, and fault streams")
@@ -1553,13 +1526,11 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(slo, "--json", False,
           "emit the full report (timelines included) as one JSON line")
     trace = command("trace", cmd_trace,
-                    "trace a Gear deployment; critical path + Chrome trace "
-                    "export")
+                    f"trace a Gear deployment at {TRACE_MBPS:g} Mbps; "
+                    f"critical path + Chrome trace export")
     _flag(trace, "--target", "nginx")
-    _flag(trace, "--bandwidth", 100.0)
-    _flag(trace, "--clients", 1, "fleet wave mode when > 1 (roots at 'wave')")
-    _flag(trace, "--concurrency", 0,
-          "clients deploying simultaneously per wave (default: all of them)")
+    _flag(trace, "--clients", 1,
+          "fleet wave mode when > 1, all at once (roots at 'wave')")
     _flag(trace, "--out-dir", None,
           "write trace.json + metrics.json here (trace.json loads in "
           "Perfetto)")

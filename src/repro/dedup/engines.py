@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 from repro.blob.compressibility import blob_compressed_size, chunk_compressed_size
 from repro.docker.image import Image

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Optional
 
 from repro.common.errors import ReproError
 from repro.docker.image import Image, ImageConfig

@@ -21,14 +21,14 @@ Cost model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import SimClock
-from repro.common.errors import NotFoundError, ReproError
+from repro.common.errors import NotFoundError
 from repro.docker.container import Container, ContainerState
 from repro.docker.graphdriver import Overlay2Driver
-from repro.docker.image import Image, ImageConfig, Layer
+from repro.docker.image import Image, Layer
 from repro.docker.registry import DockerRegistry
 from repro.net.transport import RpcTransport
 from repro.storage.disk import Disk

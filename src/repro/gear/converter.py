@@ -21,7 +21,7 @@ why SSDs cut it sharply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.clock import SimClock
 from repro.docker.image import Image

@@ -19,7 +19,7 @@ stay cached at level 1 for other images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import Process, SimClock
@@ -32,7 +32,6 @@ from repro.docker.daemon import (
     INODE_TEARDOWN_COST_S,
     DockerDaemon,
 )
-from repro.docker.image import Image
 from repro.gear.gearfile import GearFile
 from repro.gear.index import GearFileEntry, GearIndex
 from repro.gear.journal import IntentJournal

@@ -11,7 +11,7 @@ ID, which is used in the Gear index to take the place of the fingerprint."
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.blob import Blob
 from repro.common.hashing import Fingerprint

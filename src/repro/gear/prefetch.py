@@ -21,8 +21,8 @@ the container never reads) versus first-read latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import NULL_SPAN
 from repro.gear.viewer import GearFileViewer

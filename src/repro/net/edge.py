@@ -70,6 +70,10 @@ from repro.net.resilience import (
 from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricSet
 
+#: Each site's tracker refresh period in virtual seconds, before its
+#: seeded jitter of ±25 %.
+GOSSIP_INTERVAL_S = 0.25
+
 
 @dataclass
 class EdgeStats(MetricSet):
@@ -340,7 +344,6 @@ class EdgeSite:
         base: Any,
         retry_policy: Optional[RetryPolicy] = None,
         seed: str = "edge",
-        gossip_interval_s: float = 0.25,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -348,7 +351,6 @@ class EdgeSite:
         self.stats = stats
         self.base = base
         self.retry_policy = retry_policy
-        self.gossip_interval_s = gossip_interval_s
         self.peers: List[EdgePeer] = []
         self.cache: Dict[str, Any] = {}
         self.tracker = SiteTracker()
@@ -417,7 +419,7 @@ class EdgeSite:
             self.gossip()
             # Seeded jitter keeps rounds from phase-locking with waves
             # while staying reproducible run-to-run.
-            jitter = self.gossip_interval_s * (
+            jitter = GOSSIP_INTERVAL_S * (
                 0.75 + 0.5 * self._gossip_rng.random()
             )
             yield jitter

@@ -52,7 +52,6 @@ time-identical to the single-tier registry call.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -104,8 +103,8 @@ class FaasStats(MetricSet):
     #: Upstream (tier → registry) fetches the tier performed on miss.
     tier_upstream_fetches: int = 0
     #: Upstream fetches for an identity the tier had already fetched and
-    #: not evicted/expired/invalidated since.  Must stay 0 while the
-    #: tier is healthy: the stampede-suppression invariant.
+    #: not quarantined since.  Must stay 0 while the tier is healthy:
+    #: the stampede-suppression invariant.
     duplicate_upstream_fetches: int = 0
     #: Misses the tier's admission gate shed (TierOverloadedError).
     tier_sheds: int = 0
@@ -125,10 +124,6 @@ class FaasStats(MetricSet):
     #: Registry egress the tier absorbed (bytes served from its cache
     #: that a tierless topology would have pulled over the WAN).
     egress_saved_bytes: int = 0
-    #: Cache entries evicted for capacity (LRU).
-    tier_evictions: int = 0
-    #: Cache entries dropped because their TTL lapsed.
-    tier_expirations: int = 0
     #: Whole-chain retry rounds that slept under the fabric RetryPolicy.
     backoffs: int = 0
     #: Chains that exhausted the retry policy.
@@ -137,28 +132,13 @@ class FaasStats(MetricSet):
     demotions: int = 0
 
 
-class _TierEntry:
-    """One cached Gear file in the shared tier."""
-
-    __slots__ = ("gear_file", "stored_at", "wire_bytes")
-
-    def __init__(self, gear_file: Any, stored_at: float) -> None:
-        self.gear_file = gear_file
-        self.stored_at = stored_at
-        self.wire_bytes = gear_file.compressed_size
-
-    @property
-    def blob(self) -> Any:  # what ``verified`` hashes
-        return self.gear_file.blob
-
-
 class SharedCacheTier:
-    """The capacity-bounded intermediate cache between nodes and registry.
+    """The intermediate cache between nodes and registry.
 
     Owns its own :class:`~repro.net.link.Link` (separate
     :class:`~repro.net.link.TransferLog`, so ``testbed.link.log`` keeps
-    counting registry WAN egress only), an LRU cache bounded by
-    ``capacity_bytes`` with optional ``ttl_s`` expiry, an
+    counting registry WAN egress only), an unbounded cache of verified
+    Gear files that only quarantine evicts, an
     :class:`~repro.net.resilience.AdmissionGate` bounding concurrent
     *upstream* fills, and the single-flight table that coalesces
     identical concurrent misses.  Cache bookkeeping charges zero virtual
@@ -173,30 +153,22 @@ class SharedCacheTier:
         link: Link,
         *,
         stats: FaasStats,
-        capacity_bytes: Optional[int] = None,
-        ttl_s: Optional[float] = None,
         admission: Optional[AdmissionGate] = None,
     ) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("tier capacity must be positive when set")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("tier TTL must be positive when set")
         self.name = name
         self.clock = clock
         self.link = link
         self.stats = stats
-        self.capacity_bytes = capacity_bytes
-        self.ttl_s = ttl_s
         self.admission = admission if admission is not None else AdmissionGate()
         self.breaker = CircuitBreaker()
         self.byzantine = False
-        #: identity → cache entry, LRU order (oldest first).
-        self.cache: "OrderedDict[str, _TierEntry]" = OrderedDict()
+        #: identity → the verified Gear file cached for it.
+        self.cache: Dict[str, Any] = {}
         #: Fills in flight, by identity (single-flight coalescing).
         self.inflight = SingleFlight()
-        #: Identities upstream-fetched and still *valid* (not evicted,
-        #: expired, or quarantined).  A second upstream fetch for a
-        #: member is a suppression failure (``duplicate_upstream_fetches``).
+        #: Identities upstream-fetched and not quarantined since.  A
+        #: second upstream fetch for a member is a suppression failure
+        #: (``duplicate_upstream_fetches``).
         self._fetched: Set[str] = set()
         #: Identities whose last delivery the tier answers for: served
         #: from its cache, or a fill that passed the write-through gate.
@@ -207,48 +179,18 @@ class SharedCacheTier:
 
     # -- cache maintenance (zero virtual time) -------------------------
 
-    def _invalidate(self, identity: str) -> None:
-        entry = self.cache.pop(identity, None)
-        if entry is not None:
-            self.used_bytes -= entry.wire_bytes
-        self._fetched.discard(identity)
-
-    def _lookup(self, identity: str) -> Optional[_TierEntry]:
-        """Fresh cache entry for ``identity``, LRU-touched; None on miss.
-
-        A TTL-lapsed entry is dropped here — and leaves ``_fetched`` —
-        so its eventual refill is a legitimate new upstream fetch, not a
-        suppression failure.
-        """
-        entry = self.cache.get(identity)
-        if entry is None:
-            return None
-        if self.ttl_s is not None and (
-            self.clock.now - entry.stored_at >= self.ttl_s
-        ):
-            self._invalidate(identity)
-            self.stats.tier_expirations += 1
-            return None
-        self.cache.move_to_end(identity)
-        return entry
-
     def _insert(self, identity: str, gear_file: Any) -> None:
-        entry = _TierEntry(gear_file, self.clock.now)
-        if self.capacity_bytes is not None:
-            if entry.wire_bytes > self.capacity_bytes:
-                return  # larger than the whole tier: serve-through only
-            while self.used_bytes + entry.wire_bytes > self.capacity_bytes:
-                victim, _ = next(iter(self.cache.items()))
-                self._invalidate(victim)
-                self.stats.tier_evictions += 1
-        self.cache[identity] = entry
-        self.used_bytes += entry.wire_bytes
+        self.cache[identity] = gear_file
+        self.used_bytes += gear_file.compressed_size
         self._fetched.add(identity)
 
     def evict(self, identity: str) -> bool:
         """Drop ``identity`` (quarantine/corruption path); returns
         whether the tier had vouched for its last delivery."""
-        self._invalidate(identity)
+        gear_file = self.cache.pop(identity, None)
+        if gear_file is not None:
+            self.used_bytes -= gear_file.compressed_size
+        self._fetched.discard(identity)
         vouched = identity in self.vouched
         self.vouched.discard(identity)
         return vouched
@@ -271,11 +213,11 @@ class SharedCacheTier:
             return junk_payload(identity, f"byzantine:{self.name}:{identity}")
         return gear_file
 
-    def _hit(self, identity: str, entry: _TierEntry, tag: str):
+    def _hit(self, identity: str, gear_file: Any, tag: str):
         self.stats.tier_hits += 1
-        self.stats.tier_bytes += entry.wire_bytes
-        self.stats.egress_saved_bytes += entry.wire_bytes
-        return (yield from self._deliver(identity, entry.gear_file, tag))
+        self.stats.tier_bytes += gear_file.compressed_size
+        self.stats.egress_saved_bytes += gear_file.compressed_size
+        return (yield from self._deliver(identity, gear_file, tag))
 
     def fetch(self, identity: str, base: Any, label: Optional[str] = None):
         """Serve ``identity`` from cache, a coalesced fill, or upstream
@@ -292,19 +234,19 @@ class SharedCacheTier:
         yield from self.link.scoped(FAAS_TIER_ENDPOINT).transfer_gen(
             RpcTransport.REQUEST_FRAME_BYTES, label=f"{tag}:tier-request"
         )
-        entry = self._lookup(identity)
-        if entry is not None:
-            return (yield from self._hit(identity, entry, tag))
+        cached = self.cache.get(identity)
+        if cached is not None:
+            return (yield from self._hit(identity, cached, tag))
         leader = self.inflight.pending(identity)
         if leader is not None:
             # Single-flight: wait for the identical fill in flight.
             self.stats.tier_coalesced += 1
             with self.clock.span("tier_wait", fp=identity[:12]):
                 yield from leader.wait_gen()
-            entry = self._lookup(identity)
-            if entry is not None:
-                return (yield from self._hit(identity, entry, tag))
-            # Leader failed or the entry was too big to cache: fall
+            cached = self.cache.get(identity)
+            if cached is not None:
+                return (yield from self._hit(identity, cached, tag))
+            # Leader failed or its bytes failed verification: fall
             # through to our own (gated) fill.
         return (yield from self._fill(identity, base, tag, label))
 

@@ -641,7 +641,6 @@ class HAFetchPolicy:
         *,
         strategy: str = "primary-first",
         retry_policy: Optional[RetryPolicy] = None,
-        hedging: bool = True,
         seed: str = "ha",
     ) -> None:
         if strategy not in STRATEGIES:
@@ -651,7 +650,6 @@ class HAFetchPolicy:
         self.replica_set = replica_set
         self.clock = replica_set.clock
         self.strategy = strategy
-        self.hedging = hedging
         # The HA default is more patient than the transport-level one:
         # an "attempt" here is a whole round over every available
         # replica, and the policy is shared by the entire client fleet,
@@ -706,7 +704,7 @@ class HAFetchPolicy:
         tag = label or f"{GEAR_ENDPOINT}.{method}"
         if method == "upload":
             return (yield from self._fan_out_write(request, tag, label))
-        hedge = self.hedging and method == "download"
+        hedge = method == "download"
 
         def sources() -> List[Source]:
             replicas: List[Source] = [

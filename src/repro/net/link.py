@@ -45,7 +45,7 @@ from typing import (
 from repro.common.clock import SUSPEND, Process, SimClock, SimScheduler
 from repro.common.columns import RecordView
 from repro.common.errors import FetchCancelledError
-from repro.common.units import Mbps, mbps_to_bytes_per_s
+from repro.common.units import mbps_to_bytes_per_s
 
 #: Remaining service below this many seconds counts as complete (guards
 #: against float drift when shares are subtracted incrementally).

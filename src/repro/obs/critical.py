@@ -24,7 +24,7 @@ attribution and listed separately as concurrent work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import Span, SpanTracer
 

@@ -11,7 +11,6 @@ creation) — exactly the two cost terms modelled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.clock import SimClock
 from repro.common.units import MiB

@@ -21,7 +21,7 @@ byte-identical invocation timelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.common.rng import rng_for
 from repro.workloads.corpus import Corpus, GeneratedImage

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.environment import (
+    FAAS_TIER_MBPS,
     Testbed,
     attach_edge,
     make_faas_testbed,
@@ -32,14 +33,14 @@ class TestMakeTestbed:
 
     def test_set_bandwidth_in_place(self, testbed):
         """The registry-side wires follow; a FaaS tier link keeps its own
-        ``tier_mbps`` (it used to be overwritten with the WAN value)."""
+        ``FAAS_TIER_MBPS`` (it used to be overwritten with the WAN value)."""
         testbed.set_bandwidth(20)
         assert testbed.link.bandwidth_mbps == 20
 
-        faas = make_faas_testbed(tier_mbps=500.0)
+        faas = make_faas_testbed()
         faas.set_bandwidth(20)
         assert faas.link.bandwidth_mbps == 20
-        assert faas.faas.tier.link.bandwidth_mbps == 500.0
+        assert faas.faas.tier.link.bandwidth_mbps == FAAS_TIER_MBPS == 904.0
 
         ha = make_ha_testbed(replicas=3)
         ha.set_bandwidth(20)

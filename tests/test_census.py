@@ -236,3 +236,28 @@ def test_the_allowlist_is_pinned_and_each_entry_names_its_design_section():
     for key, why in census.DEFINITION_ALLOWLIST.items():
         assert key.startswith("src/") and ":" in key, key
         assert why.startswith("§"), key
+
+
+def test_a_qualified_use_counts_only_for_its_module(repo):
+    # An attribute of an object is a method's name, and an import or a
+    # module's attribute names that module's definition: neither keeps a
+    # namesake module-level function alive.
+    dead, _ = repo({
+        "src/pkg/stats.py": """\
+            def ratio(a, b):
+                return a / b
+
+            class Report:
+                def ratio(self):
+                    return 1
+        """,
+        "src/pkg/other.py": "def ratio():\n    return 2\n",
+        "examples/demo.py": """\
+            from pkg import other
+            from pkg.stats import Report
+            Report().ratio()
+            other.ratio()
+        """,
+        "tests/test_stats.py": "from pkg.stats import ratio\nratio(1, 2)\n",
+    })
+    assert dead == ["ratio"]

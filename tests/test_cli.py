@@ -73,7 +73,7 @@ class TestParser:
         assert surface == {
             name: {**COMMON, **flags} for name, flags in SURFACE.items()
         }
-        assert sum(len(flags) for flags in surface.values()) == 125
+        assert sum(len(flags) for flags in surface.values()) == 101
 
     def test_paper_takes_only_flags_other_commands_have(self):
         """``dedup`` and ``storage`` became cells of ``paper``, which
@@ -134,29 +134,22 @@ SURFACE = {
     },
     "crash": {
         "--target": ("nginx", None, None),
-        "--bandwidth": (100.0, float, None),
         "--crash-seed": ("0", None, None),
-        "--crash-op": (-1, int, None),
         "--json": (False, None, 0),
     },
     "chunks": {
-        "--bandwidth": (904.0, float, None),
         "--clients": (32, int, None),
         "--big-mib": (8, int, None),
         "--scenario": (None, None, "*"),
         "--chunk-seed": ("7", None, None),
-        "--crash-op": (-1, int, None),
         "--json": (False, None, 0),
     },
     "ha": {
         "--target": ("nginx", None, None),
-        "--bandwidth": (904.0, float, None),
         "--clients": (8, int, None),
         "--concurrency": (0, int, None),
         "--replicas": (3, int, None),
         "--strategy": ("primary-first", None, None),
-        "--no-hedging": (False, None, 0),
-        "--admission": (2, int, None),
         "--scenario": (None, None, "*"),
         "--ha-seed": ("0", None, None),
         "--json": (False, None, 0),
@@ -164,36 +157,21 @@ SURFACE = {
     "edge": {
         "--target": ("nginx", None, None),
         "--bandwidth": (200.0, float, None),
-        "--lan-bandwidth": (904.0, float, None),
         "--clients": (8, int, None),
-        "--concurrency": (0, int, None),
-        "--sites": (1, int, None),
-        "--gossip-interval": (0.25, float, None),
-        "--churn-rate": (2.0, float, None),
-        "--churn-horizon": (10.0, float, None),
         "--scenario": (None, None, "*"),
         "--edge-seed": ("0", None, None),
         "--equivalence": (False, None, 0),
         "--json": (False, None, 0),
     },
     "faas": {
-        "--bandwidth": (200.0, float, None),
-        "--tier-bandwidth": (904.0, float, None),
         "--nodes": (6, int, None),
         "--functions": (40, int, None),
         "--duration": (20.0, float, None),
         "--rate": (6.0, float, None),
-        "--skew": (1.0, float, None),
         "--spike-start": (8.0, float, None),
         "--spike-len": (4.0, float, None),
-        "--spike-factor": (10.0, float, None),
         "--outage-start": (9.0, float, None),
         "--outage-len": (2.0, float, None),
-        "--tier-capacity": (0, int, None),
-        "--tier-ttl": (0.0, float, None),
-        "--admission": (4, int, None),
-        "--keep-warm": (6.0, float, None),
-        "--replicas": (2, int, None),
         "--scenario": (None, None, "*"),
         "--faas-seed": ("0", None, None),
         "--json": (False, None, 0),
@@ -208,9 +186,7 @@ SURFACE = {
     },
     "trace": {
         "--target": ("nginx", None, None),
-        "--bandwidth": (100.0, float, None),
         "--clients": (1, int, None),
-        "--concurrency": (0, int, None),
         "--out-dir": (None, None, None),
         "--json": (False, None, 0),
     },

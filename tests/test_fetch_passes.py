@@ -28,12 +28,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import make_faas_testbed, publish_images
 from repro.common.clock import SimScheduler
+from repro.net import edge
 from repro.net.faas import FAAS_TIER_ENDPOINT, FaasPlatform
 from repro.net.faults import (
     BrownoutWindow,
@@ -178,15 +180,18 @@ HA = {
 
 
 def _edge(generated):
-    cluster = EdgeCluster(
-        6, churn_rate_per_s=4.0, churn_horizon_s=4.0, byzantine=(1,),
-        crash_node=0, crash_op_index=0, gossip_interval_s=2.0, seed="pin-edge",
-    )
-    bed = cluster.registry_testbed
-    publish_images(bed, [generated], convert=True)
-    return _observe(bed, lambda: cluster.deploy_wave(
-        lambda node: deploy_with_gear(node.testbed, generated), concurrency=2
-    ))
+    # Gossip every 2 s, as when the pin was recorded: a slow tracker
+    # leaves stale entries for the chain to demote.
+    with mock.patch.object(edge, "GOSSIP_INTERVAL_S", 2.0):
+        cluster = EdgeCluster(
+            6, churn_rate_per_s=4.0, churn_horizon_s=4.0, byzantine=(1,),
+            crash_node=0, crash_op_index=0, seed="pin-edge",
+        )
+        bed = cluster.registry_testbed
+        publish_images(bed, [generated], convert=True)
+        return _observe(bed, lambda: cluster.deploy_wave(
+            lambda node: deploy_with_gear(node.testbed, generated), concurrency=2
+        ))
 
 
 def _faas_run(corpus, bed, seed):

@@ -1,17 +1,19 @@
 """scripts/guards.py: every rule goes red on its mutants, and only that rule.
 
 A mutant is a small edit to one file: ``(path, old, new)`` replaces the
-one occurrence of ``old`` (``None``: appends ``new``).  Each mutant is a
+one occurrence of ``old`` (``None``: appends ``new``); a list of such
+edits is one mutant over several files.  Each mutant is a
 violation the rule exists for; those that name a PR are the mutants its
 CHANGES.md entry recorded, and those marked "gap" are violations the
 shell guards this table replaced let through.  A look-alike has the
 same shape and must leave every rule green: the pattern in a comment or
 a docstring, at an allowed site, or one name away.
 
-The rulebook runs over the repo's parses with the mutated module
+The rulebook runs over the repo's parses with the mutated modules
 re-parsed.  The census rows are re-run only when a mutant could change
 what they read (:func:`census_unmoved`): re-running them costs more than
-every other row together.
+every other row together.  The flags row reads ``build_parser`` too, so
+it re-runs whenever ``src/repro/cli.py`` is edited.
 """
 
 import ast
@@ -32,13 +34,15 @@ PEDANTIC = ".".join(("benchmark", "pedantic"))
 EDGE_BUILDER = "_".join(("make", "edge", "testbed"))
 
 P = "src/repro/"
+SKEW_ANCHOR = '    _flag(faas, "--rate", 6.0, "baseline Poisson arrival rate per second")\n'
+SKEW = '    _flag(faas, "--skew", 1.0)\n'
 MUTANTS = {
     "host-clock": [
         (P + "net/link.py", None, "_T0 = time.perf_counter()\n"),
         (P + "obs/trace.py", None, "_T0 = time.process_time()\n"),
         (P + "gear/pool.py", None, "_T0 = time.time()\n"),
         (P + "common/clock.py", None, "_T0 = time.monotonic_ns()\n"),
-        (P + "net/ha.py", None, "from time import time\n"),  # gap
+        (P + "net/ha.py", None, "from time import time\n_T0 = time()\n"),  # gap
         (P + "net/edge.py", None, "import time as t\n_T0 = t.time()\n"),  # gap
         (P + "obs/slo.py", None, "import datetime\n_NOW = datetime.datetime.now()\n"),  # gap
     ],
@@ -48,7 +52,8 @@ MUTANTS = {
     ],
     "download-chain": [
         (P + "net/edge.py", None, "_B = RetryPolicy().next_backoff(1)\n"),
-        (P + "net/faas.py", None, "from repro.bench.environment import make_testbed\n"),
+        (P + "net/faas.py", None, "from repro.bench.environment import make_testbed\n"
+                                "_B = make_testbed\n"),
     ],
     "thread-identity": [
         (P + "gear/viewer.py", None, "_ID = threading.get_ident()\n"),
@@ -65,14 +70,20 @@ MUTANTS = {
         (P + "gear/bigfile.py", None, "_F = partial.inflight.get(0)\n"),
     ],
     "sync-twin": [
-        (P + "gear/viewer.py", None, "def _materialize(node):\n    return node\n"),
-        (P + "gear/viewer.py", None, "def _fault_in(entry):\n    return entry\n"),
-        (P + "gear/viewer.py", None, "def _fetch_remote(entry):\n    return entry\n"),
-        (P + "net/transport.py", None, "def _attempt(request):\n    return request\n"),
+        (P + "gear/viewer.py", None, "def _materialize(node):\n    return node\n\n\n"
+                                     "_materialize(None)\n"),
+        (P + "gear/viewer.py", None, "def _fault_in(entry):\n    return entry\n\n\n"
+                                     "_fault_in(None)\n"),
+        (P + "gear/viewer.py", None, "def _fetch_remote(entry):\n    return entry\n\n\n"
+                                     "_fetch_remote(None)\n"),
+        (P + "net/transport.py", None, "def _attempt(request):\n    return request\n\n\n"
+                                       "_attempt(None)\n"),
         (P + "net/link.py", None, "def _transfer_flow(flow):\n    return flow\n\n\n"
                                   "_transfer_flow(None)\n"),
-        (P + "gear/bigfile.py", None, "def _get_partial(identity):\n    return identity\n"),
-        (P + "gear/bigfile.py", None, "def _fetch_chunk_claimed(chunk):\n    return chunk\n"),
+        (P + "gear/bigfile.py", None, "def _get_partial(identity):\n    return identity\n\n\n"
+                                      "_get_partial(None)\n"),
+        (P + "gear/bigfile.py", None, "def _fetch_chunk_claimed(chunk):\n    return chunk\n\n\n"
+                                      "_fetch_chunk_claimed(None)\n"),
     ],
     "content-address": [
         (P + "gear/commit.py", None, "_NAME = f'uid-{size}'\n"),
@@ -106,7 +117,8 @@ MUTANTS = {
                                   "    except (RETRYABLE_ERRORS, KeyError):\n        return None\n"),
     ],
     "one-walk": [
-        (P + "net/resilience.py", None, "def walk(sources):\n    return sources\n"),
+        (P + "net/resilience.py", None, "def walk(sources):\n    return sources\n\n\n"
+                                       "walk(None)\n"),
     ],
     "tier-test": [
         (P + "bench/environment.py", None, "_T = bed.ha is None\n"),
@@ -115,7 +127,8 @@ MUTANTS = {
     ],
     "one-wave": [
         (P + "net/topology.py", None, "def deploy_wave(nodes):\n    return nodes\n"),
-        (P + "net/topology.py", None, "def _wave_counters(bed):\n    return bed\n"),
+        (P + "net/topology.py", None, "def _wave_counters(bed):\n    return bed\n\n\n"
+                                      "_wave_counters(None)\n"),
     ],
     "edge-testbed": [
         ("tests/test_net_edge.py", None, f"from repro.bench.environment import {EDGE_BUILDER}\n"),
@@ -252,6 +265,9 @@ MUTANTS = {
         (P + "cli.py", None, "_BAD = [(site.name, identity) for site in sites for identity in "
                              "site.cache\n        if not verified(identity, site.cache[identity])]\n"),
     ],
+    "unused-import": [
+        (P + "gear/fingerprint.py", None, "from typing import List\n"),
+    ],
     "census-parameters": [
         # PR 39
         (P + "net/ha.py", "    def __init__(self, replica_set: ReplicaSet) -> None:\n",
@@ -264,6 +280,10 @@ MUTANTS = {
         # PR 42
         (P + "net/ha.py", "class HealthMonitor:\n",
          "    def scrub(self):\n        return len(self.replicas)\n\n\nclass HealthMonitor:\n"),
+    ],
+    "census-flags": [
+        # a deleted flag declared again, and nothing passes it
+        (P + "cli.py", SKEW_ANCHOR, SKEW_ANCHOR + SKEW),
     ],
 }
 
@@ -293,7 +313,7 @@ LOOKALIKES = {
     "member-tuple": [(P + "vfs/tar.py", None, "_M = tuple(names)\n")],
     "metadata-write": [(P + "vfs/overlay.py", None, "_M = node.meta.mode == 0o644\n")],
     "index-write": [(P + "gear/viewer.py", None, "upper.tree.write_file(path, blob)\n")],
-    "metric-instrument": [(P + "obs/metrics.py", None, "from collections import Counter\n")],
+    "metric-instrument": [(P + "obs/metrics.py", None, "from collections import Counter\n_C = Counter()\n")],
     "reset-stats": [(P + "vfs/overlay.py", None, "# reset_stats went in PR 30\n")],
     "rewind": [(P + "net/link.py", None, "_C = log.rows.clear()\n")],
     "reset-callback": [(P + "net/ha.py", None, "metrics.register_callback('b', snapshot, resets='x')\n")],
@@ -324,6 +344,10 @@ LOOKALIKES = {
         (P + "gear/pool.py", None, '"""def poisoned( and def audit_integrity( went to repro.invariants."""\n'),
         (P + "gear/viewer.py", None, "_V = [verified(f.identity, f) for f in fetched]\n"),
     ],
+    "unused-import": [
+        (P + "gear/fingerprint.py", None, 'from typing import List\n_L: "List[int]" = []\n'),
+        (P + "gear/fingerprint.py", None, 'from typing import List\n__all__ = ["List"]\n'),
+    ],
     "census-parameters": [
         (P + "net/ha.py", None, "_F = lambda interval_s=0.5: interval_s\n"),
         # examples/ set it: they call popularity_stream(..., skew=...)
@@ -331,11 +355,15 @@ LOOKALIKES = {
                                 "    return length, skew\n\n\npopularity_stream(0)\n"),
     ],
     "census-definitions": [(P + "net/ha.py", None, "def _helper():\n    return 1\n\n\n_helper()\n")],
+    # the same flag, and an example that passes it
+    "census-flags": [[(P + "cli.py", SKEW_ANCHOR, SKEW_ANCHOR + SKEW),
+                      ("examples/serverless_cold_start.py", None,
+                       '_CODE = cli.main(["faas", "--skew", "1.5"])\n')]],
 }
 
 
 def cases(table):
-    return [pytest.param(rule, *edit, id=f"{rule}-{n}")
+    return [pytest.param(rule, edit if isinstance(edit, list) else [edit], id=f"{rule}-{n}")
             for rule, edits in table.items() for n, edit in enumerate(edits)]
 
 
@@ -355,7 +383,8 @@ def repo():
         kept = {d["name"] for f, (local, _) in enumerate(files)
                 for i, d in enumerate(local) if (f, i) not in base}
         used = {name for f, (_, uses) in enumerate(files) for owner, names in uses.items()
-                if owner is None or (f, owner) in base for name, prefix in names if not prefix}
+                if owner is None or (f, owner) in base for name, how in names
+                if how is census.ANY_DEF}
         gc.freeze()
     finally:
         gc.enable()
@@ -399,7 +428,9 @@ def appended_unmoved(code, names):
     name: each is live the moment it exists."""
     tree = ast.parse(code)
     _, uses = census.referenced(tree, Path("src/appended.py"), True)
-    calling = names[1] | {name for name, _ in uses.get(None, ())}
+    calling = names[1] | {name.partition("appended.")[2] or name for name, how in uses.get(None, ())
+                          if how is census.ANY_DEF or how is census.DOTTED
+                          and name.startswith("appended.")}
     for node in ast.walk(tree):
         if isinstance(node, guards.DEFS) and not (
                 any(node is top for top in tree.body) and not isinstance(node, ast.ClassDef)
@@ -410,35 +441,42 @@ def appended_unmoved(code, names):
 
 
 def keeps_nothing(added, names):
-    """Whether none of the ``(name, is_prefix)`` uses in ``added`` names a
+    """Whether none of the ``(name, how)`` uses in ``added`` names a
     definition the census keeps alive only through an allowlist root."""
     kept = names[0]
-    return not any(name in kept or prefix and any(k.startswith(name) for k in kept)
-                   for name, prefix in added)
+    return not any(name.rpartition(".")[2] in kept
+                   or how is census.PREFIX and any(k.startswith(name) for k in kept)
+                   for name, how in added)
 
 
-def red(repo, path, old, new):
-    """The names of the rules that go red when ``path`` is edited so."""
+def red(repo, edits):
+    """The names of the rules that go red when files are edited so."""
     trees, names = repo
-    text = (ROOT / path).read_text()
-    if old is None:
-        text += "\n\n" + new
-    else:
-        assert text.count(old) == 1, f"{path}: the mutant's anchor moved"
-        text = text.replace(old, new)
-    key, mutated = Path(path), dict(trees)
-    # Every rule is green on the tree, so only those that read the edited
-    # file can go red: the rows whose scope holds it, the census rows
-    # unless the edit provably leaves their reading alone.
-    rules = [rule for rule in guards.RULES if rule.scope is not None and (
-        rule.match.reads(path) if isinstance(rule.match, guards.Text)
-        else guards.scoped(rule, (path,)))]
-    if key in trees:
-        mutated[key] = ast.parse(text, filename=path)
-        if not (path.startswith("src/") and (appended_unmoved(new, names) if old is None else
-                                             census_unmoved(key, trees[key], mutated[key], names))):
-            rules += [rule for rule in guards.RULES if rule.scope is None]
-    return {rule.name for rule, _ in guards.check(mutated, {path: text}, rules)}
+    mutated, texts, rules = dict(trees), {}, []
+    for path, old, new in edits:
+        text = (ROOT / path).read_text()
+        if old is None:
+            text += "\n\n" + new
+        else:
+            assert text.count(old) == 1, f"{path}: the mutant's anchor moved"
+            text = text.replace(old, new)
+        key = Path(path)
+        texts[path] = text
+        # Every rule is green on the tree, so only those that read the edited
+        # file can go red: the rows whose scope holds it, the census rows
+        # unless the edit provably leaves their reading alone.
+        rules += [rule for rule in guards.RULES if rule.scope is not None and (
+            rule.match.reads(path) if isinstance(rule.match, guards.Text)
+            else guards.scoped(rule, (path,)))]
+        if key in trees:
+            mutated[key] = ast.parse(text, filename=path)
+            if not (path.startswith("src/") and (appended_unmoved(new, names) if old is None else
+                                                 census_unmoved(key, trees[key], mutated[key], names))):
+                rules += [rule for rule in guards.RULES if rule.scope is None]
+            elif key == census.CLI:
+                rules += [rule for rule in guards.RULES if rule.name == "census-flags"]
+    rules = list(dict.fromkeys(rules))
+    return {rule.name for rule, _ in guards.check(mutated, texts, rules)}
 
 
 def test_the_tree_keeps_every_rule(repo):
@@ -452,14 +490,14 @@ def test_every_rule_has_a_mutant_and_a_lookalike():
     assert set(LOOKALIKES) == names
 
 
-@pytest.mark.parametrize("rule, path, old, new", cases(MUTANTS))
-def test_a_mutant_turns_only_its_rule_red(repo, rule, path, old, new):
-    assert red(repo, path, old, new) == {rule}
+@pytest.mark.parametrize("rule, edits", cases(MUTANTS))
+def test_a_mutant_turns_only_its_rule_red(repo, rule, edits):
+    assert red(repo, edits) == {rule}
 
 
-@pytest.mark.parametrize("rule, path, old, new", cases(LOOKALIKES))
-def test_a_lookalike_stays_green(repo, rule, path, old, new):
-    assert red(repo, path, old, new) == set()
+@pytest.mark.parametrize("rule, edits", cases(LOOKALIKES))
+def test_a_lookalike_stays_green(repo, rule, edits):
+    assert red(repo, edits) == set()
 
 
 def test_a_finding_names_its_site_rule_and_section(repo):

@@ -67,35 +67,6 @@ def _control_digests(images):
 
 
 class TestSharedCacheTier:
-    def test_lru_eviction_bounds_used_bytes(self, small_corpus):
-        bed = make_faas_testbed(tier_capacity_bytes=200_000)
-        publish_images(bed, small_corpus.images, convert=True)
-        node = bed.faas.client()
-        for generated in small_corpus.by_series["nginx"]:
-            deploy_with_gear(node, generated)
-        tier = bed.faas.tier
-        assert tier.used_bytes <= 200_000
-        assert bed.faas.stats.tier_evictions > 0
-        # Evicted identities left the suppression set, so refills are
-        # legitimate fetches, not duplicates.
-        assert bed.faas.stats.duplicate_upstream_fetches == 0
-
-    def test_ttl_expiry_refills_without_duplicate_flag(self, small_corpus):
-        generated = small_corpus.by_series["nginx"][0]
-        bed = make_faas_testbed(tier_ttl_s=0.5)
-        publish_images(bed, [generated], convert=True)
-        first = bed.faas.client()
-        deploy_with_gear(first, generated)
-        upstream_once = bed.faas.stats.tier_upstream_fetches
-        assert upstream_once > 0
-        bed.clock.advance(10.0, "idle-past-ttl")
-        second = bed.faas.client()
-        deploy_with_gear(second, generated)
-        stats = bed.faas.stats
-        assert stats.tier_expirations > 0
-        assert stats.tier_upstream_fetches > upstream_once
-        assert stats.duplicate_upstream_fetches == 0
-
     def test_second_node_hits_tier_not_registry(self, small_corpus):
         generated = small_corpus.by_series["nginx"][0]
         bed = make_faas_testbed()

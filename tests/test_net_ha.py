@@ -401,27 +401,6 @@ class TestHedging:
         assert policy_call_download(testbed, identity) is not None
         assert testbed.ha.policy.stats.hedges == 0
 
-    def test_hedging_disabled_by_flag(self, small_corpus):
-        slow = FaultPlan(
-            brownouts=(
-                BrownoutWindow(start_s=0.0, duration_s=1e9, factor=40.0),
-            ),
-            seed="t-slow",
-        )
-        testbed = make_ha_testbed(
-            replicas=2, replica_fault_plans=[slow], hedging=False
-        )
-        publish_images(testbed, small_corpus.images[:1], convert=True)
-        testbed.arm_faults()
-        replicas = testbed.ha.replica_set.replicas
-        identity = next(iter(replicas[1].registry.identities()))
-        with SimScheduler(testbed.clock) as scheduler:
-            scheduler.spawn(
-                lambda: policy_call_download(testbed, identity), name="client"
-            )
-            scheduler.run()
-        assert testbed.ha.policy.stats.hedges == 0
-
 
 class TestFleetTail:
     def test_one_dead_replica_costs_at_most_twice_the_healthy_tail(

@@ -247,7 +247,6 @@ def _traced_ha_wave(seed: str, images):
         3,
         replicas=2,
         bandwidth_mbps=904.0,
-        hedging=True,
         seed=seed,
         replica_fault_plans=[slow],
     )
