@@ -4,9 +4,14 @@
 Walks every function under ``src/`` with :mod:`ast`, counts its
 parameters that carry a default, and looks for a call in ``src/``,
 ``benchmarks/`` or ``examples/`` that sets each one: by keyword, by
-position, or through a ``*`` / ``**`` splat.  A parameter that nothing
-there sets only ever holds its default, so it is a constant written as
-an option.  A test is not a caller: a value only a test passes is an
+position, or through a ``*`` / ``**`` splat.  A ``**`` splat sets what
+it can carry: the enclosing function's own ``**`` parameter forwards
+what that function's callers pass it (followed to a fixpoint), a dict
+display sets its keys (also through a name bound only to displays and
+its ``name["key"] = …`` stores, or a ``src/`` function that returns
+one), and only a splat it cannot resolve sets everything.  A parameter
+that nothing there sets only ever holds its default, so it is a
+constant written as an option.  A test is not a caller: a value only a test passes is an
 option kept for its own test.  :data:`PARAMETER_ALLOWLIST` keeps one
 with its reason.
 
@@ -177,18 +182,106 @@ class Definitions(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
 
+#: What a ``**`` splat sets, when it is not a set of keys: every keyword
+#: (:data:`ALL`), what the enclosing function's own callers pass to its
+#: ``**`` parameter (``(FORWARD, its callee key, its named parameters)``),
+#: or the keys of the dict a ``src/`` function returns (``(RETURNS, name)``).
+ALL, FORWARD, RETURNS = ("all",), "forward", "returns"
+
+
+def display_keys(node):
+    """The keys of a dict display or a ``dict(k=…)`` call; None otherwise."""
+    if isinstance(node, ast.Dict) and all(
+            isinstance(key, ast.Constant) and isinstance(key.value, str) for key in node.keys):
+        return frozenset(key.value for key in node.keys)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+            and not node.args and all(keyword.arg for keyword in node.keywords)):
+        return frozenset(keyword.arg for keyword in node.keywords)
+    return None
+
+
+def dict_keys(scope, name):
+    """The keys ``name`` holds in ``scope`` when only dict displays bind it
+    and only ``name["key"] = …`` stores into it; None otherwise (a
+    parameter, another binding, a computed key, an ``update``)."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        if name in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+            return None
+    keys, displays = set(), set()
+    for node in ast.walk(scope):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id == name:
+                shown = display_keys(node.value)
+                if shown is None:
+                    return None
+                keys |= shown
+                displays.add(id(target))
+            elif (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
+                  and target.value.id == name):
+                if not (isinstance(target.slice, ast.Constant)
+                        and isinstance(target.slice.value, str)):
+                    return None
+                keys.add(target.slice.value)
+    for node in ast.walk(scope):
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store)
+                and id(node) not in displays):
+            return None
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == name and node.attr in ("update", "setdefault")):
+            return None
+    return frozenset(keys) if displays else None
+
+
+def returned_keys(function):
+    """The keys of the dict every ``return`` of ``function`` itself hands
+    back; None when one hands back anything else, or there is none."""
+    keys, stack = set(), list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            value = node.value
+            shown = (dict_keys(function, value.id) if isinstance(value, ast.Name)
+                     else display_keys(value))
+            if shown is None:
+                return None
+            keys |= shown
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return frozenset(keys) or None
+
+
 class Calls(ast.NodeVisitor):
     """What the calls of one file set, keyed by callee as written: a name,
-    or ``("super", class)`` for ``super().__init__`` inside that class."""
+    or ``("super", class)`` for ``super().__init__`` inside that class; and
+    what each function named so returns (:func:`returned_keys`)."""
 
     def __init__(self):
-        self.sets = {}   # callee -> [most positional args, keywords, *splat, **splat]
+        self.sets = {}      # callee -> [most positional args, keywords, *splat, {**splats}]
+        self.returns = defaultdict(list)  # function name -> [returned_keys(each def)]
         self.classes = []
+        self.functions = []
+        self.module = None
+
+    def visit_Module(self, node):
+        self.module = node
+        self.generic_visit(node)
 
     def visit_ClassDef(self, node):
         self.classes.append(node.name)
         self.generic_visit(node)
         self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        if not isinstance(node, ast.Lambda):
+            self.returns[node.name].append(returned_keys(node))
+        self.functions.append(node)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_Lambda = visit_FunctionDef
 
     def _callees(self, func):
         if isinstance(func, ast.Name):
@@ -202,8 +295,33 @@ class Calls(ast.NodeVisitor):
             return [func.attr]
         return []
 
+    def _splat(self, value):
+        """What ``**value`` sets: a set of keys, or a :data:`ALL`,
+        :data:`FORWARD` or :data:`RETURNS` splat."""
+        shown = display_keys(value)
+        if shown is not None:
+            return shown
+        function = self.functions[-1] if self.functions else None
+        if isinstance(value, ast.Name):
+            args = function.args if function is not None else None
+            if args is not None and args.kwarg is not None and value.id == args.kwarg.arg:
+                if isinstance(function, ast.Lambda):
+                    return ALL
+                key = function.name
+                if function.name in ("__init__", "__new__") and self.classes:
+                    key = self.classes[-1]
+                named = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                return (FORWARD, key, frozenset(named))
+            local = function is not None and any(
+                isinstance(node, ast.Name) and node.id == value.id
+                and isinstance(node.ctx, ast.Store) for node in ast.walk(function))
+            return dict_keys(function if local else self.module, value.id) or ALL
+        if isinstance(value, ast.Call) and isinstance(value.func, (ast.Name, ast.Attribute)):
+            return (RETURNS, getattr(value.func, "id", None) or value.func.attr)
+        return ALL
+
     def _record(self, callee, args, keywords):
-        entry = self.sets.setdefault(callee, [0, set(), False, False])
+        entry = self.sets.setdefault(callee, [0, set(), False, set()])
         count = 0
         for arg in args:
             if isinstance(arg, ast.Starred):
@@ -212,10 +330,14 @@ class Calls(ast.NodeVisitor):
             count += 1
         entry[0] = max(entry[0], count)
         for keyword in keywords:
-            if keyword.arg is None:
-                entry[3] = True
-            else:
+            if keyword.arg is not None:
                 entry[1].add(keyword.arg)
+                continue
+            splat = self._splat(keyword.value)
+            if isinstance(splat, frozenset):
+                entry[1] |= splat
+            else:
+                entry[3].add(splat)
 
     def visit_Call(self, node):
         for callee in self._callees(node.func):
@@ -240,7 +362,7 @@ def defined(tree, path):
 def called(tree):
     calls = Calls()
     calls.visit(tree)
-    return calls.sets
+    return calls.sets, calls.returns
 
 
 def census(trees=None):
@@ -268,10 +390,15 @@ def census(trees=None):
     keywords = defaultdict(set)   # callee -> keyword names passed
     positions = defaultdict(int)  # callee -> most positional args
     splat_args, splat_kwargs = set(), set()
+    returns, splats = defaultdict(list), []
     for path, tree in trees.items():
         if path.parts[0] not in USER_DIRS:
             continue
-        for raw, (count, names, star, starstar) in called(tree).items():
+        sets, returned = called(tree)
+        if path.parts[0] == "src":
+            for name, found in returned.items():
+                returns[name] += found
+        for raw, (count, names, star, starred) in sets.items():
             if isinstance(raw, tuple):
                 callees = {init_of(p) for p in bases.get(raw[1], [])[:1]}
             else:
@@ -281,8 +408,28 @@ def census(trees=None):
                 keywords[callee] |= names
                 if star:
                     splat_args.add(callee)
-                if starstar:
+                splats += [(callee, splat) for splat in starred]
+
+    # A ** splat sets the keys of the dict a src/ function returns, or
+    # what the enclosing function's callers pass it, followed to a fixpoint.
+    forwards = []
+    for callee, splat in splats:
+        if splat[0] == RETURNS and None not in returns.get(splat[1], [None]):
+            keywords[callee] |= frozenset().union(*returns[splat[1]])
+        elif splat[0] == FORWARD:
+            forwards.append((callee, splat[1], splat[2]))
+        else:
+            splat_kwargs.add(callee)
+    changed = True
+    while changed:
+        changed = False
+        for callee, caller, named in forwards:
+            passed = keywords[caller] - named - keywords[callee]
+            if passed or caller in splat_kwargs and callee not in splat_kwargs:
+                keywords[callee] |= passed
+                if caller in splat_kwargs:
                     splat_kwargs.add(callee)
+                changed = True
 
     total, unset, allowed = 0, [], set()
     for path, qualified, key, function in functions:

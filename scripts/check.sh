@@ -71,6 +71,12 @@ then
     git diff --exit-code -- benchmarks/artifacts \
         || { echo "BENCH_ext artifacts drifted: commit the refreshed \
 benchmarks/artifacts/*.json" >&2; exit 1; }
+    # An artifact git does not track yet (a new GATES row's) is no diff,
+    # and a fresh clone would lack it: it fails here too.
+    untracked="$(git status --porcelain -- benchmarks/artifacts)"
+    [ -z "$untracked" ] \
+        || { echo "benchmarks/artifacts holds files git does not track:" >&2
+             echo "$untracked" >&2; exit 1; }
 fi
 echo "perf-trajectory artifacts fresh"
 

@@ -215,30 +215,20 @@ def deploy_with_gear_overlapped(
     registry coalesces races on the same file, keeping total bytes equal
     to the demand-only deployment.
 
-    Reuses an active scheduler when the caller runs inside one (e.g. a
-    fleet wave); otherwise it attaches its own for the run phase.
+    It attaches its own scheduler for the run phase, so call it outside
+    one.
     """
     def spawn(container, startup):
         profile = recorder.profile_for(generated.gear_reference)
-        scheduler = testbed.clock.scheduler
-        owns_scheduler = scheduler is None
-        if owns_scheduler:
-            scheduler = SimScheduler(testbed.clock)
-        try:
+        with SimScheduler(testbed.clock) as scheduler:
             if profile is not None:
                 testbed.gear_driver.spawn_prefetch(container, profile)
             process = scheduler.spawn(
                 startup, name=f"startup:{generated.reference}"
             )
-            if owns_scheduler:
-                # Drain everything (prefetch tail included) so the link
-                # has no half-finished flows when the scheduler detaches.
-                scheduler.run()
-            else:
-                process.join()
-        finally:
-            if owns_scheduler:
-                scheduler.close()
+            # Drain everything (prefetch tail included) so the link has
+            # no half-finished flows when the scheduler detaches.
+            scheduler.run()
         return process
 
     return _deploy_gear(

@@ -203,17 +203,17 @@ def _with_client(
     transport: RpcTransport,
     docker_registry: DockerRegistry,
     gear_registry,
-    registry_disk: DiskProfile,
-    client_disk: DiskProfile,
-    pool_capacity_bytes: Optional[int],
-    pool_policy: EvictionPolicy,
-    fault_plan: Optional[FaultPlan],
+    registry_disk: DiskProfile = HDD,
+    pool_capacity_bytes: Optional[int] = None,
+    pool_policy: EvictionPolicy = EvictionPolicy.LRU,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> Testbed:
     """What every registry side is finished with: the converter, one
-    client node (daemon, pool, driver) over ``transport`` (a tier over
-    the ``base`` wire transport, or that transport), the metrics."""
+    client node (daemon on an HDD, pool, driver) over ``transport`` (a
+    tier over the ``base`` wire transport, or that transport), the
+    metrics."""
     clock = base.link.clock
-    daemon = DockerDaemon(clock, transport, disk=Disk(clock, client_disk))
+    daemon = DockerDaemon(clock, transport, disk=Disk(clock, HDD))
     pool = SharedFilePool(capacity_bytes=pool_capacity_bytes, policy=pool_policy)
     testbed = Testbed(
         clock=clock,
@@ -237,13 +237,12 @@ def make_testbed(
     *,
     bandwidth_mbps: float = 904.0,
     registry_disk: DiskProfile = HDD,
-    client_disk: DiskProfile = HDD,
     pool_capacity_bytes: Optional[int] = None,
     pool_policy: EvictionPolicy = EvictionPolicy.LRU,
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> Testbed:
-    """Assemble the two-node testbed of §V-A.
+    """Assemble the two-node testbed of §V-A (the client's disk is an HDD).
 
     A ``fault_plan`` swaps the link for a :class:`FaultyLink` and (unless
     an explicit ``retry_policy`` is given) equips the transport with the
@@ -260,7 +259,7 @@ def make_testbed(
     transport.bind(gear_registry.endpoint())
     return _with_client(
         transport, transport, docker_registry, gear_registry, registry_disk,
-        client_disk, pool_capacity_bytes, pool_policy, fault_plan,
+        pool_capacity_bytes, pool_policy, fault_plan,
     )
 
 
@@ -268,13 +267,7 @@ def make_ha_testbed(
     *,
     replicas: int = 3,
     bandwidth_mbps: float = 904.0,
-    registry_disk: DiskProfile = HDD,
-    client_disk: DiskProfile = HDD,
-    pool_capacity_bytes: Optional[int] = None,
-    pool_policy: EvictionPolicy = EvictionPolicy.LRU,
-    fault_plan: Optional[FaultPlan] = None,
     replica_fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     strategy: str = "primary-first",
     admission_capacity: Optional[int] = None,
     seed: str = "ha",
@@ -282,26 +275,24 @@ def make_ha_testbed(
     """Assemble the testbed with a replicated Gear registry tier.
 
     ``replicas`` Gear registries each sit behind their own link and
-    transport; the Docker registry stays on the base link (``fault_plan``
-    applies there).  ``replica_fault_plans[i]`` swaps replica *i*'s link
+    transport; the Docker registry stays on the plain base link, and the
+    client is built as :func:`make_testbed`'s default one (HDDs, an
+    unbounded LRU pool).  ``replica_fault_plans[i]`` swaps replica *i*'s link
     for a :class:`FaultyLink` — outages, brownouts, byzantine corruption
     per replica.  Every replica link shares the base link's
     :class:`~repro.net.link.TransferLog`, so byte accounting
     (``testbed.link.log``) stays fleet-wide exactly as in the
     single-registry testbed.
 
-    The HA-level ``retry_policy`` governs failover backoff rounds;
-    replica transports carry no per-call retry — a failed attempt fails
-    over to the next replica instead of hammering the same one.
+    The HA policy's own :class:`RetryPolicy` governs failover backoff
+    rounds; replica transports carry no per-call retry — a failed attempt
+    fails over to the next replica instead of hammering the same one.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     clock = SimClock()
-    base_link = _link(clock, fault_plan, bandwidth_mbps)
-    base_retry = (
-        RetryPolicy(seed=f"{seed}-docker") if fault_plan is not None else None
-    )
-    base_transport = RpcTransport(base_link, retry_policy=base_retry)
+    base_link = Link(clock, bandwidth_mbps=bandwidth_mbps)
+    base_transport = RpcTransport(base_link)
     docker_registry = DockerRegistry()
     base_transport.bind(docker_registry.endpoint())
 
@@ -325,17 +316,11 @@ def make_ha_testbed(
             )
         )
     replica_set = ReplicaSet(clock, members)
-    policy = HAFetchPolicy(
-        replica_set,
-        strategy=strategy,
-        retry_policy=retry_policy,
-        seed=seed,
-    )
+    policy = HAFetchPolicy(replica_set, strategy=strategy, seed=seed)
     monitor = HealthMonitor(replica_set)
     return _with_client(
         base_transport, HATransport(base_transport, policy, monitor),
-        docker_registry, replica_set, registry_disk, client_disk,
-        pool_capacity_bytes, pool_policy, fault_plan,
+        docker_registry, replica_set,
     )
 
 
@@ -344,7 +329,6 @@ def attach_edge(
     *,
     sites: int = 1,
     lan_mbps: float = 904.0,
-    edge_retry_policy: Optional[RetryPolicy] = None,
     seed: str = "edge",
 ) -> Testbed:
     """Attach an edge/P2P tier to any registry side; returns ``testbed``.
@@ -358,15 +342,13 @@ def attach_edge(
     the peer → site cache → ``testbed.transport`` chain.  With no peers
     holding a file and an
     empty site cache, that chain is byte- and time-identical to the
-    bare testbed's registry call.  ``edge_retry_policy`` governs
-    whole-chain backoff rounds (defaults to a fabric-seeded
-    :class:`RetryPolicy`).
+    bare testbed's registry call.  A fabric-seeded :class:`RetryPolicy`
+    governs whole-chain backoff rounds.
     """
     if sites < 1:
         raise ValueError("need at least one edge site")
     stats = EdgeStats()
-    if edge_retry_policy is None:
-        edge_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
+    edge_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
     site_list = [
         EdgeSite(
             f"site-{index}",
@@ -390,7 +372,6 @@ def attach_faas(
     testbed: Testbed,
     *,
     tier_fault_plan: Optional[FaultPlan] = None,
-    faas_retry_policy: Optional[RetryPolicy] = None,
     tier_admission_capacity: Optional[int] = None,
     seed: str = "faas",
 ) -> Testbed:
@@ -407,9 +388,8 @@ def attach_faas(
     ``tier_fault_plan`` swaps the tier link for a
     :class:`~repro.net.faults.FaultyLink`; scope its windows to the tier
     with ``targets=("faas-tier",)`` (see
-    :data:`~repro.net.faas.FAAS_TIER_ENDPOINT`).  ``faas_retry_policy``
-    governs whole-chain backoff rounds (defaults to a fabric-seeded
-    policy).
+    :data:`~repro.net.faas.FAAS_TIER_ENDPOINT`).  A fabric-seeded
+    :class:`RetryPolicy` governs whole-chain backoff rounds.
     """
     stats = FaasStats()
     tier_link = _link(testbed.clock, tier_fault_plan, FAAS_TIER_MBPS)
@@ -420,10 +400,9 @@ def attach_faas(
         stats=stats,
         admission=AdmissionGate(tier_admission_capacity),
     )
-    if faas_retry_policy is None:
-        faas_retry_policy = RetryPolicy(seed=f"{seed}-fabric")
     testbed.faas = FaasFabric(
-        testbed, tier, stats=stats, seed=seed, retry_policy=faas_retry_policy
+        testbed, tier, stats=stats, seed=seed,
+        retry_policy=RetryPolicy(seed=f"{seed}-fabric"),
     )
     testbed.faas.instrument(testbed.metrics)
     return testbed
@@ -432,7 +411,6 @@ def attach_faas(
 def make_faas_testbed(
     *,
     tier_fault_plan: Optional[FaultPlan] = None,
-    faas_retry_policy: Optional[RetryPolicy] = None,
     tier_admission_capacity: Optional[int] = None,
     ha_replicas: int = 0,
     seed: str = "faas",
@@ -441,9 +419,8 @@ def make_faas_testbed(
     """The three-tier FaaS testbed, nodes ↔ tier ↔ registry:
     :func:`make_testbed`'s registry side (or :func:`make_ha_testbed`'s
     when ``ha_replicas > 0`` — the Lambda-paper shape, a replicated store
-    behind the shared cache) built from ``registry_side`` (its
-    ``retry_policy`` and ``fault_plan`` apply to the WAN either way),
-    then :func:`attach_faas`."""
+    behind the shared cache) built from ``registry_side``, then
+    :func:`attach_faas`."""
     if ha_replicas > 0:
         testbed = make_ha_testbed(
             replicas=ha_replicas, seed=f"{seed}-ha", **registry_side
@@ -453,7 +430,6 @@ def make_faas_testbed(
     return attach_faas(
         testbed,
         tier_fault_plan=tier_fault_plan,
-        faas_retry_policy=faas_retry_policy,
         tier_admission_capacity=tier_admission_capacity,
         seed=seed,
     )

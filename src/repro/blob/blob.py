@@ -226,9 +226,6 @@ class Blob:
     def __hash__(self) -> int:
         return hash(self.fingerprint)
 
-    def __len__(self) -> int:
-        return self._size
-
     def __repr__(self) -> str:
         return (
             f"Blob(size={self._size}, chunks={len(self._chunks)}, "

@@ -775,7 +775,6 @@ def _edge_scenario_kwargs(scenario: str, args) -> dict:
     if scenario == "churn+byzantine":
         # The full adversity menu adds one peer crash mid-serve.
         kwargs["crash_node"] = 0
-        kwargs["crash_op_index"] = 0
     return kwargs
 
 

@@ -23,7 +23,7 @@ Two execution regimes share the same clock:
 Processes come in two flavours:
 
 * **generator processes** — ``yield`` a delay in seconds, another
-  :class:`Process` (join), or a :class:`SimEvent`; resumed by the
+  :class:`Process` (await its end), or a :class:`SimEvent`; resumed by the
   scheduler with deterministic ordering;
 * **call processes** — a plain callable executed on a worker thread with
   *strict handoff*: exactly one thread (the scheduler loop or one
@@ -373,7 +373,7 @@ class SimClock:
         """Pay any outstanding deferred advances immediately.
 
         Called by the shared-state surfaces (link transfers, event
-        waits/fires with waiters, joins, process exit) so deferred local
+        waits/fires with waiters, process exit) so deferred local
         costs can never leak past a point other processes observe.
         """
         if self._debtor()._debt:
@@ -414,13 +414,6 @@ class SimClock:
                 f"event at t={timestamp!r} is in the past (now={self._now!r})"
             )
         self._now = timestamp
-
-    @property
-    def trace(self) -> List[Tuple[float, str]]:
-        """Recorded ``(timestamp, label)`` events (only when tracing)."""
-        if self._tracer is None:
-            return []
-        return self._tracer.compat_trace()
 
     def timer(self) -> "Stopwatch":
         """Return a stopwatch anchored at the current virtual time."""
@@ -528,15 +521,6 @@ class Process:
         self._resume.release()
         self.scheduler._loop_wake.acquire()
 
-    def join(self) -> "Process":
-        """Wait for this process to finish.
-
-        From inside another process this suspends the caller; from the
-        main thread it runs the event loop until this process completes.
-        Returns ``self`` so callers can read ``result``/``error``.
-        """
-        return self.scheduler.join(self)
-
     def __repr__(self) -> str:
         state = "done" if self._done else "running"
         return f"Process({self.name!r}, {state})"
@@ -545,10 +529,10 @@ class Process:
 class SimEvent:
     """A one-shot condition processes can wait on (e.g. single-flight).
 
-    ``wait()`` suspends the calling process until someone calls
-    ``fire()``; generator processes can ``yield`` the event instead.
-    Firing an already-fired event is a no-op; waiting on a fired event
-    returns immediately.
+    ``wait_gen()`` (or a bare ``yield`` of the event) suspends the
+    calling process until someone calls ``fire()``.  Firing an
+    already-fired event is a no-op; waiting on a fired event returns
+    immediately.
     """
 
     __slots__ = ("clock", "_fired", "_waiters")
@@ -557,10 +541,6 @@ class SimEvent:
         self.clock = clock
         self._fired = False
         self._waiters: List[Process] = []
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
 
     def fire(self) -> None:
         """Mark the condition true and wake every waiter."""
@@ -583,13 +563,9 @@ class SimEvent:
             yield from self.clock.settle_gen()
         self.fire()
 
-    def wait(self) -> None:
-        """Block the calling process until the event fires."""
-        if not self._fired:
-            self.clock.drive(self.wait_gen())
-
     def wait_gen(self):
-        """:meth:`wait` as a generator: ``yield from`` it in a process."""
+        """Suspend the calling process until the event fires: ``yield
+        from`` it in a process, or hand it to ``clock.drive``."""
         if self._fired:
             return
         yield from self.clock.settle_gen()
@@ -800,23 +776,6 @@ class SimScheduler:
             )
         if process.error is not None:
             raise process.error
-        return process
-
-    def join(self, process: Process) -> Process:
-        """Wait for ``process``: suspend the caller, or run the loop."""
-        current = self._running_process()
-        if current is None:
-            if not process._done:
-                return self.run_until(process)
-            if process.error is not None:
-                raise process.error
-            return process
-        if current is process:
-            raise SchedulerError("a process cannot join itself")
-        self.clock.settle_debt()
-        if not process._done:
-            process._waiters.append(current)
-            self._suspend(current)
         return process
 
     def _run_loop(self, stop: Optional[Process]) -> None:

@@ -6,7 +6,7 @@ import enum
 import itertools
 
 from repro.common.errors import ReproError
-from repro.docker.image import Image, ImageConfig
+from repro.docker.image import Image
 from repro.vfs.overlay import OverlayMount
 
 _container_ids = itertools.count(1)
@@ -34,10 +34,6 @@ class Container:
         self.image = image
         self.mount = mount
         self.state = ContainerState.CREATED
-
-    @property
-    def config(self) -> ImageConfig:
-        return self.image.config
 
     def start(self) -> None:
         if self.state not in (ContainerState.CREATED, ContainerState.STOPPED):

@@ -94,9 +94,6 @@ class DockerDaemon:
         except KeyError:
             raise NotFoundError(f"image not pulled: {reference!r}") from None
 
-    def images(self) -> List[str]:
-        return sorted(self._images)
-
     def remove_image(self, reference: str) -> None:
         """Forget an image (its layers stay in the driver for reuse)."""
         if reference not in self._images:

@@ -55,16 +55,6 @@ class Overlay2Driver:
             diff = self._diffs[digest] = self.get_layer(digest).diff_tree().freeze()
         return diff
 
-    @property
-    def layer_count(self) -> int:
-        return len(self._layers)
-
-    @property
-    def stored_bytes(self) -> int:
-        """Local uncompressed layer bytes: the modelled disk holds each
-        extraction from the pull on; the host tree is built at mount."""
-        return sum(layer.uncompressed_size for layer in self._layers.values())
-
     # -- mounts --------------------------------------------------------------
 
     def mount(self, image: Image) -> OverlayMount:
@@ -84,4 +74,4 @@ class Overlay2Driver:
         return OverlayMount(lowers)
 
     def __repr__(self) -> str:
-        return f"Overlay2Driver(layers={self.layer_count})"
+        return f"Overlay2Driver(layers={len(self._layers)})"

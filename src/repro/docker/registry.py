@@ -13,7 +13,7 @@ the storage experiments, which only need byte accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import NotFoundError
 from repro.common.hashing import Digest
@@ -94,10 +94,6 @@ class DockerRegistry:
     # -- accounting ----------------------------------------------------------
 
     @property
-    def manifest_count(self) -> int:
-        return len(self._manifests)
-
-    @property
     def layer_count(self) -> int:
         return len(self._layers)
 
@@ -106,9 +102,6 @@ class DockerRegistry:
         """Registry footprint: compressed layers + manifests (§II-B)."""
         manifests = sum(m.size_bytes for m in self._manifests.values())
         return self._layers.total_stored_size + manifests
-
-    def layer_digests(self) -> Iterator[str]:
-        return self._layers.keys()
 
     # -- RPC surface -----------------------------------------------------------
 
@@ -149,6 +142,6 @@ class DockerRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"DockerRegistry(images={self.manifest_count}, "
+            f"DockerRegistry(images={len(self._manifests)}, "
             f"layers={self.layer_count}, bytes={self.stored_bytes})"
         )

@@ -99,10 +99,6 @@ class GearContainer:
         self.mount = viewer
         self.state = ContainerState.CREATED
 
-    @property
-    def config(self):
-        return self.index.config
-
     def start(self) -> None:
         if self.state not in (ContainerState.CREATED, ContainerState.STOPPED):
             raise GearError(f"cannot start container in state {self.state.value}")
@@ -203,9 +199,6 @@ class GearDriver:
             inode.nlink -= 1
         if self.daemon.has_image(reference):
             self.daemon.remove_image(reference)
-
-    def images(self) -> List[str]:
-        return sorted(self._indexes)
 
     # -- container-level operations -----------------------------------------
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.blob import Blob
 from repro.common.errors import GearError
-from repro.common.hashing import Digest, sha256_tokens
 from repro.docker.image import Image, ImageConfig
 from repro.vfs.inode import Inode
 from repro.vfs.tar import LayerArchive
@@ -272,35 +271,5 @@ class GearIndex:
         """A writable copy of the index tree, every entry a pristine stub."""
         return self.tree.clone()
 
-    # -- queries ----------------------------------------------------------------
-
-    @property
-    def file_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def represented_bytes(self) -> int:
-        """Total size of the regular files the index points to."""
-        return sum(entry.size for entry in self.entries.values())
-
-    def identities(self) -> Iterator[str]:
-        """Distinct Gear file identities this index references."""
-        seen = set()
-        for entry in self.entries.values():
-            if entry.identity not in seen:
-                seen.add(entry.identity)
-                yield entry.identity
-
-    def digest(self) -> Digest:
-        """Identity of the index content (used in tests for round-trips)."""
-        tokens: List[str] = []
-        for path in sorted(self.entries):
-            entry = self.entries[path]
-            tokens.append(f"{path}|{entry.identity}|{entry.size}|{entry.mode:o}")
-        return sha256_tokens(tokens)
-
     def __repr__(self) -> str:
-        return (
-            f"GearIndex({self.reference!r}, files={self.file_count}, "
-            f"bytes={self.represented_bytes})"
-        )
+        return f"GearIndex({self.reference!r}, files={len(self.entries)})"

@@ -125,16 +125,6 @@ class IntentJournal:
         live read-only view)."""
         return JournalRecords(self)
 
-    @property
-    def appended(self) -> int:
-        """Total records ever appended (survives :meth:`compact`)."""
-        return self.stats.appends
-
-    @property
-    def compactions(self) -> int:
-        """Completed compaction passes."""
-        return self.stats.compactions
-
     # -- appends -----------------------------------------------------------
 
     def _append(
@@ -240,7 +230,7 @@ class IntentJournal:
     def __repr__(self) -> str:
         return (
             f"IntentJournal(records={len(self._ops)}, "
-            f"appended={self.appended})"
+            f"appended={self.stats.appends})"
         )
 
 

@@ -322,12 +322,6 @@ class SharedFilePool:
     def identities(self) -> Iterator[str]:
         return iter(self._inodes.keys())
 
-    def __contains__(self, identity: str) -> bool:
-        return identity in self._inodes
-
-    def __len__(self) -> int:
-        return len(self._inodes)
-
     def __repr__(self) -> str:
         cap = self.capacity_bytes if self.capacity_bytes is not None else "∞"
         return (

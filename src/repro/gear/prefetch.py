@@ -77,9 +77,6 @@ class TraceRecorder:
     def profile_for(self, reference: str) -> Optional[StartupProfile]:
         return self._profiles.get(reference)
 
-    def __len__(self) -> int:
-        return len(self._profiles)
-
 
 @dataclass
 class PrefetchReport:

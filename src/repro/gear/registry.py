@@ -10,7 +10,7 @@ mirrors that by binding both endpoints on the same transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.blob import Blob, chunk_compressed_size, chunk_fingerprint
 from repro.common.errors import IntegrityError, NotFoundError
@@ -96,14 +96,6 @@ class GearRegistry:
 
     # -- bulk helpers ------------------------------------------------------
 
-    def missing(self, identities: Iterable[str]) -> List[str]:
-        """Identities not present (client-side push planning, §III-C)."""
-        return [identity for identity in identities if not self.query(identity)]
-
-    def delete(self, identity: str) -> None:
-        """Remove a Gear file."""
-        self._store.delete(identity)
-
     def stat(self, identity: str) -> StoredObject:
         """Size metadata without touching the payload."""
         return self._store.stat(identity)
@@ -138,10 +130,6 @@ class GearRegistry:
     def stored_bytes(self) -> int:
         """On-disk footprint (compressed)."""
         return self._store.total_stored_size
-
-    @property
-    def logical_bytes(self) -> int:
-        return self._store.total_size
 
     def identities(self) -> Iterator[str]:
         return self._store.keys()

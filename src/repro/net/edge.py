@@ -227,12 +227,6 @@ class SiteTracker:
         for identity in list(self._entries):
             self.drop_entry(identity, peer_name)
 
-    def identities(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class _Peer(Source):
     """A site neighbour the tracker names for the file: ``fetch`` is its
@@ -342,7 +336,7 @@ class EdgeSite:
         *,
         stats: EdgeStats,
         base: Any,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy,
         seed: str = "edge",
     ) -> None:
         self.name = name
@@ -496,7 +490,7 @@ class EdgeSite:
     def __repr__(self) -> str:
         return (
             f"EdgeSite({self.name}, peers={len(self.peers)}, "
-            f"tracked={len(self.tracker)}, cached={len(self.cache)})"
+            f"tracked={len(self.tracker._entries)}, cached={len(self.cache)})"
         )
 
 
@@ -519,7 +513,7 @@ class EdgeFabric(Tier):
         *,
         stats: EdgeStats,
         seed: str = "edge",
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy,
     ) -> None:
         if not sites:
             raise ValueError("an edge fabric needs at least one site")
@@ -573,8 +567,7 @@ class EdgeFabric(Tier):
 
     def instrument(self, metrics: Any) -> None:
         metrics.register("edge", self.stats)
-        if self.retry_policy is not None:
-            self.retry_policy.register(metrics, "edge_retry")
+        self.retry_policy.register(metrics, "edge_retry")
 
     def add_probes(self, sampler: Any) -> None:
         sampler.add_probe(
@@ -665,9 +658,6 @@ class ChurnSchedule:
                 offline.append(peer)
                 events.append(ChurnEvent(now, "leave", peer))
         return cls(events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class ChurnDriver:

@@ -349,7 +349,7 @@ class FaasFabric(Tier):
         *,
         stats: FaasStats,
         seed: str = "faas",
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy,
     ) -> None:
         self.root = root
         self.base = root.transport
@@ -387,8 +387,7 @@ class FaasFabric(Tier):
     def instrument(self, metrics: Any) -> None:
         metrics.register("faas", self.stats)
         register_faults(metrics, self.tier.link, "faas-tier")
-        if self.retry_policy is not None:
-            self.retry_policy.register(metrics, "faas_retry")
+        self.retry_policy.register(metrics, "faas_retry")
 
     def add_probes(self, sampler: Any) -> None:
         tier, clock = self.tier, self.clock

@@ -459,16 +459,6 @@ class CrashInjector:
         #: The crash this injector produced (None while still armed).
         self.fired: Optional[ClientCrash] = None
 
-    @property
-    def armed(self) -> bool:
-        """True while the planned crash has not happened yet."""
-        return self.fired is None
-
-    @property
-    def op_index(self) -> int:
-        """The resolved occurrence index (explicit or seeded draw)."""
-        return self._op_index
-
     def take(self, point: CrashPoint) -> bool:
         """Count one occurrence of ``point``; True when the crash is due."""
         if self.fired is not None or point is not self.plan.point:
@@ -492,7 +482,7 @@ class CrashInjector:
         raise crash
 
     def __repr__(self) -> str:
-        state = "armed" if self.armed else f"fired@{self.fired.at_s:.3f}s"
+        state = "armed" if self.fired is None else f"fired@{self.fired.at_s:.3f}s"
         return f"CrashInjector({self.plan.point.value}, op={self._op_index}, {state})"
 
 

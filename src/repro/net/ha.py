@@ -253,25 +253,9 @@ class ReplicaSet:
 
     # -- GearRegistry duck surface (in-process, registry side) -------------
 
-    def query(self, identity: str) -> bool:
-        return self.primary.registry.query(identity)
-
     def upload(self, gear_file: Any) -> bool:
         results = [r.registry.upload(gear_file) for r in self.replicas]
         return results[0]
-
-    def download(self, identity: str) -> Any:
-        return self.primary.registry.download(identity)
-
-    def delete(self, identity: str) -> None:
-        for replica in self.replicas:
-            try:
-                replica.registry.delete(identity)
-            except NotFoundError:
-                pass  # divergent replica never got the write
-
-    def stat(self, identity: str) -> Any:
-        return self.primary.registry.stat(identity)
 
     @property
     def file_count(self) -> int:
@@ -280,13 +264,6 @@ class ReplicaSet:
     @property
     def stored_bytes(self) -> int:
         return self.primary.registry.stored_bytes
-
-    @property
-    def logical_bytes(self) -> int:
-        return self.primary.registry.logical_bytes
-
-    def identities(self) -> Any:
-        return self.primary.registry.identities()
 
     def __repr__(self) -> str:
         return f"ReplicaSet({len(self.replicas)} replicas)"
@@ -640,7 +617,6 @@ class HAFetchPolicy:
         replica_set: ReplicaSet,
         *,
         strategy: str = "primary-first",
-        retry_policy: Optional[RetryPolicy] = None,
         seed: str = "ha",
     ) -> None:
         if strategy not in STRATEGIES:
@@ -655,15 +631,11 @@ class HAFetchPolicy:
         # replica, and the policy is shared by the entire client fleet,
         # so a cross-call budget would let one client's bad luck starve
         # the others.  The per-call deadline stays as the hard bound.
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=6,
-                budget_s=None,
-                seed=f"{seed}-retry",
-                rng=rng_for("ha-retry", seed),
-            )
+        self.retry_policy = RetryPolicy(
+            max_attempts=6,
+            budget_s=None,
+            seed=f"{seed}-retry",
+            rng=rng_for("ha-retry", seed),
         )
         self.estimator = HedgeEstimator()
         self.stats = HAStats()

@@ -255,7 +255,7 @@ class SingleFlight:
 
 def retry_rounds(
     clock: Any,
-    policy: Optional[RetryPolicy],
+    policy: RetryPolicy,
     stats: Any,
     label: str,
     one_pass: Callable[[], Any],
@@ -269,8 +269,7 @@ def retry_rounds(
     ``NotFoundError``) is final.  A failed
     round sleeps one jittered backoff under ``policy`` on the virtual
     clock (``stats.backoffs``); when the policy says stop, the round's
-    error surfaces (``stats.giveups``).  Without a policy the first
-    failed round's error surfaces, uncounted.
+    error surfaces (``stats.giveups``).
 
     The round counter is bumped before the policy is asked, so
     ``max_attempts=N`` makes N-1 passes here (1 for N=1), not the N
@@ -284,8 +283,6 @@ def retry_rounds(
             return (yield from one_pass())
         except RETRYABLE_ERRORS as error:
             rounds += 1
-            if policy is None:
-                raise
             if not policy.should_retry(
                 error, attempt=rounds, elapsed_s=clock.now - start
             ):

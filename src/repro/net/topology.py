@@ -418,8 +418,7 @@ class EdgeCluster(Cluster):
       ``churn_horizon_s`` (at least one peer always stays online);
     * ``byzantine`` — node indices that serve corrupt bytes;
     * ``crash_node`` — node index whose peer crashes mid-serve on its
-      ``crash_op_index``-th serve (a :class:`~repro.net.faults.CrashPlan`
-      at ``MID_FETCH``).
+      first serve (a :class:`~repro.net.faults.CrashPlan` at ``MID_FETCH``).
 
     ``edge_kwargs`` go to :func:`~repro.bench.environment.attach_edge`.
     """
@@ -435,7 +434,6 @@ class EdgeCluster(Cluster):
         churn_horizon_s: float = 10.0,
         byzantine: Tuple[int, ...] = (),
         crash_node: Optional[int] = None,
-        crash_op_index: int = 0,
         seed: str = "edge",
         **edge_kwargs: Any,
     ) -> None:
@@ -450,9 +448,7 @@ class EdgeCluster(Cluster):
         if crash_node is not None:
             fabric.peers[crash_node].arm_crash(
                 root.clock,
-                CrashPlan(
-                    point=CrashPoint.MID_FETCH, seed=seed, op_index=crash_op_index
-                ),
+                CrashPlan(point=CrashPoint.MID_FETCH, seed=seed, op_index=0),
             )
         schedule = ChurnSchedule.generate(
             [node.name for node in self.nodes],

@@ -38,8 +38,6 @@ from repro.obs.slo import (
     window_burn_rates,
 )
 from repro.obs.timeline import (
-    NULL_TIMELINE,
-    NullTimelineSampler,
     TimeSeries,
     TimelineSampler,
     TimelineStats,
@@ -50,8 +48,6 @@ __all__ = [
     "CriticalPathReport",
     "MetricSet",
     "MetricsRegistry",
-    "NULL_TIMELINE",
-    "NullTimelineSampler",
     "Objective",
     "ObjectiveOutcome",
     "SloReport",

@@ -15,7 +15,7 @@ This module imports nothing from the rest of :mod:`repro`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict
 
 
 class MetricSet:
@@ -73,9 +73,6 @@ class MetricsRegistry:
         """Adopt an external metric source (breaker trips, retry spend),
         read each time the registry is snapshotted."""
         self._callbacks[name + _label_suffix(labels)] = snapshot
-
-    def groups(self) -> List[str]:
-        return sorted(self._groups)
 
     def snapshot(self) -> Dict[str, Any]:
         """Flat ``key → number`` view of everything, keys sorted."""

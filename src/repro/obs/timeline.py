@@ -9,12 +9,11 @@ admission-gate depth, per-link utilization, breaker states, journal
 length — whatever callables the caller wires in), and appends one point
 per probe to an append-only :class:`TimeSeries`.
 
-Discipline mirrors :class:`~repro.obs.trace.SpanTracer`'s null-object
-contract, with one sharpening: *detached means no process exists at
-all*.  Even a pure sleeper would consume scheduler sequence numbers and
-shift ``events_processed``, so the wave helpers only spawn the sampler
-when one is passed — a detached run's event stream is byte-for-byte the
-pre-sampler one.  When attached, the sampler reads shared state
+Detached is spelled ``sampler=None``, and it means *no process exists
+at all*: even a pure sleeper would consume scheduler sequence numbers
+and shift ``events_processed``, so the wave helpers only spawn the
+sampler when one is passed — a detached run's event stream is
+byte-for-byte the pre-sampler one.  When attached, the sampler reads shared state
 but never advances the clock outside its own sleeps and never touches
 any other component's RNG stream, so client virtual times are identical
 with and without it (``scripts/check.sh`` double-runs certify the
@@ -50,17 +49,8 @@ class TimeSeries:
     def append(self, at_s: float, value: float) -> None:
         self.points.append((at_s, float(value)))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def times(self) -> List[float]:
-        return [at_s for at_s, _ in self.points]
-
     def values(self) -> List[float]:
         return [value for _, value in self.points]
-
-    def last(self) -> Optional[float]:
-        return self.points[-1][1] if self.points else None
 
     def as_list(self) -> List[List[float]]:
         """JSON-ready ``[[t, v], ...]`` in append order."""
@@ -82,34 +72,6 @@ class TimelineStats(MetricSet):
     events: int = 0
 
 
-class NullTimelineSampler:
-    """The detached sampler: every operation is a free no-op.
-
-    The same null-object discipline as ``NULL_SPAN`` — wave code can
-    call ``sampler.record(...)`` unconditionally and pay nothing when
-    detached.  It deliberately has no ``run``: detached also means no
-    process is ever spawned, so the scheduler's event stream is
-    untouched.
-    """
-
-    __slots__ = ()
-
-    attached = False
-
-    def sample(self) -> None:
-        return None
-
-    def record(self, name: str, at_s: float, value: float) -> None:
-        return None
-
-    def stop(self) -> None:
-        return None
-
-
-#: Shared detached sampler (allocation-free, like ``NULL_SPAN``).
-NULL_TIMELINE = NullTimelineSampler()
-
-
 class TimelineSampler:
     """Samples gauge probes into time series at a seeded-jittered cadence.
 
@@ -121,8 +83,6 @@ class TimelineSampler:
     :meth:`stop` once the observed work is done; the sampler exits on
     its next wake without recording further rows.
     """
-
-    attached = True
 
     def __init__(
         self,

@@ -23,7 +23,7 @@ This module imports nothing from the rest of :mod:`repro`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 
 class Span:
@@ -237,10 +237,6 @@ class SpanTracer:
     def finished_spans(self) -> List[Span]:
         """Spans with both endpoints, in begin order."""
         return [span for span in self.spans if span.end_s is not None]
-
-    def compat_trace(self) -> List[Tuple[float, str]]:
-        """The legacy ``SimClock.trace`` view: ``(timestamp, label)``."""
-        return [(event.at_s, event.name) for event in self.instants]
 
     def __repr__(self) -> str:
         return (

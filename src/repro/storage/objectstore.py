@@ -84,17 +84,9 @@ class ObjectStore:
         return len(self._objects)
 
     @property
-    def total_size(self) -> int:
-        """Sum of logical (uncompressed) object sizes."""
-        return sum(record.size for record, _ in self._objects.values())
-
-    @property
     def total_stored_size(self) -> int:
         """Sum of on-disk (possibly compressed) object sizes."""
         return sum(record.stored_size for record, _ in self._objects.values())
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._objects
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -10,7 +10,7 @@ in; under Slacker each read fetches the file's blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,8 @@ class AccessTrace:
     compute_s: float
 
     @property
-    def paths(self) -> List[str]:
-        return [path for path, _ in self.accesses]
-
-    @property
     def file_count(self) -> int:
         return len(self.accesses)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(size for _, size in self.accesses)
 
     def head(self, n: int) -> "AccessTrace":
         """A truncated trace (used by partial-startup experiments)."""

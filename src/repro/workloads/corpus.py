@@ -36,7 +36,6 @@ from repro.vfs.inode import FileKind
 from repro.vfs.tar import LayerArchive, Row
 from repro.workloads.access import AccessTrace
 from repro.workloads.series import (
-    CATEGORIES,
     RUNTIME_SOURCE,
     SERIES,
     SeriesSpec,
@@ -160,21 +159,8 @@ class Corpus:
     def docker_images(self) -> List[Image]:
         return [generated.image for generated in self.images]
 
-    def by_category(self) -> Dict[str, List[GeneratedImage]]:
-        grouped: Dict[str, List[GeneratedImage]] = {c: [] for c in CATEGORIES}
-        for generated in self.images:
-            grouped[generated.category].append(generated)
-        return {c: lst for c, lst in grouped.items() if lst}
-
-    @property
-    def total_uncompressed_bytes(self) -> int:
-        return sum(g.image.uncompressed_size for g in self.images)
-
     def __repr__(self) -> str:
-        return (
-            f"Corpus(images={len(self.images)}, series={len(self.by_series)}, "
-            f"bytes={self.total_uncompressed_bytes})"
-        )
+        return f"Corpus(images={len(self.images)}, series={len(self.by_series)})"
 
 
 class _FileSet:

@@ -153,7 +153,7 @@ class TestBlobEquality:
         assert hash(a) == hash(b)
 
     def test_len(self):
-        assert len(Blob.synthetic("s", 123)) == 123
+        assert Blob.synthetic("s", 123).size == 123
 
 
 @settings(max_examples=40)

@@ -261,3 +261,63 @@ def test_a_qualified_use_counts_only_for_its_module(repo):
         "tests/test_stats.py": "from pkg.stats import ratio\nratio(1, 2)\n",
     })
     assert dead == ["ratio"]
+
+
+FORWARDING = """\
+    def build(*, bandwidth=1, disk="hdd", pool=None, seed="s"):
+        return bandwidth, disk, pool, seed
+
+    class Cluster:
+        def __init__(self, count, *, seed="c", **kwargs):
+            self.bed = build(seed=seed, **kwargs)
+"""
+
+
+def test_a_keyword_only_a_tests_splat_reaches_is_listed(repo):
+    # Cluster forwards its **kwargs: build gets what Cluster's callers
+    # pass, and only a test passes disk or pool.
+    repo({
+        "src/pkg/mod.py": FORWARDING,
+        "examples/demo.py": "from pkg.mod import Cluster\nCluster(2, bandwidth=5, seed='x')\n",
+        "tests/test_mod.py": "from pkg.mod import Cluster\n"
+                             "Cluster(2, **{'disk': 'ssd', 'pool': 1})\n",
+    })
+    assert census.census()[1] == ["src/pkg/mod.py:1: build(disk=)",
+                                  "src/pkg/mod.py:1: build(pool=)"]
+
+
+def test_a_forwarded_dicts_keys_count_as_set(repo):
+    # A dict display, its name["key"] stores, and a src/ helper that
+    # returns one: each sets its keys, through the forward, and no more.
+    repo({
+        "src/pkg/mod.py": FORWARDING + """\
+
+    def scenario(flag):
+        kwargs = {"bandwidth": 2}
+        if flag:
+            kwargs["disk"] = "ssd"
+        return kwargs
+""",
+        "examples/demo.py": """\
+            from pkg.mod import Cluster, scenario
+            Cluster(2, **scenario(True))
+            Cluster(3, **dict(seed="x"))
+        """,
+    })
+    assert census.census()[1] == ["src/pkg/mod.py:1: build(pool=)"]
+
+
+def test_a_splat_the_census_cannot_resolve_sets_everything(repo):
+    repo({
+        "src/pkg/mod.py": FORWARDING,
+        "examples/demo.py": """\
+            import json
+            from pkg.mod import Cluster
+
+            def run(options):
+                return Cluster(2, **options)
+
+            Cluster(2, **json.loads("{}"))
+        """,
+    })
+    assert census.census()[1] == []

@@ -52,9 +52,8 @@ class TestPerCategory:
         self, category_corpus, name, category
     ):
         for generated in category_corpus.by_series[name]:
-            ratio = (
-                generated.trace.total_bytes / generated.image.uncompressed_size
-            )
+            read = sum(size for _, size in generated.trace.accesses)
+            ratio = read / generated.image.uncompressed_size
             assert 0.02 < ratio < 0.65, (name, ratio)
 
     def test_trace_orders_configs_before_data(

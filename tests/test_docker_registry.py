@@ -25,7 +25,8 @@ class TestPush:
         # Child shares the base layer: only its own layer travels.
         assert registry.push_image(child) == (1, 1)
         assert registry.layer_count == 2
-        assert registry.manifest_count == 2
+        assert registry.has_manifest(base.reference)
+        assert registry.has_manifest(child.reference)
 
     def test_manifest_requires_layers_present(self):
         registry = DockerRegistry()

@@ -137,7 +137,7 @@ class TestMetadataThroughConversion:
         docker_registry.push_image(image_from_tree("hard", "v1", tree))
         index, report = converter.convert("hard:v1")
         assert report.file_count == 2  # two paths
-        assert len(list(index.identities())) == 1  # one content
+        assert len({e.identity for e in index.entries.values()}) == 1  # one content
         assert gear_registry.file_count == 1
 
 
@@ -185,7 +185,7 @@ class TestIndexTreeSharing:
         first, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         second = testbed.gear_driver.create_container("nginx.gear:v1")
         testbed.gear_driver.start_container(second)
-        path = small_corpus.get("nginx:v1").trace.paths[0]
+        path = small_corpus.get("nginx:v1").trace.accesses[0][0]
         first.mount.read_bytes(path)
         # Second container reads the same file: zero faults, shared inode.
         second.mount.read_bytes(path)

@@ -28,8 +28,8 @@ class TestRegistryLoss:
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         # The registry loses every object (disk wipe).
         for identity in list(testbed.gear_registry.identities()):
-            testbed.gear_registry.delete(identity)
-        path = small_corpus.get("nginx:v1").trace.paths[0]
+            testbed.gear_registry._store.delete(identity)
+        path = small_corpus.get("nginx:v1").trace.accesses[0][0]
         with pytest.raises(NotFoundError):
             container.mount.read_bytes(path)
 
@@ -86,12 +86,12 @@ class TestCacheDamage:
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         trace = small_corpus.get("nginx:v1").trace
-        container.mount.read_bytes(trace.paths[0])
+        container.mount.read_bytes(trace.accesses[0][0])
         # Operator wipes the level-1 cache under a live container: already
         # linked files keep working (hard links), new faults re-download.
         testbed.gear_driver.pool.clear()
-        assert container.mount.read_blob(trace.paths[0]).size > 0
-        container.mount.read_bytes(trace.paths[-1])
+        assert container.mount.read_blob(trace.accesses[0][0]).size > 0
+        container.mount.read_bytes(trace.accesses[-1][0])
         assert container.mount.fault_stats.remote_fetches >= 2
 
     def test_eviction_never_breaks_linked_files(self, small_corpus):
@@ -101,8 +101,8 @@ class TestCacheDamage:
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         trace = small_corpus.get("nginx:v1").trace
-        data_first = container.mount.read_bytes(trace.paths[0])
-        data_again = container.mount.read_bytes(trace.paths[0])
+        data_first = container.mount.read_bytes(trace.accesses[0][0])
+        data_again = container.mount.read_bytes(trace.accesses[0][0])
         assert data_first == data_again
 
 

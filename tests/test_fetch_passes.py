@@ -185,7 +185,7 @@ def _edge(generated):
     with mock.patch.object(edge, "GOSSIP_INTERVAL_S", 2.0):
         cluster = EdgeCluster(
             6, churn_rate_per_s=4.0, churn_horizon_s=4.0, byzantine=(1,),
-            crash_node=0, crash_op_index=0, seed="pin-edge",
+            crash_node=0, seed="pin-edge",
         )
         bed = cluster.registry_testbed
         publish_images(bed, [generated], convert=True)

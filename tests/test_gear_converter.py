@@ -50,7 +50,7 @@ class TestConversion:
         _, docker_registry, gear_registry, converter = make_env()
         index, report = converter.convert("nginx:v1")
         assert isinstance(index, GearIndex)
-        assert index.file_count == 3
+        assert len(index.entries) == 3
         assert gear_registry.file_count == 3
         assert report.gear_files_new == 3
         assert report.collisions == 0
@@ -140,7 +140,7 @@ class TestCosts:
 
 def golden_conversions():
     """Convert a small corpus in catalog order: per image, the index
-    layer digest, ``GearIndex.digest()`` and every report field."""
+    layer digest (the serialized index) and every report field."""
     corpus = CorpusBuilder(CorpusConfig(
         seed=7, file_scale=0.1, size_scale=0.1,
         series_names=("nginx", "redis"), versions_cap=2,
@@ -155,7 +155,6 @@ def golden_conversions():
         index, report = converter.convert(generated.reference)
         converted.append({
             "layer": str(index.to_image().layers[0].digest),
-            "index": str(index.digest()),
             "report": dataclasses.asdict(report),
         })
     return converted

@@ -113,7 +113,8 @@ class TestLifecycleDecoupling:
         container.mount.read_bytes("/bin/sh")
         driver.destroy_container(container)
         driver.remove_image("nginx.gear:v1")
-        assert "nginx.gear:v1" not in driver.images()
+        with pytest.raises(NotFoundError):
+            driver.get_index("nginx.gear:v1")
         # The shared /bin/sh file survives for other images.
         debian, _ = driver.deploy("debian.gear:v1")
         debian.mount.read_bytes("/bin/sh")

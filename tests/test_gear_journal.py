@@ -84,7 +84,7 @@ class TestRecordShape:
         files = image.trace.file_count
         assert (result.files_fetched, result.cache_hits) == (files, 0)
         journal = published_testbed.gear_driver.journal
-        assert len(journal.records) == journal.appended == 4 * files
+        assert len(journal.records) == journal.stats.appends == 4 * files
         assert [r.seq for r in journal.records] == list(range(4 * files))
 
 
@@ -182,7 +182,7 @@ class TestRecordsView:
             assert journal.records == model and list(journal.records) == model
             assert journal.records[-1] == model[-1]
             assert journal.records[len(model) // 2:] == model[len(model) // 2:]
-            assert len(journal) == len(model) and journal.appended == seq
+            assert len(journal) == len(model) and journal.stats.appends == seq
         # The fold over the columns is the fold over the records.
         state = journal.replay()
         begun = {}
@@ -256,8 +256,8 @@ class TestCompaction:
         journal.fetch_commit("id-a")
         assert journal.compact() == 2
         assert len(journal) == 0
-        assert journal.compactions == 1
-        assert journal.appended == 2  # history survives
+        assert journal.stats.compactions == 1
+        assert journal.stats.appends == 2  # history survives
 
     def test_sequence_survives_compaction(self):
         journal = IntentJournal()

@@ -249,7 +249,7 @@ class TestClearCompleteness:
         assert not pool.inflight
         # The pending fetch event was fired, not stranded: a waiter
         # re-checks the (now empty) cache instead of blocking forever.
-        assert event.fired
+        assert event._fired
 
 
 # -- the chunk-dedup table is built by its first query -----------------------

@@ -33,7 +33,7 @@ class TestRecorder:
             container.mount.index.entries
         )
         assert recorder.profile_for("nginx.gear:v1") is profile
-        assert len(recorder) == 1
+        assert len(recorder._profiles) == 1
 
     def test_profile_matches_trace_set(self, env):
         testbed, corpus = env
@@ -41,7 +41,7 @@ class TestRecorder:
         profile = TraceRecorder().record("nginx.gear:v1", container.mount)
         # Every profiled file must have been in the startup trace (the
         # task is the only reader).
-        trace_paths = set(generated.trace.paths)
+        trace_paths = {path for path, _ in generated.trace.accesses}
         for path, _ in profile.entries:
             assert path in trace_paths
 

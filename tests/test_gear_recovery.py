@@ -65,8 +65,8 @@ def _nlink_census_ok(driver) -> bool:
     for identity in driver.pool.identities():
         inode = driver.pool.peek(identity)
         links = 0
-        for reference in driver.images():
-            linked = driver.get_index(reference).links.values()
+        for index in driver._indexes.values():
+            linked = index.links.values()
             links += sum(1 for node in linked if node is inode)
         if inode.nlink != 1 + links:
             return False
@@ -202,7 +202,7 @@ class TestFsckInvariants:
         report = fsck(pool, [], [], IntentJournal(clock), clock=clock)
         assert report.inflight_cleared == 1
         assert not pool.inflight
-        assert event.fired  # waiters wake and re-check the pool
+        assert event._fired  # waiters wake and re-check the pool
 
     def test_a_unique_id_entry_is_kept_only_when_its_fetch_committed(self):
         # No fingerprint can re-verify a ``uid-…`` file: the journal is

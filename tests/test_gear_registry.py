@@ -35,20 +35,13 @@ class TestVerbs:
         with pytest.raises(NotFoundError):
             GearRegistry().download("nope")
 
-    def test_missing_filter(self):
-        registry = GearRegistry()
-        gf = gear_file()
-        registry.upload(gf)
-        assert registry.missing([gf.identity, "absent"]) == ["absent"]
-
 
 class TestAccounting:
     def test_compressed_storage(self):
         registry = GearRegistry()
         gf = gear_file(b"z" * 100_000)
         registry.upload(gf)
-        assert registry.stored_bytes == gf.compressed_size
-        assert registry.logical_bytes == gf.size
+        assert registry.stored_bytes == gf.compressed_size < gf.size
 
 
 class TestRpc:

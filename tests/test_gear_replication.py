@@ -40,19 +40,9 @@ class TestWriteFanOut:
 
     def test_replica_set_quacks_like_a_registry(self, ha_testbed):
         replica_set = ha_testbed.gear_registry
-        identity = next(iter(replica_set.identities()))
-        assert replica_set.query(identity)
-        assert replica_set.download(identity).identity == identity
-        assert replica_set.stat(identity).size > 0
-        assert replica_set.file_count > 0
-        assert replica_set.stored_bytes > 0
-
-    def test_delete_fans_out(self, ha_testbed):
-        replica_set = ha_testbed.gear_registry
-        identity = next(iter(replica_set.identities()))
-        replica_set.delete(identity)
-        for replica in ha_testbed.ha.replica_set.replicas:
-            assert not replica.registry.query(identity)
+        primary = replica_set.primary.registry
+        assert replica_set.file_count == primary.file_count > 0
+        assert replica_set.stored_bytes == primary.stored_bytes > 0
 
 
 class TestHealthyTierIdentity:

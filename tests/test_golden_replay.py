@@ -156,7 +156,7 @@ def run_workload(seed: str) -> dict:
         def canceller():
             clock.advance(cancel_at, "cancel-arm")
             victims = shared.cancel_flows(procs[2])
-            gate.wait()  # call process waiting on a SimEvent
+            clock.drive(gate.wait_gen())  # call process waiting on a SimEvent
             return victims
 
         def bulk():

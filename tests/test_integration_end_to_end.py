@@ -33,7 +33,7 @@ class TestFullLifecycle:
         fresh = testbed.fresh_client()
         patched, _ = fresh.gear_driver.deploy("nginx.gear:patched")
         assert patched.mount.read_bytes("/opt/patch.bin") == b"hotfix" * 100
-        original_path = generated.trace.paths[-1]
+        original_path = generated.trace.accesses[-1][0]
         assert patched.mount.read_blob(original_path).size > 0
 
     def test_mixed_docker_and_gear_clients_coexist(self, small_corpus):
@@ -46,7 +46,7 @@ class TestFullLifecycle:
         docker_container = docker_client.daemon.run("nginx:v1")
         gear_container, _ = gear_client.gear_driver.deploy("nginx.gear:v1")
 
-        path = small_corpus.get("nginx:v1").trace.paths[0]
+        path = small_corpus.get("nginx:v1").trace.accesses[0][0]
         assert (
             docker_container.mount.read_bytes(path)
             == gear_container.mount.read_bytes(path)
@@ -84,8 +84,8 @@ class TestFullLifecycle:
         for reference in ("nginx.gear:v1", "tomcat.gear:v3"):
             testbed.gear_driver.pull_index(reference)
             index = testbed.gear_driver.get_index(reference)
-            for identity in index.identities():
-                assert testbed.gear_registry.query(identity), identity
+            for entry in index.entries.values():
+                assert testbed.gear_registry.query(entry.identity), entry.path
 
     def test_index_round_trip_through_real_registry_path(self, small_corpus):
         testbed = make_testbed()
@@ -100,7 +100,7 @@ class TestFullLifecycle:
                   gear_index=True)
         )
         generated = small_corpus.get("nginx:v1")
-        assert index.file_count == len(
+        assert len(index.entries) == len(
             list(generated.image.flatten().iter_files())
         )
 

@@ -36,7 +36,7 @@ REQUIRED_GROUPS = {
 
 
 def _group_names(testbed):
-    return {key.partition("{")[0] for key in testbed.metrics.groups()}
+    return {key.partition(".")[0] for key in testbed.metrics.snapshot()}
 
 
 @pytest.fixture(params=sorted(MAKERS))

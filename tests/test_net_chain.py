@@ -66,17 +66,18 @@ def _ha(plan, policy):
     bed = make_ha_testbed(
         replicas=2,
         replica_fault_plans=[plan, plan] if plan is not None else None,
-        retry_policy=policy,
     )
+    bed.ha.policy.retry_policy = policy
     return bed, bed, bed.ha.policy.stats
 
 
 def _edge(plan, policy):
     """No peer holds anything, the site cache is empty, the WAN is out."""
     bed = attach_edge(
-        make_testbed(fault_plan=plan, retry_policy=RetryPolicy(max_attempts=1)),
-        edge_retry_policy=policy,
+        make_testbed(fault_plan=plan, retry_policy=RetryPolicy(max_attempts=1))
     )
+    for site in bed.edge.sites:
+        site.retry_policy = policy
     return bed, bed.edge.client(), bed.edge.stats
 
 
@@ -89,8 +90,8 @@ def _faas(plan, policy):
         fault_plan=plan,
         tier_fault_plan=tier_plan,
         retry_policy=RetryPolicy(max_attempts=1),
-        faas_retry_policy=policy,
     )
+    bed.faas.retry_policy = policy
     return bed, bed.faas.client(), bed.faas.stats
 
 
@@ -100,9 +101,10 @@ FABRICS = pytest.mark.parametrize("build", [_ha, _edge, _faas])
 def _published(build, plan, policy, generated):
     root, node, stats = build(plan, policy)
     publish_images(root, [generated], convert=True)
+    registry = root.gear_registry if root.ha is None else root.ha.replica_set.primary.registry
     identity = next(
         identity
-        for identity in sorted(root.gear_registry.identities())
+        for identity in sorted(registry.identities())
         if not identity.startswith("uid-")
     )
     root.arm_faults()

@@ -87,11 +87,11 @@ class TestPeerServing:
         node = root.edge.client()
         deploy_with_gear(node, generated)
         site = root.edge.sites[0]
-        assert len(site.tracker) == 0  # nothing announced yet
+        assert not site.tracker._entries  # nothing announced yet
         root.edge.gossip()
-        assert len(site.tracker) > 0
+        assert site.tracker._entries
         peer = root.edge.peers[0]
-        for identity in site.tracker.identities():
+        for identity in site.tracker._entries:
             assert peer.name in site.tracker.resolve(identity)
             assert peer.online and peer.pool.contains(identity)
 
@@ -152,7 +152,7 @@ class TestStaleTracker:
         assert stats.stale_resolutions > 0
         assert stats.peer_hits == 0
         site = root.edge.sites[0]
-        for identity in site.tracker.identities():
+        for identity in site.tracker._entries:
             assert root.edge.peers[0].name not in site.tracker.resolve(
                 identity
             )
@@ -222,7 +222,7 @@ class TestByzantinePeers:
         assert root.edge.stats.blacklists == blacklists_after_first
         assert root.edge.peers[0].serves == serves_after_first
         site = root.edge.sites[0]
-        for identity in site.tracker.identities():
+        for identity in site.tracker._entries:
             assert root.edge.peers[0].name not in site.tracker.resolve(
                 identity
             )

@@ -390,7 +390,7 @@ class TestFaultyDeployEndToEnd:
         assert result.total_s > clean.total_s
         container = testbed.gear_driver.containers()[0]
         index = testbed.gear_driver.get_index("nginx.gear:v1")
-        for path in generated.trace.paths:
+        for path, _ in generated.trace.accesses:
             blob = container.mount.read_blob(path)
             entry = index.entries.get(path)
             if entry is not None and not entry.identity.startswith("uid-"):
@@ -410,7 +410,7 @@ class TestFaultyDeployEndToEnd:
         poison = GearFile(identity="a" * 32, blob=Blob.from_bytes(b"junk"))
         with pytest.raises(IntegrityError):
             pool.insert(poison)
-        assert len(pool) == 0
+        assert pool.file_count == 0
 
     def test_quarantine_then_refetch_serves_good_copy(self):
         # A registry whose first download is corrupt and second is good:
@@ -468,7 +468,7 @@ class TestDegradedMode:
         stats = container.mount.fault_stats
         assert stats.degraded_fetches > 0
         # Content is still correct — served from the regular layer pull.
-        for path in generated.trace.paths:
+        for path, _ in generated.trace.accesses:
             assert container.mount.read_blob(path).size >= 0
         report = testbed.gear_driver.deploy_report("nginx.gear:v1")
         assert report is not None and report.degraded
@@ -485,12 +485,12 @@ class TestDegradedMode:
         publish_images(testbed, small_corpus.images, convert=True)
         generated = small_corpus.get("nginx:v1")
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
-        for path in generated.trace.paths:
+        for path, _ in generated.trace.accesses:
             container.mount.read_bytes(path)
         assert container.mount.fault_stats.degraded_fetches == 0
         testbed.arm_faults()  # outage starts now
         second = testbed.gear_driver.create_container("nginx.gear:v1")
-        for path in generated.trace.paths:
+        for path, _ in generated.trace.accesses:
             second.mount.read_bytes(path)
         assert second.mount.fault_stats.degraded_fetches == 0
         assert second.mount.fault_stats.remote_fetches == 0
@@ -509,6 +509,6 @@ class TestDegradedMode:
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         testbed.arm_faults()
-        path = small_corpus.get("nginx:v1").trace.paths[0]
+        path = small_corpus.get("nginx:v1").trace.accesses[0][0]
         with pytest.raises(UnavailableError):
             container.mount.read_bytes(path)

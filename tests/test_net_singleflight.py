@@ -80,10 +80,10 @@ def test_release_unregisters_only_a_flight_that_is_still_the_leaders():
         second = flights.claim("k", clock)  # a waiter refilling: replaces it
         assert flights.pending("k") is second
         clock.drive(flights.release("k", first))
-        assert first.fired and not second.fired
+        assert first._fired and not second._fired
         assert flights.pending("k") is second
         clock.drive(flights.release("k", second))
-        assert second.fired and flights.pending("k") is None
+        assert second._fired and flights.pending("k") is None
         # Released twice (``abandon`` got there first): nothing to undo.
         clock.drive(flights.release("k", second))
         assert len(flights) == 0
@@ -97,7 +97,7 @@ def test_abandon_fires_and_forgets_every_flight_and_counts_them():
         events = [flights.claim(key, clock) for key in ("a", "b", 3)]
         assert len(flights) == 3
         assert flights.abandon() == 3
-        assert all(event.fired for event in events)
+        assert all(event._fired for event in events)
         assert len(flights) == 0 and flights.pending("a") is None
         # The dead leader's late release touches nothing newer.
         newer = flights.claim("a", clock)

@@ -29,7 +29,9 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.register("x", _FakeStats(), zone="eu", tier="hot")
         registry.register("x", _FakeStats(hits=2), tier="hot", zone="eu")
-        assert registry.groups() == ["x{tier=hot,zone=eu}"]
+        assert list(registry.snapshot()) == [
+            "x.hits{tier=hot,zone=eu}", "x.misses{tier=hot,zone=eu}"
+        ]
         assert registry.snapshot()["x.hits{tier=hot,zone=eu}"] == 2
 
     def test_register_rejects_non_metric_set(self):
@@ -78,4 +80,6 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.register("pool", _FakeStats())
         registry.register("rpc", _FakeStats(), endpoint="gear")
-        assert registry.groups() == ["pool", "rpc{endpoint=gear}"]
+        assert list(registry.snapshot()) == [
+            "pool.hits", "pool.misses", "rpc.hits{endpoint=gear}", "rpc.misses{endpoint=gear}"
+        ]

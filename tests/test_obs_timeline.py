@@ -3,12 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock, SimScheduler
-from repro.obs import (
-    NULL_TIMELINE,
-    NullTimelineSampler,
-    TimelineSampler,
-    dump_json,
-)
+from repro.obs import TimelineSampler, dump_json
 from repro.obs.timeline import JITTER
 
 
@@ -36,16 +31,16 @@ def _sampled_run(seed="timeline", period_s=0.25, horizon_s=3.0):
 class TestTimeSeries:
     def test_append_only_in_order(self):
         sampler = _sampled_run()
-        times = sampler.series["ramp"].times()
+        times = [at_s for at_s, _ in sampler.series["ramp"].points]
         assert times == sorted(times)
-        assert len(sampler.series["ramp"]) == sampler.stats.samples
+        assert len(times) == sampler.stats.samples
 
     def test_values_track_the_probe(self):
         sampler = _sampled_run()
         values = sampler.series["ramp"].values()
         # The ramp only ever goes up; samples must too.
         assert values == sorted(values)
-        assert sampler.series["ramp"].last() is not None
+        assert values
 
 
 class TestCadence:
@@ -58,11 +53,11 @@ class TestCadence:
     def test_different_seed_different_phase(self):
         first = _sampled_run(seed="a")
         second = _sampled_run(seed="b")
-        assert first.series["ramp"].times() != second.series["ramp"].times()
+        assert first.series["ramp"].points != second.series["ramp"].points
 
     def test_every_sleep_stays_within_the_jitter(self):
         sampler = _sampled_run(period_s=0.5)
-        times = [0.0] + sampler.series["ramp"].times()
+        times = [0.0] + [at_s for at_s, _ in sampler.series["ramp"].points]
         gaps = [later - earlier for earlier, later in zip(times, times[1:])]
         assert len(gaps) >= 4 and len(set(gaps)) > 1
         assert all(0.5 * (1 - JITTER) <= gap <= 0.5 * (1 + JITTER) for gap in gaps)
@@ -82,19 +77,6 @@ class TestCadence:
         sampler.add_probe("x", lambda: 0.0)
         with pytest.raises(ValueError):
             sampler.add_probe("x", lambda: 1.0)
-
-
-class TestNullSampler:
-    def test_null_is_detached_and_processless(self):
-        assert NULL_TIMELINE.attached is False
-        assert TimelineSampler(SimClock()).attached is True
-        # Detached means no process: the null object has no run().
-        assert not hasattr(NullTimelineSampler, "run")
-
-    def test_null_ops_are_free_noops(self):
-        NULL_TIMELINE.sample()
-        NULL_TIMELINE.record("x", 1.0, 2.0)
-        NULL_TIMELINE.stop()
 
 
 class TestEvents:

@@ -1,4 +1,4 @@
-"""Span tracer invariants, export determinism, and the compat shim.
+"""Span tracer invariants, export determinism, and advance labels.
 
 The tracer's contract has three load-bearing pieces:
 
@@ -7,8 +7,9 @@ The tracer's contract has three load-bearing pieces:
 * **determinism** — the exported Chrome trace and metrics snapshot are
   byte-identical across double runs, even under a faulty + hedged HA
   fleet wave (the `scripts/check.sh` gate's property);
-* **compatibility** — the legacy ``SimClock.trace`` list of
-  ``(timestamp, label)`` tuples still works through the shim.
+* **labels** — a labelled clock advance and a note land on the tracer
+  as instants (what the old ``SimClock.trace`` list of ``(timestamp,
+  label)`` tuples showed), and an untraced clock records nowhere.
 """
 
 from __future__ import annotations
@@ -298,27 +299,30 @@ class TestExportDeterminism:
 
 
 class TestCompatShim:
+    """Advance labels as instants: the old ``SimClock.trace`` view, read
+    off the tracer."""
+
     def test_trace_flag_records_advance_labels(self):
         clock = SimClock()
         clock.attach_tracer()
         clock.advance(1.0, "pull")
         clock.advance(2.0, "run")
-        assert clock.trace == [(1.0, "pull"), (3.0, "run")]
+        assert [(e.at_s, e.name) for e in clock.tracer.instants] == [(1.0, "pull"), (3.0, "run")]
 
     def test_untraced_clock_has_empty_trace(self):
         clock = SimClock()
         clock.advance(1.0, "pull")
-        assert clock.trace == []
+        assert clock.tracer is None
 
     def test_note_lands_in_the_compat_view(self):
         clock = SimClock()
         clock.attach_tracer()
         clock.advance(0.5)
         clock.note("checkpoint")
-        assert clock.trace == [(0.5, "checkpoint")]
+        assert [(e.at_s, e.name) for e in clock.tracer.instants] == [(0.5, "checkpoint")]
 
     def test_unlabeled_advance_records_nothing(self):
         clock = SimClock()
         clock.attach_tracer()
         clock.advance(1.0)
-        assert clock.trace == []
+        assert clock.tracer.instants == []

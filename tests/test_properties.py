@@ -117,7 +117,6 @@ def test_gear_index_roundtrip_for_arbitrary_trees(file_map):
     tree = build_tree(file_map)
     index = GearIndex.from_tree("i", "v", tree)
     restored = GearIndex.from_image(index.to_image())
-    assert restored.digest() == index.digest()
     assert restored.entries == index.entries
     # Every entry matches the original file's fingerprint and size.
     for path, entry in index.entries.items():

@@ -57,7 +57,7 @@ class TestSamplerNeutrality:
         assert attached.makespan_s == detached.makespan_s
         # The attached run actually observed something.
         assert sampler.stats.samples > 0
-        assert len(sampler.series_for("ready_s")) == 4
+        assert len(sampler.series_for("ready_s").points) == 4
 
     def test_detached_run_is_replay_identical(self, small_corpus):
         first, _ = _fleet_wave(small_corpus, attach=False)

@@ -75,21 +75,20 @@ def op_call(world, me, op, children):
         except TimeoutError:
             return "dropped"
     elif kind == "wait":
-        world.events[arg].wait()
+        clock.drive(world.events[arg].wait_gen())
     elif kind == "fire":
         world.events[arg].fire()
     elif kind == "spawn":
         children.append(world.spawn_child(f"{me}.{len(children)}", arg))
     elif kind == "join":
-        if children:
-            return children.pop().join().result
+        return clock.drive(op_gen(world, me, op, children))
     elif kind == "cancel":
         return world.link.cancel_flows(world.procs[arg % len(world.procs)])
     elif kind == "flight":
         key, work_s = arg
         pending = world.flights.pending(key)
         if pending is not None:
-            pending.wait()
+            clock.drive(pending.wait_gen())
             return "waited"
         announce = world.flights.claim(key, clock)
         try:
@@ -205,7 +204,7 @@ def run_programs(programs, faulty, mode):
             "finished": [process.finished_at for process in world.procs],
             "events": scheduler.events_processed,
             "log": list(world.link.log.records),
-            "trace": world.clock.trace,
+            "trace": [(e.at_s, e.name) for e in world.clock.tracer.instants],
             "now": world.clock.now,
         }, scheduler
 

@@ -38,6 +38,11 @@ FIG9_BANDWIDTHS = (904, 100, 20, 5)
 # -- scheduler kernel ----------------------------------------------------
 
 
+def awaiting(process):
+    """Wait for ``process`` to end: ``clock.drive`` it from a call process."""
+    return (yield process)
+
+
 class TestScheduler:
     def test_attach_detach(self):
         clock = SimClock()
@@ -221,7 +226,7 @@ class TestScheduler:
 
         with SimScheduler(clock) as scheduler:
             process = scheduler.spawn(compute, name="compute")
-            assert scheduler.join(process).result == 42
+            assert scheduler.run_until(process).result == 42
         assert process.done
         assert process.finished_at == 1.5
 
@@ -239,7 +244,7 @@ class TestScheduler:
 
         with SimScheduler(clock) as scheduler:
             root = scheduler.spawn(parent(scheduler))
-            assert scheduler.join(root).result == ("done", 2.0)
+            assert scheduler.run_until(root).result == ("done", 2.0)
 
     def test_simevent_wait_and_fire(self):
         clock = SimClock()
@@ -278,7 +283,7 @@ class TestScheduler:
         clock.advance(1.0, "pull")
         clock.advance(2.0, "run")
         assert clock.now == 3.0
-        assert clock.trace == [(1.0, "pull"), (3.0, "run")]
+        assert [(e.at_s, e.name) for e in clock.tracer.instants] == [(1.0, "pull"), (3.0, "run")]
 
     def test_spawn_returns_process(self):
         clock = SimClock()
@@ -540,7 +545,7 @@ class TestDeferredAdvance:
         assert deferred.now == 0.0  # accrued, not yet applied
         deferred.advance(0.375, "b")
         assert deferred.now == immediate.now
-        assert deferred.trace == [(0.5, "a+b")]
+        assert [(e.at_s, e.name) for e in deferred.tracer.instants] == [(0.5, "a+b")]
 
     def test_settle_debt_applies_outstanding_debt(self):
         clock = SimClock()
@@ -568,7 +573,7 @@ class TestDeferredAdvance:
                 event.fire()
 
             def consumer():
-                event.wait()
+                clock.drive(event.wait_gen())
                 seen["at"] = clock.now
 
             scheduler.spawn(consumer, name="consumer")
@@ -592,7 +597,7 @@ class TestDeferredAdvance:
             scheduler.spawn(lone, name="lone")
             scheduler.run()
         assert clock.now == 1.0
-        assert (1.0, "store+read") in clock.trace
+        assert (1.0, "store+read") in [(e.at_s, e.name) for e in clock.tracer.instants]
 
     def test_join_settles_spawner_debt(self):
         clock = SimClock()
@@ -606,7 +611,7 @@ class TestDeferredAdvance:
                 clock.advance_deferred(0.5, "meta")
                 # spawn settles debt, so the child starts at 0.5
                 handle = scheduler.spawn(child, name="child")
-                scheduler.join(handle)
+                clock.drive(awaiting(handle))
 
             scheduler.spawn(parent, name="parent")
             scheduler.run()
@@ -714,7 +719,7 @@ class TestClockCallsFromAGeneratorStep:
                     yield from event.fire_gen()
 
                 def consumer_call():
-                    event.wait()
+                    clock.drive(event.wait_gen())
                     marks.append(clock.now)
 
                 def consumer_gen():
@@ -724,7 +729,7 @@ class TestClockCallsFromAGeneratorStep:
                 scheduler.spawn(consumer_gen if generator else consumer_call)
                 scheduler.spawn(producer_gen if generator else producer_call)
                 scheduler.run()
-                return marks, clock.trace, scheduler.events_processed
+                return marks, [(e.at_s, e.name) for e in clock.tracer.instants], scheduler.events_processed
 
         assert run(generator=True) == run(generator=False)
         assert run(generator=True)[0] == [0.875, 1.125]
@@ -742,9 +747,9 @@ class TestClockCallsFromAGeneratorStep:
         def culprit(other):
             yield 1.0
             if blocking == "wait":
-                SimEvent(clock).wait()
+                clock.drive(SimEvent(clock).wait_gen())
             elif blocking == "join":
-                other.join()
+                clock.drive(awaiting(other))
             else:
                 link.transfer(1000)
 
@@ -786,7 +791,7 @@ def test_golden_single_process_matches_sequential(small_corpus, bandwidth):
         process = scheduler.spawn(
             _deploy_pair, scheduled, generated, name="deploys"
         )
-        sch_docker, sch_gear = scheduler.join(process).result
+        sch_docker, sch_gear = scheduler.run_until(process).result
 
     # Bit-exact equality — not approx: the flow model must degenerate to
     # the seed formula when a transfer never shares the link.
@@ -821,7 +826,7 @@ def test_golden_matches_sequential_under_fault_plan(small_corpus):
     _publish(scheduled, small_corpus)
     with SimScheduler(scheduled.clock) as scheduler:
         process = scheduler.spawn(run, scheduled, name="faulty-deploy")
-        sch_result = scheduler.join(process).result
+        sch_result = scheduler.run_until(process).result
 
     assert seq_result.retries > 0  # the plan actually bit
     assert sch_result == seq_result

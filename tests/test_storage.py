@@ -87,7 +87,6 @@ class TestObjectStore:
         store = ObjectStore()
         store.upload("a", None, size=100, stored_size=30)
         store.upload("b", None, size=200, stored_size=60)
-        assert store.total_size == 300
         assert store.total_stored_size == 90
         assert len(store) == 2
 
@@ -109,5 +108,5 @@ class TestObjectStore:
     def test_contains(self):
         store = ObjectStore()
         store.upload("x", None, size=1)
-        assert "x" in store
-        assert "y" not in store
+        assert store.query("x")
+        assert not store.query("y")

@@ -73,7 +73,7 @@ TESTBEDS = {
     "edge": lambda: attach_edge(make_testbed(fault_plan=_plan("wan")), sites=2),
     "faas": lambda: make_faas_testbed(tier_fault_plan=_plan("tier")),
     "faas_over_ha": lambda: make_faas_testbed(
-        ha_replicas=2, fault_plan=_plan("wan")
+        ha_replicas=2, replica_fault_plans=[None, _plan("r1")]
     ),
     "stacked": _stacked,
 }

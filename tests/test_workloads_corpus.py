@@ -128,7 +128,8 @@ class TestTraces:
 
     def test_trace_is_a_fraction_of_image(self, small_corpus):
         for generated in small_corpus.images:
-            ratio = generated.trace.total_bytes / generated.image.uncompressed_size
+            read = sum(size for _, size in generated.trace.accesses)
+            ratio = read / generated.image.uncompressed_size
             assert 0.02 < ratio < 0.6
 
     def test_trace_has_compute_time(self, small_corpus):
@@ -154,14 +155,6 @@ class TestCorpusApi:
         with pytest.raises(NotFoundError):
             small_corpus.get("nope:v1")
 
-    def test_by_category_groups(self, small_corpus):
-        grouped = small_corpus.by_category()
-        assert "Web Component" in grouped
-        names = {g.spec.name for g in grouped["Web Component"]}
-        assert names == {"nginx", "tomcat"}
-
-    def test_total_bytes_positive(self, small_corpus):
-        assert small_corpus.total_uncompressed_bytes > 0
 
 
 #: Files under nested, shared directories; leaf names never name a
