@@ -93,6 +93,26 @@ PARAMETER_ALLOWLIST = {
     "src/repro/vfs/tree.py:FileSystemTree.mkdir(meta=)":
         "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
         "directory's metadata",
+    "src/repro/vfs/tree.py:FileSystemTree.symlink(meta=)":
+        "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
+        "symlink's metadata",
+    "src/repro/vfs/tree.py:FileSystemTree.exists(follow_symlinks=)":
+        "§2: the column-lower oracle in tests/test_vfs_oracle.py draws lookups "
+        "that follow a final symlink and lookups that stop at it",
+    "src/repro/vfs/tree.py:FileSystemTree.stat(follow_symlinks=)":
+        "§2: the column-lower oracle in tests/test_vfs_oracle.py draws stat "
+        "and lstat",
+    "src/repro/vfs/tree.py:FileSystemTree.listdir(path=)":
+        "§2: the column-lower oracle in tests/test_vfs_oracle.py draws the "
+        "directory listed",
+    "src/repro/vfs/overlay.py:OverlayMount.exists(follow_symlinks=)":
+        "§2: the column-lower oracle in tests/test_vfs_oracle.py draws "
+        "lookups through a viewer that follow a final symlink or stop at it",
+    "src/repro/vfs/overlay.py:OverlayMount.stat(follow_symlinks=)":
+        "§2: the overlay oracle in tests/test_vfs_oracle.py draws stat and lstat",
+    "src/repro/vfs/overlay.py:OverlayMount.listdir(path=)":
+        "§2: the overlay oracle in tests/test_vfs_oracle.py draws the "
+        "directory listed",
 }
 
 
@@ -474,6 +494,10 @@ DEFINITION_ALLOWLIST = {
     "src/repro/vfs/tree.py:FileSystemTree.set_opaque":
         "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
     "src/repro/vfs/overlay.py:OverlayMount.readlink":
+        "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
+    "src/repro/vfs/tree.py:FileSystemTree.listdir":
+        "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
+    "src/repro/vfs/overlay.py:OverlayMount.listdir":
         "§2: the VFS stands in for overlayfs, so it keeps its POSIX surface",
 }
 

@@ -260,6 +260,15 @@ class Rule(NamedTuple):
     exactly: tuple = ()    # keys matched exactly once each
 
 
+#: An index's rows (``gear/index.py``'s ``IndexEntries``), its entries and
+#: those minted so far: written by the index that built or parsed them,
+#: never by a reader.
+INDEX_COLUMNS = {"paths", "kinds", "modes", "uids", "gids", "blobs", "targets",
+                 "identities", "sizes", "entries", "minted"}
+#: Where an archive's index template is set: its empty start, the
+#: writer's columns and the one parse of an archive built elsewhere.
+TEMPLATE_WRITERS = ("vfs/tar.py:LayerArchive._load", "gear/index.py:GearIndex.from_rows",
+                    "gear/index.py:GearIndex.from_image")
 TIERS = ("ha", "edge", "faas")
 RULES = (
     Rule("host-clock", "§13", imports(r"(time|datetime)(\..*)?")),
@@ -335,6 +344,12 @@ RULES = (
     Rule("index-write", "§9", named("write_file|remove|mkdir|symlink|hardlink|whiteout", (
         ast.Attribute,), lambda n: isinstance(n.value, ast.Attribute) and n.value.attr == "tree"
         and ident(n.value.value).endswith("index")), "gear/"),
+    Rule("index-write", "§9", nodes((ast.Subscript,), lambda n: isinstance(n.ctx, (
+        ast.Store, ast.Del)) and isinstance(n.value, ast.Attribute) and n.value.attr in INDEX_COLUMNS),
+         "gear/", ("gear/index.py:IndexEntries.entry",)),
+    Rule("index-write", "§9", calls("append|extend|insert|pop|remove|sort|clear|update", lambda n: (
+        isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+        and n.value.attr in INDEX_COLUMNS)), "gear/"),
     Rule("metric-instrument", "§11", named("Counter|Gauge|Histogram", (ast.ClassDef,),
                                            lambda n: isinstance(n.up, ast.Module)), "obs/metrics.py"),
     Rule("metric-instrument", "§11", named("counter|gauge|histogram", DEFS[:2]), "obs/metrics.py"),
@@ -352,19 +367,23 @@ RULES = (
                                         ast.unparse(n.left) == "b'x'" and not any(
         isinstance(a, ast.Call) and "Blob" in ast.unparse(a.func) for a in ancestors(n))),
          "workloads/"),
-    Rule("tree-rebuilt", "§13", spelled(r".*mirror"), "gear/index.py"),
+    Rule("tree-rebuilt", "§13", spelled(
+        r".*mirror|apply_to|extract(_diff)?|write_(file|at)|mkdir(_at)?|symlink(_at)?|whiteout(_at)?"),
+         r"gear/(index|commit|converter)\.py"),
     Rule("tree-rebuilt", "§13", spelled(r"FileSystemTree|.*write_file"), "workloads/corpus.py"),
     Rule("stub-minted", "§13", calls(r".*from_text", lambda n: any(
         isinstance(c, ast.Call) and ident(c.func).endswith("stub_content") and not c.args
         for a in n.up.args for c in ast.walk(a))), allow=("gear/index.py:_stub",),
          exactly=("from_text",)),
+    Rule("stub-minted", "§13", calls("_stub|GearFileEntry"), allow=(
+        "gear/index.py:_stub", "gear/index.py:row_of", "gear/index.py:IndexEntries._fresh")),
     Rule("parse-archive", "§13", calls("_parse_archive"),
          allow=("gear/index.py:GearIndex.from_image",), exactly=("_parse_archive",)),
-    Rule("template-write", "§13", nodes((ast.Subscript,), lambda n: ident(n.value) == "_INDEX_TEMPLATES"),
-         allow=("gear/index.py:GearIndex.to_image", "gear/index.py:GearIndex.from_image")),
-    Rule("template-write", "§13", on(lambda name: name == "_INDEX_TEMPLATES",
-                                     "pop", "setdefault", "update", "clear"),
-         allow=("gear/index.py:GearIndex.to_image", "gear/index.py:GearIndex.from_image")),
+    Rule("template-write", "§13", nodes((ast.Attribute,), lambda n: n.attr == "index_template"
+                                        and isinstance(n.ctx, (ast.Store, ast.Del))),
+         allow=TEMPLATE_WRITERS),
+    Rule("template-write", "§13", calls("setattr|delattr", lambda n: any(
+        ident(a) == "index_template" for a in n.up.args)), allow=TEMPLATE_WRITERS),
     Rule("inode-attribute", "§13", named(r".*(mtime|xattrs)", where=lambda n: isinstance(
         n, (ast.keyword, ast.arg)) or isinstance(getattr(n, "ctx", None), ast.Store) or isinstance(
         n.up, ast.Compare) and any(isinstance(op, ast.Eq) for op in n.up.ops)),

@@ -15,6 +15,7 @@ in type annotations.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Iterable
 
 
@@ -38,6 +39,14 @@ class Digest(str):
         return self[:n]
 
 
+def _encoded(tokens: Iterable[str], end: str) -> bytes:
+    """Every token followed by ``end``, UTF-8 encoded in one call: the
+    bytes a per-token encoding would feed a hasher, hashed in one update.
+    The empty sentinel closes the join (``[]`` encodes to ``b""``,
+    ``[""]`` to ``end``)."""
+    return end.join(chain(tokens, ("",))).encode("utf-8")
+
+
 def fingerprint_bytes(data: bytes) -> Fingerprint:
     """MD5-fingerprint literal bytes."""
     return Fingerprint(hashlib.md5(data).hexdigest())
@@ -52,11 +61,7 @@ def fingerprint_tokens(tokens: Iterable[str]) -> Fingerprint:
     sequences therefore share a fingerprint, which is what deduplication
     relies on.
     """
-    hasher = hashlib.md5()
-    for token in tokens:
-        hasher.update(token.encode("utf-8"))
-        hasher.update(b"\n")
-    return Fingerprint(hasher.hexdigest())
+    return Fingerprint(hashlib.md5(_encoded(tokens, "\n")).hexdigest())
 
 
 def sha256_bytes(data: bytes) -> Digest:
@@ -66,11 +71,7 @@ def sha256_bytes(data: bytes) -> Digest:
 
 def sha256_tokens(tokens: Iterable[str]) -> Digest:
     """SHA-256 digest of a canonical token sequence (layer identity)."""
-    hasher = hashlib.sha256()
-    for token in tokens:
-        hasher.update(token.encode("utf-8"))
-        hasher.update(b"\n")
-    return Digest(hasher.hexdigest())
+    return Digest(hashlib.sha256(_encoded(tokens, "\n")).hexdigest())
 
 
 def stable_u64(*tokens: str) -> int:
@@ -80,11 +81,8 @@ def stable_u64(*tokens: str) -> int:
     tied to an identity (e.g. per-chunk compressibility).  Unlike
     ``hash()``, this is stable across interpreter runs.
     """
-    hasher = hashlib.sha256()
-    for token in tokens:
-        hasher.update(token.encode("utf-8"))
-        hasher.update(b"\x00")
-    return int.from_bytes(hasher.digest()[:8], "big")
+    digest = hashlib.sha256(_encoded(tokens, "\x00")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def stable_unit_interval(*tokens: str) -> float:

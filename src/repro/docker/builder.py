@@ -4,8 +4,7 @@
 scratch or from a base image, records filesystem mutations into a pending
 diff, and commits each diff as a new read-only layer.  The synthetic
 corpus generator uses it to produce realistic version chains (shared base
-layers, small top layers), and the Gear storage path uses it to package a
-Gear index as a single-layer image (§III-C).
+layers, small top layers).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.docker.image import Image, ImageConfig, Layer
 from repro.vfs.inode import Metadata
 from repro.vfs.overlay import OverlayMount
 from repro.vfs.tar import LayerArchive
-from repro.vfs.tree import FileSystemTree
 
 
 class ImageBuilder:
@@ -113,22 +111,3 @@ class ImageBuilder:
         if not self._layers:
             raise ReproError(f"image {self.name}:{self.tag} has no layers")
         return Image(self.name, self.tag, self._layers, self._config)
-
-
-def image_from_tree(
-    name: str,
-    tag: str,
-    tree: FileSystemTree,
-    *,
-    config: Optional[ImageConfig] = None,
-    gear_index: bool = False,
-) -> Image:
-    """Package a whole tree as a single-layer image.
-
-    This is exactly how Gear indexes are made distributable: "Gear index
-    is organized as a single-layer Docker image so that it is accessible
-    by Docker commands" (§III-C).
-    """
-    archive = LayerArchive.from_tree(tree)
-    return Image(name, tag, [Layer(archive)], config, gear_index=gear_index)
-

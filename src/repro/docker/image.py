@@ -192,10 +192,14 @@ class Image:
 
         This is what the Gear Converter does before walking the result
         ("the converter decompresses and then saves the layers starting
-        from the bottom layer to the top layer", §III-B).
+        from the bottom layer to the top layer", §III-B).  The bottom
+        layer is the archive's extraction template (a distro base is
+        unpacked once however many images stand on it), cloned; only the
+        layers above it are applied, each writing into its own copies.
         """
-        tree = FileSystemTree()
-        for layer in self.layers:
+        bottom, *above = self.layers
+        tree = bottom.archive.extract()
+        for layer in above:
             layer.archive.apply_to(tree)
         return tree
 

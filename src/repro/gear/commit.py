@@ -17,10 +17,10 @@ from typing import Dict, Tuple
 from repro.docker.daemon import DockerDaemon
 from repro.gear.driver import GearContainer
 from repro.gear.gearfile import GearFile
-from repro.gear.index import GearFileEntry, GearIndex, STUB_XATTR
+from repro.gear.index import GearIndex, IndexRow, row_of
 from repro.gear.registry import GearRegistry
 from repro.net.transport import RpcTransport
-from repro.vfs import paths
+from repro.vfs.inode import FileKind
 
 
 @dataclass
@@ -45,31 +45,35 @@ def commit_container(
     """Build and publish a new Gear image from a container's diff."""
     report = CommitReport(reference=f"{name}:{tag}")
 
-    # 1. Extract Gear files from the writable diff.
+    # 1. Extract Gear files from the writable diff, and 2. merge the
+    #    diff's rows over the current index's: a whiteout, a symlink or a
+    #    file replaces what the index held at its path (a directory with
+    #    everything below it), a directory replaces a non-directory, and
+    #    an opaque one hides what the index held below it.
     new_files: Dict[str, GearFile] = {}
-    diff_entries: Dict[str, GearFileEntry] = {}
+    merged = {row[0]: row for row in container.index.entries.rows()}
     for path, node in container.mount.upper.walk("/", include_whiteouts=True):
-        if node.is_file and not node.is_whiteout:
+        if node.is_dir:
+            held = merged.get(path)
+            if held is not None and held[1] is not FileKind.DIRECTORY:
+                del merged[path]
+            if node.opaque:
+                _drop_below(merged, path)
+            merged[path] = row_of(path, node, None)
+            continue
+        held = merged.pop(path, None)
+        if held is not None and held[1] is FileKind.DIRECTORY:
+            _drop_below(merged, path)
+        if node.is_symlink:
+            merged[path] = row_of(path, node, None)
+        elif node.is_file:
             assert node.blob is not None
             gear_file = GearFile.from_blob(node.blob)
             new_files[gear_file.identity] = gear_file
-            diff_entries[path] = GearFileEntry(
-                path=path,
-                identity=gear_file.identity,
-                size=node.blob.size,
-                mode=node.meta.mode,
-            )
+            merged[path] = row_of(path, node, gear_file.identity)
     report.new_gear_files = len(new_files)
-
-    # 2. Merge the diff over the current index: build the committed tree
-    #    (stubs for old content, stubs for new content) by cloning the
-    #    index tree and applying the diff's structure.
-    merged_tree = container.index.stub_tree()
-    merged_entries = dict(container.index.entries)
-    _apply_diff(merged_tree, merged_entries, container, diff_entries)
-
-    new_index = GearIndex(
-        name, tag, merged_tree, merged_entries, container.index.config
+    new_index = GearIndex.from_rows(
+        name, tag, list(merged.values()), config=container.index.config
     )
 
     # 3. Push: only Gear files the registry lacks travel, then the index
@@ -96,58 +100,8 @@ def commit_container(
     return new_index, report
 
 
-def _apply_diff(
-    merged_tree,
-    merged_entries: Dict[str, GearFileEntry],
-    container: GearContainer,
-    diff_entries: Dict[str, GearFileEntry],
-) -> None:
-    """Overlay the container diff onto the cloned index tree/entries."""
-    upper = container.mount.upper
-    for path, node in upper.walk("/", include_whiteouts=True):
-        if node.is_dir:
-            # A directory replaces a file or symlink the index held.
-            if merged_tree.exists(path, follow_symlinks=False) and not (
-                merged_tree.stat(path, follow_symlinks=False).is_dir
-            ):
-                _clear(merged_tree, merged_entries, path)
-            created = merged_tree.mkdir(path, parents=True, exist_ok=True)
-            created.meta = node.meta
-            if node.opaque:
-                for child in list(merged_tree.listdir(path)):
-                    child_path = paths.join(path, child)
-                    merged_tree.remove(child_path, recursive=True)
-                    _drop_subtree_entries(merged_entries, child_path)
-            continue
-        # A whiteout, symlink or file replaces what the index held.
-        _clear(merged_tree, merged_entries, path)
-        if node.is_symlink:
-            assert node.symlink_target is not None
-            merged_tree.symlink(path, node.symlink_target, meta=node.meta)
-        elif node.is_file:
-            entry = diff_entries[path]
-            merged_tree.write_file(
-                path,
-                entry.stub(),
-                meta=node.meta.with_xattr(STUB_XATTR, "1"),
-                parents=True,
-            )
-            merged_entries[path] = entry
-
-
-def _clear(
-    merged_tree, merged_entries: Dict[str, GearFileEntry], path: str
-) -> None:
-    """Remove what the index holds at ``path``; a directory goes with
-    the entries of its stubs."""
-    if merged_tree.exists(path, follow_symlinks=False):
-        merged_tree.remove(path, recursive=True)
-    _drop_subtree_entries(merged_entries, path)
-
-
-def _drop_subtree_entries(
-    entries: Dict[str, GearFileEntry], prefix: str
-) -> None:
-    doomed = [p for p in entries if p == prefix or p.startswith(prefix + "/")]
-    for path in doomed:
-        del entries[path]
+def _drop_below(merged: Dict[str, IndexRow], directory: str) -> None:
+    """Drop every row below ``directory``."""
+    below = directory + "/"
+    for path in [path for path in merged if path.startswith(below)]:
+        del merged[path]

@@ -31,6 +31,7 @@ from repro.gear.gearfile import GearFile
 from repro.gear.index import GearIndex
 from repro.gear.registry import GearRegistry
 from repro.storage.disk import Disk
+from repro.vfs.inode import Inode
 
 
 @dataclass
@@ -90,25 +91,35 @@ class GearConverter:
             label="read-layers",
         )
         tree = image.flatten()
-        node_count = tree.count_nodes()
+
+        # 2. Traverse the reconstructed filesystem once: every node is an
+        #    index row, and every regular file is read, fingerprinted and
+        #    collected as a Gear file in the same walk.
+        gear_files: Dict[str, GearFile] = {}
+        file_bytes = 0
+
+        def identity_of(node: Inode) -> str:
+            nonlocal file_bytes
+            blob = node.blob
+            assert blob is not None
+            file_bytes += blob.size
+            identity, _ = self.collision_tracker.register(blob)
+            if identity not in gear_files:
+                gear_files[identity] = GearFile(identity=identity, blob=blob)
+            return identity
+
+        index = GearIndex.from_tree(
+            f"{image.name}.gear",
+            image.tag,
+            tree,
+            config=image.config,
+            identity_of=identity_of,
+        )
+        node_count = len(index.archive)
+        file_count = len(index.entries)
         self.disk.write(
             image.uncompressed_size, file_ops=node_count, label="unpack-layers"
         )
-
-        # 2. Traverse the reconstructed filesystem: fingerprint every
-        #    regular file (reading its content) and collect Gear files.
-        identity_for: Dict[int, str] = {}
-        gear_files: Dict[str, GearFile] = {}
-        file_count = 0
-        file_bytes = 0
-        for _, node in tree.iter_files():
-            assert node.blob is not None
-            file_count += 1
-            file_bytes += node.blob.size
-            identity, _ = self.collision_tracker.register(node.blob)
-            identity_for[node.ino] = identity
-            if identity not in gear_files:
-                gear_files[identity] = GearFile(identity=identity, blob=node.blob)
         self.disk.read(file_bytes, file_ops=file_count, label="fingerprint-scan")
 
         # 3. Store new Gear files (deduplicated against the registry pool).
@@ -123,14 +134,7 @@ class GearConverter:
                 deduped += 1
         self.disk.write(new_bytes, file_ops=new_files, label="store-gear-files")
 
-        # 4. Build the index and publish it as a single-layer image.
-        index = GearIndex.from_tree(
-            f"{image.name}.gear",
-            image.tag,
-            tree,
-            config=image.config,
-            identity_for=identity_for,
-        )
+        # 4. Publish the index as a single-layer image: its archive.
         index_image = index.to_image()
         index_bytes = index_image.uncompressed_size
         self.disk.write(index_bytes, file_ops=1, label="store-index")

@@ -35,15 +35,18 @@ def collision_probability_bound(n_files: int) -> float:
 class CollisionTracker:
     """Detects fingerprint collisions during conversion and issues IDs.
 
-    On every (fingerprint, content) registration the tracker compares the
-    new content's chunk identity against what the fingerprint already
-    names.  A mismatch is a collision: both files receive unique IDs that
-    replace the fingerprint in Gear indexes.  Disabling dedup for the
-    colliding files "does not compromise the scheme's correctness".
+    The tracker keeps the first content registered under each
+    fingerprint.  A later registration of that fingerprint compares its
+    chunk identity against the kept one — unless it is the very same
+    blob, or one holding an equal chunk tuple, which are the same
+    content by construction.  A mismatch is a collision: the file
+    receives a unique ID that replaces the fingerprint in Gear indexes.
+    Disabling dedup for the colliding files "does not compromise the
+    scheme's correctness".
     """
 
     def __init__(self) -> None:
-        self._known: Dict[Fingerprint, Tuple[str, ...]] = {}
+        self._known: Dict[Fingerprint, Blob] = {}
         self._unique_ids = itertools.count(1)
         self.collisions_detected = 0
 
@@ -55,12 +58,10 @@ class CollisionTracker:
         under the same fingerprint.
         """
         fingerprint = blob.fingerprint
-        signature = tuple(blob.chunk_tokens())
-        existing = self._known.get(fingerprint)
-        if existing is None:
-            self._known[fingerprint] = signature
-            return fingerprint, False
-        if existing == signature:
+        known = self._known.setdefault(fingerprint, blob)
+        if known is blob or known.chunks == blob.chunks or (
+            list(known.chunk_tokens()) == list(blob.chunk_tokens())
+        ):
             return fingerprint, False
         self.collisions_detected += 1
         unique = f"{UID_PREFIX}{next(self._unique_ids):08d}-{fingerprint.short(8)}"

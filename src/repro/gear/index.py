@@ -13,26 +13,33 @@ round-trips losslessly through the stock Docker machinery as a
 single-layer image (§III-C), which is the compatibility claim of the
 paper.
 
-The stub tree is an immutable artifact: a node reads it and never
-rewrites it, so every node that pulls one index shares one frozen tree.
-What a node does write — the fetched files "hard-linked into the index"
-(§III-D2) — goes into the index's link table (:attr:`GearIndex.links`),
-which the Gear File Viewer consults wherever a stub becomes visible.
+The index *is* that layer's archive: its path-sorted member columns plus
+one identity/size column naming what each stub stands for, the way a
+seekable image's table of contents is answered by lookup and never
+unpacked.  A node reads it through a read-only lower tree
+(:attr:`GearIndex.tree`) that bisects the path column and mints a stub
+inode — and the entry behind it (:attr:`GearIndex.entries`) — only when
+a name is first touched.  Minted nodes stay with the archive, so every
+node and mount that pulls one index shares them.  What a node does
+write — the fetched files "hard-linked into the index" (§III-D2) — goes
+into the index's link table (:attr:`GearIndex.links`), which the Gear
+File Viewer consults wherever a stub becomes visible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
-from weakref import WeakKeyDictionary
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.blob import Blob
 from repro.common.errors import GearError
-from repro.docker.image import Image, ImageConfig
-from repro.vfs.inode import Inode
-from repro.vfs.tar import LayerArchive
+from repro.docker.image import Image, ImageConfig, Layer
+from repro.vfs.inode import DIRECTORY, FILE, FileKind, Inode, Metadata
+from repro.vfs.tar import WHITEOUT_PREFIX, LayerArchive
 from repro.vfs.tree import FileSystemTree
 
 #: Stub files start with this magic so a viewer (and the parser) can tell
@@ -42,20 +49,22 @@ STUB_MAGIC = "gearfp:"
 #: Extended attribute marking a stub inode in a live index tree.
 STUB_XATTR = "gear.stub"
 
-#: Templates for :meth:`GearIndex.from_image` (a frozen stub tree and its
-#: read-only entry table), keyed by the (immutable, digest-hashed) index
-#: layer archive: filled by :meth:`GearIndex.to_image` with the index it
-#: packs, and by a parse for an archive this process did not write.
-#: Weak keys: the template dies with the last registry/daemon reference
-#: to the archive.
-_INDEX_TEMPLATES: "WeakKeyDictionary[LayerArchive, Tuple[FileSystemTree, Mapping[str, GearFileEntry]]]" = (
-    WeakKeyDictionary()
-)
+#: One index row: an archive member's seven fields (:data:`repro.vfs.tar.Row`),
+#: then the identity and size its stub names (``None`` and 0 off a file).
+IndexRow = Tuple[str, FileKind, int, int, int, Optional[Blob], Optional[str],
+                 Optional[str], int]
+
+#: The character after ``/``: every path below ``d/`` sorts before ``d0``.
+_PAST_SLASH = chr(ord("/") + 1)
+
+#: ``(mode, uid, gid)`` → the metadata of a lower node with them and of a
+#: stub with them: a few dozen values however many nodes are minted.
+_METAS: Dict[Tuple[int, int, int], Tuple[Metadata, Metadata]] = {}
 
 
-@dataclass(frozen=True)
-class GearFileEntry:
-    """Metadata the index keeps for one regular file."""
+class GearFileEntry(NamedTuple):
+    """Metadata the index keeps for one regular file: an immutable row
+    view, cheap enough to mint on the fault path."""
 
     path: str
     identity: str
@@ -64,11 +73,6 @@ class GearFileEntry:
 
     def stub_content(self) -> str:
         return f"{STUB_MAGIC}{self.identity}:{self.size}\n"
-
-    def stub(self) -> Blob:
-        """The stub file's blob: one object per content, shared by every
-        index and commit that names it."""
-        return _stub(self.identity, self.size)
 
     @classmethod
     def parse_stub(cls, path: str, content: str, mode: int) -> "GearFileEntry":
@@ -84,19 +88,199 @@ class GearFileEntry:
 @lru_cache(maxsize=65536)
 def _stub(identity: str, size: int) -> Blob:
     """Mint the stub blob of a content once: pure in its arguments, so
-    memoized the way ``chunk_compressibility`` is."""
+    memoized the way ``chunk_compressibility`` is, and one object shared
+    by every index and commit that names that content."""
     return Blob.from_text(GearFileEntry("", identity, size, 0).stub_content())
 
 
-def _owned(tree: FileSystemTree, owned: Dict[str, Inode], path: str) -> Inode:
-    """The clone's own copy of the directory at ``path``, made (its
-    ancestors' first) the first time something lands in it."""
-    directory = owned.get(path)
-    if directory is None:
-        head, _, name = path.rpartition("/")
-        above = _owned(tree, owned, head)
-        directory = owned[path] = tree.mkdir_at(above, name, exist_ok=True)
-    return directory
+def row_of(path: str, node: Inode, identity: Optional[str]) -> IndexRow:
+    """The index row of ``node`` at ``path``: a directory or symlink as it
+    is, a regular file as the stub naming ``identity``."""
+    meta, blob = node.meta, node.blob
+    if blob is None:
+        return (path, node.kind, meta.mode, meta.uid, meta.gid, None,
+                node.symlink_target, None, 0)
+    return (path, FILE, meta.mode, meta.uid, meta.gid,
+            _stub(identity, blob.size), None, identity, blob.size)
+
+
+def _fingerprint_of(node: Inode) -> str:
+    return node.blob.fingerprint
+
+
+_dict_get = dict.get
+
+
+class _Listing(dict):
+    """A directory of the lower tree.  An entry is minted from its row
+    the first time its name is looked up; a read of the whole directory
+    (iterating, counting, listing) mints the rest first.  Once minted, a
+    lookup is a dict hit."""
+
+    __slots__ = ("_rows", "_prefix", "_whole")
+
+    def __init__(self, rows: "IndexEntries", prefix: str) -> None:
+        super().__init__()
+        self._rows = rows
+        self._prefix = prefix  # the directory's path and a slash
+        self._whole = False
+
+    def get(self, name: str, default: Optional[Inode] = None) -> Optional[Inode]:
+        node = _dict_get(self, name)
+        if node is not None:
+            return node
+        if not self._whole:
+            row = self._rows.row(self._prefix + name)
+            if row is not None:
+                node = self[name] = self._rows.mint(row)
+                return node
+        return default
+
+    def __missing__(self, name: str) -> Inode:
+        node = self.get(name)
+        if node is None:
+            raise KeyError(name)
+        return node
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and self.get(name) is not None
+
+    def _whole_listing(self) -> "_Listing":
+        if not self._whole:
+            self._whole = True
+            rows, prefix = self._rows, self._prefix
+            paths = rows.paths
+            row = bisect_left(paths, prefix)
+            end = bisect_left(paths, prefix[:-1] + _PAST_SLASH, row)
+            while row < end:
+                name, below, _ = paths[row][len(prefix):].partition("/")
+                if below:  # inside a child directory: skip to its end
+                    row = bisect_left(paths, prefix + name + _PAST_SLASH, row, end)
+                    continue
+                if not dict.__contains__(self, name):
+                    self[name] = rows.mint(row)
+                row += 1
+        return self
+
+    def __iter__(self) -> Iterator[str]:
+        return dict.__iter__(self._whole_listing())
+
+    def __len__(self) -> int:
+        return dict.__len__(self._whole_listing())
+
+    def keys(self):
+        return dict.keys(self._whole_listing())
+
+    def values(self):
+        return dict.values(self._whole_listing())
+
+    def items(self):
+        return dict.items(self._whole_listing())
+
+
+class IndexEntries(Mapping):
+    """An index's rows — its archive's member columns, and the identity
+    and size of each stub — read as :attr:`GearIndex.entries`: path →
+    :class:`GearFileEntry` of every stub, read-only.  The lower tree's
+    nodes are minted here (:meth:`mint`), a stub's entry with its node
+    for the fault that follows, so a touched stub's lookup is a dict hit
+    and another's a bisection of the path column; iterating mints fresh
+    entries and keeps none.  No node is held, so the nodes minted from
+    the rows hold them without a cycle."""
+
+    __slots__ = ("paths", "kinds", "modes", "uids", "gids", "blobs", "targets",
+                 "identities", "sizes", "owner", "minted")
+
+    def __init__(self, archive: LayerArchive, identities: List[Optional[str]],
+                 sizes: "array[int]", owner: object) -> None:
+        (self.paths, self.kinds, self.modes, self.uids, self.gids, self.blobs,
+         self.targets) = archive.columns
+        self.identities = identities
+        self.sizes = sizes
+        #: The lower tree's ownership token, stamped on every minted node.
+        self.owner = owner
+        #: path → the entry of every stub minted so far.
+        self.minted: Dict[str, GearFileEntry] = {}
+
+    def row(self, path: str) -> Optional[int]:
+        """The row of ``path``, by bisection of the path column."""
+        paths = self.paths
+        at = bisect_left(paths, path)
+        return at if at < len(paths) and paths[at] == path else None
+
+    def mint(self, row: int) -> Inode:
+        """The lower node of ``row``: a stub-marked file, a symlink, or a
+        directory whose own entries are minted as they are touched."""
+        kind = self.kinds[row]
+        key = (self.modes[row], self.uids[row], self.gids[row])
+        metas = _METAS.get(key)
+        if metas is None:
+            meta = Metadata(*key)
+            metas = _METAS[key] = (meta, meta.with_xattr(STUB_XATTR, "1"))
+        if kind is FILE:
+            self.entry(row)
+            return Inode(kind, meta=metas[1], blob=self.blobs[row], owner=self.owner)
+        node = Inode(kind, meta=metas[0], symlink_target=self.targets[row],
+                     owner=self.owner)
+        if kind is DIRECTORY:
+            node.children = _Listing(self, self.paths[row] + "/")
+        return node
+
+    def entry(self, row: int) -> GearFileEntry:
+        """The entry of the stub at ``row``, minted once."""
+        path = self.paths[row]
+        entry = self.minted.get(path)
+        if entry is None:
+            entry = self.minted[path] = self._fresh(row)
+        return entry
+
+    def _fresh(self, row: int) -> GearFileEntry:
+        return GearFileEntry(self.paths[row], self.identities[row],
+                             self.sizes[row], self.modes[row])
+
+    def rows(self) -> Iterator[IndexRow]:
+        """Every row, in path order."""
+        return zip(self.paths, self.kinds, self.modes, self.uids, self.gids,
+                   self.blobs, self.targets, self.identities, self.sizes)
+
+    def get(self, path: str, default: Optional[GearFileEntry] = None):
+        entry = self.minted.get(path)
+        if entry is None:
+            row = self.row(path)
+            if row is None or self.kinds[row] is not FILE:
+                return default
+            entry = self.entry(row)
+        return entry
+
+    def __getitem__(self, path: str) -> GearFileEntry:
+        entry = self.get(path)
+        if entry is None:
+            raise KeyError(path)
+        return entry
+
+    def _file_rows(self) -> Iterator[int]:
+        return (row for row, kind in enumerate(self.kinds) if kind is FILE)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.paths.__getitem__, self._file_rows())
+
+    def __len__(self) -> int:
+        return self.kinds.count(FILE)
+
+    def items(self) -> Iterator[Tuple[str, GearFileEntry]]:
+        return ((entry.path, entry) for entry in self.values())
+
+    def values(self) -> Iterator[GearFileEntry]:
+        return map(self._fresh, self._file_rows())
+
+
+def _template(archive: LayerArchive, identities: List[Optional[str]],
+              sizes: "array[int]") -> Tuple[FileSystemTree, IndexEntries]:
+    """An index archive's lower tree and entry view, over its columns."""
+    tree = FileSystemTree()
+    entries = IndexEntries(archive, identities, sizes, tree.root.owner)
+    tree.root.children = _Listing(entries, "/")
+    return tree.freeze(), entries
 
 
 class GearIndex:
@@ -106,8 +290,7 @@ class GearIndex:
         self,
         name: str,
         tag: str,
-        tree: FileSystemTree,
-        entries: Mapping[str, GearFileEntry],
+        archive: LayerArchive,
         config: Optional[ImageConfig] = None,
     ) -> None:
         self.name = name
@@ -115,19 +298,38 @@ class GearIndex:
         #: ``name:tag``, formatted once: every link record a deployment
         #: journals carries this very object.
         self.reference = f"{name}:{tag}"
-        #: The stub tree: directories and symlinks verbatim, regular files
-        #: replaced by stub files.  Frozen: indexes parsed from one
-        #: archive share it, and a deployment links into :attr:`links`.
-        self.tree = tree.freeze()
-        #: path → entry.  No reader writes it, and indexes parsed from
-        #: one archive share one read-only table.
-        self.entries = entries
+        #: The index's single layer, whose columns are the index.
+        self.archive = archive
+        #: The stub tree, as a read-only lower over the columns
+        #: (directories and symlinks verbatim, regular files as stubs),
+        #: and path → entry of every stub.  Both are the archive's and
+        #: shared by every index of it; a deployment links into :attr:`links`.
+        self.tree, self.entries = archive.index_template
         self.config = config if config is not None else ImageConfig.make()
         #: entry path → the pool inode hard-linked over that stub: what
         #: this node's containers read at the path instead of the stub.
         self.links: Dict[str, Inode] = {}
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        tag: str,
+        rows: List[IndexRow],
+        *,
+        config: Optional[ImageConfig] = None,
+    ) -> "GearIndex":
+        """The index of ``rows``, in any order: sorts them, archives them
+        and registers the identity/size column as the archive's template,
+        so no pull of this archive parses it."""
+        rows.sort(key=itemgetter(0))
+        archive = LayerArchive.from_rows(rows)
+        archive.index_template = _template(
+            archive, list(map(itemgetter(7), rows)), array("q", map(itemgetter(8), rows))
+        )
+        return cls(name, tag, archive, config)
 
     @classmethod
     def from_tree(
@@ -137,56 +339,31 @@ class GearIndex:
         root: FileSystemTree,
         *,
         config: Optional[ImageConfig] = None,
-        identity_for: Optional[Dict[int, str]] = None,
+        identity_of: Callable[[Inode], str] = _fingerprint_of,
     ) -> "GearIndex":
-        """Build an index from a flattened image root filesystem.
+        """Build an index from a flattened image root filesystem, in one
+        walk that only reads ``root``.
 
-        ``identity_for`` optionally maps inode number → identity for files
-        whose fingerprints were replaced by unique IDs (collision
-        handling); everything else uses the blob fingerprint.
-
-        The index is ``root`` with its files swapped for stubs: ``root``
-        is frozen (read-only from here on; its content is unchanged) and
-        the index tree is a copy-on-write clone of it, which copies only
-        the directories a stub lands in and shares every other directory
-        and every symlink with ``root``.  Every entry naming one content
-        holds one stub blob (:meth:`GearFileEntry.stub`).
+        Every regular file becomes a stub row naming ``identity_of(node)``:
+        the blob fingerprint unless the caller says otherwise (the
+        converter's collision handling names a colliding content by a
+        unique ID, and fingerprints every file in this very walk).
+        Whiteouts are deletion markers, not content: they yield no row.
         """
-        tree = root.freeze().clone()
-        entries: Dict[str, GearFileEntry] = {}
-        identity_for = identity_for or {}
-        owned = {"": tree._own_root()}  # directory path → the clone's copy
-        for path, node in root.walk("/", include_whiteouts=True):
-            head, _, leaf = path.rpartition("/")
-            if node.is_whiteout:  # a deletion marker is not content
-                del _owned(tree, owned, head).children[leaf]
-            elif node.is_file:
-                assert node.blob is not None
-                entry = entries[path] = GearFileEntry(
-                    path=path,
-                    identity=identity_for.get(node.ino, node.blob.fingerprint),
-                    size=node.blob.size,
-                    mode=node.meta.mode,
-                )
-                tree.write_at(
-                    _owned(tree, owned, head), leaf, entry.stub(),
-                    meta=node.meta.with_xattr(STUB_XATTR, "1"),
-                )
-        return cls(name, tag, tree, entries, config)
+        rows = [
+            row_of(path, node, None if node.blob is None else identity_of(node))
+            for path, node in root.walk("/")
+        ]
+        return cls.from_rows(name, tag, rows, config=config)
 
     @classmethod
     def from_image(cls, image: Image) -> "GearIndex":
-        """Parse an index back out of its single-layer Docker image.
+        """Read an index back out of its single-layer Docker image.
 
-        The parse is pure in the layer archive's content, so the stub
-        tree and entry table are built once per archive digest and every
-        subsequent call (every other node in a fleet pulling the same
-        index) receives that frozen tree and the one read-only entry
-        table themselves, with a link table of its own — the same result
-        a re-parse would produce, minus the re-parse and minus a copy of
-        every stub, entry and directory.  An archive :meth:`to_image`
-        wrote in this process is never parsed: it left its own tree and
-        table behind.
+        An archive an index wrote in this process carries its template
+        already; one built elsewhere is parsed once, here, and every
+        later pull of it (every other node in a fleet) reads that one
+        template with a link table of its own.
         """
         if not image.gear_index:
             raise GearError(f"{image.reference!r} is not a Gear index image")
@@ -196,28 +373,42 @@ class GearIndex:
                 f"layer, found {len(image.layers)}"
             )
         archive = image.layers[0].archive
-        template = _INDEX_TEMPLATES.get(archive)
-        if template is None:
-            template = cls._parse_archive(archive)
-            _INDEX_TEMPLATES[archive] = template
-        tree, entries = template
-        return cls(image.name, image.tag, tree, entries, image.config)
+        if archive.index_template is None:
+            archive.index_template = cls._parse_archive(archive)
+        return cls(image.name, image.tag, archive, image.config)
 
     @staticmethod
     def _parse_archive(
-        archive: "LayerArchive",
-    ) -> Tuple[FileSystemTree, Mapping[str, GearFileEntry]]:
-        """One-time stub-tree parse of an index layer archive: unpack it
-        once and mark the files of that very tree as stubs."""
-        tree = archive.apply_to(FileSystemTree())
-        entries: Dict[str, GearFileEntry] = {}
-        for path, node in tree.walk("/"):
-            if node.is_file:
-                assert node.blob is not None
-                text = node.blob.materialize().decode("utf-8", errors="replace")
-                entries[path] = GearFileEntry.parse_stub(path, text, node.meta.mode)
-                node.meta = node.meta.with_xattr(STUB_XATTR, "1")
-        return tree.freeze(), MappingProxyType(entries)
+        archive: LayerArchive,
+    ) -> Tuple[FileSystemTree, IndexEntries]:
+        """One-time read of an index archive built elsewhere: each stub's
+        content gives its identity and size.  Nothing is unpacked, so the
+        archive must already be an index's shape — every member below a
+        directory member, once, and no ``.wh.`` marker — or the parse
+        fails, as a malformed stub does."""
+        paths, kinds, modes, _, _, blobs, _ = archive.columns
+        identities: List[Optional[str]] = []
+        sizes = array("q")
+        directories = {""}
+        for path, kind, mode, blob in zip(paths, kinds, modes, blobs):
+            head, _, name = path.rpartition("/")
+            if head not in directories or not path.startswith("/") or (
+                name in ("", ".", "..") or name.startswith(WHITEOUT_PREFIX)
+            ):
+                raise GearError(f"not a Gear index member: {path!r}")
+            if kind is DIRECTORY:
+                directories.add(path)
+            if blob is None:
+                identities.append(None)
+                sizes.append(0)
+                continue
+            text = blob.materialize().decode("utf-8", errors="replace")
+            entry = GearFileEntry.parse_stub(path, text, mode)
+            identities.append(entry.identity)
+            sizes.append(entry.size)
+        if any(map(str.__eq__, paths, paths[1:])):
+            raise GearError("a Gear index names a path twice")
+        return _template(archive, identities, sizes)
 
     # -- hard links over stubs -----------------------------------------------
 
@@ -241,35 +432,11 @@ class GearIndex:
     # -- packaging ------------------------------------------------------------
 
     def to_image(self) -> Image:
-        """Package as a single-layer Docker image (§III-C).
-
-        Links live beside the tree, never in it, so the tree is already
-        the stubs-only index a registry must carry — and exactly what
-        :meth:`_parse_archive` would rebuild from the archive, so it is
-        registered as the archive's template and no pull parses it.
-        That holds because an archive entry carries mode, uid and gid
-        only and every producer builds its index within them: no node
-        has an ``mtime`` or an attribute other than :data:`STUB_XATTR`,
-        no directory is opaque, no inode is reached by two paths, and
-        the entry table names exactly the stubs of the tree.
-
-        The entry goes in under this archive, not under an equal one
-        from an earlier build: that one's death would drop the template.
-        """
-        from repro.docker.builder import image_from_tree
-
-        image = image_from_tree(
-            self.name, self.tag, self.tree, config=self.config,
-            gear_index=True,
+        """Package as a single-layer Docker image (§III-C): the archive
+        the index already is.  Links live beside it, never in it."""
+        return Image(
+            self.name, self.tag, [Layer(self.archive)], self.config, gear_index=True
         )
-        archive = image.layers[0].archive
-        _INDEX_TEMPLATES.pop(archive, None)
-        _INDEX_TEMPLATES[archive] = (self.tree, MappingProxyType(self.entries))
-        return image
-
-    def stub_tree(self) -> FileSystemTree:
-        """A writable copy of the index tree, every entry a pristine stub."""
-        return self.tree.clone()
 
     def __repr__(self) -> str:
         return f"GearIndex({self.reference!r}, files={len(self.entries)})"

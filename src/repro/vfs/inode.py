@@ -25,6 +25,14 @@ class FileKind(enum.Enum):
     WHITEOUT = "whiteout"
 
 
+#: The kinds as module names: an enum member read off its class costs
+#: about ten times a global's lookup, and the VFS tests a node's kind at
+#: every step of every lookup and walk.
+FILE, DIRECTORY, SYMLINK, WHITEOUT = (
+    FileKind.FILE, FileKind.DIRECTORY, FileKind.SYMLINK, FileKind.WHITEOUT
+)
+
+
 #: The one "no extended attributes" mapping every attribute-less
 #: :class:`Metadata` holds.
 NO_XATTRS: Mapping[str, str] = MappingProxyType({})
@@ -33,8 +41,6 @@ NO_XATTRS: Mapping[str, str] = MappingProxyType({})
 #: images use a handful of modes and owners, so this stays a few dozen
 #: entries however many inodes there are.
 _METADATA: Dict[tuple, "Metadata"] = {}
-#: ``(metadata, name, value)`` → that metadata with the attribute set.
-_WITH_XATTR: Dict[tuple, "Metadata"] = {}
 
 
 class Metadata:
@@ -105,16 +111,9 @@ class Metadata:
 
     def with_xattr(self, name: str, value: str) -> "Metadata":
         """This metadata with one extended attribute set."""
-        # Remembered per source value: an index marks every file it
-        # holds a stub, and they share a handful of sources.
-        key = (self, name, value)
-        marked = _WITH_XATTR.get(key)
-        if marked is None:
-            marked = _WITH_XATTR[key] = Metadata(
-                self.mode, self.uid, self.gid, self.mtime,
-                {**self.xattrs, name: value},
-            )
-        return marked
+        return Metadata(
+            self.mode, self.uid, self.gid, self.mtime, {**self.xattrs, name: value}
+        )
 
     def __repr__(self) -> str:
         return (
@@ -157,7 +156,7 @@ class Inode:
         self.owner = owner
         self.kind = kind
         if meta is None:
-            meta = Metadata(0o755 if kind is FileKind.DIRECTORY else 0o644)
+            meta = Metadata(0o755 if kind is DIRECTORY else 0o644)
         self.meta = meta
         self.blob: Optional[Blob] = None
         self.symlink_target: Optional[str] = None
@@ -167,13 +166,13 @@ class Inode:
         #: ``trusted.overlay.opaque`` xattr).
         self.opaque = False
 
-        if kind is FileKind.FILE:
+        if kind is FILE:
             self.blob = blob if blob is not None else Blob.from_bytes(b"")
         elif blob is not None:
             raise VfsError(f"{kind.value} inode cannot carry a blob")
-        if kind is FileKind.DIRECTORY:
+        if kind is DIRECTORY:
             self.children = {}
-        if kind is FileKind.SYMLINK:
+        if kind is SYMLINK:
             if not symlink_target:
                 raise VfsError("symlink inode requires a target")
             self.symlink_target = symlink_target
@@ -184,24 +183,24 @@ class Inode:
 
     @property
     def is_file(self) -> bool:
-        return self.kind is FileKind.FILE
+        return self.kind is FILE
 
     @property
     def is_dir(self) -> bool:
-        return self.kind is FileKind.DIRECTORY
+        return self.kind is DIRECTORY
 
     @property
     def is_symlink(self) -> bool:
-        return self.kind is FileKind.SYMLINK
+        return self.kind is SYMLINK
 
     @property
     def is_whiteout(self) -> bool:
-        return self.kind is FileKind.WHITEOUT
+        return self.kind is WHITEOUT
 
     @property
     def size(self) -> int:
         """Content size: blob length for files, 0 for everything else."""
-        if self.kind is FileKind.FILE:
+        if self.kind is FILE:
             return self.blob.size  # type: ignore[union-attr]
         return 0
 

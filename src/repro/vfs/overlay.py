@@ -32,7 +32,7 @@ from repro.common.errors import (
 )
 from repro.common.hashing import fingerprint_tokens
 from repro.vfs import paths
-from repro.vfs.inode import Inode, Metadata
+from repro.vfs.inode import WHITEOUT, Inode, Metadata
 from repro.vfs.tree import FileSystemTree
 
 _MAX_SYMLINK_DEPTH = 40
@@ -449,7 +449,7 @@ def _step(
         if child is None:
             continue
         if visible is None:
-            if child.is_whiteout:
+            if child.kind is WHITEOUT:
                 break
             visible = child
         if child.children is None:
@@ -468,5 +468,5 @@ def _merged_names(stack: Sequence[Inode]) -> List[str]:
         assert dir_inode.children is not None
         for name, child in dir_inode.children.items():
             if name not in seen:
-                seen[name] = not child.is_whiteout
+                seen[name] = child.kind is not WHITEOUT
     return [name for name, live in seen.items() if live]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -36,7 +35,7 @@ from repro.common.errors import (
 )
 from repro.common.hashing import Digest, sha256_tokens
 from repro.vfs import paths
-from repro.vfs.inode import FileKind, Inode, Metadata
+from repro.vfs.inode import DIRECTORY, FILE, SYMLINK, WHITEOUT, FileKind, Inode, Metadata
 from repro.vfs.tree import FileSystemTree
 
 #: tar writes a 512-byte header block per entry and pads content to 512.
@@ -52,30 +51,38 @@ OPAQUE_MARKER = ".wh..wh..opq"
 Row = Tuple[str, FileKind, int, int, int, Optional[Blob], Optional[str]]
 
 #: A whiteout's or an opaque marker's row after its path: an empty file.
-_MARKER = (FileKind.FILE, 0, 0, 0, Blob.from_bytes(b""), None)
+_MARKER = (FILE, 0, 0, 0, Blob.from_bytes(b""), None)
 
 
 def _check_member(path: str, kind: FileKind, blob: Optional[Blob],
                   target: Optional[str]) -> None:
     """The rules every member obeys, built as a record or as a row."""
-    if kind is FileKind.FILE and blob is None:
+    if kind is FILE and blob is None:
         raise VfsError(f"file entry {path!r} requires a blob")
-    if kind is FileKind.SYMLINK and not target:
+    if kind is SYMLINK and not target:
         raise VfsError(f"symlink entry {path!r} requires a target")
-    if kind is FileKind.WHITEOUT:
+    if kind is WHITEOUT:
         raise VfsError("whiteouts are encoded via the .wh. prefix")
 
 
-def _member_tokens(path: str, kind: FileKind, mode: int, uid: int, gid: int,
-                   blob: Optional[Blob], target: Optional[str]) -> Iterator[str]:
-    """Canonical tokens of one member's row, feeding the archive digest."""
-    yield path
-    yield kind.value
-    yield f"{mode:o}:{uid}:{gid}"
-    if blob is not None:
-        yield blob.fingerprint
-    if target is not None:
-        yield target
+#: Each kind's digest token, looked up without the enum's property.
+_KIND_TOKENS = {kind: kind.value for kind in FileKind}
+
+
+def _digest_tokens(paths: List[str], kinds: List[FileKind], modes: Iterable[int],
+                   uids: Iterable[int], gids: Iterable[int], blobs: List[Optional[Blob]],
+                   targets: List[Optional[str]]) -> List[str]:
+    """Canonical tokens of every member, in row order, feeding the
+    archive digest: path, kind, ``mode:uid:gid`` in octal and decimal,
+    then the blob's fingerprint and the symlink target where present."""
+    members = zip(
+        paths,
+        map(_KIND_TOKENS.__getitem__, kinds),
+        map("{:o}:{}:{}".format, modes, uids, gids),
+        [None if blob is None else blob.fingerprint for blob in blobs],
+        targets,
+    )
+    return [token for member in members for token in member if token is not None]
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,9 @@ class TarEntry:
     def __post_init__(self) -> None:
         _check_member(self.path, self.kind, self.blob, self.symlink_target)
 
-    def identity_tokens(self) -> Iterable[str]:
+    def identity_tokens(self) -> List[str]:
         """Canonical tokens feeding the archive digest."""
-        return _member_tokens(*_row_of(self))
+        return _digest_tokens(*([field] for field in _row_of(self)))
 
     @property
     def is_whiteout(self) -> bool:
@@ -129,20 +136,22 @@ class LayerArchive:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row]) -> "LayerArchive":
-        """An archive of rows: a member's fields in :class:`TarEntry` order."""
+        """An archive of rows: a member's fields in :class:`TarEntry` order.
+        A row may carry fields after those seven (a reader's own columns,
+        which it takes from the rows it sorted): the archive ignores them."""
         archive = cls.__new__(cls)
         archive._load(rows)
         return archive
 
     def _load(self, rows: Iterable[Row]) -> None:
         ordered = sorted(rows, key=itemgetter(0))
-        for path, kind, _, _, _, blob, target in ordered:
-            _check_member(path, kind, blob, target)
         # One pass per column: a transposing ``zip(*ordered)`` would hold
         # an iterator per member, and every one is a collector allocation.
         self._paths, self._kinds, modes, uids, gids, self._blobs, self._targets = (
             list(map(itemgetter(field), ordered)) for field in range(7)
         )
+        for member in zip(self._paths, self._kinds, self._blobs, self._targets):
+            _check_member(*member)
         self._modes, self._uids, self._gids = (
             array("q", column) for column in (modes, uids, gids)
         )
@@ -154,6 +163,12 @@ class LayerArchive:
         # once, and each node pays only for the directories it writes.
         self._extract_template: Optional[FileSystemTree] = None
         self._diff_template: Optional[FileSystemTree] = None
+        #: What :mod:`repro.gear.index` reads this archive as when it is a
+        #: Gear index (its lower tree and entry view over these columns
+        #: and an identity/size column): set once, by the index that
+        #: wrote the rows or by the one parse of an archive built
+        #: elsewhere, and dropped with the archive.
+        self.index_template: Optional[object] = None
         # Size model results are pure in the entry list; cache them.
         self._uncompressed_size: Optional[int] = None
         self._compressed_size: Optional[int] = None
@@ -189,6 +204,13 @@ class LayerArchive:
     # -- identity & sizes --------------------------------------------------
 
     @property
+    def columns(self) -> Tuple[List[str], List[FileKind], "array[int]", "array[int]",
+                               "array[int]", List[Optional[Blob]], List[Optional[str]]]:
+        """The member columns in row order, one per :class:`TarEntry`
+        field: read them, never write them."""
+        return _columns(self)
+
+    @property
     def entries(self) -> "TarEntries":
         """The members in path order, as a read-only view of records."""
         return TarEntries(self)
@@ -197,9 +219,7 @@ class LayerArchive:
     def digest(self) -> Digest:
         """SHA-256 digest identifying this layer (Docker's layer digest)."""
         if self._digest is None:
-            self._digest = sha256_tokens(
-                chain.from_iterable(map(_member_tokens, *_columns(self)))
-            )
+            self._digest = sha256_tokens(_digest_tokens(*_columns(self)))
         return self._digest
 
     @property
@@ -228,7 +248,7 @@ class LayerArchive:
 
     @property
     def file_count(self) -> int:
-        return self._kinds.count(FileKind.FILE)
+        return self._kinds.count(FILE)
 
     def __len__(self) -> int:
         return len(self._paths)
@@ -283,7 +303,7 @@ class LayerArchive:
             yield row, parent, name
             if marker or (
                 held is not None and held.is_dir
-                and self._kinds[row] is not FileKind.DIRECTORY
+                and self._kinds[row] is not DIRECTORY
             ):
                 last_head = None
 
@@ -309,11 +329,11 @@ class LayerArchive:
                 continue
             held = children.get(name)
             kind = self._kinds[row]
-            is_dir = kind is FileKind.DIRECTORY
+            is_dir = kind is DIRECTORY
             if held is not None and not held.is_whiteout:
                 # A directory stays as it is and a file is overwritten in
                 # place; a node of another kind goes first.
-                if held.is_dir != is_dir or kind is FileKind.SYMLINK:
+                if held.is_dir != is_dir or kind is SYMLINK:
                     tree.remove_at(parent, name, recursive=True)
                 elif is_dir:
                     continue
@@ -324,9 +344,9 @@ class LayerArchive:
         """Create the directory, symlink or file of ``row`` in ``parent``."""
         kind = self._kinds[row]
         meta = Metadata(mode=self._modes[row], uid=self._uids[row], gid=self._gids[row])
-        if kind is FileKind.DIRECTORY:
+        if kind is DIRECTORY:
             tree.mkdir_at(parent, name, exist_ok=True).meta = meta
-        elif kind is FileKind.SYMLINK:
+        elif kind is SYMLINK:
             tree.symlink_at(parent, name, self._targets[row], meta=meta)
         else:
             tree.write_at(parent, name, self._blobs[row], meta=meta)

@@ -15,7 +15,7 @@ from repro.common.errors import (
 )
 from repro.common.errors import NotFoundError
 from repro.vfs import paths
-from repro.vfs.inode import FileKind, Inode, Metadata
+from repro.vfs.inode import DIRECTORY, FILE, SYMLINK, WHITEOUT, Inode, Metadata
 
 #: Maximum symlink traversals during path resolution (Linux uses 40).
 _MAX_SYMLINK_DEPTH = 40
@@ -42,7 +42,7 @@ class FileSystemTree:
         #: True for a clone of a frozen tree, which can reach inodes it
         #: does not own; every other tree skips the own-on-write walk.
         self._shares = False
-        self.root = Inode(FileKind.DIRECTORY, owner=self._token)
+        self.root = Inode(DIRECTORY, owner=self._token)
         self._read_only = False
 
     # -- mutability ------------------------------------------------------
@@ -90,13 +90,13 @@ class FileSystemTree:
                         f"{paths.unsplit(parts[:index])!r} is not a directory"
                     )
                 child = children.get(name)
-                if child is None or child.kind is FileKind.WHITEOUT:
+                if child is None or child.kind is WHITEOUT:
                     if not create or index < pointed_to:
                         raise NotFoundError(
                             f"no such file or directory: {paths.unsplit(parts)!r}"
                         )
                     child = children[name] = Inode(
-                        FileKind.DIRECTORY, owner=self._token
+                        DIRECTORY, owner=self._token
                     )
                 elif child.symlink_target is not None and (
                     follow_last or index < last
@@ -220,7 +220,7 @@ class FileSystemTree:
             dir_path, children, names = stack[-1]
             for name in names:
                 child = children[name]
-                if child.kind is FileKind.WHITEOUT and not include_whiteouts:
+                if child.kind is WHITEOUT and not include_whiteouts:
                     continue
                 child_path = f"{dir_path}/{name}"
                 yield child_path, child
@@ -289,7 +289,7 @@ class FileSystemTree:
         child = directory.children.get(name)
         if child is None or child.is_whiteout:
             child = directory.children[name] = Inode(
-                FileKind.DIRECTORY,
+                DIRECTORY,
                 meta=meta,
                 owner=self._token,
             )
@@ -329,7 +329,7 @@ class FileSystemTree:
                 raise IsADirectoryVfsError(f"{name!r} is a directory")
             self._drop_link(existing)
         inode = directory.children[name] = Inode(
-            FileKind.FILE, meta=meta, blob=_coerce_blob(content), owner=self._token
+            FILE, meta=meta, blob=_coerce_blob(content), owner=self._token
         )
         return inode
 
@@ -352,7 +352,7 @@ class FileSystemTree:
         assert directory.children is not None
         self._check_vacant(directory, name)
         inode = directory.children[name] = Inode(
-            FileKind.SYMLINK, meta=meta, symlink_target=target, owner=self._token
+            SYMLINK, meta=meta, symlink_target=target, owner=self._token
         )
         return inode
 
@@ -408,7 +408,7 @@ class FileSystemTree:
         existing = directory.children.get(name)
         if existing is not None:
             self._drop_link(existing)
-        inode = directory.children[name] = Inode(FileKind.WHITEOUT, owner=self._token)
+        inode = directory.children[name] = Inode(WHITEOUT, owner=self._token)
         return inode
 
     def set_opaque(self, path: str) -> None:

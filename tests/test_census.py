@@ -231,8 +231,28 @@ def test_the_allowlist_is_pinned_and_each_entry_names_its_design_section():
         "src/repro/vfs/tree.py:FileSystemTree.mkdir(meta=)":
             "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
             "directory's metadata",
+        "src/repro/vfs/tree.py:FileSystemTree.symlink(meta=)":
+            "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
+            "symlink's metadata",
+        "src/repro/vfs/tree.py:FileSystemTree.exists(follow_symlinks=)":
+            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws lookups "
+            "that follow a final symlink and lookups that stop at it",
+        "src/repro/vfs/tree.py:FileSystemTree.stat(follow_symlinks=)":
+            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws stat "
+            "and lstat",
+        "src/repro/vfs/tree.py:FileSystemTree.listdir(path=)":
+            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws the "
+            "directory listed",
+        "src/repro/vfs/overlay.py:OverlayMount.exists(follow_symlinks=)":
+            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws "
+            "lookups through a viewer that follow a final symlink or stop at it",
+        "src/repro/vfs/overlay.py:OverlayMount.stat(follow_symlinks=)":
+            "§2: the overlay oracle in tests/test_vfs_oracle.py draws stat and lstat",
+        "src/repro/vfs/overlay.py:OverlayMount.listdir(path=)":
+            "§2: the overlay oracle in tests/test_vfs_oracle.py draws the "
+            "directory listed",
     }
-    assert len(census.DEFINITION_ALLOWLIST) == 9
+    assert len(census.DEFINITION_ALLOWLIST) == 11
     for key, why in census.DEFINITION_ALLOWLIST.items():
         assert key.startswith("src/") and ":" in key, key
         assert why.startswith("§"), key

@@ -2,7 +2,7 @@
 
 import hashlib
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.common.hashing import (
     Digest,
@@ -61,3 +61,38 @@ def test_stable_u64_is_stable_and_distinct():
 def test_stable_unit_interval_in_range(a, b):
     value = stable_unit_interval(a, b)
     assert 0.0 <= value < 1.0
+
+
+def _per_token(hasher, tokens, end):
+    """The encoding the one-buffer hashes replaced: an update per token
+    and one per separator."""
+    for token in tokens:
+        hasher.update(token.encode("utf-8"))
+        hasher.update(end)
+    return hasher
+
+
+# Empty tokens, non-ASCII text (multi-byte UTF-8) and the separators
+# themselves inside a token.
+_TOKENS = st.lists(st.one_of(st.just(""), st.text(alphabet=st.characters(
+    blacklist_categories=("Cs",)), max_size=8)), max_size=6)
+
+
+@given(_TOKENS)
+@example([])
+@example([""])
+@example(["", ""])
+@example(["é", "∂", "😀"])
+@example(["a\nb", "\x00"])
+def test_one_buffer_hashes_match_the_per_token_encoding(tokens):
+    assert fingerprint_tokens(tokens) == _per_token(hashlib.md5(), tokens, b"\n").hexdigest()
+    assert fingerprint_tokens(iter(tokens)) == fingerprint_tokens(tokens)
+    assert sha256_tokens(tokens) == _per_token(hashlib.sha256(), tokens, b"\n").hexdigest()
+    reference = _per_token(hashlib.sha256(), tokens, b"\x00").digest()
+    assert stable_u64(*tokens) == int.from_bytes(reference[:8], "big")
+
+
+def test_an_empty_sequence_is_not_one_empty_token():
+    assert fingerprint_tokens([]) != fingerprint_tokens([""])
+    assert sha256_tokens([]) != sha256_tokens([""])
+    assert stable_u64() != stable_u64("")

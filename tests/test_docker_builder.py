@@ -3,8 +3,17 @@
 import pytest
 
 from repro.common.errors import ReproError
-from repro.docker.builder import ImageBuilder, image_from_tree
+from repro.docker.builder import ImageBuilder
+from repro.docker.image import Image, Layer
+from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
+
+
+def image_from_tree(name, tag, tree, *, config=None, gear_index=False):
+    """Package a whole tree as a single-layer image: how a hand-built
+    Gear index reaches a registry without the converter (§III-C)."""
+    archive = LayerArchive.from_tree(tree)
+    return Image(name, tag, [Layer(archive)], config, gear_index=gear_index)
 
 
 class TestBuilder:

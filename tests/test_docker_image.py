@@ -111,3 +111,27 @@ class TestManifest:
         one = Image("i", "t", [make_layer()]).manifest()
         two = Image("i", "t", [make_layer(), make_layer(("/x", b"y"))]).manifest()
         assert two.size_bytes > one.size_bytes
+
+
+def _nodes(tree):
+    return [
+        (path, node.kind, node.meta,
+         node.blob.fingerprint if node.blob is not None else None,
+         node.symlink_target)
+        for path, node in tree.walk("/", include_whiteouts=True)
+    ]
+
+
+def test_flatten_from_the_bottom_template_is_the_all_layers_unpack(small_corpus):
+    """``flatten`` clones the bottom layer's extraction template and
+    applies the layers above; applying every layer to an empty tree is
+    the reference, node for node, on every image of a corpus."""
+    for generated in small_corpus.images:
+        image = generated.image
+        reference = FileSystemTree()
+        for layer in image.layers:
+            layer.archive.apply_to(reference)
+        assert _nodes(image.flatten()) == _nodes(reference), image.reference
+    # The template is the bottom archive's own, kept once and frozen.
+    bottom = small_corpus.images[0].image.layers[0].archive
+    assert bottom._extract_template is not None and bottom._extract_template.read_only

@@ -132,7 +132,7 @@ class TestMetadataThroughConversion:
         tree = FileSystemTree()
         tree.write_file("/a", b"shared inode" * 50, parents=True)
         tree.hardlink("/b", "/a")
-        from repro.docker.builder import image_from_tree
+        from tests.test_docker_builder import image_from_tree
 
         docker_registry.push_image(image_from_tree("hard", "v1", tree))
         index, report = converter.convert("hard:v1")

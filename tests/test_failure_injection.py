@@ -58,22 +58,44 @@ class TestMalformedIndexes:
         meta = Metadata()
         tree.write_file("/f", Blob.from_text(f"{STUB_MAGIC}broken"), meta=meta,
                         parents=True)
-        from repro.docker.builder import image_from_tree
+        from tests.test_docker_builder import image_from_tree
 
         image = image_from_tree("bad.gear", "v1", tree, gear_index=True)
         with pytest.raises(GearError):
             GearIndex.from_image(image)
 
+    @pytest.mark.parametrize("members", [
+        ["/d/f"],            # no directory member above it
+        ["/f", "/f"],        # one path twice
+        ["/f", "/f/g"],      # a member below a file
+        ["/.wh.f"],          # a whiteout: an index is not a diff
+    ])
+    def test_an_archive_not_shaped_like_an_index_is_rejected_at_parse(self, members):
+        from repro.docker.image import Image, Layer
+        from repro.vfs.tar import LayerArchive, TarEntry
+        from repro.vfs.inode import FileKind
+
+        stub = Blob.from_text(f"{STUB_MAGIC}{'a' * 32}:4\n")
+        archive = LayerArchive(
+            [TarEntry(path, FileKind.FILE, 0o644, 0, 0, blob=stub) for path in members]
+        )
+        image = Image("bad.gear", "v1", [Layer(archive)], gear_index=True)
+        with pytest.raises(GearError):
+            GearIndex.from_image(image)
+
     def test_stub_without_entry_fails_fault(self):
-        # A viewer whose index tree carries a stub xattr but whose entry
-        # table lost the path: the fault must not fabricate content.
+        # The entry view is read-only: no path can lose its entry.  A stub
+        # reached at a path the index has no entry for (a node from one
+        # path faulted at another) must not fabricate content.
         root = FileSystemTree()
         root.write_file("/f", b"real", parents=True)
         index = GearIndex.from_tree("i", "v", root)
-        del index.entries["/f"]
+        with pytest.raises(TypeError):
+            del index.entries["/f"]
         viewer = GearFileViewer(index, SharedFilePool(), transport=None)
+        stub = index.tree.stat("/f")
         with pytest.raises(GearError):
-            viewer.read_bytes("/f")
+            viewer._drive(viewer._materialize(stub, ["g"]))
 
     def test_index_from_regular_image_rejected(self, small_corpus):
         with pytest.raises(GearError):
@@ -218,7 +240,7 @@ class TestIntegrityVerification:
         root.write_file("/f", blob, parents=True)
         index = GearIndex.from_tree(
             "i", "v", root,
-            identity_for={root.stat("/f").ino: "uid-00000001-abc"},
+            identity_of=lambda node: "uid-00000001-abc",
         )
         viewer = GearFileViewer(index, SharedFilePool(), transport=transport)
         assert viewer.read_bytes("/f") == b"collision-handled content"

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.common.clock import SimClock
-from repro.docker.builder import ImageBuilder, image_from_tree
+from repro.docker.builder import ImageBuilder
+from tests.test_docker_builder import image_from_tree
 from repro.docker.daemon import DockerDaemon
 from repro.docker.registry import DockerRegistry
 from repro.gear.commit import commit_container

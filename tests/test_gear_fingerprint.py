@@ -92,3 +92,50 @@ class TestCollisionTracker:
         id1, _ = tracker.register(ForgedBlob([Chunk(seed="y", size=1)]))
         id2, _ = tracker.register(ForgedBlob([Chunk(seed="z", size=1)]))
         assert id1 != id2
+
+
+class _Forged(Blob):
+    """Any content, one fingerprint: a collision on demand."""
+
+    @property
+    def fingerprint(self):
+        from repro.common.hashing import Fingerprint
+
+        return Fingerprint("f" * 32)
+
+
+class TestLazySignature:
+    def test_the_same_content_is_never_compared_token_by_token(self, monkeypatch):
+        compared = []
+        tokens = Blob.chunk_tokens
+        monkeypatch.setattr(
+            Blob, "chunk_tokens", lambda blob: compared.append(blob) or tokens(blob)
+        )
+        tracker = CollisionTracker()
+        blob = Blob.synthetic("file", 300_000)
+        for again in (blob, blob, Blob.synthetic("file", 300_000)):
+            assert tracker.register(again) == (blob.fingerprint, False)
+        assert compared == [] and tracker.collisions_detected == 0
+
+    def test_a_forced_collision_in_a_conversion_yields_a_uid_identity(self):
+        from repro.common.clock import SimClock
+        from repro.docker.builder import ImageBuilder
+        from repro.docker.registry import DockerRegistry
+        from repro.gear.converter import GearConverter
+        from repro.gear.registry import GearRegistry
+
+        docker_registry, gear_registry = DockerRegistry(), GearRegistry()
+        converter = GearConverter(SimClock(), docker_registry, gear_registry)
+        image = (
+            ImageBuilder("forged", "v1")
+            .add_file("/a", _Forged([Chunk(seed="a", size=10)]))
+            .add_file("/b", _Forged([Chunk(seed="b", size=10)]))
+            .add_file("/c", _Forged([Chunk(seed="a", size=10)]))
+            .build()
+        )
+        docker_registry.push_image(image)
+        index, report = converter.convert("forged:v1")
+        identities = {path: entry.identity for path, entry in index.entries.items()}
+        assert identities["/a"] == identities["/c"] == "f" * 32
+        assert identities["/b"].startswith("uid-") and report.collisions == 1
+        assert gear_registry.query(identities["/b"])

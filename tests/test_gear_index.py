@@ -69,7 +69,8 @@ class TestFromTree:
         root = sample_root()
         ino = root.stat("/etc/app/conf").ino
         index = GearIndex.from_tree(
-            "app.gear", "v1", root, identity_for={ino: "uid-x"}
+            "app.gear", "v1", root,
+            identity_of=lambda node: "uid-x" if node.ino == ino else node.blob.fingerprint,
         )
         assert index.entries["/etc/app/conf"].identity == "uid-x"
 
@@ -111,7 +112,7 @@ class TestLinks:
             index.tree.write_file("/bin/sh", b"poison")
         assert STUB_XATTR in index.tree.stat("/bin/sh").meta.xattrs
         assert index.to_image().layers[0].archive.digest == before
-        assert STUB_XATTR in index.stub_tree().stat("/bin/sh").meta.xattrs
+        assert STUB_XATTR in index.tree.clone().stat("/bin/sh").meta.xattrs
 
 
 class TestImageRoundTrip:
@@ -161,27 +162,32 @@ def snapshot(tree):
 
 
 class TestFromTreeContract:
-    """The index is the root, frozen and cloned, with its files swapped
-    for stubs: nothing is written to the root or to what it shares."""
+    """The index is rows read off the root in one walk: nothing is written
+    to the root, and the index's nodes are minted from the rows."""
 
-    def test_root_is_frozen_and_unchanged(self):
+    def test_root_is_unchanged_and_writable(self):
         root = sample_root()
         before = snapshot(root)
         GearIndex.from_tree("i", "v", root)
-        assert root.read_only
         assert snapshot(root) == before
-        with pytest.raises(ReadOnlyVfsError):
-            root.write_file("/etc/app/conf", b"other")
+        assert not root.read_only
+        root.write_file("/etc/app/conf", b"other")
 
-    def test_file_less_structure_is_shared_with_the_root(self):
+    def test_index_nodes_are_minted_from_rows_not_shared(self):
         root = sample_root()
         root.mkdir("/var/empty", parents=True)
         index = GearIndex.from_tree("i", "v", root)
-        for path in ("/var", "/var/empty", "/bin/bash"):
-            assert index.tree.stat(path, follow_symlinks=False) is root.stat(
-                path, follow_symlinks=False
+        for path in ("/var", "/var/empty", "/bin/bash", "/etc"):
+            minted = index.tree.stat(path, follow_symlinks=False)
+            source = root.stat(path, follow_symlinks=False)
+            assert minted is not source
+            assert (minted.kind, minted.meta, minted.symlink_target) == (
+                source.kind, source.meta, source.symlink_target
             )
-        assert index.tree.stat("/etc") is not root.stat("/etc")
+        # Minted once: every later lookup, from any index of the archive,
+        # is the same node.
+        again = GearIndex.from_image(index.to_image())
+        assert again.tree.stat("/var/empty") is index.tree.stat("/var/empty")
 
     def test_a_whiteout_yields_no_index_node(self):
         root = sample_root()
@@ -200,7 +206,8 @@ class TestFromTreeContract:
         assert inode.nlink == 2 and root.stat("/bin/sh2") is inode
         for path in ("/bin/sh", "/bin/sh2"):
             assert index.entries[path].identity == inode.blob.fingerprint
-            assert index.tree.read_blob(path) is index.entries[path].stub()
+            assert index.tree.read_blob(path) is index.tree.read_blob("/bin/sh")
+            assert index.tree.read_bytes(path).decode() == index.entries[path].stub_content()
 
     def test_indexing_a_clone_leaves_its_template_alone(self):
         template = sample_root()

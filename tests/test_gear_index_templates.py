@@ -1,11 +1,13 @@
 """The index a process writes is the index its pulls read.
 
-``GearIndex.to_image`` registers its own frozen stub tree and entry
-table as the template of the archive it packs, so ``from_image`` never
-parses an archive this process wrote (DESIGN.md §13, "Template
-caches").  That is only sound if the registration is exactly what
-``GearIndex._parse_archive`` would rebuild from the archive: these tests
-compare the two node for node, and pin where each is used.
+A Gear index is its layer archive's columns plus one identity/size
+column.  ``GearIndex.from_rows`` registers that column, as a lower tree
+and an entry view over the columns, as the template of the archive it
+builds, so ``from_image`` never parses an archive this process wrote
+(DESIGN.md §13, "Template caches").  That is only sound if the template
+is exactly what ``GearIndex._parse_archive`` would build from the
+archive: these tests compare the two node for node, and pin where each
+is used.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.deploy import deploy_with_gear
 from repro.bench.environment import make_testbed, publish_images
 from repro.common.errors import GearError
-from repro.docker.builder import ImageBuilder, image_from_tree
+from repro.docker.builder import ImageBuilder
 from repro.gear.commit import commit_container
-from repro.gear.index import _INDEX_TEMPLATES, STUB_MAGIC, STUB_XATTR, GearIndex
+from repro.gear.index import STUB_MAGIC, STUB_XATTR, GearIndex
 from repro.vfs.inode import Metadata
 from repro.vfs.tree import FileSystemTree
+from tests.test_docker_builder import image_from_tree
 
 
 def nodes(tree):
@@ -38,9 +41,9 @@ def nodes(tree):
 
 
 def assert_registered_as_parsed(image):
-    """The template ``to_image`` left for ``image`` is its parse."""
+    """The template the writer left for ``image`` is its parse."""
     archive = image.layers[0].archive
-    tree, entries = _INDEX_TEMPLATES[archive]
+    tree, entries = archive.index_template
     parsed_tree, parsed_entries = GearIndex._parse_archive(archive)
     assert nodes(tree) == nodes(parsed_tree)
     assert dict(entries) == dict(parsed_entries)
@@ -62,7 +65,8 @@ def image_roots(draw):
     """A flattened image root: nested and empty directories, files of
     assorted mode and owner, symlinks, and sometimes a whiteout and a
     hard-linked pair in the root; some files named by ``uid-`` identities
-    the way the converter names colliding contents."""
+    the way the converter names colliding contents.  Returns the root and
+    the ``identity_of`` to index it with."""
     tree = FileSystemTree()
     identity_for = {}
     directories = [""]
@@ -89,14 +93,14 @@ def image_roots(draw):
         tree.hardlink("/linked-too", "/linked")
         if draw(st.booleans()):
             identity_for[node.ino] = f"uid-{len(identity_for):08d}-linked"
-    return tree, identity_for
+    return tree, lambda node: identity_for.get(node.ino, node.blob.fingerprint)
 
 
 @settings(deadline=None)  # example count: the profile's (conftest.py)
 @given(image_roots())
 def test_to_image_registers_what_the_parse_would_build(drawn):
-    root, identity_for = drawn
-    index = GearIndex.from_tree("i.gear", "v1", root, identity_for=identity_for)
+    root, identity_of = drawn
+    index = GearIndex.from_tree("i.gear", "v1", root, identity_of=identity_of)
     assert_registered_as_parsed(index.to_image())
 
 
@@ -132,27 +136,25 @@ def test_a_committed_index_registers_what_the_parse_would_build():
         container, "app.gear", "v2", daemon=bed.daemon, transport=bed.transport
     )
     image = bed.daemon.get_image("app.gear:v2")
-    assert _INDEX_TEMPLATES[image.layers[0].archive][0] is committed.tree
+    assert image.layers[0].archive.index_template[0] is committed.tree
     assert_registered_as_parsed(image)
     assert sorted(committed.entries) == [
         "/etc/added", "/etc/conf", "/srv/new/deep", "/usr", "/var/state/inner"
     ]
 
 
-def test_the_writer_is_trusted_with_its_tree():
-    """The rule ``to_image`` relies on: an index holds no attribute but
-    ``STUB_XATTR`` (``scripts/check.sh`` keeps every producer to it),
-    because the tree goes in as it is, and an archive cannot carry
-    another one: a parse would lose it."""
+def test_the_index_holds_only_what_its_archive_carries():
+    """The writer builds the archive first and reads its index from it
+    alone, so an attribute a member cannot carry is in neither the index
+    the writer keeps nor the one a parse builds: they cannot differ."""
     root = FileSystemTree()
     root.write_file("/f", b"x", meta=Metadata().with_xattr("user.tag", "1"))
+    root.mkdir("/d")
+    root.set_opaque("/d")
     index = GearIndex.from_tree("i.gear", "v1", root)
-    archive = index.to_image().layers[0].archive
-    tree, _ = _INDEX_TEMPLATES[archive]
-    assert tree is index.tree
-    assert dict(tree.stat("/f").meta.xattrs) == {"user.tag": "1", STUB_XATTR: "1"}
-    parsed, _ = GearIndex._parse_archive(archive)
-    assert dict(parsed.stat("/f").meta.xattrs) == {STUB_XATTR: "1"}
+    assert dict(index.tree.stat("/f").meta.xattrs) == {STUB_XATTR: "1"}
+    assert not index.tree.stat("/d").opaque
+    assert_registered_as_parsed(index.to_image())
 
 
 # -- who parses -------------------------------------------------------------------
@@ -192,7 +194,7 @@ def test_a_foreign_index_is_parsed_once_for_every_client(parsed):
 
 
 def test_a_later_conversion_outlives_an_earlier_equal_one(distro_corpus, parsed):
-    """World B's conversion keys the template under B's archive, though
+    """World B's conversion keeps its template on B's archive, though
     world A's equal one is still alive then; A's death leaves B's."""
     generated = distro_corpus.images[0]
     world_a, world_b = make_testbed(), make_testbed()
@@ -208,6 +210,22 @@ def test_a_later_conversion_outlives_an_earlier_equal_one(distro_corpus, parsed)
     del world_a, archives
     gc.collect()
     deploy_with_gear(world_b.fresh_client(), generated)
+    assert parsed == []
+
+
+def test_a_second_to_image_leaves_the_pushed_image_parse_free(distro_corpus, parsed):
+    """A second image of one index once re-keyed the template onto a new
+    archive that died with that image, and the pushed image's next pull
+    parsed.  An index's image is its own archive."""
+    generated = distro_corpus.images[0]
+    bed = make_testbed()
+    bed.docker_registry.push_image(generated.image)
+    index, _ = bed.converter.convert(generated.reference)
+    again = index.to_image()
+    assert again.layers[0].archive is index.archive
+    del again
+    gc.collect()
+    deploy_with_gear(bed.fresh_client(), generated)
     assert parsed == []
 
 

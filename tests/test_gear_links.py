@@ -82,10 +82,13 @@ def registry_side():
             )
         tree.symlink("/bin/bash", "sh")
         name, tag = reference.split(":")
-        index = GearIndex.from_tree(name, tag, tree, identity_for=identity_for)
+        index = GearIndex.from_tree(
+            name, tag, tree,
+            identity_of=lambda node: identity_for.get(node.ino, node.blob.fingerprint),
+        )
         root.docker_registry.push_image(index.to_image())
     templates = {}
-    # The probe stays alive with the cache: templates are keyed weakly by
+    # The probe stays alive with the cache: a template lives as long as
     # the archive its daemon pulled.
     probe = root.fresh_client()
     for reference in IMAGES:

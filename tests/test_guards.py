@@ -161,6 +161,9 @@ MUTANTS = {
     "index-write": [
         (P + "gear/viewer.py", None, "tree.link_inode(path, inode)\n"),
         (P + "gear/recovery.py", None, "self.index.tree.write_file(path, blob)\n"),
+        (P + "gear/viewer.py", None, "columns.identities[0] = 'x'\n"),
+        (P + "gear/bigfile.py", None, "index.entries.sizes.append(0)\n"),
+        (P + "gear/commit.py", None, "del container.index.entries[path]\n"),
     ],
     "metric-instrument": [
         (P + "obs/metrics.py", None, "class Counter:\n    pass\n\n\n_C = Counter()\n"),
@@ -197,26 +200,33 @@ MUTANTS = {
     ],
     "tree-rebuilt": [
         (P + "gear/index.py", None, "_T = tree.mirror()\n"),
+        (P + "gear/index.py", None, "_T = archive.apply_to(FileSystemTree())\n"),
+        (P + "gear/commit.py", None, "merged_tree.write_file(path, blob)\n"),
+        (P + "gear/converter.py", None, "_T = index_tree.mkdir_at(root, name)\n"),
         (P + "workloads/corpus.py", None, "_T = FileSystemTree()\n"),
         (P + "workloads/corpus.py", None, "tree.write_file(path, blob)\n"),
     ],
     "stub-minted": [
         (P + "gear/commit.py", None, "_S = Blob.from_text(entry.stub_content())\n"),
         (P + "gear/index.py", None, "_S = Blob.from_text(entry.stub_content())\n"),
+        # an entry per file, built beside the rows
+        (P + "gear/converter.py", None, "_E = GearFileEntry(path, identity, size, mode)\n"),
+        (P + "gear/commit.py", None, "_S = _stub(identity, size)\n"),
     ],
     "parse-archive": [
-        (P + "gear/index.py", "        _INDEX_TEMPLATES.pop(archive, None)\n",
-         "        GearIndex._parse_archive(archive)\n        _INDEX_TEMPLATES.pop(archive, None)\n"),
-        (P + "gear/index.py", "            _INDEX_TEMPLATES[archive] = template\n",
-         "            _INDEX_TEMPLATES[archive] = template\n"
-         "            template = cls._parse_archive(archive)\n"),
+        (P + "gear/index.py", "        archive = LayerArchive.from_rows(rows)\n",
+         "        archive = LayerArchive.from_rows(rows)\n        GearIndex._parse_archive(archive)\n"),
+        (P + "gear/index.py", "            archive.index_template = cls._parse_archive(archive)\n",
+         "            archive.index_template = cls._parse_archive(archive)\n"
+         "            archive.index_template = cls._parse_archive(archive)\n"),
     ],
     "template-write": [
-        (P + "gear/index.py", None, "_INDEX_TEMPLATES[archive] = template\n"),
-        (P + "gear/driver.py", None, "_INDEX_TEMPLATES.clear()\n"),
+        (P + "gear/index.py", None, "archive.index_template = template\n"),
+        (P + "gear/driver.py", None, "setattr(archive, 'index_template', None)\n"),
+        (P + "vfs/tar.py", None, "del archive.index_template\n"),
         # gap: a new from_image anywhere in the module is not GearIndex's
         (P + "gear/index.py", None, "def from_image(archive):\n"
-                                    "    return _INDEX_TEMPLATES.pop(archive, None)\n"),
+                                    "    archive.index_template = None\n"),
     ],
     "inode-attribute": [
         (P + "vfs/tree.py", None, "_M = Metadata(0o644, 0, 0, 1.0)\n"),
@@ -317,17 +327,23 @@ LOOKALIKES = {
     "record-per-operation": [(P + "gear/pool.py", None, "_F = TransferRecord._fields\n")],
     "member-tuple": [(P + "vfs/tar.py", None, "_M = tuple(names)\n")],
     "metadata-write": [(P + "vfs/overlay.py", None, "_M = node.meta.mode == 0o644\n")],
-    "index-write": [(P + "gear/viewer.py", None, "upper.tree.write_file(path, blob)\n")],
+    "index-write": [
+        (P + "gear/viewer.py", None, "upper.tree.write_file(path, blob)\n"),
+        (P + "gear/viewer.py", None, "_I = columns.identities[0]\n"),
+    ],
     "metric-instrument": [(P + "obs/metrics.py", None, "from collections import Counter\n_C = Counter()\n")],
     "reset-stats": [(P + "vfs/overlay.py", None, "# reset_stats went in PR 30\n")],
     "rewind": [(P + "net/link.py", None, "_C = log.rows.clear()\n")],
     "reset-callback": [(P + "net/ha.py", None, "metrics.register_callback('b', snapshot, resets='x')\n")],
     "unpack-at-register": [(P + "docker/graphdriver.py", None, "_D = driver.diff_tree(digest)\n")],
     "payload-rehash": [(P + "workloads/tasks.py", None, "_PAYLOAD = Blob.from_bytes(b'x' * 4096)\n")],
-    "tree-rebuilt": [(P + "workloads/corpus.py", None, "# never FileSystemTree( nor write_file(\n")],
+    "tree-rebuilt": [
+        (P + "workloads/corpus.py", None, "# never FileSystemTree( nor write_file(\n"),
+        (P + "gear/index.py", None, "# the index never calls apply_to( or write_at(\n"),
+    ],
     "stub-minted": [(P + "gear/commit.py", None, "_S = entry.stub()\n")],
     "parse-archive": [(P + "gear/recovery.py", None, "_P = GearIndex._parse_archive\n")],
-    "template-write": [(P + "gear/driver.py", None, "_T = _INDEX_TEMPLATES.get(archive)\n")],
+    "template-write": [(P + "gear/driver.py", None, "_T = archive.index_template\n")],
     "inode-attribute": [(P + "gear/commit.py", None, "_M = node.meta.with_xattr(STUB_XATTR, '1')\n")],
     "chunk-fingerprint": [(P + "blob/blob.py", None, "# fingerprint_tokens( only in the memo\n")],
     "crash-hook": [

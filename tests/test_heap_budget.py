@@ -15,13 +15,14 @@ from repro.blob import Blob
 from repro.blob.compressibility import blob_compressed_size
 from repro.bench.deploy import deploy_with_gear, viewer_fs_digest
 from repro.bench.environment import make_testbed, publish_images
-from repro.gear.index import _INDEX_TEMPLATES, GearIndex
+from repro.gear.index import GearIndex
 from repro.gear.journal import LINK_BEGIN, LINK_COMMIT, JournalRecord
 from repro.net.link import TransferRecord
 from repro.net.topology import Cluster
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
+from repro.workloads.tasks import task_for_category
 
 #: Retained Python heap one client of the nginx wave may cost (the
 #: 37-file trace at scale 0.2).  Measured 22.5 KB, and 23.1 KB once
@@ -113,7 +114,7 @@ class TestOneObjectNotOnePerOperation:
         beds = [_deployed_client(world, nginx) for _ in range(2)]
         containers = [bed.gear_driver.containers()[-1] for bed in beds]
         image = beds[0].daemon.get_image(containers[0].index.reference)
-        template, _ = _INDEX_TEMPLATES[image.layers[0].archive]
+        template, _ = image.layers[0].archive.index_template
         for container in containers:
             # A deployment copies no index directory: it links files
             # through the index's table, and the tree it reads through
@@ -165,13 +166,13 @@ class TestOneObjectNotOnePerOperation:
             assert not hasattr(record, "__dict__")
 
 
-def _warmed_cluster(image, clients):
+def _warmed_cluster(image, clients, *, digest=False):
     """A cluster of ``clients`` undeployed nodes and the function that
-    deploys one, with everything that is not a client already paid for."""
-    # Earlier worlds' garbage must not be counted.  (Index templates are
-    # keyed weakly by archive *digest*, but the conversion below keys
-    # this world's own under its own archive: an earlier, equal one can
-    # no longer lend it a template and take it away mid-measurement.)
+    deploys one, with everything that is not a client already paid for
+    (with ``digest``, the index nodes a digest of a mount mints once)."""
+    # Earlier worlds' garbage must not be counted.  (An index template
+    # lives on its own archive: an earlier world's equal one can neither
+    # lend this world a template nor take it away mid-measurement.)
     gc.collect()
     cluster = Cluster(2 * clients, bandwidth_mbps=100.0)
     publish_images(cluster.registry_testbed, [image], convert=True)
@@ -184,6 +185,8 @@ def _warmed_cluster(image, clients):
     # clients.
     measured, cluster.nodes = cluster.nodes[clients:], cluster.nodes[:clients]
     cluster.deploy_wave(deploy)
+    if digest:
+        viewer_fs_digest(cluster.nodes[0].testbed.gear_driver.containers()[-1].mount)
     cluster.nodes = measured
     gc.collect()
     return cluster, deploy
@@ -194,7 +197,7 @@ def _retained_by_wave(image, clients, *, digest=False):
     ``digest``, after every mount's filesystem has been digested, as a
     run that checks its outputs does — with the allocation sites that
     hold them (largest first)."""
-    cluster, deploy = _warmed_cluster(image, clients)
+    cluster, deploy = _warmed_cluster(image, clients, digest=digest)
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
@@ -245,6 +248,39 @@ def test_digesting_every_mount_keeps_a_client_inside_the_budget(nginx):
         f"a digested client retains {retained / 8:.0f} B; top sites:\n"
         + _explain(sites, 8)
     )
+
+
+def _minted(tree):
+    """Paths of the nodes an index's lower tree has minted so far, read
+    without minting more."""
+    found, stack = [], [("", tree.root)]
+    while stack:
+        head, directory = stack.pop()
+        for name, node in dict.items(directory.children):
+            found.append(f"{head}/{name}")
+            if node.children is not None:
+                stack.append((f"{head}/{name}", node))
+    return sorted(found)
+
+
+def test_a_deploy_mints_the_index_nodes_its_task_touches_and_no_more(nginx):
+    root = make_testbed(bandwidth_mbps=100.0)
+    publish_images(root, [nginx], convert=True)
+    index = _deployed_client(root, nginx).gear_driver.containers()[-1].index
+    read = {path for path, _ in nginx.trace.accesses}
+    written = {f"/var/run/task-{i}.out" for i in range(task_for_category(nginx.category).writes)}
+    touched = {
+        "/".join(parts[:depth])
+        for parts in (path.split("/") for path in read | written)
+        for depth in range(2, len(parts) + 1)
+    }
+    minted = _minted(index.tree)
+    assert read <= set(minted) <= touched
+    assert len(minted) < len(index.archive) // 2
+    # A second client mounts the same index: every node it looks up is
+    # already minted.
+    _deployed_client(root, nginx)
+    assert _minted(index.tree) == minted
 
 
 def _record_objects(objects):

@@ -210,14 +210,19 @@ class TestBulkLoaders:
     def test_parse_archive_creates_each_inode_once(self, counted):
         archive = self.stub_archive()
         parsed = []
+        # The parse reads the stubs and unpacks nothing: its lower tree
+        # has a root, and mints every other node the first time it is touched.
         allocated = inodes_allocated(
             lambda: parsed.append(GearIndex._parse_archive(archive))
         )
         tree, entries = parsed[0]
-        assert len(entries) == 40
-        assert allocated == tree.count_nodes() + 1  # every node, and the root
+        assert len(entries) == 40 and allocated == 1
+        nodes = len(archive)
+        assert inodes_allocated(tree.count_nodes) == nodes
+        assert inodes_allocated(tree.count_nodes) == 0
+        assert tree.count_nodes() == nodes
 
-    def test_index_from_tree_and_stub_tree_never_descend(self, counted):
+    def test_index_from_tree_walks_once_and_mints_on_touch(self, counted):
         root = wide_tree(depth=5)
         nodes = root.count_nodes()
         built = []
@@ -226,9 +231,10 @@ class TestBulkLoaders:
         )
         assert (splits, descents) == (1, 1)  # the walk's own
         index = built[0]
+        assert inodes_allocated(lambda: GearIndex.from_tree("n", "t", root)) == 1
+        # A lookup mints the nodes on its path, once.
+        deepest = max((path for path, _ in root.iter_files()), key=lambda p: p.count("/"))
+        depth = len(paths.split(deepest))
+        assert inodes_allocated(lambda: index.tree.stat(deepest)) == depth
+        assert inodes_allocated(lambda: index.tree.stat(deepest)) == 0
         assert index.tree.count_nodes() == nodes
-        assert inodes_allocated(lambda: GearIndex.from_tree("n", "t", root)) == nodes + 1
-        # The index tree is frozen and never holds a link: the copy a
-        # commit merges into is a clone that shares it, nothing more.
-        assert cost_of(counted, index.stub_tree) == (0, 0)
-        assert inodes_allocated(index.stub_tree) == 0

@@ -25,7 +25,7 @@ from hypothesis.stateful import (
 from repro.bench.deploy import deploy_with_gear
 from repro.blob import Blob
 from repro.common.errors import NotFoundError, ReadOnlyVfsError, VfsError
-from repro.gear.index import _INDEX_TEMPLATES, STUB_XATTR, GearIndex
+from repro.gear.index import STUB_XATTR, GearIndex
 from repro.vfs import inode as inode_module
 from repro.vfs.inode import FileKind, Inode, Metadata
 from repro.vfs.tar import LayerArchive
@@ -447,7 +447,7 @@ class TestFrozenTemplates:
         index_image = daemon.get_image(f"{image.name}.gear:{image.tag}")
         live = GearIndex.from_image(index_image)
         sibling = GearIndex.from_image(index_image)
-        template, _ = _INDEX_TEMPLATES[index_image.layers[0].archive]
+        template, _ = index_image.layers[0].archive.index_template
 
         for path, entry in live.entries.items():
             pooled = Inode(FileKind.FILE, blob=Blob.from_bytes(b"real"))

@@ -10,7 +10,9 @@ plain reference functions, and Hypothesis compares the two:
   every component, and a walk that lists and stats each child by path;
 * ``LayerArchive.apply_to``/``extract_diff`` and
   ``GearIndex._parse_archive`` against entry-by-entry references that
-  use nothing but the public, path-taking tree methods.
+  use nothing but the public, path-taking tree methods;
+* the column lower of a Gear index against a ``FileSystemTree`` parse of
+  the same archive, bare and under a viewer with links.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from __future__ import annotations
 from hypothesis import example, given, settings, strategies as st
 
 from repro.blob import Blob
+from repro.gear.gearfile import GearFile
+from repro.gear.pool import SharedFilePool
+from repro.gear.viewer import GearFileViewer
 from repro.common.errors import (
+    GearError,
     NotADirectoryVfsError,
     NotFoundError,
     SymlinkLoopError,
@@ -31,6 +37,7 @@ from repro.vfs.overlay import OverlayMount
 from repro.vfs.tar import OPAQUE_MARKER, WHITEOUT_PREFIX, LayerArchive, TarEntry
 from repro.vfs.tree import FileSystemTree
 from tests.test_vfs_cow import apply_op, listing, ops_on
+from tests.test_gear_index_templates import image_roots
 
 # -- paths.split --------------------------------------------------------------
 
@@ -510,26 +517,56 @@ def test_apply_to_matches_the_entry_by_entry_unpack(layers, through_a_clone):
     ) == outcome_and_listing(lambda: unpack(apply_reference))
 
 
+def index_shaped(archive):
+    """Could an index have written ``archive``: every member once, below
+    the root or a directory member, and no ``.wh.`` marker?"""
+    directories, seen = {""}, set()
+    for entry in archive.entries:
+        head, _, name = entry.path.rpartition("/")
+        if head not in directories or name.startswith(WHITEOUT_PREFIX) or (
+            entry.path in seen
+        ):
+            return False
+        seen.add(entry.path)
+        if entry.kind is FileKind.DIRECTORY:
+            directories.add(entry.path)
+    return True
+
+
 @settings(max_examples=100, deadline=None)
 @given(_ARCHIVES)
 # Found while writing: a diff tree cannot hold a whiteout below a file,
 # and must say so rather than skip the entry as ``apply_to`` may.
 @example(LayerArchive([stub_file("/a"), marker("/a/.wh.a")]))
+@example(
+    LayerArchive(
+        [
+            TarEntry("/a", FileKind.DIRECTORY, 0o700, 1, 0),
+            stub_file("/a/b", 0o600),
+            TarEntry("/a/l", FileKind.SYMLINK, 0o644, 0, 0, symlink_target="../a-x"),
+            stub_file("/a-x"),
+        ]
+    )
+)
 def test_extract_diff_and_parse_match_their_references(archive):
+    """The diff unpack matches its reference; the column parse accepts
+    exactly the archives an index can be, and its lower tree lists what
+    the unpacking parse it replaced built."""
     assert outcome_and_listing(archive._extract_diff_uncached) == outcome_and_listing(
         lambda: extract_diff_reference(archive)
     )
 
     def parsed(parse):
         tree, entries = parse(archive)
-        return listing(tree), list(entries.items())
+        return listing(tree), sorted(entries.items())
 
     try:
-        expected = parsed(parse_reference)
-    except (VfsError, NotFoundError):
-        expected = None
-    if expected is not None:
-        assert parsed(GearIndex._parse_archive) == expected
+        columns = parsed(GearIndex._parse_archive)
+    except GearError:
+        assert not index_shaped(archive)
+        return
+    assert index_shaped(archive)
+    assert columns == parsed(parse_reference)
 
 
 def test_archive_round_trip_through_every_loader():
@@ -556,3 +593,81 @@ def test_archive_round_trip_through_every_loader():
     )
     sub = LayerArchive.from_tree(tree, "/a/../a/")
     assert [entry.path for entry in sub.entries][:3] == ["/.hidden", "/b", "/b/.wh.gone"]
+
+
+# -- the column lower against a tree parse ---------------------------------------
+
+
+def shown(result):
+    """What a reader sees of a lookup's result: a node by its fields, not
+    its identity (the two sides mint their own inodes)."""
+    if not hasattr(result, "kind"):
+        return result
+    meta = result.meta
+    return (
+        result.kind, meta.mode, meta.uid, meta.gid, sorted(meta.xattrs.items()),
+        result.blob.fingerprint if result.blob is not None else None,
+        result.symlink_target, result.nlink,
+    )
+
+
+def probe(view, op, path):
+    """One read-only operation of ``view`` (a tree or a mount), shown."""
+    if op == "walk":
+        return result_of(lambda: [(p, shown(n)) for p, n in view.walk(path)])
+    if op == "read":
+        return result_of(lambda: view.read_blob(path).fingerprint)
+    call = {
+        "exists": lambda: view.exists(path),
+        "lexists": lambda: view.exists(path, follow_symlinks=False),
+        "stat": lambda: view.stat(path),
+        "lstat": lambda: view.stat(path, follow_symlinks=False),
+        "readlink": lambda: view.readlink(path),
+        "listdir": lambda: view.listdir(path),
+    }[op]
+    return shown(result_of(call))
+
+
+_INDEX_NAMES = ["a", "b", "a-b", "a.b", "z", "linked"]
+_LOWER_OPS = ["exists", "lexists", "stat", "lstat", "readlink", "listdir", "walk"]
+
+
+@settings(deadline=None)  # example count: the profile's (conftest.py)
+@given(image_roots(), st.data())
+def test_the_column_lower_answers_as_a_tree_parse_would(drawn, data):
+    """Over a converted root, the index's column lower and the tree the
+    unpacking parse builds from the same archive agree on every lookup,
+    stat, readlink, listing and walk, bare and under a viewer whose reads
+    link pool files over the stubs; so do the viewers' digests."""
+    root, identity_of = drawn
+    index = GearIndex.from_tree("i.gear", "v1", root, identity_of=identity_of)
+    parsed_tree, parsed_entries = parse_reference(index.archive)
+    twin = LayerArchive.from_rows([row[:7] for row in index.entries.rows()])
+    twin.index_template = (parsed_tree, parsed_entries)
+    reference = GearIndex("i.gear", "v1", twin)
+    walked = [path for path, _ in root.walk("/", include_whiteouts=True)]
+    # Every name one and two deep, so a lookup meets the paths that sort
+    # beside it ("/a" beside "/a-b", "/a.b" and "/a/b").
+    near = [f"/{a}{tail}" for a in _INDEX_NAMES for tail in ["", *(f"/{b}" for b in _INDEX_NAMES)]]
+    paths_drawn = st.sampled_from(["/", "/missing", "/a/b/a", "/linked/x", *walked, *near])
+    for _ in range(data.draw(st.integers(1, 10))):
+        op, path = data.draw(st.sampled_from(_LOWER_OPS)), data.draw(paths_drawn)
+        assert probe(index.tree, op, path) == probe(parsed_tree, op, path), (op, path)
+
+    viewers = []
+    for side in (index, reference):
+        pool = SharedFilePool()
+        for path, node in root.iter_files():
+            identity = identity_of(node)
+            if not pool.contains(identity):
+                pool.prepare(GearFile(identity=identity, blob=node.blob))
+                pool.commit(identity)
+        viewers.append(GearFileViewer(side, pool))
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["read", "read", *_LOWER_OPS]))
+        path = data.draw(paths_drawn)
+        column, tree = (probe(viewer, op, path) for viewer in viewers)
+        assert column == tree, (op, path)
+    assert sorted(index.links) == sorted(reference.links)
+    assert viewers[0].fs_digest() == viewers[1].fs_digest()
+    assert listing(index.tree) == listing(parsed_tree)
