@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo health gate: tier-1 tests with warnings as errors and the wide
-# Hypothesis profile, the rulebook (scripts/guards.py: every source guard
-# and the census, one table), the determinism gate (all ten rows of the
+# Hypothesis profile, the rulebook (scripts/guards.py: every source guard,
+# one table), the census (scripts/census.py: one traced pass over the
+# real runs), the determinism gate (all ten rows of the
 # repro.cli gate table, double-run), the checked-in perf-trajectory
 # artifacts, the perf ledger's output checks and harness tests, and a
 # full bytecode compile.
@@ -17,16 +18,22 @@ echo "== tier-1 test suite under -W error, wide Hypothesis profile =="
 # here the property tests draw fresh examples, at their full counts.
 python -W error -m pytest -x -q --hypothesis-profile=wide
 
-echo "== the rulebook: source guards and the census =="
+echo "== the rulebook: source guards =="
 # scripts/guards.py holds the repo's structural rules as one table, each
 # row a rule, its DESIGN.md section, the files it reads, an ast matcher
 # and the sites where a match is allowed; tests/test_guards.py turns each
-# rule red with its mutants.  Its last two rows are the census
-# (scripts/census.py): every defaulted parameter under src/ is set by
-# some call, and every definition under src/ is used outside tests/ or
-# allowlisted with the DESIGN section that keeps it.  It prints each
-# finding as file:line, the enclosing function, the rule and its section.
+# rule red with its mutants.  It prints each finding as file:line, the
+# enclosing function, the rule and its section.
 python scripts/guards.py
+
+echo "== the census: what the real runs never use =="
+# scripts/census.py runs every documented repro.cli command, the
+# examples, benchmarks/artifacts.py and the ledger smoke runs once, with
+# a call hook on every thread, and lists each definition under src/ no
+# run enters, each defaulted parameter no run sets, each CLI flag no run
+# passes and each run that fails, unless an allowlist entry names the
+# DESIGN section that keeps it (DESIGN.md §13).  About a minute.
+python scripts/census.py
 
 echo "== determinism gate: every gate-table row, double-run =="
 # Each of the ten rows of repro.cli.GATES (paper, fleet, crash, HA, trace,

@@ -10,9 +10,9 @@ bounds its matches per key and ``exactly`` names the keys that match
 exactly once.  Rows that share a name are one rule.  A matcher reads
 code, not text, so a pattern in a comment or a docstring is no match.
 Two rows stay text rules: the one-harness rule also reads Markdown, TOML
-and shell, and ``make_edge_testbed`` may not reappear in any file.  The
-census's three passes (``scripts/census.py``) are the last three rows.
-``tests/test_guards.py`` proves every rule with its mutants.
+and shell, and ``make_edge_testbed`` may not reappear in any file.
+``tests/test_guards.py`` proves every rule with its mutants.  What no
+real run uses is not a rule here: ``scripts/census.py`` measures it.
 
 Usage: python scripts/guards.py   (from the repo root)
 Parses each Python file under ``src/``, ``benchmarks/`` and ``examples/``
@@ -26,10 +26,12 @@ import re
 import sys
 from collections import Counter, defaultdict
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
-import census
-
+ROOT = Path(__file__).resolve().parent.parent
+#: The directories whose Python files the rules read.
+DIRS = ("src", "benchmarks", "examples")
 PACKAGE = "src/repro/"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: One object each, shared by every parse: a link from one to its parent
@@ -39,6 +41,19 @@ COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 SPELLED = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.keyword: "arg",
            ast.alias: "name", ast.FunctionDef: "name", ast.AsyncFunctionDef: "name",
            ast.ClassDef: "name"}
+
+
+def load(*dirs):
+    """``{path relative to ROOT: its parse}`` for every Python file under ``dirs``."""
+    # Parses allocate a million nodes the collector could only walk, not free.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return {path.relative_to(ROOT): ast.parse(path.read_text(), filename=str(path))
+                for name in dirs for path in sorted((ROOT / name).rglob("*.py"))}
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def ident(node):
@@ -87,7 +102,11 @@ class Module:
         return self.found[id(rule)]
 
 
-module = census.per_file(Module)
+def module(tree):
+    """The :class:`Module` of a parse, kept on the parse: one visit each."""
+    if "_module" not in tree.__dict__:
+        tree._module = Module(tree)
+    return tree._module
 
 
 # Matchers: each takes a Module and yields (node, key) pairs.
@@ -236,7 +255,7 @@ class Text(NamedTuple):
 
     @lru_cache(maxsize=None)
     def on_disk(self, path):
-        return self.search(path, (census.ROOT / path).read_bytes().decode("latin-1"))
+        return self.search(path, (ROOT / path).read_bytes().decode("latin-1"))
 
     def search(self, path, text):
         return [(path, text.count("\n", 0, m.start()) + 1, "<text>", None)
@@ -246,15 +265,15 @@ class Text(NamedTuple):
 @lru_cache(maxsize=None)
 def files():
     """Every file of the repo, as a path relative to it."""
-    return [p.relative_to(census.ROOT).as_posix() for p in sorted(census.ROOT.rglob("*"))
+    return [p.relative_to(ROOT).as_posix() for p in sorted(ROOT.rglob("*"))
             if p.is_file()]
 
 
 class Rule(NamedTuple):
     name: str
     section: str
-    match: object          # Module -> (node, key) pairs; a Text; trees -> report lines
-    scope: object = ""     # regex over the path under src/repro/; None: the whole tree
+    match: object          # Module -> (node, key) pairs, or a Text
+    scope: str = ""        # regex over the path under src/repro/
     allow: tuple = ()      # a module left out, or a "module:Qualified.name" allowed
     most: int = None       # at most this many matches per key
     exactly: tuple = ()    # keys matched exactly once each
@@ -405,9 +424,6 @@ RULES = (
          allow=("invariants.py", "net/resilience.py:Tier")),
     Rule("one-catalogue", "§7", calls("verified", over_a_store), allow=("invariants.py",)),
     Rule("unused-import", "§13", unused_imports),
-    Rule("census-parameters", "§13", lambda trees: census.census(trees)[1], None),
-    Rule("census-definitions", "§13", lambda trees: sum(census.unused_definitions(trees), []), None),
-    Rule("census-flags", "§13", census.unpassed_flags, None),
 )
 
 
@@ -427,9 +443,6 @@ def check(trees, texts=None, rules=RULES):
     found = []
     for rule in rules:
         where = f"{rule.name} ({rule.section})"
-        if rule.scope is None:
-            found += [(rule, f"{line}: {where}") for line in rule.match(trees)]
-            continue
         if isinstance(rule.match, Text):
             hits = rule.match.hits(texts or {})
         else:
@@ -453,7 +466,7 @@ def check(trees, texts=None, rules=RULES):
 
 def main():
     gc.disable()  # a million nodes, all alive until exit: nothing to collect
-    trees = census.load(*census.USER_DIRS)
+    trees = load(*DIRS)
     found = check(trees)
     for _, line in found:
         print(line)

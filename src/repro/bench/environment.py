@@ -76,9 +76,9 @@ class Testbed:
     #: group, so the snapshot carries it too.
     timeline_stats: TimelineStats = field(default_factory=TimelineStats)
 
-    def attach_tracer(self, tracer: Optional[SpanTracer] = None) -> SpanTracer:
-        """Attach (or create) a span tracer on the testbed clock."""
-        return self.clock.attach_tracer(tracer)
+    def attach_tracer(self) -> SpanTracer:
+        """Create and attach a span tracer on the testbed clock."""
+        return self.clock.attach_tracer()
 
     @property
     def tiers(self) -> "list[Tier]":

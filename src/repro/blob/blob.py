@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.hashing import Fingerprint, fingerprint_bytes, fingerprint_tokens
 
@@ -101,19 +101,17 @@ class Blob:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_bytes(cls, data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> "Blob":
-        """Build a blob from literal bytes, split at ``chunk_size``.
+    def from_bytes(cls, data: bytes) -> "Blob":
+        """Build a blob from literal bytes, split at :data:`DEFAULT_CHUNK_SIZE`.
 
         The chunk seed is the MD5 of the chunk's own bytes, so identical
         literal content always produces identical chunk identities — the
         same property synthetic blobs get from shared seeds.
         """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         chunks: List[Chunk] = []
         # Empty data is one empty chunk.
-        for offset in range(0, max(len(data), 1), chunk_size):
-            piece = data[offset : offset + chunk_size]
+        for offset in range(0, max(len(data), 1), DEFAULT_CHUNK_SIZE):
+            piece = data[offset : offset + DEFAULT_CHUNK_SIZE]
             chunks.append(
                 Chunk(seed=fingerprint_bytes(piece), size=len(piece), literal=piece)
             )
@@ -179,11 +177,6 @@ class Blob:
                 chunk.token for chunk in self._chunks
             )
         return self._fingerprint
-
-    def chunk_tokens(self) -> Iterator[str]:
-        """Yield each chunk's identity token (for chunk-level dedup)."""
-        for chunk in self._chunks:
-            yield chunk.token
 
     # -- content --------------------------------------------------------
 

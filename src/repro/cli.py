@@ -269,13 +269,12 @@ def _fault_plan(args) -> "Optional[FaultPlan]":
         )
     if not (args.drop_rate or args.corrupt_rate or outages):
         return None
-    targets = tuple(args.fault_target) if args.fault_target else None
     return FaultPlan(
-        seed=f"cli-{args.fault_seed}",
+        seed="cli-0",
         drop_rate=args.drop_rate,
         corrupt_rate=args.corrupt_rate,
         outages=outages,
-        targets=targets,
+        targets=("gear-registry",),
     )
 
 
@@ -648,7 +647,7 @@ def cmd_chunks(args) -> int:
                 "network_bytes": control_bytes,
             },
         },
-        "scenarios", args.scenario or CHUNK_SCENARIOS, run_cell,
+        "scenarios", CHUNK_SCENARIOS, run_cell,
         f"chunks sweep @ {CHUNK_MBPS:g} Mbps, {args.clients} readers, "
         f"{args.big_mib} MiB model ({total_chunks} chunks; control "
         f"{control_bytes} B)",
@@ -885,7 +884,7 @@ def cmd_edge(args) -> int:
             "concurrency": concurrency,
             "sites": 1,
         },
-        "scenarios", args.scenario or EDGE_SCENARIOS, run_cell,
+        "scenarios", EDGE_SCENARIOS, run_cell,
         f"Edge sweep of {generated.reference}: {args.clients} clients, "
         f"{concurrency} concurrent, one site, "
         f"WAN {args.bandwidth:g} Mbps / LAN {EDGE_LAN_MBPS:g} Mbps",
@@ -1441,12 +1440,6 @@ def build_parser() -> argparse.ArgumentParser:
           "outage start, seconds after deployment begins")
     _flag(faults, "--outage-len", 0.0,
           "outage duration in seconds (0 = no outage)")
-    _flag(faults, "--fault-seed", "0",
-          "seed token for the fault decision stream")
-    faults.add_argument(
-        "--fault-target", nargs="*", default=["gear-registry"],
-        help="endpoint names the plan applies to (empty = all traffic)",
-    )
     crash = command("crash", cmd_crash,
                     f"crash/fsck/resume sweep over every crash point "
                     f"({CRASH_MBPS:g} Mbps)")
@@ -1458,7 +1451,6 @@ def build_parser() -> argparse.ArgumentParser:
                      f"scenarios ({CHUNK_MBPS:g} Mbps)")
     _flag(chunks, "--clients", 32, "concurrent range readers in the wave")
     _flag(chunks, "--big-mib", 8, "model-file size in MiB (128 KiB chunks)")
-    _scenario_flag(chunks, CHUNK_SCENARIOS)
     _flag(chunks, "--chunk-seed", "7",
           "seed token for the fault, retry-jitter, and crash streams")
     _flag(chunks, "--json", False, "emit the sweep report as one JSON line")
@@ -1485,7 +1477,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(edge, "--bandwidth", 200.0, "registry WAN uplink in Mbps")
     _flag(edge, "--clients", 8,
           "number of edge nodes in the fleet (a quarter deploy at a time)")
-    _scenario_flag(edge, EDGE_SCENARIOS)
     _flag(edge, "--edge-seed", "0",
           "seed token for peer selection, gossip jitter, churn, and crash "
           "streams")

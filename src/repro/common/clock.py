@@ -269,14 +269,12 @@ class SimClock:
         """The attached span tracer (None when telemetry is detached)."""
         return self._tracer
 
-    def attach_tracer(self, tracer: Optional[Any] = None) -> Any:
-        """Attach (or create and attach) a span tracer; returns it."""
-        if tracer is None:
-            from repro.obs.trace import SpanTracer
+    def attach_tracer(self) -> Any:
+        """Create and attach a span tracer; returns it."""
+        from repro.obs.trace import SpanTracer
 
-            tracer = SpanTracer(self)
-        self._tracer = tracer
-        return tracer
+        self._tracer = SpanTracer(self)
+        return self._tracer
 
     def detach_tracer(self) -> Optional[Any]:
         """Detach and return the current tracer (telemetry goes free)."""
@@ -952,7 +950,7 @@ class SimScheduler:
             pass  # parked: whoever handed out SUSPEND will _wake us
         elif isinstance(item, (int, float)):
             if item < 0:
-                self._throw_gen(process, ValueError(f"cannot sleep {item} s"))
+                self._gen_ended(process, None, ValueError(f"cannot sleep {item} s"))
             else:
                 if process._debt:
                     item, _ = _fold_debt(process, item, "")
@@ -971,28 +969,14 @@ class SimScheduler:
         elif item.__class__ is _WorkerCall and process._resume is not None:
             self._hand_back(process, item)
         else:
-            self._throw_gen(
-                process,
+            self._gen_ended(
+                process, None,
                 TypeError(
                     f"process {process.name!r} yielded {item!r}; expected a "
                     f"delay, a Process, or a SimEvent (a worker call needs a "
                     f"driven call process: there is no thread to run it on)"
                 ),
             )
-
-    def _throw_gen(self, process: Process, error: BaseException) -> None:
-        value = None
-        self._current_gen = process
-        try:
-            process._gen.throw(error)
-            error = None
-        except StopIteration as stop:
-            value, error = stop.value, None
-        except BaseException as raised:  # noqa: BLE001 - reported via run()
-            error = raised
-        finally:
-            self._current_gen = None
-        self._gen_ended(process, value, error)
 
     def _gen_ended(
         self, process: Process, value: Any, error: Optional[BaseException]

@@ -9,7 +9,6 @@ a sequence that builds the record a reader asks for when it asks.
 from __future__ import annotations
 
 import operator
-from abc import abstractmethod
 from collections.abc import Sequence
 from typing import Iterator
 
@@ -25,10 +24,6 @@ class RecordView(Sequence):
     """
 
     __slots__ = ()
-
-    @abstractmethod
-    def _rows(self, rows: slice) -> Iterator:
-        """Mint the records of ``rows``, in order."""
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -24,19 +24,15 @@ class Fingerprint(str):
 
     __slots__ = ()
 
-    def short(self, n: int = 12) -> str:
-        """Return the first ``n`` hex characters, for display."""
-        return self[:n]
-
 
 class Digest(str):
     """A SHA-256 hex digest identifying a Docker layer or manifest."""
 
     __slots__ = ()
 
-    def short(self, n: int = 12) -> str:
-        """Return the first ``n`` hex characters, for display."""
-        return self[:n]
+    def short(self) -> str:
+        """Return the first 12 hex characters, for display."""
+        return self[:12]
 
 
 def _encoded(tokens: Iterable[str], end: str) -> bytes:

@@ -64,15 +64,6 @@ class ImageBuilder:
         self.mount.symlink(path, target)
         return self
 
-    def mkdir(self, path: str) -> "ImageBuilder":
-        self.mount.mkdir(path, parents=True, exist_ok=True)
-        return self
-
-    def remove(self, path: str) -> "ImageBuilder":
-        """RUN rm -rf — records whiteouts against lower layers."""
-        self.mount.remove(path, recursive=True)
-        return self
-
     def with_env(self, **env: str) -> "ImageBuilder":
         merged = self._config.env_dict()
         merged.update(env)

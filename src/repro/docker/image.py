@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
-from repro.common.hashing import Digest, sha256_tokens
+from repro.common.hashing import Digest
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
 
@@ -91,14 +91,6 @@ class ImageConfig:
     def env_dict(self) -> Dict[str, str]:
         return dict(self.env)
 
-    def identity_tokens(self) -> List[str]:
-        tokens = [f"env:{k}={v}" for k, v in self.env]
-        tokens.extend(f"entrypoint:{part}" for part in self.entrypoint)
-        tokens.extend(f"cmd:{part}" for part in self.cmd)
-        tokens.append(f"workdir:{self.workdir}")
-        tokens.extend(f"label:{k}={v}" for k, v in self.labels)
-        return tokens
-
 
 @dataclass(frozen=True)
 class Manifest:
@@ -126,14 +118,6 @@ class Manifest:
     @property
     def reference(self) -> str:
         return f"{self.name}:{self.tag}"
-
-    @property
-    def digest(self) -> Digest:
-        tokens = [self.name, self.tag, *self.layer_digests]
-        tokens.extend(str(size) for size in self.layer_sizes)
-        tokens.extend(self.config.identity_tokens())
-        tokens.append(f"gear_index:{self.gear_index}")
-        return sha256_tokens(tokens)
 
     @property
     def size_bytes(self) -> int:

@@ -60,9 +60,9 @@ class CollisionTracker:
         fingerprint = blob.fingerprint
         known = self._known.setdefault(fingerprint, blob)
         if known is blob or known.chunks == blob.chunks or (
-            list(known.chunk_tokens()) == list(blob.chunk_tokens())
+            [c.token for c in known.chunks] == [c.token for c in blob.chunks]
         ):
             return fingerprint, False
         self.collisions_detected += 1
-        unique = f"{UID_PREFIX}{next(self._unique_ids):08d}-{fingerprint.short(8)}"
+        unique = f"{UID_PREFIX}{next(self._unique_ids):08d}-{fingerprint[:8]}"
         return unique, True

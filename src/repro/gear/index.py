@@ -125,7 +125,7 @@ class _Listing(dict):
         self._prefix = prefix  # the directory's path and a slash
         self._whole = False
 
-    def get(self, name: str, default: Optional[Inode] = None) -> Optional[Inode]:
+    def get(self, name: str) -> Optional[Inode]:
         node = _dict_get(self, name)
         if node is not None:
             return node
@@ -134,7 +134,7 @@ class _Listing(dict):
             if row is not None:
                 node = self[name] = self._rows.mint(row)
                 return node
-        return default
+        return None
 
     def __missing__(self, name: str) -> Inode:
         node = self.get(name)
@@ -243,12 +243,12 @@ class IndexEntries(Mapping):
         return zip(self.paths, self.kinds, self.modes, self.uids, self.gids,
                    self.blobs, self.targets, self.identities, self.sizes)
 
-    def get(self, path: str, default: Optional[GearFileEntry] = None):
+    def get(self, path: str) -> Optional[GearFileEntry]:
         entry = self.minted.get(path)
         if entry is None:
             row = self.row(path)
             if row is None or self.kinds[row] is not FILE:
-                return default
+                return None
             entry = self.entry(row)
         return entry
 

@@ -153,19 +153,6 @@ class SharedFilePool:
 
     # -- insertion -----------------------------------------------------------
 
-    def insert(self, gear_file: GearFile) -> Inode:
-        """Add a fetched Gear file to the pool, evicting if needed.
-
-        Returns the pool's inode (existing one when the identity is
-        already cached — content-addressing never stores two copies).
-        One-shot composition of the two-phase :meth:`prepare` +
-        :meth:`commit` admission; callers that can crash between the
-        halves (the Gear File Viewer) drive the phases themselves around
-        journal records.
-        """
-        self.prepare(gear_file)
-        return self.commit(gear_file.identity)
-
     def prepare(self, gear_file: GearFile, *, torn: bool = False) -> Inode:
         """Phase one: stage a fetched file without publishing it.
 

@@ -10,7 +10,7 @@ mirrors that by binding both endpoints on the same transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.blob import Blob, chunk_compressed_size, chunk_fingerprint
 from repro.common.errors import IntegrityError, NotFoundError
@@ -45,11 +45,6 @@ class ChunkManifest:
                 chunk_fingerprint(chunk) for chunk in gear_file.blob.chunks
             ),
         )
-
-    @property
-    def chunks(self):
-        """The chunk layout (duck-compatible with the blob it describes)."""
-        return self.blob.chunks
 
     @property
     def wire_bytes(self) -> int:
@@ -130,9 +125,6 @@ class GearRegistry:
     def stored_bytes(self) -> int:
         """On-disk footprint (compressed)."""
         return self._store.total_stored_size
-
-    def identities(self) -> Iterator[str]:
-        return self._store.keys()
 
     # -- RPC surface ------------------------------------------------------------
 

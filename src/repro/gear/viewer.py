@@ -173,7 +173,7 @@ class GearFileViewer(OverlayMount):
         if crash is not None and crash.take(CrashPoint.MID_LINK):
             crash.fire(CrashPoint.MID_LINK)
         if self.disk is not None:
-            self.disk.metadata_op(1, label="index-link", deferred=True)
+            self.disk.metadata_op(label="index-link", deferred=True)
         self.fault_stats.linked_bytes += inode.size
         if journal is not None:
             journal.link_commit(entry.identity, path, self.index.reference)

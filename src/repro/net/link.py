@@ -66,10 +66,6 @@ class TransferRecord(NamedTuple):
     payload_bytes: int
     label: str
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 class TransferLog:
     """Accumulated traffic accounting for an experiment.
@@ -77,14 +73,13 @@ class TransferLog:
     A transfer is one row of four columns — start and duration in
     ``array('d')``, payload bytes in ``array('q')``, the (interned) label
     in a list — so a log of any length is four objects, none of them
-    walked by the collector per row.  Totals are maintained as running
-    counters on :meth:`append` — they are read inside deploy loops, so
-    re-summing the columns on every access would make accounting
+    walked by the collector per row.  The byte total is a running
+    counter kept on :meth:`append` — it is read inside deploy loops, so
+    re-summing the column on every access would make accounting
     quadratic in experiment length.
     """
 
-    __slots__ = ("_starts", "_durations", "_payloads", "_labels",
-                 "_total_bytes", "_total_time")
+    __slots__ = ("_starts", "_durations", "_payloads", "_labels", "_total_bytes")
 
     def __init__(self) -> None:
         self._starts = array("d")
@@ -92,18 +87,16 @@ class TransferLog:
         self._payloads = array("q")
         self._labels: List[str] = []
         self._total_bytes = 0
-        self._total_time = 0.0
 
     def append(
         self, start: float, duration: float, payload_bytes: int, label: str
     ) -> None:
-        """Record a completed transfer, updating the running totals."""
+        """Record a completed transfer, updating the running byte total."""
         self._starts.append(start)
         self._durations.append(duration)
         self._payloads.append(payload_bytes)
         self._labels.append(label)
         self._total_bytes += payload_bytes
-        self._total_time += duration
 
     @property
     def records(self) -> "TransferRecords":
@@ -117,10 +110,6 @@ class TransferLog:
     @property
     def total_requests(self) -> int:
         return len(self._labels)
-
-    @property
-    def total_time(self) -> float:
-        return self._total_time
 
 
 class TransferRecords(RecordView):

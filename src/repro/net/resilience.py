@@ -305,11 +305,6 @@ class Source:
     bookkeeping; the default :meth:`missed` ends the pass.
     """
 
-    def fetch(self, identity: str, tag: str, label: Optional[str]):
-        """The payload, or ``None`` for "not here, try the next source"
-        (a generator)."""
-        raise NotImplementedError
-
     def missed(self, error: BaseException) -> Optional[BaseException]:
         """:meth:`fetch` raised ``error``, a 404 or a retryable failure:
         return it for the pass to remember, ``None`` to forget it, or
@@ -385,13 +380,6 @@ class TransportDecorator:
     def link(self) -> Any:
         return self.base.link
 
-    @property
-    def retry_policy(self) -> Optional[RetryPolicy]:
-        return self.base.retry_policy
-
-    def bind(self, endpoint: Any) -> Any:
-        return self.base.bind(endpoint)
-
     def has_endpoint(self, name: str) -> bool:
         return self.base.has_endpoint(name)
 
@@ -400,15 +388,6 @@ class TransportDecorator:
 
     def claims(self, endpoint_name: str, method: str) -> bool:
         return endpoint_name == GEAR_ENDPOINT and method == "download"
-
-    def route(self, method: str, *args: Any, **kwargs: Any):
-        """Serve a claimed call through this tier's chain (a generator)."""
-        raise NotImplementedError
-
-    def blame(self, identity: str) -> bool:
-        """Demote whoever in this tier served ``identity`` wrong; False
-        when the bytes came from below."""
-        raise NotImplementedError
 
     def call(self, endpoint_name: str, method: str, *args: Any, **kwargs: Any) -> Any:
         return self.link.clock.drive(
@@ -482,12 +461,6 @@ class Tier:
     def links(self) -> List[Any]:
         """The tier's own wires: they keep their own speed."""
         return []
-
-    def instrument(self, metrics: Any) -> None:
-        """Register the tier's stat groups and callbacks."""
-
-    def add_probes(self, sampler: Any) -> None:
-        """Add the tier's gauges to a timeline sampler (pure reads)."""
 
     def services(self) -> List[Service]:
         """The background processes a wave runs beside its clients."""

@@ -99,18 +99,14 @@ class Disk:
         self.file_ops += file_ops
         return duration
 
-    def metadata_op(
-        self, count: int = 1, label: str = "", deferred: bool = False
-    ) -> float:
-        """Pure metadata operations (mkdir, link, unlink)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        duration = count * self.profile.per_file_op_s
+    def metadata_op(self, label: str = "", deferred: bool = False) -> float:
+        """One pure metadata operation (mkdir, link, unlink)."""
+        duration = self.profile.per_file_op_s
         if deferred:
             self.clock.advance_deferred(duration, label or "disk-meta")
         else:
             self.clock.advance(duration, label or "disk-meta")
-        self.file_ops += count
+        self.file_ops += 1
         return duration
 
     def __repr__(self) -> str:

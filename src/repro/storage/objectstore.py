@@ -10,7 +10,7 @@ in-memory bucket, with byte accounting for the storage experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import NotFoundError, StorageError
 
@@ -72,9 +72,6 @@ class ObjectStore:
         if key not in self._objects:
             raise NotFoundError(f"object not found: {key!r}")
         del self._objects[key]
-
-    def keys(self) -> Iterator[str]:
-        return iter(sorted(self._objects))
 
     def stat(self, key: str) -> StoredObject:
         return self.download(key)[0]

@@ -12,16 +12,6 @@ from typing import List, Sequence, Tuple
 from repro.common.errors import VfsError
 
 
-def normalize(path: str) -> str:
-    """Canonicalize an absolute path lexically.
-
-    Collapses repeated slashes and ``.`` segments and resolves ``..``
-    against its lexical parent.  Raises :class:`VfsError` for relative
-    paths or ``..`` escaping the root.
-    """
-    return unsplit(split(path))
-
-
 def unsplit(parts: Sequence[str]) -> str:
     """The canonical path of normalized components (inverse of :func:`split`)."""
     return "/" + "/".join(parts)
@@ -57,14 +47,6 @@ def parent_and_name(path: str) -> Tuple[str, str]:
     if not parts:
         raise VfsError("root has no parent")
     return unsplit(parts[:-1]), parts[-1]
-
-
-def join(base: str, *components: str) -> str:
-    """Join path components under an absolute base, then normalize."""
-    pieces = [base.rstrip("/")]
-    for component in components:
-        pieces.append(component.strip("/"))
-    return normalize("/".join(pieces) or "/")
 
 
 def symlink_parts(parent_parts: Sequence[str], target: str) -> List[str]:

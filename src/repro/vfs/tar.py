@@ -105,15 +105,6 @@ class TarEntry:
     def __post_init__(self) -> None:
         _check_member(self.path, self.kind, self.blob, self.symlink_target)
 
-    def identity_tokens(self) -> List[str]:
-        """Canonical tokens feeding the archive digest."""
-        return _digest_tokens(*([field] for field in _row_of(self)))
-
-    @property
-    def is_whiteout(self) -> bool:
-        name = self.path.rpartition("/")[2]
-        return name.startswith(WHITEOUT_PREFIX) and name != OPAQUE_MARKER
-
 
 #: A record's fields, and an archive's columns, in row order.
 _row_of = attrgetter("path", "kind", "mode", "uid", "gid", "blob", "symlink_target")
@@ -176,8 +167,8 @@ class LayerArchive:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_tree(cls, tree: FileSystemTree, top: str = "/") -> "LayerArchive":
-        """Archive every node under ``top``.
+    def from_tree(cls, tree: FileSystemTree) -> "LayerArchive":
+        """Archive every node of ``tree``.
 
         Whiteout inodes become ``.wh.<name>`` file entries; opaque
         directories additionally emit an opaque marker inside themselves.
@@ -186,19 +177,16 @@ class LayerArchive:
         for identity or sizing fidelity).
         """
         rows: List[Row] = []
-        base = paths.normalize(top)
-        skip = len(base) if base != "/" else 0
-        for path, node in tree.walk(top, include_whiteouts=True):
-            rel = path[skip:]
+        for path, node in tree.walk(include_whiteouts=True):
             if node.is_whiteout:
-                head, _, name = rel.rpartition("/")
+                head, _, name = path.rpartition("/")
                 rows.append((f"{head}/{WHITEOUT_PREFIX}{name}", *_MARKER))
                 continue
             meta = node.meta
-            rows.append((rel, node.kind, meta.mode, meta.uid, meta.gid,
+            rows.append((path, node.kind, meta.mode, meta.uid, meta.gid,
                          node.blob, node.symlink_target))
             if node.is_dir and node.opaque:
-                rows.append((f"{rel}/{OPAQUE_MARKER}", *_MARKER))
+                rows.append((f"{path}/{OPAQUE_MARKER}", *_MARKER))
         return cls.from_rows(rows)
 
     # -- identity & sizes --------------------------------------------------

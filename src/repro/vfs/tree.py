@@ -245,10 +245,6 @@ class FileSystemTree:
             seen[node.ino] = node.size
         return sum(seen.values())
 
-    def count_nodes(self) -> int:
-        """Number of nodes (files, dirs, symlinks) in the tree."""
-        return sum(1 for _ in self.walk())
-
     # -- mutations ---------------------------------------------------------
     #
     # Each path method is one ``_lookup_parent`` plus the ``*_at`` method
@@ -501,7 +497,7 @@ class FileSystemTree:
 
     def __repr__(self) -> str:
         return (
-            f"FileSystemTree(nodes={self.count_nodes()}, "
+            f"FileSystemTree(nodes={sum(1 for _ in self.walk())}, "
             f"bytes={self.total_file_bytes()}, read_only={self._read_only})"
         )
 

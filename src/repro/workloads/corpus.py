@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blob import Blob
-from repro.common.errors import NotFoundError, ReproError
+from repro.common.errors import ReproError
 from repro.common.rng import bounded_lognormal, rng_for
 from repro.docker.image import Image, ImageConfig, Layer
 from repro.vfs.inode import FileKind
@@ -145,16 +145,10 @@ class Corpus:
         self.config = config
         self.images = images
         self.by_series: Dict[str, List[GeneratedImage]] = {}
-        self._by_reference: Dict[str, GeneratedImage] = {}
+        self.by_reference: Dict[str, GeneratedImage] = {}
         for generated in images:
             self.by_series.setdefault(generated.spec.name, []).append(generated)
-            self._by_reference[generated.reference] = generated
-
-    def get(self, reference: str) -> GeneratedImage:
-        try:
-            return self._by_reference[reference]
-        except KeyError:
-            raise NotFoundError(f"corpus has no image {reference!r}") from None
+            self.by_reference[generated.reference] = generated
 
     def docker_images(self) -> List[Image]:
         return [generated.image for generated in self.images]

@@ -59,8 +59,8 @@ class TestBlobFromBytes:
         ).fingerprint
 
     def test_roundtrip(self):
-        data = bytes(range(256)) * 700  # multi-chunk at small chunk size
-        blob = Blob.from_bytes(data, chunk_size=4096)
+        data = bytes(range(256)) * 1100  # three chunks
+        blob = Blob.from_bytes(data)
         assert blob.materialize() == data
         assert blob.size == len(data)
 
@@ -76,15 +76,11 @@ class TestBlobFromBytes:
         assert blob.chunks[0].size == DEFAULT_CHUNK_SIZE
         assert blob.chunks[1].size == 1
 
-    def test_rejects_nonpositive_chunk_size(self):
-        with pytest.raises(ValueError):
-            Blob.from_bytes(b"abc", chunk_size=0)
-
     def test_identical_chunks_share_identity(self):
-        # Two files sharing a 4096-byte prefix at chunk granularity.
-        prefix = b"p" * 4096
-        a = Blob.from_bytes(prefix + b"1" * 4096, chunk_size=4096)
-        b = Blob.from_bytes(prefix + b"2" * 4096, chunk_size=4096)
+        # Two files sharing a one-chunk prefix.
+        prefix = b"p" * DEFAULT_CHUNK_SIZE
+        a = Blob.from_bytes(prefix + b"1" * 4096)
+        b = Blob.from_bytes(prefix + b"2" * 4096)
         assert a.chunks[0].token == b.chunks[0].token
         assert a.chunks[1].token != b.chunks[1].token
 
@@ -128,7 +124,7 @@ class TestMutate:
     def test_mutation_shares_expected_chunks(self):
         blob = Blob.synthetic("s", 128 * 1024 * 8)  # exactly 8 chunks
         mutated = blob.mutate("m1", 0.25)
-        shared = set(blob.chunk_tokens()) & set(mutated.chunk_tokens())
+        shared = {c.token for c in blob.chunks} & {c.token for c in mutated.chunks}
         assert len(shared) == 6  # 8 - round(8*0.25)
 
     def test_mutation_is_deterministic(self):
@@ -159,7 +155,7 @@ class TestBlobEquality:
 @settings(max_examples=40)
 @given(st.binary(min_size=0, max_size=2000))
 def test_property_from_bytes_roundtrip(data):
-    blob = Blob.from_bytes(data, chunk_size=256)
+    blob = Blob.from_bytes(data)
     assert blob.materialize() == data
     assert blob.size == len(data)
 

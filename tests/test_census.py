@@ -1,11 +1,16 @@
-"""scripts/census.py on small trees: what each pass lists, and what it keeps.
+"""scripts/census.py on a toy package: what one measured pass lists.
 
-Each case writes a miniature repository under ``tmp_path`` (``src/``,
-``tests/``, ``examples/``) and points the census at it, with both
-allowlists empty unless the case fills one.
+Each case writes a package ``toy`` under ``tmp_path/src`` and hands the
+census the runs that stand for the real ones: callables that import the
+package and call into it.  A call a case makes outside those runs is a
+test's call, which the census never sees.  Every case's runs also drive
+``toy.cli.main``, with every flag unless the case says otherwise, so the
+command line itself is entered.
 """
 
+import importlib
 import importlib.util
+import sys
 import textwrap
 from pathlib import Path
 
@@ -16,26 +21,61 @@ _spec = importlib.util.spec_from_file_location("census", SCRIPT)
 census = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(census)
 
+CLI = """\
+    import argparse
+
+
+    def build_parser():
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--seed", default="0")
+        parser = argparse.ArgumentParser(prog="toy")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name in ("go", "stop"):
+            command = sub.add_parser(name, parents=[common])
+            command.set_defaults(run=lambda args: 0)
+        sub.choices["go"].add_argument("--fast", action="store_true")
+        sub.choices["go"].add_argument("--slow", action="store_true")
+        return parser
+
+
+    def main(argv=None):
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+"""
+
+
+def call(module, expression):
+    """A run: import ``toy.<module>`` and evaluate ``expression`` with it as ``m``."""
+    return lambda: eval(expression, {"m": importlib.import_module(f"toy.{module}")}) and None
+
+
+def forget_toy():
+    for name in [name for name in sys.modules if name.partition(".")[0] == "toy"]:
+        del sys.modules[name]
+
 
 @pytest.fixture
-def repo(tmp_path, monkeypatch):
-    """Write ``{relative path: source}`` and return the census's findings
-    as ``(test-only qualified names, stale allowlist lines)``."""
-    monkeypatch.setattr(census, "ROOT", tmp_path)
-    monkeypatch.setattr(census, "DEFINITION_ALLOWLIST", {})
-    monkeypatch.setattr(census, "PARAMETER_ALLOWLIST", {})
+def toy(tmp_path, monkeypatch):
+    """Write ``{path under src/toy/: source}``, run ``runs`` under the
+    census, the CLI driven with ``drive``, and return its report lines."""
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
 
-    def write(files, allowlist=None):
-        for relative, source in files.items():
-            path = tmp_path / relative
+    def measure(files, *runs, allowed=({}, {}, {}), drive=("go", "--fast", "--slow", "--seed", "1")):
+        for relative, source in {"__init__.py": "", "cli.py": CLI, **files}.items():
+            path = tmp_path / "src" / "toy" / relative
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source))
-        if allowlist is not None:
-            monkeypatch.setattr(census, "DEFINITION_ALLOWLIST", allowlist)
-        dead, stale = census.unused_definitions()
-        return [line.split(": ", 1)[1].split(" (")[0] for line in dead], stale
+        importlib.invalidate_caches()
+        forget_toy()
+        named = [(f"run {n}", run) for n, run in enumerate(runs + (call("cli", f"m.main({list(drive)})"),))]
+        return census.census(named, tmp_path / "src", "toy.cli", allowed)
+    yield measure
+    forget_toy()
 
-    return write
+
+def listed(lines):
+    """The qualified names (and parameters) a report names, its CLI flags aside."""
+    return [line.split(": ")[1] for line in lines if not line.startswith("src/toy/cli.py: ")]
 
 
 MODULE = """\
@@ -47,223 +87,87 @@ MODULE = """\
 """
 
 
-def test_a_function_only_a_test_calls_is_listed(repo):
-    dead, _ = repo({
-        "src/pkg/mod.py": MODULE,
-        "examples/demo.py": "from pkg.mod import used\nused()\n",
-        "tests/test_mod.py": "from pkg.mod import only_tested\nonly_tested()\n",
-    })
-    assert dead == ["only_tested"]
+def test_a_function_only_a_test_calls_is_listed(toy):
+    report = toy({"mod.py": MODULE}, call("mod", "m.used()"))
+    importlib.import_module("toy.mod").only_tested()  # a test's call: never measured
+    assert listed(report) == ["only_tested"]
+    assert report[0].startswith("src/toy/mod.py:4: only_tested: no run enters it")
 
 
-def test_a_function_an_example_calls_is_live(repo):
-    dead, _ = repo({
-        "src/pkg/mod.py": MODULE,
-        "examples/demo.py": "from pkg.mod import used, only_tested\nused(); only_tested()\n",
-    })
-    assert dead == []
+def test_a_function_an_example_calls_is_live(toy):
+    assert toy({"mod.py": MODULE}, call("mod", "(m.used(), m.only_tested())")) == []
 
 
-def test_a_re_export_is_not_a_use(repo):
-    dead, _ = repo({
-        "src/pkg/__init__.py": """\
-            from pkg.mod import only_tested, used
-            __all__ = ["only_tested", "used"]
-        """,
-        "src/pkg/mod.py": MODULE,
-        "examples/demo.py": "import pkg\npkg.used()\n",
-    })
-    assert dead == ["only_tested"]
+def test_a_re_export_is_not_a_use(toy):
+    report = toy({"__init__.py": "from toy.mod import only_tested, used\n", "mod.py": MODULE},
+                 lambda: importlib.import_module("toy").used() and None)
+    assert listed(report) == ["only_tested"]
 
 
-def test_a_name_a_script_spells_is_not_a_use(repo):
-    # scripts/guards.py names what its rules forbid: no definition lives by it.
-    dead, _ = repo({
-        "src/pkg/mod.py": MODULE,
-        "examples/demo.py": "from pkg.mod import used\nused()\n",
-        "scripts/guards.py": "RULES = [named('only_tested')]\n",
-    })
-    assert dead == ["only_tested"]
+def test_a_name_a_script_spells_is_not_a_use(toy, tmp_path):
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "guards.py").write_text("RULES = ['only_tested']\n")
+    assert listed(toy({"mod.py": MODULE}, call("mod", "m.used()"))) == ["only_tested"]
 
 
-def test_what_only_test_only_code_reaches_is_test_only(repo):
-    dead, _ = repo({
-        "src/pkg/mod.py": """\
-            def helper():
+def test_what_only_test_only_code_reaches_is_test_only(toy):
+    report = toy({"mod.py": """\
+        def helper():
+            return 1
+
+        def only_tested():
+            def inner():
+                return helper()
+            return inner()
+
+        def recursive(n):
+            return recursive(n - 1) if n else 0
+
+        class Report:
+            def __init__(self):
+                self.total = helper()
+
+            def ratio(self):
+                return self.total
+    """})
+    # A nested definition goes with the one it sits in; a dunder is exempt.
+    assert listed(report) == ["helper", "only_tested", "recursive", "Report.ratio"]
+
+
+def test_an_rpc_method_named_in_a_string_stays_live(toy):
+    report = toy({"registry.py": """\
+        class Registry:
+            def query(self, identity):
+                return identity
+
+            def purge(self):
+                return None
+
+        def fetch(registry, method, identity):
+            return getattr(registry, method)(identity)
+    """}, call("registry", "m.fetch(m.Registry(), 'query', 'x')"))
+    assert listed(report) == ["Registry.purge"]
+
+
+def test_a_getattr_prefix_dispatch_keeps_its_handlers(toy):
+    report = toy({"build.py": """\
+        class Builder:
+            def run(self, keyword):
+                return getattr(self, f"_op_{keyword}")()
+
+            def _op_copy(self):
                 return 1
 
-            def only_tested():
-                return helper()
-
-            def recursive(n):
-                return recursive(n - 1) if n else 0
-
-            class Report:
-                def total(self):
-                    return helper()
-        """,
-        "tests/test_mod.py": "from pkg.mod import Report, only_tested, recursive\n",
-    })
-    # A reference from inside itself keeps nothing alive; a method goes
-    # with its class.
-    assert dead == ["helper", "only_tested", "recursive", "Report"]
+            def _op_move(self):
+                return 2
+    """}, call("build", "m.Builder().run('copy')"))
+    # Only the handler a run dispatches to is entered.
+    assert listed(report) == ["Builder._op_move"]
 
 
-def test_an_rpc_method_named_in_a_string_stays_live(repo):
-    dead, _ = repo({
-        "src/pkg/registry.py": """\
-            class Registry:
-                def __init__(self):
-                    self.files = {}
-
-                def query(self, identity):
-                    return identity in self.files
-
-                def purge(self):
-                    self.files.clear()
-
-            def fetch(transport, identity):
-                return transport.call("registry", "query", identity)
-        """,
-        "examples/demo.py": "from pkg.registry import Registry, fetch\n",
-    })
-    assert dead == ["Registry.purge"]  # __init__ is a dunder: always live
-
-
-def test_a_getattr_prefix_dispatch_keeps_its_handlers(repo):
-    dead, _ = repo({
-        "src/pkg/build.py": """\
-            class Builder:
-                def run(self, keyword):
-                    return getattr(self, f"_op_{keyword}")()
-
-                def _op_copy(self):
-                    return 1
-        """,
-        "examples/demo.py": "from pkg.build import Builder\nBuilder().run('copy')\n",
-    })
-    assert dead == []
-
-
-def test_an_allowlisted_entry_passes_and_roots_its_callees(repo):
-    files = {
-        "src/pkg/mod.py": """\
-            def helper():
-                return 1
-
-            def seam():
-                return helper()
-        """,
-        "tests/test_mod.py": "from pkg.mod import seam\n",
-    }
-    assert repo(files, {"src/pkg/mod.py:seam": "§7: a fault seam"}) == ([], [])
-    # An entry that names nothing, or something code already uses, is stale.
-    dead, stale = repo(files, {
-        "src/pkg/mod.py:seam": "§7: a fault seam",
-        "src/pkg/mod.py:helper": "§7: reached from the seam anyway",
-        "src/pkg/gone.py:ghost": "§1: deleted",
-    })
-    assert dead == []
-    assert [line.split(":")[1] for line in stale] == ["helper", "ghost"]
-
-
-def test_a_defaulted_parameter_no_caller_sets_is_still_listed(repo):
-    repo({
-        "src/pkg/mod.py": """\
-            def used(x, flag=False, *, mode="r"):
-                return x, flag, mode
-        """,
-        "examples/demo.py": "from pkg.mod import used\nused(1, mode='w')\n",
-    })
-    total, unset = census.census()
-    assert total == 2
-    assert unset == ["src/pkg/mod.py:1: used(flag=)"]
-
-
-def test_a_parameter_only_tests_set_is_listed(repo):
-    # A test is not a caller: the option lives for its own test.
-    repo({
-        "src/pkg/mod.py": """\
-            def used(x, flag=False, *, mode="r"):
-                return x, flag, mode
-        """,
-        "examples/demo.py": "from pkg.mod import used\nused(1, mode='w')\n",
-        "tests/test_mod.py": "from pkg.mod import used\nused(1, True, mode='a')\n",
-    })
-    assert census.census()[1] == ["src/pkg/mod.py:1: used(flag=)"]
-
-
-def test_a_parameter_allowlist_entry_passes_until_it_goes_stale(repo, monkeypatch):
-    files = {
-        "src/pkg/mod.py": "def used(x, flag=False):\n    return x, flag\n",
-        "examples/demo.py": "from pkg.mod import used\nused(1)\n",
-    }
-    repo(files)
-    monkeypatch.setattr(census, "PARAMETER_ALLOWLIST", {
-        "src/pkg/mod.py:used(flag=)": "§2: a property test draws it"})
-    assert census.census()[1] == []
-    # An entry that a caller outside tests/ sets, or that names nothing, is stale.
-    repo({"examples/demo.py": "from pkg.mod import used\nused(1, flag=True)\n"})
-    monkeypatch.setattr(census, "PARAMETER_ALLOWLIST", {
-        "src/pkg/mod.py:used(flag=)": "§2: a property test draws it",
-        "src/pkg/gone.py:ghost(x=)": "§1: deleted"})
-    assert census.census()[1] == [
-        "src/pkg/mod.py:used(flag=): allowlisted, but a caller outside tests/ sets it",
-        "src/pkg/gone.py:ghost(x=): allowlisted, but no such parameter",
-    ]
-
-
-def test_the_allowlist_is_pinned_and_each_entry_names_its_design_section():
-    # Growing an allowlist is a visible edit: change its pin with it.  A
-    # parameter stays only if Python passes it, a property test draws it,
-    # or a ROADMAP item states a bound over it.
-    assert census.PARAMETER_ALLOWLIST == {
-        "src/repro/vfs/inode.py:Metadata.__setattr__(value=)":
-            "§2: Python calls it as __delattr__ too, with no value",
-        "src/repro/blob/blob.py:Blob.synthetic(chunk_size=)":
-            "§15: the covering-chunks property in tests/test_gear_chunks.py "
-            "draws the chunk size",
-        "src/repro/gear/bigfile.py:ChunkedGearFileViewer.__init__(chunk_buffer_bytes=)":
-            "§15: ROADMAP item 15 bounds a viewer's chunks over buffer sizes",
-        "src/repro/vfs/overlay.py:OverlayMount.__init__(upper=)":
-            "§2: the overlay oracle in tests/test_vfs_oracle.py draws the upper "
-            "layer, whiteouts and opaque directories included",
-        "src/repro/vfs/tree.py:FileSystemTree.mkdir(meta=)":
-            "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
-            "directory's metadata",
-        "src/repro/vfs/tree.py:FileSystemTree.symlink(meta=)":
-            "§2: the copy-on-write property in tests/test_vfs_cow.py draws a "
-            "symlink's metadata",
-        "src/repro/vfs/tree.py:FileSystemTree.exists(follow_symlinks=)":
-            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws lookups "
-            "that follow a final symlink and lookups that stop at it",
-        "src/repro/vfs/tree.py:FileSystemTree.stat(follow_symlinks=)":
-            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws stat "
-            "and lstat",
-        "src/repro/vfs/tree.py:FileSystemTree.listdir(path=)":
-            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws the "
-            "directory listed",
-        "src/repro/vfs/overlay.py:OverlayMount.exists(follow_symlinks=)":
-            "§2: the column-lower oracle in tests/test_vfs_oracle.py draws "
-            "lookups through a viewer that follow a final symlink or stop at it",
-        "src/repro/vfs/overlay.py:OverlayMount.stat(follow_symlinks=)":
-            "§2: the overlay oracle in tests/test_vfs_oracle.py draws stat and lstat",
-        "src/repro/vfs/overlay.py:OverlayMount.listdir(path=)":
-            "§2: the overlay oracle in tests/test_vfs_oracle.py draws the "
-            "directory listed",
-    }
-    assert len(census.DEFINITION_ALLOWLIST) == 11
-    for key, why in census.DEFINITION_ALLOWLIST.items():
-        assert key.startswith("src/") and ":" in key, key
-        assert why.startswith("§"), key
-
-
-def test_a_qualified_use_counts_only_for_its_module(repo):
-    # An attribute of an object is a method's name, and an import or a
-    # module's attribute names that module's definition: neither keeps a
-    # namesake module-level function alive.
-    dead, _ = repo({
-        "src/pkg/stats.py": """\
+def test_a_qualified_use_counts_only_for_its_module(toy):
+    report = toy({
+        "stats.py": """\
             def ratio(a, b):
                 return a / b
 
@@ -271,16 +175,88 @@ def test_a_qualified_use_counts_only_for_its_module(repo):
                 def ratio(self):
                     return 1
         """,
-        "src/pkg/other.py": "def ratio():\n    return 2\n",
-        "examples/demo.py": """\
-            from pkg import other
-            from pkg.stats import Report
-            Report().ratio()
-            other.ratio()
-        """,
-        "tests/test_stats.py": "from pkg.stats import ratio\nratio(1, 2)\n",
-    })
-    assert dead == ["ratio"]
+        "other.py": "def ratio():\n    return 2\n",
+    }, call("stats", "m.Report().ratio()"), call("other", "m.ratio()"))
+    assert listed(report) == ["ratio"]
+
+
+def test_a_method_entered_only_on_a_worker_thread_is_live(toy):
+    report = toy({"pool.py": """\
+        import threading
+
+        class Worker:
+            def work(self):
+                return 1
+
+            def idle(self):
+                return 0
+
+        def run_on_a_thread():
+            thread = threading.Thread(target=Worker().work)
+            thread.start()
+            thread.join()
+    """}, call("pool", "m.run_on_a_thread()"))
+    assert listed(report) == ["Worker.idle"]
+
+
+def test_an_allowlisted_entry_passes_until_a_run_enters_it(toy):
+    files = {"mod.py": MODULE}
+    kept = {"src/toy/mod.py:only_tested": "§7: a fault seam"}
+    assert toy(files, call("mod", "m.used()"), allowed=(kept, {}, {})) == []
+    # An entry whose definition a run enters, or that names nothing, is stale.
+    kept["src/toy/gone.py:ghost"] = "§1: deleted"
+    assert toy(files, call("mod", "(m.used(), m.only_tested())"), allowed=(kept, {}, {})) == [
+        "src/toy/mod.py:only_tested: allowlisted, but a run enters it",
+        "src/toy/gone.py:ghost: allowlisted, but no such definition",
+    ]
+
+
+PARAMETERS = """\
+    def used(x, flag=False, *, mode="r"):
+        return x, flag, mode
+"""
+
+
+def test_a_defaulted_parameter_no_caller_sets_is_still_listed(toy):
+    report = toy({"mod.py": PARAMETERS}, call("mod", "m.used(1, mode='w')"))
+    assert report == ["src/toy/mod.py:1: used(flag=): always its default"]
+
+
+def test_a_parameter_passed_explicitly_at_its_default_is_listed(toy):
+    report = toy({"mod.py": PARAMETERS}, call("mod", "m.used(1, flag=False, mode='w')"))
+    assert listed(report) == ["used(flag=)"]
+
+
+def test_a_parameter_only_tests_set_is_listed(toy):
+    report = toy({"mod.py": PARAMETERS}, call("mod", "m.used(1, mode='w')"))
+    importlib.import_module("toy.mod").used(1, True, mode="a")  # a test's call
+    assert listed(report) == ["used(flag=)"]
+
+
+def test_a_parameter_allowlist_entry_passes_until_it_goes_stale(toy):
+    files = {"mod.py": PARAMETERS}
+    kept = {"src/toy/mod.py:used(flag=)": "§2: a property test draws it"}
+    assert toy(files, call("mod", "m.used(1, mode='w')"), allowed=({}, kept, {})) == []
+    kept["src/toy/gone.py:ghost(x=)"] = "§1: deleted"
+    assert toy(files, call("mod", "m.used(1, True, mode='w')"), allowed=({}, kept, {})) == [
+        "src/toy/mod.py:used(flag=): allowlisted, but a run sets it",
+        "src/toy/gone.py:ghost(x=): allowlisted, but no such parameter",
+    ]
+
+
+def test_a_resumed_generator_is_compared_on_its_first_entry_only(toy):
+    report = toy({"gen.py": """\
+        def ticks(step=1, limit=3):
+            while limit:
+                step = yield step    # rebinds step: a resume is no call
+                limit -= 1
+
+        def drive():
+            ticks_ = ticks(limit=2)
+            next(ticks_)
+            ticks_.send(5)
+    """}, call("gen", "m.drive()"))
+    assert listed(report) == ["ticks(step=)"]
 
 
 FORWARDING = """\
@@ -290,54 +266,62 @@ FORWARDING = """\
     class Cluster:
         def __init__(self, count, *, seed="c", **kwargs):
             self.bed = build(seed=seed, **kwargs)
-"""
-
-
-def test_a_keyword_only_a_tests_splat_reaches_is_listed(repo):
-    # Cluster forwards its **kwargs: build gets what Cluster's callers
-    # pass, and only a test passes disk or pool.
-    repo({
-        "src/pkg/mod.py": FORWARDING,
-        "examples/demo.py": "from pkg.mod import Cluster\nCluster(2, bandwidth=5, seed='x')\n",
-        "tests/test_mod.py": "from pkg.mod import Cluster\n"
-                             "Cluster(2, **{'disk': 'ssd', 'pool': 1})\n",
-    })
-    assert census.census()[1] == ["src/pkg/mod.py:1: build(disk=)",
-                                  "src/pkg/mod.py:1: build(pool=)"]
-
-
-def test_a_forwarded_dicts_keys_count_as_set(repo):
-    # A dict display, its name["key"] stores, and a src/ helper that
-    # returns one: each sets its keys, through the forward, and no more.
-    repo({
-        "src/pkg/mod.py": FORWARDING + """\
 
     def scenario(flag):
         kwargs = {"bandwidth": 2}
         if flag:
             kwargs["disk"] = "ssd"
         return kwargs
-""",
-        "examples/demo.py": """\
-            from pkg.mod import Cluster, scenario
-            Cluster(2, **scenario(True))
-            Cluster(3, **dict(seed="x"))
-        """,
-    })
-    assert census.census()[1] == ["src/pkg/mod.py:1: build(pool=)"]
+"""
 
 
-def test_a_splat_the_census_cannot_resolve_sets_everything(repo):
-    repo({
-        "src/pkg/mod.py": FORWARDING,
-        "examples/demo.py": """\
-            import json
-            from pkg.mod import Cluster
+def test_a_keyword_only_a_tests_splat_reaches_is_listed(toy):
+    report = toy({"mod.py": FORWARDING},
+                 call("mod", "(m.Cluster(2, bandwidth=5, seed='x'), m.scenario(False))"))
+    importlib.import_module("toy.mod").Cluster(2, **{"disk": "ssd", "pool": 1})  # a test's
+    assert listed(report) == ["build(disk=)", "build(pool=)"]
 
-            def run(options):
-                return Cluster(2, **options)
 
-            Cluster(2, **json.loads("{}"))
-        """,
-    })
-    assert census.census()[1] == []
+def test_a_forwarded_dicts_keys_count_as_set(toy):
+    # A non-default forwarded through **kwargs reaches build's frame.
+    report = toy({"mod.py": FORWARDING},
+                 call("mod", "(m.Cluster(2, **m.scenario(True)), m.Cluster(3, seed='x'))"))
+    assert listed(report) == ["build(pool=)"]
+
+
+def test_a_flag_only_a_test_argv_passes_is_listed(toy):
+    report = toy({}, call("cli", "m.main(['stop', '--seed', '3'])"), drive=("go", "--fast"))
+    importlib.import_module("toy.cli").main(["go", "--slow"])  # a test's argv
+    # --seed is the shared parser's: one flag, whichever command passes it.
+    assert report == ["src/toy/cli.py: go --slow: no run passes it"]
+    assert toy({}, drive=("go", "--fast", "--slow"),
+               allowed=({}, {}, {"* --seed": "§4: a documented knob"})) == []
+
+
+def test_a_run_that_fails_is_a_finding(toy):
+    report = toy({"mod.py": MODULE}, lambda: "exit 1", call("mod", "(m.used(), m.only_tested())"))
+    assert report == ["run 0: exit 1"]
+
+
+def test_a_typed_command_with_a_placeholder_is_skipped_by_name():
+    text = textwrap.dedent("""\
+        Run `python -m repro.cli paper` for the sweep.
+        PYTHONPATH=src python -m repro.cli deploy --target nginx \\
+            --scale 0.2   # a comment
+        python -m repro.cli trace --out-dir <dir>
+    """)
+    assert list(census.typed(text)) == [
+        (["deploy", "--target", "nginx", "--scale", "0.2"],
+         "PYTHONPATH=src python -m repro.cli deploy --target nginx \\"),
+        (None, "python -m repro.cli trace --out-dir <dir>"),
+    ]
+
+
+def test_the_allowlist_is_pinned_and_each_entry_names_its_design_section():
+    # Growing an allowlist is a visible edit: change its pin with it.
+    assert (len(census.DEFINITIONS), len(census.PARAMETERS), len(census.FLAGS)) == (54, 26, 1)
+    for allowlist in (census.DEFINITIONS, census.PARAMETERS, census.FLAGS):
+        for key, why in allowlist.items():
+            assert why.startswith("§"), key
+    for key in [*census.DEFINITIONS, *census.PARAMETERS]:
+        assert key.startswith("src/") and ":" in key, key

@@ -73,7 +73,7 @@ class TestParser:
         assert surface == {
             name: {**COMMON, **flags} for name, flags in SURFACE.items()
         }
-        assert sum(len(flags) for flags in surface.values()) == 101
+        assert sum(len(flags) for flags in surface.values()) == 97
 
     def test_paper_takes_only_flags_other_commands_have(self):
         """``dedup`` and ``storage`` became cells of ``paper``, which
@@ -93,12 +93,8 @@ class TestParser:
         assert choices == {
             ("paper", "--scenario"): tuple(paper.STUDIES),
             ("ha", "--strategy"): ("primary-first", "p2c"),
-            ("chunks", "--scenario"):
-                ("clean", "chunk-faults", "crash", "byzantine"),
             ("ha", "--scenario"):
                 ("healthy", "outage", "brownout", "byzantine", "overload"),
-            ("edge", "--scenario"):
-                ("quiet", "churn", "byzantine", "churn+byzantine"),
             ("faas", "--scenario"):
                 ("steady", "spike", "spike+outage", "spike+byzantine"),
             ("slo", "--scenario"): ("fleet", "edge", "faas", "prefetch"),
@@ -129,8 +125,6 @@ SURFACE = {
         "--corrupt-rate": (0.0, float, None),
         "--outage-start": (0.0, float, None),
         "--outage-len": (0.0, float, None),
-        "--fault-seed": ("0", None, None),
-        "--fault-target": (["gear-registry"], None, "*"),
     },
     "crash": {
         "--target": ("nginx", None, None),
@@ -140,7 +134,6 @@ SURFACE = {
     "chunks": {
         "--clients": (32, int, None),
         "--big-mib": (8, int, None),
-        "--scenario": (None, None, "*"),
         "--chunk-seed": ("7", None, None),
         "--json": (False, None, 0),
     },
@@ -158,7 +151,6 @@ SURFACE = {
         "--target": ("nginx", None, None),
         "--bandwidth": (200.0, float, None),
         "--clients": (8, int, None),
-        "--scenario": (None, None, "*"),
         "--edge-seed": ("0", None, None),
         "--equivalence": (False, None, 0),
         "--json": (False, None, 0),
@@ -317,12 +309,14 @@ class TestRejectedInput:
         "command", ["chunks", "ha", "edge", "faas", "slo", "paper"]
     )
     def test_unknown_scenario(self, command, capsys):
+        # chunks and edge run every scenario: they take no --scenario at all.
         with pytest.raises(SystemExit) as exit_info:
             main([command, *SMALL, "--scenario", "bogus", "--json"])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "invalid choice: 'bogus'" in captured.err
+        assert ("unrecognized arguments: --scenario bogus" if command in ("chunks", "edge")
+                else "invalid choice: 'bogus'") in captured.err
 
     def test_deploy_json_needs_fleet_mode(self, capsys):
         assert main(["deploy", *SMALL, "--json"]) == 2

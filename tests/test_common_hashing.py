@@ -33,7 +33,7 @@ def test_fingerprint_is_a_string():
 
 def test_digest_short_prefix():
     digest = sha256_bytes(b"y")
-    assert digest.short(8) == digest[:8]
+    assert digest.short() == digest[:12]
 
 
 def test_token_hashing_is_order_sensitive():

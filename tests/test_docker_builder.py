@@ -56,7 +56,9 @@ class TestBuilder:
 
     def test_remove_produces_whiteout_layer(self):
         base = ImageBuilder("base", "v1").add_file("/doomed", b"x").build()
-        child = ImageBuilder("app", "v1", base=base).remove("/doomed").build()
+        builder = ImageBuilder("app", "v1", base=base)
+        builder.mount.remove("/doomed", recursive=True)
+        child = builder.build()
         assert not child.flatten().exists("/doomed")
 
     def test_commit_layer_resets_diff(self):
@@ -76,9 +78,10 @@ class TestBuilder:
             ImageBuilder("app", "v1").build()
 
     def test_symlink_and_mkdir(self):
+        builder = ImageBuilder("app", "v1")
+        builder.mount.mkdir("/opt/app", parents=True)
         image = (
-            ImageBuilder("app", "v1")
-            .mkdir("/opt/app")
+            builder
             .add_file("/opt/app/bin", b"b")
             .add_symlink("/opt/run", "/opt/app/bin")
             .build()

@@ -119,7 +119,9 @@ class TestMount:
 
     def test_whiteout_layer_hides_lower_in_mount(self):
         base = ImageBuilder("base", "v1").add_file("/doomed", b"x").build()
-        removing = ImageBuilder("app", "v1", base=base).remove("/doomed").build()
+        builder = ImageBuilder("app", "v1", base=base)
+        builder.mount.remove("/doomed", recursive=True)
+        removing = builder.build()
         driver = Overlay2Driver()
         for layer in removing.layers:
             driver.register_layer(layer)

@@ -46,17 +46,6 @@ class TestImageConfig:
         assert config.env == (("A", "1"), ("B", "2"))
         assert config.env_dict() == {"A": "1", "B": "2"}
 
-    def test_identity_tokens_cover_fields(self):
-        config = ImageConfig.make(
-            env={"X": "1"}, entrypoint=["/e"], cmd=["c"], workdir="/w",
-            labels={"l": "v"},
-        )
-        tokens = config.identity_tokens()
-        assert "env:X=1" in tokens
-        assert "entrypoint:/e" in tokens
-        assert "workdir:/w" in tokens
-        assert "label:l=v" in tokens
-
 
 class TestImage:
     def test_requires_layers(self):
@@ -91,11 +80,6 @@ class TestManifest:
         assert manifest.layer_sizes == (image.layers[0].compressed_size,)
         assert manifest.config.env_dict() == {"A": "1"}
         assert not manifest.gear_index
-
-    def test_digest_covers_config(self):
-        image_a = Image("i", "t", [make_layer()], ImageConfig.make(env={"A": "1"}))
-        image_b = Image("i", "t", [make_layer()], ImageConfig.make(env={"A": "2"}))
-        assert image_a.manifest().digest != image_b.manifest().digest
 
     def test_misaligned_lists_rejected(self):
         layer = make_layer()

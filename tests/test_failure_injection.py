@@ -27,9 +27,9 @@ class TestRegistryLoss:
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         # The registry loses every object (disk wipe).
-        for identity in list(testbed.gear_registry.identities()):
+        for identity in set(filter(None, container.index.entries.identities)):
             testbed.gear_registry._store.delete(identity)
-        path = small_corpus.get("nginx:v1").trace.accesses[0][0]
+        path = small_corpus.by_reference["nginx:v1"].trace.accesses[0][0]
         with pytest.raises(NotFoundError):
             container.mount.read_bytes(path)
 
@@ -99,7 +99,7 @@ class TestMalformedIndexes:
 
     def test_index_from_regular_image_rejected(self, small_corpus):
         with pytest.raises(GearError):
-            GearIndex.from_image(small_corpus.get("nginx:v1").image)
+            GearIndex.from_image(small_corpus.by_reference["nginx:v1"].image)
 
 
 class TestCacheDamage:
@@ -107,7 +107,7 @@ class TestCacheDamage:
         testbed = make_testbed()
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
-        trace = small_corpus.get("nginx:v1").trace
+        trace = small_corpus.by_reference["nginx:v1"].trace
         container.mount.read_bytes(trace.accesses[0][0])
         # Operator wipes the level-1 cache under a live container: already
         # linked files keep working (hard links), new faults re-download.
@@ -122,7 +122,7 @@ class TestCacheDamage:
         # pinned, so reads keep working and failures count up.
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
-        trace = small_corpus.get("nginx:v1").trace
+        trace = small_corpus.by_reference["nginx:v1"].trace
         data_first = container.mount.read_bytes(trace.accesses[0][0])
         data_again = container.mount.read_bytes(trace.accesses[0][0])
         assert data_first == data_again
@@ -139,7 +139,9 @@ class TestConverterEdgeCases:
         clock = SimClock()
         docker_registry = DockerRegistry()
         converter = GearConverter(clock, docker_registry, GearRegistry())
-        image = ImageBuilder("dirs", "v1").mkdir("/only/dirs/here").build()
+        builder = ImageBuilder("dirs", "v1")
+        builder.mount.mkdir("/only/dirs/here", parents=True)
+        image = builder.build()
         docker_registry.push_image(image)
         index, report = converter.convert("dirs:v1")
         assert report.file_count == 0

@@ -107,13 +107,14 @@ class _Forged(Blob):
 class TestLazySignature:
     def test_the_same_content_is_never_compared_token_by_token(self, monkeypatch):
         compared = []
-        tokens = Blob.chunk_tokens
+        blob, same = Blob.synthetic("file", 300_000), Blob.synthetic("file", 300_000)
+        assert blob.fingerprint == same.fingerprint  # hashed before the watch
+        token = Chunk.token
         monkeypatch.setattr(
-            Blob, "chunk_tokens", lambda blob: compared.append(blob) or tokens(blob)
+            Chunk, "token", property(lambda chunk: compared.append(chunk) or token.fget(chunk))
         )
         tracker = CollisionTracker()
-        blob = Blob.synthetic("file", 300_000)
-        for again in (blob, blob, Blob.synthetic("file", 300_000)):
+        for again in (blob, blob, same):
             assert tracker.register(again) == (blob.fingerprint, False)
         assert compared == [] and tracker.collisions_detected == 0
 

@@ -7,6 +7,7 @@ from repro.common.errors import GearError, ReadOnlyVfsError
 from repro.docker.builder import ImageBuilder
 from repro.gear.index import GearFileEntry, GearIndex, STUB_MAGIC, STUB_XATTR
 from repro.vfs.inode import FileKind, Inode, Metadata
+from repro.vfs.tar import WHITEOUT_PREFIX
 from repro.vfs.tree import FileSystemTree
 
 
@@ -196,7 +197,7 @@ class TestFromTreeContract:
         assert root.stat("/etc/app").children["gone"].is_whiteout
         assert "gone" not in index.tree.stat("/etc/app").children
         archive = index.to_image().layers[0].archive
-        assert not any(entry.is_whiteout for entry in archive)
+        assert not any(WHITEOUT_PREFIX in entry.path for entry in archive)
 
     def test_a_hard_link_yields_two_entries(self):
         root = sample_root()

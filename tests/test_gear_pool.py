@@ -10,6 +10,13 @@ from repro.gear.gearfile import GearFile
 from repro.gear.pool import EvictionPolicy, SharedFilePool
 
 
+def admit(pool, gear_file):
+    """Both admission phases at once, as a viewer that cannot crash
+    between them would drive them; returns the pool's inode."""
+    pool.prepare(gear_file)
+    return pool.commit(gear_file.identity)
+
+
 def gf(tag: str, size: int = 1000):
     return GearFile.from_blob(Blob.synthetic(tag, size))
 
@@ -17,7 +24,7 @@ def gf(tag: str, size: int = 1000):
 class TestBasics:
     def test_insert_and_get(self):
         pool = SharedFilePool()
-        inode = pool.insert(gf("a"))
+        inode = admit(pool, gf("a"))
         assert pool.get(gf("a").identity) is inode
         assert pool.stats.hits == 1
 
@@ -28,34 +35,34 @@ class TestBasics:
 
     def test_content_addressing_never_duplicates(self):
         pool = SharedFilePool()
-        first = pool.insert(gf("a"))
-        second = pool.insert(gf("a"))
+        first = admit(pool, gf("a"))
+        second = admit(pool, gf("a"))
         assert first is second
         assert pool.file_count == 1
 
     def test_used_bytes(self):
         pool = SharedFilePool()
-        pool.insert(gf("a", 500))
-        pool.insert(gf("b", 300))
+        admit(pool, gf("a", 500))
+        admit(pool, gf("b", 300))
         assert pool.used_bytes == 800
 
     def test_contains_has_no_stat_side_effects(self):
         pool = SharedFilePool()
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         assert pool.contains(gf("a").identity)
         assert not pool.contains("zzz")
         assert pool.stats.hits == 0 and pool.stats.misses == 0
 
     def test_clear(self):
         pool = SharedFilePool()
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         pool.clear()
         assert pool.file_count == 0
         assert pool.used_bytes == 0
 
     def test_hit_ratio(self):
         pool = SharedFilePool()
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         pool.get(gf("a").identity)
         pool.get("missing")
         stats = pool.stats
@@ -65,20 +72,20 @@ class TestBasics:
 class TestEviction:
     def test_fifo_evicts_oldest_unpinned(self):
         pool = SharedFilePool(capacity_bytes=2500, policy=EvictionPolicy.FIFO)
-        pool.insert(gf("a", 1000))
-        pool.insert(gf("b", 1000))
+        admit(pool, gf("a", 1000))
+        admit(pool, gf("b", 1000))
         pool.get(gf("a", 1000).identity)  # FIFO ignores recency
-        pool.insert(gf("c", 1000))
+        admit(pool, gf("c", 1000))
         assert not pool.contains(gf("a").identity)
         assert pool.contains(gf("b").identity)
         assert pool.stats.evictions == 1
 
     def test_lru_prefers_recent(self):
         pool = SharedFilePool(capacity_bytes=2500, policy=EvictionPolicy.LRU)
-        pool.insert(gf("a", 1000))
-        pool.insert(gf("b", 1000))
+        admit(pool, gf("a", 1000))
+        admit(pool, gf("b", 1000))
         pool.get(gf("a", 1000).identity)  # refresh a
-        pool.insert(gf("c", 1000))
+        admit(pool, gf("c", 1000))
         assert pool.contains(gf("a").identity)
         assert not pool.contains(gf("b").identity)
 
@@ -86,19 +93,19 @@ class TestEviction:
         # "Files that are not linked to Gear indexes are candidates for
         # replacement" — linked inodes (nlink > 1) are pinned.
         pool = SharedFilePool(capacity_bytes=2500)
-        pinned = pool.insert(gf("a", 1000))
+        pinned = admit(pool, gf("a", 1000))
         pinned.nlink += 1  # a Gear index links it
-        pool.insert(gf("b", 1000))
-        pool.insert(gf("c", 1000))
+        admit(pool, gf("b", 1000))
+        admit(pool, gf("c", 1000))
         assert pool.contains(gf("a").identity)
         assert not pool.contains(gf("b").identity)
 
     def test_all_pinned_exceeds_capacity_gracefully(self):
         pool = SharedFilePool(capacity_bytes=2000)
         for tag in ("a", "b"):
-            inode = pool.insert(gf(tag, 1000))
+            inode = admit(pool, gf(tag, 1000))
             inode.nlink += 1
-        pool.insert(gf("c", 1000))
+        admit(pool, gf("c", 1000))
         assert pool.used_bytes == 3000
         assert pool.stats.eviction_failures == 1
 
@@ -107,8 +114,8 @@ class TestEviction:
         # container read depends on it); the pool evicts what it can and
         # records the pressure failure.
         pool = SharedFilePool(capacity_bytes=100)
-        pool.insert(gf("small", 50))
-        inode = pool.insert(gf("huge", 1000))
+        admit(pool, gf("small", 50))
+        inode = admit(pool, gf("huge", 1000))
         assert inode.size == 1000
         assert pool.used_bytes == 1000  # small was evicted, huge overflows
         assert pool.stats.eviction_failures == 1
@@ -116,13 +123,13 @@ class TestEviction:
     def test_unbounded_pool_never_evicts(self):
         pool = SharedFilePool()
         for index in range(50):
-            pool.insert(gf(f"f{index}", 10_000))
+            admit(pool, gf(f"f{index}", 10_000))
         assert pool.stats.evictions == 0
         assert pool.file_count == 50
 
     def test_drop_is_administrative(self):
         pool = SharedFilePool()
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         pool.drop(gf("a").identity)
         assert not pool.contains(gf("a").identity)
         assert pool.stats.evictions == 0
@@ -138,10 +145,10 @@ class TestEviction:
         victims = {}
         for policy in (EvictionPolicy.FIFO, EvictionPolicy.LRU):
             pool = SharedFilePool(capacity_bytes=2000, policy=policy)
-            pool.insert(gf("old", 1000))
-            pool.insert(gf("cold", 1000))
+            admit(pool, gf("old", 1000))
+            admit(pool, gf("cold", 1000))
             pool.get(gf("old").identity)
-            pool.insert(gf("new", 1000))
+            admit(pool, gf("new", 1000))
             survivors = {
                 tag for tag in ("old", "cold")
                 if pool.contains(gf(tag).identity)
@@ -157,13 +164,13 @@ class TestQuarantineLifecycle:
         identity = gf("a").identity
         pool.quarantine(identity)
         assert not pool.contains(identity)
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         assert pool.contains(identity)
         assert pool.stats.quarantines == 1  # history, not state
 
     def test_quarantine_purges_cached_copy(self):
         pool = SharedFilePool()
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         pool.quarantine(gf("a").identity)
         assert not pool.contains(gf("a").identity)
         assert pool.used_bytes == 0
@@ -217,7 +224,7 @@ class TestTwoPhaseAdmission:
         # Capacity pressure is paid at commit, not at prepare — a crash
         # before commit must leave the published cache untouched.
         pool = SharedFilePool(capacity_bytes=1000)
-        pool.insert(gf("resident", 1000))
+        admit(pool, gf("resident", 1000))
         pool.prepare(gf("incoming", 1000))
         assert pool.contains(gf("resident").identity)
         assert pool.stats.evictions == 0
@@ -225,19 +232,13 @@ class TestTwoPhaseAdmission:
         assert not pool.contains(gf("resident").identity)
         assert pool.stats.evictions == 1
 
-    def test_insert_is_prepare_plus_commit(self):
-        pool = SharedFilePool()
-        inode = pool.insert(gf("a"))
-        assert len(staged(pool)) == 0
-        assert pool.get(gf("a").identity) is inode
-
 
 class TestClearCompleteness:
     def test_clear_resets_staged_quarantine_and_inflight(self):
         # Regression: clear() once dropped only committed files, leaving
         # stale quarantine marks and dead single-flight events behind.
         pool = SharedFilePool()
-        pool.insert(gf("a"))
+        admit(pool, gf("a"))
         pool.prepare(gf("b"))
         pool.quarantine(gf("c").identity)
         clock = SimClock()
@@ -301,7 +302,7 @@ class TestLazyChunkTable:
             for pool in (lazy, eager):
                 gear_file = _CHUNKED_FILES[arg]
                 if op == "insert":
-                    pool.insert(gear_file)
+                    admit(pool, gear_file)
                 elif op == "get":
                     pool.get(gear_file.identity)  # recency decides who is evicted
                 elif op == "pin" and pool.contains(gear_file.identity):
@@ -323,7 +324,7 @@ class TestLazyChunkTable:
     def test_a_pool_nobody_asks_keeps_no_table(self):
         pool = SharedFilePool(capacity_bytes=30)
         for gear_file in _CHUNKED_FILES:
-            pool.insert(gear_file)
+            admit(pool, gear_file)
         pool.drop(_CHUNKED_FILES[-1].identity)
         assert pool.stats.evictions and pool._chunk_tokens is None
         assert pool.has_chunk("e:10") == pool.contains(_CHUNKED_FILES[4].identity)

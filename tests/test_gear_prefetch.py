@@ -16,7 +16,7 @@ def env(small_corpus):
 
 
 def deploy_and_run(testbed, corpus, reference="nginx:v1"):
-    generated = corpus.get(reference)
+    generated = corpus.by_reference[reference]
     deploy_with_gear(testbed, generated)
     return testbed.gear_driver.containers()[-1], generated
 
@@ -72,7 +72,7 @@ class TestPrefetcher:
         assert report.files_prefetched > 0
 
         fetches_before = new_container.mount.fault_stats.remote_fetches
-        for path, _ in corpus.get("nginx:v1").trace.accesses:
+        for path, _ in corpus.by_reference["nginx:v1"].trace.accesses:
             new_container.mount.read_blob(path)
         assert (
             new_container.mount.fault_stats.remote_fetches == fetches_before
@@ -144,7 +144,7 @@ class TestOverlappedPrefetch:
 
     def test_overlap_without_profile_matches_demand(self, env):
         testbed, corpus = env
-        generated = corpus.get("nginx:v1")
+        generated = corpus.by_reference["nginx:v1"]
         demand = deploy_with_gear(
             testbed.fresh_client(), generated, clear_cache=True
         )

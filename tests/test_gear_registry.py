@@ -75,12 +75,12 @@ class TestRpc:
         link, transport, registry = self.make()
         gf = GearFile.from_blob(Blob.synthetic("big", 128 * 1024 * 4))
         registry.upload(gf)
-        blob = transport.call(GearRegistry.ENDPOINT_NAME, "chunk_map", gf.identity)
-        assert len(blob.chunks) == 4
+        manifest = transport.call(GearRegistry.ENDPOINT_NAME, "chunk_map", gf.identity)
+        assert len(manifest.fingerprints) == 4
         chunk = transport.call(
             GearRegistry.ENDPOINT_NAME, "download_chunk", gf.identity, 2
         )
-        assert chunk.token == blob.chunks[2].token
+        assert chunk.token == manifest.blob.chunks[2].token
 
     def test_chunk_download_out_of_range(self):
         _, transport, registry = self.make()

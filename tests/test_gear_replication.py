@@ -36,7 +36,11 @@ class TestWriteFanOut:
         counts = [r.registry.file_count for r in replicas]
         assert counts[0] > 0
         assert len(set(counts)) == 1
-        assert len({tuple(sorted(r.registry.identities())) for r in replicas}) == 1
+        # A conversion again finds every file stored: each replica holds
+        # every identity its index names.
+        index, _ = ha_testbed.converter.convert("nginx:v1")
+        assert all(r.registry.query(identity) for r in replicas
+                   for identity in filter(None, index.entries.identities))
 
     def test_replica_set_quacks_like_a_registry(self, ha_testbed):
         replica_set = ha_testbed.gear_registry

@@ -15,6 +15,7 @@ from repro.net.link import Link
 from repro.net.transport import RpcTransport
 from repro.vfs.inode import Metadata
 from repro.vfs.tree import FileSystemTree
+from tests.test_gear_pool import admit
 
 
 def build_env():
@@ -77,7 +78,7 @@ class TestFaultPath:
     def test_cache_hit_avoids_network(self):
         root, _, _, pool, viewer, link, _ = build_env()
         # Pre-seed the pool, as if another image had fetched the file.
-        pool.insert(GearFile.from_blob(root.read_blob("/bin/sh")))
+        admit(pool, GearFile.from_blob(root.read_blob("/bin/sh")))
         bytes_before = link.log.total_bytes
         viewer.read_bytes("/bin/sh")
         assert viewer.fault_stats.cache_hits == 1
@@ -97,7 +98,7 @@ class TestFaultPath:
 
     def test_missing_registry_entry_raises(self):
         _, index, registry, _, viewer, _, _ = build_env()
-        for identity in list(registry.identities()):
+        for identity in set(filter(None, index.entries.identities)):
             # Simulate a registry that lost its objects.
             registry._store.delete(identity)
         with pytest.raises(NotFoundError):
@@ -156,7 +157,7 @@ class TestTelemetry:
     @staticmethod
     def fault_twice(root, pool, viewer):
         viewer.read_bytes("/bin/sh")  # a remote fetch
-        pool.insert(GearFile.from_blob(root.read_blob("/etc/conf")))
+        admit(pool, GearFile.from_blob(root.read_blob("/etc/conf")))
         viewer.read_bytes("/etc/conf")  # a cache hit
 
     def test_an_untraced_fault_pays_for_no_span_or_instant(self, viewer_calls):

@@ -186,7 +186,7 @@ def run_workload(seed: str) -> dict:
         ],
         "shared_totals": [
             shared.log.total_bytes,
-            shared.log.total_time,
+            sum((r.duration for r in shared.log.records), 0.0),
             shared.log.total_requests,
         ],
         "busy_seconds": shared.busy_seconds,

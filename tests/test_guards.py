@@ -10,10 +10,7 @@ same shape and must leave every rule green: the pattern in a comment or
 a docstring, at an allowed site, or one name away.
 
 The rulebook runs over the repo's parses with the mutated modules
-re-parsed.  The census rows are re-run only when a mutant could change
-what they read (:func:`census_unmoved`): re-running them costs more than
-every other row together.  The flags row reads ``build_parser`` too, so
-it re-runs whenever ``src/repro/cli.py`` is edited.
+re-parsed; only the rows that read an edited file are run again.
 """
 
 import ast
@@ -25,7 +22,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-import census  # noqa: E402
 import guards  # noqa: E402
 
 # Spelled at run time: the text rules read this file (and its bytecode).
@@ -34,8 +30,6 @@ PEDANTIC = ".".join(("benchmark", "pedantic"))
 EDGE_BUILDER = "_".join(("make", "edge", "testbed"))
 
 P = "src/repro/"
-SKEW_ANCHOR = '    _flag(faas, "--rate", 6.0, "baseline Poisson arrival rate per second")\n'
-SKEW = '    _flag(faas, "--skew", 1.0)\n'
 MUTANTS = {
     "host-clock": [
         (P + "net/link.py", None, "_T0 = time.perf_counter()\n"),
@@ -278,28 +272,6 @@ MUTANTS = {
     "unused-import": [
         (P + "gear/fingerprint.py", None, "from typing import List\n"),
     ],
-    "census-parameters": [
-        # PR 39
-        (P + "net/ha.py", "    def __init__(self, replica_set: ReplicaSet) -> None:\n",
-         "    def __init__(self, replica_set: ReplicaSet, interval_s=0.5) -> None:\n"),
-        # only tests/ set it: tests/test_net_ha.py calls _published_ha(..., replicas=3)
-        (P + "net/ha.py", None, "def _published_ha(images, replicas=3):\n"
-                                "    return images, replicas\n\n\n_published_ha(())\n"),
-        # reached only through HACluster(**ha_kwargs), whose callers outside
-        # tests/ never pass it
-        (P + "bench/environment.py", "    bandwidth_mbps: float = 904.0,\n    replica_fault_plans",
-         "    bandwidth_mbps: float = 904.0,\n    client_disk: DiskProfile = HDD,\n"
-         "    replica_fault_plans"),
-    ],
-    "census-definitions": [
-        # PR 42
-        (P + "net/ha.py", "class HealthMonitor:\n",
-         "    def scrub(self):\n        return len(self.replicas)\n\n\nclass HealthMonitor:\n"),
-    ],
-    "census-flags": [
-        # a deleted flag declared again, and nothing passes it
-        (P + "cli.py", SKEW_ANCHOR, SKEW_ANCHOR + SKEW),
-    ],
 }
 
 LOOKALIKES = {
@@ -369,17 +341,6 @@ LOOKALIKES = {
         (P + "gear/fingerprint.py", None, 'from typing import List\n_L: "List[int]" = []\n'),
         (P + "gear/fingerprint.py", None, 'from typing import List\n__all__ = ["List"]\n'),
     ],
-    "census-parameters": [
-        (P + "net/ha.py", None, "_F = lambda interval_s=0.5: interval_s\n"),
-        # examples/ set it: they call popularity_stream(..., skew=...)
-        (P + "net/ha.py", None, "def popularity_stream(length, skew=1.0):\n"
-                                "    return length, skew\n\n\npopularity_stream(0)\n"),
-    ],
-    "census-definitions": [(P + "net/ha.py", None, "def _helper():\n    return 1\n\n\n_helper()\n")],
-    # the same flag, and an example that passes it
-    "census-flags": [[(P + "cli.py", SKEW_ANCHOR, SKEW_ANCHOR + SKEW),
-                      ("examples/serverless_cold_start.py", None,
-                       '_CODE = cli.main(["faas", "--skew", "1.5"])\n')]],
 }
 
 
@@ -390,92 +351,24 @@ def cases(table):
 
 @pytest.fixture(scope="module")
 def repo():
-    """The repo's parses, the names the census keeps alive only through an
-    allowlist root, and the names live code uses.  Their million nodes live as long as the module's
-    tests, so the collector is kept off them: frozen, a full collection
-    set off by a mutant's parse does not walk them all again."""
+    """The repo's parses.  Their million nodes live as long as the
+    module's tests, so the collector is kept off them: frozen, a full
+    collection set off by a mutant's parse does not walk them all again."""
     gc.disable()
     try:
-        trees = census.load(*census.USER_DIRS)
+        trees = guards.load(*guards.DIRS)
         guards.check(trees)  # every per-file fact is now on its parse
-        files = [census.referenced(tree, path, path.parts[0] == "src")
-                 for path, tree in trees.items()]
-        base = census.live_definitions(files)(set())
-        kept = {d["name"] for f, (local, _) in enumerate(files)
-                for i, d in enumerate(local) if (f, i) not in base}
-        used = {name for f, (_, uses) in enumerate(files) for owner, names in uses.items()
-                if owner is None or (f, owner) in base for name, how in names
-                if how is census.ANY_DEF}
         gc.freeze()
     finally:
         gc.enable()
-    yield trees, (kept, used)
+    yield trees
     trees.clear()  # the parses die here, in one full collection, not in a later test
     gc.unfreeze()
     gc.collect()
 
 
-def census_unmoved(path, before, after, names):
-    """Whether the census provably reads ``after``, a mutant of the module
-    at ``path``, as it reads ``before``.  Both passes are monotone in what
-    calls set and in what code uses, so it does when the module defines
-    the same things and returns the same dicts, its calls set no less (a
-    ``**`` splat the same or wider), and its code uses no fewer
-    names and no new one that a definition outside the base fixpoint (one
-    only an allowlist root keeps alive) carries."""
-    def shape(tree):
-        defined = census.defined(tree, path)
-        local, _ = census.referenced(tree, path, True)
-        return ([(q, k, list(census.defaulted(node))) for _, q, k, node in defined.functions],
-                defined.bases, defined.inits, [(d["qualified"], d["parent"]) for d in local])
-
-    if shape(before) != shape(after):
-        return False
-    (old, old_returns), (new, new_returns) = census.called(before), census.called(after)
-    if old_returns != new_returns:
-        return False
-    for raw, (count, called, star, splats) in old.items():
-        now = new.get(raw)
-        if not now or now[0] < count or not called <= now[1] or star > now[2] or not splats <= now[3]:
-            return False
-    old_uses, new_uses = census.referenced(before, path, True)[1], census.referenced(after, path, True)[1]
-    if any(not used <= new_uses.get(owner, set()) for owner, used in old_uses.items()):
-        return False
-    return keeps_nothing(set().union(*new_uses.values()) - set().union(*old_uses.values()), names)
-
-
-def appended_unmoved(code, names):
-    """:func:`census_unmoved` for ``code`` appended to a module: the module
-    keeps its census facts and gains those of ``code``.  Enough that
-    ``code`` names nothing kept and defines only module-level functions
-    without defaults that live code, or ``code`` itself, already calls by
-    name: each is live the moment it exists."""
-    tree = ast.parse(code)
-    _, uses = census.referenced(tree, Path("src/appended.py"), True)
-    calling = names[1] | {name.partition("appended.")[2] or name for name, how in uses.get(None, ())
-                          if how is census.ANY_DEF or how is census.DOTTED
-                          and name.startswith("appended.")}
-    for node in ast.walk(tree):
-        if isinstance(node, guards.DEFS) and not (
-                any(node is top for top in tree.body) and not isinstance(node, ast.ClassDef)
-                and node.name in calling and not node.args.defaults
-                and not any(node.args.kw_defaults)):
-            return False
-    return keeps_nothing(set().union(*uses.values()), names)
-
-
-def keeps_nothing(added, names):
-    """Whether none of the ``(name, how)`` uses in ``added`` names a
-    definition the census keeps alive only through an allowlist root."""
-    kept = names[0]
-    return not any(name.rpartition(".")[2] in kept
-                   or how is census.PREFIX and any(k.startswith(name) for k in kept)
-                   for name, how in added)
-
-
-def red(repo, edits):
+def red(trees, edits):
     """The names of the rules that go red when files are edited so."""
-    trees, names = repo
     mutated, texts, rules = dict(trees), {}, []
     for path, old, new in edits:
         text = (ROOT / path).read_text()
@@ -484,28 +377,20 @@ def red(repo, edits):
         else:
             assert text.count(old) == 1, f"{path}: the mutant's anchor moved"
             text = text.replace(old, new)
-        key = Path(path)
         texts[path] = text
-        # Every rule is green on the tree, so only those that read the edited
-        # file can go red: the rows whose scope holds it, the census rows
-        # unless the edit provably leaves their reading alone.
-        rules += [rule for rule in guards.RULES if rule.scope is not None and (
+        if Path(path) in trees:
+            mutated[Path(path)] = ast.parse(text, filename=path)
+        # Every rule is green on the tree, so only those that read the
+        # edited file can go red.
+        rules += [rule for rule in guards.RULES if (
             rule.match.reads(path) if isinstance(rule.match, guards.Text)
             else guards.scoped(rule, (path,)))]
-        if key in trees:
-            mutated[key] = ast.parse(text, filename=path)
-            if not (path.startswith("src/") and (appended_unmoved(new, names) if old is None else
-                                                 census_unmoved(key, trees[key], mutated[key], names))):
-                rules += [rule for rule in guards.RULES if rule.scope is None]
-            elif key == census.CLI:
-                rules += [rule for rule in guards.RULES if rule.name == "census-flags"]
     rules = list(dict.fromkeys(rules))
     return {rule.name for rule, _ in guards.check(mutated, texts, rules)}
 
 
 def test_the_tree_keeps_every_rule(repo):
-    trees, _ = repo
-    assert guards.check(trees) == []
+    assert guards.check(repo) == []
 
 
 def test_every_rule_has_a_mutant_and_a_lookalike():
@@ -525,8 +410,7 @@ def test_a_lookalike_stays_green(repo, rule, edits):
 
 
 def test_a_finding_names_its_site_rule_and_section(repo):
-    trees, _ = repo
-    mutated = dict(trees)
+    mutated = dict(repo)
     path = Path(P + "net/ha.py")
     mutated[path] = ast.parse((ROOT / path).read_text().replace(
         "_HedgedPair(Source):\n", "_HedgedPair(Source):\n    _T0 = time.perf_counter()\n"))

@@ -23,6 +23,7 @@ from repro.gear.pool import PartialFile, SharedFilePool
 from repro.invariants import World, audit, flights_left, partials_leaked, poisoned_commits
 from repro.net.faults import junk_payload
 from repro.net.topology import EdgeCluster
+from tests.test_gear_pool import admit
 
 GOOD = GearFile.from_blob(Blob.from_bytes(b"the file a name promises"))
 NAME = GOOD.identity
@@ -37,7 +38,7 @@ def commit_junk(pool: SharedFilePool) -> None:
 
 def test_a_clean_world_breaks_nothing():
     pool = SharedFilePool()
-    pool.insert(GOOD)
+    admit(pool, GOOD)
     bed = make_faas_testbed()
     bed.faas.tier._insert(NAME, GOOD)
     assert audit(World({"a": pool}, bed.tiers)) == {}
@@ -45,7 +46,7 @@ def test_a_clean_world_breaks_nothing():
 
 def test_a_junk_inode_committed_to_a_node_pool_is_named():
     good, bad = SharedFilePool(), SharedFilePool()
-    good.insert(GOOD)
+    admit(good, GOOD)
     commit_junk(bad)
     world = World({"good": good, "bad": bad})
     assert poisoned_commits(world) == [f"node:bad:{NAME}"]

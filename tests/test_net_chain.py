@@ -100,13 +100,9 @@ FABRICS = pytest.mark.parametrize("build", [_ha, _edge, _faas])
 
 def _published(build, plan, policy, generated):
     root, node, stats = build(plan, policy)
-    publish_images(root, [generated], convert=True)
-    registry = root.gear_registry if root.ha is None else root.ha.replica_set.primary.registry
-    identity = next(
-        identity
-        for identity in sorted(registry.identities())
-        if not identity.startswith("uid-")
-    )
+    root.docker_registry.push_image(generated.image)
+    index, _ = root.converter.convert(generated.reference)
+    identity = min(i for i in index.entries.identities if i and not i.startswith("uid-"))
     root.arm_faults()
     return root, node, stats, identity
 

@@ -25,6 +25,7 @@ from repro.net.faults import FaultPlan, FaultyLink, OutageWindow
 from repro.net.link import Link
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import RpcEndpoint, RpcTransport
+from tests.test_gear_pool import admit
 
 
 def make_faulty_transport(plan, *, retry=None, bandwidth_mbps=8.0):
@@ -334,7 +335,7 @@ FAULTY = FaultPlan(
 def deploy_first_nginx(testbed, corpus):
     publish_images(testbed, corpus.images, convert=True)
     testbed.arm_faults()
-    generated = corpus.get("nginx:v1")
+    generated = corpus.by_reference["nginx:v1"]
     result = deploy_with_gear(testbed, generated)
     return generated, result
 
@@ -409,7 +410,7 @@ class TestFaultyDeployEndToEnd:
         pool = SharedFilePool()
         poison = GearFile(identity="a" * 32, blob=Blob.from_bytes(b"junk"))
         with pytest.raises(IntegrityError):
-            pool.insert(poison)
+            admit(pool, poison)
         assert pool.file_count == 0
 
     def test_quarantine_then_refetch_serves_good_copy(self):
@@ -483,7 +484,7 @@ class TestDegradedMode:
         testbed = make_testbed(fault_plan=self.OUTAGE, retry_policy=policy)
         testbed.disarm_faults()  # clean warm-up first
         publish_images(testbed, small_corpus.images, convert=True)
-        generated = small_corpus.get("nginx:v1")
+        generated = small_corpus.by_reference["nginx:v1"]
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         for path, _ in generated.trace.accesses:
             container.mount.read_bytes(path)
@@ -509,6 +510,6 @@ class TestDegradedMode:
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         testbed.arm_faults()
-        path = small_corpus.get("nginx:v1").trace.accesses[0][0]
+        path = small_corpus.by_reference["nginx:v1"].trace.accesses[0][0]
         with pytest.raises(UnavailableError):
             container.mount.read_bytes(path)

@@ -284,12 +284,15 @@ class TestShedding:
             assert replica.stats.sheds > 0
 
     def test_shed_is_retryable_and_fails_over(self, small_corpus):
-        testbed = _published_ha(small_corpus.images[:1], replicas=2)
+        testbed = make_ha_testbed(replicas=2)
+        testbed.docker_registry.push_image(small_corpus.images[0].image)
+        index, _ = testbed.converter.convert(small_corpus.images[0].reference)
         replicas = testbed.ha.replica_set.replicas
         # Fill replica 0's queue; replica 1 stays open.
         replicas[0].admission = AdmissionGate(1)
         assert replicas[0].admission.try_enter()
-        identity = next(iter(replicas[1].registry.identities()))
+        identity = min(filter(None, index.entries.identities))
+        assert replicas[1].registry.query(identity)
         assert policy_call_download(testbed, identity) is not None
         assert replicas[0].stats.sheds == 1
         assert replicas[1].stats.serves >= 1
@@ -316,13 +319,13 @@ class TestFailover:
             outages=(OutageWindow(start_s=0.0, duration_s=1e9),),
             seed="t-down",
         )
-        testbed = _published_ha(
-            small_corpus.images[:1], replicas=3,
-            replica_fault_plans=[down],
-        )
+        testbed = make_ha_testbed(replicas=3, replica_fault_plans=[down])
+        testbed.docker_registry.push_image(small_corpus.images[0].image)
+        index, _ = testbed.converter.convert(small_corpus.images[0].reference)
         testbed.arm_faults()
         replicas = testbed.ha.replica_set.replicas
-        identity = next(iter(replicas[1].registry.identities()))
+        identity = min(filter(None, index.entries.identities))
+        assert replicas[1].registry.query(identity)
         assert policy_call_download(testbed, identity) is not None
         assert replicas[0].stats.failures == 1
         assert replicas[1].stats.serves >= 1
@@ -333,13 +336,13 @@ class TestFailover:
             outages=(OutageWindow(start_s=0.0, duration_s=1e9),),
             seed="t-down",
         )
-        testbed = _published_ha(
-            small_corpus.images[:1], replicas=3,
-            replica_fault_plans=[down],
-        )
+        testbed = make_ha_testbed(replicas=3, replica_fault_plans=[down])
+        testbed.docker_registry.push_image(small_corpus.images[0].image)
+        index, _ = testbed.converter.convert(small_corpus.images[0].reference)
         testbed.arm_faults()
         replicas = testbed.ha.replica_set.replicas
-        identity = next(iter(replicas[1].registry.identities()))
+        identity = min(filter(None, index.entries.identities))
+        assert replicas[1].registry.query(identity)
         for _ in range(4):
             policy_call_download(testbed, identity)
         assert replicas[0].breaker.trips == 1
@@ -371,10 +374,12 @@ class TestHedging:
 
     def test_hedge_fires_against_slow_primary_and_mate_wins(self, small_corpus):
         testbed, _ = self._hedged_fetch()
-        publish_images(testbed, small_corpus.images[:1], convert=True)
+        testbed.docker_registry.push_image(small_corpus.images[0].image)
+        index, _ = testbed.converter.convert(small_corpus.images[0].reference)
         testbed.arm_faults()
         replicas = testbed.ha.replica_set.replicas
-        identity = next(iter(replicas[1].registry.identities()))
+        identity = min(filter(None, index.entries.identities))
+        assert replicas[1].registry.query(identity)
         results = []
         with SimScheduler(testbed.clock) as scheduler:
             scheduler.spawn(
@@ -394,10 +399,12 @@ class TestHedging:
 
     def test_no_hedging_in_sequential_mode(self, small_corpus):
         testbed, _ = self._hedged_fetch()
-        publish_images(testbed, small_corpus.images[:1], convert=True)
+        testbed.docker_registry.push_image(small_corpus.images[0].image)
+        index, _ = testbed.converter.convert(small_corpus.images[0].reference)
         testbed.arm_faults()
         replicas = testbed.ha.replica_set.replicas
-        identity = next(iter(replicas[1].registry.identities()))
+        identity = min(filter(None, index.entries.identities))
+        assert replicas[1].registry.query(identity)
         assert policy_call_download(testbed, identity) is not None
         assert testbed.ha.policy.stats.hedges == 0
 

@@ -24,6 +24,7 @@ from repro.gear.pool import EvictionPolicy, SharedFilePool
 from repro.vfs.overlay import OverlayMount
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
+from tests.test_gear_pool import admit
 
 # -- strategies ----------------------------------------------------------
 
@@ -196,7 +197,7 @@ def test_pool_respects_capacity_with_unpinned_entries(operations, policy):
     for tag, size, pin in operations:
         if size > capacity:
             continue
-        inode = pool.insert(GearFile.from_blob(Blob.synthetic(f"t{tag}", size)))
+        inode = admit(pool, GearFile.from_blob(Blob.synthetic(f"t{tag}", size)))
         if pin:
             inode.nlink += 1
         # Invariant: the pool only exceeds capacity when pinned entries
@@ -219,7 +220,7 @@ def test_pool_content_addressing_is_stable(tags):
     inodes = {}
     for tag in tags:
         gear_file = GearFile.from_blob(Blob.synthetic(f"s{tag}", 100))
-        inode = pool.insert(gear_file)
+        inode = admit(pool, gear_file)
         if tag in inodes:
             assert inodes[tag] is inode
         inodes[tag] = inode

@@ -31,7 +31,7 @@ from repro.net.topology import Cluster
 
 
 def _fleet_wave(small_corpus, *, attach):
-    generated = small_corpus.get("nginx:v1")
+    generated = small_corpus.by_reference["nginx:v1"]
     cluster = Cluster(4, bandwidth_mbps=120)
     publish_images(cluster.registry_testbed, [generated], convert=True)
     sampler = None
@@ -73,7 +73,7 @@ class TestSamplerNeutrality:
             publish_images(bed, small_corpus.images, convert=True)
             results.append(
                 deploy_with_gear(bed.fresh_client(),
-                                 small_corpus.get("tomcat:v1"),
+                                 small_corpus.by_reference["tomcat:v1"],
                                  clear_cache=True)
             )
         first, second = results
@@ -90,7 +90,7 @@ class TestReadyOrdering:
         # Fig. 9's grid shape: series × bandwidth, both systems.
         bed = make_testbed(bandwidth_mbps=bandwidth)
         publish_images(bed, small_corpus.images, convert=True)
-        generated = small_corpus.get(reference)
+        generated = small_corpus.by_reference[reference]
         docker = deploy_with_docker(bed.fresh_client(), generated)
         gear = deploy_with_gear(bed.fresh_client(), generated,
                                 clear_cache=True)
@@ -105,7 +105,7 @@ class TestReadyOrdering:
         # docker-style full pull would complete.
         bed = make_testbed(bandwidth_mbps=20)
         publish_images(bed, small_corpus.images, convert=True)
-        generated = small_corpus.get("nginx:v1")
+        generated = small_corpus.by_reference["nginx:v1"]
         warm = bed.fresh_client()
         deploy_with_gear(warm, generated)
         recorder = TraceRecorder()

@@ -31,8 +31,8 @@ class TestDisk:
     def test_metadata_op(self):
         clock = SimClock()
         disk = Disk(clock, HDD)
-        disk.metadata_op(10)
-        assert clock.now == pytest.approx(10 * HDD.per_file_op_s)
+        disk.metadata_op()
+        assert clock.now == pytest.approx(HDD.per_file_op_s) and disk.file_ops == 1
 
     def test_ssd_is_faster_than_hdd(self):
         clock = SimClock()
@@ -44,8 +44,6 @@ class TestDisk:
         disk = Disk(SimClock(), HDD)
         with pytest.raises(ValueError):
             disk.read(-1)
-        with pytest.raises(ValueError):
-            disk.metadata_op(-1)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -98,12 +96,6 @@ class TestObjectStore:
     def test_negative_size_rejected(self):
         with pytest.raises(StorageError):
             ObjectStore().upload("a", None, size=-1)
-
-    def test_keys_sorted(self):
-        store = ObjectStore()
-        store.upload("b", None, size=1)
-        store.upload("a", None, size=1)
-        assert list(store.keys()) == ["a", "b"]
 
     def test_contains(self):
         store = ObjectStore()

@@ -238,6 +238,32 @@ TestSharedCloneMachine = SharedCloneMachine.TestCase
 TestSharedCloneMachine.settings = settings(stateful_step_count=20, deadline=None)
 
 
+class ColumnLowerCloneMachine(SharedCloneMachine):
+    """The same machine over a Gear index's lower: the frozen tree whose
+    directories mint their entries from the archive's columns
+    (``LayerArchive.index_template``), shared by every clone."""
+
+    def start_from(self, source):
+        index = GearIndex.from_tree("m.gear", "v1", source)
+        super().start_from(index.tree)
+        # The reference is the archive unpacked into a plain tree, each
+        # file marked a stub, so the lower answers against a tree it did
+        # not mint.
+        unpacked = index.archive.apply_to(FileSystemTree())
+        for _, node in unpacked.walk("/"):
+            if node.is_file:
+                node.meta = node.meta.with_xattr(STUB_XATTR, "1")
+        self.reference = rebuild(unpacked)
+
+
+# A quarter of the profile's examples: the column lower adds under 1 s.
+TestColumnLowerCloneMachine = ColumnLowerCloneMachine.TestCase
+TestColumnLowerCloneMachine.settings = settings(
+    settings.default, max_examples=max(1, settings.default.max_examples // 4),
+    stateful_step_count=20, deadline=None,
+)
+
+
 def drive(source_ops, ops):
     """Run a pinned sequence through the machine's own checks."""
     source = FileSystemTree()
@@ -313,7 +339,7 @@ def wide_tree(depth: int = 6) -> FileSystemTree:
 class TestAllocation:
     def test_clone_of_a_frozen_tree_allocates_nothing(self):
         tree = wide_tree().freeze()
-        assert tree.count_nodes() >= 2000
+        assert sum(1 for _ in tree.walk()) >= 2000
         clones = []
         assert inodes_allocated(lambda: clones.append(tree.clone())) == 0
         assert clones[0].root is tree.root
@@ -355,7 +381,7 @@ class TestAllocation:
         )
         # Before copy-on-write every deploy allocated two copies of the
         # index tree (the daemon's layer store and the level-2 index).
-        assert 0 < allocated < index.tree.count_nodes()
+        assert 0 < allocated < sum(1 for _ in index.tree.walk())
 
 
 # -- clones of one frozen tree are independent -----------------------------------

@@ -115,10 +115,6 @@ class TestQueries:
         files = dict(tree.iter_files())
         assert set(files) == {"/usr/bin/sh", "/etc/hosts"}
 
-    def test_count_nodes(self, tree):
-        # /usr /usr/bin /usr/bin/sh /etc /etc/hosts
-        assert tree.count_nodes() == 5
-
 
 class TestSymlinks:
     def test_readlink(self, tree):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.blob import Blob
-from repro.common.errors import NotFoundError, ReproError
+from repro.common.errors import ReproError
 from repro.vfs.inode import Metadata
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
@@ -147,14 +147,9 @@ class TestTraces:
 
 class TestCorpusApi:
     def test_get_by_reference(self, small_corpus):
-        generated = small_corpus.get("nginx:v2")
+        generated = small_corpus.by_reference["nginx:v2"]
         assert generated.tag == "v2"
         assert generated.tag_index == 1
-
-    def test_get_missing_raises(self, small_corpus):
-        with pytest.raises(NotFoundError):
-            small_corpus.get("nope:v1")
-
 
 
 #: Files under nested, shared directories; leaf names never name a
