@@ -153,6 +153,7 @@ PARAMETERS = {
     "src/repro/vfs/tree.py:FileSystemTree._drop_link(entries=)": POSIX,
     "src/repro/vfs/overlay.py:OverlayMount._descend(follow_last=)": POSIX,
     "src/repro/vfs/overlay.py:OverlayMount._resolve(follow_symlinks=)": POSIX,
+    "src/repro/gear/viewer.py:GearFileViewer._resolve(follow_symlinks=)": POSIX,
     "src/repro/vfs/overlay.py:OverlayMount._upper_mkdir(meta=)": POSIX,
     "src/repro/vfs/inode.py:Inode.clone(links=)":
         "§2: a writable tree's deep copy keeps its hard links linked",

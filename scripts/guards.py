@@ -396,6 +396,8 @@ RULES = (
          exactly=("from_text",)),
     Rule("stub-minted", "§13", calls("_stub|GearFileEntry"), allow=(
         "gear/index.py:_stub", "gear/index.py:row_of", "gear/index.py:IndexEntries._fresh")),
+    Rule("lower-mint", "§13", calls(r"Inode|__new__"), "gear/index.py",
+         ("gear/index.py:IndexEntries.mint",)),
     Rule("parse-archive", "§13", calls("_parse_archive"),
          allow=("gear/index.py:GearIndex.from_image",), exactly=("_parse_archive",)),
     Rule("template-write", "§13", nodes((ast.Attribute,), lambda n: n.attr == "index_template"

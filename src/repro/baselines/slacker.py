@@ -20,7 +20,7 @@ the container touches them.  The properties the paper leans on (§II-D,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set
+from typing import Dict, Set
 
 from repro.common.clock import SimClock
 from repro.common.errors import NotFoundError
@@ -67,7 +67,7 @@ class SlackerMount(OverlayMount):
         self.slacker_stats = SlackerStats()
         self._resident: Set[int] = set()
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]):
+    def _materialize(self, node: Inode, entry: object):
         if node.ino in self._resident:
             return node
         # First touch: pull the file's data blocks plus metadata blocks

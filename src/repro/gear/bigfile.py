@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.blob import DEFAULT_CHUNK_SIZE, chunk_fingerprint
 from repro.blob.compressibility import chunk_compressed_size
@@ -62,7 +62,7 @@ from repro.common.errors import (
 )
 from repro.common.units import MiB
 from repro.gear.gearfile import GearFile, verified
-from repro.gear.index import GearFileEntry, STUB_XATTR
+from repro.gear.index import GearFileEntry
 from repro.gear.pool import PartialFile
 from repro.gear.registry import GearRegistry
 from repro.gear.viewer import GearFileViewer
@@ -160,11 +160,10 @@ class ChunkedGearFileViewer(GearFileViewer):
         """:meth:`read_range` as a generator: ``yield from`` it in a process."""
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
-        node, resolved = self._resolve(path)
+        node, _, entry = self._resolve(path)
         if not node.is_file:
             raise GearError(f"{path!r} is not a regular file")
-        entry = self._big_stub(node, resolved)
-        if entry is None:
+        if not self._is_big(entry):
             blob = yield from self.read_blob_gen(path)
             return min(length, max(0, blob.size - offset))
 
@@ -184,24 +183,16 @@ class ChunkedGearFileViewer(GearFileViewer):
                 self._promote(entry, partial)
             return min(length, max(0, partial.blob.size - offset))
 
-    def _big_stub(
-        self, node: Inode, resolved: Sequence[str]
-    ) -> Optional[GearFileEntry]:
-        """The index entry of a stub the chunk pipeline serves, or None."""
-        if STUB_XATTR not in node.meta.xattrs:
-            return None
-        entry = self.index.entries.get("/" + "/".join(resolved))
-        if entry is None or entry.size < self.big_file_threshold:
-            return None
-        return entry
+    def _is_big(self, entry: Optional[GearFileEntry]) -> bool:
+        """Does the chunk pipeline serve the stub ``_resolve`` found?"""
+        return entry is not None and entry.size >= self.big_file_threshold
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]):
+    def _materialize(self, node: Inode, entry: Optional[GearFileEntry]):
         """A big stub lands through the chunk pipeline whoever reads it
         (a whole read, a prefetch, a copy-up): the chunks a range read
         already verified are kept, the rest fetched, the file promoted.
         A file the pool already holds is an ordinary cache hit."""
-        entry = self._big_stub(node, resolved)
-        if entry is not None and not self.pool.contains(entry.identity):
+        if self._is_big(entry) and not self.pool.contains(entry.identity):
             partial = yield from self._get_partial(entry.identity)
             if partial is not None:
                 yield from self._fetch_span(
@@ -210,7 +201,7 @@ class ChunkedGearFileViewer(GearFileViewer):
                 inode = self._promote(entry, partial)
                 if inode is not None:
                     return inode
-        return (yield from super()._materialize(node, resolved))
+        return (yield from super()._materialize(node, entry))
 
     # -- manifest / partial bootstrap -----------------------------------
 

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from repro.blob import Blob
 from repro.common.errors import GearError
 from repro.docker.image import Image, ImageConfig, Layer
-from repro.vfs.inode import DIRECTORY, FILE, FileKind, Inode, Metadata
+from repro.vfs.inode import DIRECTORY, FILE, FileKind, Inode, Metadata, _inode_numbers
 from repro.vfs.tar import WHITEOUT_PREFIX, LayerArchive
 from repro.vfs.tree import FileSystemTree
 
@@ -185,11 +185,13 @@ class IndexEntries(Mapping):
     nodes are minted here (:meth:`mint`), a stub's entry with its node
     for the fault that follows, so a touched stub's lookup is a dict hit
     and another's a bisection of the path column; iterating mints fresh
-    entries and keeps none.  No node is held, so the nodes minted from
-    the rows hold them without a cycle."""
+    entries and keeps none.  Files and symlinks are held by row
+    (:attr:`nodes`), so a mount's row lookup and a listing share them;
+    a directory is held only by its parent's listing, so the nodes
+    minted from the rows hold them without a cycle."""
 
     __slots__ = ("paths", "kinds", "modes", "uids", "gids", "blobs", "targets",
-                 "identities", "sizes", "owner", "minted")
+                 "identities", "sizes", "owner", "minted", "nodes")
 
     def __init__(self, archive: LayerArchive, identities: List[Optional[str]],
                  sizes: "array[int]", owner: object) -> None:
@@ -201,6 +203,11 @@ class IndexEntries(Mapping):
         self.owner = owner
         #: path → the entry of every stub minted so far.
         self.minted: Dict[str, GearFileEntry] = {}
+        #: row → its lower node, for every file and symlink minted so
+        #: far (``None`` elsewhere): one node a row, whether a listing or
+        #: a mount's row lookup asked first.  Made at the first mint, so
+        #: an index no mount reads keeps none.
+        self.nodes: Optional[List[Optional[Inode]]] = None
 
     def row(self, path: str) -> Optional[int]:
         """The row of ``path``, by bisection of the path column."""
@@ -209,21 +216,42 @@ class IndexEntries(Mapping):
         return at if at < len(paths) and paths[at] == path else None
 
     def mint(self, row: int) -> Inode:
-        """The lower node of ``row``: a stub-marked file, a symlink, or a
-        directory whose own entries are minted as they are touched."""
+        """The lower node of ``row``, made the first time it is asked
+        for: a stub-marked file, a symlink, or a directory whose own
+        entries are minted as they are touched.  The only place an
+        index's node is made; its slots are filled directly, as
+        :meth:`Inode.clone` fills a copy's (the columns already hold
+        what ``Inode.__init__`` would check)."""
+        nodes = self.nodes
+        if nodes is None:
+            nodes = self.nodes = [None] * len(self.paths)
+        node = nodes[row]
+        if node is not None:
+            return node
         kind = self.kinds[row]
         key = (self.modes[row], self.uids[row], self.gids[row])
         metas = _METAS.get(key)
         if metas is None:
             meta = Metadata(*key)
             metas = _METAS[key] = (meta, meta.with_xattr(STUB_XATTR, "1"))
+        node = Inode.__new__(Inode)
+        node.ino = next(_inode_numbers)
+        node.owner = self.owner
+        node.kind = kind
+        node.meta = metas[1] if kind is FILE else metas[0]
+        node.blob = self.blobs[row]
+        node.symlink_target = self.targets[row]
+        node.nlink = 1
+        node.opaque = False
+        if kind is DIRECTORY:
+            # Held by its parent's listing alone, the one place that asks
+            # for it: held here too, it and its listing would be a cycle.
+            node.children = _Listing(self, self.paths[row] + "/")
+            return node
+        node.children = None
+        nodes[row] = node
         if kind is FILE:
             self.entry(row)
-            return Inode(kind, meta=metas[1], blob=self.blobs[row], owner=self.owner)
-        node = Inode(kind, meta=metas[0], symlink_target=self.targets[row],
-                     owner=self.owner)
-        if kind is DIRECTORY:
-            node.children = _Listing(self, self.paths[row] + "/")
         return node
 
     def entry(self, row: int) -> GearFileEntry:

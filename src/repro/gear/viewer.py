@@ -23,7 +23,7 @@ readable (§IV).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.blob import Blob
 from repro.common.clock import NULL_SPAN, SimClock
@@ -36,7 +36,7 @@ from repro.common.errors import (
 )
 from repro.docker.daemon import DECOMPRESS_BPS
 from repro.gear.gearfile import GearFile, verified
-from repro.gear.index import GearFileEntry, GearIndex, STUB_XATTR
+from repro.gear.index import GearFileEntry, GearIndex, IndexEntries, STUB_XATTR
 from repro.gear.journal import IntentJournal
 from repro.gear.pool import SharedFilePool
 from repro.gear.registry import GearRegistry
@@ -44,7 +44,8 @@ from repro.net.faults import CrashInjector, CrashPoint
 from repro.net.transport import RpcTransport
 from repro.obs.metrics import MetricSet
 from repro.storage.disk import Disk
-from repro.vfs.inode import Inode
+from repro.vfs import paths
+from repro.vfs.inode import FILE, Inode
 from repro.vfs.overlay import OverlayMount
 
 #: A degraded-mode supplier of Gear files when the registry is out of
@@ -89,6 +90,11 @@ class GearFileViewer(OverlayMount):
     ) -> None:
         super().__init__([index.tree])
         self.index = index
+        #: The index's rows, when its entries are a column view (a
+        #: stand-in mapping has no path column: every read walks).
+        self._rows: Optional[IndexEntries] = (
+            index.entries if isinstance(index.entries, IndexEntries) else None
+        )
         self.pool = pool
         self.transport = transport
         self.disk = disk
@@ -120,13 +126,60 @@ class GearFileViewer(OverlayMount):
             return self.index.links.get(path, node)
         return node
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]):
+    def _resolve(self, path: str, *, follow_symlinks: bool = True):
+        """A regular file of the index the upper neither holds nor masks
+        is its row: one bisection of the index's path column finds its
+        node and entry, and no ancestor is minted or stepped through.
+        Everything else — directories, symlinks, missing paths, what the
+        upper holds or hides — takes the merged walk, and a stub it ends
+        on has its entry looked up by its resolved path."""
+        parts = paths.split(path)
+        found = self._row_lookup(parts)
+        if found is not None:
+            return found
+        node, resolved, _, _ = self._descend(parts, follow_last=follow_symlinks)
+        entry = None
+        if STUB_XATTR in node.meta.xattrs:
+            entry = self.index.entries.get(paths.unsplit(resolved))
+        return node, resolved, entry
+
+    def _row_lookup(self, parts: List[str]):
+        """What :meth:`_descend` would return for a regular file of the
+        index at ``parts``, counted and touched the same; ``None`` where
+        the walk must answer.  A path that is a row of an index has only
+        directory rows above it (every member of an index lies below a
+        directory member), so no symlink of the lower redirects it; the
+        upper is checked along it for an entry that shadows or masks."""
+        entries = self._rows
+        if entries is None:
+            return None
+        directory = self.upper.root
+        for name in parts:
+            node = directory.children.get(name)
+            if node is None:
+                break
+            if node.children is None or node.opaque:
+                return None  # a whiteout, a non-directory or an opaque one
+            directory = node
+        path = "/" + "/".join(parts)
+        row = entries.row(path)
+        if row is None or entries.kinds[row] is not FILE:
+            return None
+        self.stats.lookups += 1
+        node = self.index.links.get(path)
+        if node is None:
+            node = entries.mint(row)
+            entry = entries.entry(row)
+        else:
+            entry = None  # linked: the pool file shows, nothing to fault
+        self._touch(node)
+        return node, parts, entry
+
+    def _materialize(self, node: Inode, entry: Optional[GearFileEntry]):
         if STUB_XATTR not in node.meta.xattrs:
             return node
-        path = "/" + "/".join(resolved)
-        entry = self.index.entries.get(path)
         if entry is None:
-            raise GearError(f"stub at {path!r} has no index entry")
+            raise GearError(f"stub #{node.ino} has no index entry")
         # Telemetry is decided once per fault: detached, no phase below
         # builds a span, an instant or its labels.
         traced = self._traced()
@@ -316,9 +369,9 @@ class GearFileViewer(OverlayMount):
 
     def prefetch(self, path: str) -> None:
         """Fault a file in without reading it (warm-up helper)."""
-        node, resolved = self._resolve(path)
+        node, _, entry = self._resolve(path)
         if node.is_file:
-            self._drive(self._materialize(node, resolved))
+            self._drive(self._materialize(node, entry))
 
     def _content_token(self, path: str, node: Inode) -> str:
         """A stub digests as the fingerprint its index entry promises, a

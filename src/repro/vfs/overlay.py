@@ -153,9 +153,14 @@ class OverlayMount:
 
     def _resolve(
         self, path: str, *, follow_symlinks: bool = True
-    ) -> Tuple[Inode, List[str]]:
-        """The visible inode at ``path`` and its resolved components."""
-        return self._descend(paths.split(path), follow_last=follow_symlinks)[:2]
+    ) -> Tuple[Inode, List[str], object]:
+        """The visible inode at ``path``, its resolved components, and
+        the lower's entry behind it for :meth:`_materialize` (a plain
+        overlay keeps none; the Gear File Viewer, a stub's index entry)."""
+        node, resolved, _, _ = self._descend(
+            paths.split(path), follow_last=follow_symlinks
+        )
+        return node, resolved, None
 
     def _resolve_parent(
         self, parts: List[str], *, create: bool = False
@@ -182,8 +187,7 @@ class OverlayMount:
             return False
 
     def stat(self, path: str, *, follow_symlinks: bool = True) -> Inode:
-        node, _ = self._resolve(path, follow_symlinks=follow_symlinks)
-        return node
+        return self._resolve(path, follow_symlinks=follow_symlinks)[0]
 
     def is_dir(self, path: str) -> bool:
         try:
@@ -192,7 +196,7 @@ class OverlayMount:
             return False
 
     def readlink(self, path: str) -> str:
-        node, _ = self._resolve(path, follow_symlinks=False)
+        node = self._resolve(path, follow_symlinks=False)[0]
         if not node.is_symlink:
             raise VfsError(f"{path!r} is not a symbolic link")
         assert node.symlink_target is not None
@@ -207,21 +211,22 @@ class OverlayMount:
 
     def read_blob_gen(self, path: str):
         """:meth:`read_blob` as a generator: ``yield from`` it in a process."""
-        node, resolved = self._resolve(path)
+        node, _, entry = self._resolve(path)
         if node.is_dir:
             raise IsADirectoryVfsError(f"{path!r} is a directory")
         if not node.is_file:
             raise VfsError(f"{path!r} is not a regular file")
-        node = yield from self._materialize(node, resolved)
+        node = yield from self._materialize(node, entry)
         assert node.blob is not None
         self.stats.reads += 1
         self.stats.bytes_read += node.blob.size
         return node.blob
 
-    def _materialize(self, node: Inode, resolved: Sequence[str]):
+    def _materialize(self, node: Inode, entry: object):
         """Generator hook for lazy-content mounts; identity in the base class.
 
-        The Gear File Viewer overrides this to fault fingerprint stubs in
+        ``entry`` is what :meth:`_resolve` found behind ``node``.  The
+        Gear File Viewer overrides this to fault fingerprint stubs in
         from the shared cache or the Gear Registry.
         """
         return node
@@ -326,7 +331,7 @@ class OverlayMount:
 
     def copy_up(self, path: str) -> Inode:
         """Explicitly copy a lower file into the upper layer unchanged."""
-        node, resolved = self._resolve(path, follow_symlinks=False)
+        node, resolved, entry = self._resolve(path, follow_symlinks=False)
         if node.is_dir:
             raise IsADirectoryVfsError("copy-up of directories is implicit")
         held = self._upper_entry(resolved)
@@ -341,7 +346,7 @@ class OverlayMount:
             )
         # Lazy-content mounts must fault the real bytes in before the
         # copy (a Gear stub's placeholder must never be copied up).
-        node = self._drive(self._materialize(node, resolved))
+        node = self._drive(self._materialize(node, entry))
         assert node.blob is not None
         return self.upper.write_at(
             upper_dir, resolved[-1], node.blob, meta=node.meta

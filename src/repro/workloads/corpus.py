@@ -145,10 +145,8 @@ class Corpus:
         self.config = config
         self.images = images
         self.by_series: Dict[str, List[GeneratedImage]] = {}
-        self.by_reference: Dict[str, GeneratedImage] = {}
         for generated in images:
             self.by_series.setdefault(generated.spec.name, []).append(generated)
-            self.by_reference[generated.reference] = generated
 
     def docker_images(self) -> List[Image]:
         return [generated.image for generated in self.images]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from repro.bench.environment import make_testbed, publish_images
-from repro.workloads.corpus import Corpus, CorpusBuilder, CorpusConfig
+from repro.workloads.corpus import Corpus, CorpusBuilder, CorpusConfig, GeneratedImage
 
 # Tier-1 runs every property test on the same examples each time, and the
 # tests that leave the count to the profile (the shared-clone machine and
@@ -21,6 +21,12 @@ from repro.workloads.corpus import Corpus, CorpusBuilder, CorpusConfig
 settings.register_profile("tier1", max_examples=40, derandomize=True)
 settings.register_profile("wide", max_examples=150)
 settings.load_profile("tier1")
+
+
+def image_of(corpus: Corpus, reference: str) -> GeneratedImage:
+    """The corpus image published as ``reference`` (``name:tag``)."""
+    (generated,) = [g for g in corpus.images if g.reference == reference]
+    return generated
 
 
 @pytest.fixture(scope="session")

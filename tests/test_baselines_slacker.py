@@ -12,6 +12,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import NotFoundError
 from repro.net.link import Link
 from repro.workloads.corpus import CorpusBuilder, CorpusConfig
+from tests.conftest import image_of
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestDeploy:
 
     def test_pull_phase_is_cheap(self, env):
         clock, link, driver = make_driver()
-        driver.provision_image(env.by_reference["nginx:v1"])
+        driver.provision_image(image_of(env, "nginx:v1"))
         before = clock.now
         driver.deploy("nginx:v1")
         # Snapshot clone + start: well under a second, no data transfer.
@@ -48,7 +49,7 @@ class TestDeploy:
 
     def test_read_fetches_blocks(self, env):
         _, link, driver = make_driver()
-        generated = env.by_reference["nginx:v1"]
+        generated = image_of(env, "nginx:v1")
         driver.provision_image(generated)
         mount = driver.deploy("nginx:v1")
         path, size = generated.trace.accesses[0]
@@ -62,7 +63,7 @@ class TestDeploy:
     def test_block_fetch_exceeds_file_size(self, env):
         # Amplification: blocks + metadata always cost more than the file.
         _, _, driver = make_driver()
-        generated = env.by_reference["nginx:v1"]
+        generated = image_of(env, "nginx:v1")
         driver.provision_image(generated)
         mount = driver.deploy("nginx:v1")
         path, size = generated.trace.accesses[0]
@@ -71,7 +72,7 @@ class TestDeploy:
 
     def test_requests_coalesce_to_rsize(self, env):
         _, _, driver = make_driver()
-        generated = env.by_reference["nginx:v1"]
+        generated = image_of(env, "nginx:v1")
         driver.provision_image(generated)
         mount = driver.deploy("nginx:v1")
         path, size = generated.trace.accesses[0]
@@ -81,7 +82,7 @@ class TestDeploy:
 
     def test_repeat_read_is_local(self, env):
         _, link, driver = make_driver()
-        generated = env.by_reference["nginx:v1"]
+        generated = image_of(env, "nginx:v1")
         driver.provision_image(generated)
         mount = driver.deploy("nginx:v1")
         path, _ = generated.trace.accesses[0]
@@ -96,7 +97,7 @@ class TestNoSharing:
         # Fig. 10: "Slacker's time shows little change due to the absence
         # of [a] sharing mechanism."
         _, link, driver = make_driver()
-        generated = env.by_reference["nginx:v1"]
+        generated = image_of(env, "nginx:v1")
         driver.provision_image(generated)
         first = driver.deploy("nginx:v1")
         path, _ = generated.trace.accesses[0]
@@ -108,7 +109,7 @@ class TestNoSharing:
 
     def test_versions_do_not_share(self, env):
         _, link, driver = make_driver()
-        v1, v2 = env.by_reference["nginx:v1"], env.by_reference["nginx:v2"]
+        v1, v2 = image_of(env, "nginx:v1"), image_of(env, "nginx:v2")
         driver.provision_image(v1)
         driver.provision_image(v2)
         mount1 = driver.deploy("nginx:v1")

@@ -15,11 +15,12 @@ from repro.gear.index import GearIndex
 from repro.gear.prefetch import TraceRecorder
 from repro.net.faults import FaultPlan
 from repro.vfs.tar import LayerArchive
+from tests.conftest import image_of
 
 
 class TestDocker:
     def test_breakdown(self, published_testbed, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         result = deploy_with_docker(published_testbed, generated)
         assert result.system == "docker"
         assert result.pull_s > 0
@@ -28,7 +29,7 @@ class TestDocker:
 
     def test_pull_dominates_for_docker(self, published_testbed, small_corpus):
         # §V-E: Docker's pull phase is the long one.
-        result = deploy_with_docker(published_testbed, small_corpus.by_reference["tomcat:v1"])
+        result = deploy_with_docker(published_testbed, image_of(small_corpus, "tomcat:v1"))
         assert result.pull_s > result.run_s * 0.5
 
 
@@ -56,14 +57,14 @@ class TestGear:
         assert parsed == []
 
     def test_pull_is_tiny_run_fetches(self, published_testbed, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         result = deploy_with_gear(published_testbed, generated)
         assert result.pull_s < 1.0
         assert result.files_fetched > 0
         assert result.network_bytes < generated.image.compressed_size
 
     def test_gear_moves_fewer_bytes(self, published_testbed, small_corpus):
-        generated = small_corpus.by_reference["tomcat:v1"]
+        generated = image_of(small_corpus, "tomcat:v1")
         docker = deploy_with_docker(
             published_testbed.fresh_client(), generated
         )
@@ -75,7 +76,7 @@ class TestGear:
         # where pulling dominates.
         bed = make_testbed(bandwidth_mbps=100)
         publish_images(bed, small_corpus.images)
-        generated = small_corpus.by_reference["tomcat:v1"]
+        generated = image_of(small_corpus, "tomcat:v1")
         docker = deploy_with_docker(bed.fresh_client(), generated)
         gear = deploy_with_gear(bed.fresh_client(), generated)
         assert gear.total_s < docker.total_s
@@ -84,8 +85,8 @@ class TestGear:
         self, published_testbed, small_corpus
     ):
         bed = published_testbed
-        first = deploy_with_gear(bed, small_corpus.by_reference["tomcat:v1"])
-        second = deploy_with_gear(bed, small_corpus.by_reference["tomcat:v2"])
+        first = deploy_with_gear(bed, image_of(small_corpus, "tomcat:v1"))
+        second = deploy_with_gear(bed, image_of(small_corpus, "tomcat:v2"))
         assert second.cache_hits > 0
         assert second.network_bytes < first.network_bytes
 
@@ -93,9 +94,9 @@ class TestGear:
         # The §V-D no-cache scenario: a fresh client whose cache is
         # emptied before the deployment re-downloads every file.
         bed = published_testbed
-        deploy_with_gear(bed.fresh_client(), small_corpus.by_reference["nginx:v1"])
+        deploy_with_gear(bed.fresh_client(), image_of(small_corpus, "nginx:v1"))
         result = deploy_with_gear(
-            bed.fresh_client(), small_corpus.by_reference["nginx:v1"], clear_cache=True
+            bed.fresh_client(), image_of(small_corpus, "nginx:v1"), clear_cache=True
         )
         assert result.files_fetched > 0
         assert result.cache_hits == 0
@@ -103,7 +104,7 @@ class TestGear:
     def test_gear_run_longer_than_pull(self, published_testbed, small_corpus):
         # §V-E: "the pull phase of Gear is shorter … its run time is longer."
         result = deploy_with_gear(
-            published_testbed.fresh_client(), small_corpus.by_reference["tomcat:v1"],
+            published_testbed.fresh_client(), image_of(small_corpus, "tomcat:v1"),
             clear_cache=True,
         )
         assert result.run_s > result.pull_s
@@ -113,7 +114,7 @@ class TestSlacker:
     def test_breakdown(self, published_testbed, small_corpus):
         driver = SlackerDriver(published_testbed.clock, published_testbed.link)
         result = deploy_with_slacker(
-            driver, published_testbed, small_corpus.by_reference["nginx:v1"]
+            driver, published_testbed, image_of(small_corpus, "nginx:v1")
         )
         assert result.system == "slacker"
         assert result.pull_s < 1.0
@@ -123,7 +124,7 @@ class TestSlacker:
         self, published_testbed, small_corpus
     ):
         # Blocks travel uncompressed with metadata amplification.
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         gear = deploy_with_gear(
             published_testbed.fresh_client(), generated, clear_cache=True
         )
@@ -139,7 +140,7 @@ class TestBandwidthSweep:
         for bandwidth in (100, 5):
             bed = make_testbed(bandwidth_mbps=bandwidth)
             publish_images(bed, small_corpus.images)
-            generated = small_corpus.by_reference["tomcat:v1"]
+            generated = image_of(small_corpus, "tomcat:v1")
             docker = deploy_with_docker(bed.fresh_client(), generated)
             gear = deploy_with_gear(bed.fresh_client(), generated)
             speedups.append(docker.total_s / gear.total_s)
@@ -217,7 +218,7 @@ class TestOneProtocol:
             )
 
         before = reading()
-        result = deploy(client, small_corpus.by_reference["nginx:v1"])
+        result = deploy(client, image_of(small_corpus, "nginx:v1"))
         elapsed, *deltas = (b - a for a, b in zip(before, reading()))
 
         assert result.system == system
@@ -252,8 +253,8 @@ class TestOneProtocol:
             bed = _bed(small_corpus)
             deploy = _deployer(system, bed, small_corpus)
             client = bed.fresh_client()
-            deploy(client, small_corpus.by_reference["nginx:v1"])
-            results[system] = deploy(client, small_corpus.by_reference["nginx:v2"])
+            deploy(client, image_of(small_corpus, "nginx:v1"))
+            results[system] = deploy(client, image_of(small_corpus, "nginx:v2"))
         assert results == {
             "docker": DeploymentResult(
                 system="docker", reference="nginx:v2",

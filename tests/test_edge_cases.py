@@ -18,6 +18,7 @@ from repro.vfs.overlay import OverlayMount
 from repro.vfs.tar import LayerArchive
 from repro.vfs.tree import FileSystemTree
 from tests.test_docker_image import layer_from_files
+from tests.conftest import image_of
 
 
 class TestDeepOverlayChains:
@@ -161,7 +162,7 @@ class TestAccountingCorners:
         publish_images(testbed, small_corpus.images, convert=True)
         # Virtual elapsed == sum of pull and run phases exactly.
         before = testbed.clock.now
-        result = deploy_with_gear(testbed, small_corpus.by_reference["nginx:v1"])
+        result = deploy_with_gear(testbed, image_of(small_corpus, "nginx:v1"))
         assert testbed.clock.now - before == pytest.approx(result.total_s)
 
     def test_registry_layer_bytes_uncompressed_vs_stored(self):
@@ -182,7 +183,7 @@ class TestIndexTreeSharing:
         first, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         second = testbed.gear_driver.create_container("nginx.gear:v1")
         testbed.gear_driver.start_container(second)
-        path = small_corpus.by_reference["nginx:v1"].trace.accesses[0][0]
+        path = image_of(small_corpus, "nginx:v1").trace.accesses[0][0]
         first.mount.read_bytes(path)
         # Second container reads the same file: zero faults, shared inode.
         second.mount.read_bytes(path)

@@ -19,6 +19,7 @@ from repro.gear.pool import SharedFilePool
 from repro.gear.viewer import GearFileViewer
 from repro.vfs.inode import Metadata
 from repro.vfs.tree import FileSystemTree
+from tests.conftest import image_of
 
 
 class TestRegistryLoss:
@@ -29,7 +30,7 @@ class TestRegistryLoss:
         # The registry loses every object (disk wipe).
         for identity in set(filter(None, container.index.entries.identities)):
             testbed.gear_registry._store.delete(identity)
-        path = small_corpus.by_reference["nginx:v1"].trace.accesses[0][0]
+        path = image_of(small_corpus, "nginx:v1").trace.accesses[0][0]
         with pytest.raises(NotFoundError):
             container.mount.read_bytes(path)
 
@@ -95,11 +96,11 @@ class TestMalformedIndexes:
         viewer = GearFileViewer(index, SharedFilePool(), transport=None)
         stub = index.tree.stat("/f")
         with pytest.raises(GearError):
-            viewer._drive(viewer._materialize(stub, ["g"]))
+            viewer._drive(viewer._materialize(stub, None))
 
     def test_index_from_regular_image_rejected(self, small_corpus):
         with pytest.raises(GearError):
-            GearIndex.from_image(small_corpus.by_reference["nginx:v1"].image)
+            GearIndex.from_image(image_of(small_corpus, "nginx:v1").image)
 
 
 class TestCacheDamage:
@@ -107,7 +108,7 @@ class TestCacheDamage:
         testbed = make_testbed()
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
-        trace = small_corpus.by_reference["nginx:v1"].trace
+        trace = image_of(small_corpus, "nginx:v1").trace
         container.mount.read_bytes(trace.accesses[0][0])
         # Operator wipes the level-1 cache under a live container: already
         # linked files keep working (hard links), new faults re-download.
@@ -122,7 +123,7 @@ class TestCacheDamage:
         # pinned, so reads keep working and failures count up.
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
-        trace = small_corpus.by_reference["nginx:v1"].trace
+        trace = image_of(small_corpus, "nginx:v1").trace
         data_first = container.mount.read_bytes(trace.accesses[0][0])
         data_again = container.mount.read_bytes(trace.accesses[0][0])
         assert data_first == data_again

@@ -176,7 +176,7 @@ class Node:
         container, head = self.containers[slot]
         reference = container.index.reference
         path = LOOKUPS[reference][pick % len(LOOKUPS[reference])]
-        node, resolved = head._resolve(path)
+        node, resolved, _ = head._resolve(path)
         entry_path = paths.unsplit(resolved)
         entry = container.index.entries[entry_path]
         point = drop_first = None

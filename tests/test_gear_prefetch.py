@@ -6,6 +6,7 @@ from repro.bench.environment import make_testbed, publish_images
 from repro.bench.deploy import deploy_with_gear, deploy_with_gear_overlapped
 from repro.common.errors import GearError
 from repro.gear.prefetch import Prefetcher, StartupProfile, TraceRecorder
+from tests.conftest import image_of
 
 
 @pytest.fixture
@@ -16,7 +17,7 @@ def env(small_corpus):
 
 
 def deploy_and_run(testbed, corpus, reference="nginx:v1"):
-    generated = corpus.by_reference[reference]
+    generated = image_of(corpus, reference)
     deploy_with_gear(testbed, generated)
     return testbed.gear_driver.containers()[-1], generated
 
@@ -72,7 +73,7 @@ class TestPrefetcher:
         assert report.files_prefetched > 0
 
         fetches_before = new_container.mount.fault_stats.remote_fetches
-        for path, _ in corpus.by_reference["nginx:v1"].trace.accesses:
+        for path, _ in image_of(corpus, "nginx:v1").trace.accesses:
             new_container.mount.read_blob(path)
         assert (
             new_container.mount.fault_stats.remote_fetches == fetches_before
@@ -144,7 +145,7 @@ class TestOverlappedPrefetch:
 
     def test_overlap_without_profile_matches_demand(self, env):
         testbed, corpus = env
-        generated = corpus.by_reference["nginx:v1"]
+        generated = image_of(corpus, "nginx:v1")
         demand = deploy_with_gear(
             testbed.fresh_client(), generated, clear_cache=True
         )

@@ -272,6 +272,12 @@ MUTANTS = {
     "unused-import": [
         (P + "gear/fingerprint.py", None, "from typing import List\n"),
     ],
+    "lower-mint": [
+        # a listing that makes its own node: a second one for its row
+        (P + "gear/index.py", "node = self[name] = self._rows.mint(row)",
+         "node = self[name] = Inode(self._rows.kinds[row])"),
+        (P + "gear/index.py", None, "_N = Inode.__new__(Inode)\n"),
+    ],
 }
 
 LOOKALIKES = {
@@ -314,6 +320,10 @@ LOOKALIKES = {
         (P + "gear/index.py", None, "# the index never calls apply_to( or write_at(\n"),
     ],
     "stub-minted": [(P + "gear/commit.py", None, "_S = entry.stub()\n")],
+    "lower-mint": [
+        (P + "gear/index.py", None, "_I = isinstance(None, Inode)  # not Inode(\n"),
+        (P + "gear/pool.py", None, "_N = Inode(FILE)\n"),
+    ],
     "parse-archive": [(P + "gear/recovery.py", None, "_P = GearIndex._parse_archive\n")],
     "template-write": [(P + "gear/driver.py", None, "_T = archive.index_template\n")],
     "inode-attribute": [(P + "gear/commit.py", None, "_M = node.meta.with_xattr(STUB_XATTR, '1')\n")],

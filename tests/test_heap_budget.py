@@ -250,16 +250,24 @@ def test_digesting_every_mount_keeps_a_client_inside_the_budget(nginx):
     )
 
 
-def _minted(tree):
+def _minted(index):
     """Paths of the nodes an index's lower tree has minted so far, read
-    without minting more."""
-    found, stack = [], [("", tree.root)]
+    without minting more: files and symlinks from its row → node table,
+    directories from the listings that hold them (which hold no other
+    node than the table's)."""
+    entries = index.entries
+    nodes = entries.nodes or []
+    found = [entries.paths[row] for row, node in enumerate(nodes) if node is not None]
+    held = set(map(id, nodes))
+    stack = [("", index.tree.root)]
     while stack:
         head, directory = stack.pop()
         for name, node in dict.items(directory.children):
+            if node.children is None:
+                assert id(node) in held, f"{head}/{name} minted twice"
+                continue
             found.append(f"{head}/{name}")
-            if node.children is not None:
-                stack.append((f"{head}/{name}", node))
+            stack.append((f"{head}/{name}", node))
     return sorted(found)
 
 
@@ -269,18 +277,22 @@ def test_a_deploy_mints_the_index_nodes_its_task_touches_and_no_more(nginx):
     index = _deployed_client(root, nginx).gear_driver.containers()[-1].index
     read = {path for path, _ in nginx.trace.accesses}
     written = {f"/var/run/task-{i}.out" for i in range(task_for_category(nginx.category).writes)}
-    touched = {
-        "/".join(parts[:depth])
-        for parts in (path.split("/") for path in read | written)
-        for depth in range(2, len(parts) + 1)
+    rows = set(index.archive.columns[0])
+    # The directories a write resolves to its parent: the index's rows
+    # among its ancestors.  A read is one row lookup and mints no ancestor.
+    resolved = {
+        head
+        for path in written
+        for head in (path[: at] for at, char in enumerate(path) if char == "/" and at)
+        if head in rows
     }
-    minted = _minted(index.tree)
-    assert read <= set(minted) <= touched
+    minted = _minted(index)
+    assert set(minted) == read | resolved
     assert len(minted) < len(index.archive) // 2
     # A second client mounts the same index: every node it looks up is
     # already minted.
     _deployed_client(root, nginx)
-    assert _minted(index.tree) == minted
+    assert _minted(index) == minted
 
 
 def _record_objects(objects):

@@ -5,6 +5,7 @@ import pytest
 from repro.bench.environment import make_testbed, publish_images
 from repro.gear.commit import commit_container
 from repro.gear.index import GearIndex
+from tests.conftest import image_of
 
 
 class TestFullLifecycle:
@@ -15,7 +16,7 @@ class TestFullLifecycle:
         # Deploy and run the startup task.
         from repro.bench.deploy import deploy_with_gear
 
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         result = deploy_with_gear(testbed, generated)
         assert result.files_fetched > 0
 
@@ -46,7 +47,7 @@ class TestFullLifecycle:
         docker_container = docker_client.daemon.run("nginx:v1")
         gear_container, _ = gear_client.gear_driver.deploy("nginx.gear:v1")
 
-        path = small_corpus.by_reference["nginx:v1"].trace.accesses[0][0]
+        path = image_of(small_corpus, "nginx:v1").trace.accesses[0][0]
         assert (
             docker_container.mount.read_bytes(path)
             == gear_container.mount.read_bytes(path)
@@ -56,7 +57,7 @@ class TestFullLifecycle:
         """The viewer must present exactly the image's filesystem."""
         testbed = make_testbed()
         publish_images(testbed, small_corpus.images, convert=True)
-        generated = small_corpus.by_reference["tomcat:v2"]
+        generated = image_of(small_corpus, "tomcat:v2")
 
         docker_client = testbed.fresh_client()
         docker_client.daemon.pull("tomcat:v2")
@@ -99,7 +100,7 @@ class TestFullLifecycle:
             Image(manifest.name, manifest.tag, [layer], manifest.config,
                   gear_index=True)
         )
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         assert len(index.entries) == len(
             list(generated.image.flatten().iter_files())
         )
@@ -111,7 +112,7 @@ class TestBandwidthAccountingConsistency:
 
         testbed = make_testbed()
         publish_images(testbed, small_corpus.images, convert=True)
-        result = deploy_with_gear(testbed, small_corpus.by_reference["nginx:v1"])
+        result = deploy_with_gear(testbed, image_of(small_corpus, "nginx:v1"))
         container = testbed.gear_driver.containers()[0]
         stats = container.mount.fault_stats
         # Network bytes = index pull + per-fetch payloads + RPC framing.

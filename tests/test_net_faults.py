@@ -26,6 +26,7 @@ from repro.net.link import Link
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import RpcEndpoint, RpcTransport
 from tests.test_gear_pool import admit
+from tests.conftest import image_of
 
 
 def make_faulty_transport(plan, *, retry=None, bandwidth_mbps=8.0):
@@ -335,7 +336,7 @@ FAULTY = FaultPlan(
 def deploy_first_nginx(testbed, corpus):
     publish_images(testbed, corpus.images, convert=True)
     testbed.arm_faults()
-    generated = corpus.by_reference["nginx:v1"]
+    generated = image_of(corpus, "nginx:v1")
     result = deploy_with_gear(testbed, generated)
     return generated, result
 
@@ -484,7 +485,7 @@ class TestDegradedMode:
         testbed = make_testbed(fault_plan=self.OUTAGE, retry_policy=policy)
         testbed.disarm_faults()  # clean warm-up first
         publish_images(testbed, small_corpus.images, convert=True)
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         for path, _ in generated.trace.accesses:
             container.mount.read_bytes(path)
@@ -510,6 +511,6 @@ class TestDegradedMode:
         publish_images(testbed, small_corpus.images, convert=True)
         container, _ = testbed.gear_driver.deploy("nginx.gear:v1")
         testbed.arm_faults()
-        path = small_corpus.by_reference["nginx:v1"].trace.accesses[0][0]
+        path = image_of(small_corpus, "nginx:v1").trace.accesses[0][0]
         with pytest.raises(UnavailableError):
             container.mount.read_bytes(path)

@@ -6,6 +6,7 @@ from repro.bench.deploy import deploy_with_docker, deploy_with_gear
 from repro.bench.environment import publish_images
 from repro.common.stats import percentile
 from repro.net.topology import Cluster
+from tests.conftest import image_of
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ class TestClusterAssembly:
 
 class TestFleetDeployment:
     def test_every_node_pays_its_own_downloads(self, cluster, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         per_node = []
         for node in cluster.nodes:
             before = cluster.registry_egress_bytes
@@ -49,14 +50,14 @@ class TestFleetDeployment:
         assert all(volume > 0 for volume in per_node)
 
     def test_registry_egress_accumulates(self, cluster, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         before = cluster.registry_egress_bytes
         for node in cluster.nodes:
             deploy_with_docker(node.testbed, generated)
         assert cluster.registry_egress_bytes > before
 
     def test_gear_fleet_uses_less_registry_capacity(self, small_corpus):
-        generated = small_corpus.by_reference["tomcat:v1"]
+        generated = image_of(small_corpus, "tomcat:v1")
 
         docker_cluster = Cluster(3, bandwidth_mbps=100)
         publish_images(
@@ -132,7 +133,7 @@ def _fresh_cluster(small_corpus, nodes=3):
 
 class TestDeployWave:
     def test_report_shape(self, cluster, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         wave = cluster.deploy_wave(
             lambda node: deploy_with_docker(node.testbed, generated) and None
         )
@@ -148,7 +149,7 @@ class TestDeployWave:
             cluster.deploy_wave(lambda node: None, concurrency=0)
 
     def test_deterministic_across_identical_clusters(self, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         waves = []
         for _ in range(2):
             cluster = _fresh_cluster(small_corpus)
@@ -163,7 +164,7 @@ class TestDeployWave:
         assert waves[0] == waves[1]
 
     def test_concurrency_one_matches_sequential_timings(self, small_corpus):
-        generated = small_corpus.by_reference["tomcat:v1"]
+        generated = image_of(small_corpus, "tomcat:v1")
 
         sequential = _fresh_cluster(small_corpus)
         timings = []
@@ -232,7 +233,7 @@ class TestDeployWave:
         )
 
     def test_contention_stretches_latency_not_bytes(self, small_corpus):
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
 
         staged = _fresh_cluster(small_corpus)
         one_at_a_time = staged.deploy_wave(

@@ -28,10 +28,11 @@ from repro.bench.environment import (
 )
 from repro.gear.prefetch import TraceRecorder
 from repro.net.topology import Cluster
+from tests.conftest import image_of
 
 
 def _fleet_wave(small_corpus, *, attach):
-    generated = small_corpus.by_reference["nginx:v1"]
+    generated = image_of(small_corpus, "nginx:v1")
     cluster = Cluster(4, bandwidth_mbps=120)
     publish_images(cluster.registry_testbed, [generated], convert=True)
     sampler = None
@@ -73,7 +74,7 @@ class TestSamplerNeutrality:
             publish_images(bed, small_corpus.images, convert=True)
             results.append(
                 deploy_with_gear(bed.fresh_client(),
-                                 small_corpus.by_reference["tomcat:v1"],
+                                 image_of(small_corpus, "tomcat:v1"),
                                  clear_cache=True)
             )
         first, second = results
@@ -90,7 +91,7 @@ class TestReadyOrdering:
         # Fig. 9's grid shape: series × bandwidth, both systems.
         bed = make_testbed(bandwidth_mbps=bandwidth)
         publish_images(bed, small_corpus.images, convert=True)
-        generated = small_corpus.by_reference[reference]
+        generated = image_of(small_corpus, reference)
         docker = deploy_with_docker(bed.fresh_client(), generated)
         gear = deploy_with_gear(bed.fresh_client(), generated,
                                 clear_cache=True)
@@ -105,7 +106,7 @@ class TestReadyOrdering:
         # docker-style full pull would complete.
         bed = make_testbed(bandwidth_mbps=20)
         publish_images(bed, small_corpus.images, convert=True)
-        generated = small_corpus.by_reference["nginx:v1"]
+        generated = image_of(small_corpus, "nginx:v1")
         warm = bed.fresh_client()
         deploy_with_gear(warm, generated)
         recorder = TraceRecorder()

@@ -30,6 +30,7 @@ from repro.common.clock import (
 from repro.common.errors import FetchCancelledError
 from repro.net.faults import FaultPlan, OutageWindow
 from repro.net.link import Link
+from tests.conftest import image_of
 
 #: Fig. 9's bandwidth grid (Mbps).
 FIG9_BANDWIDTHS = (904, 100, 20, 5)
@@ -777,7 +778,7 @@ def _publish(bed, small_corpus):
 @pytest.mark.parametrize("bandwidth", FIG9_BANDWIDTHS)
 def test_golden_single_process_matches_sequential(small_corpus, bandwidth):
     """One scheduler process replays the seed model byte-identically."""
-    generated = small_corpus.by_reference["tomcat:v1"]
+    generated = image_of(small_corpus, "tomcat:v1")
 
     sequential = make_testbed(bandwidth_mbps=bandwidth)
     _publish(sequential, small_corpus)
@@ -811,7 +812,7 @@ def test_golden_matches_sequential_under_fault_plan(small_corpus):
         outages=(OutageWindow(start_s=1.0, duration_s=2.0),),
         targets=("gear-registry",),
     )
-    generated = small_corpus.by_reference["nginx:v1"]
+    generated = image_of(small_corpus, "nginx:v1")
 
     def run(bed):
         bed.arm_faults()

@@ -135,7 +135,7 @@ class TestOverlay:
         path = "/d0/d1/d2/f0"
         depth = path.count("/")
         counted.reset()
-        node, resolved = mount._resolve(path)
+        node, resolved, _ = mount._resolve(path)
         assert node.is_file and resolved == ["d0", "d1", "d2", "f0"]
         assert counted.splits == 1
         assert counted.steps == depth

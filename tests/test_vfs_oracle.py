@@ -627,6 +627,15 @@ def probe(view, op, path):
 
 
 _INDEX_NAMES = ["a", "b", "a-b", "a.b", "z", "linked"]
+#: Writes a container makes to its upper before it reads: a file, a
+#: removal (a whiteout over a lower entry), a directory, and a directory
+#: made over the whiteout of a removal (opaque).
+_UPPER_OPS = {
+    "write": lambda view, path: view.write_file(path, b"upper", parents=True) and None,
+    "remove": lambda view, path: view.remove(path, recursive=True),
+    "mkdir": lambda view, path: view.mkdir(path, parents=True) and None,
+    "opaque": lambda view, path: view.remove(path, recursive=True) or view.mkdir(path) and None,
+}
 _LOWER_OPS = ["exists", "lexists", "stat", "lstat", "readlink", "listdir", "walk"]
 
 
@@ -661,11 +670,31 @@ def test_the_column_lower_answers_as_a_tree_parse_would(drawn, data):
                 pool.prepare(GearFile(identity=identity, blob=node.blob))
                 pool.commit(identity)
         viewers.append(GearFileViewer(side, pool))
-    for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(["read", "read", *_LOWER_OPS]))
+    # The reference's entries are a plain mapping, so its viewer always
+    # walks; the column viewer answers a file of the index by its row
+    # unless the upper holds or masks the path.  Give the upper files,
+    # whiteouts over lower files and opaque directories over whiteouts
+    # first, and read through the index's symlinks too.
+    through = [f"{path}/{name}" for path, node in root.walk("/") if node.is_symlink
+               for name in _INDEX_NAMES]
+    paths_drawn = st.sampled_from(["/", "/missing", "/a/b/a", "/linked/x",
+                                   *walked, *near, *through])
+    for _ in range(data.draw(st.integers(0, 6))):
+        op = data.draw(st.sampled_from(list(_UPPER_OPS)))
         path = data.draw(paths_drawn)
-        column, tree = (probe(viewer, op, path) for viewer in viewers)
+        column, tree = (result_of(lambda: _UPPER_OPS[op](viewer, path))
+                        for viewer in viewers)
+        assert column == tree, (op, path)
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["read", "read", "read", *_LOWER_OPS]))
+        path = data.draw(paths_drawn)
+        column, tree = (
+            (probe(viewer, op, path), viewer.stats.lookups, viewer.stats.inodes_touched)
+            for viewer in viewers
+        )
         assert column == tree, (op, path)
     assert sorted(index.links) == sorted(reference.links)
     assert viewers[0].fs_digest() == viewers[1].fs_digest()
+    # The digest's walk reaches the very nodes the row lookups minted.
+    assert viewers[0].stats.inodes_touched == viewers[1].stats.inodes_touched
     assert listing(index.tree) == listing(parsed_tree)

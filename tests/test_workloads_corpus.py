@@ -16,6 +16,7 @@ from repro.workloads.corpus import (
     _FileSet,
     _layer_from_filesets,
 )
+from tests.conftest import image_of
 
 
 CONFIG = CorpusConfig(
@@ -146,8 +147,8 @@ class TestTraces:
 
 
 class TestCorpusApi:
-    def test_get_by_reference(self, small_corpus):
-        generated = small_corpus.by_reference["nginx:v2"]
+    def test_an_image_knows_its_tag_and_version_position(self, small_corpus):
+        generated = image_of(small_corpus, "nginx:v2")
         assert generated.tag == "v2"
         assert generated.tag_index == 1
 
